@@ -71,6 +71,7 @@ pub mod analytical;
 pub mod config;
 pub mod economics;
 pub mod meter;
+pub mod proposer;
 pub mod proxy;
 pub mod server;
 pub mod sitelist;
@@ -78,6 +79,7 @@ pub mod sitelist;
 pub use config::{AdaptiveTtlConfig, LeasePolicy, ProtocolConfig, ProtocolKind};
 pub use economics::{AdaptiveLeaseConfig, LeaseEconomics};
 pub use meter::{DocViews, HitMeter};
+pub use proposer::{Proposer, ProposerStats};
 pub use proxy::{ProxyAction, ProxyPolicy, RequestDisposition};
 pub use server::{GetGrant, ServerConsistency};
 pub use sitelist::{InvalidationTable, SiteListMemory, SiteListStats};

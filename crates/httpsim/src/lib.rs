@@ -63,7 +63,6 @@ pub mod deployment;
 pub mod modifier;
 pub mod origin;
 pub mod parent;
-pub mod proposer;
 pub mod proxy;
 pub mod sender;
 
@@ -76,9 +75,9 @@ pub use deployment::{
 pub use modifier::ModifierNode;
 pub use origin::OriginNode;
 pub use parent::{ParentCounters, ParentNode};
-pub use proposer::{Proposer, ProposerStats};
 pub use proxy::ProxyNode;
 pub use sender::InvalSenderNode;
+pub use wcc_core::{Proposer, ProposerStats};
 
 use wcc_proto::Message;
 use wcc_types::{ByteSize, ClientId, Url};

@@ -2,9 +2,8 @@
 
 use crate::cost::CostModel;
 use crate::deployment::{ChangeDetection, InvalSendMode};
-use crate::proposer::Proposer;
 use crate::SimMsg;
-use wcc_core::{HitMeter, ServerConsistency};
+use wcc_core::{HitMeter, Proposer, ServerConsistency};
 use wcc_obs::{invalidation_span, Phase, SpanKind, Tracer};
 use wcc_proto::{BatchEntry, CoordMsg, GetRequest, HttpMsg, Message, Reply, ReplyStatus};
 use wcc_simnet::{Ctx, Node, Summary};

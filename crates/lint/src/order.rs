@@ -10,8 +10,10 @@
 //!   `extend` on another tracked map/set, or the loop body only
 //!   accumulates commutatively. Everything else is a finding (waivable —
 //!   the waiver audit keeps waivers honest).
-//! * **index-panic** — `v[idx]` on a `Vec` in the protocol crates panics
-//!   on a bad index; protocol paths must use `.get()` and handle the miss.
+//! * **index-panic** — `v[idx]` on a `Vec` in the protocol crates, and in
+//!   the two crates that parse peer input off real sockets (`net`,
+//!   `reactor`), panics on a bad index; those paths must use `.get()` and
+//!   handle the miss.
 //!
 //! Both rules work from a *binding registry*: identifiers whose declared
 //! type or initializer names a tracked container. The registry is scoped
@@ -37,6 +39,14 @@ pub(crate) fn map_rule_scope(path: &str) -> bool {
         || path.starts_with("crates/replay/src/")
         || path.starts_with("crates/obs/src/")
         || path.starts_with("crates/proto/src/")
+}
+
+/// Crates where a bad `Vec` index is reachable from protocol or peer
+/// input: the protocol crates plus the socket tier that feeds them.
+pub(crate) fn index_rule_scope(path: &str) -> bool {
+    crate::rules::protocol_crate(path)
+        || path.starts_with("crates/net/src/")
+        || path.starts_with("crates/reactor/src/")
 }
 
 const MAP_HEADS: &[&str] = &["FxHashMap", "FxHashSet", "HashMap", "HashSet"];
@@ -194,7 +204,7 @@ pub(crate) fn scan(file: &SourceFile<'_>, reg: &Registry) -> Vec<Diagnostic> {
     if map_rule_scope(file.path) {
         scan_map_order(file, reg, &mut findings);
     }
-    if crate::rules::protocol_crate(file.path) {
+    if index_rule_scope(file.path) {
         scan_indexing(file, reg, &mut findings);
     }
     findings
@@ -221,8 +231,8 @@ fn scan_indexing(file: &SourceFile<'_>, reg: &Registry, findings: &mut Vec<Diagn
             line: file.line(k),
             rule: INDEX_RULE,
             message: format!(
-                "indexing `{}[…]` panics on a bad index; protocol crates \
-                 must use .get() and handle the miss",
+                "indexing `{}[…]` panics on a bad index; protocol and socket \
+                 crates must use .get() and handle the miss",
                 file.s(k)
             ),
         });

@@ -488,6 +488,29 @@ fn f(lanes: Vec<u32>, i: usize) -> u32 {
     assert!(scan_source("crates/httpsim/src/proxy.rs", src).is_empty());
 }
 
+#[test]
+fn vec_indexing_in_the_socket_crates_is_flagged() {
+    // The serve tier indexes with ids straight off the wire: the shape
+    // that let one hostile NOTIFY panic the TCP origin's reactor.
+    let src = "\
+fn handle(doc_sizes: Vec<u64>, doc: usize) -> u64 {
+    doc_sizes[doc]
+}
+";
+    for path in ["crates/net/src/origin.rs", "crates/reactor/src/buf.rs"] {
+        let d = scan_source(path, src);
+        assert_eq!(d.len(), 1, "{path}");
+        assert_eq!(d[0].rule, "index-panic");
+        assert_eq!(d[0].line, 2);
+    }
+    // Integration tests are outside the scope; a waiver is honoured and
+    // audited like everywhere else.
+    assert!(scan_source("crates/net/tests/loopback.rs", src).is_empty());
+    let waived = src.replace("[doc]", "[doc] // xtask-lint: allow(index-panic)");
+    assert!(scan_source("crates/net/src/origin.rs", &waived).is_empty());
+    assert!(audit_waivers_source("crates/net/src/origin.rs", &waived).is_empty());
+}
+
 // ---- waiver audit ----
 
 #[test]

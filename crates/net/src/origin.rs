@@ -2,15 +2,16 @@
 //!
 //! One reactor thread owns every connection: per-request `GET`s, modifier
 //! check-ins, `/metrics` scrapes, and the proxies' persistent `HELLO`
-//! push channels all multiplex over the same epoll/poll loop
-//! (`wcc_reactor`). Requests decode zero-copy out of each connection's
-//! receive buffer; `INVALIDATE` pushes are queued straight into the
-//! target channel's send buffer — no per-connection threads anywhere.
+//! push channels all multiplex over the node runtime's loop
+//! ([`crate::evloop`]). This file is the origin's state and its
+//! [`Role`]: requests are answered on the reactor thread (no pool) and
+//! `INVALIDATE` pushes go through the runtime's outbox to the target
+//! channel — no per-connection threads anywhere.
 //!
 //! Restart recovery follows the paper's §5 model: an origin spawned with
 //! `recovering = true` has lost its in-memory site lists, so it answers
 //! every proxy re-registration with a bulk `INVALIDATE <server>` and
-//! retries on a 250 ms tick until the `InvalidateServerAck` arrives.
+//! re-sends it every 250 ms until the `InvalidateServerAck` arrives.
 //! Once every known channel has acknowledged, strong consistency holds
 //! again without any persistent site-list storage.
 
@@ -18,24 +19,18 @@ use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
-use wcc_core::{ProtocolConfig, ServerConsistency, SiteListStats};
+use wcc_core::{Proposer, ProtocolConfig, ServerConsistency, SiteListStats};
 use wcc_obs::{Histogram, Registry};
-use wcc_proto::msg::sizes::INVALIDATE_SIZE;
-use wcc_proto::{
-    decode_frame, encode, BatchEntry, GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus,
-    WireError,
-};
-use wcc_reactor::{Poller, WakeHandle, Waker};
+use wcc_proto::{encode, BatchEntry, GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus};
 use wcc_types::{
     Body, ByteSize, ClientId, DocMeta, InvalBatchConfig, ServerId, SimDuration, SimTime, Url,
     WallClock,
 };
 
-use crate::evloop::{accept_all, Conn, Conns, TOK_LISTENER, TOK_WAKER};
+use crate::evloop::{self, earliest, time_left, After, Cx, Node, Outbox, Role, Via};
 
 /// Configuration for [`NetOrigin::spawn`].
 #[derive(Debug, Clone)]
@@ -93,13 +88,11 @@ struct Protected {
     counters: OriginSnapshot,
     /// Wall-time GET service latency (decode to reply built).
     serve_latency: Histogram,
-    /// Batched proposer accumulator: pending stale copies, coalesced per
-    /// document. Always empty when `inval_batch` is `None`.
-    pending_inval: BTreeMap<Url, BTreeSet<ClientId>>,
-    /// Entry count of `pending_inval` (kept incrementally).
-    pending_entries: u64,
-    /// Armed when the accumulator went empty → non-empty; drives the age
-    /// threshold.
+    /// The batched proposer (`None`: per-write fan-out) — the same
+    /// accumulator the simulator's origin drives.
+    proposer: Option<Proposer>,
+    /// Armed when the proposer's queue went empty → non-empty; drives the
+    /// age threshold.
     pending_since: Option<WallClock>,
     /// Entries per flushed `InvalidateBatch` round.
     batch_sizes: Histogram,
@@ -112,14 +105,28 @@ struct Protected {
     recovery_acked: BTreeSet<u32>,
 }
 
+impl Protected {
+    /// The counters with everything derived filled in: the proposer's
+    /// share, write completion and the site-list stats.
+    fn snapshot(&self) -> OriginSnapshot {
+        let mut snap = self.counters.clone();
+        if let Some(stats) = self.proposer.as_ref().map(Proposer::stats) {
+            snap.inval_batches = stats.batches;
+            snap.batched_entries = stats.flushed_entries;
+            snap.coalesced_invalidations = stats.coalesced;
+        }
+        snap.writes_complete = self.consistency.writes_complete();
+        snap.sitelist = self.consistency.table().stats();
+        snap
+    }
+}
+
 struct State {
     server: ServerId,
     doc_sizes: Vec<ByteSize>,
     /// Reloadable via [`NetOrigin::set_doc_scale`] (SIGHUP config reload).
     doc_scale: AtomicU32,
-    inval_batch: Option<InvalBatchConfig>,
     protected: Mutex<Protected>,
-    shutdown: AtomicBool,
 }
 
 /// What one check-in produced for the wire.
@@ -132,15 +139,17 @@ enum Fanout {
 }
 
 impl State {
-    fn handle_get(&self, get: &GetRequest) -> HttpMsg {
+    /// Serves one `GET`; `None` for a document this origin does not have
+    /// (the id comes straight off the wire).
+    fn handle_get(&self, get: &GetRequest) -> Option<HttpMsg> {
         let mut p = self.protected.lock();
+        let doc = get.url.doc() as usize;
+        let meta = DocMeta::new(*self.doc_sizes.get(doc)?, *p.versions.get(doc)?);
         if get.is_ims() {
             p.counters.ims += 1;
         } else {
             p.counters.gets += 1;
         }
-        let doc = get.url.doc() as usize;
-        let meta = DocMeta::new(self.doc_sizes[doc], p.versions[doc]);
         let grant = p
             .consistency
             .on_get(get.url, get.client, get.ims, meta, get.issued_at);
@@ -154,7 +163,7 @@ impl State {
             p.counters.replies_304 += 1;
             ReplyStatus::NotModified
         };
-        HttpMsg::Reply(Reply {
+        Some(HttpMsg::Reply(Reply {
             req: get.req,
             url: get.url,
             client: get.client,
@@ -162,89 +171,66 @@ impl State {
             lease: grant.lease,
             piggyback: grant.piggyback,
             volume_lease: grant.volume_lease,
+        }))
+    }
+
+    /// Processes a check-in; returns what to push on the wire, or `None`
+    /// for a document this origin does not have.
+    fn handle_notify(&self, url: Url, at: SimTime) -> Option<Fanout> {
+        let mut p = self.protected.lock();
+        let version = p.versions.get_mut(url.doc() as usize)?;
+        *version = (*version).max(at);
+        p.counters.notifies += 1;
+        let recipients = p.consistency.on_modify(url, at);
+        p.counters.invalidations += recipients.len() as u64;
+        let Protected {
+            proposer: Some(proposer),
+            pending_since,
+            ..
+        } = &mut *p
+        else {
+            return Some(Fanout::PerWrite(recipients));
+        };
+        for client in recipients {
+            if proposer.enqueue(url, client) {
+                *pending_since = Some(WallClock::start());
+            }
+        }
+        Some(Fanout::Queued {
+            flush: proposer.should_flush(),
         })
     }
 
-    /// Processes a check-in; returns what to push on the wire.
-    fn handle_notify(&self, url: Url, at: SimTime) -> Fanout {
-        let mut p = self.protected.lock();
-        p.counters.notifies += 1;
-        let doc = url.doc() as usize;
-        p.versions[doc] = p.versions[doc].max(at);
-        let recipients = p.consistency.on_modify(url, at);
-        p.counters.invalidations += recipients.len() as u64;
-        let Some(cfg) = self.inval_batch else {
-            return Fanout::PerWrite(recipients);
-        };
-        if !recipients.is_empty() && p.pending_since.is_none() {
-            p.pending_since = Some(WallClock::start());
-        }
-        let mut fresh = 0u64;
-        {
-            let Protected {
-                pending_inval,
-                counters,
-                ..
-            } = &mut *p;
-            for client in recipients {
-                if pending_inval.entry(url).or_default().insert(client) {
-                    fresh += 1;
-                } else {
-                    counters.coalesced_invalidations += 1;
-                }
-            }
-        }
-        p.pending_entries += fresh;
-        // Byte threshold is what a per-write fan-out of the queue would
-        // have cost — the same accounting the simulator's proposer uses.
-        let bytes = p.pending_entries * INVALIDATE_SIZE;
-        let flush = p.pending_entries >= cfg.max_entries as u64 || bytes >= cfg.max_bytes.as_u64();
-        Fanout::Queued { flush }
-    }
-
-    /// Drains the proposer accumulator into one sorted entry list per
-    /// proxy partition, recording the per-round stats.
-    fn drain_pending(&self, partitions: u32) -> Vec<(u32, Vec<BatchEntry>)> {
-        let mut p = self.protected.lock();
-        if p.pending_entries == 0 {
-            return Vec::new();
-        }
-        let pending = std::mem::take(&mut p.pending_inval);
-        p.counters.batched_entries += p.pending_entries;
-        p.pending_entries = 0;
-        p.pending_since = None;
-        let partitions = partitions.max(1);
+    /// Drains the proposer into one sorted entry list per proxy
+    /// partition, recording the per-round stats.
+    fn drain_pending(&self, partitions: u32) -> BTreeMap<u32, Vec<BatchEntry>> {
         let mut per: BTreeMap<u32, Vec<BatchEntry>> = BTreeMap::new();
-        for (url, clients) in pending {
+        let mut p = self.protected.lock();
+        let Protected {
+            proposer: Some(proposer),
+            pending_since,
+            batch_sizes,
+            ..
+        } = &mut *p
+        else {
+            return per;
+        };
+        if proposer.is_empty() {
+            return per;
+        }
+        *pending_since = None;
+        for (url, clients) in proposer.drain() {
             for client in clients {
-                per.entry(client.partition(partitions))
+                per.entry(client.partition(partitions.max(1)))
                     .or_default()
                     .push(BatchEntry { url, client });
             }
         }
-        let mut out = Vec::with_capacity(per.len());
-        for (partition, entries) in per {
-            p.counters.inval_batches += 1;
-            p.batch_sizes.record(entries.len() as u64);
-            out.push((partition, entries));
+        for entries in per.values() {
+            proposer.note_batch(entries.len());
+            batch_sizes.record(entries.len() as u64);
         }
-        out
-    }
-
-    /// Time until the oldest pending entry hits the age threshold:
-    /// `Some(ZERO)` when a flush is overdue, `None` when nothing is
-    /// pending (or batching is off).
-    fn batch_age_left(&self) -> Option<Duration> {
-        let cfg = self.inval_batch?;
-        let p = self.protected.lock();
-        let elapsed = p.pending_since.as_ref()?.elapsed();
-        if elapsed >= cfg.max_age {
-            Some(Duration::ZERO)
-        } else {
-            Some(Duration::from_micros(
-                cfg.max_age.as_micros() - elapsed.as_micros(),
-            ))
-        }
+        per
     }
 
     fn handle_ack(&self, url: Url, client: ClientId) {
@@ -261,7 +247,7 @@ impl State {
     fn render_metrics(&self) -> String {
         let p = self.protected.lock();
         let node = [("node", "origin")];
-        let c = &p.counters;
+        let c = &p.snapshot();
         let mut r = Registry::default();
         r.set_counter(
             "wcc_gets_total",
@@ -323,7 +309,7 @@ impl State {
             &node,
             c.notifies,
         );
-        let stats = p.consistency.table().stats();
+        let stats = &c.sitelist;
         r.set_gauge(
             "wcc_sitelist_entries",
             "Live site-list entries (granted leases / registrations).",
@@ -352,7 +338,7 @@ impl State {
             "wcc_writes_complete",
             "1 when every invalidation has been acknowledged.",
             &node,
-            u64::from(p.consistency.writes_complete()),
+            u64::from(c.writes_complete),
         );
         r.set_gauge(
             "wcc_recovery_complete",
@@ -364,7 +350,7 @@ impl State {
             "wcc_inval_pending_queue",
             "Coalesced (document, client) entries waiting in the proposer.",
             &node,
-            p.pending_entries,
+            p.proposer.as_ref().map_or(0, Proposer::entries) as u64,
         );
         r.set_histogram(
             "wcc_serve_latency_seconds",
@@ -386,8 +372,7 @@ impl State {
 pub struct NetOrigin {
     addr: SocketAddr,
     state: Arc<State>,
-    wake: WakeHandle,
-    reactor: Option<JoinHandle<()>>,
+    _node: Node,
 }
 
 impl std::fmt::Debug for NetOrigin {
@@ -422,53 +407,36 @@ impl NetOrigin {
         recovering: bool,
     ) -> std::io::Result<NetOrigin> {
         let listener = TcpListener::bind(addr)?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let n = config.doc_sizes.len();
         let state = Arc::new(State {
             server: config.server,
             doc_sizes: config.doc_sizes,
             doc_scale: AtomicU32::new(u32::try_from(config.doc_scale.max(1)).unwrap_or(u32::MAX)),
-            inval_batch: config.inval_batch,
             protected: Mutex::new(Protected {
                 consistency: ServerConsistency::new(&config.protocol, config.server),
                 versions: vec![SimTime::ZERO; n],
                 counters: OriginSnapshot::default(),
                 serve_latency: Histogram::default(),
-                pending_inval: BTreeMap::new(),
-                pending_entries: 0,
+                proposer: config.inval_batch.map(Proposer::new),
                 pending_since: None,
                 batch_sizes: Histogram::default(),
                 recovering,
                 recovery_pending: BTreeSet::new(),
                 recovery_acked: BTreeSet::new(),
             }),
-            shutdown: AtomicBool::new(false),
         });
-
-        let mut poller = Poller::new()?;
-        {
-            use std::os::fd::AsRawFd;
-            poller.add(
-                listener.as_raw_fd(),
-                TOK_LISTENER,
-                wcc_reactor::Interest::READ,
-            )?;
-        }
-        let waker = Waker::new()?;
-        waker.register(&mut poller, TOK_WAKER)?;
-        let wake = waker.handle()?;
-
-        let reactor_state = Arc::clone(&state);
-        let reactor = std::thread::spawn(move || {
-            reactor_loop(&reactor_state, &listener, poller, &waker);
-        });
-
+        let role = OriginRole {
+            state: Arc::clone(&state),
+            channels: HashMap::new(),
+            total_partitions: 1,
+            bulk_sent: WallClock::start(),
+        };
+        let node = evloop::spawn(role, &state, listener, None, None)?;
         Ok(NetOrigin {
             addr,
             state,
-            wake,
-            reactor: Some(reactor),
+            _node: node,
         })
     }
 
@@ -485,11 +453,7 @@ impl NetOrigin {
 
     /// A copy of the current counters and site-list stats.
     pub fn snapshot(&self) -> OriginSnapshot {
-        let p = self.state.protected.lock();
-        let mut snap = p.counters.clone();
-        snap.writes_complete = p.consistency.writes_complete();
-        snap.sitelist = p.consistency.table().stats();
-        snap
+        self.state.protected.lock().snapshot()
     }
 
     /// Swaps the payload scale factor at runtime (`wcc serve`'s SIGHUP
@@ -509,45 +473,28 @@ impl NetOrigin {
 
     /// Polls until [`NetOrigin::recovery_complete`] or `timeout` elapses.
     pub fn wait_recovery_complete(&self, timeout: Duration) -> bool {
-        let clock = WallClock::start();
-        let timeout =
-            SimDuration::from_micros(u64::try_from(timeout.as_micros()).unwrap_or(u64::MAX));
-        loop {
-            if self.recovery_complete() {
-                return true;
-            }
-            if clock.has_elapsed(timeout) {
-                return false;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
+        self.wait_until(timeout, State::recovery_done)
     }
 
     /// Polls until every outstanding invalidation is acknowledged (the
     /// paper's write-completion condition) or `timeout` elapses. Returns
     /// whether completion was reached.
     pub fn wait_writes_complete(&self, timeout: Duration) -> bool {
+        self.wait_until(timeout, |p| p.consistency.writes_complete())
+    }
+
+    fn wait_until(&self, timeout: Duration, reached: impl Fn(&Protected) -> bool) -> bool {
         let clock = WallClock::start();
         let timeout =
             SimDuration::from_micros(u64::try_from(timeout.as_micros()).unwrap_or(u64::MAX));
         loop {
-            if self.state.protected.lock().consistency.writes_complete() {
+            if reached(&self.state.protected.lock()) {
                 return true;
             }
             if clock.has_elapsed(timeout) {
                 return false;
             }
             std::thread::sleep(Duration::from_millis(2));
-        }
-    }
-}
-
-impl Drop for NetOrigin {
-    fn drop(&mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.wake.wake();
-        if let Some(t) = self.reactor.take() {
-            let _ = t.join();
         }
     }
 }
@@ -558,334 +505,185 @@ struct OTag {
     partition: Option<u32>,
 }
 
-/// What the dispatcher wants done with the connection afterwards.
-enum After {
-    Keep,
-    CloseAfterFlush,
-    Close,
+/// How often an unacknowledged §5 bulk invalidation is re-sent.
+const BULK_RETRY: SimDuration = SimDuration::from_millis(250);
+
+/// The origin's reactor-side state: who to push to.
+struct OriginRole {
+    state: Arc<State>,
+    /// partition -> push-channel token (latest HELLO wins, stale tokens
+    /// fail their generation check harmlessly).
+    channels: HashMap<u32, u64>,
+    /// Partition count the proxies declared in their HELLOs; routing must
+    /// use the same modulus the proxies used when sharding clients.
+    total_partitions: u32,
+    /// Started when a bulk invalidation was last (re-)sent.
+    bulk_sent: WallClock,
 }
 
-/// The origin's whole serving tier: one loop, every connection.
-fn reactor_loop(state: &Arc<State>, listener: &TcpListener, mut poller: Poller, waker: &Waker) {
-    let mut conns: Conns<OTag> = Conns::with_capacity(64);
-    let mut events: Vec<wcc_reactor::Event> = Vec::with_capacity(256);
-    // partition -> push-channel token (latest HELLO wins, stale tokens
-    // fail their generation check harmlessly).
-    let mut channels: HashMap<u32, u64> = HashMap::new();
-    // Partition count the proxies declared in their HELLOs; routing must
-    // use the same modulus the proxies used when sharding clients.
-    let mut total_partitions: u32 = 1;
-    let mut outbox: Vec<(u64, HttpMsg)> = Vec::with_capacity(64);
-    let mut scratch: Vec<u64> = Vec::with_capacity(64);
-    let mut dropped: u64 = 0;
+impl OriginRole {
+    /// Time left on the origin's two timers: the §5 bulk-invalidation
+    /// retry and the proposer's age threshold.
+    fn timers(&self) -> (Option<Duration>, Option<Duration>) {
+        let p = self.state.protected.lock();
+        let retry = (p.recovering && !p.recovery_pending.is_empty())
+            .then(|| time_left(&self.bulk_sent, BULK_RETRY));
+        let age = p
+            .pending_since
+            .as_ref()
+            .zip(p.proposer.as_ref())
+            .map(|(since, proposer)| time_left(since, proposer.config().max_age));
+        (retry, age)
+    }
 
-    loop {
-        let retry_recovery = {
-            let p = state.protected.lock();
-            p.recovering && !p.recovery_pending.is_empty()
-        };
-        // Two timers share the poller timeout: the 250 ms recovery retry
-        // tick and the proposer's age threshold (whichever is sooner).
-        let batch_left = state.batch_age_left();
-        let retry_tick = if retry_recovery {
-            Some(Duration::from_millis(250))
-        } else {
-            None
-        };
-        let timeout = match (retry_tick, batch_left) {
-            (Some(a), Some(b)) => Some(a.min(b)),
-            (a, b) => a.or(b),
-        };
-        if poller.wait(&mut events, timeout).is_err() {
-            break;
+    /// Drains the proposer into one `InvalidateBatch` per proxy partition
+    /// with a live push channel. Entries routed at a partition with no
+    /// channel are dropped from the wire like their per-write equivalents:
+    /// the site list still holds them, and a re-registration (or the §5
+    /// bulk recovery invalidation) picks them up.
+    fn flush_batches(&self, out: &mut Outbox) {
+        for (partition, entries) in self.state.drain_pending(self.total_partitions) {
+            if let Some(&tok) = self.channels.get(&partition) {
+                let server = self.state.server;
+                out.push((tok, HttpMsg::InvalidateBatch { server, entries }));
+            }
         }
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if state.batch_age_left() == Some(Duration::ZERO) {
+    }
+}
+
+impl Role for OriginRole {
+    type Tag = OTag;
+    /// The origin answers on the reactor thread: no pool.
+    type Job = std::convert::Infallible;
+    type Shared = State;
+    const POOL: usize = 0;
+
+    fn tag(&self, _via: Via) -> OTag {
+        OTag { partition: None }
+    }
+
+    fn run_job(_shared: &State, job: Self::Job) -> Option<HttpMsg> {
+        match job {}
+    }
+
+    fn next_deadline(&self) -> Option<Duration> {
+        let (retry, age) = self.timers();
+        earliest(retry, age)
+    }
+
+    fn on_deadline(&mut self, out: &mut Outbox) {
+        let (retry, age) = self.timers();
+        if age == Some(Duration::ZERO) {
             // Age flush: the oldest pending entry has waited max_age, so
             // the round goes out even though no count threshold tripped.
-            flush_batches(state, &channels, total_partitions, &mut outbox);
-            deliver_outbox(&mut outbox, &mut conns, &mut poller);
+            self.flush_batches(out);
         }
-        if events.is_empty() && retry_recovery {
-            // Retry tick: re-send the bulk invalidation to every pending
-            // partition (idempotent on the proxy side).
-            let pending: Vec<u32> = {
-                let p = state.protected.lock();
-                p.recovery_pending.iter().copied().collect()
-            };
-            for partition in pending {
-                if let Some(&tok) = channels.get(&partition) {
-                    outbox.push((
-                        tok,
-                        HttpMsg::InvalidateServer {
-                            server: state.server,
-                        },
-                    ));
+        if retry == Some(Duration::ZERO) {
+            // Re-send the bulk invalidation to every pending partition
+            // (idempotent on the proxy side).
+            let server = self.state.server;
+            for partition in &self.state.protected.lock().recovery_pending {
+                if let Some(&tok) = self.channels.get(partition) {
+                    out.push((tok, HttpMsg::InvalidateServer { server }));
                 }
             }
-            deliver_outbox(&mut outbox, &mut conns, &mut poller);
-            continue;
+            self.bulk_sent = WallClock::start();
         }
-        for ev in events.iter().copied() {
-            match ev.token {
-                TOK_LISTENER => {
-                    accept_all(
-                        listener,
-                        &mut poller,
-                        &mut conns,
-                        || OTag { partition: None },
-                        &mut dropped,
-                    );
-                }
-                TOK_WAKER => waker.drain(),
-                tok => {
-                    if ev.writable {
-                        conns.flush(&mut poller, tok);
-                    }
-                    if ev.readable || ev.error {
-                        drive_conn(
-                            state,
-                            &mut poller,
-                            &mut conns,
-                            &mut channels,
-                            &mut total_partitions,
-                            &mut outbox,
-                            tok,
-                        );
-                    }
-                }
-            }
-        }
-        deliver_outbox(&mut outbox, &mut conns, &mut poller);
     }
 
-    // Shutdown: flush whatever is queued, then drop every connection.
-    conns.live_tokens(&mut scratch);
-    for tok in scratch.drain(..) {
-        conns.flush(&mut poller, tok);
-        conns.close(&mut poller, tok);
-    }
-}
-
-/// Drains the proposer accumulator into one `InvalidateBatch` per proxy
-/// partition with a live push channel. Entries routed at a partition with
-/// no channel are dropped from the wire like their per-write equivalents:
-/// the site list still holds them, and a re-registration (or the §5 bulk
-/// recovery invalidation) picks them up.
-fn flush_batches(
-    state: &Arc<State>,
-    channels: &HashMap<u32, u64>,
-    total_partitions: u32,
-    outbox: &mut Vec<(u64, HttpMsg)>,
-) {
-    for (partition, entries) in state.drain_pending(total_partitions) {
-        if let Some(&tok) = channels.get(&partition) {
-            outbox.push((
-                tok,
-                HttpMsg::InvalidateBatch {
-                    server: state.server,
-                    entries,
-                },
-            ));
-        }
-    }
-}
-
-/// Queues `outbox` frames into their target connections and flushes.
-fn deliver_outbox(outbox: &mut Vec<(u64, HttpMsg)>, conns: &mut Conns<OTag>, poller: &mut Poller) {
-    for (tok, msg) in outbox.drain(..) {
-        if let Some(conn) = conns.get_mut(tok) {
-            conn.sbuf.push_bytes(&encode(&msg));
-        }
-        conns.flush(poller, tok);
-    }
-}
-
-/// Reads and dispatches every complete frame on one connection.
-fn drive_conn(
-    state: &Arc<State>,
-    poller: &mut Poller,
-    conns: &mut Conns<OTag>,
-    channels: &mut HashMap<u32, u64>,
-    total_partitions: &mut u32,
-    outbox: &mut Vec<(u64, HttpMsg)>,
-    token: u64,
-) {
-    {
-        let Some(conn) = conns.get_mut(token) else {
-            return;
-        };
-        if conn.read_ready().is_err() {
-            conns.close(poller, token);
-            return;
-        }
-    }
-    loop {
-        let Some(conn) = conns.get_mut(token) else {
-            return;
-        };
-        let Conn {
-            rbuf,
-            sbuf,
-            tag,
-            eof,
-            close_after_flush,
-            ..
-        } = conn;
-        let step = match decode_frame(rbuf.data(), *eof) {
-            Ok(None) => break, // mid-frame; more bytes may arrive
-            Err(WireError::Closed) => {
-                // Clean EOF between frames: deliver queued output first.
-                if sbuf.is_empty() {
-                    conns.close(poller, token);
-                } else {
-                    *close_after_flush = true;
-                    conns.flush(poller, token);
-                }
-                return;
+    fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
+        let state = &self.state;
+        match msg {
+            HttpMsgRef::Get(get) if get.url.server() == state.server => {
+                let clock = WallClock::start();
+                let Some(reply) = state.handle_get(get) else {
+                    return After::Close; // no such document
+                };
+                // Record before the reply ships: once the requester's
+                // fetch returns, a scrape must already see this serve.
+                state
+                    .protected
+                    .lock()
+                    .serve_latency
+                    .record(clock.elapsed().as_micros());
+                cx.reply(&reply);
+                After::Keep
             }
-            Err(_) => {
-                conns.close(poller, token);
-                return;
-            }
-            Ok(Some((msg, used))) => {
-                let after = dispatch(
-                    state,
-                    sbuf,
-                    tag,
-                    channels,
-                    total_partitions,
-                    outbox,
-                    token,
-                    &msg,
-                );
-                rbuf.consume(used);
-                after
-            }
-        };
-        match step {
-            After::Keep => {}
-            After::CloseAfterFlush => {
-                *close_after_flush = true;
-                break;
-            }
-            After::Close => {
-                conns.close(poller, token);
-                return;
-            }
-        }
-    }
-    conns.flush(poller, token);
-}
-
-/// Handles one decoded message; replies go into `sbuf`, pushes to other
-/// connections into `outbox`.
-#[allow(clippy::too_many_arguments)]
-fn dispatch(
-    state: &Arc<State>,
-    sbuf: &mut wcc_reactor::SendBuf,
-    tag: &mut OTag,
-    channels: &mut HashMap<u32, u64>,
-    total_partitions: &mut u32,
-    outbox: &mut Vec<(u64, HttpMsg)>,
-    token: u64,
-    msg: &HttpMsgRef<'_>,
-) -> After {
-    match msg {
-        HttpMsgRef::Get(get) if get.url.server() == state.server => {
-            let clock = WallClock::start();
-            let reply = state.handle_get(get);
-            // Record before the reply ships: once the requester's fetch
-            // returns, a scrape must already see this serve.
-            state
-                .protected
-                .lock()
-                .serve_latency
-                .record(clock.elapsed().as_micros());
-            sbuf.push_bytes(&encode(&reply));
-            After::Keep
-        }
-        HttpMsgRef::MetricsGet => {
-            // One-shot scrape: raw HTTP response, then close.
-            sbuf.push_bytes(&crate::scrape::metrics_response(&state.render_metrics()));
-            After::CloseAfterFlush
-        }
-        HttpMsgRef::Notify { url, at } if url.server() == state.server => {
-            match state.handle_notify(*url, *at) {
-                Fanout::PerWrite(recipients) => {
-                    let partitions = (*total_partitions).max(1);
-                    for client in recipients {
-                        let partition = client.partition(partitions);
-                        if let Some(&tok) = channels.get(&partition) {
+            HttpMsgRef::MetricsGet => cx.reply_metrics(&state.render_metrics()),
+            HttpMsgRef::Notify { url, at } if url.server() == state.server => {
+                match state.handle_notify(*url, *at) {
+                    None => return After::Close, // no such document
+                    Some(Fanout::PerWrite(recipients)) => {
+                        let partitions = self.total_partitions.max(1);
+                        for client in recipients {
                             // Best-effort: a dead channel leaves the entry
                             // pending; a re-registered proxy (or the bulk
                             // recovery invalidation) will pick it up.
-                            outbox.push((tok, HttpMsg::Invalidate { url: *url, client }));
+                            if let Some(&tok) = self.channels.get(&client.partition(partitions)) {
+                                cx.out
+                                    .push((tok, HttpMsg::Invalidate { url: *url, client }));
+                            }
                         }
                     }
+                    Some(Fanout::Queued { flush: true }) => self.flush_batches(cx.out),
+                    Some(Fanout::Queued { flush: false }) => {}
                 }
-                Fanout::Queued { flush } => {
-                    if flush {
-                        flush_batches(state, channels, *total_partitions, outbox);
-                    }
+                After::Keep
+            }
+            HttpMsgRef::InvalAck {
+                url,
+                client,
+                cache_hits: _,
+            } => {
+                state.handle_ack(*url, *client);
+                After::Keep
+            }
+            HttpMsgRef::InvalidateBatchAck(ack) if ack.server == state.server => {
+                // A whole proposer round acknowledged: clean the site lists
+                // entry by entry, exactly as per-entry `InvalAck`s would.
+                for e in ack.entries() {
+                    state.handle_ack(e.url, e.client);
                 }
+                After::Keep
             }
-            After::Keep
-        }
-        HttpMsgRef::InvalAck {
-            url,
-            client,
-            cache_hits: _,
-        } => {
-            state.handle_ack(*url, *client);
-            After::Keep
-        }
-        HttpMsgRef::InvalidateBatchAck(ack) if ack.server == state.server => {
-            // A whole proposer round acknowledged: clean the site lists
-            // entry by entry, exactly as per-entry `InvalAck`s would.
-            for e in ack.entries() {
-                state.handle_ack(e.url, e.client);
+            HttpMsgRef::InvalidateServerAck { server } if *server == state.server => {
+                let mut p = state.protected.lock();
+                p.counters.acks += 1;
+                if let Some(partition) = cx.tag.partition {
+                    p.recovery_pending.remove(&partition);
+                    p.recovery_acked.insert(partition);
+                }
+                After::Keep
             }
-            After::Keep
-        }
-        HttpMsgRef::InvalidateServerAck { server } if *server == state.server => {
-            let mut p = state.protected.lock();
-            p.counters.acks += 1;
-            if let Some(partition) = tag.partition {
-                p.recovery_pending.remove(&partition);
-                p.recovery_acked.insert(partition);
+            HttpMsgRef::Hello {
+                partition,
+                partitions,
+            } => {
+                self.total_partitions = (*partitions).max(1);
+                self.channels.insert(*partition, cx.token);
+                cx.tag.partition = Some(*partition);
+                let mut p = state.protected.lock();
+                if p.recovering && !p.recovery_acked.contains(partition) {
+                    // §5: the restarted origin cannot know which copies this
+                    // proxy holds, so it invalidates them all and waits for
+                    // the ack (re-sent every `BULK_RETRY` until it comes).
+                    p.recovery_pending.insert(*partition);
+                    self.bulk_sent = WallClock::start();
+                    cx.reply(&HttpMsg::InvalidateServer {
+                        server: state.server,
+                    });
+                }
+                After::Keep
             }
-            After::Keep
-        }
-        HttpMsgRef::Hello {
-            partition,
-            partitions,
-        } => {
-            *total_partitions = (*partitions).max(1);
-            channels.insert(*partition, token);
-            tag.partition = Some(*partition);
-            let mut p = state.protected.lock();
-            if p.recovering && !p.recovery_acked.contains(partition) {
-                // §5: the restarted origin cannot know which copies this
-                // proxy holds, so it invalidates them all and waits for
-                // the ack (the reactor's 250 ms tick retries).
-                p.recovery_pending.insert(*partition);
-                sbuf.push_bytes(&encode(&HttpMsg::InvalidateServer {
-                    server: state.server,
-                }));
+            HttpMsgRef::Reply(_)
+            | HttpMsgRef::Invalidate { .. }
+            | HttpMsgRef::InvalidateBatch(_)
+            | HttpMsgRef::InvalidateServer { .. } => {
+                After::Close // protocol violation: these flow origin -> proxy only
             }
-            After::Keep
+            // Guard fallthrough: a Get/Notify/ack for a server we do not own.
+            _ => After::Close,
         }
-        HttpMsgRef::Reply(_)
-        | HttpMsgRef::Invalidate { .. }
-        | HttpMsgRef::InvalidateBatch(_)
-        | HttpMsgRef::InvalidateServer { .. } => {
-            After::Close // protocol violation: these flow origin -> proxy only
-        }
-        // Guard fallthrough: a Get/Notify/ack for a server we do not own.
-        _ => After::Close,
     }
 }
 

@@ -6,7 +6,9 @@
 //! pool of upstream connections. One reactor thread owns the child-facing
 //! listener and the upstream invalidation channel; child `GET`s are
 //! answered by a small worker pool running the same locked fetch path as
-//! before, replies delivered in pipeline order.
+//! before, replies delivered in pipeline order. All of that machinery is
+//! the node runtime's ([`crate::evloop`]); this file is the parent's
+//! state and its [`Role`].
 //!
 //! Concurrency note: one state lock serialises child requests against the
 //! upstream invalidation channel, which incidentally *prevents* the
@@ -19,26 +21,21 @@
 //! tree and acks them upstream, so a restarted origin recovers through a
 //! hierarchy too.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 use std::collections::HashMap;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 use wcc_cache::{CacheStore, ReplacementPolicy};
 use wcc_core::{ProtocolConfig, ProxyAction, ProxyPolicy, ServerConsistency};
 use wcc_obs::{Histogram, Registry};
 use wcc_proto::{
-    decode_frame, encode, BatchAckEntry, BatchEntry, GetRequest, HttpMsg, HttpMsgRef, Reply,
-    ReplyStatus, RequestId, WireError,
+    encode, BatchAckEntry, BatchEntry, GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus,
+    RequestId,
 };
-use wcc_reactor::{BoundedPool, Interest, Poller, WakeHandle, Waker};
+use wcc_reactor::BoundedPool;
 use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, Url, WallClock};
 
-use crate::evloop::{accept_all, Conn, Conns, TOK_LISTENER, TOK_WAKER};
+use crate::evloop::{self, After, Cx, Hello, Node, Outbox, Role, Via, WORKERS};
 use crate::upstream::{pooled_roundtrip, UpstreamConn};
 
 /// Counters for the TCP parent.
@@ -83,9 +80,6 @@ struct ParentState {
     protected: Mutex<Protected>,
     /// Bounded keep-alive pool for the parent→origin hop.
     upstream: Mutex<BoundedPool<UpstreamConn>>,
-    /// Child jobs handed to the workers but not yet answered.
-    outstanding: AtomicU32,
-    shutdown: AtomicBool,
 }
 
 impl ParentState {
@@ -323,58 +317,11 @@ impl ParentState {
     }
 }
 
-/// A child `GET` parked in the worker pool.
-struct Job {
-    token: u64,
-    seq: u64,
-    get: GetRequest,
-}
-
-/// A finished job re-entering the reactor. `None` means the upstream
-/// fetch failed and the connection should close.
-struct Done {
-    token: u64,
-    seq: u64,
-    msg: Option<HttpMsg>,
-}
-
-fn worker_loop(
-    state: &Arc<ParentState>,
-    jobs: &Receiver<Job>,
-    done: &Sender<Done>,
-    wake: &WakeHandle,
-) {
-    while let Ok(job) = jobs.recv() {
-        let clock = WallClock::start();
-        let msg = state.handle_child_get(&job.get).ok();
-        // Record before the reply ships: once the child's fetch returns,
-        // a scrape must already see this serve.
-        state
-            .protected
-            .lock()
-            .serve_latency
-            .record(clock.elapsed().as_micros());
-        if done
-            .send(Done {
-                token: job.token,
-                seq: job.seq,
-                msg,
-            })
-            .is_err()
-        {
-            break;
-        }
-        wake.wake();
-    }
-}
-
 /// A running TCP parent proxy. Shuts down on drop.
 pub struct NetParent {
     addr: SocketAddr,
     state: Arc<ParentState>,
-    wake: WakeHandle,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    _node: Node,
 }
 
 impl std::fmt::Debug for NetParent {
@@ -384,10 +331,6 @@ impl std::fmt::Debug for NetParent {
             .finish()
     }
 }
-
-/// Workers answering child `GET`s (serialised on the state lock; two let
-/// framing overlap one upstream round trip).
-const WORKERS: usize = 2;
 
 impl NetParent {
     /// Spawns a parent tier in front of `origin`. Children should point
@@ -404,7 +347,6 @@ impl NetParent {
         capacity: ByteSize,
     ) -> std::io::Result<NetParent> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
-        listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let state = Arc::new(ParentState {
             identity: ClientId::from_raw(0),
@@ -421,66 +363,25 @@ impl NetParent {
                 serve_latency: Histogram::default(),
             }),
             upstream: Mutex::new(BoundedPool::new(WORKERS + 2)),
-            outstanding: AtomicU32::new(0),
-            shutdown: AtomicBool::new(false),
         });
 
-        // Upstream invalidation channel: register with the origin.
-        // Established synchronously so spawn fails fast; re-established by
-        // the reactor if the origin restarts.
-        let channel = TcpStream::connect(origin)?;
-        let _ = channel.set_nodelay(true);
-        {
-            let mut w = channel.try_clone()?;
-            w.write_all(&encode(&HttpMsg::Hello {
-                partition: 0,
-                partitions: 1,
-            }))?;
-            w.flush()?;
-        }
-
-        let mut poller = Poller::new()?;
-        {
-            use std::os::fd::AsRawFd;
-            poller.add(listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;
-        }
-        let waker = Waker::new()?;
-        waker.register(&mut poller, TOK_WAKER)?;
-        let wake = waker.handle()?;
-
-        let (done_tx, done_rx) = unbounded::<Done>();
-        let mut jobs_tx = Vec::with_capacity(WORKERS);
-        let mut workers = Vec::with_capacity(WORKERS);
-        for _ in 0..WORKERS {
-            let (tx, rx) = unbounded::<Job>();
-            jobs_tx.push(tx);
-            let state = Arc::clone(&state);
-            let done = done_tx.clone();
-            let wake = waker.handle()?;
-            workers.push(std::thread::spawn(move || {
-                worker_loop(&state, &rx, &done, &wake);
-            }));
-        }
-
-        let reactor_state = Arc::clone(&state);
-        let reactor = std::thread::spawn(move || {
-            reactor_loop(ReactorInit {
-                state: reactor_state,
-                listener,
-                poller,
-                waker,
-                channel: Some(channel),
-                jobs: jobs_tx,
-                done: done_rx,
-            });
-        });
-
+        // Upstream invalidation channel: the parent registers with the
+        // origin as its one and only partition.
+        let hello = Hello {
+            upstream: origin,
+            partition: 0,
+            partitions: 1,
+        };
+        let role = ParentRole {
+            state: Arc::clone(&state),
+            channels: HashMap::new(),
+            child_partitions: 0,
+        };
+        let node = evloop::spawn(role, &state, listener, None, Some(hello))?;
         Ok(NetParent {
             addr,
             state,
-            wake,
-            reactor: Some(reactor),
-            workers,
+            _node: node,
         })
     }
 
@@ -501,463 +402,154 @@ impl NetParent {
     }
 }
 
-impl Drop for NetParent {
-    fn drop(&mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.wake.wake();
-        if let Some(t) = self.reactor.take() {
-            let _ = t.join();
-        }
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
-    }
+/// What a parent-side connection is. (A child connection is a plain
+/// request conn until its `HELLO` also makes it a push channel.)
+enum KTag {
+    Child,
+    /// The parent-initiated upstream invalidation channel.
+    Upstream,
 }
 
-/// Per-connection tag. A child connection is a plain request conn until
-/// its `HELLO` upgrades it into a push channel for one partition.
-struct KTag {
-    /// `Some(partition)` once the child sent `HELLO`.
-    partition: Option<u32>,
-    /// `true` for the parent-initiated upstream invalidation channel.
-    upstream: bool,
-    next_assign: u64,
-    next_send: u64,
-    parked: Vec<(u64, Option<HttpMsg>)>,
-}
-
-impl KTag {
-    fn child() -> KTag {
-        KTag {
-            partition: None,
-            upstream: false,
-            next_assign: 0,
-            next_send: 0,
-            parked: Vec::new(),
-        }
-    }
-
-    fn upstream() -> KTag {
-        KTag {
-            partition: None,
-            upstream: true,
-            next_assign: 0,
-            next_send: 0,
-            parked: Vec::new(),
-        }
-    }
-}
-
-struct ReactorInit {
+/// The parent's reactor-side state: which children to relay to.
+struct ParentRole {
     state: Arc<ParentState>,
-    listener: TcpListener,
-    poller: Poller,
-    waker: Waker,
-    channel: Option<TcpStream>,
-    jobs: Vec<Sender<Job>>,
-    done: Receiver<Done>,
-}
-
-/// Reactor-local routing state shared by dispatch and the relay paths.
-struct Router {
     /// Child push channels: partition → connection token.
     channels: HashMap<u32, u64>,
     /// Partition count declared by the children's `HELLO`s.
     child_partitions: u32,
 }
 
-fn reactor_loop(init: ReactorInit) {
-    let ReactorInit {
-        state,
-        listener,
-        mut poller,
-        waker,
-        channel,
-        jobs,
-        done,
-    } = init;
-    let mut jobs = JobDealer {
-        lanes: jobs,
-        next: 0,
-    };
-    let mut conns: Conns<KTag> = Conns::with_capacity(64);
-    let mut events: Vec<wcc_reactor::Event> = Vec::with_capacity(64);
-    let mut scratch: Vec<u64> = Vec::with_capacity(64);
-    let mut router = Router {
-        channels: HashMap::new(),
-        child_partitions: 0,
-    };
-    let mut upstream_token: Option<u64> = None;
+impl ParentRole {
+    /// Queues one per-child `INVALIDATE <url>` for every child with a
+    /// live push channel, and counts them.
+    fn relay(&self, out: &mut Outbox, url: Url, children: Vec<ClientId>) {
+        let partitions = self.child_partitions.max(1);
+        let before = out.len();
+        for client in children {
+            if let Some(&tok) = self.channels.get(&client.partition(partitions)) {
+                out.push((tok, HttpMsg::Invalidate { url, client }));
+            }
+        }
+        let relayed = (out.len() - before) as u64;
+        if relayed > 0 {
+            self.state.protected.lock().counters.invalidations_relayed += relayed;
+        }
+    }
+}
 
-    if let Some(stream) = channel {
-        upstream_token = conns.insert(&mut poller, stream, KTag::upstream()).ok();
+impl Role for ParentRole {
+    type Tag = KTag;
+    type Job = GetRequest;
+    type Shared = ParentState;
+    const POOL: usize = WORKERS;
+
+    fn tag(&self, via: Via) -> KTag {
+        match via {
+            Via::Dial => KTag::Upstream,
+            Via::Listener | Via::Listener2 => KTag::Child,
+        }
     }
 
-    loop {
-        let timeout = if upstream_token.is_none() {
-            Some(Duration::from_millis(250))
-        } else {
-            None
-        };
-        if poller.wait(&mut events, timeout).is_err() {
-            break;
-        }
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if upstream_token.is_none() {
-            upstream_token = reconnect_upstream(&state, &mut poller, &mut conns);
-        }
-        for ev in events.iter().copied() {
-            match ev.token {
-                TOK_LISTENER => {
-                    let mut dropped = 0u64;
-                    accept_all(
-                        &listener,
-                        &mut poller,
-                        &mut conns,
-                        KTag::child,
-                        &mut dropped,
-                    );
+    fn on_closed(&mut self, token: u64) {
+        self.channels.retain(|_, t| *t != token);
+    }
+
+    fn run_job(state: &ParentState, get: GetRequest) -> Option<HttpMsg> {
+        let clock = WallClock::start();
+        let msg = state.handle_child_get(&get).ok();
+        // Record before the reply ships: once the child's fetch returns,
+        // a scrape must already see this serve.
+        state
+            .protected
+            .lock()
+            .serve_latency
+            .record(clock.elapsed().as_micros());
+        msg
+    }
+
+    fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
+        let state = &self.state;
+        match cx.tag {
+            KTag::Upstream => match msg {
+                HttpMsgRef::Invalidate { url, .. } => {
+                    let (ack, recipients) = state.handle_invalidate(*url);
+                    cx.reply(&ack);
+                    self.relay(cx.out, *url, recipients);
+                    After::Keep
                 }
-                TOK_WAKER => waker.drain(),
-                tok => {
-                    if ev.writable {
-                        conns.flush(&mut poller, tok);
+                HttpMsgRef::InvalidateBatch(batch) => {
+                    let (ack, relays) =
+                        state.handle_invalidate_batch(batch.server, &batch.entries());
+                    cx.reply(&ack);
+                    // Children ack per document (`InvalAck`), so a batch
+                    // round fans out downstream as ordinary `INVALIDATE`s.
+                    for (url, children) in relays {
+                        self.relay(cx.out, url, children);
                     }
-                    if (ev.readable || ev.error)
-                        && drive_conn(&state, &mut poller, &mut conns, &mut jobs, &mut router, tok)
-                            .is_none()
+                    After::Keep
+                }
+                HttpMsgRef::InvalidateServer { server } => {
                     {
-                        if upstream_token == Some(tok) {
-                            upstream_token = None;
-                        }
-                        router.channels.retain(|_, t| *t != tok);
+                        let mut p = state.protected.lock();
+                        p.counters.bulk_invalidations_received += 1;
+                        let Protected { policy, cache, .. } = &mut *p;
+                        policy.on_invalidate_server(*server, cache);
                     }
-                }
-            }
-        }
-        while let Some(d) = done.try_recv() {
-            apply_done(&state, &mut poller, &mut conns, d);
-        }
-    }
-
-    // Graceful drain, then close everything.
-    let grace = WallClock::start();
-    while state.outstanding.load(Ordering::SeqCst) > 0
-        && !grace.has_elapsed(wcc_types::SimDuration::from_micros(1_000_000))
-    {
-        let _ = poller.wait(&mut events, Some(Duration::from_millis(20)));
-        waker.drain();
-        while let Some(d) = done.try_recv() {
-            apply_done(&state, &mut poller, &mut conns, d);
-        }
-    }
-    conns.live_tokens(&mut scratch);
-    for tok in scratch.drain(..) {
-        conns.flush(&mut poller, tok);
-        conns.close(&mut poller, tok);
-    }
-}
-
-/// Round-robin job dealer over the per-worker inboxes.
-struct JobDealer {
-    lanes: Vec<Sender<Job>>,
-    next: usize,
-}
-
-impl JobDealer {
-    fn send(&mut self, job: Job) {
-        let lane = self.next % self.lanes.len();
-        self.next = self.next.wrapping_add(1);
-        let _ = self.lanes[lane].send(job);
-    }
-}
-
-/// Re-registers with the origin after it went away (§5: a restarted
-/// origin answers the fresh `HELLO` with a bulk `INVALIDATE <server>`).
-fn reconnect_upstream(
-    state: &Arc<ParentState>,
-    poller: &mut Poller,
-    conns: &mut Conns<KTag>,
-) -> Option<u64> {
-    let stream = TcpStream::connect(state.origin).ok()?;
-    let _ = stream.set_nodelay(true);
-    {
-        let mut w = stream.try_clone().ok()?;
-        w.write_all(&encode(&HttpMsg::Hello {
-            partition: 0,
-            partitions: 1,
-        }))
-        .ok()?;
-        w.flush().ok()?;
-    }
-    conns.insert(poller, stream, KTag::upstream()).ok()
-}
-
-/// Pushes `msg` onto the child channel for `client`'s partition; returns
-/// `true` if a channel existed.
-fn relay_to_child(
-    poller: &mut Poller,
-    conns: &mut Conns<KTag>,
-    router: &Router,
-    client: ClientId,
-    msg: &HttpMsg,
-) -> bool {
-    let partitions = router.child_partitions.max(1);
-    let Some(&tok) = router.channels.get(&client.partition(partitions)) else {
-        return false;
-    };
-    let Some(conn) = conns.get_mut(tok) else {
-        return false;
-    };
-    conn.sbuf.push_bytes(&encode(msg));
-    conns.flush(poller, tok);
-    true
-}
-
-/// Reads and dispatches every complete frame on one connection. Returns
-/// `None` if the connection was closed.
-fn drive_conn(
-    state: &Arc<ParentState>,
-    poller: &mut Poller,
-    conns: &mut Conns<KTag>,
-    jobs: &mut JobDealer,
-    router: &mut Router,
-    token: u64,
-) -> Option<()> {
-    {
-        let conn = conns.get_mut(token)?;
-        if conn.read_ready().is_err() {
-            conns.close(poller, token);
-            return None;
-        }
-    }
-    loop {
-        enum Step {
-            Keep,
-            CloseAfterFlush,
-            Close,
-            /// Relay `msg` to each recipient, then count successes.
-            Relay(HttpMsg, Vec<ClientId>),
-            /// Relay one per-child `INVALIDATE` for each `(url, children)`
-            /// pair of an applied batch round.
-            RelayEach(Vec<(Url, Vec<ClientId>)>),
-            /// Relay a bulk invalidation to every child channel.
-            RelayBulk(wcc_types::ServerId),
-        }
-        let step = {
-            let conn = conns.get_mut(token)?;
-            let Conn {
-                rbuf,
-                sbuf,
-                tag,
-                eof,
-                close_after_flush,
-                ..
-            } = conn;
-            match decode_frame(rbuf.data(), *eof) {
-                Ok(None) => break,
-                Err(WireError::Closed) => {
-                    if sbuf.is_empty() {
-                        conns.close(poller, token);
-                    } else {
-                        // Peer is gone; flush what is queued, then close.
-                        *close_after_flush = true;
-                        conns.flush(poller, token);
+                    cx.reply(&HttpMsg::InvalidateServerAck { server: *server });
+                    // Relay the bulk invalidation to every child channel.
+                    for &tok in self.channels.values() {
+                        cx.out
+                            .push((tok, HttpMsg::InvalidateServer { server: *server }));
                     }
-                    return None;
+                    After::Keep
                 }
-                Err(_) => {
-                    conns.close(poller, token);
-                    return None;
+                HttpMsgRef::Get(_)
+                | HttpMsgRef::Reply(_)
+                | HttpMsgRef::InvalAck { .. }
+                | HttpMsgRef::InvalidateBatchAck(_)
+                | HttpMsgRef::InvalidateServerAck { .. }
+                | HttpMsgRef::Hello { .. }
+                | HttpMsgRef::MetricsGet
+                | HttpMsgRef::Notify { .. } => After::Close,
+            },
+            KTag::Child => match msg {
+                HttpMsgRef::Get(get) if get.url.server() == state.server => {
+                    cx.submit(get.clone());
+                    After::Keep
                 }
-                Ok(Some((msg, used))) => {
-                    let step = if tag.upstream {
-                        match &msg {
-                            HttpMsgRef::Invalidate { url, .. } => {
-                                let (ack, recipients) = state.handle_invalidate(*url);
-                                sbuf.push_bytes(&encode(&ack));
-                                Step::Relay(
-                                    HttpMsg::Invalidate {
-                                        url: *url,
-                                        client: ClientId::from_raw(0),
-                                    },
-                                    recipients,
-                                )
-                            }
-                            HttpMsgRef::InvalidateBatch(batch) => {
-                                let entries = batch.entries();
-                                let (ack, relays) =
-                                    state.handle_invalidate_batch(batch.server, &entries);
-                                sbuf.push_bytes(&encode(&ack));
-                                Step::RelayEach(relays)
-                            }
-                            HttpMsgRef::InvalidateServer { server } => {
-                                {
-                                    let mut p = state.protected.lock();
-                                    p.counters.bulk_invalidations_received += 1;
-                                    let Protected { policy, cache, .. } = &mut *p;
-                                    policy.on_invalidate_server(*server, cache);
-                                }
-                                sbuf.push_bytes(&encode(&HttpMsg::InvalidateServerAck {
-                                    server: *server,
-                                }));
-                                Step::RelayBulk(*server)
-                            }
-                            HttpMsgRef::Get(_)
-                            | HttpMsgRef::Reply(_)
-                            | HttpMsgRef::InvalAck { .. }
-                            | HttpMsgRef::InvalidateBatchAck(_)
-                            | HttpMsgRef::InvalidateServerAck { .. }
-                            | HttpMsgRef::Hello { .. }
-                            | HttpMsgRef::MetricsGet
-                            | HttpMsgRef::Notify { .. } => Step::Close,
-                        }
-                    } else {
-                        match &msg {
-                            HttpMsgRef::Get(get) if get.url.server() == state.server => {
-                                let seq = tag.next_assign;
-                                tag.next_assign += 1;
-                                state.outstanding.fetch_add(1, Ordering::SeqCst);
-                                jobs.send(Job {
-                                    token,
-                                    seq,
-                                    get: get.clone(),
-                                });
-                                Step::Keep
-                            }
-                            HttpMsgRef::MetricsGet => {
-                                sbuf.push_bytes(&crate::scrape::metrics_response(
-                                    &state.render_metrics(),
-                                ));
-                                Step::CloseAfterFlush
-                            }
-                            HttpMsgRef::Hello {
-                                partition,
-                                partitions,
-                            } => {
-                                router.child_partitions = (*partitions).max(1);
-                                router.channels.insert(*partition, token);
-                                tag.partition = Some(*partition);
-                                Step::Keep
-                            }
-                            HttpMsgRef::InvalAck {
-                                url,
-                                client,
-                                cache_hits,
-                            } => {
-                                let mut p = state.protected.lock();
-                                if *cache_hits > 0 {
-                                    let key = url.scoped(state.identity);
-                                    if p.cache.peek(key).is_some() {
-                                        p.cache.add_unreported_hits(key, *cache_hits);
-                                    }
-                                }
-                                p.children.on_inval_ack(*url, *client);
-                                Step::Keep
-                            }
-                            // A child acking a relayed bulk invalidation.
-                            HttpMsgRef::InvalidateServerAck { .. } => Step::Keep,
-                            HttpMsgRef::Reply(_)
-                            | HttpMsgRef::Invalidate { .. }
-                            | HttpMsgRef::InvalidateServer { .. }
-                            | HttpMsgRef::Notify { .. } => Step::Close,
-                            // Guard fallthrough: a Get for a foreign server.
-                            _ => Step::Close,
-                        }
-                    };
-                    rbuf.consume(used);
-                    step
+                HttpMsgRef::MetricsGet => cx.reply_metrics(&state.render_metrics()),
+                HttpMsgRef::Hello {
+                    partition,
+                    partitions,
+                } => {
+                    self.child_partitions = (*partitions).max(1);
+                    self.channels.insert(*partition, cx.token);
+                    After::Keep
                 }
-            }
-        };
-        match step {
-            Step::Keep => {}
-            Step::CloseAfterFlush => {
-                let conn = conns.get_mut(token)?;
-                conn.close_after_flush = true;
-                break;
-            }
-            Step::Close => {
-                conns.close(poller, token);
-                return None;
-            }
-            Step::Relay(template, recipients) => {
-                let mut relayed = 0u64;
-                for client in recipients {
-                    let msg = match template {
-                        HttpMsg::Invalidate { url, .. } => HttpMsg::Invalidate { url, client },
-                        ref other => other.clone(),
-                    };
-                    if relay_to_child(poller, conns, router, client, &msg) {
-                        relayed += 1;
-                    }
-                }
-                if relayed > 0 {
-                    state.protected.lock().counters.invalidations_relayed += relayed;
-                }
-            }
-            Step::RelayEach(relays) => {
-                // Children acked per-document (`InvalAck`), so a batch
-                // round fans out downstream as ordinary `INVALIDATE`s.
-                let mut relayed = 0u64;
-                for (url, children) in relays {
-                    for client in children {
-                        let msg = HttpMsg::Invalidate { url, client };
-                        if relay_to_child(poller, conns, router, client, &msg) {
-                            relayed += 1;
+                HttpMsgRef::InvalAck {
+                    url,
+                    client,
+                    cache_hits,
+                } => {
+                    let mut p = state.protected.lock();
+                    if *cache_hits > 0 {
+                        let key = url.scoped(state.identity);
+                        if p.cache.peek(key).is_some() {
+                            p.cache.add_unreported_hits(key, *cache_hits);
                         }
                     }
+                    p.children.on_inval_ack(*url, *client);
+                    After::Keep
                 }
-                if relayed > 0 {
-                    state.protected.lock().counters.invalidations_relayed += relayed;
-                }
-            }
-            Step::RelayBulk(server) => {
-                let msg = HttpMsg::InvalidateServer { server };
-                let frame = encode(&msg);
-                let tokens: Vec<u64> = router.channels.values().copied().collect();
-                for tok in tokens {
-                    if let Some(conn) = conns.get_mut(tok) {
-                        conn.sbuf.push_bytes(&frame);
-                        conns.flush(poller, tok);
-                    }
-                }
-            }
+                // A child acking a relayed bulk invalidation.
+                HttpMsgRef::InvalidateServerAck { .. } => After::Keep,
+                HttpMsgRef::Reply(_)
+                | HttpMsgRef::Invalidate { .. }
+                | HttpMsgRef::InvalidateServer { .. }
+                | HttpMsgRef::Notify { .. } => After::Close,
+                // Guard fallthrough: a Get for a foreign server.
+                _ => After::Close,
+            },
         }
     }
-    if conns.flush(poller, token) {
-        Some(())
-    } else {
-        None
-    }
-}
-
-/// Applies one finished job: park it, then deliver every reply that is
-/// next in pipeline order.
-fn apply_done(state: &Arc<ParentState>, poller: &mut Poller, conns: &mut Conns<KTag>, d: Done) {
-    state.outstanding.fetch_sub(1, Ordering::SeqCst);
-    let Some(conn) = conns.get_mut(d.token) else {
-        return;
-    };
-    let Conn {
-        sbuf,
-        tag,
-        close_after_flush,
-        ..
-    } = conn;
-    tag.parked.push((d.seq, d.msg));
-    while let Some(i) = tag.parked.iter().position(|(s, _)| *s == tag.next_send) {
-        let (_, msg) = tag.parked.swap_remove(i);
-        tag.next_send += 1;
-        match msg {
-            Some(m) => sbuf.push_bytes(&encode(&m)),
-            None => {
-                *close_after_flush = true;
-                break;
-            }
-        }
-    }
-    conns.flush(poller, d.token);
 }

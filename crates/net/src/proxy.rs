@@ -5,7 +5,9 @@
 //! HTTP/1.1 with pipelining, the `/metrics` scrape listener, and the
 //! persistent invalidation channel to the origin (re-established with a
 //! fresh `HELLO` on a 250 ms tick if the origin restarts — the proxy half
-//! of the §5 recovery handshake).
+//! of the §5 recovery handshake). The loop, the pool and the channel
+//! re-dial are the node runtime's ([`crate::evloop`]); this file is the
+//! proxy's state and its [`Role`].
 //!
 //! Protocol work stays off the reactor: client `GET`s become jobs for a
 //! small worker pool whose members run the same locked fetch path as the
@@ -18,25 +20,19 @@
 //! pool of keep-alive connections ([`wcc_reactor::BoundedPool`]) instead
 //! of dialing per request.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
-use std::io::Write;
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU32, Ordering};
+use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 use wcc_cache::{CacheStore, ReplacementPolicy};
 use wcc_core::{ProtocolConfig, ProxyAction, ProxyPolicy};
 use wcc_obs::{Histogram, Registry};
 use wcc_proto::{
-    decode_frame, encode, BatchAckEntry, GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus,
-    RequestId, WireError,
+    encode, BatchAckEntry, GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus, RequestId,
 };
-use wcc_reactor::{BoundedPool, Interest, Poller, WakeHandle, Waker};
+use wcc_reactor::BoundedPool;
 use wcc_types::{Body, ByteSize, ClientId, DocMeta, SimTime, Url, WallClock};
 
-use crate::evloop::{accept_all, Conn, Conns, TOK_LISTENER, TOK_LISTENER2, TOK_WAKER};
+use crate::evloop::{self, After, Cx, Hello, Node, Role, Via, WORKERS};
 use crate::upstream::{pooled_roundtrip, UpstreamConn};
 
 /// How a [`NetProxy::fetch`] was satisfied.
@@ -99,9 +95,6 @@ struct ProxyState {
     fetch_latency: Mutex<Histogram>,
     /// Bounded keep-alive pool for the proxy→origin hop.
     upstream: Mutex<BoundedPool<UpstreamConn>>,
-    /// Client jobs handed to the reactor but not yet answered.
-    outstanding: AtomicU32,
-    shutdown: AtomicBool,
 }
 
 impl ProxyState {
@@ -278,60 +271,21 @@ fn fetch_locked(
     Err(std::io::Error::other("revalidation race did not resolve"))
 }
 
-/// A client `GET` parked in the worker pool.
-struct Job {
-    token: u64,
-    seq: u64,
-    get: GetRequest,
-}
-
-/// A finished job re-entering the reactor. `None` means the fetch failed
-/// and the connection should close.
-struct Done {
-    token: u64,
-    seq: u64,
-    msg: Option<HttpMsg>,
-}
-
-fn worker_loop(
-    state: &Arc<ProxyState>,
-    jobs: &Receiver<Job>,
-    done: &Sender<Done>,
-    wake: &WakeHandle,
-) {
-    while let Ok(job) = jobs.recv() {
-        let clock = WallClock::start();
-        let outcome = fetch_locked(state, job.get.client, job.get.url, job.get.issued_at);
-        state
-            .fetch_latency
-            .lock()
-            .record(clock.elapsed().as_micros());
-        let msg = match outcome {
-            Ok(out) => Some(HttpMsg::Reply(Reply {
-                req: job.get.req,
-                url: job.get.url,
-                client: job.get.client,
-                // Client-facing bodies are unscaled: the wire carries the
-                // real (accounted) size, not the storage-scaled payload.
-                status: ReplyStatus::Ok(Body::synthetic(out.meta, 1)),
-                lease: None,
-                piggyback: Vec::new(),
-                volume_lease: None,
-            })),
-            Err(_) => None,
-        };
-        if done
-            .send(Done {
-                token: job.token,
-                seq: job.seq,
-                msg,
-            })
-            .is_err()
-        {
-            break;
-        }
-        wake.wake();
-    }
+/// [`fetch_locked`] with its wall time recorded: what the blocking API
+/// and the pool workers both run.
+fn timed_fetch(
+    state: &ProxyState,
+    client: ClientId,
+    url: Url,
+    now: SimTime,
+) -> std::io::Result<FetchOutcome> {
+    let clock = WallClock::start();
+    let outcome = fetch_locked(state, client, url, now);
+    state
+        .fetch_latency
+        .lock()
+        .record(clock.elapsed().as_micros());
+    outcome
 }
 
 /// A running caching proxy. Shuts down its reactor and workers on drop.
@@ -340,9 +294,7 @@ pub struct NetProxy {
     metrics_addr: SocketAddr,
     client_addr: SocketAddr,
     state: Arc<ProxyState>,
-    wake: WakeHandle,
-    reactor: Option<JoinHandle<()>>,
-    workers: Vec<JoinHandle<()>>,
+    _node: Node,
 }
 
 impl std::fmt::Debug for NetProxy {
@@ -353,11 +305,6 @@ impl std::fmt::Debug for NetProxy {
             .finish()
     }
 }
-
-/// Worker threads serving the client listener. Everything serialises on
-/// the policy lock anyway; two workers let encode/decode overlap one
-/// upstream round trip.
-const WORKERS: usize = 2;
 
 impl NetProxy {
     /// Connects to `origin`, registers the invalidation push channel for
@@ -383,85 +330,37 @@ impl NetProxy {
             counters: Mutex::new(NetProxyCounters::default()),
             fetch_latency: Mutex::new(Histogram::default()),
             upstream: Mutex::new(BoundedPool::new(WORKERS + 2)),
-            outstanding: AtomicU32::new(0),
-            shutdown: AtomicBool::new(false),
         });
 
         // Client-facing keep-alive listener (the serving tier's front
         // door) and the metrics scrape listener.
         let client_listener = TcpListener::bind("127.0.0.1:0")?;
-        client_listener.set_nonblocking(true)?;
         let client_addr = client_listener.local_addr()?;
         let metrics_listener = TcpListener::bind("127.0.0.1:0")?;
-        metrics_listener.set_nonblocking(true)?;
         let metrics_addr = metrics_listener.local_addr()?;
 
-        // Invalidation channel: proxy-initiated persistent connection.
-        // Established synchronously so spawn fails fast if the origin is
-        // unreachable; re-established by the reactor if it drops.
-        let channel = TcpStream::connect(origin)?;
-        let _ = channel.set_nodelay(true);
-        {
-            let mut w = channel.try_clone()?;
-            w.write_all(&encode(&HttpMsg::Hello {
-                partition,
-                partitions,
-            }))?;
-            w.flush()?;
-        }
-
-        let mut poller = Poller::new()?;
-        {
-            use std::os::fd::AsRawFd;
-            poller.add(client_listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;
-            poller.add(metrics_listener.as_raw_fd(), TOK_LISTENER2, Interest::READ)?;
-        }
-        let waker = Waker::new()?;
-        waker.register(&mut poller, TOK_WAKER)?;
-        let wake = waker.handle()?;
-
-        // The vendored channel is single-consumer, so each worker gets
-        // its own inbox and the reactor deals jobs round-robin; per-
-        // connection sequence numbers restore pipeline order on the way
-        // back regardless of which worker finishes first.
-        let (done_tx, done_rx) = unbounded::<Done>();
-        let mut jobs_tx = Vec::with_capacity(WORKERS);
-        let mut workers = Vec::with_capacity(WORKERS);
-        for _ in 0..WORKERS {
-            let (tx, rx) = unbounded::<Job>();
-            jobs_tx.push(tx);
-            let state = Arc::clone(&state);
-            let done = done_tx.clone();
-            let wake = waker.handle()?;
-            workers.push(std::thread::spawn(move || {
-                worker_loop(&state, &rx, &done, &wake);
-            }));
-        }
-
-        let reactor_state = Arc::clone(&state);
-        let reactor = std::thread::spawn(move || {
-            reactor_loop(ReactorInit {
-                state: reactor_state,
-                client_listener,
-                metrics_listener,
-                poller,
-                waker,
-                channel: Some(channel),
-                partition,
-                partitions,
-                jobs: jobs_tx,
-                done: done_rx,
-            });
-        });
-
+        // The invalidation channel is proxy-initiated and persistent.
+        let hello = Hello {
+            upstream: origin,
+            partition,
+            partitions,
+        };
+        let role = ProxyRole {
+            state: Arc::clone(&state),
+        };
+        let node = evloop::spawn(
+            role,
+            &state,
+            client_listener,
+            Some(metrics_listener),
+            Some(hello),
+        )?;
         Ok(NetProxy {
             origin,
             metrics_addr,
             client_addr,
             state,
-            wake,
-            reactor: Some(reactor),
-            workers,
+            _node: node,
         })
     }
 
@@ -495,31 +394,12 @@ impl NetProxy {
     /// Returns socket errors from the upstream fetch; cache hits are
     /// infallible.
     pub fn fetch(&self, client: ClientId, url: Url, now: SimTime) -> std::io::Result<FetchOutcome> {
-        let clock = WallClock::start();
-        let outcome = fetch_locked(&self.state, client, url, now);
-        self.state
-            .fetch_latency
-            .lock()
-            .record(clock.elapsed().as_micros());
-        outcome
+        timed_fetch(&self.state, client, url, now)
     }
 
     /// Number of entries currently cached.
     pub fn cached_entries(&self) -> usize {
         self.state.policy.lock().1.len()
-    }
-}
-
-impl Drop for NetProxy {
-    fn drop(&mut self) {
-        self.state.shutdown.store(true, Ordering::SeqCst);
-        self.wake.wake();
-        if let Some(t) = self.reactor.take() {
-            let _ = t.join();
-        }
-        for t in self.workers.drain(..) {
-            let _ = t.join();
-        }
     }
 }
 
@@ -533,389 +413,132 @@ enum PKind {
     Inval,
 }
 
-/// Per-connection tag: kind plus the pipeline-ordering state for client
-/// connections (sequence numbers assigned at decode; replies delivered
-/// strictly in order even when workers finish out of order).
-struct PTag {
-    kind: PKind,
-    next_assign: u64,
-    next_send: u64,
-    parked: Vec<(u64, Option<HttpMsg>)>,
-}
-
-impl PTag {
-    fn new(kind: PKind) -> PTag {
-        PTag {
-            kind,
-            next_assign: 0,
-            next_send: 0,
-            parked: Vec::new(),
-        }
-    }
-}
-
-struct ReactorInit {
+struct ProxyRole {
     state: Arc<ProxyState>,
-    client_listener: TcpListener,
-    metrics_listener: TcpListener,
-    poller: Poller,
-    waker: Waker,
-    channel: Option<TcpStream>,
-    partition: u32,
-    partitions: u32,
-    jobs: Vec<Sender<Job>>,
-    done: Receiver<Done>,
 }
 
-/// Round-robin job dealer over the per-worker inboxes.
-struct JobDealer {
-    lanes: Vec<Sender<Job>>,
-    next: usize,
-}
+impl Role for ProxyRole {
+    type Tag = PKind;
+    type Job = GetRequest;
+    type Shared = ProxyState;
+    const POOL: usize = WORKERS;
 
-impl JobDealer {
-    fn send(&mut self, job: Job) {
-        let lane = self.next % self.lanes.len();
-        self.next = self.next.wrapping_add(1);
-        let _ = self.lanes[lane].send(job);
-    }
-}
-
-fn reactor_loop(init: ReactorInit) {
-    let ReactorInit {
-        state,
-        client_listener,
-        metrics_listener,
-        mut poller,
-        waker,
-        channel,
-        partition,
-        partitions,
-        jobs,
-        done,
-    } = init;
-    let mut jobs = JobDealer {
-        lanes: jobs,
-        next: 0,
-    };
-    let mut conns: Conns<PTag> = Conns::with_capacity(256);
-    let mut events: Vec<wcc_reactor::Event> = Vec::with_capacity(256);
-    let mut scratch: Vec<u64> = Vec::with_capacity(256);
-    let mut inval_token: Option<u64> = None;
-
-    if let Some(stream) = channel {
-        inval_token = conns
-            .insert(&mut poller, stream, PTag::new(PKind::Inval))
-            .ok();
-    }
-
-    loop {
-        // A live invalidation channel needs no timer; while it is down we
-        // tick every 250 ms to re-register (the §5 reconnect handshake).
-        let timeout = if inval_token.is_none() {
-            Some(Duration::from_millis(250))
-        } else {
-            None
-        };
-        if poller.wait(&mut events, timeout).is_err() {
-            break;
-        }
-        if state.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        if inval_token.is_none() {
-            inval_token = reconnect_channel(&state, &mut poller, &mut conns, partition, partitions);
-        }
-        for ev in events.iter().copied() {
-            match ev.token {
-                TOK_LISTENER => {
-                    let mut dropped = 0u64;
-                    accept_all(
-                        &client_listener,
-                        &mut poller,
-                        &mut conns,
-                        || PTag::new(PKind::Client),
-                        &mut dropped,
-                    );
-                    if dropped > 0 {
-                        state.counters.lock().dropped_connections += dropped;
-                    }
-                }
-                TOK_LISTENER2 => {
-                    let mut dropped = 0u64;
-                    accept_all(
-                        &metrics_listener,
-                        &mut poller,
-                        &mut conns,
-                        || PTag::new(PKind::Scrape),
-                        &mut dropped,
-                    );
-                }
-                TOK_WAKER => waker.drain(),
-                tok => {
-                    if ev.writable {
-                        conns.flush(&mut poller, tok);
-                    }
-                    if (ev.readable || ev.error)
-                        && drive_conn(&state, &mut poller, &mut conns, &mut jobs, tok).is_none()
-                        && inval_token == Some(tok)
-                    {
-                        inval_token = None;
-                    }
-                }
-            }
-        }
-        while let Some(d) = done.try_recv() {
-            apply_done(&state, &mut poller, &mut conns, d);
+    fn tag(&self, via: Via) -> PKind {
+        match via {
+            Via::Listener => PKind::Client,
+            Via::Listener2 => PKind::Scrape,
+            Via::Dial => PKind::Inval,
         }
     }
 
-    // Graceful drain: give in-flight jobs a bounded window to finish and
-    // flush, then close everything.
-    let grace = WallClock::start();
-    while state.outstanding.load(Ordering::SeqCst) > 0
-        && !grace.has_elapsed(wcc_types::SimDuration::from_micros(1_000_000))
-    {
-        let _ = poller.wait(&mut events, Some(Duration::from_millis(20)));
-        waker.drain();
-        while let Some(d) = done.try_recv() {
-            apply_done(&state, &mut poller, &mut conns, d);
-        }
+    fn on_dropped(&mut self, n: u64) {
+        self.state.counters.lock().dropped_connections += n;
     }
-    conns.live_tokens(&mut scratch);
-    for tok in scratch.drain(..) {
-        conns.flush(&mut poller, tok);
-        conns.close(&mut poller, tok);
-    }
-}
 
-/// Tries to re-establish the invalidation channel after the origin went
-/// away (crash, restart). Returns the new connection's token on success.
-fn reconnect_channel(
-    state: &Arc<ProxyState>,
-    poller: &mut Poller,
-    conns: &mut Conns<PTag>,
-    partition: u32,
-    partitions: u32,
-) -> Option<u64> {
-    let stream = TcpStream::connect(state.origin).ok()?;
-    let _ = stream.set_nodelay(true);
-    {
-        let mut w = stream.try_clone().ok()?;
-        w.write_all(&encode(&HttpMsg::Hello {
-            partition,
-            partitions,
+    /// Answers one client `GET` through the same locked fetch path as the
+    /// blocking [`NetProxy::fetch`] API.
+    fn run_job(state: &ProxyState, get: GetRequest) -> Option<HttpMsg> {
+        let out = timed_fetch(state, get.client, get.url, get.issued_at).ok()?;
+        Some(HttpMsg::Reply(Reply {
+            req: get.req,
+            url: get.url,
+            client: get.client,
+            // Client-facing bodies are unscaled: the wire carries the
+            // real (accounted) size, not the storage-scaled payload.
+            status: ReplyStatus::Ok(Body::synthetic(out.meta, 1)),
+            lease: None,
+            piggyback: Vec::new(),
+            volume_lease: None,
         }))
-        .ok()?;
-        w.flush().ok()?;
     }
-    conns.insert(poller, stream, PTag::new(PKind::Inval)).ok()
-}
 
-/// Reads and dispatches every complete frame on one connection. Returns
-/// `None` if the connection was closed.
-fn drive_conn(
-    state: &Arc<ProxyState>,
-    poller: &mut Poller,
-    conns: &mut Conns<PTag>,
-    jobs: &mut JobDealer,
-    token: u64,
-) -> Option<()> {
-    {
-        let conn = conns.get_mut(token)?;
-        if conn.read_ready().is_err() {
-            conns.close(poller, token);
-            return None;
-        }
-    }
-    loop {
-        let conn = conns.get_mut(token)?;
-        let Conn {
-            rbuf,
-            sbuf,
-            tag,
-            eof,
-            close_after_flush,
-            ..
-        } = conn;
-        enum Step {
-            Keep,
-            CloseAfterFlush,
-            Close,
-        }
-        let step = match decode_frame(rbuf.data(), *eof) {
-            Ok(None) => break,
-            Err(WireError::Closed) => {
-                if sbuf.is_empty() {
-                    conns.close(poller, token);
-                } else {
-                    // Peer is gone; flush what is queued, then close.
-                    *close_after_flush = true;
-                    conns.flush(poller, token);
+    fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
+        let state = &self.state;
+        match cx.tag {
+            PKind::Client => match msg {
+                HttpMsgRef::Get(get) => {
+                    cx.submit(get.clone());
+                    After::Keep
                 }
-                return None;
-            }
-            Err(_) => {
-                conns.close(poller, token);
-                return None;
-            }
-            Ok(Some((msg, used))) => {
-                let step = match tag.kind {
-                    PKind::Client => match &msg {
-                        HttpMsgRef::Get(get) => {
-                            let seq = tag.next_assign;
-                            tag.next_assign += 1;
-                            state.outstanding.fetch_add(1, Ordering::SeqCst);
-                            jobs.send(Job {
-                                token,
-                                seq,
-                                get: get.clone(),
-                            });
-                            Step::Keep
-                        }
-                        HttpMsgRef::MetricsGet => {
-                            sbuf.push_bytes(&crate::scrape::metrics_response(
-                                &state.render_metrics(),
-                            ));
-                            Step::CloseAfterFlush
-                        }
-                        HttpMsgRef::Reply(_)
-                        | HttpMsgRef::Invalidate { .. }
-                        | HttpMsgRef::InvalidateBatch(_)
-                        | HttpMsgRef::InvalidateBatchAck(_)
-                        | HttpMsgRef::InvalidateServer { .. }
-                        | HttpMsgRef::InvalidateServerAck { .. }
-                        | HttpMsgRef::InvalAck { .. }
-                        | HttpMsgRef::Hello { .. }
-                        | HttpMsgRef::Notify { .. } => Step::Close,
-                    },
-                    PKind::Scrape => match &msg {
-                        HttpMsgRef::MetricsGet => {
-                            sbuf.push_bytes(&crate::scrape::metrics_response(
-                                &state.render_metrics(),
-                            ));
-                            Step::CloseAfterFlush
-                        }
-                        _ => Step::Close,
-                    },
-                    PKind::Inval => match &msg {
-                        HttpMsgRef::Invalidate { url, client } => {
-                            let deleted_hits = {
-                                let mut guard = state.policy.lock();
-                                let (policy, cache, _) = &mut *guard;
-                                policy.on_invalidate(*url, *client, cache)
-                            };
-                            state.counters.lock().invalidations_received += 1;
-                            sbuf.push_bytes(&encode(&HttpMsg::InvalAck {
-                                url: *url,
-                                client: *client,
-                                cache_hits: deleted_hits.unwrap_or(0),
-                            }));
-                            Step::Keep
-                        }
-                        HttpMsgRef::InvalidateBatch(batch) => {
-                            // One coalesced proposer round: drop every
-                            // listed copy under a single policy lock and
-                            // ack the whole round in one message, the §7
-                            // hit reports carried per entry.
-                            let entries = batch.entries();
-                            let acks: Vec<BatchAckEntry> = {
-                                let mut guard = state.policy.lock();
-                                let (policy, cache, _) = &mut *guard;
-                                entries
-                                    .iter()
-                                    .map(|e| BatchAckEntry {
-                                        url: e.url,
-                                        client: e.client,
-                                        cache_hits: policy
-                                            .on_invalidate(e.url, e.client, cache)
-                                            .unwrap_or(0),
-                                    })
-                                    .collect()
-                            };
-                            {
-                                let mut c = state.counters.lock();
-                                c.invalidations_received += entries.len() as u64;
-                                c.inval_batches_received += 1;
-                            }
-                            sbuf.push_bytes(&encode(&HttpMsg::InvalidateBatchAck {
-                                server: batch.server,
-                                entries: acks,
-                            }));
-                            Step::Keep
-                        }
-                        HttpMsgRef::InvalidateServer { server } => {
-                            {
-                                let mut guard = state.policy.lock();
-                                let (policy, cache, _) = &mut *guard;
-                                policy.on_invalidate_server(*server, cache);
-                            }
-                            state.counters.lock().bulk_invalidations_received += 1;
-                            sbuf.push_bytes(&encode(&HttpMsg::InvalidateServerAck {
-                                server: *server,
-                            }));
-                            Step::Keep
-                        }
-                        HttpMsgRef::Get(_)
-                        | HttpMsgRef::Reply(_)
-                        | HttpMsgRef::InvalAck { .. }
-                        | HttpMsgRef::InvalidateBatchAck(_)
-                        | HttpMsgRef::InvalidateServerAck { .. }
-                        | HttpMsgRef::Hello { .. }
-                        | HttpMsgRef::MetricsGet
-                        | HttpMsgRef::Notify { .. } => Step::Close,
-                    },
-                };
-                rbuf.consume(used);
-                step
-            }
-        };
-        match step {
-            Step::Keep => {}
-            Step::CloseAfterFlush => {
-                *close_after_flush = true;
-                break;
-            }
-            Step::Close => {
-                conns.close(poller, token);
-                return None;
-            }
+                HttpMsgRef::MetricsGet => cx.reply_metrics(&state.render_metrics()),
+                HttpMsgRef::Reply(_)
+                | HttpMsgRef::Invalidate { .. }
+                | HttpMsgRef::InvalidateBatch(_)
+                | HttpMsgRef::InvalidateBatchAck(_)
+                | HttpMsgRef::InvalidateServer { .. }
+                | HttpMsgRef::InvalidateServerAck { .. }
+                | HttpMsgRef::InvalAck { .. }
+                | HttpMsgRef::Hello { .. }
+                | HttpMsgRef::Notify { .. } => After::Close,
+            },
+            PKind::Scrape => match msg {
+                HttpMsgRef::MetricsGet => cx.reply_metrics(&state.render_metrics()),
+                _ => After::Close,
+            },
+            PKind::Inval => match msg {
+                HttpMsgRef::Invalidate { url, client } => {
+                    let deleted_hits = {
+                        let mut guard = state.policy.lock();
+                        let (policy, cache, _) = &mut *guard;
+                        policy.on_invalidate(*url, *client, cache)
+                    };
+                    state.counters.lock().invalidations_received += 1;
+                    cx.reply(&HttpMsg::InvalAck {
+                        url: *url,
+                        client: *client,
+                        cache_hits: deleted_hits.unwrap_or(0),
+                    });
+                    After::Keep
+                }
+                HttpMsgRef::InvalidateBatch(batch) => {
+                    // One coalesced proposer round: drop every listed copy
+                    // under a single policy lock and ack the whole round in
+                    // one message, the §7 hit reports carried per entry.
+                    let entries = batch.entries();
+                    let acks: Vec<BatchAckEntry> = {
+                        let mut guard = state.policy.lock();
+                        let (policy, cache, _) = &mut *guard;
+                        entries
+                            .iter()
+                            .map(|e| BatchAckEntry {
+                                url: e.url,
+                                client: e.client,
+                                cache_hits: policy
+                                    .on_invalidate(e.url, e.client, cache)
+                                    .unwrap_or(0),
+                            })
+                            .collect()
+                    };
+                    {
+                        let mut c = state.counters.lock();
+                        c.invalidations_received += entries.len() as u64;
+                        c.inval_batches_received += 1;
+                    }
+                    cx.reply(&HttpMsg::InvalidateBatchAck {
+                        server: batch.server,
+                        entries: acks,
+                    });
+                    After::Keep
+                }
+                HttpMsgRef::InvalidateServer { server } => {
+                    {
+                        let mut guard = state.policy.lock();
+                        let (policy, cache, _) = &mut *guard;
+                        policy.on_invalidate_server(*server, cache);
+                    }
+                    state.counters.lock().bulk_invalidations_received += 1;
+                    cx.reply(&HttpMsg::InvalidateServerAck { server: *server });
+                    After::Keep
+                }
+                HttpMsgRef::Get(_)
+                | HttpMsgRef::Reply(_)
+                | HttpMsgRef::InvalAck { .. }
+                | HttpMsgRef::InvalidateBatchAck(_)
+                | HttpMsgRef::InvalidateServerAck { .. }
+                | HttpMsgRef::Hello { .. }
+                | HttpMsgRef::MetricsGet
+                | HttpMsgRef::Notify { .. } => After::Close,
+            },
         }
     }
-    if conns.flush(poller, token) {
-        Some(())
-    } else {
-        None
-    }
-}
-
-/// Applies one finished job: park it, then deliver every reply that is
-/// next in pipeline order.
-fn apply_done(state: &Arc<ProxyState>, poller: &mut Poller, conns: &mut Conns<PTag>, d: Done) {
-    state.outstanding.fetch_sub(1, Ordering::SeqCst);
-    let Some(conn) = conns.get_mut(d.token) else {
-        return;
-    };
-    let Conn {
-        sbuf,
-        tag,
-        close_after_flush,
-        ..
-    } = conn;
-    tag.parked.push((d.seq, d.msg));
-    while let Some(i) = tag.parked.iter().position(|(s, _)| *s == tag.next_send) {
-        let (_, msg) = tag.parked.swap_remove(i);
-        tag.next_send += 1;
-        match msg {
-            Some(m) => sbuf.push_bytes(&encode(&m)),
-            None => {
-                // Fetch failed (origin down): deliver what we have, then
-                // drop the connection so the client can re-dial.
-                *close_after_flush = true;
-                state.counters.lock().dropped_connections += 1;
-                break;
-            }
-        }
-    }
-    conns.flush(poller, d.token);
 }

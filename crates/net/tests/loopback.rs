@@ -374,3 +374,53 @@ fn volume_lease_renewal_piggybacks_missed_invalidations_over_tcp() {
     assert_eq!(fresh.kind, FetchKind::Fetched);
     assert_eq!(fresh.meta.last_modified(), SimTime::from_secs(200));
 }
+
+/// Sends one frame on a fresh connection and reads until the origin closes
+/// it, returning whatever came back first.
+fn send_and_drain(origin: &NetOrigin, frame: &[u8]) -> Vec<u8> {
+    use std::io::{Read, Write};
+    let mut stream = std::net::TcpStream::connect(origin.addr()).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    stream.write_all(frame).unwrap();
+    let mut back = Vec::new();
+    stream
+        .read_to_end(&mut back)
+        .expect("origin closes the connection");
+    back
+}
+
+#[test]
+fn hostile_document_ids_close_the_connection_not_the_origin() {
+    use wcc_proto::{encode, GetRequest, HttpMsg, RequestId};
+    let (origin, proxy, _cfg) = start(ProtocolKind::Invalidation);
+    let c = client(1);
+    let beyond = url(9999); // the origin has 32 documents
+
+    // A check-in for a document the origin does not have is a protocol
+    // violation: that connection closes, nothing is counted ...
+    let notify = encode(&HttpMsg::Notify {
+        url: beyond,
+        at: SimTime::from_secs(5),
+    });
+    assert!(send_and_drain(&origin, &notify).is_empty());
+    assert_eq!(origin.snapshot().notifies, 0);
+    // ... and the origin keeps serving.
+    let first = proxy.fetch(c, url(1), SimTime::from_secs(6)).unwrap();
+    assert_eq!(first.kind, FetchKind::Fetched);
+
+    // Same for a GET.
+    let get = encode(&HttpMsg::Get(GetRequest {
+        req: RequestId::default().next(),
+        url: beyond,
+        client: c,
+        ims: None,
+        issued_at: SimTime::from_secs(7),
+        cache_hits: 0,
+    }));
+    assert!(send_and_drain(&origin, &get).is_empty());
+    let second = proxy.fetch(c, url(2), SimTime::from_secs(8)).unwrap();
+    assert_eq!(second.kind, FetchKind::Fetched);
+    assert_eq!(origin.snapshot().replies_200, 2);
+}

@@ -41,7 +41,7 @@ impl RecvBuf {
 
     /// The undecoded bytes, contiguous.
     pub fn data(&self) -> &[u8] {
-        &self.bytes[self.start..]
+        self.bytes.get(self.start..).unwrap_or_default()
     }
 
     /// Number of undecoded bytes.
@@ -128,8 +128,8 @@ impl SendBuf {
     /// (the connection should arm write interest); `WouldBlock` is
     /// absorbed into `Ok(false)` because it *is* the partial-write case.
     pub fn flush(&mut self, sink: &mut impl Write) -> io::Result<bool> {
-        while self.pos < self.bytes.len() {
-            match sink.write(&self.bytes[self.pos..]) {
+        while let Some(rest) = self.bytes.get(self.pos..).filter(|rest| !rest.is_empty()) {
+            match sink.write(rest) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => self.pos += n,
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(false),

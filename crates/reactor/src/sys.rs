@@ -189,7 +189,7 @@ mod backend {
                 }
                 rc as usize
             };
-            for ev in &self.buf[..n] {
+            for ev in self.buf.iter().take(n) {
                 // Copy out of the (possibly packed) struct before use.
                 let flags = ev.events;
                 let token = ev.data;

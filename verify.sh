@@ -8,6 +8,8 @@
 #                (CI also repeats the test job on beta)
 #   serve job -> `wcc serve --self-check` + a reduced `wcc bench serve`
 #                (CI runs 1000 connections and gates the JSON report)
+#   benchmark job -> the benchmark/ package (its own workspace): its test
+#                suite plus a 2 s smoke of all four workloads
 #   bench job -> trajectory run + the bench-regression gate, which compares
 #                against ci/bench-baseline.json: deterministic fields exact,
 #                wall-clock timings within ±15% (plus 100 ms grace)
@@ -74,6 +76,16 @@ timeout 120 ./target/release/wcc bench serve --connections 64 --requests 8 --in-
 echo "==> bench trajectory (smoke)"
 # Exits non-zero if the fanned-out or sharded grid diverges from the
 # sequential run.
-./target/release/trajectory --scale 100 --shards 2 --out /tmp/BENCH_replay.smoke.json
+# (`cargo build --release` above builds the root package only, so the
+# trajectory binary is built here.)
+cargo run --release --quiet -p wcc-bench --bin trajectory -- \
+  --scale 100 --shards 2 --out /tmp/BENCH_replay.smoke.json
+
+echo "==> benchmark package (tests + 2 s smoke)"
+# benchmark/ is a workspace of its own: nothing above compiles it, so an
+# API drift in wcc-net / wcc-httpsim would otherwise first show up in the
+# benchmark gate.
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+bash benchmark/run.sh --seconds 2 >/dev/null
 
 echo "verify: OK"
