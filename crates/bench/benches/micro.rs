@@ -189,6 +189,37 @@ fn drive_queue(q: &mut impl BenchQueue) -> u64 {
     checksum
 }
 
+/// The input the replay-shaped trace never produces: 1 500 events in one
+/// microsecond, drained while 500 more are scheduled for that same
+/// microsecond (every third pop pushes one), eight rounds. This is a busy
+/// server's backlog waking at once, the shape that made `pop` scan its
+/// bucket per event. Everything rides the external lane, the only one this
+/// crate can reach, so each mid-drain push sorts last in the bucket — the
+/// sorted bucket's worst insert position.
+fn drive_burst(q: &mut impl BenchQueue) -> u64 {
+    let mut checksum = 0u64;
+    let mut payload = 0u64;
+    for round in 0..8u64 {
+        let at = SimTime::from_micros(5 + round * 700);
+        for _ in 0..1_500 {
+            q.schedule(at, payload);
+            payload += 1;
+        }
+        let mut extra = 500;
+        let mut popped = 0u64;
+        while let Some((now, p)) = q.pop() {
+            checksum = checksum.wrapping_mul(31).wrapping_add(p ^ now.as_micros());
+            popped += 1;
+            if extra > 0 && popped.is_multiple_of(3) {
+                q.schedule(now, payload);
+                payload += 1;
+                extra -= 1;
+            }
+        }
+    }
+    checksum
+}
+
 fn bench_event_queue(c: &mut Criterion) {
     // Both implementations must walk the identical trace before timing
     // anything, or the comparison is meaningless.
@@ -197,12 +228,23 @@ fn bench_event_queue(c: &mut Criterion) {
         drive_queue(&mut HeapQueue::default()),
         "bucket queue and binary heap replayed different traces"
     );
+    assert_eq!(
+        drive_burst(&mut EventQueue::<u64>::new()),
+        drive_burst(&mut HeapQueue::default()),
+        "bucket queue and binary heap drained the burst differently"
+    );
     let mut group = c.benchmark_group("event_queue");
     group.bench_function("bucket_queue_20k", |b| {
         b.iter(|| black_box(drive_queue(&mut EventQueue::<u64>::new())))
     });
     group.bench_function("binary_heap_20k", |b| {
         b.iter(|| black_box(drive_queue(&mut HeapQueue::default())))
+    });
+    group.bench_function("bucket_queue_same_instant_burst", |b| {
+        b.iter(|| black_box(drive_burst(&mut EventQueue::<u64>::new())))
+    });
+    group.bench_function("binary_heap_same_instant_burst", |b| {
+        b.iter(|| black_box(drive_burst(&mut HeapQueue::default())))
     });
     group.finish();
 }

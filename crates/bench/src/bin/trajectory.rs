@@ -96,6 +96,16 @@ fn main() {
         report.inner_requests_per_sec,
     );
     println!(
+        "engine (inner loop): {} events = {:.2} per request, {:.1}% recycled; \
+         {} deliveries deferred in {} runs (longest {})",
+        report.events_allocated,
+        report.events_per_request,
+        report.events_recycled_pct,
+        report.deferred_messages,
+        report.deferred_runs,
+        report.longest_deferred_run,
+    );
+    println!(
         "family {} ({} origins, {} requests): {} ms sequential + {}-shard, \
          state {} B vs legacy {} B (-{:.1}%), peak RSS {} kB",
         report.family_name,

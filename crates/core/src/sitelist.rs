@@ -96,11 +96,25 @@ pub struct SiteListStats {
 /// assert_eq!(sites, vec![c1]);
 /// assert_eq!(table.site_count(url), 0); // list reset by the invalidation
 /// ```
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Clone)]
 pub struct InvalidationTable {
     lists: FxHashMap<Url, SiteList>,
     entries: u64,
     peak: SiteListMemory,
+    /// No entry's lease expires before this instant, so a purge earlier than
+    /// it has nothing to collect. Lowered by `register`, raised by a sweep.
+    earliest_expiry: SimTime,
+}
+
+impl Default for InvalidationTable {
+    fn default() -> Self {
+        InvalidationTable {
+            lists: FxHashMap::default(),
+            entries: 0,
+            peak: SiteListMemory::default(),
+            earliest_expiry: SimTime::NEVER,
+        }
+    }
 }
 
 /// One document's site list in struct-of-arrays form: a sorted array of
@@ -158,6 +172,7 @@ impl InvalidationTable {
     /// until `lease_expires`. Re-registering extends the existing promise
     /// (the later expiry wins).
     pub fn register(&mut self, url: Url, client: ClientId, lease_expires: SimTime) {
+        self.earliest_expiry = self.earliest_expiry.min(lease_expires);
         if self
             .lists
             .entry(url)
@@ -229,14 +244,19 @@ impl InvalidationTable {
 
     /// Drops every entry whose lease expired before `now`. Returns how many
     /// entries were collected. (The lease-augmented server runs this
-    /// periodically; with infinite leases it is a no-op.)
+    /// periodically; with infinite leases it never looks at a list.)
     pub fn purge_expired(&mut self, now: SimTime) -> u64 {
+        if now < self.earliest_expiry {
+            return 0;
+        }
         let mut removed = 0;
         self.lists.retain(|_, list| {
             removed += list.purge(now);
             list.len() > 0
         });
         self.entries -= removed;
+        // Every survivor expires after `now`.
+        self.earliest_expiry = now;
         removed
     }
 
@@ -346,6 +366,23 @@ mod tests {
         assert_eq!(removed, 5);
         assert_eq!(t.total_entries(), 5);
         assert_eq!(t.purge_expired(SimTime::from_secs(100)), 0);
+    }
+
+    #[test]
+    fn purge_early_out_tracks_the_earliest_lease() {
+        let mut t = InvalidationTable::new();
+        t.register(url(1), client(1), SimTime::NEVER);
+        assert_eq!(t.purge_expired(SimTime::from_secs(1_000_000)), 0);
+        // A finite lease lowers the bound; a purge at exactly its expiry
+        // collects it.
+        t.register(url(1), client(2), SimTime::from_secs(50));
+        assert_eq!(t.purge_expired(SimTime::from_secs(49)), 0);
+        assert_eq!(t.purge_expired(SimTime::from_secs(50)), 1);
+        // After a sweep, a lease registered behind the sweep time still
+        // falls at the next purge.
+        t.register(url(2), client(3), SimTime::from_secs(20));
+        assert_eq!(t.purge_expired(SimTime::from_secs(50)), 1);
+        assert_eq!(t.total_entries(), 1);
     }
 
     #[test]

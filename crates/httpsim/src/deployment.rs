@@ -488,6 +488,13 @@ impl Deployment {
         self.sim.alloc_stats()
     }
 
+    /// The engine's busy-deferral counters for the run so far: backlog runs
+    /// parked, deliveries that found their node busy, longest run. A side
+    /// accessor for the same reason as [`Deployment::alloc_stats`].
+    pub fn defer_stats(&self) -> wcc_simnet::DeferStats {
+        self.sim.defer_stats()
+    }
+
     /// Runs with a wall-clock safety deadline (fault scenarios with retry
     /// loops can otherwise take long).
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {

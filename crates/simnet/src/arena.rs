@@ -129,6 +129,23 @@ impl<T> Arena<T> {
         value
     }
 
+    /// Mutable access to the value parked under `handle`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a stale or freed handle (generation mismatch).
+    #[inline]
+    pub fn get_mut(&mut self, handle: Handle) -> &mut T {
+        let slot = &mut self.slots[handle.index as usize];
+        assert_eq!(slot.generation, handle.generation, "stale arena handle");
+        slot.value.as_mut().expect("arena slot already freed")
+    }
+
+    /// The values currently parked, in slot order.
+    pub fn values(&self) -> impl Iterator<Item = &T> {
+        self.slots.iter().filter_map(|slot| slot.value.as_ref())
+    }
+
     /// The number of values currently parked.
     pub fn len(&self) -> usize {
         self.stats.live as usize

@@ -5,8 +5,15 @@
 //! covering the near future plus an overflow heap for everything beyond the
 //! ring's horizon. Discrete-event schedules are dominated by short hops
 //! (link latencies, CPU bursts), so almost every event lives its whole life
-//! in the ring at O(1) amortised cost; far-future timers take one heap trip
-//! and are pulled into the ring as the cursor approaches them.
+//! in the ring; far-future timers take one heap trip and are pulled into the
+//! ring as the cursor approaches them.
+//!
+//! Only the bucket under the cursor is ever popped from, so only that
+//! bucket is kept ordered: it is sorted once when the cursor lands on it and
+//! drained from the back, and an insert into it while it drains goes in by
+//! binary search. A bucket of `k` same-microsecond events therefore costs
+//! `O(k log k)` to drain, and the common one-event bucket costs a push and a
+//! pop.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -85,6 +92,21 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
+/// Sorts a bucket so its earliest event is last. Out of line: almost every
+/// bucket holds one event and never gets here.
+#[inline(never)]
+fn sort_descending<E>(bucket: &mut [(SimTime, Rank, E)]) {
+    // Keys are unique, so an unstable sort is deterministic.
+    bucket.sort_unstable_by_key(|e| std::cmp::Reverse((e.0, e.1)));
+}
+
+/// Inserts into a bucket sorted by [`sort_descending`], keeping it sorted.
+#[inline(never)]
+fn insert_sorted<E>(bucket: &mut Vec<(SimTime, Rank, E)>, at: SimTime, rank: Rank, payload: E) {
+    let pos = bucket.partition_point(|e| (e.0, e.1) > (at, rank));
+    bucket.insert(pos, (at, rank, payload));
+}
+
 /// A priority queue of simulation events ordered by `(time, lane, seq)`.
 ///
 /// Events scheduled for the same instant on the same lane pop in insertion
@@ -111,8 +133,8 @@ impl<E> Ord for Scheduled<E> {
 pub struct EventQueue<E> {
     /// Near-future ring: bucket `t % RING_BUCKETS` holds the events firing
     /// at microsecond `t`, for `t` in `[cursor, cursor + RING_BUCKETS)`.
-    /// Each bucket is unsorted; pops scan it for the minimum key, which is
-    /// cheap because same-microsecond occupancy is small.
+    /// Buckets ahead of the cursor are unsorted; see `cursor_sorted` for the
+    /// one being drained.
     ring: Vec<Vec<(SimTime, Rank, E)>>,
     /// Occupancy bitmap over the ring: bit `b` of word `b / 64` is set iff
     /// bucket `b` is non-empty. Replaces the one-bucket-per-microsecond
@@ -128,6 +150,11 @@ pub struct EventQueue<E> {
     /// behind it (never done by the engine) is clamped into the cursor
     /// bucket and still pops first by key comparison.
     cursor: u64,
+    /// `true` while the cursor bucket is sorted descending by `(at, rank)`,
+    /// so its minimum is the last element. Set when [`EventQueue::seek`]
+    /// lands on a bucket, kept by [`EventQueue::ring_push`] (an emptied
+    /// bucket stays trivially sorted), dropped whenever the cursor moves.
+    cursor_sorted: bool,
     /// Events currently in the ring.
     ring_len: usize,
     /// Total pending events (ring + overflow).
@@ -146,6 +173,7 @@ impl<E> EventQueue<E> {
             occupied: [0; RING_WORDS],
             overflow: BinaryHeap::new(),
             cursor: 0,
+            cursor_sorted: false,
             ring_len: 0,
             len: 0,
             next_seq: 0,
@@ -208,13 +236,26 @@ impl<E> EventQueue<E> {
             self.overflow.push(Scheduled { at, rank, payload });
         } else {
             // Past-of-cursor events (clamped into the cursor bucket) still
-            // pop first: the cursor bucket is always scanned before any
-            // later one, and within a bucket the stored key decides.
-            let slot = t.max(self.cursor) % RING_BUCKETS;
-            self.ring[slot as usize].push((at, rank, payload));
-            self.mark(slot);
-            self.ring_len += 1;
+            // pop first: the cursor bucket drains before any later one, and
+            // within a bucket the stored key decides.
+            self.ring_push(t.max(self.cursor), at, rank, payload);
         }
+    }
+
+    /// Places an event in the ring bucket of microsecond `t` (within the
+    /// ring window). The bucket being drained stays sorted: zero-delay
+    /// sends, clamped past events and refills go in by binary search.
+    #[inline]
+    fn ring_push(&mut self, t: u64, at: SimTime, rank: Rank, payload: E) {
+        let slot = t % RING_BUCKETS;
+        let bucket = &mut self.ring[slot as usize];
+        if self.cursor_sorted && t == self.cursor {
+            insert_sorted(bucket, at, rank, payload);
+        } else {
+            bucket.push((at, rank, payload));
+        }
+        self.mark(slot);
+        self.ring_len += 1;
     }
 
     /// Pulls overflow events that now fall inside the ring window. Called
@@ -227,16 +268,15 @@ impl<E> EventQueue<E> {
                 break;
             }
             let s = self.overflow.pop().expect("peeked overflow entry");
-            let slot = t % RING_BUCKETS;
-            self.ring[slot as usize].push((s.at, s.rank, s.payload));
-            self.mark(slot);
-            self.ring_len += 1;
+            self.ring_push(t, s.at, s.rank, s.payload);
         }
     }
 
     /// Advances the cursor to the first non-empty bucket (one bitmap scan —
     /// empty stretches cost `trailing_zeros` word probes, not one step per
-    /// microsecond) and returns its index, or `None` if the queue is empty.
+    /// microsecond), sorts it if the cursor just landed on it, and returns
+    /// its index — the earliest event is that bucket's last element — or
+    /// `None` if the queue is empty.
     fn seek(&mut self) -> Option<usize> {
         if self.len == 0 {
             return None;
@@ -244,7 +284,11 @@ impl<E> EventQueue<E> {
         if self.ring_len == 0 {
             // Skip the empty stretch in one hop instead of walking buckets.
             let head = self.overflow.peek().expect("len > 0 with empty ring");
-            self.cursor = self.cursor.max(head.at.as_micros());
+            let t = head.at.as_micros();
+            if t > self.cursor {
+                self.cursor = t;
+                self.cursor_sorted = false;
+            }
             self.refill();
         }
         if self.ring_len == 0 {
@@ -252,14 +296,12 @@ impl<E> EventQueue<E> {
             // the time axis (e.g. an event at SimTime::NEVER): pull it in
             // unconditionally so the scan below always terminates.
             let s = self.overflow.pop().expect("len > 0 with empty ring");
-            let slot = self.cursor % RING_BUCKETS;
-            self.ring[slot as usize].push((s.at, s.rank, s.payload));
-            self.mark(slot);
-            self.ring_len += 1;
+            self.ring_push(self.cursor, s.at, s.rank, s.payload);
         }
         let delta = self.next_occupied_delta(self.cursor % RING_BUCKETS);
         if delta > 0 {
             self.cursor += delta;
+            self.cursor_sorted = false;
             // Crossing buckets can expose overflow entries that now fit the
             // window. One refill suffices: every overflow entry had
             // `t ≥ old cursor + RING_BUCKETS > new cursor` (the jump is less
@@ -267,7 +309,14 @@ impl<E> EventQueue<E> {
             // bucket the scan just chose.
             self.refill();
         }
-        Some((self.cursor % RING_BUCKETS) as usize)
+        let slot = (self.cursor % RING_BUCKETS) as usize;
+        if !self.cursor_sorted {
+            if self.ring[slot].len() > 1 {
+                sort_descending(&mut self.ring[slot]);
+            }
+            self.cursor_sorted = true;
+        }
+        Some(slot)
     }
 
     /// Removes and returns the earliest event, if any.
@@ -280,18 +329,12 @@ impl<E> EventQueue<E> {
     /// engine's former `peek_time` + `pop` pair per dispatched event.
     pub fn pop_bounded(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
         let slot = self.seek()?;
-        let bucket = &self.ring[slot];
-        let mut best = 0;
-        for (i, ev) in bucket.iter().enumerate().skip(1) {
-            if (ev.0, ev.1) < (bucket[best].0, bucket[best].1) {
-                best = i;
-            }
-        }
-        if bucket[best].0 > bound {
+        let bucket = &mut self.ring[slot];
+        if bucket.last().expect("seek lands on an occupied bucket").0 > bound {
             return None;
         }
-        let (at, _, payload) = self.ring[slot].swap_remove(best);
-        if self.ring[slot].is_empty() {
+        let (at, _, payload) = bucket.pop().expect("seek lands on an occupied bucket");
+        if bucket.is_empty() {
             self.unmark(slot as u64);
         }
         self.ring_len -= 1;
@@ -302,7 +345,7 @@ impl<E> EventQueue<E> {
     /// The firing time of the earliest pending event.
     pub fn peek_time(&mut self) -> Option<SimTime> {
         let slot = self.seek()?;
-        self.ring[slot].iter().map(|ev| ev.0).min()
+        self.ring[slot].last().map(|ev| ev.0)
     }
 
     /// The number of pending events.
@@ -518,6 +561,69 @@ mod tests {
             }
             assert_eq!(got, vec![63, 64, 65, 127, 128, 4095], "round {round}");
         }
+    }
+
+    #[test]
+    fn same_instant_burst_with_inserts_mid_drain_pops_in_key_order() {
+        // 10 000 events in one microsecond across 7 lanes, scheduled in a
+        // scrambled order; while the bucket drains, more events land in it
+        // (same instant, and a clamped past one) on every side of the keys
+        // still pending. A BTreeSet of the keys is the oracle.
+        use std::collections::BTreeSet;
+        let t = SimTime::from_micros(777);
+        let mut q = EventQueue::new();
+        let mut model = BTreeSet::new();
+        let mut seqs = [0u64; 7];
+        for i in 0u64..10_000 {
+            let lane = (i * 7919 % 7) as usize;
+            let rank = Rank::node(lane as u32, seqs[lane]);
+            seqs[lane] += 1;
+            q.schedule_ranked(t, rank, (t, rank));
+            model.insert((t, rank));
+        }
+        q.schedule_ranked(SimTime::from_micros(900), Rank::node(0, 0), {
+            let key = (SimTime::from_micros(900), Rank::node(0, 0));
+            model.insert(key);
+            key
+        });
+        let mut popped = 0u64;
+        while let Some((at, key)) = q.pop() {
+            assert_eq!(Some(key), model.pop_first(), "pop {popped}");
+            assert_eq!(at, key.0);
+            popped += 1;
+            if popped.is_multiple_of(3) && popped < 9_000 {
+                // Rotate through the lanes: lanes already drained sort
+                // first, later ones in the middle or last.
+                let lane = (popped / 3 % 7) as usize;
+                let at = if popped.is_multiple_of(600) {
+                    SimTime::from_micros(5) // behind the cursor: clamped
+                } else {
+                    t
+                };
+                let rank = Rank::node(lane as u32, seqs[lane]);
+                seqs[lane] += 1;
+                q.schedule_ranked(at, rank, (at, rank));
+                model.insert((at, rank));
+            }
+            assert_eq!(q.peek_time(), model.first().map(|k| k.0));
+        }
+        assert!(model.is_empty());
+        assert!(popped > 12_000);
+    }
+
+    #[test]
+    fn refill_into_the_bucket_being_drained_keeps_order() {
+        // An overflow event due at exactly the microsecond the cursor lands
+        // on next is refilled into that bucket before the landing sort.
+        let mut q = EventQueue::new();
+        let far = SimTime::from_micros(RING_BUCKETS + 10);
+        q.schedule_ranked(far, Rank::node(3, 0), "overflow-lane3");
+        q.schedule(SimTime::from_micros(20), "early");
+        assert_eq!(q.pop(), Some((SimTime::from_micros(20), "early")));
+        q.schedule_ranked(far, Rank::node(5, 0), "ring-lane5");
+        q.schedule_ranked(far, Rank::node(1, 0), "ring-lane1");
+        let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
+        assert_eq!(order, vec!["ring-lane1", "overflow-lane3", "ring-lane5"]);
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! in the paper's experiments. It provides:
 //!
 //! * an **event queue** with a total order (time, then per-node lane and
-//!   lane sequence), so every run is bit-for-bit reproducible ([`event`]);
+//!   lane sequence), so every run is bit-for-bit reproducible; the bucket
+//!   under the cursor is sorted once and drained from the back, so a burst
+//!   of same-instant events pops without scanning ([`event`]);
 //! * a **generational arena** that parks in-flight events so the queue moves
 //!   three-word handles and steady-state scheduling never touches the
 //!   global allocator ([`arena`]);
@@ -17,7 +19,10 @@
 //! * **CPU busy-time accounting**: a node may [`Ctx::consume`] simulated CPU
 //!   time, deferring its later deliveries — this is how the pseudo-server's
 //!   utilisation and the synchronous-invalidation request stalls are
-//!   reproduced;
+//!   reproduced. A busy node's waiting deliveries park in *one* event that
+//!   holds a range of consecutive lane sequence numbers, so a backlog of
+//!   `N` costs `N` events, not one re-queue per waiting message per
+//!   wake-up ([`sim`]; counters in [`DeferStats`]);
 //! * **crash / recovery** of nodes with message loss while down ([`fault`]);
 //! * small **metric primitives** (counters and min/avg/max summaries) used
 //!   by the replay reports ([`metrics`]);
@@ -80,4 +85,4 @@ pub use metrics::{Counter, NetStats, Summary};
 pub use net::{LinkSpec, NetworkConfig};
 pub use node::{Ctx, Node, TimerId};
 pub use shard::ShardedSimulation;
-pub use sim::Simulation;
+pub use sim::{DeferStats, Simulation};

@@ -176,9 +176,12 @@ impl<M> Ctx<'_, M> {
     ///
     /// The node is modelled as a single-core server: while it is busy, later
     /// message deliveries are deferred until the busy period ends (timers
-    /// still fire on schedule). Accumulated busy time divided by wall time
-    /// is the node's CPU utilisation — the simulator's analogue of the
-    /// paper's `iostat` CPU numbers.
+    /// still fire on schedule). The engine parks the deliveries that arrive
+    /// meanwhile as one backlog event on this node's lane — each takes the
+    /// next lane sequence number, so they are handled in arrival order, one
+    /// per busy period, at a cost linear in the backlog. Accumulated busy
+    /// time divided by wall time is the node's CPU utilisation — the
+    /// simulator's analogue of the paper's `iostat` CPU numbers.
     pub fn consume(&mut self, amount: SimDuration) {
         let start = (*self.busy_until).max(self.now);
         *self.busy_until = start + amount;

@@ -37,7 +37,7 @@
 
 use crate::event::Rank;
 use crate::metrics::NetStats;
-use crate::sim::{EngineEvent, NodeState, ShardRoute, Simulation};
+use crate::sim::{DeferStats, EngineEvent, NodeState, ShardRoute, Simulation};
 use crate::EventQueue;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -182,6 +182,14 @@ impl<M: Send + 'static> ShardedSimulation<M> {
                     states: states.clone(),
                     queue,
                     arena: crate::Arena::new(),
+                    // Split-time, like the arena beside it.
+                    spare_runs: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
+                    // Counters are sums: shard 0 carries the prologue's.
+                    defer_stats: if s == 0 {
+                        sim.defer_stats
+                    } else {
+                        DeferStats::default()
+                    },
                     config: sim.config.clone(),
                     reach: sim.reach.clone(),
                     // Stats are order-insensitive sums: park the prologue's
@@ -221,7 +229,7 @@ impl<M: Send + 'static> ShardedSimulation<M> {
         }
         for (at, rank, event) in events {
             match event {
-                EngineEvent::Deliver { dst, .. } => {
+                EngineEvent::Deliver { dst, .. } | EngineEvent::Deferred { dst, .. } => {
                     shards[assignment[dst.as_usize()]].schedule_event(at, rank, event);
                 }
                 EngineEvent::Timer { node, .. } => {
@@ -441,6 +449,7 @@ impl<M: Send + 'static> ShardedSimulation<M> {
             // merged simulation's so `alloc_stats` reports the whole run.
             let leftovers = shard.drain_events();
             merged.arena.absorb_stats(shard.alloc_stats());
+            merged.defer_stats.absorb(shard.defer_stats);
             for (i, node) in shard.nodes.into_iter().enumerate() {
                 if assignment[i] == s {
                     merged.nodes[i] = node;

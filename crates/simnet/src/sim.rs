@@ -7,6 +7,7 @@ use crate::net::{NetworkConfig, Reachability};
 use crate::node::{Ctx, Node, TimerId};
 use crate::EventQueue;
 use std::any::Any;
+use std::collections::VecDeque;
 use wcc_types::{FxHashSet, NodeId, SimDuration, SimTime};
 
 /// Internal engine events.
@@ -20,6 +21,18 @@ pub(crate) enum EngineEvent<M> {
         dst: NodeId,
         /// Payload.
         msg: M,
+    },
+    /// A busy node's parked backlog: `msgs[i]` is the `(src, msg)` delivery
+    /// deferred under lane sequence `seq + i`, where `seq` is the sequence in
+    /// this event's own key. One event stands for `msgs.len()` *consecutive*
+    /// keys of `dst`'s lane at one instant; no other key can sort between
+    /// two of them, so handling the messages front to back in one pop is the
+    /// order a queue holding them one by one would produce.
+    Deferred {
+        /// The busy receiver.
+        dst: NodeId,
+        /// Deferred deliveries, oldest first. Never empty while parked.
+        msgs: VecDeque<(NodeId, M)>,
     },
     /// Fire timer `id` with `token` on `node`.
     Timer {
@@ -59,15 +72,55 @@ impl<M, T: Node<M> + Any> AnyNode<M> for T {
     }
 }
 
+/// The newest [`EngineEvent::Deferred`] run parked for a node: the one a
+/// further deferral extends when it lands on the same instant with the next
+/// consecutive sequence number.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct OpenRun {
+    handle: Handle,
+    at: SimTime,
+    next_seq: u64,
+}
+
 #[derive(Debug, Default, Clone, Copy)]
 pub(crate) struct NodeState {
     pub(crate) busy_until: SimTime,
     pub(crate) busy_accum: SimDuration,
-    /// The node's lane sequence counter: every event this node schedules
-    /// (sends, timers, and engine-side busy deferrals *to* it) consumes one
-    /// value, making the event's `(time, lane, seq)` key a pure function of
-    /// the node's own history — the invariant sharded execution relies on.
+    /// The node's lane sequence counter: every send and timer of this node
+    /// consumes one value and every engine-side busy deferral *to* it
+    /// consumes one per deferred message (a parked run of `k` messages holds
+    /// `k` consecutive values), making each event's `(time, lane, seq)` key
+    /// a pure function of the node's own history — the invariant sharded
+    /// execution relies on.
     pub(crate) seq: u64,
+    /// `Some` while a run parked for this node can still be extended. Its
+    /// handle dies with the arena slot, so the field is cleared when the
+    /// run's instant is reached and when the queue is drained.
+    pub(crate) run: Option<OpenRun>,
+}
+
+/// Busy-deferral counters, the engine's vitals beside [`ArenaStats`]. Like
+/// those, a side accessor and never part of a `Debug`-compared report: a
+/// shard split re-parks backlogs, so sequential and sharded runs count runs
+/// differently while producing byte-identical reports.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
+pub struct DeferStats {
+    /// Run events scheduled (a backlog re-parked after one message was
+    /// handled counts again).
+    pub runs: u64,
+    /// Deliveries that found their node busy.
+    pub messages: u64,
+    /// The most messages one run event ever held.
+    pub longest_run: u64,
+}
+
+impl DeferStats {
+    /// Folds another engine's counters into this one (shard merge).
+    pub fn absorb(&mut self, other: DeferStats) {
+        self.runs += other.runs;
+        self.messages += other.messages;
+        self.longest_run = self.longest_run.max(other.longest_run);
+    }
 }
 
 /// Cross-shard routing state, present only while a [`Simulation`] runs as
@@ -97,6 +150,10 @@ pub struct Simulation<M> {
     /// In-flight event payloads, slots recycled generationally (see
     /// [`crate::arena`]).
     pub(crate) arena: Arena<EngineEvent<M>>,
+    /// Emptied run deques, reused by the next run so steady-state deferral
+    /// keeps its buffers.
+    pub(crate) spare_runs: Vec<VecDeque<(NodeId, M)>>,
+    pub(crate) defer_stats: DeferStats,
     pub(crate) config: NetworkConfig,
     pub(crate) reach: Reachability,
     pub(crate) stats: NetStats,
@@ -117,6 +174,9 @@ impl<M: 'static> Simulation<M> {
             states: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
             queue: EventQueue::new(),
             arena: Arena::new(),
+            // Construction-time; fills with emptied run deques and stays.
+            spare_runs: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
+            defer_stats: DeferStats::default(),
             config,
             reach: Reachability::default(),
             stats: NetStats::default(),
@@ -218,7 +278,13 @@ impl<M: 'static> Simulation<M> {
 
     /// Drains every pending event, keys intact, payloads taken back out of
     /// the arena (the shard split/merge paths).
+    ///
+    /// Parked runs come out whole, each under its first key. Re-scheduled
+    /// elsewhere they get new handles, so no node keeps a run open.
     pub(crate) fn drain_events(&mut self) -> Vec<(SimTime, Rank, EngineEvent<M>)> {
+        for state in &mut self.states {
+            state.run = None;
+        }
         let arena = &mut self.arena;
         self.queue
             .drain_ranked()
@@ -233,6 +299,12 @@ impl<M: 'static> Simulation<M> {
     /// reports.
     pub fn alloc_stats(&self) -> ArenaStats {
         self.arena.stats()
+    }
+
+    /// The busy-deferral counters (runs parked, deliveries deferred, longest
+    /// run). A side accessor like [`Simulation::alloc_stats`].
+    pub fn defer_stats(&self) -> DeferStats {
+        self.defer_stats
     }
 
     /// Schedules `node` to crash at `at`: it loses all messages and timers
@@ -320,19 +392,37 @@ impl<M: 'static> Simulation<M> {
                     self.stats.record_dropped();
                     return;
                 }
-                let state = &mut self.states[dst.as_usize()];
-                if state.busy_until > self.now {
-                    // Receiver is mid-CPU-burst: defer on the receiver's own
-                    // lane, preserving FIFO order among its deferred
-                    // deliveries via the lane sequence.
-                    let rank = Rank::node(dst.index(), state.seq);
-                    state.seq += 1;
-                    let at = state.busy_until;
-                    let handle = self.arena.alloc(EngineEvent::Deliver { src, dst, msg });
-                    self.queue.schedule_ranked(at, rank, handle);
+                if self.states[dst.as_usize()].busy_until > self.now {
+                    self.defer_stats.messages += 1;
+                    let mut msgs = self.spare_runs.pop().unwrap_or_default();
+                    msgs.push_back((src, msg));
+                    self.defer(dst, msgs);
                     return;
                 }
                 self.with_node(dst, |node, ctx| node.on_message(src, msg, ctx));
+            }
+            EngineEvent::Deferred { dst, mut msgs } => {
+                let state = &mut self.states[dst.as_usize()];
+                // A run at this instant is this one or a later one about to
+                // pop; deferrals from here on land after `now`.
+                if state.run.is_some_and(|run| run.at == self.now) {
+                    state.run = None;
+                }
+                while !msgs.is_empty() {
+                    if self.reach.is_crashed(dst) {
+                        msgs.pop_front();
+                        self.stats.record_dropped();
+                        continue;
+                    }
+                    if self.states[dst.as_usize()].busy_until > self.now {
+                        // Busy again: the rest waits, as one event.
+                        self.defer(dst, msgs);
+                        return;
+                    }
+                    let (src, msg) = msgs.pop_front().expect("run is non-empty");
+                    self.with_node(dst, |node, ctx| node.on_message(src, msg, ctx));
+                }
+                self.spare_runs.push(msgs);
             }
             EngineEvent::Timer { node, token, id } => {
                 let tombstoned = !self.cancelled.is_empty() && self.cancelled.remove(&id);
@@ -364,6 +454,45 @@ impl<M: 'static> Simulation<M> {
         }
     }
 
+    /// Parks `msgs` (non-empty, oldest first) until busy `dst` is free, on
+    /// `dst`'s own lane so its deferred deliveries stay FIFO: message `i`
+    /// takes lane sequence `seq + i`. If `dst`'s newest run waits for the
+    /// same instant and ends at `seq - 1` the messages join it — their keys
+    /// are the ones they would have had as events of their own — otherwise
+    /// they open a new run keyed by the first of them.
+    fn defer(&mut self, dst: NodeId, mut msgs: VecDeque<(NodeId, M)>) {
+        let len = msgs.len();
+        let state = &mut self.states[dst.as_usize()];
+        let at = state.busy_until;
+        let seq = state.seq;
+        state.seq += len as u64;
+        let run_len = match &mut state.run {
+            Some(run) if run.at == at && run.next_seq == seq => {
+                run.next_seq = state.seq;
+                let EngineEvent::Deferred { msgs: parked, .. } = self.arena.get_mut(run.handle)
+                else {
+                    unreachable!("an open run's handle holds a Deferred event");
+                };
+                parked.append(&mut msgs);
+                self.spare_runs.push(msgs);
+                parked.len()
+            }
+            _ => {
+                let handle = self.arena.alloc(EngineEvent::Deferred { dst, msgs });
+                self.queue
+                    .schedule_ranked(at, Rank::node(dst.index(), seq), handle);
+                state.run = Some(OpenRun {
+                    handle,
+                    at,
+                    next_seq: state.seq,
+                });
+                self.defer_stats.runs += 1;
+                len
+            }
+        };
+        self.defer_stats.longest_run = self.defer_stats.longest_run.max(run_len as u64);
+    }
+
     /// Temporarily removes `id`'s node, builds a [`Ctx`] over the rest of the
     /// engine, and runs `f`.
     fn with_node(&mut self, id: NodeId, f: impl FnOnce(&mut dyn AnyNode<M>, &mut Ctx<'_, M>)) {
@@ -392,10 +521,21 @@ impl<M: 'static> Simulation<M> {
 
 impl<M> std::fmt::Debug for Simulation<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        // Deliveries, timers and faults pending — a parked run counts once
+        // per message, so the figure does not depend on how backlogs happen
+        // to be split into run events (a shard split re-parks them).
+        let parked_extra: usize = self
+            .arena
+            .values()
+            .map(|event| match event {
+                EngineEvent::Deferred { msgs, .. } => msgs.len() - 1,
+                _ => 0,
+            })
+            .sum();
         f.debug_struct("Simulation")
             .field("nodes", &self.nodes.len())
             .field("now", &self.now)
-            .field("pending_events", &self.queue.len())
+            .field("pending_events", &(self.queue.len() + parked_extra))
             .field("stats", &self.stats)
             .finish()
     }
@@ -550,6 +690,76 @@ mod tests {
         sim.run_until(SimTime::from_secs(4));
         assert_eq!(sim.busy_time(n), SimDuration::from_secs(1));
         assert!((sim.utilisation(n) - 0.25).abs() < 1e-9);
+    }
+
+    /// Sends `n` messages to `dst` at start; they arrive in one instant.
+    struct Flood {
+        dst: NodeId,
+        n: u32,
+    }
+
+    impl Node<u32> for Flood {
+        fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            for i in 0..self.n {
+                ctx.send(self.dst, i, ByteSize::from_bytes(64));
+            }
+        }
+        fn on_message(&mut self, _f: NodeId, _m: u32, _c: &mut Ctx<'_, u32>) {}
+    }
+
+    /// Spends 10 µs per message and records the order it saw them in.
+    struct Slow {
+        seen: Vec<u32>,
+    }
+
+    impl Node<u32> for Slow {
+        fn on_message(&mut self, _f: NodeId, msg: u32, ctx: &mut Ctx<'_, u32>) {
+            self.seen.push(msg);
+            ctx.consume(SimDuration::from_micros(10));
+        }
+    }
+
+    #[test]
+    fn a_backlog_of_n_costs_a_linear_number_of_events() {
+        const N: u32 = 2_000;
+        let mut sim: Simulation<u32> = Simulation::new(NetworkConfig::lan());
+        let slow = sim.add_node(Slow { seen: Vec::new() });
+        sim.add_node(Flood { dst: slow, n: N });
+        sim.run_until_idle();
+        assert_eq!(
+            sim.node_ref::<Slow>(slow).seen,
+            (0..N).collect::<Vec<_>>(),
+            "deferred deliveries stay FIFO"
+        );
+        // N deliveries plus one run event per message handled out of the
+        // backlog. Re-queueing every waiting message per wake-up was N²/2.
+        let allocated = sim.alloc_stats().allocated;
+        assert!(allocated <= 2 * u64::from(N) + 8, "{allocated} events");
+        let vitals = sim.defer_stats();
+        assert_eq!(vitals.messages, u64::from(N) - 1);
+        assert_eq!(vitals.longest_run, u64::from(N) - 1);
+        assert_eq!(vitals.runs, u64::from(N) - 1);
+        assert_eq!(
+            sim.busy_time(slow),
+            SimDuration::from_micros(10 * u64::from(N))
+        );
+    }
+
+    #[test]
+    fn a_parked_backlog_is_dropped_by_a_crash_and_counted() {
+        let mut sim: Simulation<u32> = Simulation::new(NetworkConfig::lan());
+        let slow = sim.add_node(Slow { seen: Vec::new() });
+        sim.add_node(Flood { dst: slow, n: 10 });
+        // All ten arrive together; the first is handled, nine park for
+        // +10 µs. The crash lands before they wake.
+        let arrival = NetworkConfig::lan()
+            .link(NodeId::new(1), slow)
+            .transfer_time(ByteSize::from_bytes(64));
+        sim.schedule_crash(slow, SimTime::ZERO + arrival + SimDuration::from_micros(5));
+        sim.run_until_idle();
+        assert_eq!(sim.node_ref::<Slow>(slow).seen, vec![0]);
+        assert_eq!(sim.net_stats().dropped, 9);
+        assert_eq!(format!("{sim:?}").matches("pending_events: 0").count(), 1);
     }
 
     #[test]

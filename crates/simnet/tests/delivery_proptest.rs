@@ -1,7 +1,8 @@
 //! Property tests of the simulator's delivery guarantees.
 
 use proptest::prelude::*;
-use wcc_simnet::{Ctx, NetworkConfig, Node, Simulation};
+use std::collections::BTreeMap;
+use wcc_simnet::{Ctx, NetworkConfig, Node, ShardedSimulation, Simulation};
 use wcc_types::{ByteSize, NodeId, SimDuration, SimTime};
 
 /// Sends a scripted batch of (delay, target, tag) messages from its start
@@ -97,5 +98,328 @@ proptest! {
         prop_assert_eq!(delivered + sim.net_stats().dropped as usize, total);
         prop_assert!(sim.net_stats().dropped as usize >= to_dead);
         prop_assert_eq!(sim.node_ref::<Scripted>(ids[2]).received.len(), 0);
+    }
+}
+
+// ---- Order equivalence of the engine's run-length busy deferral ----------
+//
+// The engine parks a busy node's waiting deliveries in one event per run of
+// consecutive lane sequence numbers. `Reference` below is the scheme that
+// replaced: every waiting delivery is an event of its own, re-queued at
+// `busy_until` each time it wakes to a busy node. Both must produce the same
+// handler log and the same `TimerId`s.
+
+/// What an actor can ask of its engine, so one actor implementation runs
+/// on the real [`Ctx`] and on [`Reference`].
+trait Env {
+    fn now(&self) -> SimTime;
+    fn send(&mut self, dst: NodeId, msg: u32);
+    /// Arms a timer; returns the `Debug` form of its id (`TimerId` is opaque
+    /// outside the crate, and the reference has to predict it from the lane
+    /// sequence number it allocated).
+    fn set_timer(&mut self, delay: SimDuration, token: u64) -> String;
+    fn consume(&mut self, amount: SimDuration);
+    fn busy_until(&self) -> SimTime;
+}
+
+const WIRE: ByteSize = ByteSize::from_bytes(64);
+const TIMER: u64 = 1 << 40;
+const CHAINED: u64 = 1 << 32;
+
+impl Env for Ctx<'_, u32> {
+    fn now(&self) -> SimTime {
+        Ctx::now(self)
+    }
+    fn send(&mut self, dst: NodeId, msg: u32) {
+        Ctx::send(self, dst, msg, WIRE);
+    }
+    fn set_timer(&mut self, delay: SimDuration, token: u64) -> String {
+        format!("{:?}", Ctx::set_timer(self, delay, token))
+    }
+    fn consume(&mut self, amount: SimDuration) {
+        Ctx::consume(self, amount);
+    }
+    fn busy_until(&self) -> SimTime {
+        Ctx::busy_until(self)
+    }
+}
+
+#[derive(Debug, Clone, PartialEq)]
+enum Role {
+    /// Arms one timer per `(delay µs, tag)` at start; each fires
+    /// `1 + tag % 3` copies of `tag` at the worker, which arrive together.
+    Sender {
+        worker: NodeId,
+        script: Vec<(u64, u32)>,
+    },
+    /// Spends `costs[msg % len]` µs per message (some cost nothing). Every
+    /// fourth tag arms a timer that fires mid-backlog, spends CPU of its own
+    /// (moving `busy_until` under the parked runs) and sends a reply
+    /// (taking a lane sequence number between two deferrals). Every eighth
+    /// also chains a timer for the very instant the backlog wakes — a key
+    /// on the worker's own lane between two runs of that instant — which
+    /// spends CPU again, so the later run overtakes the rest of the earlier.
+    Worker { costs: Vec<u64>, senders: u32 },
+}
+
+#[derive(Debug, Clone, PartialEq)]
+struct Actor {
+    role: Role,
+    /// `(time, src, msg)` per delivery, `(time, self, TIMER | token)` per
+    /// timer, in handler order.
+    log: Vec<(SimTime, NodeId, u64)>,
+    timer_ids: Vec<String>,
+}
+
+impl Actor {
+    fn new(role: Role) -> Self {
+        Actor {
+            role,
+            log: Vec::new(),
+            timer_ids: Vec::new(),
+        }
+    }
+
+    fn start(&mut self, env: &mut impl Env) {
+        if let Role::Sender { script, .. } = &self.role {
+            for &(delay, tag) in script {
+                let id = env.set_timer(SimDuration::from_micros(delay), u64::from(tag));
+                self.timer_ids.push(id);
+            }
+        }
+    }
+
+    fn message(&mut self, from: NodeId, msg: u32, env: &mut impl Env) {
+        self.log.push((env.now(), from, u64::from(msg)));
+        if let Role::Worker { costs, .. } = &self.role {
+            env.consume(SimDuration::from_micros(costs[msg as usize % costs.len()]));
+            if msg.is_multiple_of(4) {
+                let delay = SimDuration::from_micros(20 + u64::from(msg) * 13 % 300);
+                self.timer_ids.push(env.set_timer(delay, u64::from(msg)));
+            }
+        }
+    }
+
+    fn timer(&mut self, me: NodeId, token: u64, env: &mut impl Env) {
+        self.log.push((env.now(), me, TIMER | token));
+        match &self.role {
+            Role::Sender { worker, .. } => {
+                for _ in 0..=token % 3 {
+                    env.send(*worker, token as u32);
+                }
+            }
+            Role::Worker { .. } if token & CHAINED != 0 => {
+                env.consume(SimDuration::from_micros(30));
+            }
+            Role::Worker { senders, .. } => {
+                env.consume(SimDuration::from_micros(token * 7 % 90));
+                env.send(NodeId::new(1 + token as u32 % senders), token as u32);
+                if token.is_multiple_of(8) {
+                    let wake = env.busy_until().saturating_since(env.now());
+                    self.timer_ids.push(env.set_timer(wake, CHAINED | token));
+                }
+            }
+        }
+    }
+}
+
+impl Node<u32> for Actor {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+        self.start(ctx);
+    }
+    fn on_message(&mut self, from: NodeId, msg: u32, ctx: &mut Ctx<'_, u32>) {
+        self.message(from, msg, ctx);
+    }
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, u32>) {
+        self.timer(ctx.id(), token, ctx);
+    }
+}
+
+enum Pending {
+    Deliver { src: NodeId, dst: NodeId, msg: u32 },
+    Timer { node: NodeId, token: u64 },
+    Crash(NodeId),
+    Recover(NodeId),
+}
+
+/// The per-message model: a map ordered by `(time, lane, seq)`, lane 0
+/// external, node `n` on lane `n + 1` with its own sequence counter.
+#[derive(Default)]
+struct Reference {
+    queue: BTreeMap<(SimTime, u32, u64), Pending>,
+    external_seq: u64,
+    seq: Vec<u64>,
+    busy_until: Vec<SimTime>,
+    busy_accum: Vec<SimDuration>,
+    crashed: Vec<bool>,
+    dropped: u64,
+}
+
+struct RefEnv<'a> {
+    me: NodeId,
+    now: SimTime,
+    model: &'a mut Reference,
+}
+
+impl RefEnv<'_> {
+    fn next_key(&mut self, at: SimTime) -> (SimTime, u32, u64) {
+        let seq = &mut self.model.seq[self.me.as_usize()];
+        *seq += 1;
+        (at, self.me.index() + 1, *seq - 1)
+    }
+}
+
+impl Env for RefEnv<'_> {
+    fn now(&self) -> SimTime {
+        self.now
+    }
+    fn send(&mut self, dst: NodeId, msg: u32) {
+        let delay = NetworkConfig::lan().link(self.me, dst).transfer_time(WIRE);
+        let key = self.next_key(self.now + delay);
+        let src = self.me;
+        self.model
+            .queue
+            .insert(key, Pending::Deliver { src, dst, msg });
+    }
+    fn set_timer(&mut self, delay: SimDuration, token: u64) -> String {
+        let key = self.next_key(self.now + delay);
+        let node = self.me;
+        self.model.queue.insert(key, Pending::Timer { node, token });
+        format!("TimerId({})", (u64::from(key.1) << 40) | key.2)
+    }
+    fn consume(&mut self, amount: SimDuration) {
+        let me = self.me.as_usize();
+        self.model.busy_until[me] = self.model.busy_until[me].max(self.now) + amount;
+        self.model.busy_accum[me] += amount;
+    }
+    fn busy_until(&self) -> SimTime {
+        self.model.busy_until[self.me.as_usize()]
+    }
+}
+
+impl Reference {
+    fn external(&mut self, at: SimTime, event: Pending) {
+        self.queue.insert((at, 0, self.external_seq), event);
+        self.external_seq += 1;
+    }
+
+    fn run(&mut self, actors: &mut [Actor]) {
+        let n = actors.len();
+        self.seq = vec![0; n];
+        self.busy_until = vec![SimTime::ZERO; n];
+        self.busy_accum = vec![SimDuration::ZERO; n];
+        self.crashed = vec![false; n];
+        for (i, actor) in actors.iter_mut().enumerate() {
+            let me = NodeId::new(i as u32);
+            actor.start(&mut RefEnv {
+                me,
+                now: SimTime::ZERO,
+                model: self,
+            });
+        }
+        while let Some(((now, _, _), event)) = self.queue.pop_first() {
+            match event {
+                Pending::Deliver { dst, .. } if self.crashed[dst.as_usize()] => self.dropped += 1,
+                Pending::Deliver { dst, .. } if self.busy_until[dst.as_usize()] > now => {
+                    // One event per waiting message, every time it wakes.
+                    let d = dst.as_usize();
+                    self.seq[d] += 1;
+                    let key = (self.busy_until[d], dst.index() + 1, self.seq[d] - 1);
+                    self.queue.insert(key, event);
+                }
+                Pending::Deliver { src, dst, msg } => {
+                    let mut env = RefEnv {
+                        me: dst,
+                        now,
+                        model: self,
+                    };
+                    actors[dst.as_usize()].message(src, msg, &mut env);
+                }
+                Pending::Timer { node, token } => {
+                    if !self.crashed[node.as_usize()] {
+                        let mut env = RefEnv {
+                            me: node,
+                            now,
+                            model: self,
+                        };
+                        actors[node.as_usize()].timer(node, token, &mut env);
+                    }
+                }
+                Pending::Crash(node) => self.crashed[node.as_usize()] = true,
+                Pending::Recover(node) => self.crashed[node.as_usize()] = false,
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Random worker costs (zero included), timers that consume mid-backlog
+    /// so runs for two different instants coexist, an outage with a backlog
+    /// parked, and a two-shard split mid-run: the engine's handler log,
+    /// timer ids, drop count and busy time equal the per-message model's.
+    #[test]
+    fn run_length_deferral_matches_per_message_requeue(
+        scripts in proptest::collection::vec(
+            proptest::collection::vec((0u64..1_500, 0u32..64), 1..25),
+            2..4,
+        ),
+        costs in proptest::collection::vec(0u64..400, 1..6),
+        outage in proptest::option::of((300u64..2_500, 1u64..1_500)),
+        split_at in proptest::option::of(0u64..3_000),
+    ) {
+        let worker = NodeId::new(0);
+        let senders = scripts.len() as u32;
+        let mut actors = vec![Actor::new(Role::Worker { costs, senders })];
+        for script in scripts {
+            actors.push(Actor::new(Role::Sender { worker, script }));
+        }
+        let outage = outage.map(|(at, len)| {
+            (SimTime::from_micros(at), SimTime::from_micros(at + len))
+        });
+
+        let mut reference = Reference::default();
+        let mut expected = actors.clone();
+        if let Some((down, up)) = outage {
+            reference.external(down, Pending::Crash(worker));
+            reference.external(up, Pending::Recover(worker));
+        }
+        reference.run(&mut expected);
+
+        let mut sim = Simulation::new(NetworkConfig::lan());
+        for actor in actors {
+            sim.add_node(actor);
+        }
+        if let Some((down, up)) = outage {
+            sim.schedule_crash(worker, down);
+            sim.schedule_recover(worker, up);
+        }
+        let sim = match split_at {
+            None => {
+                sim.run_until_idle();
+                sim
+            }
+            Some(at) => {
+                // Worker alone on shard 0: its parked runs cross the split.
+                sim.run_until(SimTime::from_micros(at));
+                let mut assignment = vec![1; expected.len()];
+                assignment[0] = 0;
+                match ShardedSimulation::split(sim, &assignment) {
+                    Ok(mut sharded) => {
+                        sharded.run_until_idle();
+                        sharded.into_simulation()
+                    }
+                    Err(_) => return Err(TestCaseError::fail("two populated shards must split")),
+                }
+            }
+        };
+
+        for (i, want) in expected.iter().enumerate() {
+            let id = NodeId::new(i as u32);
+            prop_assert_eq!(sim.node_ref::<Actor>(id), want, "node {}", i);
+            prop_assert_eq!(sim.busy_time(id), reference.busy_accum[i]);
+        }
+        prop_assert_eq!(sim.net_stats().dropped, reference.dropped);
     }
 }

@@ -250,6 +250,22 @@ fn print_report(report: &ReplayReport) {
     }
 }
 
+/// The simulator's own vitals for the replay just run. They describe how the
+/// engine executed it, not what it computed: a sharded run re-parks backlogs
+/// at the split, so this line (unlike the report above it) may differ
+/// between `--shards` settings.
+fn print_engine(deployment: &Deployment, requests: u64) {
+    let events = deployment.alloc_stats().allocated;
+    let deferred = deployment.defer_stats();
+    println!(
+        "  engine          {:.2} events/request · {} deliveries deferred in {} runs (longest {})",
+        events as f64 / requests.max(1) as f64,
+        deferred.messages,
+        deferred.runs,
+        deferred.longest_run
+    );
+}
+
 /// `wcc replay --family NAME`: replay a city-scale scenario family over a
 /// multi-origin federation (`wcc_traces::family`). `--scale N` shrinks the
 /// city preset proportionally (origin count is kept).
@@ -295,6 +311,7 @@ fn cmd_replay_family(args: &Args, name: &str) -> Result<(), String> {
         audit: want_audit.then(|| deployment.audit()),
     };
     print_report(&report);
+    print_engine(&deployment, report.raw.requests);
     println!(
         "  federation      {} origins · {} requests · {} shards",
         workload.workloads.len(),
@@ -376,6 +393,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         audit: want_audit.then(|| deployment.audit()),
     };
     print_report(&report);
+    print_engine(&deployment, report.raw.requests);
     if let Some(audit) = &report.audit {
         println!("{audit}");
     }

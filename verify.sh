@@ -62,6 +62,12 @@ echo "==> wcc replay --family (smoke)"
 # just proves the family generator and multi-origin replay path run.
 ./target/release/wcc replay --family flash-crowd --scale 20 --shards 2
 
+echo "==> wcc replay --family real-time-feed (smoke)"
+# The write-heavy family: origins stall while they fan out, so backlogs of
+# acks and requests park behind them — the engine's run-length deferral and
+# same-instant bucket drain, exercised outside the benchmark.
+./target/release/wcc replay --family real-time-feed --scale 20
+
 echo "==> wcc serve --self-check (smoke)"
 # Serving-tier self-check: spawn an origin+proxy daemon pair, push two
 # pipelined GETs over a real socket, scrape /metrics, shut down cleanly.
