@@ -15,7 +15,7 @@
 //! | `ablation_replacement` | A2 — expired-first vs. LRU replacement |
 //! | `ablation_lease` | A3 — lease-duration sweep |
 //! | `failure_report` | F1 — §4 failure scenarios |
-//! | `trajectory` | `BENCH_replay.json` — tracked perf trajectory |
+//! | `trajectory` | `BENCH_replay.json` — the table of gated rows (`--check` is the exactness gate) |
 //!
 //! Every binary accepts an optional `--scale N` argument that divides the
 //! workload size by `N` (full scale by default; the full tables take a few
@@ -108,72 +108,6 @@ pub fn parse_jobs(mut args: impl Iterator<Item = String>) -> Option<usize> {
     None
 }
 
-/// A parsed `--shards` argument.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ShardArg {
-    /// An explicit `--shards N` count, taken verbatim.
-    Count(usize),
-    /// `--shards auto`: the consumer's requested count capped at the
-    /// host's cores ([`wcc_replay::auto_shards`]).
-    Auto,
-}
-
-/// Parses the common `--shards N|auto` argument: `Count(n)` for an
-/// explicit count, `Auto` for the core-capped resolution, `None` when
-/// absent (or 0 / unparsable) — `None` defers to `WCC_SHARDS` / sequential
-/// via [`wcc_replay::effective_shards`].
-///
-/// # Examples
-///
-/// ```
-/// use wcc_bench::{parse_shards, ShardArg};
-/// assert_eq!(parse_shards(["prog".into()].into_iter()), None);
-/// assert_eq!(
-///     parse_shards(["prog".into(), "--shards".into(), "4".into()].into_iter()),
-///     Some(ShardArg::Count(4))
-/// );
-/// assert_eq!(
-///     parse_shards(["prog".into(), "--shards".into(), "auto".into()].into_iter()),
-///     Some(ShardArg::Auto)
-/// );
-/// ```
-pub fn parse_shards(mut args: impl Iterator<Item = String>) -> Option<ShardArg> {
-    while let Some(arg) = args.next() {
-        if arg == "--shards" {
-            let value = args.next();
-            if value.as_deref() == Some("auto") {
-                return Some(ShardArg::Auto);
-            }
-            match value.and_then(|v| v.parse().ok()) {
-                Some(n) if n >= 1 => return Some(ShardArg::Count(n)),
-                Some(_) => return None, // 0 = defer to WCC_SHARDS
-                None => {
-                    eprintln!("warning: bad --shards value; deferring to WCC_SHARDS");
-                    return None;
-                }
-            }
-        }
-    }
-    None
-}
-
-/// Resolves the trajectory's sharded-pass count from a parsed `--shards`.
-///
-/// Explicit counts are clamped up to 2 — a one-shard "sharded" pass would
-/// just re-measure the sequential engine. `auto` resolves to
-/// `min(2, host_cores)`: on a 1-core host two shards cost ~3× the
-/// sequential grid (the committed `sharded_speedup: 0.333`), pure barrier
-/// tax with no parallelism to show for it, so auto backs the pass off to a
-/// single shard there. Absent defers to `WCC_SHARDS`, else the 2-shard
-/// default.
-pub fn resolve_trajectory_shards(arg: Option<ShardArg>) -> usize {
-    match arg {
-        Some(ShardArg::Count(n)) => n.max(2),
-        Some(ShardArg::Auto) => wcc_replay::auto_shards(2),
-        None => wcc_replay::effective_shards(None).max(2),
-    }
-}
-
 /// A labelled experiment id for the SDSC lifetime variants: the paper calls
 /// them SDSC(57) and SDSC(576) after their modification counts.
 pub fn experiment_label(spec: &TraceSpec, lifetime: SimDuration) -> String {
@@ -224,37 +158,6 @@ mod tests {
         assert_eq!(parse_jobs(args(&["p", "--jobs", "0"]).into_iter()), None);
         assert_eq!(parse_jobs(args(&["p", "--jobs", "x"]).into_iter()), None);
         assert_eq!(parse_jobs(args(&["p", "--scale", "4"]).into_iter()), None);
-    }
-
-    #[test]
-    fn shards_parsing() {
-        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
-        assert_eq!(parse_shards(args(&["p"]).into_iter()), None);
-        assert_eq!(
-            parse_shards(args(&["p", "--shards", "3"]).into_iter()),
-            Some(ShardArg::Count(3))
-        );
-        assert_eq!(
-            parse_shards(args(&["p", "--shards", "auto"]).into_iter()),
-            Some(ShardArg::Auto)
-        );
-        assert_eq!(
-            parse_shards(args(&["p", "--shards", "0"]).into_iter()),
-            None
-        );
-        assert_eq!(parse_shards(args(&["p", "--jobs", "4"]).into_iter()), None);
-    }
-
-    #[test]
-    fn trajectory_shards_resolution() {
-        // Explicit counts are clamped up to the 2-shard minimum; auto caps
-        // the same request at the host's cores, never oversubscribing a
-        // 1-core runner.
-        assert_eq!(resolve_trajectory_shards(Some(ShardArg::Count(5))), 5);
-        assert_eq!(resolve_trajectory_shards(Some(ShardArg::Count(1))), 2);
-        let auto = resolve_trajectory_shards(Some(ShardArg::Auto));
-        assert_eq!(auto, 2.min(wcc_replay::host_cores()));
-        assert!(auto >= 1);
     }
 
     #[test]

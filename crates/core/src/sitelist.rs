@@ -26,38 +26,25 @@ pub const LIST_OVERHEAD_BYTES: u64 = 48;
 /// array — no per-entry map node, no padding between the two.
 pub const SOA_ENTRY_BYTES: u64 = 12;
 
-/// Peak-memory accounting for one invalidation table, in both layouts: the
-/// struct-of-arrays layout the table uses and the per-entry-map layout it
-/// replaced. City-scale scenarios (10⁵+ clients over 50+ origins) are where
-/// the difference binds; the trajectory bench gates on the reduction.
+/// Peak-memory accounting for one invalidation table under the
+/// struct-of-arrays layout it stores. City-scale scenarios (10⁵+ clients
+/// over 50+ origins) are where it binds; the trajectory bench pins the
+/// deployment-wide figure as an exact row. (What the per-entry-map layout
+/// it replaced would have held is frozen in EXPERIMENTS.md.)
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SiteListMemory {
     /// High-water mark of the struct-of-arrays layout, in bytes.
     pub peak_bytes: u64,
-    /// High-water mark the legacy `map<client, expiry>`-per-document layout
-    /// would have reached over the same operation sequence, in bytes.
-    pub peak_legacy_bytes: u64,
 }
 
 impl SiteListMemory {
-    /// Component-wise sum (deployments aggregate one table per origin; each
-    /// origin's peak is taken independently, so the sum is the model's upper
-    /// bound on simultaneous residency).
+    /// Sum of two tables' peaks (deployments aggregate one table per
+    /// origin; each origin's peak is taken independently, so the sum is the
+    /// model's upper bound on simultaneous residency).
     #[must_use]
     pub fn merged(self, other: SiteListMemory) -> SiteListMemory {
         SiteListMemory {
             peak_bytes: self.peak_bytes + other.peak_bytes,
-            peak_legacy_bytes: self.peak_legacy_bytes + other.peak_legacy_bytes,
-        }
-    }
-
-    /// How much smaller the struct-of-arrays peak is than the legacy peak,
-    /// in percent (0 when the legacy peak is zero).
-    pub fn reduction_pct(self) -> f64 {
-        if self.peak_legacy_bytes == 0 {
-            0.0
-        } else {
-            (1.0 - self.peak_bytes as f64 / self.peak_legacy_bytes as f64) * 100.0
         }
     }
 }
@@ -181,16 +168,12 @@ impl InvalidationTable {
         {
             self.entries += 1;
             // `register` is the only growth operation, so the high-water
-            // marks only need refreshing here.
+            // mark only needs refreshing here.
             let lists = self.lists.len() as u64;
             self.peak.peak_bytes = self
                 .peak
                 .peak_bytes
                 .max(lists * LIST_OVERHEAD_BYTES + self.entries * SOA_ENTRY_BYTES);
-            self.peak.peak_legacy_bytes = self
-                .peak
-                .peak_legacy_bytes
-                .max(lists * LIST_OVERHEAD_BYTES + self.entries * ENTRY_BYTES);
         }
     }
 
@@ -278,8 +261,7 @@ impl InvalidationTable {
     }
 
     /// Peak-memory accounting over this table's lifetime: the
-    /// struct-of-arrays high-water mark next to what the legacy
-    /// map-per-document layout would have held at its worst.
+    /// struct-of-arrays high-water mark.
     pub fn memory(&self) -> SiteListMemory {
         self.peak
     }
@@ -403,7 +385,7 @@ mod tests {
     }
 
     #[test]
-    fn peak_memory_tracks_high_water_in_both_models() {
+    fn peak_memory_tracks_the_high_water_mark() {
         let mut t = InvalidationTable::new();
         assert_eq!(t.memory(), SiteListMemory::default());
         for c in 0..10 {
@@ -414,10 +396,6 @@ mod tests {
             at_peak.peak_bytes,
             LIST_OVERHEAD_BYTES + 10 * SOA_ENTRY_BYTES
         );
-        assert_eq!(
-            at_peak.peak_legacy_bytes,
-            LIST_OVERHEAD_BYTES + 10 * ENTRY_BYTES
-        );
         // Draining the list does not lower the high-water mark...
         t.take_sites(url(1), SimTime::ZERO);
         assert_eq!(t.total_entries(), 0);
@@ -426,17 +404,8 @@ mod tests {
         t.register(url(1), client(0), SimTime::NEVER);
         t.register(url(1), client(0), SimTime::NEVER);
         assert_eq!(t.memory(), at_peak);
-        // Long lists approach the per-entry saving (12 vs 24 bytes); at ten
-        // entries the shared list overhead still dilutes it to ~42%.
-        assert!(
-            at_peak.reduction_pct() > 40.0,
-            "{}",
-            at_peak.reduction_pct()
-        );
-        // Merging sums component-wise.
-        let m = at_peak.merged(at_peak);
-        assert_eq!(m.peak_bytes, 2 * at_peak.peak_bytes);
-        assert_eq!(m.peak_legacy_bytes, 2 * at_peak.peak_legacy_bytes);
+        // Merging sums the peaks.
+        assert_eq!(at_peak.merged(at_peak).peak_bytes, 2 * at_peak.peak_bytes);
     }
 
     #[test]

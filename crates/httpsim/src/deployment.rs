@@ -172,9 +172,9 @@ pub struct Deployment {
 
 /// Deterministic peak-memory model for one deployment: how many bytes the
 /// replay's dominant state (trace records and origin site lists) occupies at
-/// its high-water mark, next to what the pre-refactor layout (federation-wide
-/// merged record stream + map-per-document site lists) would have held. The
-/// trajectory bench gates city-scale scenarios on the reduction.
+/// its high-water mark. The trajectory bench pins the city-scale figure as
+/// an exact row; what the pre-refactor layout (federation-wide merged record
+/// stream + map-per-document site lists) held is frozen in EXPERIMENTS.md.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeploymentMemory {
     /// Total trace records across every origin workload.
@@ -182,11 +182,8 @@ pub struct DeploymentMemory {
     /// Peak record bytes under the current layout: the caller's per-origin
     /// traces plus the per-proxy partitions built directly from them.
     pub record_bytes: u64,
-    /// Peak record bytes under the pre-refactor layout, which additionally
-    /// materialised the federation-wide merged stream while partitioning.
-    pub legacy_record_bytes: u64,
-    /// Site-list peaks in both layouts, summed over origins (and the
-    /// hierarchy parent's child table when present).
+    /// Site-list peaks, summed over origins (and the hierarchy parent's
+    /// child table when present).
     pub sitelist: SiteListMemory,
 }
 
@@ -194,21 +191,6 @@ impl DeploymentMemory {
     /// Current-layout peak: records plus site lists.
     pub fn peak_bytes(&self) -> u64 {
         self.record_bytes + self.sitelist.peak_bytes
-    }
-
-    /// Pre-refactor peak: merged-stream records plus map-backed site lists.
-    pub fn legacy_peak_bytes(&self) -> u64 {
-        self.legacy_record_bytes + self.sitelist.peak_legacy_bytes
-    }
-
-    /// How much smaller the current peak is than the legacy peak, in percent.
-    pub fn reduction_pct(&self) -> f64 {
-        let legacy = self.legacy_peak_bytes();
-        if legacy == 0 {
-            0.0
-        } else {
-            (1.0 - self.peak_bytes() as f64 / legacy as f64) * 100.0
-        }
     }
 }
 
@@ -594,9 +576,8 @@ impl Deployment {
     /// The deployment's deterministic peak-memory model (meaningful after
     /// `run`, when the site lists have seen the whole replay). Byte counts
     /// are computed from the data structures' actual element sizes, so the
-    /// model is exact for the dominant state and identical across hosts —
-    /// unlike RSS, which the bench reports separately as an informational
-    /// figure.
+    /// model is exact for the dominant state and identical across hosts,
+    /// unlike RSS.
     pub fn memory_model(&self) -> DeploymentMemory {
         let rec = std::mem::size_of::<wcc_traces::TraceRecord>() as u64;
         let mut sitelist = SiteListMemory::default();
@@ -610,8 +591,6 @@ impl Deployment {
             records: self.records_total,
             // The caller's per-origin traces plus the per-proxy partitions.
             record_bytes: 2 * self.records_total * rec,
-            // The pre-refactor build additionally held the merged stream.
-            legacy_record_bytes: 3 * self.records_total * rec,
             sitelist,
         }
     }

@@ -318,12 +318,9 @@ fn cmd_replay_family(args: &Args, name: &str) -> Result<(), String> {
         workload.total_requests(),
         shards
     );
-    let mem = deployment.memory_model();
     println!(
-        "  peak memory     {} (legacy layout {}, -{:.1}%)",
-        ByteSize::from_bytes(mem.peak_bytes()),
-        ByteSize::from_bytes(mem.legacy_peak_bytes()),
-        mem.reduction_pct()
+        "  peak memory     {}",
+        ByteSize::from_bytes(deployment.memory_model().peak_bytes())
     );
     if workload.freshness_deadline.is_some() {
         let mut serves = Vec::new();

@@ -4,9 +4,10 @@
 //! * replay byte-identically on the sequential and 8-shard engines,
 //! * pass all eight fuzz-oracle checks (conservation, audit, determinism,
 //!   liveness, weak-consistency dominance, sharded equivalence, ...),
-//! * and cut peak simulation-state bytes by at least 30% versus the legacy
-//!   layout (merged record stream + AoS site-list entries), per the
-//!   deterministic memory model.
+//! * and keep peak simulation-state bytes at least 30% below what the legacy
+//!   layout (merged record stream + AoS site-list entries) held on the same
+//!   replay, per the deterministic memory model — an absolute ceiling, since
+//!   the legacy layout's accounting is no longer carried by the hot structs.
 //!
 //! The request count is reduced from the city preset's 160 000 so the
 //! debug-mode oracle run stays in test-suite budget; the client pool and
@@ -49,8 +50,16 @@ fn city_flash_crowd_passes_the_full_oracle_at_eight_shards() {
     assert!(stats.requests > 0);
 }
 
+/// Ceiling on the acceptance replay's peak state bytes: 70% of what the
+/// legacy layout held on this exact workload, measured with the
+/// counterfactual accounting before it was deleted — 3 × 16 000 records ×
+/// 24 B (the merged stream on top of the traces and partitions) = 1 152 000 B
+/// plus 468 264 B of map-per-document site lists = 1 620 264 B; × 0.7,
+/// rounded down. (Today's layout peaks at 1 063 236 B, a 34.4% cut.)
+const PEAK_STATE_CEILING_BYTES: u64 = 1_134_184;
+
 #[test]
-fn city_flash_crowd_memory_layout_cuts_peak_state_bytes_by_thirty_percent() {
+fn city_flash_crowd_peak_state_bytes_stay_thirty_percent_under_the_legacy_layout() {
     let cfg = acceptance_config();
     let workload = family::generate(&cfg, 17_973);
     assert_eq!(workload.workloads.len(), 64);
@@ -62,14 +71,11 @@ fn city_flash_crowd_memory_layout_cuts_peak_state_bytes_by_thirty_percent() {
     let report = deployment.collect();
     assert_eq!(report.requests, workload.total_requests());
 
-    let memory = deployment.memory_model();
-    assert!(memory.peak_bytes() > 0);
+    let peak = deployment.memory_model().peak_bytes();
+    assert!(peak > 0);
     assert!(
-        memory.reduction_pct() >= 30.0,
-        "peak state bytes {} vs legacy {} is only a {:.1}% cut; the \
-         refactor must hold at least 30%",
-        memory.peak_bytes(),
-        memory.legacy_peak_bytes(),
-        memory.reduction_pct()
+        peak <= PEAK_STATE_CEILING_BYTES,
+        "peak state bytes {peak} exceed the {PEAK_STATE_CEILING_BYTES} B ceiling \
+         (70% of the legacy layout's 1 620 264 B)"
     );
 }

@@ -10,12 +10,9 @@
 #                (CI runs 1000 connections and gates the JSON report)
 #   benchmark job -> the benchmark/ package (its own workspace): its test
 #                suite plus a 2 s smoke of all four workloads
-#   bench job -> trajectory run + the bench-regression gate, which compares
-#                against ci/bench-baseline.json: deterministic fields exact,
-#                wall-clock timings within ±15% (plus 100 ms grace)
-# The gate itself is CI-only — local hardware differs too much for the
-# timing comparison to be meaningful — but the trajectory smoke run below
-# still proves the harness and its byte-identity check work.
+#   bench job -> `trajectory --check BENCH_replay.json`: every gated row
+#                comes off the simulation clock, so the same gate binds here
+#                and in CI (wall times are printed, never compared)
 set -eu
 
 cd "$(dirname "$0")"
@@ -79,13 +76,12 @@ echo "==> wcc bench serve (smoke)"
 # connections and gates the JSON report.
 timeout 120 ./target/release/wcc bench serve --connections 64 --requests 8 --in-process >/dev/null
 
-echo "==> bench trajectory (smoke)"
-# Exits non-zero if the fanned-out or sharded grid diverges from the
-# sequential run.
-# (`cargo build --release` above builds the root package only, so the
-# trajectory binary is built here.)
-cargo run --release --quiet -p wcc-bench --bin trajectory -- \
-  --scale 100 --shards 2 --out /tmp/BENCH_replay.smoke.json
+echo "==> bench trajectory (regression gate)"
+# Re-runs every pass at the committed report's scale: Exact rows must equal
+# BENCH_replay.json, Holds rows (byte identity, proposer cut, decode copies)
+# must be true. (`cargo build --release` above builds the root package only,
+# so the trajectory binary is built here.)
+cargo run --release --quiet -p wcc-bench --bin trajectory -- --check BENCH_replay.json
 
 echo "==> benchmark package (tests + 2 s smoke)"
 # benchmark/ is a workspace of its own: nothing above compiles it, so an
