@@ -102,6 +102,47 @@ impl ProxyPolicy {
         self.kind
     }
 
+    /// Whether a copy with freshness `f` may be served at `now` without
+    /// contacting the origin. The one place that decision is written:
+    /// [`ProxyPolicy::on_request`] acts on it, [`ProxyPolicy::would_serve`]
+    /// only asks.
+    #[inline]
+    fn servable(&self, key: ScopedUrl, f: &Freshness, now: SimTime) -> bool {
+        if f.questionable {
+            // A failure made this copy suspect: always revalidate.
+            return false;
+        }
+        match self.kind {
+            // An expired TTL hit sends If-Modified-Since, not a full GET
+            // (the Harvest optimisation the paper added).
+            ProtocolKind::AdaptiveTtl | ProtocolKind::FixedTtl => f.ttl_expires > now,
+            ProtocolKind::PollEveryTime => false,
+            // While the lease is live the server promised to invalidate
+            // us: the copy is fresh by construction. Once it ran out, we
+            // promised to revalidate.
+            ProtocolKind::Invalidation
+            | ProtocolKind::LeaseInvalidation
+            | ProtocolKind::TwoTierLease
+            | ProtocolKind::PiggybackInvalidation => f.lease_expires > now,
+            // Usable only while BOTH the object lease and the short
+            // per-server volume lease are live; an expired volume is
+            // renewed by the revalidation's reply (which also piggybacks
+            // any missed invalidations).
+            ProtocolKind::VolumeLease => f.lease_expires > now && self.volume_live(key, now),
+        }
+    }
+
+    /// Read-only probe: would [`ProxyPolicy::on_request`] answer
+    /// [`ProxyAction::ServeFromCache`] for `key` at `now`? Touches neither
+    /// LRU recency nor the hit meter, so a caller that must not start an
+    /// upstream round trip (the TCP tier's reactor thread) can ask first
+    /// and call `on_request` only for a hit.
+    pub fn would_serve(&self, key: ScopedUrl, now: SimTime, cache: &CacheStore) -> bool {
+        cache
+            .peek(key)
+            .is_some_and(|entry| self.servable(key, &entry.freshness, now))
+    }
+
     /// A user requests `key` at `now`: decide whether the cached copy can be
     /// served or the origin must be contacted. Updates LRU recency.
     pub fn on_request(
@@ -117,57 +158,11 @@ impl ProxyPolicy {
                 report_hits: 0,
             };
         };
-        let validator = entry.meta.last_modified();
-        let f = entry.freshness;
-        let action = if f.questionable {
-            // A failure made this copy suspect: always revalidate.
-            ProxyAction::SendGet {
-                ims: Some(validator),
-            }
+        let action = if self.servable(key, &entry.freshness, now) {
+            ProxyAction::ServeFromCache
         } else {
-            match self.kind {
-                ProtocolKind::AdaptiveTtl | ProtocolKind::FixedTtl => {
-                    if f.ttl_expires > now {
-                        ProxyAction::ServeFromCache
-                    } else {
-                        // Harvest optimisation the paper added: an expired
-                        // hit sends If-Modified-Since, not a full GET.
-                        ProxyAction::SendGet {
-                            ims: Some(validator),
-                        }
-                    }
-                }
-                ProtocolKind::PollEveryTime => ProxyAction::SendGet {
-                    ims: Some(validator),
-                },
-                ProtocolKind::Invalidation
-                | ProtocolKind::LeaseInvalidation
-                | ProtocolKind::TwoTierLease
-                | ProtocolKind::PiggybackInvalidation => {
-                    if f.lease_expires > now {
-                        // The server promised to invalidate us: the copy is
-                        // fresh by construction.
-                        ProxyAction::ServeFromCache
-                    } else {
-                        // Lease ran out — we promised to revalidate.
-                        ProxyAction::SendGet {
-                            ims: Some(validator),
-                        }
-                    }
-                }
-                ProtocolKind::VolumeLease => {
-                    // Usable only while BOTH the object lease and the short
-                    // per-server volume lease are live; an expired volume is
-                    // renewed by the revalidation's reply (which also
-                    // piggybacks any missed invalidations).
-                    if f.lease_expires > now && self.volume_live(key, now) {
-                        ProxyAction::ServeFromCache
-                    } else {
-                        ProxyAction::SendGet {
-                            ims: Some(validator),
-                        }
-                    }
-                }
+            ProxyAction::SendGet {
+                ims: Some(entry.meta.last_modified()),
             }
         };
         // Hit metering (§7): count local serves; drain the counter onto any
@@ -317,6 +312,43 @@ mod tests {
             let d = p.on_request(key, SimTime::from_secs(1), &mut c);
             assert!(!d.had_entry);
             assert_eq!(d.action, ProxyAction::SendGet { ims: None }, "{kind}");
+        }
+    }
+
+    /// The probe is the decision `on_request` acts on, asked without side
+    /// effects: for every protocol and every entry state it agrees with
+    /// the action, and asking leaves recency and the hit meter alone.
+    #[test]
+    fn would_serve_agrees_with_on_request_and_touches_nothing() {
+        let fetched = SimTime::from_secs(100_000);
+        let lease_end = fetched + SimDuration::from_secs(500);
+        // Inside every lease/TTL, and past all of them.
+        let times = [
+            fetched + SimDuration::from_secs(100),
+            fetched + SimDuration::from_days(365),
+        ];
+        for kind in ProtocolKind::ALL {
+            for questionable in [false, true] {
+                for volume in [false, true] {
+                    for now in times {
+                        let (mut p, mut c, key) = setup(kind);
+                        assert!(!p.would_serve(key, now, &c), "{kind:?}: no entry");
+                        p.on_reply_200(key, meta(5), Some(lease_end), fetched, &mut c);
+                        if volume {
+                            p.on_volume_grant(key, Some(lease_end));
+                        }
+                        if questionable {
+                            p.on_proxy_recover(&mut c);
+                        }
+                        let before = c.peek(key).unwrap().clone();
+                        let probe = p.would_serve(key, now, &c);
+                        assert_eq!(*c.peek(key).unwrap(), before, "{kind:?}: probe mutated");
+                        let served =
+                            p.on_request(key, now, &mut c).action == ProxyAction::ServeFromCache;
+                        assert_eq!(probe, served, "{kind:?} q={questionable} v={volume} {now}");
+                    }
+                }
+            }
         }
     }
 

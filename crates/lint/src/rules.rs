@@ -136,10 +136,13 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
             &["Vec", ":", ":", "new", "(", ")"],
             &[".", "to_string", "(", ")"],
             &["format", "!"],
+            // `wcc_proto::encode` returns a fresh `Vec` per frame.
+            &["encode", "("],
         ],
         message: "event-dispatch and decode hot paths must not touch the \
                   global allocator in steady state; recycle through the \
-                  arena, borrow from the receive buffer, or waive a \
+                  arena, borrow from the receive buffer, encode a frame \
+                  into its send buffer with encode_into, or waive a \
                   setup-time allocation in place",
         in_scope: hot_loop_file,
         allowed: |_| false,

@@ -102,6 +102,28 @@ fn allocating_url_path_denied_in_message_hot_crates() {
 }
 
 #[test]
+fn per_frame_encode_denied_in_hot_loop_files() {
+    let src = "fn f(sb: &mut SendBuf, m: &HttpMsg) { sb.push_bytes(&encode(m)); }\n";
+    assert_eq!(
+        rules_fired("crates/net/src/evloop.rs", src),
+        ["hot-loop-alloc"]
+    );
+    let pathed = "fn f(b: &mut Vec<u8>, m: &HttpMsg) { b.extend(wire::encode(m)); }\n";
+    assert_eq!(
+        rules_fired("crates/proto/src/zero.rs", pathed),
+        ["hot-loop-alloc"]
+    );
+    // In place, into the send buffer: no `Vec` per frame.
+    let ok = "fn f(sb: &mut SendBuf, m: &HttpMsg) { encode_into(m, sb.tail()); }\n";
+    assert!(rules_fired("crates/net/src/evloop.rs", ok).is_empty());
+    // A set-up call is waived in place.
+    let waived = "fn dial(m: &HttpMsg) { w(&encode(m)); } // xtask-lint: allow(hot-loop-alloc)\n";
+    assert!(rules_fired("crates/net/src/evloop.rs", waived).is_empty());
+    // Files off the hot-loop list keep the convenience form.
+    assert!(rules_fired("crates/net/src/scrape.rs", src).is_empty());
+}
+
+#[test]
 fn adhoc_atomic_counters_denied_in_the_tcp_prototype() {
     let src = "use std::sync::atomic::AtomicU64;\n";
     assert_eq!(

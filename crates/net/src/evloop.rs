@@ -11,15 +11,20 @@
 //! * a slab of non-blocking connections keyed by generation tokens, each
 //!   with a compacting receive buffer (frames decode from it in place via
 //!   `wcc_proto::zero::decode_frame` — the zero-copy path) and a send
-//!   buffer that absorbs partial writes. Write interest is armed only
-//!   while output is queued, so an idle keep-alive connection costs one
-//!   registered fd and two empty buffers;
+//!   buffer that absorbs partial writes and that frames are encoded
+//!   straight into (`wcc_proto::encode_into`: no `Vec` per frame). Write
+//!   interest is armed only while output is queued, so an idle keep-alive
+//!   connection costs one registered fd and two empty buffers;
 //! * the frame pump: read → decode → [`Role::on_frame`] → consume, then
-//!   keep / close-after-flush / close, with a clean EOF behind queued
-//!   output flushed before the close;
-//! * the worker pool: [`Cx::submit`] numbers a job per connection,
-//!   [`Role::run_job`] runs it off the reactor, and replies are delivered
-//!   strictly in submission order however the workers finish;
+//!   keep / close-after-flush / close. A clean EOF (a half-closing
+//!   HTTP/1.0 client) closes only once every reply the peer is still owed
+//!   — queued, parked or with a worker — has been flushed;
+//! * the reply pipeline: every request a role answers takes the
+//!   connection's next sequence number, whether [`Cx::reply`] answers it
+//!   on the reactor or [`Cx::submit`] hands it to the worker pool
+//!   ([`Role::run_job`]), and replies leave strictly in that order however
+//!   the workers finish — one mechanism: a reply that is ready early
+//!   parks on its connection until everything ahead of it went out;
 //! * the outbox — "push this frame to that other connection" — delivered
 //!   after each batch of events; a frame addressed to a connection that
 //!   closed (even if its slot was reused) is dropped;
@@ -29,8 +34,18 @@
 //! * the graceful drain on shutdown.
 //!
 //! A role touches only what [`Cx`] hands it: its own connection's tag and
-//! send buffer, the outbox, and the job pool. Dispatch is static
+//! reply pipeline, the outbox, and the job pool. Dispatch is static
 //! (`Runtime<R: Role>`): no `dyn`, no boxed callbacks per frame.
+//!
+//! What a role may do inside [`Role::on_frame`] — on the reactor, with
+//! every other connection of the node waiting: bounded work only, and no
+//! socket or file I/O — anything that may fetch is a job. A request that
+//! needs a lock a worker can hold across an upstream round trip takes it
+//! with `try_lock`, and busy means "submit the job"; only a pushed
+//! invalidation, which has to be serialised behind the fetch in flight,
+//! waits for that lock. The proxy and the parent answer cache hits this
+//! way and send every other `GET` to the pool; the origin, whose handlers
+//! never leave memory, has no pool.
 //!
 //! This file is on the hot-loop allocation lint list: everything here
 //! runs once per readiness event at 10k-connection scale.
@@ -42,7 +57,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
-use wcc_proto::{decode_frame, encode, HttpMsg, HttpMsgRef, WireError};
+use wcc_proto::{decode_frame, encode, encode_into, HttpMsg, HttpMsgRef, WireError};
 use wcc_reactor::{Event, Interest, Poller, RecvBuf, SendBuf, WakeHandle, Waker};
 use wcc_types::{SimDuration, WallClock};
 
@@ -144,10 +159,12 @@ impl Hello {
     fn dial(&self) -> io::Result<TcpStream> {
         let mut stream = TcpStream::connect(self.upstream)?;
         let _ = stream.set_nodelay(true);
-        stream.write_all(&encode(&HttpMsg::Hello {
+        let hello = HttpMsg::Hello {
             partition: self.partition,
             partitions: self.partitions,
-        }))?;
+        };
+        // One frame per (re-)dial, written before the stream has a buffer.
+        stream.write_all(&encode(&hello))?; // xtask-lint: allow(hot-loop-alloc)
         stream.flush()?;
         Ok(stream)
     }
@@ -178,7 +195,7 @@ struct Pool<J> {
 }
 
 /// What [`Role::on_frame`] may touch: the pumped connection's tag and
-/// send buffer, the outbox, and the pool.
+/// reply pipeline, the outbox, and the pool.
 pub(crate) struct Cx<'a, R: Role> {
     /// The pumped connection's token (what an [`Outbox`] entry targets).
     pub token: u64,
@@ -187,16 +204,37 @@ pub(crate) struct Cx<'a, R: Role> {
     pub out: &'a mut Outbox,
     sbuf: &'a mut SendBuf,
     next_assign: &'a mut u64,
+    next_send: &'a mut u64,
+    parked: &'a mut Vec<(u64, Option<HttpMsg>)>,
     pool: &'a mut Pool<R::Job>,
 }
 
 impl<R: Role> Cx<'_, R> {
-    /// Queues `msg` on the pumped connection.
-    pub fn reply(&mut self, msg: &HttpMsg) {
-        self.sbuf.push_bytes(&encode(msg));
+    /// The connection's next pipeline sequence number.
+    fn assign(&mut self) -> u64 {
+        let seq = *self.next_assign;
+        *self.next_assign += 1;
+        seq
     }
 
-    /// Queues a one-shot `/metrics` response (raw HTTP, not a frame).
+    /// Answers the frame being handled, from the reactor. The reply takes
+    /// the connection's next sequence number like a submitted job does: it
+    /// is encoded into the send buffer at once when nothing earlier is
+    /// still with a worker, and otherwise parks until `apply_done` has
+    /// delivered everything ahead of it — a peer never sees replies out
+    /// of request order, whichever thread produced them.
+    pub fn reply(&mut self, msg: HttpMsg) {
+        let seq = self.assign();
+        if seq == *self.next_send {
+            *self.next_send += 1;
+            encode_into(&msg, self.sbuf.tail());
+        } else {
+            self.parked.push((seq, Some(msg)));
+        }
+    }
+
+    /// Queues a one-shot `/metrics` response (raw HTTP, not a frame): the
+    /// connection closes behind it, so it takes no sequence number.
     pub fn reply_metrics(&mut self, exposition: &str) -> After {
         self.sbuf
             .push_bytes(&crate::scrape::metrics_response(exposition));
@@ -204,10 +242,9 @@ impl<R: Role> Cx<'_, R> {
     }
 
     /// Hands `work` to the pool; its reply is delivered on this
-    /// connection after every earlier submission's.
+    /// connection after every earlier request's.
     pub fn submit(&mut self, work: R::Job) {
-        let seq = *self.next_assign;
-        *self.next_assign += 1;
+        let seq = self.assign();
         let lane = self.pool.next % self.pool.lanes.len().max(1);
         self.pool.next = self.pool.next.wrapping_add(1);
         if let Some(tx) = self.pool.lanes.get(lane) {
@@ -226,14 +263,15 @@ struct Conn<T> {
     stream: TcpStream,
     rbuf: RecvBuf,
     sbuf: SendBuf,
-    /// Peer sent EOF; remaining output still flushes.
+    /// Peer sent EOF; replies it is still owed are delivered first.
     eof: bool,
-    /// Currently registered with write interest.
-    want_write: bool,
+    /// What the poller has this connection registered for.
+    interest: Interest,
     /// Close once the send buffer drains (one-shot replies, shutdown).
     close_after_flush: bool,
-    /// Pipeline ordering: sequence numbers are assigned at submit and
-    /// replies delivered strictly in order; early finishers park.
+    /// Pipeline ordering: every reply — a job's or the reactor's own —
+    /// takes a sequence number when its request is handled and replies
+    /// are delivered strictly in that order; early finishers park.
     next_assign: u64,
     next_send: u64,
     parked: Vec<(u64, Option<HttpMsg>)>,
@@ -308,7 +346,7 @@ impl<T> Conns<T> {
             rbuf: RecvBuf::new(),
             sbuf: SendBuf::new(),
             eof: false,
-            want_write: false,
+            interest: Interest::READ,
             close_after_flush: false,
             next_assign: 0,
             next_send: 0,
@@ -352,30 +390,30 @@ impl<T> Conns<T> {
         let Some(conn) = self.get_mut(token) else {
             return false;
         };
-        match conn.sbuf.flush(&mut conn.stream) {
-            Ok(true) => {
-                if conn.close_after_flush {
-                    self.close(poller, token);
-                    return false;
-                }
-                if conn.want_write {
-                    conn.want_write = false;
-                    let _ = poller.modify(conn.stream.as_raw_fd(), token, Interest::READ);
-                }
-                true
-            }
-            Ok(false) => {
-                if !conn.want_write {
-                    conn.want_write = true;
-                    let _ = poller.modify(conn.stream.as_raw_fd(), token, Interest::READ_WRITE);
-                }
-                true
-            }
+        let drained = match conn.sbuf.flush(&mut conn.stream) {
+            Ok(drained) => drained,
             Err(_) => {
                 self.close(poller, token);
-                false
+                return false;
             }
+        };
+        if drained && conn.close_after_flush {
+            self.close(poller, token);
+            return false;
         }
+        // Write interest only while output is queued; read interest only
+        // until the peer's EOF — readiness is level-triggered, so a
+        // half-closed socket kept open for a reply still with a worker
+        // would otherwise wake the loop until that reply arrives.
+        let want = Interest {
+            readable: !conn.eof,
+            writable: !drained,
+        };
+        if want != conn.interest {
+            conn.interest = want;
+            let _ = poller.modify(conn.stream.as_raw_fd(), token, want);
+        }
+        true
     }
 }
 
@@ -636,7 +674,7 @@ impl<R: Role> Runtime<R> {
         let mut outbox = std::mem::take(&mut self.outbox);
         for (tok, msg) in outbox.drain(..) {
             if let Some(conn) = self.conns.get_mut(tok) {
-                conn.sbuf.push_bytes(&encode(&msg));
+                encode_into(&msg, conn.sbuf.tail());
             }
             self.flush(tok);
         }
@@ -656,7 +694,11 @@ impl<R: Role> Runtime<R> {
             };
             let after = match decode_frame(conn.rbuf.data(), conn.eof) {
                 Ok(None) => break, // mid-frame; more bytes may arrive
-                // Clean EOF between frames: deliver queued output first.
+                // Clean EOF between frames (a half-closing HTTP/1.0 client):
+                // every reply still owed goes out first. `apply_done`
+                // closes behind the last one a worker holds ...
+                Err(WireError::Closed) if conn.next_send != conn.next_assign => break,
+                // ... and what is already queued flushes before the close.
                 Err(WireError::Closed) if !conn.sbuf.is_empty() => After::CloseAfterFlush,
                 Err(_) => After::Close,
                 Ok(Some((msg, used))) => {
@@ -666,6 +708,8 @@ impl<R: Role> Runtime<R> {
                         out: &mut self.outbox,
                         sbuf: &mut conn.sbuf,
                         next_assign: &mut conn.next_assign,
+                        next_send: &mut conn.next_send,
+                        parked: &mut conn.parked,
                         pool: &mut self.pool,
                     };
                     let after = self.role.on_frame(&mut cx, &msg);
@@ -686,8 +730,10 @@ impl<R: Role> Runtime<R> {
     }
 
     /// Applies one finished job: park it, then deliver every reply that
-    /// is next in pipeline order. A completion for a connection that is
-    /// gone — or already closing — is dropped.
+    /// is next in pipeline order — the reactor's own parked replies
+    /// ([`Cx::reply`]) included. A completion for a connection that is
+    /// gone — or already closing — is dropped, and so is whatever was
+    /// parked there.
     fn apply_done(&mut self, d: Done) {
         self.pool.outstanding -= 1;
         let Some(conn) = self.conns.get_mut(d.token) else {
@@ -701,7 +747,7 @@ impl<R: Role> Runtime<R> {
             let (_, msg) = conn.parked.swap_remove(i);
             conn.next_send += 1;
             match msg {
-                Some(m) => conn.sbuf.push_bytes(&encode(&m)),
+                Some(m) => encode_into(&m, conn.sbuf.tail()),
                 None => {
                     // The job failed (upstream down): deliver what we
                     // have, then drop the connection so the peer re-dials.
@@ -710,6 +756,10 @@ impl<R: Role> Runtime<R> {
                     break;
                 }
             }
+        }
+        // The peer half-closed while replies were owed: that was the last.
+        if conn.eof && conn.next_send == conn.next_assign {
+            conn.close_after_flush = true;
         }
         self.flush(d.token);
     }
@@ -754,6 +804,8 @@ mod tests {
         /// One token per gated job the test lets finish.
         gate: Mutex<Option<mpsc::Receiver<()>>>,
         dropped: Mutex<u64>,
+        /// Reactor loop turns, twice each (`next_deadline` calls).
+        turns: Mutex<u64>,
     }
 
     /// Echoes each `GET` as a `200` whose body is `cache_hits` bytes long;
@@ -791,7 +843,7 @@ mod tests {
                 HttpMsgRef::Get(get) => {
                     self.shared.seen.lock().push((cx.token, get.req.get()));
                     if get.client == INLINE {
-                        cx.reply(&echo(get));
+                        cx.reply(echo(get));
                     } else {
                         cx.submit(get.clone());
                     }
@@ -810,6 +862,7 @@ mod tests {
         }
 
         fn next_deadline(&self) -> Option<Duration> {
+            *self.shared.turns.lock() += 1;
             let (_, since) = self.push.as_ref()?;
             Some(time_left(since, SimDuration::from_millis(30)))
         }
@@ -951,8 +1004,17 @@ mod tests {
         let mut a = Peer::connect(h.addr);
         let mut side = Peer::connect(h.addr);
         // Jobs deal round-robin: 1 blocks worker 0 at the gate, 2 runs on
-        // worker 1, 3 queues behind 1.
-        a.send(&[get(1, GATED, 0), get(2, JOB, 0), get(3, JOB, 0)].concat());
+        // worker 1, 3 queues behind 1; 4 is answered on the reactor, at
+        // once, and still leaves last.
+        a.send(
+            &[
+                get(1, GATED, 0),
+                get(2, JOB, 0),
+                get(3, JOB, 0),
+                get(4, INLINE, 0),
+            ]
+            .concat(),
+        );
         side.barrier();
         // A job from another connection lands on worker 1 behind job 2;
         // completions are applied in channel order, so its reply proves
@@ -961,7 +1023,10 @@ mod tests {
         assert_eq!(side.reply().0, 30);
         a.assert_quiet();
         h.gate.send(()).expect("open gate");
-        assert_eq!([a.reply().0, a.reply().0, a.reply().0], [1, 2, 3]);
+        assert_eq!([1, 2, 3, 4].map(|_| a.reply().0), [1, 2, 3, 4]);
+        // Nothing is in flight any more: the next inline reply is direct.
+        a.send(&get(5, INLINE, 0));
+        assert_eq!(a.reply().0, 5);
     }
 
     #[test]
@@ -988,15 +1053,39 @@ mod tests {
         assert!(matches!(a.r.next_msg(), Err(WireError::Closed)));
     }
 
+    /// A half-closing client is owed every reply still with a worker (and,
+    /// parked behind it, the reactor's own) even though the send buffer
+    /// is empty when its EOF is read.
+    #[test]
+    fn clean_eof_with_a_job_in_flight_delivers_its_reply() {
+        let h = start();
+        let mut a = Peer::connect(h.addr);
+        let mut side = Peer::connect(h.addr);
+        a.send(&[get(1, GATED, 0), get(2, INLINE, 0)].concat());
+        a.w.shutdown(Shutdown::Write).expect("half-close");
+        side.barrier(); // the EOF was seen with job 1 blocked at the gate
+        a.assert_quiet();
+        // A half-closed socket stays readable for good; the reactor must
+        // not spin on it while it waits for the worker.
+        let turns = *h.shared.turns.lock();
+        std::thread::sleep(Duration::from_millis(50));
+        assert!(*h.shared.turns.lock() - turns < 8, "reactor is spinning");
+        h.gate.send(()).expect("open gate");
+        assert_eq!([a.reply().0, a.reply().0], [1, 2]);
+        assert!(matches!(a.r.next_msg(), Err(WireError::Closed)));
+    }
+
     #[test]
     fn completion_for_a_closed_and_reused_slot_is_dropped() {
         let h = start();
-        let mut side = Peer::connect(h.addr);
         let mut a = Peer::connect(h.addr);
-        a.send(&get(1, GATED, 0));
-        side.barrier(); // job 1 is with worker 0, blocked at the gate
-        drop(a);
-        side.barrier(); // the reactor closed A's slot
+        // Job 1 goes to worker 0 and blocks at the gate; the inline reply
+        // parks behind it and goes down with the connection, like the
+        // job's completion. (A clean EOF would keep the slot until job 1
+        // is answered; garbage closes it now.)
+        let garbage = b"BOGUS / HTTP/1.0\r\n\r\n".to_vec();
+        a.send(&[get(1, GATED, 0), get(2, INLINE, 0), garbage].concat());
+        assert!(matches!(a.r.next_msg(), Err(WireError::Closed)));
         let mut b = Peer::connect(h.addr);
         b.send(&get(5, INLINE, 0));
         assert_eq!(b.reply().0, 5);
@@ -1089,7 +1178,7 @@ mod tests {
             conn.sbuf.push_bytes(&chunk);
         }
         assert!(conns.flush(&mut poller, tok));
-        let armed = conns.get_mut(tok).expect("conn").want_write;
+        let armed = conns.get_mut(tok).expect("conn").interest.writable;
 
         // Drain the peer until everything went through.
         peer.set_nonblocking(true).expect("nonblocking");
@@ -1114,7 +1203,10 @@ mod tests {
         assert_eq!(received, 2 * chunk.len());
         let conn = conns.get_mut(tok).expect("conn");
         assert!(conn.sbuf.is_empty());
-        assert!(armed || !conn.want_write, "interest bookkeeping diverged");
+        assert!(
+            armed || !conn.interest.writable,
+            "interest bookkeeping diverged"
+        );
 
         // close_after_flush on a drained buffer closes immediately.
         conns.get_mut(tok).expect("conn").close_after_flush = true;

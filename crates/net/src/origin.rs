@@ -606,7 +606,7 @@ impl Role for OriginRole {
                     .lock()
                     .serve_latency
                     .record(clock.elapsed().as_micros());
-                cx.reply(&reply);
+                cx.reply(reply);
                 After::Keep
             }
             HttpMsgRef::MetricsGet => cx.reply_metrics(&state.render_metrics()),
@@ -669,7 +669,7 @@ impl Role for OriginRole {
                     // the ack (re-sent every `BULK_RETRY` until it comes).
                     p.recovery_pending.insert(*partition);
                     self.bulk_sent = WallClock::start();
-                    cx.reply(&HttpMsg::InvalidateServer {
+                    cx.reply(HttpMsg::InvalidateServer {
                         server: state.server,
                     });
                 }

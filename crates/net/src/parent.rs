@@ -4,11 +4,14 @@
 //! (keep-alive `GET` connections plus a persistent `HELLO` push channel);
 //! the parent in turn is a client of the real origin, reusing a bounded
 //! pool of upstream connections. One reactor thread owns the child-facing
-//! listener and the upstream invalidation channel; child `GET`s are
-//! answered by a small worker pool running the same locked fetch path as
-//! before, replies delivered in pipeline order. All of that machinery is
-//! the node runtime's ([`crate::evloop`]); this file is the parent's
-//! state and its [`Role`].
+//! listener and the upstream invalidation channel. A child `GET` the
+//! parent cache can answer is answered on that thread — state lock taken
+//! with `try_lock`, the policy's read-only probe asked first, then the
+//! one child-`GET` handler, which for a hit does no I/O; every other
+//! `GET` runs that same handler on a small worker pool, where it may
+//! fetch upstream. Replies leave in pipeline order whichever thread
+//! produced them. All of that machinery is the node runtime's
+//! ([`crate::evloop`]); this file is the parent's state and its [`Role`].
 //!
 //! Concurrency note: one state lock serialises child requests against the
 //! upstream invalidation channel, which incidentally *prevents* the
@@ -56,6 +59,9 @@ pub struct NetParentCounters {
     pub invalidations_relayed: u64,
     /// Bulk `INVALIDATE <server>`s received from the origin (recovery).
     pub bulk_invalidations_received: u64,
+    /// Child `GET`s answered on the reactor thread: parent-cache hits that
+    /// never crossed to a worker.
+    pub reactor_hits: u64,
 }
 
 struct Protected {
@@ -129,9 +135,10 @@ impl ParentState {
         }
     }
 
-    /// Answers one child `GET` end-to-end (may fetch upstream).
-    fn handle_child_get(&self, get: &GetRequest) -> std::io::Result<HttpMsg> {
-        let mut p = self.protected.lock();
+    /// Answers one child `GET` end-to-end under the `protected` lock
+    /// (passed in). Fetches upstream unless the parent cache can serve —
+    /// which `ProxyPolicy::would_serve` tells beforehand.
+    fn handle_child_get(&self, p: &mut Protected, get: &GetRequest) -> std::io::Result<HttpMsg> {
         p.counters.child_requests += 1;
         p.latest_trace = p.latest_trace.max(get.issued_at);
         let key = self.parent_key(get.url);
@@ -149,7 +156,7 @@ impl ParentState {
             }
             ProxyAction::SendGet { ims } => {
                 let report = disposition.report_hits;
-                self.fetch_upstream(&mut p, get.url, ims, get.issued_at, report)?
+                self.fetch_upstream(p, get.url, ims, get.issued_at, report)?
             }
         };
         let grant = p
@@ -173,6 +180,35 @@ impl ParentState {
 
     fn parent_key(&self, url: Url) -> wcc_types::ScopedUrl {
         url.scoped(self.identity)
+    }
+
+    /// [`ParentState::handle_child_get`] with its wall time recorded under
+    /// the same lock. Recorded before the reply ships: once the child's
+    /// fetch returns, a scrape must already see this serve.
+    fn timed_child_get(
+        &self,
+        p: &mut Protected,
+        get: &GetRequest,
+        clock: &WallClock,
+    ) -> Option<HttpMsg> {
+        let msg = self.handle_child_get(p, get).ok();
+        p.serve_latency.record(clock.elapsed().as_micros());
+        msg
+    }
+
+    /// The reactor's fast path: answers `get` if the state lock is free
+    /// and the parent cache may serve it; `None` sends the request to the
+    /// pool. Never waits (`try_lock`: a worker may hold the lock across an
+    /// upstream round trip) and never does I/O.
+    fn hit_on_reactor(&self, get: &GetRequest) -> Option<HttpMsg> {
+        let clock = WallClock::start();
+        let mut p = self.protected.try_lock()?;
+        let key = self.parent_key(get.url);
+        if !p.policy.would_serve(key, get.issued_at, &p.cache) {
+            return None;
+        }
+        p.counters.reactor_hits += 1;
+        self.timed_child_get(&mut p, get, &clock)
     }
 
     /// Origin pushed a coalesced `InvalidateBatch` round: drop our copy of
@@ -257,6 +293,12 @@ impl ParentState {
             "Child requests that missed the parent cache.",
             &node,
             c.child_requests - c.parent_hits,
+        );
+        r.set_counter(
+            "wcc_reactor_hits_total",
+            "Child GETs answered on the reactor thread, no worker hop.",
+            &node,
+            c.reactor_hits,
         );
         r.set_counter(
             "wcc_upstream_requests_total",
@@ -454,17 +496,12 @@ impl Role for ParentRole {
         self.channels.retain(|_, t| *t != token);
     }
 
+    /// Answers one child `GET` the reactor could not
+    /// ([`ParentState::hit_on_reactor`]); the wait for the lock counts
+    /// towards its latency.
     fn run_job(state: &ParentState, get: GetRequest) -> Option<HttpMsg> {
         let clock = WallClock::start();
-        let msg = state.handle_child_get(&get).ok();
-        // Record before the reply ships: once the child's fetch returns,
-        // a scrape must already see this serve.
-        state
-            .protected
-            .lock()
-            .serve_latency
-            .record(clock.elapsed().as_micros());
-        msg
+        state.timed_child_get(&mut state.protected.lock(), &get, &clock)
     }
 
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
@@ -473,14 +510,14 @@ impl Role for ParentRole {
             KTag::Upstream => match msg {
                 HttpMsgRef::Invalidate { url, .. } => {
                     let (ack, recipients) = state.handle_invalidate(*url);
-                    cx.reply(&ack);
+                    cx.reply(ack);
                     self.relay(cx.out, *url, recipients);
                     After::Keep
                 }
                 HttpMsgRef::InvalidateBatch(batch) => {
                     let (ack, relays) =
                         state.handle_invalidate_batch(batch.server, &batch.entries());
-                    cx.reply(&ack);
+                    cx.reply(ack);
                     // Children ack per document (`InvalAck`), so a batch
                     // round fans out downstream as ordinary `INVALIDATE`s.
                     for (url, children) in relays {
@@ -495,7 +532,7 @@ impl Role for ParentRole {
                         let Protected { policy, cache, .. } = &mut *p;
                         policy.on_invalidate_server(*server, cache);
                     }
-                    cx.reply(&HttpMsg::InvalidateServerAck { server: *server });
+                    cx.reply(HttpMsg::InvalidateServerAck { server: *server });
                     // Relay the bulk invalidation to every child channel.
                     for &tok in self.channels.values() {
                         cx.out
@@ -514,7 +551,10 @@ impl Role for ParentRole {
             },
             KTag::Child => match msg {
                 HttpMsgRef::Get(get) if get.url.server() == state.server => {
-                    cx.submit(get.clone());
+                    match state.hit_on_reactor(get) {
+                        Some(reply) => cx.reply(reply),
+                        None => cx.submit(get.clone()),
+                    }
                     After::Keep
                 }
                 HttpMsgRef::MetricsGet => cx.reply_metrics(&state.render_metrics()),

@@ -9,16 +9,25 @@
 //! re-dial are the node runtime's ([`crate::evloop`]); this file is the
 //! proxy's state and its [`Role`].
 //!
-//! Protocol work stays off the reactor: client `GET`s become jobs for a
-//! small worker pool whose members run the same locked fetch path as the
-//! blocking [`NetProxy::fetch`] API — the policy lock is held across the
+//! A cache hit is answered where it arrives, on the reactor — the paper's
+//! point is that a hit needs no server contact, so it should cost what the
+//! cache costs. The reactor takes the policy lock with `try_lock` (it
+//! never waits behind a fetch in flight), asks the policy's read-only
+//! probe whether the cached copy may be served, and only then runs the
+//! locked fetch path, which for a hit is a cache touch and three counters:
+//! bounded, no I/O. Every other `GET` — lock busy, no entry, lease or TTL
+//! expired, copy questionable — becomes a job for a small worker pool
+//! whose members run that same locked fetch path, as does the blocking
+//! [`NetProxy::fetch`] API. Workers hold the policy lock across the
 //! upstream round trip, which serialises cache transitions against
-//! invalidations exactly like the thread-per-connection prototype did, so
-//! the strong-consistency guarantee is unchanged. Replies re-enter the
-//! reactor through a completion queue + waker and are delivered in
-//! pipeline order per connection. Upstream round trips reuse a bounded
-//! pool of keep-alive connections ([`wcc_reactor::BoundedPool`]) instead
-//! of dialing per request.
+//! invalidations exactly like the thread-per-connection prototype did;
+//! the reactor's hits and the invalidations it applies from the push
+//! channel take the same lock, so the strong-consistency guarantee is
+//! unchanged. Job replies re-enter the reactor through a completion queue
+//! and a waker; whichever thread produced them, replies leave in pipeline
+//! order per connection. Upstream round trips reuse a bounded pool of
+//! keep-alive connections ([`wcc_reactor::BoundedPool`]) instead of
+//! dialing per request.
 
 use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpListener};
@@ -84,11 +93,19 @@ pub struct NetProxyCounters {
     /// Client connections dropped (accept/registration failure, or a
     /// fetch error forcing a close).
     pub dropped_connections: u64,
+    /// Client-listener `GET`s answered on the reactor thread: cache hits
+    /// that never crossed to a worker. `requests - reactor_hits` is the
+    /// traffic that left the fast path (pool jobs and blocking fetches).
+    pub reactor_hits: u64,
 }
+
+/// What the policy lock guards: the protocol state machine, the cache it
+/// decides over, and the next upstream request id.
+type Policy = (ProxyPolicy, CacheStore, RequestId);
 
 struct ProxyState {
     origin: SocketAddr,
-    policy: Mutex<(ProxyPolicy, CacheStore, RequestId)>,
+    policy: Mutex<Policy>,
     counters: Mutex<NetProxyCounters>,
     /// Wall-time latency of whole fetches (hits included), blocking API
     /// and reactor-served clients alike.
@@ -115,6 +132,12 @@ impl ProxyState {
             "Fetches that found no cached entry.",
             &node,
             c.requests - c.hits,
+        );
+        r.set_counter(
+            "wcc_reactor_hits_total",
+            "Client GETs answered on the reactor thread, no worker hop.",
+            &node,
+            c.reactor_hits,
         );
         r.set_counter(
             "wcc_gets_sent_total",
@@ -188,21 +211,23 @@ impl ProxyState {
 
 /// The full locked fetch: policy decision, optional upstream round trip
 /// over the bounded pool, and cache transitions — all under one policy
-/// lock, exactly like the pre-reactor prototype, so invalidations can
-/// never interleave with an in-flight fetch.
+/// lock (`held`, taken by the caller), exactly like the pre-reactor
+/// prototype, so invalidations can never interleave with an in-flight
+/// fetch. The hit branch returns before any I/O.
 fn fetch_locked(
     state: &ProxyState,
+    held: &mut Policy,
     client: ClientId,
     url: Url,
     now: SimTime,
 ) -> std::io::Result<FetchOutcome> {
     let key = url.scoped(client);
-    let mut guard = state.policy.lock();
-    let (policy, cache, next_req) = &mut *guard;
-    state.counters.lock().requests += 1;
+    let (policy, cache, next_req) = held;
     let disposition = policy.on_request(key, now, cache);
-    if disposition.had_entry {
-        state.counters.lock().hits += 1;
+    {
+        let mut c = state.counters.lock();
+        c.requests += 1;
+        c.hits += u64::from(disposition.had_entry);
     }
     let report_hits = disposition.report_hits;
     let mut ims = match disposition.action {
@@ -271,8 +296,9 @@ fn fetch_locked(
     Err(std::io::Error::other("revalidation race did not resolve"))
 }
 
-/// [`fetch_locked`] with its wall time recorded: what the blocking API
-/// and the pool workers both run.
+/// [`fetch_locked`] behind the policy lock, its wall time recorded (the
+/// wait for the lock included): what the blocking API and the pool
+/// workers both run.
 fn timed_fetch(
     state: &ProxyState,
     client: ClientId,
@@ -280,12 +306,49 @@ fn timed_fetch(
     now: SimTime,
 ) -> std::io::Result<FetchOutcome> {
     let clock = WallClock::start();
-    let outcome = fetch_locked(state, client, url, now);
+    let outcome = fetch_locked(state, &mut state.policy.lock(), client, url, now);
     state
         .fetch_latency
         .lock()
         .record(clock.elapsed().as_micros());
     outcome
+}
+
+/// The reactor's fast path: answers `get` if the policy lock is free and
+/// the cached copy may be served without upstream contact; `None` sends
+/// the request to the pool. Never waits (`try_lock`: a worker may hold the
+/// lock across an upstream round trip) and never does I/O (the probe
+/// guarantees [`fetch_locked`] takes its hit branch).
+fn hit_on_reactor(state: &ProxyState, get: &GetRequest) -> Option<HttpMsg> {
+    let clock = WallClock::start();
+    let mut held = state.policy.try_lock()?;
+    let key = get.url.scoped(get.client);
+    if !held.0.would_serve(key, get.issued_at, &held.1) {
+        return None;
+    }
+    let out = fetch_locked(state, &mut held, get.client, get.url, get.issued_at).ok()?;
+    drop(held);
+    state.counters.lock().reactor_hits += 1;
+    state
+        .fetch_latency
+        .lock()
+        .record(clock.elapsed().as_micros());
+    Some(client_reply(get, out.meta))
+}
+
+/// The `200` a client-listener `GET` is answered with.
+fn client_reply(get: &GetRequest, meta: DocMeta) -> HttpMsg {
+    HttpMsg::Reply(Reply {
+        req: get.req,
+        url: get.url,
+        client: get.client,
+        // Client-facing bodies are unscaled: the wire carries the
+        // real (accounted) size, not the storage-scaled payload.
+        status: ReplyStatus::Ok(Body::synthetic(meta, 1)),
+        lease: None,
+        piggyback: Vec::new(),
+        volume_lease: None,
+    })
 }
 
 /// A running caching proxy. Shuts down its reactor and workers on drop.
@@ -435,21 +498,12 @@ impl Role for ProxyRole {
         self.state.counters.lock().dropped_connections += n;
     }
 
-    /// Answers one client `GET` through the same locked fetch path as the
-    /// blocking [`NetProxy::fetch`] API.
+    /// Answers one client `GET` the reactor could not ([`hit_on_reactor`])
+    /// through the same locked fetch path as the blocking
+    /// [`NetProxy::fetch`] API.
     fn run_job(state: &ProxyState, get: GetRequest) -> Option<HttpMsg> {
         let out = timed_fetch(state, get.client, get.url, get.issued_at).ok()?;
-        Some(HttpMsg::Reply(Reply {
-            req: get.req,
-            url: get.url,
-            client: get.client,
-            // Client-facing bodies are unscaled: the wire carries the
-            // real (accounted) size, not the storage-scaled payload.
-            status: ReplyStatus::Ok(Body::synthetic(out.meta, 1)),
-            lease: None,
-            piggyback: Vec::new(),
-            volume_lease: None,
-        }))
+        Some(client_reply(&get, out.meta))
     }
 
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
@@ -457,7 +511,10 @@ impl Role for ProxyRole {
         match cx.tag {
             PKind::Client => match msg {
                 HttpMsgRef::Get(get) => {
-                    cx.submit(get.clone());
+                    match hit_on_reactor(state, get) {
+                        Some(reply) => cx.reply(reply),
+                        None => cx.submit(get.clone()),
+                    }
                     After::Keep
                 }
                 HttpMsgRef::MetricsGet => cx.reply_metrics(&state.render_metrics()),
@@ -483,7 +540,7 @@ impl Role for ProxyRole {
                         policy.on_invalidate(*url, *client, cache)
                     };
                     state.counters.lock().invalidations_received += 1;
-                    cx.reply(&HttpMsg::InvalAck {
+                    cx.reply(HttpMsg::InvalAck {
                         url: *url,
                         client: *client,
                         cache_hits: deleted_hits.unwrap_or(0),
@@ -514,7 +571,7 @@ impl Role for ProxyRole {
                         c.invalidations_received += entries.len() as u64;
                         c.inval_batches_received += 1;
                     }
-                    cx.reply(&HttpMsg::InvalidateBatchAck {
+                    cx.reply(HttpMsg::InvalidateBatchAck {
                         server: batch.server,
                         entries: acks,
                     });
@@ -527,7 +584,7 @@ impl Role for ProxyRole {
                         policy.on_invalidate_server(*server, cache);
                     }
                     state.counters.lock().bulk_invalidations_received += 1;
-                    cx.reply(&HttpMsg::InvalidateServerAck { server: *server });
+                    cx.reply(HttpMsg::InvalidateServerAck { server: *server });
                     After::Keep
                 }
                 HttpMsgRef::Get(_)

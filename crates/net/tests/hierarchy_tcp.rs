@@ -49,10 +49,53 @@ fn second_child_hits_the_parent_cache() {
     assert_eq!(pc.child_requests, 2);
     assert_eq!(pc.upstream_requests, 1, "one compulsory origin miss");
     assert_eq!(pc.parent_hits, 1);
+    assert_eq!(pc.reactor_hits, 1, "answered without a worker");
     // The origin saw exactly one site: the parent.
     let snap = origin.snapshot();
     assert_eq!(snap.gets, 1);
     assert_eq!(snap.sitelist.max_list_len, 1);
+}
+
+/// A parent hit leaves after the miss pipelined ahead of it on the same
+/// connection — whether the reactor answered it at once (and parked it
+/// behind the worker's upstream fetch) or found the state lock already
+/// taken by that worker and queued it for the pool.
+#[test]
+fn parent_hit_pipelined_behind_a_miss_keeps_connection_order() {
+    use std::io::Write;
+    use wcc_proto::{encode, FrameReader, GetRequest, HttpMsg, HttpMsgRef, RequestId};
+    let (_origin, parent, a, _b) = start();
+    a.fetch(ClientId::from_raw(0), url(3), SimTime::from_secs(1))
+        .unwrap();
+    let before = parent.counters();
+
+    let mut w = std::net::TcpStream::connect(parent.addr()).unwrap();
+    w.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let mut r = FrameReader::new(w.try_clone().unwrap());
+    let get = |req: u64, doc: u32| {
+        encode(&HttpMsg::Get(GetRequest {
+            req: RequestId::new(req),
+            url: url(doc),
+            client: ClientId::from_raw(6),
+            ims: None,
+            issued_at: SimTime::from_secs(2),
+            cache_hits: 0,
+        }))
+    };
+    // Doc 4 is new to the parent, doc 3 it holds.
+    w.write_all(&[get(1, 4), get(2, 3)].concat()).unwrap();
+    for expected in [(1, url(4)), (2, url(3))] {
+        match r.next_msg().expect("reply frame") {
+            HttpMsgRef::Reply(reply) => assert_eq!((reply.req.get(), reply.url), expected),
+            other => panic!("expected a reply, got {other:?}"),
+        }
+    }
+    let pc = parent.counters();
+    assert_eq!(pc.upstream_requests, before.upstream_requests + 1);
+    assert_eq!(pc.parent_hits, before.parent_hits + 1);
+    assert!(parent
+        .metrics_text()
+        .contains("wcc_reactor_hits_total{node=\"parent\"}"));
 }
 
 #[test]

@@ -375,6 +375,117 @@ fn volume_lease_renewal_piggybacks_missed_invalidations_over_tcp() {
     assert_eq!(fresh.meta.last_modified(), SimTime::from_secs(200));
 }
 
+/// A browser on the proxy's client listener: one keep-alive connection,
+/// raw frames out, decoded replies back.
+struct Browser {
+    w: std::net::TcpStream,
+    r: wcc_proto::FrameReader<std::net::TcpStream>,
+    client: ClientId,
+    next_req: u64,
+}
+
+impl Browser {
+    fn connect(proxy: &NetProxy, client: ClientId) -> Browser {
+        let w = std::net::TcpStream::connect(proxy.client_addr()).expect("connect");
+        w.set_nodelay(true).unwrap();
+        w.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let r = wcc_proto::FrameReader::new(w.try_clone().unwrap());
+        Browser {
+            w,
+            r,
+            client,
+            next_req: 0,
+        }
+    }
+
+    /// One `GET` round trip; the `Last-Modified` of the `200` that answers it.
+    fn get(&mut self, url: Url, now: SimTime) -> SimTime {
+        use std::io::Write;
+        use wcc_proto::{encode, GetRequest, HttpMsg, HttpMsgRef, ReplyStatusRef, RequestId};
+        self.next_req += 1;
+        let req = RequestId::new(self.next_req);
+        let get = HttpMsg::Get(GetRequest {
+            req,
+            url,
+            client: self.client,
+            ims: None,
+            issued_at: now,
+            cache_hits: 0,
+        });
+        self.w.write_all(&encode(&get)).unwrap();
+        match self.r.next_msg().expect("reply frame") {
+            HttpMsgRef::Reply(reply) => {
+                assert_eq!((reply.req, reply.url), (req, url));
+                match reply.status {
+                    ReplyStatusRef::Ok { meta, .. } => meta.last_modified(),
+                    ReplyStatusRef::NotModified => panic!("clients are answered with 200s"),
+                }
+            }
+            other => panic!("expected a reply, got {other:?}"),
+        }
+    }
+}
+
+/// The hit path that skips the pool keeps the guarantee: served on the
+/// reactor while the copy is valid, upstream again — same keep-alive
+/// connection — the moment the write's invalidation was acknowledged.
+#[test]
+fn reactor_hit_then_acked_write_goes_upstream_over_the_client_listener() {
+    let (origin, proxy, _cfg) = start(ProtocolKind::Invalidation);
+    let mut browser = Browser::connect(&proxy, client(5));
+
+    let v0 = browser.get(url(1), SimTime::from_secs(1));
+    let c = proxy.counters();
+    assert_eq!((c.requests, c.gets_sent, c.reactor_hits), (1, 1, 0));
+
+    // The worker released the policy lock before its reply shipped, so
+    // this hit finds it free: no worker, no server contact.
+    assert_eq!(browser.get(url(1), SimTime::from_secs(2)), v0);
+    let c = proxy.counters();
+    assert_eq!((c.requests, c.hits, c.gets_sent), (2, 1, 1));
+    assert_eq!(c.reactor_hits, 1);
+    assert!(proxy
+        .metrics_text()
+        .contains("wcc_reactor_hits_total{node=\"proxy\"} 1"));
+
+    check_in(origin.addr(), url(1), SimTime::from_secs(10)).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while origin.snapshot().notifies == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(
+        origin.wait_writes_complete(Duration::from_secs(5)),
+        "invalidation was not acknowledged in time"
+    );
+
+    // The write is complete: the very next read must see it.
+    assert_eq!(
+        browser.get(url(1), SimTime::from_secs(11)),
+        SimTime::from_secs(10)
+    );
+    let c = proxy.counters();
+    assert_eq!((c.requests, c.gets_sent, c.reactor_hits), (3, 2, 1));
+    assert_eq!(origin.snapshot().replies_200, 2);
+}
+
+#[test]
+fn adaptive_ttl_hit_is_on_the_reactor_until_the_ttl_expires() {
+    let (origin, proxy, _cfg) = start(ProtocolKind::AdaptiveTtl);
+    let mut browser = Browser::connect(&proxy, client(3));
+    // Fetch at t = 100 000 s; age = 100 000 s → TTL = 10 000 s.
+    let t0 = SimTime::from_secs(100_000);
+    let v0 = browser.get(url(3), t0);
+    assert_eq!(browser.get(url(3), t0 + SimDuration::from_secs(5_000)), v0);
+    let c = proxy.counters();
+    assert_eq!((c.reactor_hits, c.ims_sent), (1, 0));
+    // Expired: the reactor's probe says no, a worker revalidates.
+    assert_eq!(browser.get(url(3), t0 + SimDuration::from_secs(20_000)), v0);
+    let c = proxy.counters();
+    assert_eq!((c.requests, c.hits, c.reactor_hits), (3, 2, 1));
+    assert_eq!((c.ims_sent, c.replies_304), (1, 1));
+    assert_eq!(origin.snapshot().ims, 1);
+}
+
 /// Sends one frame on a fresh connection and reads until the origin closes
 /// it, returning whatever came back first.
 fn send_and_drain(origin: &NetOrigin, frame: &[u8]) -> Vec<u8> {

@@ -91,6 +91,12 @@ fn origin_metrics_scrape_is_valid_and_counts_traffic() {
         sample(&text, r#"wcc_fetch_latency_seconds_count{node="proxy"}"#),
         Some(2.0)
     );
+    // Both fetches used the blocking API: neither was a reactor hit, and
+    // the share of traffic that left the fast path reads 2 of 2.
+    assert_eq!(
+        sample(&text, r#"wcc_reactor_hits_total{node="proxy"}"#),
+        Some(0.0)
+    );
 
     // Scrapes are one-shot connections: the protocol path still works after.
     let third = proxy.fetch(c, url(2), SimTime::from_secs(20)).unwrap();
@@ -115,20 +121,28 @@ fn parent_metrics_scrape_is_valid() {
     let c = ClientId::from_raw(9);
     child.fetch(c, url(3), SimTime::from_secs(1)).unwrap();
     child.fetch(c, url(3), SimTime::from_secs(2)).unwrap();
+    // Another client of the same child: its compulsory miss is a hit at
+    // the parent, answered on the parent's reactor.
+    let d = ClientId::from_raw(10);
+    child.fetch(d, url(3), SimTime::from_secs(3)).unwrap();
 
     let text = scrape(parent.addr()).expect("scrape parent");
     validate_exposition(&text).expect("parent exposition is valid");
     assert_eq!(
         sample(&text, r#"wcc_child_requests_total{node="parent"}"#),
-        Some(1.0)
+        Some(2.0)
     );
     assert_eq!(
         sample(&text, r#"wcc_upstream_requests_total{node="parent"}"#),
         Some(1.0)
     );
     assert_eq!(
-        sample(&text, r#"wcc_serve_latency_seconds_count{node="parent"}"#),
+        sample(&text, r#"wcc_reactor_hits_total{node="parent"}"#),
         Some(1.0)
+    );
+    assert_eq!(
+        sample(&text, r#"wcc_serve_latency_seconds_count{node="parent"}"#),
+        Some(2.0)
     );
     validate_exposition(&parent.metrics_text()).unwrap();
 }

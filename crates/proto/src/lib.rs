@@ -30,7 +30,7 @@ pub use msg::{
     BatchAckEntry, BatchEntry, CoordMsg, GetRequest, HttpMsg, Message, Reply, ReplyStatus,
     RequestId,
 };
-pub use wire::{decode, encode, WireError};
+pub use wire::{decode, encode, encode_into, WireError};
 pub use zero::{
     codec_sweep, decode_frame, decode_ref, CodecStats, FrameReader, HttpMsgRef,
     InvalidateBatchAckRef, InvalidateBatchRef, ReplyRef, ReplyStatusRef,

@@ -89,7 +89,17 @@ macro_rules! put {
     };
 }
 
-/// Encodes `msg` into its wire form.
+/// Encodes `msg` into its wire form ([`encode_into`]) in a fresh `Vec`:
+/// for set-up code and tests. The serve tier's per-frame paths append to a
+/// connection's send buffer with [`encode_into`] instead.
+pub fn encode(msg: &HttpMsg) -> Vec<u8> {
+    let mut out = Vec::with_capacity(256);
+    encode_into(msg, &mut out);
+    out
+}
+
+/// Appends `msg`'s wire form to `out`; what `out` already holds is left
+/// untouched.
 ///
 /// The payload of a `200` reply is the *stored* (possibly scaled) body; the
 /// accounted size travels in the `X-Size` header so byte accounting survives
@@ -97,10 +107,9 @@ macro_rules! put {
 ///
 /// Every line is formatted straight into the output buffer — no
 /// intermediate `String` per header, and paths ride [`Url::path_display`]
-/// rather than the allocating [`Url::path`] — because `encode` sits on the
+/// rather than the allocating [`Url::path`] — because this sits on the
 /// TCP prototype's per-message hot path.
-pub fn encode(msg: &HttpMsg) -> Vec<u8> {
-    let mut out = Vec::with_capacity(256);
+pub fn encode_into(msg: &HttpMsg, out: &mut Vec<u8>) {
     match msg {
         HttpMsg::Get(g) => {
             put!(out, "GET {} HTTP/1.0\r\n", g.url.path_display());
@@ -132,7 +141,7 @@ pub fn encode(msg: &HttpMsg) -> Vec<u8> {
                 if let Some(lease) = r.lease {
                     put!(out, "X-Lease: {}\r\n", lease.as_micros());
                 }
-                put_piggyback(&mut out, &r.piggyback);
+                put_piggyback(out, &r.piggyback);
                 if let Some(v) = r.volume_lease {
                     put!(out, "X-Volume-Lease: {}\r\n", v.as_micros());
                 }
@@ -148,7 +157,7 @@ pub fn encode(msg: &HttpMsg) -> Vec<u8> {
                 if let Some(lease) = r.lease {
                     put!(out, "X-Lease: {}\r\n", lease.as_micros());
                 }
-                put_piggyback(&mut out, &r.piggyback);
+                put_piggyback(out, &r.piggyback);
                 if let Some(v) = r.volume_lease {
                     put!(out, "X-Volume-Lease: {}\r\n", v.as_micros());
                 }
@@ -234,7 +243,6 @@ pub fn encode(msg: &HttpMsg) -> Vec<u8> {
             put!(out, "\r\n");
         }
     }
-    out
 }
 
 /// Writes the `X-Piggyback` header (comma-separated document indices)
@@ -733,8 +741,11 @@ mod tests {
             url: sample_url(),
             client: sample_client(),
         };
+        // The second frame is appended in place, the way a send buffer
+        // takes it: the first stays intact and the bytes are `encode`'s.
         let mut bytes = encode(&a);
-        bytes.extend(encode(&b));
+        encode_into(&b, &mut bytes);
+        assert_eq!(bytes, [encode(&a), encode(&b)].concat());
         let mut cursor = bytes.as_slice();
         assert_eq!(decode(&mut cursor).unwrap(), a);
         assert_eq!(decode(&mut cursor).unwrap(), b);

@@ -972,7 +972,7 @@ pub fn codec_sweep(msgs: &[HttpMsg]) -> CodecStats {
     // Bench-probe setup, not the steady-state decode loop.
     let mut buf = Vec::new(); // xtask-lint: allow(hot-loop-alloc)
     for msg in msgs {
-        buf.extend_from_slice(&crate::wire::encode(msg));
+        crate::wire::encode_into(msg, &mut buf);
     }
     stats.bytes = buf.len() as u64;
     let mut rest: &[u8] = &buf;

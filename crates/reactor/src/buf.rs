@@ -112,6 +112,14 @@ impl SendBuf {
         self.bytes.extend_from_slice(chunk);
     }
 
+    /// The queue's growing end, for encoding a frame in place
+    /// (`wcc_proto::encode_into`) instead of building it elsewhere and
+    /// copying it in. Append only: everything already there is either
+    /// unsent or counted as written.
+    pub fn tail(&mut self) -> &mut Vec<u8> {
+        &mut self.bytes
+    }
+
     /// Bytes still waiting to go out.
     pub fn pending(&self) -> usize {
         self.bytes.len() - self.pos
@@ -207,7 +215,7 @@ mod tests {
             out: Vec::new(),
         };
         assert!(!sb.flush(&mut sink).expect("io"));
-        sb.push_bytes(b"second");
+        sb.tail().extend_from_slice(b"second");
         sink.armed = true;
         sink.cap = 1024;
         assert!(sb.flush(&mut sink).expect("io"));

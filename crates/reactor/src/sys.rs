@@ -126,9 +126,14 @@ mod backend {
         }
 
         fn ctl(&self, op: i32, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
-            let mut flags = EPOLLRDHUP;
+            // A half-closed peer raises `EPOLLRDHUP` for good (level-
+            // triggered), so it is asked for only with read interest: a
+            // connection that has seen its EOF can then wait quietly for
+            // replies it is still owed. Errors and full hang-ups are
+            // reported regardless.
+            let mut flags = 0;
             if interest.readable {
-                flags |= EPOLLIN;
+                flags |= EPOLLIN | EPOLLRDHUP;
             }
             if interest.writable {
                 flags |= EPOLLOUT;
