@@ -1,0 +1,602 @@
+//! The proxy-side fetch as a split state machine: one request in, at most
+//! one upstream message out, one reply in, one answer out.
+//!
+//! [`ProxyCore`] owns what a caching node decides with — the
+//! [`ProxyPolicy`], the [`CacheStore`] and the table of upstream requests
+//! in flight — and no I/O: [`ProxyCore::begin`] either serves from the
+//! cache or hands back the `GET` to forward, [`ProxyCore::complete`] applies
+//! the reply that came back. Whoever drives it (a reactor role, a blocking
+//! caller, a simulator actor) does the sending in between, so nothing here
+//! waits and any number of flights may be open at once.
+//!
+//! The one rule for a reply that races an `INVALIDATE` is the simulator's:
+//! an invalidation that arrives while a request for the same copy is in
+//! flight *poisons* that flight; its reply — which may carry the version
+//! from before the write — is discarded and a plain `GET` goes out in its
+//! place. The same re-forward covers a `304` whose entry was evicted while
+//! it was being validated.
+
+use crate::proxy::{ProxyAction, ProxyPolicy};
+use std::collections::BTreeMap;
+use wcc_cache::CacheStore;
+use wcc_proto::{GetRequest, ReplyRef, ReplyStatusRef, RequestId};
+use wcc_types::{ClientId, DocMeta, ServerId, SimTime, Url};
+
+/// How a fetch was satisfied.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum FetchKind {
+    /// Served straight from the cache, no origin contact.
+    CacheHit,
+    /// Validated with `If-Modified-Since`; origin said `304`.
+    Validated,
+    /// Transferred from the origin (`200`).
+    Fetched,
+}
+
+/// The result of one fetch.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FetchOutcome {
+    /// How the request was satisfied.
+    pub kind: FetchKind,
+    /// Whether a cached entry existed when the request arrived.
+    pub had_entry: bool,
+    /// Metadata of the delivered version.
+    pub meta: DocMeta,
+}
+
+/// What a flight needs of an upstream reply: everything but the body
+/// (caches above this layer store metadata only).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct UpstreamReply {
+    /// `Some` for a `200`, `None` for a `304`.
+    pub meta: Option<DocMeta>,
+    /// Lease grant, if any.
+    pub lease: Option<SimTime>,
+    /// Volume-lease renewal, if any.
+    pub volume_lease: Option<SimTime>,
+    /// Piggybacked invalidations (PSI).
+    pub piggyback: Vec<Url>,
+}
+
+impl From<&ReplyRef<'_>> for UpstreamReply {
+    fn from(reply: &ReplyRef<'_>) -> Self {
+        UpstreamReply {
+            meta: match reply.status {
+                ReplyStatusRef::Ok { meta, .. } => Some(meta),
+                ReplyStatusRef::NotModified => None,
+            },
+            lease: reply.lease,
+            volume_lease: reply.volume_lease,
+            piggyback: reply.piggyback_urls(),
+        }
+    }
+}
+
+/// Counters of the fetch state machine.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FetchCounters {
+    /// Fetches begun.
+    pub requests: u64,
+    /// Of those, fetches that found a cached entry.
+    pub hits: u64,
+    /// Plain `GET`s handed out to forward.
+    pub gets_sent: u64,
+    /// `If-Modified-Since` requests handed out to forward.
+    pub ims_sent: u64,
+    /// `200` replies applied.
+    pub replies_200: u64,
+    /// `304` replies applied.
+    pub replies_304: u64,
+    /// Piggybacked invalidations received (PSI).
+    pub piggybacked_received: u64,
+    /// Replies discarded because an invalidation overtook them.
+    pub inval_races: u64,
+}
+
+/// What [`ProxyCore::begin`] decided.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Begin {
+    /// The cached copy may be served: its metadata. Nothing is in flight.
+    Serve(DocMeta),
+    /// Send this upstream; its reply goes to [`ProxyCore::complete`].
+    Forward(GetRequest),
+}
+
+/// What [`ProxyCore::complete`] made of a reply.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Complete<W> {
+    /// The fetch is over; `waiter` is what [`ProxyCore::begin`] was given.
+    Done {
+        /// What to answer with.
+        outcome: FetchOutcome,
+        /// Who was waiting for it.
+        waiter: W,
+    },
+    /// The reply could not be used (it raced an invalidation, or the `304`
+    /// raced an eviction): send this plain `GET` instead. The flight lives
+    /// on under the new request id.
+    Forward(GetRequest),
+}
+
+/// One upstream request awaiting its reply.
+#[derive(Debug)]
+struct Flight<W> {
+    /// The request as it went out (its `req` is the table key).
+    sent: GetRequest,
+    had_entry: bool,
+    /// An invalidation for this copy arrived after `sent` left.
+    poisoned: bool,
+    waiter: W,
+}
+
+/// Policy, cache and flight table of one caching node. `W` is whatever the
+/// driver needs to find its way back to the requester once a flight lands.
+#[derive(Debug)]
+pub struct ProxyCore<W> {
+    policy: ProxyPolicy,
+    cache: CacheStore,
+    next_req: RequestId,
+    /// Keyed by wire request id; ids only grow, so iteration order is the
+    /// order the requests were handed out.
+    flights: BTreeMap<RequestId, Flight<W>>,
+    counters: FetchCounters,
+}
+
+impl<W> ProxyCore<W> {
+    /// A node with nothing cached and nothing in flight.
+    pub fn new(policy: ProxyPolicy, cache: CacheStore) -> Self {
+        ProxyCore {
+            policy,
+            cache,
+            next_req: RequestId::default(),
+            flights: BTreeMap::new(),
+            counters: FetchCounters::default(),
+        }
+    }
+
+    /// The node's cache.
+    pub fn cache(&self) -> &CacheStore {
+        &self.cache
+    }
+
+    /// Counters so far.
+    pub fn counters(&self) -> FetchCounters {
+        self.counters
+    }
+
+    /// Upstream requests awaiting a reply.
+    pub fn in_flight(&self) -> usize {
+        self.flights.len()
+    }
+
+    /// Registers `sent` as in flight and counts it.
+    fn launch(&mut self, mut sent: GetRequest, had_entry: bool, waiter: W) -> GetRequest {
+        sent.req = self.next_req;
+        self.next_req = self.next_req.next();
+        if sent.ims.is_some() {
+            self.counters.ims_sent += 1;
+        } else {
+            self.counters.gets_sent += 1;
+        }
+        self.flights.insert(
+            sent.req,
+            Flight {
+                sent: sent.clone(),
+                had_entry,
+                poisoned: false,
+                waiter,
+            },
+        );
+        sent
+    }
+
+    /// `client` asks for `url` at `now`: serve the cached copy (same side
+    /// effects as [`ProxyPolicy::on_request`]: recency, hit meter) or open a
+    /// flight. `waiter` is only called, and kept, when a flight opens.
+    pub fn begin(
+        &mut self,
+        client: ClientId,
+        url: Url,
+        now: SimTime,
+        waiter: impl FnOnce() -> W,
+    ) -> Begin {
+        let key = url.scoped(client);
+        let disposition = self.policy.on_request(key, now, &mut self.cache);
+        self.counters.requests += 1;
+        self.counters.hits += u64::from(disposition.had_entry);
+        let ims = match disposition.action {
+            ProxyAction::ServeFromCache => match self.cache.peek(key) {
+                Some(entry) => return Begin::Serve(entry.meta),
+                // A hit implies an entry; were it gone, fetch it.
+                None => None,
+            },
+            ProxyAction::SendGet { ims } => ims,
+        };
+        let get = GetRequest {
+            req: self.next_req,
+            url,
+            client,
+            ims,
+            issued_at: now,
+            cache_hits: disposition.report_hits,
+        };
+        Begin::Forward(self.launch(get, disposition.had_entry, waiter()))
+    }
+
+    /// The reply to flight `req` arrived. `None`: no such flight (a late,
+    /// duplicate or unknown id) — the reply is ignored.
+    pub fn complete(&mut self, req: RequestId, reply: &UpstreamReply) -> Option<Complete<W>> {
+        let Flight {
+            sent,
+            had_entry,
+            poisoned,
+            waiter,
+        } = self.flights.remove(&req)?;
+        let key = sent.url.scoped(sent.client);
+        let now = sent.issued_at;
+        let delivered = if poisoned {
+            // The invalidation overtook this reply: its version may predate
+            // the write. Nothing of it is applied.
+            self.counters.inval_races += 1;
+            None
+        } else {
+            self.policy.on_volume_grant(key, reply.volume_lease);
+            if !reply.piggyback.is_empty() {
+                self.counters.piggybacked_received += reply.piggyback.len() as u64;
+                self.policy
+                    .on_piggyback(&reply.piggyback, sent.client, &mut self.cache);
+            }
+            match reply.meta {
+                Some(meta) => {
+                    self.counters.replies_200 += 1;
+                    self.policy
+                        .on_reply_200(key, meta, reply.lease, now, &mut self.cache);
+                    Some((FetchKind::Fetched, meta))
+                }
+                None if self
+                    .policy
+                    .on_reply_304(key, reply.lease, now, &mut self.cache) =>
+                {
+                    self.counters.replies_304 += 1;
+                    self.cache
+                        .peek(key)
+                        .map(|entry| (FetchKind::Validated, entry.meta))
+                }
+                // The entry was evicted while it was being validated.
+                None => None,
+            }
+        };
+        Some(match delivered {
+            Some((kind, meta)) => Complete::Done {
+                outcome: FetchOutcome {
+                    kind,
+                    had_entry,
+                    meta,
+                },
+                waiter,
+            },
+            None => {
+                let plain = GetRequest {
+                    ims: None,
+                    cache_hits: 0,
+                    ..sent
+                };
+                Complete::Forward(self.launch(plain, had_entry, waiter))
+            }
+        })
+    }
+
+    /// Gives up on flight `req` (its reply can no longer arrive, or nobody
+    /// waits for it); a reply that shows up later is ignored.
+    pub fn abandon(&mut self, req: RequestId) -> Option<W> {
+        self.flights.remove(&req).map(|flight| flight.waiter)
+    }
+
+    /// The flight handed out first among those still open.
+    pub fn oldest(&self) -> Option<(RequestId, &W)> {
+        self.flights
+            .iter()
+            .next()
+            .map(|(req, flight)| (*req, &flight.waiter))
+    }
+
+    /// Every open flight, oldest first: the request as sent, and its waiter.
+    pub fn flights_mut(&mut self) -> impl Iterator<Item = (&GetRequest, &mut W)> {
+        self.flights
+            .values_mut()
+            .map(|flight| (&flight.sent, &mut flight.waiter))
+    }
+
+    /// An `INVALIDATE <url>` arrived for `client`: drops the copy and
+    /// poisons every flight for it. Returns the dropped copy's unreported
+    /// hits (see [`ProxyPolicy::on_invalidate`]).
+    pub fn on_invalidate(&mut self, url: Url, client: ClientId) -> Option<u64> {
+        for flight in self.flights.values_mut() {
+            flight.poisoned |= flight.sent.url == url && flight.sent.client == client;
+        }
+        self.policy.on_invalidate(url, client, &mut self.cache)
+    }
+
+    /// A bulk `INVALIDATE <server>` arrived: marks that server's copies
+    /// questionable and poisons every flight to it. Returns how many copies
+    /// were marked.
+    pub fn on_invalidate_server(&mut self, server: ServerId) -> usize {
+        for flight in self.flights.values_mut() {
+            flight.poisoned |= flight.sent.url.server() == server;
+        }
+        self.policy.on_invalidate_server(server, &mut self.cache)
+    }
+
+    /// Folds a downstream cache's hit report into this tier's copy of
+    /// `url` (no-op when `client` holds none).
+    pub fn absorb_report(&mut self, url: Url, client: ClientId, hits: u64) {
+        self.cache.add_unreported_hits(url.scoped(client), hits);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ProtocolConfig, ProtocolKind};
+    use wcc_cache::ReplacementPolicy;
+    use wcc_types::{ByteSize, SimDuration};
+
+    const CLIENT: ClientId = ClientId::from_raw(3);
+
+    fn core(kind: ProtocolKind) -> ProxyCore<u32> {
+        ProxyCore::new(
+            ProxyPolicy::new(&ProtocolConfig::new(kind)),
+            CacheStore::unbounded(ReplacementPolicy::Lru),
+        )
+    }
+
+    fn url(server: u32, doc: u32) -> Url {
+        Url::new(ServerId::new(server), doc)
+    }
+
+    fn meta(modified_secs: u64) -> DocMeta {
+        DocMeta::new(ByteSize::from_kib(8), SimTime::from_secs(modified_secs))
+    }
+
+    fn ok(modified_secs: u64) -> UpstreamReply {
+        UpstreamReply {
+            meta: Some(meta(modified_secs)),
+            lease: Some(SimTime::NEVER),
+            volume_lease: Some(SimTime::NEVER),
+            piggyback: Vec::new(),
+        }
+    }
+
+    fn not_modified() -> UpstreamReply {
+        UpstreamReply {
+            meta: None,
+            ..ok(0)
+        }
+    }
+
+    fn forwarded(begin: Begin) -> GetRequest {
+        match begin {
+            Begin::Forward(get) => get,
+            Begin::Serve(meta) => panic!("served {meta:?} from the cache"),
+        }
+    }
+
+    fn reforwarded(complete: Option<Complete<u32>>) -> GetRequest {
+        match complete {
+            Some(Complete::Forward(get)) => get,
+            other => panic!("expected a re-forward, got {other:?}"),
+        }
+    }
+
+    /// Fetches `url` once (version `modified_secs`) so a copy is cached.
+    fn prime(core: &mut ProxyCore<u32>, url: Url, modified_secs: u64, now: SimTime) {
+        let get = forwarded(core.begin(CLIENT, url, now, || 0));
+        let done = core.complete(get.req, &ok(modified_secs));
+        assert!(matches!(done, Some(Complete::Done { .. })));
+    }
+
+    /// A cached copy that every protocol must validate before serving.
+    fn primed_questionable(kind: ProtocolKind) -> ProxyCore<u32> {
+        let mut core = core(kind);
+        prime(&mut core, url(0, 7), 5, SimTime::from_secs(10));
+        core.policy.on_proxy_recover(&mut core.cache);
+        core
+    }
+
+    /// The hit path is `on_request`, nothing more: for every protocol and
+    /// entry state `begin` takes the action `on_request` decides, leaves
+    /// the cache entry (recency, hit meter) exactly as `on_request` does,
+    /// and opens a flight only when the origin must be contacted.
+    #[test]
+    fn begin_has_the_side_effects_of_on_request() {
+        let fetched = SimTime::from_secs(100_000);
+        let lease_end = fetched + SimDuration::from_secs(500);
+        let key = url(0, 7).scoped(CLIENT);
+        // Inside every lease/TTL, and past all of them.
+        let times = [
+            fetched + SimDuration::from_secs(100),
+            fetched + SimDuration::from_days(365),
+        ];
+        for kind in ProtocolKind::ALL {
+            for questionable in [false, true] {
+                for now in times {
+                    let mut core = core(kind);
+                    let get = forwarded(core.begin(CLIENT, key.url(), fetched, || 0));
+                    let reply = UpstreamReply {
+                        lease: Some(lease_end),
+                        volume_lease: Some(lease_end),
+                        ..ok(5)
+                    };
+                    core.complete(get.req, &reply).expect("flight");
+                    // The same history on a bare policy and cache.
+                    let mut policy = ProxyPolicy::new(&ProtocolConfig::new(kind));
+                    let mut cache = CacheStore::unbounded(ReplacementPolicy::Lru);
+                    policy.on_request(key, fetched, &mut cache);
+                    policy.on_volume_grant(key, reply.volume_lease);
+                    policy.on_reply_200(key, meta(5), reply.lease, fetched, &mut cache);
+                    if questionable {
+                        core.policy.on_proxy_recover(&mut core.cache);
+                        policy.on_proxy_recover(&mut cache);
+                    }
+                    assert_eq!(core.cache.peek(key), cache.peek(key), "{kind:?}");
+                    let disposition = policy.on_request(key, now, &mut cache);
+                    let mut asked = false;
+                    let begin = core.begin(CLIENT, key.url(), now, || {
+                        asked = true;
+                        1
+                    });
+                    assert_eq!(core.cache.peek(key), cache.peek(key), "{kind:?}");
+                    match (disposition.action, begin) {
+                        (ProxyAction::ServeFromCache, Begin::Serve(served)) => {
+                            assert_eq!(served, meta(5));
+                            assert_eq!((asked, core.in_flight()), (false, 0));
+                        }
+                        (ProxyAction::SendGet { ims }, Begin::Forward(get)) => {
+                            assert_eq!((get.ims, get.cache_hits), (ims, disposition.report_hits));
+                            assert_eq!(
+                                (get.url, get.client, get.issued_at),
+                                (key.url(), CLIENT, now)
+                            );
+                            assert_eq!((asked, core.in_flight()), (true, 1));
+                        }
+                        (action, begin) => panic!("{kind:?}: {action:?} vs {begin:?}"),
+                    }
+                    let c = core.counters();
+                    assert_eq!((c.requests, c.hits), (2, 1), "{kind:?}");
+                }
+            }
+        }
+    }
+
+    /// The callback race: an invalidation overtakes the reply. Whatever the
+    /// reply says, none of it is applied, and a plain `GET` goes out.
+    #[test]
+    fn reply_overtaken_by_an_invalidation_is_refetched_without_ims() {
+        for kind in ProtocolKind::ALL {
+            for stale in [ok(5), not_modified()] {
+                let mut core = primed_questionable(kind);
+                let now = SimTime::from_secs(20);
+                let first = forwarded(core.begin(CLIENT, url(0, 7), now, || 42));
+                assert_eq!(first.ims, Some(SimTime::from_secs(5)), "{kind:?}");
+                // Another client's copy is none of this flight's business.
+                let other = ClientId::from_raw(4);
+                assert_eq!(core.on_invalidate(url(0, 7), other), None);
+                assert!(core.on_invalidate(url(0, 7), CLIENT).is_some());
+
+                let again = reforwarded(core.complete(first.req, &stale));
+                assert_ne!(again.req, first.req);
+                assert_eq!((again.ims, again.cache_hits), (None, 0), "{kind:?}");
+                assert_eq!(
+                    (again.url, again.client, again.issued_at),
+                    (first.url, CLIENT, now)
+                );
+                assert!(core.cache().peek(url(0, 7).scoped(CLIENT)).is_none());
+                assert_eq!(core.counters().inval_races, 1);
+                assert_eq!(core.in_flight(), 1);
+
+                match core.complete(again.req, &ok(15)) {
+                    Some(Complete::Done { outcome, waiter }) => {
+                        assert_eq!(outcome.kind, FetchKind::Fetched);
+                        assert!(
+                            outcome.had_entry,
+                            "an entry existed when the request arrived"
+                        );
+                        assert_eq!(outcome.meta, meta(15));
+                        assert_eq!(waiter, 42);
+                    }
+                    other => panic!("{kind:?}: {other:?}"),
+                }
+                assert_eq!(
+                    core.cache().peek(url(0, 7).scoped(CLIENT)).map(|e| e.meta),
+                    Some(meta(15))
+                );
+                assert_eq!(core.in_flight(), 0);
+            }
+        }
+    }
+
+    /// A `304` for an entry that was dropped while it was being validated
+    /// (here by another reply's piggybacked invalidation, which poisons
+    /// nothing) falls back to a plain `GET`.
+    #[test]
+    fn not_modified_for_an_evicted_entry_is_refetched() {
+        for kind in ProtocolKind::ALL {
+            let mut core = primed_questionable(kind);
+            let now = SimTime::from_secs(20);
+            let validate = forwarded(core.begin(CLIENT, url(0, 7), now, || 1));
+            let miss = forwarded(core.begin(CLIENT, url(0, 8), now, || 2));
+            let evicting = UpstreamReply {
+                piggyback: vec![url(0, 7)],
+                ..ok(3)
+            };
+            assert!(matches!(
+                core.complete(miss.req, &evicting),
+                Some(Complete::Done { waiter: 2, .. })
+            ));
+            let again = reforwarded(core.complete(validate.req, &not_modified()));
+            assert_eq!((again.ims, again.url), (None, url(0, 7)), "{kind:?}");
+            let c = core.counters();
+            assert_eq!(
+                (c.inval_races, c.replies_304, c.piggybacked_received),
+                (0, 0, 1)
+            );
+            assert!(matches!(
+                core.complete(again.req, &ok(5)),
+                Some(Complete::Done { waiter: 1, .. })
+            ));
+        }
+    }
+
+    #[test]
+    fn bulk_invalidation_poisons_every_flight_of_that_server() {
+        for kind in ProtocolKind::ALL {
+            let mut core = core(kind);
+            let now = SimTime::from_secs(1);
+            prime(&mut core, url(0, 1), 0, now);
+            let flights = [url(0, 2), url(0, 3), url(1, 2)]
+                .map(|url| forwarded(core.begin(CLIENT, url, now, || url.doc())));
+            assert_eq!(core.on_invalidate_server(ServerId::new(0)), 1);
+            for get in &flights[..2] {
+                let again = reforwarded(core.complete(get.req, &ok(0)));
+                assert_eq!((again.url, again.ims), (get.url, None), "{kind:?}");
+            }
+            assert!(matches!(
+                core.complete(flights[2].req, &ok(0)),
+                Some(Complete::Done { .. })
+            ));
+            assert_eq!(core.counters().inval_races, 2);
+            // The re-forwarded flights are clean again.
+            assert_eq!(core.in_flight(), 2);
+        }
+    }
+
+    #[test]
+    fn unknown_duplicate_and_late_replies_are_ignored() {
+        for kind in ProtocolKind::ALL {
+            let mut core = core(kind);
+            let now = SimTime::from_secs(1);
+            assert!(core.complete(RequestId::new(99), &ok(0)).is_none());
+            let get = forwarded(core.begin(CLIENT, url(0, 1), now, || 7));
+            assert!(
+                core.complete(get.req.next(), &ok(0)).is_none(),
+                "not handed out yet"
+            );
+            assert!(core.complete(get.req, &ok(1)).is_some());
+            assert!(core.complete(get.req, &ok(2)).is_none(), "duplicate");
+            let key = url(0, 1).scoped(CLIENT);
+            assert_eq!(core.cache().peek(key).map(|e| e.meta), Some(meta(1)));
+
+            let given_up = forwarded(core.begin(CLIENT, url(0, 2), now, || 8));
+            assert_eq!(
+                core.oldest().map(|(req, w)| (req, *w)),
+                Some((given_up.req, 8))
+            );
+            assert_eq!(core.abandon(given_up.req), Some(8));
+            assert_eq!(core.abandon(given_up.req), None);
+            assert!(core.complete(given_up.req, &ok(3)).is_none(), "late");
+            assert!(core.cache().peek(url(0, 2).scoped(CLIENT)).is_none());
+            let c = core.counters();
+            assert_eq!((c.replies_200, c.gets_sent, core.in_flight()), (1, 2, 0));
+        }
+    }
+}

@@ -70,6 +70,7 @@
 pub mod analytical;
 pub mod config;
 pub mod economics;
+pub mod fetch;
 pub mod meter;
 pub mod proposer;
 pub mod proxy;
@@ -78,6 +79,9 @@ pub mod sitelist;
 
 pub use config::{AdaptiveTtlConfig, LeasePolicy, ProtocolConfig, ProtocolKind};
 pub use economics::{AdaptiveLeaseConfig, LeaseEconomics};
+pub use fetch::{
+    Begin, Complete, FetchCounters, FetchKind, FetchOutcome, ProxyCore, UpstreamReply,
+};
 pub use meter::{DocViews, HitMeter};
 pub use proposer::{Proposer, ProposerStats};
 pub use proxy::{ProxyAction, ProxyPolicy, RequestDisposition};

@@ -103,9 +103,8 @@ impl ProxyPolicy {
     }
 
     /// Whether a copy with freshness `f` may be served at `now` without
-    /// contacting the origin. The one place that decision is written:
-    /// [`ProxyPolicy::on_request`] acts on it, [`ProxyPolicy::would_serve`]
-    /// only asks.
+    /// contacting the origin: the decision [`ProxyPolicy::on_request`]
+    /// acts on.
     #[inline]
     fn servable(&self, key: ScopedUrl, f: &Freshness, now: SimTime) -> bool {
         if f.questionable {
@@ -130,17 +129,6 @@ impl ProxyPolicy {
             // any missed invalidations).
             ProtocolKind::VolumeLease => f.lease_expires > now && self.volume_live(key, now),
         }
-    }
-
-    /// Read-only probe: would [`ProxyPolicy::on_request`] answer
-    /// [`ProxyAction::ServeFromCache`] for `key` at `now`? Touches neither
-    /// LRU recency nor the hit meter, so a caller that must not start an
-    /// upstream round trip (the TCP tier's reactor thread) can ask first
-    /// and call `on_request` only for a hit.
-    pub fn would_serve(&self, key: ScopedUrl, now: SimTime, cache: &CacheStore) -> bool {
-        cache
-            .peek(key)
-            .is_some_and(|entry| self.servable(key, &entry.freshness, now))
     }
 
     /// A user requests `key` at `now`: decide whether the cached copy can be
@@ -312,43 +300,6 @@ mod tests {
             let d = p.on_request(key, SimTime::from_secs(1), &mut c);
             assert!(!d.had_entry);
             assert_eq!(d.action, ProxyAction::SendGet { ims: None }, "{kind}");
-        }
-    }
-
-    /// The probe is the decision `on_request` acts on, asked without side
-    /// effects: for every protocol and every entry state it agrees with
-    /// the action, and asking leaves recency and the hit meter alone.
-    #[test]
-    fn would_serve_agrees_with_on_request_and_touches_nothing() {
-        let fetched = SimTime::from_secs(100_000);
-        let lease_end = fetched + SimDuration::from_secs(500);
-        // Inside every lease/TTL, and past all of them.
-        let times = [
-            fetched + SimDuration::from_secs(100),
-            fetched + SimDuration::from_days(365),
-        ];
-        for kind in ProtocolKind::ALL {
-            for questionable in [false, true] {
-                for volume in [false, true] {
-                    for now in times {
-                        let (mut p, mut c, key) = setup(kind);
-                        assert!(!p.would_serve(key, now, &c), "{kind:?}: no entry");
-                        p.on_reply_200(key, meta(5), Some(lease_end), fetched, &mut c);
-                        if volume {
-                            p.on_volume_grant(key, Some(lease_end));
-                        }
-                        if questionable {
-                            p.on_proxy_recover(&mut c);
-                        }
-                        let before = c.peek(key).unwrap().clone();
-                        let probe = p.would_serve(key, now, &c);
-                        assert_eq!(*c.peek(key).unwrap(), before, "{kind:?}: probe mutated");
-                        let served =
-                            p.on_request(key, now, &mut c).action == ProxyAction::ServeFromCache;
-                        assert_eq!(probe, served, "{kind:?} q={questionable} v={volume} {now}");
-                    }
-                }
-            }
         }
     }
 

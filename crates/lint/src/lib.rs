@@ -14,6 +14,8 @@
 //! * **todo** — no `todo!` / `unimplemented!` anywhere, tests included.
 //! * **url-path-alloc** — no allocating `Url::path()` in hot crates.
 //! * **obs-registry** — no ad-hoc atomic counters in the TCP prototype.
+//! * **reactor-blocking-io** — no blocking socket I/O in the files that run
+//!   on a serve-tier node's one thread.
 //! * **map-iteration-order** — no unordered map/set iteration whose order
 //!   can reach replay-visible output (see [`order`] for the allowlist).
 //! * **wire-exhaustiveness** — every dispatch over the wire enums names

@@ -53,6 +53,18 @@ fn hot_loop_file(path: &str) -> bool {
     )
 }
 
+/// The files whose code runs on a serve-tier node's one thread, with
+/// every connection of the node waiting behind it.
+fn reactor_file(path: &str) -> bool {
+    matches!(
+        path,
+        "crates/net/src/evloop.rs"
+            | "crates/net/src/proxy.rs"
+            | "crates/net/src/parent.rs"
+            | "crates/net/src/origin.rs"
+    )
+}
+
 fn simulation_code(path: &str) -> bool {
     // Everything except the real-network crate runs under the simulated
     // clock; `crates/net` is the one place wall-time waiting is legitimate.
@@ -145,6 +157,23 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
                   into its send buffer with encode_into, or waive a \
                   setup-time allocation in place",
         in_scope: hot_loop_file,
+        allowed: |_| false,
+        include_tests: false,
+    },
+    SeqRule {
+        name: "reactor-blocking-io",
+        needles: &[
+            &["TcpStream", ":", ":", "connect", "("],
+            &["set_read_timeout", "("],
+            &["read_exact", "("],
+            &[".", "write_all", "("],
+        ],
+        message: "a serve-tier node has one thread: blocking socket I/O \
+                  there stalls every connection of the node; queue the \
+                  frame through the connection's send buffer, dial with \
+                  connect_timeout, or keep a caller-thread API in \
+                  upstream.rs (or waive its function in place)",
+        in_scope: reactor_file,
         allowed: |_| false,
         include_tests: false,
     },

@@ -124,6 +124,40 @@ fn per_frame_encode_denied_in_hot_loop_files() {
 }
 
 #[test]
+fn blocking_socket_io_denied_on_the_node_thread() {
+    for src in [
+        "fn dial(a: SocketAddr) { let s = TcpStream::connect(a); }\n",
+        "fn f(s: &TcpStream) { s.set_read_timeout(None); }\n",
+        "fn f(s: &mut TcpStream, b: &mut [u8]) { s.read_exact(b); }\n",
+        "fn f(s: &mut TcpStream, b: &[u8]) { s.write_all(b); }\n",
+    ] {
+        for path in [
+            "crates/net/src/evloop.rs",
+            "crates/net/src/proxy.rs",
+            "crates/net/src/parent.rs",
+            "crates/net/src/origin.rs",
+        ] {
+            let fired = rules_fired(path, src);
+            assert!(fired.contains(&"reactor-blocking-io"), "{path}: {src}");
+        }
+        // The blocking caller-thread API lives in a file of its own.
+        assert!(rules_fired("crates/net/src/upstream.rs", src).is_empty());
+        assert!(rules_fired("crates/net/src/scrape.rs", src).is_empty());
+    }
+    // A bounded dial, and output queued through the send buffer.
+    let ok = "fn dial(a: &SocketAddr) { let s = TcpStream::connect_timeout(a, T); }\n\
+              fn f(sb: &mut SendBuf, m: &HttpMsg) { encode_into(m, sb.tail()); }\n";
+    assert!(rules_fired("crates/net/src/evloop.rs", ok).is_empty());
+    // The dial's first frame, and a caller-thread function, waived in place.
+    let waived = "fn hello(s: &mut TcpStream, f: &[u8]) { s.write_all(f); } \
+                  // xtask-lint: allow(reactor-blocking-io)\n";
+    assert!(rules_fired("crates/net/src/evloop.rs", waived).is_empty());
+    // Tests drive nodes from outside over blocking sockets.
+    let test = "#[cfg(test)]\nmod tests {\n    fn f() { TcpStream::connect(a); }\n}\n";
+    assert!(rules_fired("crates/net/src/evloop.rs", test).is_empty());
+}
+
+#[test]
 fn adhoc_atomic_counters_denied_in_the_tcp_prototype() {
     let src = "use std::sync::atomic::AtomicU64;\n";
     assert_eq!(

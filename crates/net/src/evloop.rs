@@ -1,13 +1,13 @@
-//! The serve-tier node runtime: one reactor loop, one frame pump, one
-//! worker pool — and three roles.
+//! The serve-tier node runtime: one thread, one reactor loop, one frame
+//! pump — and three roles.
 //!
-//! Every node (origin, proxy, parent) is a [`Role`] run by [`spawn`]: the
-//! runtime owns the sockets, the role owns the protocol. What lives here,
-//! once:
+//! Every node (origin, proxy, parent) is a [`Role`] run by [`spawn`] on a
+//! single thread: the runtime owns the sockets, the role owns the protocol.
+//! What lives here, once:
 //!
 //! * the `Poller::wait` loop, its timeout driven by the earliest of the
-//!   role's deadline and the runtime's own channel re-dial deadline (a
-//!   due deadline fires after any wake, busy or idle);
+//!   role's deadline and the runtime's own re-dial deadline (a due
+//!   deadline fires after any wake, busy or idle);
 //! * a slab of non-blocking connections keyed by generation tokens, each
 //!   with a compacting receive buffer (frames decode from it in place via
 //!   `wcc_proto::zero::decode_frame` — the zero-copy path) and a send
@@ -18,39 +18,42 @@
 //! * the frame pump: read → decode → [`Role::on_frame`] → consume, then
 //!   keep / close-after-flush / close. A clean EOF (a half-closing
 //!   HTTP/1.0 client) closes only once every reply the peer is still owed
-//!   — queued, parked or with a worker — has been flushed;
+//!   — queued, parked or deferred — has been flushed;
 //! * the reply pipeline: every request a role answers takes the
 //!   connection's next sequence number, whether [`Cx::reply`] answers it
-//!   on the reactor or [`Cx::submit`] hands it to the worker pool
-//!   ([`Role::run_job`]), and replies leave strictly in that order however
-//!   the workers finish — one mechanism: a reply that is ready early
-//!   parks on its connection until everything ahead of it went out;
-//! * the outbox — "push this frame to that other connection" — delivered
-//!   after each batch of events; a frame addressed to a connection that
-//!   closed (even if its slot was reused) is dropped;
-//! * the persistent `HELLO` channel to the upstream node: dialled
-//!   synchronously by [`spawn`] so an unreachable upstream fails fast,
-//!   re-dialled every 250 ms while it is down (the §5 reconnect);
+//!   now or [`Cx::defer`] takes a [`Ticket`] for it, and replies leave
+//!   strictly in that order — one mechanism: a reply that is ready early
+//!   parks on its connection until everything ahead of it went out. A
+//!   connection owed [`MAX_PIPELINE`] replies is not read from until one
+//!   left, so what a peer can make the node hold for it is bounded;
+//! * the outbox ([`Out`]) — "push this frame to that other connection",
+//!   "redeem that ticket" — delivered after each batch of events; whatever
+//!   is addressed to a connection that closed (even if its slot was
+//!   reused) is dropped;
+//! * the two connections to the upstream node: the persistent `HELLO`
+//!   channel invalidations are pushed on and the pipelined request
+//!   connection ([`UPSTREAM`]) misses are forwarded on, both dialled
+//!   synchronously by [`spawn`], so an unreachable upstream fails fast,
+//!   and re-dialled, at most once per 250 ms each, while they are down
+//!   (the §5 reconnect);
 //! * the graceful drain on shutdown.
 //!
-//! A role touches only what [`Cx`] hands it: its own connection's tag and
-//! reply pipeline, the outbox, and the job pool. Dispatch is static
-//! (`Runtime<R: Role>`): no `dyn`, no boxed callbacks per frame.
+//! A role never blocks. It touches only what [`Cx`] hands it — its own
+//! connection's tag and reply pipeline, and the outbox — and all of it is
+//! bounded work in memory: no socket or file I/O, no lock held across
+//! either. A request that cannot be answered from memory is *deferred*:
+//! the role takes a [`Ticket`], the promise that this connection's reply
+//! pipeline holds a place for the answer, sends what it needs upstream
+//! through the outbox, and returns. On whatever later turn the upstream's
+//! reply arrives, the role redeems the ticket ([`Out::Redeem`]) with the
+//! answer, or with `None` if there will be none: then what is ahead of it
+//! still flushes and the connection closes. A ticket whose connection is
+//! gone is redeemed into nothing. Every ticket is redeemed exactly once.
 //!
-//! What a role may do inside [`Role::on_frame`] — on the reactor, with
-//! every other connection of the node waiting: bounded work only, and no
-//! socket or file I/O — anything that may fetch is a job. A request that
-//! needs a lock a worker can hold across an upstream round trip takes it
-//! with `try_lock`, and busy means "submit the job"; only a pushed
-//! invalidation, which has to be serialised behind the fetch in flight,
-//! waits for that lock. The proxy and the parent answer cache hits this
-//! way and send every other `GET` to the pool; the origin, whose handlers
-//! never leave memory, has no pool.
-//!
-//! This file is on the hot-loop allocation lint list: everything here
-//! runs once per readiness event at 10k-connection scale.
+//! Dispatch is static (`Runtime<R: Role>`). This file is on the hot-loop
+//! allocation lint list: everything here runs once per readiness event at
+//! 10k-connection scale.
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -67,16 +70,20 @@ const TOK_LISTENER: u64 = 0;
 const TOK_LISTENER2: u64 = 1;
 /// Token of the reactor's waker pipe.
 const TOK_WAKER: u64 = 2;
+/// Outbox address of the request connection to the upstream, whichever
+/// socket currently carries it. A frame pushed here while it is down is
+/// dropped; [`Role::on_redial`] says when to send it again.
+pub(crate) const UPSTREAM: u64 = 3;
 /// First token handed to accepted connections; everything below is a
 /// fixed singleton.
 const FIRST_CONN: u64 = 16;
 
-/// Worker threads of a role that uses the pool. Fetches serialise on the
-/// role's policy lock anyway; two workers let encode/decode overlap one
-/// upstream round trip.
-pub(crate) const WORKERS: usize = 2;
+/// Replies one connection may be owed (deferred, or parked behind a
+/// deferred one) before the runtime stops reading from it.
+pub(crate) const MAX_PIPELINE: u64 = 64;
 
-/// How long a dropped `HELLO` channel waits before the next re-dial.
+/// The least time between two dials of the same upstream connection; also
+/// bounds each dial, which runs on the reactor thread.
 const REDIAL: SimDuration = SimDuration::from_millis(250);
 
 /// What the pump does with a connection after a frame was handled.
@@ -95,23 +102,33 @@ pub(crate) enum Via {
     Listener2,
     /// The runtime-dialled `HELLO` channel to the upstream node.
     Dial,
+    /// The runtime-dialled request connection to the upstream node.
+    Upstream,
 }
 
-/// Frames queued for connections other than the one being pumped.
-pub(crate) type Outbox = Vec<(u64, HttpMsg)>;
+/// A place in one connection's reply pipeline, held for a reply that is
+/// not ready yet.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Ticket {
+    token: u64,
+    seq: u64,
+}
 
-/// One node's protocol, driven by the runtime. `&mut self` methods run on
-/// the reactor thread only; [`Role::run_job`] runs on the workers and
-/// sees only `Shared`.
+/// What a role wants done on a connection other than the one being pumped.
+pub(crate) enum Out {
+    /// Queue the frame for the connection the token names (or [`UPSTREAM`]).
+    Push(u64, HttpMsg),
+    /// The reply leaves on the ticket's connection once everything ahead
+    /// of it did; `None` closes the connection behind what is ahead.
+    Redeem(Ticket, Option<HttpMsg>),
+}
+
+pub(crate) type Outbox = Vec<Out>;
+
+/// One node's protocol, driven by the runtime on the node's only thread.
 pub(crate) trait Role: Sized + Send + 'static {
     /// Per-connection state the role keeps (what kind of peer this is).
     type Tag: Send;
-    /// Work handed to the pool by [`Cx::submit`].
-    type Job: Send + 'static;
-    /// What the workers see of the node.
-    type Shared: Send + Sync + 'static;
-    /// Pool size: [`WORKERS`], or 0 for a role that never submits.
-    const POOL: usize;
 
     /// The tag of a freshly accepted (or dialled) connection.
     fn tag(&self, via: Via) -> Self::Tag;
@@ -121,7 +138,7 @@ pub(crate) trait Role: Sized + Send + 'static {
     /// A connection went away (idempotent; the token may be stale).
     fn on_closed(&mut self, _token: u64) {}
     /// `n` connections were dropped by the runtime: accept/registration
-    /// failures, or a failed job forcing a close.
+    /// failures, or a ticket redeemed with `None` forcing a close.
     fn on_dropped(&mut self, _n: u64) {}
     /// Time until the role's next deadline (`ZERO`: due now).
     fn next_deadline(&self) -> Option<Duration> {
@@ -129,9 +146,10 @@ pub(crate) trait Role: Sized + Send + 'static {
     }
     /// Called after a wake once [`Role::next_deadline`] reached zero.
     fn on_deadline(&mut self, _out: &mut Outbox) {}
-    /// Runs one job on a worker. `None` means the job failed: earlier
-    /// replies on that connection still flush, then it closes.
-    fn run_job(shared: &Self::Shared, job: Self::Job) -> Option<HttpMsg>;
+    /// The request connection had dropped and was just dialled again:
+    /// with `up`, whatever was in flight on the old one can be sent again
+    /// to [`UPSTREAM`]; without, it is lost until the next attempt.
+    fn on_redial(&mut self, _up: bool, _out: &mut Outbox) {}
 }
 
 /// Time left of `period` on a clock started at the period's beginning.
@@ -147,7 +165,7 @@ pub(crate) fn earliest(a: Option<Duration>, b: Option<Duration>) -> Option<Durat
     }
 }
 
-/// The `HELLO` registration a proxy or parent keeps open to its upstream.
+/// The upstream a proxy or parent dials, and how it registers there.
 pub(crate) struct Hello {
     pub upstream: SocketAddr,
     pub partition: u32,
@@ -155,58 +173,48 @@ pub(crate) struct Hello {
 }
 
 impl Hello {
-    /// Dials the upstream and registers (blocking; loopback-fast).
-    fn dial(&self) -> io::Result<TcpStream> {
-        let mut stream = TcpStream::connect(self.upstream)?;
+    /// Dials the upstream, bounded by [`REDIAL`]; the `HELLO` channel
+    /// also registers.
+    fn dial(&self, via: Via) -> io::Result<TcpStream> {
+        let bound = Duration::from_micros(REDIAL.as_micros());
+        let mut stream = TcpStream::connect_timeout(&self.upstream, bound)?;
         let _ = stream.set_nodelay(true);
-        let hello = HttpMsg::Hello {
-            partition: self.partition,
-            partitions: self.partitions,
-        };
-        // One frame per (re-)dial, written before the stream has a buffer.
-        stream.write_all(&encode(&hello))?; // xtask-lint: allow(hot-loop-alloc)
-        stream.flush()?;
+        if let Via::Dial = via {
+            // One small frame per (re-)dial, written before the stream has
+            // a buffer, into a socket buffer that is still empty.
+            let hello = HttpMsg::Hello {
+                partition: self.partition,
+                partitions: self.partitions,
+            };
+            let frame = encode(&hello); // xtask-lint: allow(hot-loop-alloc)
+            stream.write_all(&frame)?; // xtask-lint: allow(reactor-blocking-io)
+            stream.flush()?;
+        }
         Ok(stream)
     }
 }
 
-/// A job on its way to a worker.
-struct Job<J> {
-    token: u64,
-    seq: u64,
-    work: J,
-}
-
-/// A finished job re-entering the reactor.
-struct Done {
-    token: u64,
-    seq: u64,
-    msg: Option<HttpMsg>,
-}
-
-/// Round-robin dealer over the per-worker inboxes (the vendored channel
-/// is single-consumer). Per-connection sequence numbers restore pipeline
-/// order on the way back regardless of which worker finishes first.
-struct Pool<J> {
-    lanes: Vec<Sender<Job<J>>>,
-    next: usize,
-    /// Jobs submitted whose completion has not been applied yet.
-    outstanding: u32,
+/// One runtime-dialled connection to the upstream.
+struct Link {
+    /// Its token while it is up.
+    token: Option<u64>,
+    /// Started at the last dial, successful or not.
+    dialled: WallClock,
 }
 
 /// What [`Role::on_frame`] may touch: the pumped connection's tag and
-/// reply pipeline, the outbox, and the pool.
+/// reply pipeline, and the outbox.
 pub(crate) struct Cx<'a, R: Role> {
-    /// The pumped connection's token (what an [`Outbox`] entry targets).
+    /// The pumped connection's token (what an [`Out::Push`] targets).
     pub token: u64,
     pub tag: &'a mut R::Tag,
-    /// Frames for other connections.
+    /// What is to happen on other connections.
     pub out: &'a mut Outbox,
     sbuf: &'a mut SendBuf,
     next_assign: &'a mut u64,
     next_send: &'a mut u64,
     parked: &'a mut Vec<(u64, Option<HttpMsg>)>,
-    pool: &'a mut Pool<R::Job>,
+    deferred: &'a mut u32,
 }
 
 impl<R: Role> Cx<'_, R> {
@@ -217,12 +225,11 @@ impl<R: Role> Cx<'_, R> {
         seq
     }
 
-    /// Answers the frame being handled, from the reactor. The reply takes
-    /// the connection's next sequence number like a submitted job does: it
-    /// is encoded into the send buffer at once when nothing earlier is
-    /// still with a worker, and otherwise parks until `apply_done` has
-    /// delivered everything ahead of it — a peer never sees replies out
-    /// of request order, whichever thread produced them.
+    /// Answers the frame being handled. The reply takes the connection's
+    /// next sequence number like a deferred one does: it is encoded into
+    /// the send buffer at once when nothing earlier is still deferred, and
+    /// otherwise parks until everything ahead of it was redeemed — a peer
+    /// never sees replies out of request order.
     pub fn reply(&mut self, msg: HttpMsg) {
         let seq = self.assign();
         if seq == *self.next_send {
@@ -241,19 +248,13 @@ impl<R: Role> Cx<'_, R> {
         After::CloseAfterFlush
     }
 
-    /// Hands `work` to the pool; its reply is delivered on this
-    /// connection after every earlier request's.
-    pub fn submit(&mut self, work: R::Job) {
-        let seq = self.assign();
-        let lane = self.pool.next % self.pool.lanes.len().max(1);
-        self.pool.next = self.pool.next.wrapping_add(1);
-        if let Some(tx) = self.pool.lanes.get(lane) {
-            self.pool.outstanding += 1;
-            let _ = tx.send(Job {
-                token: self.token,
-                seq,
-                work,
-            });
+    /// Holds the frame's place in the reply pipeline for an answer that
+    /// comes later, through [`Out::Redeem`].
+    pub fn defer(&mut self) -> Ticket {
+        *self.deferred += 1;
+        Ticket {
+            token: self.token,
+            seq: self.assign(),
         }
     }
 }
@@ -269,9 +270,9 @@ struct Conn<T> {
     interest: Interest,
     /// Close once the send buffer drains (one-shot replies, shutdown).
     close_after_flush: bool,
-    /// Pipeline ordering: every reply — a job's or the reactor's own —
-    /// takes a sequence number when its request is handled and replies
-    /// are delivered strictly in that order; early finishers park.
+    /// Pipeline ordering: every reply — deferred or not — takes a sequence
+    /// number when its request is handled and replies are delivered
+    /// strictly in that order; early finishers park.
     next_assign: u64,
     next_send: u64,
     parked: Vec<(u64, Option<HttpMsg>)>,
@@ -295,11 +296,17 @@ impl<T> Conn<T> {
             }
         }
     }
+
+    /// The pipeline is full: no further request is decoded, or read,
+    /// until a reply left.
+    fn stalled(&self) -> bool {
+        self.next_assign - self.next_send >= MAX_PIPELINE
+    }
 }
 
 /// Connection slab with generation-checked tokens.
 ///
-/// Tokens are `(generation << 32) | (index + FIRST_CONN)`: a completion
+/// Tokens are `(generation << 32) | (index + FIRST_CONN)`: a redemption
 /// or queued push addressed to a connection that was closed and whose
 /// slot was reused simply fails the generation check and is dropped.
 struct Conns<T> {
@@ -382,9 +389,9 @@ impl<T> Conns<T> {
         }
     }
 
-    /// Flushes queued output and keeps the poller's write interest in
-    /// sync. Returns `false` if the connection was closed (fatal write
-    /// error, or drained with `close_after_flush`).
+    /// Flushes queued output and keeps the poller's interest in sync.
+    /// Returns `false` if the connection was closed (fatal write error, or
+    /// drained with `close_after_flush`).
     fn flush(&mut self, poller: &mut Poller, token: u64) -> bool {
         use std::os::fd::AsRawFd;
         let Some(conn) = self.get_mut(token) else {
@@ -401,12 +408,13 @@ impl<T> Conns<T> {
             self.close(poller, token);
             return false;
         }
-        // Write interest only while output is queued; read interest only
-        // until the peer's EOF — readiness is level-triggered, so a
-        // half-closed socket kept open for a reply still with a worker
-        // would otherwise wake the loop until that reply arrives.
+        // Write interest only while output is queued. Read interest only
+        // while a request could be taken — not with a full pipeline — and
+        // only until the peer's EOF: readiness is level-triggered, so a
+        // half-closed socket kept open for a deferred reply would
+        // otherwise wake the loop until that reply arrives.
         let want = Interest {
-            readable: !conn.eof,
+            readable: !conn.eof && !conn.stalled(),
             writable: !drained,
         };
         if want != conn.interest {
@@ -417,43 +425,44 @@ impl<T> Conns<T> {
     }
 }
 
-/// A running node: its reactor and worker threads. Shuts them down (and
-/// joins them) on drop.
+/// A running node: its one thread. Shuts it down (and joins it) on drop.
 pub(crate) struct Node {
     shutdown: Arc<AtomicBool>,
+    /// Makes `Poller::wait` return so the flag is seen.
     wake: WakeHandle,
-    threads: Vec<JoinHandle<()>>,
+    thread: Option<JoinHandle<()>>,
 }
 
 impl Drop for Node {
     fn drop(&mut self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.wake.wake();
-        // The workers exit once the reactor has dropped their inboxes.
-        for t in self.threads.drain(..) {
-            let _ = t.join();
+        if let Some(thread) = self.thread.take() {
+            let _ = thread.join();
         }
     }
 }
 
-/// Starts `role` on `listener` (plus the optional second listener and
-/// upstream `HELLO` channel). Every thread of the node — the reactor and
-/// [`Role::POOL`] workers — exists by the time this returns.
+/// Starts `role` on `listener` (plus the optional second listener and the
+/// connections to the upstream `hello` names). The node's thread exists by
+/// the time this returns.
 ///
 /// # Errors
 ///
-/// Returns socket errors from the `HELLO` dial or reactor set-up; no
+/// Returns socket errors from the upstream dials or reactor set-up; no
 /// thread is left behind on failure.
 pub(crate) fn spawn<R: Role>(
     role: R,
-    shared: &Arc<R::Shared>,
     listener: TcpListener,
     listener2: Option<TcpListener>,
     hello: Option<Hello>,
 ) -> io::Result<Node> {
     use std::os::fd::AsRawFd;
     // Dial first: an unreachable upstream fails the spawn.
-    let channel = hello.as_ref().map(Hello::dial).transpose()?;
+    let dialled = match &hello {
+        Some(hello) => Some((hello.dial(Via::Upstream)?, hello.dial(Via::Dial)?)),
+        None => None,
+    };
     let mut poller = Poller::new()?;
     listener.set_nonblocking(true)?;
     poller.add(listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;
@@ -464,23 +473,6 @@ pub(crate) fn spawn<R: Role>(
     let waker = Waker::new()?;
     waker.register(&mut poller, TOK_WAKER)?;
     let wake = waker.handle()?;
-    let mut worker_wakes = Vec::with_capacity(R::POOL);
-    for _ in 0..R::POOL {
-        worker_wakes.push(waker.handle()?);
-    }
-
-    let (done_tx, done_rx) = unbounded::<Done>();
-    let mut lanes = Vec::with_capacity(R::POOL);
-    let mut threads = Vec::with_capacity(R::POOL + 1);
-    for wake in worker_wakes {
-        let (tx, rx) = unbounded::<Job<R::Job>>();
-        lanes.push(tx);
-        let shared = Arc::clone(shared);
-        let done = done_tx.clone();
-        threads.push(std::thread::spawn(move || {
-            worker_loop::<R>(&shared, &rx, &done, &wake);
-        }));
-    }
 
     let mut rt = Runtime {
         role,
@@ -489,49 +481,32 @@ pub(crate) fn spawn<R: Role>(
         listener2,
         conns: Conns::with_capacity(256),
         outbox: Vec::with_capacity(64),
-        pool: Pool {
-            lanes,
-            next: 0,
-            outstanding: 0,
-        },
+        deferred: 0,
         hello,
-        channel: None,
-        channel_down: WallClock::start(),
+        channel: Link {
+            token: None,
+            dialled: WallClock::start(),
+        },
+        requests: Link {
+            token: None,
+            dialled: WallClock::start(),
+        },
     };
-    if let Some(stream) = channel {
-        rt.adopt_channel(stream);
+    if let Some((requests, channel)) = dialled {
+        rt.adopt(Via::Upstream, requests);
+        rt.adopt(Via::Dial, channel);
     }
     let shutdown = Arc::new(AtomicBool::new(false));
     let stop = Arc::clone(&shutdown);
-    threads.push(std::thread::spawn(move || rt.run(&waker, &done_rx, &stop)));
+    let thread = std::thread::spawn(move || rt.run(&waker, &stop));
     Ok(Node {
         shutdown,
         wake,
-        threads,
+        thread: Some(thread),
     })
 }
 
-fn worker_loop<R: Role>(
-    shared: &R::Shared,
-    jobs: &Receiver<Job<R::Job>>,
-    done: &Sender<Done>,
-    wake: &WakeHandle,
-) {
-    while let Ok(job) = jobs.recv() {
-        let msg = R::run_job(shared, job.work);
-        let sent = done.send(Done {
-            token: job.token,
-            seq: job.seq,
-            msg,
-        });
-        if sent.is_err() {
-            break;
-        }
-        wake.wake();
-    }
-}
-
-/// Everything the reactor thread owns.
+/// Everything the node's thread owns.
 struct Runtime<R: Role> {
     role: R,
     poller: Poller,
@@ -539,21 +514,36 @@ struct Runtime<R: Role> {
     listener2: Option<TcpListener>,
     conns: Conns<R::Tag>,
     outbox: Outbox,
-    pool: Pool<R::Job>,
+    /// Tickets taken and not yet redeemed.
+    deferred: u32,
     hello: Option<Hello>,
-    /// The live `HELLO` channel's token.
-    channel: Option<u64>,
-    /// Started when the channel last went down (or a re-dial failed).
-    channel_down: WallClock,
+    /// The `HELLO` channel.
+    channel: Link,
+    /// The request connection ([`UPSTREAM`]).
+    requests: Link,
 }
 
 impl<R: Role> Runtime<R> {
     /// The node's whole serving tier: one loop, every connection.
-    fn run(mut self, waker: &Waker, done: &Receiver<Done>, shutdown: &AtomicBool) {
+    fn run(mut self, waker: &Waker, shutdown: &AtomicBool) {
         let mut events: Vec<Event> = Vec::with_capacity(256);
+        // Started by the shutdown request: deferred replies get a bounded
+        // window to arrive and flush before everything closes.
+        let mut draining: Option<WallClock> = None;
         loop {
-            let timeout = earliest(self.role.next_deadline(), self.redial_left());
-            if self.poller.wait(&mut events, timeout).is_err() || shutdown.load(Ordering::SeqCst) {
+            let timeout = match draining {
+                Some(_) => Some(Duration::from_millis(20)),
+                None => earliest(self.role.next_deadline(), self.redial_left()),
+            };
+            if self.poller.wait(&mut events, timeout).is_err() {
+                break;
+            }
+            if draining.is_none() && shutdown.load(Ordering::SeqCst) {
+                draining = Some(WallClock::start());
+            }
+            if draining.as_ref().is_some_and(|since| {
+                self.deferred == 0 || since.has_elapsed(SimDuration::from_secs(1))
+            }) {
                 break;
             }
             for ev in events.iter().copied() {
@@ -571,32 +561,13 @@ impl<R: Role> Runtime<R> {
                     }
                 }
             }
-            while let Some(d) = done.try_recv() {
-                self.apply_done(d);
-            }
             if self.redial_left() == Some(Duration::ZERO) {
-                match self.hello.as_ref().map(Hello::dial) {
-                    Some(Ok(stream)) => self.adopt_channel(stream),
-                    _ => self.channel_down = WallClock::start(),
-                }
+                self.redial();
             }
             if self.role.next_deadline() == Some(Duration::ZERO) {
                 self.role.on_deadline(&mut self.outbox);
             }
             self.deliver_outbox();
-        }
-
-        // Graceful drain: give in-flight jobs a bounded window to finish
-        // and flush, then close everything.
-        let grace = WallClock::start();
-        while self.pool.outstanding > 0 && !grace.has_elapsed(SimDuration::from_secs(1)) {
-            let _ = self
-                .poller
-                .wait(&mut events, Some(Duration::from_millis(20)));
-            waker.drain();
-            while let Some(d) = done.try_recv() {
-                self.apply_done(d);
-            }
         }
         // One last best-effort flush; dropping the runtime closes the rest.
         for conn in self.conns.slots.iter_mut().filter_map(|s| s.conn.as_mut()) {
@@ -604,17 +575,51 @@ impl<R: Role> Runtime<R> {
         }
     }
 
-    /// Time until the next `HELLO` re-dial; `None` while the channel is up
-    /// (or the role has none).
-    fn redial_left(&self) -> Option<Duration> {
-        (self.hello.is_some() && self.channel.is_none())
-            .then(|| time_left(&self.channel_down, REDIAL))
+    /// The upstream connection that is dialled as `via`.
+    fn link(&mut self, via: Via) -> &mut Link {
+        match via {
+            Via::Upstream => &mut self.requests,
+            Via::Dial => &mut self.channel,
+            Via::Listener | Via::Listener2 => unreachable!("accepted, not dialled"),
+        }
     }
 
-    fn adopt_channel(&mut self, stream: TcpStream) {
-        let tag = self.role.tag(Via::Dial);
-        self.channel = self.conns.insert(&mut self.poller, stream, tag).ok();
-        self.channel_down = WallClock::start();
+    /// Time until the next upstream re-dial; `None` while both connections
+    /// are up (or the role has no upstream).
+    fn redial_left(&self) -> Option<Duration> {
+        self.hello.as_ref()?;
+        let left = |link: &Link| {
+            link.token
+                .is_none()
+                .then(|| time_left(&link.dialled, REDIAL))
+        };
+        earliest(left(&self.requests), left(&self.channel))
+    }
+
+    /// Dials whichever upstream connection is down and due. The request
+    /// connection goes first: once the upstream has our `HELLO` (and may
+    /// start its recovery handshake), it can already be asked.
+    fn redial(&mut self) {
+        for via in [Via::Upstream, Via::Dial] {
+            let link = self.link(via);
+            if link.token.is_some() || !link.dialled.has_elapsed(REDIAL) {
+                continue;
+            }
+            link.dialled = WallClock::start();
+            let stream = self.hello.as_ref().and_then(|hello| hello.dial(via).ok());
+            let up = stream.is_some_and(|stream| self.adopt(via, stream));
+            if let Via::Upstream = via {
+                self.role.on_redial(up, &mut self.outbox);
+            }
+        }
+    }
+
+    /// Registers a freshly dialled upstream connection.
+    fn adopt(&mut self, via: Via, stream: TcpStream) -> bool {
+        let tag = self.role.tag(via);
+        let token = self.conns.insert(&mut self.poller, stream, tag).ok();
+        self.link(via).token = token;
+        token.is_some()
     }
 
     /// Accepts every pending connection on a non-blocking listener.
@@ -653,11 +658,14 @@ impl<R: Role> Runtime<R> {
         self.closed(token);
     }
 
-    /// Bookkeeping for a connection that is gone.
+    /// Bookkeeping for a connection that is gone. An upstream connection
+    /// is dialled again as soon as its last dial is [`REDIAL`] old — at
+    /// once, if it had been up that long.
     fn closed(&mut self, token: u64) {
-        if self.channel == Some(token) {
-            self.channel = None;
-            self.channel_down = WallClock::start();
+        for link in [&mut self.channel, &mut self.requests] {
+            if link.token == Some(token) {
+                link.token = None;
+            }
         }
         self.role.on_closed(token);
     }
@@ -669,19 +677,35 @@ impl<R: Role> Runtime<R> {
         }
     }
 
-    /// Queues `outbox` frames into their target connections and flushes.
+    /// Delivers the outbox. Redeeming a ticket may pump a connection that
+    /// was stalled and so queue more, hence the loop.
     fn deliver_outbox(&mut self) {
-        let mut outbox = std::mem::take(&mut self.outbox);
-        for (tok, msg) in outbox.drain(..) {
-            if let Some(conn) = self.conns.get_mut(tok) {
-                encode_into(&msg, conn.sbuf.tail());
+        while !self.outbox.is_empty() {
+            let mut batch = std::mem::take(&mut self.outbox);
+            for out in batch.drain(..) {
+                let (tok, msg) = match (out, self.requests.token) {
+                    (Out::Redeem(ticket, reply), _) => {
+                        self.redeem(ticket, reply);
+                        continue;
+                    }
+                    (Out::Push(UPSTREAM, msg), Some(requests)) => (requests, msg),
+                    (Out::Push(UPSTREAM, _), None) => continue,
+                    (Out::Push(tok, msg), _) => (tok, msg),
+                };
+                if let Some(conn) = self.conns.get_mut(tok) {
+                    encode_into(&msg, conn.sbuf.tail());
+                }
+                self.flush(tok);
             }
-            self.flush(tok);
+            // Keep the grown buffer unless a pump already queued more.
+            if self.outbox.is_empty() {
+                self.outbox = batch;
+            }
         }
-        self.outbox = outbox;
     }
 
-    /// Reads and dispatches every complete frame on one connection.
+    /// Reads and dispatches every complete frame on one connection, up to
+    /// a full pipeline.
     fn pump(&mut self, token: u64) {
         match self.conns.get_mut(token).map(Conn::read_ready) {
             Some(Ok(())) => {}
@@ -692,11 +716,14 @@ impl<R: Role> Runtime<R> {
             let Some(conn) = self.conns.get_mut(token) else {
                 return;
             };
+            if conn.stalled() {
+                break; // `redeem` resumes here
+            }
             let after = match decode_frame(conn.rbuf.data(), conn.eof) {
                 Ok(None) => break, // mid-frame; more bytes may arrive
                 // Clean EOF between frames (a half-closing HTTP/1.0 client):
-                // every reply still owed goes out first. `apply_done`
-                // closes behind the last one a worker holds ...
+                // every reply still owed goes out first. `redeem` closes
+                // behind the last deferred one ...
                 Err(WireError::Closed) if conn.next_send != conn.next_assign => break,
                 // ... and what is already queued flushes before the close.
                 Err(WireError::Closed) if !conn.sbuf.is_empty() => After::CloseAfterFlush,
@@ -710,7 +737,7 @@ impl<R: Role> Runtime<R> {
                         next_assign: &mut conn.next_assign,
                         next_send: &mut conn.next_send,
                         parked: &mut conn.parked,
-                        pool: &mut self.pool,
+                        deferred: &mut self.deferred,
                     };
                     let after = self.role.on_frame(&mut cx, &msg);
                     conn.rbuf.consume(used);
@@ -729,39 +756,45 @@ impl<R: Role> Runtime<R> {
         self.flush(token);
     }
 
-    /// Applies one finished job: park it, then deliver every reply that
-    /// is next in pipeline order — the reactor's own parked replies
-    /// ([`Cx::reply`]) included. A completion for a connection that is
-    /// gone — or already closing — is dropped, and so is whatever was
-    /// parked there.
-    fn apply_done(&mut self, d: Done) {
-        self.pool.outstanding -= 1;
-        let Some(conn) = self.conns.get_mut(d.token) else {
+    /// Redeems one ticket: park its reply, then deliver every reply that
+    /// is next in pipeline order — parked [`Cx::reply`]s included. A
+    /// redemption for a connection that is gone — or already closing — is
+    /// dropped, and so is whatever was parked there.
+    fn redeem(&mut self, ticket: Ticket, reply: Option<HttpMsg>) {
+        self.deferred -= 1;
+        let Some(conn) = self.conns.get_mut(ticket.token) else {
             return;
         };
         if conn.close_after_flush {
             return;
         }
-        conn.parked.push((d.seq, d.msg));
+        let stalled = conn.stalled();
+        conn.parked.push((ticket.seq, reply));
         while let Some(i) = conn.parked.iter().position(|(s, _)| *s == conn.next_send) {
             let (_, msg) = conn.parked.swap_remove(i);
             conn.next_send += 1;
             match msg {
                 Some(m) => encode_into(&m, conn.sbuf.tail()),
                 None => {
-                    // The job failed (upstream down): deliver what we
-                    // have, then drop the connection so the peer re-dials.
+                    // There will be no answer (upstream down): deliver
+                    // what we have, then drop the connection so the peer
+                    // re-dials.
                     conn.close_after_flush = true;
                     self.role.on_dropped(1);
                     break;
                 }
             }
         }
+        if stalled && !conn.stalled() && !conn.close_after_flush {
+            // Requests were left undecoded (and unread) behind the full
+            // pipeline; no readiness event will announce them again.
+            return self.pump(ticket.token);
+        }
         // The peer half-closed while replies were owed: that was the last.
         if conn.eof && conn.next_send == conn.next_assign {
             conn.close_after_flush = true;
         }
-        self.flush(d.token);
+        self.flush(ticket.token);
     }
 }
 
@@ -771,7 +804,6 @@ mod tests {
     use parking_lot::Mutex;
     use std::io::{Read, Write};
     use std::net::Shutdown;
-    use std::sync::mpsc;
     use wcc_proto::{FrameReader, GetRequest, Reply, ReplyStatus, RequestId};
     use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url};
 
@@ -785,13 +817,15 @@ mod tests {
 
     // ---- the runtime, driven by a toy echo role over loopback ----
 
-    /// Answered on the reactor thread.
+    /// Answered at once.
     const INLINE: ClientId = ClientId::from_raw(0);
-    /// Answered by a pool worker.
-    const JOB: ClientId = ClientId::from_raw(1);
-    /// A pool job that finishes only once the test opens the gate.
-    const GATED: ClientId = ClientId::from_raw(2);
-    /// A pool job that fails.
+    /// Deferred: a ticket is taken and held until a release names it.
+    const DEFER: ClientId = ClientId::from_raw(1);
+    /// Redeems the deferred request whose id is this frame's document
+    /// index with its echo, from whatever connection this arrives on;
+    /// answered at once itself.
+    const RELEASE: ClientId = ClientId::from_raw(2);
+    /// Like [`RELEASE`], but redeems with `None`: there is no answer.
     const FAIL: ClientId = ClientId::from_raw(3);
     /// Larger than loopback socket buffers absorb: a flush of a reply
     /// this size stays partial until the peer reads.
@@ -801,19 +835,18 @@ mod tests {
     struct EchoShared {
         /// `(token, req)` of every `GET` handled, in order.
         seen: Mutex<Vec<(u64, u64)>>,
-        /// One token per gated job the test lets finish.
-        gate: Mutex<Option<mpsc::Receiver<()>>>,
         dropped: Mutex<u64>,
         /// Reactor loop turns, twice each (`next_deadline` calls).
         turns: Mutex<u64>,
     }
 
     /// Echoes each `GET` as a `200` whose body is `cache_hits` bytes long;
-    /// the client id picks how (inline / job / gated job / failing job).
-    /// A `HELLO` arms a 30 ms deadline that pushes one frame back to the
-    /// connection that sent it.
+    /// the client id picks when (see the constants above). A `HELLO` arms a
+    /// 30 ms deadline that pushes one frame back to the connection that
+    /// sent it.
     struct Echo {
         shared: Arc<EchoShared>,
+        held: Vec<(Ticket, GetRequest)>,
         push: Option<(u64, WallClock)>,
     }
 
@@ -832,9 +865,6 @@ mod tests {
 
     impl Role for Echo {
         type Tag = ();
-        type Job = GetRequest;
-        type Shared = EchoShared;
-        const POOL: usize = WORKERS;
 
         fn tag(&self, _via: Via) {}
 
@@ -842,11 +872,19 @@ mod tests {
             match msg {
                 HttpMsgRef::Get(get) => {
                     self.shared.seen.lock().push((cx.token, get.req.get()));
-                    if get.client == INLINE {
-                        cx.reply(echo(get));
-                    } else {
-                        cx.submit(get.clone());
+                    if get.client == DEFER {
+                        self.held.push((cx.defer(), (*get).clone()));
+                        return After::Keep;
                     }
+                    let named = |(_, held): &(Ticket, GetRequest)| {
+                        get.client != INLINE && held.req.get() == u64::from(get.url.doc())
+                    };
+                    if let Some(i) = self.held.iter().position(named) {
+                        let (ticket, held) = self.held.swap_remove(i);
+                        let reply = (get.client == RELEASE).then(|| echo(&held));
+                        cx.out.push(Out::Redeem(ticket, reply));
+                    }
+                    cx.reply(echo(get));
                     After::Keep
                 }
                 HttpMsgRef::Hello { .. } => {
@@ -870,42 +908,31 @@ mod tests {
         fn on_deadline(&mut self, out: &mut Outbox) {
             if let Some((token, _)) = self.push.take() {
                 let server = ServerId::new(0);
-                out.push((token, HttpMsg::InvalidateServer { server }));
+                out.push(Out::Push(token, HttpMsg::InvalidateServer { server }));
             }
-        }
-
-        fn run_job(shared: &EchoShared, get: GetRequest) -> Option<HttpMsg> {
-            if get.client == GATED {
-                let gate = shared.gate.lock();
-                gate.as_ref().expect("gate installed").recv().ok()?;
-            }
-            (get.client != FAIL).then(|| echo(&get))
         }
     }
 
-    /// A running echo node and the sending half of its gate.
+    /// A running echo node.
     struct Harness {
         addr: SocketAddr,
         shared: Arc<EchoShared>,
-        gate: mpsc::Sender<()>,
         _node: Node,
     }
 
     fn start() -> Harness {
-        let (gate, gate_rx) = mpsc::channel();
         let shared = Arc::new(EchoShared::default());
-        *shared.gate.lock() = Some(gate_rx);
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
         let role = Echo {
             shared: Arc::clone(&shared),
+            held: Vec::new(),
             push: None,
         };
-        let node = spawn(role, &shared, listener, None, None).expect("spawn");
+        let node = spawn(role, listener, None, None).expect("spawn");
         Harness {
             addr,
             shared,
-            gate,
             _node: node,
         }
     }
@@ -958,24 +985,36 @@ mod tests {
         /// Two inline round trips: the reactor answers the first from the
         /// event batch that was current when it arrived and the second
         /// from a later one, so everything readable before this call has
-        /// been pumped by the time it returns.
+        /// been pumped — and that turn's outbox delivered — by the time it
+        /// returns.
         fn barrier(&mut self) {
             for req in [9_000_001, 9_000_002] {
                 self.send(&get(req, INLINE, 0));
                 assert_eq!(self.reply().0, req);
             }
         }
+
+        /// Sends a [`RELEASE`] (or [`FAIL`]) for `target` and waits for
+        /// its own inline answer.
+        fn release(&mut self, req: u64, mode: ClientId, target: u32) {
+            self.send(&frame(req, mode, target, 0));
+            assert_eq!(self.reply().0, req);
+        }
     }
 
-    fn get(req: u64, mode: ClientId, body: u64) -> Vec<u8> {
+    fn frame(req: u64, mode: ClientId, doc: u32, body: u64) -> Vec<u8> {
         encode(&HttpMsg::Get(GetRequest {
             req: RequestId::new(req),
-            url: Url::new(ServerId::new(0), 0),
+            url: Url::new(ServerId::new(0), doc),
             client: mode,
             ims: None,
             issued_at: SimTime::from_secs(1),
             cache_hits: body,
         }))
+    }
+
+    fn get(req: u64, mode: ClientId, body: u64) -> Vec<u8> {
+        frame(req, mode, 0, body)
     }
 
     #[test]
@@ -999,43 +1038,45 @@ mod tests {
     }
 
     #[test]
-    fn jobs_finishing_out_of_order_reply_in_order() {
+    fn tickets_redeemed_out_of_order_reply_in_order() {
         let h = start();
         let mut a = Peer::connect(h.addr);
         let mut side = Peer::connect(h.addr);
-        // Jobs deal round-robin: 1 blocks worker 0 at the gate, 2 runs on
-        // worker 1, 3 queues behind 1; 4 is answered on the reactor, at
-        // once, and still leaves last.
+        // 4 is answered at once and still leaves last.
         a.send(
             &[
-                get(1, GATED, 0),
-                get(2, JOB, 0),
-                get(3, JOB, 0),
+                get(1, DEFER, 0),
+                get(2, DEFER, 0),
+                get(3, DEFER, 0),
                 get(4, INLINE, 0),
             ]
             .concat(),
         );
         side.barrier();
-        // A job from another connection lands on worker 1 behind job 2;
-        // completions are applied in channel order, so its reply proves
-        // job 2's completion already reached the reactor — and parked.
-        side.send(&get(30, JOB, 0));
-        assert_eq!(side.reply().0, 30);
+        // 3 and 2 are redeemed first: they park behind 1.
+        side.release(30, RELEASE, 3);
+        side.release(31, RELEASE, 2);
+        side.barrier();
         a.assert_quiet();
-        h.gate.send(()).expect("open gate");
+        side.release(32, RELEASE, 1);
         assert_eq!([1, 2, 3, 4].map(|_| a.reply().0), [1, 2, 3, 4]);
-        // Nothing is in flight any more: the next inline reply is direct.
+        // Nothing is deferred any more: the next inline reply is direct.
         a.send(&get(5, INLINE, 0));
         assert_eq!(a.reply().0, 5);
     }
 
     #[test]
-    fn failed_job_closes_after_earlier_replies_flush() {
+    fn failed_ticket_closes_after_earlier_replies_flush() {
         let h = start();
         let mut a = Peer::connect(h.addr);
+        let mut side = Peer::connect(h.addr);
+        a.send(&[get(1, DEFER, BIG), get(2, DEFER, 0), get(3, DEFER, 0)].concat());
+        side.barrier();
+        side.release(30, RELEASE, 3);
+        side.release(31, FAIL, 2);
         // The first reply cannot flush in one go, so the failure behind it
         // finds output still queued; the third request's reply is dropped.
-        a.send(&[get(1, JOB, BIG), get(2, FAIL, 0), get(3, JOB, 0)].concat());
+        side.release(32, RELEASE, 1);
         assert_eq!(a.reply(), (1, BIG as usize));
         assert!(matches!(a.r.next_msg(), Err(WireError::Closed)));
         assert_eq!(*h.shared.dropped.lock(), 1);
@@ -1053,42 +1094,45 @@ mod tests {
         assert!(matches!(a.r.next_msg(), Err(WireError::Closed)));
     }
 
-    /// A half-closing client is owed every reply still with a worker (and,
-    /// parked behind it, the reactor's own) even though the send buffer
-    /// is empty when its EOF is read.
+    /// A half-closing client is owed every deferred reply (and, parked
+    /// behind it, the inline ones) even though the send buffer is empty
+    /// when its EOF is read.
     #[test]
-    fn clean_eof_with_a_job_in_flight_delivers_its_reply() {
+    fn clean_eof_with_a_ticket_outstanding_delivers_its_reply() {
         let h = start();
         let mut a = Peer::connect(h.addr);
         let mut side = Peer::connect(h.addr);
-        a.send(&[get(1, GATED, 0), get(2, INLINE, 0)].concat());
+        a.send(&[get(1, DEFER, 0), get(2, INLINE, 0)].concat());
         a.w.shutdown(Shutdown::Write).expect("half-close");
-        side.barrier(); // the EOF was seen with job 1 blocked at the gate
+        side.barrier(); // the EOF was seen with request 1 deferred
         a.assert_quiet();
         // A half-closed socket stays readable for good; the reactor must
-        // not spin on it while it waits for the worker.
+        // not spin on it while it waits for the redemption.
         let turns = *h.shared.turns.lock();
         std::thread::sleep(Duration::from_millis(50));
         assert!(*h.shared.turns.lock() - turns < 8, "reactor is spinning");
-        h.gate.send(()).expect("open gate");
+        side.release(30, RELEASE, 1);
         assert_eq!([a.reply().0, a.reply().0], [1, 2]);
         assert!(matches!(a.r.next_msg(), Err(WireError::Closed)));
     }
 
     #[test]
-    fn completion_for_a_closed_and_reused_slot_is_dropped() {
+    fn ticket_for_a_closed_and_reused_slot_is_dropped() {
         let h = start();
         let mut a = Peer::connect(h.addr);
-        // Job 1 goes to worker 0 and blocks at the gate; the inline reply
-        // parks behind it and goes down with the connection, like the
-        // job's completion. (A clean EOF would keep the slot until job 1
-        // is answered; garbage closes it now.)
+        // Request 1 is deferred; the inline reply parks behind it and goes
+        // down with the connection. (A clean EOF would keep the slot until
+        // 1 is answered; garbage closes it now.)
         let garbage = b"BOGUS / HTTP/1.0\r\n\r\n".to_vec();
-        a.send(&[get(1, GATED, 0), get(2, INLINE, 0), garbage].concat());
+        a.send(&[get(1, DEFER, 0), get(2, INLINE, 0), garbage].concat());
         assert!(matches!(a.r.next_msg(), Err(WireError::Closed)));
+        // The slot's next tenant also starts with a deferred request, so
+        // the old ticket and its own name the same slot and sequence
+        // number; only the generation tells them apart.
         let mut b = Peer::connect(h.addr);
-        b.send(&get(5, INLINE, 0));
-        assert_eq!(b.reply().0, 5);
+        let mut side = Peer::connect(h.addr);
+        b.send(&[get(5, DEFER, 0), frame(6, RELEASE, 1, 0)].concat());
+        side.barrier();
         {
             let seen = h.shared.seen.lock();
             let token_of = |req| seen.iter().find(|(_, r)| *r == req).expect("seen").0;
@@ -1096,12 +1140,41 @@ mod tests {
             assert_eq!(old & 0xffff_ffff, new & 0xffff_ffff, "slot not reused");
             assert_ne!(old, new, "generation not bumped");
         }
-        // Job 8 queues on worker 0 behind job 1: by the time its reply is
-        // here, job 1's completion has been applied — to nobody.
-        h.gate.send(()).expect("open gate");
-        b.send(&[get(7, JOB, 0), get(8, JOB, 0)].concat());
-        assert_eq!([b.reply().0, b.reply().0], [7, 8]);
+        b.assert_quiet(); // request 1's echo went to nobody
+        side.release(7, RELEASE, 5);
+        assert_eq!([b.reply().0, b.reply().0], [5, 6]);
         b.assert_quiet();
+    }
+
+    #[test]
+    fn a_full_pipeline_is_not_read_past_until_a_reply_leaves() {
+        let h = start();
+        let mut a = Peer::connect(h.addr);
+        let mut side = Peer::connect(h.addr);
+        let total = 3 * MAX_PIPELINE;
+        let burst: Vec<u8> = (1..=total).flat_map(|req| get(req, DEFER, 0)).collect();
+        a.send(&burst);
+        side.barrier();
+        let handled = |h: &Harness| {
+            h.shared
+                .seen
+                .lock()
+                .iter()
+                .filter(|(_, r)| *r <= total)
+                .count()
+        };
+        assert_eq!(handled(&h) as u64, MAX_PIPELINE);
+        // One reply leaves, one more request is taken — no new bytes
+        // arrived to announce it.
+        side.release(total + 1, RELEASE, 1);
+        side.barrier();
+        assert_eq!(a.reply().0, 1);
+        assert_eq!(handled(&h) as u64, MAX_PIPELINE + 1);
+        for req in 2..=total {
+            side.release(total + req, RELEASE, req as u32);
+            assert_eq!(a.reply().0, req);
+        }
+        a.assert_quiet();
     }
 
     /// The loops this runtime replaced ticked on idleness: a fixed wait

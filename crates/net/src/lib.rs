@@ -10,11 +10,18 @@
 //!   `NOTIFY` check-ins, and pushes `INVALIDATE`s to proxies over
 //!   proxy-initiated persistent channels (firewall-friendly, per the
 //!   paper's §7 remark);
-//! * [`NetProxy`] — a caching proxy with a blocking [`NetProxy::fetch`] API
-//!   for browsers (tests and examples) to call;
+//! * [`NetProxy`] — a caching proxy: a keep-alive client listener, plus a
+//!   blocking [`NetProxy::fetch`] API for browsers (tests and examples) to
+//!   call;
 //! * [`NetParent`] — the hierarchy's parent tier: children connect to it as
 //!   if it were an origin, and it proxies misses upstream;
 //! * [`check_in`] — the modifier's check-in utility.
+//!
+//! Like the paper's Harvest, each node is one thread on non-blocking
+//! sockets (`evloop`): a request that needs the upstream is forwarded and
+//! answered when the reply frame arrives, the fetch state machine being
+//! [`wcc_core::ProxyCore`]; an invalidation is never kept waiting behind a
+//! fetch, and a fetch it overtakes is repeated.
 //!
 //! Logical (trace) time is supplied by the caller on every operation, so
 //! tests are deterministic; the sockets provide real concurrency, real

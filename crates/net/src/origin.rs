@@ -1,12 +1,11 @@
 //! The TCP origin server + accelerator, served by a readiness reactor.
 //!
-//! One reactor thread owns every connection: per-request `GET`s, modifier
+//! One thread owns every connection: per-request `GET`s, modifier
 //! check-ins, `/metrics` scrapes, and the proxies' persistent `HELLO`
 //! push channels all multiplex over the node runtime's loop
 //! ([`crate::evloop`]). This file is the origin's state and its
-//! [`Role`]: requests are answered on the reactor thread (no pool) and
-//! `INVALIDATE` pushes go through the runtime's outbox to the target
-//! channel — no per-connection threads anywhere.
+//! [`Role`]: requests are answered where they arrive and `INVALIDATE`
+//! pushes go through the runtime's outbox to the target channel.
 //!
 //! Restart recovery follows the paper's §5 model: an origin spawned with
 //! `recovering = true` has lost its in-memory site lists, so it answers
@@ -30,7 +29,7 @@ use wcc_types::{
     WallClock,
 };
 
-use crate::evloop::{self, earliest, time_left, After, Cx, Node, Outbox, Role, Via};
+use crate::evloop::{self, earliest, time_left, After, Cx, Node, Out, Outbox, Role, Via};
 
 /// Configuration for [`NetOrigin::spawn`].
 #[derive(Debug, Clone)]
@@ -432,7 +431,7 @@ impl NetOrigin {
             total_partitions: 1,
             bulk_sent: WallClock::start(),
         };
-        let node = evloop::spawn(role, &state, listener, None, None)?;
+        let node = evloop::spawn(role, listener, None, None)?;
         Ok(NetOrigin {
             addr,
             state,
@@ -545,7 +544,7 @@ impl OriginRole {
         for (partition, entries) in self.state.drain_pending(self.total_partitions) {
             if let Some(&tok) = self.channels.get(&partition) {
                 let server = self.state.server;
-                out.push((tok, HttpMsg::InvalidateBatch { server, entries }));
+                out.push(Out::Push(tok, HttpMsg::InvalidateBatch { server, entries }));
             }
         }
     }
@@ -553,17 +552,9 @@ impl OriginRole {
 
 impl Role for OriginRole {
     type Tag = OTag;
-    /// The origin answers on the reactor thread: no pool.
-    type Job = std::convert::Infallible;
-    type Shared = State;
-    const POOL: usize = 0;
 
     fn tag(&self, _via: Via) -> OTag {
         OTag { partition: None }
-    }
-
-    fn run_job(_shared: &State, job: Self::Job) -> Option<HttpMsg> {
-        match job {}
     }
 
     fn next_deadline(&self) -> Option<Duration> {
@@ -584,7 +575,7 @@ impl Role for OriginRole {
             let server = self.state.server;
             for partition in &self.state.protected.lock().recovery_pending {
                 if let Some(&tok) = self.channels.get(partition) {
-                    out.push((tok, HttpMsg::InvalidateServer { server }));
+                    out.push(Out::Push(tok, HttpMsg::InvalidateServer { server }));
                 }
             }
             self.bulk_sent = WallClock::start();
@@ -620,8 +611,10 @@ impl Role for OriginRole {
                             // pending; a re-registered proxy (or the bulk
                             // recovery invalidation) will pick it up.
                             if let Some(&tok) = self.channels.get(&client.partition(partitions)) {
-                                cx.out
-                                    .push((tok, HttpMsg::Invalidate { url: *url, client }));
+                                cx.out.push(Out::Push(
+                                    tok,
+                                    HttpMsg::Invalidate { url: *url, client },
+                                ));
                             }
                         }
                     }
@@ -694,7 +687,8 @@ impl Role for OriginRole {
 ///
 /// Returns any socket error.
 pub fn check_in(origin: SocketAddr, url: Url, at: SimTime) -> std::io::Result<()> {
-    let mut stream = TcpStream::connect(origin)?;
-    stream.write_all(&encode(&HttpMsg::Notify { url, at }))?;
+    // The modifier's own thread, never a node's.
+    let mut stream = TcpStream::connect(origin)?; // xtask-lint: allow(reactor-blocking-io)
+    stream.write_all(&encode(&HttpMsg::Notify { url, at }))?; // xtask-lint: allow(reactor-blocking-io)
     stream.flush()
 }

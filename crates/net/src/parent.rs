@@ -1,45 +1,35 @@
-//! The TCP parent-tier proxy, served by a readiness reactor.
+//! The TCP parent-tier proxy: one thread, one flight table.
 //!
 //! Children connect to the parent exactly as proxies connect to an origin
 //! (keep-alive `GET` connections plus a persistent `HELLO` push channel);
-//! the parent in turn is a client of the real origin, reusing a bounded
-//! pool of upstream connections. One reactor thread owns the child-facing
-//! listener and the upstream invalidation channel. A child `GET` the
-//! parent cache can answer is answered on that thread — state lock taken
-//! with `try_lock`, the policy's read-only probe asked first, then the
-//! one child-`GET` handler, which for a hit does no I/O; every other
-//! `GET` runs that same handler on a small worker pool, where it may
-//! fetch upstream. Replies leave in pipeline order whichever thread
-//! produced them. All of that machinery is the node runtime's
-//! ([`crate::evloop`]); this file is the parent's state and its [`Role`].
+//! the parent in turn is a client of the real origin. The node's thread
+//! ([`crate::evloop`]) owns the child-facing listener, the upstream
+//! invalidation channel and the pipelined upstream request connection.
+//! This file is the parent's state and its [`Role`]: the same thin driver
+//! of [`wcc_core::ProxyCore`] as the proxy towards the origin, plus a
+//! [`ServerConsistency`] towards its children. A child `GET` the parent
+//! cache can answer is answered in the turn it arrived; any other is
+//! forwarded under a deferred-reply ticket and answered when the origin's
+//! reply lands. An `INVALIDATE` is applied, acknowledged and relayed when
+//! it arrives; an upstream fetch it overtakes is poisoned and fetched
+//! again rather than cached (and leased out) stale.
 //!
-//! Concurrency note: one state lock serialises child requests against the
-//! upstream invalidation channel, which incidentally *prevents* the
-//! invalidation-overtakes-reply race that the simulator's parent must
-//! handle with a poison flag — an `INVALIDATE` is processed either before
-//! an upstream fetch starts or after its result is cached, never between.
-//!
-//! Unlike the thread-per-connection prototype, the parent now also relays
-//! bulk `INVALIDATE <server>` messages (the §5 recovery barrage) down the
-//! tree and acks them upstream, so a restarted origin recovers through a
-//! hierarchy too.
+//! The parent also relays bulk `INVALIDATE <server>` messages (the §5
+//! recovery barrage) down the tree and acks them upstream, so a restarted
+//! origin recovers through a hierarchy too.
 
 use parking_lot::Mutex;
 use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use wcc_cache::{CacheStore, ReplacementPolicy};
-use wcc_core::{ProtocolConfig, ProxyAction, ProxyPolicy, ServerConsistency};
+use std::time::Duration;
+use wcc_core::{Begin, ProtocolConfig, ServerConsistency};
 use wcc_obs::{Histogram, Registry};
-use wcc_proto::{
-    encode, BatchAckEntry, BatchEntry, GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus,
-    RequestId,
-};
-use wcc_reactor::BoundedPool;
-use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, Url, WallClock};
+use wcc_proto::{BatchAckEntry, GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus};
+use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url, WallClock};
 
-use crate::evloop::{self, After, Cx, Hello, Node, Outbox, Role, Via, WORKERS};
-use crate::upstream::{pooled_roundtrip, UpstreamConn};
+use crate::evloop::{self, After, Cx, Hello, Node, Out, Outbox, Role, Via, UPSTREAM};
+use crate::upstream::{Upstream, Waiting};
 
 /// Counters for the TCP parent.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -59,106 +49,66 @@ pub struct NetParentCounters {
     pub invalidations_relayed: u64,
     /// Bulk `INVALIDATE <server>`s received from the origin (recovery).
     pub bulk_invalidations_received: u64,
-    /// Child `GET`s answered on the reactor thread: parent-cache hits that
-    /// never crossed to a worker.
+    /// Child `GET`s answered without upstream contact, in the turn they
+    /// arrived: the parent-cache hits.
     pub reactor_hits: u64,
+    /// Upstream replies discarded because an invalidation overtook them
+    /// (each was fetched again).
+    pub inval_races: u64,
+    /// Upstream requests given up unanswered after 5 s.
+    pub upstream_timeouts: u64,
+    /// Times the upstream request connection was re-established.
+    pub upstream_redials: u64,
 }
 
+/// Everything the node's one lock guards.
 struct Protected {
-    policy: ProxyPolicy,
-    cache: CacheStore,
+    /// The upstream-facing half: policy, cache, flights.
+    up: Upstream,
+    /// The child-facing half: per-document lists of child sites.
     children: ServerConsistency,
-    next_req: RequestId,
     /// Latest trace time observed on a child request; used as "now" for
     /// child-lease decisions when relaying invalidations (which carry no
     /// timestamp).
-    latest_trace: wcc_types::SimTime,
-    counters: NetParentCounters,
+    latest_trace: SimTime,
+    /// The counters the fetch core does not keep itself.
+    local: NetParentCounters,
     /// Wall-time child GET service latency (including upstream fetches).
     serve_latency: Histogram,
 }
 
+impl Protected {
+    fn counters(&self) -> NetParentCounters {
+        let c = self.up.core.counters();
+        NetParentCounters {
+            upstream_requests: c.gets_sent + c.ims_sent,
+            inval_races: c.inval_races,
+            upstream_timeouts: self.up.timeouts,
+            upstream_redials: self.up.redials,
+            ..self.local
+        }
+    }
+}
+
 struct ParentState {
     identity: ClientId,
-    origin: SocketAddr,
     server: ServerId,
     doc_scale: u64,
     protected: Mutex<Protected>,
-    /// Bounded keep-alive pool for the parent→origin hop.
-    upstream: Mutex<BoundedPool<UpstreamConn>>,
 }
 
 impl ParentState {
-    /// Fetches `url` from the origin on behalf of a waiting child.
-    /// Caller must hold the `protected` lock (passed in).
-    fn fetch_upstream(
+    /// Answers a child's `get` with the parent's copy `meta`, registering
+    /// the child and granting it a lease through the child-facing half.
+    /// Its wall time is recorded before the reply ships: once the child's
+    /// fetch returns, a scrape must already see this serve.
+    fn child_reply(
         &self,
         p: &mut Protected,
-        url: Url,
-        mut ims: Option<wcc_types::SimTime>,
-        issued_at: wcc_types::SimTime,
-        mut report_hits: u64,
-    ) -> std::io::Result<DocMeta> {
-        loop {
-            let req = p.next_req;
-            p.next_req = p.next_req.next();
-            p.counters.upstream_requests += 1;
-            let get = HttpMsg::Get(GetRequest {
-                req,
-                url,
-                client: self.identity,
-                ims,
-                issued_at,
-                cache_hits: report_hits,
-            });
-            let reply = pooled_roundtrip(&self.upstream, self.origin, &encode(&get))?;
-            let key = url.scoped(self.identity);
-            let Protected { policy, cache, .. } = &mut *p;
-            policy.on_volume_grant(key, reply.volume_lease);
-            if !reply.piggyback.is_empty() {
-                policy.on_piggyback(&reply.piggyback, self.identity, cache);
-            }
-            match reply.meta {
-                Some(meta) => {
-                    policy.on_reply_200(key, meta, reply.lease, issued_at, cache);
-                    return Ok(meta);
-                }
-                None => {
-                    if policy.on_reply_304(key, reply.lease, issued_at, cache) {
-                        return Ok(cache.peek(key).expect("validated entry").meta);
-                    }
-                    // Evicted mid-validation: plain refetch.
-                    ims = None;
-                    report_hits = 0;
-                }
-            }
-        }
-    }
-
-    /// Answers one child `GET` end-to-end under the `protected` lock
-    /// (passed in). Fetches upstream unless the parent cache can serve —
-    /// which `ProxyPolicy::would_serve` tells beforehand.
-    fn handle_child_get(&self, p: &mut Protected, get: &GetRequest) -> std::io::Result<HttpMsg> {
-        p.counters.child_requests += 1;
-        p.latest_trace = p.latest_trace.max(get.issued_at);
-        let key = self.parent_key(get.url);
-        if get.cache_hits > 0 && p.cache.peek(key).is_some() {
-            p.cache.add_unreported_hits(key, get.cache_hits);
-        }
-        let disposition = {
-            let Protected { policy, cache, .. } = &mut *p;
-            policy.on_request(key, get.issued_at, cache)
-        };
-        let meta = match disposition.action {
-            ProxyAction::ServeFromCache => {
-                p.counters.parent_hits += 1;
-                p.cache.peek(key).expect("parent hit").meta
-            }
-            ProxyAction::SendGet { ims } => {
-                let report = disposition.report_hits;
-                self.fetch_upstream(p, get.url, ims, get.issued_at, report)?
-            }
-        };
+        get: &GetRequest,
+        meta: DocMeta,
+        begun: WallClock,
+    ) -> HttpMsg {
         let grant = p
             .children
             .on_get(get.url, get.client, get.ims, meta, get.issued_at);
@@ -167,7 +117,8 @@ impl ParentState {
         } else {
             ReplyStatus::NotModified
         };
-        Ok(HttpMsg::Reply(Reply {
+        p.serve_latency.record(begun.elapsed().as_micros());
+        HttpMsg::Reply(Reply {
             req: get.req,
             url: get.url,
             client: get.client,
@@ -175,106 +126,24 @@ impl ParentState {
             lease: grant.lease,
             piggyback: grant.piggyback,
             volume_lease: grant.volume_lease,
-        }))
+        })
     }
 
-    fn parent_key(&self, url: Url) -> wcc_types::ScopedUrl {
-        url.scoped(self.identity)
-    }
-
-    /// [`ParentState::handle_child_get`] with its wall time recorded under
-    /// the same lock. Recorded before the reply ships: once the child's
-    /// fetch returns, a scrape must already see this serve.
-    fn timed_child_get(
-        &self,
-        p: &mut Protected,
-        get: &GetRequest,
-        clock: &WallClock,
-    ) -> Option<HttpMsg> {
-        let msg = self.handle_child_get(p, get).ok();
-        p.serve_latency.record(clock.elapsed().as_micros());
-        msg
-    }
-
-    /// The reactor's fast path: answers `get` if the state lock is free
-    /// and the parent cache may serve it; `None` sends the request to the
-    /// pool. Never waits (`try_lock`: a worker may hold the lock across an
-    /// upstream round trip) and never does I/O.
-    fn hit_on_reactor(&self, get: &GetRequest) -> Option<HttpMsg> {
-        let clock = WallClock::start();
-        let mut p = self.protected.try_lock()?;
-        let key = self.parent_key(get.url);
-        if !p.policy.would_serve(key, get.issued_at, &p.cache) {
-            return None;
-        }
-        p.counters.reactor_hits += 1;
-        self.timed_child_get(&mut p, get, &clock)
-    }
-
-    /// Origin pushed a coalesced `InvalidateBatch` round: drop our copy of
-    /// every listed document under one lock, collect the children each
-    /// entry must be relayed to, and build the single round ack (per-entry
-    /// §7 hit reports included).
-    fn handle_invalidate_batch(
-        &self,
-        server: wcc_types::ServerId,
-        entries: &[BatchEntry],
-    ) -> (HttpMsg, Vec<(Url, Vec<ClientId>)>) {
-        let mut p = self.protected.lock();
-        p.counters.invalidations_received += entries.len() as u64;
-        p.counters.inval_batches_received += 1;
-        let mut acks = Vec::with_capacity(entries.len());
-        let mut relays = Vec::with_capacity(entries.len());
-        for e in entries {
-            let own_hits = {
-                let Protected { policy, cache, .. } = &mut *p;
-                policy
-                    .on_invalidate(e.url, self.identity, cache)
-                    .unwrap_or(0)
-            };
-            acks.push(BatchAckEntry {
-                url: e.url,
-                client: e.client,
-                cache_hits: own_hits,
-            });
-            let now = p.latest_trace;
-            relays.push((e.url, p.children.on_modify(e.url, now)));
-        }
-        (
-            HttpMsg::InvalidateBatchAck {
-                server,
-                entries: acks,
-            },
-            relays,
-        )
-    }
-
-    /// Origin pushed an `INVALIDATE`: drop our copy and return the ack to
-    /// send upstream plus the children to relay to.
-    fn handle_invalidate(&self, url: Url) -> (HttpMsg, Vec<ClientId>) {
-        let mut p = self.protected.lock();
-        p.counters.invalidations_received += 1;
-        let own_hits = {
-            let Protected { policy, cache, .. } = &mut *p;
-            policy.on_invalidate(url, self.identity, cache).unwrap_or(0)
-        };
+    /// The origin invalidated `url`: drops our copy (poisoning any fetch
+    /// of it in flight) and returns its unreported hits — the §7 report
+    /// for the ack — plus the children to relay to.
+    fn invalidate(&self, p: &mut Protected, url: Url) -> (u64, Vec<ClientId>) {
+        p.local.invalidations_received += 1;
+        let own_hits = p.up.core.on_invalidate(url, self.identity).unwrap_or(0);
         let now = p.latest_trace;
-        let recipients = p.children.on_modify(url, now);
-        (
-            HttpMsg::InvalAck {
-                url,
-                client: self.identity,
-                cache_hits: own_hits,
-            },
-            recipients,
-        )
+        (own_hits, p.children.on_modify(url, now))
     }
 
     /// Renders the parent's registry as Prometheus text exposition.
     fn render_metrics(&self) -> String {
         let p = self.protected.lock();
         let node = [("node", "parent")];
-        let c = &p.counters;
+        let c = p.counters();
         let mut r = Registry::default();
         r.set_counter(
             "wcc_child_requests_total",
@@ -296,7 +165,7 @@ impl ParentState {
         );
         r.set_counter(
             "wcc_reactor_hits_total",
-            "Child GETs answered on the reactor thread, no worker hop.",
+            "Child GETs answered without upstream contact.",
             &node,
             c.reactor_hits,
         );
@@ -347,7 +216,7 @@ impl ParentState {
             "wcc_cached_entries",
             "Entries currently in the parent cache.",
             &node,
-            p.cache.len() as u64,
+            p.up.core.cache().len() as u64,
         );
         r.set_histogram(
             "wcc_serve_latency_seconds",
@@ -355,6 +224,7 @@ impl ParentState {
             &node,
             &p.serve_latency,
         );
+        p.up.render(&mut r, &node);
         r.render()
     }
 }
@@ -392,23 +262,19 @@ impl NetParent {
         let addr = listener.local_addr()?;
         let state = Arc::new(ParentState {
             identity: ClientId::from_raw(0),
-            origin,
             server,
             doc_scale: 100,
             protected: Mutex::new(Protected {
-                policy: ProxyPolicy::new(cfg),
-                cache: CacheStore::new(capacity, ReplacementPolicy::ExpiredFirstLru),
+                up: Upstream::new(cfg, capacity),
                 children: ServerConsistency::new(cfg, server),
-                next_req: RequestId::default(),
-                latest_trace: wcc_types::SimTime::ZERO,
-                counters: NetParentCounters::default(),
+                latest_trace: SimTime::ZERO,
+                local: NetParentCounters::default(),
                 serve_latency: Histogram::default(),
             }),
-            upstream: Mutex::new(BoundedPool::new(WORKERS + 2)),
         });
 
-        // Upstream invalidation channel: the parent registers with the
-        // origin as its one and only partition.
+        // The parent registers with the origin as its one and only
+        // partition.
         let hello = Hello {
             upstream: origin,
             partition: 0,
@@ -419,7 +285,7 @@ impl NetParent {
             channels: HashMap::new(),
             child_partitions: 0,
         };
-        let node = evloop::spawn(role, &state, listener, None, Some(hello))?;
+        let node = evloop::spawn(role, listener, None, Some(hello))?;
         Ok(NetParent {
             addr,
             state,
@@ -434,7 +300,7 @@ impl NetParent {
 
     /// Current counters.
     pub fn counters(&self) -> NetParentCounters {
-        self.state.protected.lock().counters
+        self.state.protected.lock().counters()
     }
 
     /// The current Prometheus text exposition — the same body `GET
@@ -448,7 +314,9 @@ impl NetParent {
 /// request conn until its `HELLO` also makes it a push channel.)
 enum KTag {
     Child,
-    /// The parent-initiated upstream invalidation channel.
+    /// The parent-initiated invalidation channel to the origin.
+    Inval,
+    /// The request connection to the origin.
     Upstream,
 }
 
@@ -463,31 +331,27 @@ struct ParentRole {
 
 impl ParentRole {
     /// Queues one per-child `INVALIDATE <url>` for every child with a
-    /// live push channel, and counts them.
-    fn relay(&self, out: &mut Outbox, url: Url, children: Vec<ClientId>) {
+    /// live push channel; returns how many.
+    fn relay(&self, out: &mut Outbox, url: Url, children: Vec<ClientId>) -> u64 {
         let partitions = self.child_partitions.max(1);
-        let before = out.len();
+        let mut relayed = 0;
         for client in children {
             if let Some(&tok) = self.channels.get(&client.partition(partitions)) {
-                out.push((tok, HttpMsg::Invalidate { url, client }));
+                out.push(Out::Push(tok, HttpMsg::Invalidate { url, client }));
+                relayed += 1;
             }
         }
-        let relayed = (out.len() - before) as u64;
-        if relayed > 0 {
-            self.state.protected.lock().counters.invalidations_relayed += relayed;
-        }
+        relayed
     }
 }
 
 impl Role for ParentRole {
     type Tag = KTag;
-    type Job = GetRequest;
-    type Shared = ParentState;
-    const POOL: usize = WORKERS;
 
     fn tag(&self, via: Via) -> KTag {
         match via {
-            Via::Dial => KTag::Upstream,
+            Via::Dial => KTag::Inval,
+            Via::Upstream => KTag::Upstream,
             Via::Listener | Via::Listener2 => KTag::Child,
         }
     }
@@ -496,47 +360,71 @@ impl Role for ParentRole {
         self.channels.retain(|_, t| *t != token);
     }
 
-    /// Answers one child `GET` the reactor could not
-    /// ([`ParentState::hit_on_reactor`]); the wait for the lock counts
-    /// towards its latency.
-    fn run_job(state: &ParentState, get: GetRequest) -> Option<HttpMsg> {
-        let clock = WallClock::start();
-        state.timed_child_get(&mut state.protected.lock(), &get, &clock)
+    fn next_deadline(&self) -> Option<Duration> {
+        self.state.protected.lock().up.deadline()
+    }
+
+    fn on_deadline(&mut self, out: &mut Outbox) {
+        self.state.protected.lock().up.expire(out);
+    }
+
+    fn on_redial(&mut self, up: bool, out: &mut Outbox) {
+        self.state.protected.lock().up.redialled(up, out);
     }
 
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
         let state = &self.state;
         match cx.tag {
-            KTag::Upstream => match msg {
+            KTag::Inval => match msg {
                 HttpMsgRef::Invalidate { url, .. } => {
-                    let (ack, recipients) = state.handle_invalidate(*url);
-                    cx.reply(ack);
-                    self.relay(cx.out, *url, recipients);
+                    let mut p = state.protected.lock();
+                    let (own_hits, recipients) = state.invalidate(&mut p, *url);
+                    cx.reply(HttpMsg::InvalAck {
+                        url: *url,
+                        client: state.identity,
+                        cache_hits: own_hits,
+                    });
+                    p.local.invalidations_relayed += self.relay(cx.out, *url, recipients);
                     After::Keep
                 }
                 HttpMsgRef::InvalidateBatch(batch) => {
-                    let (ack, relays) =
-                        state.handle_invalidate_batch(batch.server, &batch.entries());
-                    cx.reply(ack);
-                    // Children ack per document (`InvalAck`), so a batch
-                    // round fans out downstream as ordinary `INVALIDATE`s.
-                    for (url, children) in relays {
-                        self.relay(cx.out, url, children);
+                    // One coalesced round: every listed copy dropped under
+                    // one lock and acked in one message (per-entry §7 hit
+                    // reports included). Children ack per document
+                    // (`InvalAck`), so the round fans out downstream as
+                    // ordinary `INVALIDATE`s.
+                    let mut p = state.protected.lock();
+                    p.local.inval_batches_received += 1;
+                    let entries = batch.entries();
+                    let mut acks = Vec::with_capacity(entries.len());
+                    for e in &entries {
+                        let (own_hits, recipients) = state.invalidate(&mut p, e.url);
+                        acks.push(BatchAckEntry {
+                            url: e.url,
+                            client: e.client,
+                            cache_hits: own_hits,
+                        });
+                        p.local.invalidations_relayed += self.relay(cx.out, e.url, recipients);
                     }
+                    cx.reply(HttpMsg::InvalidateBatchAck {
+                        server: batch.server,
+                        entries: acks,
+                    });
                     After::Keep
                 }
                 HttpMsgRef::InvalidateServer { server } => {
                     {
                         let mut p = state.protected.lock();
-                        p.counters.bulk_invalidations_received += 1;
-                        let Protected { policy, cache, .. } = &mut *p;
-                        policy.on_invalidate_server(*server, cache);
+                        p.local.bulk_invalidations_received += 1;
+                        p.up.core.on_invalidate_server(*server);
                     }
                     cx.reply(HttpMsg::InvalidateServerAck { server: *server });
                     // Relay the bulk invalidation to every child channel.
                     for &tok in self.channels.values() {
-                        cx.out
-                            .push((tok, HttpMsg::InvalidateServer { server: *server }));
+                        cx.out.push(Out::Push(
+                            tok,
+                            HttpMsg::InvalidateServer { server: *server },
+                        ));
                     }
                     After::Keep
                 }
@@ -549,11 +437,38 @@ impl Role for ParentRole {
                 | HttpMsgRef::MetricsGet
                 | HttpMsgRef::Notify { .. } => After::Close,
             },
+            KTag::Upstream => match msg {
+                HttpMsgRef::Reply(reply) => {
+                    let mut p = state.protected.lock();
+                    if let Some((outcome, ticket, get, begun)) = p.up.landed(reply, cx.out) {
+                        let answer = state.child_reply(&mut p, &get, outcome.meta, begun);
+                        cx.out.push(Out::Redeem(ticket, Some(answer)));
+                    }
+                    After::Keep
+                }
+                _ => After::Close,
+            },
             KTag::Child => match msg {
                 HttpMsgRef::Get(get) if get.url.server() == state.server => {
-                    match state.hit_on_reactor(get) {
-                        Some(reply) => cx.reply(reply),
-                        None => cx.submit(get.clone()),
+                    let begun = WallClock::start();
+                    let mut p = state.protected.lock();
+                    p.local.child_requests += 1;
+                    p.latest_trace = p.latest_trace.max(get.issued_at);
+                    // The child cache's hit report joins this tier's, so it
+                    // reaches the origin on the parent's next contact.
+                    let core = &mut p.up.core;
+                    core.absorb_report(get.url, state.identity, get.cache_hits);
+                    let waiting = || Waiting::new(Some((cx.defer(), (*get).clone())), begun);
+                    match core.begin(state.identity, get.url, get.issued_at, waiting) {
+                        Begin::Serve(meta) => {
+                            p.local.parent_hits += 1;
+                            p.local.reactor_hits += 1;
+                            let answer = state.child_reply(&mut p, get, meta, begun);
+                            cx.reply(answer);
+                        }
+                        Begin::Forward(forward) => {
+                            cx.out.push(Out::Push(UPSTREAM, HttpMsg::Get(forward)))
+                        }
                     }
                     After::Keep
                 }
@@ -572,12 +487,7 @@ impl Role for ParentRole {
                     cache_hits,
                 } => {
                     let mut p = state.protected.lock();
-                    if *cache_hits > 0 {
-                        let key = url.scoped(state.identity);
-                        if p.cache.peek(key).is_some() {
-                            p.cache.add_unreported_hits(key, *cache_hits);
-                        }
-                    }
+                    p.up.core.absorb_report(*url, state.identity, *cache_hits);
                     p.children.on_inval_ack(*url, *client);
                     After::Keep
                 }

@@ -1,70 +1,43 @@
-//! The TCP caching proxy, served by a readiness reactor.
+//! The TCP caching proxy: one thread, one flight table.
 //!
-//! One reactor thread owns every socket the proxy touches: a
-//! client-facing listener ([`NetProxy::client_addr`]) speaking keep-alive
-//! HTTP/1.1 with pipelining, the `/metrics` scrape listener, and the
-//! persistent invalidation channel to the origin (re-established with a
-//! fresh `HELLO` on a 250 ms tick if the origin restarts — the proxy half
-//! of the §5 recovery handshake). The loop, the pool and the channel
-//! re-dial are the node runtime's ([`crate::evloop`]); this file is the
-//! proxy's state and its [`Role`].
+//! The node's thread ([`crate::evloop`]) owns every socket the proxy
+//! serves with: a client-facing listener ([`NetProxy::client_addr`])
+//! speaking keep-alive HTTP/1.1 with pipelining, the `/metrics` scrape
+//! listener, the persistent invalidation channel to the origin and the
+//! pipelined request connection misses are forwarded on (both
+//! re-established if the origin restarts — the proxy half of the §5
+//! recovery handshake). This file is the proxy's state and its [`Role`]: a
+//! thin driver of [`wcc_core::ProxyCore`].
 //!
-//! A cache hit is answered where it arrives, on the reactor — the paper's
-//! point is that a hit needs no server contact, so it should cost what the
-//! cache costs. The reactor takes the policy lock with `try_lock` (it
-//! never waits behind a fetch in flight), asks the policy's read-only
-//! probe whether the cached copy may be served, and only then runs the
-//! locked fetch path, which for a hit is a cache touch and three counters:
-//! bounded, no I/O. Every other `GET` — lock busy, no entry, lease or TTL
-//! expired, copy questionable — becomes a job for a small worker pool
-//! whose members run that same locked fetch path, as does the blocking
-//! [`NetProxy::fetch`] API. Workers hold the policy lock across the
-//! upstream round trip, which serialises cache transitions against
-//! invalidations exactly like the thread-per-connection prototype did;
-//! the reactor's hits and the invalidations it applies from the push
-//! channel take the same lock, so the strong-consistency guarantee is
-//! unchanged. Job replies re-enter the reactor through a completion queue
-//! and a waker; whichever thread produced them, replies leave in pipeline
-//! order per connection. Upstream round trips reuse a bounded pool of
-//! keep-alive connections ([`wcc_reactor::BoundedPool`]) instead of
-//! dialing per request.
+//! A client `GET` is `begin`: a cache hit is answered in the turn it
+//! arrived — the paper's point is that a hit needs no server contact, so
+//! it costs what the cache costs — and a miss is forwarded upstream under
+//! a deferred-reply ticket, after which the thread moves on; any number of
+//! misses are in flight at once. An upstream reply is `complete`: the
+//! ticket is redeemed, or a plain `GET` goes out again. An invalidation is
+//! applied and acknowledged when it arrives, whatever is in flight: a
+//! fetch it overtakes is poisoned and fetched again, the simulator's
+//! callback-race rule, which is what keeps the strong-consistency
+//! guarantee without ever making a write wait for a read.
+//!
+//! The blocking [`NetProxy::fetch`] API drives the same core from the
+//! caller's thread — lock, `begin`, unlock, one round trip on a connection
+//! of the caller's own, lock, `complete` — so it races invalidations under
+//! the same rule. The node has one lock; no socket call is made under it.
 
 use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
-use wcc_cache::{CacheStore, ReplacementPolicy};
-use wcc_core::{ProtocolConfig, ProxyAction, ProxyPolicy};
+use std::time::Duration;
+use wcc_core::{Begin, Complete, ProtocolConfig};
 use wcc_obs::{Histogram, Registry};
-use wcc_proto::{
-    encode, BatchAckEntry, GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus, RequestId,
-};
-use wcc_reactor::BoundedPool;
+use wcc_proto::{BatchAckEntry, GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus};
 use wcc_types::{Body, ByteSize, ClientId, DocMeta, SimTime, Url, WallClock};
 
-use crate::evloop::{self, After, Cx, Hello, Node, Role, Via, WORKERS};
-use crate::upstream::{pooled_roundtrip, UpstreamConn};
+use crate::evloop::{self, After, Cx, Hello, Node, Out, Outbox, Role, Via, UPSTREAM};
+use crate::upstream::{roundtrip, BlockingConn, Upstream, Waiting};
 
-/// How a [`NetProxy::fetch`] was satisfied.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FetchKind {
-    /// Served straight from the cache, no origin contact.
-    CacheHit,
-    /// Validated with `If-Modified-Since`; origin said `304`.
-    Validated,
-    /// Transferred from the origin (`200`).
-    Fetched,
-}
-
-/// The result of one fetch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FetchOutcome {
-    /// How the request was satisfied.
-    pub kind: FetchKind,
-    /// Whether a cached entry existed when the request arrived.
-    pub had_entry: bool,
-    /// Metadata of the delivered version.
-    pub meta: DocMeta,
-}
+pub use wcc_core::{FetchKind, FetchOutcome};
 
 /// Counters maintained by the proxy.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -91,34 +64,64 @@ pub struct NetProxyCounters {
     /// Piggybacked invalidations received (PSI).
     pub piggybacked_received: u64,
     /// Client connections dropped (accept/registration failure, or a
-    /// fetch error forcing a close).
+    /// fetch that got no answer forcing a close).
     pub dropped_connections: u64,
-    /// Client-listener `GET`s answered on the reactor thread: cache hits
-    /// that never crossed to a worker. `requests - reactor_hits` is the
-    /// traffic that left the fast path (pool jobs and blocking fetches).
+    /// Client-listener `GET`s answered without upstream contact: cache
+    /// hits, replied to in the turn they arrived. `requests -
+    /// reactor_hits` is the traffic that waited for the upstream (plus
+    /// every blocking fetch).
     pub reactor_hits: u64,
+    /// Upstream replies discarded because an invalidation overtook them
+    /// (each was fetched again).
+    pub inval_races: u64,
+    /// Upstream requests given up unanswered after 5 s.
+    pub upstream_timeouts: u64,
+    /// Times the upstream request connection was re-established.
+    pub upstream_redials: u64,
 }
 
-/// What the policy lock guards: the protocol state machine, the cache it
-/// decides over, and the next upstream request id.
-type Policy = (ProxyPolicy, CacheStore, RequestId);
+/// Everything the node's one lock guards.
+struct Inner {
+    up: Upstream,
+    /// The counters the fetch core does not keep itself.
+    local: NetProxyCounters,
+    /// Wall-time latency of whole fetches (hits included), blocking API
+    /// and reactor-served clients alike.
+    fetch_latency: Histogram,
+    /// A blocking caller's connection, kept alive between fetches.
+    idle: Option<BlockingConn>,
+}
+
+impl Inner {
+    fn counters(&self) -> NetProxyCounters {
+        let c = self.up.core.counters();
+        NetProxyCounters {
+            requests: c.requests,
+            hits: c.hits,
+            gets_sent: c.gets_sent,
+            ims_sent: c.ims_sent,
+            replies_200: c.replies_200,
+            replies_304: c.replies_304,
+            piggybacked_received: c.piggybacked_received,
+            inval_races: c.inval_races,
+            upstream_timeouts: self.up.timeouts,
+            upstream_redials: self.up.redials,
+            ..self.local
+        }
+    }
+}
 
 struct ProxyState {
     origin: SocketAddr,
-    policy: Mutex<Policy>,
-    counters: Mutex<NetProxyCounters>,
-    /// Wall-time latency of whole fetches (hits included), blocking API
-    /// and reactor-served clients alike.
-    fetch_latency: Mutex<Histogram>,
-    /// Bounded keep-alive pool for the proxy→origin hop.
-    upstream: Mutex<BoundedPool<UpstreamConn>>,
+    inner: Mutex<Inner>,
 }
 
 impl ProxyState {
     /// Renders the proxy's registry as Prometheus text exposition.
     fn render_metrics(&self) -> String {
         let node = [("node", "proxy")];
-        let c = *self.counters.lock();
+        let inner = self.inner.lock();
+        let c = inner.counters();
         let mut r = Registry::default();
         r.set_counter("wcc_requests_total", "Fetches served.", &node, c.requests);
         r.set_counter(
@@ -135,7 +138,7 @@ impl ProxyState {
         );
         r.set_counter(
             "wcc_reactor_hits_total",
-            "Client GETs answered on the reactor thread, no worker hop.",
+            "Client GETs answered without upstream contact.",
             &node,
             c.reactor_hits,
         );
@@ -197,143 +200,17 @@ impl ProxyState {
             "wcc_cached_entries",
             "Entries currently cached.",
             &node,
-            self.policy.lock().1.len() as u64,
+            inner.up.core.cache().len() as u64,
         );
         r.set_histogram(
             "wcc_fetch_latency_seconds",
             "Wall-time fetch latency, cache hits included.",
             &node,
-            &self.fetch_latency.lock(),
+            &inner.fetch_latency,
         );
+        inner.up.render(&mut r, &node);
         r.render()
     }
-}
-
-/// The full locked fetch: policy decision, optional upstream round trip
-/// over the bounded pool, and cache transitions — all under one policy
-/// lock (`held`, taken by the caller), exactly like the pre-reactor
-/// prototype, so invalidations can never interleave with an in-flight
-/// fetch. The hit branch returns before any I/O.
-fn fetch_locked(
-    state: &ProxyState,
-    held: &mut Policy,
-    client: ClientId,
-    url: Url,
-    now: SimTime,
-) -> std::io::Result<FetchOutcome> {
-    let key = url.scoped(client);
-    let (policy, cache, next_req) = held;
-    let disposition = policy.on_request(key, now, cache);
-    {
-        let mut c = state.counters.lock();
-        c.requests += 1;
-        c.hits += u64::from(disposition.had_entry);
-    }
-    let report_hits = disposition.report_hits;
-    let mut ims = match disposition.action {
-        ProxyAction::ServeFromCache => {
-            let meta = cache.peek(key).expect("hit implies entry").meta;
-            return Ok(FetchOutcome {
-                kind: FetchKind::CacheHit,
-                had_entry: true,
-                meta,
-            });
-        }
-        ProxyAction::SendGet { ims } => ims,
-    };
-
-    // Up to one retry for the 304-races-eviction corner.
-    for _attempt in 0..2 {
-        let req = *next_req;
-        *next_req = next_req.next();
-        {
-            let mut c = state.counters.lock();
-            if ims.is_some() {
-                c.ims_sent += 1;
-            } else {
-                c.gets_sent += 1;
-            }
-        }
-        let get = HttpMsg::Get(GetRequest {
-            req,
-            url,
-            client,
-            ims,
-            issued_at: now,
-            cache_hits: report_hits,
-        });
-        let reply = pooled_roundtrip(&state.upstream, state.origin, &encode(&get))?;
-        policy.on_volume_grant(key, reply.volume_lease);
-        if !reply.piggyback.is_empty() {
-            policy.on_piggyback(&reply.piggyback, client, cache);
-            state.counters.lock().piggybacked_received += reply.piggyback.len() as u64;
-        }
-        match reply.meta {
-            Some(meta) => {
-                state.counters.lock().replies_200 += 1;
-                policy.on_reply_200(key, meta, reply.lease, now, cache);
-                return Ok(FetchOutcome {
-                    kind: FetchKind::Fetched,
-                    had_entry: disposition.had_entry,
-                    meta,
-                });
-            }
-            None => {
-                if policy.on_reply_304(key, reply.lease, now, cache) {
-                    state.counters.lock().replies_304 += 1;
-                    let meta = cache.peek(key).expect("validated entry").meta;
-                    return Ok(FetchOutcome {
-                        kind: FetchKind::Validated,
-                        had_entry: disposition.had_entry,
-                        meta,
-                    });
-                }
-                // Entry evicted mid-validation: retry as a plain GET.
-                ims = None;
-            }
-        }
-    }
-    Err(std::io::Error::other("revalidation race did not resolve"))
-}
-
-/// [`fetch_locked`] behind the policy lock, its wall time recorded (the
-/// wait for the lock included): what the blocking API and the pool
-/// workers both run.
-fn timed_fetch(
-    state: &ProxyState,
-    client: ClientId,
-    url: Url,
-    now: SimTime,
-) -> std::io::Result<FetchOutcome> {
-    let clock = WallClock::start();
-    let outcome = fetch_locked(state, &mut state.policy.lock(), client, url, now);
-    state
-        .fetch_latency
-        .lock()
-        .record(clock.elapsed().as_micros());
-    outcome
-}
-
-/// The reactor's fast path: answers `get` if the policy lock is free and
-/// the cached copy may be served without upstream contact; `None` sends
-/// the request to the pool. Never waits (`try_lock`: a worker may hold the
-/// lock across an upstream round trip) and never does I/O (the probe
-/// guarantees [`fetch_locked`] takes its hit branch).
-fn hit_on_reactor(state: &ProxyState, get: &GetRequest) -> Option<HttpMsg> {
-    let clock = WallClock::start();
-    let mut held = state.policy.try_lock()?;
-    let key = get.url.scoped(get.client);
-    if !held.0.would_serve(key, get.issued_at, &held.1) {
-        return None;
-    }
-    let out = fetch_locked(state, &mut held, get.client, get.url, get.issued_at).ok()?;
-    drop(held);
-    state.counters.lock().reactor_hits += 1;
-    state
-        .fetch_latency
-        .lock()
-        .record(clock.elapsed().as_micros());
-    Some(client_reply(get, out.meta))
 }
 
 /// The `200` a client-listener `GET` is answered with.
@@ -351,7 +228,7 @@ fn client_reply(get: &GetRequest, meta: DocMeta) -> HttpMsg {
     })
 }
 
-/// A running caching proxy. Shuts down its reactor and workers on drop.
+/// A running caching proxy. Shuts down its thread on drop.
 pub struct NetProxy {
     origin: SocketAddr,
     metrics_addr: SocketAddr,
@@ -385,14 +262,12 @@ impl NetProxy {
     ) -> std::io::Result<NetProxy> {
         let state = Arc::new(ProxyState {
             origin,
-            policy: Mutex::new((
-                ProxyPolicy::new(cfg),
-                CacheStore::new(capacity, ReplacementPolicy::ExpiredFirstLru),
-                RequestId::default(),
-            )),
-            counters: Mutex::new(NetProxyCounters::default()),
-            fetch_latency: Mutex::new(Histogram::default()),
-            upstream: Mutex::new(BoundedPool::new(WORKERS + 2)),
+            inner: Mutex::new(Inner {
+                up: Upstream::new(cfg, capacity),
+                local: NetProxyCounters::default(),
+                fetch_latency: Histogram::default(),
+                idle: None,
+            }),
         });
 
         // Client-facing keep-alive listener (the serving tier's front
@@ -402,7 +277,7 @@ impl NetProxy {
         let metrics_listener = TcpListener::bind("127.0.0.1:0")?;
         let metrics_addr = metrics_listener.local_addr()?;
 
-        // The invalidation channel is proxy-initiated and persistent.
+        // Both upstream connections are proxy-initiated and persistent.
         let hello = Hello {
             upstream: origin,
             partition,
@@ -411,13 +286,7 @@ impl NetProxy {
         let role = ProxyRole {
             state: Arc::clone(&state),
         };
-        let node = evloop::spawn(
-            role,
-            &state,
-            client_listener,
-            Some(metrics_listener),
-            Some(hello),
-        )?;
+        let node = evloop::spawn(role, client_listener, Some(metrics_listener), Some(hello))?;
         Ok(NetProxy {
             origin,
             metrics_addr,
@@ -429,7 +298,7 @@ impl NetProxy {
 
     /// Current counters.
     pub fn counters(&self) -> NetProxyCounters {
-        *self.state.counters.lock()
+        self.state.inner.lock().counters()
     }
 
     /// The loopback address answering `GET /metrics` for this proxy.
@@ -457,12 +326,51 @@ impl NetProxy {
     /// Returns socket errors from the upstream fetch; cache hits are
     /// infallible.
     pub fn fetch(&self, client: ClientId, url: Url, now: SimTime) -> std::io::Result<FetchOutcome> {
-        timed_fetch(&self.state, client, url, now)
+        let state = &self.state;
+        let begun = WallClock::start();
+        let (mut get, mut conn) = {
+            let mut inner = state.inner.lock();
+            let caller = || Waiting::new(None, begun);
+            match inner.up.core.begin(client, url, now, caller) {
+                Begin::Serve(meta) => {
+                    inner.fetch_latency.record(begun.elapsed().as_micros());
+                    return Ok(FetchOutcome {
+                        kind: FetchKind::CacheHit,
+                        had_entry: true,
+                        meta,
+                    });
+                }
+                Begin::Forward(get) => (get, inner.idle.take()),
+            }
+        };
+        loop {
+            // No lock is held here: invalidations, and every other fetch,
+            // go on while this one waits for the upstream.
+            let reply = roundtrip(&mut conn, state.origin, &get);
+            let mut inner = state.inner.lock();
+            let landed = match reply {
+                Ok(reply) => inner.up.core.complete(get.req, &reply),
+                Err(e) => {
+                    inner.up.core.abandon(get.req);
+                    return Err(e);
+                }
+            };
+            match landed {
+                Some(Complete::Done { outcome, .. }) => {
+                    inner.idle = conn;
+                    inner.fetch_latency.record(begun.elapsed().as_micros());
+                    return Ok(outcome);
+                }
+                Some(Complete::Forward(again)) => get = again,
+                // The node gave the flight up while the reply was under way.
+                None => return Err(std::io::ErrorKind::TimedOut.into()),
+            }
+        }
     }
 
     /// Number of entries currently cached.
     pub fn cached_entries(&self) -> usize {
-        self.state.policy.lock().1.len()
+        self.state.inner.lock().up.core.cache().len()
     }
 }
 
@@ -474,6 +382,8 @@ enum PKind {
     Scrape,
     /// The persistent invalidation channel to the origin.
     Inval,
+    /// The request connection to the origin.
+    Upstream,
 }
 
 struct ProxyRole {
@@ -482,28 +392,30 @@ struct ProxyRole {
 
 impl Role for ProxyRole {
     type Tag = PKind;
-    type Job = GetRequest;
-    type Shared = ProxyState;
-    const POOL: usize = WORKERS;
 
     fn tag(&self, via: Via) -> PKind {
         match via {
             Via::Listener => PKind::Client,
             Via::Listener2 => PKind::Scrape,
             Via::Dial => PKind::Inval,
+            Via::Upstream => PKind::Upstream,
         }
     }
 
     fn on_dropped(&mut self, n: u64) {
-        self.state.counters.lock().dropped_connections += n;
+        self.state.inner.lock().local.dropped_connections += n;
     }
 
-    /// Answers one client `GET` the reactor could not ([`hit_on_reactor`])
-    /// through the same locked fetch path as the blocking
-    /// [`NetProxy::fetch`] API.
-    fn run_job(state: &ProxyState, get: GetRequest) -> Option<HttpMsg> {
-        let out = timed_fetch(state, get.client, get.url, get.issued_at).ok()?;
-        Some(client_reply(&get, out.meta))
+    fn next_deadline(&self) -> Option<Duration> {
+        self.state.inner.lock().up.deadline()
+    }
+
+    fn on_deadline(&mut self, out: &mut Outbox) {
+        self.state.inner.lock().up.expire(out);
+    }
+
+    fn on_redial(&mut self, up: bool, out: &mut Outbox) {
+        self.state.inner.lock().up.redialled(up, out);
     }
 
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
@@ -511,9 +423,19 @@ impl Role for ProxyRole {
         match cx.tag {
             PKind::Client => match msg {
                 HttpMsgRef::Get(get) => {
-                    match hit_on_reactor(state, get) {
-                        Some(reply) => cx.reply(reply),
-                        None => cx.submit(get.clone()),
+                    let begun = WallClock::start();
+                    let mut inner = state.inner.lock();
+                    let waiting = || Waiting::new(Some((cx.defer(), (*get).clone())), begun);
+                    let core = &mut inner.up.core;
+                    match core.begin(get.client, get.url, get.issued_at, waiting) {
+                        Begin::Serve(meta) => {
+                            inner.local.reactor_hits += 1;
+                            inner.fetch_latency.record(begun.elapsed().as_micros());
+                            cx.reply(client_reply(get, meta));
+                        }
+                        Begin::Forward(forward) => {
+                            cx.out.push(Out::Push(UPSTREAM, HttpMsg::Get(forward)))
+                        }
                     }
                     After::Keep
                 }
@@ -532,14 +454,23 @@ impl Role for ProxyRole {
                 HttpMsgRef::MetricsGet => cx.reply_metrics(&state.render_metrics()),
                 _ => After::Close,
             },
+            PKind::Upstream => match msg {
+                HttpMsgRef::Reply(reply) => {
+                    let mut inner = state.inner.lock();
+                    if let Some((outcome, ticket, get, begun)) = inner.up.landed(reply, cx.out) {
+                        inner.fetch_latency.record(begun.elapsed().as_micros());
+                        let answer = client_reply(&get, outcome.meta);
+                        cx.out.push(Out::Redeem(ticket, Some(answer)));
+                    }
+                    After::Keep
+                }
+                _ => After::Close,
+            },
             PKind::Inval => match msg {
                 HttpMsgRef::Invalidate { url, client } => {
-                    let deleted_hits = {
-                        let mut guard = state.policy.lock();
-                        let (policy, cache, _) = &mut *guard;
-                        policy.on_invalidate(*url, *client, cache)
-                    };
-                    state.counters.lock().invalidations_received += 1;
+                    let mut inner = state.inner.lock();
+                    let deleted_hits = inner.up.core.on_invalidate(*url, *client);
+                    inner.local.invalidations_received += 1;
                     cx.reply(HttpMsg::InvalAck {
                         url: *url,
                         client: *client,
@@ -549,28 +480,20 @@ impl Role for ProxyRole {
                 }
                 HttpMsgRef::InvalidateBatch(batch) => {
                     // One coalesced proposer round: drop every listed copy
-                    // under a single policy lock and ack the whole round in
-                    // one message, the §7 hit reports carried per entry.
+                    // under a single lock and ack the whole round in one
+                    // message, the §7 hit reports carried per entry.
                     let entries = batch.entries();
-                    let acks: Vec<BatchAckEntry> = {
-                        let mut guard = state.policy.lock();
-                        let (policy, cache, _) = &mut *guard;
-                        entries
-                            .iter()
-                            .map(|e| BatchAckEntry {
-                                url: e.url,
-                                client: e.client,
-                                cache_hits: policy
-                                    .on_invalidate(e.url, e.client, cache)
-                                    .unwrap_or(0),
-                            })
-                            .collect()
-                    };
-                    {
-                        let mut c = state.counters.lock();
-                        c.invalidations_received += entries.len() as u64;
-                        c.inval_batches_received += 1;
-                    }
+                    let mut inner = state.inner.lock();
+                    let acks: Vec<BatchAckEntry> = entries
+                        .iter()
+                        .map(|e| BatchAckEntry {
+                            url: e.url,
+                            client: e.client,
+                            cache_hits: inner.up.core.on_invalidate(e.url, e.client).unwrap_or(0),
+                        })
+                        .collect();
+                    inner.local.invalidations_received += entries.len() as u64;
+                    inner.local.inval_batches_received += 1;
                     cx.reply(HttpMsg::InvalidateBatchAck {
                         server: batch.server,
                         entries: acks,
@@ -578,12 +501,9 @@ impl Role for ProxyRole {
                     After::Keep
                 }
                 HttpMsgRef::InvalidateServer { server } => {
-                    {
-                        let mut guard = state.policy.lock();
-                        let (policy, cache, _) = &mut *guard;
-                        policy.on_invalidate_server(*server, cache);
-                    }
-                    state.counters.lock().bulk_invalidations_received += 1;
+                    let mut inner = state.inner.lock();
+                    inner.up.core.on_invalidate_server(*server);
+                    inner.local.bulk_invalidations_received += 1;
                     cx.reply(HttpMsg::InvalidateServerAck { server: *server });
                     After::Keep
                 }

@@ -1,119 +1,202 @@
-//! Bounded keep-alive connection pooling for the upward hop
-//! (proxy→origin, proxy→parent, parent→origin).
+//! The upward hop (proxy→origin, proxy→parent, parent→origin), driven
+//! from either side of a node's one lock.
 //!
-//! Each node keeps a small [`BoundedPool`] of persistent request/reply
-//! connections instead of dialing per request. A pooled connection that
-//! died while idle (the peer restarted) is detected by the round-trip
-//! failing, discarded, and the exchange retried once on a fresh dial —
-//! transparent to the policy layer above.
+//! [`Upstream`] is what a reactor role keeps: the sans-IO [`ProxyCore`]
+//! plus what the socket side adds — who waits for each flight
+//! ([`Waiting`]), when a flight is given up ([`UPSTREAM_TIMEOUT`]), and
+//! that every re-dial of a dropped request connection settles all flights
+//! that were on it: sent once more if it succeeded and they had not been
+//! already, failed otherwise. [`roundtrip`] is the blocking caller's half:
+//! one request, one reply, on a connection of the caller's own, with no
+//! lock held.
 
-use parking_lot::Mutex;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
-use wcc_proto::{FrameReader, HttpMsgRef, ReplyStatusRef};
-use wcc_reactor::{Acquire, BoundedPool};
-use wcc_types::{DocMeta, SimTime, Url};
+use wcc_cache::{CacheStore, ReplacementPolicy};
+use wcc_core::{Complete, FetchOutcome, ProtocolConfig, ProxyCore, ProxyPolicy, UpstreamReply};
+use wcc_obs::Registry;
+use wcc_proto::{encode, FrameReader, GetRequest, HttpMsg, HttpMsgRef, ReplyRef, RequestId};
+use wcc_types::{ByteSize, SimDuration, WallClock};
 
-/// One pooled keep-alive connection to the upstream node.
-pub(crate) struct UpstreamConn {
-    writer: TcpStream,
-    reader: FrameReader<TcpStream>,
+use crate::evloop::{time_left, Out, Outbox, Ticket, UPSTREAM};
+
+/// How long a flight may stay unanswered: the reactor gives it up, a
+/// blocking caller's read times out.
+pub(crate) const UPSTREAM_TIMEOUT: SimDuration = SimDuration::from_secs(5);
+
+/// Who waits for a flight.
+pub(crate) struct Waiting {
+    /// The ticket to redeem and the request it answers; `None` for a
+    /// blocking caller, who does its own round trip and waiting.
+    pub who: Option<(Ticket, GetRequest)>,
+    /// Started when the fetch began.
+    pub begun: WallClock,
+    /// Already sent a second time, after a re-dial.
+    resent: bool,
 }
 
-impl UpstreamConn {
-    fn connect(origin: SocketAddr) -> io::Result<UpstreamConn> {
-        let stream = TcpStream::connect(origin)?;
-        let _ = stream.set_nodelay(true);
-        stream.set_read_timeout(Some(Duration::from_secs(5)))?;
-        let writer = stream.try_clone()?;
-        Ok(UpstreamConn {
-            writer,
-            reader: FrameReader::new(stream),
-        })
-    }
-
-    /// Sends one encoded `GET` and summarises the reply into owned data.
-    /// The borrowed `200` body is dropped here: caches above this layer
-    /// store metadata only, so the zero-copy decode never materialises
-    /// the payload.
-    fn roundtrip(&mut self, frame: &[u8]) -> io::Result<OwnedReply> {
-        self.writer.write_all(frame)?;
-        self.writer.flush()?;
-        let msg = self
-            .reader
-            .next_msg()
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        let HttpMsgRef::Reply(reply) = msg else {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "expected a reply",
-            ));
-        };
-        Ok(OwnedReply {
-            meta: match reply.status {
-                ReplyStatusRef::Ok { meta, .. } => Some(meta),
-                ReplyStatusRef::NotModified => None,
-            },
-            lease: reply.lease,
-            volume_lease: reply.volume_lease,
-            piggyback: reply.piggyback_urls(),
-        })
+impl Waiting {
+    pub fn new(who: Option<(Ticket, GetRequest)>, begun: WallClock) -> Waiting {
+        Waiting {
+            who,
+            begun,
+            resent: false,
+        }
     }
 }
 
-/// A reply with the body discarded: everything the policy layer needs.
-pub(crate) struct OwnedReply {
-    /// `Some` for a `200`, `None` for `304`.
-    pub meta: Option<DocMeta>,
-    pub lease: Option<SimTime>,
-    pub volume_lease: Option<SimTime>,
-    pub piggyback: Vec<Url>,
+/// A node's fetch state plus the reactor side's bookkeeping about it.
+pub(crate) struct Upstream {
+    pub core: ProxyCore<Waiting>,
+    /// Flights given up after [`UPSTREAM_TIMEOUT`].
+    pub timeouts: u64,
+    /// Times the request connection was re-established.
+    pub redials: u64,
 }
 
-/// One request/reply exchange over the bounded pool. A reused keep-alive
-/// connection that turns out to be dead (upstream restarted) is discarded
-/// and the exchange retried once on a fresh connection.
-pub(crate) fn pooled_roundtrip(
-    pool: &Mutex<BoundedPool<UpstreamConn>>,
-    origin: SocketAddr,
-    frame: &[u8],
-) -> io::Result<OwnedReply> {
-    for attempt in 0..2 {
-        let (mut conn, reused, pooled) = {
-            let acquired = pool.lock().try_acquire();
-            match acquired {
-                Acquire::Reuse(conn) => (conn, true, true),
-                Acquire::Open => match UpstreamConn::connect(origin) {
-                    Ok(conn) => (conn, false, true),
-                    Err(e) => {
-                        pool.lock().discard();
-                        return Err(e);
-                    }
-                },
-                // The pool is sized above the worker count, so this only
-                // happens under exotic external use; fall back to an
-                // unpooled one-shot connection.
-                Acquire::Exhausted => (UpstreamConn::connect(origin)?, false, false),
+impl Upstream {
+    pub fn new(cfg: &ProtocolConfig, capacity: ByteSize) -> Upstream {
+        let cache = CacheStore::new(capacity, ReplacementPolicy::ExpiredFirstLru);
+        Upstream {
+            core: ProxyCore::new(ProxyPolicy::new(cfg), cache),
+            timeouts: 0,
+            redials: 0,
+        }
+    }
+
+    /// A reply frame arrived on the request connection. Returns the
+    /// finished fetch if a client on the reactor waits for it; a reply
+    /// that has to be fetched again is re-forwarded here, one nobody
+    /// waits for is dropped.
+    pub fn landed(
+        &mut self,
+        reply: &ReplyRef<'_>,
+        out: &mut Outbox,
+    ) -> Option<(FetchOutcome, Ticket, GetRequest, WallClock)> {
+        match self.core.complete(reply.req, &UpstreamReply::from(reply))? {
+            Complete::Forward(get) => {
+                out.push(Out::Push(UPSTREAM, HttpMsg::Get(get)));
+                None
             }
-        };
-        match conn.roundtrip(frame) {
-            Ok(reply) => {
-                if pooled {
-                    pool.lock().release(conn);
-                }
-                return Ok(reply);
-            }
-            Err(e) => {
-                if pooled {
-                    pool.lock().discard();
-                }
-                if reused && attempt == 0 {
-                    continue; // stale pooled connection; retry fresh
-                }
-                return Err(e);
+            Complete::Done { outcome, waiter } => {
+                let (ticket, get) = waiter.who?;
+                Some((outcome, ticket, get, waiter.begun))
             }
         }
     }
-    Err(io::Error::other("upstream retry did not resolve"))
+
+    /// Gives up on flight `req`; a client waiting on the reactor has its
+    /// connection closed behind the replies ahead of this one.
+    fn fail(&mut self, req: RequestId, out: &mut Outbox) {
+        if let Some((ticket, _)) = self.core.abandon(req).and_then(|waiting| waiting.who) {
+            out.push(Out::Redeem(ticket, None));
+        }
+    }
+
+    /// Time until the oldest flight times out. (A flight sent again under
+    /// a new id keeps its clock but queues behind younger ones: it is
+    /// given up no later than [`UPSTREAM_TIMEOUT`] after it was last sent.)
+    pub fn deadline(&self) -> Option<Duration> {
+        let (_, oldest) = self.core.oldest()?;
+        Some(time_left(&oldest.begun, UPSTREAM_TIMEOUT))
+    }
+
+    /// Fails every flight that timed out.
+    pub fn expire(&mut self, out: &mut Outbox) {
+        while let Some((req, oldest)) = self.core.oldest() {
+            if !oldest.begun.has_elapsed(UPSTREAM_TIMEOUT) {
+                break;
+            }
+            self.timeouts += 1;
+            self.fail(req, out);
+        }
+    }
+
+    /// The request connection had dropped and was dialled again: settles
+    /// every flight that was on it.
+    pub fn redialled(&mut self, up: bool, out: &mut Outbox) {
+        self.redials += u64::from(up);
+        let mut lost = Vec::new();
+        for (sent, waiting) in self.core.flights_mut() {
+            if waiting.who.is_none() {
+                continue; // on its caller's own connection
+            }
+            if up && !waiting.resent {
+                waiting.resent = true;
+                out.push(Out::Push(UPSTREAM, HttpMsg::Get(sent.clone())));
+            } else {
+                lost.push(sent.req);
+            }
+        }
+        for req in lost {
+            self.fail(req, out);
+        }
+    }
+
+    /// The upstream families of a node's `/metrics`.
+    pub fn render(&self, r: &mut Registry, node: &[(&str, &str)]) {
+        r.set_gauge(
+            "wcc_upstream_in_flight",
+            "Upstream requests awaiting their reply.",
+            node,
+            self.core.in_flight() as u64,
+        );
+        r.set_counter(
+            "wcc_inval_races_total",
+            "Upstream replies discarded because an invalidation overtook them.",
+            node,
+            self.core.counters().inval_races,
+        );
+        r.set_counter(
+            "wcc_upstream_timeouts_total",
+            "Upstream requests given up unanswered.",
+            node,
+            self.timeouts,
+        );
+        r.set_counter(
+            "wcc_upstream_redials_total",
+            "Times the upstream request connection was re-established.",
+            node,
+            self.redials,
+        );
+    }
+}
+
+/// A blocking caller's keep-alive connection to the upstream node.
+pub(crate) type BlockingConn = FrameReader<TcpStream>;
+
+fn connect(upstream: SocketAddr) -> io::Result<BlockingConn> {
+    let bound = Duration::from_micros(UPSTREAM_TIMEOUT.as_micros());
+    let stream = TcpStream::connect_timeout(&upstream, bound)?;
+    let _ = stream.set_nodelay(true);
+    stream.set_read_timeout(Some(bound))?;
+    Ok(FrameReader::new(stream))
+}
+
+/// Sends `get` and summarises its reply. The borrowed `200` body is dropped
+/// here: the zero-copy decode never materialises the payload.
+fn exchange(conn: &mut BlockingConn, get: &GetRequest) -> io::Result<UpstreamReply> {
+    let mut stream = conn.get_ref();
+    stream.write_all(&encode(&HttpMsg::Get(get.clone())))?;
+    let invalid = |why: String| io::Error::new(io::ErrorKind::InvalidData, why);
+    match conn.next_msg().map_err(|e| invalid(e.to_string()))? {
+        HttpMsgRef::Reply(reply) if reply.req == get.req => Ok(UpstreamReply::from(&reply)),
+        _ => Err(invalid("expected the reply to this request".to_string())),
+    }
+}
+
+/// One request/reply exchange for a blocking caller, on the kept-alive
+/// connection in `conn` if there is one. A kept connection that turns out
+/// to be dead (the upstream restarted) is replaced by a fresh dial, once.
+/// On success `conn` holds the connection to keep.
+pub(crate) fn roundtrip(
+    conn: &mut Option<BlockingConn>,
+    upstream: SocketAddr,
+    get: &GetRequest,
+) -> io::Result<UpstreamReply> {
+    if let Some(reply) = conn.as_mut().and_then(|kept| exchange(kept, get).ok()) {
+        return Ok(reply);
+    }
+    exchange(conn.insert(connect(upstream)?), get)
 }

@@ -1,5 +1,7 @@
 //! The hierarchy over real sockets: origin ← parent ← two children.
 
+mod common;
+
 use std::time::Duration;
 use wcc_core::{ProtocolConfig, ProtocolKind};
 use wcc_net::{check_in, FetchKind, NetOrigin, NetParent, NetProxy, OriginConfig};
@@ -49,7 +51,7 @@ fn second_child_hits_the_parent_cache() {
     assert_eq!(pc.child_requests, 2);
     assert_eq!(pc.upstream_requests, 1, "one compulsory origin miss");
     assert_eq!(pc.parent_hits, 1);
-    assert_eq!(pc.reactor_hits, 1, "answered without a worker");
+    assert_eq!(pc.reactor_hits, 1, "answered without upstream contact");
     // The origin saw exactly one site: the parent.
     let snap = origin.snapshot();
     assert_eq!(snap.gets, 1);
@@ -57,9 +59,7 @@ fn second_child_hits_the_parent_cache() {
 }
 
 /// A parent hit leaves after the miss pipelined ahead of it on the same
-/// connection — whether the reactor answered it at once (and parked it
-/// behind the worker's upstream fetch) or found the state lock already
-/// taken by that worker and queued it for the pool.
+/// connection: answered at once, it parks behind the deferred reply.
 #[test]
 fn parent_hit_pipelined_behind_a_miss_keeps_connection_order() {
     use std::io::Write;
@@ -157,4 +157,53 @@ fn child_validator_is_answered_by_the_parent() {
         "carol was served by the parent, not the origin"
     );
     assert!(parent.counters().parent_hits >= 2);
+}
+
+/// The callback race at the parent: the origin's pre-write reply is still
+/// under way when its `INVALIDATE` arrives. The parent acks at once, and
+/// neither caches nor leases out the overtaken version.
+#[test]
+fn parent_repeats_an_upstream_fetch_overtaken_by_an_invalidation() {
+    use common::{get, ScriptedUpstream, Wire};
+    use wcc_proto::{HttpMsg, HttpMsgRef};
+    let upstream = ScriptedUpstream::bind();
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let parent = NetParent::spawn(
+        upstream.addr(),
+        &cfg,
+        ServerId::new(0),
+        ByteSize::from_mib(64),
+    )
+    .expect("parent");
+    let (mut requests, mut channel) = upstream.accept_node();
+    let mut child = Wire::connect(parent.addr());
+    let carol = ClientId::from_raw(6);
+
+    child.send(&get(1, 3, carol, SimTime::from_secs(1)));
+    let old = requests.recv_get();
+    assert_eq!((old.url, old.ims), (url(3), None));
+    assert_ne!(old.client, carol, "the parent asks in its own name");
+    channel.send(&HttpMsg::Invalidate {
+        url: url(3),
+        client: old.client,
+    });
+    assert!(matches!(channel.next(), HttpMsgRef::InvalAck { .. }));
+    requests.reply_200(&old, SimTime::from_secs(5));
+    let again = requests.recv_get();
+    assert_ne!(again.req, old.req);
+    assert_eq!(
+        (again.url, again.client, again.ims),
+        (url(3), old.client, None)
+    );
+    child.assert_quiet();
+    requests.reply_200(&again, SimTime::from_secs(9));
+    assert_eq!(child.recv_200(), (1, SimTime::from_secs(9)));
+
+    let pc = parent.counters();
+    assert_eq!((pc.inval_races, pc.upstream_requests), (1, 2));
+    assert_eq!((pc.child_requests, pc.parent_hits), (1, 0));
+    // What it cached is the version after the write.
+    child.send(&get(2, 3, ClientId::from_raw(8), SimTime::from_secs(2)));
+    assert_eq!(child.recv_200(), (2, SimTime::from_secs(9)));
+    assert_eq!(parent.counters().parent_hits, 1);
 }

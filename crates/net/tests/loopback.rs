@@ -426,9 +426,9 @@ impl Browser {
     }
 }
 
-/// The hit path that skips the pool keeps the guarantee: served on the
-/// reactor while the copy is valid, upstream again — same keep-alive
-/// connection — the moment the write's invalidation was acknowledged.
+/// The hit path keeps the guarantee: served without upstream contact
+/// while the copy is valid, upstream again — same keep-alive connection —
+/// the moment the write's invalidation was acknowledged.
 #[test]
 fn reactor_hit_then_acked_write_goes_upstream_over_the_client_listener() {
     let (origin, proxy, _cfg) = start(ProtocolKind::Invalidation);
@@ -438,8 +438,8 @@ fn reactor_hit_then_acked_write_goes_upstream_over_the_client_listener() {
     let c = proxy.counters();
     assert_eq!((c.requests, c.gets_sent, c.reactor_hits), (1, 1, 0));
 
-    // The worker released the policy lock before its reply shipped, so
-    // this hit finds it free: no worker, no server contact.
+    // The copy was cached before the miss's reply shipped: no server
+    // contact.
     assert_eq!(browser.get(url(1), SimTime::from_secs(2)), v0);
     let c = proxy.counters();
     assert_eq!((c.requests, c.hits, c.gets_sent), (2, 1, 1));
@@ -478,7 +478,7 @@ fn adaptive_ttl_hit_is_on_the_reactor_until_the_ttl_expires() {
     assert_eq!(browser.get(url(3), t0 + SimDuration::from_secs(5_000)), v0);
     let c = proxy.counters();
     assert_eq!((c.reactor_hits, c.ims_sent), (1, 0));
-    // Expired: the reactor's probe says no, a worker revalidates.
+    // Expired: the proxy revalidates upstream.
     assert_eq!(browser.get(url(3), t0 + SimDuration::from_secs(20_000)), v0);
     let c = proxy.counters();
     assert_eq!((c.requests, c.hits, c.reactor_hits), (3, 2, 1));

@@ -29,6 +29,21 @@ fn sample(text: &str, name_and_labels: &str) -> Option<f64> {
         .and_then(|l| l[name_and_labels.len()..].trim().parse().ok())
 }
 
+/// The flight table's families are exposed, and read "nothing in flight,
+/// nothing went wrong" once the fetches above returned. (Non-zero values
+/// are driven by `scripted_upstream.rs`.)
+fn assert_upstream_families_idle(text: &str, node: &str) {
+    for family in [
+        "wcc_upstream_in_flight",
+        "wcc_inval_races_total",
+        "wcc_upstream_timeouts_total",
+        "wcc_upstream_redials_total",
+    ] {
+        let line = format!(r#"{family}{{node="{node}"}}"#);
+        assert_eq!(sample(text, &line), Some(0.0), "{line}");
+    }
+}
+
 #[test]
 fn origin_metrics_scrape_is_valid_and_counts_traffic() {
     let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
@@ -97,6 +112,7 @@ fn origin_metrics_scrape_is_valid_and_counts_traffic() {
         sample(&text, r#"wcc_reactor_hits_total{node="proxy"}"#),
         Some(0.0)
     );
+    assert_upstream_families_idle(&text, "proxy");
 
     // Scrapes are one-shot connections: the protocol path still works after.
     let third = proxy.fetch(c, url(2), SimTime::from_secs(20)).unwrap();
@@ -144,5 +160,6 @@ fn parent_metrics_scrape_is_valid() {
         sample(&text, r#"wcc_serve_latency_seconds_count{node="parent"}"#),
         Some(2.0)
     );
+    assert_upstream_families_idle(&text, "parent");
     validate_exposition(&parent.metrics_text()).unwrap();
 }

@@ -1,0 +1,222 @@
+//! The proxy's one thread against an upstream the test scripts: misses
+//! overlap, hits overtake them (but never on their own connection), an
+//! invalidation is acknowledged at once and poisons the fetch it overtook,
+//! a dropped request connection is re-dialled with its flights re-sent, a
+//! flight nobody answers times out, and a pipelining client cannot make
+//! the proxy hold more than a bounded number of requests.
+
+mod common;
+
+use common::{get, url, ScriptedUpstream, Wire, SERVER};
+use wcc_core::{ProtocolConfig, ProtocolKind};
+use wcc_net::NetProxy;
+use wcc_proto::{HttpMsg, HttpMsgRef};
+use wcc_types::{ByteSize, ClientId, SimTime};
+
+/// `MAX_PIPELINE` of `crates/net/src/evloop.rs`.
+const MAX_PIPELINE: u64 = 64;
+
+const C: ClientId = ClientId::from_raw(7);
+
+fn t(secs: u64) -> SimTime {
+    SimTime::from_secs(secs)
+}
+
+/// A proxy in front of a scripted upstream, its two upstream connections
+/// accepted.
+fn start() -> (ScriptedUpstream, NetProxy, Wire, Wire) {
+    let upstream = ScriptedUpstream::bind();
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let proxy =
+        NetProxy::spawn(upstream.addr(), &cfg, 0, 1, ByteSize::from_mib(64)).expect("proxy");
+    let (requests, channel) = upstream.accept_node();
+    (upstream, proxy, requests, channel)
+}
+
+fn gauge(proxy: &NetProxy, name: &str) -> String {
+    let text = proxy.metrics_text();
+    let line = text.lines().find(|l| l.starts_with(name)).expect(name);
+    line.rsplit(' ').next().expect("value").to_string()
+}
+
+/// One fetch at a time — a lock held across the upstream round trip —
+/// would show the upstream the second miss only after the first was
+/// answered.
+#[test]
+fn misses_from_many_connections_are_all_upstream_before_any_is_answered() {
+    let (_upstream, proxy, mut requests, _channel) = start();
+    let mut browsers: Vec<Wire> = (0..4).map(|_| Wire::connect(proxy.client_addr())).collect();
+    for (doc, browser) in browsers.iter_mut().enumerate() {
+        browser.send(&get(1, doc as u32, C, t(1)));
+    }
+    let mut gets: Vec<_> = (0..4).map(|_| requests.recv_get()).collect();
+    assert_eq!(proxy.counters().gets_sent, 4);
+    assert_eq!(gauge(&proxy, "wcc_upstream_in_flight"), "4");
+    // Answered in another order than asked: connections do not wait for
+    // each other.
+    gets.reverse();
+    for sent in &gets {
+        requests.reply_200(sent, t(0));
+    }
+    for browser in &mut browsers {
+        assert_eq!(browser.recv_200(), (1, t(0)));
+    }
+    let c = proxy.counters();
+    assert_eq!((c.requests, c.replies_200, c.reactor_hits), (4, 4, 0));
+    assert_eq!(gauge(&proxy, "wcc_upstream_in_flight"), "0");
+}
+
+#[test]
+fn a_hit_overtakes_a_withheld_miss_except_on_its_own_connection() {
+    let (_upstream, proxy, mut requests, _channel) = start();
+    let mut a = Wire::connect(proxy.client_addr());
+    let mut b = Wire::connect(proxy.client_addr());
+    a.send(&get(1, 1, C, t(1)));
+    let first = requests.recv_get();
+    requests.reply_200(&first, t(0));
+    assert_eq!(a.recv_200(), (1, t(0)));
+
+    // A miss, and behind it a hit, pipelined on one connection.
+    a.send_all(&[get(2, 2, C, t(2)), get(3, 1, C, t(2))]);
+    let withheld = requests.recv_get();
+    assert_eq!(withheld.url, url(2));
+    // The same copy is served at once to another connection ...
+    b.send(&get(1, 1, C, t(2)));
+    assert_eq!(b.recv_200(), (1, t(0)));
+    // ... while on `a` it waits its turn.
+    a.assert_quiet();
+    assert_eq!(proxy.counters().reactor_hits, 2);
+    requests.reply_200(&withheld, t(0));
+    assert_eq!([a.recv_200().0, a.recv_200().0], [2, 3]);
+}
+
+/// The callback race, both forms: the reply the upstream sent before the
+/// write is still under way when the invalidation arrives.
+#[test]
+fn an_invalidation_is_acked_at_once_and_the_fetch_it_overtook_is_repeated() {
+    let (_upstream, proxy, mut requests, mut channel) = start();
+    let mut browser = Wire::connect(proxy.client_addr());
+    let pushes = [
+        HttpMsg::Invalidate {
+            url: url(3),
+            client: C,
+        },
+        HttpMsg::InvalidateServer { server: SERVER },
+    ];
+    for (race, push) in pushes.iter().enumerate() {
+        let req = race as u64 + 1;
+        browser.send(&get(req, 3, C, t(10 * req)));
+        let old = requests.recv_get();
+        assert_eq!((old.url, old.ims), (url(3), None));
+        // The write: its invalidation is acknowledged while the fetch is
+        // in flight, not after it.
+        channel.send(push);
+        match (push, channel.next()) {
+            (HttpMsg::Invalidate { .. }, HttpMsgRef::InvalAck { url: acked, .. }) => {
+                assert_eq!(acked, url(3));
+            }
+            (HttpMsg::InvalidateServer { .. }, HttpMsgRef::InvalidateServerAck { .. }) => {}
+            (_, other) => panic!("expected the ack, got {other:?}"),
+        }
+        // The reply from before the write lands: it is not delivered ...
+        requests.reply_200(&old, t(5));
+        let again = requests.recv_get();
+        assert_ne!(again.req, old.req);
+        assert_eq!((again.url, again.client, again.ims), (url(3), C, None));
+        browser.assert_quiet();
+        // ... the version after it is.
+        requests.reply_200(&again, t(9 * req));
+        assert_eq!(browser.recv_200(), (req, t(9 * req)));
+        assert_eq!(proxy.counters().inval_races, req);
+        // The next write drops this copy, so the next round misses again.
+        channel.send(&pushes[0]);
+        assert!(matches!(channel.next(), HttpMsgRef::InvalAck { .. }));
+    }
+    assert_eq!(gauge(&proxy, "wcc_inval_races_total"), "2");
+}
+
+#[test]
+fn a_dropped_request_connection_is_redialled_and_its_flights_resent() {
+    let (upstream, proxy, mut requests, _channel) = start();
+    let mut browsers: Vec<Wire> = (0..3).map(|_| Wire::connect(proxy.client_addr())).collect();
+    for (doc, browser) in browsers.iter_mut().enumerate() {
+        browser.send(&get(1, doc as u32, C, t(1)));
+    }
+    let sent: Vec<_> = (0..3).map(|_| requests.recv_get()).collect();
+    drop(requests);
+    let mut requests = upstream.accept();
+    for first in &sent {
+        let again = requests.recv_get();
+        assert_eq!(again, *first, "re-sent as it was");
+        requests.reply_200(&again, t(0));
+    }
+    for browser in &mut browsers {
+        assert_eq!(browser.recv_200(), (1, t(0)));
+    }
+    let c = proxy.counters();
+    assert_eq!((c.upstream_redials, c.dropped_connections), (1, 0));
+    assert_eq!(gauge(&proxy, "wcc_upstream_redials_total"), "1");
+    // A second drop finds nothing in flight; the connection comes back.
+    drop(requests);
+    let mut requests = upstream.accept();
+    browsers[0].send(&get(2, 9, C, t(2)));
+    let fresh = requests.recv_get();
+    requests.reply_200(&fresh, t(0));
+    assert_eq!(browsers[0].recv_200(), (2, t(0)));
+}
+
+#[test]
+fn an_unanswered_flight_times_out_and_closes_its_client_behind_earlier_replies() {
+    let (_upstream, proxy, mut requests, _channel) = start();
+    let mut a = Wire::connect(proxy.client_addr());
+    let mut b = Wire::connect(proxy.client_addr());
+    a.send_all(&[get(1, 1, C, t(1)), get(2, 2, C, t(1))]);
+    let (first, _never_answered) = (requests.recv_get(), requests.recv_get());
+    requests.reply_200(&first, t(0));
+    assert_eq!(a.recv_200(), (1, t(0)));
+    a.assert_closed(); // once the flight was given its 5 s
+    let c = proxy.counters();
+    assert_eq!((c.upstream_timeouts, c.dropped_connections), (1, 1));
+    assert_eq!(gauge(&proxy, "wcc_upstream_timeouts_total"), "1");
+    assert_eq!(gauge(&proxy, "wcc_upstream_in_flight"), "0");
+    // The node itself is fine.
+    b.send(&get(1, 1, C, t(2)));
+    assert_eq!(b.recv_200(), (1, t(0)));
+}
+
+#[test]
+fn a_pipelining_client_is_read_no_further_than_max_pipeline() {
+    let (_upstream, proxy, mut requests, _channel) = start();
+    let mut a = Wire::connect(proxy.client_addr());
+    let mut b = Wire::connect(proxy.client_addr());
+    let total = 10 * MAX_PIPELINE;
+    let burst: Vec<HttpMsg> = (1..=total)
+        .map(|req| get(req, req as u32, C, t(1)))
+        .collect();
+    a.send_all(&burst);
+    let mut sent: Vec<_> = (0..MAX_PIPELINE).map(|_| requests.recv_get()).collect();
+    // Everything `a` wrote was in the proxy's hands before `b` wrote: an
+    // unbounded proxy would have forwarded all of it ahead of this.
+    b.send(&get(1, 0, C, t(1)));
+    let from_b = requests.recv_get();
+    assert_eq!(from_b.url, url(0), "the proxy read past a full pipeline");
+    requests.assert_quiet();
+    assert_eq!(
+        gauge(&proxy, "wcc_upstream_in_flight"),
+        (MAX_PIPELINE + 1).to_string()
+    );
+    requests.reply_200(&from_b, t(0));
+    assert_eq!(b.recv_200(), (1, t(0)));
+    // Each reply that leaves lets one more request in; all arrive, in order.
+    for req in 1..=total {
+        let next = sent.remove(0);
+        assert_eq!(next.url, url(req as u32));
+        requests.reply_200(&next, t(0));
+        assert_eq!(a.recv_200(), (req, t(0)));
+        if req + MAX_PIPELINE <= total {
+            sent.push(requests.recv_get());
+        }
+    }
+    requests.assert_quiet();
+    assert_eq!(proxy.counters().dropped_connections, 0);
+}

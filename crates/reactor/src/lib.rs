@@ -16,18 +16,14 @@
 //!   point, which is why none of the serving code ever needs
 //!   `thread::sleep`);
 //! * [`Waker`] — a self-pipe that makes `wait` return from another
-//!   thread (shutdown requests, injected work);
+//!   thread (the shutdown request);
 //! * [`RecvBuf`] / [`SendBuf`] — the per-connection state machine's two
 //!   halves: a compacting receive buffer that frames are decoded from
 //!   *in place* (zero-copy, pipelining-friendly) and a send buffer that
 //!   absorbs partial writes until the socket drains;
 //! * [`Signals`] — classic self-pipe signal handling (SIGTERM/SIGINT/
 //!   SIGHUP) for the `wcc serve` daemon, plus [`send_signal`] so the
-//!   bench harness can deliver kill/restart events to a child daemon;
-//! * [`BoundedPool`] — the accounting half of bounded connection pooling
-//!   on the proxy→parent→origin hops: reuse an idle upstream connection,
-//!   open a new one while under the cap, or report exhaustion so the
-//!   caller parks the request.
+//!   bench harness can deliver kill/restart events to a child daemon.
 //!
 //! Everything observable is deterministic given the readiness sequence;
 //! wall-clock deadlines go through [`wcc_types::WallClock`] like the rest
@@ -36,11 +32,9 @@
 #![warn(missing_docs)]
 
 mod buf;
-mod pool;
 mod signal;
 mod sys;
 
 pub use buf::{RecvBuf, SendBuf};
-pub use pool::{Acquire, BoundedPool};
 pub use signal::{send_signal, Signals, SIGHUP, SIGINT, SIGKILL, SIGTERM};
 pub use sys::{max_open_files, Event, Interest, Poller, WakeHandle, Waker};
