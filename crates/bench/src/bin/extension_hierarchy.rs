@@ -46,7 +46,7 @@ fn main() {
     let parent = tree.parent.expect("hierarchy run has a parent");
 
     let origin_load = |r: &RawReport| match &r.parent {
-        Some(p) => p.counters.upstream_gets + p.counters.upstream_ims,
+        Some(p) => p.fetch.gets_sent + p.fetch.ims_sent,
         None => r.gets + r.ims,
     };
     println!(
@@ -108,7 +108,7 @@ fn main() {
         parent.counters.parent_hits,
         parent.counters.invalidations_relayed,
         parent.child_sitelist.total_entries,
-        parent.counters.inval_races,
+        parent.fetch.inval_races,
     );
     println!(
         "\nExpected shape: each step left→right shrinks the origin's site\n\

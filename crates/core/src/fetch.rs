@@ -2,25 +2,31 @@
 //! one upstream message out, one reply in, one answer out.
 //!
 //! [`ProxyCore`] owns what a caching node decides with — the
-//! [`ProxyPolicy`], the [`CacheStore`] and the table of upstream requests
-//! in flight — and no I/O: [`ProxyCore::begin`] either serves from the
-//! cache or hands back the `GET` to forward, [`ProxyCore::complete`] applies
-//! the reply that came back. Whoever drives it (a reactor role, a blocking
-//! caller, a simulator actor) does the sending in between, so nothing here
-//! waits and any number of flights may be open at once.
+//! [`ProxyPolicy`], the [`CacheStore`], the table of upstream requests in
+//! flight and the §7 hit reports waiting for a ride upstream — and no I/O:
+//! [`ProxyCore::begin`] either serves from the cache or hands back the `GET`
+//! to forward, [`ProxyCore::complete`] applies the reply that came back.
+//! Whoever drives it (a reactor role, a blocking caller, a simulator actor)
+//! does the sending, timing and accounting in between, so nothing here waits
+//! and any number of flights may be open at once. It is the only place in
+//! the workspace that runs the [`ProxyPolicy`] reply sequence.
 //!
-//! The one rule for a reply that races an `INVALIDATE` is the simulator's:
-//! an invalidation that arrives while a request for the same copy is in
-//! flight *poisons* that flight; its reply — which may carry the version
-//! from before the write — is discarded and a plain `GET` goes out in its
+//! The one rule for a reply that races an invalidation: an `INVALIDATE
+//! <url>` — or a recovered origin's bulk `INVALIDATE <server>` — that
+//! arrives while a request for such a copy is in flight *poisons* that
+//! flight; its reply — which may carry the version, or a lease, from before
+//! the write or the crash — is discarded and a plain `GET` goes out in its
 //! place. The same re-forward covers a `304` whose entry was evicted while
-//! it was being validated.
+//! it was being validated. A [`ProxyCore::retransmit`] leaves after the
+//! invalidation arrived, so it starts clean.
 
 use crate::proxy::{ProxyAction, ProxyPolicy};
-use std::collections::BTreeMap;
+use std::collections::VecDeque;
 use wcc_cache::CacheStore;
-use wcc_proto::{GetRequest, ReplyRef, ReplyStatusRef, RequestId};
-use wcc_types::{ClientId, DocMeta, ServerId, SimTime, Url};
+use wcc_proto::{
+    BatchAckEntry, BatchEntry, GetRequest, Reply, ReplyRef, ReplyStatus, ReplyStatusRef, RequestId,
+};
+use wcc_types::{ClientId, DocMeta, FxHashMap, ScopedUrl, ServerId, SimTime, Url};
 
 /// How a fetch was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -72,12 +78,27 @@ impl From<&ReplyRef<'_>> for UpstreamReply {
     }
 }
 
+impl From<Reply> for UpstreamReply {
+    fn from(reply: Reply) -> Self {
+        UpstreamReply {
+            meta: match reply.status {
+                ReplyStatus::Ok(body) => Some(body.meta()),
+                ReplyStatus::NotModified => None,
+            },
+            lease: reply.lease,
+            volume_lease: reply.volume_lease,
+            piggyback: reply.piggyback,
+        }
+    }
+}
+
 /// Counters of the fetch state machine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct FetchCounters {
     /// Fetches begun.
     pub requests: u64,
-    /// Of those, fetches that found a cached entry.
+    /// Of those, fetches that found a cached entry (the paper's "Hits" row:
+    /// hits on copies that turn out stale included).
     pub hits: u64,
     /// Plain `GET`s handed out to forward.
     pub gets_sent: u64,
@@ -87,10 +108,20 @@ pub struct FetchCounters {
     pub replies_200: u64,
     /// `304` replies applied.
     pub replies_304: u64,
+    /// `INVALIDATE <url>`s applied, each entry of a batched round counted.
+    pub invalidations_received: u64,
+    /// Coalesced `InvalidateBatch` rounds applied.
+    pub inval_batches_received: u64,
+    /// Bulk `INVALIDATE <server>`s applied.
+    pub bulk_invalidations_received: u64,
     /// Piggybacked invalidations received (PSI).
     pub piggybacked_received: u64,
+    /// Of those, ones that deleted a cached copy.
+    pub piggybacked_effective: u64,
     /// Replies discarded because an invalidation overtook them.
     pub inval_races: u64,
+    /// `304`s whose entry was evicted mid-validation (fetched again).
+    pub revalidation_races: u64,
 }
 
 /// What [`ProxyCore::begin`] decided.
@@ -136,9 +167,15 @@ pub struct ProxyCore<W> {
     policy: ProxyPolicy,
     cache: CacheStore,
     next_req: RequestId,
-    /// Keyed by wire request id; ids only grow, so iteration order is the
-    /// order the requests were handed out.
-    flights: BTreeMap<RequestId, Flight<W>>,
+    /// In the order the requests were handed out — the order of their ids,
+    /// which only grow — so a flight is found by binary search, and one
+    /// that lands in order (always, for a driver with one request out)
+    /// comes off the front without moving the rest.
+    flights: VecDeque<Flight<W>>,
+    /// Downstream hit reports (§7) that arrived while no copy was held to
+    /// carry them; each rides the next upstream `GET` or invalidation ack
+    /// for its key.
+    orphan_reports: FxHashMap<ScopedUrl, u64>,
     counters: FetchCounters,
 }
 
@@ -149,7 +186,9 @@ impl<W> ProxyCore<W> {
             policy,
             cache,
             next_req: RequestId::default(),
-            flights: BTreeMap::new(),
+            // Allocated here, not under the node's first miss.
+            flights: VecDeque::with_capacity(1),
+            orphan_reports: FxHashMap::default(),
             counters: FetchCounters::default(),
         }
     }
@@ -157,6 +196,11 @@ impl<W> ProxyCore<W> {
     /// The node's cache.
     pub fn cache(&self) -> &CacheStore {
         &self.cache
+    }
+
+    /// The node's protocol policy.
+    pub fn policy(&self) -> &ProxyPolicy {
+        &self.policy
     }
 
     /// Counters so far.
@@ -169,6 +213,12 @@ impl<W> ProxyCore<W> {
         self.flights.len()
     }
 
+    /// Takes flight `req` off the table.
+    fn land(&mut self, req: RequestId) -> Option<Flight<W>> {
+        let at = self.flights.binary_search_by_key(&req, |f| f.sent.req);
+        self.flights.remove(at.ok()?)
+    }
+
     /// Registers `sent` as in flight and counts it.
     fn launch(&mut self, mut sent: GetRequest, had_entry: bool, waiter: W) -> GetRequest {
         sent.req = self.next_req;
@@ -178,15 +228,12 @@ impl<W> ProxyCore<W> {
         } else {
             self.counters.gets_sent += 1;
         }
-        self.flights.insert(
-            sent.req,
-            Flight {
-                sent: sent.clone(),
-                had_entry,
-                poisoned: false,
-                waiter,
-            },
-        );
+        self.flights.push_back(Flight {
+            sent: sent.clone(),
+            had_entry,
+            poisoned: false,
+            waiter,
+        });
         sent
     }
 
@@ -218,7 +265,7 @@ impl<W> ProxyCore<W> {
             client,
             ims,
             issued_at: now,
-            cache_hits: disposition.report_hits,
+            cache_hits: disposition.report_hits + self.take_orphan_report(key),
         };
         Begin::Forward(self.launch(get, disposition.had_entry, waiter()))
     }
@@ -231,7 +278,7 @@ impl<W> ProxyCore<W> {
             had_entry,
             poisoned,
             waiter,
-        } = self.flights.remove(&req)?;
+        } = self.land(req)?;
         let key = sent.url.scoped(sent.client);
         let now = sent.issued_at;
         let delivered = if poisoned {
@@ -243,8 +290,10 @@ impl<W> ProxyCore<W> {
             self.policy.on_volume_grant(key, reply.volume_lease);
             if !reply.piggyback.is_empty() {
                 self.counters.piggybacked_received += reply.piggyback.len() as u64;
-                self.policy
-                    .on_piggyback(&reply.piggyback, sent.client, &mut self.cache);
+                self.counters.piggybacked_effective +=
+                    self.policy
+                        .on_piggyback(&reply.piggyback, sent.client, &mut self.cache)
+                        as u64;
             }
             match reply.meta {
                 Some(meta) => {
@@ -262,8 +311,10 @@ impl<W> ProxyCore<W> {
                         .peek(key)
                         .map(|entry| (FetchKind::Validated, entry.meta))
                 }
-                // The entry was evicted while it was being validated.
-                None => None,
+                None => {
+                    self.counters.revalidation_races += 1;
+                    None
+                }
             }
         };
         Some(match delivered {
@@ -286,51 +337,111 @@ impl<W> ProxyCore<W> {
         })
     }
 
+    /// Flight `req` went unanswered (its reply was lost, or this node was
+    /// down when it came): the same fetch goes out again under a new id,
+    /// validating whatever copy is held *now*. It is not a new request —
+    /// [`ProxyPolicy::on_request`] does not run again — and a reply to the
+    /// old id is ignored from here on.
+    pub fn retransmit(&mut self, req: RequestId) -> Option<GetRequest> {
+        let Flight {
+            sent,
+            had_entry,
+            waiter,
+            ..
+        } = self.land(req)?;
+        let held = self.cache.peek(sent.url.scoped(sent.client));
+        let again = GetRequest {
+            ims: held.map(|entry| entry.meta.last_modified()),
+            cache_hits: 0,
+            ..sent
+        };
+        Some(self.launch(again, had_entry, waiter))
+    }
+
     /// Gives up on flight `req` (its reply can no longer arrive, or nobody
     /// waits for it); a reply that shows up later is ignored.
     pub fn abandon(&mut self, req: RequestId) -> Option<W> {
-        self.flights.remove(&req).map(|flight| flight.waiter)
+        self.land(req).map(|flight| flight.waiter)
     }
 
     /// The flight handed out first among those still open.
     pub fn oldest(&self) -> Option<(RequestId, &W)> {
-        self.flights
-            .iter()
-            .next()
-            .map(|(req, flight)| (*req, &flight.waiter))
+        let flight = self.flights.front()?;
+        Some((flight.sent.req, &flight.waiter))
     }
 
     /// Every open flight, oldest first: the request as sent, and its waiter.
     pub fn flights_mut(&mut self) -> impl Iterator<Item = (&GetRequest, &mut W)> {
         self.flights
-            .values_mut()
+            .iter_mut()
             .map(|flight| (&flight.sent, &mut flight.waiter))
     }
 
     /// An `INVALIDATE <url>` arrived for `client`: drops the copy and
-    /// poisons every flight for it. Returns the dropped copy's unreported
-    /// hits (see [`ProxyPolicy::on_invalidate`]).
-    pub fn on_invalidate(&mut self, url: Url, client: ClientId) -> Option<u64> {
-        for flight in self.flights.values_mut() {
+    /// poisons every flight for it. Returns the §7 report for the ack: the
+    /// dropped copy's unreported hits (see [`ProxyPolicy::on_invalidate`])
+    /// plus any downstream reports waiting for it.
+    pub fn on_invalidate(&mut self, url: Url, client: ClientId) -> u64 {
+        self.counters.invalidations_received += 1;
+        for flight in &mut self.flights {
             flight.poisoned |= flight.sent.url == url && flight.sent.client == client;
         }
-        self.policy.on_invalidate(url, client, &mut self.cache)
+        let own = self.policy.on_invalidate(url, client, &mut self.cache);
+        own.unwrap_or(0) + self.take_orphan_report(url.scoped(client))
+    }
+
+    /// A round of invalidations arrived: applies each like
+    /// [`ProxyCore::on_invalidate`] and returns the round's ack entries, in
+    /// order.
+    pub fn on_invalidate_batch(
+        &mut self,
+        entries: impl IntoIterator<Item = BatchEntry>,
+    ) -> Vec<BatchAckEntry> {
+        self.counters.inval_batches_received += 1;
+        let ack = |BatchEntry { url, client }| BatchAckEntry {
+            url,
+            client,
+            cache_hits: self.on_invalidate(url, client),
+        };
+        entries.into_iter().map(ack).collect()
     }
 
     /// A bulk `INVALIDATE <server>` arrived: marks that server's copies
-    /// questionable and poisons every flight to it. Returns how many copies
-    /// were marked.
+    /// questionable and poisons every flight to it — a reply from before
+    /// the crash may carry a lease the recovered origin no longer tracks.
+    /// Returns how many copies were marked.
     pub fn on_invalidate_server(&mut self, server: ServerId) -> usize {
-        for flight in self.flights.values_mut() {
+        self.counters.bulk_invalidations_received += 1;
+        for flight in &mut self.flights {
             flight.poisoned |= flight.sent.url.server() == server;
         }
         self.policy.on_invalidate_server(server, &mut self.cache)
     }
 
-    /// Folds a downstream cache's hit report into this tier's copy of
-    /// `url` (no-op when `client` holds none).
+    /// This node came back from a crash: "let the proxy mark all its cache
+    /// entries as questionable when it recovers." Returns how many; the
+    /// flights still open are the driver's to [`ProxyCore::retransmit`].
+    pub fn on_recover(&mut self) -> usize {
+        self.policy.on_proxy_recover(&mut self.cache)
+    }
+
+    /// Takes a downstream cache's hit report for `client`'s copy of `url`
+    /// into this tier: onto the copy when one is held, otherwise it waits
+    /// for the next upstream `GET` or invalidation ack for that key.
     pub fn absorb_report(&mut self, url: Url, client: ClientId, hits: u64) {
-        self.cache.add_unreported_hits(url.scoped(client), hits);
+        if hits == 0 {
+            return;
+        }
+        let key = url.scoped(client);
+        if self.cache.peek(key).is_some() {
+            self.cache.add_unreported_hits(key, hits);
+        } else {
+            *self.orphan_reports.entry(key).or_default() += hits;
+        }
+    }
+
+    fn take_orphan_report(&mut self, key: ScopedUrl) -> u64 {
+        self.orphan_reports.remove(&key).unwrap_or(0)
     }
 }
 
@@ -399,7 +510,7 @@ mod tests {
     fn primed_questionable(kind: ProtocolKind) -> ProxyCore<u32> {
         let mut core = core(kind);
         prime(&mut core, url(0, 7), 5, SimTime::from_secs(10));
-        core.policy.on_proxy_recover(&mut core.cache);
+        assert_eq!(core.on_recover(), 1);
         core
     }
 
@@ -480,8 +591,8 @@ mod tests {
                 assert_eq!(first.ims, Some(SimTime::from_secs(5)), "{kind:?}");
                 // Another client's copy is none of this flight's business.
                 let other = ClientId::from_raw(4);
-                assert_eq!(core.on_invalidate(url(0, 7), other), None);
-                assert!(core.on_invalidate(url(0, 7), CLIENT).is_some());
+                core.on_invalidate(url(0, 7), other);
+                core.on_invalidate(url(0, 7), CLIENT);
 
                 let again = reforwarded(core.complete(first.req, &stale));
                 assert_ne!(again.req, first.req);
@@ -537,9 +648,10 @@ mod tests {
             assert_eq!((again.ims, again.url), (None, url(0, 7)), "{kind:?}");
             let c = core.counters();
             assert_eq!(
-                (c.inval_races, c.replies_304, c.piggybacked_received),
-                (0, 0, 1)
+                (c.inval_races, c.revalidation_races, c.replies_304),
+                (0, 1, 0)
             );
+            assert_eq!((c.piggybacked_received, c.piggybacked_effective), (1, 1));
             assert!(matches!(
                 core.complete(again.req, &ok(5)),
                 Some(Complete::Done { waiter: 1, .. })
@@ -598,5 +710,105 @@ mod tests {
             let c = core.counters();
             assert_eq!((c.replies_200, c.gets_sent, core.in_flight()), (1, 2, 0));
         }
+    }
+
+    /// A flight whose reply never came goes out again under a new id,
+    /// validating the copy held now under the flight's own client. It is
+    /// not a second request, the old id is dead, and a poison does not
+    /// outlive it: the new request leaves after the invalidation arrived.
+    #[test]
+    fn retransmit_validates_the_copy_held_now_and_starts_clean() {
+        for kind in ProtocolKind::ALL {
+            let mut core = primed_questionable(kind);
+            let now = SimTime::from_secs(20);
+            let first = forwarded(core.begin(CLIENT, url(0, 7), now, || 9));
+            let before = core.counters();
+            core.on_invalidate_server(ServerId::new(0));
+
+            let again = core.retransmit(first.req).expect("an open flight");
+            assert_ne!(again.req, first.req);
+            assert_eq!(
+                (again.ims, again.cache_hits),
+                (Some(SimTime::from_secs(5)), 0),
+                "{kind:?}"
+            );
+            assert_eq!(
+                (again.url, again.client, again.issued_at),
+                (first.url, CLIENT, now)
+            );
+            let c = core.counters();
+            assert_eq!((c.requests, c.hits), (before.requests, before.hits));
+            assert_eq!(c.ims_sent, before.ims_sent + 1);
+            assert!(core.complete(first.req, &not_modified()).is_none(), "late");
+            assert!(core.retransmit(first.req).is_none());
+
+            match core.complete(again.req, &not_modified()) {
+                Some(Complete::Done { outcome, waiter: 9 }) => {
+                    assert_eq!(
+                        (outcome.kind, outcome.meta),
+                        (FetchKind::Validated, meta(5))
+                    );
+                }
+                other => panic!("{kind:?}: {other:?}"),
+            }
+            assert_eq!(core.counters().inval_races, 0);
+
+            // With no copy to validate it is a plain GET.
+            let miss = forwarded(core.begin(CLIENT, url(0, 8), now, || 1));
+            let again = core.retransmit(miss.req).expect("an open flight");
+            assert_eq!((again.ims, core.in_flight()), (None, 1));
+        }
+    }
+
+    /// §7 hit reports from downstream caches that arrive while no copy is
+    /// held are not lost: each rides the next upstream `GET` for its copy,
+    /// or the ack of the next invalidation, once.
+    #[test]
+    fn hit_reports_without_a_copy_ride_the_next_get_or_ack() {
+        let mut core = core(ProtocolKind::Invalidation);
+        let now = SimTime::from_secs(1);
+        prime(&mut core, url(0, 1), 0, now);
+        core.absorb_report(url(0, 1), CLIENT, 3);
+        assert_eq!(core.on_invalidate(url(0, 1), CLIENT), 3, "joined the copy");
+
+        core.absorb_report(url(0, 1), CLIENT, 2);
+        core.absorb_report(url(0, 1), CLIENT, 0);
+        core.absorb_report(url(0, 2), CLIENT, 4);
+        core.absorb_report(url(0, 2), ClientId::from_raw(4), 7);
+        assert_eq!(core.on_invalidate(url(0, 1), CLIENT), 2);
+        assert_eq!(core.on_invalidate(url(0, 1), CLIENT), 0, "reported once");
+        let get = forwarded(core.begin(CLIENT, url(0, 2), now, || 0));
+        assert_eq!(get.cache_hits, 4, "another client's report stays put");
+        let again = core.retransmit(get.req).expect("an open flight");
+        assert_eq!(again.cache_hits, 0, "reported once");
+    }
+
+    #[test]
+    fn a_batched_round_is_applied_per_entry_and_acked_in_order() {
+        let mut core = core(ProtocolKind::Invalidation);
+        let now = SimTime::from_secs(1);
+        prime(&mut core, url(0, 1), 0, now);
+        assert_eq!(
+            core.begin(CLIENT, url(0, 1), now, || 0),
+            Begin::Serve(meta(0))
+        );
+        let flight = forwarded(core.begin(CLIENT, url(0, 2), now, || 0));
+        let entry = |doc| BatchEntry {
+            url: url(0, doc),
+            client: CLIENT,
+        };
+        let ack = |doc, cache_hits| BatchAckEntry {
+            url: url(0, doc),
+            client: CLIENT,
+            cache_hits,
+        };
+        assert_eq!(
+            core.on_invalidate_batch([entry(2), entry(1), entry(3)]),
+            [ack(2, 0), ack(1, 1), ack(3, 0)]
+        );
+        assert_eq!(core.counters().invalidations_received, 3);
+        assert!(core.cache().peek(url(0, 1).scoped(CLIENT)).is_none());
+        reforwarded(core.complete(flight.req, &ok(0)));
+        assert_eq!(core.counters().inval_races, 1);
     }
 }

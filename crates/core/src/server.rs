@@ -3,7 +3,10 @@
 use crate::config::{LeasePolicy, ProtocolConfig, ProtocolKind};
 use crate::economics::LeaseEconomics;
 use crate::sitelist::InvalidationTable;
-use wcc_types::{ClientId, DocMeta, FxHashMap, FxHashSet, ServerId, SimDuration, SimTime, Url};
+use wcc_proto::{GetRequest, Reply, ReplyStatus};
+use wcc_types::{
+    Body, ClientId, DocMeta, FxHashMap, FxHashSet, ServerId, SimDuration, SimTime, Url,
+};
 
 /// The accelerator's decision about one `GET`/`If-Modified-Since` request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,6 +27,27 @@ pub struct GetGrant {
     /// Volume-lease grant: every reply renews the client's per-server
     /// volume lease ([`ProtocolKind::VolumeLease`] only).
     pub volume_lease: Option<SimTime>,
+}
+
+impl GetGrant {
+    /// The reply that answers `get` under this grant: a `200` carrying
+    /// `meta`'s synthetic body (payload cut by `doc_scale`) or a `304`, with
+    /// the lease, piggyback and volume lease granted.
+    pub fn into_reply(self, get: &GetRequest, meta: DocMeta, doc_scale: u64) -> Reply {
+        Reply {
+            req: get.req,
+            url: get.url,
+            client: get.client,
+            status: if self.send_body {
+                ReplyStatus::Ok(Body::synthetic(meta, doc_scale))
+            } else {
+                ReplyStatus::NotModified
+            },
+            lease: self.lease,
+            piggyback: self.piggyback,
+            volume_lease: self.volume_lease,
+        }
+    }
 }
 
 /// Counters the server half maintains (inputs to Tables 3–5).

@@ -10,7 +10,8 @@ use crate::sender::InvalSenderNode;
 use crate::SimMsg;
 use wcc_cache::{CacheStore, ReplacementPolicy};
 use wcc_core::{
-    ProtocolConfig, ProtocolKind, ProxyPolicy, ServerConsistency, SiteListMemory, SiteListStats,
+    FetchCounters, ProtocolConfig, ProtocolKind, ProxyPolicy, ServerConsistency, SiteListMemory,
+    SiteListStats,
 };
 use wcc_simnet::{FaultPlan, LinkSpec, NetworkConfig, ShardedSimulation, Simulation, Summary};
 use wcc_traces::{ModSchedule, Trace};
@@ -708,6 +709,7 @@ impl Deployment {
 
         let mut latency = Summary::default();
         let mut serves: Vec<ServeEvent> = Vec::new();
+        let mut fetch = FetchCounters::default();
         let mut pc_total = ProxyCounters::default();
         let mut cache_evictions = 0u64;
         let mut cache_expired_evictions = 0u64;
@@ -717,26 +719,25 @@ impl Deployment {
             let p = self.proxy(i);
             latency.merge(p.latency());
             serves.extend_from_slice(p.serves());
+            let f = p.core().counters();
+            fetch.requests += f.requests;
+            fetch.hits += f.hits;
+            fetch.gets_sent += f.gets_sent;
+            fetch.ims_sent += f.ims_sent;
+            fetch.replies_200 += f.replies_200;
+            fetch.replies_304 += f.replies_304;
+            fetch.revalidation_races += f.revalidation_races;
             let c = p.counters();
-            pc_total.requests += c.requests;
-            pc_total.hits += c.hits;
-            pc_total.gets_sent += c.gets_sent;
-            pc_total.ims_sent += c.ims_sent;
-            pc_total.replies_200 += c.replies_200;
-            pc_total.replies_304 += c.replies_304;
-            pc_total.invalidations_received += c.invalidations_received;
-            pc_total.invalidations_effective += c.invalidations_effective;
-            pc_total.bulk_invalidations_received += c.bulk_invalidations_received;
-            pc_total.revalidation_races += c.revalidation_races;
             pc_total.reissued_after_crash += c.reissued_after_crash;
             pc_total.request_timeouts += c.request_timeouts;
             pc_total.recoveries += c.recoveries;
             pc_total.questionable_marked += c.questionable_marked;
             pc_total.bytes_sent += c.bytes_sent;
-            cache_evictions += p.cache().stats().evictions;
-            cache_expired_evictions += p.cache().stats().expired_evictions;
-            cache_entries += p.cache().len() as u64;
-            cache_bytes += p.cache().used();
+            let cache = p.core().cache();
+            cache_evictions += cache.stats().evictions;
+            cache_expired_evictions += cache.stats().expired_evictions;
+            cache_entries += cache.len() as u64;
+            cache_bytes += cache.used();
         }
 
         // Staleness audit: compare every cache-served delivery against the
@@ -788,11 +789,11 @@ impl Deployment {
                 }
             };
             for i in 0..self.proxies.len() {
-                let p = self.proxy(i);
-                audit(p.policy(), p.cache());
+                let core = self.proxy(i).core();
+                audit(core.policy(), core.cache());
             }
             if let Some(parent) = self.parent() {
-                audit(parent.policy(), parent.cache());
+                audit(parent.core().policy(), parent.core().cache());
             }
         }
 
@@ -819,8 +820,9 @@ impl Deployment {
 
         let parent_summary = self.parent().map(|p| ParentSummary {
             counters: *p.counters(),
+            fetch: p.core().counters(),
             child_sitelist: p.children_state().table().stats(),
-            cache_entries: p.cache().len() as u64,
+            cache_entries: p.core().cache().len() as u64,
         });
         // Wire INVALIDATE traffic: per-copy sends, with every batched
         // entry replaced by its share of one batch message. Reduces to
@@ -828,8 +830,8 @@ impl Deployment {
         let invalidations_wire = oc.invalidations_sent - oc.batched_entries + oc.inval_batches;
         let control_and_transfers = match &parent_summary {
             None => {
-                pc_total.gets_sent
-                    + pc_total.ims_sent
+                fetch.gets_sent
+                    + fetch.ims_sent
                     + oc.replies_200
                     + oc.replies_304
                     + invalidations_wire
@@ -838,12 +840,12 @@ impl Deployment {
             Some(par) => {
                 // Two hops: child↔parent plus parent↔origin, and both
                 // invalidation legs.
-                pc_total.gets_sent
-                    + pc_total.ims_sent
-                    + pc_total.replies_200
-                    + pc_total.replies_304
-                    + par.counters.upstream_gets
-                    + par.counters.upstream_ims
+                fetch.gets_sent
+                    + fetch.ims_sent
+                    + fetch.replies_200
+                    + fetch.replies_304
+                    + par.fetch.gets_sent
+                    + par.fetch.ims_sent
                     + oc.replies_200
                     + oc.replies_304
                     + invalidations_wire
@@ -854,10 +856,10 @@ impl Deployment {
 
         RawReport {
             protocol: self.protocol,
-            requests: pc_total.requests,
-            hits: pc_total.hits,
-            gets: pc_total.gets_sent,
-            ims: pc_total.ims_sent,
+            requests: fetch.requests,
+            hits: fetch.hits,
+            gets: fetch.gets_sent,
+            ims: fetch.ims_sent,
             replies_200: oc.replies_200,
             replies_304: oc.replies_304,
             invalidations: oc.invalidations_sent,
@@ -888,7 +890,7 @@ impl Deployment {
             cache_expired_evictions,
             cache_entries,
             cache_bytes,
-            revalidation_races: pc_total.revalidation_races,
+            revalidation_races: fetch.revalidation_races,
             reissued_after_crash: pc_total.reissued_after_crash,
             request_timeouts: pc_total.request_timeouts,
             proxy_recoveries: pc_total.recoveries,
@@ -948,6 +950,9 @@ impl ProposerReport {
 pub struct ParentSummary {
     /// The parent's counters.
     pub counters: ParentCounters,
+    /// Its origin-facing fetch core's counters (upstream `GET`/`IMS`,
+    /// invalidations received, races).
+    pub fetch: FetchCounters,
     /// The parent's child-facing site lists at end of run.
     pub child_sitelist: SiteListStats,
     /// Entries in the parent's own cache at end of run.
@@ -1307,8 +1312,7 @@ mod tests {
         assert!(tree_parent.counters.invalidations_relayed > 0);
         // Origin request load drops: children share the parent cache, so
         // only parent misses reach the origin.
-        let tree_origin_load =
-            tree_parent.counters.upstream_gets + tree_parent.counters.upstream_ims;
+        let tree_origin_load = tree_parent.fetch.gets_sent + tree_parent.fetch.ims_sent;
         assert!(
             tree_origin_load < flat.gets + flat.ims,
             "origin load: tree {tree_origin_load} vs flat {}",

@@ -13,10 +13,10 @@
 //!   the modifier's `NOTIFY` check-ins, fans out `INVALIDATE`s (inline or
 //!   through a decoupled sender), retries unacknowledged invalidations, and
 //!   accounts CPU/disk per the [`CostModel`];
-//! * [`ProxyNode`] — a pseudo-client: a Harvest proxy (cache +
-//!   [`ProxyPolicy`](wcc_core::ProxyPolicy)) plus the sequential trace
-//!   driver that issues its partition of the trace and measures per-request
-//!   latency;
+//! * [`ProxyNode`] — a pseudo-client: a Harvest proxy (the
+//!   [`ProxyCore`](wcc_core::ProxyCore) the TCP proxy also drives) plus the
+//!   sequential trace driver that issues its partition of the trace and
+//!   measures per-request latency;
 //! * [`ModifierNode`] — touches one random file every `N` seconds of trace
 //!   time and checks it in;
 //! * [`CoordinatorNode`] — broadcasts the lock-step windows;

@@ -5,10 +5,10 @@ use crate::deployment::{ChangeDetection, InvalSendMode};
 use crate::SimMsg;
 use wcc_core::{HitMeter, Proposer, ServerConsistency};
 use wcc_obs::{invalidation_span, Phase, SpanKind, Tracer};
-use wcc_proto::{BatchEntry, CoordMsg, GetRequest, HttpMsg, Message, Reply, ReplyStatus};
+use wcc_proto::{BatchEntry, CoordMsg, GetRequest, HttpMsg, Message};
 use wcc_simnet::{Ctx, Node, Summary};
 use wcc_types::{
-    AuditEvent, Body, ByteSize, ClientId, DocMeta, FxHashMap, InvalBatchConfig, NodeId, ServerId,
+    AuditEvent, ByteSize, ClientId, DocMeta, FxHashMap, InvalBatchConfig, NodeId, ServerId,
     SimDuration, SimTime, Url,
 };
 
@@ -372,7 +372,7 @@ impl OriginNode {
                 at: ctx.now(),
             });
         }
-        let status = if grant.send_body {
+        if grant.send_body {
             let scaled = meta.size().as_u64() / self.costs.doc_scale.max(1);
             if !self.mem_cache.access(doc, scaled) {
                 self.counters.disk_reads += 1;
@@ -380,21 +380,11 @@ impl OriginNode {
             }
             ctx.consume(self.costs.serve_200_cpu(meta.size()));
             self.counters.replies_200 += 1;
-            ReplyStatus::Ok(Body::synthetic(meta, self.costs.doc_scale))
         } else {
             ctx.consume(self.costs.serve_304);
             self.counters.replies_304 += 1;
-            ReplyStatus::NotModified
-        };
-        let reply = HttpMsg::Reply(Reply {
-            req: get.req,
-            url: get.url,
-            client: get.client,
-            status,
-            lease: grant.lease,
-            piggyback: grant.piggyback,
-            volume_lease: grant.volume_lease,
-        });
+        }
+        let reply = HttpMsg::Reply(grant.into_reply(&get, meta, self.costs.doc_scale));
         let size = reply.wire_size();
         self.counters.bytes_sent += size;
         ctx.send(from, SimMsg::Net(Message::Http(reply)), size);

@@ -8,47 +8,31 @@
 //! entry per document (the parent) and one `INVALIDATE` per modification
 //! fans out down the tree instead of across every client site.
 //!
-//! The parent is both halves of the protocol at once: a
-//! [`ProxyPolicy`] + cache towards the origin, and a
+//! The parent is both halves of the protocol at once: a [`ProxyCore`]
+//! (policy, cache, flights) towards the origin, and a
 //! [`ServerConsistency`] (site lists, leases, pending acks) towards its
 //! children — the same state machines as everywhere else in the workspace.
 
 use crate::cost::CostModel;
 use crate::SimMsg;
 use wcc_cache::CacheStore;
-use wcc_core::{ProtocolConfig, ProxyAction, ProxyPolicy, ServerConsistency};
-use wcc_proto::{GetRequest, HttpMsg, Message, Reply, ReplyStatus, RequestId};
+use wcc_core::{Begin, Complete, ProtocolConfig, ProxyCore, ProxyPolicy, ServerConsistency};
+use wcc_proto::{GetRequest, HttpMsg, Message, Reply};
 use wcc_simnet::{Ctx, Node};
-use wcc_types::{Body, ByteSize, ClientId, DocMeta, FxHashMap, NodeId, SimTime, Url};
+use wcc_types::{ByteSize, ClientId, DocMeta, FxHashMap, NodeId, SimTime, Url};
 
-/// Counters the parent maintains.
+/// What the parent counts beside its fetch core's
+/// [`FetchCounters`](wcc_core::FetchCounters) ([`ParentNode::core`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ParentCounters {
     /// Requests received from children.
     pub child_requests: u64,
     /// Of those, served from the parent cache without contacting the origin.
     pub parent_hits: u64,
-    /// Requests forwarded upstream.
-    pub upstream_gets: u64,
-    /// Upstream `If-Modified-Since` requests.
-    pub upstream_ims: u64,
-    /// `INVALIDATE`s received from the origin.
-    pub invalidations_received: u64,
     /// `INVALIDATE`s relayed to children.
     pub invalidations_relayed: u64,
-    /// Upstream replies discarded because an `INVALIDATE` overtook them.
-    pub inval_races: u64,
     /// Bytes sent by the parent (up + down).
     pub bytes_sent: ByteSize,
-}
-
-#[derive(Debug)]
-struct PendingUpstream {
-    child: NodeId,
-    original: GetRequest,
-    /// An `INVALIDATE` arrived while this upstream request was in flight;
-    /// the reply must be discarded and refetched (callback-race rule).
-    invalidated: bool,
 }
 
 /// The parent-tier node. Wired by
@@ -57,8 +41,9 @@ struct PendingUpstream {
 pub struct ParentNode {
     /// The identity this parent presents to the origin.
     identity: ClientId,
-    policy: ProxyPolicy,
-    cache: CacheStore,
+    /// Origin-facing protocol half; each flight is waited for by a child
+    /// node and the `GET` it sent.
+    core: ProxyCore<(NodeId, GetRequest)>,
     /// Child-facing protocol half: per-document lists of child sites.
     children_state: ServerConsistency,
     /// Child identity → child node, for invalidation routing.
@@ -66,15 +51,9 @@ pub struct ParentNode {
     origin: NodeId,
     costs: CostModel,
     doc_scale: u64,
-    pending: FxHashMap<RequestId, PendingUpstream>,
-    next_req: RequestId,
     /// Latest trace time observed (used for child-lease decisions on
     /// invalidation relays, which carry no timestamp).
     trace_now: SimTime,
-    /// Hit reports from children that arrived while the parent held no
-    /// copy of the document (e.g. on an invalidation ack after the parent's
-    /// own copy was dropped); drained onto the next upstream request.
-    orphan_reports: FxHashMap<Url, u64>,
     pub(crate) counters: ParentCounters,
 }
 
@@ -89,17 +68,13 @@ impl ParentNode {
     ) -> Self {
         ParentNode {
             identity,
-            policy: ProxyPolicy::new(cfg),
-            cache,
+            core: ProxyCore::new(ProxyPolicy::new(cfg), cache),
             children_state: ServerConsistency::new(cfg, server),
             child_routes: FxHashMap::default(),
             origin: NodeId::new(0),
             costs,
             doc_scale,
-            pending: FxHashMap::default(),
-            next_req: RequestId::default(),
             trace_now: SimTime::ZERO,
-            orphan_reports: FxHashMap::default(),
             counters: ParentCounters::default(),
         }
     }
@@ -109,48 +84,20 @@ impl ParentNode {
         self.child_routes = routes;
     }
 
-    /// Parent counters.
+    /// The counters the fetch core does not keep.
     pub fn counters(&self) -> &ParentCounters {
         &self.counters
+    }
+
+    /// The origin-facing fetch core: the parent's cache and policy, and the
+    /// counters of upstream `GET`/`IMS` sent, invalidations and races.
+    pub fn core(&self) -> &ProxyCore<(NodeId, GetRequest)> {
+        &self.core
     }
 
     /// The child-facing protocol state (site lists towards children).
     pub fn children_state(&self) -> &ServerConsistency {
         &self.children_state
-    }
-
-    /// The parent's own cache.
-    pub fn cache(&self) -> &CacheStore {
-        &self.cache
-    }
-
-    /// The parent's upstream-facing policy (for end-of-run assertions).
-    pub fn policy(&self) -> &ProxyPolicy {
-        &self.policy
-    }
-
-    fn parent_key(&self, url: Url) -> wcc_types::ScopedUrl {
-        url.scoped(self.identity)
-    }
-
-    /// Folds a downstream hit report into this tier: onto the cached entry
-    /// when present, otherwise into the orphan buffer so it still reaches
-    /// the origin on the next upstream request.
-    fn absorb_report(&mut self, url: Url, hits: u64) {
-        if hits == 0 {
-            return;
-        }
-        let key = self.parent_key(url);
-        if self.cache.peek(key).is_some() {
-            self.cache.add_unreported_hits(key, hits);
-        } else {
-            *self.orphan_reports.entry(url).or_default() += hits;
-        }
-    }
-
-    /// The full report to attach to an upstream request for `url`.
-    fn drain_report(&mut self, url: Url, own: u64) -> u64 {
-        own + self.orphan_reports.remove(&url).unwrap_or(0)
     }
 
     fn send(&mut self, to: NodeId, msg: HttpMsg, ctx: &mut Ctx<'_, SimMsg>) {
@@ -171,162 +118,61 @@ impl ParentNode {
         let grant = self
             .children_state
             .on_get(get.url, get.client, get.ims, meta, get.issued_at);
-        let status = if grant.send_body {
-            ctx.consume(self.costs.serve_200_cpu(meta.size()));
-            ReplyStatus::Ok(Body::synthetic(meta, self.doc_scale))
+        ctx.consume(if grant.send_body {
+            self.costs.serve_200_cpu(meta.size())
         } else {
-            ctx.consume(self.costs.serve_304);
-            ReplyStatus::NotModified
-        };
-        let reply = HttpMsg::Reply(Reply {
-            req: get.req,
-            url: get.url,
-            client: get.client,
-            status,
-            lease: grant.lease,
-            piggyback: grant.piggyback,
-            volume_lease: grant.volume_lease,
+            self.costs.serve_304
         });
-        self.send(child, reply, ctx);
+        let reply = grant.into_reply(get, meta, self.doc_scale);
+        self.send(child, HttpMsg::Reply(reply), ctx);
     }
 
     fn handle_child_get(&mut self, child: NodeId, get: GetRequest, ctx: &mut Ctx<'_, SimMsg>) {
         ctx.consume(self.costs.request_parse);
         self.counters.child_requests += 1;
         self.trace_now = self.trace_now.max(get.issued_at);
-        let key = self.parent_key(get.url);
         // Fold the child cache's hit report into this tier's counter so it
         // propagates to the origin on the parent's next upstream contact.
-        self.absorb_report(get.url, get.cache_hits);
-        let disposition = self.policy.on_request(key, get.issued_at, &mut self.cache);
-        match disposition.action {
-            ProxyAction::ServeFromCache => {
+        self.core
+            .absorb_report(get.url, self.identity, get.cache_hits);
+        let waiter = || (child, get.clone());
+        match self
+            .core
+            .begin(self.identity, get.url, get.issued_at, waiter)
+        {
+            Begin::Serve(meta) => {
                 self.counters.parent_hits += 1;
-                let meta = self.cache.peek(key).expect("parent hit implies entry").meta;
                 self.reply_from_cache(child, &get, meta, ctx);
             }
-            ProxyAction::SendGet { ims } => {
-                let req = self.next_req;
-                self.next_req = self.next_req.next();
-                if ims.is_some() {
-                    self.counters.upstream_ims += 1;
-                } else {
-                    self.counters.upstream_gets += 1;
-                }
-                let upstream = HttpMsg::Get(GetRequest {
-                    req,
-                    url: get.url,
-                    client: self.identity,
-                    ims,
-                    issued_at: get.issued_at,
-                    cache_hits: self.drain_report(get.url, disposition.report_hits),
-                });
-                self.pending.insert(
-                    req,
-                    PendingUpstream {
-                        child,
-                        original: get,
-                        invalidated: false,
-                    },
-                );
-                let origin = self.origin;
-                self.send(origin, upstream, ctx);
-            }
+            Begin::Forward(upstream) => self.send(self.origin, HttpMsg::Get(upstream), ctx),
         }
-    }
-
-    /// Forwards a plain refetch upstream for a pending child request.
-    fn refetch_upstream(&mut self, child: NodeId, original: GetRequest, ctx: &mut Ctx<'_, SimMsg>) {
-        let req = self.next_req;
-        self.next_req = self.next_req.next();
-        self.counters.upstream_gets += 1;
-        let url = original.url;
-        let issued_at = original.issued_at;
-        self.pending.insert(
-            req,
-            PendingUpstream {
-                child,
-                original,
-                invalidated: false,
-            },
-        );
-        let upstream = HttpMsg::Get(GetRequest {
-            req,
-            url,
-            client: self.identity,
-            ims: None,
-            issued_at,
-            cache_hits: 0,
-        });
-        let origin = self.origin;
-        self.send(origin, upstream, ctx);
     }
 
     fn handle_upstream_reply(&mut self, reply: Reply, ctx: &mut Ctx<'_, SimMsg>) {
-        let Some(PendingUpstream {
-            child,
-            original,
-            invalidated,
-        }) = self.pending.remove(&reply.req)
-        else {
-            return;
-        };
-        if invalidated {
-            // The INVALIDATE overtook this reply: refetch the fresh version
-            // rather than caching (and leasing out) a stale one.
-            self.counters.inval_races += 1;
-            self.refetch_upstream(child, original, ctx);
-            return;
+        match self.core.complete(reply.req, &reply.into()) {
+            Some(Complete::Done {
+                outcome,
+                waiter: (child, get),
+            }) => self.reply_from_cache(child, &get, outcome.meta, ctx),
+            // Overtaken by an INVALIDATE, or the parent copy was evicted
+            // mid-validation: a plain GET goes out for the waiting child
+            // rather than a stale version being cached (and leased out).
+            Some(Complete::Forward(get)) => self.send(self.origin, HttpMsg::Get(get), ctx),
+            None => {}
         }
-        let key = self.parent_key(reply.url);
-        self.policy.on_volume_grant(key, reply.volume_lease);
-        let now = original.issued_at;
-        let meta = match reply.status {
-            ReplyStatus::Ok(body) => {
-                self.policy
-                    .on_reply_200(key, body.meta(), reply.lease, now, &mut self.cache);
-                body.meta()
-            }
-            ReplyStatus::NotModified => {
-                if !self
-                    .policy
-                    .on_reply_304(key, reply.lease, now, &mut self.cache)
-                {
-                    // Parent copy evicted mid-validation: refetch upstream
-                    // as a plain GET for the waiting child.
-                    self.refetch_upstream(child, original, ctx);
-                    return;
-                }
-                self.cache.peek(key).expect("validated entry").meta
-            }
-        };
-        self.reply_from_cache(child, &original, meta, ctx);
     }
 
     fn handle_invalidate(&mut self, url: Url, ctx: &mut Ctx<'_, SimMsg>) {
         ctx.consume(self.costs.proxy_inval_cpu);
-        self.counters.invalidations_received += 1;
-        // Callback race: poison any in-flight upstream request for this
-        // document — its reply may predate the modification.
-        for pending in self.pending.values_mut() {
-            if pending.original.url == url {
-                pending.invalidated = true;
-            }
-        }
-        // Drop the parent copy and ack the origin, reporting the dying
-        // copy's unreported hits (§7 metering).
-        let own = self
-            .policy
-            .on_invalidate(url, self.identity, &mut self.cache)
-            .unwrap_or(0);
-        let deleted_hits = self.drain_report(url, own);
+        // Drop the parent copy (poisoning any upstream request for it in
+        // flight) and ack the origin, reporting the dying copy's unreported
+        // hits (§7 metering).
         let ack = HttpMsg::InvalAck {
             url,
             client: self.identity,
-            cache_hits: deleted_hits,
+            cache_hits: self.core.on_invalidate(url, self.identity),
         };
-        let origin = self.origin;
-        self.send(origin, ack, ctx);
+        self.send(self.origin, ack, ctx);
         // Relay down the tree: only children holding live-leased copies.
         let recipients = self.children_state.on_modify(url, self.trace_now);
         for child_identity in recipients {
@@ -369,12 +215,12 @@ impl Node<SimMsg> for ParentNode {
             })) => {
                 // Fold the child's dying-copy report into the parent's own
                 // counter so it reaches the origin eventually.
-                self.absorb_report(url, cache_hits);
+                self.core.absorb_report(url, self.identity, cache_hits);
                 self.children_state.on_inval_ack(url, client);
             }
             SimMsg::Net(Message::Http(HttpMsg::InvalidateServer { server })) => {
                 ctx.consume(self.costs.proxy_inval_cpu);
-                self.policy.on_invalidate_server(server, &mut self.cache);
+                self.core.on_invalidate_server(server);
                 let relay_targets: Vec<NodeId> = {
                     let mut v: Vec<NodeId> = self.child_routes.values().copied().collect();
                     v.sort_unstable();

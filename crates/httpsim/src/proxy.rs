@@ -1,53 +1,31 @@
 //! A pseudo-client: Harvest proxy cache + sequential trace driver.
+//!
+//! The protocol side — policy, cache, the request in flight and the rule for
+//! a reply an `INVALIDATE` overtook — is [`wcc_core::ProxyCore`], the same
+//! state machine the TCP proxy drives. This node adds what the simulation
+//! needs around it: the trace driver and its coordinator barrier, the cost
+//! model's CPU charges, the request timeout, spans and audit events.
 
 use crate::cost::CostModel;
 use crate::deployment::ServeEvent;
 use crate::SimMsg;
 use wcc_cache::CacheStore;
-use wcc_core::{ProxyAction, ProxyPolicy};
+use wcc_core::{Begin, Complete, ProxyCore, ProxyPolicy, UpstreamReply};
 use wcc_obs::{Phase, SpanKind, Tracer};
-use wcc_proto::{CoordMsg, GetRequest, HttpMsg, Message, Reply, ReplyStatus, RequestId};
+use wcc_proto::{CoordMsg, GetRequest, HttpMsg, Message, Reply, RequestId};
 use wcc_simnet::{Ctx, Node, Summary};
 use wcc_traces::TraceRecord;
-use wcc_types::{AuditEvent, ByteSize, ClientId, FxHashMap, NodeId, SimTime};
+use wcc_types::{AuditEvent, ByteSize, ClientId, NodeId, SimTime, Url};
 
-/// Counters a proxy maintains for the report.
+/// What a proxy counts beside its fetch core's
+/// [`FetchCounters`](wcc_core::FetchCounters) ([`ProxyNode::core`]).
 #[derive(Debug, Default, Clone)]
 pub struct ProxyCounters {
-    /// User requests issued by the driver.
-    pub requests: u64,
-    /// Requests that found a cached entry (the paper's "Hits" row —
-    /// including hits on copies that turn out stale, as the paper counts
-    /// polling-every-time).
-    pub hits: u64,
-    /// Plain `GET`s sent to the origin.
-    pub gets_sent: u64,
-    /// `If-Modified-Since` requests sent.
-    pub ims_sent: u64,
-    /// `200` replies received.
-    pub replies_200: u64,
-    /// `304` replies received.
-    pub replies_304: u64,
-    /// `INVALIDATE <url>` messages received.
-    pub invalidations_received: u64,
-    /// Of those, ones that actually deleted a cached copy.
-    pub invalidations_effective: u64,
-    /// Bulk `INVALIDATE <server>` messages received.
-    pub bulk_invalidations_received: u64,
-    /// Piggybacked invalidations received on replies (PSI).
-    pub piggybacked_received: u64,
-    /// Of those, ones that deleted a cached copy.
-    pub piggybacked_effective: u64,
-    /// Requests re-issued because a `304` raced an eviction.
-    pub revalidation_races: u64,
     /// Requests re-issued after this proxy crashed mid-flight.
     pub reissued_after_crash: u64,
     /// Requests retransmitted after a wall-clock timeout (lost to a crashed
     /// or partitioned server).
     pub request_timeouts: u64,
-    /// Replies discarded because an `INVALIDATE` overtook them (the
-    /// callback race); each causes one refetch.
-    pub inval_races: u64,
     /// Times this proxy recovered from a crash.
     pub recoveries: u64,
     /// Cache entries marked questionable by crash recoveries.
@@ -57,18 +35,13 @@ pub struct ProxyCounters {
     pub bytes_sent: ByteSize,
 }
 
-#[derive(Debug, Clone)]
-struct Pending {
+/// Who waits for the request in flight.
+#[derive(Debug)]
+pub struct Waiting {
     record: TraceRecord,
-    req: RequestId,
-    wall_start: SimTime,
     /// Trace span the request belongs to (constant across retransmits and
     /// refetches: they are steps of the same lifetime).
     span: u64,
-    /// An `INVALIDATE` for this document arrived while the request was in
-    /// flight: the reply may carry the pre-modification version and must be
-    /// discarded and refetched (the callback-race rule).
-    invalidated: bool,
 }
 
 /// Wall-clock timeout after which an unanswered request is retransmitted
@@ -80,8 +53,10 @@ const REQUEST_TIMEOUT: wcc_types::SimDuration = wcc_types::SimDuration::from_sec
 /// waits for the reply") and implements the proxy side of the protocol.
 #[derive(Debug)]
 pub struct ProxyNode {
-    policy: ProxyPolicy,
-    cache: CacheStore,
+    /// Policy, cache and the (at most one) request in flight.
+    core: ProxyCore<Waiting>,
+    /// When that request last left; its latency is measured from here.
+    wall_start: SimTime,
     records: Vec<TraceRecord>,
     costs: CostModel,
     /// When set, this proxy is a *shared* cache: entries are scoped to this
@@ -98,8 +73,6 @@ pub struct ProxyNode {
     window_end: SimTime,
     step: u32,
     step_done_sent: bool,
-    outstanding: Option<Pending>,
-    next_req: RequestId,
     /// Per-request latency (wall clock), the paper's latency rows.
     pub(crate) latency: Summary,
     /// Every user delivery, for the staleness audit.
@@ -120,8 +93,8 @@ impl ProxyNode {
         costs: CostModel,
     ) -> Self {
         ProxyNode {
-            policy,
-            cache,
+            core: ProxyCore::new(policy, cache),
+            wall_start: SimTime::ZERO,
             records,
             costs,
             identity: None,
@@ -131,8 +104,6 @@ impl ProxyNode {
             window_end: SimTime::ZERO,
             step: 0,
             step_done_sent: true,
-            outstanding: None,
-            next_req: RequestId::default(),
             latency: Summary::default(),
             serves: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
             counters: ProxyCounters::default(),
@@ -176,15 +147,15 @@ impl ProxyNode {
         self.identity = Some(identity);
     }
 
-    /// The client id this proxy caches under and presents upstream for
-    /// `record`'s request.
-    fn effective_client(&self, record: &TraceRecord) -> ClientId {
-        self.identity.unwrap_or(record.client)
-    }
-
-    /// Proxy counters.
+    /// The counters the fetch core does not keep.
     pub fn counters(&self) -> &ProxyCounters {
         &self.counters
+    }
+
+    /// The fetch core: cache, policy, and the counters of requests, hits,
+    /// `GET`/`IMS` sent, replies applied, invalidations and races.
+    pub fn core(&self) -> &ProxyCore<Waiting> {
+        &self.core
     }
 
     /// Per-request wall-clock latency summary.
@@ -197,66 +168,57 @@ impl ProxyNode {
         &self.serves
     }
 
-    /// The cache store (for end-of-run assertions).
-    pub fn cache(&self) -> &CacheStore {
-        &self.cache
-    }
-
-    /// The protocol policy (for end-of-run assertions).
-    pub fn policy(&self) -> &ProxyPolicy {
-        &self.policy
-    }
-
-    fn send_get(
-        &mut self,
-        record: TraceRecord,
-        ims: Option<SimTime>,
-        report_hits: u64,
-        span: u64,
-        ctx: &mut Ctx<'_, SimMsg>,
-    ) {
-        let req = self.next_req;
-        self.next_req = self.next_req.next();
-        if ims.is_some() {
-            self.counters.ims_sent += 1;
-        } else {
-            self.counters.gets_sent += 1;
-        }
+    /// Sends `get` — the flight the core just opened, or opened again —
+    /// upstream and arms its timeout.
+    fn forward(&mut self, get: GetRequest, ctx: &mut Ctx<'_, SimMsg>) {
+        let span = self.core.oldest().expect("the flight just opened").1.span;
+        self.wall_start = ctx.now();
         self.tracer.record(
             ctx.now(),
             SpanKind::Request,
             span,
             Phase::Upstream,
-            record.url,
-            Some(self.effective_client(&record)),
-            Some(req.get()),
+            get.url,
+            Some(get.client),
+            Some(get.req.get()),
         );
-        let msg = HttpMsg::Get(GetRequest {
-            req,
-            url: record.url,
-            client: self.effective_client(&record),
-            ims,
-            issued_at: record.at,
-            cache_hits: report_hits,
-        });
+        let (req, upstream) = (get.req, self.upstream(get.url.server()));
+        let msg = HttpMsg::Get(get);
         let size = msg.wire_size();
         self.counters.bytes_sent += size;
-        self.outstanding = Some(Pending {
-            record,
-            req,
-            wall_start: ctx.now(),
-            span,
-            invalidated: false,
-        });
-        let upstream = self.upstream(record.url.server());
         ctx.send(upstream, SimMsg::Net(Message::Http(msg)), size);
         ctx.set_timer(REQUEST_TIMEOUT, req.get());
+    }
+
+    /// Hands `record`'s user the `version` it was answered with.
+    fn deliver(
+        &mut self,
+        record: &TraceRecord,
+        client: ClientId,
+        version: SimTime,
+        from_cache: bool,
+        at: SimTime,
+    ) {
+        self.serves.push(ServeEvent {
+            url: record.url,
+            client: record.client,
+            trace_at: record.at,
+            version,
+            from_cache,
+        });
+        self.record(AuditEvent::Serve {
+            url: record.url,
+            client,
+            version,
+            from_cache,
+            at,
+        });
     }
 
     /// Issues records until one needs the origin (sequential driver) or the
     /// window is exhausted; cache hits complete inline.
     fn pump(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
-        while self.outstanding.is_none() {
+        while self.core.in_flight() == 0 {
             let Some(&record) = self.records.get(self.next_idx) else {
                 break;
             };
@@ -264,25 +226,22 @@ impl ProxyNode {
                 break;
             }
             self.next_idx += 1;
-            self.counters.requests += 1;
             ctx.consume(self.costs.proxy_request_cpu);
             let span = self.tracer.begin_span();
+            // The client id this proxy caches under and presents upstream.
+            let client = self.identity.unwrap_or(record.client);
             self.tracer.record(
                 ctx.now(),
                 SpanKind::Request,
                 span,
                 Phase::Receive,
                 record.url,
-                Some(self.effective_client(&record)),
+                Some(client),
                 None,
             );
-            let key = record.url.scoped(self.effective_client(&record));
-            let disposition = self.policy.on_request(key, record.at, &mut self.cache);
-            if disposition.had_entry {
-                self.counters.hits += 1;
-            }
-            match disposition.action {
-                ProxyAction::ServeFromCache => {
+            let waiting = || Waiting { record, span };
+            match self.core.begin(client, record.url, record.at, waiting) {
+                Begin::Serve(meta) => {
                     ctx.consume(self.costs.proxy_hit_cpu);
                     self.latency.observe(self.costs.proxy_hit_cpu);
                     self.tracer.record(
@@ -291,33 +250,12 @@ impl ProxyNode {
                         span,
                         Phase::Hit,
                         record.url,
-                        Some(self.effective_client(&record)),
+                        Some(client),
                         None,
                     );
-                    let version = self
-                        .cache
-                        .peek(key)
-                        .expect("serve-from-cache implies entry")
-                        .meta
-                        .last_modified();
-                    self.serves.push(ServeEvent {
-                        url: record.url,
-                        client: record.client,
-                        trace_at: record.at,
-                        version,
-                        from_cache: true,
-                    });
-                    self.record(AuditEvent::Serve {
-                        url: record.url,
-                        client: key.client(),
-                        version,
-                        from_cache: true,
-                        at: ctx.now(),
-                    });
+                    self.deliver(&record, client, meta.last_modified(), true, ctx.now());
                 }
-                ProxyAction::SendGet { ims } => {
-                    self.send_get(record, ims, disposition.report_hits, span, ctx);
-                }
+                Begin::Forward(get) => self.forward(get, ctx),
             }
         }
         self.maybe_step_done(ctx);
@@ -328,7 +266,7 @@ impl ProxyNode {
             .records
             .get(self.next_idx)
             .is_none_or(|r| r.at >= self.window_end);
-        if !self.step_done_sent && self.outstanding.is_none() && window_drained {
+        if !self.step_done_sent && self.core.in_flight() == 0 && window_drained {
             self.step_done_sent = true;
             if let Some(coord) = self.coordinator {
                 let msg = Message::Coord(CoordMsg::StepDone { step: self.step });
@@ -339,114 +277,68 @@ impl ProxyNode {
     }
 
     fn handle_reply(&mut self, reply: Reply, ctx: &mut Ctx<'_, SimMsg>) {
-        let Some(pending) = self.outstanding.take() else {
-            return; // stale reply after a crash; driver already moved on
-        };
-        if pending.req != reply.req {
-            // A reply from before a crash; ignore it and keep waiting.
-            self.outstanding = Some(pending);
+        let req = reply.req;
+        let reply = UpstreamReply::from(reply);
+        // `None`: a reply from before a crash or a retransmit; the request
+        // it answered has gone out again under a new id.
+        let Some(landed) = self.core.complete(req, &reply) else {
             return;
-        }
-        if pending.invalidated {
-            // The INVALIDATE overtook this reply: its payload may predate
-            // the modification. Discard and refetch the fresh version.
-            self.counters.inval_races += 1;
-            self.send_get(pending.record, None, 0, pending.span, ctx);
-            return;
-        }
-        let record = pending.record;
-        let effective = self.effective_client(&record);
-        let key = record.url.scoped(effective);
-        // Volume-lease renewal rides every reply.
-        self.policy.on_volume_grant(key, reply.volume_lease);
-        // PSI: apply any invalidations that rode in on this reply.
-        if !reply.piggyback.is_empty() {
-            self.counters.piggybacked_received += reply.piggyback.len() as u64;
-            self.counters.piggybacked_effective +=
-                self.policy
-                    .on_piggyback(&reply.piggyback, effective, &mut self.cache)
-                    as u64;
-            if self.audit.is_some() {
-                for &url in &reply.piggyback {
-                    self.record(AuditEvent::InvalidateDelivered {
-                        url,
-                        client: effective,
-                        at: ctx.now(),
-                    });
-                }
-            }
-        }
-        let version = match reply.status {
-            ReplyStatus::Ok(ref body) => {
-                self.counters.replies_200 += 1;
-                self.policy
-                    .on_reply_200(key, body.meta(), reply.lease, record.at, &mut self.cache);
-                body.meta().last_modified()
-            }
-            ReplyStatus::NotModified => {
-                if !self
-                    .policy
-                    .on_reply_304(key, reply.lease, record.at, &mut self.cache)
-                {
-                    // The entry was evicted while we validated: fall back to
-                    // a plain GET for the body (rare race).
-                    self.counters.revalidation_races += 1;
-                    self.send_get(record, None, 0, pending.span, ctx);
-                    return;
-                }
-                self.counters.replies_304 += 1;
-                self.cache
-                    .peek(key)
-                    .expect("validated entry present")
-                    .meta
-                    .last_modified()
-            }
         };
+        let (waiting, version) = match landed {
+            // With one request in flight nothing evicts the entry it
+            // validates (no reply piggybacks its own document), so this
+            // reply was overtaken by an invalidation: none of it was applied.
+            Complete::Forward(get) => return self.forward(get, ctx),
+            Complete::Done { outcome, waiter } => (waiter, outcome.meta.last_modified()),
+        };
+        let record = waiting.record;
+        let client = self.identity.unwrap_or(record.client);
+        if let Some(log) = self.audit.as_mut() {
+            // The PSI invalidations the reply carried and the core applied.
+            let at = ctx.now();
+            let dropped = |&url| AuditEvent::InvalidateDelivered { url, client, at };
+            log.extend(reply.piggyback.iter().map(dropped));
+        }
         self.latency
-            .observe(ctx.now().saturating_since(pending.wall_start));
+            .observe(ctx.now().saturating_since(self.wall_start));
         self.tracer.record(
             ctx.now(),
             SpanKind::Request,
-            pending.span,
+            waiting.span,
             Phase::Reply,
             record.url,
-            Some(effective),
-            Some(reply.req.get()),
+            Some(client),
+            Some(req.get()),
         );
-        self.serves.push(ServeEvent {
-            url: record.url,
-            client: record.client,
-            trace_at: record.at,
-            version,
-            from_cache: false,
-        });
-        self.record(AuditEvent::Serve {
-            url: record.url,
-            client: effective,
-            version,
-            from_cache: false,
+        self.deliver(&record, client, version, false, ctx.now());
+        self.pump(ctx);
+    }
+
+    /// The CPU charge and audit trail of one `INVALIDATE <url>`.
+    fn note_invalidate(&mut self, url: Url, client: ClientId, ctx: &mut Ctx<'_, SimMsg>) {
+        ctx.consume(self.costs.proxy_inval_cpu);
+        self.record(AuditEvent::InvalidateDelivered {
+            url,
+            client,
             at: ctx.now(),
         });
-        self.pump(ctx);
+    }
+
+    /// Acknowledgements are free on the byte row (see [`ProxyCounters`]).
+    fn ack(&mut self, to: NodeId, ack: HttpMsg, ctx: &mut Ctx<'_, SimMsg>) {
+        let size = ack.wire_size();
+        ctx.send(to, SimMsg::Net(Message::Http(ack)), size);
     }
 }
 
 impl Node<SimMsg> for ProxyNode {
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, SimMsg>) {
-        // Request-timeout: retransmit if the timed-out request is still the
+        // Request timeout: retransmit if the timed-out request is still the
         // one we are waiting on.
-        let Some(pending) = self.outstanding.take() else {
-            return;
-        };
-        if pending.req.get() != token {
-            self.outstanding = Some(pending);
-            return;
+        if let Some(get) = self.core.retransmit(RequestId::new(token)) {
+            self.counters.request_timeouts += 1;
+            self.forward(get, ctx);
         }
-        self.counters.request_timeouts += 1;
-        let record = pending.record;
-        let key = record.url.scoped(record.client);
-        let ims = self.cache.peek(key).map(|e| e.meta.last_modified());
-        self.send_get(record, ims, 0, pending.span, ctx);
     }
 
     fn on_message(&mut self, from: NodeId, msg: SimMsg, ctx: &mut Ctx<'_, SimMsg>) {
@@ -459,81 +351,31 @@ impl Node<SimMsg> for ProxyNode {
             }
             SimMsg::Net(Message::Http(HttpMsg::Reply(reply))) => self.handle_reply(reply, ctx),
             SimMsg::Net(Message::Http(HttpMsg::Invalidate { url, client })) => {
-                ctx.consume(self.costs.proxy_inval_cpu);
-                self.counters.invalidations_received += 1;
-                self.record(AuditEvent::InvalidateDelivered {
-                    url,
-                    client,
-                    at: ctx.now(),
-                });
-                let deleted_hits = self.policy.on_invalidate(url, client, &mut self.cache);
-                if deleted_hits.is_some() {
-                    self.counters.invalidations_effective += 1;
-                }
-                // Callback race: a reply in flight for this document may
-                // carry the stale version — poison it.
-                if let Some(pending) = self.outstanding.as_mut() {
-                    if pending.record.url == url
-                        && self.identity.unwrap_or(pending.record.client) == client
-                    {
-                        pending.invalidated = true;
-                    }
-                }
+                self.note_invalidate(url, client, ctx);
                 let ack = HttpMsg::InvalAck {
                     url,
                     client,
-                    cache_hits: deleted_hits.unwrap_or(0),
+                    cache_hits: self.core.on_invalidate(url, client),
                 };
-                let size = ack.wire_size();
-                let upstream = self.upstream(url.server());
-                ctx.send(upstream, SimMsg::Net(Message::Http(ack)), size);
+                self.ack(self.upstream(url.server()), ack, ctx);
             }
-            SimMsg::Net(Message::Http(HttpMsg::InvalidateBatch {
-                server,
-                entries: batch_entries,
-            })) => {
+            SimMsg::Net(Message::Http(HttpMsg::InvalidateBatch { server, entries })) => {
                 // A coalesced round shares the wire framing but the work is
                 // per copy: each entry is processed exactly like a
                 // standalone INVALIDATE, and all the per-copy acks ride
                 // back in one InvalidateBatchAck.
-                let mut acks = Vec::with_capacity(batch_entries.len());
-                for wcc_proto::BatchEntry { url, client } in batch_entries {
-                    ctx.consume(self.costs.proxy_inval_cpu);
-                    self.counters.invalidations_received += 1;
-                    self.record(AuditEvent::InvalidateDelivered {
-                        url,
-                        client,
-                        at: ctx.now(),
-                    });
-                    let deleted_hits = self.policy.on_invalidate(url, client, &mut self.cache);
-                    if deleted_hits.is_some() {
-                        self.counters.invalidations_effective += 1;
-                    }
-                    if let Some(pending) = self.outstanding.as_mut() {
-                        if pending.record.url == url
-                            && self.identity.unwrap_or(pending.record.client) == client
-                        {
-                            pending.invalidated = true;
-                        }
-                    }
-                    acks.push(wcc_proto::BatchAckEntry {
-                        url,
-                        client,
-                        cache_hits: deleted_hits.unwrap_or(0),
-                    });
+                for entry in &entries {
+                    self.note_invalidate(entry.url, entry.client, ctx);
                 }
                 let ack = HttpMsg::InvalidateBatchAck {
                     server,
-                    entries: acks,
+                    entries: self.core.on_invalidate_batch(entries),
                 };
-                let size = ack.wire_size();
-                let upstream = self.upstream(server);
-                ctx.send(upstream, SimMsg::Net(Message::Http(ack)), size);
+                self.ack(self.upstream(server), ack, ctx);
             }
             SimMsg::Net(Message::Http(HttpMsg::InvalidateServer { server })) => {
                 ctx.consume(self.costs.proxy_inval_cpu);
-                self.counters.bulk_invalidations_received += 1;
-                self.policy.on_invalidate_server(server, &mut self.cache);
+                self.core.on_invalidate_server(server);
                 self.record(AuditEvent::BulkInvalidateDelivered {
                     server,
                     at: ctx.now(),
@@ -541,9 +383,7 @@ impl Node<SimMsg> for ProxyNode {
                 // Ack to the sender so the origin stops re-sending; the
                 // recovery invalidation is delivered reliably (retried
                 // through partitions and our own downtime).
-                let ack = HttpMsg::InvalidateServerAck { server };
-                let size = ack.wire_size();
-                ctx.send(from, SimMsg::Net(Message::Http(ack)), size);
+                self.ack(from, HttpMsg::InvalidateServerAck { server }, ctx);
             }
             // Every remaining variant is a protocol violation for a proxy.
             // Spelled out (no `_`) so that adding a wire variant forces a
@@ -566,71 +406,17 @@ impl Node<SimMsg> for ProxyNode {
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
-        // "Our solution is simply to let the proxy mark all its cache
-        // entries as questionable when it recovers."
         self.counters.recoveries += 1;
-        self.counters.questionable_marked += self.policy.on_proxy_recover(&mut self.cache) as u64;
+        self.counters.questionable_marked += self.core.on_recover() as u64;
         // A request in flight when we crashed will never complete: re-issue
         // it so the driver can make progress.
-        if let Some(pending) = self.outstanding.take() {
-            self.counters.reissued_after_crash += 1;
-            let record = pending.record;
-            let key = record.url.scoped(self.effective_client(&record));
-            let ims = self.cache.peek(key).map(|e| e.meta.last_modified());
-            self.send_get(record, ims, 0, pending.span, ctx);
-        } else {
-            self.pump(ctx);
-        }
-    }
-}
-
-/// Partitions trace records across `n` proxies by the paper's rule:
-/// "pseudo-client *i* handles real clients whose clientid mod *n* is *i*".
-pub fn partition_records(records: &[TraceRecord], n: u32) -> Vec<Vec<TraceRecord>> {
-    let mut parts = vec![Vec::new(); n as usize]; // xtask-lint: allow(hot-loop-alloc)
-    for rec in records {
-        parts[rec.client.partition(n) as usize].push(*rec);
-    }
-    parts
-}
-
-/// Computes per-proxy record counts keyed by partition — handy in tests.
-pub fn partition_sizes(records: &[TraceRecord], n: u32) -> FxHashMap<u32, usize> {
-    let mut sizes = FxHashMap::default();
-    for rec in records {
-        *sizes.entry(rec.client.partition(n)).or_insert(0) += 1;
-    }
-    sizes
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use wcc_types::{ServerId, Url};
-
-    #[test]
-    fn partitioning_follows_clientid_mod_n() {
-        let server = ServerId::new(0);
-        let records: Vec<TraceRecord> = (0..10u32)
-            .map(|i| TraceRecord {
-                at: SimTime::from_secs(i as u64),
-                client: ClientId::from_raw(i),
-                url: Url::new(server, 0),
-            })
-            .collect();
-        let parts = partition_records(&records, 4);
-        assert_eq!(parts.len(), 4);
-        for (i, part) in parts.iter().enumerate() {
-            for rec in part {
-                assert_eq!(rec.client.partition(4), i as u32);
+        let lost = self.core.oldest().map(|(req, _)| req);
+        match lost.and_then(|req| self.core.retransmit(req)) {
+            Some(get) => {
+                self.counters.reissued_after_crash += 1;
+                self.forward(get, ctx);
             }
+            None => self.pump(ctx),
         }
-        let total: usize = parts.iter().map(Vec::len).sum();
-        assert_eq!(total, 10);
-        let sizes = partition_sizes(&records, 4);
-        assert_eq!(sizes[&0], 3); // clients 0, 4, 8
-        assert_eq!(sizes[&1], 3); // clients 1, 5, 9
-        assert_eq!(sizes[&2], 2);
-        assert_eq!(sizes[&3], 2);
     }
 }

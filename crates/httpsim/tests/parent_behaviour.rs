@@ -46,7 +46,7 @@ fn second_child_is_served_by_the_parent() {
     d.run();
     let parent = d.parent().expect("hierarchy parent");
     assert_eq!(parent.counters().child_requests, 2);
-    assert_eq!(parent.counters().upstream_gets, 1, "one compulsory miss");
+    assert_eq!(parent.core().counters().gets_sent, 1, "one compulsory miss");
     assert_eq!(
         parent.counters().parent_hits,
         1,
@@ -104,10 +104,8 @@ fn parent_answers_stale_validator_from_its_own_cache() {
     );
     d.run();
     let parent = d.parent().expect("parent");
-    assert_eq!(
-        parent.counters().upstream_gets + parent.counters().upstream_ims,
-        1
-    );
+    let fetch = parent.core().counters();
+    assert_eq!(fetch.gets_sent + fetch.ims_sent, 1);
     let r = d.collect();
     // Child 1's second request is a pure child-cache hit (leased).
     assert_eq!(r.hits, 1);

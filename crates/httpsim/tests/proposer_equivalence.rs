@@ -70,7 +70,7 @@ fn run(
 fn digest(d: &Deployment, proxies: u32, end: SimTime) -> Vec<Vec<(ScopedUrl, SimTime, bool)>> {
     (0..proxies as usize)
         .map(|i| {
-            let p = d.proxy(i);
+            let p = d.proxy(i).core();
             let mut entries: Vec<(ScopedUrl, SimTime, bool)> = p
                 .cache()
                 .iter()

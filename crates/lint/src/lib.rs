@@ -16,6 +16,8 @@
 //! * **obs-registry** — no ad-hoc atomic counters in the TCP prototype.
 //! * **reactor-blocking-io** — no blocking socket I/O in the files that run
 //!   on a serve-tier node's one thread.
+//! * **fetch-bypass** — no `ProxyPolicy::on_reply_200` / `on_reply_304` in
+//!   the simulator or the TCP tier: both drive `wcc_core::ProxyCore`.
 //! * **map-iteration-order** — no unordered map/set iteration whose order
 //!   can reach replay-visible output (see [`order`] for the allowlist).
 //! * **wire-exhaustiveness** — every dispatch over the wire enums names

@@ -178,6 +178,19 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
         include_tests: false,
     },
     SeqRule {
+        name: "fetch-bypass",
+        needles: &[&[".", "on_reply_200", "("], &[".", "on_reply_304", "("]],
+        message: "the proxy-side fetch sequence (request, reply, the rule for \
+                  a reply an invalidation overtook) lives once, in \
+                  wcc_core::ProxyCore (crates/core/src/fetch.rs); drive its \
+                  begin / complete rather than the ProxyPolicy steps",
+        in_scope: |path| {
+            path.starts_with("crates/httpsim/src/") || path.starts_with("crates/net/src/")
+        },
+        allowed: |_| false,
+        include_tests: false,
+    },
+    SeqRule {
         name: "obs-registry",
         needles: &[&["AtomicU64"], &["AtomicUsize"]],
         message: "ad-hoc atomic counters bypass the observability layer; \

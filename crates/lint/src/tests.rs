@@ -158,6 +158,28 @@ fn blocking_socket_io_denied_on_the_node_thread() {
 }
 
 #[test]
+fn hand_rolled_fetch_sequence_denied_outside_the_core() {
+    let src = "fn f(p: &mut ProxyPolicy) { p.on_reply_200(k, m, l, t, c); }\n\
+               fn g(p: &mut ProxyPolicy) -> bool { p.on_reply_304(k, l, t, c) }\n";
+    for path in [
+        "crates/httpsim/src/proxy.rs",
+        "crates/httpsim/src/parent.rs",
+        "crates/net/src/upstream.rs",
+    ] {
+        let fired = rules_fired(path, src);
+        assert_eq!(fired, ["fetch-bypass", "fetch-bypass"], "{path}");
+    }
+    // The sequence's one home, and a crate that only measures it.
+    assert!(rules_fired("crates/core/src/fetch.rs", src).is_empty());
+    assert!(rules_fired("crates/bench/src/lib.rs", src).is_empty());
+    // Driving the core, or naming the steps in a test, is fine.
+    let ok = "fn f(core: &mut ProxyCore<W>) { core.complete(req, &reply); }\n";
+    assert!(rules_fired("crates/net/src/proxy.rs", ok).is_empty());
+    let test = "#[cfg(test)]\nmod tests {\n    fn t() { p.on_reply_200(k, m, l, t, c); }\n}\n";
+    assert!(rules_fired("crates/httpsim/src/proxy.rs", test).is_empty());
+}
+
+#[test]
 fn adhoc_atomic_counters_denied_in_the_tcp_prototype() {
     let src = "use std::sync::atomic::AtomicU64;\n";
     assert_eq!(

@@ -23,10 +23,9 @@ use std::sync::Arc;
 use std::time::Duration;
 use wcc_core::{Proposer, ProtocolConfig, ServerConsistency, SiteListStats};
 use wcc_obs::{Histogram, Registry};
-use wcc_proto::{encode, BatchEntry, GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus};
+use wcc_proto::{encode, BatchEntry, GetRequest, HttpMsg, HttpMsgRef};
 use wcc_types::{
-    Body, ByteSize, ClientId, DocMeta, InvalBatchConfig, ServerId, SimDuration, SimTime, Url,
-    WallClock,
+    ByteSize, ClientId, DocMeta, InvalBatchConfig, ServerId, SimDuration, SimTime, Url, WallClock,
 };
 
 use crate::evloop::{self, earliest, time_left, After, Cx, Node, Out, Outbox, Role, Via};
@@ -152,25 +151,13 @@ impl State {
         let grant = p
             .consistency
             .on_get(get.url, get.client, get.ims, meta, get.issued_at);
-        let status = if grant.send_body {
+        if grant.send_body {
             p.counters.replies_200 += 1;
-            ReplyStatus::Ok(Body::synthetic(
-                meta,
-                u64::from(self.doc_scale.load(Ordering::SeqCst)),
-            ))
         } else {
             p.counters.replies_304 += 1;
-            ReplyStatus::NotModified
-        };
-        Some(HttpMsg::Reply(Reply {
-            req: get.req,
-            url: get.url,
-            client: get.client,
-            status,
-            lease: grant.lease,
-            piggyback: grant.piggyback,
-            volume_lease: grant.volume_lease,
-        }))
+        }
+        let doc_scale = u64::from(self.doc_scale.load(Ordering::SeqCst));
+        Some(HttpMsg::Reply(grant.into_reply(get, meta, doc_scale)))
     }
 
     /// Processes a check-in; returns what to push on the wire, or `None`

@@ -25,8 +25,8 @@ use std::sync::Arc;
 use std::time::Duration;
 use wcc_core::{Begin, ProtocolConfig, ServerConsistency};
 use wcc_obs::{Histogram, Registry};
-use wcc_proto::{BatchAckEntry, GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus};
-use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url, WallClock};
+use wcc_proto::{BatchEntry, GetRequest, HttpMsg, HttpMsgRef};
+use wcc_types::{ByteSize, ClientId, DocMeta, ServerId, SimTime, Url, WallClock};
 
 use crate::evloop::{self, After, Cx, Hello, Node, Out, Outbox, Role, Via, UPSTREAM};
 use crate::upstream::{Upstream, Waiting};
@@ -82,6 +82,9 @@ impl Protected {
         let c = self.up.core.counters();
         NetParentCounters {
             upstream_requests: c.gets_sent + c.ims_sent,
+            invalidations_received: c.invalidations_received,
+            inval_batches_received: c.inval_batches_received,
+            bulk_invalidations_received: c.bulk_invalidations_received,
             inval_races: c.inval_races,
             upstream_timeouts: self.up.timeouts,
             upstream_redials: self.up.redials,
@@ -112,31 +115,8 @@ impl ParentState {
         let grant = p
             .children
             .on_get(get.url, get.client, get.ims, meta, get.issued_at);
-        let status = if grant.send_body {
-            ReplyStatus::Ok(Body::synthetic(meta, self.doc_scale))
-        } else {
-            ReplyStatus::NotModified
-        };
         p.serve_latency.record(begun.elapsed().as_micros());
-        HttpMsg::Reply(Reply {
-            req: get.req,
-            url: get.url,
-            client: get.client,
-            status,
-            lease: grant.lease,
-            piggyback: grant.piggyback,
-            volume_lease: grant.volume_lease,
-        })
-    }
-
-    /// The origin invalidated `url`: drops our copy (poisoning any fetch
-    /// of it in flight) and returns its unreported hits — the §7 report
-    /// for the ack — plus the children to relay to.
-    fn invalidate(&self, p: &mut Protected, url: Url) -> (u64, Vec<ClientId>) {
-        p.local.invalidations_received += 1;
-        let own_hits = p.up.core.on_invalidate(url, self.identity).unwrap_or(0);
-        let now = p.latest_trace;
-        (own_hits, p.children.on_modify(url, now))
+        HttpMsg::Reply(grant.into_reply(get, meta, self.doc_scale))
     }
 
     /// Renders the parent's registry as Prometheus text exposition.
@@ -176,28 +156,10 @@ impl ParentState {
             c.upstream_requests,
         );
         r.set_counter(
-            "wcc_invalidations_total",
-            "INVALIDATEs received from the origin.",
-            &node,
-            c.invalidations_received,
-        );
-        r.set_counter(
-            "wcc_inval_batches_total",
-            "Coalesced InvalidateBatch rounds received from the origin.",
-            &node,
-            c.inval_batches_received,
-        );
-        r.set_counter(
             "wcc_invalidations_relayed_total",
             "INVALIDATEs relayed to children.",
             &node,
             c.invalidations_relayed,
-        );
-        r.set_counter(
-            "wcc_bulk_invalidations_total",
-            "Bulk INVALIDATE <server> messages received (recovery).",
-            &node,
-            c.bulk_invalidations_received,
         );
         let stats = p.children.table().stats();
         r.set_gauge(
@@ -211,12 +173,6 @@ impl ParentState {
             "Documents with a non-empty child site list.",
             &node,
             stats.tracked_documents,
-        );
-        r.set_gauge(
-            "wcc_cached_entries",
-            "Entries currently in the parent cache.",
-            &node,
-            p.up.core.cache().len() as u64,
         );
         r.set_histogram(
             "wcc_serve_latency_seconds",
@@ -330,18 +286,16 @@ struct ParentRole {
 }
 
 impl ParentRole {
-    /// Queues one per-child `INVALIDATE <url>` for every child with a
-    /// live push channel; returns how many.
-    fn relay(&self, out: &mut Outbox, url: Url, children: Vec<ClientId>) -> u64 {
+    /// The origin invalidated `url`: queues one `INVALIDATE <url>` for every
+    /// child that holds a live-leased copy and has a push channel up.
+    fn relay(&self, p: &mut Protected, out: &mut Outbox, url: Url) {
         let partitions = self.child_partitions.max(1);
-        let mut relayed = 0;
-        for client in children {
+        for client in p.children.on_modify(url, p.latest_trace) {
             if let Some(&tok) = self.channels.get(&client.partition(partitions)) {
                 out.push(Out::Push(tok, HttpMsg::Invalidate { url, client }));
-                relayed += 1;
+                p.local.invalidations_relayed += 1;
             }
         }
-        relayed
     }
 }
 
@@ -377,14 +331,15 @@ impl Role for ParentRole {
         match cx.tag {
             KTag::Inval => match msg {
                 HttpMsgRef::Invalidate { url, .. } => {
+                    // Drops our copy, poisoning any fetch of it in flight;
+                    // its unreported hits are the §7 report for the ack.
                     let mut p = state.protected.lock();
-                    let (own_hits, recipients) = state.invalidate(&mut p, *url);
                     cx.reply(HttpMsg::InvalAck {
                         url: *url,
                         client: state.identity,
-                        cache_hits: own_hits,
+                        cache_hits: p.up.core.on_invalidate(*url, state.identity),
                     });
-                    p.local.invalidations_relayed += self.relay(cx.out, *url, recipients);
+                    self.relay(&mut p, cx.out, *url);
                     After::Keep
                 }
                 HttpMsgRef::InvalidateBatch(batch) => {
@@ -394,30 +349,22 @@ impl Role for ParentRole {
                     // (`InvalAck`), so the round fans out downstream as
                     // ordinary `INVALIDATE`s.
                     let mut p = state.protected.lock();
-                    p.local.inval_batches_received += 1;
-                    let entries = batch.entries();
-                    let mut acks = Vec::with_capacity(entries.len());
+                    let ours = batch.entries().into_iter().map(|e| BatchEntry {
+                        client: state.identity,
+                        ..e
+                    });
+                    let entries = p.up.core.on_invalidate_batch(ours);
                     for e in &entries {
-                        let (own_hits, recipients) = state.invalidate(&mut p, e.url);
-                        acks.push(BatchAckEntry {
-                            url: e.url,
-                            client: e.client,
-                            cache_hits: own_hits,
-                        });
-                        p.local.invalidations_relayed += self.relay(cx.out, e.url, recipients);
+                        self.relay(&mut p, cx.out, e.url);
                     }
                     cx.reply(HttpMsg::InvalidateBatchAck {
                         server: batch.server,
-                        entries: acks,
+                        entries,
                     });
                     After::Keep
                 }
                 HttpMsgRef::InvalidateServer { server } => {
-                    {
-                        let mut p = state.protected.lock();
-                        p.local.bulk_invalidations_received += 1;
-                        p.up.core.on_invalidate_server(*server);
-                    }
+                    state.protected.lock().up.core.on_invalidate_server(*server);
                     cx.reply(HttpMsg::InvalidateServerAck { server: *server });
                     // Relay the bulk invalidation to every child channel.
                     for &tok in self.channels.values() {
@@ -486,8 +433,13 @@ impl Role for ParentRole {
                     client,
                     cache_hits,
                 } => {
+                    // A report is taken only with an ack we are waiting
+                    // for, so a child cannot make this tier buffer reports
+                    // for documents nobody invalidated.
                     let mut p = state.protected.lock();
-                    p.up.core.absorb_report(*url, state.identity, *cache_hits);
+                    if p.children.has_pending(*url) {
+                        p.up.core.absorb_report(*url, state.identity, *cache_hits);
+                    }
                     p.children.on_inval_ack(*url, *client);
                     After::Keep
                 }

@@ -31,7 +31,7 @@ use std::sync::Arc;
 use std::time::Duration;
 use wcc_core::{Begin, Complete, ProtocolConfig};
 use wcc_obs::{Histogram, Registry};
-use wcc_proto::{BatchAckEntry, GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus};
+use wcc_proto::{GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus};
 use wcc_types::{Body, ByteSize, ClientId, DocMeta, SimTime, Url, WallClock};
 
 use crate::evloop::{self, After, Cx, Hello, Node, Out, Outbox, Role, Via, UPSTREAM};
@@ -102,6 +102,9 @@ impl Inner {
             ims_sent: c.ims_sent,
             replies_200: c.replies_200,
             replies_304: c.replies_304,
+            invalidations_received: c.invalidations_received,
+            inval_batches_received: c.inval_batches_received,
+            bulk_invalidations_received: c.bulk_invalidations_received,
             piggybacked_received: c.piggybacked_received,
             inval_races: c.inval_races,
             upstream_timeouts: self.up.timeouts,
@@ -167,24 +170,6 @@ impl ProxyState {
             c.replies_304,
         );
         r.set_counter(
-            "wcc_invalidations_total",
-            "INVALIDATEs received on the push channel.",
-            &node,
-            c.invalidations_received,
-        );
-        r.set_counter(
-            "wcc_inval_batches_total",
-            "Coalesced InvalidateBatch rounds received on the push channel.",
-            &node,
-            c.inval_batches_received,
-        );
-        r.set_counter(
-            "wcc_bulk_invalidations_total",
-            "Bulk INVALIDATE <server> messages received.",
-            &node,
-            c.bulk_invalidations_received,
-        );
-        r.set_counter(
             "wcc_piggybacked_total",
             "Piggybacked invalidations received (PSI).",
             &node,
@@ -195,12 +180,6 @@ impl ProxyState {
             "Client connections dropped by the serving tier.",
             &node,
             c.dropped_connections,
-        );
-        r.set_gauge(
-            "wcc_cached_entries",
-            "Entries currently cached.",
-            &node,
-            inner.up.core.cache().len() as u64,
         );
         r.set_histogram(
             "wcc_fetch_latency_seconds",
@@ -468,13 +447,11 @@ impl Role for ProxyRole {
             },
             PKind::Inval => match msg {
                 HttpMsgRef::Invalidate { url, client } => {
-                    let mut inner = state.inner.lock();
-                    let deleted_hits = inner.up.core.on_invalidate(*url, *client);
-                    inner.local.invalidations_received += 1;
+                    let cache_hits = state.inner.lock().up.core.on_invalidate(*url, *client);
                     cx.reply(HttpMsg::InvalAck {
                         url: *url,
                         client: *client,
-                        cache_hits: deleted_hits.unwrap_or(0),
+                        cache_hits,
                     });
                     After::Keep
                 }
@@ -482,28 +459,16 @@ impl Role for ProxyRole {
                     // One coalesced proposer round: drop every listed copy
                     // under a single lock and ack the whole round in one
                     // message, the §7 hit reports carried per entry.
-                    let entries = batch.entries();
                     let mut inner = state.inner.lock();
-                    let acks: Vec<BatchAckEntry> = entries
-                        .iter()
-                        .map(|e| BatchAckEntry {
-                            url: e.url,
-                            client: e.client,
-                            cache_hits: inner.up.core.on_invalidate(e.url, e.client).unwrap_or(0),
-                        })
-                        .collect();
-                    inner.local.invalidations_received += entries.len() as u64;
-                    inner.local.inval_batches_received += 1;
+                    let entries = inner.up.core.on_invalidate_batch(batch.entries());
                     cx.reply(HttpMsg::InvalidateBatchAck {
                         server: batch.server,
-                        entries: acks,
+                        entries,
                     });
                     After::Keep
                 }
                 HttpMsgRef::InvalidateServer { server } => {
-                    let mut inner = state.inner.lock();
-                    inner.up.core.on_invalidate_server(*server);
-                    inner.local.bulk_invalidations_received += 1;
+                    state.inner.lock().up.core.on_invalidate_server(*server);
                     cx.reply(HttpMsg::InvalidateServerAck { server: *server });
                     After::Keep
                 }

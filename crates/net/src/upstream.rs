@@ -136,6 +136,31 @@ impl Upstream {
 
     /// The upstream families of a node's `/metrics`.
     pub fn render(&self, r: &mut Registry, node: &[(&str, &str)]) {
+        let c = self.core.counters();
+        r.set_counter(
+            "wcc_invalidations_total",
+            "INVALIDATEs received on the push channel.",
+            node,
+            c.invalidations_received,
+        );
+        r.set_counter(
+            "wcc_inval_batches_total",
+            "Coalesced InvalidateBatch rounds received on the push channel.",
+            node,
+            c.inval_batches_received,
+        );
+        r.set_counter(
+            "wcc_bulk_invalidations_total",
+            "Bulk INVALIDATE <server> messages received (recovery).",
+            node,
+            c.bulk_invalidations_received,
+        );
+        r.set_gauge(
+            "wcc_cached_entries",
+            "Entries currently cached.",
+            node,
+            self.core.cache().len() as u64,
+        );
         r.set_gauge(
             "wcc_upstream_in_flight",
             "Upstream requests awaiting their reply.",
@@ -146,7 +171,7 @@ impl Upstream {
             "wcc_inval_races_total",
             "Upstream replies discarded because an invalidation overtook them.",
             node,
-            self.core.counters().inval_races,
+            c.inval_races,
         );
         r.set_counter(
             "wcc_upstream_timeouts_total",

@@ -207,3 +207,74 @@ fn parent_repeats_an_upstream_fetch_overtaken_by_an_invalidation() {
     assert_eq!(child.recv_200(), (2, SimTime::from_secs(9)));
     assert_eq!(parent.counters().parent_hits, 1);
 }
+
+/// §7 hit reports survive the tier that relays them: what the children
+/// served from their caches is what the origin is told, on the parent's
+/// requests and acks, also when a report finds the parent without a copy
+/// to carry it (its own went with the same invalidation).
+#[test]
+fn child_hit_reports_reach_the_origin_across_an_invalidation() {
+    use common::{get, ScriptedUpstream, Wire};
+    use wcc_proto::{GetRequest, HttpMsg, HttpMsgRef};
+    let upstream = ScriptedUpstream::bind();
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let capacity = ByteSize::from_mib(64);
+    let parent = NetParent::spawn(upstream.addr(), &cfg, ServerId::new(0), capacity).unwrap();
+    let (mut requests, mut channel) = upstream.accept_node();
+    let child = NetProxy::spawn(parent.addr(), &cfg, 0, 1, capacity).expect("child");
+    std::thread::sleep(Duration::from_millis(50));
+    let alice = ClientId::from_raw(0);
+
+    // A child miss the scripted origin answers; what it is told meanwhile.
+    let mut metered = 0;
+    let mut miss = |now: u64, version: u64, metered: &mut u64| -> GetRequest {
+        std::thread::scope(|s| {
+            let fetch = s.spawn(|| child.fetch(alice, url(3), SimTime::from_secs(now)));
+            let get = requests.recv_get();
+            *metered += get.cache_hits;
+            requests.reply_200(&get, SimTime::from_secs(version));
+            assert_eq!(fetch.join().unwrap().unwrap().kind, FetchKind::Fetched);
+            get
+        })
+    };
+    let mut invalidate = |client: ClientId, metered: &mut u64| {
+        channel.send(&HttpMsg::Invalidate {
+            url: url(3),
+            client,
+        });
+        match channel.next() {
+            HttpMsgRef::InvalAck { cache_hits, .. } => *metered += cache_hits,
+            other => panic!("expected an ack, got {other:?}"),
+        }
+    };
+
+    let first = miss(1, 5, &mut metered);
+    for now in 2..5 {
+        let hit = child.fetch(alice, url(3), SimTime::from_secs(now)).unwrap();
+        assert_eq!(hit.kind, FetchKind::CacheHit);
+    }
+    // The parent's copy dies unread; the child's dying copy reports its
+    // three hits on an ack that finds the parent without one.
+    invalidate(first.client, &mut metered);
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while child.counters().invalidations_received == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    // The report rides the parent's next request for the document — or, if
+    // the child's ack was slower than its next request, joins the copy that
+    // request brought and rides the ack of the next invalidation.
+    miss(10, 9, &mut metered);
+    invalidate(first.client, &mut metered);
+    assert_eq!(child.counters().hits, 3);
+    assert_eq!(metered, 3, "every child-served hit reached the origin");
+
+    // A report on a child's request for a document the parent does not
+    // hold rides the request the parent forwards for it.
+    let mut raw = Wire::connect(parent.addr());
+    let HttpMsg::Get(mut asked) = get(1, 4, ClientId::from_raw(6), SimTime::from_secs(20)) else {
+        unreachable!()
+    };
+    asked.cache_hits = 2;
+    raw.send(&HttpMsg::Get(asked));
+    assert_eq!(requests.recv_get().cache_hits, 2);
+}

@@ -108,7 +108,7 @@ fn server_crash_is_scoped_to_that_server() {
     let mut live_server0 = 0;
     let mut questionable_server1 = 0;
     for i in 0..4 {
-        for (key, entry) in d.proxy(i).cache().iter() {
+        for (key, entry) in d.proxy(i).core().cache().iter() {
             match key.url().server().index() {
                 0 if !entry.freshness.questionable => live_server0 += 1,
                 1 if entry.freshness.questionable => questionable_server1 += 1,
