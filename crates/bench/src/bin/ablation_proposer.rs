@@ -44,7 +44,7 @@ fn replay(
 /// Wire INVALIDATE messages: per-copy sends with every batched entry
 /// replaced by its share of one batch message.
 fn wire_invalidations(r: &RawReport) -> u64 {
-    r.origin_counters.invalidations_sent - r.origin_counters.batched_entries
+    r.origin_counters.invalidations - r.origin_counters.batched_entries
         + r.origin_counters.inval_batches
 }
 

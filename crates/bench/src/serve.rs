@@ -428,9 +428,15 @@ pub fn run(cfg: &ServeBenchConfig) -> std::io::Result<ServeBenchReport> {
                         // A write completing after recovery proves the tree
                         // is consistent again; the audit holds it to that.
                         let at = SimTime::from_secs(3_600);
-                        if check_in(origin_addr, Url::new(ServerId::new(0), 0), at).is_ok()
-                            && fresh.wait_writes_complete(Duration::from_secs(10))
-                        {
+                        let sent = check_in(origin_addr, Url::new(ServerId::new(0), 0), at);
+                        // Fire-and-forget: until the origin has read it,
+                        // "writes complete" is vacuously true.
+                        let asked = WallClock::start();
+                        let limit = wcc_types::SimDuration::from_secs(10);
+                        while fresh.snapshot().notifies == 0 && !asked.has_elapsed(limit) {
+                            std::thread::yield_now();
+                        }
+                        if sent.is_ok() && fresh.wait_writes_complete(Duration::from_secs(10)) {
                             audit.written.insert(0, at);
                         }
                     }

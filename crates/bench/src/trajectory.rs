@@ -630,7 +630,7 @@ fn proposer(report: &mut Report, scale: u64, flash_crowd: &Storm) {
 
     // Wire INVALIDATEs: a batch message counts once, not once per entry.
     let wire = |r: &RawReport| {
-        r.origin_counters.invalidations_sent - r.origin_counters.batched_entries
+        r.origin_counters.invalidations - r.origin_counters.batched_entries
             + r.origin_counters.inval_batches
     };
     let per_write_wire = wire(&flash_crowd.per_write) + wire(&bn_per_write);

@@ -72,6 +72,7 @@ pub mod config;
 pub mod economics;
 pub mod fetch;
 pub mod meter;
+pub mod origin;
 pub mod proposer;
 pub mod proxy;
 pub mod server;
@@ -83,6 +84,7 @@ pub use fetch::{
     Begin, Complete, FetchCounters, FetchKind, FetchOutcome, ProxyCore, UpstreamReply,
 };
 pub use meter::{DocViews, HitMeter};
+pub use origin::{OriginCore, OriginCounters, OriginOut, OriginTimer};
 pub use proposer::{Proposer, ProposerStats};
 pub use proxy::{ProxyAction, ProxyPolicy, RequestDisposition};
 pub use server::{GetGrant, ServerConsistency};

@@ -1,0 +1,843 @@
+//! The origin-side write path (§3–§5) as a sans-IO state machine, written
+//! once for the simulator's `OriginNode` and the daemon's `OriginRole`.
+//!
+//! [`OriginCore`] owns what the accelerator decides with — site lists and
+//! pending set ([`ServerConsistency`]), document sizes and versions, the
+//! batched [`Proposer`], the §7 [`HitMeter`], the retry budgets, the §5 set
+//! of sites that owe a bulk acknowledgement, the write-completion clock, the
+//! counters, the [`AuditEvent`] log — and no I/O. Every entry point takes
+//! `now` from its driver and appends what must happen next to a caller-owned
+//! list of [`OriginOut`]: frames to push to a *site* (a partition index: the
+//! proxy hosting the clients `c` with `c.partition(sites) == site`) and
+//! timers to arm, handed back through [`OriginCore::on_timer`] when due. The
+//! driver maps sites to links, sends, charges and keeps the clock. Nothing
+//! else outside the parents' child-facing half calls `ServerConsistency`'s
+//! `on_get` / `on_modify` / `on_inval_ack` / `expire_pending` /
+//! `on_server_recover` (lint rule `origin-bypass`).
+
+use crate::meter::HitMeter;
+use crate::proposer::Proposer;
+use crate::server::ServerConsistency;
+use crate::sitelist::SiteListStats;
+use std::collections::BTreeMap;
+use wcc_proto::{BatchEntry, GetRequest, Reply};
+use wcc_types::{
+    AuditEvent, ByteSize, ClientId, DocMeta, FxHashMap, InvalBatchConfig, ServerId, SimDuration,
+    SimTime, Url,
+};
+
+/// The default retry budget: a fan-out (or a recovery bulk) is re-sent this
+/// many times before the unreachable sites are given up on.
+pub const MAX_RETRIES: u32 = 20;
+
+/// A timer the core asked for; handed back to [`OriginCore::on_timer`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub enum OriginTimer {
+    /// Re-send this document's unacknowledged invalidations.
+    Retry(u32),
+    /// The proposer's age bound: flush whatever is queued.
+    Flush,
+    /// Re-send the recovery bulk invalidation to the sites yet to ack it.
+    Bulk,
+}
+
+/// What a driver must do for the core, in the order it was asked.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum OriginOut {
+    /// Push `INVALIDATE <url>` for `client`'s copy to `site`.
+    Invalidate {
+        /// The partition that hosts `client`.
+        site: u32,
+        /// The modified document.
+        url: Url,
+        /// Whose copy to drop.
+        client: ClientId,
+        /// A re-send of an invalidation not acknowledged yet.
+        retry: bool,
+    },
+    /// Push one `InvalidateBatch` round to `site`.
+    Batch {
+        /// The partition that hosts every entry's client.
+        site: u32,
+        /// The round, in `(url, client)` order; never empty.
+        entries: Vec<BatchEntry>,
+    },
+    /// Push the recovery bulk `INVALIDATE <server>` to `site`.
+    Bulk {
+        /// The partition to void.
+        site: u32,
+    },
+    /// Call [`OriginCore::on_timer`] with `timer` once `after` has passed.
+    Arm {
+        /// The delay from `now`.
+        after: SimDuration,
+        /// What to hand back.
+        timer: OriginTimer,
+    },
+}
+
+/// The origin's counters: one struct for both drivers (the simulator's
+/// report rows and the daemon's `OriginSnapshot` / `/metrics`).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct OriginCounters {
+    /// Plain `GET`s served.
+    pub gets: u64,
+    /// `If-Modified-Since` requests served.
+    pub ims: u64,
+    /// `200` replies sent.
+    pub replies_200: u64,
+    /// `304` replies sent.
+    pub replies_304: u64,
+    /// `INVALIDATE <url>`s handed out, per copy: retries included, each
+    /// entry of a batched round counted once when its round is flushed.
+    pub invalidations: u64,
+    /// Of those, re-sends of an unacknowledged invalidation.
+    pub invalidation_retries: u64,
+    /// Bulk `INVALIDATE <server>`s handed out after a recovery.
+    pub bulk_invalidations: u64,
+    /// `InvalidateBatch` rounds flushed by the proposer (one per site).
+    pub inval_batches: u64,
+    /// Entries carried by those rounds. Wire `INVALIDATE` messages are
+    /// `invalidations - batched_entries + inval_batches`.
+    pub batched_entries: u64,
+    /// Acknowledgements received (per copy, per batch entry, per bulk).
+    pub acks: u64,
+    /// Modifier check-ins processed.
+    pub notifies: u64,
+    /// Copies (or, for a bulk, sites) abandoned after the retry budget.
+    pub gave_up: u64,
+    /// Filled by [`OriginCore::snapshot`]: enqueued invalidations the
+    /// proposer absorbed because their `(url, client)` was already queued.
+    pub coalesced_invalidations: u64,
+    /// Filled by [`OriginCore::snapshot`]: §7 requests answered directly.
+    pub metered_served: u64,
+    /// Filled by [`OriginCore::snapshot`]: §7 cache hits reported on
+    /// `GET`s and acknowledgements.
+    pub metered_reported: u64,
+    /// Filled by [`OriginCore::snapshot`]: every invalidation acknowledged.
+    pub writes_complete: bool,
+    /// Filled by [`OriginCore::snapshot`]: site-list statistics.
+    pub sitelist: SiteListStats,
+}
+
+/// The accelerator's protocol state and write path. See the module docs.
+#[derive(Debug)]
+pub struct OriginCore {
+    server: ServerId,
+    consistency: ServerConsistency,
+    doc_sizes: Vec<ByteSize>,
+    /// Current last-modified (trace) time per document.
+    versions: Vec<SimTime>,
+    doc_scale: u64,
+    /// How many partitions the clients are sharded over.
+    sites: u32,
+    proposer: Option<Proposer>,
+    meter: HitMeter,
+    counters: OriginCounters,
+    retry_interval: SimDuration,
+    max_retries: u32,
+    /// Retry ticks spent on a document since its pending set was last empty.
+    retry_counts: FxHashMap<u32, u32>,
+    /// §5: sites sent the bulk invalidation that have not acknowledged it.
+    /// A partition at recovery time would otherwise swallow the one message
+    /// that voids stale freshness promises.
+    recovery_unacked: Vec<u32>,
+    recovery_attempts: u32,
+    /// `Some` after a restart that lost the ever-seen list too: the sites
+    /// whose bulk was acknowledged. Any other site gets it on registering.
+    recovery_acked: Option<Vec<u32>>,
+    /// Trace-time end of the coordinator window in progress; what volume
+    /// leases are expired against (`ZERO`, the daemon's: never).
+    window_end: SimTime,
+    /// When each incomplete write's first fan-out opened. Earliest write
+    /// wins when a coalesced round spans several modifications.
+    write_open: FxHashMap<Url, SimTime>,
+    audit: Option<Vec<AuditEvent>>,
+}
+
+impl OriginCore {
+    /// An origin serving `doc_sizes` under `consistency`, one site, nothing
+    /// cached anywhere. `inval_batch` turns the batched proposer on.
+    pub fn new(
+        consistency: ServerConsistency,
+        doc_sizes: Vec<ByteSize>,
+        doc_scale: u64,
+        retry_interval: SimDuration,
+        max_retries: u32,
+        inval_batch: Option<InvalBatchConfig>,
+    ) -> Self {
+        OriginCore {
+            server: consistency.server(),
+            consistency,
+            versions: vec![SimTime::ZERO; doc_sizes.len()],
+            doc_sizes,
+            doc_scale,
+            sites: 1,
+            proposer: inval_batch.map(Proposer::new),
+            meter: HitMeter::new(),
+            counters: OriginCounters::default(),
+            retry_interval,
+            max_retries,
+            retry_counts: FxHashMap::default(),
+            recovery_unacked: Vec::new(),
+            recovery_attempts: 0,
+            recovery_acked: None,
+            window_end: SimTime::ZERO,
+            write_open: FxHashMap::default(),
+            audit: None,
+        }
+    }
+
+    /// The server this origin is.
+    pub fn server(&self) -> ServerId {
+        self.server
+    }
+
+    /// The server-side protocol state (site lists, pending invalidations).
+    pub fn consistency(&self) -> &ServerConsistency {
+        &self.consistency
+    }
+
+    /// The batched proposer (`None`: per-write fan-out).
+    pub fn proposer(&self) -> Option<&Proposer> {
+        self.proposer.as_ref()
+    }
+
+    /// The counters, with what is derived (meter, site lists, …) filled in.
+    pub fn snapshot(&self) -> OriginCounters {
+        OriginCounters {
+            coalesced_invalidations: self.proposer.as_ref().map_or(0, |p| p.stats().coalesced),
+            metered_served: self.meter.served(),
+            metered_reported: self.meter.reported(),
+            writes_complete: self.consistency.writes_complete(),
+            sitelist: self.consistency.table().stats(),
+            ..self.counters.clone()
+        }
+    }
+
+    /// Current last-modified time of `url`, if this origin has it.
+    pub fn version(&self, url: Url) -> Option<SimTime> {
+        self.meta(url).map(DocMeta::last_modified)
+    }
+
+    fn meta(&self, url: Url) -> Option<DocMeta> {
+        let doc = url.doc() as usize;
+        let ours = url.server() == self.server;
+        let size = self.doc_sizes.get(doc).filter(|_| ours)?;
+        Some(DocMeta::new(*size, *self.versions.get(doc)?))
+    }
+
+    /// Swaps the payload scale factor of the bodies served from here on.
+    pub fn set_doc_scale(&mut self, doc_scale: u64) {
+        self.doc_scale = doc_scale;
+    }
+
+    /// Sets how many partitions the clients are sharded over.
+    pub fn set_sites(&mut self, sites: u32) {
+        self.sites = sites.max(1);
+    }
+
+    /// Starts recording [`AuditEvent`]s.
+    pub fn enable_audit(&mut self) {
+        self.audit = Some(Vec::new());
+    }
+
+    /// The audit-event log (empty when auditing is off).
+    pub fn audit_log(&self) -> &[AuditEvent] {
+        self.audit.as_deref().unwrap_or(&[])
+    }
+
+    fn record(&mut self, ev: AuditEvent) {
+        if let Some(log) = self.audit.as_mut() {
+            log.push(ev);
+        }
+    }
+
+    /// Whether §5 recovery has finished: no bulk is unacknowledged and,
+    /// after a restart without the ever-seen list, some site acknowledged.
+    pub fn recovery_complete(&self) -> bool {
+        let acked = |sites: &Vec<u32>| !sites.is_empty();
+        self.recovery_unacked.is_empty() && self.recovery_acked.as_ref().is_none_or(acked)
+    }
+
+    /// Serves one `GET`: counters, §7 metering, the grant. Returns the reply
+    /// and whether the grant cost a write to the persistent ever-seen list;
+    /// `None` for a document this origin does not have (ids come off the
+    /// wire).
+    pub fn serve(&mut self, get: &GetRequest, now: SimTime) -> Option<(Reply, bool)> {
+        let meta = self.meta(get.url)?;
+        if get.is_ims() {
+            self.counters.ims += 1;
+        } else {
+            self.counters.gets += 1;
+        }
+        self.meter.record_request(get.url);
+        self.meter.record_report(get.url, get.cache_hits);
+        let grant = self
+            .consistency
+            .on_get(get.url, get.client, get.ims, meta, get.issued_at);
+        if let (true, Some(lease)) = (grant.register, grant.lease) {
+            self.record(AuditEvent::Register {
+                url: get.url,
+                client: get.client,
+                lease,
+                at: now,
+            });
+        }
+        if grant.send_body {
+            self.counters.replies_200 += 1;
+        } else {
+            self.counters.replies_304 += 1;
+        }
+        let new_site = grant.new_site_disk_write;
+        Some((grant.into_reply(get, meta, self.doc_scale), new_site))
+    }
+
+    /// A check-in: `url`'s mtime advances to `at`. Returns the document's
+    /// version now, `None` for a document this origin does not have. The
+    /// driver decides when the accelerator notices ([`OriginCore::modify`]).
+    pub fn touch(&mut self, url: Url, at: SimTime, now: SimTime) -> Option<SimTime> {
+        self.meta(url)?;
+        let version = self.versions.get_mut(url.doc() as usize)?;
+        *version = (*version).max(at);
+        let version = *version;
+        self.counters.notifies += 1;
+        self.record(AuditEvent::Touch {
+            url,
+            version: at,
+            at: now,
+        });
+        Some(version)
+    }
+
+    /// The accelerator noticed `url` changed (to `version`): drains its site
+    /// list and fans the invalidation out — to the proposer's queue when
+    /// batching, per copy otherwise — together with the still-unacknowledged
+    /// leftovers of earlier fan-outs.
+    pub fn modify(&mut self, url: Url, version: SimTime, now: SimTime, out: &mut Vec<OriginOut>) {
+        let pending_before = match self.audit {
+            Some(_) => self.consistency.pending_for(url),
+            None => Vec::new(),
+        };
+        let recipients = self.consistency.on_modify(url, version);
+        if self.audit.is_some() {
+            let (resent, fresh) = recipients
+                .iter()
+                .copied()
+                .partition(|c| pending_before.binary_search(c).is_ok());
+            self.record(AuditEvent::ModifyFanout {
+                url,
+                version,
+                fresh,
+                resent,
+                at: now,
+            });
+        }
+        self.fan_out(url, &recipients, false, now, out);
+    }
+
+    fn fan_out(
+        &mut self,
+        url: Url,
+        recipients: &[ClientId],
+        retry: bool,
+        now: SimTime,
+        out: &mut Vec<OriginOut>,
+    ) {
+        if recipients.is_empty() {
+            return;
+        }
+        if !retry {
+            self.write_open.entry(url).or_insert(now);
+            // Fresh fan-out with the proposer on: queue instead of sending.
+            // The age timer (armed as the queue opens) bounds the wait; a
+            // count or byte threshold flushes at once. Retries stay per
+            // copy — they target copies a flush already announced.
+            if let Some(proposer) = self.proposer.as_mut() {
+                let mut opened = false;
+                for &client in recipients {
+                    opened |= proposer.enqueue(url, client);
+                }
+                if opened {
+                    let after = proposer.config().max_age;
+                    out.push(OriginOut::Arm {
+                        after,
+                        timer: OriginTimer::Flush,
+                    });
+                }
+                if proposer.should_flush() {
+                    self.flush(now, out);
+                }
+                return;
+            }
+        }
+        for &client in recipients {
+            self.record(AuditEvent::InvalidateSend {
+                url,
+                client,
+                retry,
+                at: now,
+            });
+            let site = client.partition(self.sites);
+            out.push(OriginOut::Invalidate {
+                site,
+                url,
+                client,
+                retry,
+            });
+        }
+        let n = recipients.len() as u64;
+        self.counters.invalidations += n;
+        if retry {
+            self.counters.invalidation_retries += n;
+        }
+        // Await the acks; re-send to whoever has not answered by then.
+        self.arm(OriginTimer::Retry(url.doc()), out);
+    }
+
+    /// Arms `timer` one retry period from now.
+    fn arm(&self, timer: OriginTimer, out: &mut Vec<OriginOut>) {
+        let after = self.retry_interval;
+        out.push(OriginOut::Arm { after, timer });
+    }
+
+    /// Drains the proposer into one [`OriginOut::Batch`] per site with
+    /// entries, and arms each flushed document's retry timer. The audit's
+    /// `InvalidateSend`s are recorded here, at send time, so the auditor's
+    /// pending table matches the wire.
+    fn flush(&mut self, now: SimTime, out: &mut Vec<OriginOut>) {
+        let Some(proposer) = self.proposer.as_mut().filter(|p| !p.is_empty()) else {
+            return;
+        };
+        let rounds = proposer.drain();
+        let mut per_site: BTreeMap<u32, Vec<BatchEntry>> = BTreeMap::new();
+        for (url, clients) in &rounds {
+            for &client in clients {
+                let site = client.partition(self.sites);
+                let entry = BatchEntry { url: *url, client };
+                per_site.entry(site).or_default().push(entry);
+            }
+        }
+        for (site, entries) in per_site {
+            let n = entries.len();
+            proposer.note_batch(n);
+            self.counters.inval_batches += 1;
+            self.counters.batched_entries += n as u64;
+            self.counters.invalidations += n as u64;
+            out.push(OriginOut::Batch { site, entries });
+        }
+        for (url, clients) in &rounds {
+            if self.audit.is_some() {
+                for &client in clients {
+                    self.record(AuditEvent::InvalidateSend {
+                        url: *url,
+                        client,
+                        retry: false,
+                        at: now,
+                    });
+                }
+            }
+            self.arm(OriginTimer::Retry(url.doc()), out);
+        }
+    }
+
+    /// One invalidation acknowledgement — an `InvalAck`, or one entry of a
+    /// batch acknowledgement — with its §7 hit report. Returns how long the
+    /// write took when this was the last copy it was waiting for.
+    pub fn ack(
+        &mut self,
+        url: Url,
+        client: ClientId,
+        cache_hits: u64,
+        now: SimTime,
+    ) -> Option<SimDuration> {
+        self.meta(url)?;
+        self.counters.acks += 1;
+        self.meter.record_report(url, cache_hits);
+        self.consistency.on_inval_ack(url, client);
+        self.record(AuditEvent::InvalidateAck {
+            url,
+            client,
+            at: now,
+        });
+        if self.consistency.has_pending(url) {
+            return None;
+        }
+        let opened = self.write_open.remove(&url)?;
+        Some(now.saturating_since(opened))
+    }
+
+    /// `site` acknowledged the recovery bulk invalidation.
+    pub fn bulk_ack(&mut self, site: u32) {
+        self.counters.acks += 1;
+        let Some(at) = self.recovery_unacked.iter().position(|&s| s == site) else {
+            return;
+        };
+        self.recovery_unacked.remove(at);
+        if let Some(acked) = self.recovery_acked.as_mut() {
+            acked.push(site);
+        }
+    }
+
+    /// A timer armed through [`OriginOut::Arm`] is due.
+    pub fn on_timer(&mut self, timer: OriginTimer, now: SimTime, out: &mut Vec<OriginOut>) {
+        match timer {
+            // A timer armed before an earlier threshold flush drains what
+            // re-accumulated since — flushing early is always legal, and
+            // the unconditional rule keeps replays deterministic.
+            OriginTimer::Flush => self.flush(now, out),
+            OriginTimer::Bulk => self.retry_bulk(out),
+            OriginTimer::Retry(doc) => self.retry_document(doc, now, out),
+        }
+    }
+
+    /// Re-sends one document's unacknowledged invalidations, up to the
+    /// retry budget. Volume leases first drop the entries whose volume has
+    /// expired — the bounded-write-completion rule.
+    fn retry_document(&mut self, doc: u32, now: SimTime, out: &mut Vec<OriginOut>) {
+        let dropped = self.consistency.expire_pending(self.window_end);
+        if dropped > 0 {
+            self.record(AuditEvent::PendingExpired {
+                server: self.server,
+                dropped,
+                at: now,
+            });
+        }
+        let url = Url::new(self.server, doc);
+        let pending = self.sent_pending(url, None);
+        if pending.is_empty() {
+            self.retry_counts.remove(&doc);
+            return;
+        }
+        let attempts = self.retry_counts.entry(doc).or_insert(0);
+        *attempts += 1;
+        if *attempts > self.max_retries {
+            self.counters.gave_up += pending.len() as u64;
+            self.retry_counts.remove(&doc);
+            // The write will never complete; drop its open clock.
+            self.write_open.remove(&url);
+            return self.record(AuditEvent::GaveUp {
+                url,
+                abandoned: pending,
+                at: now,
+            });
+        }
+        self.fan_out(url, &pending, true, now, out);
+    }
+
+    /// `url`'s unacknowledged copies (of `site` only, if given) that were
+    /// in fact announced: the ones still queued in the proposer have not
+    /// been sent yet — their flush arms a fresh retry timer.
+    fn sent_pending(&self, url: Url, site: Option<u32>) -> Vec<ClientId> {
+        let mut pending = self.consistency.pending_for(url);
+        pending.retain(|&c| {
+            site.is_none_or(|s| c.partition(self.sites) == s)
+                && !self.proposer.as_ref().is_some_and(|p| p.queued(url, c))
+        });
+        pending
+    }
+
+    /// Bulk-invalidation retry tick, on the same budget as a document's.
+    fn retry_bulk(&mut self, out: &mut Vec<OriginOut>) {
+        if self.recovery_unacked.is_empty() {
+            return;
+        }
+        self.recovery_attempts += 1;
+        if self.recovery_attempts > self.max_retries {
+            // Accounted like an abandoned fan-out: these sites may keep
+            // serving promised-fresh copies the recovery should have voided
+            // (a site that registers again is sent a bulk of its own).
+            self.counters.gave_up += self.recovery_unacked.len() as u64;
+            return self.recovery_unacked.clear();
+        }
+        self.send_bulk(out);
+    }
+
+    /// One bulk `INVALIDATE <server>` per unacknowledged site, and the
+    /// timer that re-sends to whoever has still not answered by then.
+    fn send_bulk(&mut self, out: &mut Vec<OriginOut>) {
+        self.counters.bulk_invalidations += self.recovery_unacked.len() as u64;
+        let bulk = |&site| OriginOut::Bulk { site };
+        out.extend(self.recovery_unacked.iter().map(bulk));
+        self.arm(OriginTimer::Bulk, out);
+    }
+
+    /// The process died: main-memory state — the proposer's queue, the
+    /// recovery round in progress, the open write clocks — goes with it.
+    /// Documents and the ever-seen site list are on disk and survive.
+    pub fn crash(&mut self) {
+        self.recovery_unacked.clear();
+        self.recovery_attempts = 0;
+        if let Some(proposer) = self.proposer.as_mut() {
+            proposer.clear();
+        }
+        self.write_open.clear();
+    }
+
+    /// The server site is back, its ever-seen list read from disk: the
+    /// volatile site lists and the pending set are discarded and every site
+    /// is sent one bulk `INVALIDATE <server>` (it marks each copy from this
+    /// server questionable), re-sent until acknowledged.
+    pub fn recover(&mut self, now: SimTime, out: &mut Vec<OriginOut>) {
+        let seen = self.consistency.on_server_recover();
+        // Recorded even with nobody to notify: the lists went either way.
+        self.record(AuditEvent::ServerRecovered {
+            server: self.server,
+            at: now,
+        });
+        if seen.is_empty() {
+            return;
+        }
+        self.recovery_unacked = (0..self.sites).collect();
+        self.recovery_attempts = 0;
+        self.send_bulk(out);
+    }
+
+    /// The process restarted with nothing on disk, not even the ever-seen
+    /// list: every site is owed the bulk invalidation, sent when it next
+    /// registers ([`OriginCore::on_site_hello`]).
+    pub fn recover_unknown_sites(&mut self) {
+        self.recovery_acked = Some(Vec::new());
+    }
+
+    /// `site` (one of `sites`) opened its push channel, for the first time
+    /// or again. A recovering origin that has no acknowledged bulk from it
+    /// sends one. And whatever the site still owes an acknowledgement for
+    /// is pushed again at once, on a fresh retry budget: invalidations sent
+    /// while its channel was down went nowhere, and the copies they were
+    /// for are still being served.
+    pub fn on_site_hello(&mut self, site: u32, sites: u32, now: SimTime, out: &mut Vec<OriginOut>) {
+        self.set_sites(sites);
+        let acked = self.recovery_acked.as_ref();
+        if acked.is_some_and(|acked| !acked.contains(&site)) {
+            self.counters.bulk_invalidations += 1;
+            out.push(OriginOut::Bulk { site });
+            if self.recovery_unacked.is_empty() {
+                // No round in progress: this opens one, timer and budget.
+                self.recovery_attempts = 0;
+                self.arm(OriginTimer::Bulk, out);
+            }
+            if !self.recovery_unacked.contains(&site) {
+                self.recovery_unacked.push(site);
+            }
+        }
+        for url in self.consistency.pending_urls() {
+            let owed = self.sent_pending(url, Some(site));
+            if !owed.is_empty() {
+                self.retry_counts.remove(&url.doc());
+                self.fan_out(url, &owed, true, now, out);
+            }
+        }
+    }
+
+    /// A coordinator window ending at trace time `window_end` begins: a
+    /// safe point to collect the leases that expired before the previous
+    /// one ended. Retry ticks expire volume leases against `window_end`.
+    pub fn on_window(&mut self, window_end: SimTime, now: SimTime) {
+        let before = self.window_end;
+        let purged = self.consistency.purge_expired_leases(before);
+        self.record(AuditEvent::PurgeExpired {
+            server: self.server,
+            before,
+            purged,
+            at: now,
+        });
+        self.window_end = window_end;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{ProtocolConfig, ProtocolKind};
+    use wcc_proto::RequestId;
+
+    const RETRY: SimDuration = SimDuration::from_millis(250);
+
+    fn url(doc: u32) -> Url {
+        Url::new(ServerId::new(0), doc)
+    }
+
+    fn client(raw: u32) -> ClientId {
+        ClientId::from_raw(raw)
+    }
+
+    /// Two sites, three documents, a budget of two retries; clients 4 and 5
+    /// (sites 0 and 1) hold document 1.
+    fn origin() -> OriginCore {
+        let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+        let consistency = ServerConsistency::new(&cfg, ServerId::new(0));
+        let sizes = vec![ByteSize::from_kib(1); 3];
+        let mut core = OriginCore::new(consistency, sizes, 100, RETRY, 2, None);
+        core.set_sites(2);
+        core.enable_audit();
+        for c in [4, 5] {
+            let get = GetRequest {
+                req: RequestId::default(),
+                url: url(1),
+                client: client(c),
+                ims: None,
+                issued_at: SimTime::from_secs(1),
+                cache_hits: 0,
+            };
+            assert!(core.serve(&get, SimTime::ZERO).is_some());
+        }
+        core
+    }
+
+    fn invalidate(site: u32, c: u32, retry: bool) -> OriginOut {
+        OriginOut::Invalidate {
+            site,
+            url: url(1),
+            client: client(c),
+            retry,
+        }
+    }
+
+    fn arm(timer: OriginTimer) -> OriginOut {
+        let after = RETRY;
+        OriginOut::Arm { after, timer }
+    }
+
+    fn write(core: &mut OriginCore, out: &mut Vec<OriginOut>) {
+        let at = SimTime::from_secs(9);
+        assert_eq!(core.touch(url(1), at, SimTime::ZERO), Some(at));
+        core.modify(url(1), at, SimTime::ZERO, out);
+    }
+
+    #[test]
+    fn fan_out_is_retried_until_acked_or_the_budget_runs_out() {
+        let (mut core, mut out) = (origin(), Vec::new());
+        write(&mut core, &mut out);
+        let retry = arm(OriginTimer::Retry(1));
+        assert_eq!(
+            out,
+            [
+                invalidate(0, 4, false),
+                invalidate(1, 5, false),
+                retry.clone()
+            ]
+        );
+        let t1 = SimTime::ZERO + RETRY;
+        assert_eq!(core.ack(url(1), client(4), 3, t1), None, "5 is still out");
+        // Only the unacknowledged copy is sent again, twice; then given up.
+        for _ in 0..2 {
+            out.clear();
+            core.on_timer(OriginTimer::Retry(1), t1, &mut out);
+            assert_eq!(out, [invalidate(1, 5, true), retry.clone()]);
+        }
+        out.clear();
+        core.on_timer(OriginTimer::Retry(1), t1, &mut out);
+        assert!(out.is_empty());
+        let snap = core.snapshot();
+        assert_eq!((snap.invalidations, snap.invalidation_retries), (4, 2));
+        assert_eq!((snap.gave_up, snap.writes_complete), (1, false));
+        assert_eq!((snap.metered_served, snap.metered_reported), (2, 3));
+        assert!(matches!(
+            core.audit_log().last(),
+            Some(AuditEvent::GaveUp { abandoned, .. }) if abandoned == &[client(5)]
+        ));
+        // The abandoned write's clock is gone: a late ack completes nothing.
+        assert_eq!(core.ack(url(1), client(5), 0, t1), None);
+        assert!(core.snapshot().writes_complete);
+    }
+
+    #[test]
+    fn the_last_ack_reports_how_long_the_write_took() {
+        let (mut core, mut out) = (origin(), Vec::new());
+        write(&mut core, &mut out);
+        let later = SimTime::ZERO + RETRY;
+        assert_eq!(core.ack(url(1), client(5), 0, later), None);
+        assert_eq!(core.ack(url(1), client(4), 0, later), Some(RETRY));
+    }
+
+    #[test]
+    fn a_site_that_registers_again_is_pushed_what_it_owes_at_once() {
+        let (mut core, mut out) = (origin(), Vec::new());
+        write(&mut core, &mut out);
+        // Spend site 1's whole budget into the void.
+        for _ in 0..3 {
+            core.on_timer(OriginTimer::Retry(1), SimTime::ZERO, &mut out);
+        }
+        assert_eq!(core.snapshot().gave_up, 2);
+        out.clear();
+        core.on_site_hello(1, 2, SimTime::ZERO, &mut out);
+        // Its own copies only, as retries, on a fresh budget.
+        assert_eq!(out, [invalidate(1, 5, true), arm(OriginTimer::Retry(1))]);
+        out.clear();
+        core.on_timer(OriginTimer::Retry(1), SimTime::ZERO, &mut out);
+        assert_eq!(out.len(), 3, "both copies, and the timer: {out:?}");
+        // Nothing is owed by a site whose copies were acknowledged.
+        core.ack(url(1), client(4), 0, SimTime::ZERO);
+        out.clear();
+        core.on_site_hello(0, 2, SimTime::ZERO, &mut out);
+        assert!(out.is_empty());
+    }
+
+    #[test]
+    fn a_restart_without_the_ever_seen_list_sends_the_bulk_on_registration() {
+        let (mut core, mut out) = (origin(), Vec::new());
+        assert!(core.recovery_complete(), "a clean start has nothing to do");
+        core.recover_unknown_sites();
+        assert!(!core.recovery_complete(), "nobody acknowledged yet");
+        core.on_site_hello(0, 2, SimTime::ZERO, &mut out);
+        core.on_site_hello(1, 2, SimTime::ZERO, &mut out);
+        // One timer for the round, however many sites join it.
+        let bulk = |site| OriginOut::Bulk { site };
+        assert_eq!(out, [bulk(0), arm(OriginTimer::Bulk), bulk(1)]);
+        core.bulk_ack(0);
+        assert!(!core.recovery_complete(), "site 1 has not answered");
+        out.clear();
+        core.on_timer(OriginTimer::Bulk, SimTime::ZERO, &mut out);
+        assert_eq!(out, [bulk(1), arm(OriginTimer::Bulk)]);
+        core.bulk_ack(1);
+        assert!(core.recovery_complete());
+        // Acknowledged sites are not voided again; the round's timer lapses.
+        out.clear();
+        core.on_site_hello(0, 2, SimTime::ZERO, &mut out);
+        core.on_timer(OriginTimer::Bulk, SimTime::ZERO, &mut out);
+        assert!(out.is_empty());
+        assert_eq!(core.snapshot().bulk_invalidations, 3);
+    }
+
+    #[test]
+    fn a_recovery_from_disk_voids_every_site_and_gives_up_on_the_silent() {
+        let (mut core, mut out) = (origin(), Vec::new());
+        write(&mut core, &mut out);
+        out.clear();
+        core.crash();
+        core.recover(SimTime::ZERO, &mut out);
+        let bulk = |site| OriginOut::Bulk { site };
+        assert_eq!(out, [bulk(0), bulk(1), arm(OriginTimer::Bulk)]);
+        assert!(core.snapshot().writes_complete, "the pending set went too");
+        core.bulk_ack(0);
+        for sent in [true, true, false] {
+            out.clear();
+            core.on_timer(OriginTimer::Bulk, SimTime::ZERO, &mut out);
+            assert_eq!(!out.is_empty(), sent);
+        }
+        let snap = core.snapshot();
+        assert_eq!((snap.bulk_invalidations, snap.gave_up), (4, 1));
+        assert!(core.recovery_complete());
+    }
+
+    #[test]
+    fn ids_off_the_wire_that_name_no_document_change_nothing() {
+        let mut core = origin();
+        let before = core.snapshot();
+        let get = GetRequest {
+            req: RequestId::default(),
+            url: url(3),
+            client: client(4),
+            ims: None,
+            issued_at: SimTime::ZERO,
+            cache_hits: 9,
+        };
+        assert_eq!(core.serve(&get, SimTime::ZERO), None);
+        assert_eq!(core.touch(url(3), SimTime::ZERO, SimTime::ZERO), None);
+        assert_eq!(core.ack(url(3), client(4), 9, SimTime::ZERO), None);
+        let elsewhere = Url::new(ServerId::new(1), 1);
+        assert_eq!(core.touch(elsewhere, SimTime::ZERO, SimTime::ZERO), None);
+        assert_eq!(core.snapshot(), before);
+    }
+}

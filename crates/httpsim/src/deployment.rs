@@ -3,15 +3,15 @@
 use crate::coord::CoordinatorNode;
 use crate::cost::CostModel;
 use crate::modifier::ModifierNode;
-use crate::origin::{OriginCounters, OriginNode};
+use crate::origin::OriginNode;
 use crate::parent::{ParentCounters, ParentNode};
 use crate::proxy::{ProxyCounters, ProxyNode};
 use crate::sender::InvalSenderNode;
 use crate::SimMsg;
 use wcc_cache::{CacheStore, ReplacementPolicy};
 use wcc_core::{
-    FetchCounters, ProtocolConfig, ProtocolKind, ProxyPolicy, ServerConsistency, SiteListMemory,
-    SiteListStats,
+    FetchCounters, OriginCore, OriginCounters, ProtocolConfig, ProtocolKind, ProxyPolicy,
+    ServerConsistency, SiteListMemory, SiteListStats,
 };
 use wcc_simnet::{FaultPlan, LinkSpec, NetworkConfig, ShardedSimulation, Simulation, Summary};
 use wcc_traces::{ModSchedule, Trace};
@@ -144,7 +144,7 @@ impl Default for DeploymentOptions {
             window: SimDuration::from_mins(5),
             mem_cache_budget: ByteSize::from_mib(8),
             retry_interval: SimDuration::from_secs(2),
-            max_retries: 20,
+            max_retries: wcc_core::origin::MAX_RETRIES,
             sharing: CacheSharing::PerClient,
             detection: ChangeDetection::Notify,
             topology: Topology::Flat,
@@ -263,17 +263,21 @@ impl Deployment {
         let origins: Vec<NodeId> = workloads
             .iter()
             .map(|(trace, _)| {
-                sim.add_node(OriginNode::new(
-                    trace.server,
+                let core = OriginCore::new(
                     ServerConsistency::new(cfg, trace.server),
                     trace.doc_sizes.clone(),
+                    options.costs.doc_scale,
+                    options.retry_interval,
+                    options.max_retries,
+                    options.inval_batch,
+                );
+                sim.add_node(OriginNode::new(
+                    core,
+                    trace.doc_sizes.len(),
                     options.costs.clone(),
                     options.send_mode,
                     options.detection,
                     options.mem_cache_budget,
-                    options.retry_interval,
-                    options.max_retries,
-                    options.inval_batch,
                 ))
             })
             .collect();
@@ -364,10 +368,8 @@ impl Deployment {
             None => proxies.clone(),
         };
         for &o in &origins {
-            let node = sim.node_mut::<OriginNode>(o);
-            node.proxies = downstream.clone();
-            node.sender = sender;
-            node.set_coordinator(coordinator);
+            sim.node_mut::<OriginNode>(o)
+                .wire(downstream.clone(), sender, coordinator);
         }
         if let Some(s) = sender {
             sim.node_mut::<InvalSenderNode>(s).set_proxies(downstream);
@@ -399,7 +401,7 @@ impl Deployment {
             .set_participants(participants);
         if options.audit {
             for &o in &origins {
-                sim.node_mut::<OriginNode>(o).enable_audit();
+                sim.node_mut::<OriginNode>(o).core.enable_audit();
             }
             for &p in &proxies {
                 sim.node_mut::<ProxyNode>(p).enable_audit();
@@ -583,7 +585,7 @@ impl Deployment {
         let rec = std::mem::size_of::<wcc_traces::TraceRecord>() as u64;
         let mut sitelist = SiteListMemory::default();
         for i in 0..self.origins.len() {
-            sitelist = sitelist.merged(self.origin_at(i).consistency().table().memory());
+            sitelist = sitelist.merged(self.origin_at(i).core().consistency().table().memory());
         }
         if let Some(parent) = self.parent() {
             sitelist = sitelist.merged(parent.children_state().table().memory());
@@ -603,7 +605,7 @@ impl Deployment {
     pub fn audit_log(&self) -> Vec<AuditEvent> {
         let mut log: Vec<AuditEvent> = Vec::new();
         for i in 0..self.origins.len() {
-            log.extend_from_slice(self.origin_at(i).audit_log());
+            log.extend_from_slice(self.origin_at(i).core().audit_log());
         }
         for i in 0..self.proxies.len() {
             log.extend_from_slice(self.proxy(i).audit_log());
@@ -618,7 +620,7 @@ impl Deployment {
     pub fn trace_log(&self) -> Vec<wcc_obs::TraceEvent> {
         let mut tracers: Vec<&wcc_obs::Tracer> = Vec::new();
         for i in 0..self.origins.len() {
-            tracers.push(self.origin_at(i).tracer());
+            tracers.push(&self.origin_at(i).tracer);
         }
         for i in 0..self.proxies.len() {
             tracers.push(self.proxy(i).tracer());
@@ -636,7 +638,7 @@ impl Deployment {
             ..Default::default()
         };
         for i in 0..self.origins.len() {
-            let consistency = self.origin_at(i).consistency();
+            let consistency = self.origin_at(i).core().consistency();
             let stats = consistency.stats();
             expect.registrations += stats.registrations;
             expect.fresh_invalidations += stats.invalidations_sent;
@@ -654,19 +656,19 @@ impl Deployment {
     pub fn collect(&self) -> RawReport {
         // Aggregate server-side counters across every origin.
         let mut oc = OriginCounters::default();
+        let (mut disk_reads, mut disk_writes, mut deferred_detections) = (0u64, 0u64, 0u64);
+        let mut origin_bytes = ByteSize::ZERO;
         let mut sitelist = SiteListStats::default();
         let mut modified_list_lens: Vec<u64> = Vec::new();
         let mut inval_time_all = Summary::default();
         let mut writes_complete = true;
         let mut piggybacked = 0u64;
-        let mut metered_served = 0u64;
-        let mut metered_reported = 0u64;
         let mut write_completion = Summary::default();
         let mut proposer: Option<ProposerReport> = None;
         for i in 0..self.origins.len() {
             let origin = self.origin_at(i);
-            write_completion.merge(origin.write_completion());
-            if let Some(p) = origin.proposer() {
+            write_completion.merge(&origin.write_completion);
+            if let Some(p) = origin.core().proposer() {
                 let s = p.stats();
                 let agg = proposer.get_or_insert_with(ProposerReport::default);
                 agg.enqueued += s.enqueued;
@@ -676,35 +678,34 @@ impl Deployment {
                 agg.batches += s.batches;
                 agg.max_batch_entries = agg.max_batch_entries.max(s.max_batch_entries);
             }
-            let c = origin.counters();
+            let c = origin.core().snapshot();
             oc.gets += c.gets;
             oc.ims += c.ims;
             oc.replies_200 += c.replies_200;
             oc.replies_304 += c.replies_304;
-            oc.invalidations_sent += c.invalidations_sent;
+            oc.invalidations += c.invalidations;
             oc.invalidation_retries += c.invalidation_retries;
             oc.inval_batches += c.inval_batches;
             oc.batched_entries += c.batched_entries;
             oc.bulk_invalidations += c.bulk_invalidations;
             oc.acks += c.acks;
             oc.notifies += c.notifies;
-            oc.disk_reads += c.disk_reads;
-            oc.disk_writes += c.disk_writes;
-            oc.bytes_sent += c.bytes_sent;
+            disk_reads += origin.disk_reads;
+            disk_writes += origin.disk_writes;
+            origin_bytes += origin.bytes_sent;
             oc.gave_up += c.gave_up;
-            oc.deferred_detections += c.deferred_detections;
-            let consistency = origin.consistency();
-            let s = consistency.table().stats();
+            deferred_detections += origin.deferred_detections;
+            let (consistency, s) = (origin.core().consistency(), c.sitelist);
             sitelist.storage += s.storage;
             sitelist.total_entries += s.total_entries;
             sitelist.tracked_documents += s.tracked_documents;
             sitelist.max_list_len = sitelist.max_list_len.max(s.max_list_len);
             modified_list_lens.extend_from_slice(consistency.modified_list_lens());
-            inval_time_all.merge(origin.inval_time());
-            writes_complete &= consistency.writes_complete();
+            inval_time_all.merge(&origin.inval_time);
+            writes_complete &= c.writes_complete;
             piggybacked += consistency.stats().piggybacked;
-            metered_served += origin.meter().served();
-            metered_reported += origin.meter().reported();
+            oc.metered_served += c.metered_served;
+            oc.metered_reported += c.metered_reported;
         }
 
         let mut latency = Summary::default();
@@ -746,8 +747,8 @@ impl Deployment {
         let mut touches: FxHashMap<Url, Vec<SimTime>> = FxHashMap::default();
         for i in 0..self.origins.len() {
             let origin = self.origin_at(i);
-            let server = origin.consistency().server();
-            for &(doc, at) in origin.touch_log() {
+            let server = origin.core().server();
+            for &(doc, at) in &origin.touch_log {
                 touches.entry(Url::new(server, doc)).or_default().push(at);
             }
         }
@@ -826,8 +827,8 @@ impl Deployment {
         });
         // Wire INVALIDATE traffic: per-copy sends, with every batched
         // entry replaced by its share of one batch message. Reduces to
-        // `invalidations_sent` exactly when batching is off.
-        let invalidations_wire = oc.invalidations_sent - oc.batched_entries + oc.inval_batches;
+        // `invalidations` exactly when batching is off.
+        let invalidations_wire = oc.invalidations - oc.batched_entries + oc.inval_batches;
         let control_and_transfers = match &parent_summary {
             None => {
                 fetch.gets_sent
@@ -862,26 +863,26 @@ impl Deployment {
             ims: fetch.ims_sent,
             replies_200: oc.replies_200,
             replies_304: oc.replies_304,
-            invalidations: oc.invalidations_sent,
+            invalidations: oc.invalidations,
             invalidation_retries: oc.invalidation_retries,
             bulk_invalidations: oc.bulk_invalidations,
             acks: oc.acks,
             notifies: oc.notifies,
             total_messages: control_and_transfers,
-            total_bytes: oc.bytes_sent + pc_total.bytes_sent + sender_bytes,
+            total_bytes: origin_bytes + pc_total.bytes_sent + sender_bytes,
             latency,
             server_cpu,
             server_busy,
-            disk_reads: oc.disk_reads,
-            disk_writes: oc.disk_writes,
-            disk_reads_per_sec: oc.disk_reads as f64 / wall_secs,
-            disk_writes_per_sec: oc.disk_writes as f64 / wall_secs,
+            disk_reads,
+            disk_writes,
+            disk_reads_per_sec: disk_reads as f64 / wall_secs,
+            disk_writes_per_sec: disk_writes as f64 / wall_secs,
             wall_duration: wall.saturating_since(SimTime::ZERO),
             stale_hits,
             final_violations,
             piggybacked,
-            metered_served,
-            metered_reported,
+            metered_served: oc.metered_served,
+            metered_reported: oc.metered_reported,
             writes_complete,
             inval_time,
             sitelist,
@@ -896,6 +897,7 @@ impl Deployment {
             proxy_recoveries: pc_total.recoveries,
             questionable_marked: pc_total.questionable_marked,
             gave_up: oc.gave_up,
+            deferred_detections,
             steps_run: self.coordinator().steps_run(),
             finished: self.coordinator().finished(),
             parent: parent_summary,
@@ -1049,6 +1051,8 @@ pub struct RawReport {
     pub questionable_marked: u64,
     /// Invalidations abandoned after the retry budget.
     pub gave_up: u64,
+    /// Modifications detected lazily by the browser-based mechanism.
+    pub deferred_detections: u64,
     /// Lock-step windows completed.
     pub steps_run: u32,
     /// Whether the coordinator drained the full trace.

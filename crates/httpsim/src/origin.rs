@@ -1,66 +1,30 @@
 //! The pseudo-server: origin Web server + Harvest accelerator in one node.
+//!
+//! The accelerator's protocol — grants, fan-out, acknowledgements, retry,
+//! §5 recovery — is [`wcc_core::OriginCore`], the state machine the TCP
+//! daemon drives too. This node is its simulator driver: it charges the
+//! [`CostModel`], keeps the main-memory document cache, decides *when* a
+//! modification is noticed ([`ChangeDetection`]), puts the core's sends on
+//! the simulated wire (directly, or through the decoupled sender) and turns
+//! the timers it asks for into `ctx.set_timer`.
 
 use crate::cost::CostModel;
 use crate::deployment::{ChangeDetection, InvalSendMode};
 use crate::SimMsg;
-use wcc_core::{HitMeter, Proposer, ServerConsistency};
+use wcc_core::{OriginCore, OriginOut, OriginTimer};
 use wcc_obs::{invalidation_span, Phase, SpanKind, Tracer};
-use wcc_proto::{BatchEntry, CoordMsg, GetRequest, HttpMsg, Message};
+use wcc_proto::{CoordMsg, GetRequest, HttpMsg, Message, ReplyStatus};
 use wcc_simnet::{Ctx, Node, Summary};
-use wcc_types::{
-    AuditEvent, ByteSize, ClientId, DocMeta, FxHashMap, InvalBatchConfig, NodeId, ServerId,
-    SimDuration, SimTime, Url,
-};
+use wcc_types::{ByteSize, ClientId, FxHashMap, NodeId, SimDuration, SimTime, Url};
 
-/// Timer token for the recovery bulk-invalidation retry loop. Per-document
-/// retry timers use the document index (a `u32`) widened to `u64`, so the
-/// maximum value can never collide.
+/// Timer token of [`OriginTimer::Bulk`]. [`OriginTimer::Retry`] uses the
+/// document index (a `u32`) widened to `u64`, so the maximum value can
+/// never collide.
 const BULK_RETRY_TOKEN: u64 = u64::MAX;
 
-/// Timer token for the batched proposer's age-bound flush. Like
-/// [`BULK_RETRY_TOKEN`], far outside the `u32` document-index range.
+/// Timer token of [`OriginTimer::Flush`]: like [`BULK_RETRY_TOKEN`], far
+/// outside the `u32` document-index range.
 const BATCH_FLUSH_TOKEN: u64 = u64::MAX - 1;
-
-/// Counters the origin maintains for the report (Tables 3–5 inputs).
-#[derive(Debug, Default, Clone)]
-pub struct OriginCounters {
-    /// Plain `GET` requests received.
-    pub gets: u64,
-    /// `If-Modified-Since` requests received.
-    pub ims: u64,
-    /// `200` replies sent.
-    pub replies_200: u64,
-    /// `304` replies sent.
-    pub replies_304: u64,
-    /// `INVALIDATE <url>` messages sent (including retries).
-    pub invalidations_sent: u64,
-    /// Of those, retransmissions.
-    pub invalidation_retries: u64,
-    /// Bulk `INVALIDATE <server>` messages sent after recovery.
-    pub bulk_invalidations: u64,
-    /// Invalidation acknowledgements received.
-    pub acks: u64,
-    /// Modifier check-ins processed.
-    pub notifies: u64,
-    /// Disk reads (accelerator memory-cache misses).
-    pub disk_reads: u64,
-    /// Disk writes (request log + new-site recovery-list appends).
-    pub disk_writes: u64,
-    /// Wire `InvalidateBatch` messages sent by the proposer.
-    pub inval_batches: u64,
-    /// `(document, client)` entries carried inside those batches. The wire
-    /// message count is `invalidations_sent - batched_entries +
-    /// inval_batches` — identical to `invalidations_sent` when batching is
-    /// off.
-    pub batched_entries: u64,
-    /// Bytes of protocol messages sent by the server (excludes acks,
-    /// notifies and coordinator traffic, matching the paper's accounting).
-    pub bytes_sent: ByteSize,
-    /// Invalidation fan-outs abandoned after the retry budget.
-    pub gave_up: u64,
-    /// Modifications detected lazily by the browser-based mechanism.
-    pub deferred_detections: u64,
-}
 
 /// A tiny LRU of documents held in the accelerator's main-memory cache
 /// (its original purpose: "keeping a main memory cache of URL documents").
@@ -126,226 +90,186 @@ impl MemCache {
 /// directly.
 #[derive(Debug)]
 pub struct OriginNode {
-    server: ServerId,
-    consistency: ServerConsistency,
-    doc_sizes: Vec<ByteSize>,
-    /// Current trace-time mtimes.
-    versions: Vec<SimTime>,
-    /// (doc, trace time) touch log — the staleness oracle's ground truth.
-    touch_log: Vec<(u32, SimTime)>,
+    pub(crate) core: OriginCore,
+    /// What the core last asked for; drained by [`Self::emit`] and reused.
+    out: Vec<OriginOut>,
+    /// `(doc, trace time)` touch log, in order — the ground truth the
+    /// replay harness audits serves against.
+    pub(crate) touch_log: Vec<(u32, SimTime)>,
     mem_cache: MemCache,
     costs: CostModel,
-    /// Proxy node for each partition index.
-    pub(crate) proxies: Vec<NodeId>,
+    /// Proxy node of each site (partition index).
+    proxies: Vec<NodeId>,
     send_mode: InvalSendMode,
     detection: ChangeDetection,
     /// Versions the accelerator has already invalidated for (browser-based
     /// detection compares against this on each request).
     acked_versions: Vec<SimTime>,
-    pub(crate) sender: Option<NodeId>,
+    sender: Option<NodeId>,
     coordinator: Option<NodeId>,
-    retry_interval: SimDuration,
-    max_retries: u32,
-    retry_counts: FxHashMap<u32, u32>,
-    /// Proxy nodes that have not yet acknowledged the recovery-time bulk
-    /// `INVALIDATE <server-addr>`; re-sent on a timer until empty. A
-    /// partition at recovery time would otherwise swallow the bulk message
-    /// and leave those proxies promising freshness for documents modified
-    /// during the outage.
-    recovery_unacked: Vec<NodeId>,
-    recovery_attempts: u32,
-    prev_window_end: SimTime,
-    /// The batched invalidation proposer (None: classic per-write fan-out).
-    proposer: Option<Proposer>,
-    /// Trace time each in-flight write's fan-out opened, for the
-    /// write-completion summary. Earliest write wins when a coalesced
-    /// round spans several modifications of the same document.
-    write_open: FxHashMap<Url, SimTime>,
     /// Wall time from a write's first fan-out to its last ack.
     pub(crate) write_completion: Summary,
     /// Wall time spent sending each modification's full invalidation batch
     /// (synchronous mode; the decoupled sender keeps its own).
     pub(crate) inval_time: Summary,
-    /// §7 hit metering: server-side tally of served requests plus hits
-    /// reported by the caches.
-    pub(crate) meter: HitMeter,
-    pub(crate) counters: OriginCounters,
-    /// Audit-event log, recorded only when the deployment enables auditing.
-    audit: Option<Vec<AuditEvent>>,
+    /// The cost model's tallies (what [`OriginCore`] does not count): disk
+    /// reads (memory-cache misses), disk writes (request log + ever-seen
+    /// list), protocol bytes sent, modifications detected lazily.
+    pub(crate) disk_reads: u64,
+    pub(crate) disk_writes: u64,
+    pub(crate) bytes_sent: ByteSize,
+    pub(crate) deferred_detections: u64,
     /// Span recorder (disabled unless the deployment enables tracing;
     /// recording never feeds back into protocol state).
     pub(crate) tracer: Tracer,
 }
 
 impl OriginNode {
-    #[allow(clippy::too_many_arguments)] // internal constructor mirroring DeploymentOptions
     pub(crate) fn new(
-        server: ServerId,
-        consistency: ServerConsistency,
-        doc_sizes: Vec<ByteSize>,
+        core: OriginCore,
+        docs: usize,
         costs: CostModel,
         send_mode: InvalSendMode,
         detection: ChangeDetection,
         mem_cache_budget: ByteSize,
-        retry_interval: SimDuration,
-        max_retries: u32,
-        inval_batch: Option<InvalBatchConfig>,
     ) -> Self {
-        let n = doc_sizes.len();
         OriginNode {
-            server,
-            consistency,
-            doc_sizes,
-            versions: vec![SimTime::ZERO; n],
+            core,
             // Construction-time scaffolding, not per-event work.
+            out: Vec::new(),       // xtask-lint: allow(hot-loop-alloc)
             touch_log: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
             mem_cache: MemCache::new(mem_cache_budget),
             costs,
             proxies: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
             send_mode,
             detection,
-            acked_versions: vec![SimTime::ZERO; n],
+            acked_versions: vec![SimTime::ZERO; docs],
             sender: None,
             coordinator: None,
-            retry_interval,
-            max_retries,
-            retry_counts: FxHashMap::default(),
-            recovery_unacked: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
-            recovery_attempts: 0,
-            prev_window_end: SimTime::ZERO,
-            proposer: inval_batch.map(Proposer::new),
-            write_open: FxHashMap::default(),
             write_completion: Summary::default(),
             inval_time: Summary::default(),
-            meter: HitMeter::new(),
-            counters: OriginCounters::default(),
-            audit: None,
+            disk_reads: 0,
+            disk_writes: 0,
+            bytes_sent: ByteSize::ZERO,
+            deferred_detections: 0,
             tracer: Tracer::disabled(),
         }
     }
 
-    /// The span recorder (for trace-log collection).
-    pub fn tracer(&self) -> &Tracer {
-        &self.tracer
-    }
-
-    pub(crate) fn set_coordinator(&mut self, coord: NodeId) {
+    /// Connects the node: the proxy of each site, the decoupled sender (if
+    /// that mode is on) and the lock-step coordinator.
+    pub(crate) fn wire(&mut self, proxies: Vec<NodeId>, sender: Option<NodeId>, coord: NodeId) {
+        self.core.set_sites(proxies.len() as u32);
+        self.proxies = proxies;
+        self.sender = sender;
         self.coordinator = Some(coord);
     }
 
-    pub(crate) fn enable_audit(&mut self) {
-        self.audit = Some(Vec::new()); // xtask-lint: allow(hot-loop-alloc)
+    /// The protocol state machine this node drives: counters, site lists,
+    /// hit meter, proposer, audit log.
+    pub fn core(&self) -> &OriginCore {
+        &self.core
     }
 
-    /// The audit-event log (empty slice when auditing is disabled).
-    pub fn audit_log(&self) -> &[AuditEvent] {
-        self.audit.as_deref().unwrap_or(&[])
-    }
-
-    fn record(&mut self, ev: AuditEvent) {
-        if let Some(log) = self.audit.as_mut() {
-            log.push(ev);
+    /// Records one invalidation-span event of `url`'s current version.
+    fn trace(&mut self, phase: Phase, url: Url, client: Option<ClientId>, now: SimTime) {
+        if self.tracer.is_enabled() {
+            let span = invalidation_span(url, self.core.version(url).unwrap_or_default());
+            self.tracer
+                .record(now, SpanKind::Invalidation, span, phase, url, client, None);
         }
     }
 
-    /// Runs `on_modify` and records the fan-out decision: `fresh` is what
-    /// the site list contributed this time, `resent` the still-unacked
-    /// leftovers from earlier fan-outs that ride along.
-    fn audited_modify(&mut self, url: Url, version: SimTime, now: SimTime) -> Vec<ClientId> {
-        let pending_before = if self.audit.is_some() {
-            self.consistency.pending_for(url)
-        } else {
-            // Audit-only path; an empty Vec performs no allocation.
-            Vec::new() // xtask-lint: allow(hot-loop-alloc)
-        };
-        let recipients = self.consistency.on_modify(url, version);
-        if self.audit.is_some() {
-            let (mut fresh, mut resent) = (Vec::new(), Vec::new()); // xtask-lint: allow(hot-loop-alloc)
-            for &c in &recipients {
-                if pending_before.binary_search(&c).is_ok() {
-                    resent.push(c);
-                } else {
-                    fresh.push(c);
+    /// Charges `cost`, counts the bytes and puts `msg` on the wire to `to`.
+    fn send(&mut self, to: NodeId, msg: HttpMsg, cost: SimDuration, ctx: &mut Ctx<'_, SimMsg>) {
+        let size = msg.wire_size();
+        self.bytes_sent += size;
+        ctx.consume(cost);
+        ctx.send(to, SimMsg::Net(Message::Http(msg)), size);
+    }
+
+    /// Carries out what the core asked for, in its order. Synchronous mode
+    /// occupies the server's CPU for a whole fan-out — the paper's
+    /// request-stall phenomenon; decoupled mode hands a document's per-copy
+    /// sends to the sender node as one job (batches always leave from here).
+    fn emit(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
+        let mut out = std::mem::take(&mut self.out);
+        let (server, per_send) = (self.core.server(), self.costs.inval_send);
+        let mut spent: Option<SimDuration> = None;
+        let mut job: Option<(Url, Vec<ClientId>)> = None;
+        for asked in out.drain(..) {
+            let (site, msg, cost) = match asked {
+                OriginOut::Arm { after, timer } => {
+                    if let Some((url, clients)) = job.take() {
+                        let sender = self.sender.expect("decoupled mode requires a sender node");
+                        ctx.send(sender, SimMsg::Dispatch { url, clients }, ByteSize::ZERO);
+                    }
+                    let token = match timer {
+                        OriginTimer::Retry(doc) => u64::from(doc),
+                        OriginTimer::Flush => BATCH_FLUSH_TOKEN,
+                        OriginTimer::Bulk => BULK_RETRY_TOKEN,
+                    };
+                    ctx.set_timer(after, token);
+                    continue;
                 }
-            }
-            self.record(AuditEvent::ModifyFanout {
-                url,
-                version,
-                fresh,
-                resent,
-                at: now,
-            });
+                OriginOut::Bulk { site } => {
+                    // Recovery traffic: no modification's fan-out time.
+                    let msg = HttpMsg::InvalidateServer { server };
+                    self.send(self.proxies[site as usize], msg, per_send, ctx);
+                    continue;
+                }
+                OriginOut::Invalidate {
+                    site, url, client, ..
+                } => {
+                    self.trace(Phase::Invalidate, url, Some(client), ctx.now());
+                    if self.send_mode == InvalSendMode::Decoupled {
+                        // One list per fan-out: the job the sender takes.
+                        let clients = Vec::new(); // xtask-lint: allow(hot-loop-alloc)
+                        job.get_or_insert((url, clients)).1.push(client);
+                        continue;
+                    }
+                    (site, HttpMsg::Invalidate { url, client }, per_send)
+                }
+                OriginOut::Batch { site, entries } => {
+                    for e in &entries {
+                        self.trace(Phase::Invalidate, e.url, Some(e.client), ctx.now());
+                    }
+                    // One connection setup per batch, then the per-entry
+                    // marginal cost — the amortisation the proposer is for.
+                    let per_entry = self.costs.inval_batch_entry;
+                    let cost = per_send + per_entry.saturating_mul(entries.len() as u64);
+                    (site, HttpMsg::InvalidateBatch { server, entries }, cost)
+                }
+            };
+            *spent.get_or_insert(SimDuration::ZERO) += cost;
+            self.send(self.proxies[site as usize], msg, cost, ctx);
         }
-        recipients
-    }
-
-    /// The server-side protocol state (site lists, pending invalidations).
-    pub fn consistency(&self) -> &ServerConsistency {
-        &self.consistency
-    }
-
-    /// Origin counters.
-    pub fn counters(&self) -> &OriginCounters {
-        &self.counters
-    }
-
-    /// Wall time per synchronous invalidation batch.
-    pub fn inval_time(&self) -> &Summary {
-        &self.inval_time
-    }
-
-    /// The §7 hit meter.
-    pub fn meter(&self) -> &HitMeter {
-        &self.meter
-    }
-
-    /// The touch log: `(doc, trace time)` pairs, in order. This is the
-    /// staleness oracle the replay harness audits serves against.
-    pub fn touch_log(&self) -> &[(u32, SimTime)] {
-        &self.touch_log
-    }
-
-    fn current_meta(&self, doc: u32) -> DocMeta {
-        DocMeta::new(self.doc_sizes[doc as usize], self.versions[doc as usize])
-    }
-
-    fn proxy_of(&self, client: ClientId) -> NodeId {
-        *client.assigned(&self.proxies)
-    }
-
-    /// The batched proposer (None when batching is off).
-    pub fn proposer(&self) -> Option<&Proposer> {
-        self.proposer.as_ref()
-    }
-
-    /// The write-completion latency summary (first fan-out to last ack).
-    pub fn write_completion(&self) -> &Summary {
-        &self.write_completion
+        if let Some(spent) = spent {
+            self.inval_time.observe(spent);
+        }
+        self.out = out;
     }
 
     fn handle_get(&mut self, from: NodeId, get: GetRequest, ctx: &mut Ctx<'_, SimMsg>) {
         ctx.consume(self.costs.request_parse + self.costs.log_write_cpu);
-        self.counters.disk_writes += 1; // request log append
-                                        // Browser-based change detection: a request for this document makes
-                                        // the accelerator compare the file's mtime against the version it
-                                        // last invalidated for, and fan out first if they differ.
+        self.disk_writes += 1; // request log append
+        let now = ctx.now();
+        // Browser-based change detection: a request for this document makes
+        // the accelerator compare the file's mtime against the version it
+        // last invalidated for, and fan out first if they differ.
         if self.detection == ChangeDetection::BrowserBased {
-            let doc = get.url.doc() as usize;
-            if self.versions[doc] > self.acked_versions[doc] {
-                self.acked_versions[doc] = self.versions[doc];
-                let at = self.versions[doc];
-                let recipients = self.audited_modify(get.url, at, ctx.now());
-                self.counters.deferred_detections += 1;
-                self.fan_out(get.url, recipients, false, ctx);
+            let acked = self.acked_versions.get_mut(get.url.doc() as usize);
+            if let (Some(version), Some(acked)) = (self.core.version(get.url), acked) {
+                if version > *acked {
+                    *acked = version;
+                    self.deferred_detections += 1;
+                    self.core.modify(get.url, version, now, &mut self.out);
+                    self.emit(ctx);
+                }
             }
         }
-        if get.is_ims() {
-            self.counters.ims += 1;
-        } else {
-            self.counters.gets += 1;
-        }
         self.tracer.record(
-            ctx.now(),
+            now,
             SpanKind::Request,
             get.req.get(),
             Phase::Origin,
@@ -353,337 +277,60 @@ impl OriginNode {
             Some(get.client),
             Some(get.req.get()),
         );
-        let doc = get.url.doc();
-        let meta = self.current_meta(doc);
-        self.meter.record_request(get.url);
-        self.meter.record_report(get.url, get.cache_hits);
-        let grant = self
-            .consistency
-            .on_get(get.url, get.client, get.ims, meta, get.issued_at);
-        if grant.new_site_disk_write {
-            self.counters.disk_writes += 1; // persistent ever-seen list
-            ctx.consume(self.costs.log_write_cpu);
-        }
-        if let (true, Some(lease)) = (grant.register, grant.lease) {
-            self.record(AuditEvent::Register {
-                url: get.url,
-                client: get.client,
-                lease,
-                at: ctx.now(),
-            });
-        }
-        if grant.send_body {
-            let scaled = meta.size().as_u64() / self.costs.doc_scale.max(1);
-            if !self.mem_cache.access(doc, scaled) {
-                self.counters.disk_reads += 1;
-                ctx.consume(self.costs.disk_read_cpu);
-            }
-            ctx.consume(self.costs.serve_200_cpu(meta.size()));
-            self.counters.replies_200 += 1;
-        } else {
-            ctx.consume(self.costs.serve_304);
-            self.counters.replies_304 += 1;
-        }
-        let reply = HttpMsg::Reply(grant.into_reply(&get, meta, self.costs.doc_scale));
-        let size = reply.wire_size();
-        self.counters.bytes_sent += size;
-        ctx.send(from, SimMsg::Net(Message::Http(reply)), size);
-    }
-
-    /// Sends (or dispatches) `INVALIDATE <url>` to `recipients`; in
-    /// synchronous mode this occupies the server's CPU for the whole batch —
-    /// the paper's request-stall phenomenon.
-    fn fan_out(
-        &mut self,
-        url: Url,
-        recipients: Vec<ClientId>,
-        retry: bool,
-        ctx: &mut Ctx<'_, SimMsg>,
-    ) {
-        if recipients.is_empty() {
-            return;
-        }
-        if !retry {
-            // Open the write-completion clock at the first fresh fan-out;
-            // coalesced rounds keep the earliest write's start.
-            self.write_open.entry(url).or_insert(ctx.now());
-        }
-        // Fresh fan-out with the proposer active: enqueue instead of
-        // sending, and flush when a count/byte threshold trips. The age
-        // timer (armed on the empty→non-empty transition) bounds how long
-        // a small queue can wait. Retries keep the classic per-client path
-        // — they target copies a previous flush already announced.
-        if !retry && self.proposer.is_some() {
-            let proposer = self.proposer.as_mut().expect("checked above");
-            let mut opened = false;
-            for &client in &recipients {
-                opened |= proposer.enqueue(url, client);
-            }
-            let max_age = proposer.config().max_age;
-            let flush = proposer.should_flush();
-            if opened {
-                ctx.set_timer(max_age, BATCH_FLUSH_TOKEN);
-            }
-            if flush {
-                self.flush_batches(ctx);
-            }
-            return;
-        }
-        if self.audit.is_some() {
-            for &client in &recipients {
-                self.record(AuditEvent::InvalidateSend {
-                    url,
-                    client,
-                    retry,
-                    at: ctx.now(),
-                });
-            }
-        }
-        if self.tracer.is_enabled() {
-            let span = invalidation_span(url, self.versions[url.doc() as usize]);
-            for &client in &recipients {
-                self.tracer.record(
-                    ctx.now(),
-                    SpanKind::Invalidation,
-                    span,
-                    Phase::Invalidate,
-                    url,
-                    Some(client),
-                    None,
-                );
-            }
-        }
-        let n = recipients.len() as u64;
-        match self.send_mode {
-            InvalSendMode::Synchronous => {
-                for client in recipients {
-                    let msg = HttpMsg::Invalidate { url, client };
-                    let size = msg.wire_size();
-                    self.counters.bytes_sent += size;
-                    ctx.consume(self.costs.inval_send);
-                    ctx.send(self.proxy_of(client), SimMsg::Net(Message::Http(msg)), size);
-                }
-                self.inval_time
-                    .observe(self.costs.inval_send.saturating_mul(n));
-            }
-            InvalSendMode::Decoupled => {
-                let sender = self.sender.expect("decoupled mode requires a sender node");
-                ctx.send(
-                    sender,
-                    SimMsg::Dispatch {
-                        url,
-                        clients: recipients,
-                    },
-                    ByteSize::ZERO,
-                );
-            }
-        }
-        self.counters.invalidations_sent += n;
-        if retry {
-            self.counters.invalidation_retries += n;
-        }
-        // Await acks; retry if they do not arrive.
-        ctx.set_timer(self.retry_interval, url.doc() as u64);
-    }
-
-    /// Drains the proposer and fans the queue out as one
-    /// `InvalidateBatch` per proxy that has entries. Audit `InvalidateSend`
-    /// events are recorded here — at send time — so the auditor's pending
-    /// table matches the wire, and retry timers are armed per flushed
-    /// document for exactly the same reason.
-    fn flush_batches(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
-        let Some(proposer) = self.proposer.as_mut() else {
+        // A document this origin does not have: dropped, as the daemon
+        // closes the connection.
+        let Some((reply, new_site)) = self.core.serve(&get, now) else {
             return;
         };
-        if proposer.is_empty() {
-            return;
+        if new_site {
+            self.disk_writes += 1; // persistent ever-seen list
+            ctx.consume(self.costs.log_write_cpu);
         }
-        let rounds = proposer.drain();
-        if self.audit.is_some() {
-            for (url, clients) in &rounds {
-                for &client in clients {
-                    self.record(AuditEvent::InvalidateSend {
-                        url: *url,
-                        client,
-                        retry: false,
-                        at: ctx.now(),
-                    });
+        match &reply.status {
+            ReplyStatus::Ok(body) => {
+                let size = body.meta().size();
+                let scaled = size.as_u64() / self.costs.doc_scale.max(1);
+                if !self.mem_cache.access(get.url.doc(), scaled) {
+                    self.disk_reads += 1;
+                    ctx.consume(self.costs.disk_read_cpu);
                 }
+                ctx.consume(self.costs.serve_200_cpu(size));
             }
+            ReplyStatus::NotModified => ctx.consume(self.costs.serve_304),
         }
-        if self.tracer.is_enabled() {
-            for (url, clients) in &rounds {
-                let span = invalidation_span(*url, self.versions[url.doc() as usize]);
-                for &client in clients {
-                    self.tracer.record(
-                        ctx.now(),
-                        SpanKind::Invalidation,
-                        span,
-                        Phase::Invalidate,
-                        *url,
-                        Some(client),
-                        None,
-                    );
-                }
-            }
-        }
-        // Group the drained entries by destination proxy. Partition order
-        // and the proposer's sorted drain keep this deterministic.
-        let parts = self.proxies.len() as u32;
-        let mut per_proxy: Vec<Vec<BatchEntry>> = vec![Vec::new(); parts as usize]; // xtask-lint: allow(hot-loop-alloc)
-        let mut total = 0u64;
-        for (url, clients) in &rounds {
-            for &client in clients {
-                per_proxy[client.partition(parts) as usize].push(BatchEntry { url: *url, client });
-                total += 1;
-            }
-        }
-        let mut spent = SimDuration::ZERO;
-        for (idx, entries) in per_proxy.into_iter().enumerate() {
-            if entries.is_empty() {
-                continue;
-            }
-            let n = entries.len();
-            let msg = HttpMsg::InvalidateBatch {
-                server: self.server,
-                entries,
-            };
-            let size = msg.wire_size();
-            self.counters.bytes_sent += size;
-            self.counters.inval_batches += 1;
-            self.counters.batched_entries += n as u64;
-            // One connection setup per batch, then the per-entry marginal
-            // cost — the amortisation the proposer exists for.
-            let cost =
-                self.costs.inval_send + self.costs.inval_batch_entry.saturating_mul(n as u64);
-            ctx.consume(cost);
-            spent += cost;
-            ctx.send(self.proxies[idx], SimMsg::Net(Message::Http(msg)), size);
-            self.proposer
-                .as_mut()
-                .expect("flushing implies a proposer")
-                .note_batch(n);
-        }
-        self.counters.invalidations_sent += total;
-        self.inval_time.observe(spent);
-        for (url, _) in &rounds {
-            ctx.set_timer(self.retry_interval, url.doc() as u64);
-        }
+        self.send(from, HttpMsg::Reply(reply), SimDuration::ZERO, ctx);
     }
 
-    /// One invalidation acknowledgement: protocol state, metering, audit,
-    /// tracing and the write-completion clock. Shared by the per-copy
-    /// `InvalAck` and each entry of an `InvalidateBatchAck`.
-    fn apply_inval_ack(
-        &mut self,
-        url: Url,
-        client: ClientId,
-        cache_hits: u64,
-        ctx: &mut Ctx<'_, SimMsg>,
-    ) {
-        self.counters.acks += 1;
-        self.meter.record_report(url, cache_hits);
-        self.consistency.on_inval_ack(url, client);
-        if self.tracer.is_enabled() {
-            let span = invalidation_span(url, self.versions[url.doc() as usize]);
-            self.tracer.record(
-                ctx.now(),
-                SpanKind::Invalidation,
-                span,
-                Phase::Ack,
-                url,
-                Some(client),
-                None,
-            );
-            if self.consistency.pending_for(url).is_empty() {
-                // Every live site acked: the write is complete.
-                self.tracer.record(
-                    ctx.now(),
-                    SpanKind::Invalidation,
-                    span,
-                    Phase::Quorum,
-                    url,
-                    None,
-                    None,
-                );
-            }
+    /// One invalidation acknowledgement — an `InvalAck`, or an entry of an
+    /// `InvalidateBatchAck` — into the core; spans and the write-completion
+    /// summary here.
+    fn apply_inval_ack(&mut self, url: Url, client: ClientId, cache_hits: u64, now: SimTime) {
+        let completed = self.core.ack(url, client, cache_hits, now);
+        self.trace(Phase::Ack, url, Some(client), now);
+        if self.tracer.is_enabled() && !self.core.consistency().has_pending(url) {
+            // Every live site acked: the write is complete.
+            self.trace(Phase::Quorum, url, None, now);
         }
-        self.record(AuditEvent::InvalidateAck {
-            url,
-            client,
-            at: ctx.now(),
-        });
-        if !self.consistency.has_pending(url) {
-            if let Some(t0) = self.write_open.remove(&url) {
-                self.write_completion
-                    .observe(ctx.now().saturating_since(t0));
-            }
+        if let Some(took) = completed {
+            self.write_completion.observe(took);
         }
-    }
-
-    /// Sends the recovery bulk `INVALIDATE <server-addr>` to every proxy
-    /// still in [`Self::recovery_unacked`].
-    fn send_bulk_invalidations(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
-        for i in 0..self.recovery_unacked.len() {
-            let proxy = self.recovery_unacked[i];
-            let msg = HttpMsg::InvalidateServer {
-                server: self.server,
-            };
-            let size = msg.wire_size();
-            self.counters.bulk_invalidations += 1;
-            self.counters.bytes_sent += size;
-            ctx.consume(self.costs.inval_send);
-            ctx.send(proxy, SimMsg::Net(Message::Http(msg)), size);
-        }
-    }
-
-    /// Bulk-invalidation retry tick: re-send to proxies that have not
-    /// acked, up to the same retry budget as per-document invalidations.
-    fn retry_bulk_invalidations(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
-        if self.recovery_unacked.is_empty() {
-            return;
-        }
-        self.recovery_attempts += 1;
-        if self.recovery_attempts > self.max_retries {
-            // Same accounting as an abandoned per-document fan-out: these
-            // sites may keep serving promised-fresh copies the recovery
-            // should have voided.
-            self.counters.gave_up += self.recovery_unacked.len() as u64;
-            self.recovery_unacked.clear();
-            return;
-        }
-        self.send_bulk_invalidations(ctx);
-        ctx.set_timer(self.retry_interval, BULK_RETRY_TOKEN);
     }
 
     fn handle_notify(&mut self, url: Url, at: SimTime, ctx: &mut Ctx<'_, SimMsg>) {
         ctx.consume(self.costs.notify_cpu);
-        self.counters.notifies += 1;
-        let doc = url.doc();
-        self.versions[doc as usize] = self.versions[doc as usize].max(at);
-        self.touch_log.push((doc, at));
-        self.tracer.record(
-            ctx.now(),
-            SpanKind::Invalidation,
-            invalidation_span(url, self.versions[doc as usize]),
-            Phase::Write,
-            url,
-            None,
-            None,
-        );
-        self.record(AuditEvent::Touch {
-            url,
-            version: at,
-            at: ctx.now(),
-        });
+        let Some(version) = self.core.touch(url, at, ctx.now()) else {
+            return; // not a document of this origin
+        };
+        self.touch_log.push((url.doc(), at));
+        self.trace(Phase::Write, url, None, ctx.now());
         if self.detection == ChangeDetection::BrowserBased {
             // The touch updates the filesystem mtime but nobody tells the
             // accelerator; detection waits for the next request.
             return;
         }
-        self.acked_versions[doc as usize] = self.versions[doc as usize];
-        let recipients = self.audited_modify(url, at, ctx.now());
-        self.fan_out(url, recipients, false, ctx);
+        self.acked_versions[url.doc() as usize] = version;
+        self.core.modify(url, at, ctx.now(), &mut self.out);
+        self.emit(ctx);
     }
 }
 
@@ -700,35 +347,27 @@ impl Node<SimMsg> for OriginNode {
                 cache_hits,
             })) => {
                 ctx.consume(self.costs.ack_cpu);
-                self.apply_inval_ack(url, client, cache_hits, ctx);
+                self.apply_inval_ack(url, client, cache_hits, ctx.now());
             }
             SimMsg::Net(Message::Http(HttpMsg::InvalidateBatchAck { server, entries })) => {
-                debug_assert_eq!(server, self.server);
+                debug_assert_eq!(server, self.core.server());
                 // One parse per wire message; per-copy protocol work per
                 // entry, exactly as if each ack had arrived on its own.
                 ctx.consume(self.costs.ack_cpu);
                 for entry in entries {
-                    self.apply_inval_ack(entry.url, entry.client, entry.cache_hits, ctx);
+                    self.apply_inval_ack(entry.url, entry.client, entry.cache_hits, ctx.now());
                 }
             }
             SimMsg::Net(Message::Http(HttpMsg::InvalidateServerAck { server })) => {
-                debug_assert_eq!(server, self.server);
+                debug_assert_eq!(server, self.core.server());
                 ctx.consume(self.costs.ack_cpu);
-                self.counters.acks += 1;
-                self.recovery_unacked.retain(|&p| p != from);
+                if let Some(site) = self.proxies.iter().position(|&p| p == from) {
+                    self.core.bulk_ack(site as u32);
+                }
             }
             SimMsg::Net(Message::Coord(CoordMsg::StepStart { step, window_end })) => {
-                // Window boundary: safe point for lease GC (everything that
-                // expired before the window began can go).
-                let before = self.prev_window_end;
-                let purged = self.consistency.purge_expired_leases(before);
-                self.record(AuditEvent::PurgeExpired {
-                    server: self.server,
-                    before,
-                    purged,
-                    at: ctx.now(),
-                });
-                self.prev_window_end = window_end;
+                // Window boundary: the core's safe point for lease GC.
+                self.core.on_window(window_end, ctx.now());
                 if let Some(coord) = self.coordinator {
                     ctx.send(
                         coord,
@@ -756,93 +395,29 @@ impl Node<SimMsg> for OriginNode {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, SimMsg>) {
-        if token == BULK_RETRY_TOKEN {
-            self.retry_bulk_invalidations(ctx);
-            return;
-        }
-        if token == BATCH_FLUSH_TOKEN {
-            // Age-bound flush. A timer armed before an earlier
-            // threshold-trip flush drains whatever re-accumulated since —
-            // flushing early is always legal, and keeping the rule
-            // unconditional keeps replays deterministic.
-            self.flush_batches(ctx);
-            return;
-        }
-        // Retry timer for one document's pending invalidations. Volume
-        // leases first drop pending entries whose volume has expired — the
-        // bounded-write-completion rule.
-        let dropped = self.consistency.expire_pending(self.prev_window_end);
-        if dropped > 0 {
-            self.record(AuditEvent::PendingExpired {
-                server: self.server,
-                dropped,
-                at: ctx.now(),
-            });
-        }
-        let doc = token as u32;
-        let url = Url::new(self.server, doc);
-        let mut pending = self.consistency.pending_for(url);
-        // Copies still queued in the proposer have not been sent yet —
-        // retrying them would target sites the auditor (correctly) does
-        // not consider awaiting an INVALIDATE. Their flush arms a fresh
-        // retry timer, so skipping them here loses nothing.
-        if let Some(proposer) = self.proposer.as_ref() {
-            pending.retain(|&c| !proposer.queued(url, c));
-        }
-        if pending.is_empty() {
-            self.retry_counts.remove(&doc);
-            return;
-        }
-        let attempts = self.retry_counts.entry(doc).or_insert(0);
-        *attempts += 1;
-        if *attempts > self.max_retries {
-            self.counters.gave_up += pending.len() as u64;
-            self.retry_counts.remove(&doc);
-            self.record(AuditEvent::GaveUp {
-                url,
-                abandoned: pending,
-                at: ctx.now(),
-            });
-            // The write will never complete; drop its open clock.
-            self.write_open.remove(&url);
-            return;
-        }
-        self.fan_out(url, pending, true, ctx);
+        let timer = match token {
+            BULK_RETRY_TOKEN => OriginTimer::Bulk,
+            BATCH_FLUSH_TOKEN => OriginTimer::Flush,
+            doc => OriginTimer::Retry(doc as u32),
+        };
+        self.core.on_timer(timer, ctx.now(), &mut self.out);
+        self.emit(ctx);
     }
 
     fn on_crash(&mut self, _now: SimTime) {
         // Main-memory state dies; the request log, documents and the
         // ever-seen site list are on disk and survive.
         self.mem_cache.clear();
-        self.recovery_unacked.clear();
-        self.recovery_attempts = 0;
-        if let Some(proposer) = self.proposer.as_mut() {
-            proposer.clear();
-        }
-        self.write_open.clear();
+        self.core.crash();
     }
 
     fn on_recover(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
-        let sites = self.consistency.on_server_recover();
-        // Recorded even with no sites to notify: the volatile site lists
-        // and the pending set were discarded either way.
-        self.record(AuditEvent::ServerRecovered {
-            server: self.server,
-            at: ctx.now(),
-        });
-        if sites.is_empty() {
-            return;
-        }
-        // One bulk INVALIDATE <server-addr> per proxy site (each proxy
-        // hosts many real clients; the message marks every copy from this
-        // server questionable). Delivery must be reliable — a concurrent
-        // partition or proxy crash would otherwise swallow the one message
-        // that voids stale freshness promises — so recipients ack and the
-        // unacked remainder is retried on a timer.
-        self.recovery_unacked = self.proxies.clone();
-        self.recovery_attempts = 0;
-        self.send_bulk_invalidations(ctx);
-        ctx.set_timer(self.retry_interval, BULK_RETRY_TOKEN);
+        // Delivery of the bulk must be reliable — a concurrent partition or
+        // proxy crash would otherwise swallow the one message that voids
+        // stale freshness promises — so the core has it acknowledged and
+        // re-sends on a timer.
+        self.core.recover(ctx.now(), &mut self.out);
+        self.emit(ctx);
     }
 }
 

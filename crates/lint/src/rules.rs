@@ -191,6 +191,24 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
         include_tests: false,
     },
     SeqRule {
+        name: "origin-bypass",
+        needles: &[
+            &[".", "on_modify", "("],
+            &[".", "on_inval_ack", "("],
+            &[".", "on_server_recover", "("],
+            &[".", "expire_pending", "("],
+        ],
+        message: "the origin's write path (fan-out, acks, retry, §5 recovery) \
+                  lives once, in wcc_core::OriginCore \
+                  (crates/core/src/origin.rs); drive its modify / ack / \
+                  on_timer / recover rather than the ServerConsistency steps",
+        in_scope: |path| {
+            path == "crates/httpsim/src/origin.rs" || path == "crates/net/src/origin.rs"
+        },
+        allowed: |_| false,
+        include_tests: false,
+    },
+    SeqRule {
         name: "obs-registry",
         needles: &[&["AtomicU64"], &["AtomicUsize"]],
         message: "ad-hoc atomic counters bypass the observability layer; \

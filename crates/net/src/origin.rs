@@ -3,32 +3,37 @@
 //! One thread owns every connection: per-request `GET`s, modifier
 //! check-ins, `/metrics` scrapes, and the proxies' persistent `HELLO`
 //! push channels all multiplex over the node runtime's loop
-//! ([`crate::evloop`]). This file is the origin's state and its
-//! [`Role`]: requests are answered where they arrive and `INVALIDATE`
-//! pushes go through the runtime's outbox to the target channel.
+//! ([`crate::evloop`]). The protocol — grants, fan-out, acknowledgements,
+//! retry, §5 recovery, §7 metering — is [`wcc_core::OriginCore`], which the
+//! simulator's origin drives too; this file is its daemon driver: the
+//! [`Role`] that feeds it frames and the wall clock, maps a site to that
+//! partition's push channel, keeps its timers and renders `/metrics`, with
+//! one `Mutex` around the core for the public handle.
 //!
-//! Restart recovery follows the paper's §5 model: an origin spawned with
-//! `recovering = true` has lost its in-memory site lists, so it answers
-//! every proxy re-registration with a bulk `INVALIDATE <server>` and
-//! re-sends it every 250 ms until the `InvalidateServerAck` arrives.
-//! Once every known channel has acknowledged, strong consistency holds
-//! again without any persistent site-list storage.
+//! An unacknowledged invalidation is re-sent every 250 ms, up to the core's
+//! budget, and at once when its partition says `HELLO` again; a push to a
+//! partition whose channel is down is dropped and stays pending. An origin
+//! spawned with `recovering = true` (§5) has lost its site lists: it answers
+//! every registration with a bulk `INVALIDATE <server>`, re-sent on the
+//! same period until the `InvalidateServerAck` arrives.
 
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
-use wcc_core::{Proposer, ProtocolConfig, ServerConsistency, SiteListStats};
+use wcc_core::origin::MAX_RETRIES;
+use wcc_core::{OriginCore, OriginOut, OriginTimer, Proposer, ProtocolConfig, ServerConsistency};
 use wcc_obs::{Histogram, Registry};
-use wcc_proto::{encode, BatchEntry, GetRequest, HttpMsg, HttpMsgRef};
-use wcc_types::{
-    ByteSize, ClientId, DocMeta, InvalBatchConfig, ServerId, SimDuration, SimTime, Url, WallClock,
-};
+use wcc_proto::{encode, HttpMsg, HttpMsgRef};
+use wcc_types::{ByteSize, InvalBatchConfig, ServerId, SimDuration, SimTime, Url, WallClock};
 
-use crate::evloop::{self, earliest, time_left, After, Cx, Node, Out, Outbox, Role, Via};
+use crate::evloop::{self, After, Cx, Node, Out, Outbox, Role, Via};
+
+/// Counters and state visible through [`NetOrigin::snapshot`]: the core's.
+pub use wcc_core::OriginCounters as OriginSnapshot;
 
 /// Configuration for [`NetOrigin::spawn`].
 #[derive(Debug, Clone)]
@@ -49,191 +54,24 @@ pub struct OriginConfig {
     pub inval_batch: Option<InvalBatchConfig>,
 }
 
-/// Counters and state visible through [`NetOrigin::snapshot`].
-#[derive(Debug, Clone, Default)]
-pub struct OriginSnapshot {
-    /// Plain `GET`s served.
-    pub gets: u64,
-    /// `If-Modified-Since` requests served.
-    pub ims: u64,
-    /// `200` replies sent.
-    pub replies_200: u64,
-    /// `304` replies sent.
-    pub replies_304: u64,
-    /// `INVALIDATE`s pushed (logical per-copy count; with the batched
-    /// proposer each coalesced entry still counts once here).
-    pub invalidations: u64,
-    /// `InvalidateBatch` rounds flushed by the proposer.
-    pub inval_batches: u64,
-    /// Entries carried by those rounds (deduplicated).
-    pub batched_entries: u64,
-    /// Enqueued invalidations absorbed by coalescing: the `(url, client)`
-    /// pair was already pending when a later write re-enqueued it.
-    pub coalesced_invalidations: u64,
-    /// Acks received.
-    pub acks: u64,
-    /// Check-ins processed.
-    pub notifies: u64,
-    /// Whether every invalidation has been acknowledged.
-    pub writes_complete: bool,
-    /// Site-list statistics.
-    pub sitelist: SiteListStats,
-}
+/// How often an unacknowledged invalidation — one document's, or the §5
+/// bulk — is re-sent.
+const RETRY: SimDuration = SimDuration::from_millis(250);
 
-struct Protected {
-    consistency: ServerConsistency,
-    versions: Vec<SimTime>,
-    counters: OriginSnapshot,
+/// What the node's one lock guards: the core and the two histograms.
+struct Inner {
+    core: OriginCore,
     /// Wall-time GET service latency (decode to reply built).
     serve_latency: Histogram,
-    /// The batched proposer (`None`: per-write fan-out) — the same
-    /// accumulator the simulator's origin drives.
-    proposer: Option<Proposer>,
-    /// Armed when the proposer's queue went empty → non-empty; drives the
-    /// age threshold.
-    pending_since: Option<WallClock>,
     /// Entries per flushed `InvalidateBatch` round.
     batch_sizes: Histogram,
-    /// §5 restart recovery: still rebuilding consistency via bulk
-    /// invalidation.
-    recovering: bool,
-    /// Partitions sent an `INVALIDATE <server>` and not yet acked.
-    recovery_pending: BTreeSet<u32>,
-    /// Partitions whose bulk invalidation was acknowledged.
-    recovery_acked: BTreeSet<u32>,
 }
 
-impl Protected {
-    /// The counters with everything derived filled in: the proposer's
-    /// share, write completion and the site-list stats.
-    fn snapshot(&self) -> OriginSnapshot {
-        let mut snap = self.counters.clone();
-        if let Some(stats) = self.proposer.as_ref().map(Proposer::stats) {
-            snap.inval_batches = stats.batches;
-            snap.batched_entries = stats.flushed_entries;
-            snap.coalesced_invalidations = stats.coalesced;
-        }
-        snap.writes_complete = self.consistency.writes_complete();
-        snap.sitelist = self.consistency.table().stats();
-        snap
-    }
-}
-
-struct State {
-    server: ServerId,
-    doc_sizes: Vec<ByteSize>,
-    /// Reloadable via [`NetOrigin::set_doc_scale`] (SIGHUP config reload).
-    doc_scale: AtomicU32,
-    protected: Mutex<Protected>,
-}
-
-/// What one check-in produced for the wire.
-enum Fanout {
-    /// Per-write fan-out: push one `INVALIDATE` per recipient now.
-    PerWrite(Vec<ClientId>),
-    /// Batched proposer: recipients were queued; `flush` is set when the
-    /// count or byte threshold tripped and the round should go out now.
-    Queued { flush: bool },
-}
-
-impl State {
-    /// Serves one `GET`; `None` for a document this origin does not have
-    /// (the id comes straight off the wire).
-    fn handle_get(&self, get: &GetRequest) -> Option<HttpMsg> {
-        let mut p = self.protected.lock();
-        let doc = get.url.doc() as usize;
-        let meta = DocMeta::new(*self.doc_sizes.get(doc)?, *p.versions.get(doc)?);
-        if get.is_ims() {
-            p.counters.ims += 1;
-        } else {
-            p.counters.gets += 1;
-        }
-        let grant = p
-            .consistency
-            .on_get(get.url, get.client, get.ims, meta, get.issued_at);
-        if grant.send_body {
-            p.counters.replies_200 += 1;
-        } else {
-            p.counters.replies_304 += 1;
-        }
-        let doc_scale = u64::from(self.doc_scale.load(Ordering::SeqCst));
-        Some(HttpMsg::Reply(grant.into_reply(get, meta, doc_scale)))
-    }
-
-    /// Processes a check-in; returns what to push on the wire, or `None`
-    /// for a document this origin does not have.
-    fn handle_notify(&self, url: Url, at: SimTime) -> Option<Fanout> {
-        let mut p = self.protected.lock();
-        let version = p.versions.get_mut(url.doc() as usize)?;
-        *version = (*version).max(at);
-        p.counters.notifies += 1;
-        let recipients = p.consistency.on_modify(url, at);
-        p.counters.invalidations += recipients.len() as u64;
-        let Protected {
-            proposer: Some(proposer),
-            pending_since,
-            ..
-        } = &mut *p
-        else {
-            return Some(Fanout::PerWrite(recipients));
-        };
-        for client in recipients {
-            if proposer.enqueue(url, client) {
-                *pending_since = Some(WallClock::start());
-            }
-        }
-        Some(Fanout::Queued {
-            flush: proposer.should_flush(),
-        })
-    }
-
-    /// Drains the proposer into one sorted entry list per proxy
-    /// partition, recording the per-round stats.
-    fn drain_pending(&self, partitions: u32) -> BTreeMap<u32, Vec<BatchEntry>> {
-        let mut per: BTreeMap<u32, Vec<BatchEntry>> = BTreeMap::new();
-        let mut p = self.protected.lock();
-        let Protected {
-            proposer: Some(proposer),
-            pending_since,
-            batch_sizes,
-            ..
-        } = &mut *p
-        else {
-            return per;
-        };
-        if proposer.is_empty() {
-            return per;
-        }
-        *pending_since = None;
-        for (url, clients) in proposer.drain() {
-            for client in clients {
-                per.entry(client.partition(partitions.max(1)))
-                    .or_default()
-                    .push(BatchEntry { url, client });
-            }
-        }
-        for entries in per.values() {
-            proposer.note_batch(entries.len());
-            batch_sizes.record(entries.len() as u64);
-        }
-        per
-    }
-
-    fn handle_ack(&self, url: Url, client: ClientId) {
-        let mut p = self.protected.lock();
-        p.counters.acks += 1;
-        p.consistency.on_inval_ack(url, client);
-    }
-
-    fn recovery_done(p: &Protected) -> bool {
-        !p.recovering || (!p.recovery_acked.is_empty() && p.recovery_pending.is_empty())
-    }
-
+impl Inner {
     /// Renders the node's registry as Prometheus text exposition.
     fn render_metrics(&self) -> String {
-        let p = self.protected.lock();
         let node = [("node", "origin")];
-        let c = &p.snapshot();
+        let c = &self.core.snapshot();
         let mut r = Registry::default();
         r.set_counter(
             "wcc_gets_total",
@@ -295,6 +133,18 @@ impl State {
             &node,
             c.notifies,
         );
+        r.set_counter(
+            "wcc_metered_served_total",
+            "Requests answered here, as the hit meter counts them (§7).",
+            &node,
+            c.metered_served,
+        );
+        r.set_counter(
+            "wcc_metered_reported_total",
+            "Cache hits the proxies reported on GETs and acknowledgements (§7).",
+            &node,
+            c.metered_reported,
+        );
         let stats = &c.sitelist;
         r.set_gauge(
             "wcc_sitelist_entries",
@@ -330,25 +180,25 @@ impl State {
             "wcc_recovery_complete",
             "1 when §5 restart recovery has finished (always 1 on a clean start).",
             &node,
-            u64::from(Self::recovery_done(&p)),
+            u64::from(self.core.recovery_complete()),
         );
         r.set_gauge(
             "wcc_inval_pending_queue",
             "Coalesced (document, client) entries waiting in the proposer.",
             &node,
-            p.proposer.as_ref().map_or(0, Proposer::entries) as u64,
+            self.core.proposer().map_or(0, Proposer::entries) as u64,
         );
         r.set_histogram(
             "wcc_serve_latency_seconds",
             "Wall-time GET service latency.",
             &node,
-            &p.serve_latency,
+            &self.serve_latency,
         );
         r.set_histogram(
             "wcc_inval_batch_size",
             "Entries per flushed InvalidateBatch round.",
             &node,
-            &p.batch_sizes,
+            &self.batch_sizes,
         );
         r.render()
     }
@@ -357,7 +207,7 @@ impl State {
 /// A running TCP origin. Shuts down (and joins its reactor) on drop.
 pub struct NetOrigin {
     addr: SocketAddr,
-    state: Arc<State>,
+    state: Arc<Mutex<Inner>>,
     _node: Node,
 }
 
@@ -394,29 +244,31 @@ impl NetOrigin {
     ) -> std::io::Result<NetOrigin> {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
-        let n = config.doc_sizes.len();
-        let state = Arc::new(State {
-            server: config.server,
-            doc_sizes: config.doc_sizes,
-            doc_scale: AtomicU32::new(u32::try_from(config.doc_scale.max(1)).unwrap_or(u32::MAX)),
-            protected: Mutex::new(Protected {
-                consistency: ServerConsistency::new(&config.protocol, config.server),
-                versions: vec![SimTime::ZERO; n],
-                counters: OriginSnapshot::default(),
-                serve_latency: Histogram::default(),
-                proposer: config.inval_batch.map(Proposer::new),
-                pending_since: None,
-                batch_sizes: Histogram::default(),
-                recovering,
-                recovery_pending: BTreeSet::new(),
-                recovery_acked: BTreeSet::new(),
-            }),
-        });
+        let mut core = OriginCore::new(
+            ServerConsistency::new(&config.protocol, config.server),
+            config.doc_sizes,
+            config.doc_scale.max(1),
+            RETRY,
+            MAX_RETRIES,
+            config.inval_batch,
+        );
+        if recovering {
+            core.recover_unknown_sites();
+        }
+        let state = Arc::new(Mutex::new(Inner {
+            core,
+            serve_latency: Histogram::default(),
+            batch_sizes: Histogram::default(),
+        }));
         let role = OriginRole {
             state: Arc::clone(&state),
-            channels: HashMap::new(),
-            total_partitions: 1,
-            bulk_sent: WallClock::start(),
+            links: Links {
+                server: config.server,
+                channels: HashMap::new(),
+                clock: WallClock::start(),
+                timers: BinaryHeap::new(),
+                asked: Vec::new(),
+            },
         };
         let node = evloop::spawn(role, listener, None, None)?;
         Ok(NetOrigin {
@@ -434,19 +286,18 @@ impl NetOrigin {
     /// The current Prometheus text exposition — the same body `GET
     /// /metrics` on [`NetOrigin::addr`] returns.
     pub fn metrics_text(&self) -> String {
-        self.state.render_metrics()
+        self.state.lock().render_metrics()
     }
 
     /// A copy of the current counters and site-list stats.
     pub fn snapshot(&self) -> OriginSnapshot {
-        self.state.protected.lock().snapshot()
+        self.state.lock().core.snapshot()
     }
 
     /// Swaps the payload scale factor at runtime (`wcc serve`'s SIGHUP
     /// config reload).
     pub fn set_doc_scale(&self, doc_scale: u64) {
-        let clamped = u32::try_from(doc_scale.max(1)).unwrap_or(u32::MAX);
-        self.state.doc_scale.store(clamped, Ordering::SeqCst);
+        self.state.lock().core.set_doc_scale(doc_scale.max(1));
     }
 
     /// Whether §5 restart recovery has finished. Always true for an
@@ -454,27 +305,27 @@ impl NetOrigin {
     /// turns true once at least one proxy re-registered and every bulk
     /// invalidation sent so far was acknowledged.
     pub fn recovery_complete(&self) -> bool {
-        State::recovery_done(&self.state.protected.lock())
+        self.state.lock().core.recovery_complete()
     }
 
     /// Polls until [`NetOrigin::recovery_complete`] or `timeout` elapses.
     pub fn wait_recovery_complete(&self, timeout: Duration) -> bool {
-        self.wait_until(timeout, State::recovery_done)
+        self.wait_until(timeout, OriginCore::recovery_complete)
     }
 
     /// Polls until every outstanding invalidation is acknowledged (the
     /// paper's write-completion condition) or `timeout` elapses. Returns
     /// whether completion was reached.
     pub fn wait_writes_complete(&self, timeout: Duration) -> bool {
-        self.wait_until(timeout, |p| p.consistency.writes_complete())
+        self.wait_until(timeout, |core| core.consistency().writes_complete())
     }
 
-    fn wait_until(&self, timeout: Duration, reached: impl Fn(&Protected) -> bool) -> bool {
+    fn wait_until(&self, timeout: Duration, reached: impl Fn(&OriginCore) -> bool) -> bool {
         let clock = WallClock::start();
         let timeout =
             SimDuration::from_micros(u64::try_from(timeout.as_micros()).unwrap_or(u64::MAX));
         loop {
-            if reached(&self.state.protected.lock()) {
+            if reached(&self.state.lock().core) {
                 return true;
             }
             if clock.has_elapsed(timeout) {
@@ -485,185 +336,159 @@ impl NetOrigin {
     }
 }
 
-/// Per-connection tag: `HELLO` upgrades a plain connection into a push
-/// channel for one proxy partition.
-struct OTag {
-    partition: Option<u32>,
+/// The origin's reactor-side state: the core (shared with the handle) and
+/// what connects it to the wire and the clock.
+struct OriginRole {
+    state: Arc<Mutex<Inner>>,
+    links: Links,
 }
 
-/// How often an unacknowledged §5 bulk invalidation is re-sent.
-const BULK_RETRY: SimDuration = SimDuration::from_millis(250);
-
-/// The origin's reactor-side state: who to push to.
-struct OriginRole {
-    state: Arc<State>,
+/// The reactor thread's own: who to push to, and when to wake.
+struct Links {
+    server: ServerId,
     /// partition -> push-channel token (latest HELLO wins, stale tokens
     /// fail their generation check harmlessly).
     channels: HashMap<u32, u64>,
-    /// Partition count the proxies declared in their HELLOs; routing must
-    /// use the same modulus the proxies used when sharding clients.
-    total_partitions: u32,
-    /// Started when a bulk invalidation was last (re-)sent.
-    bulk_sent: WallClock,
+    /// Started with the node: what the core is told the time is.
+    clock: WallClock,
+    /// Timers the core armed, soonest first.
+    timers: BinaryHeap<Reverse<(SimTime, OriginTimer)>>,
+    /// What the core last asked for; drained by [`Links::emit`] and reused.
+    asked: Vec<OriginOut>,
 }
 
-impl OriginRole {
-    /// Time left on the origin's two timers: the §5 bulk-invalidation
-    /// retry and the proposer's age threshold.
-    fn timers(&self) -> (Option<Duration>, Option<Duration>) {
-        let p = self.state.protected.lock();
-        let retry = (p.recovering && !p.recovery_pending.is_empty())
-            .then(|| time_left(&self.bulk_sent, BULK_RETRY));
-        let age = p
-            .pending_since
-            .as_ref()
-            .zip(p.proposer.as_ref())
-            .map(|(since, proposer)| time_left(since, proposer.config().max_age));
-        (retry, age)
+impl Links {
+    fn now(&self) -> SimTime {
+        SimTime::ZERO + self.clock.elapsed()
     }
 
-    /// Drains the proposer into one `InvalidateBatch` per proxy partition
-    /// with a live push channel. Entries routed at a partition with no
-    /// channel are dropped from the wire like their per-write equivalents:
-    /// the site list still holds them, and a re-registration (or the §5
-    /// bulk recovery invalidation) picks them up.
-    fn flush_batches(&self, out: &mut Outbox) {
-        for (partition, entries) in self.state.drain_pending(self.total_partitions) {
-            if let Some(&tok) = self.channels.get(&partition) {
-                let server = self.state.server;
-                out.push(Out::Push(tok, HttpMsg::InvalidateBatch { server, entries }));
+    /// Carries out what the core asked for: frames into the outbox of the
+    /// site's push channel, timers onto the heap. A push to a partition
+    /// whose channel is down is dropped (here when it never registered, by
+    /// the runtime when its token went stale); the copy stays pending, and
+    /// the document's retry timer or the partition's next `HELLO` sends it
+    /// again.
+    fn emit(&mut self, inner: &mut Inner, now: SimTime, out: &mut Outbox) {
+        let server = self.server;
+        for asked in self.asked.drain(..) {
+            let (site, msg) = match asked {
+                OriginOut::Arm { after, timer } => {
+                    self.timers.push(Reverse((now + after, timer)));
+                    continue;
+                }
+                OriginOut::Invalidate {
+                    site, url, client, ..
+                } => (site, HttpMsg::Invalidate { url, client }),
+                OriginOut::Batch { site, entries } => {
+                    inner.batch_sizes.record(entries.len() as u64);
+                    (site, HttpMsg::InvalidateBatch { server, entries })
+                }
+                OriginOut::Bulk { site } => (site, HttpMsg::InvalidateServer { server }),
+            };
+            if let Some(&tok) = self.channels.get(&site) {
+                out.push(Out::Push(tok, msg));
             }
         }
     }
 }
 
 impl Role for OriginRole {
-    type Tag = OTag;
+    /// `HELLO` upgrades a plain connection into the push channel of one
+    /// proxy partition: which.
+    type Tag = Option<u32>;
 
-    fn tag(&self, _via: Via) -> OTag {
-        OTag { partition: None }
+    fn tag(&self, _via: Via) -> Option<u32> {
+        None
     }
 
     fn next_deadline(&self) -> Option<Duration> {
-        let (retry, age) = self.timers();
-        earliest(retry, age)
+        let Reverse((due, _)) = self.links.timers.peek()?;
+        let left = due.saturating_since(self.links.now());
+        Some(Duration::from_micros(left.as_micros()))
     }
 
     fn on_deadline(&mut self, out: &mut Outbox) {
-        let (retry, age) = self.timers();
-        if age == Some(Duration::ZERO) {
-            // Age flush: the oldest pending entry has waited max_age, so
-            // the round goes out even though no count threshold tripped.
-            self.flush_batches(out);
-        }
-        if retry == Some(Duration::ZERO) {
-            // Re-send the bulk invalidation to every pending partition
-            // (idempotent on the proxy side).
-            let server = self.state.server;
-            for partition in &self.state.protected.lock().recovery_pending {
-                if let Some(&tok) = self.channels.get(partition) {
-                    out.push(Out::Push(tok, HttpMsg::InvalidateServer { server }));
-                }
+        let links = &mut self.links;
+        let now = links.now();
+        let inner = &mut *self.state.lock();
+        while let Some(Reverse((due, timer))) = links.timers.peek().copied() {
+            if due > now {
+                break;
             }
-            self.bulk_sent = WallClock::start();
+            links.timers.pop();
+            inner.core.on_timer(timer, now, &mut links.asked);
         }
+        links.emit(inner, now, out);
     }
 
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
-        let state = &self.state;
+        let links = &mut self.links;
+        let now = links.now();
+        // The frame's one lock; nothing below touches a socket.
+        let inner = &mut *self.state.lock();
         match msg {
-            HttpMsgRef::Get(get) if get.url.server() == state.server => {
-                let clock = WallClock::start();
-                let Some(reply) = state.handle_get(get) else {
-                    return After::Close; // no such document
+            HttpMsgRef::Get(get) => {
+                let Some((reply, _)) = inner.core.serve(get, now) else {
+                    return After::Close; // not a document of this origin
                 };
-                // Record before the reply ships: once the requester's
+                // Recorded before the reply ships: once the requester's
                 // fetch returns, a scrape must already see this serve.
-                state
-                    .protected
-                    .lock()
-                    .serve_latency
-                    .record(clock.elapsed().as_micros());
-                cx.reply(reply);
-                After::Keep
+                let took = links.now().saturating_since(now);
+                inner.serve_latency.record(took.as_micros());
+                cx.reply(HttpMsg::Reply(reply));
             }
-            HttpMsgRef::MetricsGet => cx.reply_metrics(&state.render_metrics()),
-            HttpMsgRef::Notify { url, at } if url.server() == state.server => {
-                match state.handle_notify(*url, *at) {
-                    None => return After::Close, // no such document
-                    Some(Fanout::PerWrite(recipients)) => {
-                        let partitions = self.total_partitions.max(1);
-                        for client in recipients {
-                            // Best-effort: a dead channel leaves the entry
-                            // pending; a re-registered proxy (or the bulk
-                            // recovery invalidation) will pick it up.
-                            if let Some(&tok) = self.channels.get(&client.partition(partitions)) {
-                                cx.out.push(Out::Push(
-                                    tok,
-                                    HttpMsg::Invalidate { url: *url, client },
-                                ));
-                            }
-                        }
-                    }
-                    Some(Fanout::Queued { flush: true }) => self.flush_batches(cx.out),
-                    Some(Fanout::Queued { flush: false }) => {}
+            HttpMsgRef::MetricsGet => return cx.reply_metrics(&inner.render_metrics()),
+            HttpMsgRef::Notify { url, at } => {
+                if inner.core.touch(*url, *at, now).is_none() {
+                    return After::Close; // not a document of this origin
                 }
-                After::Keep
+                inner.core.modify(*url, *at, now, &mut links.asked);
             }
             HttpMsgRef::InvalAck {
                 url,
                 client,
-                cache_hits: _,
+                cache_hits,
             } => {
-                state.handle_ack(*url, *client);
-                After::Keep
+                inner.core.ack(*url, *client, *cache_hits, now);
             }
-            HttpMsgRef::InvalidateBatchAck(ack) if ack.server == state.server => {
-                // A whole proposer round acknowledged: clean the site lists
-                // entry by entry, exactly as per-entry `InvalAck`s would.
+            HttpMsgRef::InvalidateBatchAck(ack) if ack.server == links.server => {
+                // A whole proposer round acknowledged: entry by entry,
+                // exactly as per-copy `InvalAck`s would be.
                 for e in ack.entries() {
-                    state.handle_ack(e.url, e.client);
+                    inner.core.ack(e.url, e.client, e.cache_hits, now);
                 }
-                After::Keep
             }
-            HttpMsgRef::InvalidateServerAck { server } if *server == state.server => {
-                let mut p = state.protected.lock();
-                p.counters.acks += 1;
-                if let Some(partition) = cx.tag.partition {
-                    p.recovery_pending.remove(&partition);
-                    p.recovery_acked.insert(partition);
+            HttpMsgRef::InvalidateServerAck { server } if *server == links.server => {
+                if let Some(partition) = *cx.tag {
+                    inner.core.bulk_ack(partition);
                 }
-                After::Keep
             }
             HttpMsgRef::Hello {
                 partition,
                 partitions,
             } => {
-                self.total_partitions = (*partitions).max(1);
-                self.channels.insert(*partition, cx.token);
-                cx.tag.partition = Some(*partition);
-                let mut p = state.protected.lock();
-                if p.recovering && !p.recovery_acked.contains(partition) {
-                    // §5: the restarted origin cannot know which copies this
-                    // proxy holds, so it invalidates them all and waits for
-                    // the ack (re-sent every `BULK_RETRY` until it comes).
-                    p.recovery_pending.insert(*partition);
-                    self.bulk_sent = WallClock::start();
-                    cx.reply(HttpMsg::InvalidateServer {
-                        server: state.server,
-                    });
-                }
-                After::Keep
+                links.channels.insert(*partition, cx.token);
+                *cx.tag = Some(*partition);
+                // §5: a recovering origin cannot know which copies this
+                // proxy holds, so the core has it invalidate them all; and
+                // whatever the partition still owes an ack for is pushed
+                // again now that there is a channel to push it on.
+                let sites = *partitions;
+                inner
+                    .core
+                    .on_site_hello(*partition, sites, now, &mut links.asked);
             }
             HttpMsgRef::Reply(_)
             | HttpMsgRef::Invalidate { .. }
             | HttpMsgRef::InvalidateBatch(_)
             | HttpMsgRef::InvalidateServer { .. } => {
-                After::Close // protocol violation: these flow origin -> proxy only
+                return After::Close; // protocol violation: these flow origin -> proxy only
             }
-            // Guard fallthrough: a Get/Notify/ack for a server we do not own.
-            _ => After::Close,
+            // Guard fallthrough: an ack for a server we do not own.
+            _ => return After::Close,
         }
+        links.emit(inner, now, cx.out);
+        After::Keep
     }
 }
 

@@ -73,6 +73,41 @@ fn invalidation_round_trip_over_tcp() {
     assert!(snap.writes_complete);
 }
 
+/// §7 over TCP: the origin meters the requests it answers and the cache
+/// hits the proxy reports — here on the ack of the invalidation that takes
+/// the copy away — so `served + reported` is every request a browser made
+/// (the conservation `tests/metering.rs` holds the simulator to).
+#[test]
+fn hit_reports_reach_the_origins_meter() {
+    let (origin, proxy, _cfg) = start(ProtocolKind::Invalidation);
+    let c = client(5);
+    let (misses, hits) = (3u64, 4u64);
+    for doc in 1..=misses as u32 {
+        let out = proxy.fetch(c, url(doc), SimTime::from_secs(1)).unwrap();
+        assert_eq!(out.kind, FetchKind::Fetched);
+    }
+    for i in 0..hits {
+        let out = proxy.fetch(c, url(1), SimTime::from_secs(2 + i)).unwrap();
+        assert_eq!(out.kind, FetchKind::CacheHit);
+    }
+    check_in(origin.addr(), url(1), SimTime::from_secs(10)).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while origin.snapshot().notifies == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(origin.wait_writes_complete(Duration::from_secs(5)));
+
+    let snap = origin.snapshot();
+    assert_eq!((snap.metered_served, snap.metered_reported), (misses, hits));
+    assert_eq!(
+        snap.metered_served + snap.metered_reported,
+        proxy.counters().requests
+    );
+    let metrics = origin.metrics_text();
+    assert!(metrics.contains("wcc_metered_served_total{node=\"origin\"} 3"));
+    assert!(metrics.contains("wcc_metered_reported_total{node=\"origin\"} 4"));
+}
+
 #[test]
 fn polling_validates_every_hit() {
     let (origin, proxy, _cfg) = start(ProtocolKind::PollEveryTime);

@@ -4,7 +4,13 @@
 //! port in recovery mode, asserting the proxy's invalidation channel is
 //! rebuilt and no stale copy survives. The second drives the proxy's
 //! client port with two pipelined `GET`s deliberately split across many
-//! tiny writes, checking the reactor reassembles frames across reads.
+//! tiny writes, checking the reactor reassembles frames across reads. The
+//! last two play a proxy over raw sockets whose `HELLO` push channel is
+//! down when a write lands: the invalidation must reach it once it
+//! registers again (the missed invalidation), and until then the origin's
+//! retries go nowhere without harm.
+
+mod common;
 
 use std::io::Write;
 use std::net::TcpStream;
@@ -15,6 +21,9 @@ use wcc_proto::wire::encode;
 use wcc_proto::zero::{FrameReader, HttpMsgRef};
 use wcc_proto::{GetRequest, HttpMsg, RequestId};
 use wcc_types::{ByteSize, ClientId, ServerId, SimTime, Url};
+
+/// The origin's retry period (`RETRY` in `crates/net/src/origin.rs`).
+const RETRY: Duration = Duration::from_millis(250);
 
 fn origin_config(cfg: &ProtocolConfig) -> OriginConfig {
     OriginConfig {
@@ -137,4 +146,101 @@ fn pipelined_gets_split_across_reads_reply_in_order() {
     drop(reader);
     drop(proxy);
     drop(origin);
+}
+
+/// A raw-socket proxy for partition 0 of 1: its `HELLO` push channel.
+fn hello(origin: &NetOrigin) -> common::Wire {
+    let mut channel = common::Wire::connect(origin.addr());
+    channel.send(&HttpMsg::Hello {
+        partition: 0,
+        partitions: 1,
+    });
+    channel
+}
+
+/// An origin with client 7's copy of document 1 registered, a write to it
+/// checked in while partition 0's push channel is down, and at least
+/// `ticks` retries of the invalidation gone into the void since.
+fn write_lands_during_a_channel_outage(ticks: u64) -> NetOrigin {
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let origin = NetOrigin::spawn(origin_config(&cfg)).expect("origin spawn");
+    let channel = hello(&origin);
+    let mut requests = common::Wire::connect(origin.addr());
+    requests.send(&common::get(
+        1,
+        1,
+        ClientId::from_raw(7),
+        SimTime::from_secs(1),
+    ));
+    requests.recv_200();
+    assert_eq!(origin.snapshot().sitelist.total_entries, 1);
+    drop(channel);
+
+    check_in(origin.addr(), url(1), SimTime::from_secs(50)).unwrap();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while origin.snapshot().invalidation_retries < ticks && Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let snap = origin.snapshot();
+    assert_eq!((snap.notifies, snap.acks), (1, 0));
+    assert!(snap.invalidation_retries >= ticks, "{snap:?}");
+    assert!(!snap.writes_complete, "nobody acknowledged the write");
+    origin
+}
+
+/// Reads the `INVALIDATE` for client 7's copy of document 1 and acks it.
+fn take_and_ack_the_invalidation(channel: &mut common::Wire) {
+    let (doc, client) = match channel.next() {
+        HttpMsgRef::Invalidate { url, client } => (url, client),
+        other => panic!("expected the missed INVALIDATE, got {other:?}"),
+    };
+    assert_eq!((doc, client), (url(1), ClientId::from_raw(7)));
+    channel.send(&HttpMsg::InvalAck {
+        url: doc,
+        client,
+        cache_hits: 0,
+    });
+}
+
+#[test]
+fn a_write_during_a_push_channel_outage_is_resent_on_reregistration() {
+    // A retry just went out, so the next is a whole period away: what
+    // arrives well inside it was pushed because of the HELLO.
+    let origin = write_lands_during_a_channel_outage(1);
+    let registered = Instant::now();
+    let mut channel = hello(&origin);
+    take_and_ack_the_invalidation(&mut channel);
+    let waited = registered.elapsed();
+    assert!(waited < RETRY * 4 / 5, "pushed only after {waited:?}");
+    assert!(
+        origin.wait_writes_complete(Duration::from_secs(5)),
+        "the re-sent invalidation was acknowledged"
+    );
+    assert_eq!(origin.snapshot().acks, 1);
+}
+
+#[test]
+fn retries_into_a_dead_push_channel_are_dropped_and_stay_pending() {
+    // Three retry periods with nowhere to push to: each retry is dropped
+    // by the runtime (its channel token is stale), none of it queues up.
+    let origin = write_lands_during_a_channel_outage(3);
+    let mut requests = common::Wire::connect(origin.addr());
+    requests.send(&common::get(
+        9,
+        2,
+        ClientId::from_raw(8),
+        SimTime::from_secs(60),
+    ));
+    requests.recv_200();
+    let snap = origin.snapshot();
+    assert_eq!(snap.gave_up, 0, "three periods are well inside the budget");
+    assert!(snap.invalidations > snap.invalidation_retries);
+    assert!(origin
+        .metrics_text()
+        .contains("wcc_writes_complete{node=\"origin\"} 0"));
+
+    // The entry waited: the proxy's next registration collects it.
+    let mut channel = hello(&origin);
+    take_and_ack_the_invalidation(&mut channel);
+    assert!(origin.wait_writes_complete(Duration::from_secs(5)));
 }

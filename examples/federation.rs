@@ -48,14 +48,20 @@ fn main() {
     );
     for (i, (trace, mods)) in workloads.iter().enumerate() {
         let origin = deployment.origin_at(i);
-        let c = origin.counters();
+        let c = origin.core().snapshot();
         println!(
             "{:<10}{:>10}{:>8}{:>14}{:>14}",
             trace.name,
             trace.records.len(),
             mods.modifications().len(),
-            c.invalidations_sent,
-            origin.consistency().table().stats().storage.to_string(),
+            c.invalidations,
+            origin
+                .core()
+                .consistency()
+                .table()
+                .stats()
+                .storage
+                .to_string(),
         );
     }
     println!(

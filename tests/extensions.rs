@@ -143,8 +143,8 @@ fn browser_based_detection_defers_invalidations_but_converges() {
 
     assert!(eager.finished && lazy.finished);
     // Lazy detection fires only when a modified document is re-requested.
-    assert!(lazy.origin_counters.deferred_detections > 0);
-    assert_eq!(eager.origin_counters.deferred_detections, 0);
+    assert!(lazy.deferred_detections > 0);
+    assert_eq!(eager.deferred_detections, 0);
     // Both variants keep promised-fresh entries consistent with what the
     // accelerator has *detected*; the lazy variant may legitimately leave
     // copies of never-re-requested documents stale (detection hasn't

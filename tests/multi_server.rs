@@ -50,10 +50,10 @@ fn two_origins_serve_their_own_documents() {
     // Each origin handled only its own trace's traffic.
     for (i, (trace, _)) in loads.iter().enumerate() {
         let origin = d.origin_at(i);
-        let c = origin.counters();
+        let c = origin.core().snapshot();
         assert!(c.gets + c.ims <= trace.records.len() as u64 + 64);
         assert!(c.gets + c.ims > 0, "origin {i} idle");
-        assert_eq!(origin.consistency().server(), ServerId::new(i as u32));
+        assert_eq!(origin.core().server(), ServerId::new(i as u32));
     }
 }
 

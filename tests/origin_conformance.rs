@@ -1,0 +1,776 @@
+//! Driver conformance for the origin side: one script — `GET`s, a write
+//! with two registered sites whose second acknowledgement is lost (retry,
+//! then ack), a round of three writes that coalesces under the batched
+//! proposer, a crash and the §5 bulk recovery, an `IMS` → `304` carrying a
+//! §7 hit report, a write after the restart, unknown document ids — is fed
+//! to a bare [`OriginCore`], to a one-origin [`Deployment`] and to a
+//! [`NetOrigin`] over raw sockets, with the proposer off and on. The
+//! simulator's origin and the daemon's are drivers of that core, so:
+//!
+//! * the simulated origin must log the bare core's audit events in the bare
+//!   core's order (clocks aside) and end on equal counters;
+//! * the daemon must put the bare core's frames on each site's push
+//!   channel, in its order, answer each `GET` alike, and count alike.
+//!
+//! A daemon restart loses the ever-seen list and the counters with the
+//! process, where the simulator's crash keeps both on disk: the bare core is
+//! run once each way, and the two runs must push the same frames.
+//!
+//! The four per-protocol rows below the script are `sim_vs_tcp.rs`'s: a
+//! whole trace without modifications through one proxy, simulated and over
+//! TCP, must count alike on both sides of the wire.
+
+// Building options by mutating a default is the intended style here.
+#![allow(clippy::field_reassign_with_default)]
+
+#[path = "../crates/net/tests/common/mod.rs"]
+mod common;
+
+use common::Wire;
+use std::time::{Duration, Instant};
+use wcc_core::{
+    OriginCore, OriginCounters, OriginOut, OriginTimer, ProtocolConfig, ProtocolKind,
+    ServerConsistency,
+};
+use wcc_httpsim::{Deployment, DeploymentOptions};
+use wcc_net::{NetOrigin, NetProxy, OriginConfig};
+use wcc_proto::{
+    BatchAckEntry, GetRequest, HttpMsg, HttpMsgRef, ReplyStatus, ReplyStatusRef, RequestId,
+};
+use wcc_simnet::{FaultPlan, LinkSpec, NetworkConfig};
+use wcc_traces::{synthetic, ModSchedule, Modification, Trace, TraceRecord, TraceSpec};
+use wcc_types::{
+    AuditEvent, ByteSize, ClientId, InvalBatchConfig, ServerId, SimDuration, SimTime, Url,
+};
+
+const SERVER: ServerId = ServerId::new(0);
+const DOCS: u32 = 4;
+/// Two sites: client 4 lives on site 0, client 5 on site 1.
+const SITES: u32 = 2;
+const A: ClientId = ClientId::from_raw(4);
+const B: ClientId = ClientId::from_raw(5);
+/// The daemon's retry period; the other two drivers are given the same.
+const RETRY: SimDuration = SimDuration::from_millis(250);
+
+fn url(doc: u32) -> Url {
+    Url::new(SERVER, doc)
+}
+
+fn secs(s: u64) -> SimTime {
+    SimTime::from_secs(s)
+}
+
+/// Every copy is leased for longer than the script runs.
+fn protocol() -> ProtocolConfig {
+    ProtocolConfig::new(ProtocolKind::LeaseInvalidation).with_lease(SimDuration::from_secs(50_000))
+}
+
+/// Two entries flush a round at once; a lone one waits out the age bound,
+/// set clear of how long the daemon may take to read three check-ins.
+fn batching() -> InvalBatchConfig {
+    InvalBatchConfig {
+        max_entries: 2,
+        max_age: SimDuration::from_millis(400),
+        ..InvalBatchConfig::default()
+    }
+}
+
+/// One step of the script. Times are trace seconds, a lock-step window
+/// (300 s) or more apart unless rows are meant to share one.
+enum Row {
+    /// What `client`'s proxy sends upstream when it is asked for `doc`:
+    /// `ims` is its copy's `Last-Modified`, `hits` the §7 report riding
+    /// along; `status` is the answer the script expects.
+    Get {
+        at: u64,
+        client: ClientId,
+        doc: u32,
+        ims: Option<u64>,
+        hits: u64,
+        status: u16,
+    },
+    /// `client` is served from its proxy's cache: nothing reaches the
+    /// origin (a trace record, for the simulator's proxies to count).
+    Hit { at: u64, client: ClientId, doc: u32 },
+    /// The check-ins `(at, doc)` of one window, then the acknowledgements
+    /// of what they fanned out — but for the first frame naming `lost`,
+    /// which is only acknowledged when it is re-sent. `hits` rides the
+    /// first acknowledgement from that client.
+    Writes {
+        writes: &'static [(u64, u32)],
+        lost: Option<ClientId>,
+        hits: Option<(ClientId, u64)>,
+    },
+    /// The origin crashes and comes back.
+    Restart,
+    /// A check-in, then a `GET`, naming a document the origin does not have.
+    Unknown,
+}
+
+const SCRIPT: [Row; 14] = [
+    Row::get(10, A, 0),
+    Row::get(310, B, 0),
+    Row::get(610, A, 1),
+    Row::Hit {
+        at: 910,
+        client: A,
+        doc: 0,
+    },
+    // Two registered sites; B's acknowledgement is lost, A's reports a hit.
+    Row::Writes {
+        writes: &[(1210, 0)],
+        lost: Some(B),
+        hits: Some((A, 1)),
+    },
+    Row::get(3100, A, 2),
+    Row::get(3400, B, 2),
+    Row::get(3700, B, 3),
+    Row::get(4000, A, 3),
+    // The second write finds A's invalidation still unacknowledged (queued,
+    // with the proposer on: it coalesces); the third fills the round.
+    Row::Writes {
+        writes: &[(4600, 1), (4610, 1), (4620, 2)],
+        lost: None,
+        hits: None,
+    },
+    Row::Hit {
+        at: 4700,
+        client: B,
+        doc: 3,
+    },
+    Row::Restart,
+    // Questionable since the bulk: validated, which registers B again.
+    Row::Get {
+        at: 9000,
+        client: B,
+        doc: 3,
+        ims: Some(0),
+        hits: 1,
+        status: 304,
+    },
+    // Only the copy the restarted origin knows of is invalidated: a lone
+    // entry, which the proposer's age bound flushes.
+    Row::Writes {
+        writes: &[(9300, 3)],
+        lost: None,
+        hits: None,
+    },
+];
+
+impl Row {
+    const fn get(at: u64, client: ClientId, doc: u32) -> Row {
+        Row::Get {
+            at,
+            client,
+            doc,
+            ims: None,
+            hits: 0,
+            status: 200,
+        }
+    }
+}
+
+/// A frame on a site's push channel.
+#[derive(Debug, Clone, PartialEq, Eq)]
+enum Frame {
+    Invalidate(u32, ClientId),
+    Batch(Vec<(u32, ClientId)>),
+    Bulk,
+}
+
+/// One push, and the §7 report of each acknowledged entry (`None`: the
+/// acknowledgement is lost).
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct Pushed {
+    site: u32,
+    frame: Frame,
+    acked: Option<Vec<u64>>,
+}
+
+/// What a run of the script put on the wire, row by row, and counted.
+#[derive(Debug, Default)]
+struct Transcript {
+    pushed: Vec<Vec<Pushed>>,
+    at_restart: OriginCounters,
+    end: OriginCounters,
+    audit: Vec<String>,
+}
+
+/// An audit event without its clock reading (`at` is every variant's last
+/// field). The coordinator's lease sweep is the simulator's own step.
+fn untimed(log: &[AuditEvent]) -> Vec<String> {
+    let sweep = |e: &&AuditEvent| !matches!(e, AuditEvent::PurgeExpired { .. });
+    let strip = |e: &AuditEvent| {
+        let text = format!("{e:?}");
+        text[..text.rfind(", at: ").expect("timed")].to_string()
+    };
+    log.iter().filter(sweep).map(strip).collect()
+}
+
+fn origin_core(batch: Option<InvalBatchConfig>) -> OriginCore {
+    let sizes = vec![ByteSize::from_kib(1); DOCS as usize];
+    let consistency = ServerConsistency::new(&protocol(), SERVER);
+    let mut core = OriginCore::new(consistency, sizes, 100, RETRY, 20, batch);
+    core.set_sites(SITES);
+    core.enable_audit();
+    core
+}
+
+/// The bare core, its clock and its timers.
+struct Bare {
+    core: OriginCore,
+    batch: Option<InvalBatchConfig>,
+    /// `true`: a restart is a new process (the daemon's); `false`: a crash
+    /// that keeps the disk (the simulator's).
+    blank_restart: bool,
+    now: SimTime,
+    timers: Vec<(SimTime, OriginTimer)>,
+    out: Vec<OriginOut>,
+    lost: Option<ClientId>,
+    hits: Option<(ClientId, u64)>,
+    log: Transcript,
+}
+
+impl Bare {
+    fn run(batch: Option<InvalBatchConfig>, blank_restart: bool) -> Transcript {
+        let mut bare = Bare {
+            core: origin_core(batch),
+            batch,
+            blank_restart,
+            now: SimTime::ZERO,
+            timers: Vec::new(),
+            out: Vec::new(),
+            lost: None,
+            hits: None,
+            log: Transcript::default(),
+        };
+        for row in SCRIPT.iter().chain([&Row::Unknown]) {
+            bare.log.pushed.push(Vec::new());
+            bare.now += SimDuration::from_secs(10);
+            bare.row(row);
+            bare.settle();
+        }
+        bare.log.end = bare.core.snapshot();
+        bare.log.audit = untimed(bare.core.audit_log());
+        bare.log
+    }
+
+    fn row(&mut self, row: &Row) {
+        match *row {
+            Row::Get {
+                at,
+                client,
+                doc,
+                ims,
+                hits,
+                status,
+            } => {
+                let get = get_request(at, client, doc, ims, hits);
+                let (reply, _) = self.core.serve(&get, self.now).expect("a known document");
+                let sent = matches!(reply.status, ReplyStatus::Ok(_));
+                assert_eq!(sent, status == 200, "row at {at}");
+            }
+            Row::Hit { .. } => {}
+            Row::Writes { writes, lost, hits } => {
+                (self.lost, self.hits) = (lost, hits);
+                for &(at, doc) in writes {
+                    self.core
+                        .touch(url(doc), secs(at), self.now)
+                        .expect("known");
+                    self.core
+                        .modify(url(doc), secs(at), self.now, &mut self.out);
+                }
+                self.deliver();
+            }
+            Row::Restart if self.blank_restart => {
+                self.log.at_restart = self.core.snapshot();
+                self.timers.clear();
+                self.core = origin_core(self.batch);
+                self.core.recover_unknown_sites();
+                for site in 0..SITES {
+                    self.core
+                        .on_site_hello(site, SITES, self.now, &mut self.out);
+                }
+                self.deliver();
+            }
+            Row::Restart => {
+                self.core.crash();
+                self.core.recover(self.now, &mut self.out);
+                self.deliver();
+            }
+            Row::Unknown => {
+                assert_eq!(self.core.touch(url(DOCS), secs(1), self.now), None);
+                let get = get_request(1, A, DOCS, None, 3);
+                assert_eq!(self.core.serve(&get, self.now), None);
+                assert_eq!(self.core.ack(url(DOCS), A, 3, self.now), None);
+            }
+        }
+    }
+
+    /// Puts what the core asked for on the transcript and the timer list,
+    /// then acknowledges it, in order.
+    fn deliver(&mut self) {
+        let mut pushed = Vec::new();
+        for asked in std::mem::take(&mut self.out) {
+            let (site, frame) = match asked {
+                OriginOut::Arm { after, timer } => {
+                    self.timers.push((self.now + after, timer));
+                    continue;
+                }
+                OriginOut::Invalidate {
+                    site, url, client, ..
+                } => (site, Frame::Invalidate(url.doc(), client)),
+                OriginOut::Batch { site, entries } => {
+                    let entries = entries.iter().map(|e| (e.url.doc(), e.client));
+                    (site, Frame::Batch(entries.collect()))
+                }
+                OriginOut::Bulk { site } => (site, Frame::Bulk),
+            };
+            let entries = match &frame {
+                Frame::Invalidate(doc, client) => vec![(*doc, *client)],
+                Frame::Batch(entries) => entries.clone(),
+                Frame::Bulk => Vec::new(),
+            };
+            let names = |who: ClientId| entries.iter().any(|&(_, c)| c == who);
+            let acked = match self.lost {
+                Some(who) if names(who) => {
+                    self.lost = None;
+                    None
+                }
+                _ => Some(entries.iter().map(|&(_, c)| self.report(c)).collect()),
+            };
+            pushed.push((entries, Pushed { site, frame, acked }));
+        }
+        for (entries, push) in pushed {
+            for (&(doc, client), &hits) in entries.iter().zip(push.acked.iter().flatten()) {
+                self.core.ack(url(doc), client, hits, self.now);
+            }
+            if (&push.frame, &push.acked) == (&Frame::Bulk, &Some(Vec::new())) {
+                self.core.bulk_ack(push.site);
+            }
+            self.log.pushed.last_mut().expect("a row").push(push);
+        }
+    }
+
+    /// The §7 report on `client`'s next acknowledgement.
+    fn report(&mut self, client: ClientId) -> u64 {
+        match self.hits {
+            Some((who, hits)) if who == client => {
+                self.hits = None;
+                hits
+            }
+            _ => 0,
+        }
+    }
+
+    /// Lets every armed timer come due, earliest first, before the next
+    /// row — as the rows' spacing does for the other two drivers.
+    fn settle(&mut self) {
+        while let Some(next) = (0..self.timers.len()).min_by_key(|&i| self.timers[i]) {
+            let (due, timer) = self.timers.swap_remove(next);
+            self.now = self.now.max(due);
+            self.core.on_timer(timer, self.now, &mut self.out);
+            self.deliver();
+        }
+    }
+}
+
+fn get_request(at: u64, client: ClientId, doc: u32, ims: Option<u64>, hits: u64) -> GetRequest {
+    GetRequest {
+        req: RequestId::new(at),
+        url: url(doc),
+        client,
+        ims: ims.map(secs),
+        issued_at: secs(at),
+        cache_hits: hits,
+    }
+}
+
+// ---- the simulator ----
+
+/// Every link is 100 ms and wide enough that size does not matter; retries
+/// and the age bound come due well inside the wall time between two rows.
+fn deployment(batch: Option<InvalBatchConfig>, faults: &FaultPlan) -> Deployment {
+    let requests = SCRIPT.iter().filter_map(|row| match *row {
+        Row::Get {
+            at, client, doc, ..
+        }
+        | Row::Hit { at, client, doc } => Some(TraceRecord {
+            at: secs(at),
+            client,
+            url: url(doc),
+        }),
+        _ => None,
+    });
+    let writes = SCRIPT.iter().flat_map(|row| match row {
+        Row::Writes { writes, .. } => *writes,
+        _ => &[],
+    });
+    let trace = Trace {
+        name: "scripted".into(),
+        server: SERVER,
+        duration: SimDuration::from_secs(9600),
+        doc_sizes: vec![ByteSize::from_kib(1); DOCS as usize],
+        records: requests.collect(),
+    };
+    let mods = writes.map(|&(at, doc)| Modification { at: secs(at), doc });
+    let mods = ModSchedule::from_modifications(DOCS, mods.collect());
+    let options = DeploymentOptions {
+        num_proxies: SITES,
+        network: NetworkConfig::uniform(LinkSpec::new(SimDuration::from_millis(100), 1 << 30)),
+        retry_interval: RETRY,
+        inval_batch: batch,
+        audit: true,
+        ..DeploymentOptions::default()
+    };
+    let mut d = Deployment::build(&trace, &mods, &protocol(), options);
+    d.apply_faults(faults);
+    d.run();
+    d
+}
+
+/// Runs the script with the lost acknowledgement and the restart placed
+/// from dry runs: nothing before either instant depends on the fault.
+fn simulate(batch: Option<InvalBatchConfig>) -> Deployment {
+    let ms = SimDuration::from_millis;
+    let dry = deployment(batch, &FaultPlan::new());
+    let (origin, site_b) = (dry.origin_id(), dry.proxy_ids()[1]);
+    // B's invalidation is on the wire when the link goes: its ack is lost.
+    let sent = |e: &&AuditEvent| matches!(e, AuditEvent::InvalidateSend { client: B, .. });
+    let log = dry.origin().core().audit_log();
+    let sent = log.iter().find(sent).expect("sent").at();
+    let faults = FaultPlan::new().partition(origin, site_b, sent + ms(50), sent + ms(150));
+    // Down once the three-write round is acknowledged and its timers fired.
+    let dry = deployment(batch, &faults);
+    let acked =
+        |e: &&AuditEvent| matches!(e, AuditEvent::InvalidateAck { url, .. } if url.doc() == 2);
+    let log = dry.origin().core().audit_log();
+    let acked = log.iter().rfind(acked).expect("acked").at();
+    deployment(
+        batch,
+        &faults.outage(origin, acked + ms(600), acked + ms(800)),
+    )
+}
+
+fn simulated_origin_conforms(batch: Option<InvalBatchConfig>) {
+    let bare = Bare::run(batch, false);
+    let d = simulate(batch);
+    let raw = d.collect();
+    assert!(raw.finished && raw.writes_complete);
+    assert_eq!((raw.stale_hits, raw.final_violations), (0, 0));
+    let origin = d.origin();
+    assert_eq!(untimed(origin.core().audit_log()), bare.audit);
+    // `Row::Unknown` counts nothing, so the bare run's end is the script's.
+    assert_eq!(origin.core().snapshot(), bare.end);
+    // The report's rows are fed by those counters.
+    assert_eq!(
+        (raw.invalidations, raw.invalidation_retries, raw.acks),
+        (bare.end.invalidations, 1, bare.end.acks)
+    );
+    assert_eq!((raw.bulk_invalidations, raw.notifies), (2, 5));
+    assert_eq!((raw.metered_served, raw.metered_reported), (8, 2));
+    assert_eq!(raw.requests, raw.metered_served + raw.metered_reported);
+    let audit = d.audit();
+    assert!(audit.is_clean(), "{audit}");
+}
+
+// ---- the daemon ----
+
+/// A [`NetOrigin`] and the raw sockets of two proxies and a modifier.
+struct Daemon {
+    origin: NetOrigin,
+    channels: Vec<Wire>,
+    requests: Vec<Wire>,
+    modifier: Wire,
+}
+
+impl Daemon {
+    fn spawn(batch: Option<InvalBatchConfig>, at: Option<std::net::SocketAddr>) -> Daemon {
+        let config = OriginConfig {
+            server: SERVER,
+            doc_sizes: vec![ByteSize::from_kib(1); DOCS as usize],
+            protocol: protocol(),
+            doc_scale: 100,
+            inval_batch: batch,
+        };
+        let origin = match at {
+            Some(addr) => NetOrigin::spawn_at(addr, config, true),
+            None => NetOrigin::spawn(config),
+        }
+        .expect("origin");
+        let hello = |partition| {
+            let mut channel = Wire::connect(origin.addr());
+            channel.send(&HttpMsg::Hello {
+                partition,
+                partitions: SITES,
+            });
+            channel
+        };
+        Daemon {
+            channels: (0..SITES).map(hello).collect(),
+            requests: (0..SITES).map(|_| Wire::connect(origin.addr())).collect(),
+            modifier: Wire::connect(origin.addr()),
+            origin,
+        }
+    }
+
+    /// Waits until the origin has counted `want(snapshot)`.
+    fn reached(&self, want: impl Fn(&OriginCounters) -> bool) -> OriginCounters {
+        let deadline = Instant::now() + Duration::from_secs(10);
+        loop {
+            let snap = self.origin.snapshot();
+            if want(&snap) || Instant::now() > deadline {
+                return snap;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
+    /// Reads the frames the bare core pushed for this row off the sites'
+    /// channels, in its order, acknowledging what it had acknowledged.
+    fn expect(&mut self, pushed: &[Pushed]) {
+        for push in pushed {
+            let channel = &mut self.channels[push.site as usize];
+            let (frame, entries) = match channel.next() {
+                HttpMsgRef::Invalidate { url, client } => (
+                    Frame::Invalidate(url.doc(), client),
+                    vec![(url.doc(), client)],
+                ),
+                HttpMsgRef::InvalidateBatch(round) => {
+                    let entries = round.entries().into_iter();
+                    let entries: Vec<_> = entries.map(|e| (e.url.doc(), e.client)).collect();
+                    (Frame::Batch(entries.clone()), entries)
+                }
+                HttpMsgRef::InvalidateServer { .. } => (Frame::Bulk, Vec::new()),
+                other => panic!("expected {push:?}, got {other:?}"),
+            };
+            assert_eq!(frame, push.frame, "site {}", push.site);
+            let Some(hits) = &push.acked else {
+                continue;
+            };
+            let ack = |(&(doc, client), &cache_hits)| BatchAckEntry {
+                url: url(doc),
+                client,
+                cache_hits,
+            };
+            let entries: Vec<_> = entries.iter().zip(hits).map(ack).collect();
+            channel.send(&match (frame, entries.first().copied()) {
+                (Frame::Invalidate(..), Some(e)) => HttpMsg::InvalAck {
+                    url: e.url,
+                    client: e.client,
+                    cache_hits: e.cache_hits,
+                },
+                (Frame::Batch(_), Some(_)) => HttpMsg::InvalidateBatchAck {
+                    server: SERVER,
+                    entries,
+                },
+                _ => HttpMsg::InvalidateServerAck { server: SERVER },
+            });
+        }
+    }
+}
+
+fn daemon_conforms(batch: Option<InvalBatchConfig>) {
+    let bare = Bare::run(batch, true);
+    // What a site is pushed does not depend on how the origin restarted.
+    assert_eq!(bare.pushed, Bare::run(batch, false).pushed);
+
+    let mut daemon = Daemon::spawn(batch, None);
+    let mut notified = 0;
+    for (row, pushed) in SCRIPT.iter().zip(&bare.pushed) {
+        match *row {
+            Row::Get {
+                at,
+                client,
+                doc,
+                ims,
+                hits,
+                status,
+            } => {
+                let requests = &mut daemon.requests[client.partition(SITES) as usize];
+                requests.send(&HttpMsg::Get(get_request(at, client, doc, ims, hits)));
+                let sent = match requests.next() {
+                    HttpMsgRef::Reply(reply) => matches!(reply.status, ReplyStatusRef::Ok { .. }),
+                    other => panic!("expected a reply, got {other:?}"),
+                };
+                assert_eq!(sent, status == 200, "row at {at}");
+            }
+            Row::Hit { .. } | Row::Unknown => {}
+            Row::Writes { writes, .. } => {
+                let notify = |&(at, doc)| HttpMsg::Notify {
+                    url: url(doc),
+                    at: secs(at),
+                };
+                let notifies: Vec<_> = writes.iter().map(notify).collect();
+                daemon.modifier.send_all(&notifies);
+                notified += writes.len() as u64;
+            }
+            Row::Restart => {
+                let want = &bare.at_restart;
+                let snap = daemon.reached(|s| (s.acks, s.notifies) == (want.acks, notified));
+                assert_eq!(&snap, want);
+                let addr = daemon.origin.addr();
+                drop(daemon);
+                daemon = Daemon::spawn(batch, Some(addr));
+                notified = 0;
+            }
+        }
+        daemon.expect(pushed);
+    }
+    let snap = daemon.reached(|s| (s.acks, s.notifies) == (bare.end.acks, notified));
+    assert_eq!(snap, bare.end);
+    assert!(snap.writes_complete && daemon.origin.recovery_complete());
+    assert_eq!((snap.metered_served, snap.metered_reported), (1, 1));
+
+    // A hostile id closes the connection it came in on, and counts nothing.
+    daemon.modifier.send(&HttpMsg::Notify {
+        url: url(DOCS),
+        at: secs(1),
+    });
+    daemon.modifier.assert_closed();
+    daemon.requests[0].send(&HttpMsg::Get(get_request(1, A, DOCS, None, 3)));
+    daemon.requests[0].assert_closed();
+    let ack = HttpMsg::InvalAck {
+        url: url(DOCS),
+        client: A,
+        cache_hits: 3,
+    };
+    // Answered on the connection the ack came in on, so behind it.
+    let barrier = HttpMsg::Get(get_request(2, A, 0, None, 0));
+    daemon.channels[0].send_all(&[ack, barrier]);
+    assert!(matches!(daemon.channels[0].next(), HttpMsgRef::Reply(_)));
+    let after = daemon.origin.snapshot();
+    assert_eq!(
+        (
+            after.gets,
+            after.metered_reported,
+            after.acks,
+            after.notifies
+        ),
+        (
+            snap.gets + 1,
+            snap.metered_reported,
+            snap.acks,
+            snap.notifies
+        )
+    );
+    for channel in &mut daemon.channels {
+        channel.assert_quiet();
+    }
+}
+
+#[test]
+fn the_script_does_what_its_rows_say() {
+    let per_write = Bare::run(None, false);
+    let c = &per_write.end;
+    assert_eq!((c.gets, c.ims, c.replies_200, c.replies_304), (7, 1, 7, 1));
+    // A+B, B again, A for each write to document 1, A+B, then B alone.
+    assert_eq!((c.invalidations, c.invalidation_retries), (8, 1));
+    assert_eq!((c.acks, c.bulk_invalidations, c.notifies), (7 + 2, 2, 5));
+    assert_eq!(
+        (c.inval_batches, c.gave_up, c.writes_complete),
+        (0, 0, true)
+    );
+    assert_eq!((c.metered_served, c.metered_reported), (8, 2));
+
+    let batched = Bare::run(Some(batching()), false);
+    let c = &batched.end;
+    // The second write to document 1 coalesced: one entry fewer, and five
+    // rounds — two, two and the age-flushed one — for seven copies.
+    assert_eq!((c.invalidations, c.invalidation_retries), (7, 1));
+    assert_eq!((c.inval_batches, c.batched_entries), (5, 6));
+    assert_eq!((c.coalesced_invalidations, c.acks), (1, 6 + 2));
+    let round = &batched.pushed[9];
+    assert_eq!(round.len(), 2, "one batch per site: {round:?}");
+    assert_eq!(round[0].frame, Frame::Batch(vec![(1, A), (2, A)]));
+}
+
+#[test]
+fn simulated_origin_conforms_per_write() {
+    simulated_origin_conforms(None);
+}
+
+#[test]
+fn simulated_origin_conforms_batched() {
+    simulated_origin_conforms(Some(batching()));
+}
+
+#[test]
+fn daemon_conforms_per_write() {
+    daemon_conforms(None);
+}
+
+#[test]
+fn daemon_conforms_batched() {
+    daemon_conforms(Some(batching()));
+}
+
+// ---- sim_vs_tcp.rs: a whole trace, no modifications, one proxy ----
+
+fn crosscheck(kind: ProtocolKind) {
+    let spec = TraceSpec::sdsc().scaled_down(150);
+    let trace = synthetic::generate(&spec, 13);
+    let mods = ModSchedule::none(spec.num_docs);
+    let cfg = ProtocolConfig::new(kind);
+
+    // Simulator, one pseudo-client.
+    let mut options = DeploymentOptions::default();
+    options.num_proxies = 1;
+    let mut deployment = Deployment::build(&trace, &mods, &cfg, options);
+    deployment.run();
+    let sim = deployment.collect();
+
+    // Real TCP, one proxy, same sequential request order.
+    let origin = NetOrigin::spawn(OriginConfig {
+        server: trace.server,
+        doc_sizes: trace.doc_sizes.clone(),
+        protocol: cfg.clone(),
+        doc_scale: 100,
+        inval_batch: None,
+    })
+    .expect("origin");
+    let proxy = NetProxy::spawn(origin.addr(), &cfg, 0, 1, ByteSize::from_gib(4)).expect("proxy");
+    std::thread::sleep(Duration::from_millis(50));
+    for rec in &trace.records {
+        proxy
+            .fetch(rec.client, rec.url, rec.at)
+            .expect("fetch over loopback");
+    }
+    let net = proxy.counters();
+
+    assert_eq!(net.requests, sim.requests, "{kind}: requests");
+    assert_eq!(net.hits, sim.hits, "{kind}: hits");
+    assert_eq!(net.gets_sent, sim.gets, "{kind}: GETs");
+    assert_eq!(net.ims_sent, sim.ims, "{kind}: IMS");
+    assert_eq!(net.replies_200, sim.replies_200, "{kind}: 200s");
+    assert_eq!(net.replies_304, sim.replies_304, "{kind}: 304s");
+    // The two origins are one core: every counter, the §7 meter and the
+    // site lists come out equal.
+    let snap = origin.snapshot();
+    assert_eq!(snap, deployment.origin().core().snapshot(), "{kind}");
+    assert_eq!(
+        (snap.gets, snap.ims, snap.sitelist.total_entries),
+        (sim.gets, sim.ims, sim.sitelist.total_entries),
+        "{kind}: the origin's view"
+    );
+}
+
+#[test]
+fn adaptive_ttl_counters_agree() {
+    crosscheck(ProtocolKind::AdaptiveTtl);
+}
+
+#[test]
+fn polling_counters_agree() {
+    crosscheck(ProtocolKind::PollEveryTime);
+}
+
+#[test]
+fn invalidation_counters_agree() {
+    crosscheck(ProtocolKind::Invalidation);
+}
+
+#[test]
+fn two_tier_counters_agree() {
+    crosscheck(ProtocolKind::TwoTierLease);
+}

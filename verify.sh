@@ -65,6 +65,15 @@ echo "==> wcc replay --family real-time-feed (smoke)"
 # same-instant bucket drain, exercised outside the benchmark.
 ./target/release/wcc replay --family real-time-feed --scale 20
 
+echo "==> origin conformance + missed-invalidation regression (serve tier)"
+# One script fed to a bare wcc_core::OriginCore, a simulated deployment and
+# a NetOrigin over raw sockets (tests/origin_conformance.rs), and the write
+# that lands while a proxy's push channel is down
+# (crates/net/tests/serve_recovery.rs). Both also run in the suites above;
+# named here because they are what holds the two origin drivers together.
+cargo test -q --test origin_conformance
+cargo test -q -p wcc-net --test serve_recovery
+
 echo "==> wcc serve --self-check (smoke)"
 # Serving-tier self-check: spawn an origin+proxy daemon pair, push two
 # pipelined GETs over a real socket, scrape /metrics, shut down cleanly.
