@@ -5,18 +5,18 @@
 //! every pass pushes `Row { key, value, gate }` into one [`Report`]:
 //!
 //! * **grid** — the Tables 3 + 4 grid (six experiments × three protocols =
-//!   18 replays) sequentially, fanned out over the worker pool, and with
-//!   every replay on the [`GRID_SHARDS`]-shard engine; both extra passes
-//!   must reproduce the sequential one byte for byte (`Debug`-string
-//!   comparison, the oracle of `tests/determinism.rs`). The 18 × 3 latency
-//!   quantiles land as `tail.<trace>.<protocol>.<quantile>` rows.
+//!   18 replays) sequentially and fanned out over the worker pool; the
+//!   parallel pass must reproduce the sequential one byte for byte
+//!   (`Debug`-string comparison, the oracle of `tests/determinism.rs`). The
+//!   18 × 3 latency quantiles land as `tail.<trace>.<protocol>.<quantile>`
+//!   rows.
 //! * **inner loop** — the EPA invalidation replay on one thread, floored at
 //!   the scale-2 workload (20 329 requests) so the arena's counters are
 //!   measured past the slab's warm-up ramp, plus the zero-copy decode probe
 //!   ([`wcc_proto::codec_sweep`] over the same trace as wire traffic).
 //! * **family** — the flash-crowd federation (`FamilyConfig::city`, 64
-//!   origins) sequentially and on the [`FAMILY_SHARDS`]-shard engine, with
-//!   its deterministic peak state bytes (`Deployment::memory_model`).
+//!   origins) with its deterministic peak state bytes
+//!   (`Deployment::memory_model`).
 //! * **proposer** — the flash-crowd and breaking-news write storms under
 //!   per-write fan-out and under the default batched proposer.
 //!
@@ -44,23 +44,13 @@ use std::time::Instant;
 use crate::{paper_experiments, TABLE_SEED};
 use wcc_core::{ProtocolConfig, ProtocolKind};
 use wcc_httpsim::{Deployment, DeploymentOptions, RawReport};
-use wcc_replay::{run_batch, run_experiment_sharded, ExperimentConfig};
+use wcc_replay::{run_batch, ExperimentConfig};
 use wcc_traces::family::{self, FamilyConfig, FamilyWorkload, WorkloadFamily};
 use wcc_traces::TraceSpec;
 use wcc_types::{InvalBatchConfig, SimDuration};
 
 /// Schema tag of the emitted report — itself the table's first Exact row.
-pub const SCHEMA: &str = "wcc-bench-trajectory/8";
-
-/// Shard count of the grid's sharded pass. Fixed rather than host-derived:
-/// with no timing to protect, the identity check must exercise real
-/// cross-shard windows even on a 1-core host.
-pub const GRID_SHARDS: usize = 2;
-
-/// Shard count of the family and proposer passes — the acceptance
-/// configuration for the federation workloads ("replays byte-identically
-/// sequential vs 8 shards").
-pub const FAMILY_SHARDS: usize = 8;
+pub const SCHEMA: &str = "wcc-bench-trajectory/9";
 
 /// A reported scalar: the three JSON kinds the flat report carries, with
 /// numbers split into counts and (three-decimal) quotients.
@@ -382,28 +372,18 @@ pub fn run(scale: u64, jobs: Option<usize>) -> Report {
     report
 }
 
-/// Grid pass: sequential, fanned out over `jobs` workers, and one replay at
-/// a time on the sharded engine (sequential at the batch level, so its wall
-/// time isolates engine sharding from the pool), then the latency tails of
-/// the sequential pass.
+/// Grid pass: sequential and fanned out over `jobs` workers, then the
+/// latency tails of the sequential pass.
 fn grid(report: &mut Report, scale: u64, jobs: usize) {
     let configs = grid_configs(scale);
     let (sequential, sequential_ms) = timed(|| run_batch(&configs, Some(1)));
     let (parallel, parallel_ms) = timed(|| run_batch(&configs, Some(jobs)));
-    let (sharded, sharded_ms) = timed(|| {
-        configs
-            .iter()
-            .map(|cfg| run_experiment_sharded(cfg, GRID_SHARDS))
-            .collect::<Vec<_>>()
-    });
     let requests: u64 = sequential.iter().map(|r| r.raw.requests).sum();
 
     report.push("grid.configs", configs.len(), Gate::Exact);
     report.push("grid.requests", requests, Gate::Exact);
-    report.push("grid.shards", GRID_SHARDS, Gate::Exact);
     report.push("grid.sequential_ms", sequential_ms, Gate::Info);
     report.push("grid.parallel_ms", parallel_ms, Gate::Info);
-    report.push("grid.sharded_ms", sharded_ms, Gate::Info);
     report.push(
         "grid.req_per_s",
         requests * 1000 / sequential_ms,
@@ -412,11 +392,6 @@ fn grid(report: &mut Report, scale: u64, jobs: usize) {
     report.push(
         "grid.parallel_identical",
         identical(&sequential, &parallel),
-        Gate::Holds,
-    );
-    report.push(
-        "grid.sharded_identical",
-        identical(&sequential, &sharded),
         Gate::Holds,
     );
     let labels = grid_trace_labels();
@@ -543,35 +518,23 @@ struct Storm {
     per_write: RawReport,
 }
 
-/// Replays a federation under `options`, sequentially or on `shards`.
-fn replay(
-    workload: &FamilyWorkload,
-    options: DeploymentOptions,
-    shards: Option<usize>,
-) -> Deployment {
+/// Replays a federation under `options`.
+fn replay(workload: &FamilyWorkload, options: DeploymentOptions) -> Deployment {
     let protocol = ProtocolConfig::new(ProtocolKind::Invalidation);
     let mut deployment = Deployment::build_multi(&workload.workloads, &protocol, options);
-    match shards {
-        Some(n) => deployment.run_sharded(n),
-        None => deployment.run(),
-    };
+    deployment.run();
     deployment
 }
 
 /// Family pass: the flash-crowd federation (64 origins, one shared client
-/// pool) sequentially and on the 8-shard engine. The state bytes come from
-/// the deterministic memory model, not the host allocator.
+/// pool). The state bytes come from the deterministic memory model, not the
+/// host allocator.
 fn family(report: &mut Report, scale: u64) -> Storm {
     let cfg = FamilyConfig::city(WorkloadFamily::FlashCrowd).scaled_down(scale);
     let workload = family::generate(&cfg, TABLE_SEED);
     let requests = workload.total_requests();
-    let ((sequential, sharded), wall_ms) = timed(|| {
-        (
-            replay(&workload, DeploymentOptions::default(), None),
-            replay(&workload, DeploymentOptions::default(), Some(FAMILY_SHARDS)),
-        )
-    });
-    let per_write = sequential.collect();
+    let (deployment, wall_ms) = timed(|| replay(&workload, DeploymentOptions::default()));
+    let per_write = deployment.collect();
 
     report.push("family.name", cfg.family.name(), Gate::Exact);
     report.push("family.origins", workload.workloads.len(), Gate::Exact);
@@ -581,23 +544,13 @@ fn family(report: &mut Report, scale: u64) -> Storm {
         Gate::Exact,
     );
     report.push("family.requests", requests, Gate::Exact);
-    report.push("family.shards", FAMILY_SHARDS, Gate::Exact);
     report.push(
         "family.state_bytes",
-        sequential.memory_model().peak_bytes(),
+        deployment.memory_model().peak_bytes(),
         Gate::Exact,
     );
     report.push("family.wall_ms", wall_ms, Gate::Info);
-    report.push(
-        "family.req_per_s",
-        requests * 2 * 1000 / wall_ms,
-        Gate::Info,
-    );
-    report.push(
-        "family.sharded_identical",
-        identical(&per_write, &sharded.collect()),
-        Gate::Holds,
-    );
+    report.push("family.req_per_s", requests * 1000 / wall_ms, Gate::Info);
     Storm {
         workload,
         per_write,
@@ -606,9 +559,8 @@ fn family(report: &mut Report, scale: u64) -> Storm {
 
 /// Proposer pass: the flash-crowd storm (per-write leg reused from the
 /// family pass) and its breaking-news sibling, once under per-write fan-out
-/// and once under the default batched proposer; the batched flash-crowd
-/// replay also runs on the 8-shard engine. Message counts, coalesce ratio
-/// and write-completion tails all come off the simulation clock.
+/// and once under the default batched proposer. Message counts, coalesce
+/// ratio and write-completion tails all come off the simulation clock.
 fn proposer(report: &mut Report, scale: u64, flash_crowd: &Storm) {
     let batch = InvalBatchConfig::default();
     let batched = || DeploymentOptions {
@@ -619,12 +571,11 @@ fn proposer(report: &mut Report, scale: u64, flash_crowd: &Storm) {
         &FamilyConfig::city(WorkloadFamily::BreakingNews).scaled_down(scale),
         TABLE_SEED,
     );
-    let ((bn_per_write, fc_batched, fc_sharded, bn_batched), wall_ms) = timed(|| {
+    let ((bn_per_write, fc_batched, bn_batched), wall_ms) = timed(|| {
         (
-            replay(&breaking_news, DeploymentOptions::default(), None).collect(),
-            replay(&flash_crowd.workload, batched(), None).collect(),
-            replay(&flash_crowd.workload, batched(), Some(FAMILY_SHARDS)).collect(),
-            replay(&breaking_news, batched(), None).collect(),
+            replay(&breaking_news, DeploymentOptions::default()).collect(),
+            replay(&flash_crowd.workload, batched()).collect(),
+            replay(&breaking_news, batched()).collect(),
         )
     });
 
@@ -676,11 +627,6 @@ fn proposer(report: &mut Report, scale: u64, flash_crowd: &Storm) {
     report.push(
         "proposer.write_p99_within_per_write",
         write_p99 <= per_write_p99,
-        Gate::Holds,
-    );
-    report.push(
-        "proposer.sharded_identical",
-        identical(&fc_batched, &fc_sharded),
         Gate::Holds,
     );
     report.push("proposer.wall_ms", wall_ms, Gate::Info);
@@ -777,16 +723,9 @@ mod tests {
         assert_eq!(gated(&REDUCED), gated(&again));
         // The scale-independent predicates; the proposer's ≥30 % / coalesce
         // / p99 predicates are claimed at the committed baseline's scale.
-        for key in [
-            "grid.parallel_identical",
-            "grid.sharded_identical",
-            "family.sharded_identical",
-            "proposer.sharded_identical",
-            "decode.copies_equal_retained",
-        ] {
+        for key in ["grid.parallel_identical", "decode.copies_equal_retained"] {
             assert_eq!(REDUCED.get(key), Some(&Value::Bool(true)), "{key}");
         }
-        assert_eq!(REDUCED.get("grid.shards"), Some(&Value::Int(2)));
         assert_eq!(REDUCED.get("family.origins"), Some(&Value::Int(64)));
         assert_eq!(REDUCED.get("jobs"), Some(&Value::Int(2)));
     }
@@ -820,7 +759,7 @@ mod tests {
         let lacking = mutated(key, None);
         fails_naming(&lacking, Some(&baseline), key, "missing from this run");
         // Holds: a false predicate fails with or without a baseline.
-        let key = "grid.sharded_identical";
+        let key = "grid.parallel_identical";
         let broken = mutated(key, Some(Value::Bool(false)));
         fails_naming(&broken, Some(&baseline), key, "must be true");
         fails_naming(&broken, None, key, "must be true");

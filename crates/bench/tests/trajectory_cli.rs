@@ -1,9 +1,8 @@
 //! The `trajectory` binary end to end, pinned to one core.
 //!
-//! Regression for the sharded identity pass checking nothing on a 1-core
-//! host: `--shards auto` used to resolve to a single shard there, so
-//! `sharded_byte_identical` compared the sequential engine with itself. The
-//! grid's sharded pass now always runs two shards, and the flag is gone.
+//! No gated row depends on the host's core count, so a report written on
+//! one core must pass its own check there; and a flag the binary no longer
+//! has is an error, not a silently different run.
 
 use std::process::Command;
 
@@ -12,7 +11,7 @@ use wcc_bench::trajectory::{read_flat, Value};
 const TRAJECTORY: &str = env!("CARGO_BIN_EXE_trajectory");
 
 #[test]
-fn one_core_host_still_runs_two_shards_and_passes_its_own_check() {
+fn one_core_host_passes_its_own_check_at_schema_9() {
     let out = concat!(env!("CARGO_TARGET_TMPDIR"), "/trajectory-one-core.json");
     let pinned = |args: &[&str]| {
         Command::new("taskset")
@@ -44,8 +43,22 @@ fn one_core_host_still_runs_two_shards_and_passes_its_own_check() {
             .map(|(_, v)| v.clone())
     };
     assert_eq!(get("host_cores"), Some(Value::Int(1)));
-    assert_eq!(get("grid.shards"), Some(Value::Int(2)));
-    assert_eq!(get("grid.sharded_identical"), Some(Value::Bool(true)));
+    assert_eq!(
+        get("schema"),
+        Some(Value::Text("wcc-bench-trajectory/9".to_string()))
+    );
+    assert_eq!(get("grid.parallel_identical"), Some(Value::Bool(true)));
+    // Schema /9 dropped the second engine's rows with the engine.
+    for gone in [
+        "grid.shards",
+        "grid.sharded_ms",
+        "grid.sharded_identical",
+        "family.shards",
+        "family.sharded_identical",
+        "proposer.sharded_identical",
+    ] {
+        assert_eq!(get(gone), None, "{gone}");
+    }
 
     // The same pinned host reproduces every gated row of that report.
     let check = pinned(&["--check", out]).expect("taskset ran");

@@ -15,8 +15,8 @@
 //! round instead of `w` fan-outs.
 //!
 //! The queue is a `BTreeMap` keyed by URL with `BTreeSet` recipients, so a
-//! drain is deterministically ordered without sorting — sharded and
-//! sequential replays stay byte-identical.
+//! drain is deterministically ordered without sorting — replays stay
+//! byte-identical.
 
 use std::collections::{BTreeMap, BTreeSet};
 

@@ -24,7 +24,8 @@
 //!    invalidation protocol with `Notify` detection and no faults must
 //!    additionally complete every write.
 //! 5. **Determinism** — replaying the identical scenario twice must produce
-//!    byte-identical `Debug`-formatted [`ReplayReport`]s.
+//!    a byte-identical `Debug`-formatted [`ReplayReport`] *and* audit-event
+//!    log.
 //! 6. **Weak dominance** — for invalidation-family scenarios the same
 //!    materialised workload is also replayed under adaptive TTL; the
 //!    invalidation run must never show more *delivery-aware* stale serves
@@ -38,12 +39,6 @@
 //!    (min ≤ p50 ≤ p90 ≤ p99 ≤ p99.9 ≤ max) and at least one latency
 //!    sample recorded per user request (a request can record several —
 //!    retried upstream fetches each observe — but never zero).
-//! 8. **Sharded equivalence** — the identical scenario replayed over a
-//!    seed-derived number of engine shards (`wcc_simnet::shard`; 2–4 for
-//!    classic scenarios, 8–16 for multi-origin family scenarios) must
-//!    produce a byte-identical report *and* audit log. This exercises the
-//!    conservative-window engine against the sequential reference under
-//!    the full scenario space, crash/partition schedules included.
 //!
 //! With [`CheckOptions::inject_stale_serve`] set, a forged from-cache serve
 //! of a stone-age version is appended after a real invalidation delivery
@@ -71,7 +66,8 @@ pub enum FailureKind {
     OracleMiss,
     /// The replay did not drain the trace (or exceeded the deadline).
     Liveness,
-    /// Two replays of the identical scenario diverged.
+    /// Two replays of the identical scenario diverged (report or audit
+    /// log).
     Determinism,
     /// Polling-every-time reported trace-time stale hits.
     PollStale,
@@ -87,8 +83,6 @@ pub enum FailureKind {
     /// The latency histogram broke an internal invariant (non-monotone
     /// quantiles, or fewer samples than user requests).
     HistogramInvariant,
-    /// A sharded replay diverged from the sequential reference.
-    ShardDivergence,
 }
 
 impl fmt::Display for FailureKind {
@@ -103,7 +97,6 @@ impl fmt::Display for FailureKind {
             FailureKind::WriteIncomplete => f.write_str("write-incomplete"),
             FailureKind::WeakDominance => f.write_str("weak-dominance"),
             FailureKind::HistogramInvariant => f.write_str("histogram-invariant"),
-            FailureKind::ShardDivergence => f.write_str("shard-divergence"),
         }
     }
 }
@@ -206,7 +199,6 @@ fn run_once(
     protocol: &ProtocolConfig,
     wall: SimDuration,
     deadline: SimTime,
-    shards: usize,
 ) -> RunOutput {
     let mut options = s.options.clone();
     options.audit = true;
@@ -214,7 +206,7 @@ fn run_once(
     let plan = resolve_faults(s, &d, wall);
     let fault_entries = plan.len();
     d.apply_faults(&plan);
-    d.run_sharded_until(deadline, shards);
+    d.run_until(deadline);
     let audit = d.audit();
     let log = d.audit_log();
     let report = ReplayReport {
@@ -267,19 +259,19 @@ fn inject_stale_serve(log: &mut Vec<AuditEvent>) -> bool {
     true
 }
 
-/// Locates the first differing byte between a sequential and a sharded run
+/// Locates the first differing byte between two replays of one scenario
 /// (report first, then audit log); `None` when they are byte-identical.
-fn shard_divergence(sequential: &RunOutput, sharded: &RunOutput, shards: usize) -> Option<String> {
+fn divergence(first: &RunOutput, second: &RunOutput) -> Option<String> {
     let pairs = [
         (
-            "report",
-            format!("{:?}", sequential.report),
-            format!("{:?}", sharded.report),
+            "reports",
+            format!("{:?}", first.report),
+            format!("{:?}", second.report),
         ),
         (
-            "audit log",
-            format!("{:?}", sequential.log),
-            format!("{:?}", sharded.log),
+            "audit logs",
+            format!("{:?}", first.log),
+            format!("{:?}", second.log),
         ),
     ];
     for (what, a, b) in &pairs {
@@ -291,36 +283,13 @@ fn shard_divergence(sequential: &RunOutput, sharded: &RunOutput, shards: usize) 
                 .unwrap_or_else(|| a.len().min(b.len()));
             let lo = at.saturating_sub(60);
             return Some(format!(
-                "{shards}-shard {what} diverges from sequential at byte {at}: ...{} vs ...{}",
+                "{what} diverge at byte {at}: ...{} vs ...{}",
                 &a[lo..(at + 60).min(a.len())],
                 &b[lo..(at + 60).min(b.len())],
             ));
         }
     }
     None
-}
-
-/// Replays `scenario` sequentially and over `shards` engine shards and
-/// compares the two byte-for-byte (report and audit log). `Ok` when
-/// identical; `Err` carries a positioned diff. Used by the oracle's check 8
-/// and by the cross-shard-count property tests in `tests/determinism.rs`.
-pub fn sharded_matches_sequential(scenario: &Scenario, shards: usize) -> Result<(), String> {
-    let workloads = materialise(scenario);
-    let wall = reference_wall(scenario, &workloads);
-    let deadline = SimTime::ZERO + wall.saturating_mul(64) + SimDuration::from_hours(1);
-    let sequential = run_once(scenario, &workloads, &scenario.protocol, wall, deadline, 1);
-    let sharded = run_once(
-        scenario,
-        &workloads,
-        &scenario.protocol,
-        wall,
-        deadline,
-        shards,
-    );
-    match shard_divergence(&sequential, &sharded, shards) {
-        None => Ok(()),
-        Some(detail) => Err(detail),
-    }
 }
 
 /// Replays `scenario` end-to-end and applies the oracle. `Ok` carries
@@ -334,7 +303,7 @@ pub fn check(scenario: &Scenario, opts: &CheckOptions) -> Result<CheckStats, Fuz
     let wall = reference_wall(scenario, &workloads);
     let deadline = SimTime::ZERO + wall.saturating_mul(64) + SimDuration::from_hours(1);
 
-    let first = run_once(scenario, &workloads, &scenario.protocol, wall, deadline, 1);
+    let first = run_once(scenario, &workloads, &scenario.protocol, wall, deadline);
     let raw = &first.report.raw;
 
     // 2. Liveness: the coordinator must have drained the whole trace.
@@ -437,49 +406,12 @@ pub fn check(scenario: &Scenario, opts: &CheckOptions) -> Result<CheckStats, Fuz
         }
     }
 
-    // 5. Determinism: the identical scenario must replay byte-identically.
-    let second = run_once(scenario, &workloads, &scenario.protocol, wall, deadline, 1);
-    let (a, b) = (
-        format!("{:?}", first.report),
-        format!("{:?}", second.report),
-    );
-    if a != b {
-        let at = a
-            .bytes()
-            .zip(b.bytes())
-            .position(|(x, y)| x != y)
-            .unwrap_or_else(|| a.len().min(b.len()));
-        let lo = at.saturating_sub(60);
+    // 5. Determinism: the identical scenario must replay byte-identically,
+    // report and audit log.
+    let second = run_once(scenario, &workloads, &scenario.protocol, wall, deadline);
+    if let Some(detail) = divergence(&first, &second) {
         return Err(FuzzFailure {
             kind: FailureKind::Determinism,
-            detail: format!(
-                "reports diverge at byte {at}: ...{} vs ...{}",
-                &a[lo..(at + 60).min(a.len())],
-                &b[lo..(at + 60).min(b.len())],
-            ),
-        });
-    }
-
-    // 8. Sharded equivalence: the same scenario over a seed-derived shard
-    // count must match the sequential run byte-for-byte. Family scenarios
-    // spread real parallelism over their origins, so they run the check at
-    // federation scale (8–16 shards); classic single-origin scenarios keep
-    // the historical 2–4.
-    let shards = match scenario.family {
-        Some(_) => 8 + (scenario.seed % 9) as usize,
-        None => 2 + (scenario.seed % 3) as usize,
-    };
-    let sharded = run_once(
-        scenario,
-        &workloads,
-        &scenario.protocol,
-        wall,
-        deadline,
-        shards,
-    );
-    if let Some(detail) = shard_divergence(&first, &sharded, shards) {
-        return Err(FuzzFailure {
-            kind: FailureKind::ShardDivergence,
             detail,
         });
     }
@@ -488,7 +420,7 @@ pub fn check(scenario: &Scenario, opts: &CheckOptions) -> Result<CheckStats, Fuz
     // adaptive TTL on the identical workload and fault schedule.
     if scenario.protocol.kind.uses_invalidation() && !opts.inject_stale_serve {
         let ttl_cfg = ProtocolConfig::new(ProtocolKind::AdaptiveTtl);
-        let ttl = run_once(scenario, &workloads, &ttl_cfg, wall, deadline, 1);
+        let ttl = run_once(scenario, &workloads, &ttl_cfg, wall, deadline);
         let ttl_audit = ttl.report.audit.as_ref().expect("audit was enabled");
         if let Some(v) = ttl_audit.violations.first() {
             return Err(FuzzFailure {

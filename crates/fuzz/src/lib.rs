@@ -6,8 +6,7 @@
 //! ([`Scenario`]) — which replays inside the deterministic simulator with
 //! auditing on. The consistency auditor (`wcc-audit`) is the oracle,
 //! extended with cross-cutting invariants (liveness, determinism, polling
-//! purity, promise freshness, weak dominance, sharded equivalence; see
-//! [`check`]). Failures
+//! purity, promise freshness, weak dominance; see [`check`]). Failures
 //! shrink greedily ([`shrink`]) and print a self-contained repro: a seed
 //! line to paste into `tests/fuzz_corpus.rs` plus the minimised scenario.
 //!
@@ -22,9 +21,7 @@ pub mod check;
 pub mod scenario;
 pub mod shrink;
 
-pub use check::{
-    check, sharded_matches_sequential, CheckOptions, CheckStats, FailureKind, FuzzFailure,
-};
+pub use check::{check, CheckOptions, CheckStats, FailureKind, FuzzFailure};
 pub use scenario::{FaultSpec, Interest, Scenario};
 pub use shrink::{shrink, Shrunk, DEFAULT_SHRINK_BUDGET};
 

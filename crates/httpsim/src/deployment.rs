@@ -13,7 +13,7 @@ use wcc_core::{
     FetchCounters, OriginCore, OriginCounters, ProtocolConfig, ProtocolKind, ProxyPolicy,
     ServerConsistency, SiteListMemory, SiteListStats,
 };
-use wcc_simnet::{FaultPlan, LinkSpec, NetworkConfig, ShardedSimulation, Simulation, Summary};
+use wcc_simnet::{FaultPlan, LinkSpec, NetworkConfig, Simulation, Summary};
 use wcc_traces::{ModSchedule, Trace};
 use wcc_types::{
     AuditEvent, ByteSize, ClientId, FxHashMap, InvalBatchConfig, NodeId, SimDuration, SimTime, Url,
@@ -465,10 +465,8 @@ impl Deployment {
     }
 
     /// The engine's event-arena counters for the run so far (recycle rate,
-    /// peak in-flight events). After a sharded run these aggregate every
-    /// shard's arena. Deliberately *not* part of [`RawReport`]: sequential
-    /// and sharded runs recycle through different arenas and must still
-    /// produce byte-identical reports.
+    /// peak in-flight events). Deliberately *not* part of [`RawReport`]:
+    /// they describe how the engine ran the replay, not what the replay did.
     pub fn alloc_stats(&self) -> wcc_simnet::ArenaStats {
         self.sim.alloc_stats()
     }
@@ -487,63 +485,12 @@ impl Deployment {
         self.sim.run_until(deadline)
     }
 
-    /// The node → shard map used by [`Deployment::run_sharded`]: origins
-    /// (with their modifiers) spread round-robin over the shards, proxies
-    /// offset by one so that in the common single-origin deployments the
-    /// proxies land *off* the origin's shard — that boundary is where the
-    /// replay's parallelism lives. The coordinator, the decoupled sender and
-    /// the hierarchy parent stay on shard 0 with origin 0.
-    pub fn shard_assignment(&self, shards: usize) -> Vec<usize> {
-        assert!(shards > 0, "need at least one shard");
-        let mut assignment = vec![0; self.sim.node_count()];
-        for (i, &o) in self.origins.iter().enumerate() {
-            assignment[o.as_usize()] = i % shards;
-        }
-        // Modifiers were added contiguously, one per origin, in origin order.
-        for i in 0..self.origins.len() {
-            assignment[self.modifier.as_usize() + i] = i % shards;
-        }
-        for (j, &p) in self.proxies.iter().enumerate() {
-            assignment[p.as_usize()] = (j + 1) % shards;
-        }
-        if let Some(s) = self.sender {
-            assignment[s.as_usize()] = 0;
-        }
-        if let Some(par) = self.parent {
-            assignment[par.as_usize()] = 0;
-        }
-        assignment[self.coordinator.as_usize()] = 0;
-        assignment
-    }
-
-    /// Runs the replay to completion over `shards` shards (see
-    /// [`wcc_simnet::shard`]). Results are byte-identical to [`Deployment::run`];
-    /// falls back to the sequential engine when sharding is not applicable
-    /// (`shards <= 1`, or no usable cross-shard lookahead).
-    pub fn run_sharded(&mut self, shards: usize) -> SimTime {
-        self.run_sharded_until(SimTime::NEVER, shards)
-    }
-
-    /// Sharded counterpart of [`Deployment::run_until`].
-    pub fn run_sharded_until(&mut self, deadline: SimTime, shards: usize) -> SimTime {
-        self.ran = true;
-        if shards <= 1 {
-            return self.sim.run_until(deadline);
-        }
-        let assignment = self.shard_assignment(shards);
-        let sim = std::mem::replace(&mut self.sim, Simulation::new(NetworkConfig::lan()));
-        match ShardedSimulation::split(sim, &assignment) {
-            Ok(mut sharded) => {
-                let end = sharded.run_until(deadline);
-                self.sim = sharded.into_simulation();
-                end
-            }
-            Err(mut sim) => {
-                let end = sim.run_until(deadline);
-                self.sim = sim;
-                end
-            }
-        }
+    /// [`Deployment::run`] under the name the frozen `benchmark/` ledger
+    /// still calls (`benchmark/src/report.rs`, traced `feed-storm` runs):
+    /// `_shards` is ignored, there is no second engine. No other caller;
+    /// goes with the `simnet.shard2_speedup` row (ROADMAP item 2e).
+    pub fn run_sharded(&mut self, _shards: usize) -> SimTime {
+        self.run()
     }
 
     /// The (first) origin node (after `run`).
@@ -1347,46 +1294,6 @@ mod tests {
         );
         // Shared mode: at most one site per (doc, proxy) at the origin.
         assert!(shared.sitelist.max_list_len <= 4);
-    }
-
-    #[test]
-    fn sharded_replay_is_byte_identical() {
-        let spec = TraceSpec::epa().scaled_down(200);
-        let trace = synthetic::generate(&spec, 7);
-        let mods =
-            ModSchedule::generate(spec.num_docs, SimDuration::from_hours(6), spec.duration, 7);
-        for kind in [ProtocolKind::Invalidation, ProtocolKind::PollEveryTime] {
-            let cfg = ProtocolConfig::new(kind);
-            let run = |shards: usize| {
-                let mut opts = DeploymentOptions::default();
-                opts.audit = true;
-                let mut d = Deployment::build(&trace, &mods, &cfg, opts);
-                if shards == 0 {
-                    d.run();
-                } else {
-                    d.run_sharded(shards);
-                }
-                (format!("{:?}", d.collect()), format!("{:?}", d.audit_log()))
-            };
-            let sequential = run(0);
-            for shards in [2, 3, 5] {
-                assert_eq!(run(shards), sequential, "{kind}: shards={shards}");
-            }
-        }
-    }
-
-    #[test]
-    fn shard_assignment_covers_every_node_and_splits_proxies_off() {
-        let spec = TraceSpec::epa().scaled_down(400);
-        let trace = synthetic::generate(&spec, 3);
-        let mods = ModSchedule::none(spec.num_docs);
-        let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
-        let d = Deployment::build(&trace, &mods, &cfg, DeploymentOptions::default());
-        let assignment = d.shard_assignment(2);
-        assert_eq!(assignment.len(), 7); // origin + 4 proxies + modifier + coordinator
-        assert_eq!(assignment[d.origin_id().as_usize()], 0);
-        // With one origin the proxies must not all share its shard.
-        assert!(d.proxy_ids().iter().any(|p| assignment[p.as_usize()] != 0));
     }
 
     #[test]

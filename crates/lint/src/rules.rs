@@ -43,7 +43,6 @@ fn hot_loop_file(path: &str) -> bool {
             | "crates/simnet/src/sim.rs"
             | "crates/simnet/src/node.rs"
             | "crates/simnet/src/arena.rs"
-            | "crates/simnet/src/shard.rs"
             | "crates/proto/src/zero.rs"
             | "crates/httpsim/src/proxy.rs"
             | "crates/httpsim/src/origin.rs"

@@ -391,7 +391,7 @@ impl S {
     }
 }
 ";
-    assert!(scan_source("crates/simnet/src/shard.rs", src).is_empty());
+    assert!(scan_source("crates/simnet/src/sim.rs", src).is_empty());
 }
 
 #[test]

@@ -132,24 +132,8 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ReplayReport {
 /// Runs one experiment over an already-materialised workload (so a trio
 /// shares the identical trace and modification schedule, as in the paper).
 pub fn run_on(cfg: &ExperimentConfig, trace: &Trace, mods: &ModSchedule) -> ReplayReport {
-    run_on_sharded(cfg, trace, mods, 1)
-}
-
-/// Like [`run_on`], but drives the replay over `shards` engine shards (see
-/// [`wcc_simnet::shard`]). The report is byte-identical to the sequential
-/// one — `shards` deliberately does not appear in it.
-pub fn run_on_sharded(
-    cfg: &ExperimentConfig,
-    trace: &Trace,
-    mods: &ModSchedule,
-    shards: usize,
-) -> ReplayReport {
     let mut deployment = Deployment::build(trace, mods, &cfg.protocol, cfg.options.clone());
-    if shards > 1 {
-        deployment.run_sharded(shards);
-    } else {
-        deployment.run();
-    }
+    deployment.run();
     let audit = cfg.options.audit.then(|| deployment.audit());
     ReplayReport {
         trace: trace.name.clone(),
@@ -160,12 +144,6 @@ pub fn run_on_sharded(
         raw: deployment.collect(),
         audit,
     }
-}
-
-/// Runs one experiment end-to-end over `shards` engine shards.
-pub fn run_experiment_sharded(cfg: &ExperimentConfig, shards: usize) -> ReplayReport {
-    let (trace, mods) = materialise(cfg);
-    run_on_sharded(cfg, &trace, &mods, shards)
 }
 
 /// Runs the paper's three-way comparison (adaptive TTL, polling-every-time,

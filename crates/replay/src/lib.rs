@@ -41,14 +41,12 @@ pub mod parallel;
 pub mod tables;
 
 pub use experiment::{
-    materialise, run_experiment, run_experiment_sharded, run_trio, two_tier_comparison,
-    ExperimentConfig, ExperimentConfigBuilder, ReplayReport, TwoTierComparison,
+    materialise, run_experiment, run_trio, two_tier_comparison, ExperimentConfig,
+    ExperimentConfigBuilder, ReplayReport, TwoTierComparison,
 };
 pub use failure::{
     partition_scenario, proxy_crash_scenario, server_crash_scenario,
     server_crash_under_partition_scenario, FailureOutcome,
 };
-pub use parallel::{
-    auto_shards, effective_jobs, effective_shards, host_cores, run_batch, run_trio_jobs,
-};
+pub use parallel::{effective_jobs, host_cores, run_batch, run_trio_jobs};
 pub use wcc_audit::{AuditReport, Violation};

@@ -63,31 +63,7 @@ pub fn effective_jobs(jobs: Option<usize>) -> usize {
             }
         }
     }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
-}
-
-/// Resolves the engine shard count for a single replay.
-///
-/// Priority: explicit `shards` (CLI `--shards`) → the `WCC_SHARDS`
-/// environment variable → 1 (sequential). Unlike [`effective_jobs`] this
-/// does *not* default to the core count: sharding one replay competes with
-/// the batch-level fan-out for the same cores, so it is opt-in.
-pub fn effective_shards(shards: Option<usize>) -> usize {
-    if let Some(n) = shards {
-        if n > 0 {
-            return n;
-        }
-    }
-    if let Ok(var) = std::env::var("WCC_SHARDS") {
-        if let Ok(n) = var.trim().parse::<usize>() {
-            if n > 0 {
-                return n;
-            }
-        }
-    }
-    1
+    host_cores()
 }
 
 /// The host's core count (`available_parallelism`, floor 1).
@@ -95,19 +71,6 @@ pub fn host_cores() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)
-}
-
-/// The `--shards auto` resolution: `min(requested, host_cores)`, never
-/// below 1.
-///
-/// Engine shards run on worker threads, so shards beyond the cores that
-/// can actually execute them are pure overhead — the per-window barrier
-/// tax stays while the parallelism is fictional (two shards on the 1-core
-/// CI container measured ~3× the sequential wall time). Explicit
-/// `--shards N` is never capped: oversubscribed counts remain valid for
-/// byte-identity testing, just not for speed.
-pub fn auto_shards(requested: usize) -> usize {
-    requested.min(host_cores()).max(1)
 }
 
 /// Applies `f` to every item on `jobs` worker threads, returning the
@@ -212,26 +175,6 @@ mod tests {
         assert_eq!(effective_jobs(Some(3)), 3);
         assert!(effective_jobs(Some(0)) >= 1);
         assert!(effective_jobs(None) >= 1);
-    }
-
-    #[test]
-    fn explicit_shards_wins_and_default_is_sequential() {
-        assert_eq!(effective_shards(Some(4)), 4);
-        // Zero falls through; without WCC_SHARDS the default is 1.
-        // (Environment-variable resolution is covered by the CLI tests.)
-        assert!(effective_shards(Some(0)) >= 1);
-    }
-
-    #[test]
-    fn auto_shards_caps_at_host_cores() {
-        let cores = host_cores();
-        assert!(cores >= 1);
-        // A request within the core budget passes through untouched; a
-        // request beyond it is capped — never oversubscribed, never 0.
-        assert_eq!(auto_shards(1), 1);
-        assert_eq!(auto_shards(cores), cores);
-        assert_eq!(auto_shards(cores + 7), cores);
-        assert_eq!(auto_shards(0), 1);
     }
 
     #[test]

@@ -30,8 +30,8 @@ struct Slot<T> {
 
 /// Allocation counters, exposed to the trajectory bench's `alloc_stats`
 /// block. Queried through a side accessor — deliberately *not* part of any
-/// `Debug`-compared report, because sequential and sharded runs recycle
-/// through different arenas and must still compare byte-identical.
+/// `Debug`-compared report: it describes how the engine ran a replay, not
+/// what the replay did.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ArenaStats {
     /// Total allocations served (fresh slots + recycled slots).
@@ -56,8 +56,8 @@ impl ArenaStats {
         }
     }
 
-    /// Sums another arena's counters into this one (shard merge): totals
-    /// add, the peak takes the max (shards run disjoint event populations).
+    /// Sums another arena's counters into this one (a caller totalling
+    /// several replays): totals add, the peak takes the max.
     pub fn absorb(&mut self, other: ArenaStats) {
         self.allocated += other.allocated;
         self.recycled += other.recycled;
@@ -160,11 +160,6 @@ impl<T> Arena<T> {
     pub fn stats(&self) -> ArenaStats {
         self.stats
     }
-
-    /// Folds another arena's counters into this one's (shard merge).
-    pub fn absorb_stats(&mut self, other: ArenaStats) {
-        self.stats.absorb(other);
-    }
 }
 
 impl<T> Default for Arena<T> {
@@ -227,8 +222,8 @@ mod tests {
         let h1 = b.alloc(2u32);
         let _h2 = b.alloc(3u32);
         b.take(h1);
-        a.absorb_stats(b.stats());
-        let s = a.stats();
+        let mut s = a.stats();
+        s.absorb(b.stats());
         assert_eq!(s.allocated, 3);
         assert_eq!(s.peak_live, 2);
         assert_eq!(s.live, 1);

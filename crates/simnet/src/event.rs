@@ -33,10 +33,9 @@ const RING_WORDS: usize = (RING_BUCKETS as usize) / 64;
 /// Lane 0 is reserved for *external* events (pre-run injections and fault
 /// plans, scheduled through [`EventQueue::schedule`]); node `n` schedules on
 /// lane `n + 1` with a per-node sequence counter. Because every lane's
-/// counter is owned by exactly one scheduling site, the full key is
-/// reproducible no matter which thread or shard allocated it — the property
-/// the sharded engine's byte-identity guarantee rests on (see
-/// [`crate::shard`]).
+/// counter is owned by exactly one scheduling site, the full key is a
+/// function of that lane's own history: it does not depend on the order in
+/// which other lanes' events were inserted.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) struct Rank {
     pub(crate) lane: u32,
@@ -112,7 +111,7 @@ fn insert_sorted<E>(bucket: &mut Vec<(SimTime, Rank, E)>, at: SimTime, rank: Ran
 /// Events scheduled for the same instant on the same lane pop in insertion
 /// order, and the full key never depends on hash ordering or on *when* an
 /// event was inserted relative to other lanes, which makes the whole
-/// simulation deterministic — sequentially and under sharded execution.
+/// simulation deterministic.
 ///
 /// # Examples
 ///
@@ -357,37 +356,6 @@ impl<E> EventQueue<E> {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Drains every pending event, sorted by `(time, rank)`, with the keys
-    /// intact. Used by the sharded engine to split a queue into per-shard
-    /// queues (and to merge them back) without perturbing the total order.
-    pub(crate) fn drain_ranked(&mut self) -> Vec<(SimTime, Rank, E)> {
-        let mut out = Vec::with_capacity(self.len);
-        for bucket in &mut self.ring {
-            out.append(bucket);
-        }
-        out.extend(
-            std::mem::take(&mut self.overflow)
-                .into_iter()
-                .map(|s| (s.at, s.rank, s.payload)),
-        );
-        out.sort_by_key(|e| (e.0, e.1));
-        self.occupied = [0; RING_WORDS];
-        self.ring_len = 0;
-        self.len = 0;
-        out
-    }
-
-    /// The external-lane sequence counter (preserved across a shard
-    /// split/merge so external keys stay unique).
-    pub(crate) fn next_external_seq(&self) -> u64 {
-        self.next_seq
-    }
-
-    /// Restores the external-lane sequence counter on a rebuilt queue.
-    pub(crate) fn set_next_external_seq(&mut self, seq: u64) {
-        self.next_seq = seq;
-    }
 }
 
 impl<E> Default for EventQueue<E> {
@@ -624,26 +592,5 @@ mod tests {
         q.schedule_ranked(far, Rank::node(1, 0), "ring-lane1");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["ring-lane1", "overflow-lane3", "ring-lane5"]);
-    }
-
-    #[test]
-    fn drain_ranked_round_trips() {
-        let mut q = EventQueue::new();
-        q.schedule(SimTime::from_secs(3), 'c');
-        q.schedule_ranked(SimTime::from_secs(1), Rank::node(2, 0), 'a');
-        q.schedule_ranked(SimTime::from_secs(2), Rank::node(1, 1), 'b');
-        let drained = q.drain_ranked();
-        assert!(q.is_empty());
-        assert_eq!(
-            drained.iter().map(|e| e.2).collect::<Vec<_>>(),
-            vec!['a', 'b', 'c']
-        );
-        let mut rebuilt = EventQueue::new();
-        for (at, rank, payload) in drained {
-            rebuilt.schedule_ranked(at, rank, payload);
-        }
-        assert_eq!(rebuilt.pop(), Some((SimTime::from_secs(1), 'a')));
-        assert_eq!(rebuilt.pop(), Some((SimTime::from_secs(2), 'b')));
-        assert_eq!(rebuilt.pop(), Some((SimTime::from_secs(3), 'c')));
     }
 }

@@ -25,10 +25,10 @@
 //!   wake-up ([`sim`]; counters in [`DeferStats`]);
 //! * **crash / recovery** of nodes with message loss while down ([`fault`]);
 //! * small **metric primitives** (counters and min/avg/max summaries) used
-//!   by the replay reports ([`metrics`]);
-//! * **sharded execution**: nodes partitioned across scoped worker threads,
-//!   synchronised in conservative lookahead windows, producing results
-//!   byte-identical to the sequential engine ([`shard`]).
+//!   by the replay reports ([`metrics`]).
+//!
+//! There is one engine and it runs on one thread; independent replays run in
+//! parallel on whole [`Simulation`]s, which is why [`Node`] is `Send`.
 //!
 //! # Example
 //!
@@ -75,7 +75,6 @@ pub mod fault;
 pub mod metrics;
 pub mod net;
 pub mod node;
-pub mod shard;
 pub mod sim;
 
 pub use arena::{Arena, ArenaStats, Handle};
@@ -84,5 +83,4 @@ pub use fault::{FaultEntry, FaultPlan};
 pub use metrics::{Counter, NetStats, Summary};
 pub use net::{LinkSpec, NetworkConfig};
 pub use node::{Ctx, Node, TimerId};
-pub use shard::ShardedSimulation;
 pub use sim::{DeferStats, Simulation};

@@ -65,14 +65,6 @@ impl NetStats {
     pub(crate) fn record_dropped(&mut self) {
         self.dropped += 1;
     }
-
-    /// Adds another tally into this one (order-insensitive sums, used when
-    /// merging per-shard statistics after a sharded run).
-    pub(crate) fn absorb(&mut self, other: &NetStats) {
-        self.messages += other.messages;
-        self.bytes += other.bytes;
-        self.dropped += other.dropped;
-    }
 }
 
 /// An online min/avg/max summary of simulated durations — the shape of the

@@ -129,28 +129,6 @@ impl NetworkConfig {
             .copied()
             .unwrap_or(self.default_link)
     }
-
-    /// The minimum one-way latency over every directed link that crosses a
-    /// shard boundary under `assignment` (node id → shard index). This is
-    /// the conservative-PDES *lookahead*: no message sent at time `t` can
-    /// arrive on another shard before `t + lookahead`, so shards can run
-    /// `[t, t + lookahead)` windows independently. `None` when no pair of
-    /// nodes crosses a boundary (a single effective shard).
-    pub fn min_cross_shard_latency(&self, assignment: &[usize]) -> Option<SimDuration> {
-        let mut min: Option<SimDuration> = None;
-        for (i, &si) in assignment.iter().enumerate() {
-            for (j, &sj) in assignment.iter().enumerate() {
-                if i == j || si == sj {
-                    continue;
-                }
-                let lat = self
-                    .link(NodeId::new(i as u32), NodeId::new(j as u32))
-                    .latency;
-                min = Some(min.map_or(lat, |m: SimDuration| m.min(lat)));
-            }
-        }
-        min
-    }
 }
 
 impl Default for NetworkConfig {
@@ -161,10 +139,7 @@ impl Default for NetworkConfig {
 
 /// Runtime reachability state: crashed nodes and severed links. Owned by the
 /// simulation engine; fault schedules mutate it through [`crate::FaultPlan`].
-///
-/// `Clone` because sharded execution gives every shard its own replica,
-/// kept in lock-step by replicating fault events to all shards.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub(crate) struct Reachability {
     crashed: FxHashSet<NodeId>,
     severed: FxHashSet<(NodeId, NodeId)>,

@@ -4,7 +4,7 @@ use crate::arena::{Arena, Handle};
 use crate::event::Rank;
 use crate::metrics::NetStats;
 use crate::net::{NetworkConfig, Reachability};
-use crate::sim::{EngineEvent, ShardRoute};
+use crate::sim::EngineEvent;
 use crate::EventQueue;
 use wcc_types::{ByteSize, FxHashSet, NodeId, SimDuration, SimTime};
 
@@ -12,8 +12,7 @@ use wcc_types::{ByteSize, FxHashSet, NodeId, SimDuration, SimTime};
 /// consumed by [`Ctx::cancel_timer`].
 ///
 /// Packs `(owning node + 1, lane sequence)` so ids are unique across nodes
-/// while being allocated from per-node counters (no global state — the
-/// sharded engine allocates them concurrently without coordination).
+/// while being allocated from per-node counters (no global state).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TimerId(pub(crate) u64);
 
@@ -24,11 +23,6 @@ impl TimerId {
     pub(crate) fn pack(node: NodeId, seq: u64) -> TimerId {
         debug_assert!(seq < 1 << Self::SEQ_BITS, "per-node sequence overflow");
         TimerId(((node.index() as u64 + 1) << Self::SEQ_BITS) | seq)
-    }
-
-    /// The index of the node that armed (and will fire) this timer.
-    pub(crate) fn owner_index(self) -> usize {
-        ((self.0 >> Self::SEQ_BITS) - 1) as usize
     }
 }
 
@@ -43,9 +37,9 @@ impl TimerId {
 /// `M` is the workspace-wide message payload type (the HTTP message model in
 /// `wcc-proto` for the replay experiments).
 ///
-/// Nodes must be [`Send`]: the sharded execution mode (see [`crate::shard`])
-/// moves whole shards — nodes included — onto scoped worker threads. Nodes
-/// are plain owned state machines, so this costs nothing in practice.
+/// Nodes must be [`Send`]: a batch of replays moves whole simulations —
+/// nodes included — onto scoped worker threads. Nodes are plain owned state
+/// machines, so this costs nothing in practice.
 pub trait Node<M>: Send + 'static {
     /// Called once when the simulation starts.
     fn on_start(&mut self, ctx: &mut Ctx<'_, M>) {
@@ -92,7 +86,6 @@ pub struct Ctx<'a, M> {
     pub(crate) seq: &'a mut u64,
     pub(crate) busy_until: &'a mut SimTime,
     pub(crate) busy_accum: &'a mut SimDuration,
-    pub(crate) route: Option<&'a mut ShardRoute<M>>,
 }
 
 impl<M> Ctx<'_, M> {
@@ -123,26 +116,12 @@ impl<M> Ctx<'_, M> {
         let delay = self.config.link(self.self_id, dst).transfer_time(size);
         let at = self.now + delay;
         let rank = self.next_rank();
-        let event = EngineEvent::Deliver {
+        let handle = self.arena.alloc(EngineEvent::Deliver {
             src: self.self_id,
             dst,
             msg,
-        };
-        match self.route.as_deref_mut() {
-            // Under sharded execution a send to a foreign node goes into the
-            // destination shard's outbox run; the barrier merges whole runs
-            // into the owner's queue before the first window their arrival
-            // times can fall into (arrival ≥ send + lookahead). Same-shard
-            // sends short-circuit all of that and land in the local queue.
-            Some(route) if route.shard_of[dst.as_usize()] != route.self_shard => {
-                let shard = route.shard_of[dst.as_usize()] as usize;
-                route.outboxes[shard].push((at, rank, event));
-            }
-            _ => {
-                let handle = self.arena.alloc(event);
-                self.queue.schedule_ranked(at, rank, handle);
-            }
-        }
+        });
+        self.queue.schedule_ranked(at, rank, handle);
         true
     }
 

@@ -58,7 +58,7 @@ pub(crate) enum FaultAction {
 
 /// Object-safe shim that lets the engine downcast nodes back to their
 /// concrete types for inspection in tests and reports.
-pub(crate) trait AnyNode<M>: Node<M> {
+trait AnyNode<M>: Node<M> {
     fn as_any(&self) -> &dyn Any;
     fn as_any_mut(&mut self) -> &mut dyn Any;
 }
@@ -76,33 +76,31 @@ impl<M, T: Node<M> + Any> AnyNode<M> for T {
 /// further deferral extends when it lands on the same instant with the next
 /// consecutive sequence number.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct OpenRun {
+struct OpenRun {
     handle: Handle,
     at: SimTime,
     next_seq: u64,
 }
 
 #[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct NodeState {
-    pub(crate) busy_until: SimTime,
-    pub(crate) busy_accum: SimDuration,
+struct NodeState {
+    busy_until: SimTime,
+    busy_accum: SimDuration,
     /// The node's lane sequence counter: every send and timer of this node
     /// consumes one value and every engine-side busy deferral *to* it
     /// consumes one per deferred message (a parked run of `k` messages holds
     /// `k` consecutive values), making each event's `(time, lane, seq)` key
-    /// a pure function of the node's own history — the invariant sharded
-    /// execution relies on.
-    pub(crate) seq: u64,
+    /// a pure function of the node's own history.
+    seq: u64,
     /// `Some` while a run parked for this node can still be extended. Its
     /// handle dies with the arena slot, so the field is cleared when the
-    /// run's instant is reached and when the queue is drained.
-    pub(crate) run: Option<OpenRun>,
+    /// run's instant is reached.
+    run: Option<OpenRun>,
 }
 
 /// Busy-deferral counters, the engine's vitals beside [`ArenaStats`]. Like
-/// those, a side accessor and never part of a `Debug`-compared report: a
-/// shard split re-parks backlogs, so sequential and sharded runs count runs
-/// differently while producing byte-identical reports.
+/// those, a side accessor and never part of a `Debug`-compared report: they
+/// describe how the engine ran the replay, not what the replay did.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DeferStats {
     /// Run events scheduled (a backlog re-parked after one message was
@@ -114,55 +112,29 @@ pub struct DeferStats {
     pub longest_run: u64,
 }
 
-impl DeferStats {
-    /// Folds another engine's counters into this one (shard merge).
-    pub fn absorb(&mut self, other: DeferStats) {
-        self.runs += other.runs;
-        self.messages += other.messages;
-        self.longest_run = self.longest_run.max(other.longest_run);
-    }
-}
-
-/// Cross-shard routing state, present only while a [`Simulation`] runs as
-/// one shard of a [`crate::shard::ShardedSimulation`].
-///
-/// `shard_of[n]` maps node `n` to its owning shard. Same-shard sends
-/// short-circuit straight into the local queue/arena; sends to foreign nodes
-/// are diverted into the per-destination-shard outbox (keys fully formed)
-/// and flushed as one contiguous sorted run per window barrier, where the
-/// destination merges the runs of all its senders in a single k-way pass.
-pub(crate) struct ShardRoute<M> {
-    pub(crate) shard_of: Vec<u32>,
-    pub(crate) self_shard: u32,
-    pub(crate) outboxes: Vec<Vec<(SimTime, Rank, EngineEvent<M>)>>,
-}
-
 /// A deterministic discrete-event simulation over message type `M`.
 ///
 /// Construction order fixes [`NodeId`]s: the first [`Simulation::add_node`]
 /// gets `NodeId(0)`, and so on. See the crate-level docs for a full example.
 pub struct Simulation<M> {
-    pub(crate) nodes: Vec<Option<Box<dyn AnyNode<M>>>>,
-    pub(crate) states: Vec<NodeState>,
+    nodes: Vec<Option<Box<dyn AnyNode<M>>>>,
+    states: Vec<NodeState>,
     /// The queue holds [`Handle`]s into `arena`, so ring-bucket moves shuffle
     /// three words instead of full event payloads.
-    pub(crate) queue: EventQueue<Handle>,
+    queue: EventQueue<Handle>,
     /// In-flight event payloads, slots recycled generationally (see
     /// [`crate::arena`]).
-    pub(crate) arena: Arena<EngineEvent<M>>,
+    arena: Arena<EngineEvent<M>>,
     /// Emptied run deques, reused by the next run so steady-state deferral
     /// keeps its buffers.
-    pub(crate) spare_runs: Vec<VecDeque<(NodeId, M)>>,
-    pub(crate) defer_stats: DeferStats,
-    pub(crate) config: NetworkConfig,
-    pub(crate) reach: Reachability,
-    pub(crate) stats: NetStats,
-    pub(crate) cancelled: FxHashSet<TimerId>,
-    pub(crate) now: SimTime,
-    pub(crate) started: bool,
-    /// `Some` while this simulation runs as one shard of a sharded
-    /// execution; `None` in ordinary sequential mode.
-    pub(crate) route: Option<ShardRoute<M>>,
+    spare_runs: Vec<VecDeque<(NodeId, M)>>,
+    defer_stats: DeferStats,
+    config: NetworkConfig,
+    reach: Reachability,
+    stats: NetStats,
+    cancelled: FxHashSet<TimerId>,
+    now: SimTime,
+    started: bool,
 }
 
 impl<M: 'static> Simulation<M> {
@@ -183,7 +155,6 @@ impl<M: 'static> Simulation<M> {
             cancelled: FxHashSet::default(),
             now: SimTime::ZERO,
             started: false,
-            route: None,
         }
     }
 
@@ -202,11 +173,6 @@ impl<M: 'static> Simulation<M> {
         self.nodes.push(Some(Box::new(node))); // xtask-lint: allow(hot-loop-alloc)
         self.states.push(NodeState::default());
         id
-    }
-
-    /// The number of registered nodes.
-    pub fn node_count(&self) -> usize {
-        self.nodes.len()
     }
 
     /// The current simulated time.
@@ -269,34 +235,8 @@ impl<M: 'static> Simulation<M> {
         self.queue.schedule(at, handle);
     }
 
-    /// Schedules `event` with a fully formed rank (the shard split/merge and
-    /// cross-shard exchange paths), allocating its payload in the arena.
-    pub(crate) fn schedule_event(&mut self, at: SimTime, rank: Rank, event: EngineEvent<M>) {
-        let handle = self.arena.alloc(event);
-        self.queue.schedule_ranked(at, rank, handle);
-    }
-
-    /// Drains every pending event, keys intact, payloads taken back out of
-    /// the arena (the shard split/merge paths).
-    ///
-    /// Parked runs come out whole, each under its first key. Re-scheduled
-    /// elsewhere they get new handles, so no node keeps a run open.
-    pub(crate) fn drain_events(&mut self) -> Vec<(SimTime, Rank, EngineEvent<M>)> {
-        for state in &mut self.states {
-            state.run = None;
-        }
-        let arena = &mut self.arena;
-        self.queue
-            .drain_ranked()
-            .into_iter()
-            .map(|(at, rank, handle)| (at, rank, arena.take(handle)))
-            .collect()
-    }
-
     /// The event arena's allocation counters (recycle rate, peak depth).
-    /// A side accessor, not a report field: sequential and sharded runs
-    /// recycle through different arenas while producing byte-identical
-    /// reports.
+    /// A side accessor, not a report field.
     pub fn alloc_stats(&self) -> ArenaStats {
         self.arena.stats()
     }
@@ -332,17 +272,14 @@ impl<M: 'static> Simulation<M> {
         self.schedule_external(at, EngineEvent::Deliver { src: dst, dst, msg });
     }
 
-    /// Runs every node's [`Node::on_start`] hook (once). Slots owned by
-    /// other shards (`None`) are skipped — their owner runs the hook.
-    pub(crate) fn start(&mut self) {
+    /// Runs every node's [`Node::on_start`] hook (once).
+    fn start(&mut self) {
         if self.started {
             return;
         }
         self.started = true;
         for i in 0..self.nodes.len() {
-            if self.nodes[i].is_some() {
-                self.with_node(NodeId::new(i as u32), |node, ctx| node.on_start(ctx));
-            }
+            self.with_node(NodeId::new(i as u32), |node, ctx| node.on_start(ctx));
         }
     }
 
@@ -365,24 +302,6 @@ impl<M: 'static> Simulation<M> {
             self.now = deadline;
         }
         self.now
-    }
-
-    /// Runs every event with firing time *strictly before* `end`. The
-    /// sharded engine's inner loop: within a window `[t, t + lookahead)` no
-    /// cross-shard message can arrive, so this is safe to run concurrently
-    /// with other shards' windows. Leaves the clock at the last event
-    /// processed (the caller owns deadline semantics).
-    pub(crate) fn run_window(&mut self, end: SimTime) {
-        debug_assert!(self.started, "run_window before start()");
-        // Strictly-before-`end` semantics via an inclusive bound one
-        // microsecond earlier (window ends are ≥ 1 µs; see `window_end`).
-        let bound = SimTime::from_micros(end.as_micros().saturating_sub(1));
-        while let Some((at, handle)) = self.queue.pop_bounded(bound) {
-            debug_assert!(at >= self.now, "time moved backwards");
-            self.now = at;
-            let event = self.arena.take(handle);
-            self.dispatch(event);
-        }
     }
 
     fn dispatch(&mut self, event: EngineEvent<M>) {
@@ -435,18 +354,14 @@ impl<M: 'static> Simulation<M> {
                 FaultAction::Crash(n) => {
                     self.reach.crash(n);
                     let now = self.now;
-                    if let Some(node) = self.nodes[n.as_usize()].as_mut() {
-                        node.on_crash(now);
-                    }
+                    self.nodes[n.as_usize()]
+                        .as_mut()
+                        .expect("node is mid-callback")
+                        .on_crash(now);
                 }
                 FaultAction::Recover(n) => {
                     self.reach.recover(n);
-                    // Fault events are replicated to every shard to keep the
-                    // reachability replicas in sync; only the owner runs the
-                    // node's recovery hook.
-                    if self.nodes[n.as_usize()].is_some() {
-                        self.with_node(n, |node, ctx| node.on_recover(ctx));
-                    }
+                    self.with_node(n, |node, ctx| node.on_recover(ctx));
                 }
                 FaultAction::Sever(a, b) => self.reach.sever(a, b),
                 FaultAction::Heal(a, b) => self.reach.heal(a, b),
@@ -512,7 +427,6 @@ impl<M: 'static> Simulation<M> {
             seq: &mut state.seq,
             busy_until: &mut state.busy_until,
             busy_accum: &mut state.busy_accum,
-            route: self.route.as_mut(),
         };
         f(node.as_mut(), &mut ctx);
         self.nodes[id.as_usize()] = Some(node);
@@ -523,7 +437,7 @@ impl<M> std::fmt::Debug for Simulation<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         // Deliveries, timers and faults pending — a parked run counts once
         // per message, so the figure does not depend on how backlogs happen
-        // to be split into run events (a shard split re-parks them).
+        // to be split into run events.
         let parked_extra: usize = self
             .arena
             .values()

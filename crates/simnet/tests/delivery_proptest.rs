@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
-use wcc_simnet::{Ctx, NetworkConfig, Node, ShardedSimulation, Simulation};
+use wcc_simnet::{Ctx, NetworkConfig, Node, Simulation};
 use wcc_types::{ByteSize, NodeId, SimDuration, SimTime};
 
 /// Sends a scripted batch of (delay, target, tag) messages from its start
@@ -357,8 +357,9 @@ proptest! {
 
     /// Random worker costs (zero included), timers that consume mid-backlog
     /// so runs for two different instants coexist, an outage with a backlog
-    /// parked, and a two-shard split mid-run: the engine's handler log,
-    /// timer ids, drop count and busy time equal the per-message model's.
+    /// parked, and a deadline that stops the run mid-backlog before it
+    /// resumes: the engine's handler log, timer ids, drop count and busy
+    /// time equal the per-message model's.
     #[test]
     fn run_length_deferral_matches_per_message_requeue(
         scripts in proptest::collection::vec(
@@ -367,7 +368,7 @@ proptest! {
         ),
         costs in proptest::collection::vec(0u64..400, 1..6),
         outage in proptest::option::of((300u64..2_500, 1u64..1_500)),
-        split_at in proptest::option::of(0u64..3_000),
+        pause_at in proptest::option::of(0u64..3_000),
     ) {
         let worker = NodeId::new(0);
         let senders = scripts.len() as u32;
@@ -395,25 +396,10 @@ proptest! {
             sim.schedule_crash(worker, down);
             sim.schedule_recover(worker, up);
         }
-        let sim = match split_at {
-            None => {
-                sim.run_until_idle();
-                sim
-            }
-            Some(at) => {
-                // Worker alone on shard 0: its parked runs cross the split.
-                sim.run_until(SimTime::from_micros(at));
-                let mut assignment = vec![1; expected.len()];
-                assignment[0] = 0;
-                match ShardedSimulation::split(sim, &assignment) {
-                    Ok(mut sharded) => {
-                        sharded.run_until_idle();
-                        sharded.into_simulation()
-                    }
-                    Err(_) => return Err(TestCaseError::fail("two populated shards must split")),
-                }
-            }
-        };
+        if let Some(at) = pause_at {
+            sim.run_until(SimTime::from_micros(at));
+        }
+        sim.run_until_idle();
 
         for (i, want) in expected.iter().enumerate() {
             let id = NodeId::new(i as u32);

@@ -10,8 +10,7 @@
 //!
 //! Every family is a pure function of `(config, seed)`: the same
 //! determinism contract as [`synthetic::generate`], so families plug
-//! directly into the fuzzer's oracle, the sharded-equivalence checks and
-//! the trajectory bench.
+//! directly into the fuzzer's oracle and the trajectory bench.
 
 use crate::modifier::{ModSchedule, Modification};
 use crate::spec::TraceSpec;
@@ -86,8 +85,8 @@ pub struct FamilyConfig {
 
 impl FamilyConfig {
     /// The city-scale preset: a 64-origin federation with 1.2×10⁵ distinct
-    /// clients — the acceptance configuration for the sharded engine and
-    /// the memory-lean state layout.
+    /// clients — the acceptance configuration for the memory-lean state
+    /// layout.
     pub fn city(family: WorkloadFamily) -> FamilyConfig {
         let (amplitude, lifetime) = match family {
             WorkloadFamily::ZipfFederation => (0.5, SimDuration::from_days(10)),

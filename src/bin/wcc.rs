@@ -4,10 +4,9 @@
 //! wcc replay  --trace epa --protocol invalidation [--lifetime-days N]
 //!             [--scale N] [--seed N] [--wan] [--decoupled] [--hierarchy]
 //!             [--shared] [--lease-days N] [--adaptive-lease] [--cache-mib N]
-//!             [--inval-batch N] [--shards N|auto] [--trace-out PATH]
-//!             [--metrics]
+//!             [--inval-batch N] [--trace-out PATH] [--metrics]
 //! wcc replay  --family flash-crowd [--protocol NAME] [--scale N] [--seed N]
-//!             [--shards N|auto] [--audit]     # city-scale scenario families
+//!             [--audit]                       # city-scale scenario families
 //! wcc trio    --trace sask [--scale N] [--seed N] [--jobs N]  # Tables 3/4 block
 //! wcc trace   <path>                                # analyse a --trace-out log
 //! wcc summary [--scale N] [--seed N]                # Table 2
@@ -19,15 +18,10 @@
 //!
 //! `--jobs N` (or the `WCC_JOBS` environment variable) sets the worker
 //! count for commands that fan independent replays out over threads; the
-//! output is byte-identical at any job count.
+//! output is byte-identical at any job count. One replay runs on one thread.
 //!
-//! `--shards N` (or `WCC_SHARDS`) splits a *single* replay across engine
-//! shards running on worker threads (conservative lookahead windows); the
-//! output is byte-identical at any shard count. Default 1 (sequential).
-//! `--shards auto` requests the standard 8-shard engine configuration
-//! capped at the host's core count — on a 1-core box it resolves to a
-//! plain sequential replay instead of paying the barrier tax for
-//! parallelism the host cannot deliver.
+//! A `--flag` a subcommand does not know is an error (exit 2 with the usage
+//! text), never a silently different run.
 //!
 //! `--inval-batch N` turns on the batched invalidation proposer with a
 //! count threshold of `N` entries (age and byte thresholds at their
@@ -107,7 +101,70 @@ impl Args {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  wcc replay  --trace NAME --protocol NAME [--lifetime-days N] [--scale N]\n              [--seed N] [--wan] [--decoupled] [--hierarchy] [--shared]\n              [--lease-days N] [--volume-mins N] [--adaptive-lease]\n              [--cache-mib N] [--audit] [--inval-batch N] [--shards N|auto]\n              [--trace-out PATH] [--metrics]\n  wcc replay  --family NAME [--protocol NAME] [--scale N] [--seed N]\n              [--shards N|auto] [--audit]   # families: zipf-federation,\n              flash-crowd, breaking-news, real-time-feed, archival-scan\n  wcc trio    --trace NAME [--scale N] [--seed N] [--jobs N]\n  wcc compare --trace NAME --protocols a,b,c [--scale N] [--seed N] [--jobs N]\n  wcc trace   PATH\n  wcc summary [--scale N] [--seed N]\n  wcc clf     PATH [--protocol NAME]\n  wcc fuzz    [--iters N] [--seed N] [--shrink] [--inject-stale] [--repro PATH]\n              [--jobs N]\n  wcc serve   [--role pair|origin|proxy] [--origin ADDR] [--port N] [--docs N]\n              [--doc-scale N] [--protocol NAME] [--cache-mib N]\n              [--port-file PATH] [--state-file PATH] [--config PATH]\n              [--self-check]        # SIGHUP reloads --config; SIGTERM drains\n  wcc bench serve [--connections N] [--requests N] [--docs N] [--protocol NAME]\n              [--soak-secs N] [--restart] [--in-process] [--out PATH]\n  wcc protocols"
+    "usage:\n  wcc replay  --trace NAME --protocol NAME [--lifetime-days N] [--scale N]\n              [--seed N] [--wan] [--decoupled] [--hierarchy] [--shared]\n              [--lease-days N] [--volume-mins N] [--adaptive-lease]\n              [--cache-mib N] [--audit] [--inval-batch N] [--trace-out PATH]\n              [--metrics]\n  wcc replay  --family NAME [--protocol NAME] [--scale N] [--seed N]\n              [--audit]     # families: zipf-federation, flash-crowd,\n              breaking-news, real-time-feed, archival-scan\n  wcc trio    --trace NAME [--scale N] [--seed N] [--jobs N]\n  wcc compare --trace NAME --protocols a,b,c [--scale N] [--seed N] [--jobs N]\n  wcc trace   PATH\n  wcc summary [--scale N] [--seed N]\n  wcc clf     PATH [--protocol NAME]\n  wcc fuzz    [--iters N] [--seed N] [--shrink] [--inject-stale] [--repro PATH]\n              [--jobs N]\n  wcc serve   [--role pair|origin|proxy] [--origin ADDR] [--port N] [--docs N]\n              [--doc-scale N] [--protocol NAME] [--cache-mib N]\n              [--port-file PATH] [--state-file PATH] [--config PATH]\n              [--self-check]        # SIGHUP reloads --config; SIGTERM drains\n  wcc bench serve [--connections N] [--requests N] [--docs N] [--protocol NAME]\n              [--soak-secs N] [--restart] [--in-process] [--out PATH]\n  wcc protocols"
+}
+
+/// The `--flags` each subcommand reads; `main` rejects any other. `None` for
+/// an unknown command (which gets the usage text on its own).
+fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
+    Some(match command {
+        "replay" => &[
+            "trace",
+            "family",
+            "protocol",
+            "lifetime-days",
+            "scale",
+            "seed",
+            "wan",
+            "decoupled",
+            "hierarchy",
+            "shared",
+            "lease-days",
+            "volume-mins",
+            "adaptive-lease",
+            "cache-mib",
+            "audit",
+            "inval-batch",
+            "trace-out",
+            "metrics",
+        ],
+        "trio" => &["trace", "scale", "seed", "jobs"],
+        "compare" => &["trace", "protocols", "scale", "seed", "jobs"],
+        "summary" => &["scale", "seed"],
+        "clf" => &["protocol", "lease-days", "volume-mins", "adaptive-lease"],
+        "fuzz" => &["iters", "seed", "shrink", "inject-stale", "repro", "jobs"],
+        "serve" => &[
+            "role",
+            "origin",
+            "port",
+            "docs",
+            "doc-scale",
+            "protocol",
+            "lease-days",
+            "volume-mins",
+            "adaptive-lease",
+            "cache-mib",
+            "port-file",
+            "state-file",
+            "config",
+            "self-check",
+        ],
+        "bench" => &[
+            "connections",
+            "requests",
+            "docs",
+            "protocol",
+            "lease-days",
+            "volume-mins",
+            "adaptive-lease",
+            "soak-secs",
+            "restart",
+            "in-process",
+            "out",
+        ],
+        "trace" | "protocols" => &[],
+        _ => return None,
+    })
 }
 
 fn spec_for(args: &Args) -> Result<TraceSpec, String> {
@@ -182,20 +239,6 @@ fn jobs_for(args: &Args) -> Result<Option<usize>, String> {
     })
 }
 
-/// `--shards N` resolved through `WCC_SHARDS` (default 1, sequential).
-/// `--shards auto` requests the acceptance 8-shard configuration capped at
-/// the host's core count (`min(8, host_cores)`) — sequential on one core.
-fn shards_for(args: &Args) -> Result<usize, String> {
-    if args.value("shards") == Some("auto") {
-        return Ok(webcache::replay::auto_shards(8));
-    }
-    let explicit = match args.value("shards") {
-        None => None,
-        Some(_) => Some(args.num("shards", 0)? as usize),
-    };
-    Ok(webcache::replay::effective_shards(explicit))
-}
-
 fn print_report(report: &ReplayReport) {
     let r = &report.raw;
     println!(
@@ -251,9 +294,7 @@ fn print_report(report: &ReplayReport) {
 }
 
 /// The simulator's own vitals for the replay just run. They describe how the
-/// engine executed it, not what it computed: a sharded run re-parks backlogs
-/// at the split, so this line (unlike the report above it) may differ
-/// between `--shards` settings.
+/// engine executed it, not what it computed.
 fn print_engine(deployment: &Deployment, requests: u64) {
     let events = deployment.alloc_stats().allocated;
     let deferred = deployment.defer_stats();
@@ -285,7 +326,6 @@ fn cmd_replay_family(args: &Args, name: &str) -> Result<(), String> {
     let mut protocol = protocol_for(args)?;
     let options = options_for(args)?;
     let want_audit = options.audit;
-    let shards = shards_for(args)?;
 
     let workload = family::generate(&cfg, seed);
     // Per-client freshness deadlines spread over [0.5, 1.5]× the family's
@@ -296,7 +336,7 @@ fn cmd_replay_family(args: &Args, name: &str) -> Result<(), String> {
         protocol = protocol.with_adaptive_lease(lease.with_cap(lease.cap.min(tightest)));
     }
     let mut deployment = Deployment::build_multi(&workload.workloads, &protocol, options);
-    deployment.run_sharded(shards);
+    deployment.run();
     let report = ReplayReport {
         trace: cfg.name().to_string(),
         protocol: protocol.kind,
@@ -313,10 +353,9 @@ fn cmd_replay_family(args: &Args, name: &str) -> Result<(), String> {
     print_report(&report);
     print_engine(&deployment, report.raw.requests);
     println!(
-        "  federation      {} origins · {} requests · {} shards",
+        "  federation      {} origins · {} requests",
         workload.workloads.len(),
-        workload.total_requests(),
-        shards
+        workload.total_requests()
     );
     println!(
         "  peak memory     {}",
@@ -371,9 +410,8 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     let trace = synthetic::generate(&spec, seed);
     let mods = ModSchedule::generate(spec.num_docs, lifetime, spec.duration, seed);
     let want_audit = options.audit;
-    let shards = shards_for(args)?;
     let mut deployment = Deployment::build(&trace, &mods, &protocol, options);
-    deployment.run_sharded(shards);
+    deployment.run();
     if let Some(path) = trace_out {
         let log = deployment.trace_log();
         std::fs::write(path, webcache::obs::to_jsonl(&log))
@@ -927,6 +965,13 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
 fn main() -> ExitCode {
     let args = Args::parse(std::env::args().skip(1));
     let command = args.positional.first().map(String::as_str);
+    if let Some((command, accepted)) = command.and_then(|c| Some((c, accepted_flags(c)?))) {
+        let mut names = args.flags.iter().map(|(name, _)| name.as_str());
+        if let Some(name) = names.find(|n| !accepted.contains(n)) {
+            eprintln!("wcc {command}: unknown flag --{name}\n{}", usage());
+            return ExitCode::from(2);
+        }
+    }
     let result = match command {
         Some("replay") => cmd_replay(&args),
         Some("trio") => cmd_trio(&args),
@@ -952,5 +997,38 @@ fn main() -> ExitCode {
             eprintln!("{msg}");
             ExitCode::FAILURE
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `(subcommand, --flag)` for every flag the usage text shows.
+    fn flags_in_usage() -> Vec<(String, String)> {
+        let mut out = Vec::new();
+        let mut command = String::new();
+        for line in usage().lines().skip(1) {
+            if let Some(rest) = line.strip_prefix("  wcc ") {
+                command = rest.split_whitespace().next().unwrap_or("").to_string();
+            }
+            let words = line.split(|c: char| !(c.is_ascii_lowercase() || c == '-'));
+            for flag in words.filter_map(|w| w.strip_prefix("--")) {
+                out.push((command.clone(), flag.to_string()));
+            }
+        }
+        out
+    }
+
+    #[test]
+    fn every_flag_in_usage_is_accepted_and_removed_ones_are_not() {
+        let shown = flags_in_usage();
+        assert!(shown.len() > 50, "usage parsed: {shown:?}");
+        for (command, flag) in &shown {
+            let accepted = accepted_flags(command).expect("usage names real commands");
+            assert!(accepted.contains(&flag.as_str()), "{command} --{flag}");
+            assert!(!accepted.contains(&"shards"), "{command}");
+        }
+        assert_eq!(accepted_flags("no-such-command"), None);
     }
 }

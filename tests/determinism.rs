@@ -200,70 +200,6 @@ fn trace_log_is_recorded_and_round_trips_as_jsonl() {
     assert_eq!(wcc_obs::from_jsonl(&text).unwrap(), log);
 }
 
-mod sharded_equivalence {
-    //! The sharded engine's core guarantee, property-tested: for any
-    //! fuzz-derived scenario — including sampled crash / recover /
-    //! partition fault plans — running the deployment on `N` shards is
-    //! byte-identical to the sequential engine, for every interesting
-    //! shard count (1 = the fallback path, 2/4 = even splits, 7 = more
-    //! shards than most deployments have busy nodes).
-
-    use proptest::prelude::*;
-    use wcc_fuzz::{scenario_seed, sharded_matches_sequential, Scenario};
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(32))]
-        #[test]
-        fn sharded_replay_matches_sequential(iter in 0u64..4096) {
-            let seed = scenario_seed(0xD1CE, iter);
-            let scenario = Scenario::generate(seed);
-            for shards in [1usize, 2, 4, 7] {
-                let outcome = sharded_matches_sequential(&scenario, shards);
-                prop_assert!(
-                    outcome.is_ok(),
-                    "seed {seed:#018x} diverged at {shards} shard(s): {}",
-                    outcome.unwrap_err()
-                );
-            }
-        }
-    }
-}
-
-mod family_sharded_equivalence {
-    //! The same guarantee for multi-origin scenario families: a federation
-    //! workload sharded at {1, 4, 8, 16} — the fallback path, an even
-    //! split, the acceptance shard count, and more shards than origins in
-    //! most sampled scenarios — is byte-identical to the sequential engine.
-
-    use proptest::prelude::*;
-    use wcc_fuzz::{scenario_seed, sharded_matches_sequential, Scenario};
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(10))]
-        #[test]
-        fn family_replay_matches_sequential_at_high_shard_counts(iter in 0u64..4096) {
-            // About one seed in four samples a family scenario; walk
-            // forward deterministically so every case exercises one.
-            let mut step = iter;
-            let scenario = loop {
-                let s = Scenario::generate(scenario_seed(0xFA41, step));
-                if s.family.is_some() { break s; }
-                step += 1;
-            };
-            for shards in [1usize, 4, 8, 16] {
-                let outcome = sharded_matches_sequential(&scenario, shards);
-                prop_assert!(
-                    outcome.is_ok(),
-                    "family seed {:#018x} ({}) diverged at {shards} shard(s): {}",
-                    scenario.seed,
-                    scenario.summary(),
-                    outcome.unwrap_err()
-                );
-            }
-        }
-    }
-}
-
 #[test]
 fn largest_federation_double_run_is_byte_identical() {
     // The biggest federation the family layer ships — 64 origins sharing a

@@ -54,8 +54,7 @@ const CORPUS: &[u64] = &[
     // staleness is a model property there, not a bug.
     0xb4a0472e578069ae, // volume-lease + browser-based detection + outage
     // -- coverage: every workload family x the paper trio ----------------
-    // Family scenarios run multi-origin federations (2-6 origins) and push
-    // the sharded-equivalence check (oracle 8) to 8-16 shards.
+    // Family scenarios run multi-origin federations (2-6 origins).
     0x273ffb229ad337c9, // archival-scan, adaptive-ttl, 6 origins, 2 faults
     0x54c9abe8ef8c48ee, // archival-scan, invalidation, 2 proxies
     0xc3893c0f7dd1e207, // archival-scan, poll-every-time

@@ -41,11 +41,6 @@ cargo run --quiet --bin xtask-lint -- --waivers
 echo "==> wcc fuzz (smoke)"
 ./target/release/wcc fuzz --iters 25 --seed 1 --shrink
 
-echo "==> wcc replay --shards 2 (smoke)"
-# Single-trace sharded replay: drives the arena-allocated event path and
-# the batched cross-shard window delivery end to end.
-./target/release/wcc replay --trace epa --protocol invalidation --scale 20 --shards 2
-
 echo "==> wcc replay --inval-batch 8 (smoke)"
 # Batched invalidation proposer: per-write fan-out coalesced into
 # InvalidateBatch rounds (count threshold 8) with adaptive per-document
@@ -54,10 +49,10 @@ echo "==> wcc replay --inval-batch 8 (smoke)"
   --inval-batch 8 --adaptive-lease
 
 echo "==> wcc replay --family (smoke)"
-# Scenario-family path: the flash-crowd federation replayed sharded. The
-# nightly workflow sweeps all five families sequential-vs-sharded; this
-# just proves the family generator and multi-origin replay path run.
-./target/release/wcc replay --family flash-crowd --scale 20 --shards 2
+# Scenario-family path: the flash-crowd federation. The nightly workflow
+# replays all five families at scale 4; this just proves the family
+# generator and multi-origin replay path run.
+./target/release/wcc replay --family flash-crowd --scale 20
 
 echo "==> wcc replay --family real-time-feed (smoke)"
 # The write-heavy family: origins stall while they fan out, so backlogs of
