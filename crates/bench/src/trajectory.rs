@@ -50,7 +50,7 @@ use wcc_traces::TraceSpec;
 use wcc_types::{InvalBatchConfig, SimDuration};
 
 /// Schema tag of the emitted report — itself the table's first Exact row.
-pub const SCHEMA: &str = "wcc-bench-trajectory/9";
+pub const SCHEMA: &str = "wcc-bench-trajectory/10";
 
 /// A reported scalar: the three JSON kinds the flat report carries, with
 /// numbers split into counts and (three-decimal) quotients.
@@ -454,6 +454,8 @@ fn inner_loop(report: &mut Report, scale: u64) {
         events.allocated as f64 / requests.max(1) as f64,
         Gate::Exact,
     );
+    let overflow = deployment.overflow_inserts();
+    report.push("inner_loop.overflow_inserts", overflow, Gate::Exact);
     report.push("inner_loop.deferred_runs", deferred.runs, Gate::Exact);
     report.push(
         "inner_loop.deferred_messages",
@@ -549,6 +551,8 @@ fn family(report: &mut Report, scale: u64) -> Storm {
         deployment.memory_model().peak_bytes(),
         Gate::Exact,
     );
+    let overflow = deployment.overflow_inserts();
+    report.push("family.overflow_inserts", overflow, Gate::Exact);
     report.push("family.wall_ms", wall_ms, Gate::Info);
     report.push("family.req_per_s", requests * 1000 / wall_ms, Gate::Info);
     Storm {

@@ -6,12 +6,12 @@
 
 use std::process::Command;
 
-use wcc_bench::trajectory::{read_flat, Value};
+use wcc_bench::trajectory::{read_flat, Value, SCHEMA};
 
 const TRAJECTORY: &str = env!("CARGO_BIN_EXE_trajectory");
 
 #[test]
-fn one_core_host_passes_its_own_check_at_schema_9() {
+fn one_core_host_passes_its_own_check() {
     let out = concat!(env!("CARGO_TARGET_TMPDIR"), "/trajectory-one-core.json");
     let pinned = |args: &[&str]| {
         Command::new("taskset")
@@ -43,11 +43,12 @@ fn one_core_host_passes_its_own_check_at_schema_9() {
             .map(|(_, v)| v.clone())
     };
     assert_eq!(get("host_cores"), Some(Value::Int(1)));
-    assert_eq!(
-        get("schema"),
-        Some(Value::Text("wcc-bench-trajectory/9".to_string()))
-    );
+    assert_eq!(get("schema"), Some(Value::Text(SCHEMA.to_string())));
     assert_eq!(get("grid.parallel_identical"), Some(Value::Bool(true)));
+    // Schema /10 gates the queue's overflow-heap load on both replays.
+    for row in ["inner_loop.overflow_inserts", "family.overflow_inserts"] {
+        assert!(matches!(get(row), Some(Value::Int(_))), "{row}");
+    }
     // Schema /9 dropped the second engine's rows with the engine.
     for gone in [
         "grid.shards",

@@ -12,6 +12,10 @@
 //!   estimates (the SASK hit-ratio anomaly), which our ablation A2
 //!   reproduces.
 //!
+//! Recency is kept by [`Lru`], a hash index over a slab-allocated linked
+//! list (O(1) touch, insert, remove and victim); only the expiry order,
+//! whose key is not monotonic, is a tree.
+//!
 //! Consistency state (TTL expiry, lease expiry, the *questionable* flag set
 //! by server-recovery invalidations) lives on each entry in a
 //! [`Freshness`] record; the protocol state machines in `wcc-core` read and
@@ -20,6 +24,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod lru;
 mod store;
 
+pub use lru::Lru;
 pub use store::{CacheStats, CacheStore, Entry, Freshness, InsertOutcome, ReplacementPolicy};

@@ -1,7 +1,8 @@
 //! The byte-budgeted cache store and its replacement policies.
 
+use crate::lru::Lru;
 use std::collections::BTreeSet;
-use wcc_types::{ByteSize, DocMeta, FxHashMap, ScopedUrl, ServerId, SimTime};
+use wcc_types::{ByteSize, DocMeta, ScopedUrl, ServerId, SimTime};
 
 /// Which victim-selection discipline the store uses when over budget.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -69,8 +70,6 @@ pub struct Entry {
     pub unreported_hits: u64,
     /// Last access instant (maintained by [`CacheStore::touch`]).
     last_access: SimTime,
-    /// Monotonic access sequence for LRU tie-breaking.
-    access_seq: u64,
 }
 
 impl Entry {
@@ -121,13 +120,11 @@ pub struct CacheStats {
 pub struct CacheStore {
     capacity: ByteSize,
     policy: ReplacementPolicy,
-    entries: FxHashMap<ScopedUrl, Entry>,
-    /// LRU index: ordered by (access_seq, key).
-    lru: BTreeSet<(u64, ScopedUrl)>,
+    /// The entries, least recently used first.
+    entries: Lru<ScopedUrl, Entry>,
     /// Expiry index: ordered by (ttl_expires, key); only finite expiries.
     expiry: BTreeSet<(SimTime, ScopedUrl)>,
     used: ByteSize,
-    next_seq: u64,
     stats: CacheStats,
 }
 
@@ -137,11 +134,9 @@ impl CacheStore {
         CacheStore {
             capacity,
             policy,
-            entries: FxHashMap::default(),
-            lru: BTreeSet::new(),
+            entries: Lru::default(),
             expiry: BTreeSet::new(),
             used: ByteSize::ZERO,
-            next_seq: 0,
             stats: CacheStats::default(),
         }
     }
@@ -184,14 +179,9 @@ impl CacheStore {
 
     /// Looks up `key`, recording an access at `now` for LRU purposes.
     pub fn touch(&mut self, key: ScopedUrl, now: SimTime) -> Option<&Entry> {
-        let next_seq = self.next_seq;
-        let entry = self.entries.get_mut(&key)?;
-        self.lru.remove(&(entry.access_seq, key));
-        entry.access_seq = next_seq;
+        let entry = self.entries.touch(&key)?;
         entry.last_access = now;
-        self.next_seq += 1;
-        self.lru.insert((entry.access_seq, key));
-        self.entries.get(&key)
+        Some(entry)
     }
 
     /// Records one locally served cache hit on `key` for later hit-meter
@@ -241,24 +231,15 @@ impl CacheStore {
     /// Replaces an entry's metadata in place (new version fetched), keeping
     /// byte accounting and indices consistent. Returns `false` if absent.
     pub fn replace_meta(&mut self, key: ScopedUrl, meta: DocMeta, now: SimTime) -> bool {
-        if self.entries.contains_key(&key) {
-            // Remove + insert keeps all the accounting in one code path.
-            let freshness = self.entries[&key].freshness;
-            let unreported = self.entries[&key].unreported_hits;
-            self.remove(key);
-            let stored = matches!(
-                self.insert(key, meta, now, freshness),
-                InsertOutcome::Stored | InsertOutcome::Replaced
-            );
-            if stored {
-                if let Some(e) = self.entries.get_mut(&key) {
-                    e.unreported_hits = unreported;
-                }
-            }
-            stored
-        } else {
-            false
+        // Remove + insert keeps all the accounting in one code path.
+        let Some(old) = self.remove(key) else {
+            return false;
+        };
+        let stored = self.insert(key, meta, now, old.freshness) != InsertOutcome::TooLarge;
+        if let Some(e) = self.entries.get_mut(&key) {
+            e.unreported_hits = old.unreported_hits;
         }
+        stored
     }
 
     /// Inserts (or replaces) an entry, evicting victims as needed.
@@ -279,22 +260,18 @@ impl CacheStore {
                 break; // nothing left to evict (shouldn't happen: size fits)
             }
         }
-        let seq = self.next_seq;
-        self.next_seq += 1;
         let entry = Entry {
             meta,
             fetched_at: now,
             freshness,
             unreported_hits: 0,
             last_access: now,
-            access_seq: seq,
         };
-        self.lru.insert((seq, key));
         if freshness.ttl_expires != SimTime::NEVER {
             self.expiry.insert((freshness.ttl_expires, key));
         }
         self.used += meta.size();
-        self.entries.insert(key, entry);
+        self.entries.push(key, entry);
         if replaced {
             InsertOutcome::Replaced
         } else {
@@ -305,7 +282,6 @@ impl CacheStore {
     /// Removes and returns an entry (e.g. on receipt of an `INVALIDATE`).
     pub fn remove(&mut self, key: ScopedUrl) -> Option<Entry> {
         let entry = self.entries.remove(&key)?;
-        self.lru.remove(&(entry.access_seq, key));
         if entry.freshness.ttl_expires != SimTime::NEVER {
             self.expiry.remove(&(entry.freshness.ttl_expires, key));
         }
@@ -317,7 +293,7 @@ impl CacheStore {
     /// ("let the proxy mark all its cache entries as questionable when it
     /// recovers"). Returns how many entries were marked.
     pub fn mark_all_questionable(&mut self) -> usize {
-        for entry in self.entries.values_mut() {
+        for (_, entry) in self.entries.iter_mut() {
             entry.freshness.questionable = true;
         }
         self.entries.len()
@@ -337,15 +313,15 @@ impl CacheStore {
         n
     }
 
-    /// Iterates over `(key, entry)` pairs in unspecified order.
+    /// Iterates over `(key, entry)` pairs, least recently used first.
     pub fn iter(&self) -> impl Iterator<Item = (ScopedUrl, &Entry)> {
-        self.entries.iter().map(|(k, v)| (*k, v))
+        self.entries.iter()
     }
 
     /// Evicts one victim according to the policy. Returns `false` if empty.
     fn evict_one(&mut self, now: SimTime) -> bool {
         let victim = match self.policy {
-            ReplacementPolicy::Lru => self.lru.iter().next().map(|&(_, k)| k),
+            ReplacementPolicy::Lru => self.entries.oldest().map(|(k, _)| k),
             ReplacementPolicy::ExpiredFirstLru => {
                 // An entry is "expired" if its TTL estimate has passed.
                 let expired = self
@@ -354,20 +330,14 @@ impl CacheStore {
                     .next()
                     .filter(|&&(exp, _)| exp <= now)
                     .map(|&(_, k)| k);
-                expired.or_else(|| self.lru.iter().next().map(|&(_, k)| k))
+                expired.or_else(|| self.entries.oldest().map(|(k, _)| k))
             }
         };
-        let Some(victim) = victim else {
+        let Some(evicted) = victim.and_then(|key| self.remove(key)) else {
             return false;
         };
-        let was_expired = self
-            .entries
-            .get(&victim)
-            .map(|e| e.freshness.ttl_expires <= now)
-            .unwrap_or(false);
-        self.remove(victim);
         self.stats.evictions += 1;
-        if was_expired {
+        if evicted.freshness.ttl_expires <= now {
             self.stats.expired_evictions += 1;
         }
         true

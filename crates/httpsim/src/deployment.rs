@@ -478,6 +478,13 @@ impl Deployment {
         self.sim.defer_stats()
     }
 
+    /// Events the run so far scheduled beyond the queue ring's 4 ms horizon
+    /// (deliveries parked behind a long CPU charge, large transfers, timers).
+    /// A side accessor for the same reason as [`Deployment::alloc_stats`].
+    pub fn overflow_inserts(&self) -> u64 {
+        self.sim.overflow_inserts()
+    }
+
     /// Runs with a wall-clock safety deadline (fault scenarios with retry
     /// loops can otherwise take long).
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {

@@ -11,11 +11,12 @@
 use crate::cost::CostModel;
 use crate::deployment::{ChangeDetection, InvalSendMode};
 use crate::SimMsg;
+use wcc_cache::Lru;
 use wcc_core::{OriginCore, OriginOut, OriginTimer};
 use wcc_obs::{invalidation_span, Phase, SpanKind, Tracer};
 use wcc_proto::{CoordMsg, GetRequest, HttpMsg, Message, ReplyStatus};
 use wcc_simnet::{Ctx, Node, Summary};
-use wcc_types::{ByteSize, ClientId, FxHashMap, NodeId, SimDuration, SimTime, Url};
+use wcc_types::{ByteSize, ClientId, NodeId, SimDuration, SimTime, Url};
 
 /// Timer token of [`OriginTimer::Bulk`]. [`OriginTimer::Retry`] uses the
 /// document index (a `u32`) widened to `u64`, so the maximum value can
@@ -32,9 +33,8 @@ const BATCH_FLUSH_TOKEN: u64 = u64::MAX - 1;
 struct MemCache {
     budget: u64,
     used: u64,
-    seq: u64,
-    entries: FxHashMap<u32, (u64, u64)>, // doc -> (last-use seq, scaled size)
-    order: std::collections::BTreeSet<(u64, u32)>,
+    /// Scaled size of each cached document, least recently used first.
+    docs: Lru<u32, u64>,
 }
 
 impl MemCache {
@@ -42,44 +42,30 @@ impl MemCache {
         MemCache {
             budget: budget.as_u64(),
             used: 0,
-            seq: 0,
-            entries: FxHashMap::default(),
-            order: std::collections::BTreeSet::new(),
+            docs: Lru::default(),
         }
     }
 
     /// Returns `true` on a hit; on a miss, admits the document (evicting
     /// LRU entries as needed).
     fn access(&mut self, doc: u32, scaled_size: u64) -> bool {
-        self.seq += 1;
-        if let Some((old_seq, _)) = self.entries.get_mut(&doc).map(|e| (e.0, e.1)) {
-            self.order.remove(&(old_seq, doc));
-            self.order.insert((self.seq, doc));
-            self.entries.get_mut(&doc).expect("present").0 = self.seq;
+        if self.docs.touch(&doc).is_some() {
             return true;
         }
         if scaled_size > self.budget {
             return false; // uncacheable; always a disk read
         }
         while self.used + scaled_size > self.budget {
-            let &(victim_seq, victim_doc) = self
-                .order
-                .iter()
-                .next()
-                .expect("over budget implies nonempty");
-            self.order.remove(&(victim_seq, victim_doc));
-            let (_, sz) = self.entries.remove(&victim_doc).expect("indexed");
-            self.used -= sz;
+            let (victim, _) = self.docs.oldest().expect("over budget implies nonempty");
+            self.used -= self.docs.remove(&victim).expect("just seen");
         }
-        self.entries.insert(doc, (self.seq, scaled_size));
-        self.order.insert((self.seq, doc));
+        self.docs.push(doc, scaled_size);
         self.used += scaled_size;
         false
     }
 
     fn clear(&mut self) {
-        self.entries.clear();
-        self.order.clear();
+        self.docs = Lru::default();
         self.used = 0;
     }
 }
@@ -434,6 +420,29 @@ mod tests {
         assert!(!mc.access(3, 40)); // miss: evicts doc 2 (LRU)
         assert!(mc.access(1, 40));
         assert!(!mc.access(2, 40)); // doc 2 was evicted
+    }
+
+    /// A scripted access stream against what the stamp-ordered `BTreeSet`
+    /// implementation answered (recorded from it before it was replaced):
+    /// every hit and miss, the bytes held after each access — so every
+    /// eviction took the same victims — and the final recency order.
+    #[test]
+    fn mem_cache_answers_as_the_tree_ordered_one_did() {
+        const HITS: &str = "...hhhh..h.h.....hhh....h..h..hhhh..h.h.....hhh....h..h..hhhh..h";
+        const USED: [u64; 64] = [
+            10, 31, 79, 79, 79, 79, 79, 67, 81, 81, 67, 67, 80, 97, 72, 82, 67, 67, 67, 67, 82, 97,
+            58, 80, 80, 67, 81, 81, 67, 79, 79, 79, 79, 79, 67, 81, 81, 67, 67, 80, 97, 72, 82, 67,
+            67, 67, 67, 82, 97, 58, 80, 80, 67, 81, 81, 67, 79, 79, 79, 79, 79, 67, 81, 81,
+        ];
+        let mut mc = MemCache::new(ByteSize::from_bytes(100));
+        for (i, (hit, used)) in (0u32..).zip(HITS.chars().zip(USED)) {
+            let doc = (i * 7 + i * i / 3) % 9;
+            let size = u64::from(10 + doc * 13 % 40);
+            assert_eq!(mc.access(doc, size), hit == 'h', "access {i} (doc {doc})");
+            assert_eq!(mc.used, used, "after access {i}");
+        }
+        let order: Vec<u32> = mc.docs.iter().map(|(doc, _)| doc).collect();
+        assert_eq!(order, [2, 5, 0]);
     }
 
     #[test]

@@ -12,10 +12,10 @@ use crate::SimMsg;
 use wcc_cache::CacheStore;
 use wcc_core::{Begin, Complete, ProxyCore, ProxyPolicy, UpstreamReply};
 use wcc_obs::{Phase, SpanKind, Tracer};
-use wcc_proto::{CoordMsg, GetRequest, HttpMsg, Message, Reply, RequestId};
+use wcc_proto::{CoordMsg, GetRequest, HttpMsg, Message, Reply};
 use wcc_simnet::{Ctx, Node, Summary};
 use wcc_traces::TraceRecord;
-use wcc_types::{AuditEvent, ByteSize, ClientId, NodeId, SimTime, Url};
+use wcc_types::{AuditEvent, ByteSize, ClientId, NodeId, SimDuration, SimTime, Url};
 
 /// What a proxy counts beside its fetch core's
 /// [`FetchCounters`](wcc_core::FetchCounters) ([`ProxyNode::core`]).
@@ -46,7 +46,7 @@ pub struct Waiting {
 
 /// Wall-clock timeout after which an unanswered request is retransmitted
 /// (covers replies lost to crashes and partitions).
-const REQUEST_TIMEOUT: wcc_types::SimDuration = wcc_types::SimDuration::from_secs(10);
+const REQUEST_TIMEOUT: SimDuration = SimDuration::from_secs(10);
 
 /// A pseudo-client node: drives its partition of the trace sequentially
 /// ("generates a corresponding HTTP request and sends it to the proxy, then
@@ -57,6 +57,13 @@ pub struct ProxyNode {
     core: ProxyCore<Waiting>,
     /// When that request last left; its latency is measured from here.
     wall_start: SimTime,
+    /// When the request timer fires, which is also its token. One timer
+    /// serves every flight in turn: armed only when none is pending, re-armed
+    /// for the remainder when it fires before the open flight's ten seconds
+    /// are up. In the past when none is pending — it fired, or came due while
+    /// this node was down and the engine dropped it — so a crash cannot leave
+    /// the proxy believing in a timer that will never fire.
+    timer_due: SimTime,
     records: Vec<TraceRecord>,
     costs: CostModel,
     /// When set, this proxy is a *shared* cache: entries are scoped to this
@@ -95,6 +102,7 @@ impl ProxyNode {
         ProxyNode {
             core: ProxyCore::new(policy, cache),
             wall_start: SimTime::ZERO,
+            timer_due: SimTime::ZERO,
             records,
             costs,
             identity: None,
@@ -169,7 +177,7 @@ impl ProxyNode {
     }
 
     /// Sends `get` — the flight the core just opened, or opened again —
-    /// upstream and arms its timeout.
+    /// upstream, under the request timer.
     fn forward(&mut self, get: GetRequest, ctx: &mut Ctx<'_, SimMsg>) {
         let span = self.core.oldest().expect("the flight just opened").1.span;
         self.wall_start = ctx.now();
@@ -182,12 +190,19 @@ impl ProxyNode {
             Some(get.client),
             Some(get.req.get()),
         );
-        let (req, upstream) = (get.req, self.upstream(get.url.server()));
+        let upstream = self.upstream(get.url.server());
         let msg = HttpMsg::Get(get);
         let size = msg.wire_size();
         self.counters.bytes_sent += size;
         ctx.send(upstream, SimMsg::Net(Message::Http(msg)), size);
-        ctx.set_timer(REQUEST_TIMEOUT, req.get());
+        if self.timer_due <= ctx.now() {
+            self.arm(REQUEST_TIMEOUT, ctx);
+        }
+    }
+
+    fn arm(&mut self, after: SimDuration, ctx: &mut Ctx<'_, SimMsg>) {
+        self.timer_due = ctx.now() + after;
+        ctx.set_timer(after, self.timer_due.as_micros());
     }
 
     /// Hands `record`'s user the `version` it was answered with.
@@ -333,9 +348,18 @@ impl ProxyNode {
 
 impl Node<SimMsg> for ProxyNode {
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, SimMsg>) {
-        // Request timeout: retransmit if the timed-out request is still the
-        // one we are waiting on.
-        if let Some(get) = self.core.retransmit(RequestId::new(token)) {
+        if token != self.timer_due.as_micros() {
+            return; // due at the instant its successor was armed
+        }
+        // The open flight, if any, left at `wall_start`.
+        let Some((req, _)) = self.core.oldest() else {
+            return;
+        };
+        let left = (self.wall_start + REQUEST_TIMEOUT).saturating_since(ctx.now());
+        if left > SimDuration::ZERO {
+            // Armed for an earlier flight: wait out this one's remainder.
+            self.arm(left, ctx);
+        } else if let Some(get) = self.core.retransmit(req) {
             self.counters.request_timeouts += 1;
             self.forward(get, ctx);
         }

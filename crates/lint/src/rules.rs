@@ -44,6 +44,7 @@ fn hot_loop_file(path: &str) -> bool {
             | "crates/simnet/src/node.rs"
             | "crates/simnet/src/arena.rs"
             | "crates/proto/src/zero.rs"
+            | "crates/cache/src/lru.rs"
             | "crates/httpsim/src/proxy.rs"
             | "crates/httpsim/src/origin.rs"
             | "crates/reactor/src/sys.rs"

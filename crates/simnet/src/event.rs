@@ -3,10 +3,13 @@
 //! Events are ordered by `(time, lane, lane sequence)` — see [`Rank`]. The
 //! storage is a two-level bucket queue: a ring of one-microsecond buckets
 //! covering the near future plus an overflow heap for everything beyond the
-//! ring's horizon. Discrete-event schedules are dominated by short hops
-//! (link latencies, CPU bursts), so almost every event lives its whole life
-//! in the ring; far-future timers take one heap trip and are pulled into the
-//! ring as the cursor approaches them.
+//! ring's horizon. Short hops (link latencies, brief CPU bursts) live their
+//! whole life in the ring; anything further out takes one heap trip and is
+//! pulled into the ring as the cursor approaches it. The trajectory gates
+//! [`EventQueue::overflow_inserts`]: on the EPA invalidation replay 16 937 of
+//! 65 600 inserts (26 %) take the heap — 16 089 of them replies parked
+//! behind a proxy still spending its modelled 8 ms request cost, the rest
+//! large transfers and far timers.
 //!
 //! Only the bucket under the cursor is ever popped from, so only that
 //! bucket is kept ordered: it is sorted once when the cursor lands on it and
@@ -19,9 +22,9 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use wcc_types::SimTime;
 
-/// Width of the near-future ring, in one-microsecond buckets. Must comfortably
-/// exceed the common scheduling horizon (LAN transfer times are below 2 ms)
-/// so that ordinary message traffic never touches the overflow heap.
+/// Width of the near-future ring, in one-microsecond buckets: wider than a
+/// LAN hop (transfer times are below 2 ms), narrower than the cost model's
+/// longest CPU charge — the module docs give the measured overflow share.
 const RING_BUCKETS: u64 = 4096;
 
 /// Occupancy-bitmap words covering the ring (one bit per bucket).
@@ -160,6 +163,8 @@ pub struct EventQueue<E> {
     len: usize,
     /// Sequence counter of the external lane (see [`Rank::external`]).
     next_seq: u64,
+    /// Inserts that landed beyond the ring's horizon.
+    overflow_inserts: u64,
 }
 
 impl<E> EventQueue<E> {
@@ -176,6 +181,7 @@ impl<E> EventQueue<E> {
             ring_len: 0,
             len: 0,
             next_seq: 0,
+            overflow_inserts: 0,
         }
     }
 
@@ -232,6 +238,7 @@ impl<E> EventQueue<E> {
         self.len += 1;
         let t = at.as_micros();
         if t >= self.cursor.saturating_add(RING_BUCKETS) {
+            self.overflow_inserts += 1;
             self.overflow.push(Scheduled { at, rank, payload });
         } else {
             // Past-of-cursor events (clamped into the cursor bucket) still
@@ -345,6 +352,12 @@ impl<E> EventQueue<E> {
     pub fn peek_time(&mut self) -> Option<SimTime> {
         let slot = self.seek()?;
         self.ring[slot].last().map(|ev| ev.0)
+    }
+
+    /// Events scheduled beyond the ring's horizon so far: each paid a heap
+    /// push and pop on top of its ring trip.
+    pub fn overflow_inserts(&self) -> u64 {
+        self.overflow_inserts
     }
 
     /// The number of pending events.

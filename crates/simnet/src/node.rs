@@ -6,13 +6,16 @@ use crate::metrics::NetStats;
 use crate::net::{NetworkConfig, Reachability};
 use crate::sim::EngineEvent;
 use crate::EventQueue;
-use wcc_types::{ByteSize, FxHashSet, NodeId, SimDuration, SimTime};
+use wcc_types::{ByteSize, NodeId, SimDuration, SimTime};
 
-/// Handle identifying a pending timer, returned by [`Ctx::set_timer`] and
-/// consumed by [`Ctx::cancel_timer`].
+/// Names the timer a [`Ctx::set_timer`] call armed.
 ///
 /// Packs `(owning node + 1, lane sequence)` so ids are unique across nodes
-/// while being allocated from per-node counters (no global state).
+/// while being allocated from per-node counters (no global state) — which
+/// makes an id a witness of the lane sequence number its timer took, what
+/// the engine-order reference model compares. Timers cannot be cancelled: a
+/// node that may lose interest keeps its own deadline and ignores a firing
+/// that finds it moved (see `wcc_httpsim`'s proxy).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct TimerId(pub(crate) u64);
 
@@ -82,7 +85,6 @@ pub struct Ctx<'a, M> {
     pub(crate) config: &'a NetworkConfig,
     pub(crate) reach: &'a Reachability,
     pub(crate) stats: &'a mut NetStats,
-    pub(crate) cancelled: &'a mut FxHashSet<TimerId>,
     pub(crate) seq: &'a mut u64,
     pub(crate) busy_until: &'a mut SimTime,
     pub(crate) busy_accum: &'a mut SimDuration,
@@ -128,14 +130,12 @@ impl<M> Ctx<'_, M> {
     /// Arms a timer that fires on this node after `delay`, carrying `token`.
     pub fn set_timer(&mut self, delay: SimDuration, token: u64) -> TimerId {
         let rank = self.next_rank();
-        let id = TimerId::pack(self.self_id, rank.seq);
         let handle = self.arena.alloc(EngineEvent::Timer {
             node: self.self_id,
             token,
-            id,
         });
         self.queue.schedule_ranked(self.now + delay, rank, handle);
-        id
+        TimerId::pack(self.self_id, rank.seq)
     }
 
     /// Allocates the next `(lane, seq)` key on this node's lane.
@@ -143,12 +143,6 @@ impl<M> Ctx<'_, M> {
         let rank = Rank::node(self.self_id.index(), *self.seq);
         *self.seq += 1;
         rank
-    }
-
-    /// Cancels a pending timer. Cancelling an already-fired or foreign timer
-    /// is a no-op.
-    pub fn cancel_timer(&mut self, id: TimerId) {
-        self.cancelled.insert(id);
     }
 
     /// Accounts `amount` of CPU work to this node.
@@ -229,17 +223,13 @@ mod tests {
 
     struct TimerNode {
         fired: Vec<u64>,
-        cancel_second: bool,
     }
 
     impl Node<u32> for TimerNode {
         fn on_start(&mut self, ctx: &mut Ctx<'_, u32>) {
+            ctx.set_timer(SimDuration::from_secs(2), 2);
             ctx.set_timer(SimDuration::from_secs(1), 1);
-            let second = ctx.set_timer(SimDuration::from_secs(2), 2);
             ctx.set_timer(SimDuration::from_secs(3), 3);
-            if self.cancel_second {
-                ctx.cancel_timer(second);
-            }
         }
         fn on_message(&mut self, _from: NodeId, _msg: u32, _ctx: &mut Ctx<'_, u32>) {}
         fn on_timer(&mut self, token: u64, _ctx: &mut Ctx<'_, u32>) {
@@ -248,13 +238,10 @@ mod tests {
     }
 
     #[test]
-    fn timers_fire_in_order_and_cancel() {
+    fn timers_fire_in_time_order() {
         let mut sim = Simulation::new(NetworkConfig::lan());
-        let n = sim.add_node(TimerNode {
-            fired: Vec::new(),
-            cancel_second: true,
-        });
+        let n = sim.add_node(TimerNode { fired: Vec::new() });
         sim.run_until_idle();
-        assert_eq!(sim.node_ref::<TimerNode>(n).fired, vec![1, 3]);
+        assert_eq!(sim.node_ref::<TimerNode>(n).fired, vec![1, 2, 3]);
     }
 }

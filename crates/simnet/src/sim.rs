@@ -4,11 +4,11 @@ use crate::arena::{Arena, ArenaStats, Handle};
 use crate::event::Rank;
 use crate::metrics::NetStats;
 use crate::net::{NetworkConfig, Reachability};
-use crate::node::{Ctx, Node, TimerId};
+use crate::node::{Ctx, Node};
 use crate::EventQueue;
 use std::any::Any;
 use std::collections::VecDeque;
-use wcc_types::{FxHashSet, NodeId, SimDuration, SimTime};
+use wcc_types::{NodeId, SimDuration, SimTime};
 
 /// Internal engine events.
 #[derive(Debug)]
@@ -34,14 +34,12 @@ pub(crate) enum EngineEvent<M> {
         /// Deferred deliveries, oldest first. Never empty while parked.
         msgs: VecDeque<(NodeId, M)>,
     },
-    /// Fire timer `id` with `token` on `node`.
+    /// Fire a timer with `token` on `node`.
     Timer {
         /// Owning node.
         node: NodeId,
         /// Caller-chosen discriminant.
         token: u64,
-        /// Cancellation handle.
-        id: TimerId,
     },
     /// Apply a fault-plan action.
     Fault(FaultAction),
@@ -132,7 +130,6 @@ pub struct Simulation<M> {
     config: NetworkConfig,
     reach: Reachability,
     stats: NetStats,
-    cancelled: FxHashSet<TimerId>,
     now: SimTime,
     started: bool,
 }
@@ -152,7 +149,6 @@ impl<M: 'static> Simulation<M> {
             config,
             reach: Reachability::default(),
             stats: NetStats::default(),
-            cancelled: FxHashSet::default(),
             now: SimTime::ZERO,
             started: false,
         }
@@ -245,6 +241,12 @@ impl<M: 'static> Simulation<M> {
     /// run). A side accessor like [`Simulation::alloc_stats`].
     pub fn defer_stats(&self) -> DeferStats {
         self.defer_stats
+    }
+
+    /// Events that took the queue's overflow heap (scheduled more than the
+    /// ring's 4 ms ahead). A side accessor like [`Simulation::alloc_stats`].
+    pub fn overflow_inserts(&self) -> u64 {
+        self.queue.overflow_inserts()
     }
 
     /// Schedules `node` to crash at `at`: it loses all messages and timers
@@ -343,12 +345,10 @@ impl<M: 'static> Simulation<M> {
                 }
                 self.spare_runs.push(msgs);
             }
-            EngineEvent::Timer { node, token, id } => {
-                let tombstoned = !self.cancelled.is_empty() && self.cancelled.remove(&id);
-                if tombstoned || self.reach.is_crashed(node) {
-                    return;
+            EngineEvent::Timer { node, token } => {
+                if !self.reach.is_crashed(node) {
+                    self.with_node(node, |n, ctx| n.on_timer(token, ctx));
                 }
-                self.with_node(node, |n, ctx| n.on_timer(token, ctx));
             }
             EngineEvent::Fault(action) => match action {
                 FaultAction::Crash(n) => {
@@ -423,7 +423,6 @@ impl<M: 'static> Simulation<M> {
             config: &self.config,
             reach: &self.reach,
             stats: &mut self.stats,
-            cancelled: &mut self.cancelled,
             seq: &mut state.seq,
             busy_until: &mut state.busy_until,
             busy_accum: &mut state.busy_accum,

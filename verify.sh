@@ -4,7 +4,8 @@
 #
 # This mirrors the CI matrix (.github/workflows/ci.yml) in one process:
 #   lint job  -> rustfmt --check, clippy -D warnings, xtask-lint
-#   test job  -> release build + root and workspace test suites
+#   test job  -> release build + root and workspace test suites + the 18
+#                results/*.txt tables regenerated and compared
 #                (CI also repeats the test job on beta)
 #   serve job -> `wcc serve --self-check` + a reduced `wcc bench serve`
 #                (CI runs 1000 connections and gates the JSON report)
@@ -31,6 +32,11 @@ cargo test -q
 
 echo "==> cargo test --workspace -q"
 cargo test --workspace -q
+
+echo "==> results/*.txt byte-identical (ci/check-results.sh)"
+# The 18 committed tables against what their binaries print now (full
+# scale, default arguments; a few seconds).
+ci/check-results.sh
 
 echo "==> xtask-lint"
 cargo run --quiet --bin xtask-lint
