@@ -1,24 +1,27 @@
 #!/usr/bin/env sh
 # Are the committed tables still what the code prints?
 #
-# Runs the binary behind every results/<name>.txt (target/release/<name>,
-# default arguments: full scale, seed 1997) into a temporary directory and
-# compares byte for byte. A table that moved on purpose is regenerated with
-#   ./target/release/<name> > results/<name>.txt
+# Runs `wcc bench <name>` for every results/<name>.txt (default arguments:
+# full scale, seed 1997) into a temporary directory and compares byte for
+# byte; `wcc bench list` and results/ must name the same set. A table that
+# moved on purpose is regenerated with
+#   ./target/release/wcc bench <name> > results/<name>.txt
 # and the diff is committed with the change that moved it.
 set -eu
 
 cd "$(dirname "$0")/.."
-cargo build --release --quiet -p wcc-bench
-bin="${CARGO_TARGET_DIR:-target}/release"
+cargo build --release --quiet --bin wcc
+wcc="${CARGO_TARGET_DIR:-target}/release/wcc"
 out="$(mktemp -d)"
 trap 'rm -rf "$out"' EXIT
 
 status=0
+# `wcc bench list` (<) and results/ (>) name the same tables.
+ls results/*.txt | sed 's|results/\(.*\)\.txt|\1|' | sort > "$out/.names"
+"$wcc" bench list | cut -d' ' -f1 | sort | diff - "$out/.names" || status=1
 for want in results/*.txt; do
     name="$(basename "$want" .txt)"
-    "$bin/$name" > "$out/$name.txt"
-    if cmp -s "$want" "$out/$name.txt"; then
+    if "$wcc" bench "$name" > "$out/$name.txt" && cmp -s "$want" "$out/$name.txt"; then
         echo "check-results: $name ok"
     else
         echo "check-results: $name DIFFERS from $want"

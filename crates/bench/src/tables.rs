@@ -1,0 +1,1217 @@
+//! The paper-table programs behind `wcc bench <name>`: one function per
+//! artifact of the evaluation, listed in [`TABLES`].
+//!
+//! Each takes `(scale, jobs)`: `scale` divides the workload size (1 = full
+//! scale, already raised to the table's minimum by the caller) and `jobs`
+//! is the worker count for the replay fan-out (`None` defers to `WCC_JOBS`
+//! / the core count — see [`wcc_replay::effective_jobs`]). The output is
+//! byte-identical at any job count; `results/<name>.txt` is each program's
+//! committed output at the default arguments.
+
+use crate::{experiment_label, paper_experiments, TABLE_SEED};
+use wcc_cache::ReplacementPolicy;
+use wcc_core::analytical::{
+    adaptive_ttl_formula, invalidation_formula, parse_stream, polling_formula, seq_stats, simulate,
+};
+use wcc_core::{AdaptiveLeaseConfig, ProtocolConfig, ProtocolKind};
+use wcc_httpsim::{
+    CacheSharing, Deployment, DeploymentOptions, InvalSendMode, RawReport, Topology,
+};
+use wcc_replay::experiment::{materialise, run_on};
+use wcc_replay::tables::{format_table5_column, format_trio_block};
+use wcc_replay::{
+    effective_jobs, parallel, partition_scenario, proxy_crash_scenario, run_batch, run_trio_jobs,
+    server_crash_scenario, ExperimentConfig, ExperimentConfigBuilder, FailureOutcome, ReplayReport,
+    TwoTierComparison,
+};
+use wcc_simnet::NetworkConfig;
+use wcc_traces::family::{self, FamilyConfig, FamilyWorkload, WorkloadFamily};
+use wcc_traces::{synthetic, ModSchedule, Trace, TraceSpec, TraceSummary};
+use wcc_types::{ByteSize, InvalBatchConfig, SimDuration};
+
+/// One table program: `(scale, jobs)` in, the table on stdout.
+pub type TableFn = fn(u64, Option<usize>);
+
+/// Every table, one row each: `(name, artifact, smallest scale it runs at,
+/// program)`. `wcc bench <name>` raises `--scale` to the third column (the
+/// fault and seed sweeps repeat their replay too often to run at full scale).
+#[rustfmt::skip]
+pub const TABLES: &[(&str, &str, u64, TableFn)] = &[
+    ("table1", "Table 1: analytical message counts", 1, table1),
+    ("table2", "Table 2: trace summaries", 1, table2),
+    ("table3", "Table 3: EPA / SASK / ClarkNet replays", 1, table3),
+    ("table4", "Table 4: NASA / SDSC replays", 1, table4),
+    ("table5", "Table 5: invalidation costs", 1, table5),
+    ("section6", "§6: two-tier lease evaluation", 1, section6),
+    ("ablation_decoupled", "A1: synchronous vs decoupled sender", 1, ablation_decoupled),
+    ("ablation_replacement", "A2: expired-first vs LRU replacement", 1, ablation_replacement),
+    ("ablation_lease", "A3: lease-duration sweep", 1, ablation_lease),
+    ("ablation_wan", "A4: WAN latency extrapolation", 4, ablation_wan),
+    ("ablation_fixed_ttl", "A5: fixed-TTL baseline sweep", 1, ablation_fixed_ttl),
+    ("ablation_window", "A6: lock-step window sensitivity", 4, ablation_window),
+    ("ablation_proposer", "batched proposer and adaptive leases", 1, ablation_proposer),
+    ("extension_hierarchy", "E1: invalidation in a caching hierarchy", 1, extension_hierarchy),
+    ("extension_psi", "E2: piggyback server invalidation", 1, extension_psi),
+    ("extension_metering", "E3: §7 hit metering", 1, extension_metering),
+    ("extension_volume", "E4: volume leases", 1, extension_volume),
+    ("failure_report", "F1: §4 failure scenarios", 25, failure_report),
+    ("robustness", "headline orderings across seeds", 10, robustness),
+];
+
+/// `spec` at `scale` and the table seed, protocol and lifetime still open.
+fn workload(spec: TraceSpec, scale: u64) -> ExperimentConfigBuilder {
+    ExperimentConfig::builder(spec.scaled_down(scale)).seed(TABLE_SEED)
+}
+
+fn fmt_ms(d: Option<SimDuration>) -> String {
+    d.map_or("-".into(), |d| format!("{:.1} ms", d.as_secs_f64() * 1e3))
+}
+
+/// One row of a side-by-side table: `label` padded to `label_width`, then
+/// `cell` of every column right-aligned to `width`.
+fn row<R, D: std::fmt::Display>(
+    (label_width, width): (usize, usize),
+    label: &str,
+    cols: &[&R],
+    cell: impl Fn(&R) -> D,
+) {
+    print!("{label:<label_width$}");
+    for col in cols {
+        print!("{:>width$}", cell(col));
+    }
+    println!();
+}
+
+/// Table 1: message counts for the three consistency approaches, both
+/// symbolically (the paper's closed forms) and exactly (the production
+/// state machines interpreting the paper's example stream).
+fn table1(_scale: u64, _jobs: Option<usize>) {
+    println!("=== Table 1: message counts per consistency approach ===\n");
+    println!("Symbolic (R = requests, RI = unmodified request intervals):\n");
+    println!(
+        "{:<22}{:>20}{:>16}{:>28}",
+        "", "poll-every-time", "invalidation", "adaptive-ttl"
+    );
+    println!(
+        "{:<22}{:>20}{:>16}{:>28}",
+        "\"GET\" Requests", "0", "RI", "0"
+    );
+    println!(
+        "{:<22}{:>20}{:>16}{:>28}",
+        "If-Modified-Since", "R", "0", "TTL-missed"
+    );
+    println!(
+        "{:<22}{:>20}{:>16}{:>28}",
+        "304 replies", "R-RI", "0", "TTLmissed-TTLmissed&new"
+    );
+    println!("{:<22}{:>20}{:>16}{:>28}", "Invalidation", "0", "RI", "0");
+    println!(
+        "{:<22}{:>20}{:>16}{:>28}",
+        "Total Control Msg", "2R-RI", "2RI", "2TTLm-TTLm&new"
+    );
+    println!(
+        "{:<22}{:>20}{:>16}{:>28}",
+        "File transfers", "RI", "RI", "RI-StaleHits"
+    );
+
+    let stream = "rrrmmmrrmrrrmmr"; // the paper's example (§3): RI = 4
+    let events = parse_stream(stream, 3600);
+    let s = seq_stats(&events);
+    println!(
+        "\nConcrete check on the paper's example stream \"{stream}\" \
+         (R={}, M={}, RI={}):\n",
+        s.r, s.m, s.ri
+    );
+
+    let poll = simulate(&ProtocolConfig::new(ProtocolKind::PollEveryTime), &events);
+    let inval = simulate(&ProtocolConfig::new(ProtocolKind::Invalidation), &events);
+    let ttl = simulate(&ProtocolConfig::new(ProtocolKind::AdaptiveTtl), &events);
+    let cols = [&poll, &inval, &ttl];
+    println!(
+        "{:<22}{:>16}{:>16}{:>16}",
+        "(exact interpreter)", "poll", "invalidation", "adaptive-ttl"
+    );
+    row((22, 16), "\"GET\" Requests", &cols, |c| c.plain_gets);
+    row((22, 16), "If-Modified-Since", &cols, |c| c.ims);
+    row((22, 16), "304 replies", &cols, |c| c.replies_304);
+    row((22, 16), "Invalidation", &cols, |c| c.invalidations);
+    row((22, 16), "Total Control Msg", &cols, |c| {
+        c.control_messages()
+    });
+    row((22, 16), "File transfers", &cols, |c| c.file_transfers);
+    row((22, 16), "Stale intervals", &cols, |c| c.stale_intervals);
+
+    let pf = polling_formula(s);
+    let inf = invalidation_formula(s);
+    let tf = adaptive_ttl_formula(
+        s,
+        ttl.ttl_missed,
+        ttl.ttl_missed_new_doc,
+        ttl.stale_intervals,
+    );
+    println!(
+        "\n(formula)             {:>16}{:>16}{:>16}",
+        "poll", "invalidation", "adaptive-ttl"
+    );
+    let fcols = [&pf, &inf, &tf];
+    row((22, 16), "Total Control Msg", &fcols, |c| {
+        c.control_messages()
+    });
+    row((22, 16), "File transfers", &fcols, |c| c.file_transfers);
+
+    println!(
+        "\nKey §3 observations verified: invalidation control messages ({}) ≤ 2·RI ({}); \
+         TTL saves transfers only via stale intervals (poll {} − ttl {} = stale {}).",
+        inval.control_messages(),
+        2 * s.ri,
+        poll.file_transfers,
+        ttl.file_transfers,
+        ttl.stale_intervals
+    );
+}
+
+/// The paper's Table 2, for reference: (name, duration, requests, avg size
+/// KB, max popularity, avg popularity).
+const PAPER_TABLE2: [(&str, &str, u64, u64, u64, f64); 5] = [
+    ("EPA", "1 day", 40_658, 21, 1_642, 8.2),
+    ("SDSC", "1 day", 25_430, 14, 1_020, 12.0),
+    ("ClarkNet", "10 hours", 61_703, 13, 680, 8.0),
+    ("NASA", "1 day", 61_823, 44, 3_138, 31.0),
+    ("SASK", "8 days", 51_471, 12, 1_155, 14.0),
+];
+
+/// Table 2: summary of the (synthetic) traces used in the experiments,
+/// side by side with the paper's reported values.
+fn table2(scale: u64, _jobs: Option<usize>) {
+    println!("=== Table 2: summary of the traces (seed {TABLE_SEED}, scale 1/{scale}) ===\n");
+    println!("{}", TraceSummary::header());
+    for spec in TraceSpec::all() {
+        let trace = synthetic::generate(&spec.scaled_down(scale), TABLE_SEED);
+        println!("{}", TraceSummary::of(&trace));
+    }
+    println!("\nPaper reference (Table 2):");
+    println!(
+        "{:<10} {:>8} {:>10} {:>8} {:>14}",
+        "Trace", "Duration", "Requests", "AvgSize", "Popularity"
+    );
+    for (name, duration, requests, kb, maxpop, avgpop) in PAPER_TABLE2 {
+        println!("{name:<10} {duration:>8} {requests:>10} {kb:>6}KB {maxpop:>7} ({avgpop:>4.1})");
+    }
+    println!(
+        "\nNote: file counts are derived from the paper's reported modification\n\
+         counts (see DESIGN.md); popularity shape is calibrated, not fitted."
+    );
+}
+
+/// Paper reference rows that survive in the extracted text:
+/// (trace, bytes, cpu_ttl, cpu_poll, cpu_inval).
+type PaperTrioRows = [(&'static str, &'static str, f64, f64, f64); 3];
+
+const PAPER_TABLE3: PaperTrioRows = [
+    ("EPA", "237 MB (all three)", 37.6, 41.6, 38.6),
+    ("SASK", "183 MB (all three)", 26.0, 30.2, 27.6),
+    ("ClarkNet", "448/448/449 MB", 38.3, 40.4, 38.1),
+];
+
+const PAPER_TABLE4: PaperTrioRows = [
+    ("NASA", "1.26/1.26/1.27 GB", 32.6, 36.1, 34.4),
+    ("SDSC(57)", "263 MB (all three)", 34.1, 35.6, 32.7),
+    ("SDSC(576)", "263/263/264 MB", 33.6, 36.7, 34.7),
+];
+
+/// One replay per experiment and protocol at `scale`, in submission order:
+/// chunks of `kinds.len()` are one experiment each.
+pub(crate) fn grid_configs(
+    experiments: &[(TraceSpec, SimDuration, u64)],
+    kinds: &[ProtocolKind],
+    scale: u64,
+) -> Vec<ExperimentConfig> {
+    experiments
+        .iter()
+        .flat_map(|(spec, lifetime, _)| {
+            kinds.iter().map(move |&kind| {
+                workload(spec.clone(), scale)
+                    .protocol(kind)
+                    .mean_lifetime(*lifetime)
+                    .build()
+            })
+        })
+        .collect()
+}
+
+/// The body Tables 3 and 4 share: three experiments under the paper's three
+/// protocols, then the paper's rows with the trace name padded to `width`.
+fn trio_grid(
+    experiments: &[(TraceSpec, SimDuration, u64)],
+    paper: PaperTrioRows,
+    width: usize,
+    scale: u64,
+    jobs: Option<usize>,
+) {
+    // The whole 3-trace x 3-protocol grid fans out at once.
+    let configs = grid_configs(experiments, &ProtocolKind::PAPER_TRIO, scale);
+    let reports = run_batch(&configs, jobs);
+    for ((spec, lifetime, _), trio) in experiments.iter().zip(reports.chunks(3)) {
+        let label = experiment_label(spec, *lifetime);
+        println!("--- {label} ---");
+        println!("{}", format_trio_block(trio));
+    }
+    println!("Paper reference (rows preserved in the source text):");
+    for (trace, bytes, ttl, poll, inval) in paper {
+        println!(
+            "  {trace:<width$} bytes {bytes:<20} server CPU {ttl}% / {poll}% / {inval}% (ttl/poll/inval)"
+        );
+    }
+}
+
+/// Table 3: replay results for EPA (50-day lifetime), SASK (14-day) and
+/// ClarkNet (50-day), three protocols each.
+fn table3(scale: u64, jobs: Option<usize>) {
+    println!("=== Table 3: EPA, SASK, ClarkNet replays (seed {TABLE_SEED}, scale 1/{scale}) ===\n");
+    trio_grid(&paper_experiments()[..3], PAPER_TABLE3, 9, scale, jobs);
+}
+
+/// Table 4: replay results for NASA (7-day lifetime) and SDSC with two
+/// lifetimes (25 days → 57 modifications; 2.5 days → 576), three protocols
+/// each.
+fn table4(scale: u64, jobs: Option<usize>) {
+    println!("=== Table 4: NASA and SDSC replays (seed {TABLE_SEED}, scale 1/{scale}) ===\n");
+    trio_grid(&paper_experiments()[3..], PAPER_TABLE4, 10, scale, jobs);
+}
+
+/// The storage row preserved in the extracted paper text.
+const PAPER_STORAGE: [(&str, &str); 6] = [
+    ("EPA", "1.0 MB"),
+    ("SASK", "621 KB"),
+    ("ClarkNet", "1.6 MB"),
+    ("NASA", "742 KB"),
+    ("SDSC(57)", "489 KB"),
+    ("SDSC(576)", "474 KB"),
+];
+
+/// Table 5: invalidation costs — site-list storage, average/maximum site
+/// list length among modified documents, and invalidation send times — for
+/// all six replays.
+fn table5(scale: u64, jobs: Option<usize>) {
+    println!("=== Table 5: invalidation costs (seed {TABLE_SEED}, scale 1/{scale}) ===\n");
+    let experiments = paper_experiments();
+    let configs = grid_configs(&experiments, &[ProtocolKind::Invalidation], scale);
+    let reports = run_batch(&configs, jobs);
+    for ((spec, lifetime, _), report) in experiments.iter().zip(&reports) {
+        let label = experiment_label(spec, *lifetime);
+        println!("--- {label} ---");
+        println!("{}", format_table5_column(report));
+    }
+    println!("Paper reference (storage row):");
+    for (trace, storage) in PAPER_STORAGE {
+        println!("  {trace:<10} {storage}");
+    }
+    println!(
+        "\n(The paper's storage is \"on the order of 20 to 30 bytes per request\";\n\
+         our model charges 24 bytes per entry plus 48 per tracked document.)"
+    );
+}
+
+/// §6: the two-tier lease-augmented invalidation scheme on the SASK trace.
+///
+/// The paper reports: "at the end of the 8-day SASK trace, the site lists
+/// have only 2489 entries, compared to [~24k] entries under the simple
+/// invalidation scheme. The maximum length of the site list of a document
+/// is reduced from 1155 entries to 473 entries. The reduction is achieved
+/// with 2489 extra if-modified-since requests."
+fn section6(scale: u64, jobs: Option<usize>) {
+    println!("=== Section 6: two-tier lease-augmented invalidation (SASK, scale 1/{scale}) ===\n");
+    let base = workload(TraceSpec::sask(), scale).mean_lifetime(SimDuration::from_days(14));
+    // Full lease longer than the 8-day trace, as in the paper's comparison
+    // (their simple scheme is "a lease equal to the duration of each trace").
+    // Both arms fan out together; same result as `two_tier_comparison`.
+    let plain_cfg = base.clone().protocol(ProtocolKind::Invalidation).build();
+    let two_tier_cfg = base
+        .protocol_config(
+            ProtocolConfig::new(ProtocolKind::TwoTierLease).with_lease(SimDuration::from_days(30)),
+        )
+        .build();
+    let mut reports = run_batch(&[plain_cfg, two_tier_cfg], jobs);
+    let two_tier = reports.pop().expect("two reports");
+    let plain = reports.pop().expect("two reports");
+    let cmp = TwoTierComparison { plain, two_tier };
+
+    let (plain_entries, tt_entries) = cmp.entries();
+    let (plain_max, tt_max) = cmp.max_list();
+    let arms = [&cmp.plain.raw, &cmp.two_tier.raw];
+    let w = (34, 14);
+    println!("{:<34}{:>14}{:>14}", "", "plain inval", "two-tier");
+    row(w, "Site-list entries (end of trace)", &arms, |r| {
+        r.sitelist.total_entries
+    });
+    row(w, "Max site-list length", &arms, |r| {
+        r.sitelist.max_list_len
+    });
+    row(w, "Site-list storage", &arms, |r| {
+        r.sitelist.storage.to_string()
+    });
+    row(w, "If-Modified-Since requests", &arms, |r| r.ims);
+    println!(
+        "{:<34}{:>28}",
+        "Extra IMS paid by two-tier",
+        cmp.extra_ims()
+    );
+    row(w, "Invalidations sent", &arms, |r| r.invalidations);
+    row(w, "Total messages", &arms, |r| r.total_messages);
+    row(w, "Strong-consistency violations", &arms, |r| {
+        r.final_violations
+    });
+    println!(
+        "\nPaper reference: entries ~24k → 2489; max list 1155 → 473; +2489 IMS.\n\
+         Reduction ratio here: entries ÷{:.1}, max list ÷{:.1}.",
+        plain_entries as f64 / tt_entries.max(1) as f64,
+        plain_max as f64 / tt_max.max(1) as f64,
+    );
+}
+
+/// Ablation A1: synchronous vs. decoupled invalidation sending.
+///
+/// The paper traces its worst-case latency to the accelerator refusing new
+/// requests "until it finishes sending all invalidation messages", and
+/// predicts that "a more fine-tuned implementation would have a separate
+/// process sending the invalidation messages, thus avoiding the maximum
+/// latency problem." This program measures both designs.
+fn ablation_decoupled(scale: u64, jobs: Option<usize>) {
+    println!(
+        "=== Ablation A1: synchronous vs decoupled invalidation sender (scale 1/{scale}) ===\n"
+    );
+    // High-churn, high-popularity settings where fan-outs are large enough
+    // to stall: NASA with a 7-day lifetime and SDSC with 2.5 days.
+    let cases = [
+        (TraceSpec::nasa(), SimDuration::from_days(7)),
+        (TraceSpec::sdsc(), SimDuration::from_secs(5 * 86_400 / 2)),
+    ];
+    let configs: Vec<ExperimentConfig> = cases
+        .iter()
+        .flat_map(|(spec, lifetime)| {
+            [InvalSendMode::Synchronous, InvalSendMode::Decoupled].map(|send_mode| {
+                workload(spec.clone(), scale)
+                    .protocol(ProtocolKind::Invalidation)
+                    .mean_lifetime(*lifetime)
+                    .options(DeploymentOptions {
+                        send_mode,
+                        ..DeploymentOptions::default()
+                    })
+                    .build()
+            })
+        })
+        .collect();
+    let reports = run_batch(&configs, jobs);
+    for ((spec, lifetime), pair) in cases.iter().zip(reports.chunks(2)) {
+        let name = spec.name;
+        let arms = [&pair[0].raw, &pair[1].raw];
+        let w = (30, 16);
+        println!("--- {name} (lifetime {lifetime}) ---");
+        println!("{:<30}{:>16}{:>16}", "", "synchronous", "decoupled");
+        row(w, "Invalidations (fresh)", &arms, |r| {
+            r.invalidations - r.invalidation_retries
+        });
+        row(w, "Avg latency", &arms, |r| fmt_ms(r.latency.mean()));
+        row(w, "Max latency", &arms, |r| fmt_ms(r.latency.max()));
+        row(w, "Max invalidation batch time", &arms, |r| {
+            fmt_ms(r.inval_time.max())
+        });
+        row(w, "Server CPU", &arms, |r| {
+            format!("{:.1}%", r.server_cpu * 100.0)
+        });
+        println!();
+    }
+    println!(
+        "Expected shape: identical traffic, but the synchronous sender's max\n\
+         latency includes whole invalidation batches; decoupling removes the\n\
+         stall, as §5.2 predicts."
+    );
+}
+
+/// Ablation A5: the fixed-TTL baseline (Worrell's comparison point, §2).
+///
+/// A single TTL for all documents either revalidates constantly (short TTL)
+/// or serves stale documents freely (long TTL); adaptive TTL interpolates,
+/// which is why the paper adopts it as the weak-consistency champion —
+/// "studies have shown adaptive TTL performs best". This sweep makes that
+/// dominance measurable, with invalidation as the strong-consistency anchor.
+fn ablation_fixed_ttl(scale: u64, jobs: Option<usize>) {
+    println!("=== Ablation A5: fixed-TTL sweep vs adaptive TTL vs invalidation (SASK, scale 1/{scale}) ===\n");
+    let base = workload(TraceSpec::sask(), scale)
+        .mean_lifetime(SimDuration::from_days(2)) // brisk churn
+        .build();
+    let (trace, mods) = materialise(&base);
+    println!(
+        "{:<20}{:>12}{:>12}{:>14}{:>12}",
+        "protocol", "messages", "IMS", "stale hits", "transfers"
+    );
+    let fixed = [
+        ("fixed-ttl 10m", SimDuration::from_mins(10)),
+        ("fixed-ttl 1h", SimDuration::from_hours(1)),
+        ("fixed-ttl 1d", SimDuration::from_days(1)),
+        ("fixed-ttl 8d", SimDuration::from_days(8)),
+    ];
+    // All six replays (four fixed TTLs plus the two anchors) share the
+    // workload and fan out together.
+    let mut labelled: Vec<(String, ExperimentConfig)> = fixed
+        .iter()
+        .map(|&(label, ttl)| {
+            let mut cfg = base.clone();
+            cfg.protocol = ProtocolConfig::new(ProtocolKind::FixedTtl).with_fixed_ttl(ttl);
+            (label.to_string(), cfg)
+        })
+        .collect();
+    for kind in [ProtocolKind::AdaptiveTtl, ProtocolKind::Invalidation] {
+        let mut cfg = base.clone();
+        cfg.protocol = ProtocolConfig::new(kind);
+        labelled.push((kind.name().to_string(), cfg));
+    }
+    let reports: Vec<ReplayReport> =
+        parallel::map_indexed(&labelled, effective_jobs(jobs), |(_, cfg)| {
+            run_on(cfg, &trace, &mods)
+        });
+    for ((label, _), r) in labelled.iter().zip(&reports) {
+        println!(
+            "{:<20}{:>12}{:>12}{:>14}{:>12}",
+            label, r.raw.total_messages, r.raw.ims, r.raw.stale_hits, r.raw.replies_200
+        );
+    }
+    println!(
+        "\nExpected shape: short fixed TTLs pay validations for little gain;\n\
+         long fixed TTLs buy silence with thousands of stale hits; adaptive\n\
+         TTL sits on the efficient frontier (few stale hits, moderate IMS).\n\
+         Invalidation is the only point with zero staleness; at this sweep's\n\
+         deliberately brisk churn (2-day lifetimes) it pays invalidation\n\
+         traffic for that guarantee — §3's crossover — while at the paper's\n\
+         measured lifetimes (14–50 days, Tables 3/4) it is outright cheapest."
+    );
+}
+
+/// Ablation A3: lease-duration sweep.
+///
+/// §6: "if the lease is three days, the total size of site lists is bounded
+/// by the total number of requests seen by the server for the last three
+/// days" — shorter leases trade site-list storage and invalidation fan-out
+/// for extra `If-Modified-Since` revalidations. This sweep quantifies the
+/// trade-off on the 8-day SASK trace.
+fn ablation_lease(scale: u64, jobs: Option<usize>) {
+    println!("=== Ablation A3: lease-duration sweep (SASK, scale 1/{scale}) ===\n");
+    println!(
+        "{:<12}{:>12}{:>12}{:>14}{:>14}{:>12}{:>12}",
+        "lease", "entries", "storage", "invalidations", "IMS", "messages", "violations"
+    );
+    let leases = [
+        ("1h", SimDuration::from_hours(1)),
+        ("6h", SimDuration::from_hours(6)),
+        ("1d", SimDuration::from_days(1)),
+        ("3d", SimDuration::from_days(3)),
+        ("8d", SimDuration::from_days(8)),
+        ("30d", SimDuration::from_days(30)),
+    ];
+    let base = workload(TraceSpec::sask(), scale).mean_lifetime(SimDuration::from_days(14));
+    // The whole sweep (plus the infinite-lease anchor) fans out as one batch.
+    let mut configs: Vec<ExperimentConfig> = leases
+        .iter()
+        .map(|(_, lease)| {
+            base.clone()
+                .protocol_config(
+                    ProtocolConfig::new(ProtocolKind::LeaseInvalidation).with_lease(*lease),
+                )
+                .build()
+        })
+        .collect();
+    configs.push(base.protocol(ProtocolKind::Invalidation).build());
+    let reports = run_batch(&configs, jobs);
+    let labels = leases.iter().map(|(label, _)| *label).chain(["infinite"]);
+    for (label, r) in labels.zip(&reports) {
+        println!(
+            "{:<12}{:>12}{:>12}{:>14}{:>14}{:>12}{:>12}",
+            label,
+            r.raw.sitelist.total_entries,
+            r.raw.sitelist.storage.to_string(),
+            r.raw.invalidations,
+            r.raw.ims,
+            r.raw.total_messages,
+            r.raw.final_violations,
+        );
+    }
+    println!(
+        "\nExpected shape: entries/storage grow monotonically with the lease;\n\
+         IMS shrinks as the lease grows; consistency violations stay zero at\n\
+         every point (leases are a *strong*-consistency mechanism)."
+    );
+}
+
+/// Count thresholds the proposer sweep visits; `None` is per-write fan-out.
+const THRESHOLDS: [Option<usize>; 6] = [None, Some(2), Some(4), Some(8), Some(16), Some(32)];
+
+fn family_replay(
+    workload: &FamilyWorkload,
+    protocol: &ProtocolConfig,
+    inval_batch: Option<InvalBatchConfig>,
+) -> RawReport {
+    let options = DeploymentOptions {
+        inval_batch,
+        ..DeploymentOptions::default()
+    };
+    let mut dep = Deployment::build_multi(&workload.workloads, protocol, options);
+    dep.run();
+    let report = dep.collect();
+    assert!(
+        report.writes_complete,
+        "writes must complete at every setting"
+    );
+    assert_eq!(
+        report.final_violations, 0,
+        "end-of-run strong consistency must hold at every setting"
+    );
+    report
+}
+
+/// Wire INVALIDATE messages: per-copy sends with every batched entry
+/// replaced by its share of one batch message.
+pub(crate) fn wire_invalidations(r: &RawReport) -> u64 {
+    r.origin_counters.invalidations - r.origin_counters.batched_entries
+        + r.origin_counters.inval_batches
+}
+
+pub(crate) fn micros(d: Option<SimDuration>) -> u64 {
+    d.map_or(0, |d| d.as_micros())
+}
+
+/// Ablation: the batched invalidation proposer's message-count vs
+/// write-completion trade-off.
+///
+/// The paper's worst-case latency comes from per-write invalidation
+/// fan-out; the proposer batches pending invalidations per origin and
+/// coalesces repeated writes to the same URL into one round. This program
+/// sweeps the count threshold under the two write-storm families
+/// (flash-crowd and breaking-news federations) and prints, per setting,
+/// the wire INVALIDATE traffic against the per-write counterfactual and
+/// the write-completion tail the batching delay costs. The last section
+/// repeats the lease-invalidation run with adaptive per-URL lease
+/// durations (the Ling & Mi read/write cost objective) against the fixed
+/// default.
+///
+/// The acceptance configuration is `--scale 20`: the default threshold
+/// must cut wire INVALIDATEs by ≥30% on the flash-crowd storm with a
+/// write-completion p99 no worse than per-write fan-out.
+fn ablation_proposer(scale: u64, _jobs: Option<usize>) {
+    println!("=== Ablation: batched invalidation proposer (scale 1/{scale}) ===\n");
+    let protocol = ProtocolConfig::new(ProtocolKind::Invalidation);
+    for fam in [WorkloadFamily::FlashCrowd, WorkloadFamily::BreakingNews] {
+        let storm = family::generate(&FamilyConfig::city(fam).scaled_down(scale), TABLE_SEED);
+        println!("--- {} federation, invalidation protocol ---", fam.name());
+        println!(
+            "{:<12}{:>12}{:>14}{:>12}{:>10}{:>14}{:>14}{:>8}",
+            "threshold",
+            "wire msgs",
+            "counterfact.",
+            "reduction",
+            "coalesce",
+            "write p50",
+            "write p99",
+            "stale"
+        );
+        let mut per_write_wire = 0u64;
+        let mut per_write_p99 = 0u64;
+        for threshold in THRESHOLDS {
+            let batch = threshold.map(InvalBatchConfig::with_max_entries);
+            let r = family_replay(&storm, &protocol, batch);
+            let wire = wire_invalidations(&r);
+            let counterfactual = r
+                .proposer
+                .map_or(r.invalidations, |p| p.enqueued + r.invalidation_retries);
+            let p99 = micros(r.write_completion.p99());
+            if threshold.is_none() {
+                per_write_wire = wire;
+                per_write_p99 = p99;
+            }
+            let reduction = if per_write_wire == 0 {
+                0.0
+            } else {
+                (1.0 - wire as f64 / per_write_wire as f64) * 100.0
+            };
+            println!(
+                "{:<12}{:>12}{:>14}{:>11.1}%{:>10.2}{:>12}us{:>12}us{:>8}",
+                threshold.map_or("per-write".into(), |t| t.to_string()),
+                wire,
+                counterfactual,
+                reduction,
+                r.proposer.map_or(1.0, |p| p.coalesce_ratio()),
+                micros(r.write_completion.median()),
+                p99,
+                r.stale_hits
+            );
+            if threshold == Some(InvalBatchConfig::default().max_entries) && per_write_p99 > 0 {
+                assert!(
+                    p99 <= per_write_p99,
+                    "default threshold worsened write p99: {p99}us > {per_write_p99}us"
+                );
+            }
+        }
+        println!();
+    }
+
+    // Lease economics: the same storms under lease-invalidation, fixed
+    // default duration vs per-URL adaptive durations.
+    println!("--- lease-invalidation: fixed vs adaptive lease durations ---");
+    println!(
+        "{:<14}{:<12}{:>12}{:>12}{:>12}{:>10}{:>8}",
+        "family", "lease", "messages", "invals", "hit ratio", "lat p99", "stale"
+    );
+    for fam in [WorkloadFamily::FlashCrowd, WorkloadFamily::BreakingNews] {
+        let storm = family::generate(&FamilyConfig::city(fam).scaled_down(scale), TABLE_SEED);
+        let fixed = ProtocolConfig::new(ProtocolKind::LeaseInvalidation);
+        let adaptive = fixed
+            .clone()
+            .with_adaptive_lease(AdaptiveLeaseConfig::default());
+        for (label, protocol) in [("fixed", &fixed), ("adaptive", &adaptive)] {
+            let r = family_replay(&storm, protocol, Some(InvalBatchConfig::default()));
+            println!(
+                "{:<14}{:<12}{:>12}{:>12}{:>11.1}%{:>8}us{:>8}",
+                fam.name(),
+                label,
+                r.total_messages,
+                wire_invalidations(&r),
+                r.hits as f64 / r.requests.max(1) as f64 * 100.0,
+                micros(r.latency.p99()),
+                r.stale_hits
+            );
+        }
+    }
+    println!(
+        "\nExpected shape: wire INVALIDATEs fall as the threshold grows while\n\
+         the age bound keeps the write-completion tail flat; adaptive leases\n\
+         shorten write-hot documents' leases (fewer invalidations) and extend\n\
+         read-hot ones' (fewer renewals)."
+    );
+}
+
+fn modification_chasing_workload(scale: u64) -> (Trace, ModSchedule) {
+    let spec = TraceSpec::sask().scaled_down(scale);
+    // Brisk churn: short TTL estimates dominate the cache.
+    let lifetime = SimDuration::from_days(2);
+    let trace = synthetic::generate(&spec, TABLE_SEED);
+    let mods = ModSchedule::generate(spec.num_docs, lifetime, spec.duration, TABLE_SEED);
+    // 35% of requests within 6 hours of a modification chase that document.
+    let hot = synthetic::with_modification_interest(
+        &trace,
+        &mods,
+        0.35,
+        SimDuration::from_hours(6),
+        TABLE_SEED,
+    );
+    (hot, mods)
+}
+
+/// Ablation A2: Harvest's expired-first replacement vs. pure LRU, under
+/// adaptive TTL with a constrained cache.
+///
+/// §5.2 explains SASK's depressed adaptive-TTL hit ratio: "Harvest's
+/// implementation of adaptive TTL replaces expired documents first. Coupled
+/// with adaptive TTL's conservative estimate of the file's lifetime, this
+/// policy can create undesirable effects" — a just-modified, soon-reaccessed
+/// document gets a short TTL and becomes the first eviction victim.
+///
+/// The effect requires requests that *revisit just-modified documents*, so
+/// this ablation applies the generator's modification-interest rewriter
+/// (`wcc_traces::synthetic::with_modification_interest`) before replaying.
+fn ablation_replacement(scale: u64, jobs: Option<usize>) {
+    println!(
+        "=== Ablation A2: replacement policy under a constrained cache \
+         (SASK + modification-interest, scale 1/{scale}) ===\n"
+    );
+    let (trace, mods) = modification_chasing_workload(scale);
+    let kinds = [ProtocolKind::AdaptiveTtl, ProtocolKind::Invalidation];
+    // All four (policy, protocol) replays share the rewritten workload and
+    // fan out together.
+    let configs: Vec<ExperimentConfig> = kinds
+        .iter()
+        .flat_map(|&kind| {
+            [ReplacementPolicy::ExpiredFirstLru, ReplacementPolicy::Lru].map(|replacement| {
+                ExperimentConfig::builder(TraceSpec::sask())
+                    .protocol(kind)
+                    .seed(TABLE_SEED)
+                    .options(DeploymentOptions {
+                        replacement,
+                        // Constrain the cache so replacement decisions
+                        // matter (per proxy).
+                        cache_capacity: ByteSize::from_mib((8 / scale).max(1)),
+                        ..DeploymentOptions::default()
+                    })
+                    .build()
+            })
+        })
+        .collect();
+    let reports: Vec<ReplayReport> = parallel::map_indexed(&configs, effective_jobs(jobs), |cfg| {
+        run_on(cfg, &trace, &mods)
+    });
+    for (kind, pair) in kinds.iter().zip(reports.chunks(2)) {
+        let arms = [&pair[0].raw, &pair[1].raw];
+        let w = (26, 16);
+        println!("--- protocol: {kind} ---");
+        println!("{:<26}{:>16}{:>16}", "", "expired-first", "pure LRU");
+        row(w, "Hit ratio", &arms, |r| {
+            format!("{:.2}%", r.hit_ratio() * 100.0)
+        });
+        row(w, "File transfers", &arms, |r| r.replies_200);
+        row(w, "Evictions", &arms, |r| r.cache_evictions);
+        row(w, "Expired evictions", &arms, |r| r.cache_expired_evictions);
+        row(w, "Total messages", &arms, |r| r.total_messages);
+        row(w, "Stale hits", &arms, |r| r.stale_hits);
+        println!();
+    }
+    println!(
+        "Reading the result: two effects compete under adaptive TTL. The\n\
+         paper's SASK anomaly — expired-first throws away just-modified,\n\
+         short-TTL documents that modification-chasing requests want next —\n\
+         pushes transfers up; but expired-first also shields unexpired\n\
+         popular documents that pure LRU would evict, pushing transfers\n\
+         down. Which dominates depends on the workload's re-access pattern;\n\
+         the policies measurably diverge only for adaptive TTL, while\n\
+         invalidation (no TTL state; stale copies already deleted by\n\
+         INVALIDATEs) is exactly insensitive — the paper's structural point."
+    );
+}
+
+/// Ablation A4: the paper's Internet extrapolation (§5.2).
+///
+/// "How would the relative comparison of the response times change in the
+/// real Internet? … we expect polling-every-time to have a much worse
+/// average response time in real life. Conversely, invalidation will have
+/// similar or even lower response time than adaptive TTL, as long as
+/// sending invalidations is decoupled from handling regular HTTP requests."
+///
+/// This program swaps the LAN link model for a WAN profile (≈40 ms one-way,
+/// 1.5 Mb/s) with a decoupled invalidation sender, and reports the latency
+/// comparison the paper predicted but could not run.
+fn ablation_wan(scale: u64, jobs: Option<usize>) {
+    println!("=== Ablation A4: WAN latency extrapolation (EPA, scale 1/{scale}) ===\n");
+    for (label, network) in [
+        ("LAN (testbed)", NetworkConfig::lan()),
+        ("WAN (Internet)", NetworkConfig::wan()),
+    ] {
+        let cfg = workload(TraceSpec::epa(), scale)
+            .options(DeploymentOptions {
+                network,
+                send_mode: InvalSendMode::Decoupled,
+                ..DeploymentOptions::default()
+            })
+            .build();
+        let trio = run_trio_jobs(&cfg, jobs);
+        println!("--- {label} ---");
+        println!(
+            "{:<16}{:>14}{:>14}{:>14}",
+            "", "avg latency", "min latency", "max latency"
+        );
+        for r in &trio {
+            println!(
+                "{:<16}{:>14}{:>14}{:>14}",
+                r.protocol.name(),
+                fmt_ms(r.raw.latency.mean()),
+                fmt_ms(r.raw.latency.min()),
+                fmt_ms(r.raw.latency.max()),
+            );
+        }
+        let (ttl, poll, inval) = (&trio[0].raw, &trio[1].raw, &trio[2].raw);
+        println!(
+            "polling avg is {:.2}x invalidation's; invalidation vs TTL: {:+.1}%\n",
+            poll.latency.mean().map_or(0.0, |d| d.as_secs_f64())
+                / inval.latency.mean().map_or(1.0, |d| d.as_secs_f64()),
+            100.0
+                * (inval.latency.mean().map_or(0.0, |d| d.as_secs_f64())
+                    / ttl.latency.mean().map_or(1.0, |d| d.as_secs_f64())
+                    - 1.0),
+        );
+    }
+    println!(
+        "Expected shape: on the WAN, polling's average balloons (every hit\n\
+         pays a WAN round trip) while decoupled invalidation tracks adaptive\n\
+         TTL — the §5.2 extrapolation, confirmed."
+    );
+}
+
+/// Ablation A6: lock-step window sensitivity.
+///
+/// The paper's coordinator runs the replay "in lock step for every five
+/// minutes" — an arbitrary methodological constant. This sweep checks that
+/// none of the headline comparisons depend on it.
+fn ablation_window(scale: u64, jobs: Option<usize>) {
+    println!("=== Ablation A6: lock-step window sensitivity (EPA, scale 1/{scale}) ===\n");
+    println!(
+        "{:<10}{:>14}{:>14}{:>14}{:>20}",
+        "window", "ttl msgs", "poll msgs", "inval msgs", "poll/inval ratio"
+    );
+    for (label, window) in [
+        ("1m", SimDuration::from_mins(1)),
+        ("5m", SimDuration::from_mins(5)),
+        ("15m", SimDuration::from_mins(15)),
+        ("60m", SimDuration::from_mins(60)),
+    ] {
+        let cfg = workload(TraceSpec::epa(), scale)
+            .options(DeploymentOptions {
+                window,
+                ..DeploymentOptions::default()
+            })
+            .build();
+        let trio = run_trio_jobs(&cfg, jobs);
+        let (ttl, poll, inval) = (&trio[0].raw, &trio[1].raw, &trio[2].raw);
+        println!(
+            "{:<10}{:>14}{:>14}{:>14}{:>19.3}x",
+            label,
+            ttl.total_messages,
+            poll.total_messages,
+            inval.total_messages,
+            poll.total_messages as f64 / inval.total_messages as f64,
+        );
+    }
+    println!(
+        "\nExpected shape: message counts are identical across windows (the\n\
+         window only batches execution; protocol decisions run on trace\n\
+         time), so the paper's five-minute choice is benign."
+    );
+}
+
+/// Extension E1: invalidation in a caching hierarchy.
+///
+/// §2 of the paper credits Worrell's thesis with showing invalidation works
+/// well in *hierarchical* object caches — "which significantly reduces the
+/// overhead for invalidation" — but evaluates only the flat topology
+/// because hierarchies were "not yet widely present". This experiment adds
+/// the missing tier and measures exactly how much the hierarchy saves:
+///
+/// * per-client flat (the paper's emulation: the server tracks every real
+///   client site);
+/// * shared flat (deployed proxies: the server tracks four proxy sites);
+/// * hierarchy (the server tracks one parent; the parent tracks children).
+fn extension_hierarchy(scale: u64, _jobs: Option<usize>) {
+    println!(
+        "=== Extension E1: invalidation across cache topologies (NASA, scale 1/{scale}) ===\n"
+    );
+    let spec = TraceSpec::nasa().scaled_down(scale);
+    let lifetime = SimDuration::from_days(7);
+    let trace = synthetic::generate(&spec, TABLE_SEED);
+    let mods = ModSchedule::generate(spec.num_docs, lifetime, spec.duration, TABLE_SEED);
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+
+    let run = |sharing: CacheSharing, topology: Topology| -> RawReport {
+        let opts = DeploymentOptions {
+            sharing,
+            topology,
+            ..DeploymentOptions::default()
+        };
+        let mut d = Deployment::build(&trace, &mods, &cfg, opts);
+        d.run();
+        d.collect()
+    };
+
+    let per_client = run(CacheSharing::PerClient, Topology::Flat);
+    let shared = run(CacheSharing::SharedPerProxy, Topology::Flat);
+    let tree = run(CacheSharing::SharedPerProxy, Topology::Hierarchy);
+    let parent = tree.parent.expect("hierarchy run has a parent");
+
+    let origin_load = |r: &RawReport| match &r.parent {
+        Some(p) => p.fetch.gets_sent + p.fetch.ims_sent,
+        None => r.gets + r.ims,
+    };
+    let arms = [&per_client, &shared, &tree];
+    let w = (34, 16);
+    println!(
+        "{:<34}{:>16}{:>16}{:>16}",
+        "", "per-client flat", "shared flat", "hierarchy"
+    );
+    row(w, "Requests reaching the origin", &arms, origin_load);
+    row(w, "Origin INVALIDATEs per run", &arms, |r| r.invalidations);
+    row(w, "Origin site-list entries (end)", &arms, |r| {
+        r.sitelist.total_entries
+    });
+    row(w, "Origin max site list", &arms, |r| {
+        r.sitelist.max_list_len
+    });
+    row(w, "Origin site-list storage", &arms, |r| {
+        r.sitelist.storage.to_string()
+    });
+    row(w, "Origin server CPU", &arms, |r| {
+        format!("{:.1}%", r.server_cpu * 100.0)
+    });
+    row(w, "Consistency violations", &arms, |r| r.final_violations);
+    println!(
+        "\nHierarchy internals: parent hits {}, relayed {} invalidations to \
+         children ({} child-list entries, {} inval races absorbed).",
+        parent.counters.parent_hits,
+        parent.counters.invalidations_relayed,
+        parent.child_sitelist.total_entries,
+        parent.fetch.inval_races,
+    );
+    println!(
+        "\nExpected shape: each step left→right shrinks the origin's site\n\
+         lists and invalidation fan-out (hierarchy: ≤1 per modification) and\n\
+         offloads requests to the shared tiers — Worrell's observation,\n\
+         quantified, with strong consistency intact at every step."
+    );
+}
+
+/// The SASK replay at the paper's 14-day lifetime that the three
+/// protocol-comparison extensions share: `(base config, trace, schedule)`.
+fn sask_14_days(scale: u64) -> (ExperimentConfig, Trace, ModSchedule) {
+    let base = workload(TraceSpec::sask(), scale)
+        .mean_lifetime(SimDuration::from_days(14))
+        .build();
+    let (trace, mods) = materialise(&base);
+    (base, trace, mods)
+}
+
+/// Extension E3: hit metering merged with the consistency protocol (§7).
+///
+/// "Invalidation should be merged with other hit-metering protocols to
+/// provide both the benefits of caching and the capability of access
+/// control." Caches count the hits they serve and report them on whatever
+/// they already send — the next request for the document, or the
+/// invalidation acknowledgement when the copy is deleted. Zero extra
+/// messages; this program measures how much of the true view count each
+/// protocol's natural traffic recovers.
+fn extension_metering(scale: u64, _jobs: Option<usize>) {
+    println!("=== Extension E3: §7 hit metering (SASK, scale 1/{scale}) ===\n");
+    let (base, trace, mods) = sask_14_days(scale);
+    let actual = trace.records.len() as u64;
+    println!("true user requests: {actual}\n");
+    println!(
+        "{:<20}{:>14}{:>14}{:>14}{:>12}",
+        "protocol", "server-visible", "reported", "metered total", "recovered"
+    );
+    for kind in [
+        ProtocolKind::AdaptiveTtl,
+        ProtocolKind::PollEveryTime,
+        ProtocolKind::Invalidation,
+        ProtocolKind::LeaseInvalidation,
+        ProtocolKind::TwoTierLease,
+        ProtocolKind::PiggybackInvalidation,
+    ] {
+        let mut cfg = base.clone();
+        cfg.protocol = ProtocolConfig::new(kind);
+        let r = run_on(&cfg, &trace, &mods);
+        let metered = r.raw.metered_served + r.raw.metered_reported;
+        println!(
+            "{:<20}{:>14}{:>14}{:>14}{:>11.1}%",
+            kind.name(),
+            r.raw.metered_served,
+            r.raw.metered_reported,
+            metered,
+            100.0 * metered as f64 / actual as f64,
+        );
+    }
+    println!(
+        "\nReading the result: without metering, the server only sees its own\n\
+         replies (the \"server-visible\" column) and undercounts document\n\
+         popularity by every cache hit. The free reports close most of the\n\
+         gap: validation-based protocols report on each revalidation, and\n\
+         the invalidation family reports a dying copy's tally on the ack.\n\
+         The remainder is hits still sitting unreported in live cache\n\
+         entries at the end of the replay."
+    );
+}
+
+/// Extension E2: piggyback server invalidation (PSI).
+///
+/// Krishnamurthy & Wills' follow-up line of work: keep the accelerator's
+/// site lists, but deliver invalidations by *piggybacking* them on the next
+/// reply to each site instead of pushing dedicated messages. Zero added
+/// messages; consistency bounded by each site's contact frequency. This
+/// program places PSI between adaptive TTL and push invalidation on the
+/// paper's axes.
+fn extension_psi(scale: u64, _jobs: Option<usize>) {
+    println!("=== Extension E2: piggyback server invalidation (SASK, scale 1/{scale}) ===\n");
+    let (base, trace, mods) = sask_14_days(scale);
+    println!(
+        "{:<18}{:>12}{:>14}{:>12}{:>12}{:>14}{:>12}",
+        "protocol", "messages", "invalidations", "IMS", "stale hits", "piggybacked", "CPU"
+    );
+    for kind in [
+        ProtocolKind::AdaptiveTtl,
+        ProtocolKind::PiggybackInvalidation,
+        ProtocolKind::Invalidation,
+        ProtocolKind::PollEveryTime,
+    ] {
+        let mut cfg = base.clone();
+        cfg.protocol = ProtocolConfig::new(kind);
+        let r = run_on(&cfg, &trace, &mods);
+        println!(
+            "{:<18}{:>12}{:>14}{:>12}{:>12}{:>14}{:>11.1}%",
+            kind.name(),
+            r.raw.total_messages,
+            r.raw.invalidations,
+            r.raw.ims,
+            r.raw.stale_hits,
+            r.raw.piggybacked,
+            r.raw.server_cpu * 100.0,
+        );
+    }
+    println!(
+        "\nReading the result: PSI is the cheapest protocol on the wire — it\n\
+         sends no INVALIDATE messages and no validations at all, its\n\
+         invalidations riding existing replies — at the price of modest\n\
+         staleness bounded by each site's contact rate. Adaptive TTL buys\n\
+         lower staleness with thousands of If-Modified-Since validations;\n\
+         push invalidation pays dedicated messages for exactly zero\n\
+         staleness. Three distinct points on the §3 cost/freshness frontier."
+    );
+}
+
+/// Extension E4: volume leases (Yin, Alvisi, Dahlin & Lin).
+///
+/// The paper's §4 concedes that "it is difficult to maintain strong
+/// consistency in the event of network partition" and falls back to TCP
+/// retry. Volume leases are the published fix: a long per-object lease plus
+/// a short per-server *volume* lease renewed by every reply. A copy is
+/// served only while both are live, so the server never waits longer than
+/// the volume length for an unreachable client — and the client learns of
+/// missed invalidations via the piggyback on its first renewal.
+fn extension_volume(scale: u64, _jobs: Option<usize>) {
+    println!("=== Extension E4: volume leases (SASK, scale 1/{scale}) ===\n");
+    let (base, trace, mods) = sask_14_days(scale);
+
+    println!("Normal operation — the volume-length trade-off:");
+    println!(
+        "{:<18}{:>12}{:>14}{:>12}{:>12}{:>12}",
+        "volume lease", "messages", "invalidations", "IMS", "piggybacked", "violations"
+    );
+    let volumes = [
+        ("30s", SimDuration::from_secs(30)),
+        ("2m", SimDuration::from_mins(2)),
+        ("10m", SimDuration::from_mins(10)),
+        ("1h", SimDuration::from_hours(1)),
+    ];
+    for (label, volume) in volumes {
+        let mut cfg = base.clone();
+        cfg.protocol = ProtocolConfig::new(ProtocolKind::VolumeLease).with_volume_lease(volume);
+        let r = run_on(&cfg, &trace, &mods).raw;
+        println!(
+            "{:<18}{:>12}{:>14}{:>12}{:>12}{:>12}",
+            label, r.total_messages, r.invalidations, r.ims, r.piggybacked, r.final_violations,
+        );
+    }
+    let mut plain = base.clone();
+    plain.protocol = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let p = run_on(&plain, &trace, &mods).raw;
+    println!(
+        "{:<18}{:>12}{:>14}{:>12}{:>12}{:>12}",
+        "plain (∞)", p.total_messages, p.invalidations, p.ims, p.piggybacked, p.final_violations,
+    );
+
+    println!("\nPartition (server↔proxy 0, 30%→70% of the run):");
+    let scenario = |kind: ProtocolKind| {
+        let cfg = workload(TraceSpec::epa(), scale.max(50))
+            .mean_lifetime(SimDuration::from_hours(4))
+            .protocol_config(ProtocolConfig::new(kind).with_volume_lease(SimDuration::from_mins(5)))
+            .build();
+        partition_scenario(&cfg, 0.3, 0.7)
+    };
+    for kind in [ProtocolKind::Invalidation, ProtocolKind::VolumeLease] {
+        let out = scenario(kind);
+        let r = &out.report.raw;
+        println!(
+            "  {:<16} retries {:>4}  writes complete {:>5}  violations {}",
+            kind.name(),
+            r.invalidation_retries,
+            r.writes_complete,
+            r.final_violations,
+        );
+    }
+    println!(
+        "\nExpected shape: volume leases trade a few renewal IMS for fewer\n\
+         pushes (expired-volume clients are piggybacked) and, under the\n\
+         partition, complete every write within the volume length instead of\n\
+         hammering TCP retries — the §4 open problem, closed."
+    );
+}
+
+fn failure_scenario(name: &str, out: &FailureOutcome) {
+    let r = &out.report.raw;
+    println!("--- {name} ---");
+    println!("  outage (wall): {} → {}", out.outage.0, out.outage.1);
+    println!("  replay drained:                 {}", r.finished);
+    println!("  writes complete (all acked):    {}", r.writes_complete);
+    println!("  promised-fresh stale entries:   {}", r.final_violations);
+    println!("  proxy recoveries:               {}", r.proxy_recoveries);
+    println!(
+        "  entries marked questionable:    {}",
+        r.questionable_marked
+    );
+    println!("  bulk INVALIDATE <server> sent:  {}", r.bulk_invalidations);
+    println!("  request timeouts/retransmits:   {}", r.request_timeouts);
+    println!(
+        "  invalidation retransmissions:   {}",
+        r.invalidation_retries
+    );
+    println!("  invalidations given up:         {}", r.gave_up);
+    println!();
+}
+
+/// F1: the §4 failure scenarios — proxy crash, server crash and network
+/// partition — with the consistency invariants that must survive each.
+fn failure_report(scale: u64, _jobs: Option<usize>) {
+    println!("=== Failure handling (invalidation protocol, EPA, scale 1/{scale}) ===\n");
+    let cfg = workload(TraceSpec::epa(), scale)
+        .protocol(ProtocolKind::Invalidation)
+        .mean_lifetime(SimDuration::from_hours(4))
+        .build();
+
+    failure_scenario(
+        "Scenario 1: proxy crash (down 30%→60% of the run)",
+        &proxy_crash_scenario(&cfg, 0.3, 0.6),
+    );
+    failure_scenario(
+        "Scenario 2: server-site crash (down 30%→50% of the run)",
+        &server_crash_scenario(&cfg, 0.3, 0.5),
+    );
+    failure_scenario(
+        "Scenario 3: server↔proxy partition (30%→70% of the run)",
+        &partition_scenario(&cfg, 0.3, 0.7),
+    );
+
+    println!(
+        "Invariant in every scenario: zero promised-fresh stale entries at the\n\
+         end of the replay — strong consistency survives the §4 failure modes\n\
+         via questionable-marking, bulk invalidation and TCP-style retry.\n\
+         (Scenarios run at reduced scale because the fault-placement dry run\n\
+         doubles the work; pass --scale to change.)"
+    );
+}
+
+/// Seed-robustness check: the headline orderings must hold across many
+/// independently generated workloads, not just the table seed.
+fn robustness(scale: u64, jobs: Option<usize>) {
+    println!("=== Robustness: headline orderings across seeds (EPA, scale 1/{scale}) ===\n");
+    println!(
+        "{:<8}{:>12}{:>12}{:>12}{:>10}{:>12}",
+        "seed", "ttl msgs", "poll msgs", "inval msgs", "poll>inv", "inv≤1.06ttl"
+    );
+    let mut ordering_held = 0;
+    let mut parity_held = 0;
+    const SEEDS: u64 = 10;
+    for seed in 0..SEEDS {
+        let cfg = workload(TraceSpec::epa(), scale).seed(1_000 + seed).build();
+        let trio = run_trio_jobs(&cfg, jobs);
+        let (ttl, poll, inval) = (&trio[0].raw, &trio[1].raw, &trio[2].raw);
+        let ord = poll.total_messages > inval.total_messages;
+        let par = (inval.total_messages as f64) <= ttl.total_messages as f64 * 1.06;
+        ordering_held += ord as u32;
+        parity_held += par as u32;
+        println!(
+            "{:<8}{:>12}{:>12}{:>12}{:>10}{:>12}",
+            1_000 + seed,
+            ttl.total_messages,
+            poll.total_messages,
+            inval.total_messages,
+            ord,
+            par,
+        );
+        assert_eq!(inval.final_violations, 0);
+        assert_eq!(poll.stale_hits, 0);
+    }
+    println!(
+        "\npolling > invalidation held on {ordering_held}/{SEEDS} seeds; \
+         invalidation ≤ 1.06×TTL held on {parity_held}/{SEEDS}."
+    );
+}

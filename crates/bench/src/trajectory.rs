@@ -26,7 +26,7 @@
 //! current run and must be `true`; **Info** rows (wall milliseconds,
 //! requests per second, worker and core counts, workspace size) are written
 //! and printed but never compared. No gate needs a tolerance or a host
-//! identity, so `trajectory --check` binds locally and in CI alike.
+//! identity, so `wcc bench trajectory --check` binds locally and in CI alike.
 //!
 //! [`Report::to_json`] emits the table as one flat JSON object,
 //! [`read_flat`] is its strict reader and [`Report::judge`] the one loop
@@ -41,13 +41,14 @@ use std::fmt;
 use std::path::Path;
 use std::time::Instant;
 
+use crate::tables::{grid_configs, micros, wire_invalidations};
 use crate::{paper_experiments, TABLE_SEED};
 use wcc_core::{ProtocolConfig, ProtocolKind};
 use wcc_httpsim::{Deployment, DeploymentOptions, RawReport};
 use wcc_replay::{run_batch, ExperimentConfig};
 use wcc_traces::family::{self, FamilyConfig, FamilyWorkload, WorkloadFamily};
 use wcc_traces::TraceSpec;
-use wcc_types::{InvalBatchConfig, SimDuration};
+use wcc_types::InvalBatchConfig;
 
 /// Schema tag of the emitted report — itself the table's first Exact row.
 pub const SCHEMA: &str = "wcc-bench-trajectory/10";
@@ -305,22 +306,6 @@ pub fn read_flat(doc: &str) -> Result<Vec<(String, Value)>, String> {
     }
 }
 
-/// The 18-config Tables 3+4 grid at `scale`, in table order.
-pub fn grid_configs(scale: u64) -> Vec<ExperimentConfig> {
-    paper_experiments()
-        .into_iter()
-        .flat_map(|(spec, lifetime, _)| {
-            ProtocolKind::PAPER_TRIO.map(|kind| {
-                ExperimentConfig::builder(spec.clone().scaled_down(scale))
-                    .protocol_config(ProtocolConfig::new(kind))
-                    .mean_lifetime(lifetime)
-                    .seed(TABLE_SEED)
-                    .build()
-            })
-        })
-        .collect()
-}
-
 /// Unique per-experiment labels for the grid, in table order: the trace
 /// names, with the two SDSC lifetime variants told apart by the paper's
 /// modification counts (`SDSC(57)`, `SDSC(576)`). They come from
@@ -342,10 +327,6 @@ fn timed<T>(work: impl FnOnce() -> T) -> (T, u64) {
     let start = Instant::now();
     let result = work();
     (result, (start.elapsed().as_millis() as u64).max(1))
-}
-
-fn micros(d: Option<SimDuration>) -> u64 {
-    d.map_or(0, |d| d.as_micros())
 }
 
 /// `Debug`-string identity of two reports (or report lists) — the
@@ -375,7 +356,7 @@ pub fn run(scale: u64, jobs: Option<usize>) -> Report {
 /// Grid pass: sequential and fanned out over `jobs` workers, then the
 /// latency tails of the sequential pass.
 fn grid(report: &mut Report, scale: u64, jobs: usize) {
-    let configs = grid_configs(scale);
+    let configs = grid_configs(&paper_experiments(), &ProtocolKind::PAPER_TRIO, scale);
     let (sequential, sequential_ms) = timed(|| run_batch(&configs, Some(1)));
     let (parallel, parallel_ms) = timed(|| run_batch(&configs, Some(jobs)));
     let requests: u64 = sequential.iter().map(|r| r.raw.requests).sum();
@@ -583,13 +564,9 @@ fn proposer(report: &mut Report, scale: u64, flash_crowd: &Storm) {
         )
     });
 
-    // Wire INVALIDATEs: a batch message counts once, not once per entry.
-    let wire = |r: &RawReport| {
-        r.origin_counters.invalidations - r.origin_counters.batched_entries
-            + r.origin_counters.inval_batches
-    };
-    let per_write_wire = wire(&flash_crowd.per_write) + wire(&bn_per_write);
-    let batched_wire = wire(&fc_batched) + wire(&bn_batched);
+    let per_write_wire =
+        wire_invalidations(&flash_crowd.per_write) + wire_invalidations(&bn_per_write);
+    let batched_wire = wire_invalidations(&fc_batched) + wire_invalidations(&bn_batched);
     let cut_pct = (1.0 - batched_wire as f64 / per_write_wire.max(1) as f64) * 100.0;
     let (enqueued, flushed) = [&fc_batched, &bn_batched]
         .iter()
@@ -637,7 +614,8 @@ fn proposer(report: &mut Report, scale: u64, flash_crowd: &Storm) {
 }
 
 /// Non-test Rust lines of the workspace: every `.rs` file under
-/// `crates/*/src` and `src`, counted up to its first `#[cfg(test)]` line.
+/// `crates/*/src` and `src`, counted up to its first `#[cfg(test)]` line —
+/// so a file that opens with `#![cfg(test)]` counts for nothing.
 /// `0` when the source tree is not where this crate was built from.
 fn workspace_rust_lines() -> u64 {
     fn count(dir: &Path) -> u64 {
@@ -645,6 +623,9 @@ fn workspace_rust_lines() -> u64 {
             return 0;
         };
         let lines = |src: String| {
+            if src.starts_with("#![cfg(test)]") {
+                return 0;
+            }
             src.lines()
                 .take_while(|l| !l.trim_start().starts_with("#[cfg(test)]"))
                 .count() as u64
@@ -708,7 +689,7 @@ mod tests {
 
     #[test]
     fn grid_covers_tables_3_and_4() {
-        let configs = grid_configs(100);
+        let configs = grid_configs(&paper_experiments(), &ProtocolKind::PAPER_TRIO, 100);
         assert_eq!(configs.len(), 18);
         // Table order: each experiment contributes one full trio.
         for block in configs.chunks(3) {

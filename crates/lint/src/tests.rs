@@ -1,3 +1,4 @@
+#![cfg(test)]
 //! Rule-engine unit tests. The first half are the golden tests carried
 //! over verbatim from the old substring engine (same inputs, same
 //! verdicts); the rest cover the token-only rules.
@@ -24,7 +25,7 @@ fn wall_clock_allowed_in_the_trajectory_timer() {
     let src = "fn f() { let t = std::time::Instant::now(); }\n";
     assert!(rules_fired("crates/bench/src/trajectory.rs", src).is_empty());
     assert_eq!(
-        rules_fired("crates/bench/src/bin/table3.rs", src),
+        rules_fired("crates/bench/src/tables.rs", src),
         ["wall-clock"]
     );
 }

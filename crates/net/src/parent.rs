@@ -426,6 +426,19 @@ impl Role for ParentRole {
                 } => {
                     self.child_partitions = (*partitions).max(1);
                     self.channels.insert(*partition, cx.token);
+                    // Whatever this partition still owes an acknowledgement
+                    // for is pushed again: a relay while its channel was
+                    // down went nowhere, and the copies are still served.
+                    let mut p = state.protected.lock();
+                    for url in p.children.pending_urls() {
+                        for client in p.children.pending_for(url) {
+                            if client.partition(self.child_partitions) == *partition {
+                                let again = HttpMsg::Invalidate { url, client };
+                                cx.out.push(Out::Push(cx.token, again));
+                                p.local.invalidations_relayed += 1;
+                            }
+                        }
+                    }
                     After::Keep
                 }
                 HttpMsgRef::InvalAck {

@@ -278,3 +278,64 @@ fn child_hit_reports_reach_the_origin_across_an_invalidation() {
     raw.send(&HttpMsg::Get(asked));
     assert_eq!(requests.recv_get().cache_hits, 2);
 }
+
+/// A relayed invalidation is not lost to a push-channel outage: a write
+/// that lands while a child's `HELLO` channel is down is pushed when the
+/// child registers again. Until then the child still holds (and serves) the
+/// superseded copy, and the parent still waits for its acknowledgement.
+#[test]
+fn a_relay_during_a_child_channel_outage_is_resent_on_reregistration() {
+    use common::{get, Wire};
+    use wcc_proto::{HttpMsg, HttpMsgRef};
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let origin = NetOrigin::spawn(OriginConfig {
+        server: ServerId::new(0),
+        doc_sizes: vec![ByteSize::from_kib(8); 16],
+        protocol: cfg.clone(),
+        doc_scale: 100,
+        inval_batch: None,
+    })
+    .expect("origin");
+    let capacity = ByteSize::from_mib(64);
+    let parent = NetParent::spawn(origin.addr(), &cfg, ServerId::new(0), capacity).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    let carol = ClientId::from_raw(6);
+    let hello = HttpMsg::Hello {
+        partition: 0,
+        partitions: 1,
+    };
+
+    // The child takes a copy, registers, and loses its channel.
+    let mut child = Wire::connect(parent.addr());
+    child.send(&get(1, 5, carol, SimTime::from_secs(1)));
+    assert_eq!(child.recv_200(), (1, SimTime::ZERO));
+    let mut channel = Wire::connect(parent.addr());
+    channel.send(&hello);
+    drop(channel);
+
+    check_in(origin.addr(), url(5), SimTime::from_secs(60)).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while parent.counters().invalidations_received == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(parent.counters().invalidations_received, 1);
+
+    // Registering again brings the invalidation the outage swallowed.
+    let mut channel = Wire::connect(parent.addr());
+    channel.send(&hello);
+    match channel.next() {
+        HttpMsgRef::Invalidate { url: u, client } => assert_eq!((u, client), (url(5), carol)),
+        other => panic!("expected the missed INVALIDATE, got {other:?}"),
+    }
+    channel.send(&HttpMsg::InvalAck {
+        url: url(5),
+        client: carol,
+        cache_hits: 0,
+    });
+    // Acked, it is not pushed a second time.
+    let mut again = Wire::connect(parent.addr());
+    again.send(&hello);
+    child.send(&get(2, 5, carol, SimTime::from_secs(61)));
+    assert_eq!(child.recv_200(), (2, SimTime::from_secs(60)));
+    again.assert_quiet();
+}

@@ -14,6 +14,9 @@
 //! wcc fuzz    [--iters N] [--seed N] [--shrink] [--inject-stale]
 //!             [--repro PATH] [--jobs N]             # scenario fuzzer
 //! wcc serve   [--role pair|origin|proxy] [...]      # reactor-served daemon
+//! wcc bench list                                    # the paper tables, by name
+//! wcc bench <table> [--scale N] [--jobs N]          # regenerate one of them
+//! wcc bench trajectory [--scale N] [--jobs N] [--out PATH] [--check BASELINE]
 //! wcc bench serve [--connections N] [...]           # keep-alive stress bench
 //!
 //! `--jobs N` (or the `WCC_JOBS` environment variable) sets the worker
@@ -21,7 +24,8 @@
 //! output is byte-identical at any job count. One replay runs on one thread.
 //!
 //! A `--flag` a subcommand does not know is an error (exit 2 with the usage
-//! text), never a silently different run.
+//! text), never a silently different run; so is a `wcc bench` name that is
+//! no table, or a malformed value for one of its flags.
 //!
 //! `--inval-batch N` turns on the batched invalidation proposer with a
 //! count threshold of `N` entries (age and byte thresholds at their
@@ -41,6 +45,8 @@
 use std::net::SocketAddr;
 use std::process::ExitCode;
 use webcache::bench::serve::{self as serve_bench, ServeBenchConfig};
+use webcache::bench::tables::TABLES;
+use webcache::bench::trajectory;
 use webcache::core::{AdaptiveLeaseConfig, ProtocolConfig, ProtocolKind};
 use webcache::fuzz::{fuzz, FuzzConfig};
 use webcache::httpsim::{CacheSharing, Deployment, DeploymentOptions, InvalSendMode, Topology};
@@ -90,8 +96,17 @@ impl Args {
             .and_then(|(_, v)| v.as_deref())
     }
 
-    fn num(&self, name: &str, default: u64) -> Result<u64, String> {
+    /// [`Args::value`] for a flag that means nothing without one: `--name`
+    /// with no value after it is an error, not an absent flag.
+    fn required_value(&self, name: &str) -> Result<Option<&str>, String> {
         match self.value(name) {
+            None if self.flag(name) => Err(format!("--{name} expects a value")),
+            value => Ok(value),
+        }
+    }
+
+    fn num(&self, name: &str, default: u64) -> Result<u64, String> {
+        match self.required_value(name)? {
             None => Ok(default),
             Some(v) => v
                 .parse()
@@ -100,13 +115,28 @@ impl Args {
     }
 }
 
-fn usage() -> &'static str {
-    "usage:\n  wcc replay  --trace NAME --protocol NAME [--lifetime-days N] [--scale N]\n              [--seed N] [--wan] [--decoupled] [--hierarchy] [--shared]\n              [--lease-days N] [--volume-mins N] [--adaptive-lease]\n              [--cache-mib N] [--audit] [--inval-batch N] [--trace-out PATH]\n              [--metrics]\n  wcc replay  --family NAME [--protocol NAME] [--scale N] [--seed N]\n              [--audit]     # families: zipf-federation, flash-crowd,\n              breaking-news, real-time-feed, archival-scan\n  wcc trio    --trace NAME [--scale N] [--seed N] [--jobs N]\n  wcc compare --trace NAME --protocols a,b,c [--scale N] [--seed N] [--jobs N]\n  wcc trace   PATH\n  wcc summary [--scale N] [--seed N]\n  wcc clf     PATH [--protocol NAME]\n  wcc fuzz    [--iters N] [--seed N] [--shrink] [--inject-stale] [--repro PATH]\n              [--jobs N]\n  wcc serve   [--role pair|origin|proxy] [--origin ADDR] [--port N] [--docs N]\n              [--doc-scale N] [--protocol NAME] [--cache-mib N]\n              [--port-file PATH] [--state-file PATH] [--config PATH]\n              [--self-check]        # SIGHUP reloads --config; SIGTERM drains\n  wcc bench serve [--connections N] [--requests N] [--docs N] [--protocol NAME]\n              [--soak-secs N] [--restart] [--in-process] [--out PATH]\n  wcc protocols"
+/// Why a command did not succeed. `Usage` is the caller's mistake, found
+/// before anything ran (exit 2, nothing on stdout); `Run` is the run's own
+/// failure (exit 1).
+enum Failure {
+    Usage(String),
+    Run(String),
 }
 
-/// The `--flags` each subcommand reads; `main` rejects any other. `None` for
-/// an unknown command (which gets the usage text on its own).
-fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
+impl From<String> for Failure {
+    fn from(message: String) -> Failure {
+        Failure::Run(message)
+    }
+}
+
+fn usage() -> &'static str {
+    "usage:\n  wcc replay  --trace NAME --protocol NAME [--lifetime-days N] [--scale N]\n              [--seed N] [--wan] [--decoupled] [--hierarchy] [--shared]\n              [--lease-days N] [--volume-mins N] [--adaptive-lease]\n              [--cache-mib N] [--audit] [--inval-batch N] [--trace-out PATH]\n              [--metrics]\n  wcc replay  --family NAME [--protocol NAME] [--scale N] [--seed N]\n              [--audit]     # families: zipf-federation, flash-crowd,\n              breaking-news, real-time-feed, archival-scan\n  wcc trio    --trace NAME [--scale N] [--seed N] [--jobs N]\n  wcc compare --trace NAME --protocols a,b,c [--scale N] [--seed N] [--jobs N]\n  wcc trace   PATH\n  wcc summary [--scale N] [--seed N]\n  wcc clf     PATH [--protocol NAME]\n  wcc fuzz    [--iters N] [--seed N] [--shrink] [--inject-stale] [--repro PATH]\n              [--jobs N]\n  wcc serve   [--role pair|origin|proxy] [--origin ADDR] [--port N] [--docs N]\n              [--doc-scale N] [--protocol NAME] [--cache-mib N]\n              [--port-file PATH] [--state-file PATH] [--config PATH]\n              [--self-check]        # SIGHUP reloads --config; SIGTERM drains\n  wcc bench list        # the paper tables (results/<name>.txt), by name\n  wcc bench NAME [--scale N] [--jobs N]\n  wcc bench trajectory [--scale N] [--jobs N] [--out PATH] [--check BASELINE]\n  wcc bench serve [--connections N] [--requests N] [--docs N] [--protocol NAME]\n              [--soak-secs N] [--restart] [--in-process] [--out PATH]\n  wcc protocols"
+}
+
+/// The `--flags` each subcommand reads; `run` rejects any other. `bench` is
+/// three commands told apart by `sub`, its second word. `None` for an
+/// unknown command (which gets the usage text on its own).
+fn accepted_flags(command: &str, sub: Option<&str>) -> Option<&'static [&'static str]> {
     Some(match command {
         "replay" => &[
             "trace",
@@ -149,19 +179,24 @@ fn accepted_flags(command: &str) -> Option<&'static [&'static str]> {
             "config",
             "self-check",
         ],
-        "bench" => &[
-            "connections",
-            "requests",
-            "docs",
-            "protocol",
-            "lease-days",
-            "volume-mins",
-            "adaptive-lease",
-            "soak-secs",
-            "restart",
-            "in-process",
-            "out",
-        ],
+        "bench" => match sub {
+            Some("serve") => &[
+                "connections",
+                "requests",
+                "docs",
+                "protocol",
+                "lease-days",
+                "volume-mins",
+                "adaptive-lease",
+                "soak-secs",
+                "restart",
+                "in-process",
+                "out",
+            ],
+            Some("trajectory") => &["scale", "jobs", "out", "check"],
+            Some("list") => &[],
+            _ => &["scale", "jobs"],
+        },
         "trace" | "protocols" => &[],
         _ => return None,
     })
@@ -898,15 +933,98 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
 }
 
-fn cmd_bench(args: &Args) -> Result<(), String> {
-    match args.positional.get(1).map(String::as_str) {
-        Some("serve") => {}
-        other => {
-            return Err(format!(
-                "bench: unknown subcommand {other:?}; try `wcc bench serve`"
-            ))
+/// `wcc bench <what>`: a paper table by name, `list`, `trajectory` or
+/// `serve`. Everything that can be wrong with the command line is found
+/// before anything runs.
+fn cmd_bench(args: &Args) -> Result<(), Failure> {
+    let usage_error = |message: String| Failure::Usage(format!("wcc bench: {message}"));
+    let name = match args.positional.as_slice() {
+        [_, name] => name.as_str(),
+        _ => return Err(usage_error(format!("expects one name\n{}", usage()))),
+    };
+    let scale = || args.num("scale", 1).map_err(usage_error);
+    let jobs = || jobs_for(args).map_err(usage_error);
+    match name {
+        "serve" => cmd_bench_serve(args)?,
+        "list" => {
+            for (name, artifact, ..) in TABLES {
+                println!("{name:<22}{artifact}");
+            }
+        }
+        "trajectory" => {
+            let out = args.required_value("out").map_err(usage_error)?;
+            let check = args.required_value("check").map_err(usage_error)?;
+            cmd_bench_trajectory(scale()?.max(1), jobs()?, out, check)?;
+        }
+        _ => {
+            let Some((_, _, min_scale, table)) = TABLES.iter().find(|(n, ..)| *n == name) else {
+                let names: Vec<_> = TABLES.iter().map(|(n, ..)| *n).collect();
+                return Err(usage_error(format!(
+                    "no table {name:?}; one of {}, or trajectory, serve, list",
+                    names.join(", ")
+                )));
+            };
+            table(scale()?.max(*min_scale), jobs()?);
         }
     }
+    Ok(())
+}
+
+/// Writes or checks the bench trajectory report (`BENCH_replay.json`).
+///
+/// Default mode runs every pass of `wcc_bench::trajectory` at `scale`,
+/// prints the table of rows and writes the flat JSON report to `out`
+/// (default `BENCH_replay.json`, i.e. the repo root when run from there).
+///
+/// With `check` the run is instead judged against the committed report at
+/// that path: the scale is taken from the baseline, every Exact row must
+/// equal it, and no row may be missing on either side. The fresh report is
+/// written only when `out` is given.
+///
+/// Either way the command fails when any row says FAIL — a Holds predicate
+/// (byte identity, proposer cut, decode copies) is judged with or without a
+/// baseline.
+fn cmd_bench_trajectory(
+    scale: u64,
+    jobs: Option<usize>,
+    out: Option<&str>,
+    check: Option<&str>,
+) -> Result<(), String> {
+    let baseline = check
+        .map(|path| {
+            std::fs::read_to_string(path)
+                .map_err(|e| e.to_string())
+                .and_then(|text| trajectory::read_flat(&text))
+                .map_err(|e| format!("trajectory: cannot read baseline {path}: {e}"))
+        })
+        .transpose()?;
+    let scale = match &baseline {
+        None => scale,
+        Some(rows) => match rows.iter().find(|(key, _)| key == "scale") {
+            Some((_, trajectory::Value::Int(scale))) => *scale,
+            _ => return Err("trajectory: the baseline carries no integer \"scale\" row".into()),
+        },
+    };
+
+    eprintln!("trajectory: grid + inner loop + family + proposer at scale 1/{scale} ...");
+    let report = trajectory::run(scale, jobs);
+    let (table, passed) = report.judge(baseline.as_deref());
+    print!("{table}");
+    if let Some(out) = out.or_else(|| check.is_none().then_some("BENCH_replay.json")) {
+        std::fs::write(out, report.to_json())
+            .map_err(|e| format!("trajectory: cannot write {out}: {e}"))?;
+        println!("wrote {out}");
+    }
+    if !passed {
+        return Err("trajectory: FATAL: gate failed (see the FAIL rows)".to_string());
+    }
+    if let Some(path) = check {
+        println!("bench-regression gate against {path}: PASS");
+    }
+    Ok(())
+}
+
+fn cmd_bench_serve(args: &Args) -> Result<(), String> {
     let soak_secs = args
         .value("soak-secs")
         .map(|_| args.num("soak-secs", 0))
@@ -962,59 +1080,67 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn main() -> ExitCode {
-    let args = Args::parse(std::env::args().skip(1));
+fn run(args: &Args) -> Result<(), Failure> {
     let command = args.positional.first().map(String::as_str);
-    if let Some((command, accepted)) = command.and_then(|c| Some((c, accepted_flags(c)?))) {
+    let sub = args.positional.get(1).map(String::as_str);
+    if let Some((command, accepted)) = command.and_then(|c| Some((c, accepted_flags(c, sub)?))) {
         let mut names = args.flags.iter().map(|(name, _)| name.as_str());
         if let Some(name) = names.find(|n| !accepted.contains(n)) {
-            eprintln!("wcc {command}: unknown flag --{name}\n{}", usage());
-            return ExitCode::from(2);
+            return Err(Failure::Usage(format!(
+                "wcc {command}: unknown flag --{name}\n{}",
+                usage()
+            )));
         }
     }
-    let result = match command {
-        Some("replay") => cmd_replay(&args),
-        Some("trio") => cmd_trio(&args),
-        Some("compare") => cmd_compare(&args),
-        Some("trace") => cmd_trace(&args),
-        Some("summary") => cmd_summary(&args),
-        Some("clf") => cmd_clf(&args),
-        Some("fuzz") => cmd_fuzz(&args),
-        Some("serve") => cmd_serve(&args),
-        Some("bench") => cmd_bench(&args),
+    match command {
+        Some("replay") => cmd_replay(args)?,
+        Some("trio") => cmd_trio(args)?,
+        Some("compare") => cmd_compare(args)?,
+        Some("trace") => cmd_trace(args)?,
+        Some("summary") => cmd_summary(args)?,
+        Some("clf") => cmd_clf(args)?,
+        Some("fuzz") => cmd_fuzz(args)?,
+        Some("serve") => cmd_serve(args)?,
+        Some("bench") => cmd_bench(args)?,
         Some("protocols") => {
             for kind in ProtocolKind::ALL {
                 let strength = if kind.is_strong() { "strong" } else { "weak" };
                 println!("{:<20} {strength}", kind.name());
             }
-            Ok(())
         }
-        _ => Err(usage().to_string()),
-    };
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
-            eprintln!("{msg}");
-            ExitCode::FAILURE
-        }
+        _ => return Err(Failure::Run(usage().to_string())),
     }
+    Ok(())
+}
+
+fn main() -> ExitCode {
+    let (message, code) = match run(&Args::parse(std::env::args().skip(1))) {
+        Ok(()) => return ExitCode::SUCCESS,
+        Err(Failure::Usage(message)) => (message, ExitCode::from(2)),
+        Err(Failure::Run(message)) => (message, ExitCode::FAILURE),
+    };
+    eprintln!("{message}");
+    code
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    /// `(subcommand, --flag)` for every flag the usage text shows.
-    fn flags_in_usage() -> Vec<(String, String)> {
+    /// `(subcommand, its second word, --flag)` for every flag the usage
+    /// text shows.
+    fn flags_in_usage() -> Vec<(String, String, String)> {
         let mut out = Vec::new();
-        let mut command = String::new();
+        let (mut command, mut sub) = (String::new(), String::new());
         for line in usage().lines().skip(1) {
             if let Some(rest) = line.strip_prefix("  wcc ") {
-                command = rest.split_whitespace().next().unwrap_or("").to_string();
+                let mut words = rest.split_whitespace().map(str::to_string);
+                command = words.next().unwrap_or_default();
+                sub = words.next().unwrap_or_default();
             }
             let words = line.split(|c: char| !(c.is_ascii_lowercase() || c == '-'));
             for flag in words.filter_map(|w| w.strip_prefix("--")) {
-                out.push((command.clone(), flag.to_string()));
+                out.push((command.clone(), sub.clone(), flag.to_string()));
             }
         }
         out
@@ -1024,11 +1150,14 @@ mod tests {
     fn every_flag_in_usage_is_accepted_and_removed_ones_are_not() {
         let shown = flags_in_usage();
         assert!(shown.len() > 50, "usage parsed: {shown:?}");
-        for (command, flag) in &shown {
-            let accepted = accepted_flags(command).expect("usage names real commands");
-            assert!(accepted.contains(&flag.as_str()), "{command} --{flag}");
-            assert!(!accepted.contains(&"shards"), "{command}");
+        for (command, sub, flag) in &shown {
+            let accepted = accepted_flags(command, Some(sub)).expect("usage names real commands");
+            assert!(
+                accepted.contains(&flag.as_str()),
+                "{command} {sub} --{flag}"
+            );
+            assert!(!accepted.contains(&"shards"), "{command} {sub}");
         }
-        assert_eq!(accepted_flags("no-such-command"), None);
+        assert_eq!(accepted_flags("no-such-command", None), None);
     }
 }

@@ -1,7 +1,9 @@
 //! `wcc` rejects a `--flag` its subcommand does not read: exit 2 and the
 //! usage text, instead of a run that silently ignored it. (`--shards` was
 //! such a flag until the second engine went; a stale script must not keep
-//! "passing" while checking nothing.)
+//! "passing" while checking nothing.) `wcc bench <table>` holds the paper
+//! tables to the same rule, where the binaries it replaced ran at full scale
+//! on a typo.
 
 use std::process::Command;
 
@@ -31,4 +33,42 @@ fn unknown_flags_exit_2_with_usage_and_known_ones_still_run() {
         .expect("wcc spawns");
     assert!(run.status.success());
     assert!(String::from_utf8_lossy(&run.stdout).contains("audit:"));
+}
+
+#[test]
+fn bench_rejects_what_the_table_binaries_swallowed() {
+    let bench = |args: &[&str]| {
+        Command::new(WCC)
+            .arg("bench")
+            .args(args)
+            .output()
+            .expect("wcc spawns")
+    };
+    for (args, complaint) in [
+        (&["table2", "--sclae", "20"][..], "unknown flag --sclae"),
+        (&["table2", "--scale", "x"][..], "--scale expects a number"),
+        (&["table2", "--scale"][..], "--scale expects a value"),
+        (&["trajectory", "--check"][..], "--check expects a value"),
+        (&["nosuch"][..], "no table \"nosuch\""),
+    ] {
+        let run = bench(args);
+        assert_eq!(run.status.code(), Some(2), "{args:?}");
+        assert!(run.stdout.is_empty(), "{args:?} still printed a table");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        assert!(stderr.contains(complaint), "{args:?}: {stderr}");
+    }
+    // The unknown name is answered with every valid one: `bench list`'s.
+    let listed = bench(&["list"]);
+    let names = String::from_utf8_lossy(&listed.stdout);
+    let stderr = bench(&["nosuch"]).stderr;
+    let stderr = String::from_utf8_lossy(&stderr);
+    assert_eq!(names.lines().count(), 19);
+    for name in names.lines().filter_map(|l| l.split_whitespace().next()) {
+        assert!(stderr.contains(name), "{name} missing from: {stderr}");
+    }
+
+    let run = bench(&["table2", "--scale", "400"]);
+    assert!(run.status.success());
+    let table = String::from_utf8_lossy(&run.stdout);
+    assert!(table.starts_with("=== Table 2: summary of the traces (seed 1997, scale 1/400) ==="));
 }

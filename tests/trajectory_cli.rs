@@ -1,21 +1,21 @@
-//! The `trajectory` binary end to end, pinned to one core.
+//! `wcc bench trajectory` end to end, pinned to one core.
 //!
 //! No gated row depends on the host's core count, so a report written on
-//! one core must pass its own check there; and a flag the binary no longer
+//! one core must pass its own check there; and a flag the command no longer
 //! has is an error, not a silently different run.
 
 use std::process::Command;
 
-use wcc_bench::trajectory::{read_flat, Value, SCHEMA};
+use webcache::bench::trajectory::{read_flat, Value, SCHEMA};
 
-const TRAJECTORY: &str = env!("CARGO_BIN_EXE_trajectory");
+const WCC: &str = env!("CARGO_BIN_EXE_wcc");
 
 #[test]
 fn one_core_host_passes_its_own_check() {
     let out = concat!(env!("CARGO_TARGET_TMPDIR"), "/trajectory-one-core.json");
     let pinned = |args: &[&str]| {
         Command::new("taskset")
-            .args(["-c", "0", TRAJECTORY])
+            .args(["-c", "0", WCC, "bench", "trajectory"])
             .args(args)
             .output()
     };
@@ -70,11 +70,12 @@ fn one_core_host_passes_its_own_check() {
 #[test]
 fn removed_flags_are_rejected() {
     for flag in ["--shards", "--tolerance"] {
-        let run = Command::new(TRAJECTORY)
-            .args([flag, "2"])
+        let run = Command::new(WCC)
+            .args(["bench", "trajectory", flag, "2"])
             .output()
-            .expect("trajectory spawns");
-        assert!(!run.status.success(), "{flag} accepted");
-        assert!(String::from_utf8_lossy(&run.stderr).contains("bad argument"));
+            .expect("wcc spawns");
+        assert_eq!(run.status.code(), Some(2), "{flag} accepted");
+        assert!(run.stdout.is_empty(), "{flag} still ran");
+        assert!(String::from_utf8_lossy(&run.stderr).contains(&format!("unknown flag {flag}")));
     }
 }

@@ -4,14 +4,14 @@
 #
 # This mirrors the CI matrix (.github/workflows/ci.yml) in one process:
 #   lint job  -> rustfmt --check, clippy -D warnings, xtask-lint
-#   test job  -> release build + root and workspace test suites + the 18
+#   test job  -> release build + root and workspace test suites + the 19
 #                results/*.txt tables regenerated and compared
 #                (CI also repeats the test job on beta)
 #   serve job -> `wcc serve --self-check` + a reduced `wcc bench serve`
 #                (CI runs 1000 connections and gates the JSON report)
 #   benchmark job -> the benchmark/ package (its own workspace): its test
 #                suite plus a 2 s smoke of all four workloads
-#   bench job -> `trajectory --check BENCH_replay.json`: every gated row
+#   bench job -> `wcc bench trajectory --check BENCH_replay.json`: every gated row
 #                comes off the simulation clock, so the same gate binds here
 #                and in CI (wall times are printed, never compared)
 set -eu
@@ -34,8 +34,8 @@ echo "==> cargo test --workspace -q"
 cargo test --workspace -q
 
 echo "==> results/*.txt byte-identical (ci/check-results.sh)"
-# The 18 committed tables against what their binaries print now (full
-# scale, default arguments; a few seconds).
+# The 19 committed tables against what `wcc bench <name>` prints now (full
+# scale, default arguments; ~8 s).
 ci/check-results.sh
 
 echo "==> xtask-lint"
@@ -89,9 +89,8 @@ timeout 120 ./target/release/wcc bench serve --connections 64 --requests 8 --in-
 echo "==> bench trajectory (regression gate)"
 # Re-runs every pass at the committed report's scale: Exact rows must equal
 # BENCH_replay.json, Holds rows (byte identity, proposer cut, decode copies)
-# must be true. (`cargo build --release` above builds the root package only,
-# so the trajectory binary is built here.)
-cargo run --release --quiet -p wcc-bench --bin trajectory -- --check BENCH_replay.json
+# must be true.
+./target/release/wcc bench trajectory --check BENCH_replay.json
 
 echo "==> benchmark package (tests + 2 s smoke)"
 # benchmark/ is a workspace of its own: nothing above compiles it, so an
