@@ -1,19 +1,21 @@
-//! The origin-side write path (§3–§5) as a sans-IO state machine, written
-//! once for the simulator's `OriginNode` and the daemon's `OriginRole`.
+//! The invalidation write path (§3–§5) as a sans-IO state machine, written
+//! once for every node with caches below it: the simulator's `OriginNode`
+//! and `ParentNode`, the daemon's `OriginRole` and `ParentRole`.
 //!
-//! [`OriginCore`] owns what the accelerator decides with — site lists and
-//! pending set ([`ServerConsistency`]), document sizes and versions, the
-//! batched [`Proposer`], the §7 [`HitMeter`], the retry budgets, the §5 set
-//! of sites that owe a bulk acknowledgement, the write-completion clock, the
-//! counters, the [`AuditEvent`] log — and no I/O. Every entry point takes
-//! `now` from its driver and appends what must happen next to a caller-owned
-//! list of [`OriginOut`]: frames to push to a *site* (a partition index: the
-//! proxy hosting the clients `c` with `c.partition(sites) == site`) and
-//! timers to arm, handed back through [`OriginCore::on_timer`] when due. The
-//! driver maps sites to links, sends, charges and keeps the clock. Nothing
-//! else outside the parents' child-facing half calls `ServerConsistency`'s
-//! `on_get` / `on_modify` / `on_inval_ack` / `expire_pending` /
-//! `on_server_recover` (lint rule `origin-bypass`).
+//! [`WritePath`] owns what such a node decides with — site lists and pending
+//! set ([`ServerConsistency`]), the batched [`Proposer`], the retry budgets,
+//! the §5 set of sites that owe a bulk acknowledgement, the write-completion
+//! clock, the counters, the [`AuditEvent`] log — and no I/O. [`OriginCore`]
+//! is a write path plus what only the origin has: the documents, their
+//! versions and the §7 [`HitMeter`]; a parent (§2's hierarchy) grants from
+//! the copy it caches instead. Every entry point takes `now` from its driver
+//! and appends what must happen next to a caller-owned list of
+//! [`OriginOut`]: frames to push to a *site* (a partition index: the proxy
+//! hosting the clients `c` with `c.partition(sites) == site`) and timers to
+//! arm, handed back through [`WritePath::on_timer`] when due. The driver maps
+//! sites to links, sends, charges and keeps the clock. Nothing outside this
+//! file calls `ServerConsistency`'s `on_get` / `on_modify` / `on_inval_ack` /
+//! `expire_pending` / `on_server_recover` (lint rule `origin-bypass`).
 
 use crate::meter::HitMeter;
 use crate::proposer::Proposer;
@@ -30,7 +32,7 @@ use wcc_types::{
 /// many times before the unreachable sites are given up on.
 pub const MAX_RETRIES: u32 = 20;
 
-/// A timer the core asked for; handed back to [`OriginCore::on_timer`].
+/// A timer the core asked for; handed back to [`WritePath::on_timer`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum OriginTimer {
     /// Re-send this document's unacknowledged invalidations.
@@ -67,7 +69,7 @@ pub enum OriginOut {
         /// The partition to void.
         site: u32,
     },
-    /// Call [`OriginCore::on_timer`] with `timer` once `after` has passed.
+    /// Call [`WritePath::on_timer`] with `timer` once `after` has passed.
     Arm {
         /// The delay from `now`.
         after: SimDuration,
@@ -76,8 +78,8 @@ pub enum OriginOut {
     },
 }
 
-/// The origin's counters: one struct for both drivers (the simulator's
-/// report rows and the daemon's `OriginSnapshot` / `/metrics`).
+/// The write path's counters and the origin's: one struct for every driver
+/// (the simulator's report rows, the daemon's `OriginSnapshot` / `/metrics`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct OriginCounters {
     /// Plain `GET`s served.
@@ -106,7 +108,7 @@ pub struct OriginCounters {
     pub notifies: u64,
     /// Copies (or, for a bulk, sites) abandoned after the retry budget.
     pub gave_up: u64,
-    /// Filled by [`OriginCore::snapshot`]: enqueued invalidations the
+    /// Filled by [`WritePath::snapshot`]: enqueued invalidations the
     /// proposer absorbed because their `(url, client)` was already queued.
     pub coalesced_invalidations: u64,
     /// Filled by [`OriginCore::snapshot`]: §7 requests answered directly.
@@ -114,25 +116,20 @@ pub struct OriginCounters {
     /// Filled by [`OriginCore::snapshot`]: §7 cache hits reported on
     /// `GET`s and acknowledgements.
     pub metered_reported: u64,
-    /// Filled by [`OriginCore::snapshot`]: every invalidation acknowledged.
+    /// Filled by [`WritePath::snapshot`]: every invalidation acknowledged.
     pub writes_complete: bool,
-    /// Filled by [`OriginCore::snapshot`]: site-list statistics.
+    /// Filled by [`WritePath::snapshot`]: site-list statistics.
     pub sitelist: SiteListStats,
 }
 
-/// The accelerator's protocol state and write path. See the module docs.
+/// The write path of a node with caches below it. See the module docs.
 #[derive(Debug)]
-pub struct OriginCore {
-    server: ServerId,
+pub struct WritePath {
     consistency: ServerConsistency,
-    doc_sizes: Vec<ByteSize>,
-    /// Current last-modified (trace) time per document.
-    versions: Vec<SimTime>,
     doc_scale: u64,
     /// How many partitions the clients are sharded over.
     sites: u32,
     proposer: Option<Proposer>,
-    meter: HitMeter,
     counters: OriginCounters,
     retry_interval: SimDuration,
     max_retries: u32,
@@ -143,8 +140,9 @@ pub struct OriginCore {
     /// that voids stale freshness promises.
     recovery_unacked: Vec<u32>,
     recovery_attempts: u32,
-    /// `Some` after a restart that lost the ever-seen list too: the sites
-    /// whose bulk was acknowledged. Any other site gets it on registering.
+    /// `Some` once a bulk went out to sites this node cannot list (a restart
+    /// that lost the ever-seen list, a bulk relayed down a hierarchy): the
+    /// sites that acknowledged it. Any other site gets it on registering.
     recovery_acked: Option<Vec<u32>>,
     /// Trace-time end of the coordinator window in progress; what volume
     /// leases are expired against (`ZERO`, the daemon's: never).
@@ -155,26 +153,21 @@ pub struct OriginCore {
     audit: Option<Vec<AuditEvent>>,
 }
 
-impl OriginCore {
-    /// An origin serving `doc_sizes` under `consistency`, one site, nothing
-    /// cached anywhere. `inval_batch` turns the batched proposer on.
+impl WritePath {
+    /// A write path under `consistency`: one site, nothing cached anywhere,
+    /// bodies cut by `doc_scale`. `inval_batch` turns the batched proposer on.
     pub fn new(
         consistency: ServerConsistency,
-        doc_sizes: Vec<ByteSize>,
         doc_scale: u64,
         retry_interval: SimDuration,
         max_retries: u32,
         inval_batch: Option<InvalBatchConfig>,
     ) -> Self {
-        OriginCore {
-            server: consistency.server(),
+        WritePath {
             consistency,
-            versions: vec![SimTime::ZERO; doc_sizes.len()],
-            doc_sizes,
             doc_scale,
             sites: 1,
             proposer: inval_batch.map(Proposer::new),
-            meter: HitMeter::new(),
             counters: OriginCounters::default(),
             retry_interval,
             max_retries,
@@ -188,9 +181,9 @@ impl OriginCore {
         }
     }
 
-    /// The server this origin is.
+    /// The server whose documents this path invalidates.
     pub fn server(&self) -> ServerId {
-        self.server
+        self.consistency.server()
     }
 
     /// The server-side protocol state (site lists, pending invalidations).
@@ -203,28 +196,14 @@ impl OriginCore {
         self.proposer.as_ref()
     }
 
-    /// The counters, with what is derived (meter, site lists, …) filled in.
+    /// The counters, with what is derived (site lists, …) filled in.
     pub fn snapshot(&self) -> OriginCounters {
         OriginCounters {
             coalesced_invalidations: self.proposer.as_ref().map_or(0, |p| p.stats().coalesced),
-            metered_served: self.meter.served(),
-            metered_reported: self.meter.reported(),
             writes_complete: self.consistency.writes_complete(),
             sitelist: self.consistency.table().stats(),
             ..self.counters.clone()
         }
-    }
-
-    /// Current last-modified time of `url`, if this origin has it.
-    pub fn version(&self, url: Url) -> Option<SimTime> {
-        self.meta(url).map(DocMeta::last_modified)
-    }
-
-    fn meta(&self, url: Url) -> Option<DocMeta> {
-        let doc = url.doc() as usize;
-        let ours = url.server() == self.server;
-        let size = self.doc_sizes.get(doc).filter(|_| ours)?;
-        Some(DocMeta::new(*size, *self.versions.get(doc)?))
     }
 
     /// Swaps the payload scale factor of the bodies served from here on.
@@ -253,26 +232,22 @@ impl OriginCore {
         }
     }
 
-    /// Whether §5 recovery has finished: no bulk is unacknowledged and,
-    /// after a restart without the ever-seen list, some site acknowledged.
+    /// Whether §5 recovery has finished: no bulk is unacknowledged and, if
+    /// one went to sites this node cannot list, some site acknowledged.
     pub fn recovery_complete(&self) -> bool {
         let acked = |sites: &Vec<u32>| !sites.is_empty();
         self.recovery_unacked.is_empty() && self.recovery_acked.as_ref().is_none_or(acked)
     }
 
-    /// Serves one `GET`: counters, §7 metering, the grant. Returns the reply
-    /// and whether the grant cost a write to the persistent ever-seen list;
-    /// `None` for a document this origin does not have (ids come off the
-    /// wire).
-    pub fn serve(&mut self, get: &GetRequest, now: SimTime) -> Option<(Reply, bool)> {
-        let meta = self.meta(get.url)?;
+    /// Answers one `GET` for a document whose current version is `meta`:
+    /// counters, the site-list registration, the lease. Returns the reply
+    /// and whether the grant cost a write to the persistent ever-seen list.
+    pub fn grant(&mut self, get: &GetRequest, meta: DocMeta, now: SimTime) -> (Reply, bool) {
         if get.is_ims() {
             self.counters.ims += 1;
         } else {
             self.counters.gets += 1;
         }
-        self.meter.record_request(get.url);
-        self.meter.record_report(get.url, get.cache_hits);
         let grant = self
             .consistency
             .on_get(get.url, get.client, get.ims, meta, get.issued_at);
@@ -290,30 +265,14 @@ impl OriginCore {
             self.counters.replies_304 += 1;
         }
         let new_site = grant.new_site_disk_write;
-        Some((grant.into_reply(get, meta, self.doc_scale), new_site))
+        (grant.into_reply(get, meta, self.doc_scale), new_site)
     }
 
-    /// A check-in: `url`'s mtime advances to `at`. Returns the document's
-    /// version now, `None` for a document this origin does not have. The
-    /// driver decides when the accelerator notices ([`OriginCore::modify`]).
-    pub fn touch(&mut self, url: Url, at: SimTime, now: SimTime) -> Option<SimTime> {
-        self.meta(url)?;
-        let version = self.versions.get_mut(url.doc() as usize)?;
-        *version = (*version).max(at);
-        let version = *version;
-        self.counters.notifies += 1;
-        self.record(AuditEvent::Touch {
-            url,
-            version: at,
-            at: now,
-        });
-        Some(version)
-    }
-
-    /// The accelerator noticed `url` changed (to `version`): drains its site
-    /// list and fans the invalidation out — to the proposer's queue when
-    /// batching, per copy otherwise — together with the still-unacknowledged
-    /// leftovers of earlier fan-outs.
+    /// `url` changed (to `version`; a parent, told so from above, passes the
+    /// latest trace time it has seen): drains its site list and fans the
+    /// invalidation out — to the proposer's queue when batching, per copy
+    /// otherwise — together with the still-unacknowledged leftovers of
+    /// earlier fan-outs.
     pub fn modify(&mut self, url: Url, version: SimTime, now: SimTime, out: &mut Vec<OriginOut>) {
         let pending_before = match self.audit {
             Some(_) => self.consistency.pending_for(url),
@@ -442,18 +401,10 @@ impl OriginCore {
     }
 
     /// One invalidation acknowledgement — an `InvalAck`, or one entry of a
-    /// batch acknowledgement — with its §7 hit report. Returns how long the
-    /// write took when this was the last copy it was waiting for.
-    pub fn ack(
-        &mut self,
-        url: Url,
-        client: ClientId,
-        cache_hits: u64,
-        now: SimTime,
-    ) -> Option<SimDuration> {
-        self.meta(url)?;
+    /// batch acknowledgement. Returns how long the write took when this was
+    /// the last copy it was waiting for.
+    pub fn ack(&mut self, url: Url, client: ClientId, now: SimTime) -> Option<SimDuration> {
         self.counters.acks += 1;
-        self.meter.record_report(url, cache_hits);
         self.consistency.on_inval_ack(url, client);
         self.record(AuditEvent::InvalidateAck {
             url,
@@ -467,7 +418,7 @@ impl OriginCore {
         Some(now.saturating_since(opened))
     }
 
-    /// `site` acknowledged the recovery bulk invalidation.
+    /// `site` acknowledged the bulk invalidation.
     pub fn bulk_ack(&mut self, site: u32) {
         self.counters.acks += 1;
         let Some(at) = self.recovery_unacked.iter().position(|&s| s == site) else {
@@ -498,12 +449,12 @@ impl OriginCore {
         let dropped = self.consistency.expire_pending(self.window_end);
         if dropped > 0 {
             self.record(AuditEvent::PendingExpired {
-                server: self.server,
+                server: self.server(),
                 dropped,
                 at: now,
             });
         }
-        let url = Url::new(self.server, doc);
+        let url = Url::new(self.server(), doc);
         let pending = self.sent_pending(url, None);
         if pending.is_empty() {
             self.retry_counts.remove(&doc);
@@ -545,7 +496,7 @@ impl OriginCore {
         self.recovery_attempts += 1;
         if self.recovery_attempts > self.max_retries {
             // Accounted like an abandoned fan-out: these sites may keep
-            // serving promised-fresh copies the recovery should have voided
+            // serving promised-fresh copies the bulk should have voided
             // (a site that registers again is sent a bulk of its own).
             self.counters.gave_up += self.recovery_unacked.len() as u64;
             return self.recovery_unacked.clear();
@@ -563,7 +514,7 @@ impl OriginCore {
     }
 
     /// The process died: main-memory state — the proposer's queue, the
-    /// recovery round in progress, the open write clocks — goes with it.
+    /// bulk round in progress, the open write clocks — goes with it.
     /// Documents and the ever-seen site list are on disk and survive.
     pub fn crash(&mut self) {
         self.recovery_unacked.clear();
@@ -582,30 +533,44 @@ impl OriginCore {
         let seen = self.consistency.on_server_recover();
         // Recorded even with nobody to notify: the lists went either way.
         self.record(AuditEvent::ServerRecovered {
-            server: self.server,
+            server: self.server(),
             at: now,
         });
-        if seen.is_empty() {
-            return;
+        if !seen.is_empty() {
+            self.void_sites(out);
         }
+    }
+
+    /// Opens a bulk round to every site, on a fresh budget.
+    fn void_sites(&mut self, out: &mut Vec<OriginOut>) {
         self.recovery_unacked = (0..self.sites).collect();
         self.recovery_attempts = 0;
         self.send_bulk(out);
     }
 
-    /// The process restarted with nothing on disk, not even the ever-seen
-    /// list: every site is owed the bulk invalidation, sent when it next
-    /// registers ([`OriginCore::on_site_hello`]).
+    /// The bulk invalidation reached this node from above (a parent's
+    /// upstream recovered): every site below is sent it in turn, re-sent
+    /// until acknowledged, and a site whose channel is down gets it when it
+    /// next registers. The site lists stay: the copies they name are only
+    /// questionable, and still invalidated one by one.
+    pub fn relay_bulk(&mut self, out: &mut Vec<OriginOut>) {
+        self.recover_unknown_sites();
+        self.void_sites(out);
+    }
+
+    /// Every site is owed the bulk invalidation, sent when it next registers
+    /// ([`WritePath::on_site_hello`]): the process restarted with nothing on
+    /// disk, not even the ever-seen list.
     pub fn recover_unknown_sites(&mut self) {
         self.recovery_acked = Some(Vec::new());
     }
 
     /// `site` (one of `sites`) opened its push channel, for the first time
-    /// or again. A recovering origin that has no acknowledged bulk from it
-    /// sends one. And whatever the site still owes an acknowledgement for
-    /// is pushed again at once, on a fresh retry budget: invalidations sent
-    /// while its channel was down went nowhere, and the copies they were
-    /// for are still being served.
+    /// or again. A node that has no acknowledged bulk from it, and owes it
+    /// one, sends one. And whatever the site still owes an acknowledgement
+    /// for is pushed again at once, on a fresh retry budget: invalidations
+    /// sent while its channel was down went nowhere, and the copies they
+    /// were for are still being served.
     pub fn on_site_hello(&mut self, site: u32, sites: u32, now: SimTime, out: &mut Vec<OriginOut>) {
         self.set_sites(sites);
         let acked = self.recovery_acked.as_ref();
@@ -637,12 +602,123 @@ impl OriginCore {
         let before = self.window_end;
         let purged = self.consistency.purge_expired_leases(before);
         self.record(AuditEvent::PurgeExpired {
-            server: self.server,
+            server: self.server(),
             before,
             purged,
             at: now,
         });
         self.window_end = window_end;
+    }
+}
+
+/// The accelerator: a [`WritePath`] (which it derefs to — `modify`,
+/// `on_timer`, `recover`, … are the path's) over the documents it serves.
+#[derive(Debug)]
+pub struct OriginCore {
+    path: WritePath,
+    doc_sizes: Vec<ByteSize>,
+    /// Current last-modified (trace) time per document.
+    versions: Vec<SimTime>,
+    meter: HitMeter,
+}
+
+impl std::ops::Deref for OriginCore {
+    type Target = WritePath;
+    fn deref(&self) -> &WritePath {
+        &self.path
+    }
+}
+
+impl std::ops::DerefMut for OriginCore {
+    fn deref_mut(&mut self) -> &mut WritePath {
+        &mut self.path
+    }
+}
+
+impl OriginCore {
+    /// An origin serving `doc_sizes` under `consistency`, one site, nothing
+    /// cached anywhere. `inval_batch` turns the batched proposer on.
+    pub fn new(
+        consistency: ServerConsistency,
+        doc_sizes: Vec<ByteSize>,
+        doc_scale: u64,
+        retry_interval: SimDuration,
+        max_retries: u32,
+        inval_batch: Option<InvalBatchConfig>,
+    ) -> Self {
+        OriginCore {
+            path: WritePath::new(
+                consistency,
+                doc_scale,
+                retry_interval,
+                max_retries,
+                inval_batch,
+            ),
+            versions: vec![SimTime::ZERO; doc_sizes.len()],
+            doc_sizes,
+            meter: HitMeter::new(),
+        }
+    }
+
+    /// The counters, with what is derived (meter, site lists, …) filled in.
+    pub fn snapshot(&self) -> OriginCounters {
+        OriginCounters {
+            metered_served: self.meter.served(),
+            metered_reported: self.meter.reported(),
+            ..self.path.snapshot()
+        }
+    }
+
+    /// Current last-modified time of `url`, if this origin has it.
+    pub fn version(&self, url: Url) -> Option<SimTime> {
+        self.meta(url).map(DocMeta::last_modified)
+    }
+
+    fn meta(&self, url: Url) -> Option<DocMeta> {
+        let doc = url.doc() as usize;
+        let ours = url.server() == self.path.server();
+        let size = self.doc_sizes.get(doc).filter(|_| ours)?;
+        Some(DocMeta::new(*size, *self.versions.get(doc)?))
+    }
+
+    /// Serves one `GET`: §7 metering and the path's grant. `None` for a
+    /// document this origin does not have (ids come off the wire).
+    pub fn serve(&mut self, get: &GetRequest, now: SimTime) -> Option<(Reply, bool)> {
+        let meta = self.meta(get.url)?;
+        self.meter.record_request(get.url);
+        self.meter.record_report(get.url, get.cache_hits);
+        Some(self.path.grant(get, meta, now))
+    }
+
+    /// A check-in: `url`'s mtime advances to `at`. Returns the document's
+    /// version now, `None` for a document this origin does not have. The
+    /// driver decides when the accelerator notices ([`WritePath::modify`]).
+    pub fn touch(&mut self, url: Url, at: SimTime, now: SimTime) -> Option<SimTime> {
+        self.meta(url)?;
+        let version = self.versions.get_mut(url.doc() as usize)?;
+        *version = (*version).max(at);
+        let version = *version;
+        self.path.counters.notifies += 1;
+        self.path.record(AuditEvent::Touch {
+            url,
+            version: at,
+            at: now,
+        });
+        Some(version)
+    }
+
+    /// [`WritePath::ack`] with the acknowledgement's §7 hit report; `None`
+    /// (and nothing counted) for a document this origin does not have.
+    pub fn ack(
+        &mut self,
+        url: Url,
+        client: ClientId,
+        cache_hits: u64,
+        now: SimTime,
+    ) -> Option<SimDuration> {
+        self.meta(url)?;
+        self.meter.record_report(url, cache_hits);
+        self.path.ack(url, client, now)
     }
 }
 
@@ -818,6 +894,30 @@ mod tests {
         }
         let snap = core.snapshot();
         assert_eq!((snap.bulk_invalidations, snap.gave_up), (4, 1));
+        assert!(core.recovery_complete());
+    }
+
+    #[test]
+    fn a_bulk_from_above_is_relayed_until_acked_and_keeps_the_site_lists() {
+        let (mut core, mut out) = (origin(), Vec::new());
+        let lists = core.snapshot().sitelist;
+        core.relay_bulk(&mut out);
+        let bulk = |site| OriginOut::Bulk { site };
+        assert_eq!(out, [bulk(0), bulk(1), arm(OriginTimer::Bulk)]);
+        assert_eq!(core.snapshot().sitelist, lists, "only questionable");
+        core.bulk_ack(0);
+        // Site 1's channel was down: the round gives up on it, and it is
+        // sent the bulk when it registers — site 0, which answered, is not.
+        for _ in 0..3 {
+            core.on_timer(OriginTimer::Bulk, SimTime::ZERO, &mut out);
+        }
+        assert_eq!(core.snapshot().gave_up, 1);
+        out.clear();
+        core.on_site_hello(0, 2, SimTime::ZERO, &mut out);
+        assert!(out.is_empty());
+        core.on_site_hello(1, 2, SimTime::ZERO, &mut out);
+        assert_eq!(out, [bulk(1), arm(OriginTimer::Bulk)]);
+        core.bulk_ack(1);
         assert!(core.recovery_complete());
     }
 

@@ -70,9 +70,9 @@ pub struct ServerStats {
 ///
 /// Owns the invalidation table (per-document site lists with leases), the
 /// set of invalidations awaiting acknowledgement, and the persistent
-/// ever-seen client list used for crash recovery. Pure state: actual message
-/// transmission, timers and retries are the embedding's job (`wcc-httpsim`
-/// or `wcc-net`).
+/// ever-seen client list used for crash recovery. Pure state: the sequence
+/// of its steps, timers and retries are [`WritePath`](crate::WritePath)'s,
+/// actual message transmission its drivers' (`wcc-httpsim`, `wcc-net`).
 #[derive(Debug, Clone)]
 pub struct ServerConsistency {
     server: ServerId,

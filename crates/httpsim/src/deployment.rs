@@ -11,7 +11,7 @@ use crate::SimMsg;
 use wcc_cache::{CacheStore, ReplacementPolicy};
 use wcc_core::{
     FetchCounters, OriginCore, OriginCounters, ProtocolConfig, ProtocolKind, ProxyPolicy,
-    ServerConsistency, SiteListMemory, SiteListStats,
+    ServerConsistency, SiteListMemory, SiteListStats, WritePath,
 };
 use wcc_simnet::{FaultPlan, LinkSpec, NetworkConfig, Simulation, Summary};
 use wcc_traces::{ModSchedule, Trace};
@@ -336,15 +336,21 @@ impl Deployment {
         let parent = match options.topology {
             Topology::Hierarchy => {
                 let identity = ClientId::from_raw(0);
-                let node = sim.add_node(ParentNode::new(
+                // Per-copy relay: the proposer stays off.
+                let down = WritePath::new(
+                    ServerConsistency::new(cfg, workloads[0].0.server),
+                    options.costs.doc_scale,
+                    options.retry_interval,
+                    options.max_retries,
+                    None,
+                );
+                Some(sim.add_node(ParentNode::new(
                     identity,
                     cfg,
                     CacheStore::new(options.cache_capacity, options.replacement),
                     options.costs.clone(),
-                    options.costs.doc_scale,
-                    workloads[0].0.server,
-                ));
-                Some(node)
+                    down,
+                )))
             }
             Topology::Flat => None,
         };
@@ -375,12 +381,9 @@ impl Deployment {
             sim.node_mut::<InvalSenderNode>(s).set_proxies(downstream);
         }
         if let Some(par) = parent {
-            let routes: FxHashMap<ClientId, NodeId> = proxies
-                .iter()
-                .enumerate()
-                .map(|(i, &node)| (ClientId::from_raw(i as u32), node))
-                .collect();
-            sim.node_mut::<ParentNode>(par).wire(origin, routes);
+            // Child identity `i` is site `i` (set above: hierarchy shares).
+            sim.node_mut::<ParentNode>(par)
+                .wire(origin, proxies.clone());
         }
         let upstreams: Vec<NodeId> = match parent {
             Some(par) => vec![par],
@@ -405,6 +408,10 @@ impl Deployment {
             }
             for &p in &proxies {
                 sim.node_mut::<ProxyNode>(p).enable_audit();
+            }
+            // Its own log ([`ParentNode::down`]), not the auditor's stream.
+            if let Some(par) = parent {
+                sim.node_mut::<ParentNode>(par).down.enable_audit();
             }
         }
         if options.trace {
@@ -456,6 +463,11 @@ impl Deployment {
     /// Node ids of the proxies (for fault plans).
     pub fn proxy_ids(&self) -> &[NodeId] {
         &self.proxies
+    }
+
+    /// Node id of the hierarchy parent, if there is one (for fault plans).
+    pub fn parent_id(&self) -> Option<NodeId> {
+        self.parent
     }
 
     /// Runs the replay to completion. Returns the wall-clock duration.
@@ -542,7 +554,7 @@ impl Deployment {
             sitelist = sitelist.merged(self.origin_at(i).core().consistency().table().memory());
         }
         if let Some(parent) = self.parent() {
-            sitelist = sitelist.merged(parent.children_state().table().memory());
+            sitelist = sitelist.merged(parent.down().consistency().table().memory());
         }
         DeploymentMemory {
             records: self.records_total,
@@ -774,9 +786,9 @@ impl Deployment {
         };
 
         let parent_summary = self.parent().map(|p| ParentSummary {
-            counters: *p.counters(),
+            counters: p.counters(),
             fetch: p.core().counters(),
-            child_sitelist: p.children_state().table().stats(),
+            child_sitelist: p.down().snapshot().sitelist,
             cache_entries: p.core().cache().len() as u64,
         });
         // Wire INVALIDATE traffic: per-copy sends, with every batched

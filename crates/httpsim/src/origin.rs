@@ -27,6 +27,24 @@ const BULK_RETRY_TOKEN: u64 = u64::MAX;
 /// outside the `u32` document-index range.
 const BATCH_FLUSH_TOKEN: u64 = u64::MAX - 1;
 
+/// The `ctx.set_timer` token of a timer a write path armed.
+pub(crate) fn timer_token(timer: OriginTimer) -> u64 {
+    match timer {
+        OriginTimer::Retry(doc) => u64::from(doc),
+        OriginTimer::Flush => BATCH_FLUSH_TOKEN,
+        OriginTimer::Bulk => BULK_RETRY_TOKEN,
+    }
+}
+
+/// The timer behind a token of [`timer_token`].
+pub(crate) fn token_timer(token: u64) -> OriginTimer {
+    match token {
+        BULK_RETRY_TOKEN => OriginTimer::Bulk,
+        BATCH_FLUSH_TOKEN => OriginTimer::Flush,
+        doc => OriginTimer::Retry(doc as u32),
+    }
+}
+
 /// A tiny LRU of documents held in the accelerator's main-memory cache
 /// (its original purpose: "keeping a main memory cache of URL documents").
 #[derive(Debug)]
@@ -190,12 +208,7 @@ impl OriginNode {
                         let sender = self.sender.expect("decoupled mode requires a sender node");
                         ctx.send(sender, SimMsg::Dispatch { url, clients }, ByteSize::ZERO);
                     }
-                    let token = match timer {
-                        OriginTimer::Retry(doc) => u64::from(doc),
-                        OriginTimer::Flush => BATCH_FLUSH_TOKEN,
-                        OriginTimer::Bulk => BULK_RETRY_TOKEN,
-                    };
-                    ctx.set_timer(after, token);
+                    ctx.set_timer(after, timer_token(timer));
                     continue;
                 }
                 OriginOut::Bulk { site } => {
@@ -381,12 +394,8 @@ impl Node<SimMsg> for OriginNode {
     }
 
     fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, SimMsg>) {
-        let timer = match token {
-            BULK_RETRY_TOKEN => OriginTimer::Bulk,
-            BATCH_FLUSH_TOKEN => OriginTimer::Flush,
-            doc => OriginTimer::Retry(doc as u32),
-        };
-        self.core.on_timer(timer, ctx.now(), &mut self.out);
+        self.core
+            .on_timer(token_timer(token), ctx.now(), &mut self.out);
         self.emit(ctx);
     }
 

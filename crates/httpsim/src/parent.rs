@@ -9,17 +9,19 @@
 //! fans out down the tree instead of across every client site.
 //!
 //! The parent is both halves of the protocol at once: a [`ProxyCore`]
-//! (policy, cache, flights) towards the origin, and a
-//! [`ServerConsistency`] (site lists, leases, pending acks) towards its
-//! children — the same state machines as everywhere else in the workspace.
+//! (policy, cache, flights) towards the origin, and a [`WritePath`] (site
+//! lists, leases, fan-out, acks, retry) towards its children — the state
+//! machines the proxies and the origin drive, with this node's charges,
+//! routing and timers around them.
 
 use crate::cost::CostModel;
+use crate::origin::{timer_token, token_timer};
 use crate::SimMsg;
 use wcc_cache::CacheStore;
-use wcc_core::{Begin, Complete, ProtocolConfig, ProxyCore, ProxyPolicy, ServerConsistency};
-use wcc_proto::{GetRequest, HttpMsg, Message, Reply};
+use wcc_core::{Begin, Complete, OriginOut, ProtocolConfig, ProxyCore, ProxyPolicy, WritePath};
+use wcc_proto::{GetRequest, HttpMsg, Message, Reply, ReplyStatus};
 use wcc_simnet::{Ctx, Node};
-use wcc_types::{ByteSize, ClientId, DocMeta, FxHashMap, NodeId, SimTime, Url};
+use wcc_types::{ByteSize, ClientId, DocMeta, NodeId, SimTime, Url};
 
 /// What the parent counts beside its fetch core's
 /// [`FetchCounters`](wcc_core::FetchCounters) ([`ParentNode::core`]).
@@ -29,7 +31,7 @@ pub struct ParentCounters {
     pub child_requests: u64,
     /// Of those, served from the parent cache without contacting the origin.
     pub parent_hits: u64,
-    /// `INVALIDATE`s relayed to children.
+    /// `INVALIDATE`s relayed to children, re-sends included.
     pub invalidations_relayed: u64,
     /// Bytes sent by the parent (up + down).
     pub bytes_sent: ByteSize,
@@ -44,17 +46,19 @@ pub struct ParentNode {
     /// Origin-facing protocol half; each flight is waited for by a child
     /// node and the `GET` it sent.
     core: ProxyCore<(NodeId, GetRequest)>,
-    /// Child-facing protocol half: per-document lists of child sites.
-    children_state: ServerConsistency,
-    /// Child identity → child node, for invalidation routing.
-    child_routes: FxHashMap<ClientId, NodeId>,
+    /// Child-facing protocol half: the children's site lists and the
+    /// relays they have yet to acknowledge.
+    pub(crate) down: WritePath,
+    /// What `down` last asked for; drained by [`Self::emit`] and reused.
+    out: Vec<OriginOut>,
+    /// Child node of each site (child identity `i` is site `i`).
+    children: Vec<NodeId>,
     origin: NodeId,
     costs: CostModel,
-    doc_scale: u64,
     /// Latest trace time observed (used for child-lease decisions on
     /// invalidation relays, which carry no timestamp).
     trace_now: SimTime,
-    pub(crate) counters: ParentCounters,
+    counters: ParentCounters,
 }
 
 impl ParentNode {
@@ -63,30 +67,33 @@ impl ParentNode {
         cfg: &ProtocolConfig,
         cache: CacheStore,
         costs: CostModel,
-        doc_scale: u64,
-        server: wcc_types::ServerId,
+        down: WritePath,
     ) -> Self {
         ParentNode {
             identity,
             core: ProxyCore::new(ProxyPolicy::new(cfg), cache),
-            children_state: ServerConsistency::new(cfg, server),
-            child_routes: FxHashMap::default(),
+            down,
+            out: Vec::new(),
+            children: Vec::new(),
             origin: NodeId::new(0),
             costs,
-            doc_scale,
             trace_now: SimTime::ZERO,
             counters: ParentCounters::default(),
         }
     }
 
-    pub(crate) fn wire(&mut self, origin: NodeId, routes: FxHashMap<ClientId, NodeId>) {
+    pub(crate) fn wire(&mut self, origin: NodeId, children: Vec<NodeId>) {
         self.origin = origin;
-        self.child_routes = routes;
+        self.down.set_sites(children.len() as u32);
+        self.children = children;
     }
 
     /// The counters the fetch core does not keep.
-    pub fn counters(&self) -> &ParentCounters {
-        &self.counters
+    pub fn counters(&self) -> ParentCounters {
+        ParentCounters {
+            invalidations_relayed: self.down.snapshot().invalidations,
+            ..self.counters
+        }
     }
 
     /// The origin-facing fetch core: the parent's cache and policy, and the
@@ -95,9 +102,9 @@ impl ParentNode {
         &self.core
     }
 
-    /// The child-facing protocol state (site lists towards children).
-    pub fn children_state(&self) -> &ServerConsistency {
-        &self.children_state
+    /// The child-facing write path (site lists towards children, relays).
+    pub fn down(&self) -> &WritePath {
+        &self.down
     }
 
     fn send(&mut self, to: NodeId, msg: HttpMsg, ctx: &mut Ctx<'_, SimMsg>) {
@@ -115,16 +122,39 @@ impl ParentNode {
         meta: DocMeta,
         ctx: &mut Ctx<'_, SimMsg>,
     ) {
-        let grant = self
-            .children_state
-            .on_get(get.url, get.client, get.ims, meta, get.issued_at);
-        ctx.consume(if grant.send_body {
-            self.costs.serve_200_cpu(meta.size())
-        } else {
-            self.costs.serve_304
+        let (reply, _) = self.down.grant(get, meta, ctx.now());
+        ctx.consume(match reply.status {
+            ReplyStatus::Ok(_) => self.costs.serve_200_cpu(meta.size()),
+            ReplyStatus::NotModified => self.costs.serve_304,
         });
-        let reply = grant.into_reply(get, meta, self.doc_scale);
         self.send(child, HttpMsg::Reply(reply), ctx);
+    }
+
+    /// Carries out what the child-facing half asked for, in its order.
+    fn emit(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
+        let mut out = std::mem::take(&mut self.out);
+        let server = self.down.server();
+        for asked in out.drain(..) {
+            let (site, msg) = match asked {
+                OriginOut::Arm { after, timer } => {
+                    ctx.set_timer(after, timer_token(timer));
+                    continue;
+                }
+                OriginOut::Invalidate {
+                    site, url, client, ..
+                } => {
+                    ctx.consume(self.costs.inval_send);
+                    (site, HttpMsg::Invalidate { url, client })
+                }
+                // Never asked for: the proposer is off on this tier.
+                OriginOut::Batch { site, entries } => {
+                    (site, HttpMsg::InvalidateBatch { server, entries })
+                }
+                OriginOut::Bulk { site } => (site, HttpMsg::InvalidateServer { server }),
+            };
+            self.send(self.children[site as usize], msg, ctx);
+        }
+        self.out = out;
     }
 
     fn handle_child_get(&mut self, child: NodeId, get: GetRequest, ctx: &mut Ctx<'_, SimMsg>) {
@@ -173,20 +203,11 @@ impl ParentNode {
             cache_hits: self.core.on_invalidate(url, self.identity),
         };
         self.send(self.origin, ack, ctx);
-        // Relay down the tree: only children holding live-leased copies.
-        let recipients = self.children_state.on_modify(url, self.trace_now);
-        for child_identity in recipients {
-            let Some(&node) = self.child_routes.get(&child_identity) else {
-                continue;
-            };
-            ctx.consume(self.costs.inval_send);
-            self.counters.invalidations_relayed += 1;
-            let msg = HttpMsg::Invalidate {
-                url,
-                client: child_identity,
-            };
-            self.send(node, msg, ctx);
-        }
+        // Relay down the tree: only children holding live-leased copies,
+        // each re-sent until it acknowledges.
+        self.down
+            .modify(url, self.trace_now, ctx.now(), &mut self.out);
+        self.emit(ctx);
     }
 }
 
@@ -214,29 +235,28 @@ impl Node<SimMsg> for ParentNode {
                 cache_hits,
             })) => {
                 // Fold the child's dying-copy report into the parent's own
-                // counter so it reaches the origin eventually.
-                self.core.absorb_report(url, self.identity, cache_hits);
-                self.children_state.on_inval_ack(url, client);
+                // counter so it reaches the origin eventually — only with
+                // an ack this tier is waiting for, as the daemon's does.
+                if self.down.consistency().has_pending(url) {
+                    self.core.absorb_report(url, self.identity, cache_hits);
+                }
+                self.down.ack(url, client, ctx.now());
             }
             SimMsg::Net(Message::Http(HttpMsg::InvalidateServer { server })) => {
                 ctx.consume(self.costs.proxy_inval_cpu);
                 self.core.on_invalidate_server(server);
-                let relay_targets: Vec<NodeId> = {
-                    let mut v: Vec<NodeId> = self.child_routes.values().copied().collect();
-                    v.sort_unstable();
-                    v
-                };
-                for node in relay_targets {
-                    self.send(node, HttpMsg::InvalidateServer { server }, ctx);
-                }
+                self.down.relay_bulk(&mut self.out);
+                self.emit(ctx);
                 // Ack once the parent itself has applied the bulk
-                // invalidation; relaying to children is best-effort (their
-                // copies are already marked questionable here).
+                // invalidation; the children's acks are this tier's to
+                // collect (their copies are already questionable here).
                 self.send(from, HttpMsg::InvalidateServerAck { server }, ctx);
             }
             SimMsg::Net(Message::Http(HttpMsg::InvalidateServerAck { .. })) => {
-                // A child acking the relayed bulk invalidation; the origin's
-                // retry loop only tracks its direct peers, so nothing to do.
+                // A child acking the relayed bulk invalidation.
+                if let Some(site) = self.children.iter().position(|&c| c == from) {
+                    self.down.bulk_ack(site as u32);
+                }
             }
             // Parents sit outside the coordinator barrier and never see
             // these; spelled out (no `_`) so a new wire variant is a
@@ -252,5 +272,11 @@ impl Node<SimMsg> for ParentNode {
                 debug_assert!(false, "parent got unexpected message {other:?}");
             }
         }
+    }
+
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, SimMsg>) {
+        self.down
+            .on_timer(token_timer(token), ctx.now(), &mut self.out);
+        self.emit(ctx);
     }
 }

@@ -1,5 +1,7 @@
 //! Node-level behaviour of the hierarchy parent, pinned with handcrafted
-//! single-document workloads.
+//! single-document workloads. (Which children a relay reaches, and what a
+//! lost acknowledgement costs, is `tests/origin_conformance.rs`'s parent
+//! leg: pinned there on the simulator and over TCP at once.)
 
 // Building options by mutating a default is the intended style here.
 #![allow(clippy::field_reassign_with_default)]
@@ -58,42 +60,6 @@ fn second_child_is_served_by_the_parent() {
 }
 
 #[test]
-fn invalidation_relays_only_to_copy_holders() {
-    // Both children cache doc 0; only child of partition 0 caches doc 1.
-    let mut d = build(
-        vec![
-            record(600, 0, 0),
-            record(1200, 1, 0),
-            record(1800, 0, 1),
-            // doc 0 modified at t=2400; doc 1 modified at t=3000.
-            record(3600, 0, 0), // refetch after invalidation
-        ],
-        vec![
-            Modification {
-                at: SimTime::from_secs(2400),
-                doc: 0,
-            },
-            Modification {
-                at: SimTime::from_secs(3000),
-                doc: 1,
-            },
-        ],
-    );
-    d.run();
-    let parent = d.parent().expect("parent");
-    // doc 0 relay reaches both children; doc 1 relay reaches one.
-    assert_eq!(parent.counters().invalidations_relayed, 3);
-    let r = d.collect();
-    // The origin itself sent exactly one INVALIDATE per modification (to
-    // the parent).
-    assert_eq!(r.invalidations - r.invalidation_retries, 2);
-    assert_eq!(r.final_violations, 0);
-    assert!(r.writes_complete);
-    // The refetch observed the new version.
-    assert_eq!(r.stale_hits, 0);
-}
-
-#[test]
 fn parent_answers_stale_validator_from_its_own_cache() {
     // Child 0 fetches doc 0; the *parent's* copy stays fresh. Child 1 then
     // asks with an ancient validator — the parent serves a 200 from its own
@@ -142,4 +108,61 @@ fn child_hit_reports_flow_through_the_parent_meter() {
         r.metered_served,
         r.metered_reported
     );
+}
+
+/// A relay is re-sent until acknowledged: the `INVALIDATE` a partition
+/// between parent and child swallows arrives once the partition has healed,
+/// and the child's copy is gone before it is asked for again.
+#[test]
+fn a_relay_lost_to_a_partition_is_resent_after_it_heals() {
+    use wcc_simnet::FaultPlan;
+    use wcc_types::AuditEvent;
+    let run = |faults: &FaultPlan| {
+        let mods = vec![Modification {
+            at: SimTime::from_secs(2400),
+            doc: 0,
+        }];
+        // The miss at 2760 waits out the partition (its `GET` is lost and
+        // retransmitted after 10 s), so the request at 3600 comes after it.
+        let records = vec![record(600, 0, 0), record(2760, 0, 1), record(3600, 0, 0)];
+        let trace = Trace {
+            name: "handcrafted".into(),
+            server: ServerId::new(0),
+            duration: SimDuration::from_hours(2),
+            doc_sizes: vec![ByteSize::from_kib(8); 4],
+            records,
+        };
+        let mut opts = DeploymentOptions::default();
+        opts.num_proxies = 2;
+        opts.topology = Topology::Hierarchy;
+        opts.audit = true;
+        let schedule = ModSchedule::from_modifications(4, mods);
+        let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+        let mut d = Deployment::build(&trace, &schedule, &cfg, opts);
+        d.apply_faults(faults);
+        d.run();
+        d
+    };
+    let dry = run(&FaultPlan::new());
+    let sent = |e: &&AuditEvent| matches!(e, AuditEvent::InvalidateSend { .. });
+    let log = dry.origin().core().audit_log();
+    // When the origin told the parent: the relay follows within the second.
+    let told = log.iter().find(sent).expect("one write").at();
+    let (parent, child) = (dry.parent_id().expect("parent"), dry.proxy_ids()[0]);
+    assert_eq!(dry.parent().unwrap().counters().invalidations_relayed, 1);
+
+    // Down for three seconds: the relay and its first re-send (2 s) are lost.
+    let down = SimDuration::from_secs(3);
+    let d = run(&FaultPlan::new().partition(parent, child, told, told + down));
+    let node = d.parent().expect("parent");
+    assert_eq!(
+        node.counters().invalidations_relayed,
+        3,
+        "sent, re-sent twice"
+    );
+    assert!(node.down().snapshot().writes_complete, "and acknowledged");
+    let r = d.collect();
+    assert!(r.finished && r.request_timeouts >= 1);
+    assert_eq!((r.stale_hits, r.final_violations), (0, 0));
+    assert_eq!(r.hits, 0, "the refetch at 3600 went to the parent");
 }

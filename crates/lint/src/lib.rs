@@ -19,8 +19,8 @@
 //! * **fetch-bypass** — no `ProxyPolicy::on_reply_200` / `on_reply_304` in
 //!   the simulator or the TCP tier: both drive `wcc_core::ProxyCore`.
 //! * **origin-bypass** — no `ServerConsistency::on_modify` / `on_inval_ack`
-//!   / `on_server_recover` / `expire_pending` in the two origin drivers:
-//!   both drive `wcc_core::OriginCore`.
+//!   / `on_server_recover` / `expire_pending` in the simulator or the TCP
+//!   tier: origins and parents all drive `wcc_core::WritePath`.
 //! * **map-iteration-order** — no unordered map/set iteration whose order
 //!   can reach replay-visible output (see [`order`] for the allowlist).
 //! * **wire-exhaustiveness** — every dispatch over the wire enums names

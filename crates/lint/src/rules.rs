@@ -198,12 +198,12 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
             &[".", "on_server_recover", "("],
             &[".", "expire_pending", "("],
         ],
-        message: "the origin's write path (fan-out, acks, retry, §5 recovery) \
-                  lives once, in wcc_core::OriginCore \
-                  (crates/core/src/origin.rs); drive its modify / ack / \
+        message: "the write path (fan-out, acks, retry, §5 recovery) lives \
+                  once, in wcc_core::WritePath (crates/core/src/origin.rs), \
+                  for origins and parents alike; drive its modify / ack / \
                   on_timer / recover rather than the ServerConsistency steps",
         in_scope: |path| {
-            path == "crates/httpsim/src/origin.rs" || path == "crates/net/src/origin.rs"
+            path.starts_with("crates/httpsim/src/") || path.starts_with("crates/net/src/")
         },
         allowed: |_| false,
         include_tests: false,

@@ -181,21 +181,26 @@ fn hand_rolled_fetch_sequence_denied_outside_the_core() {
 }
 
 #[test]
-fn hand_rolled_write_path_denied_in_the_origin_drivers() {
+fn hand_rolled_write_path_denied_in_every_driver() {
     let src = "fn f(s: &mut ServerConsistency) { s.on_modify(u, t); s.expire_pending(t); }\n\
                fn g(s: &mut ServerConsistency) { s.on_inval_ack(u, c); }\n\
                fn h(s: &mut ServerConsistency) { s.on_server_recover(); }\n";
-    for path in ["crates/httpsim/src/origin.rs", "crates/net/src/origin.rs"] {
+    // Origins and parents alike, and whatever joins them in those crates.
+    for path in [
+        "crates/httpsim/src/origin.rs",
+        "crates/httpsim/src/parent.rs",
+        "crates/net/src/origin.rs",
+        "crates/net/src/parent.rs",
+        "crates/net/src/downstream.rs",
+    ] {
         assert_eq!(rules_fired(path, src), ["origin-bypass"; 3], "{path}");
     }
-    // The write path's one home, and the parents' child-facing half.
+    // The write path's one home, and a crate that only measures it.
     assert!(rules_fired("crates/core/src/origin.rs", src).is_empty());
-    assert!(rules_fired("crates/httpsim/src/parent.rs", src).is_empty());
-    assert!(rules_fired("crates/net/src/parent.rs", src).is_empty());
+    assert!(rules_fired("crates/bench/src/lib.rs", src).is_empty());
     // Driving the core, or naming the steps in a test, is fine.
-    let ok =
-        "fn f(core: &mut OriginCore) { core.modify(u, t, now, out); core.ack(u, c, 0, now); }\n";
-    assert!(rules_fired("crates/net/src/origin.rs", ok).is_empty());
+    let ok = "fn f(down: &mut WritePath) { down.modify(u, t, now, out); down.ack(u, c, now); }\n";
+    assert!(rules_fired("crates/net/src/parent.rs", ok).is_empty());
     let test = "#[cfg(test)]\nmod tests {\n    fn t() { s.on_modify(u, t); }\n}\n";
     assert!(rules_fired("crates/httpsim/src/origin.rs", test).is_empty());
 }

@@ -1,0 +1,131 @@
+//! The downward hop (origin→proxy, origin→parent, parent→child): what
+//! connects a [`WritePath`] to the wire and the clock.
+//!
+//! [`Downstream`] is what a reactor role keeps beside the path (which sits
+//! under the node's lock, for the public handle): the push channel of each
+//! site, the wall clock the path is told, and the timers it armed.
+
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::time::Duration;
+use wcc_core::{OriginOut, OriginTimer, SiteListStats, WritePath};
+use wcc_obs::Registry;
+use wcc_proto::HttpMsg;
+use wcc_types::{ServerId, SimDuration, SimTime, WallClock};
+
+use crate::evloop::{Out, Outbox};
+
+/// How often an unacknowledged invalidation — one document's, or the §5
+/// bulk — is re-sent.
+pub(crate) const RETRY: SimDuration = SimDuration::from_millis(250);
+
+/// The reactor thread's own: who to push to, and when to wake.
+pub(crate) struct Downstream {
+    server: ServerId,
+    /// partition -> push-channel token (latest HELLO wins, stale tokens
+    /// fail their generation check harmlessly).
+    channels: HashMap<u32, u64>,
+    /// Started with the node: what the path is told the time is.
+    clock: WallClock,
+    /// Timers the path armed, soonest first.
+    timers: BinaryHeap<Reverse<(SimTime, OriginTimer)>>,
+    /// What the path last asked for; drained by [`Downstream::emit`] and
+    /// reused.
+    pub asked: Vec<OriginOut>,
+}
+
+impl Downstream {
+    pub fn new(server: ServerId) -> Downstream {
+        Downstream {
+            server,
+            channels: HashMap::new(),
+            clock: WallClock::start(),
+            timers: BinaryHeap::new(),
+            asked: Vec::new(),
+        }
+    }
+
+    pub fn now(&self) -> SimTime {
+        SimTime::ZERO + self.clock.elapsed()
+    }
+
+    /// `HELLO`: connection `token` is `partition`'s push channel from now on.
+    pub fn register(&mut self, partition: u32, token: u64) {
+        self.channels.insert(partition, token);
+    }
+
+    /// Time until the soonest armed timer.
+    pub fn deadline(&self) -> Option<Duration> {
+        let Reverse((due, _)) = self.timers.peek()?;
+        let left = due.saturating_since(self.now());
+        Some(Duration::from_micros(left.as_micros()))
+    }
+
+    /// Hands `path` every timer that has come due.
+    pub fn fire(&mut self, path: &mut WritePath, now: SimTime) {
+        while let Some(Reverse((due, timer))) = self.timers.peek().copied() {
+            if due > now {
+                break;
+            }
+            self.timers.pop();
+            path.on_timer(timer, now, &mut self.asked);
+        }
+    }
+
+    /// Carries out what the path asked for: frames into the outbox of the
+    /// site's push channel, timers onto the heap; `on_batch` is told each
+    /// round's size. A push to a partition whose channel is down is dropped
+    /// (here when it never registered, by the runtime when its token went
+    /// stale); the copy stays pending, and the document's retry timer or
+    /// the partition's next `HELLO` sends it again.
+    pub fn emit(&mut self, now: SimTime, out: &mut Outbox, mut on_batch: impl FnMut(u64)) {
+        let server = self.server;
+        for asked in self.asked.drain(..) {
+            let (site, msg) = match asked {
+                OriginOut::Arm { after, timer } => {
+                    self.timers.push(Reverse((now + after, timer)));
+                    continue;
+                }
+                OriginOut::Invalidate {
+                    site, url, client, ..
+                } => (site, HttpMsg::Invalidate { url, client }),
+                OriginOut::Batch { site, entries } => {
+                    on_batch(entries.len() as u64);
+                    (site, HttpMsg::InvalidateBatch { server, entries })
+                }
+                OriginOut::Bulk { site } => (site, HttpMsg::InvalidateServer { server }),
+            };
+            if let Some(&tok) = self.channels.get(&site) {
+                out.push(Out::Push(tok, msg));
+            }
+        }
+    }
+}
+
+/// The site-list gauges of a node's `/metrics`, off the path's snapshot.
+pub(crate) fn render_sitelist(r: &mut Registry, node: &[(&str, &str)], stats: &SiteListStats) {
+    r.set_gauge(
+        "wcc_sitelist_entries",
+        "Live site-list entries (granted leases / registrations).",
+        node,
+        stats.total_entries,
+    );
+    r.set_gauge(
+        "wcc_sitelist_tracked_documents",
+        "Documents with a non-empty site list.",
+        node,
+        stats.tracked_documents,
+    );
+    r.set_gauge(
+        "wcc_sitelist_max_list_len",
+        "Longest site list.",
+        node,
+        stats.max_list_len,
+    );
+    r.set_gauge(
+        "wcc_sitelist_storage_bytes",
+        "Estimated site-list memory.",
+        node,
+        stats.storage.as_u64(),
+    );
+}

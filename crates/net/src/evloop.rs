@@ -135,8 +135,6 @@ pub(crate) trait Role: Sized + Send + 'static {
     /// Handles one decoded frame. Replies go through `cx`; the borrowed
     /// message is consumed from the receive buffer on return.
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After;
-    /// A connection went away (idempotent; the token may be stale).
-    fn on_closed(&mut self, _token: u64) {}
     /// `n` connections were dropped by the runtime: accept/registration
     /// failures, or a ticket redeemed with `None` forcing a close.
     fn on_dropped(&mut self, _n: u64) {}
@@ -667,7 +665,6 @@ impl<R: Role> Runtime<R> {
                 link.token = None;
             }
         }
-        self.role.on_closed(token);
     }
 
     /// Flushes queued output, noticing if that closed the connection.

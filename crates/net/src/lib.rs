@@ -14,7 +14,8 @@
 //!   blocking [`NetProxy::fetch`] API for browsers (tests and examples) to
 //!   call;
 //! * [`NetParent`] — the hierarchy's parent tier: children connect to it as
-//!   if it were an origin, and it proxies misses upstream;
+//!   if it were an origin (towards them it drives the origin's write path,
+//!   [`wcc_core::WritePath`]), and it proxies misses upstream;
 //! * [`check_in`] — the modifier's check-in utility.
 //!
 //! Like the paper's Harvest, each node is one thread on non-blocking
@@ -58,6 +59,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod downstream;
 mod evloop;
 mod origin;
 mod parent;

@@ -6,9 +6,10 @@
 //! ([`crate::evloop`]). The protocol — grants, fan-out, acknowledgements,
 //! retry, §5 recovery, §7 metering — is [`wcc_core::OriginCore`], which the
 //! simulator's origin drives too; this file is its daemon driver: the
-//! [`Role`] that feeds it frames and the wall clock, maps a site to that
-//! partition's push channel, keeps its timers and renders `/metrics`, with
-//! one `Mutex` around the core for the public handle.
+//! [`Role`] that feeds it frames, renders `/metrics` and keeps one `Mutex`
+//! around the core for the public handle; the wall clock, the map from a
+//! site to that partition's push channel and the timers are
+//! [`crate::downstream`]'s, shared with the parent.
 //!
 //! An unacknowledged invalidation is re-sent every 250 ms, up to the core's
 //! budget, and at once when its partition says `HELLO` again; a push to a
@@ -18,19 +19,18 @@
 //! same period until the `InvalidateServerAck` arrives.
 
 use parking_lot::Mutex;
-use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::Arc;
 use std::time::Duration;
 use wcc_core::origin::MAX_RETRIES;
-use wcc_core::{OriginCore, OriginOut, OriginTimer, Proposer, ProtocolConfig, ServerConsistency};
+use wcc_core::{OriginCore, Proposer, ProtocolConfig, ServerConsistency};
 use wcc_obs::{Histogram, Registry};
 use wcc_proto::{encode, HttpMsg, HttpMsgRef};
 use wcc_types::{ByteSize, InvalBatchConfig, ServerId, SimDuration, SimTime, Url, WallClock};
 
-use crate::evloop::{self, After, Cx, Node, Out, Outbox, Role, Via};
+use crate::downstream::{render_sitelist, Downstream, RETRY};
+use crate::evloop::{self, After, Cx, Node, Outbox, Role, Via};
 
 /// Counters and state visible through [`NetOrigin::snapshot`]: the core's.
 pub use wcc_core::OriginCounters as OriginSnapshot;
@@ -53,10 +53,6 @@ pub struct OriginConfig {
     /// threshold trips (or the age bound, on the reactor's tick).
     pub inval_batch: Option<InvalBatchConfig>,
 }
-
-/// How often an unacknowledged invalidation — one document's, or the §5
-/// bulk — is re-sent.
-const RETRY: SimDuration = SimDuration::from_millis(250);
 
 /// What the node's one lock guards: the core and the two histograms.
 struct Inner {
@@ -145,31 +141,7 @@ impl Inner {
             &node,
             c.metered_reported,
         );
-        let stats = &c.sitelist;
-        r.set_gauge(
-            "wcc_sitelist_entries",
-            "Live site-list entries (granted leases / registrations).",
-            &node,
-            stats.total_entries,
-        );
-        r.set_gauge(
-            "wcc_sitelist_tracked_documents",
-            "Documents with a non-empty site list.",
-            &node,
-            stats.tracked_documents,
-        );
-        r.set_gauge(
-            "wcc_sitelist_max_list_len",
-            "Longest site list.",
-            &node,
-            stats.max_list_len,
-        );
-        r.set_gauge(
-            "wcc_sitelist_storage_bytes",
-            "Estimated site-list memory.",
-            &node,
-            stats.storage.as_u64(),
-        );
+        render_sitelist(&mut r, &node, &c.sitelist);
         r.set_gauge(
             "wcc_writes_complete",
             "1 when every invalidation has been acknowledged.",
@@ -262,13 +234,7 @@ impl NetOrigin {
         }));
         let role = OriginRole {
             state: Arc::clone(&state),
-            links: Links {
-                server: config.server,
-                channels: HashMap::new(),
-                clock: WallClock::start(),
-                timers: BinaryHeap::new(),
-                asked: Vec::new(),
-            },
+            links: Downstream::new(config.server),
         };
         let node = evloop::spawn(role, listener, None, None)?;
         Ok(NetOrigin {
@@ -310,7 +276,7 @@ impl NetOrigin {
 
     /// Polls until [`NetOrigin::recovery_complete`] or `timeout` elapses.
     pub fn wait_recovery_complete(&self, timeout: Duration) -> bool {
-        self.wait_until(timeout, OriginCore::recovery_complete)
+        self.wait_until(timeout, |core| core.recovery_complete())
     }
 
     /// Polls until every outstanding invalidation is acknowledged (the
@@ -340,56 +306,7 @@ impl NetOrigin {
 /// what connects it to the wire and the clock.
 struct OriginRole {
     state: Arc<Mutex<Inner>>,
-    links: Links,
-}
-
-/// The reactor thread's own: who to push to, and when to wake.
-struct Links {
-    server: ServerId,
-    /// partition -> push-channel token (latest HELLO wins, stale tokens
-    /// fail their generation check harmlessly).
-    channels: HashMap<u32, u64>,
-    /// Started with the node: what the core is told the time is.
-    clock: WallClock,
-    /// Timers the core armed, soonest first.
-    timers: BinaryHeap<Reverse<(SimTime, OriginTimer)>>,
-    /// What the core last asked for; drained by [`Links::emit`] and reused.
-    asked: Vec<OriginOut>,
-}
-
-impl Links {
-    fn now(&self) -> SimTime {
-        SimTime::ZERO + self.clock.elapsed()
-    }
-
-    /// Carries out what the core asked for: frames into the outbox of the
-    /// site's push channel, timers onto the heap. A push to a partition
-    /// whose channel is down is dropped (here when it never registered, by
-    /// the runtime when its token went stale); the copy stays pending, and
-    /// the document's retry timer or the partition's next `HELLO` sends it
-    /// again.
-    fn emit(&mut self, inner: &mut Inner, now: SimTime, out: &mut Outbox) {
-        let server = self.server;
-        for asked in self.asked.drain(..) {
-            let (site, msg) = match asked {
-                OriginOut::Arm { after, timer } => {
-                    self.timers.push(Reverse((now + after, timer)));
-                    continue;
-                }
-                OriginOut::Invalidate {
-                    site, url, client, ..
-                } => (site, HttpMsg::Invalidate { url, client }),
-                OriginOut::Batch { site, entries } => {
-                    inner.batch_sizes.record(entries.len() as u64);
-                    (site, HttpMsg::InvalidateBatch { server, entries })
-                }
-                OriginOut::Bulk { site } => (site, HttpMsg::InvalidateServer { server }),
-            };
-            if let Some(&tok) = self.channels.get(&site) {
-                out.push(Out::Push(tok, msg));
-            }
-        }
-    }
+    links: Downstream,
 }
 
 impl Role for OriginRole {
@@ -402,23 +319,15 @@ impl Role for OriginRole {
     }
 
     fn next_deadline(&self) -> Option<Duration> {
-        let Reverse((due, _)) = self.links.timers.peek()?;
-        let left = due.saturating_since(self.links.now());
-        Some(Duration::from_micros(left.as_micros()))
+        self.links.deadline()
     }
 
     fn on_deadline(&mut self, out: &mut Outbox) {
         let links = &mut self.links;
         let now = links.now();
         let inner = &mut *self.state.lock();
-        while let Some(Reverse((due, timer))) = links.timers.peek().copied() {
-            if due > now {
-                break;
-            }
-            links.timers.pop();
-            inner.core.on_timer(timer, now, &mut links.asked);
-        }
-        links.emit(inner, now, out);
+        links.fire(&mut inner.core, now);
+        links.emit(now, out, |n| inner.batch_sizes.record(n));
     }
 
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
@@ -426,6 +335,7 @@ impl Role for OriginRole {
         let now = links.now();
         // The frame's one lock; nothing below touches a socket.
         let inner = &mut *self.state.lock();
+        let server = inner.core.server();
         match msg {
             HttpMsgRef::Get(get) => {
                 let Some((reply, _)) = inner.core.serve(get, now) else {
@@ -451,14 +361,14 @@ impl Role for OriginRole {
             } => {
                 inner.core.ack(*url, *client, *cache_hits, now);
             }
-            HttpMsgRef::InvalidateBatchAck(ack) if ack.server == links.server => {
+            HttpMsgRef::InvalidateBatchAck(ack) if ack.server == server => {
                 // A whole proposer round acknowledged: entry by entry,
                 // exactly as per-copy `InvalAck`s would be.
                 for e in ack.entries() {
                     inner.core.ack(e.url, e.client, e.cache_hits, now);
                 }
             }
-            HttpMsgRef::InvalidateServerAck { server } if *server == links.server => {
+            HttpMsgRef::InvalidateServerAck { server: s } if *s == server => {
                 if let Some(partition) = *cx.tag {
                     inner.core.bulk_ack(partition);
                 }
@@ -467,7 +377,7 @@ impl Role for OriginRole {
                 partition,
                 partitions,
             } => {
-                links.channels.insert(*partition, cx.token);
+                links.register(*partition, cx.token);
                 *cx.tag = Some(*partition);
                 // §5: a recovering origin cannot know which copies this
                 // proxy holds, so the core has it invalidate them all; and
@@ -487,7 +397,7 @@ impl Role for OriginRole {
             // Guard fallthrough: an ack for a server we do not own.
             _ => return After::Close,
         }
-        links.emit(inner, now, cx.out);
+        links.emit(now, cx.out, |n| inner.batch_sizes.record(n));
         After::Keep
     }
 }

@@ -6,29 +6,34 @@
 //! ([`crate::evloop`]) owns the child-facing listener, the upstream
 //! invalidation channel and the pipelined upstream request connection.
 //! This file is the parent's state and its [`Role`]: the same thin driver
-//! of [`wcc_core::ProxyCore`] as the proxy towards the origin, plus a
-//! [`ServerConsistency`] towards its children. A child `GET` the parent
+//! of [`wcc_core::ProxyCore`] as the proxy towards the origin
+//! ([`crate::upstream`]), and of [`wcc_core::WritePath`] as the origin
+//! towards its children ([`crate::downstream`]). A child `GET` the parent
 //! cache can answer is answered in the turn it arrived; any other is
 //! forwarded under a deferred-reply ticket and answered when the origin's
-//! reply lands. An `INVALIDATE` is applied, acknowledged and relayed when
-//! it arrives; an upstream fetch it overtakes is poisoned and fetched
+//! reply lands. An `INVALIDATE` is applied and acknowledged when it arrives,
+//! and is the write path's `modify`: relayed to the children that hold the
+//! document, re-sent every 250 ms and at a child's next `HELLO` until each
+//! acknowledged. An upstream fetch it overtakes is poisoned and fetched
 //! again rather than cached (and leased out) stale.
 //!
-//! The parent also relays bulk `INVALIDATE <server>` messages (the §5
-//! recovery barrage) down the tree and acks them upstream, so a restarted
-//! origin recovers through a hierarchy too.
+//! A bulk `INVALIDATE <server>` (the §5 recovery barrage) is acked upstream
+//! and relayed down the tree the same way — re-sent until each child's
+//! `InvalidateServerAck` — so a restarted origin recovers through a
+//! hierarchy too.
 
 use parking_lot::Mutex;
-use std::collections::HashMap;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::Arc;
 use std::time::Duration;
-use wcc_core::{Begin, ProtocolConfig, ServerConsistency};
+use wcc_core::origin::MAX_RETRIES;
+use wcc_core::{Begin, OriginCounters, ProtocolConfig, ServerConsistency, WritePath};
 use wcc_obs::{Histogram, Registry};
-use wcc_proto::{BatchEntry, GetRequest, HttpMsg, HttpMsgRef};
-use wcc_types::{ByteSize, ClientId, DocMeta, ServerId, SimTime, Url, WallClock};
+use wcc_proto::{GetRequest, HttpMsg, HttpMsgRef};
+use wcc_types::{ByteSize, ClientId, DocMeta, ServerId, SimTime, WallClock};
 
-use crate::evloop::{self, After, Cx, Hello, Node, Out, Outbox, Role, Via, UPSTREAM};
+use crate::downstream::{render_sitelist, Downstream, RETRY};
+use crate::evloop::{self, earliest, After, Cx, Hello, Node, Out, Outbox, Role, Via, UPSTREAM};
 use crate::upstream::{Upstream, Waiting};
 
 /// Counters for the TCP parent.
@@ -45,7 +50,7 @@ pub struct NetParentCounters {
     pub invalidations_received: u64,
     /// Coalesced `InvalidateBatch` rounds received from the origin.
     pub inval_batches_received: u64,
-    /// `INVALIDATE`s relayed to children.
+    /// `INVALIDATE`s relayed to children, re-sends included.
     pub invalidations_relayed: u64,
     /// Bulk `INVALIDATE <server>`s received from the origin (recovery).
     pub bulk_invalidations_received: u64,
@@ -65,8 +70,9 @@ pub struct NetParentCounters {
 struct Protected {
     /// The upstream-facing half: policy, cache, flights.
     up: Upstream,
-    /// The child-facing half: per-document lists of child sites.
-    children: ServerConsistency,
+    /// The child-facing half: the children's site lists and the relays
+    /// they have yet to acknowledge.
+    down: WritePath,
     /// Latest trace time observed on a child request; used as "now" for
     /// child-lease decisions when relaying invalidations (which carry no
     /// timestamp).
@@ -78,7 +84,8 @@ struct Protected {
 }
 
 impl Protected {
-    fn counters(&self) -> NetParentCounters {
+    /// The node's counters; `down` is the child-facing half's snapshot.
+    fn counters(&self, down: &OriginCounters) -> NetParentCounters {
         let c = self.up.core.counters();
         NetParentCounters {
             upstream_requests: c.gets_sent + c.ims_sent,
@@ -88,42 +95,32 @@ impl Protected {
             inval_races: c.inval_races,
             upstream_timeouts: self.up.timeouts,
             upstream_redials: self.up.redials,
+            invalidations_relayed: down.invalidations,
             ..self.local
         }
     }
-}
 
-struct ParentState {
-    identity: ClientId,
-    server: ServerId,
-    doc_scale: u64,
-    protected: Mutex<Protected>,
-}
-
-impl ParentState {
     /// Answers a child's `get` with the parent's copy `meta`, registering
     /// the child and granting it a lease through the child-facing half.
     /// Its wall time is recorded before the reply ships: once the child's
     /// fetch returns, a scrape must already see this serve.
     fn child_reply(
-        &self,
-        p: &mut Protected,
+        &mut self,
         get: &GetRequest,
         meta: DocMeta,
         begun: WallClock,
+        now: SimTime,
     ) -> HttpMsg {
-        let grant = p
-            .children
-            .on_get(get.url, get.client, get.ims, meta, get.issued_at);
-        p.serve_latency.record(begun.elapsed().as_micros());
-        HttpMsg::Reply(grant.into_reply(get, meta, self.doc_scale))
+        let (reply, _) = self.down.grant(get, meta, now);
+        self.serve_latency.record(begun.elapsed().as_micros());
+        HttpMsg::Reply(reply)
     }
 
     /// Renders the parent's registry as Prometheus text exposition.
     fn render_metrics(&self) -> String {
-        let p = self.protected.lock();
         let node = [("node", "parent")];
-        let c = p.counters();
+        let down = self.down.snapshot();
+        let c = self.counters(&down);
         let mut r = Registry::default();
         r.set_counter(
             "wcc_child_requests_total",
@@ -161,34 +158,26 @@ impl ParentState {
             &node,
             c.invalidations_relayed,
         );
-        let stats = p.children.table().stats();
-        r.set_gauge(
-            "wcc_sitelist_entries",
-            "Live child site-list entries (granted leases / registrations).",
-            &node,
-            stats.total_entries,
-        );
-        r.set_gauge(
-            "wcc_sitelist_tracked_documents",
-            "Documents with a non-empty child site list.",
-            &node,
-            stats.tracked_documents,
-        );
+        render_sitelist(&mut r, &node, &down.sitelist);
         r.set_histogram(
             "wcc_serve_latency_seconds",
             "Wall-time child GET service latency, upstream fetches included.",
             &node,
-            &p.serve_latency,
+            &self.serve_latency,
         );
-        p.up.render(&mut r, &node);
+        self.up.render(&mut r, &node);
         r.render()
     }
 }
 
+/// The identity the parent presents to the origin: every copy it holds,
+/// and every hit report it relays, is under this one client id.
+const IDENTITY: ClientId = ClientId::from_raw(0);
+
 /// A running TCP parent proxy. Shuts down on drop.
 pub struct NetParent {
     addr: SocketAddr,
-    state: Arc<ParentState>,
+    state: Arc<Mutex<Protected>>,
     _node: Node,
 }
 
@@ -216,18 +205,15 @@ impl NetParent {
     ) -> std::io::Result<NetParent> {
         let listener = TcpListener::bind("127.0.0.1:0")?;
         let addr = listener.local_addr()?;
-        let state = Arc::new(ParentState {
-            identity: ClientId::from_raw(0),
-            server,
-            doc_scale: 100,
-            protected: Mutex::new(Protected {
-                up: Upstream::new(cfg, capacity),
-                children: ServerConsistency::new(cfg, server),
-                latest_trace: SimTime::ZERO,
-                local: NetParentCounters::default(),
-                serve_latency: Histogram::default(),
-            }),
-        });
+        // Per-copy relay: the proposer stays off.
+        let consistency = ServerConsistency::new(cfg, server);
+        let state = Arc::new(Mutex::new(Protected {
+            up: Upstream::new(cfg, capacity),
+            down: WritePath::new(consistency, 100, RETRY, MAX_RETRIES, None),
+            latest_trace: SimTime::ZERO,
+            local: NetParentCounters::default(),
+            serve_latency: Histogram::default(),
+        }));
 
         // The parent registers with the origin as its one and only
         // partition.
@@ -238,8 +224,7 @@ impl NetParent {
         };
         let role = ParentRole {
             state: Arc::clone(&state),
-            channels: HashMap::new(),
-            child_partitions: 0,
+            links: Downstream::new(server),
         };
         let node = evloop::spawn(role, listener, None, Some(hello))?;
         Ok(NetParent {
@@ -256,47 +241,33 @@ impl NetParent {
 
     /// Current counters.
     pub fn counters(&self) -> NetParentCounters {
-        self.state.protected.lock().counters()
+        let p = self.state.lock();
+        p.counters(&p.down.snapshot())
     }
 
     /// The current Prometheus text exposition — the same body `GET
     /// /metrics` on [`NetParent::addr`] returns.
     pub fn metrics_text(&self) -> String {
-        self.state.render_metrics()
+        self.state.lock().render_metrics()
     }
 }
 
-/// What a parent-side connection is. (A child connection is a plain
-/// request conn until its `HELLO` also makes it a push channel.)
+/// What a parent-side connection is.
 enum KTag {
-    Child,
+    /// A child's: a plain request connection until its `HELLO` also makes
+    /// it the push channel of that partition.
+    Child(Option<u32>),
     /// The parent-initiated invalidation channel to the origin.
     Inval,
     /// The request connection to the origin.
     Upstream,
 }
 
-/// The parent's reactor-side state: which children to relay to.
+/// The parent's reactor-side state: the node's (shared with the handle)
+/// and what connects its child-facing half to the wire and the clock.
 struct ParentRole {
-    state: Arc<ParentState>,
-    /// Child push channels: partition → connection token.
-    channels: HashMap<u32, u64>,
-    /// Partition count declared by the children's `HELLO`s.
-    child_partitions: u32,
-}
-
-impl ParentRole {
-    /// The origin invalidated `url`: queues one `INVALIDATE <url>` for every
-    /// child that holds a live-leased copy and has a push channel up.
-    fn relay(&self, p: &mut Protected, out: &mut Outbox, url: Url) {
-        let partitions = self.child_partitions.max(1);
-        for client in p.children.on_modify(url, p.latest_trace) {
-            if let Some(&tok) = self.channels.get(&client.partition(partitions)) {
-                out.push(Out::Push(tok, HttpMsg::Invalidate { url, client }));
-                p.local.invalidations_relayed += 1;
-            }
-        }
-    }
+    state: Arc<Mutex<Protected>>,
+    links: Downstream,
 }
 
 impl Role for ParentRole {
@@ -306,111 +277,71 @@ impl Role for ParentRole {
         match via {
             Via::Dial => KTag::Inval,
             Via::Upstream => KTag::Upstream,
-            Via::Listener | Via::Listener2 => KTag::Child,
+            Via::Listener | Via::Listener2 => KTag::Child(None),
         }
     }
 
-    fn on_closed(&mut self, token: u64) {
-        self.channels.retain(|_, t| *t != token);
-    }
-
     fn next_deadline(&self) -> Option<Duration> {
-        self.state.protected.lock().up.deadline()
+        let flights = self.state.lock().up.deadline();
+        earliest(flights, self.links.deadline())
     }
 
     fn on_deadline(&mut self, out: &mut Outbox) {
-        self.state.protected.lock().up.expire(out);
+        let p = &mut *self.state.lock();
+        p.up.expire(out);
+        let now = self.links.now();
+        self.links.fire(&mut p.down, now);
+        self.links.emit(now, out, |_| ());
     }
 
     fn on_redial(&mut self, up: bool, out: &mut Outbox) {
-        self.state.protected.lock().up.redialled(up, out);
+        self.state.lock().up.redialled(up, out);
     }
 
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
-        let state = &self.state;
-        match cx.tag {
-            KTag::Inval => match msg {
-                HttpMsgRef::Invalidate { url, .. } => {
-                    // Drops our copy, poisoning any fetch of it in flight;
-                    // its unreported hits are the §7 report for the ack.
-                    let mut p = state.protected.lock();
-                    cx.reply(HttpMsg::InvalAck {
-                        url: *url,
-                        client: state.identity,
-                        cache_hits: p.up.core.on_invalidate(*url, state.identity),
-                    });
-                    self.relay(&mut p, cx.out, *url);
-                    After::Keep
+        let links = &mut self.links;
+        let now = links.now();
+        // The frame's one lock; nothing below touches a socket.
+        let p = &mut *self.state.lock();
+        let after = match *cx.tag {
+            KTag::Inval => {
+                // Children ack per document (`InvalAck`), so a coalesced
+                // round fans out downstream as ordinary `INVALIDATE`s.
+                let (latest, asked) = (p.latest_trace, &mut links.asked);
+                let Protected { up, down, .. } = p;
+                let relay = |url| down.modify(url, latest, now, asked);
+                match up.pushed(cx, msg, Some(IDENTITY), relay) {
+                    Some(true) => down.relay_bulk(asked),
+                    Some(false) => {}
+                    None => return After::Close,
                 }
-                HttpMsgRef::InvalidateBatch(batch) => {
-                    // One coalesced round: every listed copy dropped under
-                    // one lock and acked in one message (per-entry §7 hit
-                    // reports included). Children ack per document
-                    // (`InvalAck`), so the round fans out downstream as
-                    // ordinary `INVALIDATE`s.
-                    let mut p = state.protected.lock();
-                    let ours = batch.entries().into_iter().map(|e| BatchEntry {
-                        client: state.identity,
-                        ..e
-                    });
-                    let entries = p.up.core.on_invalidate_batch(ours);
-                    for e in &entries {
-                        self.relay(&mut p, cx.out, e.url);
-                    }
-                    cx.reply(HttpMsg::InvalidateBatchAck {
-                        server: batch.server,
-                        entries,
-                    });
-                    After::Keep
-                }
-                HttpMsgRef::InvalidateServer { server } => {
-                    state.protected.lock().up.core.on_invalidate_server(*server);
-                    cx.reply(HttpMsg::InvalidateServerAck { server: *server });
-                    // Relay the bulk invalidation to every child channel.
-                    for &tok in self.channels.values() {
-                        cx.out.push(Out::Push(
-                            tok,
-                            HttpMsg::InvalidateServer { server: *server },
-                        ));
-                    }
-                    After::Keep
-                }
-                HttpMsgRef::Get(_)
-                | HttpMsgRef::Reply(_)
-                | HttpMsgRef::InvalAck { .. }
-                | HttpMsgRef::InvalidateBatchAck(_)
-                | HttpMsgRef::InvalidateServerAck { .. }
-                | HttpMsgRef::Hello { .. }
-                | HttpMsgRef::MetricsGet
-                | HttpMsgRef::Notify { .. } => After::Close,
-            },
+                After::Keep
+            }
             KTag::Upstream => match msg {
                 HttpMsgRef::Reply(reply) => {
-                    let mut p = state.protected.lock();
                     if let Some((outcome, ticket, get, begun)) = p.up.landed(reply, cx.out) {
-                        let answer = state.child_reply(&mut p, &get, outcome.meta, begun);
+                        let answer = p.child_reply(&get, outcome.meta, begun, now);
                         cx.out.push(Out::Redeem(ticket, Some(answer)));
                     }
                     After::Keep
                 }
                 _ => After::Close,
             },
-            KTag::Child => match msg {
-                HttpMsgRef::Get(get) if get.url.server() == state.server => {
+            KTag::Child(site) => match msg {
+                HttpMsgRef::Get(get) if get.url.server() == p.down.server() => {
                     let begun = WallClock::start();
-                    let mut p = state.protected.lock();
                     p.local.child_requests += 1;
                     p.latest_trace = p.latest_trace.max(get.issued_at);
                     // The child cache's hit report joins this tier's, so it
                     // reaches the origin on the parent's next contact.
                     let core = &mut p.up.core;
-                    core.absorb_report(get.url, state.identity, get.cache_hits);
+                    core.absorb_report(get.url, IDENTITY, get.cache_hits);
                     let waiting = || Waiting::new(Some((cx.defer(), (*get).clone())), begun);
-                    match core.begin(state.identity, get.url, get.issued_at, waiting) {
+                    match core.begin(IDENTITY, get.url, get.issued_at, waiting) {
                         Begin::Serve(meta) => {
                             p.local.parent_hits += 1;
                             p.local.reactor_hits += 1;
-                            let answer = state.child_reply(&mut p, get, meta, begun);
+                            let answer = p.child_reply(get, meta, begun, now);
                             cx.reply(answer);
                         }
                         Begin::Forward(forward) => {
@@ -419,26 +350,18 @@ impl Role for ParentRole {
                     }
                     After::Keep
                 }
-                HttpMsgRef::MetricsGet => cx.reply_metrics(&state.render_metrics()),
+                HttpMsgRef::MetricsGet => return cx.reply_metrics(&p.render_metrics()),
                 HttpMsgRef::Hello {
                     partition,
                     partitions,
                 } => {
-                    self.child_partitions = (*partitions).max(1);
-                    self.channels.insert(*partition, cx.token);
+                    links.register(*partition, cx.token);
+                    *cx.tag = KTag::Child(Some(*partition));
                     // Whatever this partition still owes an acknowledgement
                     // for is pushed again: a relay while its channel was
                     // down went nowhere, and the copies are still served.
-                    let mut p = state.protected.lock();
-                    for url in p.children.pending_urls() {
-                        for client in p.children.pending_for(url) {
-                            if client.partition(self.child_partitions) == *partition {
-                                let again = HttpMsg::Invalidate { url, client };
-                                cx.out.push(Out::Push(cx.token, again));
-                                p.local.invalidations_relayed += 1;
-                            }
-                        }
-                    }
+                    p.down
+                        .on_site_hello(*partition, *partitions, now, &mut links.asked);
                     After::Keep
                 }
                 HttpMsgRef::InvalAck {
@@ -449,15 +372,19 @@ impl Role for ParentRole {
                     // A report is taken only with an ack we are waiting
                     // for, so a child cannot make this tier buffer reports
                     // for documents nobody invalidated.
-                    let mut p = state.protected.lock();
-                    if p.children.has_pending(*url) {
-                        p.up.core.absorb_report(*url, state.identity, *cache_hits);
+                    if p.down.consistency().has_pending(*url) {
+                        p.up.core.absorb_report(*url, IDENTITY, *cache_hits);
                     }
-                    p.children.on_inval_ack(*url, *client);
+                    p.down.ack(*url, *client, now);
                     After::Keep
                 }
                 // A child acking a relayed bulk invalidation.
-                HttpMsgRef::InvalidateServerAck { .. } => After::Keep,
+                HttpMsgRef::InvalidateServerAck { .. } => {
+                    if let Some(site) = site {
+                        p.down.bulk_ack(site);
+                    }
+                    After::Keep
+                }
                 HttpMsgRef::Reply(_)
                 | HttpMsgRef::Invalidate { .. }
                 | HttpMsgRef::InvalidateServer { .. }
@@ -465,6 +392,8 @@ impl Role for ParentRole {
                 // Guard fallthrough: a Get for a foreign server.
                 _ => After::Close,
             },
-        }
+        };
+        links.emit(now, cx.out, |_| ());
+        after
     }
 }

@@ -445,41 +445,9 @@ impl Role for ProxyRole {
                 }
                 _ => After::Close,
             },
-            PKind::Inval => match msg {
-                HttpMsgRef::Invalidate { url, client } => {
-                    let cache_hits = state.inner.lock().up.core.on_invalidate(*url, *client);
-                    cx.reply(HttpMsg::InvalAck {
-                        url: *url,
-                        client: *client,
-                        cache_hits,
-                    });
-                    After::Keep
-                }
-                HttpMsgRef::InvalidateBatch(batch) => {
-                    // One coalesced proposer round: drop every listed copy
-                    // under a single lock and ack the whole round in one
-                    // message, the §7 hit reports carried per entry.
-                    let mut inner = state.inner.lock();
-                    let entries = inner.up.core.on_invalidate_batch(batch.entries());
-                    cx.reply(HttpMsg::InvalidateBatchAck {
-                        server: batch.server,
-                        entries,
-                    });
-                    After::Keep
-                }
-                HttpMsgRef::InvalidateServer { server } => {
-                    state.inner.lock().up.core.on_invalidate_server(*server);
-                    cx.reply(HttpMsg::InvalidateServerAck { server: *server });
-                    After::Keep
-                }
-                HttpMsgRef::Get(_)
-                | HttpMsgRef::Reply(_)
-                | HttpMsgRef::InvalAck { .. }
-                | HttpMsgRef::InvalidateBatchAck(_)
-                | HttpMsgRef::InvalidateServerAck { .. }
-                | HttpMsgRef::Hello { .. }
-                | HttpMsgRef::MetricsGet
-                | HttpMsgRef::Notify { .. } => After::Close,
+            PKind::Inval => match state.inner.lock().up.pushed(cx, msg, None, |_| ()) {
+                Some(_) => After::Keep,
+                None => After::Close,
             },
         }
     }

@@ -16,10 +16,12 @@ use std::time::Duration;
 use wcc_cache::{CacheStore, ReplacementPolicy};
 use wcc_core::{Complete, FetchOutcome, ProtocolConfig, ProxyCore, ProxyPolicy, UpstreamReply};
 use wcc_obs::Registry;
-use wcc_proto::{encode, FrameReader, GetRequest, HttpMsg, HttpMsgRef, ReplyRef, RequestId};
-use wcc_types::{ByteSize, SimDuration, WallClock};
+use wcc_proto::{
+    encode, BatchEntry, FrameReader, GetRequest, HttpMsg, HttpMsgRef, ReplyRef, RequestId,
+};
+use wcc_types::{ByteSize, ClientId, SimDuration, Url, WallClock};
 
-use crate::evloop::{time_left, Out, Outbox, Ticket, UPSTREAM};
+use crate::evloop::{time_left, Cx, Out, Outbox, Role, Ticket, UPSTREAM};
 
 /// How long a flight may stay unanswered: the reactor gives it up, a
 /// blocking caller's read times out.
@@ -84,6 +86,64 @@ impl Upstream {
                 Some((outcome, ticket, get, waiter.begun))
             }
         }
+    }
+
+    /// A frame on the invalidation channel: applied, and acknowledged at
+    /// once with the dying copies' unreported hits (the §7 report). A proxy's
+    /// copies are its clients', as the frame names them; a parent's are all
+    /// held as `own`. `each` is told every document invalidated by name.
+    /// Returns whether the frame was the bulk `INVALIDATE <server>`; `None`
+    /// for one that has no business on this channel.
+    pub fn pushed<R: Role>(
+        &mut self,
+        cx: &mut Cx<'_, R>,
+        msg: &HttpMsgRef<'_>,
+        own: Option<ClientId>,
+        mut each: impl FnMut(Url),
+    ) -> Option<bool> {
+        match msg {
+            HttpMsgRef::Invalidate { url, client } => {
+                // Drops the copy, poisoning any fetch of it in flight.
+                let client = own.unwrap_or(*client);
+                let cache_hits = self.core.on_invalidate(*url, client);
+                cx.reply(HttpMsg::InvalAck {
+                    url: *url,
+                    client,
+                    cache_hits,
+                });
+                each(*url);
+            }
+            HttpMsgRef::InvalidateBatch(batch) => {
+                // One coalesced proposer round: every listed copy dropped
+                // under a single lock and the whole round acked in one
+                // message, the §7 hit reports carried per entry.
+                let held_as = |e: BatchEntry| BatchEntry {
+                    client: own.unwrap_or(e.client),
+                    ..e
+                };
+                let named = batch.entries().into_iter().map(held_as);
+                let entries = self.core.on_invalidate_batch(named);
+                entries.iter().for_each(|e| each(e.url));
+                cx.reply(HttpMsg::InvalidateBatchAck {
+                    server: batch.server,
+                    entries,
+                });
+            }
+            HttpMsgRef::InvalidateServer { server } => {
+                self.core.on_invalidate_server(*server);
+                cx.reply(HttpMsg::InvalidateServerAck { server: *server });
+                return Some(true);
+            }
+            HttpMsgRef::Get(_)
+            | HttpMsgRef::Reply(_)
+            | HttpMsgRef::InvalAck { .. }
+            | HttpMsgRef::InvalidateBatchAck(_)
+            | HttpMsgRef::InvalidateServerAck { .. }
+            | HttpMsgRef::Hello { .. }
+            | HttpMsgRef::MetricsGet
+            | HttpMsgRef::Notify { .. } => return None,
+        }
+        Some(false)
     }
 
     /// Gives up on flight `req`; a client waiting on the reactor has its

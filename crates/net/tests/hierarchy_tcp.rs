@@ -339,3 +339,108 @@ fn a_relay_during_a_child_channel_outage_is_resent_on_reregistration() {
     assert_eq!(child.recv_200(), (2, SimTime::from_secs(60)));
     again.assert_quiet();
 }
+
+/// A relay is re-sent until it is acknowledged: a child whose push channel
+/// is up but that never answers gets the `INVALIDATE` again one retry
+/// period (250 ms) later — the origin's loop, one tier down.
+#[test]
+fn an_unacknowledged_relay_is_sent_again_after_one_retry_period() {
+    use common::{get, ScriptedUpstream, Wire};
+    use wcc_proto::{HttpMsg, HttpMsgRef};
+    let upstream = ScriptedUpstream::bind();
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let capacity = ByteSize::from_mib(64);
+    let parent = NetParent::spawn(upstream.addr(), &cfg, ServerId::new(0), capacity).unwrap();
+    let (mut requests, mut origin_channel) = upstream.accept_node();
+    let carol = ClientId::from_raw(6);
+
+    // The child registers, then takes a copy (answered behind the `HELLO`).
+    let mut channel = Wire::connect(parent.addr());
+    channel.send_all(&[
+        HttpMsg::Hello {
+            partition: 0,
+            partitions: 1,
+        },
+        get(1, 5, carol, SimTime::from_secs(1)),
+    ]);
+    let asked = requests.recv_get();
+    requests.reply_200(&asked, SimTime::from_secs(5));
+    assert_eq!(channel.recv_200(), (1, SimTime::from_secs(5)));
+
+    origin_channel.send(&HttpMsg::Invalidate {
+        url: url(5),
+        client: asked.client,
+    });
+    assert!(matches!(origin_channel.next(), HttpMsgRef::InvalAck { .. }));
+    let sent = std::time::Instant::now();
+    for attempt in 0..2 {
+        match channel.next() {
+            HttpMsgRef::Invalidate { url: u, client } => assert_eq!((u, client), (url(5), carol)),
+            other => panic!("attempt {attempt}: expected the relay, got {other:?}"),
+        }
+    }
+    assert!(sent.elapsed() >= Duration::from_millis(200), "a retry tick");
+    assert_eq!(
+        parent.counters().invalidations_relayed,
+        2,
+        "re-send counted"
+    );
+    // Acknowledged (the `GET` behind the ack is the barrier), it stops.
+    let ack = HttpMsg::InvalAck {
+        url: url(5),
+        client: carol,
+        cache_hits: 0,
+    };
+    channel.send_all(&[ack, get(2, 5, carol, SimTime::from_secs(61))]);
+    let again = requests.recv_get();
+    requests.reply_200(&again, SimTime::from_secs(60));
+    assert_eq!(channel.recv_200(), (2, SimTime::from_secs(60)));
+    std::thread::sleep(Duration::from_millis(300));
+    channel.assert_quiet();
+}
+
+/// A relayed bulk `INVALIDATE <server>` is not lost to a push-channel
+/// outage either: a child whose channel is down when the origin's recovery
+/// barrage reaches the parent is sent it when it registers again, and again
+/// every retry period until its `InvalidateServerAck` arrives.
+#[test]
+fn a_bulk_relay_during_a_child_channel_outage_is_resent_until_acknowledged() {
+    use common::{ScriptedUpstream, Wire};
+    use wcc_proto::{HttpMsg, HttpMsgRef};
+    let upstream = ScriptedUpstream::bind();
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let capacity = ByteSize::from_mib(64);
+    let server = ServerId::new(0);
+    let parent = NetParent::spawn(upstream.addr(), &cfg, server, capacity).unwrap();
+    let (_requests, mut origin_channel) = upstream.accept_node();
+    let hello = HttpMsg::Hello {
+        partition: 0,
+        partitions: 1,
+    };
+
+    // The child registers and loses its channel; the barrage finds it down.
+    let mut channel = Wire::connect(parent.addr());
+    channel.send(&hello);
+    drop(channel);
+    origin_channel.send(&HttpMsg::InvalidateServer { server });
+    let acked = origin_channel.next();
+    assert!(matches!(acked, HttpMsgRef::InvalidateServerAck { .. }));
+    assert_eq!(parent.counters().bulk_invalidations_received, 1);
+
+    // Registering again brings it, and silence brings it again.
+    let mut channel = Wire::connect(parent.addr());
+    channel.send(&hello);
+    for attempt in 0..2 {
+        let bulk = channel.next();
+        let expected = matches!(bulk, HttpMsgRef::InvalidateServer { server: s } if s == server);
+        assert!(
+            expected,
+            "attempt {attempt}: expected the bulk, got {bulk:?}"
+        );
+    }
+    // Acknowledged, it stops — also when the child registers once more
+    // (behind the ack, on the same connection: handled in that order).
+    channel.send_all(&[HttpMsg::InvalidateServerAck { server }, hello]);
+    std::thread::sleep(Duration::from_millis(300));
+    channel.assert_quiet();
+}

@@ -16,7 +16,15 @@
 //! process, where the simulator's crash keeps both on disk: the bare core is
 //! run once each way, and the two runs must push the same frames.
 //!
-//! The four per-protocol rows below the script are `sim_vs_tcp.rs`'s: a
+//! The parent leg does the same one tier down: the write path under
+//! [`OriginCore`] is the child-facing half of both parents, so a second
+//! script — two children, a write whose second acknowledgement is lost, a
+//! write only one of them holds a copy for, a write while a child's channel
+//! is down — is fed to a bare [`WritePath`], to a `Topology::Hierarchy`
+//! [`Deployment`] and to a [`NetParent`] over raw sockets, and each child's
+//! channel must carry the same frames in the same order.
+//!
+//! The four per-protocol rows below the scripts are `sim_vs_tcp.rs`'s: a
 //! whole trace without modifications through one proxy, simulated and over
 //! TCP, must count alike on both sides of the wire.
 
@@ -30,17 +38,17 @@ use common::Wire;
 use std::time::{Duration, Instant};
 use wcc_core::{
     OriginCore, OriginCounters, OriginOut, OriginTimer, ProtocolConfig, ProtocolKind,
-    ServerConsistency,
+    ServerConsistency, WritePath,
 };
-use wcc_httpsim::{Deployment, DeploymentOptions};
-use wcc_net::{NetOrigin, NetProxy, OriginConfig};
+use wcc_httpsim::{Deployment, DeploymentOptions, Topology};
+use wcc_net::{NetOrigin, NetParent, NetProxy, OriginConfig};
 use wcc_proto::{
     BatchAckEntry, GetRequest, HttpMsg, HttpMsgRef, ReplyStatus, ReplyStatusRef, RequestId,
 };
 use wcc_simnet::{FaultPlan, LinkSpec, NetworkConfig};
 use wcc_traces::{synthetic, ModSchedule, Modification, Trace, TraceRecord, TraceSpec};
 use wcc_types::{
-    AuditEvent, ByteSize, ClientId, InvalBatchConfig, ServerId, SimDuration, SimTime, Url,
+    AuditEvent, ByteSize, ClientId, DocMeta, InvalBatchConfig, ServerId, SimDuration, SimTime, Url,
 };
 
 const SERVER: ServerId = ServerId::new(0);
@@ -178,6 +186,41 @@ enum Frame {
     Bulk,
 }
 
+impl Frame {
+    /// The `(document, client)` copies the frame names.
+    fn entries(&self) -> Vec<(u32, ClientId)> {
+        match self {
+            Frame::Invalidate(doc, client) => vec![(*doc, *client)],
+            Frame::Batch(entries) => entries.clone(),
+            Frame::Bulk => Vec::new(),
+        }
+    }
+}
+
+/// What a write path asked for, as the frames to push to each site; the
+/// timers it armed go on `timers`.
+fn frames(
+    asked: Vec<OriginOut>,
+    now: SimTime,
+    timers: &mut Vec<(SimTime, OriginTimer)>,
+) -> Vec<(u32, Frame)> {
+    let frame = |asked| match asked {
+        OriginOut::Arm { after, timer } => {
+            timers.push((now + after, timer));
+            None
+        }
+        OriginOut::Invalidate {
+            site, url, client, ..
+        } => Some((site, Frame::Invalidate(url.doc(), client))),
+        OriginOut::Batch { site, entries } => {
+            let entries = entries.iter().map(|e| (e.url.doc(), e.client));
+            Some((site, Frame::Batch(entries.collect())))
+        }
+        OriginOut::Bulk { site } => Some((site, Frame::Bulk)),
+    };
+    asked.into_iter().filter_map(frame).collect()
+}
+
 /// One push, and the §7 report of each acknowledged entry (`None`: the
 /// acknowledgement is lost).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -311,26 +354,9 @@ impl Bare {
     /// then acknowledges it, in order.
     fn deliver(&mut self) {
         let mut pushed = Vec::new();
-        for asked in std::mem::take(&mut self.out) {
-            let (site, frame) = match asked {
-                OriginOut::Arm { after, timer } => {
-                    self.timers.push((self.now + after, timer));
-                    continue;
-                }
-                OriginOut::Invalidate {
-                    site, url, client, ..
-                } => (site, Frame::Invalidate(url.doc(), client)),
-                OriginOut::Batch { site, entries } => {
-                    let entries = entries.iter().map(|e| (e.url.doc(), e.client));
-                    (site, Frame::Batch(entries.collect()))
-                }
-                OriginOut::Bulk { site } => (site, Frame::Bulk),
-            };
-            let entries = match &frame {
-                Frame::Invalidate(doc, client) => vec![(*doc, *client)],
-                Frame::Batch(entries) => entries.clone(),
-                Frame::Bulk => Vec::new(),
-            };
+        let asked = std::mem::take(&mut self.out);
+        for (site, frame) in frames(asked, self.now, &mut self.timers) {
+            let entries = frame.entries();
             let names = |who: ClientId| entries.iter().any(|&(_, c)| c == who);
             let acked = match self.lost {
                 Some(who) if names(who) => {
@@ -525,48 +551,48 @@ impl Daemon {
             std::thread::sleep(Duration::from_millis(1));
         }
     }
+}
 
-    /// Reads the frames the bare core pushed for this row off the sites'
-    /// channels, in its order, acknowledging what it had acknowledged.
-    fn expect(&mut self, pushed: &[Pushed]) {
-        for push in pushed {
-            let channel = &mut self.channels[push.site as usize];
-            let (frame, entries) = match channel.next() {
-                HttpMsgRef::Invalidate { url, client } => (
-                    Frame::Invalidate(url.doc(), client),
-                    vec![(url.doc(), client)],
-                ),
-                HttpMsgRef::InvalidateBatch(round) => {
-                    let entries = round.entries().into_iter();
-                    let entries: Vec<_> = entries.map(|e| (e.url.doc(), e.client)).collect();
-                    (Frame::Batch(entries.clone()), entries)
-                }
-                HttpMsgRef::InvalidateServer { .. } => (Frame::Bulk, Vec::new()),
-                other => panic!("expected {push:?}, got {other:?}"),
-            };
-            assert_eq!(frame, push.frame, "site {}", push.site);
-            let Some(hits) = &push.acked else {
-                continue;
-            };
-            let ack = |(&(doc, client), &cache_hits)| BatchAckEntry {
-                url: url(doc),
-                client,
-                cache_hits,
-            };
-            let entries: Vec<_> = entries.iter().zip(hits).map(ack).collect();
-            channel.send(&match (frame, entries.first().copied()) {
-                (Frame::Invalidate(..), Some(e)) => HttpMsg::InvalAck {
-                    url: e.url,
-                    client: e.client,
-                    cache_hits: e.cache_hits,
-                },
-                (Frame::Batch(_), Some(_)) => HttpMsg::InvalidateBatchAck {
-                    server: SERVER,
-                    entries,
-                },
-                _ => HttpMsg::InvalidateServerAck { server: SERVER },
-            });
-        }
+/// Reads the frames a bare run pushed for one row off the sites' channels,
+/// in its order, acknowledging what it had acknowledged.
+fn expect(channels: &mut [Wire], pushed: &[Pushed]) {
+    for push in pushed {
+        let channel = &mut channels[push.site as usize];
+        let (frame, entries) = match channel.next() {
+            HttpMsgRef::Invalidate { url, client } => (
+                Frame::Invalidate(url.doc(), client),
+                vec![(url.doc(), client)],
+            ),
+            HttpMsgRef::InvalidateBatch(round) => {
+                let entries = round.entries().into_iter();
+                let entries: Vec<_> = entries.map(|e| (e.url.doc(), e.client)).collect();
+                (Frame::Batch(entries.clone()), entries)
+            }
+            HttpMsgRef::InvalidateServer { .. } => (Frame::Bulk, Vec::new()),
+            other => panic!("expected {push:?}, got {other:?}"),
+        };
+        assert_eq!(frame, push.frame, "site {}", push.site);
+        let Some(hits) = &push.acked else {
+            continue;
+        };
+        let ack = |(&(doc, client), &cache_hits)| BatchAckEntry {
+            url: url(doc),
+            client,
+            cache_hits,
+        };
+        let entries: Vec<_> = entries.iter().zip(hits).map(ack).collect();
+        channel.send(&match (frame, entries.first().copied()) {
+            (Frame::Invalidate(..), Some(e)) => HttpMsg::InvalAck {
+                url: e.url,
+                client: e.client,
+                cache_hits: e.cache_hits,
+            },
+            (Frame::Batch(_), Some(_)) => HttpMsg::InvalidateBatchAck {
+                server: SERVER,
+                entries,
+            },
+            _ => HttpMsg::InvalidateServerAck { server: SERVER },
+        });
     }
 }
 
@@ -615,7 +641,7 @@ fn daemon_conforms(batch: Option<InvalBatchConfig>) {
                 notified = 0;
             }
         }
-        daemon.expect(pushed);
+        expect(&mut daemon.channels, pushed);
     }
     let snap = daemon.reached(|s| (s.acks, s.notifies) == (bare.end.acks, notified));
     assert_eq!(snap, bare.end);
@@ -703,6 +729,323 @@ fn daemon_conforms_per_write() {
 #[test]
 fn daemon_conforms_batched() {
     daemon_conforms(Some(batching()));
+}
+
+// ---- the parent leg ----
+
+/// The two children: child `i` presents identity `i`, which lives on site
+/// `i` (the simulator's hierarchy names them so).
+const C0: ClientId = ClientId::from_raw(0);
+const C1: ClientId = ClientId::from_raw(1);
+
+/// Plain invalidation: a copy is good until its `INVALIDATE` arrives, so
+/// every `GET` below is one the child could not answer itself.
+fn parent_protocol() -> ProtocolConfig {
+    ProtocolConfig::new(ProtocolKind::Invalidation)
+}
+
+/// One step of the parent script; `at` is a trace second. Steps are a
+/// lock-step window or more apart, a write's successor far enough for its
+/// re-send to be acknowledged first (an idle window is 200 ms of wall time).
+enum Step {
+    /// `client`'s cache misses `doc` and asks the parent.
+    Get { at: u64, client: ClientId, doc: u32 },
+    /// The origin modifies `doc` and tells the parent, which relays to the
+    /// children holding it. `lost`: the child whose first acknowledgement is
+    /// lost. `down`: the child whose channel is down when the relay leaves
+    /// (a partition in the simulator, a closed socket and a later `HELLO`
+    /// over TCP) and back up before the write path gives up.
+    Write {
+        at: u64,
+        doc: u32,
+        lost: Option<ClientId>,
+        down: Option<ClientId>,
+    },
+}
+
+const PARENT_SCRIPT: [Step; 7] = [
+    Step::get(10, C0, 0),
+    Step::get(310, C1, 0),
+    Step::get(610, C0, 1),
+    // Both children hold document 0; C1's acknowledgement is lost.
+    Step::Write {
+        at: 1210,
+        doc: 0,
+        lost: Some(C1),
+        down: None,
+    },
+    // Only C0 holds document 1: nothing is relayed to C1.
+    Step::Write {
+        at: 3010,
+        doc: 1,
+        lost: None,
+        down: None,
+    },
+    Step::get(4210, C1, 0),
+    // Only C1 holds document 0 now, and its channel is down.
+    Step::Write {
+        at: 4810,
+        doc: 0,
+        lost: None,
+        down: Some(C1),
+    },
+];
+
+impl Step {
+    const fn get(at: u64, client: ClientId, doc: u32) -> Step {
+        Step::Get { at, client, doc }
+    }
+}
+
+/// The bare write path with two children as its sites, driven as a parent
+/// drives it: grants from the copy it holds, `modify` at the latest trace
+/// time a child request carried.
+struct BareParent {
+    path: WritePath,
+    /// `true`: a child whose channel was down says `HELLO` (the daemon's
+    /// children); `false`: its link heals after the first re-send was lost
+    /// too (the simulator's partition).
+    rehello: bool,
+    now: SimTime,
+    latest: SimTime,
+    timers: Vec<(SimTime, OriginTimer)>,
+    out: Vec<OriginOut>,
+    lost: Option<ClientId>,
+    down: Option<u32>,
+    log: Transcript,
+}
+
+impl BareParent {
+    fn run(rehello: bool) -> Transcript {
+        let consistency = ServerConsistency::new(&parent_protocol(), SERVER);
+        let mut path = WritePath::new(consistency, 100, RETRY, 20, None);
+        path.set_sites(SITES);
+        path.enable_audit();
+        let mut bare = BareParent {
+            path,
+            rehello,
+            now: SimTime::ZERO,
+            latest: SimTime::ZERO,
+            timers: Vec::new(),
+            out: Vec::new(),
+            lost: None,
+            down: None,
+            log: Transcript::default(),
+        };
+        for step in &PARENT_SCRIPT {
+            bare.log.pushed.push(Vec::new());
+            bare.now += SimDuration::from_secs(10);
+            bare.step(step);
+        }
+        bare.log.end = bare.path.snapshot();
+        bare.log.audit = untimed(bare.path.audit_log());
+        bare.log
+    }
+
+    fn step(&mut self, step: &Step) {
+        match *step {
+            Step::Get { at, client, doc } => {
+                self.latest = self.latest.max(secs(at));
+                let meta = DocMeta::new(ByteSize::from_kib(1), SimTime::ZERO);
+                let get = get_request(at, client, doc, None, 0);
+                let (reply, _) = self.path.grant(&get, meta, self.now);
+                assert!(matches!(reply.status, ReplyStatus::Ok(_)));
+            }
+            Step::Write {
+                doc, lost, down, ..
+            } => {
+                (self.lost, self.down) = (lost, down.map(|c| c.partition(SITES)));
+                self.path
+                    .modify(url(doc), self.latest, self.now, &mut self.out);
+                self.deliver();
+                if let Some(site) = self.down.filter(|_| self.rehello) {
+                    self.down = None;
+                    self.path
+                        .on_site_hello(site, SITES, self.now, &mut self.out);
+                    self.deliver();
+                }
+                // Every armed timer comes due before the next step; the
+                // first tick still finds a partitioned child's link down.
+                while let Some(next) = (0..self.timers.len()).min_by_key(|&i| self.timers[i]) {
+                    let (due, timer) = self.timers.swap_remove(next);
+                    self.now = self.now.max(due);
+                    self.path.on_timer(timer, self.now, &mut self.out);
+                    self.deliver();
+                    self.down = None;
+                }
+            }
+        }
+    }
+
+    /// Puts the frames that reach a child on the transcript, then
+    /// acknowledges them, in order; a frame for a child whose channel is
+    /// down goes nowhere.
+    fn deliver(&mut self) {
+        let asked = std::mem::take(&mut self.out);
+        let mut reached = frames(asked, self.now, &mut self.timers);
+        reached.retain(|(site, _)| self.down != Some(*site));
+        for (site, frame) in reached {
+            let lost = frame.entries().iter().any(|&(_, c)| self.lost == Some(c));
+            let acked = (!lost).then(|| vec![0]);
+            for (doc, client) in frame.entries().into_iter().filter(|_| !lost) {
+                self.path.ack(url(doc), client, self.now);
+            }
+            self.lost = self.lost.filter(|_| !lost);
+            let row = self.log.pushed.last_mut().expect("a step");
+            row.push(Pushed { site, frame, acked });
+        }
+    }
+}
+
+/// What the parent script's `Get`s and `Write`s are to a [`Deployment`].
+fn hierarchy(faults: &FaultPlan) -> Deployment {
+    let requests = PARENT_SCRIPT.iter().filter_map(|step| match *step {
+        Step::Get { at, client, doc } => Some(TraceRecord {
+            at: secs(at),
+            client,
+            url: url(doc),
+        }),
+        Step::Write { .. } => None,
+    });
+    let writes = PARENT_SCRIPT.iter().filter_map(|step| match *step {
+        Step::Write { at, doc, .. } => Some(Modification { at: secs(at), doc }),
+        Step::Get { .. } => None,
+    });
+    let trace = Trace {
+        name: "scripted".into(),
+        server: SERVER,
+        duration: SimDuration::from_secs(6000),
+        doc_sizes: vec![ByteSize::from_kib(1); DOCS as usize],
+        records: requests.collect(),
+    };
+    let mods = ModSchedule::from_modifications(DOCS, writes.collect());
+    let options = DeploymentOptions {
+        num_proxies: SITES,
+        topology: Topology::Hierarchy,
+        network: NetworkConfig::uniform(LinkSpec::new(SimDuration::from_millis(100), 1 << 30)),
+        retry_interval: RETRY,
+        audit: true,
+        ..DeploymentOptions::default()
+    };
+    let mut d = Deployment::build(&trace, &mods, &parent_protocol(), options);
+    d.apply_faults(faults);
+    d.run();
+    d
+}
+
+#[test]
+fn simulated_parent_conforms() {
+    let bare = BareParent::run(false);
+    let ms = SimDuration::from_millis;
+    // The faults are placed from dry runs, as for the origin: C1's first
+    // relay is on the wire when its link goes (the ack is lost); its last
+    // one and the re-send 250 ms later both find the link down.
+    let relays = |d: &Deployment| -> Vec<SimTime> {
+        let to_c1 = |e: &&AuditEvent| matches!(e, AuditEvent::InvalidateSend { client: C1, .. });
+        let log = d.parent().expect("parent").down().audit_log();
+        log.iter().filter(to_c1).map(AuditEvent::at).collect()
+    };
+    let dry = hierarchy(&FaultPlan::new());
+    let (parent, c1) = (dry.parent_id().expect("parent"), dry.proxy_ids()[1]);
+    let first = relays(&dry)[0];
+    let faults = FaultPlan::new().partition(parent, c1, first + ms(50), first + ms(150));
+    let last = *relays(&hierarchy(&faults)).last().expect("relayed");
+    let d = hierarchy(&faults.partition(parent, c1, last - ms(50), last + ms(300)));
+
+    let node = d.parent().expect("parent");
+    assert_eq!(untimed(node.down().audit_log()), bare.audit);
+    assert_eq!(node.down().snapshot(), bare.end);
+    assert_eq!(
+        node.counters().invalidations_relayed,
+        bare.end.invalidations
+    );
+    let raw = d.collect();
+    assert!(raw.finished && raw.writes_complete && bare.end.writes_complete);
+    assert_eq!((raw.stale_hits, raw.final_violations), (0, 0));
+    // The origin told one site, once per write; every child `GET` was a miss.
+    assert_eq!((raw.invalidations, raw.invalidation_retries), (3, 0));
+    assert_eq!((raw.requests, raw.hits), (4, 0));
+}
+
+#[test]
+fn tcp_parent_conforms() {
+    let bare = BareParent::run(true);
+    // What reaches a child does not depend on how its channel came back.
+    assert_eq!(bare.pushed, BareParent::run(false).pushed);
+    let c = &bare.end;
+    // Both, C1 again; C0 alone; C1 into the void, then on its `HELLO`.
+    assert_eq!((c.invalidations, c.invalidation_retries), (6, 2));
+    assert_eq!((c.gets, c.acks, c.gave_up), (4, 4, 0));
+    let sent = |site| {
+        let to_site = |p: &&Pushed| p.site == site;
+        let reached = bare.pushed.iter().flatten().filter(to_site);
+        reached.map(|p| p.frame.clone()).collect::<Vec<_>>()
+    };
+    let relay = Frame::Invalidate;
+    assert_eq!(sent(0), [relay(0, C0), relay(1, C0)]);
+    assert_eq!(sent(1), [relay(0, C1), relay(0, C1), relay(0, C1)]);
+
+    let upstream = common::ScriptedUpstream::bind();
+    let capacity = ByteSize::from_mib(64);
+    let parent = NetParent::spawn(upstream.addr(), &parent_protocol(), SERVER, capacity);
+    let parent = parent.expect("parent");
+    let (mut origin, mut origin_channel) = upstream.accept_node();
+    let hello = |partition| {
+        let mut channel = Wire::connect(parent.addr());
+        channel.send(&HttpMsg::Hello {
+            partition,
+            partitions: SITES,
+        });
+        channel
+    };
+    let mut channels: Vec<Wire> = (0..SITES).map(hello).collect();
+    let mut requests: Vec<Wire> = (0..SITES).map(|_| Wire::connect(parent.addr())).collect();
+    // The documents the parent holds, and the identity it asks for them in.
+    let (mut held, mut identity) = (Vec::new(), None);
+    for (step, pushed) in PARENT_SCRIPT.iter().zip(&bare.pushed) {
+        match *step {
+            Step::Get { at, client, doc } => {
+                let child = &mut requests[client.partition(SITES) as usize];
+                child.send(&HttpMsg::Get(get_request(at, client, doc, None, 0)));
+                if !held.contains(&doc) {
+                    let asked = origin.recv_get();
+                    identity = Some(asked.client);
+                    origin.reply_200(&asked, secs(at));
+                    held.push(doc);
+                }
+                assert_eq!(child.recv_200().0, at);
+            }
+            Step::Write { doc, down, .. } => {
+                let down = down.map(|c| c.partition(SITES));
+                if let Some(site) = down {
+                    // Closed; the replacement registers only after the relay.
+                    channels[site as usize] = Wire::connect(parent.addr());
+                }
+                origin_channel.send(&HttpMsg::Invalidate {
+                    url: url(doc),
+                    client: identity.expect("asked before"),
+                });
+                assert!(matches!(origin_channel.next(), HttpMsgRef::InvalAck { .. }));
+                held.retain(|&d| d != doc);
+                if let Some(site) = down {
+                    channels[site as usize].send(&HttpMsg::Hello {
+                        partition: site,
+                        partitions: SITES,
+                    });
+                }
+            }
+        }
+        expect(&mut channels, pushed);
+    }
+    // The last acknowledgement is behind this `GET` on its connection.
+    channels[1].send(&HttpMsg::Get(get_request(1, C1, 2, None, 0)));
+    let asked = origin.recv_get();
+    origin.reply_200(&asked, secs(1));
+    assert_eq!(channels[1].recv_200().0, 1);
+    assert_eq!(parent.counters().invalidations_relayed, c.invalidations);
+    for channel in &mut channels {
+        channel.assert_quiet();
+    }
 }
 
 // ---- sim_vs_tcp.rs: a whole trace, no modifications, one proxy ----

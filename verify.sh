@@ -68,12 +68,14 @@ echo "==> wcc replay --family real-time-feed (smoke)"
 
 echo "==> origin conformance + missed-invalidation regression (serve tier)"
 # One script fed to a bare wcc_core::OriginCore, a simulated deployment and
-# a NetOrigin over raw sockets (tests/origin_conformance.rs), and the write
-# that lands while a proxy's push channel is down
-# (crates/net/tests/serve_recovery.rs). Both also run in the suites above;
-# named here because they are what holds the two origin drivers together.
+# a NetOrigin over raw sockets, a second one to a bare wcc_core::WritePath,
+# a hierarchy deployment and a NetParent (tests/origin_conformance.rs), and
+# the writes that land while a push channel is down or nobody acknowledges
+# (crates/net/tests/{serve_recovery,hierarchy_tcp}.rs). All also run in the
+# suites above; named here because they are what holds the origin and
+# parent drivers of both tiers together.
 cargo test -q --test origin_conformance
-cargo test -q -p wcc-net --test serve_recovery
+cargo test -q -p wcc-net --test serve_recovery --test hierarchy_tcp
 
 echo "==> wcc serve --self-check (smoke)"
 # Serving-tier self-check: spawn an origin+proxy daemon pair, push two
