@@ -11,10 +11,12 @@ use std::collections::BinaryHeap;
 use wcc_cache::{CacheStore, Freshness, ReplacementPolicy};
 use wcc_core::analytical::{parse_stream, simulate};
 use wcc_core::{InvalidationTable, ProtocolConfig, ProtocolKind};
-use wcc_proto::{decode, encode, GetRequest, HttpMsg, RequestId};
+use wcc_proto::{
+    decode, decode_ref, encode, encode_into, GetRequest, HttpMsg, Reply, ReplyStatus, RequestId,
+};
 use wcc_simnet::EventQueue;
 use wcc_traces::Zipf;
-use wcc_types::{ByteSize, ClientId, DocMeta, ServerId, SimDuration, SimTime, Url};
+use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimDuration, SimTime, Url};
 
 fn bench_invalidation_table(c: &mut Criterion) {
     let mut group = c.benchmark_group("invalidation_table");
@@ -108,6 +110,30 @@ fn bench_codec(c: &mut Criterion) {
             let mut cursor = bytes.as_slice();
             black_box(decode(&mut cursor).expect("valid"))
         })
+    });
+    // The serve tier's commonest large frame, through the calls it makes:
+    // encoded into a buffer that is already there, decoded in place.
+    let meta = DocMeta::new(ByteSize::from_kib(8), SimTime::from_secs(7));
+    let reply = HttpMsg::Reply(Reply {
+        req: RequestId::new(42),
+        url: Url::new(ServerId::new(0), 123),
+        client: ClientId::from_raw(77),
+        status: ReplyStatus::Ok(Body::synthetic(meta, 1)),
+        lease: Some(SimTime::from_secs(86_400)),
+        piggyback: Vec::new(),
+        volume_lease: None,
+    });
+    let mut out = Vec::with_capacity(16 * 1024);
+    c.bench_function("wire_encode_reply_200_8k", |b| {
+        b.iter(|| {
+            out.clear();
+            encode_into(black_box(&reply), &mut out);
+            black_box(out.len())
+        })
+    });
+    let bytes = encode(&reply);
+    c.bench_function("wire_decode_reply_200_8k", |b| {
+        b.iter(|| black_box(decode_ref(black_box(&bytes)).expect("valid")))
     });
 }
 

@@ -13,7 +13,8 @@
 //! * **inner loop** — the EPA invalidation replay on one thread, floored at
 //!   the scale-2 workload (20 329 requests) so the arena's counters are
 //!   measured past the slab's warm-up ramp, plus the zero-copy decode probe
-//!   ([`wcc_proto::codec_sweep`] over the same trace as wire traffic).
+//!   ([`wcc_proto::codec_sweep`] over the same trace as wire traffic) and,
+//!   as Info rows, what encoding and decoding that traffic costs per message.
 //! * **family** — the flash-crowd federation (`FamilyConfig::city`, 64
 //!   origins) with its deterministic peak state bytes
 //!   (`Deployment::memory_model`).
@@ -51,7 +52,7 @@ use wcc_traces::TraceSpec;
 use wcc_types::InvalBatchConfig;
 
 /// Schema tag of the emitted report — itself the table's first Exact row.
-pub const SCHEMA: &str = "wcc-bench-trajectory/10";
+pub const SCHEMA: &str = "wcc-bench-trajectory/11";
 
 /// A reported scalar: the three JSON kinds the flat report carries, with
 /// numbers split into counts and (three-decimal) quotients.
@@ -492,6 +493,27 @@ fn inner_loop(report: &mut Report, scale: u64) {
         codec.copies == codec.retained,
         Gate::Holds,
     );
+
+    // What the codec costs per message over the same corpus, through the
+    // two calls the serve tier makes per frame: encoded behind what a
+    // buffer already holds (and has touched: no page fault is timed),
+    // decoded in place.
+    let mut wire = vec![1u8; codec.bytes as usize];
+    wire.clear();
+    let start = Instant::now();
+    for msg in &corpus {
+        wcc_proto::encode_into(msg, &mut wire);
+    }
+    let encode_ns = start.elapsed().as_nanos() as u64;
+    let (mut rest, start) = (wire.as_slice(), Instant::now());
+    while let Ok(Some((msg, used))) = wcc_proto::decode_frame(rest, true) {
+        std::hint::black_box(&msg);
+        rest = rest.get(used..).unwrap_or_default();
+    }
+    let decode_ns = start.elapsed().as_nanos() as u64;
+    let per_msg = |ns: u64| ns / codec.messages.max(1);
+    report.push("codec.encode_ns_per_msg", per_msg(encode_ns), Gate::Info);
+    report.push("codec.decode_ns_per_msg", per_msg(decode_ns), Gate::Info);
 }
 
 /// One write storm and what per-write fan-out made of it: the proposer

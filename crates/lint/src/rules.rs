@@ -161,6 +161,22 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
         include_tests: false,
     },
     SeqRule {
+        name: "codec-fmt",
+        needles: &[&["write", "!"], &["format", "!"]],
+        message: "the codec runs once per frame of the serve tier: no \
+                  core::fmt there; copy literals in, render numbers through \
+                  wire.rs's put_dec, or waive in place the text of an error \
+                  that ends its connection",
+        in_scope: |path| {
+            matches!(
+                path,
+                "crates/proto/src/wire.rs" | "crates/proto/src/zero.rs"
+            )
+        },
+        allowed: |_| false,
+        include_tests: false,
+    },
+    SeqRule {
         name: "reactor-blocking-io",
         needles: &[
             &["TcpStream", ":", ":", "connect", "("],

@@ -96,7 +96,7 @@ fn allocating_url_path_denied_in_message_hot_crates() {
     let ok = "fn f(u: wcc_types::Url, s: &mut String) { u.write_path(s).ok(); }\n";
     assert!(rules_fired("crates/httpsim/src/proxy.rs", ok).is_empty());
     let disp = "fn f(u: wcc_types::Url) { let _ = format!(\"{}\", u.path_display()); }\n";
-    assert!(rules_fired("crates/proto/src/wire.rs", disp).is_empty());
+    assert!(rules_fired("crates/proto/src/msg.rs", disp).is_empty());
     // Cold crates (CLI, traces, replay) may keep the convenience form.
     assert!(rules_fired("crates/replay/src/tables.rs", src).is_empty());
     assert!(rules_fired("src/bin/wcc.rs", src).is_empty());
@@ -122,6 +122,32 @@ fn per_frame_encode_denied_in_hot_loop_files() {
     assert!(rules_fired("crates/net/src/evloop.rs", waived).is_empty());
     // Files off the hot-loop list keep the convenience form.
     assert!(rules_fired("crates/net/src/scrape.rs", src).is_empty());
+}
+
+#[test]
+fn formatting_machinery_denied_in_the_wire_codec() {
+    let put = "fn f(out: &mut Vec<u8>, n: u64) { let _ = write!(out, \"X-Size: {n}\\r\\n\"); }\n";
+    let alloc = "fn f(n: u64) -> String { format!(\"{n}\") }\n";
+    for path in ["crates/proto/src/wire.rs", "crates/proto/src/zero.rs"] {
+        assert!(rules_fired(path, put).contains(&"codec-fmt"), "{path}");
+        assert!(rules_fired(path, alloc).contains(&"codec-fmt"), "{path}");
+    }
+    // Literals copied in, numbers through the decimal writer.
+    let ok = "fn f(out: &mut Vec<u8>, n: u64) { out.extend_from_slice(b\"X-Size: \"); put_dec(out, n); }\n";
+    assert!(rules_fired("crates/proto/src/wire.rs", ok).is_empty());
+    // `writeln!`-free text that merely mentions the macros does not count.
+    let inert = "/// Nothing here goes through `write!` or `format!`.\nfn f() {}\n";
+    assert!(rules_fired("crates/proto/src/wire.rs", inert).is_empty());
+    // An error's text, rendered once as the connection closes.
+    let waived =
+        "fn bad(v: &str) -> E { E(format!(\"bad {v}\")) } // xtask-lint: allow(codec-fmt)\n";
+    assert!(rules_fired("crates/proto/src/wire.rs", waived).is_empty());
+    // The message model and every other crate format as they like.
+    assert!(rules_fired("crates/proto/src/msg.rs", put).is_empty());
+    assert!(rules_fired("crates/net/src/scrape.rs", alloc).is_empty());
+    // The write!-based reference encoder is test code.
+    let test = "#[cfg(test)]\nmod tests {\n    fn r(o: &mut Vec<u8>) { write!(o, \"x\"); }\n}\n";
+    assert!(rules_fired("crates/proto/src/wire.rs", test).is_empty());
 }
 
 #[test]

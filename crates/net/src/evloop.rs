@@ -9,12 +9,14 @@
 //!   role's deadline and the runtime's own re-dial deadline (a due
 //!   deadline fires after any wake, busy or idle);
 //! * a slab of non-blocking connections keyed by generation tokens, each
-//!   with a compacting receive buffer (frames decode from it in place via
-//!   `wcc_proto::zero::decode_frame` — the zero-copy path) and a send
-//!   buffer that absorbs partial writes and that frames are encoded
-//!   straight into (`wcc_proto::encode_into`: no `Vec` per frame). Write
-//!   interest is armed only while output is queued, so an idle keep-alive
-//!   connection costs one registered fd and two empty buffers;
+//!   with a receive buffer socket reads land in directly (frames decode
+//!   from it in place via `wcc_proto::zero::decode_frame` — the zero-copy
+//!   path — and a read that comes back short ends the round: no extra
+//!   `recv` to hear `EAGAIN`) and a send buffer that absorbs partial
+//!   writes and that frames are encoded straight into
+//!   (`wcc_proto::encode_into`: no `Vec` per frame). Write interest is
+//!   armed only while output is queued, so an idle keep-alive connection
+//!   costs one registered fd and two empty buffers;
 //! * the frame pump: read → decode → [`Role::on_frame`] → consume, then
 //!   keep / close-after-flush / close. A clean EOF (a half-closing
 //!   HTTP/1.0 client) closes only once every reply the peer is still owed
@@ -280,19 +282,13 @@ struct Conn<T> {
 impl<T> Conn<T> {
     /// Reads everything currently available; sets [`Conn::eof`] on peer
     /// close. `Ok(())` means "no fatal error" — the caller decodes next.
+    /// A peer that sends its last bytes and closes at once may have its
+    /// EOF noticed one wake later: the socket stays readable until then.
     fn read_ready(&mut self) -> io::Result<()> {
-        loop {
-            match self.rbuf.fill(&mut self.stream) {
-                Ok(0) => {
-                    self.eof = true;
-                    return Ok(());
-                }
-                Ok(_) => {}
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
+        if self.rbuf.fill_available(&mut self.stream)? {
+            self.eof = true;
         }
+        Ok(())
     }
 
     /// The pipeline is full: no further request is decoded, or read,
@@ -1089,6 +1085,28 @@ mod tests {
         side.barrier(); // the EOF was seen while the reply was still queued
         assert_eq!(a.reply(), (1, BIG as usize));
         assert!(matches!(a.r.next_msg(), Err(WireError::Closed)));
+    }
+
+    /// A request and the client's FIN that are both there when the reactor
+    /// gets to the connection: the read that takes the request comes back
+    /// short and ends the round without seeing the EOF, which must then be
+    /// noticed on the next wake — answered first, closed after.
+    #[test]
+    fn a_request_and_fin_in_one_wake_are_answered_then_closed() {
+        let h = start();
+        let mut a = Peer::connect(h.addr);
+        let mut side = Peer::connect(h.addr);
+        side.barrier();
+        // Building and queueing 16 MiB keeps the reactor's one thread busy
+        // for far longer than loopback needs to deliver what `a` sends.
+        side.send(&get(7, INLINE, BIG));
+        a.send(&get(1, INLINE, 3));
+        a.w.shutdown(Shutdown::Write).expect("half-close");
+        assert_eq!(a.reply(), (1, 3));
+        assert!(matches!(a.r.next_msg(), Err(WireError::Closed)));
+        assert_eq!(side.reply(), (7, BIG as usize));
+        let seen = h.shared.seen.lock();
+        assert_eq!(seen.iter().filter(|(_, req)| *req == 1).count(), 1);
     }
 
     /// A half-closing client is owed every deferred reply (and, parked

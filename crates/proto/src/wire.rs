@@ -38,7 +38,7 @@
 use crate::msg::{BatchAckEntry, BatchEntry, GetRequest, HttpMsg, Reply, ReplyStatus, RequestId};
 use std::collections::HashMap;
 use std::fmt;
-use std::io::{BufRead, Write};
+use std::io::BufRead;
 use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url};
 
 /// Error decoding a wire message.
@@ -55,9 +55,9 @@ pub enum WireError {
 impl fmt::Display for WireError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::Io(e) => write!(f, "wire i/o error: {e}"),
-            WireError::Closed => write!(f, "connection closed"),
-            WireError::Malformed(why) => write!(f, "malformed wire message: {why}"),
+            WireError::Io(e) => write!(f, "wire i/o error: {e}"), // xtask-lint: allow(codec-fmt)
+            WireError::Closed => write!(f, "connection closed"),  // xtask-lint: allow(codec-fmt)
+            WireError::Malformed(why) => write!(f, "malformed wire message: {why}"), // xtask-lint: allow(codec-fmt)
         }
     }
 }
@@ -81,14 +81,6 @@ fn malformed(why: impl Into<String>) -> WireError {
     WireError::Malformed(why.into())
 }
 
-/// `write!` into a `Vec<u8>` cannot fail (the vec grows as needed), so the
-/// mandatory `io::Result` is discarded to keep the encoder linear.
-macro_rules! put {
-    ($out:expr, $($arg:tt)*) => {
-        let _ = write!($out, $($arg)*);
-    };
-}
-
 /// Encodes `msg` into its wire form ([`encode_into`]) in a fresh `Vec`:
 /// for set-up code and tests. The serve tier's per-frame paths append to a
 /// connection's send buffer with [`encode_into`] instead.
@@ -105,75 +97,48 @@ pub fn encode(msg: &HttpMsg) -> Vec<u8> {
 /// accounted size travels in the `X-Size` header so byte accounting survives
 /// the scaling trick.
 ///
-/// Every line is formatted straight into the output buffer — no
-/// intermediate `String` per header, and paths ride [`Url::path_display`]
-/// rather than the allocating [`Url::path`] — because this sits on the
-/// TCP prototype's per-message hot path.
+/// This sits on the TCP prototype's per-message hot path, so nothing here
+/// goes through `core::fmt`: the fixed text is copied in as byte literals
+/// and every number — header values, the `N` of a `/doc/N` path, the
+/// octets of a client id — through [`put_dec`].
 pub fn encode_into(msg: &HttpMsg, out: &mut Vec<u8>) {
+    // A blank line ends every header block; only a `200` has bytes behind it.
+    let mut payload: &[u8] = &[];
     match msg {
         HttpMsg::Get(g) => {
-            put!(out, "GET {} HTTP/1.0\r\n", g.url.path_display());
-            put!(out, "Host: server{}\r\n", g.url.server().index());
-            put!(out, "X-Client: {}\r\n", g.client);
-            put!(out, "X-Request-Id: {}\r\n", g.req.get());
-            put!(out, "Date: {}\r\n", g.issued_at.as_micros());
+            put_start(out, b"GET /doc/", g.url);
+            put_client(out, g.client);
+            put_header(out, b"X-Request-Id: ", g.req.get());
+            put_header(out, b"Date: ", g.issued_at.as_micros());
             if g.cache_hits > 0 {
-                put!(out, "X-Hit-Count: {}\r\n", g.cache_hits);
+                put_header(out, b"X-Hit-Count: ", g.cache_hits);
             }
             if let Some(validator) = g.ims {
-                put!(out, "If-Modified-Since: {}\r\n", validator.as_micros());
+                put_header(out, b"If-Modified-Since: ", validator.as_micros());
             }
-            put!(out, "\r\n");
         }
         HttpMsg::Reply(r) => match &r.status {
             ReplyStatus::Ok(body) => {
-                put!(out, "HTTP/1.0 200 OK\r\n");
-                put!(out, "Host: server{}\r\n", r.url.server().index());
-                put!(out, "Content-Location: {}\r\n", r.url.path_display());
-                put!(out, "X-Client: {}\r\n", r.client);
-                put!(out, "X-Request-Id: {}\r\n", r.req.get());
-                put!(
-                    out,
-                    "Last-Modified: {}\r\n",
-                    body.meta().last_modified().as_micros()
-                );
-                put!(out, "X-Size: {}\r\n", body.meta().size().as_u64());
-                if let Some(lease) = r.lease {
-                    put!(out, "X-Lease: {}\r\n", lease.as_micros());
-                }
-                put_piggyback(out, &r.piggyback);
-                if let Some(v) = r.volume_lease {
-                    put!(out, "X-Volume-Lease: {}\r\n", v.as_micros());
-                }
-                put!(out, "Content-Length: {}\r\n\r\n", body.payload().len());
-                out.extend_from_slice(body.payload());
+                let meta = body.meta();
+                put_reply_head(out, b"HTTP/1.0 200 OK\r\n", r);
+                put_header(out, b"Last-Modified: ", meta.last_modified().as_micros());
+                put_header(out, b"X-Size: ", meta.size().as_u64());
+                put_reply_grants(out, r);
+                put_header(out, b"Content-Length: ", body.payload().len() as u64);
+                payload = body.payload();
             }
             ReplyStatus::NotModified => {
-                put!(out, "HTTP/1.0 304 Not Modified\r\n");
-                put!(out, "Host: server{}\r\n", r.url.server().index());
-                put!(out, "Content-Location: {}\r\n", r.url.path_display());
-                put!(out, "X-Client: {}\r\n", r.client);
-                put!(out, "X-Request-Id: {}\r\n", r.req.get());
-                if let Some(lease) = r.lease {
-                    put!(out, "X-Lease: {}\r\n", lease.as_micros());
-                }
-                put_piggyback(out, &r.piggyback);
-                if let Some(v) = r.volume_lease {
-                    put!(out, "X-Volume-Lease: {}\r\n", v.as_micros());
-                }
-                put!(out, "\r\n");
+                put_reply_head(out, b"HTTP/1.0 304 Not Modified\r\n", r);
+                put_reply_grants(out, r);
             }
         },
         HttpMsg::Invalidate { url, client } => {
-            put!(out, "INVALIDATE {} HTTP/1.0\r\n", url.path_display());
-            put!(out, "Host: server{}\r\n", url.server().index());
-            put!(out, "X-Client: {client}\r\n");
-            put!(out, "\r\n");
+            put_start(out, b"INVALIDATE /doc/", *url);
+            put_client(out, *client);
         }
         HttpMsg::InvalidateServer { server } => {
-            put!(out, "INVALIDATE * HTTP/1.0\r\n");
-            put!(out, "X-Server: {}\r\n", server.index());
-            put!(out, "\r\n");
+            out.extend_from_slice(b"INVALIDATE * HTTP/1.0\r\n");
+            put_header(out, b"X-Server: ", u64::from(server.index()));
         }
         HttpMsg::InvalidateBatch { server, entries } => {
             // Same `*` target as the bulk form; the `X-Batch` entry list is
@@ -181,84 +146,149 @@ pub fn encode_into(msg: &HttpMsg, out: &mut Vec<u8>) {
             // invalidation. An empty round is never sent (it would decode
             // as the bulk form).
             debug_assert!(!entries.is_empty(), "batch rounds are never empty");
-            put!(out, "INVALIDATE * HTTP/1.0\r\n");
-            put!(out, "X-Server: {}\r\n", server.index());
-            put!(out, "X-Batch: ");
-            for (i, e) in entries.iter().enumerate() {
-                if i > 0 {
-                    put!(out, ",");
-                }
-                put!(out, "{}:{}", e.url.doc(), e.client);
-            }
-            put!(out, "\r\n\r\n");
+            out.extend_from_slice(b"INVALIDATE * HTTP/1.0\r\n");
+            put_header(out, b"X-Server: ", u64::from(server.index()));
+            put_list(out, b"X-Batch: ", entries, |out, e| {
+                put_dec(out, u64::from(e.url.doc()));
+                out.push(b':');
+                put_quad(out, e.client);
+            });
         }
         HttpMsg::InvalidateBatchAck { server, entries } => {
             debug_assert!(!entries.is_empty(), "batch acks are never empty");
-            put!(out, "ACK * HTTP/1.0\r\n");
-            put!(out, "X-Server: {}\r\n", server.index());
-            put!(out, "X-Batch: ");
-            for (i, e) in entries.iter().enumerate() {
-                if i > 0 {
-                    put!(out, ",");
-                }
-                put!(out, "{}:{}:{}", e.url.doc(), e.client, e.cache_hits);
-            }
-            put!(out, "\r\n\r\n");
+            out.extend_from_slice(b"ACK * HTTP/1.0\r\n");
+            put_header(out, b"X-Server: ", u64::from(server.index()));
+            put_list(out, b"X-Batch: ", entries, |out, e| {
+                put_dec(out, u64::from(e.url.doc()));
+                out.push(b':');
+                put_quad(out, e.client);
+                out.push(b':');
+                put_dec(out, e.cache_hits);
+            });
         }
         HttpMsg::InvalidateServerAck { server } => {
-            put!(out, "ACK * HTTP/1.0\r\n");
-            put!(out, "X-Server: {}\r\n", server.index());
-            put!(out, "\r\n");
+            out.extend_from_slice(b"ACK * HTTP/1.0\r\n");
+            put_header(out, b"X-Server: ", u64::from(server.index()));
         }
         HttpMsg::InvalAck {
             url,
             client,
             cache_hits,
         } => {
-            put!(out, "ACK {} HTTP/1.0\r\n", url.path_display());
-            put!(out, "Host: server{}\r\n", url.server().index());
-            put!(out, "X-Client: {client}\r\n");
+            put_start(out, b"ACK /doc/", *url);
+            put_client(out, *client);
             if *cache_hits > 0 {
-                put!(out, "X-Hit-Count: {cache_hits}\r\n");
+                put_header(out, b"X-Hit-Count: ", *cache_hits);
             }
-            put!(out, "\r\n");
         }
         HttpMsg::Hello {
             partition,
             partitions,
         } => {
-            put!(out, "HELLO {partition}/{partitions} HTTP/1.0\r\n");
-            put!(out, "\r\n");
+            out.extend_from_slice(b"HELLO ");
+            put_dec(out, u64::from(*partition));
+            out.push(b'/');
+            put_dec(out, u64::from(*partitions));
+            out.extend_from_slice(b" HTTP/1.0\r\n");
         }
         HttpMsg::Notify { url, at } => {
-            put!(out, "NOTIFY {} HTTP/1.0\r\n", url.path_display());
-            put!(out, "Host: server{}\r\n", url.server().index());
-            put!(out, "Date: {}\r\n", at.as_micros());
-            put!(out, "\r\n");
+            put_start(out, b"NOTIFY /doc/", *url);
+            put_header(out, b"Date: ", at.as_micros());
         }
-        HttpMsg::MetricsGet => {
-            // Exactly what `curl http://host:port/metrics --http1.0` sends,
-            // so any Prometheus-style scraper works against the prototype.
-            put!(out, "GET /metrics HTTP/1.0\r\n");
-            put!(out, "\r\n");
+        // Exactly what `curl http://host:port/metrics --http1.0` sends,
+        // so any Prometheus-style scraper works against the prototype.
+        HttpMsg::MetricsGet => out.extend_from_slice(b"GET /metrics HTTP/1.0\r\n"),
+    }
+    out.extend_from_slice(b"\r\n");
+    out.extend_from_slice(payload);
+}
+
+/// Appends `n` in decimal: the one place the encoder renders a number.
+fn put_dec(out: &mut Vec<u8>, mut n: u64) {
+    // `u64::MAX` has 20 digits; they are produced last to first.
+    let mut digits = [0u8; 20];
+    let mut first = digits.len();
+    for digit in digits.iter_mut().rev() {
+        *digit = b'0' + (n % 10) as u8;
+        first -= 1;
+        n /= 10;
+        if n == 0 {
+            break;
         }
+    }
+    out.extend_from_slice(digits.get(first..).unwrap_or_default());
+}
+
+/// `<verb> /doc/N HTTP/1.0` and the `Host` line that names the document's
+/// server: how every message about one document starts. `verb_and_path`
+/// runs up to the document's number (`Url::write_path` is `/doc/N`).
+fn put_start(out: &mut Vec<u8>, verb_and_path: &[u8], url: Url) {
+    out.extend_from_slice(verb_and_path);
+    put_dec(out, u64::from(url.doc()));
+    out.extend_from_slice(b" HTTP/1.0\r\n");
+    put_header(out, b"Host: server", u64::from(url.server().index()));
+}
+
+/// One numeric header line; `name` runs up to where the number starts.
+fn put_header(out: &mut Vec<u8>, name: &[u8], value: u64) {
+    out.extend_from_slice(name);
+    put_dec(out, value);
+    out.extend_from_slice(b"\r\n");
+}
+
+/// One list-valued header line: the items as `item` writes them, with
+/// commas between.
+fn put_list<T>(out: &mut Vec<u8>, name: &[u8], items: &[T], item: impl Fn(&mut Vec<u8>, &T)) {
+    out.extend_from_slice(name);
+    for (i, it) in items.iter().enumerate() {
+        if i > 0 {
+            out.push(b',');
+        }
+        item(out, it);
+    }
+    out.extend_from_slice(b"\r\n");
+}
+
+/// The dotted quad of a client id, as its `Display` renders it.
+fn put_quad(out: &mut Vec<u8>, client: ClientId) {
+    for (i, octet) in client.octets().into_iter().enumerate() {
+        if i > 0 {
+            out.push(b'.');
+        }
+        put_dec(out, u64::from(octet));
     }
 }
 
-/// Writes the `X-Piggyback` header (comma-separated document indices)
-/// straight into the buffer; writes nothing for an empty list.
-fn put_piggyback(out: &mut Vec<u8>, urls: &[Url]) {
-    if urls.is_empty() {
-        return;
+fn put_client(out: &mut Vec<u8>, client: ClientId) {
+    out.extend_from_slice(b"X-Client: ");
+    put_quad(out, client);
+    out.extend_from_slice(b"\r\n");
+}
+
+/// The lines every reply starts with, whatever its status.
+fn put_reply_head(out: &mut Vec<u8>, status_line: &[u8], r: &Reply) {
+    out.extend_from_slice(status_line);
+    put_header(out, b"Host: server", u64::from(r.url.server().index()));
+    put_header(out, b"Content-Location: /doc/", u64::from(r.url.doc()));
+    put_client(out, r.client);
+    put_header(out, b"X-Request-Id: ", r.req.get());
+}
+
+/// What a reply grants or announces beside the document: lease,
+/// piggybacked invalidations (comma-separated document indices; no line
+/// for an empty list), volume lease.
+fn put_reply_grants(out: &mut Vec<u8>, r: &Reply) {
+    if let Some(lease) = r.lease {
+        put_header(out, b"X-Lease: ", lease.as_micros());
     }
-    put!(out, "X-Piggyback: ");
-    for (i, url) in urls.iter().enumerate() {
-        if i > 0 {
-            put!(out, ",");
-        }
-        put!(out, "{}", url.doc());
+    if !r.piggyback.is_empty() {
+        put_list(out, b"X-Piggyback: ", &r.piggyback, |out, url| {
+            put_dec(out, u64::from(url.doc()));
+        });
     }
-    put!(out, "\r\n");
+    if let Some(v) = r.volume_lease {
+        put_header(out, b"X-Volume-Lease: ", v.as_micros());
+    }
 }
 
 fn parse_piggyback(
@@ -273,7 +303,7 @@ fn parse_piggyback(
             d.trim()
                 .parse()
                 .map(|doc| Url::new(server, doc))
-                .map_err(|_| malformed(format!("bad piggyback entry {d:?}")))
+                .map_err(|_| malformed(format!("bad piggyback entry {d:?}"))) // xtask-lint: allow(codec-fmt)
         })
         .collect()
 }
@@ -286,13 +316,13 @@ fn parse_batch(list: &str, server: ServerId) -> Result<Vec<BatchEntry>, WireErro
             let entry = e.trim();
             let (doc, client) = entry
                 .split_once(':')
-                .ok_or_else(|| malformed(format!("bad batch entry {entry:?}")))?;
+                .ok_or_else(|| malformed(format!("bad batch entry {entry:?}")))?; // xtask-lint: allow(codec-fmt)
             let doc: u32 = doc
                 .parse()
-                .map_err(|_| malformed(format!("bad batch entry {entry:?}")))?;
+                .map_err(|_| malformed(format!("bad batch entry {entry:?}")))?; // xtask-lint: allow(codec-fmt)
             let client: ClientId = client
                 .parse()
-                .map_err(|_| malformed(format!("bad batch entry {entry:?}")))?;
+                .map_err(|_| malformed(format!("bad batch entry {entry:?}")))?; // xtask-lint: allow(codec-fmt)
             Ok(BatchEntry {
                 url: Url::new(server, doc),
                 client,
@@ -307,7 +337,7 @@ fn parse_batch_ack(list: &str, server: ServerId) -> Result<Vec<BatchAckEntry>, W
     list.split(',')
         .map(|e| {
             let entry = e.trim();
-            let bad = || malformed(format!("bad batch ack entry {entry:?}"));
+            let bad = || malformed(format!("bad batch ack entry {entry:?}")); // xtask-lint: allow(codec-fmt)
             let (doc, rest) = entry.split_once(':').ok_or_else(bad)?;
             let (client, hits) = rest.split_once(':').ok_or_else(bad)?;
             let doc: u32 = doc.parse().map_err(|_| bad())?;
@@ -326,7 +356,7 @@ fn parse_host(value: &str) -> Result<ServerId, WireError> {
     let idx = value
         .strip_prefix("server")
         .and_then(|rest| rest.parse().ok())
-        .ok_or_else(|| malformed(format!("bad Host: {value}")))?;
+        .ok_or_else(|| malformed(format!("bad Host: {value}")))?; // xtask-lint: allow(codec-fmt)
     Ok(ServerId::new(idx))
 }
 
@@ -353,7 +383,7 @@ pub fn decode<R: BufRead>(reader: &mut R) -> Result<HttpMsg, WireError> {
             Some(line) => {
                 let (name, value) = line
                     .split_once(':')
-                    .ok_or_else(|| malformed(format!("bad header: {line}")))?;
+                    .ok_or_else(|| malformed(format!("bad header: {line}")))?; // xtask-lint: allow(codec-fmt)
                 headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
             }
         }
@@ -438,7 +468,7 @@ pub fn decode<R: BufRead>(reader: &mut R) -> Result<HttpMsg, WireError> {
                     piggyback,
                     volume_lease,
                 })),
-                other => Err(malformed(format!("unsupported status {other}"))),
+                other => Err(malformed(format!("unsupported status {other}"))), // xtask-lint: allow(codec-fmt)
             }
         }
         "INVALIDATE" => {
@@ -511,7 +541,7 @@ pub fn decode<R: BufRead>(reader: &mut R) -> Result<HttpMsg, WireError> {
                 at: parse_micros(headers.get("date").map(String::as_str).unwrap_or("0"))?,
             })
         }
-        other => Err(malformed(format!("unknown verb {other}"))),
+        other => Err(malformed(format!("unknown verb {other}"))), // xtask-lint: allow(codec-fmt)
     }
 }
 
@@ -521,15 +551,16 @@ fn url_from(headers: &HashMap<String, String>, path: &str) -> Result<Url, WireEr
             .get("host")
             .ok_or_else(|| malformed("missing Host header"))?,
     )?;
-    Url::from_path(server, path).ok_or_else(|| malformed(format!("bad path {path}")))
+    let bad_path = || malformed(format!("bad path {path}")); // xtask-lint: allow(codec-fmt)
+    Url::from_path(server, path).ok_or_else(bad_path)
 }
 
 fn required_u64(headers: &HashMap<String, String>, name: &str) -> Result<u64, WireError> {
     headers
         .get(name)
-        .ok_or_else(|| malformed(format!("missing header {name}")))?
+        .ok_or_else(|| malformed(format!("missing header {name}")))? // xtask-lint: allow(codec-fmt)
         .parse()
-        .map_err(|_| malformed(format!("non-numeric header {name}")))
+        .map_err(|_| malformed(format!("non-numeric header {name}"))) // xtask-lint: allow(codec-fmt)
 }
 
 fn required_client(headers: &HashMap<String, String>) -> Result<ClientId, WireError> {
@@ -544,7 +575,7 @@ fn parse_micros(value: &str) -> Result<SimTime, WireError> {
     value
         .parse()
         .map(SimTime::from_micros)
-        .map_err(|_| malformed(format!("bad timestamp {value}")))
+        .map_err(|_| malformed(format!("bad timestamp {value}"))) // xtask-lint: allow(codec-fmt)
 }
 
 /// Reads one `\r\n`- (or `\n`-) terminated line; `None` on clean EOF.

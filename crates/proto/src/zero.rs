@@ -15,6 +15,10 @@
 //! returning `Ok(None)`, which is what [`FrameReader`] uses to pull frames
 //! off a socket without an intermediate copy per message.
 //!
+//! A frame's bytes are visited once: the loop that checks each header line
+//! files its value in the slot of the name the protocol reads it by
+//! (`Headers`), so every later lookup is a field read.
+//!
 //! Error parity: for any complete input, `decode_ref(&bytes)` fails exactly
 //! when `decode(&mut bytes.as_slice())` fails, with a byte-identical error
 //! rendering — the proptests in this module's test suite and the fuzz
@@ -329,54 +333,64 @@ impl<'buf> Lines<'buf> {
     }
 }
 
-/// The header section, kept as borrowed text; lookups re-scan the (few)
-/// lines instead of building a map, so steady-state decode allocates
-/// nothing.
-#[derive(Clone, Copy)]
+/// The header block as one slot per name the protocol reads, filled by the
+/// loop that validates the lines: a lookup is a field read, and
+/// steady-state decode neither allocates nor revisits a line.
+///
+/// The rules are the owned decoder's map's: a name matches whatever its
+/// case and surrounding whitespace, a value is stored trimmed, a repeated
+/// name's last line wins, and a name nothing reads is dropped.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Headers<'buf> {
-    section: &'buf str,
+    host: Option<&'buf str>,
+    x_client: Option<&'buf str>,
+    x_request_id: Option<&'buf str>,
+    date: Option<&'buf str>,
+    x_hit_count: Option<&'buf str>,
+    if_modified_since: Option<&'buf str>,
+    content_location: Option<&'buf str>,
+    last_modified: Option<&'buf str>,
+    x_size: Option<&'buf str>,
+    x_lease: Option<&'buf str>,
+    x_piggyback: Option<&'buf str>,
+    x_volume_lease: Option<&'buf str>,
+    content_length: Option<&'buf str>,
+    x_server: Option<&'buf str>,
+    x_batch: Option<&'buf str>,
 }
 
 impl<'buf> Headers<'buf> {
-    /// Case-insensitive lookup of `name` (which must be lowercase, like the
-    /// owned decoder's map keys), returning the trimmed value. Scans in
-    /// reverse so duplicates resolve last-wins, matching `HashMap::insert`.
-    fn get(&self, name: &str) -> Option<&'buf str> {
-        // The section always ends with the last header's '\n' terminator;
-        // strip it so the reverse split sees no phantom empty line.
-        let section = self.section.strip_suffix('\n').unwrap_or(self.section);
-        let iter = LineIter { rest: section };
-        for line in iter {
-            // Infallible: every header line was colon-checked at decode.
-            let (n, v) = line.split_once(':').expect("headers validated"); // xtask-lint: allow(unwrap)
-            if n.trim().eq_ignore_ascii_case(name) {
-                return Some(v.trim());
-            }
-        }
-        None
+    /// The slot `name` (already trimmed) fills, if the protocol reads it.
+    /// The length picks at most two candidates before any byte is compared.
+    fn slot(&mut self, name: &str) -> Option<&mut Option<&'buf str>> {
+        let is = |known: &str| name.eq_ignore_ascii_case(known);
+        Some(match name.len() {
+            4 if is("host") => &mut self.host,
+            4 if is("date") => &mut self.date,
+            6 if is("x-size") => &mut self.x_size,
+            7 if is("x-lease") => &mut self.x_lease,
+            7 if is("x-batch") => &mut self.x_batch,
+            8 if is("x-client") => &mut self.x_client,
+            8 if is("x-server") => &mut self.x_server,
+            11 if is("x-hit-count") => &mut self.x_hit_count,
+            11 if is("x-piggyback") => &mut self.x_piggyback,
+            12 if is("x-request-id") => &mut self.x_request_id,
+            13 if is("last-modified") => &mut self.last_modified,
+            14 if is("content-length") => &mut self.content_length,
+            14 if is("x-volume-lease") => &mut self.x_volume_lease,
+            16 if is("content-location") => &mut self.content_location,
+            17 if is("if-modified-since") => &mut self.if_modified_since,
+            _ => return None,
+        })
     }
-}
 
-/// Iterates header lines *in reverse* (for last-wins lookup), applying the
-/// same all-trailing-`\r`/`\n` strip as `read_line`.
-struct LineIter<'buf> {
-    rest: &'buf str,
-}
-
-impl<'buf> Iterator for LineIter<'buf> {
-    type Item = &'buf str;
-    fn next(&mut self) -> Option<&'buf str> {
-        if self.rest.is_empty() {
-            return None;
+    /// Files one header line; `None` if it has no colon.
+    fn record(&mut self, line: &'buf str) -> Option<()> {
+        let (name, value) = line.split_once(':')?;
+        if let Some(slot) = self.slot(name.trim()) {
+            *slot = Some(value.trim());
         }
-        let (head, line) = match self.rest.rfind('\n') {
-            // The trailing '\n' of the last line was already consumed when
-            // the section slice was taken, so every '\n' here separates.
-            Some(i) => (&self.rest[..i], &self.rest[i + 1..]),
-            None => ("", self.rest),
-        };
-        self.rest = head;
-        Some(line.trim_end_matches(['\r', '\n']))
+        Some(())
     }
 }
 
@@ -402,31 +416,18 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
         }
         LineRead::Line(line) => line,
     };
-    // Validate every header line up front (the owned decoder consumes the
+    // Read every header line up front (the owned decoder consumes the
     // whole header block before interpreting the start line, so a bad
     // header wins over a bad verb).
-    let section_start = lines.pos;
-    let mut section_end = lines.pos;
+    let mut headers = Headers::default();
     loop {
         match lines.next_line()? {
             LineRead::NeedMore => return Ok(None),
             LineRead::CleanEof => return Err(malformed_str("eof inside headers")),
             LineRead::Line("") => break,
-            LineRead::Line(line) => {
-                if !line.contains(':') {
-                    return Err(bad_header(line));
-                }
-                section_end = lines.pos;
-            }
+            LineRead::Line(line) => headers.record(line).ok_or_else(|| bad_header(line))?,
         }
     }
-    let headers = Headers {
-        // Per-line UTF-8 was just validated, and '\n' is an ASCII boundary,
-        // so the whole section is valid; re-checking keeps the crate free
-        // of `unsafe`.
-        section: std::str::from_utf8(&buf[section_start..section_end]) // xtask-lint: allow(index-panic)
-            .expect("header lines validated"), // xtask-lint: allow(unwrap)
-    };
     let body_start = lines.pos;
 
     let mut parts = start.split_whitespace();
@@ -437,36 +438,30 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
             if path == "/metrics" {
                 return Ok(Some((HttpMsgRef::MetricsGet, body_start)));
             }
-            let url = url_from(headers, path)?;
+            let url = url_from(headers.host, path)?;
             HttpMsgRef::Get(GetRequest {
-                req: RequestId::new(required_u64(headers, "x-request-id")?),
+                req: RequestId::new(required_u64(headers.x_request_id, "x-request-id")?),
                 url,
-                client: required_client(headers)?,
-                ims: headers
-                    .get("if-modified-since")
-                    .map(parse_micros)
-                    .transpose()?,
-                issued_at: parse_micros(headers.get("date").unwrap_or("0"))?,
-                cache_hits: parse_hit_count(headers)?,
+                client: required_client(headers.x_client)?,
+                ims: headers.if_modified_since.map(parse_micros).transpose()?,
+                issued_at: parse_micros(headers.date.unwrap_or("0"))?,
+                cache_hits: parse_hit_count(headers.x_hit_count)?,
             })
         }
         "HTTP/1.0" => {
             let code = parts.next().ok_or_else(reply_without_code)?;
             let path = headers
-                .get("content-location")
+                .content_location
                 .ok_or_else(reply_without_location)?;
-            let url = url_from(headers, path)?;
-            let req = RequestId::new(required_u64(headers, "x-request-id")?);
-            let client = required_client(headers)?;
-            let lease = headers.get("x-lease").map(parse_micros).transpose()?;
-            let piggyback = validated_piggyback(headers)?;
-            let volume_lease = headers
-                .get("x-volume-lease")
-                .map(parse_micros)
-                .transpose()?;
+            let url = url_from(headers.host, path)?;
+            let req = RequestId::new(required_u64(headers.x_request_id, "x-request-id")?);
+            let client = required_client(headers.x_client)?;
+            let lease = headers.x_lease.map(parse_micros).transpose()?;
+            let piggyback = validated_piggyback(headers.x_piggyback)?;
+            let volume_lease = headers.x_volume_lease.map(parse_micros).transpose()?;
             match code {
                 "200" => {
-                    let len = required_u64(headers, "content-length")? as usize;
+                    let len = required_u64(headers.content_length, "content-length")? as usize;
                     // `body_start` is the cursor position, inside `buf`.
                     let tail = &buf[body_start..]; // xtask-lint: allow(index-panic)
                     let Some(payload) = tail.get(..len) else {
@@ -476,12 +471,8 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
                         return Err(short_body());
                     };
                     let meta = DocMeta::new(
-                        ByteSize::from_bytes(required_u64(headers, "x-size")?),
-                        parse_micros(
-                            headers
-                                .get("last-modified")
-                                .ok_or_else(missing_last_modified)?,
-                        )?,
+                        ByteSize::from_bytes(required_u64(headers.x_size, "x-size")?),
+                        parse_micros(headers.last_modified.ok_or_else(missing_last_modified)?)?,
                     );
                     return Ok(Some((
                         HttpMsgRef::Reply(ReplyRef {
@@ -511,9 +502,9 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
         "INVALIDATE" => {
             let target = parts.next().ok_or_else(invalidate_without_target)?;
             if target == "*" {
-                let idx = required_u64(headers, "x-server")? as u32;
+                let idx = required_u64(headers.x_server, "x-server")? as u32;
                 let server = ServerId::new(idx);
-                if let Some(list) = headers.get("x-batch") {
+                if let Some(list) = headers.x_batch {
                     HttpMsgRef::InvalidateBatch(InvalidateBatchRef {
                         server,
                         list: validated_batch(list)?,
@@ -523,17 +514,17 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
                 }
             } else {
                 HttpMsgRef::Invalidate {
-                    url: url_from(headers, target)?,
-                    client: required_client(headers)?,
+                    url: url_from(headers.host, target)?,
+                    client: required_client(headers.x_client)?,
                 }
             }
         }
         "ACK" => {
             let path = parts.next().ok_or_else(ack_without_path)?;
             if path == "*" {
-                let idx = required_u64(headers, "x-server")? as u32;
+                let idx = required_u64(headers.x_server, "x-server")? as u32;
                 let server = ServerId::new(idx);
-                if let Some(list) = headers.get("x-batch") {
+                if let Some(list) = headers.x_batch {
                     HttpMsgRef::InvalidateBatchAck(InvalidateBatchAckRef {
                         server,
                         list: validated_batch_ack(list)?,
@@ -543,9 +534,9 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
                 }
             } else {
                 HttpMsgRef::InvalAck {
-                    url: url_from(headers, path)?,
-                    client: required_client(headers)?,
-                    cache_hits: parse_hit_count(headers)?,
+                    url: url_from(headers.host, path)?,
+                    client: required_client(headers.x_client)?,
+                    cache_hits: parse_hit_count(headers.x_hit_count)?,
                 }
             }
         }
@@ -565,8 +556,8 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
         "NOTIFY" => {
             let path = parts.next().ok_or_else(notify_without_path)?;
             HttpMsgRef::Notify {
-                url: url_from(headers, path)?,
-                at: parse_micros(headers.get("date").unwrap_or("0"))?,
+                url: url_from(headers.host, path)?,
+                at: parse_micros(headers.date.unwrap_or("0"))?,
             }
         }
         other => return Err(unknown_verb(other)),
@@ -586,8 +577,8 @@ pub fn decode_ref(buf: &[u8]) -> Result<HttpMsgRef<'_>, WireError> {
     Ok(msg)
 }
 
-fn url_from(headers: Headers<'_>, path: &str) -> Result<Url, WireError> {
-    let server = parse_host(headers.get("host").ok_or_else(missing_host)?)?;
+fn url_from(host: Option<&str>, path: &str) -> Result<Url, WireError> {
+    let server = parse_host(host.ok_or_else(missing_host)?)?;
     Url::from_path(server, path).ok_or_else(|| bad_path(path))
 }
 
@@ -599,17 +590,15 @@ fn parse_host(value: &str) -> Result<ServerId, WireError> {
     Ok(ServerId::new(idx))
 }
 
-fn required_u64(headers: Headers<'_>, name: &str) -> Result<u64, WireError> {
-    headers
-        .get(name)
+fn required_u64(value: Option<&str>, name: &str) -> Result<u64, WireError> {
+    value
         .ok_or_else(|| missing_header(name))?
         .parse()
         .map_err(|_| non_numeric_header(name))
 }
 
-fn required_client(headers: Headers<'_>) -> Result<ClientId, WireError> {
-    headers
-        .get("x-client")
+fn required_client(value: Option<&str>) -> Result<ClientId, WireError> {
+    value
         .ok_or_else(missing_client)?
         .parse()
         .map_err(|_| bad_client())
@@ -622,9 +611,8 @@ fn parse_micros(value: &str) -> Result<SimTime, WireError> {
         .map_err(|_| bad_timestamp(value))
 }
 
-fn parse_hit_count(headers: Headers<'_>) -> Result<u64, WireError> {
-    headers
-        .get("x-hit-count")
+fn parse_hit_count(value: Option<&str>) -> Result<u64, WireError> {
+    value
         .map(|v| v.parse().map_err(|_| bad_hit_count()))
         .transpose()
         .map(|v| v.unwrap_or(0))
@@ -632,8 +620,8 @@ fn parse_hit_count(headers: Headers<'_>) -> Result<u64, WireError> {
 
 /// Validates the `X-Piggyback` list without materialising the [`Url`]s, so
 /// [`ReplyRef::piggyback_urls`] can parse it infallibly later.
-fn validated_piggyback(headers: Headers<'_>) -> Result<Option<&str>, WireError> {
-    let Some(list) = headers.get("x-piggyback") else {
+fn validated_piggyback(value: Option<&str>) -> Result<Option<&str>, WireError> {
+    let Some(list) = value else {
         return Ok(None);
     };
     for d in list.split(',') {
@@ -709,7 +697,7 @@ fn malformed_str(why: &str) -> WireError {
 
 #[cold]
 fn bad_header(line: &str) -> WireError {
-    WireError::Malformed(format!("bad header: {line}")) // xtask-lint: allow(hot-loop-alloc)
+    WireError::Malformed(format!("bad header: {line}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
 #[cold]
@@ -734,7 +722,7 @@ fn reply_without_location() -> WireError {
 
 #[cold]
 fn unsupported_status(code: &str) -> WireError {
-    WireError::Malformed(format!("unsupported status {code}")) // xtask-lint: allow(hot-loop-alloc)
+    WireError::Malformed(format!("unsupported status {code}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
 #[cold]
@@ -779,7 +767,7 @@ fn notify_without_path() -> WireError {
 
 #[cold]
 fn unknown_verb(verb: &str) -> WireError {
-    WireError::Malformed(format!("unknown verb {verb}")) // xtask-lint: allow(hot-loop-alloc)
+    WireError::Malformed(format!("unknown verb {verb}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
 #[cold]
@@ -794,22 +782,22 @@ fn missing_host() -> WireError {
 
 #[cold]
 fn bad_host(value: &str) -> WireError {
-    WireError::Malformed(format!("bad Host: {value}")) // xtask-lint: allow(hot-loop-alloc)
+    WireError::Malformed(format!("bad Host: {value}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
 #[cold]
 fn bad_path(path: &str) -> WireError {
-    WireError::Malformed(format!("bad path {path}")) // xtask-lint: allow(hot-loop-alloc)
+    WireError::Malformed(format!("bad path {path}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
 #[cold]
 fn missing_header(name: &str) -> WireError {
-    WireError::Malformed(format!("missing header {name}")) // xtask-lint: allow(hot-loop-alloc)
+    WireError::Malformed(format!("missing header {name}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
 #[cold]
 fn non_numeric_header(name: &str) -> WireError {
-    WireError::Malformed(format!("non-numeric header {name}")) // xtask-lint: allow(hot-loop-alloc)
+    WireError::Malformed(format!("non-numeric header {name}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
 #[cold]
@@ -824,7 +812,7 @@ fn bad_client() -> WireError {
 
 #[cold]
 fn bad_timestamp(value: &str) -> WireError {
-    WireError::Malformed(format!("bad timestamp {value}")) // xtask-lint: allow(hot-loop-alloc)
+    WireError::Malformed(format!("bad timestamp {value}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
 #[cold]
@@ -834,17 +822,17 @@ fn bad_hit_count() -> WireError {
 
 #[cold]
 fn bad_piggyback(entry: &str) -> WireError {
-    WireError::Malformed(format!("bad piggyback entry {entry:?}")) // xtask-lint: allow(hot-loop-alloc)
+    WireError::Malformed(format!("bad piggyback entry {entry:?}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
 #[cold]
 fn bad_batch_entry(entry: &str) -> WireError {
-    WireError::Malformed(format!("bad batch entry {entry:?}")) // xtask-lint: allow(hot-loop-alloc)
+    WireError::Malformed(format!("bad batch entry {entry:?}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
 #[cold]
 fn bad_batch_ack_entry(entry: &str) -> WireError {
-    WireError::Malformed(format!("bad batch ack entry {entry:?}")) // xtask-lint: allow(hot-loop-alloc)
+    WireError::Malformed(format!("bad batch ack entry {entry:?}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
 /// Pulls frames off a [`Read`] stream through a persistent buffer, decoding
@@ -857,13 +845,17 @@ fn bad_batch_ack_entry(entry: &str) -> WireError {
 /// [`HttpMsgRef`].
 pub struct FrameReader<R> {
     inner: R,
+    /// Storage, all of it initialised: `buf[start..end]` is undecoded data
+    /// and what follows `end` is room the next read lands in. It is zeroed
+    /// once, when the buffer grows, not once per read.
     buf: Vec<u8>,
     /// Consumed prefix of `buf` (compacted lazily, before the next read).
     start: usize,
+    end: usize,
     eof: bool,
 }
 
-/// Socket read granularity: one TCP segment's worth.
+/// Least room offered to a socket read: one TCP segment's worth.
 const READ_CHUNK: usize = 8192;
 
 impl<R: Read> FrameReader<R> {
@@ -873,6 +865,7 @@ impl<R: Read> FrameReader<R> {
             inner,
             buf: Vec::with_capacity(READ_CHUNK),
             start: 0,
+            end: 0,
             eof: false,
         }
     }
@@ -896,7 +889,7 @@ impl<R: Read> FrameReader<R> {
             // dropped inside the match); the complete frame is then decoded
             // again outside the loop, which satisfies the borrow checker at
             // the cost of one re-parse of ~10 short lines.
-            let pending = &self.buf[self.start..]; // xtask-lint: allow(index-panic)
+            let pending = &self.buf[self.start..self.end]; // xtask-lint: allow(index-panic)
             let used = match decode_frame(pending, self.eof)? {
                 Some((_msg, used)) => used,
                 None => {
@@ -912,28 +905,23 @@ impl<R: Read> FrameReader<R> {
         }
     }
 
-    /// Compacts the consumed prefix away and reads one more chunk.
+    /// Compacts the consumed prefix away and reads once more.
     fn fill(&mut self) -> Result<(), WireError> {
         if self.start > 0 {
-            self.buf.drain(..self.start);
+            self.buf.copy_within(self.start..self.end, 0);
+            self.end -= self.start;
             self.start = 0;
         }
-        let old = self.buf.len();
-        self.buf.resize(old + READ_CHUNK, 0);
-        let spare = &mut self.buf[old..]; // xtask-lint: allow(index-panic)
-        match self.inner.read(spare) {
-            Ok(n) => {
-                self.buf.truncate(old + n);
-                if n == 0 {
-                    self.eof = true;
-                }
-                Ok(())
-            }
-            Err(e) => {
-                self.buf.truncate(old);
-                Err(WireError::Io(e))
-            }
+        if self.buf.len() - self.end < READ_CHUNK {
+            self.buf.resize(self.end + READ_CHUNK, 0);
         }
+        let room = &mut self.buf[self.end..]; // xtask-lint: allow(index-panic)
+        let n = self.inner.read(room)?;
+        self.end += n;
+        if n == 0 {
+            self.eof = true;
+        }
+        Ok(())
     }
 }
 
@@ -1229,22 +1217,110 @@ mod tests {
         }
     }
 
+    /// A torn frame defers at every split point — inside the start line,
+    /// a header name, a value, the blank line, the body — and decodes once
+    /// whole, for the two frames the serve tier moves most.
     #[test]
     fn incremental_decode_defers_until_complete() {
-        let msg = HttpMsg::Notify {
-            url: sample_url(),
-            at: SimTime::from_secs(3),
-        };
-        let bytes = encode(&msg);
-        for cut in 0..bytes.len() {
-            assert!(
-                matches!(decode_frame(&bytes[..cut], false), Ok(None)),
-                "cut {cut} should defer"
-            );
+        let meta = DocMeta::new(ByteSize::from_bytes(300), SimTime::from_secs(1));
+        let msgs = [
+            HttpMsg::Notify {
+                url: sample_url(),
+                at: SimTime::from_secs(3),
+            },
+            HttpMsg::Get(GetRequest {
+                req: RequestId::new(17),
+                url: sample_url(),
+                client: sample_client(),
+                ims: Some(SimTime::from_micros(5)),
+                issued_at: SimTime::from_micros(6),
+                cache_hits: 2,
+            }),
+            HttpMsg::Reply(Reply {
+                req: RequestId::new(17),
+                url: sample_url(),
+                client: sample_client(),
+                status: ReplyStatus::Ok(Body::synthetic(meta, 1)),
+                lease: Some(SimTime::from_secs(9)),
+                piggyback: vec![Url::new(ServerId::new(3), 4)],
+                volume_lease: None,
+            }),
+        ];
+        for msg in msgs {
+            let bytes = encode(&msg);
+            for cut in 0..bytes.len() {
+                assert!(
+                    matches!(decode_frame(&bytes[..cut], false), Ok(None)),
+                    "cut {cut} of {msg:?} should defer"
+                );
+            }
+            let (decoded, used) = decode_frame(&bytes, false).unwrap().unwrap();
+            assert_eq!(used, bytes.len());
+            assert_eq!(decoded.to_owned(), msg);
         }
-        let (decoded, used) = decode_frame(&bytes, false).unwrap().unwrap();
-        assert_eq!(used, bytes.len());
-        assert_eq!(decoded.to_owned(), msg);
+    }
+
+    #[test]
+    fn a_known_name_fills_its_slot_whatever_its_case_and_padding() {
+        let mut headers = Headers::default();
+        assert_eq!(headers.record("x-CLIENT:1.2.3.4"), Some(()));
+        assert_eq!(headers.record("  Content-LENGTH \t:  12  "), Some(()));
+        let expected = Headers {
+            x_client: Some("1.2.3.4"),
+            content_length: Some("12"),
+            ..Headers::default()
+        };
+        assert_eq!(headers, expected);
+        // Last wins; only the first colon splits.
+        assert_eq!(headers.record("X-Client: 5.6.7.8:9"), Some(()));
+        assert_eq!(headers.x_client, Some("5.6.7.8:9"));
+        assert_eq!(headers.record("no colon"), None);
+    }
+
+    #[test]
+    fn every_name_the_protocol_reads_has_its_own_slot() {
+        let names = [
+            "host",
+            "x-client",
+            "x-request-id",
+            "date",
+            "x-hit-count",
+            "if-modified-since",
+            "content-location",
+            "last-modified",
+            "x-size",
+            "x-lease",
+            "x-piggyback",
+            "x-volume-lease",
+            "content-length",
+            "x-server",
+            "x-batch",
+        ];
+        let mut headers = Headers::default();
+        for name in names {
+            let slot = headers.slot(name).expect("a known name");
+            assert_eq!(*slot, None, "{name} shares a slot");
+            *slot = Some(name);
+        }
+    }
+
+    #[test]
+    fn an_unknown_name_touches_no_slot() {
+        let mut headers = Headers::default();
+        // Same length as a known name, a prefix of one, one with a tail,
+        // the empty name, and one that is not ASCII.
+        for line in [
+            "User-Agent: t",
+            "hosT2: server1",
+            "daze: 4",
+            "x-clien: 1.2.3.4",
+            "x-client-id: 1.2.3.4",
+            ": 7",
+            "d\u{e4}te: 7",
+        ] {
+            assert_eq!(headers.record(line), Some(()), "{line}");
+        }
+        assert_eq!(headers, Headers::default());
     }
 
     #[test]
