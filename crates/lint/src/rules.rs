@@ -62,6 +62,8 @@ fn reactor_file(path: &str) -> bool {
             | "crates/net/src/proxy.rs"
             | "crates/net/src/parent.rs"
             | "crates/net/src/origin.rs"
+            | "crates/net/src/upstream.rs"
+            | "crates/net/src/downstream.rs"
     )
 }
 
@@ -186,9 +188,8 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
         ],
         message: "a serve-tier node has one thread: blocking socket I/O \
                   there stalls every connection of the node; queue the \
-                  frame through the connection's send buffer, dial with \
-                  connect_timeout, or keep a caller-thread API in \
-                  upstream.rs (or waive its function in place)",
+                  frame through the connection's send buffer or dial with \
+                  connect_timeout (or waive its function in place)",
         in_scope: reactor_file,
         allowed: |_| false,
         include_tests: false,

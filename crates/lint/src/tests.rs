@@ -163,12 +163,13 @@ fn blocking_socket_io_denied_on_the_node_thread() {
             "crates/net/src/proxy.rs",
             "crates/net/src/parent.rs",
             "crates/net/src/origin.rs",
+            "crates/net/src/upstream.rs",
+            "crates/net/src/downstream.rs",
         ] {
             let fired = rules_fired(path, src);
             assert!(fired.contains(&"reactor-blocking-io"), "{path}: {src}");
         }
-        // The blocking caller-thread API lives in a file of its own.
-        assert!(rules_fired("crates/net/src/upstream.rs", src).is_empty());
+        // The scrape client runs on its caller's thread, not a node's.
         assert!(rules_fired("crates/net/src/scrape.rs", src).is_empty());
     }
     // A bounded dial, and output queued through the send buffer.

@@ -31,7 +31,9 @@
 //! * the outbox ([`Out`]) — "push this frame to that other connection",
 //!   "redeem that ticket" — delivered after each batch of events; whatever
 //!   is addressed to a connection that closed (even if its slot was
-//!   reused) is dropped;
+//!   reused) is dropped. [`Node::send`] is the one way in from another
+//!   thread: it queues an [`Out`] in the node's inbox and wakes the loop,
+//!   which moves the inbox into the outbox on that wake;
 //! * the two connections to the upstream node: the persistent `HELLO`
 //!   channel invalidations are pushed on and the pipelined request
 //!   connection ([`UPSTREAM`]) misses are forwarded on, both dialled
@@ -56,6 +58,7 @@
 //! allocation lint list: everything here runs once per readiness event at
 //! 10k-connection scale.
 
+use parking_lot::Mutex;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -66,16 +69,14 @@ use wcc_proto::{decode_frame, encode, encode_into, HttpMsg, HttpMsgRef, WireErro
 use wcc_reactor::{Event, Interest, Poller, RecvBuf, SendBuf, WakeHandle, Waker};
 use wcc_types::{SimDuration, WallClock};
 
-/// Token of the node's primary listener.
+/// Token of the node's listener.
 const TOK_LISTENER: u64 = 0;
-/// Token of the node's secondary listener (the proxy's metrics port).
-const TOK_LISTENER2: u64 = 1;
 /// Token of the reactor's waker pipe.
-const TOK_WAKER: u64 = 2;
+const TOK_WAKER: u64 = 1;
 /// Outbox address of the request connection to the upstream, whichever
 /// socket currently carries it. A frame pushed here while it is down is
 /// dropped; [`Role::on_redial`] says when to send it again.
-pub(crate) const UPSTREAM: u64 = 3;
+pub(crate) const UPSTREAM: u64 = 2;
 /// First token handed to accepted connections; everything below is a
 /// fixed singleton.
 const FIRST_CONN: u64 = 16;
@@ -101,7 +102,6 @@ pub(crate) enum After {
 #[derive(Clone, Copy)]
 pub(crate) enum Via {
     Listener,
-    Listener2,
     /// The runtime-dialled `HELLO` channel to the upstream node.
     Dial,
     /// The runtime-dialled request connection to the upstream node.
@@ -422,9 +422,20 @@ impl<T> Conns<T> {
 /// A running node: its one thread. Shuts it down (and joins it) on drop.
 pub(crate) struct Node {
     shutdown: Arc<AtomicBool>,
-    /// Makes `Poller::wait` return so the flag is seen.
+    /// What other threads want done on the node's thread.
+    inbox: Arc<Mutex<Outbox>>,
+    /// Makes `Poller::wait` return so the flag, or the inbox, is seen.
     wake: WakeHandle,
     thread: Option<JoinHandle<()>>,
+}
+
+impl Node {
+    /// Has `out` carried out on the node's thread, as if a role had put it
+    /// in the outbox.
+    pub fn send(&self, out: Out) {
+        self.inbox.lock().push(out);
+        self.wake.wake();
+    }
 }
 
 impl Drop for Node {
@@ -437,9 +448,8 @@ impl Drop for Node {
     }
 }
 
-/// Starts `role` on `listener` (plus the optional second listener and the
-/// connections to the upstream `hello` names). The node's thread exists by
-/// the time this returns.
+/// Starts `role` on `listener` (plus the connections to the upstream
+/// `hello` names). The node's thread exists by the time this returns.
 ///
 /// # Errors
 ///
@@ -448,7 +458,6 @@ impl Drop for Node {
 pub(crate) fn spawn<R: Role>(
     role: R,
     listener: TcpListener,
-    listener2: Option<TcpListener>,
     hello: Option<Hello>,
 ) -> io::Result<Node> {
     use std::os::fd::AsRawFd;
@@ -460,21 +469,18 @@ pub(crate) fn spawn<R: Role>(
     let mut poller = Poller::new()?;
     listener.set_nonblocking(true)?;
     poller.add(listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;
-    if let Some(l2) = &listener2 {
-        l2.set_nonblocking(true)?;
-        poller.add(l2.as_raw_fd(), TOK_LISTENER2, Interest::READ)?;
-    }
     let waker = Waker::new()?;
     waker.register(&mut poller, TOK_WAKER)?;
     let wake = waker.handle()?;
+    let inbox = Arc::new(Mutex::new(Vec::with_capacity(64)));
 
     let mut rt = Runtime {
         role,
         poller,
         listener,
-        listener2,
         conns: Conns::with_capacity(256),
         outbox: Vec::with_capacity(64),
+        inbox: Arc::clone(&inbox),
         deferred: 0,
         hello,
         channel: Link {
@@ -495,6 +501,7 @@ pub(crate) fn spawn<R: Role>(
     let thread = std::thread::spawn(move || rt.run(&waker, &stop));
     Ok(Node {
         shutdown,
+        inbox,
         wake,
         thread: Some(thread),
     })
@@ -505,9 +512,10 @@ struct Runtime<R: Role> {
     role: R,
     poller: Poller,
     listener: TcpListener,
-    listener2: Option<TcpListener>,
     conns: Conns<R::Tag>,
     outbox: Outbox,
+    /// [`Node::send`]'s queue, moved into the outbox when the waker fires.
+    inbox: Arc<Mutex<Outbox>>,
     /// Tickets taken and not yet redeemed.
     deferred: u32,
     hello: Option<Hello>,
@@ -542,9 +550,12 @@ impl<R: Role> Runtime<R> {
             }
             for ev in events.iter().copied() {
                 match ev.token {
-                    TOK_LISTENER => self.accept(Via::Listener),
-                    TOK_LISTENER2 => self.accept(Via::Listener2),
-                    TOK_WAKER => waker.drain(),
+                    TOK_LISTENER => self.accept(),
+                    TOK_WAKER => {
+                        // Drained first: a send after this wakes again.
+                        waker.drain();
+                        self.outbox.append(&mut self.inbox.lock());
+                    }
                     tok => {
                         if ev.writable {
                             self.flush(tok);
@@ -574,7 +585,7 @@ impl<R: Role> Runtime<R> {
         match via {
             Via::Upstream => &mut self.requests,
             Via::Dial => &mut self.channel,
-            Via::Listener | Via::Listener2 => unreachable!("accepted, not dialled"),
+            Via::Listener => unreachable!("accepted, not dialled"),
         }
     }
 
@@ -616,20 +627,16 @@ impl<R: Role> Runtime<R> {
         token.is_some()
     }
 
-    /// Accepts every pending connection on a non-blocking listener.
+    /// Accepts every pending connection on the non-blocking listener.
     /// Connections that cannot be accepted or registered (fd exhaustion)
     /// are reported through [`Role::on_dropped`].
-    fn accept(&mut self, via: Via) {
-        let listener = match (via, &self.listener2) {
-            (Via::Listener2, Some(l2)) => l2,
-            _ => &self.listener,
-        };
+    fn accept(&mut self) {
         let mut dropped = 0u64;
         loop {
-            match listener.accept() {
+            match self.listener.accept() {
                 Ok((stream, _)) => {
                     let _ = stream.set_nodelay(true);
-                    let tag = self.role.tag(via);
+                    let tag = self.role.tag(Via::Listener);
                     if self.conns.insert(&mut self.poller, stream, tag).is_err() {
                         dropped += 1;
                     }
@@ -794,7 +801,6 @@ impl<R: Role> Runtime<R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use parking_lot::Mutex;
     use std::io::{Read, Write};
     use std::net::Shutdown;
     use wcc_proto::{FrameReader, GetRequest, Reply, ReplyStatus, RequestId};
@@ -922,7 +928,7 @@ mod tests {
             held: Vec::new(),
             push: None,
         };
-        let node = spawn(role, listener, None, None).expect("spawn");
+        let node = spawn(role, listener, None).expect("spawn");
         Harness {
             addr,
             shared,

@@ -12,15 +12,16 @@
 //!   paper's §7 remark);
 //! * [`NetProxy`] — a caching proxy: a keep-alive client listener, plus a
 //!   blocking [`NetProxy::fetch`] API for browsers (tests and examples) to
-//!   call;
+//!   call, whose misses travel on the node's own upstream connection;
 //! * [`NetParent`] — the hierarchy's parent tier: children connect to it as
 //!   if it were an origin (towards them it drives the origin's write path,
 //!   [`wcc_core::WritePath`]), and it proxies misses upstream;
 //! * [`check_in`] — the modifier's check-in utility.
 //!
 //! Like the paper's Harvest, each node is one thread on non-blocking
-//! sockets (`evloop`): a request that needs the upstream is forwarded and
-//! answered when the reply frame arrives, the fetch state machine being
+//! sockets (`evloop`), and that thread does all of the node's socket I/O:
+//! a request that needs the upstream is forwarded and answered when the
+//! reply frame arrives, the fetch state machine being
 //! [`wcc_core::ProxyCore`]; an invalidation is never kept waiting behind a
 //! fetch, and a fetch it overtakes is repeated.
 //!

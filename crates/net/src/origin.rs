@@ -236,7 +236,7 @@ impl NetOrigin {
             state: Arc::clone(&state),
             links: Downstream::new(config.server),
         };
-        let node = evloop::spawn(role, listener, None, None)?;
+        let node = evloop::spawn(role, listener, None)?;
         Ok(NetOrigin {
             addr,
             state,

@@ -34,7 +34,7 @@ use wcc_types::{ByteSize, ClientId, DocMeta, ServerId, SimTime, WallClock};
 
 use crate::downstream::{render_sitelist, Downstream, RETRY};
 use crate::evloop::{self, earliest, After, Cx, Hello, Node, Out, Outbox, Role, Via, UPSTREAM};
-use crate::upstream::{Upstream, Waiting};
+use crate::upstream::{Upstream, Waiter, Waiting};
 
 /// Counters for the TCP parent.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -226,7 +226,7 @@ impl NetParent {
             state: Arc::clone(&state),
             links: Downstream::new(server),
         };
-        let node = evloop::spawn(role, listener, None, Some(hello))?;
+        let node = evloop::spawn(role, listener, Some(hello))?;
         Ok(NetParent {
             addr,
             state,
@@ -277,7 +277,7 @@ impl Role for ParentRole {
         match via {
             Via::Dial => KTag::Inval,
             Via::Upstream => KTag::Upstream,
-            Via::Listener | Via::Listener2 => KTag::Child(None),
+            Via::Listener => KTag::Child(None),
         }
     }
 
@@ -336,7 +336,8 @@ impl Role for ParentRole {
                     // reaches the origin on the parent's next contact.
                     let core = &mut p.up.core;
                     core.absorb_report(get.url, IDENTITY, get.cache_hits);
-                    let waiting = || Waiting::new(Some((cx.defer(), (*get).clone())), begun);
+                    let waiting =
+                        || Waiting::new(Waiter::Client(cx.defer(), (*get).clone()), begun);
                     match core.begin(IDENTITY, get.url, get.issued_at, waiting) {
                         Begin::Serve(meta) => {
                             p.local.parent_hits += 1;

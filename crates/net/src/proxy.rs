@@ -2,8 +2,8 @@
 //!
 //! The node's thread ([`crate::evloop`]) owns every socket the proxy
 //! serves with: a client-facing listener ([`NetProxy::client_addr`])
-//! speaking keep-alive HTTP/1.1 with pipelining, the `/metrics` scrape
-//! listener, the persistent invalidation channel to the origin and the
+//! speaking keep-alive HTTP/1.1 with pipelining (and answering `GET
+//! /metrics`), the persistent invalidation channel to the origin and the
 //! pipelined request connection misses are forwarded on (both
 //! re-established if the origin restarts — the proxy half of the §5
 //! recovery handshake). This file is the proxy's state and its [`Role`]: a
@@ -20,22 +20,22 @@
 //! callback-race rule, which is what keeps the strong-consistency
 //! guarantee without ever making a write wait for a read.
 //!
-//! The blocking [`NetProxy::fetch`] API drives the same core from the
-//! caller's thread — lock, `begin`, unlock, one round trip on a connection
-//! of the caller's own, lock, `complete` — so it races invalidations under
-//! the same rule. The node has one lock; no socket call is made under it.
+//! The blocking [`NetProxy::fetch`] is one more client: a hit is served on
+//! the caller's thread, a miss goes out on the node's request connection
+//! ([`Node::send`]) and the caller waits for what the reactor sends back.
 
 use parking_lot::Mutex;
+use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc};
 use std::time::Duration;
-use wcc_core::{Begin, Complete, ProtocolConfig};
+use wcc_core::{Begin, ProtocolConfig};
 use wcc_obs::{Histogram, Registry};
 use wcc_proto::{GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus};
 use wcc_types::{Body, ByteSize, ClientId, DocMeta, SimTime, Url, WallClock};
 
 use crate::evloop::{self, After, Cx, Hello, Node, Out, Outbox, Role, Via, UPSTREAM};
-use crate::upstream::{roundtrip, BlockingConn, Upstream, Waiting};
+use crate::upstream::{Upstream, Waiter, Waiting};
 
 pub use wcc_core::{FetchKind, FetchOutcome};
 
@@ -88,8 +88,6 @@ struct Inner {
     /// Wall-time latency of whole fetches (hits included), blocking API
     /// and reactor-served clients alike.
     fetch_latency: Histogram,
-    /// A blocking caller's connection, kept alive between fetches.
-    idle: Option<BlockingConn>,
 }
 
 impl Inner {
@@ -112,19 +110,11 @@ impl Inner {
             ..self.local
         }
     }
-}
 
-struct ProxyState {
-    origin: SocketAddr,
-    inner: Mutex<Inner>,
-}
-
-impl ProxyState {
     /// Renders the proxy's registry as Prometheus text exposition.
     fn render_metrics(&self) -> String {
         let node = [("node", "proxy")];
-        let inner = self.inner.lock();
-        let c = inner.counters();
+        let c = self.counters();
         let mut r = Registry::default();
         r.set_counter("wcc_requests_total", "Fetches served.", &node, c.requests);
         r.set_counter(
@@ -185,9 +175,9 @@ impl ProxyState {
             "wcc_fetch_latency_seconds",
             "Wall-time fetch latency, cache hits included.",
             &node,
-            &inner.fetch_latency,
+            &self.fetch_latency,
         );
-        inner.up.render(&mut r, &node);
+        self.up.render(&mut r, &node);
         r.render()
     }
 }
@@ -210,10 +200,9 @@ fn client_reply(get: &GetRequest, meta: DocMeta) -> HttpMsg {
 /// A running caching proxy. Shuts down its thread on drop.
 pub struct NetProxy {
     origin: SocketAddr,
-    metrics_addr: SocketAddr,
     client_addr: SocketAddr,
-    state: Arc<ProxyState>,
-    _node: Node,
+    state: Arc<Mutex<Inner>>,
+    node: Node,
 }
 
 impl std::fmt::Debug for NetProxy {
@@ -239,22 +228,15 @@ impl NetProxy {
         partitions: u32,
         capacity: ByteSize,
     ) -> std::io::Result<NetProxy> {
-        let state = Arc::new(ProxyState {
-            origin,
-            inner: Mutex::new(Inner {
-                up: Upstream::new(cfg, capacity),
-                local: NetProxyCounters::default(),
-                fetch_latency: Histogram::default(),
-                idle: None,
-            }),
-        });
+        let state = Arc::new(Mutex::new(Inner {
+            up: Upstream::new(cfg, capacity),
+            local: NetProxyCounters::default(),
+            fetch_latency: Histogram::default(),
+        }));
 
-        // Client-facing keep-alive listener (the serving tier's front
-        // door) and the metrics scrape listener.
+        // Client-facing keep-alive listener: the serving tier's front door.
         let client_listener = TcpListener::bind("127.0.0.1:0")?;
         let client_addr = client_listener.local_addr()?;
-        let metrics_listener = TcpListener::bind("127.0.0.1:0")?;
-        let metrics_addr = metrics_listener.local_addr()?;
 
         // Both upstream connections are proxy-initiated and persistent.
         let hello = Hello {
@@ -265,51 +247,51 @@ impl NetProxy {
         let role = ProxyRole {
             state: Arc::clone(&state),
         };
-        let node = evloop::spawn(role, client_listener, Some(metrics_listener), Some(hello))?;
+        let node = evloop::spawn(role, client_listener, Some(hello))?;
         Ok(NetProxy {
             origin,
-            metrics_addr,
             client_addr,
             state,
-            _node: node,
+            node,
         })
     }
 
     /// Current counters.
     pub fn counters(&self) -> NetProxyCounters {
-        self.state.inner.lock().counters()
-    }
-
-    /// The loopback address answering `GET /metrics` for this proxy.
-    pub fn metrics_addr(&self) -> SocketAddr {
-        self.metrics_addr
+        self.state.lock().counters()
     }
 
     /// The keep-alive listener browsers (and the stress bench) connect
-    /// to: `GET`s are answered with `200` replies, pipelining preserved.
+    /// to: `GET`s are answered with `200` replies, pipelining preserved,
+    /// and `GET /metrics` with the exposition.
     pub fn client_addr(&self) -> SocketAddr {
         self.client_addr
     }
 
     /// The current Prometheus text exposition — the same body `GET
-    /// /metrics` on [`NetProxy::metrics_addr`] returns.
+    /// /metrics` on [`NetProxy::client_addr`] returns.
     pub fn metrics_text(&self) -> String {
-        self.state.render_metrics()
+        self.state.lock().render_metrics()
     }
 
     /// Serves one browser request for `url` on behalf of `client`, at
-    /// logical time `now`.
+    /// logical time `now`. A miss waits, with no lock held, for the node's
+    /// thread to bring the answer from upstream.
     ///
     /// # Errors
     ///
-    /// Returns socket errors from the upstream fetch; cache hits are
-    /// infallible.
-    pub fn fetch(&self, client: ClientId, url: Url, now: SimTime) -> std::io::Result<FetchOutcome> {
-        let state = &self.state;
+    /// `TimedOut` if the upstream did not answer in time (or the request
+    /// connection could not be re-established); cache hits are infallible.
+    pub fn fetch(&self, client: ClientId, url: Url, now: SimTime) -> io::Result<FetchOutcome> {
         let begun = WallClock::start();
-        let (mut get, mut conn) = {
-            let mut inner = state.inner.lock();
-            let caller = || Waiting::new(None, begun);
+        let mut answer = None;
+        let caller = || {
+            let (tx, rx) = mpsc::channel();
+            answer = Some(rx);
+            Waiting::new(Waiter::Caller(tx), begun)
+        };
+        let get = {
+            let mut inner = self.state.lock();
             match inner.up.core.begin(client, url, now, caller) {
                 Begin::Serve(meta) => {
                     inner.fetch_latency.record(begun.elapsed().as_micros());
@@ -319,46 +301,29 @@ impl NetProxy {
                         meta,
                     });
                 }
-                Begin::Forward(get) => (get, inner.idle.take()),
+                Begin::Forward(get) => get,
             }
         };
-        loop {
-            // No lock is held here: invalidations, and every other fetch,
-            // go on while this one waits for the upstream.
-            let reply = roundtrip(&mut conn, state.origin, &get);
-            let mut inner = state.inner.lock();
-            let landed = match reply {
-                Ok(reply) => inner.up.core.complete(get.req, &reply),
-                Err(e) => {
-                    inner.up.core.abandon(get.req);
-                    return Err(e);
-                }
-            };
-            match landed {
-                Some(Complete::Done { outcome, .. }) => {
-                    inner.idle = conn;
-                    inner.fetch_latency.record(begun.elapsed().as_micros());
-                    return Ok(outcome);
-                }
-                Some(Complete::Forward(again)) => get = again,
-                // The node gave the flight up while the reply was under way.
-                None => return Err(std::io::ErrorKind::TimedOut.into()),
-            }
-        }
+        self.node.send(Out::Push(UPSTREAM, HttpMsg::Get(get)));
+        let outcome = answer
+            .and_then(|rx| rx.recv().ok())
+            .unwrap_or_else(|| Err(io::ErrorKind::BrokenPipe.into()))?;
+        let micros = begun.elapsed().as_micros();
+        self.state.lock().fetch_latency.record(micros);
+        Ok(outcome)
     }
 
     /// Number of entries currently cached.
     pub fn cached_entries(&self) -> usize {
-        self.state.inner.lock().up.core.cache().len()
+        self.state.lock().up.core.cache().len()
     }
 }
 
 /// What a proxy-side connection is.
 enum PKind {
-    /// Browser/bench connection on the client listener.
+    /// Browser/bench connection (or `/metrics` scrape) on the client
+    /// listener.
     Client,
-    /// One-shot `/metrics` scrape.
-    Scrape,
     /// The persistent invalidation channel to the origin.
     Inval,
     /// The request connection to the origin.
@@ -366,7 +331,7 @@ enum PKind {
 }
 
 struct ProxyRole {
-    state: Arc<ProxyState>,
+    state: Arc<Mutex<Inner>>,
 }
 
 impl Role for ProxyRole {
@@ -375,36 +340,35 @@ impl Role for ProxyRole {
     fn tag(&self, via: Via) -> PKind {
         match via {
             Via::Listener => PKind::Client,
-            Via::Listener2 => PKind::Scrape,
             Via::Dial => PKind::Inval,
             Via::Upstream => PKind::Upstream,
         }
     }
 
     fn on_dropped(&mut self, n: u64) {
-        self.state.inner.lock().local.dropped_connections += n;
+        self.state.lock().local.dropped_connections += n;
     }
 
     fn next_deadline(&self) -> Option<Duration> {
-        self.state.inner.lock().up.deadline()
+        self.state.lock().up.deadline()
     }
 
     fn on_deadline(&mut self, out: &mut Outbox) {
-        self.state.inner.lock().up.expire(out);
+        self.state.lock().up.expire(out);
     }
 
     fn on_redial(&mut self, up: bool, out: &mut Outbox) {
-        self.state.inner.lock().up.redialled(up, out);
+        self.state.lock().up.redialled(up, out);
     }
 
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
-        let state = &self.state;
+        let mut inner = self.state.lock();
         match cx.tag {
             PKind::Client => match msg {
                 HttpMsgRef::Get(get) => {
                     let begun = WallClock::start();
-                    let mut inner = state.inner.lock();
-                    let waiting = || Waiting::new(Some((cx.defer(), (*get).clone())), begun);
+                    let waiting =
+                        || Waiting::new(Waiter::Client(cx.defer(), (*get).clone()), begun);
                     let core = &mut inner.up.core;
                     match core.begin(get.client, get.url, get.issued_at, waiting) {
                         Begin::Serve(meta) => {
@@ -418,7 +382,7 @@ impl Role for ProxyRole {
                     }
                     After::Keep
                 }
-                HttpMsgRef::MetricsGet => cx.reply_metrics(&state.render_metrics()),
+                HttpMsgRef::MetricsGet => cx.reply_metrics(&inner.render_metrics()),
                 HttpMsgRef::Reply(_)
                 | HttpMsgRef::Invalidate { .. }
                 | HttpMsgRef::InvalidateBatch(_)
@@ -429,13 +393,8 @@ impl Role for ProxyRole {
                 | HttpMsgRef::Hello { .. }
                 | HttpMsgRef::Notify { .. } => After::Close,
             },
-            PKind::Scrape => match msg {
-                HttpMsgRef::MetricsGet => cx.reply_metrics(&state.render_metrics()),
-                _ => After::Close,
-            },
             PKind::Upstream => match msg {
                 HttpMsgRef::Reply(reply) => {
-                    let mut inner = state.inner.lock();
                     if let Some((outcome, ticket, get, begun)) = inner.up.landed(reply, cx.out) {
                         inner.fetch_latency.record(begun.elapsed().as_micros());
                         let answer = client_reply(&get, outcome.meta);
@@ -445,7 +404,7 @@ impl Role for ProxyRole {
                 }
                 _ => After::Close,
             },
-            PKind::Inval => match state.inner.lock().up.pushed(cx, msg, None, |_| ()) {
+            PKind::Inval => match inner.up.pushed(cx, msg, None, |_| ()) {
                 Some(_) => After::Keep,
                 None => After::Close,
             },

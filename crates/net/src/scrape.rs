@@ -24,7 +24,7 @@ pub(crate) fn metrics_response(body: &str) -> Vec<u8> {
 
 /// Fetches the Prometheus exposition from the node listening at `addr`
 /// (an origin/parent service port, or a proxy's
-/// [`metrics_addr`](crate::NetProxy::metrics_addr)) and returns the body.
+/// [`client_addr`](crate::NetProxy::client_addr)) and returns the body.
 ///
 /// # Errors
 ///

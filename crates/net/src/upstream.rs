@@ -1,37 +1,38 @@
-//! The upward hop (proxy→origin, proxy→parent, parent→origin), driven
-//! from either side of a node's one lock.
+//! The upward hop (proxy→origin, proxy→parent, parent→origin).
 //!
-//! [`Upstream`] is what a reactor role keeps: the sans-IO [`ProxyCore`]
-//! plus what the socket side adds — who waits for each flight
-//! ([`Waiting`]), when a flight is given up ([`UPSTREAM_TIMEOUT`]), and
-//! that every re-dial of a dropped request connection settles all flights
-//! that were on it: sent once more if it succeeded and they had not been
-//! already, failed otherwise. [`roundtrip`] is the blocking caller's half:
-//! one request, one reply, on a connection of the caller's own, with no
-//! lock held.
+//! [`Upstream`] is what a role keeps: the sans-IO [`ProxyCore`] plus what
+//! the socket side adds — who waits for each flight ([`Waiter`]: a client
+//! of the reactor, or a thread blocked in [`crate::NetProxy::fetch`]), when
+//! a flight is given up ([`UPSTREAM_TIMEOUT`]), and that every re-dial of a
+//! dropped request connection settles all flights that were on it: sent
+//! once more if it succeeded and they had not been already, failed
+//! otherwise. Every flight travels on the node's one request connection.
 
-use std::io::{self, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::io;
+use std::sync::mpsc::Sender;
 use std::time::Duration;
 use wcc_cache::{CacheStore, ReplacementPolicy};
 use wcc_core::{Complete, FetchOutcome, ProtocolConfig, ProxyCore, ProxyPolicy, UpstreamReply};
 use wcc_obs::Registry;
-use wcc_proto::{
-    encode, BatchEntry, FrameReader, GetRequest, HttpMsg, HttpMsgRef, ReplyRef, RequestId,
-};
+use wcc_proto::{BatchEntry, GetRequest, HttpMsg, HttpMsgRef, ReplyRef, RequestId};
 use wcc_types::{ByteSize, ClientId, SimDuration, Url, WallClock};
 
 use crate::evloop::{time_left, Cx, Out, Outbox, Role, Ticket, UPSTREAM};
 
-/// How long a flight may stay unanswered: the reactor gives it up, a
-/// blocking caller's read times out.
+/// How long a flight may stay unanswered before it is given up.
 pub(crate) const UPSTREAM_TIMEOUT: SimDuration = SimDuration::from_secs(5);
 
-/// Who waits for a flight.
+/// Who a flight's answer goes to.
+pub(crate) enum Waiter {
+    /// A reactor client: the ticket to redeem and the request it answers.
+    Client(Ticket, GetRequest),
+    /// A thread blocked in [`crate::NetProxy::fetch`].
+    Caller(Sender<io::Result<FetchOutcome>>),
+}
+
+/// A flight's waiter and its clocks.
 pub(crate) struct Waiting {
-    /// The ticket to redeem and the request it answers; `None` for a
-    /// blocking caller, who does its own round trip and waiting.
-    pub who: Option<(Ticket, GetRequest)>,
+    who: Waiter,
     /// Started when the fetch began.
     pub begun: WallClock,
     /// Already sent a second time, after a re-dial.
@@ -39,7 +40,7 @@ pub(crate) struct Waiting {
 }
 
 impl Waiting {
-    pub fn new(who: Option<(Ticket, GetRequest)>, begun: WallClock) -> Waiting {
+    pub fn new(who: Waiter, begun: WallClock) -> Waiting {
         Waiting {
             who,
             begun,
@@ -68,9 +69,9 @@ impl Upstream {
     }
 
     /// A reply frame arrived on the request connection. Returns the
-    /// finished fetch if a client on the reactor waits for it; a reply
-    /// that has to be fetched again is re-forwarded here, one nobody
-    /// waits for is dropped.
+    /// finished fetch if a client on the reactor waits for it; a blocked
+    /// caller is sent its outcome here, a reply that has to be fetched
+    /// again is re-forwarded, one nobody waits for is dropped.
     pub fn landed(
         &mut self,
         reply: &ReplyRef<'_>,
@@ -81,10 +82,13 @@ impl Upstream {
                 out.push(Out::Push(UPSTREAM, HttpMsg::Get(get)));
                 None
             }
-            Complete::Done { outcome, waiter } => {
-                let (ticket, get) = waiter.who?;
-                Some((outcome, ticket, get, waiter.begun))
-            }
+            Complete::Done { outcome, waiter } => match waiter.who {
+                Waiter::Client(ticket, get) => Some((outcome, ticket, get, waiter.begun)),
+                Waiter::Caller(tx) => {
+                    let _ = tx.send(Ok(outcome));
+                    None
+                }
+            },
         }
     }
 
@@ -146,11 +150,16 @@ impl Upstream {
         Some(false)
     }
 
-    /// Gives up on flight `req`; a client waiting on the reactor has its
-    /// connection closed behind the replies ahead of this one.
+    /// Gives up on flight `req`: a client waiting on the reactor has its
+    /// connection closed behind the replies ahead of this one, a blocked
+    /// caller gets `TimedOut`.
     fn fail(&mut self, req: RequestId, out: &mut Outbox) {
-        if let Some((ticket, _)) = self.core.abandon(req).and_then(|waiting| waiting.who) {
-            out.push(Out::Redeem(ticket, None));
+        match self.core.abandon(req).map(|waiting| waiting.who) {
+            Some(Waiter::Client(ticket, _)) => out.push(Out::Redeem(ticket, None)),
+            Some(Waiter::Caller(tx)) => {
+                let _ = tx.send(Err(io::ErrorKind::TimedOut.into()));
+            }
+            None => {}
         }
     }
 
@@ -179,9 +188,6 @@ impl Upstream {
         self.redials += u64::from(up);
         let mut lost = Vec::new();
         for (sent, waiting) in self.core.flights_mut() {
-            if waiting.who.is_none() {
-                continue; // on its caller's own connection
-            }
             if up && !waiting.resent {
                 waiting.resent = true;
                 out.push(Out::Push(UPSTREAM, HttpMsg::Get(sent.clone())));
@@ -246,42 +252,4 @@ impl Upstream {
             self.redials,
         );
     }
-}
-
-/// A blocking caller's keep-alive connection to the upstream node.
-pub(crate) type BlockingConn = FrameReader<TcpStream>;
-
-fn connect(upstream: SocketAddr) -> io::Result<BlockingConn> {
-    let bound = Duration::from_micros(UPSTREAM_TIMEOUT.as_micros());
-    let stream = TcpStream::connect_timeout(&upstream, bound)?;
-    let _ = stream.set_nodelay(true);
-    stream.set_read_timeout(Some(bound))?;
-    Ok(FrameReader::new(stream))
-}
-
-/// Sends `get` and summarises its reply. The borrowed `200` body is dropped
-/// here: the zero-copy decode never materialises the payload.
-fn exchange(conn: &mut BlockingConn, get: &GetRequest) -> io::Result<UpstreamReply> {
-    let mut stream = conn.get_ref();
-    stream.write_all(&encode(&HttpMsg::Get(get.clone())))?;
-    let invalid = |why: String| io::Error::new(io::ErrorKind::InvalidData, why);
-    match conn.next_msg().map_err(|e| invalid(e.to_string()))? {
-        HttpMsgRef::Reply(reply) if reply.req == get.req => Ok(UpstreamReply::from(&reply)),
-        _ => Err(invalid("expected the reply to this request".to_string())),
-    }
-}
-
-/// One request/reply exchange for a blocking caller, on the kept-alive
-/// connection in `conn` if there is one. A kept connection that turns out
-/// to be dead (the upstream restarted) is replaced by a fresh dial, once.
-/// On success `conn` holds the connection to keep.
-pub(crate) fn roundtrip(
-    conn: &mut Option<BlockingConn>,
-    upstream: SocketAddr,
-    get: &GetRequest,
-) -> io::Result<UpstreamReply> {
-    if let Some(reply) = conn.as_mut().and_then(|kept| exchange(kept, get).ok()) {
-        return Ok(reply);
-    }
-    exchange(conn.insert(connect(upstream)?), get)
 }

@@ -139,6 +139,17 @@ impl ScriptedUpstream {
         Wire::new(self.listener.accept().expect("accept").0)
     }
 
+    /// The node has dialled nothing that was not accepted.
+    pub fn assert_no_dial(&self) {
+        self.listener.set_nonblocking(true).expect("nonblocking");
+        let pending = self.listener.accept();
+        self.listener.set_nonblocking(false).expect("blocking");
+        assert_eq!(
+            pending.expect_err("an unexpected connection").kind(),
+            std::io::ErrorKind::WouldBlock
+        );
+    }
+
     /// The two connections a spawning node dials, in its dial order: the
     /// request connection, then the `HELLO` channel (its `HELLO` consumed).
     pub fn accept_node(&self) -> (Wire, Wire) {

@@ -90,8 +90,8 @@ fn origin_metrics_scrape_is_valid_and_counts_traffic() {
     // The in-process accessor returns the same family set.
     validate_exposition(&origin.metrics_text()).unwrap();
 
-    // The proxy's dedicated metrics listener answers too.
-    let text = scrape(proxy.metrics_addr()).expect("scrape proxy");
+    // The proxy's client listener answers too.
+    let text = scrape(proxy.client_addr()).expect("scrape proxy");
     validate_exposition(&text).expect("proxy exposition is valid");
     assert_eq!(
         sample(&text, r#"wcc_requests_total{node="proxy"}"#),

@@ -2,14 +2,15 @@
 //! overlap, hits overtake them (but never on their own connection), an
 //! invalidation is acknowledged at once and poisons the fetch it overtook,
 //! a dropped request connection is re-dialled with its flights re-sent, a
-//! flight nobody answers times out, and a pipelining client cannot make
-//! the proxy hold more than a bounded number of requests.
+//! flight nobody answers times out, a pipelining client cannot make the
+//! proxy hold more than a bounded number of requests, and a blocking
+//! `fetch` is one more client of all this.
 
 mod common;
 
 use common::{get, url, ScriptedUpstream, Wire, SERVER};
 use wcc_core::{ProtocolConfig, ProtocolKind};
-use wcc_net::NetProxy;
+use wcc_net::{FetchKind, NetProxy};
 use wcc_proto::{HttpMsg, HttpMsgRef};
 use wcc_types::{ByteSize, ClientId, SimTime};
 
@@ -219,4 +220,40 @@ fn a_pipelining_client_is_read_no_further_than_max_pipeline() {
     }
     requests.assert_quiet();
     assert_eq!(proxy.counters().dropped_connections, 0);
+}
+
+/// A blocking `fetch` dials nothing of its own: its miss goes out on the
+/// request connection the node dialled, like a client-listener miss.
+#[test]
+fn a_blocking_fetch_rides_the_request_connection() {
+    let (upstream, proxy, mut requests, _channel) = start();
+    std::thread::scope(|s| {
+        let fetch = s.spawn(|| proxy.fetch(C, url(4), t(1)));
+        let get = requests.recv_get();
+        assert_eq!((get.url, get.client), (url(4), C));
+        requests.reply_200(&get, t(0));
+        let outcome = fetch.join().expect("fetch thread").expect("fetch");
+        assert_eq!(outcome.kind, FetchKind::Fetched);
+    });
+    upstream.assert_no_dial();
+    let c = proxy.counters();
+    assert_eq!((c.gets_sent, c.replies_200, c.upstream_redials), (1, 1, 0));
+}
+
+/// ... so it is re-sent on the re-dial like any other flight.
+#[test]
+fn a_fetch_in_flight_across_a_redial_is_sent_again() {
+    let (upstream, proxy, mut requests, _channel) = start();
+    std::thread::scope(|s| {
+        let fetch = s.spawn(|| proxy.fetch(C, url(4), t(1)));
+        let sent = requests.recv_get();
+        drop(requests);
+        let mut requests = upstream.accept();
+        let again = requests.recv_get();
+        assert_eq!(again, sent, "re-sent as it was");
+        requests.reply_200(&again, t(0));
+        let outcome = fetch.join().expect("fetch thread").expect("fetch");
+        assert_eq!(outcome.kind, FetchKind::Fetched);
+    });
+    assert_eq!(proxy.counters().upstream_redials, 1);
 }

@@ -786,7 +786,7 @@ fn serve_self_check() -> Result<(), String> {
     }
     drop(reader);
 
-    let metrics = scrape(proxy.metrics_addr()).map_err(e)?;
+    let metrics = scrape(proxy.client_addr()).map_err(e)?;
     if !metrics.contains("wcc_requests_total{node=\"proxy\"} 2") {
         return Err(format!(
             "serve self-check: /metrics did not count the requests:\n{metrics}"
@@ -798,11 +798,28 @@ fn serve_self_check() -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_serve(args: &Args) -> Result<(), String> {
+/// The `wcc serve` flags a role has no use for: a run that names one is
+/// refused rather than run without it.
+fn unused_by(role: &str) -> Option<&'static [&'static str]> {
+    Some(match role {
+        "pair" => &["origin"],
+        "origin" => &["origin", "cache-mib"],
+        "proxy" => &["port", "docs", "doc-scale", "state-file", "config"],
+        _ => return None,
+    })
+}
+
+fn cmd_serve(args: &Args) -> Result<(), Failure> {
     if args.flag("self-check") {
-        return serve_self_check();
+        return Ok(serve_self_check()?);
     }
     let role = args.value("role").unwrap_or("pair");
+    let usage_error = |message: String| Failure::Usage(format!("wcc serve: {message}"));
+    let unused = unused_by(role)
+        .ok_or_else(|| usage_error(format!("unknown --role {role:?}; pair, origin or proxy")))?;
+    if let Some(flag) = unused.iter().find(|flag| args.flag(flag)) {
+        return Err(usage_error(format!("--role {role} does not use --{flag}")));
+    }
     let port = args.num("port", 0)?;
     let docs = args.num("docs", 256)?.max(1) as usize;
     let doc_scale = args.num("doc-scale", 100)?;
@@ -838,14 +855,15 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
         "proxy" => {
             let upstream: SocketAddr = args
                 .value("origin")
-                .ok_or("serve: --role proxy needs --origin ADDR")?
+                .ok_or_else(|| usage_error("--role proxy needs --origin ADDR".to_string()))?
                 .parse()
-                .map_err(|_| "serve: --origin expects HOST:PORT".to_string())?;
+                .map_err(|_| usage_error("--origin expects HOST:PORT".to_string()))?;
             let proxy = NetProxy::spawn(upstream, &protocol, 0, 1, ByteSize::from_mib(cache_mib))
                 .map_err(e)?;
             (None, Some(proxy))
         }
-        "pair" => {
+        // "pair", the one other role `unused_by` knows.
+        _ => {
             let origin = NetOrigin::spawn_at(bind, origin_cfg, recovering).map_err(e)?;
             let proxy = NetProxy::spawn(
                 origin.addr(),
@@ -856,11 +874,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             )
             .map_err(e)?;
             (Some(origin), Some(proxy))
-        }
-        other => {
-            return Err(format!(
-                "serve: unknown --role {other:?}; pair, origin or proxy"
-            ))
         }
     };
     if recovering {
@@ -878,7 +891,6 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     }
     if let Some(p) = &proxy {
         lines.push_str(&format!("client={}\n", p.client_addr()));
-        lines.push_str(&format!("metrics={}\n", p.metrics_addr()));
     }
     print!("{lines}");
     if let Some(path) = args.value("port-file") {

@@ -3,7 +3,8 @@
 //! such a flag until the second engine went; a stale script must not keep
 //! "passing" while checking nothing.) `wcc bench <table>` holds the paper
 //! tables to the same rule, where the binaries it replaced ran at full scale
-//! on a typo.
+//! on a typo, and `wcc serve` each role: a flag the role does not use is
+//! refused, not ignored.
 
 use std::process::Command;
 
@@ -71,4 +72,72 @@ fn bench_rejects_what_the_table_binaries_swallowed() {
     assert!(run.status.success());
     let table = String::from_utf8_lossy(&run.stdout);
     assert!(table.starts_with("=== Table 2: summary of the traces (seed 1997, scale 1/400) ==="));
+}
+
+/// `wcc serve` with `args`, killed (and the test failed) if it is still
+/// running after 10 s: a daemon that started despite a bad flag.
+fn serve(args: &[&str]) -> std::process::Output {
+    use std::process::Stdio;
+    use std::time::{Duration, Instant};
+    let mut child = Command::new(WCC)
+        .arg("serve")
+        .args(args)
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("wcc spawns");
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while child.try_wait().expect("wait").is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            panic!("wcc serve {args:?} is serving");
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    child.wait_with_output().expect("output")
+}
+
+/// A `wcc serve` flag the role has no use for is refused with nothing
+/// spawned: `--role proxy --port 8080` listened on an ephemeral port, and a
+/// proxy's `--state-file` announced a §5 recovery that did nothing.
+#[test]
+fn serve_rejects_flags_its_role_does_not_use() {
+    // Nothing listens on port 1: a proxy that got as far as spawning fails
+    // its dial (exit 1), it does not serve.
+    let up = ["--origin", "127.0.0.1:1"];
+    for (role, flag, value) in [
+        ("proxy", "port", "8080"),
+        ("proxy", "docs", "4"),
+        ("proxy", "doc-scale", "10"),
+        ("proxy", "state-file", "wcc-cli-flags.state"),
+        ("proxy", "config", "wcc-cli-flags.conf"),
+        ("origin", "origin", "127.0.0.1:1"),
+        ("origin", "cache-mib", "8"),
+        ("pair", "origin", "127.0.0.1:1"),
+    ] {
+        let mut args = vec!["--role", role];
+        if role == "proxy" {
+            args.extend(up);
+        }
+        let flag = format!("--{flag}");
+        args.extend([flag.as_str(), value]);
+        let run = serve(&args);
+        assert_eq!(run.status.code(), Some(2), "{args:?}");
+        assert!(run.stdout.is_empty(), "{args:?} published addresses");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        let complaint = format!("--role {role} does not use {flag}");
+        assert!(stderr.contains(&complaint), "{args:?}: {stderr}");
+    }
+    assert!(!std::path::Path::new("wcc-cli-flags.state").exists());
+    // The role's own flags pass the check and reach the spawn.
+    let run = serve(&[
+        "--role",
+        "proxy",
+        "--origin",
+        "127.0.0.1:1",
+        "--cache-mib",
+        "8",
+    ]);
+    assert_eq!(run.status.code(), Some(1), "{run:?}");
+    assert!(run.stdout.is_empty());
 }
