@@ -195,6 +195,16 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
         include_tests: false,
     },
     SeqRule {
+        name: "role-owner",
+        needles: &[&["Mutex"], &["RwLock"], &["WallClock", ":", ":", "start"]],
+        message: "a role's state has one owner, its node's thread: a handle \
+                  reaches it through Node::call, and the time is what the \
+                  runtime passes in (Cx::now, `now`), not a clock of its own",
+        in_scope: |path| reactor_file(path) && path != "crates/net/src/evloop.rs",
+        allowed: |_| false,
+        include_tests: false,
+    },
+    SeqRule {
         name: "fetch-bypass",
         needles: &[&[".", "on_reply_200", "("], &[".", "on_reply_304", "("]],
         message: "the proxy-side fetch sequence (request, reply, the rule for \

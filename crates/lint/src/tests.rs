@@ -186,6 +186,36 @@ fn blocking_socket_io_denied_on_the_node_thread() {
 }
 
 #[test]
+fn shared_role_state_and_role_clocks_denied_in_the_roles() {
+    for src in [
+        "struct Proxy { state: Arc<Mutex<Inner>> }\n",
+        "fn f(s: &parking_lot::RwLock<Core>) { s.read(); }\n",
+        "fn f() -> SimTime { let c = WallClock::start(); now(c) }\n",
+    ] {
+        for role in ["proxy", "parent", "origin", "upstream", "downstream"] {
+            let path = format!("crates/net/src/{role}.rs");
+            assert_eq!(rules_fired(&path, src), ["role-owner"], "{path}: {src}");
+        }
+    }
+}
+
+#[test]
+fn the_runtime_keeps_the_clock_and_tests_keep_their_locks() {
+    // The runtime owns the node's one clock.
+    let clock = "fn spawn() { let clock = WallClock::start(); }\n";
+    assert!(rules_fired("crates/net/src/evloop.rs", clock).is_empty());
+    // Told the time, a role reads none; test roles may share a Mutex.
+    let told = "fn on_deadline(&mut self, now: SimTime) { self.up.expire(now); }\n";
+    assert!(rules_fired("crates/net/src/proxy.rs", told).is_empty());
+    let test = "#[cfg(test)]\nmod tests {\n    struct S { seen: Mutex<Vec<u64>> }\n}\n";
+    assert!(rules_fired("crates/net/src/origin.rs", test).is_empty());
+    // Outside the serve tier's roles the rule does not apply.
+    let shared = "struct S { m: std::sync::Mutex<u64> }\n";
+    assert!(rules_fired("crates/bench/src/serve.rs", shared).is_empty());
+    assert!(rules_fired("crates/net/src/scrape.rs", shared).is_empty());
+}
+
+#[test]
 fn hand_rolled_fetch_sequence_denied_outside_the_core() {
     let src = "fn f(p: &mut ProxyPolicy) { p.on_reply_200(k, m, l, t, c); }\n\
                fn g(p: &mut ProxyPolicy) -> bool { p.on_reply_304(k, l, t, c) }\n";

@@ -1,17 +1,16 @@
 //! The downward hop (origin→proxy, origin→parent, parent→child): what
-//! connects a [`WritePath`] to the wire and the clock.
+//! connects a [`WritePath`] to the wire and the timers.
 //!
-//! [`Downstream`] is what a reactor role keeps beside the path (which sits
-//! under the node's lock, for the public handle): the push channel of each
-//! site, the wall clock the path is told, and the timers it armed.
+//! [`Downstream`] is what a role keeps beside its path: the push channel of
+//! each site, and the timers the path armed, due at instants of the node's
+//! clock — the `now` the runtime tells the role.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
-use std::time::Duration;
 use wcc_core::{OriginOut, OriginTimer, SiteListStats, WritePath};
 use wcc_obs::Registry;
 use wcc_proto::HttpMsg;
-use wcc_types::{ServerId, SimDuration, SimTime, WallClock};
+use wcc_types::{ServerId, SimDuration, SimTime};
 
 use crate::evloop::{Out, Outbox};
 
@@ -19,14 +18,12 @@ use crate::evloop::{Out, Outbox};
 /// bulk — is re-sent.
 pub(crate) const RETRY: SimDuration = SimDuration::from_millis(250);
 
-/// The reactor thread's own: who to push to, and when to wake.
+/// Who to push to, and when to wake.
 pub(crate) struct Downstream {
     server: ServerId,
     /// partition -> push-channel token (latest HELLO wins, stale tokens
     /// fail their generation check harmlessly).
     channels: HashMap<u32, u64>,
-    /// Started with the node: what the path is told the time is.
-    clock: WallClock,
     /// Timers the path armed, soonest first.
     timers: BinaryHeap<Reverse<(SimTime, OriginTimer)>>,
     /// What the path last asked for; drained by [`Downstream::emit`] and
@@ -39,14 +36,9 @@ impl Downstream {
         Downstream {
             server,
             channels: HashMap::new(),
-            clock: WallClock::start(),
             timers: BinaryHeap::new(),
             asked: Vec::new(),
         }
-    }
-
-    pub fn now(&self) -> SimTime {
-        SimTime::ZERO + self.clock.elapsed()
     }
 
     /// `HELLO`: connection `token` is `partition`'s push channel from now on.
@@ -54,11 +46,9 @@ impl Downstream {
         self.channels.insert(partition, token);
     }
 
-    /// Time until the soonest armed timer.
-    pub fn deadline(&self) -> Option<Duration> {
-        let Reverse((due, _)) = self.timers.peek()?;
-        let left = due.saturating_since(self.now());
-        Some(Duration::from_micros(left.as_micros()))
+    /// When the soonest armed timer is due.
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.timers.peek().map(|Reverse((due, _))| *due)
     }
 
     /// Hands `path` every timer that has come due.

@@ -31,9 +31,13 @@
 //! * the outbox ([`Out`]) — "push this frame to that other connection",
 //!   "redeem that ticket" — delivered after each batch of events; whatever
 //!   is addressed to a connection that closed (even if its slot was
-//!   reused) is dropped. [`Node::send`] is the one way in from another
-//!   thread: it queues an [`Out`] in the node's inbox and wakes the loop,
-//!   which moves the inbox into the outbox on that wake;
+//!   reused) is dropped;
+//! * the one way in from another thread, [`Node::call`]: the call waits in
+//!   the node's inbox and runs on the next wake with the role, the node's
+//!   time and the outbox; the inbox dies with the thread, so a call to a
+//!   dead node fails;
+//! * the node's one clock: roles are told the time ([`Cx::now`], the `now`
+//!   passed in) and read none;
 //! * the two connections to the upstream node: the persistent `HELLO`
 //!   channel invalidations are pushed on and the pipelined request
 //!   connection ([`UPSTREAM`]) misses are forwarded on, both dialled
@@ -44,30 +48,29 @@
 //!
 //! A role never blocks. It touches only what [`Cx`] hands it — its own
 //! connection's tag and reply pipeline, and the outbox — and all of it is
-//! bounded work in memory: no socket or file I/O, no lock held across
-//! either. A request that cannot be answered from memory is *deferred*:
-//! the role takes a [`Ticket`], the promise that this connection's reply
-//! pipeline holds a place for the answer, sends what it needs upstream
-//! through the outbox, and returns. On whatever later turn the upstream's
-//! reply arrives, the role redeems the ticket ([`Out::Redeem`]) with the
-//! answer, or with `None` if there will be none: then what is ahead of it
-//! still flushes and the connection closes. A ticket whose connection is
-//! gone is redeemed into nothing. Every ticket is redeemed exactly once.
+//! bounded work in memory: no socket or file I/O, no lock, no clock; its
+//! state has one owner, the node's thread. A request that cannot be
+//! answered from memory is *deferred*: the role takes a [`Ticket`], the
+//! promise that this connection's reply pipeline holds a place for the
+//! answer, sends what it needs upstream through the outbox, and returns.
+//! On whatever later turn the upstream's reply arrives, the role redeems
+//! the ticket ([`Out::Redeem`]) with the answer, or with `None` if there
+//! will be none: then what is ahead of it still flushes and the connection
+//! closes. A ticket whose connection is gone is redeemed into nothing.
+//! Every ticket is redeemed exactly once.
 //!
 //! Dispatch is static (`Runtime<R: Role>`). This file is on the hot-loop
 //! allocation lint list: everything here runs once per readiness event at
 //! 10k-connection scale.
 
-use parking_lot::Mutex;
 use std::io::{self, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::thread::JoinHandle;
 use std::time::Duration;
 use wcc_proto::{decode_frame, encode, encode_into, HttpMsg, HttpMsgRef, WireError};
 use wcc_reactor::{Event, Interest, Poller, RecvBuf, SendBuf, WakeHandle, Waker};
-use wcc_types::{SimDuration, WallClock};
+use wcc_types::{SimDuration, SimTime, WallClock};
 
 /// Token of the node's listener.
 const TOK_LISTENER: u64 = 0;
@@ -88,6 +91,9 @@ pub(crate) const MAX_PIPELINE: u64 = 64;
 /// The least time between two dials of the same upstream connection; also
 /// bounds each dial, which runs on the reactor thread.
 const REDIAL: SimDuration = SimDuration::from_millis(250);
+
+/// How long a node whose handle is gone waits for its deferred replies.
+const DRAIN: SimDuration = SimDuration::from_secs(1);
 
 /// What the pump does with a connection after a frame was handled.
 pub(crate) enum After {
@@ -127,6 +133,10 @@ pub(crate) enum Out {
 
 pub(crate) type Outbox = Vec<Out>;
 
+/// What a handle has run on its node's thread: with the role, the node's
+/// time and the outbox.
+pub(crate) type Call<R> = Box<dyn FnOnce(&mut R, SimTime, &mut Outbox) + Send>;
+
 /// One node's protocol, driven by the runtime on the node's only thread.
 pub(crate) trait Role: Sized + Send + 'static {
     /// Per-connection state the role keeps (what kind of peer this is).
@@ -140,25 +150,20 @@ pub(crate) trait Role: Sized + Send + 'static {
     /// `n` connections were dropped by the runtime: accept/registration
     /// failures, or a ticket redeemed with `None` forcing a close.
     fn on_dropped(&mut self, _n: u64) {}
-    /// Time until the role's next deadline (`ZERO`: due now).
-    fn next_deadline(&self) -> Option<Duration> {
+    /// When the role's next deadline is due, on the node's clock.
+    fn next_deadline(&self) -> Option<SimTime> {
         None
     }
-    /// Called after a wake once [`Role::next_deadline`] reached zero.
-    fn on_deadline(&mut self, _out: &mut Outbox) {}
+    /// Called after a wake once [`Role::next_deadline`] is `now` or earlier.
+    fn on_deadline(&mut self, _now: SimTime, _out: &mut Outbox) {}
     /// The request connection had dropped and was just dialled again:
     /// with `up`, whatever was in flight on the old one can be sent again
     /// to [`UPSTREAM`]; without, it is lost until the next attempt.
     fn on_redial(&mut self, _up: bool, _out: &mut Outbox) {}
 }
 
-/// Time left of `period` on a clock started at the period's beginning.
-pub(crate) fn time_left(since: &WallClock, period: SimDuration) -> Duration {
-    Duration::from_micros((period - since.elapsed()).as_micros())
-}
-
 /// The sooner of two optional deadlines.
-pub(crate) fn earliest(a: Option<Duration>, b: Option<Duration>) -> Option<Duration> {
+pub(crate) fn earliest(a: Option<SimTime>, b: Option<SimTime>) -> Option<SimTime> {
     match (a, b) {
         (Some(a), Some(b)) => Some(a.min(b)),
         (a, b) => a.or(b),
@@ -195,21 +200,23 @@ impl Hello {
 }
 
 /// One runtime-dialled connection to the upstream.
+#[derive(Default)]
 struct Link {
     /// Its token while it is up.
     token: Option<u64>,
-    /// Started at the last dial, successful or not.
-    dialled: WallClock,
+    /// The node's time at the last dial, successful or not.
+    dialled: SimTime,
 }
 
 /// What [`Role::on_frame`] may touch: the pumped connection's tag and
-/// reply pipeline, and the outbox.
+/// reply pipeline, the outbox and the node's clock.
 pub(crate) struct Cx<'a, R: Role> {
     /// The pumped connection's token (what an [`Out::Push`] targets).
     pub token: u64,
     pub tag: &'a mut R::Tag,
     /// What is to happen on other connections.
     pub out: &'a mut Outbox,
+    clock: &'a WallClock,
     sbuf: &'a mut SendBuf,
     next_assign: &'a mut u64,
     next_send: &'a mut u64,
@@ -218,6 +225,11 @@ pub(crate) struct Cx<'a, R: Role> {
 }
 
 impl<R: Role> Cx<'_, R> {
+    /// The node's time, as its runtime's clock reads it now.
+    pub fn now(&self) -> SimTime {
+        SimTime::ZERO + self.clock.elapsed()
+    }
+
     /// The connection's next pipeline sequence number.
     fn assign(&mut self) -> u64 {
         let seq = *self.next_assign;
@@ -420,27 +432,36 @@ impl<T> Conns<T> {
 }
 
 /// A running node: its one thread. Shuts it down (and joins it) on drop.
-pub(crate) struct Node {
-    shutdown: Arc<AtomicBool>,
-    /// What other threads want done on the node's thread.
-    inbox: Arc<Mutex<Outbox>>,
-    /// Makes `Poller::wait` return so the flag, or the inbox, is seen.
+pub(crate) struct Node<R> {
+    /// The node's inbox; dropping it is the shutdown request.
+    calls: Option<Sender<Call<R>>>,
+    /// Makes `Poller::wait` return so a call, or the shutdown, is seen.
     wake: WakeHandle,
     thread: Option<JoinHandle<()>>,
 }
 
-impl Node {
-    /// Has `out` carried out on the node's thread, as if a role had put it
-    /// in the outbox.
-    pub fn send(&self, out: Out) {
-        self.inbox.lock().push(out);
-        self.wake.wake();
+impl<R: Role> Node<R> {
+    /// Runs `f` on the node's thread between events, with the role, the
+    /// node's time and the outbox, and returns what it returned;
+    /// `BrokenPipe` if the thread is gone, or goes before it runs `f`.
+    pub fn call<T: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut R, SimTime, &mut Outbox) -> T + Send + 'static,
+    ) -> io::Result<T> {
+        let (tx, rx) = mpsc::sync_channel(1);
+        // One box per call, on the caller's thread.
+        let call: Call<R> = Box::new(move |r, now, out| tx.send(f(r, now, out)).unwrap_or(())); // xtask-lint: allow(hot-loop-alloc)
+        let calls = self.calls.as_ref();
+        if calls.is_some_and(|calls| calls.send(call).is_ok()) {
+            self.wake.wake();
+        }
+        rx.recv().map_err(|_| io::ErrorKind::BrokenPipe.into())
     }
 }
 
-impl Drop for Node {
+impl<R> Drop for Node<R> {
     fn drop(&mut self) {
-        self.shutdown.store(true, Ordering::SeqCst);
+        self.calls = None;
         self.wake.wake();
         if let Some(thread) = self.thread.take() {
             let _ = thread.join();
@@ -459,7 +480,7 @@ pub(crate) fn spawn<R: Role>(
     role: R,
     listener: TcpListener,
     hello: Option<Hello>,
-) -> io::Result<Node> {
+) -> io::Result<Node<R>> {
     use std::os::fd::AsRawFd;
     // Dial first: an unreachable upstream fails the spawn.
     let dialled = match &hello {
@@ -472,36 +493,29 @@ pub(crate) fn spawn<R: Role>(
     let waker = Waker::new()?;
     waker.register(&mut poller, TOK_WAKER)?;
     let wake = waker.handle()?;
-    let inbox = Arc::new(Mutex::new(Vec::with_capacity(64)));
+    let (calls, inbox) = mpsc::channel();
 
     let mut rt = Runtime {
         role,
         poller,
+        waker,
         listener,
         conns: Conns::with_capacity(256),
         outbox: Vec::with_capacity(64),
-        inbox: Arc::clone(&inbox),
+        inbox,
+        clock: WallClock::start(),
         deferred: 0,
         hello,
-        channel: Link {
-            token: None,
-            dialled: WallClock::start(),
-        },
-        requests: Link {
-            token: None,
-            dialled: WallClock::start(),
-        },
+        channel: Link::default(),
+        requests: Link::default(),
     };
     if let Some((requests, channel)) = dialled {
         rt.adopt(Via::Upstream, requests);
         rt.adopt(Via::Dial, channel);
     }
-    let shutdown = Arc::new(AtomicBool::new(false));
-    let stop = Arc::clone(&shutdown);
-    let thread = std::thread::spawn(move || rt.run(&waker, &stop));
+    let thread = std::thread::spawn(move || rt.run());
     Ok(Node {
-        shutdown,
-        inbox,
+        calls: Some(calls),
         wake,
         thread: Some(thread),
     })
@@ -511,11 +525,14 @@ pub(crate) fn spawn<R: Role>(
 struct Runtime<R: Role> {
     role: R,
     poller: Poller,
+    waker: Waker,
     listener: TcpListener,
     conns: Conns<R::Tag>,
     outbox: Outbox,
-    /// [`Node::send`]'s queue, moved into the outbox when the waker fires.
-    inbox: Arc<Mutex<Outbox>>,
+    /// [`Node::call`]'s queue, run when the waker fires.
+    inbox: Receiver<Call<R>>,
+    /// The node's one clock: what every role is told the time is.
+    clock: WallClock,
     /// Tickets taken and not yet redeemed.
     deferred: u32,
     hello: Option<Hello>,
@@ -527,34 +544,27 @@ struct Runtime<R: Role> {
 
 impl<R: Role> Runtime<R> {
     /// The node's whole serving tier: one loop, every connection.
-    fn run(mut self, waker: &Waker, shutdown: &AtomicBool) {
+    fn run(mut self) {
         let mut events: Vec<Event> = Vec::with_capacity(256);
-        // Started by the shutdown request: deferred replies get a bounded
+        // Started once the handle is gone: deferred replies get a bounded
         // window to arrive and flush before everything closes.
-        let mut draining: Option<WallClock> = None;
+        let mut draining: Option<SimTime> = None;
         loop {
             let timeout = match draining {
                 Some(_) => Some(Duration::from_millis(20)),
-                None => earliest(self.role.next_deadline(), self.redial_left()),
+                None => earliest(self.role.next_deadline(), self.redial_due())
+                    .map(|due| Duration::from_micros(due.saturating_since(self.now()).as_micros())),
             };
             if self.poller.wait(&mut events, timeout).is_err() {
-                break;
-            }
-            if draining.is_none() && shutdown.load(Ordering::SeqCst) {
-                draining = Some(WallClock::start());
-            }
-            if draining.as_ref().is_some_and(|since| {
-                self.deferred == 0 || since.has_elapsed(SimDuration::from_secs(1))
-            }) {
                 break;
             }
             for ev in events.iter().copied() {
                 match ev.token {
                     TOK_LISTENER => self.accept(),
                     TOK_WAKER => {
-                        // Drained first: a send after this wakes again.
-                        waker.drain();
-                        self.outbox.append(&mut self.inbox.lock());
+                        if !self.take_calls() {
+                            draining.get_or_insert(self.now());
+                        }
                     }
                     tok => {
                         if ev.writable {
@@ -566,17 +576,40 @@ impl<R: Role> Runtime<R> {
                     }
                 }
             }
-            if self.redial_left() == Some(Duration::ZERO) {
-                self.redial();
+            let now = self.now();
+            if self.redial_due().is_some_and(|due| due <= now) {
+                self.redial(now);
             }
-            if self.role.next_deadline() == Some(Duration::ZERO) {
-                self.role.on_deadline(&mut self.outbox);
+            if self.role.next_deadline().is_some_and(|due| due <= now) {
+                self.role.on_deadline(now, &mut self.outbox);
             }
             self.deliver_outbox();
+            if draining.is_some_and(|since| self.deferred == 0 || now - since >= DRAIN) {
+                break;
+            }
         }
         // One last best-effort flush; dropping the runtime closes the rest.
         for conn in self.conns.slots.iter_mut().filter_map(|s| s.conn.as_mut()) {
             let _ = conn.sbuf.flush(&mut conn.stream);
+        }
+    }
+
+    /// The node's time.
+    fn now(&self) -> SimTime {
+        SimTime::ZERO + self.clock.elapsed()
+    }
+
+    /// Runs every queued call, in arrival order. `false` once the handle
+    /// is gone.
+    fn take_calls(&mut self) -> bool {
+        // Drained first: a call queued after this wakes the loop again.
+        self.waker.drain();
+        loop {
+            let now = self.now();
+            match self.inbox.try_recv() {
+                Ok(call) => call(&mut self.role, now, &mut self.outbox),
+                Err(e) => return e == TryRecvError::Empty,
+            }
         }
     }
 
@@ -589,28 +622,24 @@ impl<R: Role> Runtime<R> {
         }
     }
 
-    /// Time until the next upstream re-dial; `None` while both connections
-    /// are up (or the role has no upstream).
-    fn redial_left(&self) -> Option<Duration> {
+    /// When the next upstream re-dial is due; `None` while both
+    /// connections are up (or the role has no upstream).
+    fn redial_due(&self) -> Option<SimTime> {
         self.hello.as_ref()?;
-        let left = |link: &Link| {
-            link.token
-                .is_none()
-                .then(|| time_left(&link.dialled, REDIAL))
-        };
-        earliest(left(&self.requests), left(&self.channel))
+        let due = |link: &Link| link.token.is_none().then_some(link.dialled + REDIAL);
+        earliest(due(&self.requests), due(&self.channel))
     }
 
     /// Dials whichever upstream connection is down and due. The request
     /// connection goes first: once the upstream has our `HELLO` (and may
     /// start its recovery handshake), it can already be asked.
-    fn redial(&mut self) {
+    fn redial(&mut self, now: SimTime) {
         for via in [Via::Upstream, Via::Dial] {
             let link = self.link(via);
-            if link.token.is_some() || !link.dialled.has_elapsed(REDIAL) {
+            if link.token.is_some() || now < link.dialled + REDIAL {
                 continue;
             }
-            link.dialled = WallClock::start();
+            link.dialled = now;
             let stream = self.hello.as_ref().and_then(|hello| hello.dial(via).ok());
             let up = stream.is_some_and(|stream| self.adopt(via, stream));
             if let Via::Upstream = via {
@@ -733,6 +762,7 @@ impl<R: Role> Runtime<R> {
                         token,
                         tag: &mut conn.tag,
                         out: &mut self.outbox,
+                        clock: &self.clock,
                         sbuf: &mut conn.sbuf,
                         next_assign: &mut conn.next_assign,
                         next_send: &mut conn.next_send,
@@ -803,8 +833,11 @@ mod tests {
     use super::*;
     use std::io::{Read, Write};
     use std::net::Shutdown;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc::RecvTimeoutError;
+    use std::sync::{Arc, Mutex};
     use wcc_proto::{FrameReader, GetRequest, Reply, ReplyStatus, RequestId};
-    use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url};
+    use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, Url};
 
     fn live<T>(conns: &Conns<T>) -> usize {
         conns
@@ -826,6 +859,8 @@ mod tests {
     const RELEASE: ClientId = ClientId::from_raw(2);
     /// Like [`RELEASE`], but redeems with `None`: there is no answer.
     const FAIL: ClientId = ClientId::from_raw(3);
+    /// Panics the role — once the test, told through the gate, says so.
+    const DIE: ClientId = ClientId::from_raw(4);
     /// Larger than loopback socket buffers absorb: a flush of a reply
     /// this size stays partial until the peer reads.
     const BIG: u64 = 16 << 20;
@@ -846,7 +881,9 @@ mod tests {
     struct Echo {
         shared: Arc<EchoShared>,
         held: Vec<(Ticket, GetRequest)>,
-        push: Option<(u64, WallClock)>,
+        push: Option<(u64, SimTime)>,
+        /// [`DIE`]'s: "the thread is here", then wait for "go".
+        gate: Option<(mpsc::Sender<()>, Receiver<()>)>,
     }
 
     fn echo(get: &GetRequest) -> HttpMsg {
@@ -870,7 +907,18 @@ mod tests {
         fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
             match msg {
                 HttpMsgRef::Get(get) => {
-                    self.shared.seen.lock().push((cx.token, get.req.get()));
+                    self.shared
+                        .seen
+                        .lock()
+                        .unwrap()
+                        .push((cx.token, get.req.get()));
+                    if get.client == DIE {
+                        if let Some((entered, go)) = self.gate.take() {
+                            let _ = entered.send(());
+                            let _ = go.recv();
+                        }
+                        panic!("echo role told to die");
+                    }
                     if get.client == DEFER {
                         self.held.push((cx.defer(), (*get).clone()));
                         return After::Keep;
@@ -887,7 +935,7 @@ mod tests {
                     After::Keep
                 }
                 HttpMsgRef::Hello { .. } => {
-                    self.push = Some((cx.token, WallClock::start()));
+                    self.push = Some((cx.token, cx.now()));
                     After::Keep
                 }
                 _ => After::Close,
@@ -895,16 +943,16 @@ mod tests {
         }
 
         fn on_dropped(&mut self, n: u64) {
-            *self.shared.dropped.lock() += n;
+            *self.shared.dropped.lock().unwrap() += n;
         }
 
-        fn next_deadline(&self) -> Option<Duration> {
-            *self.shared.turns.lock() += 1;
-            let (_, since) = self.push.as_ref()?;
-            Some(time_left(since, SimDuration::from_millis(30)))
+        fn next_deadline(&self) -> Option<SimTime> {
+            *self.shared.turns.lock().unwrap() += 1;
+            let (_, since) = self.push?;
+            Some(since + SimDuration::from_millis(30))
         }
 
-        fn on_deadline(&mut self, out: &mut Outbox) {
+        fn on_deadline(&mut self, _now: SimTime, out: &mut Outbox) {
             if let Some((token, _)) = self.push.take() {
                 let server = ServerId::new(0);
                 out.push(Out::Push(token, HttpMsg::InvalidateServer { server }));
@@ -916,10 +964,14 @@ mod tests {
     struct Harness {
         addr: SocketAddr,
         shared: Arc<EchoShared>,
-        _node: Node,
+        node: Node<Echo>,
     }
 
     fn start() -> Harness {
+        start_gated(None)
+    }
+
+    fn start_gated(gate: Option<(mpsc::Sender<()>, Receiver<()>)>) -> Harness {
         let shared = Arc::new(EchoShared::default());
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
         let addr = listener.local_addr().expect("addr");
@@ -927,13 +979,10 @@ mod tests {
             shared: Arc::clone(&shared),
             held: Vec::new(),
             push: None,
+            gate,
         };
         let node = spawn(role, listener, None).expect("spawn");
-        Harness {
-            addr,
-            shared,
-            _node: node,
-        }
+        Harness { addr, shared, node }
     }
 
     /// One client connection: raw writes, framed reads.
@@ -1027,12 +1076,18 @@ mod tests {
             torn.send(&[*byte]);
             side.barrier(); // the reactor has read this byte on its own
         }
-        assert!(h.shared.seen.lock().iter().all(|(_, req)| *req != 1));
+        assert!(h
+            .shared
+            .seen
+            .lock()
+            .unwrap()
+            .iter()
+            .all(|(_, req)| *req != 1));
         torn.send(&[*last]);
         assert_eq!(torn.reply(), (1, 3));
         side.barrier();
         torn.assert_quiet();
-        let seen = h.shared.seen.lock();
+        let seen = h.shared.seen.lock().unwrap();
         assert_eq!(seen.iter().filter(|(_, req)| *req == 1).count(), 1);
     }
 
@@ -1078,7 +1133,7 @@ mod tests {
         side.release(32, RELEASE, 1);
         assert_eq!(a.reply(), (1, BIG as usize));
         assert!(matches!(a.r.next_msg(), Err(WireError::Closed)));
-        assert_eq!(*h.shared.dropped.lock(), 1);
+        assert_eq!(*h.shared.dropped.lock().unwrap(), 1);
     }
 
     #[test]
@@ -1111,7 +1166,7 @@ mod tests {
         assert_eq!(a.reply(), (1, 3));
         assert!(matches!(a.r.next_msg(), Err(WireError::Closed)));
         assert_eq!(side.reply(), (7, BIG as usize));
-        let seen = h.shared.seen.lock();
+        let seen = h.shared.seen.lock().unwrap();
         assert_eq!(seen.iter().filter(|(_, req)| *req == 1).count(), 1);
     }
 
@@ -1129,9 +1184,12 @@ mod tests {
         a.assert_quiet();
         // A half-closed socket stays readable for good; the reactor must
         // not spin on it while it waits for the redemption.
-        let turns = *h.shared.turns.lock();
+        let turns = *h.shared.turns.lock().unwrap();
         std::thread::sleep(Duration::from_millis(50));
-        assert!(*h.shared.turns.lock() - turns < 8, "reactor is spinning");
+        assert!(
+            *h.shared.turns.lock().unwrap() - turns < 8,
+            "reactor is spinning"
+        );
         side.release(30, RELEASE, 1);
         assert_eq!([a.reply().0, a.reply().0], [1, 2]);
         assert!(matches!(a.r.next_msg(), Err(WireError::Closed)));
@@ -1155,7 +1213,7 @@ mod tests {
         b.send(&[get(5, DEFER, 0), frame(6, RELEASE, 1, 0)].concat());
         side.barrier();
         {
-            let seen = h.shared.seen.lock();
+            let seen = h.shared.seen.lock().unwrap();
             let token_of = |req| seen.iter().find(|(_, r)| *r == req).expect("seen").0;
             let (old, new) = (token_of(1), token_of(5));
             assert_eq!(old & 0xffff_ffff, new & 0xffff_ffff, "slot not reused");
@@ -1180,6 +1238,7 @@ mod tests {
             h.shared
                 .seen
                 .lock()
+                .unwrap()
                 .iter()
                 .filter(|(_, r)| *r <= total)
                 .count()
@@ -1224,6 +1283,41 @@ mod tests {
         stop.store(true, Ordering::SeqCst);
         hammer.join().expect("hammer");
         assert!(pushed, "deadline did not fire under load");
+    }
+
+    /// A role that panics takes its state with it, and nothing is left
+    /// waiting on it: a call queued while the fatal frame was handled is
+    /// dropped unrun, a later call fails at once, and the handle's drop
+    /// returns.
+    #[test]
+    fn a_dead_node_stops() {
+        let (entered_tx, entered) = mpsc::channel();
+        let (go, go_rx) = mpsc::channel();
+        let h = start_gated(Some((entered_tx, go_rx)));
+        let mut a = Peer::connect(h.addr);
+        a.send(&get(1, DIE, 0));
+        entered.recv().expect("the role took the fatal frame");
+        // The node's thread is inside `on_frame`: this waits in the inbox.
+        let (tx, queued) = mpsc::sync_channel(1);
+        let call: Call<Echo> = Box::new(move |_, _, _| tx.send(()).unwrap());
+        let calls = h.node.calls.as_ref().expect("live handle");
+        calls.send(call).expect("queued");
+        go.send(()).expect("release the role");
+        let bound = Duration::from_secs(5);
+        assert_eq!(
+            queued.recv_timeout(bound),
+            Err(RecvTimeoutError::Disconnected)
+        );
+        // On a thread of its own, so that a hang fails the test.
+        let (done, result) = mpsc::channel();
+        let caller = std::thread::spawn(move || {
+            let _ = done.send(h.node.call(|_, _, _| ()).is_err());
+            drop(h);
+            let _ = done.send(true);
+        });
+        assert_eq!(result.recv_timeout(bound), Ok(true), "call to a dead node");
+        assert_eq!(result.recv_timeout(bound), Ok(true), "drop of a dead node");
+        caller.join().expect("caller thread");
     }
 
     // ---- the connection slab on its own ----

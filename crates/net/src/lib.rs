@@ -19,15 +19,19 @@
 //! * [`check_in`] — the modifier's check-in utility.
 //!
 //! Like the paper's Harvest, each node is one thread on non-blocking
-//! sockets (`evloop`), and that thread does all of the node's socket I/O:
-//! a request that needs the upstream is forwarded and answered when the
-//! reply frame arrives, the fetch state machine being
-//! [`wcc_core::ProxyCore`]; an invalidation is never kept waiting behind a
-//! fetch, and a fetch it overtakes is repeated.
+//! sockets (`evloop`) that does all of the node's socket I/O and owns all
+//! of its state: a handle's method is a call that thread runs between
+//! events, so a copy is served only where its invalidations land, and a
+//! dead node fails every call. A request that needs the upstream is
+//! forwarded and answered when the reply frame arrives, the fetch state
+//! machine being [`wcc_core::ProxyCore`]; an invalidation is never kept
+//! waiting behind a fetch, and a fetch it overtakes is repeated.
 //!
 //! Logical (trace) time is supplied by the caller on every operation, so
-//! tests are deterministic; the sockets provide real concurrency, real
-//! partial failures (dropped connections) and real wire encoding.
+//! tests are deterministic; timeouts, retries and latencies run on one
+//! clock per node, read by its runtime and told to its role. The sockets
+//! provide real concurrency, real partial failures (dropped connections)
+//! and real wire encoding.
 //!
 //! # Example
 //!

@@ -6,10 +6,10 @@
 //! ([`crate::evloop`]). The protocol — grants, fan-out, acknowledgements,
 //! retry, §5 recovery, §7 metering — is [`wcc_core::OriginCore`], which the
 //! simulator's origin drives too; this file is its daemon driver: the
-//! [`Role`] that feeds it frames, renders `/metrics` and keeps one `Mutex`
-//! around the core for the public handle; the wall clock, the map from a
-//! site to that partition's push channel and the timers are
-//! [`crate::downstream`]'s, shared with the parent.
+//! [`Role`] that owns the core on the node's thread, feeds it frames and
+//! renders `/metrics`. The handle reaches the core only through
+//! [`Node::call`]. The map from a site to that partition's push channel
+//! and the timers are [`crate::downstream`]'s, shared with the parent.
 //!
 //! An unacknowledged invalidation is re-sent every 250 ms, up to the core's
 //! budget, and at once when its partition says `HELLO` again; a push to a
@@ -18,16 +18,14 @@
 //! every registration with a bulk `INVALIDATE <server>`, re-sent on the
 //! same period until the `InvalidateServerAck` arrives.
 
-use parking_lot::Mutex;
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::Arc;
 use std::time::Duration;
 use wcc_core::origin::MAX_RETRIES;
 use wcc_core::{OriginCore, Proposer, ProtocolConfig, ServerConsistency};
 use wcc_obs::{Histogram, Registry};
 use wcc_proto::{encode, HttpMsg, HttpMsgRef};
-use wcc_types::{ByteSize, InvalBatchConfig, ServerId, SimDuration, SimTime, Url, WallClock};
+use wcc_types::{ByteSize, InvalBatchConfig, ServerId, SimTime, Url};
 
 use crate::downstream::{render_sitelist, Downstream, RETRY};
 use crate::evloop::{self, After, Cx, Node, Outbox, Role, Via};
@@ -54,16 +52,18 @@ pub struct OriginConfig {
     pub inval_batch: Option<InvalBatchConfig>,
 }
 
-/// What the node's one lock guards: the core and the two histograms.
-struct Inner {
+/// The origin's state and its [`Role`], owned by the node's thread.
+struct OriginRole {
     core: OriginCore,
-    /// Wall-time GET service latency (decode to reply built).
+    /// What connects the core to the wire and the timers.
+    links: Downstream,
+    /// Node-time GET service latency (decode to reply built).
     serve_latency: Histogram,
     /// Entries per flushed `InvalidateBatch` round.
     batch_sizes: Histogram,
 }
 
-impl Inner {
+impl OriginRole {
     /// Renders the node's registry as Prometheus text exposition.
     fn render_metrics(&self) -> String {
         let node = [("node", "origin")];
@@ -179,8 +179,7 @@ impl Inner {
 /// A running TCP origin. Shuts down (and joins its reactor) on drop.
 pub struct NetOrigin {
     addr: SocketAddr,
-    state: Arc<Mutex<Inner>>,
-    _node: Node,
+    node: Node<OriginRole>,
 }
 
 impl std::fmt::Debug for NetOrigin {
@@ -227,21 +226,14 @@ impl NetOrigin {
         if recovering {
             core.recover_unknown_sites();
         }
-        let state = Arc::new(Mutex::new(Inner {
+        let role = OriginRole {
             core,
+            links: Downstream::new(config.server),
             serve_latency: Histogram::default(),
             batch_sizes: Histogram::default(),
-        }));
-        let role = OriginRole {
-            state: Arc::clone(&state),
-            links: Downstream::new(config.server),
         };
         let node = evloop::spawn(role, listener, None)?;
-        Ok(NetOrigin {
-            addr,
-            state,
-            _node: node,
-        })
+        Ok(NetOrigin { addr, node })
     }
 
     /// The address to point proxies and the check-in utility at.
@@ -250,63 +242,64 @@ impl NetOrigin {
     }
 
     /// The current Prometheus text exposition — the same body `GET
-    /// /metrics` on [`NetOrigin::addr`] returns.
+    /// /metrics` on [`NetOrigin::addr`] returns; empty if the node's
+    /// thread is gone.
     pub fn metrics_text(&self) -> String {
-        self.state.lock().render_metrics()
+        let text = self.node.call(|o, _, _| o.render_metrics());
+        text.unwrap_or_default()
     }
 
-    /// A copy of the current counters and site-list stats.
+    /// A copy of the current counters and site-list stats; all zero if the
+    /// node's thread is gone.
     pub fn snapshot(&self) -> OriginSnapshot {
-        self.state.lock().core.snapshot()
+        let snapshot = self.node.call(|o, _, _| o.core.snapshot());
+        snapshot.unwrap_or_default()
     }
 
     /// Swaps the payload scale factor at runtime (`wcc serve`'s SIGHUP
-    /// config reload).
+    /// config reload); a no-op if the node's thread is gone.
     pub fn set_doc_scale(&self, doc_scale: u64) {
-        self.state.lock().core.set_doc_scale(doc_scale.max(1));
+        let scale = doc_scale.max(1);
+        let _ = self.node.call(move |o, _, _| o.core.set_doc_scale(scale));
     }
 
     /// Whether §5 restart recovery has finished. Always true for an
     /// origin spawned with `recovering = false`; after a crash restart it
     /// turns true once at least one proxy re-registered and every bulk
-    /// invalidation sent so far was acknowledged.
+    /// invalidation sent so far was acknowledged. `false` if the node's
+    /// thread is gone.
     pub fn recovery_complete(&self) -> bool {
-        self.state.lock().core.recovery_complete()
+        let done = self.node.call(|o, _, _| o.core.recovery_complete());
+        done.unwrap_or(false)
     }
 
-    /// Polls until [`NetOrigin::recovery_complete`] or `timeout` elapses.
+    /// Polls until [`NetOrigin::recovery_complete`] or `timeout` elapses;
+    /// `false` at once if the node's thread is gone.
     pub fn wait_recovery_complete(&self, timeout: Duration) -> bool {
         self.wait_until(timeout, |core| core.recovery_complete())
     }
 
     /// Polls until every outstanding invalidation is acknowledged (the
     /// paper's write-completion condition) or `timeout` elapses. Returns
-    /// whether completion was reached.
+    /// whether completion was reached; `false` at once if the node's
+    /// thread is gone.
     pub fn wait_writes_complete(&self, timeout: Duration) -> bool {
         self.wait_until(timeout, |core| core.consistency().writes_complete())
     }
 
-    fn wait_until(&self, timeout: Duration, reached: impl Fn(&OriginCore) -> bool) -> bool {
-        let clock = WallClock::start();
-        let timeout =
-            SimDuration::from_micros(u64::try_from(timeout.as_micros()).unwrap_or(u64::MAX));
-        loop {
-            if reached(&self.state.lock().core) {
-                return true;
-            }
-            if clock.has_elapsed(timeout) {
-                return false;
+    /// Polls `reached` on the node's thread, measuring `timeout` on the
+    /// node's clock.
+    fn wait_until(&self, timeout: Duration, reached: fn(&OriginCore) -> bool) -> bool {
+        let mut since = None;
+        while let Ok((done, now)) = self.node.call(move |o, now, _| (reached(&o.core), now)) {
+            let waited = Duration::from_micros((now - *since.get_or_insert(now)).as_micros());
+            if done || waited >= timeout {
+                return done;
             }
             std::thread::sleep(Duration::from_millis(2));
         }
+        false
     }
-}
-
-/// The origin's reactor-side state: the core (shared with the handle) and
-/// what connects it to the wire and the clock.
-struct OriginRole {
-    state: Arc<Mutex<Inner>>,
-    links: Downstream,
 }
 
 impl Role for OriginRole {
@@ -318,59 +311,55 @@ impl Role for OriginRole {
         None
     }
 
-    fn next_deadline(&self) -> Option<Duration> {
-        self.links.deadline()
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.links.next_deadline()
     }
 
-    fn on_deadline(&mut self, out: &mut Outbox) {
-        let links = &mut self.links;
-        let now = links.now();
-        let inner = &mut *self.state.lock();
-        links.fire(&mut inner.core, now);
-        links.emit(now, out, |n| inner.batch_sizes.record(n));
+    fn on_deadline(&mut self, now: SimTime, out: &mut Outbox) {
+        self.links.fire(&mut self.core, now);
+        let sizes = &mut self.batch_sizes;
+        self.links.emit(now, out, |n| sizes.record(n));
     }
 
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
-        let links = &mut self.links;
-        let now = links.now();
-        // The frame's one lock; nothing below touches a socket.
-        let inner = &mut *self.state.lock();
-        let server = inner.core.server();
+        let now = cx.now();
+        let (core, links) = (&mut self.core, &mut self.links);
+        let server = core.server();
         match msg {
             HttpMsgRef::Get(get) => {
-                let Some((reply, _)) = inner.core.serve(get, now) else {
+                let Some((reply, _)) = core.serve(get, now) else {
                     return After::Close; // not a document of this origin
                 };
                 // Recorded before the reply ships: once the requester's
                 // fetch returns, a scrape must already see this serve.
-                let took = links.now().saturating_since(now);
-                inner.serve_latency.record(took.as_micros());
+                let took = cx.now().saturating_since(now);
+                self.serve_latency.record(took.as_micros());
                 cx.reply(HttpMsg::Reply(reply));
             }
-            HttpMsgRef::MetricsGet => return cx.reply_metrics(&inner.render_metrics()),
+            HttpMsgRef::MetricsGet => return cx.reply_metrics(&self.render_metrics()),
             HttpMsgRef::Notify { url, at } => {
-                if inner.core.touch(*url, *at, now).is_none() {
+                if core.touch(*url, *at, now).is_none() {
                     return After::Close; // not a document of this origin
                 }
-                inner.core.modify(*url, *at, now, &mut links.asked);
+                core.modify(*url, *at, now, &mut links.asked);
             }
             HttpMsgRef::InvalAck {
                 url,
                 client,
                 cache_hits,
             } => {
-                inner.core.ack(*url, *client, *cache_hits, now);
+                core.ack(*url, *client, *cache_hits, now);
             }
             HttpMsgRef::InvalidateBatchAck(ack) if ack.server == server => {
                 // A whole proposer round acknowledged: entry by entry,
                 // exactly as per-copy `InvalAck`s would be.
                 for e in ack.entries() {
-                    inner.core.ack(e.url, e.client, e.cache_hits, now);
+                    core.ack(e.url, e.client, e.cache_hits, now);
                 }
             }
             HttpMsgRef::InvalidateServerAck { server: s } if *s == server => {
                 if let Some(partition) = *cx.tag {
-                    inner.core.bulk_ack(partition);
+                    core.bulk_ack(partition);
                 }
             }
             HttpMsgRef::Hello {
@@ -383,10 +372,7 @@ impl Role for OriginRole {
                 // proxy holds, so the core has it invalidate them all; and
                 // whatever the partition still owes an ack for is pushed
                 // again now that there is a channel to push it on.
-                let sites = *partitions;
-                inner
-                    .core
-                    .on_site_hello(*partition, sites, now, &mut links.asked);
+                core.on_site_hello(*partition, *partitions, now, &mut links.asked);
             }
             HttpMsgRef::Reply(_)
             | HttpMsgRef::Invalidate { .. }
@@ -397,7 +383,8 @@ impl Role for OriginRole {
             // Guard fallthrough: an ack for a server we do not own.
             _ => return After::Close,
         }
-        links.emit(now, cx.out, |n| inner.batch_sizes.record(n));
+        let sizes = &mut self.batch_sizes;
+        links.emit(now, cx.out, |n| sizes.record(n));
         After::Keep
     }
 }

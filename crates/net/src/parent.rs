@@ -4,11 +4,12 @@
 //! (keep-alive `GET` connections plus a persistent `HELLO` push channel);
 //! the parent in turn is a client of the real origin. The node's thread
 //! ([`crate::evloop`]) owns the child-facing listener, the upstream
-//! invalidation channel and the pipelined upstream request connection.
-//! This file is the parent's state and its [`Role`]: the same thin driver
-//! of [`wcc_core::ProxyCore`] as the proxy towards the origin
-//! ([`crate::upstream`]), and of [`wcc_core::WritePath`] as the origin
-//! towards its children ([`crate::downstream`]). A child `GET` the parent
+//! invalidation channel and the pipelined upstream request connection,
+//! and the parent's state, [`ParentRole`], which the handle reaches only
+//! through [`Node::call`]: the same thin driver of [`wcc_core::ProxyCore`]
+//! as the proxy towards the origin ([`crate::upstream`]), and of
+//! [`wcc_core::WritePath`] as the origin towards its children
+//! ([`crate::downstream`]). A child `GET` the parent
 //! cache can answer is answered in the turn it arrived; any other is
 //! forwarded under a deferred-reply ticket and answered when the origin's
 //! reply lands. An `INVALIDATE` is applied and acknowledged when it arrives,
@@ -22,15 +23,12 @@
 //! `InvalidateServerAck` — so a restarted origin recovers through a
 //! hierarchy too.
 
-use parking_lot::Mutex;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::Arc;
-use std::time::Duration;
 use wcc_core::origin::MAX_RETRIES;
 use wcc_core::{Begin, OriginCounters, ProtocolConfig, ServerConsistency, WritePath};
-use wcc_obs::{Histogram, Registry};
-use wcc_proto::{GetRequest, HttpMsg, HttpMsgRef};
-use wcc_types::{ByteSize, ClientId, DocMeta, ServerId, SimTime, WallClock};
+use wcc_obs::Registry;
+use wcc_proto::{HttpMsg, HttpMsgRef};
+use wcc_types::{ByteSize, ClientId, ServerId, SimTime};
 
 use crate::downstream::{render_sitelist, Downstream, RETRY};
 use crate::evloop::{self, earliest, After, Cx, Hello, Node, Out, Outbox, Role, Via, UPSTREAM};
@@ -66,24 +64,24 @@ pub struct NetParentCounters {
     pub upstream_redials: u64,
 }
 
-/// Everything the node's one lock guards.
-struct Protected {
+/// The parent's state and its [`Role`], owned by the node's thread.
+struct ParentRole {
     /// The upstream-facing half: policy, cache, flights.
     up: Upstream,
     /// The child-facing half: the children's site lists and the relays
     /// they have yet to acknowledge.
     down: WritePath,
+    /// What connects the child-facing half to the wire and the timers.
+    links: Downstream,
     /// Latest trace time observed on a child request; used as "now" for
     /// child-lease decisions when relaying invalidations (which carry no
     /// timestamp).
     latest_trace: SimTime,
     /// The counters the fetch core does not keep itself.
     local: NetParentCounters,
-    /// Wall-time child GET service latency (including upstream fetches).
-    serve_latency: Histogram,
 }
 
-impl Protected {
+impl ParentRole {
     /// The node's counters; `down` is the child-facing half's snapshot.
     fn counters(&self, down: &OriginCounters) -> NetParentCounters {
         let c = self.up.core.counters();
@@ -98,22 +96,6 @@ impl Protected {
             invalidations_relayed: down.invalidations,
             ..self.local
         }
-    }
-
-    /// Answers a child's `get` with the parent's copy `meta`, registering
-    /// the child and granting it a lease through the child-facing half.
-    /// Its wall time is recorded before the reply ships: once the child's
-    /// fetch returns, a scrape must already see this serve.
-    fn child_reply(
-        &mut self,
-        get: &GetRequest,
-        meta: DocMeta,
-        begun: WallClock,
-        now: SimTime,
-    ) -> HttpMsg {
-        let (reply, _) = self.down.grant(get, meta, now);
-        self.serve_latency.record(begun.elapsed().as_micros());
-        HttpMsg::Reply(reply)
     }
 
     /// Renders the parent's registry as Prometheus text exposition.
@@ -163,7 +145,7 @@ impl Protected {
             "wcc_serve_latency_seconds",
             "Wall-time child GET service latency, upstream fetches included.",
             &node,
-            &self.serve_latency,
+            &self.up.latency,
         );
         self.up.render(&mut r, &node);
         r.render()
@@ -177,8 +159,7 @@ const IDENTITY: ClientId = ClientId::from_raw(0);
 /// A running TCP parent proxy. Shuts down on drop.
 pub struct NetParent {
     addr: SocketAddr,
-    state: Arc<Mutex<Protected>>,
-    _node: Node,
+    node: Node<ParentRole>,
 }
 
 impl std::fmt::Debug for NetParent {
@@ -207,14 +188,13 @@ impl NetParent {
         let addr = listener.local_addr()?;
         // Per-copy relay: the proposer stays off.
         let consistency = ServerConsistency::new(cfg, server);
-        let state = Arc::new(Mutex::new(Protected {
+        let role = ParentRole {
             up: Upstream::new(cfg, capacity),
             down: WritePath::new(consistency, 100, RETRY, MAX_RETRIES, None),
+            links: Downstream::new(server),
             latest_trace: SimTime::ZERO,
             local: NetParentCounters::default(),
-            serve_latency: Histogram::default(),
-        }));
-
+        };
         // The parent registers with the origin as its one and only
         // partition.
         let hello = Hello {
@@ -222,16 +202,8 @@ impl NetParent {
             partition: 0,
             partitions: 1,
         };
-        let role = ParentRole {
-            state: Arc::clone(&state),
-            links: Downstream::new(server),
-        };
         let node = evloop::spawn(role, listener, Some(hello))?;
-        Ok(NetParent {
-            addr,
-            state,
-            _node: node,
-        })
+        Ok(NetParent { addr, node })
     }
 
     /// The address children connect to.
@@ -239,16 +211,18 @@ impl NetParent {
         self.addr
     }
 
-    /// Current counters.
+    /// Current counters; all zero if the node's thread is gone.
     pub fn counters(&self) -> NetParentCounters {
-        let p = self.state.lock();
-        p.counters(&p.down.snapshot())
+        let counters = self.node.call(|p, _, _| p.counters(&p.down.snapshot()));
+        counters.unwrap_or_default()
     }
 
     /// The current Prometheus text exposition — the same body `GET
-    /// /metrics` on [`NetParent::addr`] returns.
+    /// /metrics` on [`NetParent::addr`] returns; empty if the node's
+    /// thread is gone.
     pub fn metrics_text(&self) -> String {
-        self.state.lock().render_metrics()
+        let text = self.node.call(|p, _, _| p.render_metrics());
+        text.unwrap_or_default()
     }
 }
 
@@ -263,13 +237,6 @@ enum KTag {
     Upstream,
 }
 
-/// The parent's reactor-side state: the node's (shared with the handle)
-/// and what connects its child-facing half to the wire and the clock.
-struct ParentRole {
-    state: Arc<Mutex<Protected>>,
-    links: Downstream,
-}
-
 impl Role for ParentRole {
     type Tag = KTag;
 
@@ -281,36 +248,30 @@ impl Role for ParentRole {
         }
     }
 
-    fn next_deadline(&self) -> Option<Duration> {
-        let flights = self.state.lock().up.deadline();
-        earliest(flights, self.links.deadline())
+    fn next_deadline(&self) -> Option<SimTime> {
+        earliest(self.up.next_deadline(), self.links.next_deadline())
     }
 
-    fn on_deadline(&mut self, out: &mut Outbox) {
-        let p = &mut *self.state.lock();
-        p.up.expire(out);
-        let now = self.links.now();
-        self.links.fire(&mut p.down, now);
+    fn on_deadline(&mut self, now: SimTime, out: &mut Outbox) {
+        self.up.expire(now, out);
+        self.links.fire(&mut self.down, now);
         self.links.emit(now, out, |_| ());
     }
 
     fn on_redial(&mut self, up: bool, out: &mut Outbox) {
-        self.state.lock().up.redialled(up, out);
+        self.up.redialled(up, out);
     }
 
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
+        let now = cx.now();
         let links = &mut self.links;
-        let now = links.now();
-        // The frame's one lock; nothing below touches a socket.
-        let p = &mut *self.state.lock();
         let after = match *cx.tag {
             KTag::Inval => {
                 // Children ack per document (`InvalAck`), so a coalesced
                 // round fans out downstream as ordinary `INVALIDATE`s.
-                let (latest, asked) = (p.latest_trace, &mut links.asked);
-                let Protected { up, down, .. } = p;
+                let (latest, asked, down) = (self.latest_trace, &mut links.asked, &mut self.down);
                 let relay = |url| down.modify(url, latest, now, asked);
-                match up.pushed(cx, msg, Some(IDENTITY), relay) {
+                match self.up.pushed(cx, msg, Some(IDENTITY), relay) {
                     Some(true) => down.relay_bulk(asked),
                     Some(false) => {}
                     None => return After::Close,
@@ -319,31 +280,35 @@ impl Role for ParentRole {
             }
             KTag::Upstream => match msg {
                 HttpMsgRef::Reply(reply) => {
-                    if let Some((outcome, ticket, get, begun)) = p.up.landed(reply, cx.out) {
-                        let answer = p.child_reply(&get, outcome.meta, begun, now);
-                        cx.out.push(Out::Redeem(ticket, Some(answer)));
+                    if let Some((outcome, ticket, get)) = self.up.landed(reply, now, cx.out) {
+                        let (answer, _) = self.down.grant(&get, outcome.meta, now);
+                        cx.out
+                            .push(Out::Redeem(ticket, Some(HttpMsg::Reply(answer))));
                     }
                     After::Keep
                 }
                 _ => After::Close,
             },
             KTag::Child(site) => match msg {
-                HttpMsgRef::Get(get) if get.url.server() == p.down.server() => {
-                    let begun = WallClock::start();
-                    p.local.child_requests += 1;
-                    p.latest_trace = p.latest_trace.max(get.issued_at);
+                HttpMsgRef::Get(get) if get.url.server() == self.down.server() => {
+                    self.local.child_requests += 1;
+                    self.latest_trace = self.latest_trace.max(get.issued_at);
                     // The child cache's hit report joins this tier's, so it
                     // reaches the origin on the parent's next contact.
-                    let core = &mut p.up.core;
+                    let core = &mut self.up.core;
                     core.absorb_report(get.url, IDENTITY, get.cache_hits);
-                    let waiting =
-                        || Waiting::new(Waiter::Client(cx.defer(), (*get).clone()), begun);
+                    let waiting = || Waiting::new(Waiter::Client(cx.defer(), (*get).clone()), now);
                     match core.begin(IDENTITY, get.url, get.issued_at, waiting) {
                         Begin::Serve(meta) => {
-                            p.local.parent_hits += 1;
-                            p.local.reactor_hits += 1;
-                            let answer = p.child_reply(get, meta, begun, now);
-                            cx.reply(answer);
+                            self.local.parent_hits += 1;
+                            self.local.reactor_hits += 1;
+                            // Registers the child and grants it a lease. The
+                            // serve is recorded before the reply ships: once
+                            // the child's fetch returns, a scrape sees it.
+                            let (answer, _) = self.down.grant(get, meta, now);
+                            let took = cx.now().saturating_since(now);
+                            self.up.latency.record(took.as_micros());
+                            cx.reply(HttpMsg::Reply(answer));
                         }
                         Begin::Forward(forward) => {
                             cx.out.push(Out::Push(UPSTREAM, HttpMsg::Get(forward)))
@@ -351,7 +316,7 @@ impl Role for ParentRole {
                     }
                     After::Keep
                 }
-                HttpMsgRef::MetricsGet => return cx.reply_metrics(&p.render_metrics()),
+                HttpMsgRef::MetricsGet => return cx.reply_metrics(&self.render_metrics()),
                 HttpMsgRef::Hello {
                     partition,
                     partitions,
@@ -361,7 +326,7 @@ impl Role for ParentRole {
                     // Whatever this partition still owes an acknowledgement
                     // for is pushed again: a relay while its channel was
                     // down went nowhere, and the copies are still served.
-                    p.down
+                    self.down
                         .on_site_hello(*partition, *partitions, now, &mut links.asked);
                     After::Keep
                 }
@@ -373,16 +338,16 @@ impl Role for ParentRole {
                     // A report is taken only with an ack we are waiting
                     // for, so a child cannot make this tier buffer reports
                     // for documents nobody invalidated.
-                    if p.down.consistency().has_pending(*url) {
-                        p.up.core.absorb_report(*url, IDENTITY, *cache_hits);
+                    if self.down.consistency().has_pending(*url) {
+                        self.up.core.absorb_report(*url, IDENTITY, *cache_hits);
                     }
-                    p.down.ack(*url, *client, now);
+                    self.down.ack(*url, *client, now);
                     After::Keep
                 }
                 // A child acking a relayed bulk invalidation.
                 HttpMsgRef::InvalidateServerAck { .. } => {
                     if let Some(site) = site {
-                        p.down.bulk_ack(site);
+                        self.down.bulk_ack(site);
                     }
                     After::Keep
                 }

@@ -6,8 +6,9 @@
 //! /metrics`), the persistent invalidation channel to the origin and the
 //! pipelined request connection misses are forwarded on (both
 //! re-established if the origin restarts — the proxy half of the §5
-//! recovery handshake). This file is the proxy's state and its [`Role`]: a
-//! thin driver of [`wcc_core::ProxyCore`].
+//! recovery handshake). It owns the proxy's state too: [`ProxyRole`], a
+//! thin driver of [`wcc_core::ProxyCore`], lives on that thread and
+//! nowhere else, so a copy is served only where its invalidations land.
 //!
 //! A client `GET` is `begin`: a cache hit is answered in the turn it
 //! arrived — the paper's point is that a hit needs no server contact, so
@@ -20,19 +21,19 @@
 //! callback-race rule, which is what keeps the strong-consistency
 //! guarantee without ever making a write wait for a read.
 //!
-//! The blocking [`NetProxy::fetch`] is one more client: a hit is served on
-//! the caller's thread, a miss goes out on the node's request connection
-//! ([`Node::send`]) and the caller waits for what the reactor sends back.
+//! The handle reaches that state only through [`Node::call`]. The blocking
+//! [`NetProxy::fetch`] is one more client: one call runs `begin` on the
+//! node's thread, a hit returns from it, and a miss goes out on the node's
+//! request connection in the same turn while the caller waits for what the
+//! reactor sends back. If the node's thread dies, every call fails.
 
-use parking_lot::Mutex;
 use std::io;
 use std::net::{SocketAddr, TcpListener};
-use std::sync::{mpsc, Arc};
-use std::time::Duration;
+use std::sync::mpsc;
 use wcc_core::{Begin, ProtocolConfig};
-use wcc_obs::{Histogram, Registry};
+use wcc_obs::Registry;
 use wcc_proto::{GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus};
-use wcc_types::{Body, ByteSize, ClientId, DocMeta, SimTime, Url, WallClock};
+use wcc_types::{Body, ByteSize, ClientId, DocMeta, SimTime, Url};
 
 use crate::evloop::{self, After, Cx, Hello, Node, Out, Outbox, Role, Via, UPSTREAM};
 use crate::upstream::{Upstream, Waiter, Waiting};
@@ -80,17 +81,14 @@ pub struct NetProxyCounters {
     pub upstream_redials: u64,
 }
 
-/// Everything the node's one lock guards.
-struct Inner {
+/// The proxy's state and its [`Role`], owned by the node's thread.
+struct ProxyRole {
     up: Upstream,
     /// The counters the fetch core does not keep itself.
     local: NetProxyCounters,
-    /// Wall-time latency of whole fetches (hits included), blocking API
-    /// and reactor-served clients alike.
-    fetch_latency: Histogram,
 }
 
-impl Inner {
+impl ProxyRole {
     fn counters(&self) -> NetProxyCounters {
         let c = self.up.core.counters();
         NetProxyCounters {
@@ -175,7 +173,7 @@ impl Inner {
             "wcc_fetch_latency_seconds",
             "Wall-time fetch latency, cache hits included.",
             &node,
-            &self.fetch_latency,
+            &self.up.latency,
         );
         self.up.render(&mut r, &node);
         r.render()
@@ -201,8 +199,7 @@ fn client_reply(get: &GetRequest, meta: DocMeta) -> HttpMsg {
 pub struct NetProxy {
     origin: SocketAddr,
     client_addr: SocketAddr,
-    state: Arc<Mutex<Inner>>,
-    node: Node,
+    node: Node<ProxyRole>,
 }
 
 impl std::fmt::Debug for NetProxy {
@@ -228,12 +225,6 @@ impl NetProxy {
         partitions: u32,
         capacity: ByteSize,
     ) -> std::io::Result<NetProxy> {
-        let state = Arc::new(Mutex::new(Inner {
-            up: Upstream::new(cfg, capacity),
-            local: NetProxyCounters::default(),
-            fetch_latency: Histogram::default(),
-        }));
-
         // Client-facing keep-alive listener: the serving tier's front door.
         let client_listener = TcpListener::bind("127.0.0.1:0")?;
         let client_addr = client_listener.local_addr()?;
@@ -245,20 +236,21 @@ impl NetProxy {
             partitions,
         };
         let role = ProxyRole {
-            state: Arc::clone(&state),
+            up: Upstream::new(cfg, capacity),
+            local: NetProxyCounters::default(),
         };
         let node = evloop::spawn(role, client_listener, Some(hello))?;
         Ok(NetProxy {
             origin,
             client_addr,
-            state,
             node,
         })
     }
 
-    /// Current counters.
+    /// Current counters; all zero if the node's thread is gone.
     pub fn counters(&self) -> NetProxyCounters {
-        self.state.lock().counters()
+        let counters = self.node.call(|role, _, _| role.counters());
+        counters.unwrap_or_default()
     }
 
     /// The keep-alive listener browsers (and the stress bench) connect
@@ -269,53 +261,52 @@ impl NetProxy {
     }
 
     /// The current Prometheus text exposition — the same body `GET
-    /// /metrics` on [`NetProxy::client_addr`] returns.
+    /// /metrics` on [`NetProxy::client_addr`] returns; empty if the node's
+    /// thread is gone.
     pub fn metrics_text(&self) -> String {
-        self.state.lock().render_metrics()
+        let text = self.node.call(|role, _, _| role.render_metrics());
+        text.unwrap_or_default()
     }
 
     /// Serves one browser request for `url` on behalf of `client`, at
-    /// logical time `now`. A miss waits, with no lock held, for the node's
+    /// logical time `now`, on the node's thread. A miss waits for that
     /// thread to bring the answer from upstream.
     ///
     /// # Errors
     ///
     /// `TimedOut` if the upstream did not answer in time (or the request
-    /// connection could not be re-established); cache hits are infallible.
+    /// connection could not be re-established); `BrokenPipe` if the node's
+    /// thread is gone.
     pub fn fetch(&self, client: ClientId, url: Url, now: SimTime) -> io::Result<FetchOutcome> {
-        let begun = WallClock::start();
-        let mut answer = None;
-        let caller = || {
+        // One turn on the node's thread: a hit's outcome, or the receiver
+        // a forwarded miss is answered on.
+        let answer = self.node.call(move |role, at, out| {
             let (tx, rx) = mpsc::channel();
-            answer = Some(rx);
-            Waiting::new(Waiter::Caller(tx), begun)
-        };
-        let get = {
-            let mut inner = self.state.lock();
-            match inner.up.core.begin(client, url, now, caller) {
+            let caller = || Waiting::new(Waiter::Caller(tx), at);
+            match role.up.core.begin(client, url, now, caller) {
                 Begin::Serve(meta) => {
-                    inner.fetch_latency.record(begun.elapsed().as_micros());
-                    return Ok(FetchOutcome {
+                    // Served within the call: no node time passes.
+                    role.up.latency.record(0);
+                    Ok(FetchOutcome {
                         kind: FetchKind::CacheHit,
                         had_entry: true,
                         meta,
-                    });
+                    })
                 }
-                Begin::Forward(get) => get,
+                Begin::Forward(get) => {
+                    out.push(Out::Push(UPSTREAM, HttpMsg::Get(get)));
+                    Err(rx)
+                }
             }
-        };
-        self.node.send(Out::Push(UPSTREAM, HttpMsg::Get(get)));
-        let outcome = answer
-            .and_then(|rx| rx.recv().ok())
-            .unwrap_or_else(|| Err(io::ErrorKind::BrokenPipe.into()))?;
-        let micros = begun.elapsed().as_micros();
-        self.state.lock().fetch_latency.record(micros);
-        Ok(outcome)
+        })?;
+        answer.or_else(|rx| rx.recv().unwrap_or(Err(io::ErrorKind::BrokenPipe.into())))
     }
 
-    /// Number of entries currently cached.
+    /// Number of entries currently cached; zero if the node's thread is
+    /// gone.
     pub fn cached_entries(&self) -> usize {
-        self.state.lock().up.core.cache().len()
+        let entries = self.node.call(|role, _, _| role.up.core.cache().len());
+        entries.unwrap_or_default()
     }
 }
 
@@ -330,10 +321,6 @@ enum PKind {
     Upstream,
 }
 
-struct ProxyRole {
-    state: Arc<Mutex<Inner>>,
-}
-
 impl Role for ProxyRole {
     type Tag = PKind;
 
@@ -346,34 +333,37 @@ impl Role for ProxyRole {
     }
 
     fn on_dropped(&mut self, n: u64) {
-        self.state.lock().local.dropped_connections += n;
+        self.local.dropped_connections += n;
     }
 
-    fn next_deadline(&self) -> Option<Duration> {
-        self.state.lock().up.deadline()
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.up.next_deadline()
     }
 
-    fn on_deadline(&mut self, out: &mut Outbox) {
-        self.state.lock().up.expire(out);
+    fn on_deadline(&mut self, now: SimTime, out: &mut Outbox) {
+        self.up.expire(now, out);
     }
 
     fn on_redial(&mut self, up: bool, out: &mut Outbox) {
-        self.state.lock().up.redialled(up, out);
+        self.up.redialled(up, out);
     }
 
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
-        let mut inner = self.state.lock();
         match cx.tag {
             PKind::Client => match msg {
                 HttpMsgRef::Get(get) => {
-                    let begun = WallClock::start();
+                    let begun = cx.now();
                     let waiting =
                         || Waiting::new(Waiter::Client(cx.defer(), (*get).clone()), begun);
-                    let core = &mut inner.up.core;
-                    match core.begin(get.client, get.url, get.issued_at, waiting) {
+                    match self
+                        .up
+                        .core
+                        .begin(get.client, get.url, get.issued_at, waiting)
+                    {
                         Begin::Serve(meta) => {
-                            inner.local.reactor_hits += 1;
-                            inner.fetch_latency.record(begun.elapsed().as_micros());
+                            self.local.reactor_hits += 1;
+                            let took = cx.now().saturating_since(begun);
+                            self.up.latency.record(took.as_micros());
                             cx.reply(client_reply(get, meta));
                         }
                         Begin::Forward(forward) => {
@@ -382,7 +372,7 @@ impl Role for ProxyRole {
                     }
                     After::Keep
                 }
-                HttpMsgRef::MetricsGet => cx.reply_metrics(&inner.render_metrics()),
+                HttpMsgRef::MetricsGet => cx.reply_metrics(&self.render_metrics()),
                 HttpMsgRef::Reply(_)
                 | HttpMsgRef::Invalidate { .. }
                 | HttpMsgRef::InvalidateBatch(_)
@@ -395,8 +385,7 @@ impl Role for ProxyRole {
             },
             PKind::Upstream => match msg {
                 HttpMsgRef::Reply(reply) => {
-                    if let Some((outcome, ticket, get, begun)) = inner.up.landed(reply, cx.out) {
-                        inner.fetch_latency.record(begun.elapsed().as_micros());
+                    if let Some((outcome, ticket, get)) = self.up.landed(reply, cx.now(), cx.out) {
                         let answer = client_reply(&get, outcome.meta);
                         cx.out.push(Out::Redeem(ticket, Some(answer)));
                     }
@@ -404,7 +393,7 @@ impl Role for ProxyRole {
                 }
                 _ => After::Close,
             },
-            PKind::Inval => match inner.up.pushed(cx, msg, None, |_| ()) {
+            PKind::Inval => match self.up.pushed(cx, msg, None, |_| ()) {
                 Some(_) => After::Keep,
                 None => After::Close,
             },

@@ -3,21 +3,21 @@
 //! [`Upstream`] is what a role keeps: the sans-IO [`ProxyCore`] plus what
 //! the socket side adds — who waits for each flight ([`Waiter`]: a client
 //! of the reactor, or a thread blocked in [`crate::NetProxy::fetch`]), when
-//! a flight is given up ([`UPSTREAM_TIMEOUT`]), and that every re-dial of a
-//! dropped request connection settles all flights that were on it: sent
-//! once more if it succeeded and they had not been already, failed
-//! otherwise. Every flight travels on the node's one request connection.
+//! a flight is given up ([`UPSTREAM_TIMEOUT`] after it began, on the node's
+//! clock), and that every re-dial of a dropped request connection settles
+//! all flights that were on it: sent once more if it succeeded and they had
+//! not been already, failed otherwise. Every flight travels on the node's
+//! one request connection.
 
 use std::io;
 use std::sync::mpsc::Sender;
-use std::time::Duration;
 use wcc_cache::{CacheStore, ReplacementPolicy};
 use wcc_core::{Complete, FetchOutcome, ProtocolConfig, ProxyCore, ProxyPolicy, UpstreamReply};
-use wcc_obs::Registry;
+use wcc_obs::{Histogram, Registry};
 use wcc_proto::{BatchEntry, GetRequest, HttpMsg, HttpMsgRef, ReplyRef, RequestId};
-use wcc_types::{ByteSize, ClientId, SimDuration, Url, WallClock};
+use wcc_types::{ByteSize, ClientId, SimDuration, SimTime, Url};
 
-use crate::evloop::{time_left, Cx, Out, Outbox, Role, Ticket, UPSTREAM};
+use crate::evloop::{Cx, Out, Outbox, Role, Ticket, UPSTREAM};
 
 /// How long a flight may stay unanswered before it is given up.
 pub(crate) const UPSTREAM_TIMEOUT: SimDuration = SimDuration::from_secs(5);
@@ -30,17 +30,17 @@ pub(crate) enum Waiter {
     Caller(Sender<io::Result<FetchOutcome>>),
 }
 
-/// A flight's waiter and its clocks.
+/// A flight's waiter and when it began.
 pub(crate) struct Waiting {
     who: Waiter,
-    /// Started when the fetch began.
-    pub begun: WallClock,
+    /// The node's time when the fetch began.
+    begun: SimTime,
     /// Already sent a second time, after a re-dial.
     resent: bool,
 }
 
 impl Waiting {
-    pub fn new(who: Waiter, begun: WallClock) -> Waiting {
+    pub fn new(who: Waiter, begun: SimTime) -> Waiting {
         Waiting {
             who,
             begun,
@@ -56,6 +56,8 @@ pub(crate) struct Upstream {
     pub timeouts: u64,
     /// Times the request connection was re-established.
     pub redials: u64,
+    /// Node-time latency from `begin` to the answer, hits included.
+    pub latency: Histogram,
 }
 
 impl Upstream {
@@ -65,30 +67,36 @@ impl Upstream {
             core: ProxyCore::new(ProxyPolicy::new(cfg), cache),
             timeouts: 0,
             redials: 0,
+            latency: Histogram::default(),
         }
     }
 
-    /// A reply frame arrived on the request connection. Returns the
-    /// finished fetch if a client on the reactor waits for it; a blocked
-    /// caller is sent its outcome here, a reply that has to be fetched
-    /// again is re-forwarded, one nobody waits for is dropped.
+    /// A reply frame arrived on the request connection at `now`. Returns
+    /// the finished fetch if a client on the reactor waits for it; a
+    /// blocked caller is sent its outcome here, a reply that has to be
+    /// fetched again is re-forwarded, one nobody waits for is dropped.
     pub fn landed(
         &mut self,
         reply: &ReplyRef<'_>,
+        now: SimTime,
         out: &mut Outbox,
-    ) -> Option<(FetchOutcome, Ticket, GetRequest, WallClock)> {
+    ) -> Option<(FetchOutcome, Ticket, GetRequest)> {
         match self.core.complete(reply.req, &UpstreamReply::from(reply))? {
             Complete::Forward(get) => {
                 out.push(Out::Push(UPSTREAM, HttpMsg::Get(get)));
                 None
             }
-            Complete::Done { outcome, waiter } => match waiter.who {
-                Waiter::Client(ticket, get) => Some((outcome, ticket, get, waiter.begun)),
-                Waiter::Caller(tx) => {
-                    let _ = tx.send(Ok(outcome));
-                    None
+            Complete::Done { outcome, waiter } => {
+                self.latency
+                    .record(now.saturating_since(waiter.begun).as_micros());
+                match waiter.who {
+                    Waiter::Client(ticket, get) => Some((outcome, ticket, get)),
+                    Waiter::Caller(tx) => {
+                        let _ = tx.send(Ok(outcome));
+                        None
+                    }
                 }
-            },
+            }
         }
     }
 
@@ -163,18 +171,17 @@ impl Upstream {
         }
     }
 
-    /// Time until the oldest flight times out. (A flight sent again under
-    /// a new id keeps its clock but queues behind younger ones: it is
-    /// given up no later than [`UPSTREAM_TIMEOUT`] after it was last sent.)
-    pub fn deadline(&self) -> Option<Duration> {
-        let (_, oldest) = self.core.oldest()?;
-        Some(time_left(&oldest.begun, UPSTREAM_TIMEOUT))
+    /// When the oldest flight times out. (A flight sent again under a new
+    /// id keeps its clock but queues behind younger ones: it is given up
+    /// no later than [`UPSTREAM_TIMEOUT`] after it was last sent.)
+    pub fn next_deadline(&self) -> Option<SimTime> {
+        self.core.oldest().map(|(_, w)| w.begun + UPSTREAM_TIMEOUT)
     }
 
-    /// Fails every flight that timed out.
-    pub fn expire(&mut self, out: &mut Outbox) {
+    /// Fails every flight that timed out by `now`.
+    pub fn expire(&mut self, now: SimTime, out: &mut Outbox) {
         while let Some((req, oldest)) = self.core.oldest() {
-            if !oldest.begun.has_elapsed(UPSTREAM_TIMEOUT) {
+            if oldest.begun + UPSTREAM_TIMEOUT > now {
                 break;
             }
             self.timeouts += 1;

@@ -93,16 +93,29 @@ impl core::str::FromStr for ClientId {
     type Err = ParseClientIdError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        let mut octets = [0u8; 4];
-        let mut parts = s.split('.');
-        for slot in &mut octets {
-            let part = parts.next().ok_or(ParseClientIdError)?;
-            *slot = part.parse().map_err(|_| ParseClientIdError)?;
+        // One byte scan straight into the `u32`: four octets split by dots,
+        // each what `u8::from_str` takes (an optional `+`, then one or more
+        // digits worth at most 255; the fold saturates at 256).
+        let (mut raw, mut rest) = (0u32, s.as_bytes());
+        for i in 0..4 {
+            if i > 0 {
+                rest = rest.strip_prefix(b".").ok_or(ParseClientIdError)?;
+            }
+            rest = rest.strip_prefix(b"+").unwrap_or(rest);
+            let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
+            let (octet, tail) = rest.split_at(digits);
+            let value = octet
+                .iter()
+                .fold(0, |v, b| (v * 10 + u32::from(b - b'0')).min(256));
+            if digits == 0 || value > 255 {
+                return Err(ParseClientIdError);
+            }
+            raw = (raw << 8) | value;
+            rest = tail;
         }
-        if parts.next().is_some() {
-            return Err(ParseClientIdError);
-        }
-        Ok(ClientId::from_ip(octets))
+        rest.is_empty()
+            .then_some(ClientId(raw))
+            .ok_or(ParseClientIdError)
     }
 }
 
@@ -204,6 +217,7 @@ impl fmt::Debug for NodeId {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::Strategy;
 
     #[test]
     fn client_id_ip_round_trip() {
@@ -220,6 +234,69 @@ mod tests {
         assert!("1.2.3.4.5".parse::<ClientId>().is_err());
         assert!("1.2.3.999".parse::<ClientId>().is_err());
         assert!("a.b.c.d".parse::<ClientId>().is_err());
+    }
+
+    /// The parser the byte scan replaced: `split('.')` and `u8::from_str`
+    /// per part. It defines what the scan must accept.
+    fn reference_parse(s: &str) -> Result<ClientId, ParseClientIdError> {
+        let mut octets = [0u8; 4];
+        let mut parts = s.split('.');
+        for slot in &mut octets {
+            let part = parts.next().ok_or(ParseClientIdError)?;
+            *slot = part.parse().map_err(|_| ParseClientIdError)?;
+        }
+        if parts.next().is_some() {
+            return Err(ParseClientIdError);
+        }
+        Ok(ClientId::from_ip(octets))
+    }
+
+    #[test]
+    fn client_id_scan_matches_the_reference_on_pinned_cases() {
+        let pinned = [
+            ("+1.2.3.4", Ok(ClientId::from_ip([1, 2, 3, 4]))),
+            ("001.2.3.4", Ok(ClientId::from_ip([1, 2, 3, 4]))),
+            (
+                "255.0.00000000000255.7",
+                Ok(ClientId::from_ip([255, 0, 255, 7])),
+            ),
+            ("1.2.3.256", Err(ParseClientIdError)),
+            ("1..2.3", Err(ParseClientIdError)),
+            (".1.2.3", Err(ParseClientIdError)),
+            ("1.2.3.4.", Err(ParseClientIdError)),
+            ("", Err(ParseClientIdError)),
+            ("+.1.2.3", Err(ParseClientIdError)),
+            ("-1.2.3.4", Err(ParseClientIdError)),
+            ("++1.2.3.4", Err(ParseClientIdError)),
+        ];
+        for (s, want) in pinned {
+            assert_eq!(reference_parse(s), want, "reference on {s:?}");
+            assert_eq!(s.parse::<ClientId>(), want, "scan on {s:?}");
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(4096))]
+
+        /// Short strings over `[0-9.+a-]`, digits and dots the likeliest:
+        /// the scan accepts exactly what the reference accepts, with the
+        /// same value.
+        #[test]
+        fn client_id_scan_matches_the_reference(
+            chars in proptest::collection::vec(
+                proptest::prop_oneof![
+                    8 => (0u8..10).prop_map(|d| char::from(b'0' + d)),
+                    4 => proptest::prelude::Just('.'),
+                    1 => proptest::prelude::Just('+'),
+                    1 => proptest::prelude::Just('a'),
+                    1 => proptest::prelude::Just('-'),
+                ],
+                0..18,
+            ),
+        ) {
+            let s: String = chars.into_iter().collect();
+            proptest::prop_assert_eq!(s.parse::<ClientId>(), reference_parse(&s), "{:?}", s);
+        }
     }
 
     #[test]
