@@ -12,7 +12,7 @@ use wcc_cache::{CacheStore, Freshness, ReplacementPolicy};
 use wcc_core::analytical::{parse_stream, simulate};
 use wcc_core::{InvalidationTable, ProtocolConfig, ProtocolKind};
 use wcc_proto::{
-    decode, decode_ref, encode, encode_into, GetRequest, HttpMsg, Reply, ReplyStatus, RequestId,
+    decode_ref, encode, encode_into, GetRequest, HttpMsg, Reply, ReplyStatus, RequestId,
 };
 use wcc_simnet::EventQueue;
 use wcc_traces::Zipf;
@@ -106,10 +106,7 @@ fn bench_codec(c: &mut Criterion) {
     c.bench_function("wire_encode_get", |b| b.iter(|| black_box(encode(&msg))));
     let bytes = encode(&msg);
     c.bench_function("wire_decode_get", |b| {
-        b.iter(|| {
-            let mut cursor = bytes.as_slice();
-            black_box(decode(&mut cursor).expect("valid"))
-        })
+        b.iter(|| black_box(decode_ref(black_box(&bytes)).expect("valid")))
     });
     // The serve tier's commonest large frame, through the calls it makes:
     // encoded into a buffer that is already there, decoded in place.

@@ -17,7 +17,9 @@
 //!
 //! [`Message`] is the payload type carried by the discrete-event simulator;
 //! [`wire`] provides a text encoding of the same messages for the real TCP
-//! prototype in `wcc-net`.
+//! prototype in `wcc-net`, and [`zero`] its one decoder: [`decode_ref`] for
+//! a buffer holding a whole frame, [`decode_frame`] for one still filling,
+//! and [`FrameReader`] for a blocking stream.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +32,7 @@ pub use msg::{
     BatchAckEntry, BatchEntry, CoordMsg, GetRequest, HttpMsg, Message, Reply, ReplyStatus,
     RequestId,
 };
-pub use wire::{decode, encode, encode_into, WireError};
+pub use wire::{encode, encode_into, WireError};
 pub use zero::{
     codec_sweep, decode_frame, decode_ref, CodecStats, FrameReader, HttpMsgRef,
     InvalidateBatchAckRef, InvalidateBatchRef, ReplyRef, ReplyStatusRef,

@@ -14,11 +14,12 @@
 //! ```
 //!
 //! Timestamps travel as integer microseconds (the simulator's clock unit).
+//! This module writes frames; [`crate::zero`] reads them.
 //!
 //! # Examples
 //!
 //! ```
-//! use wcc_proto::{decode, encode, GetRequest, HttpMsg, RequestId};
+//! use wcc_proto::{decode_ref, encode, GetRequest, HttpMsg, RequestId};
 //! use wcc_types::{ClientId, ServerId, SimTime, Url};
 //!
 //! let msg = HttpMsg::Get(GetRequest {
@@ -30,16 +31,14 @@
 //!     cache_hits: 0,
 //! });
 //! let bytes = encode(&msg);
-//! let decoded = decode(&mut bytes.as_slice())?;
-//! assert_eq!(decoded, msg);
+//! let decoded = decode_ref(&bytes)?;
+//! assert_eq!(decoded.to_owned(), msg);
 //! # Ok::<(), wcc_proto::WireError>(())
 //! ```
 
-use crate::msg::{BatchAckEntry, BatchEntry, GetRequest, HttpMsg, Reply, ReplyStatus, RequestId};
-use std::collections::HashMap;
+use crate::msg::{HttpMsg, Reply, ReplyStatus};
 use std::fmt;
-use std::io::BufRead;
-use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url};
+use wcc_types::{ClientId, Url};
 
 /// Error decoding a wire message.
 #[derive(Debug)]
@@ -75,10 +74,6 @@ impl From<std::io::Error> for WireError {
     fn from(e: std::io::Error) -> Self {
         WireError::Io(e)
     }
-}
-
-fn malformed(why: impl Into<String>) -> WireError {
-    WireError::Malformed(why.into())
 }
 
 /// Encodes `msg` into its wire form ([`encode_into`]) in a fresh `Vec`:
@@ -291,309 +286,12 @@ fn put_reply_grants(out: &mut Vec<u8>, r: &Reply) {
     }
 }
 
-fn parse_piggyback(
-    headers: &HashMap<String, String>,
-    server: ServerId,
-) -> Result<Vec<Url>, WireError> {
-    let Some(list) = headers.get("x-piggyback") else {
-        return Ok(Vec::new());
-    };
-    list.split(',')
-        .map(|d| {
-            d.trim()
-                .parse()
-                .map(|doc| Url::new(server, doc))
-                .map_err(|_| malformed(format!("bad piggyback entry {d:?}"))) // xtask-lint: allow(codec-fmt)
-        })
-        .collect()
-}
-
-/// Parses the `X-Batch` list of an `INVALIDATE *` round: comma-separated
-/// `doc:client` entries, the client as a dotted quad like `X-Client`.
-fn parse_batch(list: &str, server: ServerId) -> Result<Vec<BatchEntry>, WireError> {
-    list.split(',')
-        .map(|e| {
-            let entry = e.trim();
-            let (doc, client) = entry
-                .split_once(':')
-                .ok_or_else(|| malformed(format!("bad batch entry {entry:?}")))?; // xtask-lint: allow(codec-fmt)
-            let doc: u32 = doc
-                .parse()
-                .map_err(|_| malformed(format!("bad batch entry {entry:?}")))?; // xtask-lint: allow(codec-fmt)
-            let client: ClientId = client
-                .parse()
-                .map_err(|_| malformed(format!("bad batch entry {entry:?}")))?; // xtask-lint: allow(codec-fmt)
-            Ok(BatchEntry {
-                url: Url::new(server, doc),
-                client,
-            })
-        })
-        .collect()
-}
-
-/// Parses the `X-Batch` list of an `ACK *` round: comma-separated
-/// `doc:client:hits` entries.
-fn parse_batch_ack(list: &str, server: ServerId) -> Result<Vec<BatchAckEntry>, WireError> {
-    list.split(',')
-        .map(|e| {
-            let entry = e.trim();
-            let bad = || malformed(format!("bad batch ack entry {entry:?}")); // xtask-lint: allow(codec-fmt)
-            let (doc, rest) = entry.split_once(':').ok_or_else(bad)?;
-            let (client, hits) = rest.split_once(':').ok_or_else(bad)?;
-            let doc: u32 = doc.parse().map_err(|_| bad())?;
-            let client: ClientId = client.parse().map_err(|_| bad())?;
-            let cache_hits: u64 = hits.parse().map_err(|_| bad())?;
-            Ok(BatchAckEntry {
-                url: Url::new(server, doc),
-                client,
-                cache_hits,
-            })
-        })
-        .collect()
-}
-
-fn parse_host(value: &str) -> Result<ServerId, WireError> {
-    let idx = value
-        .strip_prefix("server")
-        .and_then(|rest| rest.parse().ok())
-        .ok_or_else(|| malformed(format!("bad Host: {value}")))?; // xtask-lint: allow(codec-fmt)
-    Ok(ServerId::new(idx))
-}
-
-/// Decodes one message from `reader`.
-///
-/// # Errors
-///
-/// Returns [`WireError::Closed`] on clean EOF before a start line,
-/// [`WireError::Malformed`] on protocol violations, and [`WireError::Io`]
-/// if the stream fails mid-message.
-pub fn decode<R: BufRead>(reader: &mut R) -> Result<HttpMsg, WireError> {
-    let start = match read_line(reader)? {
-        None => return Err(WireError::Closed),
-        Some(line) if line.is_empty() => {
-            return Err(malformed("empty start line"));
-        }
-        Some(line) => line,
-    };
-    let mut headers = HashMap::new();
-    loop {
-        match read_line(reader)? {
-            None => return Err(malformed("eof inside headers")),
-            Some(line) if line.is_empty() => break,
-            Some(line) => {
-                let (name, value) = line
-                    .split_once(':')
-                    .ok_or_else(|| malformed(format!("bad header: {line}")))?; // xtask-lint: allow(codec-fmt)
-                headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
-            }
-        }
-    }
-
-    let mut parts = start.split_whitespace();
-    let verb = parts.next().ok_or_else(|| malformed("missing verb"))?;
-    match verb {
-        "GET" => {
-            let path = parts.next().ok_or_else(|| malformed("GET without path"))?;
-            // The metrics endpoint takes no Host or correlation headers —
-            // intercept it before the document-URL parse would reject it.
-            if path == "/metrics" {
-                return Ok(HttpMsg::MetricsGet);
-            }
-            let url = url_from(&headers, path)?;
-            Ok(HttpMsg::Get(GetRequest {
-                req: RequestId::new(required_u64(&headers, "x-request-id")?),
-                url,
-                client: required_client(&headers)?,
-                ims: headers
-                    .get("if-modified-since")
-                    .map(|v| parse_micros(v))
-                    .transpose()?,
-                issued_at: parse_micros(headers.get("date").map(String::as_str).unwrap_or("0"))?,
-                cache_hits: headers
-                    .get("x-hit-count")
-                    .map(|v| v.parse().map_err(|_| malformed("bad X-Hit-Count")))
-                    .transpose()?
-                    .unwrap_or(0),
-            }))
-        }
-        "HTTP/1.0" => {
-            let code = parts
-                .next()
-                .ok_or_else(|| malformed("reply without code"))?;
-            let path = headers
-                .get("content-location")
-                .ok_or_else(|| malformed("reply without Content-Location"))?
-                .clone();
-            let url = url_from(&headers, &path)?;
-            let req = RequestId::new(required_u64(&headers, "x-request-id")?);
-            let client = required_client(&headers)?;
-            let lease = headers
-                .get("x-lease")
-                .map(|v| parse_micros(v))
-                .transpose()?;
-            let piggyback = parse_piggyback(&headers, url.server())?;
-            let volume_lease = headers
-                .get("x-volume-lease")
-                .map(|v| parse_micros(v))
-                .transpose()?;
-            match code {
-                "200" => {
-                    let len: usize = required_u64(&headers, "content-length")? as usize;
-                    let mut payload = vec![0u8; len];
-                    reader.read_exact(&mut payload)?;
-                    let meta = DocMeta::new(
-                        ByteSize::from_bytes(required_u64(&headers, "x-size")?),
-                        parse_micros(
-                            headers
-                                .get("last-modified")
-                                .ok_or_else(|| malformed("200 without Last-Modified"))?,
-                        )?,
-                    );
-                    Ok(HttpMsg::Reply(Reply {
-                        req,
-                        url,
-                        client,
-                        status: ReplyStatus::Ok(Body::new(meta, payload)),
-                        lease,
-                        piggyback,
-                        volume_lease,
-                    }))
-                }
-                "304" => Ok(HttpMsg::Reply(Reply {
-                    req,
-                    url,
-                    client,
-                    status: ReplyStatus::NotModified,
-                    lease,
-                    piggyback,
-                    volume_lease,
-                })),
-                other => Err(malformed(format!("unsupported status {other}"))), // xtask-lint: allow(codec-fmt)
-            }
-        }
-        "INVALIDATE" => {
-            let target = parts
-                .next()
-                .ok_or_else(|| malformed("INVALIDATE without target"))?;
-            if target == "*" {
-                let idx = required_u64(&headers, "x-server")? as u32;
-                let server = ServerId::new(idx);
-                if let Some(list) = headers.get("x-batch") {
-                    return Ok(HttpMsg::InvalidateBatch {
-                        server,
-                        entries: parse_batch(list, server)?,
-                    });
-                }
-                Ok(HttpMsg::InvalidateServer { server })
-            } else {
-                Ok(HttpMsg::Invalidate {
-                    url: url_from(&headers, target)?,
-                    client: required_client(&headers)?,
-                })
-            }
-        }
-        "ACK" => {
-            let path = parts.next().ok_or_else(|| malformed("ACK without path"))?;
-            if path == "*" {
-                let idx = required_u64(&headers, "x-server")? as u32;
-                let server = ServerId::new(idx);
-                if let Some(list) = headers.get("x-batch") {
-                    return Ok(HttpMsg::InvalidateBatchAck {
-                        server,
-                        entries: parse_batch_ack(list, server)?,
-                    });
-                }
-                return Ok(HttpMsg::InvalidateServerAck { server });
-            }
-            Ok(HttpMsg::InvalAck {
-                url: url_from(&headers, path)?,
-                client: required_client(&headers)?,
-                cache_hits: headers
-                    .get("x-hit-count")
-                    .map(|v| v.parse().map_err(|_| malformed("bad X-Hit-Count")))
-                    .transpose()?
-                    .unwrap_or(0),
-            })
-        }
-        "HELLO" => {
-            let spec = parts
-                .next()
-                .ok_or_else(|| malformed("HELLO without partition"))?;
-            let (p, n) = spec
-                .split_once('/')
-                .ok_or_else(|| malformed("HELLO spec must be p/n"))?;
-            let partition = p.parse().map_err(|_| malformed("bad partition"))?;
-            let partitions: u32 = n.parse().map_err(|_| malformed("bad partitions"))?;
-            if partitions == 0 || partition >= partitions {
-                return Err(malformed("partition out of range"));
-            }
-            Ok(HttpMsg::Hello {
-                partition,
-                partitions,
-            })
-        }
-        "NOTIFY" => {
-            let path = parts
-                .next()
-                .ok_or_else(|| malformed("NOTIFY without path"))?;
-            Ok(HttpMsg::Notify {
-                url: url_from(&headers, path)?,
-                at: parse_micros(headers.get("date").map(String::as_str).unwrap_or("0"))?,
-            })
-        }
-        other => Err(malformed(format!("unknown verb {other}"))), // xtask-lint: allow(codec-fmt)
-    }
-}
-
-fn url_from(headers: &HashMap<String, String>, path: &str) -> Result<Url, WireError> {
-    let server = parse_host(
-        headers
-            .get("host")
-            .ok_or_else(|| malformed("missing Host header"))?,
-    )?;
-    let bad_path = || malformed(format!("bad path {path}")); // xtask-lint: allow(codec-fmt)
-    Url::from_path(server, path).ok_or_else(bad_path)
-}
-
-fn required_u64(headers: &HashMap<String, String>, name: &str) -> Result<u64, WireError> {
-    headers
-        .get(name)
-        .ok_or_else(|| malformed(format!("missing header {name}")))? // xtask-lint: allow(codec-fmt)
-        .parse()
-        .map_err(|_| malformed(format!("non-numeric header {name}"))) // xtask-lint: allow(codec-fmt)
-}
-
-fn required_client(headers: &HashMap<String, String>) -> Result<ClientId, WireError> {
-    headers
-        .get("x-client")
-        .ok_or_else(|| malformed("missing X-Client"))?
-        .parse()
-        .map_err(|_| malformed("bad X-Client"))
-}
-
-fn parse_micros(value: &str) -> Result<SimTime, WireError> {
-    value
-        .parse()
-        .map(SimTime::from_micros)
-        .map_err(|_| malformed(format!("bad timestamp {value}"))) // xtask-lint: allow(codec-fmt)
-}
-
-/// Reads one `\r\n`- (or `\n`-) terminated line; `None` on clean EOF.
-fn read_line<R: BufRead>(reader: &mut R) -> Result<Option<String>, WireError> {
-    let mut line = String::new();
-    let n = reader.read_line(&mut line)?;
-    if n == 0 {
-        return Ok(None);
-    }
-    while line.ends_with('\n') || line.ends_with('\r') {
-        line.pop();
-    }
-    Ok(Some(line))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::msg::{BatchAckEntry, BatchEntry, GetRequest, RequestId};
+    use crate::zero::{decode_frame, decode_ref};
+    use wcc_types::{Body, ByteSize, DocMeta, ServerId, SimTime};
 
     fn sample_url() -> Url {
         Url::new(ServerId::new(3), 99)
@@ -603,10 +301,14 @@ mod tests {
         ClientId::from_ip([10, 1, 2, 3])
     }
 
+    /// Decodes a buffer holding one whole frame into its owned form.
+    fn decode(bytes: &[u8]) -> Result<HttpMsg, WireError> {
+        decode_ref(bytes).map(|msg| msg.to_owned())
+    }
+
     fn round_trip(msg: HttpMsg) {
         let bytes = encode(&msg);
-        let decoded = decode(&mut bytes.as_slice()).expect("decode failed");
-        assert_eq!(decoded, msg);
+        assert_eq!(decode(&bytes).expect("decode failed"), msg);
     }
 
     #[test]
@@ -743,9 +445,8 @@ mod tests {
             "ACK * HTTP/1.0\r\nX-Server: 1\r\nX-Batch: 5:1.2.3.4\r\n\r\n", // missing hits
             "ACK * HTTP/1.0\r\nX-Server: 1\r\nX-Batch: 5:1.2.3.4:zz\r\n\r\n",
         ] {
-            let mut cursor = bad.as_bytes();
             assert!(
-                matches!(decode(&mut cursor), Err(WireError::Malformed(_))),
+                matches!(decode(bad.as_bytes()), Err(WireError::Malformed(_))),
                 "accepted: {bad:?}"
             );
         }
@@ -755,11 +456,15 @@ mod tests {
     fn metrics_get_round_trips_and_matches_curl() {
         round_trip(HttpMsg::MetricsGet);
         // Header-less scrape, as a generic HTTP client would send it.
-        let mut cursor: &[u8] = b"GET /metrics HTTP/1.0\r\n\r\n";
-        assert_eq!(decode(&mut cursor).unwrap(), HttpMsg::MetricsGet);
+        assert_eq!(
+            decode(b"GET /metrics HTTP/1.0\r\n\r\n").unwrap(),
+            HttpMsg::MetricsGet
+        );
         // Extra headers (User-Agent etc.) are tolerated.
-        let mut cursor: &[u8] = b"GET /metrics HTTP/1.0\r\nUser-Agent: prom\r\n\r\n";
-        assert_eq!(decode(&mut cursor).unwrap(), HttpMsg::MetricsGet);
+        assert_eq!(
+            decode(b"GET /metrics HTTP/1.0\r\nUser-Agent: prom\r\n\r\n").unwrap(),
+            HttpMsg::MetricsGet
+        );
     }
 
     #[test]
@@ -777,16 +482,18 @@ mod tests {
         let mut bytes = encode(&a);
         encode_into(&b, &mut bytes);
         assert_eq!(bytes, [encode(&a), encode(&b)].concat());
-        let mut cursor = bytes.as_slice();
-        assert_eq!(decode(&mut cursor).unwrap(), a);
-        assert_eq!(decode(&mut cursor).unwrap(), b);
-        assert!(matches!(decode(&mut cursor), Err(WireError::Closed)));
+        let mut rest = bytes.as_slice();
+        for expected in [a, b] {
+            let (msg, used) = decode_frame(rest, true).unwrap().unwrap();
+            assert_eq!(msg.to_owned(), expected);
+            rest = &rest[used..];
+        }
+        assert!(matches!(decode(rest), Err(WireError::Closed)));
     }
 
     #[test]
     fn clean_eof_is_closed() {
-        let mut empty: &[u8] = b"";
-        assert!(matches!(decode(&mut empty), Err(WireError::Closed)));
+        assert!(matches!(decode(b""), Err(WireError::Closed)));
     }
 
     #[test]
@@ -801,9 +508,8 @@ mod tests {
             "HELLO 4/4 HTTP/1.0\r\n\r\n",
             "HELLO x HTTP/1.0\r\n\r\n",
         ] {
-            let mut cursor = bad.as_bytes();
             assert!(
-                matches!(decode(&mut cursor), Err(WireError::Malformed(_))),
+                matches!(decode(bad.as_bytes()), Err(WireError::Malformed(_))),
                 "accepted: {bad:?}"
             );
         }
@@ -822,15 +528,13 @@ mod tests {
             volume_lease: None,
         });
         let bytes = encode(&msg);
-        let mut truncated = &bytes[..bytes.len() - 10];
-        assert!(matches!(decode(&mut truncated), Err(WireError::Io(_))));
+        let truncated = &bytes[..bytes.len() - 10];
+        assert!(matches!(decode(truncated), Err(WireError::Io(_))));
     }
 
     #[test]
     fn bare_lf_lines_accepted() {
-        let text = "NOTIFY /doc/5 HTTP/1.0\nHost: server1\n\n";
-        let mut cursor = text.as_bytes();
-        let msg = decode(&mut cursor).unwrap();
+        let msg = decode(b"NOTIFY /doc/5 HTTP/1.0\nHost: server1\n\n").unwrap();
         assert_eq!(
             msg,
             HttpMsg::Notify {

@@ -1,12 +1,8 @@
-//! Zero-copy wire decode: borrowed messages straight from the receive
-//! buffer.
+//! The wire decoder: borrowed messages straight from the receive buffer.
 //!
-//! [`crate::decode`] pulls every message through `BufRead` line reads and
-//! materialises an owned [`HttpMsg`] — one `String` per line, a `HashMap`
-//! for the headers and a fresh `Vec` for every `200` body. That is fine for
-//! tests, but the TCP prototype decodes on every request: this module
-//! decodes a [`HttpMsgRef`] that *borrows* the body payload (and the
-//! piggyback list's text) from the receive buffer, deferring the copy to
+//! The TCP prototype decodes on every request, so this module decodes a
+//! [`HttpMsgRef`] that *borrows* the body payload (and the piggyback and
+//! batch lists' text) from the receive buffer, deferring the copy to
 //! [`HttpMsgRef::to_owned`] — which callers invoke only at retention
 //! boundaries (storing a body in the cache), not per message.
 //!
@@ -19,10 +15,9 @@
 //! files its value in the slot of the name the protocol reads it by
 //! (`Headers`), so every later lookup is a field read.
 //!
-//! Error parity: for any complete input, `decode_ref(&bytes)` fails exactly
-//! when `decode(&mut bytes.as_slice())` fails, with a byte-identical error
-//! rendering — the proptests in this module's test suite and the fuzz
-//! harness hold the two decoders against each other.
+//! The header rules and error texts are held to an owned, line-reading
+//! reference decoder in `tests/wire_proptest.rs`: for any input, both
+//! decode the same message or fail with a byte-identical error rendering.
 
 use crate::msg::{BatchAckEntry, BatchEntry, GetRequest, HttpMsg, Reply, ReplyStatus, RequestId};
 use crate::wire::WireError;
@@ -291,10 +286,10 @@ impl HttpMsgRef<'_> {
     }
 }
 
-/// Cursor over the buffer that mirrors [`crate::wire`]'s `read_line`
-/// exactly: lines end at `\n`, *all* trailing `\r`/`\n` are stripped, an
-/// unterminated tail chunk counts as a line at EOF, and non-UTF-8 bytes
-/// surface as the same `InvalidData` I/O error `BufRead::read_line` raises.
+/// Cursor over the buffer's lines, read the way the standard library's
+/// `read_line` reads a stream: lines end at `\n`, *all* trailing `\r`/`\n`
+/// are stripped, an unterminated tail chunk counts as a line at EOF, and
+/// non-UTF-8 bytes surface as the same `InvalidData` I/O error it raises.
 struct Lines<'buf> {
     buf: &'buf [u8],
     pos: usize,
@@ -337,9 +332,9 @@ impl<'buf> Lines<'buf> {
 /// loop that validates the lines: a lookup is a field read, and
 /// steady-state decode neither allocates nor revisits a line.
 ///
-/// The rules are the owned decoder's map's: a name matches whatever its
-/// case and surrounding whitespace, a value is stored trimmed, a repeated
-/// name's last line wins, and a name nothing reads is dropped.
+/// The rules are those of a map keyed by lower-cased name: a name matches
+/// whatever its case and surrounding whitespace, a value is stored trimmed,
+/// a repeated name's last line wins, and a name nothing reads is dropped.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Headers<'buf> {
     host: Option<&'buf str>,
@@ -399,13 +394,15 @@ impl<'buf> Headers<'buf> {
 /// Returns `Ok(Some((msg, used)))` when a complete frame occupies
 /// `buf[..used]`, and `Ok(None)` when the buffer ends mid-frame and more
 /// bytes may arrive. With `eof = true` the decoder never returns `None`:
-/// the truncation becomes the same error the owned decoder raises at
-/// stream end ([`WireError::Closed`] before a start line, "eof inside
-/// headers", or the `read_exact` I/O error for a short body).
+/// the truncation becomes the error a stream ending there raises
+/// ([`WireError::Closed`] before a start line, "eof inside headers", or
+/// `read_exact`'s I/O error for a short body).
 ///
 /// # Errors
 ///
-/// Exactly those of [`crate::decode`] on the same bytes.
+/// [`WireError::Closed`] on an empty buffer at EOF, [`WireError::Malformed`]
+/// on protocol violations, and [`WireError::Io`] for non-UTF-8 text or a
+/// body cut short at EOF.
 pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usize)>, WireError> {
     let mut lines = Lines { buf, pos: 0, eof };
     let start = match lines.next_line()? {
@@ -416,9 +413,9 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
         }
         LineRead::Line(line) => line,
     };
-    // Read every header line up front (the owned decoder consumes the
-    // whole header block before interpreting the start line, so a bad
-    // header wins over a bad verb).
+    // Read every header line up front: the whole header block is consumed
+    // before the start line is interpreted, so a bad header wins over a
+    // bad verb.
     let mut headers = Headers::default();
     loop {
         match lines.next_line()? {
@@ -440,7 +437,7 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
             }
             let url = url_from(headers.host, path)?;
             HttpMsgRef::Get(GetRequest {
-                req: RequestId::new(required_u64(headers.x_request_id, "x-request-id")?),
+                req: RequestId::new(required(headers.x_request_id, "x-request-id")?),
                 url,
                 client: required_client(headers.x_client)?,
                 ims: headers.if_modified_since.map(parse_micros).transpose()?,
@@ -454,14 +451,14 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
                 .content_location
                 .ok_or_else(reply_without_location)?;
             let url = url_from(headers.host, path)?;
-            let req = RequestId::new(required_u64(headers.x_request_id, "x-request-id")?);
+            let req = RequestId::new(required(headers.x_request_id, "x-request-id")?);
             let client = required_client(headers.x_client)?;
             let lease = headers.x_lease.map(parse_micros).transpose()?;
             let piggyback = validated_piggyback(headers.x_piggyback)?;
             let volume_lease = headers.x_volume_lease.map(parse_micros).transpose()?;
             match code {
                 "200" => {
-                    let len = required_u64(headers.content_length, "content-length")? as usize;
+                    let len = required::<u64>(headers.content_length, "content-length")? as usize;
                     // `body_start` is the cursor position, inside `buf`.
                     let tail = &buf[body_start..]; // xtask-lint: allow(index-panic)
                     let Some(payload) = tail.get(..len) else {
@@ -471,7 +468,7 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
                         return Err(short_body());
                     };
                     let meta = DocMeta::new(
-                        ByteSize::from_bytes(required_u64(headers.x_size, "x-size")?),
+                        ByteSize::from_bytes(required(headers.x_size, "x-size")?),
                         parse_micros(headers.last_modified.ok_or_else(missing_last_modified)?)?,
                     );
                     return Ok(Some((
@@ -502,8 +499,7 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
         "INVALIDATE" => {
             let target = parts.next().ok_or_else(invalidate_without_target)?;
             if target == "*" {
-                let idx = required_u64(headers.x_server, "x-server")? as u32;
-                let server = ServerId::new(idx);
+                let server = ServerId::new(required(headers.x_server, "x-server")?);
                 if let Some(list) = headers.x_batch {
                     HttpMsgRef::InvalidateBatch(InvalidateBatchRef {
                         server,
@@ -522,8 +518,7 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
         "ACK" => {
             let path = parts.next().ok_or_else(ack_without_path)?;
             if path == "*" {
-                let idx = required_u64(headers.x_server, "x-server")? as u32;
-                let server = ServerId::new(idx);
+                let server = ServerId::new(required(headers.x_server, "x-server")?);
                 if let Some(list) = headers.x_batch {
                     HttpMsgRef::InvalidateBatchAck(InvalidateBatchAckRef {
                         server,
@@ -566,11 +561,11 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
 }
 
 /// Decodes one message from a buffer known to hold the complete frame
-/// (trailing bytes are ignored, like the owned decoder on a cursor).
+/// (trailing bytes are ignored).
 ///
 /// # Errors
 ///
-/// Exactly those of [`crate::decode`] on the same bytes.
+/// Those of [`decode_frame`] at EOF.
 pub fn decode_ref(buf: &[u8]) -> Result<HttpMsgRef<'_>, WireError> {
     // Infallible: with `eof = true` the decoder never returns `None`.
     let (msg, _used) = decode_frame(buf, true)?.expect("decode_frame never defers at eof"); // xtask-lint: allow(unwrap)
@@ -590,7 +585,10 @@ fn parse_host(value: &str) -> Result<ServerId, WireError> {
     Ok(ServerId::new(idx))
 }
 
-fn required_u64(value: Option<&str>, name: &str) -> Result<u64, WireError> {
+/// The number a header the message cannot do without carries, parsed as
+/// the type it lands in: a value out of that type's range is malformed,
+/// never wrapped.
+fn required<T: std::str::FromStr>(value: Option<&str>, name: &str) -> Result<T, WireError> {
     value
         .ok_or_else(|| missing_header(name))?
         .parse()
@@ -625,7 +623,7 @@ fn validated_piggyback(value: Option<&str>) -> Result<Option<&str>, WireError> {
         return Ok(None);
     };
     for d in list.split(',') {
-        // Same target type as `Url::new`'s doc index in the owned parser.
+        // Same target type as `Url::new`'s doc index.
         let parsed: Result<u32, _> = d.trim().parse();
         if parsed.is_err() {
             return Err(bad_piggyback(d));
@@ -636,7 +634,7 @@ fn validated_piggyback(value: Option<&str>) -> Result<Option<&str>, WireError> {
 
 /// Validates the `X-Batch` list of an `INVALIDATE *` round without
 /// materialising the entries, so [`InvalidateBatchRef::entries`] can parse
-/// it infallibly later. Mirrors the owned decoder's `parse_batch` errors.
+/// it infallibly later.
 fn validated_batch(list: &str) -> Result<&str, WireError> {
     for e in list.split(',') {
         let entry = e.trim();
@@ -650,8 +648,8 @@ fn validated_batch(list: &str) -> Result<&str, WireError> {
     Ok(list)
 }
 
-/// Validates the `X-Batch` list of an `ACK *` round; mirrors the owned
-/// decoder's `parse_batch_ack` errors.
+/// Validates the `X-Batch` list of an `ACK *` round, for
+/// [`InvalidateBatchAckRef::entries`].
 fn validated_batch_ack(list: &str) -> Result<&str, WireError> {
     for e in list.split(',') {
         let entry = e.trim();
@@ -879,8 +877,8 @@ impl<R: Read> FrameReader<R> {
     ///
     /// # Errors
     ///
-    /// [`WireError::Closed`] on clean EOF between frames; otherwise exactly
-    /// the owned decoder's errors, including [`WireError::Io`] for
+    /// [`WireError::Closed`] on clean EOF between frames; otherwise those
+    /// of [`decode_frame`] and of the stream, including [`WireError::Io`] for
     /// `WouldBlock`/`TimedOut` on a non-blocking or deadline-bound socket
     /// (the caller distinguishes those from fatal errors).
     pub fn next_msg(&mut self) -> Result<HttpMsgRef<'_>, WireError> {
@@ -991,7 +989,7 @@ pub fn codec_sweep(msgs: &[HttpMsg]) -> CodecStats {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wire::{decode, encode};
+    use crate::wire::encode;
 
     fn sample_url() -> Url {
         Url::new(ServerId::new(3), 99)
@@ -999,124 +997,6 @@ mod tests {
 
     fn sample_client() -> ClientId {
         ClientId::from_ip([10, 1, 2, 3])
-    }
-
-    fn assert_same_as_owned(bytes: &[u8]) {
-        let owned = decode(&mut &bytes[..]);
-        let zero = decode_ref(bytes);
-        match (owned, zero) {
-            (Ok(o), Ok(z)) => assert_eq!(z.to_owned(), o),
-            (Err(eo), Err(ez)) => {
-                assert_eq!(format!("{ez}"), format!("{eo}"), "error text diverged");
-                assert_eq!(
-                    std::mem::discriminant(&ez),
-                    std::mem::discriminant(&eo),
-                    "error variant diverged"
-                );
-            }
-            (o, z) => panic!("decoders diverged: owned {o:?} vs zero-copy {z:?}"),
-        }
-    }
-
-    #[test]
-    fn round_trips_match_owned_decoder() {
-        let meta = DocMeta::new(ByteSize::from_kib(44), SimTime::from_secs(7));
-        let msgs = [
-            HttpMsg::Get(GetRequest {
-                req: RequestId::new(17),
-                url: sample_url(),
-                client: sample_client(),
-                ims: Some(SimTime::from_micros(123_456_789)),
-                issued_at: SimTime::from_micros(123_999_999),
-                cache_hits: 42,
-            }),
-            HttpMsg::Reply(Reply {
-                req: RequestId::new(5),
-                url: sample_url(),
-                client: sample_client(),
-                status: ReplyStatus::Ok(Body::synthetic(meta, 100)),
-                lease: Some(SimTime::from_secs(86_400 * 3)),
-                piggyback: vec![Url::new(ServerId::new(3), 4), Url::new(ServerId::new(3), 9)],
-                volume_lease: Some(SimTime::from_secs(9)),
-            }),
-            HttpMsg::Reply(Reply {
-                req: RequestId::new(6),
-                url: sample_url(),
-                client: sample_client(),
-                status: ReplyStatus::NotModified,
-                lease: None,
-                piggyback: vec![Url::new(ServerId::new(3), 1)],
-                volume_lease: None,
-            }),
-            HttpMsg::Invalidate {
-                url: sample_url(),
-                client: sample_client(),
-            },
-            HttpMsg::InvalidateServer {
-                server: ServerId::new(9),
-            },
-            HttpMsg::InvalidateBatch {
-                server: ServerId::new(3),
-                entries: vec![
-                    BatchEntry {
-                        url: Url::new(ServerId::new(3), 5),
-                        client: ClientId::from_ip([10, 0, 0, 1]),
-                    },
-                    BatchEntry {
-                        url: Url::new(ServerId::new(3), 99),
-                        client: sample_client(),
-                    },
-                ],
-            },
-            HttpMsg::InvalidateBatchAck {
-                server: ServerId::new(3),
-                entries: vec![
-                    BatchAckEntry {
-                        url: Url::new(ServerId::new(3), 5),
-                        client: ClientId::from_ip([10, 0, 0, 1]),
-                        cache_hits: 0,
-                    },
-                    BatchAckEntry {
-                        url: Url::new(ServerId::new(3), 99),
-                        client: sample_client(),
-                        cache_hits: 17,
-                    },
-                ],
-            },
-            HttpMsg::InvalidateServerAck {
-                server: ServerId::new(9),
-            },
-            HttpMsg::InvalAck {
-                url: sample_url(),
-                client: sample_client(),
-                cache_hits: 12,
-            },
-            HttpMsg::Hello {
-                partition: 2,
-                partitions: 4,
-            },
-            HttpMsg::MetricsGet,
-            HttpMsg::Notify {
-                url: sample_url(),
-                at: SimTime::from_secs(77),
-            },
-        ];
-        for msg in msgs {
-            let bytes = encode(&msg);
-            let zero = decode_ref(&bytes).expect("zero-copy decode failed");
-            assert_eq!(zero.to_owned(), msg);
-            assert_eq!(
-                zero.needs_copy(),
-                matches!(
-                    &msg,
-                    HttpMsg::Reply(Reply {
-                        status: ReplyStatus::Ok(_),
-                        ..
-                    })
-                )
-            );
-            assert_same_as_owned(&bytes);
-        }
     }
 
     #[test]
@@ -1161,60 +1041,6 @@ mod tests {
         assert_eq!(stats.borrows, 3);
         let encoded: usize = msgs.iter().map(|m| encode(m).len()).sum();
         assert_eq!(stats.bytes, encoded as u64);
-    }
-
-    #[test]
-    fn malformed_inputs_match_owned_decoder() {
-        for bad in [
-            &b""[..],
-            b"\r\n",
-            b"BOGUS /doc/1 HTTP/1.0\r\n\r\n",
-            b"GET /doc/1 HTTP/1.0\r\nnocolon\r\n\r\n",
-            b"GET /doc/1 HTTP/1.0\r\n\r\n",
-            b"GET /nope HTTP/1.0\r\nHost: server0\r\nX-Client: 1.2.3.4\r\nX-Request-Id: 0\r\n\r\n",
-            b"HTTP/1.0 500 Oops\r\nHost: server0\r\nContent-Location: /doc/1\r\nX-Client: 1.2.3.4\r\nX-Request-Id: 0\r\n\r\n",
-            b"GET /doc/1 HTTP/1.0\r\nHost: elsewhere\r\nX-Client: 1.2.3.4\r\nX-Request-Id: 0\r\n\r\n",
-            b"HELLO 4/4 HTTP/1.0\r\n\r\n",
-            b"HELLO x HTTP/1.0\r\n\r\n",
-            b"GET /doc/1 HTTP/1.0\r\nHost: server0\r\n", // eof inside headers
-            b"GET\r\n\r\n",
-            b"HTTP/1.0\r\nHost: server0\r\n\r\n",
-            b"HTTP/1.0 200 OK\r\nHost: server0\r\nContent-Location: /doc/1\r\nX-Client: 1.2.3.4\r\nX-Request-Id: 0\r\n\r\n",
-            b"NOTIFY /doc/5 HTTP/1.0\r\nHost: server1\r\nDate: xyz\r\n\r\n",
-            b"HTTP/1.0 304 NM\r\nHost: server0\r\nContent-Location: /doc/1\r\nX-Client: 1.2.3.4\r\nX-Request-Id: 0\r\nX-Piggyback: 1,x\r\n\r\n",
-            b"GET /doc/1 HTTP/1.0\r\nHost: server0\r\nX-Client: 1.2.3.4\r\nX-Request-Id: 0\r\nX-Hit-Count: moo\r\n\r\n",
-            b"\xff\xfe GET\r\n\r\n", // invalid UTF-8 in the start line
-            b"GET /doc/1 HTTP/1.0\r\nHost: \xff\xfe\r\n\r\n", // ... in a header
-            b"INVALIDATE * HTTP/1.0\r\nX-Server: 1\r\nX-Batch: \r\n\r\n",
-            b"INVALIDATE * HTTP/1.0\r\nX-Server: 1\r\nX-Batch: 5\r\n\r\n",
-            b"INVALIDATE * HTTP/1.0\r\nX-Server: 1\r\nX-Batch: 5:1.2.3.4,x:1.2.3.4\r\n\r\n",
-            b"INVALIDATE * HTTP/1.0\r\nX-Batch: 5:1.2.3.4\r\n\r\n", // no X-Server
-            b"ACK * HTTP/1.0\r\nX-Server: 1\r\nX-Batch: 5:1.2.3.4\r\n\r\n", // missing hits
-            b"ACK * HTTP/1.0\r\nX-Server: 1\r\nX-Batch: 5:1.2.3.4:zz\r\n\r\n",
-        ] {
-            assert_same_as_owned(bad);
-        }
-    }
-
-    #[test]
-    fn truncated_body_matches_owned_io_error() {
-        let meta = DocMeta::new(ByteSize::from_bytes(1000), SimTime::ZERO);
-        let msg = HttpMsg::Reply(Reply {
-            req: RequestId::new(0),
-            url: sample_url(),
-            client: sample_client(),
-            status: ReplyStatus::Ok(Body::synthetic(meta, 1)),
-            lease: None,
-            piggyback: Vec::new(),
-            volume_lease: None,
-        });
-        let bytes = encode(&msg);
-        assert_same_as_owned(&bytes[..bytes.len() - 10]);
-        // Every prefix of every length behaves like the owned decoder fed
-        // the same truncated stream.
-        for cut in 0..bytes.len() {
-            assert_same_as_owned(&bytes[..cut]);
-        }
     }
 
     /// A torn frame defers at every split point — inside the start line,
@@ -1323,17 +1149,26 @@ mod tests {
         assert_eq!(headers, Headers::default());
     }
 
+    /// `X-Server` names a `u32` server: one past `u32::MAX` is malformed in
+    /// every `*` form, like `Host: server4294967296`, rather than wrapping
+    /// to server 0 (whose recovery ack an origin would then take it for).
     #[test]
-    fn duplicate_headers_resolve_last_wins_like_owned() {
-        let text = b"NOTIFY /doc/5 HTTP/1.0\r\nHost: server1\r\nDate: 7\r\nDate: 9\r\n\r\n";
-        let owned = decode(&mut &text[..]).unwrap();
-        let zero = decode_ref(text).unwrap();
-        assert_eq!(zero.to_owned(), owned);
+    fn an_x_server_past_u32_is_malformed_not_wrapped() {
+        for (verb, entry) in [("ACK", "5:1.2.3.4:0"), ("INVALIDATE", "5:1.2.3.4")] {
+            for batch in [String::new(), format!("X-Batch: {entry}\r\n")] {
+                let frame = format!("{verb} * HTTP/1.0\r\nX-Server: 4294967296\r\n{batch}\r\n");
+                let err = decode_ref(frame.as_bytes()).expect_err(&frame);
+                assert_eq!(
+                    err.to_string(),
+                    "malformed wire message: non-numeric header x-server"
+                );
+            }
+        }
+        let top = decode_ref(b"ACK * HTTP/1.0\r\nX-Server: 4294967295\r\n\r\n").unwrap();
         assert_eq!(
-            owned,
-            HttpMsg::Notify {
-                url: Url::new(ServerId::new(1), 5),
-                at: SimTime::from_micros(9),
+            top,
+            HttpMsgRef::InvalidateServerAck {
+                server: ServerId::new(u32::MAX)
             }
         );
     }

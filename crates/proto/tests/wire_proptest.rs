@@ -1,14 +1,18 @@
 //! Property tests: every well-formed message survives the wire round trip,
 //! the encoder writes byte for byte what its `write!`-based reference
-//! writes, and the zero-copy decoder agrees with the owned decoder
+//! writes, and the decoder agrees with its owned, line-reading reference
 //! byte-for-byte — on successes, on truncations, on corrupted bytes and on
 //! header blocks no encoder of ours would write.
+//!
+//! Both references are the codec this crate once shipped, kept here as the
+//! oracles the shipped one is held to. This file is the gate on the
+//! decoder's header rules: `cargo test -q -p wcc-proto --test wire_proptest`.
 
 use proptest::prelude::*;
 use std::io::Write;
 use wcc_proto::{
-    decode, decode_ref, encode, encode_into, BatchAckEntry, BatchEntry, GetRequest, HttpMsg, Reply,
-    ReplyStatus, RequestId,
+    decode_ref, encode, encode_into, BatchAckEntry, BatchEntry, GetRequest, HttpMsg, Reply,
+    ReplyStatus, RequestId, WireError,
 };
 use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url};
 
@@ -168,7 +172,7 @@ proptest! {
     #[test]
     fn encode_decode_round_trips(msg in msg_strategy()) {
         let bytes = encode(&msg);
-        let decoded = decode(&mut bytes.as_slice()).expect("well-formed message must decode");
+        let decoded = reference::decode(&mut bytes.as_slice()).expect("well-formed message must decode");
         prop_assert_eq!(decoded, msg);
     }
 
@@ -177,8 +181,8 @@ proptest! {
         let mut bytes = encode(&a);
         bytes.extend(encode(&b));
         let mut cursor = bytes.as_slice();
-        prop_assert_eq!(decode(&mut cursor).expect("first"), a);
-        prop_assert_eq!(decode(&mut cursor).expect("second"), b);
+        prop_assert_eq!(reference::decode(&mut cursor).expect("first"), a);
+        prop_assert_eq!(reference::decode(&mut cursor).expect("second"), b);
     }
 
     #[test]
@@ -186,7 +190,7 @@ proptest! {
         let bytes = encode(&msg);
         let cut = cut.min(bytes.len());
         let mut truncated = &bytes[..bytes.len() - cut];
-        let _ = decode(&mut truncated); // any Result is fine; no panic
+        let _ = reference::decode(&mut truncated); // any Result is fine; no panic
     }
 
     /// The tentpole zero-copy property: for every message variant,
@@ -199,7 +203,7 @@ proptest! {
     }
 
     /// Truncated input: the zero-copy decoder must fail exactly when the
-    /// owned decoder fails, with a byte-identical error rendering.
+    /// owned reference fails, with a byte-identical error rendering.
     #[test]
     fn zero_copy_truncation_matches_owned(msg in msg_strategy(), cut in 0usize..512) {
         let bytes = encode(&msg);
@@ -233,7 +237,7 @@ proptest! {
     /// Header blocks no encoder of ours writes — repeated names, odd case,
     /// padding, names nothing reads, colons inside values, lines with no
     /// colon — decode to the same message, or the same error, as through
-    /// the owned decoder's map.
+    /// the owned reference's map.
     #[test]
     fn zero_copy_header_rules_match_owned(
         msg in msg_strategy(),
@@ -249,7 +253,7 @@ proptest! {
 
 /// Both decoders on the same bytes: equal messages or equal errors.
 fn assert_decoders_agree(bytes: &[u8]) -> Result<(), TestCaseError> {
-    let owned = decode(&mut &bytes[..]);
+    let owned = reference::decode(&mut &bytes[..]);
     let zero = decode_ref(bytes);
     match (owned, zero) {
         (Ok(o), Ok(z)) => prop_assert_eq!(z.to_owned(), o),
@@ -409,6 +413,181 @@ fn header_rules_pinned_by_name() {
         decode_ref(plain).expect("decodes")
     );
     assert_decoders_agree(noisy).expect("parity");
+}
+
+fn sample_url() -> Url {
+    Url::new(ServerId::new(3), 99)
+}
+
+fn sample_client() -> ClientId {
+    ClientId::from_ip([10, 1, 2, 3])
+}
+
+/// One message of every variant, with every optional field the encoder can
+/// write, round-trips; only a `200` needs a copy to keep; and the reference
+/// reads each the same way.
+#[test]
+fn round_trips_match_owned_decoder() {
+    let meta = DocMeta::new(ByteSize::from_kib(44), SimTime::from_secs(7));
+    let msgs = [
+        HttpMsg::Get(GetRequest {
+            req: RequestId::new(17),
+            url: sample_url(),
+            client: sample_client(),
+            ims: Some(SimTime::from_micros(123_456_789)),
+            issued_at: SimTime::from_micros(123_999_999),
+            cache_hits: 42,
+        }),
+        HttpMsg::Reply(Reply {
+            req: RequestId::new(5),
+            url: sample_url(),
+            client: sample_client(),
+            status: ReplyStatus::Ok(Body::synthetic(meta, 100)),
+            lease: Some(SimTime::from_secs(86_400 * 3)),
+            piggyback: vec![Url::new(ServerId::new(3), 4), Url::new(ServerId::new(3), 9)],
+            volume_lease: Some(SimTime::from_secs(9)),
+        }),
+        HttpMsg::Reply(Reply {
+            req: RequestId::new(6),
+            url: sample_url(),
+            client: sample_client(),
+            status: ReplyStatus::NotModified,
+            lease: None,
+            piggyback: vec![Url::new(ServerId::new(3), 1)],
+            volume_lease: None,
+        }),
+        HttpMsg::Invalidate {
+            url: sample_url(),
+            client: sample_client(),
+        },
+        HttpMsg::InvalidateServer {
+            server: ServerId::new(9),
+        },
+        HttpMsg::InvalidateBatch {
+            server: ServerId::new(3),
+            entries: vec![
+                BatchEntry {
+                    url: Url::new(ServerId::new(3), 5),
+                    client: ClientId::from_ip([10, 0, 0, 1]),
+                },
+                BatchEntry {
+                    url: Url::new(ServerId::new(3), 99),
+                    client: sample_client(),
+                },
+            ],
+        },
+        HttpMsg::InvalidateBatchAck {
+            server: ServerId::new(3),
+            entries: vec![
+                BatchAckEntry {
+                    url: Url::new(ServerId::new(3), 5),
+                    client: ClientId::from_ip([10, 0, 0, 1]),
+                    cache_hits: 0,
+                },
+                BatchAckEntry {
+                    url: Url::new(ServerId::new(3), 99),
+                    client: sample_client(),
+                    cache_hits: 17,
+                },
+            ],
+        },
+        HttpMsg::InvalidateServerAck {
+            server: ServerId::new(9),
+        },
+        HttpMsg::InvalAck {
+            url: sample_url(),
+            client: sample_client(),
+            cache_hits: 12,
+        },
+        HttpMsg::Hello {
+            partition: 2,
+            partitions: 4,
+        },
+        HttpMsg::MetricsGet,
+        HttpMsg::Notify {
+            url: sample_url(),
+            at: SimTime::from_secs(77),
+        },
+    ];
+    for msg in msgs {
+        let bytes = encode(&msg);
+        let zero = decode_ref(&bytes).expect("zero-copy decode failed");
+        assert_eq!(zero.to_owned(), msg);
+        assert_eq!(
+            zero.needs_copy(),
+            matches!(
+                &msg,
+                HttpMsg::Reply(Reply {
+                    status: ReplyStatus::Ok(_),
+                    ..
+                })
+            )
+        );
+        assert_decoders_agree(&bytes).expect("parity");
+    }
+}
+
+/// Inputs each rule of the decoder turns away, by name: both decoders fail
+/// on each with the same error.
+#[test]
+fn malformed_inputs_match_owned_decoder() {
+    for bad in [
+        &b""[..],
+        b"\r\n",
+        b"BOGUS /doc/1 HTTP/1.0\r\n\r\n",
+        b"GET /doc/1 HTTP/1.0\r\nnocolon\r\n\r\n",
+        b"GET /doc/1 HTTP/1.0\r\n\r\n",
+        b"GET /nope HTTP/1.0\r\nHost: server0\r\nX-Client: 1.2.3.4\r\nX-Request-Id: 0\r\n\r\n",
+        b"HTTP/1.0 500 Oops\r\nHost: server0\r\nContent-Location: /doc/1\r\nX-Client: 1.2.3.4\r\nX-Request-Id: 0\r\n\r\n",
+        b"GET /doc/1 HTTP/1.0\r\nHost: elsewhere\r\nX-Client: 1.2.3.4\r\nX-Request-Id: 0\r\n\r\n",
+        b"HELLO 4/4 HTTP/1.0\r\n\r\n",
+        b"HELLO x HTTP/1.0\r\n\r\n",
+        b"GET /doc/1 HTTP/1.0\r\nHost: server0\r\n", // eof inside headers
+        b"GET\r\n\r\n",
+        b"HTTP/1.0\r\nHost: server0\r\n\r\n",
+        b"HTTP/1.0 200 OK\r\nHost: server0\r\nContent-Location: /doc/1\r\nX-Client: 1.2.3.4\r\nX-Request-Id: 0\r\n\r\n",
+        b"NOTIFY /doc/5 HTTP/1.0\r\nHost: server1\r\nDate: xyz\r\n\r\n",
+        b"HTTP/1.0 304 NM\r\nHost: server0\r\nContent-Location: /doc/1\r\nX-Client: 1.2.3.4\r\nX-Request-Id: 0\r\nX-Piggyback: 1,x\r\n\r\n",
+        b"GET /doc/1 HTTP/1.0\r\nHost: server0\r\nX-Client: 1.2.3.4\r\nX-Request-Id: 0\r\nX-Hit-Count: moo\r\n\r\n",
+        b"\xff\xfe GET\r\n\r\n", // invalid UTF-8 in the start line
+        b"GET /doc/1 HTTP/1.0\r\nHost: \xff\xfe\r\n\r\n", // ... in a header
+        b"INVALIDATE * HTTP/1.0\r\nX-Server: 1\r\nX-Batch: \r\n\r\n",
+        b"INVALIDATE * HTTP/1.0\r\nX-Server: 1\r\nX-Batch: 5\r\n\r\n",
+        b"INVALIDATE * HTTP/1.0\r\nX-Server: 1\r\nX-Batch: 5:1.2.3.4,x:1.2.3.4\r\n\r\n",
+        b"INVALIDATE * HTTP/1.0\r\nX-Batch: 5:1.2.3.4\r\n\r\n", // no X-Server
+        b"ACK * HTTP/1.0\r\nX-Server: 1\r\nX-Batch: 5:1.2.3.4\r\n\r\n", // missing hits
+        b"ACK * HTTP/1.0\r\nX-Server: 1\r\nX-Batch: 5:1.2.3.4:zz\r\n\r\n",
+        // An `X-Server` past `u32::MAX` names no server; it does not wrap.
+        b"ACK * HTTP/1.0\r\nX-Server: 4294967296\r\n\r\n",
+        b"INVALIDATE * HTTP/1.0\r\nX-Server: 4294967296\r\nX-Batch: 5:1.2.3.4\r\n\r\n",
+    ] {
+        decode_ref(bad).expect_err("malformed input decoded");
+        assert_decoders_agree(bad).expect("parity");
+    }
+}
+
+/// Every prefix of a `200` reply fails the way the reference fails on the
+/// same truncated stream: the short body is `read_exact`'s I/O error.
+#[test]
+fn truncated_body_matches_owned_io_error() {
+    let meta = DocMeta::new(ByteSize::from_bytes(1000), SimTime::ZERO);
+    let msg = HttpMsg::Reply(Reply {
+        req: RequestId::new(0),
+        url: sample_url(),
+        client: sample_client(),
+        status: ReplyStatus::Ok(Body::synthetic(meta, 1)),
+        lease: None,
+        piggyback: Vec::new(),
+        volume_lease: None,
+    });
+    let bytes = encode(&msg);
+    assert!(matches!(
+        decode_ref(&bytes[..bytes.len() - 10]),
+        Err(WireError::Io(_))
+    ));
+    for cut in 0..bytes.len() {
+        assert_decoders_agree(&bytes[..cut]).expect("parity");
+    }
 }
 
 /// The encoder this crate shipped until the `core::fmt`-free one replaced
@@ -658,4 +837,307 @@ fn combinations<'a, A, B, C>(
 ) -> impl Iterator<Item = (&'a A, &'a B, &'a C)> {
     a.iter()
         .flat_map(move |x| b.iter().flat_map(move |y| c.iter().map(move |z| (x, y, z))))
+}
+
+/// The owned decoder this crate shipped beside the zero-copy one, kept as
+/// the oracle [`decode_ref`]'s header rules and error texts are held to:
+/// `BufRead` line reads, a `HashMap` of lower-cased names, and a fresh
+/// `Vec` per body.
+mod reference {
+    use std::collections::HashMap;
+    use std::io::BufRead;
+    use wcc_proto::{
+        BatchAckEntry, BatchEntry, GetRequest, HttpMsg, Reply, ReplyStatus, RequestId, WireError,
+    };
+    use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url};
+
+    fn malformed(why: impl Into<String>) -> WireError {
+        WireError::Malformed(why.into())
+    }
+
+    fn parse_piggyback(
+        headers: &HashMap<String, String>,
+        server: ServerId,
+    ) -> Result<Vec<Url>, WireError> {
+        let Some(list) = headers.get("x-piggyback") else {
+            return Ok(Vec::new());
+        };
+        list.split(',')
+            .map(|d| {
+                d.trim()
+                    .parse()
+                    .map(|doc| Url::new(server, doc))
+                    .map_err(|_| malformed(format!("bad piggyback entry {d:?}")))
+            })
+            .collect()
+    }
+
+    /// Parses the `X-Batch` list of an `INVALIDATE *` round: comma-separated
+    /// `doc:client` entries, the client as a dotted quad like `X-Client`.
+    fn parse_batch(list: &str, server: ServerId) -> Result<Vec<BatchEntry>, WireError> {
+        list.split(',')
+            .map(|e| {
+                let entry = e.trim();
+                let bad = || malformed(format!("bad batch entry {entry:?}"));
+                let (doc, client) = entry.split_once(':').ok_or_else(bad)?;
+                let doc: u32 = doc.parse().map_err(|_| bad())?;
+                let client: ClientId = client.parse().map_err(|_| bad())?;
+                Ok(BatchEntry {
+                    url: Url::new(server, doc),
+                    client,
+                })
+            })
+            .collect()
+    }
+
+    /// Parses the `X-Batch` list of an `ACK *` round: comma-separated
+    /// `doc:client:hits` entries.
+    fn parse_batch_ack(list: &str, server: ServerId) -> Result<Vec<BatchAckEntry>, WireError> {
+        list.split(',')
+            .map(|e| {
+                let entry = e.trim();
+                let bad = || malformed(format!("bad batch ack entry {entry:?}"));
+                let (doc, rest) = entry.split_once(':').ok_or_else(bad)?;
+                let (client, hits) = rest.split_once(':').ok_or_else(bad)?;
+                let doc: u32 = doc.parse().map_err(|_| bad())?;
+                let client: ClientId = client.parse().map_err(|_| bad())?;
+                let cache_hits: u64 = hits.parse().map_err(|_| bad())?;
+                Ok(BatchAckEntry {
+                    url: Url::new(server, doc),
+                    client,
+                    cache_hits,
+                })
+            })
+            .collect()
+    }
+
+    fn parse_host(value: &str) -> Result<ServerId, WireError> {
+        let idx = value
+            .strip_prefix("server")
+            .and_then(|rest| rest.parse().ok())
+            .ok_or_else(|| malformed(format!("bad Host: {value}")))?;
+        Ok(ServerId::new(idx))
+    }
+
+    /// Decodes one message from `reader`: [`WireError::Closed`] on clean EOF
+    /// before a start line, [`WireError::Malformed`] on protocol violations,
+    /// and [`WireError::Io`] if the stream fails mid-message.
+    pub fn decode<R: BufRead>(reader: &mut R) -> Result<HttpMsg, WireError> {
+        let start = match read_line(reader)? {
+            None => return Err(WireError::Closed),
+            Some(line) if line.is_empty() => {
+                return Err(malformed("empty start line"));
+            }
+            Some(line) => line,
+        };
+        let mut headers = HashMap::new();
+        loop {
+            match read_line(reader)? {
+                None => return Err(malformed("eof inside headers")),
+                Some(line) if line.is_empty() => break,
+                Some(line) => {
+                    let (name, value) = line
+                        .split_once(':')
+                        .ok_or_else(|| malformed(format!("bad header: {line}")))?;
+                    headers.insert(name.trim().to_ascii_lowercase(), value.trim().to_string());
+                }
+            }
+        }
+
+        let mut parts = start.split_whitespace();
+        let verb = parts.next().ok_or_else(|| malformed("missing verb"))?;
+        match verb {
+            "GET" => {
+                let path = parts.next().ok_or_else(|| malformed("GET without path"))?;
+                // The metrics endpoint takes no Host or correlation headers —
+                // intercept it before the document-URL parse would reject it.
+                if path == "/metrics" {
+                    return Ok(HttpMsg::MetricsGet);
+                }
+                let url = url_from(&headers, path)?;
+                Ok(HttpMsg::Get(GetRequest {
+                    req: RequestId::new(required(&headers, "x-request-id")?),
+                    url,
+                    client: required_client(&headers)?,
+                    ims: headers
+                        .get("if-modified-since")
+                        .map(|v| parse_micros(v))
+                        .transpose()?,
+                    issued_at: parse_micros(headers.get("date").map_or("0", String::as_str))?,
+                    cache_hits: parse_hit_count(&headers)?,
+                }))
+            }
+            "HTTP/1.0" => {
+                let code = parts
+                    .next()
+                    .ok_or_else(|| malformed("reply without code"))?;
+                let path = headers
+                    .get("content-location")
+                    .ok_or_else(|| malformed("reply without Content-Location"))?
+                    .clone();
+                let url = url_from(&headers, &path)?;
+                let req = RequestId::new(required(&headers, "x-request-id")?);
+                let client = required_client(&headers)?;
+                let lease = headers
+                    .get("x-lease")
+                    .map(|v| parse_micros(v))
+                    .transpose()?;
+                let piggyback = parse_piggyback(&headers, url.server())?;
+                let volume_lease = headers
+                    .get("x-volume-lease")
+                    .map(|v| parse_micros(v))
+                    .transpose()?;
+                let status = match code {
+                    "200" => {
+                        let len = required::<u64>(&headers, "content-length")? as usize;
+                        let mut payload = vec![0u8; len];
+                        reader.read_exact(&mut payload)?;
+                        let meta = DocMeta::new(
+                            ByteSize::from_bytes(required(&headers, "x-size")?),
+                            parse_micros(
+                                headers
+                                    .get("last-modified")
+                                    .ok_or_else(|| malformed("200 without Last-Modified"))?,
+                            )?,
+                        );
+                        ReplyStatus::Ok(Body::new(meta, payload))
+                    }
+                    "304" => ReplyStatus::NotModified,
+                    other => return Err(malformed(format!("unsupported status {other}"))),
+                };
+                Ok(HttpMsg::Reply(Reply {
+                    req,
+                    url,
+                    client,
+                    status,
+                    lease,
+                    piggyback,
+                    volume_lease,
+                }))
+            }
+            "INVALIDATE" => {
+                let target = parts
+                    .next()
+                    .ok_or_else(|| malformed("INVALIDATE without target"))?;
+                if target == "*" {
+                    let server = ServerId::new(required(&headers, "x-server")?);
+                    if let Some(list) = headers.get("x-batch") {
+                        return Ok(HttpMsg::InvalidateBatch {
+                            server,
+                            entries: parse_batch(list, server)?,
+                        });
+                    }
+                    Ok(HttpMsg::InvalidateServer { server })
+                } else {
+                    Ok(HttpMsg::Invalidate {
+                        url: url_from(&headers, target)?,
+                        client: required_client(&headers)?,
+                    })
+                }
+            }
+            "ACK" => {
+                let path = parts.next().ok_or_else(|| malformed("ACK without path"))?;
+                if path == "*" {
+                    let server = ServerId::new(required(&headers, "x-server")?);
+                    if let Some(list) = headers.get("x-batch") {
+                        return Ok(HttpMsg::InvalidateBatchAck {
+                            server,
+                            entries: parse_batch_ack(list, server)?,
+                        });
+                    }
+                    return Ok(HttpMsg::InvalidateServerAck { server });
+                }
+                Ok(HttpMsg::InvalAck {
+                    url: url_from(&headers, path)?,
+                    client: required_client(&headers)?,
+                    cache_hits: parse_hit_count(&headers)?,
+                })
+            }
+            "HELLO" => {
+                let spec = parts
+                    .next()
+                    .ok_or_else(|| malformed("HELLO without partition"))?;
+                let (p, n) = spec
+                    .split_once('/')
+                    .ok_or_else(|| malformed("HELLO spec must be p/n"))?;
+                let partition = p.parse().map_err(|_| malformed("bad partition"))?;
+                let partitions: u32 = n.parse().map_err(|_| malformed("bad partitions"))?;
+                if partitions == 0 || partition >= partitions {
+                    return Err(malformed("partition out of range"));
+                }
+                Ok(HttpMsg::Hello {
+                    partition,
+                    partitions,
+                })
+            }
+            "NOTIFY" => {
+                let path = parts
+                    .next()
+                    .ok_or_else(|| malformed("NOTIFY without path"))?;
+                Ok(HttpMsg::Notify {
+                    url: url_from(&headers, path)?,
+                    at: parse_micros(headers.get("date").map_or("0", String::as_str))?,
+                })
+            }
+            other => Err(malformed(format!("unknown verb {other}"))),
+        }
+    }
+
+    fn url_from(headers: &HashMap<String, String>, path: &str) -> Result<Url, WireError> {
+        let server = parse_host(
+            headers
+                .get("host")
+                .ok_or_else(|| malformed("missing Host header"))?,
+        )?;
+        Url::from_path(server, path).ok_or_else(|| malformed(format!("bad path {path}")))
+    }
+
+    /// A header the message cannot do without, parsed as the type it lands
+    /// in: out of that type's range is as malformed as not a number.
+    fn required<T: std::str::FromStr>(
+        headers: &HashMap<String, String>,
+        name: &str,
+    ) -> Result<T, WireError> {
+        headers
+            .get(name)
+            .ok_or_else(|| malformed(format!("missing header {name}")))?
+            .parse()
+            .map_err(|_| malformed(format!("non-numeric header {name}")))
+    }
+
+    fn required_client(headers: &HashMap<String, String>) -> Result<ClientId, WireError> {
+        headers
+            .get("x-client")
+            .ok_or_else(|| malformed("missing X-Client"))?
+            .parse()
+            .map_err(|_| malformed("bad X-Client"))
+    }
+
+    fn parse_hit_count(headers: &HashMap<String, String>) -> Result<u64, WireError> {
+        headers
+            .get("x-hit-count")
+            .map(|v| v.parse().map_err(|_| malformed("bad X-Hit-Count")))
+            .transpose()
+            .map(|hits| hits.unwrap_or(0))
+    }
+
+    fn parse_micros(value: &str) -> Result<SimTime, WireError> {
+        value
+            .parse()
+            .map(SimTime::from_micros)
+            .map_err(|_| malformed(format!("bad timestamp {value}")))
+    }
+
+    /// Reads one `\r\n`- (or `\n`-) terminated line; `None` on clean EOF.
+    fn read_line<R: BufRead>(reader: &mut R) -> Result<Option<String>, WireError> {
+        let mut line = String::new();
+        let n = reader.read_line(&mut line)?;
+        if n == 0 {
+            return Ok(None);
+        }
+        while line.ends_with('\n') || line.ends_with('\r') {
+            line.pop();
+        }
+        Ok(Some(line))
+    }
 }

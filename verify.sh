@@ -66,6 +66,14 @@ echo "==> wcc replay --family real-time-feed (smoke)"
 # same-instant bucket drain, exercised outside the benchmark.
 ./target/release/wcc replay --family real-time-feed --scale 20
 
+echo "==> wire decoder header rules (against the owned reference decoder)"
+# The library's one decoder (decode_frame / decode_ref) held byte-for-byte
+# to the owned, line-reading decoder it replaced, kept as the oracle in
+# crates/proto/tests/wire_proptest.rs: round trips, truncation, corruption
+# and header blocks no encoder writes. Also runs in the suites above; named
+# here because it is what pins the header rules.
+cargo test -q -p wcc-proto --test wire_proptest
+
 echo "==> origin conformance + missed-invalidation regression (serve tier)"
 # One script fed to a bare wcc_core::OriginCore, a simulated deployment and
 # a NetOrigin over raw sockets, a second one to a bare wcc_core::WritePath,
