@@ -17,10 +17,15 @@
 //!   (`wcc_proto::encode_into`: no `Vec` per frame). Write interest is
 //!   armed only while output is queued, so an idle keep-alive connection
 //!   costs one registered fd and two empty buffers;
+//! * the flush rule: output queued during a turn leaves in one `send(2)`
+//!   per connection at the turn's end. Queuing output, or write readiness,
+//!   marks a connection dirty; each is flushed once, after the outbox, which
+//!   settles its poller interest and closes it if it was to close drained;
 //! * the frame pump: read → decode → [`Role::on_frame`] → consume, then
 //!   keep / close-after-flush / close. A clean EOF (a half-closing
 //!   HTTP/1.0 client) closes only once every reply the peer is still owed
-//!   — queued, parked or deferred — has been flushed;
+//!   — queued, parked or deferred — has been flushed. The runtime answers
+//!   `GET /metrics` itself, last on its connection, and closes behind it;
 //! * the reply pipeline: every request a role answers takes the
 //!   connection's next sequence number, whether [`Cx::reply`] answers it
 //!   now or [`Cx::defer`] takes a [`Ticket`] for it, and replies leave
@@ -63,12 +68,12 @@
 //! allocation lint list: everything here runs once per readiness event at
 //! 10k-connection scale.
 
-use std::io::{self, Write};
+use std::io;
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::mpsc::{self, Receiver, Sender, TryRecvError};
 use std::thread::JoinHandle;
 use std::time::Duration;
-use wcc_proto::{decode_frame, encode, encode_into, HttpMsg, HttpMsgRef, WireError};
+use wcc_proto::{decode_frame, encode_into, HttpMsg, HttpMsgRef, WireError};
 use wcc_reactor::{Event, Interest, Poller, RecvBuf, SendBuf, WakeHandle, Waker};
 use wcc_types::{SimDuration, SimTime, WallClock};
 
@@ -98,8 +103,6 @@ const DRAIN: SimDuration = SimDuration::from_secs(1);
 /// What the pump does with a connection after a frame was handled.
 pub(crate) enum After {
     Keep,
-    /// Close once the send buffer drains (one-shot replies).
-    CloseAfterFlush,
     /// Close now (protocol violation).
     Close,
 }
@@ -133,9 +136,33 @@ pub(crate) enum Out {
 
 pub(crate) type Outbox = Vec<Out>;
 
-/// What a handle has run on its node's thread: with the role, the node's
-/// time and the outbox.
-pub(crate) type Call<R> = Box<dyn FnOnce(&mut R, SimTime, &mut Outbox) + Send>;
+/// What a handle has run on its node's thread.
+type Call<R> = Box<dyn FnOnce(&mut Runtime<R>) + Send>;
+
+/// What a node's reactor has done, counted on its thread: poll-wait returns, the readiness
+/// events they brought, and the send buffers' writes (partial ones too) and bytes written.
+#[derive(Default, Clone, Copy)]
+pub(crate) struct ReactorCounters {
+    pub wakes: u64,
+    pub events: u64,
+    pub send_calls: u64,
+    pub send_bytes: u64,
+}
+
+impl ReactorCounters {
+    /// Publishes the counters into a node's registry.
+    #[rustfmt::skip]
+    pub fn render(&self, r: &mut wcc_obs::Registry, labels: &[(&str, &str)]) {
+        for (name, help, value) in [
+            ("wcc_reactor_wakes_total", "Returns from the reactor's poll wait.", self.wakes),
+            ("wcc_reactor_events_total", "Readiness events the reactor handled.", self.events),
+            ("wcc_reactor_send_calls_total", "Socket writes, partial ones too.", self.send_calls),
+            ("wcc_reactor_send_bytes_total", "Bytes written to sockets.", self.send_bytes),
+        ] {
+            r.set_counter(name, help, labels, value);
+        }
+    }
+}
 
 /// One node's protocol, driven by the runtime on the node's only thread.
 pub(crate) trait Role: Sized + Send + 'static {
@@ -147,6 +174,8 @@ pub(crate) trait Role: Sized + Send + 'static {
     /// Handles one decoded frame. Replies go through `cx`; the borrowed
     /// message is consumed from the receive buffer on return.
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After;
+    /// The node's Prometheus text exposition, `reactor` included.
+    fn render_metrics(&self, reactor: &ReactorCounters) -> String;
     /// `n` connections were dropped by the runtime: accept/registration
     /// failures, or a ticket redeemed with `None` forcing a close.
     fn on_dropped(&mut self, _n: u64) {}
@@ -178,23 +207,11 @@ pub(crate) struct Hello {
 }
 
 impl Hello {
-    /// Dials the upstream, bounded by [`REDIAL`]; the `HELLO` channel
-    /// also registers.
-    fn dial(&self, via: Via) -> io::Result<TcpStream> {
+    /// Dials the upstream, bounded by [`REDIAL`].
+    fn dial(&self) -> io::Result<TcpStream> {
         let bound = Duration::from_micros(REDIAL.as_micros());
-        let mut stream = TcpStream::connect_timeout(&self.upstream, bound)?;
+        let stream = TcpStream::connect_timeout(&self.upstream, bound)?;
         let _ = stream.set_nodelay(true);
-        if let Via::Dial = via {
-            // One small frame per (re-)dial, written before the stream has
-            // a buffer, into a socket buffer that is still empty.
-            let hello = HttpMsg::Hello {
-                partition: self.partition,
-                partitions: self.partitions,
-            };
-            let frame = encode(&hello); // xtask-lint: allow(hot-loop-alloc)
-            stream.write_all(&frame)?; // xtask-lint: allow(reactor-blocking-io)
-            stream.flush()?;
-        }
         Ok(stream)
     }
 }
@@ -252,14 +269,6 @@ impl<R: Role> Cx<'_, R> {
         }
     }
 
-    /// Queues a one-shot `/metrics` response (raw HTTP, not a frame): the
-    /// connection closes behind it, so it takes no sequence number.
-    pub fn reply_metrics(&mut self, exposition: &str) -> After {
-        self.sbuf
-            .push_bytes(&crate::scrape::metrics_response(exposition));
-        After::CloseAfterFlush
-    }
-
     /// Holds the frame's place in the reply pipeline for an answer that
     /// comes later, through [`Out::Redeem`].
     pub fn defer(&mut self) -> Ticket {
@@ -280,8 +289,10 @@ struct Conn<T> {
     eof: bool,
     /// What the poller has this connection registered for.
     interest: Interest,
-    /// Close once the send buffer drains (one-shot replies, shutdown).
+    /// Close once the send buffer drains (a scrape, a failed ticket, EOF).
     close_after_flush: bool,
+    /// On the runtime's list of connections flushed at the turn's end.
+    dirty: bool,
     /// Pipeline ordering: every reply — deferred or not — takes a sequence
     /// number when its request is handled and replies are delivered
     /// strictly in that order; early finishers park.
@@ -318,6 +329,8 @@ impl<T> Conn<T> {
 struct Conns<T> {
     slots: Vec<Slot<T>>,
     free: Vec<usize>,
+    /// The node's reactor counters: the sends are made here.
+    counters: ReactorCounters,
 }
 
 /// One slab entry: its current generation and, while live, a connection.
@@ -335,6 +348,7 @@ impl<T> Conns<T> {
         Conns {
             slots: Vec::with_capacity(cap),
             free: Vec::with_capacity(cap),
+            counters: ReactorCounters::default(),
         }
     }
 
@@ -361,6 +375,7 @@ impl<T> Conns<T> {
             eof: false,
             interest: Interest::READ,
             close_after_flush: false,
+            dirty: false,
             next_assign: 0,
             next_send: 0,
             // An empty `Vec` owns no heap until a reply parks.
@@ -403,36 +418,40 @@ impl<T> Conns<T> {
         let Some(conn) = self.get_mut(token) else {
             return false;
         };
-        let drained = match conn.sbuf.flush(&mut conn.stream) {
-            Ok(drained) => drained,
-            Err(_) => {
-                self.close(poller, token);
-                return false;
+        conn.dirty = false;
+        let (writes, pending) = (conn.sbuf.writes(), conn.sbuf.pending());
+        let flushed = conn.sbuf.flush(&mut conn.stream);
+        let calls = conn.sbuf.writes() - writes;
+        let sent = pending - conn.sbuf.pending();
+        let open = match flushed {
+            Ok(drained) if !(drained && conn.close_after_flush) => {
+                // Write interest only while output is queued. Read interest only while a
+                // request could be taken — not with a full pipeline — and only until the
+                // peer's EOF: readiness is level-triggered, so a half-closed socket kept
+                // open for a deferred reply would otherwise wake the loop until it arrives.
+                let want = Interest {
+                    readable: !conn.eof && !conn.stalled(),
+                    writable: !drained,
+                };
+                if want != conn.interest {
+                    conn.interest = want;
+                    let _ = poller.modify(conn.stream.as_raw_fd(), token, want);
+                }
+                true
             }
+            _ => false,
         };
-        if drained && conn.close_after_flush {
+        self.counters.send_calls += calls;
+        self.counters.send_bytes += sent as u64;
+        if !open {
             self.close(poller, token);
-            return false;
         }
-        // Write interest only while output is queued. Read interest only
-        // while a request could be taken — not with a full pipeline — and
-        // only until the peer's EOF: readiness is level-triggered, so a
-        // half-closed socket kept open for a deferred reply would
-        // otherwise wake the loop until that reply arrives.
-        let want = Interest {
-            readable: !conn.eof && !conn.stalled(),
-            writable: !drained,
-        };
-        if want != conn.interest {
-            conn.interest = want;
-            let _ = poller.modify(conn.stream.as_raw_fd(), token, want);
-        }
-        true
+        open
     }
 }
 
 /// A running node: its one thread. Shuts it down (and joins it) on drop.
-pub(crate) struct Node<R> {
+pub(crate) struct Node<R: Role> {
     /// The node's inbox; dropping it is the shutdown request.
     calls: Option<Sender<Call<R>>>,
     /// Makes `Poller::wait` return so a call, or the shutdown, is seen.
@@ -448,9 +467,27 @@ impl<R: Role> Node<R> {
         &self,
         f: impl FnOnce(&mut R, SimTime, &mut Outbox) -> T + Send + 'static,
     ) -> io::Result<T> {
+        self.on_thread(move |rt| {
+            let now = rt.now();
+            f(&mut rt.role, now, &mut rt.outbox)
+        })
+    }
+
+    /// The node's Prometheus text exposition — what `GET /metrics` on its
+    /// listener returns; empty if the node's thread is gone.
+    pub fn metrics_text(&self) -> String {
+        self.on_thread(|rt| rt.role.render_metrics(&rt.conns.counters))
+            .unwrap_or_default()
+    }
+
+    /// Runs `f` on the node's thread between events; see [`Node::call`].
+    fn on_thread<T: Send + 'static>(
+        &self,
+        f: impl FnOnce(&mut Runtime<R>) -> T + Send + 'static,
+    ) -> io::Result<T> {
         let (tx, rx) = mpsc::sync_channel(1);
         // One box per call, on the caller's thread.
-        let call: Call<R> = Box::new(move |r, now, out| tx.send(f(r, now, out)).unwrap_or(())); // xtask-lint: allow(hot-loop-alloc)
+        let call: Call<R> = Box::new(move |rt| tx.send(f(rt)).unwrap_or(())); // xtask-lint: allow(hot-loop-alloc)
         let calls = self.calls.as_ref();
         if calls.is_some_and(|calls| calls.send(call).is_ok()) {
             self.wake.wake();
@@ -459,7 +496,7 @@ impl<R: Role> Node<R> {
     }
 }
 
-impl<R> Drop for Node<R> {
+impl<R: Role> Drop for Node<R> {
     fn drop(&mut self) {
         self.calls = None;
         self.wake.wake();
@@ -484,7 +521,7 @@ pub(crate) fn spawn<R: Role>(
     use std::os::fd::AsRawFd;
     // Dial first: an unreachable upstream fails the spawn.
     let dialled = match &hello {
-        Some(hello) => Some((hello.dial(Via::Upstream)?, hello.dial(Via::Dial)?)),
+        Some(hello) => Some((hello.dial()?, hello.dial()?)),
         None => None,
     };
     let mut poller = Poller::new()?;
@@ -502,6 +539,7 @@ pub(crate) fn spawn<R: Role>(
         listener,
         conns: Conns::with_capacity(256),
         outbox: Vec::with_capacity(64),
+        dirty: Vec::with_capacity(256),
         inbox,
         clock: WallClock::start(),
         deferred: 0,
@@ -529,6 +567,8 @@ struct Runtime<R: Role> {
     listener: TcpListener,
     conns: Conns<R::Tag>,
     outbox: Outbox,
+    /// Tokens of the connections flushed at the end of this turn.
+    dirty: Vec<u64>,
     /// [`Node::call`]'s queue, run when the waker fires.
     inbox: Receiver<Call<R>>,
     /// The node's one clock: what every role is told the time is.
@@ -549,6 +589,9 @@ impl<R: Role> Runtime<R> {
         // Started once the handle is gone: deferred replies get a bounded
         // window to arrive and flush before everything closes.
         let mut draining: Option<SimTime> = None;
+        // The `HELLO` [`spawn`] queued leaves before the first wait.
+        self.deliver_outbox();
+        self.flush_dirty();
         loop {
             let timeout = match draining {
                 Some(_) => Some(Duration::from_millis(20)),
@@ -558,6 +601,8 @@ impl<R: Role> Runtime<R> {
             if self.poller.wait(&mut events, timeout).is_err() {
                 break;
             }
+            self.conns.counters.wakes += 1;
+            self.conns.counters.events += events.len() as u64;
             for ev in events.iter().copied() {
                 match ev.token {
                     TOK_LISTENER => self.accept(),
@@ -568,7 +613,7 @@ impl<R: Role> Runtime<R> {
                     }
                     tok => {
                         if ev.writable {
-                            self.flush(tok);
+                            self.mark(tok);
                         }
                         if ev.readable || ev.error {
                             self.pump(tok);
@@ -584,6 +629,7 @@ impl<R: Role> Runtime<R> {
                 self.role.on_deadline(now, &mut self.outbox);
             }
             self.deliver_outbox();
+            self.flush_dirty();
             if draining.is_some_and(|since| self.deferred == 0 || now - since >= DRAIN) {
                 break;
             }
@@ -605,9 +651,8 @@ impl<R: Role> Runtime<R> {
         // Drained first: a call queued after this wakes the loop again.
         self.waker.drain();
         loop {
-            let now = self.now();
             match self.inbox.try_recv() {
-                Ok(call) => call(&mut self.role, now, &mut self.outbox),
+                Ok(call) => call(self),
                 Err(e) => return e == TryRecvError::Empty,
             }
         }
@@ -640,7 +685,7 @@ impl<R: Role> Runtime<R> {
                 continue;
             }
             link.dialled = now;
-            let stream = self.hello.as_ref().and_then(|hello| hello.dial(via).ok());
+            let stream = self.hello.as_ref().and_then(|hello| hello.dial().ok());
             let up = stream.is_some_and(|stream| self.adopt(via, stream));
             if let Via::Upstream = via {
                 self.role.on_redial(up, &mut self.outbox);
@@ -648,11 +693,18 @@ impl<R: Role> Runtime<R> {
         }
     }
 
-    /// Registers a freshly dialled upstream connection.
+    /// Registers a freshly dialled upstream connection; the channel's first frame is our `HELLO`.
     fn adopt(&mut self, via: Via, stream: TcpStream) -> bool {
         let tag = self.role.tag(via);
         let token = self.conns.insert(&mut self.poller, stream, tag).ok();
         self.link(via).token = token;
+        if let (Via::Dial, Some(token), Some(hello)) = (via, token, &self.hello) {
+            let hello = HttpMsg::Hello {
+                partition: hello.partition,
+                partitions: hello.partitions,
+            };
+            self.outbox.push(Out::Push(token, hello));
+        }
         token.is_some()
     }
 
@@ -699,10 +751,21 @@ impl<R: Role> Runtime<R> {
         }
     }
 
-    /// Flushes queued output, noticing if that closed the connection.
-    fn flush(&mut self, token: u64) {
-        if !self.conns.flush(&mut self.poller, token) {
-            self.closed(token);
+    /// Puts a connection on the list flushed at the end of the turn.
+    fn mark(&mut self, token: u64) {
+        if let Some(conn) = self.conns.get_mut(token).filter(|conn| !conn.dirty) {
+            conn.dirty = true;
+            self.dirty.push(token);
+        }
+    }
+
+    /// The end of the turn: flushes every connection marked during it,
+    /// once, noticing the ones that closed.
+    fn flush_dirty(&mut self) {
+        while let Some(token) = self.dirty.pop() {
+            if !self.conns.flush(&mut self.poller, token) {
+                self.closed(token);
+            }
         }
     }
 
@@ -724,7 +787,7 @@ impl<R: Role> Runtime<R> {
                 if let Some(conn) = self.conns.get_mut(tok) {
                     encode_into(&msg, conn.sbuf.tail());
                 }
-                self.flush(tok);
+                self.mark(tok);
             }
             // Keep the grown buffer unless a pump already queued more.
             if self.outbox.is_empty() {
@@ -748,15 +811,32 @@ impl<R: Role> Runtime<R> {
             if conn.stalled() {
                 break; // `redeem` resumes here
             }
+            let owed = conn.next_send != conn.next_assign;
             let after = match decode_frame(conn.rbuf.data(), conn.eof) {
                 Ok(None) => break, // mid-frame; more bytes may arrive
                 // Clean EOF between frames (a half-closing HTTP/1.0 client):
                 // every reply still owed goes out first. `redeem` closes
                 // behind the last deferred one ...
-                Err(WireError::Closed) if conn.next_send != conn.next_assign => break,
+                Err(WireError::Closed) if owed => break,
                 // ... and what is already queued flushes before the close.
-                Err(WireError::Closed) if !conn.sbuf.is_empty() => After::CloseAfterFlush,
+                Err(WireError::Closed) => {
+                    conn.close_after_flush = true;
+                    break;
+                }
                 Err(_) => After::Close,
+                // A scrape is answered last on its connection, so it waits
+                // for every reply ahead of it; `redeem` resumes here.
+                Ok(Some((HttpMsgRef::MetricsGet, _))) if owed => break,
+                Ok(Some((HttpMsgRef::MetricsGet, used))) => {
+                    conn.rbuf.consume(used);
+                    let exposition = self.role.render_metrics(&self.conns.counters);
+                    let response = crate::scrape::metrics_response(&exposition);
+                    if let Some(conn) = self.conns.get_mut(token) {
+                        conn.sbuf.push_bytes(&response);
+                        conn.close_after_flush = true;
+                    }
+                    break;
+                }
                 Ok(Some((msg, used))) => {
                     let mut cx = Cx {
                         token,
@@ -774,16 +854,11 @@ impl<R: Role> Runtime<R> {
                     after
                 }
             };
-            match after {
-                After::Keep => {}
-                After::CloseAfterFlush => {
-                    conn.close_after_flush = true;
-                    break;
-                }
-                After::Close => return self.close(token),
+            if let After::Close = after {
+                return self.close(token);
             }
         }
-        self.flush(token);
+        self.mark(token);
     }
 
     /// Redeems one ticket: park its reply, then deliver every reply that
@@ -815,16 +890,18 @@ impl<R: Role> Runtime<R> {
                 }
             }
         }
-        if stalled && !conn.stalled() && !conn.close_after_flush {
-            // Requests were left undecoded (and unread) behind the full
-            // pipeline; no readiness event will announce them again.
+        // Requests left undecoded (and unread) behind a full pipeline, or a scrape
+        // behind the replies it waited for: no readiness event announces them again.
+        let drained = conn.next_send == conn.next_assign;
+        let resume = stalled && !conn.stalled() || drained && !conn.rbuf.is_empty();
+        if resume && !conn.close_after_flush {
             return self.pump(ticket.token);
         }
         // The peer half-closed while replies were owed: that was the last.
-        if conn.eof && conn.next_send == conn.next_assign {
+        if conn.eof && drained {
             conn.close_after_flush = true;
         }
-        self.flush(ticket.token);
+        self.mark(ticket.token);
     }
 }
 
@@ -836,7 +913,7 @@ mod tests {
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::mpsc::RecvTimeoutError;
     use std::sync::{Arc, Mutex};
-    use wcc_proto::{FrameReader, GetRequest, Reply, ReplyStatus, RequestId};
+    use wcc_proto::{encode, FrameReader, GetRequest, Reply, ReplyStatus, RequestId};
     use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, Url};
 
     fn live<T>(conns: &Conns<T>) -> usize {
@@ -861,6 +938,9 @@ mod tests {
     const FAIL: ClientId = ClientId::from_raw(3);
     /// Panics the role — once the test, told through the gate, says so.
     const DIE: ClientId = ClientId::from_raw(4);
+    /// Answered at once, and pushes a frame back to its own connection
+    /// through the outbox.
+    const PUSH: ClientId = ClientId::from_raw(5);
     /// Larger than loopback socket buffers absorb: a flush of a reply
     /// this size stays partial until the peer reads.
     const BIG: u64 = 16 << 20;
@@ -931,6 +1011,11 @@ mod tests {
                         let reply = (get.client == RELEASE).then(|| echo(&held));
                         cx.out.push(Out::Redeem(ticket, reply));
                     }
+                    if get.client == PUSH {
+                        let server = ServerId::new(0);
+                        let push = HttpMsg::InvalidateServer { server };
+                        cx.out.push(Out::Push(cx.token, push));
+                    }
                     cx.reply(echo(get));
                     After::Keep
                 }
@@ -944,6 +1029,12 @@ mod tests {
 
         fn on_dropped(&mut self, n: u64) {
             *self.shared.dropped.lock().unwrap() += n;
+        }
+
+        fn render_metrics(&self, reactor: &ReactorCounters) -> String {
+            let mut r = wcc_obs::Registry::default();
+            reactor.render(&mut r, &[("node", "echo")]);
+            r.render()
         }
 
         fn next_deadline(&self) -> Option<SimTime> {
@@ -1257,6 +1348,47 @@ mod tests {
         a.assert_quiet();
     }
 
+    /// Writes the node's send buffers have made so far.
+    fn send_calls(h: &Harness) -> u64 {
+        let counters = h.node.on_thread(|rt| rt.conns.counters);
+        counters.expect("live node").send_calls
+    }
+
+    /// Tickets redeemed in one turn — each reply parked behind the one
+    /// before, every inline reply behind them — leave in one write.
+    #[test]
+    fn redemptions_in_one_turn_leave_in_one_send() {
+        let h = start();
+        let mut a = Peer::connect(h.addr);
+        let mut side = Peer::connect(h.addr);
+        let n = 8;
+        let deferred: Vec<u8> = (1..=n).flat_map(|req| get(req, DEFER, 0)).collect();
+        a.send(&deferred);
+        side.barrier();
+        let before = send_calls(&h);
+        // One write, so one read takes every release.
+        let releases: Vec<u8> = (1..=n)
+            .flat_map(|req| frame(n + req, RELEASE, req as u32, 0))
+            .collect();
+        a.send(&releases);
+        let replies: Vec<u64> = (0..2 * n).map(|_| a.reply().0).collect();
+        assert_eq!(replies, (1..=2 * n).collect::<Vec<_>>());
+        assert_eq!(send_calls(&h) - before, 1);
+    }
+
+    #[test]
+    fn a_reply_and_a_push_in_one_turn_leave_in_one_send() {
+        let h = start();
+        let mut a = Peer::connect(h.addr);
+        a.barrier();
+        let before = send_calls(&h);
+        a.send(&get(1, PUSH, 0));
+        assert_eq!(a.reply().0, 1);
+        let pushed = a.r.next_msg();
+        assert!(matches!(pushed, Ok(HttpMsgRef::InvalidateServer { .. })));
+        assert_eq!(send_calls(&h) - before, 1);
+    }
+
     /// The loops this runtime replaced ticked on idleness: a fixed wait
     /// timeout, restarted by every wake, acted on only when a wake came
     /// back empty — under steady traffic the §5 retry never fired.
@@ -1299,7 +1431,7 @@ mod tests {
         entered.recv().expect("the role took the fatal frame");
         // The node's thread is inside `on_frame`: this waits in the inbox.
         let (tx, queued) = mpsc::sync_channel(1);
-        let call: Call<Echo> = Box::new(move |_, _, _| tx.send(()).unwrap());
+        let call: Call<Echo> = Box::new(move |_| tx.send(()).unwrap());
         let calls = h.node.calls.as_ref().expect("live handle");
         calls.send(call).expect("queued");
         go.send(()).expect("release the role");

@@ -63,9 +63,151 @@ struct OriginRole {
     batch_sizes: Histogram,
 }
 
-impl OriginRole {
-    /// Renders the node's registry as Prometheus text exposition.
-    fn render_metrics(&self) -> String {
+/// A running TCP origin. Shuts down (and joins its reactor) on drop.
+pub struct NetOrigin {
+    addr: SocketAddr,
+    node: Node<OriginRole>,
+}
+
+impl std::fmt::Debug for NetOrigin {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NetOrigin")
+            .field("addr", &self.addr)
+            .finish()
+    }
+}
+
+impl NetOrigin {
+    /// Binds a loopback listener and starts serving.
+    ///
+    /// # Errors
+    ///
+    /// Returns any socket error from binding.
+    pub fn spawn(config: OriginConfig) -> std::io::Result<NetOrigin> {
+        Self::spawn_at("127.0.0.1:0".parse().expect("literal addr"), config, false)
+    }
+
+    /// Binds `addr` (use port 0 for ephemeral) and starts serving; with
+    /// `recovering = true` the origin assumes its site lists were lost in
+    /// a crash and runs the §5 bulk-invalidation recovery against every
+    /// proxy that (re)registers.
+    ///
+    /// # Errors
+    ///
+    /// Returns any socket error from binding.
+    pub fn spawn_at(
+        addr: SocketAddr,
+        config: OriginConfig,
+        recovering: bool,
+    ) -> std::io::Result<NetOrigin> {
+        let listener = TcpListener::bind(addr)?;
+        let addr = listener.local_addr()?;
+        let mut core = OriginCore::new(
+            ServerConsistency::new(&config.protocol, config.server),
+            config.doc_sizes,
+            config.doc_scale.max(1),
+            RETRY,
+            MAX_RETRIES,
+            config.inval_batch,
+        );
+        if recovering {
+            core.recover_unknown_sites();
+        }
+        let role = OriginRole {
+            core,
+            links: Downstream::new(config.server),
+            serve_latency: Histogram::default(),
+            batch_sizes: Histogram::default(),
+        };
+        let node = evloop::spawn(role, listener, None)?;
+        Ok(NetOrigin { addr, node })
+    }
+
+    /// The address to point proxies and the check-in utility at.
+    pub fn addr(&self) -> SocketAddr {
+        self.addr
+    }
+
+    /// The current Prometheus text exposition — the same body `GET
+    /// /metrics` on [`NetOrigin::addr`] returns; empty if the node's
+    /// thread is gone.
+    pub fn metrics_text(&self) -> String {
+        self.node.metrics_text()
+    }
+
+    /// A copy of the current counters and site-list stats; all zero if the
+    /// node's thread is gone.
+    pub fn snapshot(&self) -> OriginSnapshot {
+        let snapshot = self.node.call(|o, _, _| o.core.snapshot());
+        snapshot.unwrap_or_default()
+    }
+
+    /// Swaps the payload scale factor at runtime (`wcc serve`'s SIGHUP
+    /// config reload); a no-op if the node's thread is gone.
+    pub fn set_doc_scale(&self, doc_scale: u64) {
+        let scale = doc_scale.max(1);
+        let _ = self.node.call(move |o, _, _| o.core.set_doc_scale(scale));
+    }
+
+    /// Whether §5 restart recovery has finished. Always true for an
+    /// origin spawned with `recovering = false`; after a crash restart it
+    /// turns true once at least one proxy re-registered and every bulk
+    /// invalidation sent so far was acknowledged. `false` if the node's
+    /// thread is gone.
+    pub fn recovery_complete(&self) -> bool {
+        let done = self.node.call(|o, _, _| o.core.recovery_complete());
+        done.unwrap_or(false)
+    }
+
+    /// Polls until [`NetOrigin::recovery_complete`] or `timeout` elapses;
+    /// `false` at once if the node's thread is gone.
+    pub fn wait_recovery_complete(&self, timeout: Duration) -> bool {
+        self.wait_until(timeout, |core| core.recovery_complete())
+    }
+
+    /// Polls until every outstanding invalidation is acknowledged (the
+    /// paper's write-completion condition) or `timeout` elapses. Returns
+    /// whether completion was reached; `false` at once if the node's
+    /// thread is gone.
+    pub fn wait_writes_complete(&self, timeout: Duration) -> bool {
+        self.wait_until(timeout, |core| core.consistency().writes_complete())
+    }
+
+    /// Polls `reached` on the node's thread, measuring `timeout` on the
+    /// node's clock.
+    fn wait_until(&self, timeout: Duration, reached: fn(&OriginCore) -> bool) -> bool {
+        let mut since = None;
+        while let Ok((done, now)) = self.node.call(move |o, now, _| (reached(&o.core), now)) {
+            let waited = Duration::from_micros((now - *since.get_or_insert(now)).as_micros());
+            if done || waited >= timeout {
+                return done;
+            }
+            std::thread::sleep(Duration::from_millis(2));
+        }
+        false
+    }
+}
+
+impl Role for OriginRole {
+    /// `HELLO` upgrades a plain connection into the push channel of one
+    /// proxy partition: which.
+    type Tag = Option<u32>;
+
+    fn tag(&self, _via: Via) -> Option<u32> {
+        None
+    }
+
+    fn next_deadline(&self) -> Option<SimTime> {
+        self.links.next_deadline()
+    }
+
+    fn on_deadline(&mut self, now: SimTime, out: &mut Outbox) {
+        self.links.fire(&mut self.core, now);
+        let sizes = &mut self.batch_sizes;
+        self.links.emit(now, out, |n| sizes.record(n));
+    }
+
+    fn render_metrics(&self, reactor: &evloop::ReactorCounters) -> String {
         let node = [("node", "origin")];
         let c = &self.core.snapshot();
         let mut r = Registry::default();
@@ -172,153 +314,8 @@ impl OriginRole {
             &node,
             &self.batch_sizes,
         );
+        reactor.render(&mut r, &node);
         r.render()
-    }
-}
-
-/// A running TCP origin. Shuts down (and joins its reactor) on drop.
-pub struct NetOrigin {
-    addr: SocketAddr,
-    node: Node<OriginRole>,
-}
-
-impl std::fmt::Debug for NetOrigin {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("NetOrigin")
-            .field("addr", &self.addr)
-            .finish()
-    }
-}
-
-impl NetOrigin {
-    /// Binds a loopback listener and starts serving.
-    ///
-    /// # Errors
-    ///
-    /// Returns any socket error from binding.
-    pub fn spawn(config: OriginConfig) -> std::io::Result<NetOrigin> {
-        Self::spawn_at("127.0.0.1:0".parse().expect("literal addr"), config, false)
-    }
-
-    /// Binds `addr` (use port 0 for ephemeral) and starts serving; with
-    /// `recovering = true` the origin assumes its site lists were lost in
-    /// a crash and runs the §5 bulk-invalidation recovery against every
-    /// proxy that (re)registers.
-    ///
-    /// # Errors
-    ///
-    /// Returns any socket error from binding.
-    pub fn spawn_at(
-        addr: SocketAddr,
-        config: OriginConfig,
-        recovering: bool,
-    ) -> std::io::Result<NetOrigin> {
-        let listener = TcpListener::bind(addr)?;
-        let addr = listener.local_addr()?;
-        let mut core = OriginCore::new(
-            ServerConsistency::new(&config.protocol, config.server),
-            config.doc_sizes,
-            config.doc_scale.max(1),
-            RETRY,
-            MAX_RETRIES,
-            config.inval_batch,
-        );
-        if recovering {
-            core.recover_unknown_sites();
-        }
-        let role = OriginRole {
-            core,
-            links: Downstream::new(config.server),
-            serve_latency: Histogram::default(),
-            batch_sizes: Histogram::default(),
-        };
-        let node = evloop::spawn(role, listener, None)?;
-        Ok(NetOrigin { addr, node })
-    }
-
-    /// The address to point proxies and the check-in utility at.
-    pub fn addr(&self) -> SocketAddr {
-        self.addr
-    }
-
-    /// The current Prometheus text exposition — the same body `GET
-    /// /metrics` on [`NetOrigin::addr`] returns; empty if the node's
-    /// thread is gone.
-    pub fn metrics_text(&self) -> String {
-        let text = self.node.call(|o, _, _| o.render_metrics());
-        text.unwrap_or_default()
-    }
-
-    /// A copy of the current counters and site-list stats; all zero if the
-    /// node's thread is gone.
-    pub fn snapshot(&self) -> OriginSnapshot {
-        let snapshot = self.node.call(|o, _, _| o.core.snapshot());
-        snapshot.unwrap_or_default()
-    }
-
-    /// Swaps the payload scale factor at runtime (`wcc serve`'s SIGHUP
-    /// config reload); a no-op if the node's thread is gone.
-    pub fn set_doc_scale(&self, doc_scale: u64) {
-        let scale = doc_scale.max(1);
-        let _ = self.node.call(move |o, _, _| o.core.set_doc_scale(scale));
-    }
-
-    /// Whether §5 restart recovery has finished. Always true for an
-    /// origin spawned with `recovering = false`; after a crash restart it
-    /// turns true once at least one proxy re-registered and every bulk
-    /// invalidation sent so far was acknowledged. `false` if the node's
-    /// thread is gone.
-    pub fn recovery_complete(&self) -> bool {
-        let done = self.node.call(|o, _, _| o.core.recovery_complete());
-        done.unwrap_or(false)
-    }
-
-    /// Polls until [`NetOrigin::recovery_complete`] or `timeout` elapses;
-    /// `false` at once if the node's thread is gone.
-    pub fn wait_recovery_complete(&self, timeout: Duration) -> bool {
-        self.wait_until(timeout, |core| core.recovery_complete())
-    }
-
-    /// Polls until every outstanding invalidation is acknowledged (the
-    /// paper's write-completion condition) or `timeout` elapses. Returns
-    /// whether completion was reached; `false` at once if the node's
-    /// thread is gone.
-    pub fn wait_writes_complete(&self, timeout: Duration) -> bool {
-        self.wait_until(timeout, |core| core.consistency().writes_complete())
-    }
-
-    /// Polls `reached` on the node's thread, measuring `timeout` on the
-    /// node's clock.
-    fn wait_until(&self, timeout: Duration, reached: fn(&OriginCore) -> bool) -> bool {
-        let mut since = None;
-        while let Ok((done, now)) = self.node.call(move |o, now, _| (reached(&o.core), now)) {
-            let waited = Duration::from_micros((now - *since.get_or_insert(now)).as_micros());
-            if done || waited >= timeout {
-                return done;
-            }
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        false
-    }
-}
-
-impl Role for OriginRole {
-    /// `HELLO` upgrades a plain connection into the push channel of one
-    /// proxy partition: which.
-    type Tag = Option<u32>;
-
-    fn tag(&self, _via: Via) -> Option<u32> {
-        None
-    }
-
-    fn next_deadline(&self) -> Option<SimTime> {
-        self.links.next_deadline()
-    }
-
-    fn on_deadline(&mut self, now: SimTime, out: &mut Outbox) {
-        self.links.fire(&mut self.core, now);
-        let sizes = &mut self.batch_sizes;
-        self.links.emit(now, out, |n| sizes.record(n));
     }
 
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
@@ -336,7 +333,6 @@ impl Role for OriginRole {
                 self.serve_latency.record(took.as_micros());
                 cx.reply(HttpMsg::Reply(reply));
             }
-            HttpMsgRef::MetricsGet => return cx.reply_metrics(&self.render_metrics()),
             HttpMsgRef::Notify { url, at } => {
                 if core.touch(*url, *at, now).is_none() {
                     return After::Close; // not a document of this origin

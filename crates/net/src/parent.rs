@@ -97,59 +97,6 @@ impl ParentRole {
             ..self.local
         }
     }
-
-    /// Renders the parent's registry as Prometheus text exposition.
-    fn render_metrics(&self) -> String {
-        let node = [("node", "parent")];
-        let down = self.down.snapshot();
-        let c = self.counters(&down);
-        let mut r = Registry::default();
-        r.set_counter(
-            "wcc_child_requests_total",
-            "Requests received from children.",
-            &node,
-            c.child_requests,
-        );
-        r.set_counter(
-            "wcc_hits_total",
-            "Child requests answered from the parent cache.",
-            &node,
-            c.parent_hits,
-        );
-        r.set_counter(
-            "wcc_misses_total",
-            "Child requests that missed the parent cache.",
-            &node,
-            c.child_requests - c.parent_hits,
-        );
-        r.set_counter(
-            "wcc_reactor_hits_total",
-            "Child GETs answered without upstream contact.",
-            &node,
-            c.reactor_hits,
-        );
-        r.set_counter(
-            "wcc_upstream_requests_total",
-            "Requests forwarded to the origin.",
-            &node,
-            c.upstream_requests,
-        );
-        r.set_counter(
-            "wcc_invalidations_relayed_total",
-            "INVALIDATEs relayed to children.",
-            &node,
-            c.invalidations_relayed,
-        );
-        render_sitelist(&mut r, &node, &down.sitelist);
-        r.set_histogram(
-            "wcc_serve_latency_seconds",
-            "Wall-time child GET service latency, upstream fetches included.",
-            &node,
-            &self.up.latency,
-        );
-        self.up.render(&mut r, &node);
-        r.render()
-    }
 }
 
 /// The identity the parent presents to the origin: every copy it holds,
@@ -221,8 +168,7 @@ impl NetParent {
     /// /metrics` on [`NetParent::addr`] returns; empty if the node's
     /// thread is gone.
     pub fn metrics_text(&self) -> String {
-        let text = self.node.call(|p, _, _| p.render_metrics());
-        text.unwrap_or_default()
+        self.node.metrics_text()
     }
 }
 
@@ -260,6 +206,59 @@ impl Role for ParentRole {
 
     fn on_redial(&mut self, up: bool, out: &mut Outbox) {
         self.up.redialled(up, out);
+    }
+
+    fn render_metrics(&self, reactor: &evloop::ReactorCounters) -> String {
+        let node = [("node", "parent")];
+        let down = self.down.snapshot();
+        let c = self.counters(&down);
+        let mut r = Registry::default();
+        r.set_counter(
+            "wcc_child_requests_total",
+            "Requests received from children.",
+            &node,
+            c.child_requests,
+        );
+        r.set_counter(
+            "wcc_hits_total",
+            "Child requests answered from the parent cache.",
+            &node,
+            c.parent_hits,
+        );
+        r.set_counter(
+            "wcc_misses_total",
+            "Child requests that missed the parent cache.",
+            &node,
+            c.child_requests - c.parent_hits,
+        );
+        r.set_counter(
+            "wcc_reactor_hits_total",
+            "Child GETs answered without upstream contact.",
+            &node,
+            c.reactor_hits,
+        );
+        r.set_counter(
+            "wcc_upstream_requests_total",
+            "Requests forwarded to the origin.",
+            &node,
+            c.upstream_requests,
+        );
+        r.set_counter(
+            "wcc_invalidations_relayed_total",
+            "INVALIDATEs relayed to children.",
+            &node,
+            c.invalidations_relayed,
+        );
+        render_sitelist(&mut r, &node, &down.sitelist);
+        r.set_histogram(
+            "wcc_serve_latency_seconds",
+            "Wall-time child GET service latency, upstream fetches included.",
+            &node,
+            &self.up.latency,
+        );
+        self.up.render(&mut r, &node);
+        reactor.render(&mut r, &node);
+        r.render()
     }
 
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
@@ -316,7 +315,6 @@ impl Role for ParentRole {
                     }
                     After::Keep
                 }
-                HttpMsgRef::MetricsGet => return cx.reply_metrics(&self.render_metrics()),
                 HttpMsgRef::Hello {
                     partition,
                     partitions,

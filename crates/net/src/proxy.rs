@@ -108,76 +108,6 @@ impl ProxyRole {
             ..self.local
         }
     }
-
-    /// Renders the proxy's registry as Prometheus text exposition.
-    fn render_metrics(&self) -> String {
-        let node = [("node", "proxy")];
-        let c = self.counters();
-        let mut r = Registry::default();
-        r.set_counter("wcc_requests_total", "Fetches served.", &node, c.requests);
-        r.set_counter(
-            "wcc_hits_total",
-            "Fetches that found a cached entry.",
-            &node,
-            c.hits,
-        );
-        r.set_counter(
-            "wcc_misses_total",
-            "Fetches that found no cached entry.",
-            &node,
-            c.requests - c.hits,
-        );
-        r.set_counter(
-            "wcc_reactor_hits_total",
-            "Client GETs answered without upstream contact.",
-            &node,
-            c.reactor_hits,
-        );
-        r.set_counter(
-            "wcc_gets_sent_total",
-            "Plain GETs sent upstream.",
-            &node,
-            c.gets_sent,
-        );
-        r.set_counter(
-            "wcc_ims_sent_total",
-            "If-Modified-Since requests sent upstream.",
-            &node,
-            c.ims_sent,
-        );
-        r.set_counter(
-            "wcc_replies_200_total",
-            "200 replies received.",
-            &node,
-            c.replies_200,
-        );
-        r.set_counter(
-            "wcc_replies_304_total",
-            "304 replies received.",
-            &node,
-            c.replies_304,
-        );
-        r.set_counter(
-            "wcc_piggybacked_total",
-            "Piggybacked invalidations received (PSI).",
-            &node,
-            c.piggybacked_received,
-        );
-        r.set_counter(
-            "wcc_dropped_connections_total",
-            "Client connections dropped by the serving tier.",
-            &node,
-            c.dropped_connections,
-        );
-        r.set_histogram(
-            "wcc_fetch_latency_seconds",
-            "Wall-time fetch latency, cache hits included.",
-            &node,
-            &self.up.latency,
-        );
-        self.up.render(&mut r, &node);
-        r.render()
-    }
 }
 
 /// The `200` a client-listener `GET` is answered with.
@@ -264,8 +194,7 @@ impl NetProxy {
     /// /metrics` on [`NetProxy::client_addr`] returns; empty if the node's
     /// thread is gone.
     pub fn metrics_text(&self) -> String {
-        let text = self.node.call(|role, _, _| role.render_metrics());
-        text.unwrap_or_default()
+        self.node.metrics_text()
     }
 
     /// Serves one browser request for `url` on behalf of `client`, at
@@ -336,6 +265,76 @@ impl Role for ProxyRole {
         self.local.dropped_connections += n;
     }
 
+    fn render_metrics(&self, reactor: &evloop::ReactorCounters) -> String {
+        let node = [("node", "proxy")];
+        let c = self.counters();
+        let mut r = Registry::default();
+        r.set_counter("wcc_requests_total", "Fetches served.", &node, c.requests);
+        r.set_counter(
+            "wcc_hits_total",
+            "Fetches that found a cached entry.",
+            &node,
+            c.hits,
+        );
+        r.set_counter(
+            "wcc_misses_total",
+            "Fetches that found no cached entry.",
+            &node,
+            c.requests - c.hits,
+        );
+        r.set_counter(
+            "wcc_reactor_hits_total",
+            "Client GETs answered without upstream contact.",
+            &node,
+            c.reactor_hits,
+        );
+        r.set_counter(
+            "wcc_gets_sent_total",
+            "Plain GETs sent upstream.",
+            &node,
+            c.gets_sent,
+        );
+        r.set_counter(
+            "wcc_ims_sent_total",
+            "If-Modified-Since requests sent upstream.",
+            &node,
+            c.ims_sent,
+        );
+        r.set_counter(
+            "wcc_replies_200_total",
+            "200 replies received.",
+            &node,
+            c.replies_200,
+        );
+        r.set_counter(
+            "wcc_replies_304_total",
+            "304 replies received.",
+            &node,
+            c.replies_304,
+        );
+        r.set_counter(
+            "wcc_piggybacked_total",
+            "Piggybacked invalidations received (PSI).",
+            &node,
+            c.piggybacked_received,
+        );
+        r.set_counter(
+            "wcc_dropped_connections_total",
+            "Client connections dropped by the serving tier.",
+            &node,
+            c.dropped_connections,
+        );
+        r.set_histogram(
+            "wcc_fetch_latency_seconds",
+            "Wall-time fetch latency, cache hits included.",
+            &node,
+            &self.up.latency,
+        );
+        self.up.render(&mut r, &node);
+        reactor.render(&mut r, &node);
+        r.render()
+    }
+
     fn next_deadline(&self) -> Option<SimTime> {
         self.up.next_deadline()
     }
@@ -372,8 +371,8 @@ impl Role for ProxyRole {
                     }
                     After::Keep
                 }
-                HttpMsgRef::MetricsGet => cx.reply_metrics(&self.render_metrics()),
-                HttpMsgRef::Reply(_)
+                HttpMsgRef::MetricsGet
+                | HttpMsgRef::Reply(_)
                 | HttpMsgRef::Invalidate { .. }
                 | HttpMsgRef::InvalidateBatch(_)
                 | HttpMsgRef::InvalidateBatchAck(_)

@@ -85,6 +85,14 @@ impl Wire {
         }));
     }
 
+    /// Every byte the peer sends until it closes, raw: for an answer that
+    /// is not all frames, on a connection no frame was read from yet.
+    pub fn read_to_end(&mut self) -> Vec<u8> {
+        let mut bytes = Vec::new();
+        self.w.read_to_end(&mut bytes).expect("read to EOF");
+        bytes
+    }
+
     /// The peer closed the connection (nothing but EOF is left).
     pub fn assert_closed(&mut self) {
         assert!(matches!(self.r.next_msg(), Err(WireError::Closed)));

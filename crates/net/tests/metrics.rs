@@ -44,6 +44,19 @@ fn assert_upstream_families_idle(text: &str, node: &str) {
     }
 }
 
+/// The reactor's counters are exposed, and have counted the traffic.
+fn assert_reactor_families_counted(text: &str, node: &str) {
+    for family in [
+        "wcc_reactor_wakes_total",
+        "wcc_reactor_events_total",
+        "wcc_reactor_send_calls_total",
+        "wcc_reactor_send_bytes_total",
+    ] {
+        let line = format!(r#"{family}{{node="{node}"}}"#);
+        assert!(sample(text, &line).is_some_and(|v| v > 0.0), "{line}");
+    }
+}
+
 #[test]
 fn origin_metrics_scrape_is_valid_and_counts_traffic() {
     let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
@@ -87,6 +100,7 @@ fn origin_metrics_scrape_is_valid_and_counts_traffic() {
         sample(&text, r#"wcc_serve_latency_seconds_count{node="origin"}"#),
         Some(1.0)
     );
+    assert_reactor_families_counted(&text, "origin");
     // The in-process accessor returns the same family set.
     validate_exposition(&origin.metrics_text()).unwrap();
 
@@ -113,6 +127,7 @@ fn origin_metrics_scrape_is_valid_and_counts_traffic() {
         Some(0.0)
     );
     assert_upstream_families_idle(&text, "proxy");
+    assert_reactor_families_counted(&text, "proxy");
 
     // Scrapes are one-shot connections: the protocol path still works after.
     let third = proxy.fetch(c, url(2), SimTime::from_secs(20)).unwrap();
@@ -161,5 +176,6 @@ fn parent_metrics_scrape_is_valid() {
         Some(2.0)
     );
     assert_upstream_families_idle(&text, "parent");
+    assert_reactor_families_counted(&text, "parent");
     validate_exposition(&parent.metrics_text()).unwrap();
 }

@@ -3,15 +3,16 @@
 //! invalidation is acknowledged at once and poisons the fetch it overtook,
 //! a dropped request connection is re-dialled with its flights re-sent, a
 //! flight nobody answers times out, a pipelining client cannot make the
-//! proxy hold more than a bounded number of requests, and a blocking
-//! `fetch` is one more client of all this.
+//! proxy hold more than a bounded number of requests, a scrape waits for
+//! the replies ahead of it, and a blocking `fetch` is one more client of
+//! all this.
 
 mod common;
 
 use common::{get, url, ScriptedUpstream, Wire, SERVER};
 use wcc_core::{ProtocolConfig, ProtocolKind};
 use wcc_net::{FetchKind, NetProxy};
-use wcc_proto::{HttpMsg, HttpMsgRef};
+use wcc_proto::{decode_frame, HttpMsg, HttpMsgRef};
 use wcc_types::{ByteSize, ClientId, SimTime};
 
 /// `MAX_PIPELINE` of `crates/net/src/evloop.rs`.
@@ -219,6 +220,27 @@ fn a_pipelining_client_is_read_no_further_than_max_pipeline() {
         }
     }
     requests.assert_quiet();
+    assert_eq!(proxy.counters().dropped_connections, 0);
+}
+
+/// A scrape is a connection's last answer, so one pipelined behind a miss
+/// waits for the miss's reply: the `200` first, then the exposition, then
+/// the close.
+#[test]
+fn a_scrape_pipelined_behind_a_miss_waits_for_its_reply() {
+    let (_upstream, proxy, mut requests, _channel) = start();
+    let mut a = Wire::connect(proxy.client_addr());
+    a.send_all(&[get(1, 1, C, t(1)), HttpMsg::MetricsGet]);
+    let miss = requests.recv_get();
+    requests.reply_200(&miss, t(0));
+    let bytes = a.read_to_end();
+    let (first, used) = decode_frame(&bytes, true)
+        .expect("a frame first")
+        .expect("a whole frame");
+    assert!(matches!(first, HttpMsgRef::Reply(reply) if reply.req.get() == 1));
+    let scrape = String::from_utf8_lossy(&bytes[used..]);
+    assert!(scrape.starts_with("HTTP/1.0 200 OK"), "{scrape}");
+    assert!(scrape.contains("wcc_reactor_send_calls_total"), "{scrape}");
     assert_eq!(proxy.counters().dropped_connections, 0);
 }
 

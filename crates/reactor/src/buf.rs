@@ -137,6 +137,8 @@ pub struct SendBuf {
     bytes: Vec<u8>,
     /// Bytes before `pos` are already on the wire.
     pos: usize,
+    /// Writes made so far, partial and refused ones included.
+    writes: u64,
 }
 
 impl Default for SendBuf {
@@ -151,6 +153,7 @@ impl SendBuf {
         SendBuf {
             bytes: Vec::with_capacity(INIT_CAP),
             pos: 0,
+            writes: 0,
         }
     }
 
@@ -177,6 +180,12 @@ impl SendBuf {
         self.pending() == 0
     }
 
+    /// Writes [`flush`](Self::flush) has made so far, partial and refused
+    /// ones included.
+    pub fn writes(&self) -> u64 {
+        self.writes
+    }
+
     /// Writes as much as the sink accepts right now.
     ///
     /// Returns `Ok(true)` once fully drained, `Ok(false)` if bytes remain
@@ -184,6 +193,7 @@ impl SendBuf {
     /// absorbed into `Ok(false)` because it *is* the partial-write case.
     pub fn flush(&mut self, sink: &mut impl Write) -> io::Result<bool> {
         while let Some(rest) = self.bytes.get(self.pos..).filter(|rest| !rest.is_empty()) {
+            self.writes += 1;
             match sink.write(rest) {
                 Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
                 Ok(n) => self.pos += n,
@@ -251,6 +261,27 @@ mod tests {
         assert_eq!(sink.out, b"hello, readiness world");
         assert_eq!(total, sink.out.len());
         assert!(sb.is_empty());
+    }
+
+    #[test]
+    fn send_buf_counts_every_write_it_makes() {
+        let mut sb = SendBuf::new();
+        let mut sink = Throttle {
+            cap: 4,
+            armed: true,
+            out: Vec::new(),
+        };
+        // Nothing queued: no write at all.
+        assert!(sb.flush(&mut sink).expect("io"));
+        assert_eq!(sb.writes(), 0);
+        // A partial write, then the refused one that ends the round.
+        sb.push_bytes(b"0123456789");
+        assert!(!sb.flush(&mut sink).expect("io"));
+        assert_eq!(sb.writes(), 2);
+        sink.armed = true;
+        sink.cap = 64;
+        assert!(sb.flush(&mut sink).expect("io"));
+        assert_eq!(sb.writes(), 3);
     }
 
     #[test]

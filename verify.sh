@@ -85,6 +85,14 @@ echo "==> origin conformance + missed-invalidation regression (serve tier)"
 cargo test -q --test origin_conformance
 cargo test -q -p wcc-net --test serve_recovery --test hierarchy_tcp
 
+echo "==> one send per connection per turn (serve-tier flush rule)"
+# Output queued during a reactor turn leaves in one send(2) per connection at
+# the turn's end: tickets redeemed in one turn, and a reply plus a push, each
+# move the node's send-call counter by exactly 1; a /metrics scrape pipelined
+# behind a miss waits for the miss's reply. Also run in the suites above.
+cargo test -q -p wcc-net --lib in_one_send
+cargo test -q -p wcc-net --test scripted_upstream a_scrape_pipelined_behind_a_miss
+
 echo "==> wcc serve --self-check (smoke)"
 # Serving-tier self-check: spawn an origin+proxy daemon pair, push two
 # pipelined GETs over a real socket, scrape /metrics, shut down cleanly.
