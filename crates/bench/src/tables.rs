@@ -14,9 +14,7 @@ use wcc_core::analytical::{
     adaptive_ttl_formula, invalidation_formula, parse_stream, polling_formula, seq_stats, simulate,
 };
 use wcc_core::{AdaptiveLeaseConfig, ProtocolConfig, ProtocolKind};
-use wcc_httpsim::{
-    CacheSharing, Deployment, DeploymentOptions, InvalSendMode, RawReport, Topology,
-};
+use wcc_httpsim::{CacheSharing, Deployment, DeploymentOptions, RawReport, Topology};
 use wcc_replay::experiment::{materialise, run_on};
 use wcc_replay::tables::{format_table5_column, format_trio_block};
 use wcc_replay::{
@@ -43,7 +41,7 @@ pub const TABLES: &[(&str, &str, u64, TableFn)] = &[
     ("table4", "Table 4: NASA / SDSC replays", 1, table4),
     ("table5", "Table 5: invalidation costs", 1, table5),
     ("section6", "§6: two-tier lease evaluation", 1, section6),
-    ("ablation_decoupled", "A1: synchronous vs decoupled sender", 1, ablation_decoupled),
+    ("ablation_stall", "A1: per-write vs batched fan-out", 1, ablation_stall),
     ("ablation_replacement", "A2: expired-first vs LRU replacement", 1, ablation_replacement),
     ("ablation_lease", "A3: lease-duration sweep", 1, ablation_lease),
     ("ablation_wan", "A4: WAN latency extrapolation", 4, ablation_wan),
@@ -369,17 +367,19 @@ fn section6(scale: u64, jobs: Option<usize>) {
     );
 }
 
-/// Ablation A1: synchronous vs. decoupled invalidation sending.
+/// Ablation A1: the request stall of per-write fan-out, and the batched
+/// proposer that removes it.
 ///
 /// The paper traces its worst-case latency to the accelerator refusing new
 /// requests "until it finishes sending all invalidation messages", and
 /// predicts that "a more fine-tuned implementation would have a separate
 /// process sending the invalidation messages, thus avoiding the maximum
-/// latency problem." This program measures both designs.
-fn ablation_decoupled(scale: u64, jobs: Option<usize>) {
-    println!(
-        "=== Ablation A1: synchronous vs decoupled invalidation sender (scale 1/{scale}) ===\n"
-    );
+/// latency problem." The batched proposer is this reproduction's remedy:
+/// one `InvalidateBatch` per proxy per round replaces a write's per-copy
+/// sends, so no single write occupies the server for a whole fan-out. This
+/// program measures per-write fan-out against the proposer's defaults.
+fn ablation_stall(scale: u64, jobs: Option<usize>) {
+    println!("=== Ablation A1: per-write vs batched invalidation fan-out (scale 1/{scale}) ===\n");
     // High-churn, high-popularity settings where fan-outs are large enough
     // to stall: NASA with a 7-day lifetime and SDSC with 2.5 days.
     let cases = [
@@ -389,12 +389,12 @@ fn ablation_decoupled(scale: u64, jobs: Option<usize>) {
     let configs: Vec<ExperimentConfig> = cases
         .iter()
         .flat_map(|(spec, lifetime)| {
-            [InvalSendMode::Synchronous, InvalSendMode::Decoupled].map(|send_mode| {
+            [None, Some(InvalBatchConfig::default())].map(|inval_batch| {
                 workload(spec.clone(), scale)
                     .protocol(ProtocolKind::Invalidation)
                     .mean_lifetime(*lifetime)
                     .options(DeploymentOptions {
-                        send_mode,
+                        inval_batch,
                         ..DeploymentOptions::default()
                     })
                     .build()
@@ -407,13 +407,16 @@ fn ablation_decoupled(scale: u64, jobs: Option<usize>) {
         let arms = [&pair[0].raw, &pair[1].raw];
         let w = (30, 16);
         println!("--- {name} (lifetime {lifetime}) ---");
-        println!("{:<30}{:>16}{:>16}", "", "synchronous", "decoupled");
+        println!("{:<30}{:>16}{:>16}", "", "per-write", "batched");
         row(w, "Invalidations (fresh)", &arms, |r| {
             r.invalidations - r.invalidation_retries
         });
+        row(w, "Wire INVALIDATE messages", &arms, |r| {
+            r.origin_counters.wire_invalidations()
+        });
         row(w, "Avg latency", &arms, |r| fmt_ms(r.latency.mean()));
         row(w, "Max latency", &arms, |r| fmt_ms(r.latency.max()));
-        row(w, "Max invalidation batch time", &arms, |r| {
+        row(w, "Max invalidation time", &arms, |r| {
             fmt_ms(r.inval_time.max())
         });
         row(w, "Server CPU", &arms, |r| {
@@ -422,9 +425,10 @@ fn ablation_decoupled(scale: u64, jobs: Option<usize>) {
         println!();
     }
     println!(
-        "Expected shape: identical traffic, but the synchronous sender's max\n\
-         latency includes whole invalidation batches; decoupling removes the\n\
-         stall, as §5.2 predicts."
+        "Expected shape: the same fresh invalidations, but per-write fan-out's\n\
+         max latency includes a whole fan-out; batching shortens the stall\n\
+         and with it the worst request, the effect §5.2 predicts for a\n\
+         separate sender."
     );
 }
 
@@ -568,13 +572,6 @@ fn family_replay(
     report
 }
 
-/// Wire INVALIDATE messages: per-copy sends with every batched entry
-/// replaced by its share of one batch message.
-pub(crate) fn wire_invalidations(r: &RawReport) -> u64 {
-    r.origin_counters.invalidations - r.origin_counters.batched_entries
-        + r.origin_counters.inval_batches
-}
-
 pub(crate) fn micros(d: Option<SimDuration>) -> u64 {
     d.map_or(0, |d| d.as_micros())
 }
@@ -618,7 +615,7 @@ fn ablation_proposer(scale: u64, _jobs: Option<usize>) {
         for threshold in THRESHOLDS {
             let batch = threshold.map(InvalBatchConfig::with_max_entries);
             let r = family_replay(&storm, &protocol, batch);
-            let wire = wire_invalidations(&r);
+            let wire = r.origin_counters.wire_invalidations();
             let counterfactual = r
                 .proposer
                 .map_or(r.invalidations, |p| p.enqueued + r.invalidation_retries);
@@ -673,7 +670,7 @@ fn ablation_proposer(scale: u64, _jobs: Option<usize>) {
                 fam.name(),
                 label,
                 r.total_messages,
-                wire_invalidations(&r),
+                r.origin_counters.wire_invalidations(),
                 r.hits as f64 / r.requests.max(1) as f64 * 100.0,
                 micros(r.latency.p99()),
                 r.stale_hits
@@ -784,8 +781,9 @@ fn ablation_replacement(scale: u64, jobs: Option<usize>) {
 /// sending invalidations is decoupled from handling regular HTTP requests."
 ///
 /// This program swaps the LAN link model for a WAN profile (≈40 ms one-way,
-/// 1.5 Mb/s) with a decoupled invalidation sender, and reports the latency
-/// comparison the paper predicted but could not run.
+/// 1.5 Mb/s) with the batched proposer keeping fan-out from stalling
+/// requests (A1), and reports the latency comparison the paper predicted
+/// but could not run.
 fn ablation_wan(scale: u64, jobs: Option<usize>) {
     println!("=== Ablation A4: WAN latency extrapolation (EPA, scale 1/{scale}) ===\n");
     for (label, network) in [
@@ -795,7 +793,7 @@ fn ablation_wan(scale: u64, jobs: Option<usize>) {
         let cfg = workload(TraceSpec::epa(), scale)
             .options(DeploymentOptions {
                 network,
-                send_mode: InvalSendMode::Decoupled,
+                inval_batch: Some(InvalBatchConfig::default()),
                 ..DeploymentOptions::default()
             })
             .build();
@@ -827,7 +825,7 @@ fn ablation_wan(scale: u64, jobs: Option<usize>) {
     }
     println!(
         "Expected shape: on the WAN, polling's average balloons (every hit\n\
-         pays a WAN round trip) while decoupled invalidation tracks adaptive\n\
+         pays a WAN round trip) while batched invalidation tracks adaptive\n\
          TTL — the §5.2 extrapolation, confirmed."
     );
 }

@@ -42,9 +42,9 @@ use std::fmt;
 use std::path::Path;
 use std::time::Instant;
 
-use crate::tables::{grid_configs, micros, wire_invalidations};
+use crate::tables::{grid_configs, micros};
 use crate::{paper_experiments, TABLE_SEED};
-use wcc_core::{ProtocolConfig, ProtocolKind};
+use wcc_core::{ProposerStats, ProtocolConfig, ProtocolKind};
 use wcc_httpsim::{Deployment, DeploymentOptions, RawReport};
 use wcc_replay::{run_batch, ExperimentConfig};
 use wcc_traces::family::{self, FamilyConfig, FamilyWorkload, WorkloadFamily};
@@ -586,19 +586,15 @@ fn proposer(report: &mut Report, scale: u64, flash_crowd: &Storm) {
         )
     });
 
-    let per_write_wire =
-        wire_invalidations(&flash_crowd.per_write) + wire_invalidations(&bn_per_write);
-    let batched_wire = wire_invalidations(&fc_batched) + wire_invalidations(&bn_batched);
+    let wire = |r: &RawReport| r.origin_counters.wire_invalidations();
+    let per_write_wire = wire(&flash_crowd.per_write) + wire(&bn_per_write);
+    let batched_wire = wire(&fc_batched) + wire(&bn_batched);
     let cut_pct = (1.0 - batched_wire as f64 / per_write_wire.max(1) as f64) * 100.0;
-    let (enqueued, flushed) = [&fc_batched, &bn_batched]
-        .iter()
-        .filter_map(|r| r.proposer)
-        .fold((0, 0), |(e, f), p| (e + p.enqueued, f + p.flushed_entries));
-    let coalesce_ratio = if flushed == 0 {
-        1.0
-    } else {
-        enqueued as f64 / flushed as f64
-    };
+    let mut stats = ProposerStats::default();
+    for p in [&fc_batched, &bn_batched].iter().filter_map(|r| r.proposer) {
+        stats.merge(&p);
+    }
+    let coalesce_ratio = stats.coalesce_ratio();
     let mut batched_writes = fc_batched.write_completion.clone();
     batched_writes.merge(&bn_batched.write_completion);
     let mut per_write_writes = flash_crowd.per_write.write_completion.clone();

@@ -99,8 +99,8 @@ pub struct OriginCounters {
     pub bulk_invalidations: u64,
     /// `InvalidateBatch` rounds flushed by the proposer (one per site).
     pub inval_batches: u64,
-    /// Entries carried by those rounds. Wire `INVALIDATE` messages are
-    /// `invalidations - batched_entries + inval_batches`.
+    /// Entries carried by those rounds (see
+    /// [`wire_invalidations`](Self::wire_invalidations)).
     pub batched_entries: u64,
     /// Acknowledgements received (per copy, per batch entry, per bulk).
     pub acks: u64,
@@ -120,6 +120,15 @@ pub struct OriginCounters {
     pub writes_complete: bool,
     /// Filled by [`WritePath::snapshot`]: site-list statistics.
     pub sitelist: SiteListStats,
+}
+
+impl OriginCounters {
+    /// Wire `INVALIDATE` messages: per-copy sends, with every batched entry
+    /// replaced by its share of one batch message. Equals `invalidations`
+    /// when the proposer is off.
+    pub fn wire_invalidations(&self) -> u64 {
+        self.invalidations - self.batched_entries + self.inval_batches
+    }
 }
 
 /// The write path of a node with caches below it. See the module docs.

@@ -43,6 +43,28 @@ pub struct ProposerStats {
     pub max_batch_entries: u64,
 }
 
+impl ProposerStats {
+    /// Adds `other`'s counts to these and keeps the larger single batch:
+    /// the proposers of a federation's origins read as one.
+    pub fn merge(&mut self, other: &ProposerStats) {
+        self.enqueued += other.enqueued;
+        self.coalesced += other.coalesced;
+        self.flushes += other.flushes;
+        self.flushed_entries += other.flushed_entries;
+        self.batches += other.batches;
+        self.max_batch_entries = self.max_batch_entries.max(other.max_batch_entries);
+    }
+
+    /// Intents per delivered entry (`> 1` once writes coalesce).
+    pub fn coalesce_ratio(&self) -> f64 {
+        if self.flushed_entries == 0 {
+            1.0
+        } else {
+            self.enqueued as f64 / self.flushed_entries as f64
+        }
+    }
+}
+
 /// Per-origin accumulator for pending invalidation fan-out.
 #[derive(Debug, Clone)]
 pub struct Proposer {

@@ -7,7 +7,7 @@
 
 use rand::Rng;
 use wcc_core::{AdaptiveLeaseConfig, ProtocolConfig, ProtocolKind};
-use wcc_httpsim::{CacheSharing, ChangeDetection, DeploymentOptions, InvalSendMode, Topology};
+use wcc_httpsim::{CacheSharing, ChangeDetection, DeploymentOptions, Topology};
 use wcc_traces::{TraceSpec, WorkloadFamily};
 use wcc_types::{ByteSize, InvalBatchConfig, SimDuration};
 
@@ -136,9 +136,10 @@ impl Scenario {
             num_proxies: rng.gen_range(1u32..=4),
             ..Default::default()
         };
-        if rng.gen_bool(0.25) {
-            options.send_mode = InvalSendMode::Decoupled;
-        }
+        // A retired dimension's draw (the decoupled invalidation sender),
+        // kept with its value discarded so every committed corpus seed
+        // still samples the same scenario in every other dimension.
+        let _ = rng.gen_bool(0.25);
         if rng.gen_bool(0.3) {
             options.sharing = CacheSharing::SharedPerProxy;
         }
@@ -187,11 +188,10 @@ impl Scenario {
             if f == WorkloadFamily::RealTimeFeed {
                 spec.diurnal_amplitude = 0.85;
             }
-            // Multi-origin deployments are flat with synchronous fan-out
-            // (`Deployment::build_multi`'s contract), and the interest
-            // steering is a single-origin feature.
+            // Multi-origin deployments are flat (`Deployment::build_multi`'s
+            // contract), and the interest steering is a single-origin
+            // feature.
             options.topology = Topology::Flat;
-            options.send_mode = InvalSendMode::Synchronous;
             interest = None;
         }
 
@@ -346,11 +346,6 @@ mod tests {
                     assert!(s.spec.num_docs >= s.spec.num_origins, "seed {seed}");
                     // `Deployment::build_multi` contract.
                     assert_eq!(s.options.topology, Topology::Flat, "seed {seed}");
-                    assert_eq!(
-                        s.options.send_mode,
-                        InvalSendMode::Synchronous,
-                        "seed {seed}"
-                    );
                     assert!(s.interest.is_none(), "seed {seed}");
                 }
             }

@@ -1,6 +1,5 @@
 //! The time coordinator: lock-step replay in five-minute windows.
 
-use crate::SimMsg;
 use wcc_proto::{CoordMsg, Message};
 use wcc_simnet::{Ctx, Node};
 use wcc_types::{FxHashSet, NodeId, SimDuration, SimTime};
@@ -76,7 +75,7 @@ impl CoordinatorNode {
         }
     }
 
-    fn broadcast(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
+    fn broadcast(&mut self, ctx: &mut Ctx<'_, Message>) {
         let msg = Message::Coord(CoordMsg::StepStart {
             step: self.step,
             window_end: self.window_end(self.step),
@@ -84,7 +83,7 @@ impl CoordinatorNode {
         self.waiting = self.participants.iter().copied().collect();
         for &node in &self.participants {
             let size = msg.wire_size();
-            ctx.send(node, SimMsg::Net(msg.clone()), size);
+            ctx.send(node, msg.clone(), size);
         }
         ctx.set_timer(WATCHDOG, self.step as u64);
     }
@@ -101,28 +100,28 @@ impl CoordinatorNode {
 
     /// Re-sends `StepStart` to nodes that have not reported done (they may
     /// have been down when the original went out).
-    fn nudge_stragglers(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
+    fn nudge_stragglers(&mut self, ctx: &mut Ctx<'_, Message>) {
         let msg = Message::Coord(CoordMsg::StepStart {
             step: self.step,
             window_end: self.window_end(self.step),
         });
         for node in self.stragglers() {
             let size = msg.wire_size();
-            ctx.send(node, SimMsg::Net(msg.clone()), size);
+            ctx.send(node, msg.clone(), size);
         }
         ctx.set_timer(WATCHDOG, self.step as u64);
     }
 }
 
-impl Node<SimMsg> for CoordinatorNode {
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, SimMsg>) {
+impl Node<Message> for CoordinatorNode {
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Message>) {
         if self.finished || token != self.step as u64 || self.waiting.is_empty() {
             return;
         }
         self.nudge_stragglers(ctx);
     }
 
-    fn on_start(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
+    fn on_start(&mut self, ctx: &mut Ctx<'_, Message>) {
         if self.participants.is_empty() {
             self.finished = true;
             self.finished_at = Some(ctx.now());
@@ -131,8 +130,8 @@ impl Node<SimMsg> for CoordinatorNode {
         self.broadcast(ctx);
     }
 
-    fn on_message(&mut self, from: NodeId, msg: SimMsg, ctx: &mut Ctx<'_, SimMsg>) {
-        let SimMsg::Net(Message::Coord(CoordMsg::StepDone { step })) = msg else {
+    fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Ctx<'_, Message>) {
+        let Message::Coord(CoordMsg::StepDone { step }) = msg else {
             debug_assert!(false, "coordinator got unexpected message {msg:?}");
             return;
         };

@@ -6,30 +6,17 @@ use crate::modifier::ModifierNode;
 use crate::origin::OriginNode;
 use crate::parent::{ParentCounters, ParentNode};
 use crate::proxy::{ProxyCounters, ProxyNode};
-use crate::sender::InvalSenderNode;
-use crate::SimMsg;
 use wcc_cache::{CacheStore, ReplacementPolicy};
 use wcc_core::{
-    FetchCounters, OriginCore, OriginCounters, ProtocolConfig, ProtocolKind, ProxyPolicy,
-    ServerConsistency, SiteListMemory, SiteListStats, WritePath,
+    FetchCounters, OriginCore, OriginCounters, ProposerStats, ProtocolConfig, ProtocolKind,
+    ProxyPolicy, ServerConsistency, SiteListMemory, SiteListStats, WritePath,
 };
-use wcc_simnet::{FaultPlan, LinkSpec, NetworkConfig, Simulation, Summary};
+use wcc_proto::Message;
+use wcc_simnet::{FaultPlan, NetworkConfig, Simulation, Summary};
 use wcc_traces::{ModSchedule, Trace};
 use wcc_types::{
     AuditEvent, ByteSize, ClientId, FxHashMap, InvalBatchConfig, NodeId, SimDuration, SimTime, Url,
 };
-
-/// How the accelerator transmits invalidation batches.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum InvalSendMode {
-    /// The paper's prototype: the accelerator "does not accept new requests
-    /// until it finishes sending all invalidation messages" — fan-out
-    /// occupies the server CPU.
-    #[default]
-    Synchronous,
-    /// The paper's suggested fix: a separate sender process.
-    Decoupled,
-}
 
 /// How proxy caches are scoped.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -95,12 +82,11 @@ pub struct DeploymentOptions {
     pub cache_capacity: ByteSize,
     /// Replacement discipline (Harvest's default evicts expired docs first).
     pub replacement: ReplacementPolicy,
-    /// Synchronous (paper prototype) or decoupled invalidation sending.
-    pub send_mode: InvalSendMode,
     /// Thresholds for the batched invalidation proposer. `None` keeps the
-    /// classic per-write fan-out. When set, fresh invalidations accumulate
-    /// per origin and leave as one coalesced `InvalidateBatch` per proxy —
-    /// superseding the decoupled sender for fresh sends (retries keep the
+    /// classic per-write fan-out, during which the accelerator "does not
+    /// accept new requests until it finishes sending all invalidation
+    /// messages". When set, fresh invalidations accumulate per origin and
+    /// leave as one coalesced `InvalidateBatch` per proxy (retries keep the
     /// per-copy path either way).
     pub inval_batch: Option<InvalBatchConfig>,
     /// Per-operation CPU/disk costs.
@@ -137,7 +123,6 @@ impl Default for DeploymentOptions {
             num_proxies: 4,
             cache_capacity: ByteSize::from_gib(4),
             replacement: ReplacementPolicy::ExpiredFirstLru,
-            send_mode: InvalSendMode::Synchronous,
             inval_batch: None,
             costs: CostModel::default(),
             network: NetworkConfig::lan(),
@@ -157,10 +142,9 @@ impl Default for DeploymentOptions {
 /// A fully wired replay: the simulation plus handles to every node.
 #[derive(Debug)]
 pub struct Deployment {
-    sim: Simulation<SimMsg>,
+    sim: Simulation<Message>,
     /// One origin per server, indexed by server index.
     origins: Vec<NodeId>,
-    sender: Option<NodeId>,
     parent: Option<NodeId>,
     proxies: Vec<NodeId>,
     modifier: NodeId,
@@ -214,7 +198,7 @@ impl Deployment {
     /// Assembles a multi-server deployment: one origin (and one modifier)
     /// per `(trace, schedule)` pair. Trace *i* must be homed on
     /// `ServerId::new(i)` (see [`Trace::reassign_server`]). Hierarchy mode
-    /// and the decoupled sender are single-server features.
+    /// is a single-server feature.
     ///
     /// # Panics
     ///
@@ -245,11 +229,6 @@ impl Deployment {
                 Topology::Flat,
                 "hierarchy mode is single-server"
             );
-            assert_eq!(
-                options.send_mode,
-                InvalSendMode::Synchronous,
-                "the decoupled sender is single-server"
-            );
             for (i, (trace, _)) in workloads.iter().enumerate() {
                 assert_eq!(
                     trace.server.index() as usize,
@@ -275,20 +254,12 @@ impl Deployment {
                     core,
                     trace.doc_sizes.len(),
                     options.costs.clone(),
-                    options.send_mode,
                     options.detection,
                     options.mem_cache_budget,
                 ))
             })
             .collect();
         let origin = origins[0];
-
-        let sender = match options.send_mode {
-            InvalSendMode::Decoupled => {
-                Some(sim.add_node(InvalSenderNode::new(options.costs.clone())))
-            }
-            InvalSendMode::Synchronous => None,
-        };
 
         let shared = options.sharing == CacheSharing::SharedPerProxy
             || options.topology == Topology::Hierarchy;
@@ -366,19 +337,16 @@ impl Deployment {
             .collect();
         let coordinator = sim.add_node(CoordinatorNode::new(options.window, duration));
 
-        // Wiring. In hierarchy mode the origin (and the decoupled sender)
-        // see a single downstream site — the parent — and the children use
-        // the parent as their upstream.
+        // Wiring. In hierarchy mode the origin sees a single downstream
+        // site — the parent — and the children use the parent as their
+        // upstream.
         let downstream: Vec<NodeId> = match parent {
             Some(par) => vec![par],
             None => proxies.clone(),
         };
         for &o in &origins {
             sim.node_mut::<OriginNode>(o)
-                .wire(downstream.clone(), sender, coordinator);
-        }
-        if let Some(s) = sender {
-            sim.node_mut::<InvalSenderNode>(s).set_proxies(downstream);
+                .wire(downstream.clone(), coordinator);
         }
         if let Some(par) = parent {
             // Child identity `i` is site `i` (set above: hierarchy shares).
@@ -427,7 +395,6 @@ impl Deployment {
         Deployment {
             sim,
             origins,
-            sender,
             parent,
             proxies,
             modifier: modifiers[0],
@@ -437,12 +404,6 @@ impl Deployment {
             records_total,
             ran: false,
         }
-    }
-
-    /// The local-IPC link spec used between co-located server processes
-    /// (origin ↔ sender ↔ modifier).
-    pub fn local_link() -> LinkSpec {
-        LinkSpec::new(SimDuration::from_micros(5), 1 << 30)
     }
 
     /// Schedules a fault plan (crashes / partitions) before running.
@@ -626,23 +587,18 @@ impl Deployment {
         let mut origin_bytes = ByteSize::ZERO;
         let mut sitelist = SiteListStats::default();
         let mut modified_list_lens: Vec<u64> = Vec::new();
-        let mut inval_time_all = Summary::default();
+        let mut inval_time = Summary::default();
         let mut writes_complete = true;
         let mut piggybacked = 0u64;
         let mut write_completion = Summary::default();
-        let mut proposer: Option<ProposerReport> = None;
+        let mut proposer: Option<ProposerStats> = None;
         for i in 0..self.origins.len() {
             let origin = self.origin_at(i);
             write_completion.merge(&origin.write_completion);
             if let Some(p) = origin.core().proposer() {
-                let s = p.stats();
-                let agg = proposer.get_or_insert_with(ProposerReport::default);
-                agg.enqueued += s.enqueued;
-                agg.coalesced += s.coalesced;
-                agg.flushes += s.flushes;
-                agg.flushed_entries += s.flushed_entries;
-                agg.batches += s.batches;
-                agg.max_batch_entries = agg.max_batch_entries.max(s.max_batch_entries);
+                proposer
+                    .get_or_insert_with(ProposerStats::default)
+                    .merge(&p.stats());
             }
             let c = origin.core().snapshot();
             oc.gets += c.gets;
@@ -667,7 +623,7 @@ impl Deployment {
             sitelist.tracked_documents += s.tracked_documents;
             sitelist.max_list_len = sitelist.max_list_len.max(s.max_list_len);
             modified_list_lens.extend_from_slice(consistency.modified_list_lens());
-            inval_time_all.merge(&origin.inval_time);
+            inval_time.merge(&origin.inval_time);
             writes_complete &= c.writes_complete;
             piggybacked += consistency.stats().piggybacked;
             oc.metered_served += c.metered_served;
@@ -764,14 +720,6 @@ impl Deployment {
             }
         }
 
-        let (inval_time, sender_bytes) = match self.sender {
-            Some(s) => {
-                let sender: &InvalSenderNode = self.sim.node_ref(s);
-                (sender.inval_time().clone(), sender.bytes_sent)
-            }
-            None => (inval_time_all, ByteSize::ZERO),
-        };
-
         // Use the instant the replay drained, not the tail of straggler
         // timeout timers, as the wall clock for rates and utilisation.
         let wall = self.coordinator().finished_at().unwrap_or(self.sim.now());
@@ -791,10 +739,7 @@ impl Deployment {
             child_sitelist: p.down().snapshot().sitelist,
             cache_entries: p.core().cache().len() as u64,
         });
-        // Wire INVALIDATE traffic: per-copy sends, with every batched
-        // entry replaced by its share of one batch message. Reduces to
-        // `invalidations` exactly when batching is off.
-        let invalidations_wire = oc.invalidations - oc.batched_entries + oc.inval_batches;
+        let invalidations_wire = oc.wire_invalidations();
         let control_and_transfers = match &parent_summary {
             None => {
                 fetch.gets_sent
@@ -835,7 +780,7 @@ impl Deployment {
             acks: oc.acks,
             notifies: oc.notifies,
             total_messages: control_and_transfers,
-            total_bytes: origin_bytes + pc_total.bytes_sent + sender_bytes,
+            total_bytes: origin_bytes + pc_total.bytes_sent,
             latency,
             server_cpu,
             server_busy,
@@ -870,45 +815,6 @@ impl Deployment {
             proposer,
             write_completion,
             origin_counters: oc,
-        }
-    }
-}
-
-/// What the batched invalidation proposer did, when enabled.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ProposerReport {
-    /// Invalidation intents enqueued — the counterfactual per-write
-    /// fan-out message count.
-    pub enqueued: u64,
-    /// Intents merged into an already-pending `(url, client)` entry.
-    pub coalesced: u64,
-    /// Drain rounds.
-    pub flushes: u64,
-    /// Unique entries drained.
-    pub flushed_entries: u64,
-    /// Wire `InvalidateBatch` messages emitted.
-    pub batches: u64,
-    /// Largest single batch, in entries.
-    pub max_batch_entries: u64,
-}
-
-impl ProposerReport {
-    /// Intents per delivered entry (`> 1` once writes coalesce).
-    pub fn coalesce_ratio(&self) -> f64 {
-        if self.flushed_entries == 0 {
-            1.0
-        } else {
-            self.enqueued as f64 / self.flushed_entries as f64
-        }
-    }
-
-    /// How many fewer wire messages fresh fan-out cost than the per-write
-    /// counterfactual, in percent.
-    pub fn reduction_pct(&self) -> f64 {
-        if self.enqueued == 0 {
-            0.0
-        } else {
-            (1.0 - self.batches as f64 / self.enqueued as f64) * 100.0
         }
     }
 }
@@ -1025,8 +931,9 @@ pub struct RawReport {
     pub finished: bool,
     /// The parent tier's summary (hierarchy mode only).
     pub parent: Option<ParentSummary>,
-    /// The batched proposer's counters (when `inval_batch` was set).
-    pub proposer: Option<ProposerReport>,
+    /// The batched proposer's counters, summed over origins (when
+    /// `inval_batch` was set).
+    pub proposer: Option<ProposerStats>,
     /// Wall time from each write's first fan-out to its last ack, in both
     /// batched and per-write modes (the batching trade-off's cost axis).
     pub write_completion: Summary,
@@ -1128,36 +1035,10 @@ mod tests {
     }
 
     #[test]
-    fn decoupled_sender_reduces_max_latency() {
-        let spec = TraceSpec::nasa().scaled_down(100);
-        let trace = synthetic::generate(&spec, 9);
-        let mods =
-            ModSchedule::generate(spec.num_docs, SimDuration::from_hours(2), spec.duration, 9);
-        let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
-        let run = |mode: InvalSendMode| {
-            let mut opts = DeploymentOptions::default();
-            opts.send_mode = mode;
-            let mut d = Deployment::build(&trace, &mods, &cfg, opts);
-            d.run();
-            d.collect()
-        };
-        let sync = run(InvalSendMode::Synchronous);
-        let dec = run(InvalSendMode::Decoupled);
-        assert!(sync.invalidations > 0);
-        // Fresh fan-outs are identical; only retransmission counts may
-        // differ (the busier synchronous server acks more slowly).
-        assert_eq!(
-            sync.invalidations - sync.invalidation_retries,
-            dec.invalidations - dec.invalidation_retries
-        );
-        // Decoupling must not make the worst case worse.
-        assert!(dec.latency.max() <= sync.latency.max());
-    }
-
-    #[test]
     fn batched_proposer_cuts_wire_traffic_and_keeps_consistency() {
-        // The decoupled-sender workload: enough churn that fan-outs carry
-        // several recipients, so per-proxy batching has something to merge.
+        // Enough churn that fan-outs carry several recipients, so per-proxy
+        // batching has something to merge and the per-write fan-out stalls
+        // the accelerator (§5.2's maximum-latency problem).
         let spec = TraceSpec::nasa().scaled_down(100);
         let trace = synthetic::generate(&spec, 9);
         let mods =
@@ -1181,6 +1062,14 @@ mod tests {
         assert_eq!(batched.final_violations, 0);
         assert_eq!(batched.gave_up, 0);
         assert_eq!(batched.requests, classic.requests);
+        assert!(classic.invalidations > 0);
+        // Batching shortens the stall, so the worst request gets faster.
+        assert!(
+            batched.latency.max() < classic.latency.max(),
+            "max latency: batched {:?} vs per-write {:?}",
+            batched.latency.max(),
+            classic.latency.max()
+        );
 
         assert!(classic.proposer.is_none(), "proposer off by default");
         let p = batched.proposer.expect("proposer engaged");
@@ -1197,11 +1086,23 @@ mod tests {
             p.coalesced + p.flushed_entries,
             "every intent either coalesced or shipped"
         );
+        // Every fresh batched send is a drained entry, and the same writes
+        // reach nearly the same copies as per-write fan-out: the fresh
+        // counts differ by no more than the intents the proposer merged
+        // (retransmissions differ more, as the busier per-write server acks
+        // more slowly).
+        let fresh = |r: &RawReport| r.invalidations - r.invalidation_retries;
+        assert_eq!(fresh(&batched), p.flushed_entries);
+        assert!(
+            fresh(&classic).abs_diff(fresh(&batched)) <= p.coalesced,
+            "fresh sends: per-write {} vs batched {} ({} coalesced)",
+            fresh(&classic),
+            fresh(&batched),
+            p.coalesced
+        );
 
         // Fewer INVALIDATE-class messages actually hit the wire.
-        let wire = |r: &RawReport| {
-            r.invalidations - r.origin_counters.batched_entries + r.origin_counters.inval_batches
-        };
+        let wire = |r: &RawReport| r.origin_counters.wire_invalidations();
         assert!(
             wire(&batched) < wire(&classic),
             "wire invalidations: batched {} vs classic {}",

@@ -10,19 +10,19 @@
 //! * [`OriginNode`] — origin server + accelerator: serves `200`/`304`,
 //!   maintains the invalidation table via
 //!   [`ServerConsistency`](wcc_core::ServerConsistency), detects changes via
-//!   the modifier's `NOTIFY` check-ins, fans out `INVALIDATE`s (inline or
-//!   through a decoupled sender), retries unacknowledged invalidations, and
-//!   accounts CPU/disk per the [`CostModel`];
+//!   the modifier's `NOTIFY` check-ins, fans out `INVALIDATE`s (per write,
+//!   or coalesced by the batched proposer), retries unacknowledged
+//!   invalidations, and accounts CPU/disk per the [`CostModel`];
 //! * [`ProxyNode`] — a pseudo-client: a Harvest proxy (the
 //!   [`ProxyCore`](wcc_core::ProxyCore) the TCP proxy also drives) plus the
 //!   sequential trace driver that issues its partition of the trace and
 //!   measures per-request latency;
 //! * [`ModifierNode`] — touches one random file every `N` seconds of trace
 //!   time and checks it in;
-//! * [`CoordinatorNode`] — broadcasts the lock-step windows;
-//! * [`InvalSenderNode`] — the decoupled invalidation sender the paper
-//!   suggests ("a more fine-tuned implementation would have a separate
-//!   process sending the invalidation messages"), used by ablation A1.
+//! * [`CoordinatorNode`] — broadcasts the lock-step windows.
+//!
+//! Every node is a `Node<`[`wcc_proto::Message`]`>`: the simulation carries
+//! the wire protocol's own messages and nothing else.
 //!
 //! ## Two clocks
 //!
@@ -64,52 +64,15 @@ pub mod modifier;
 pub mod origin;
 pub mod parent;
 pub mod proxy;
-pub mod sender;
 
 pub use coord::CoordinatorNode;
 pub use cost::CostModel;
 pub use deployment::{
-    CacheSharing, ChangeDetection, Deployment, DeploymentMemory, DeploymentOptions, InvalSendMode,
-    ParentSummary, ProposerReport, RawReport, ServeEvent, Topology,
+    CacheSharing, ChangeDetection, Deployment, DeploymentMemory, DeploymentOptions, ParentSummary,
+    RawReport, ServeEvent, Topology,
 };
 pub use modifier::ModifierNode;
 pub use origin::OriginNode;
 pub use parent::{ParentCounters, ParentNode};
 pub use proxy::ProxyNode;
-pub use sender::InvalSenderNode;
 pub use wcc_core::{Proposer, ProposerStats};
-
-use wcc_proto::Message;
-use wcc_types::{ByteSize, ClientId, Url};
-
-/// The message type carried by the deployment's simulation: protocol
-/// traffic plus one internal job type for the decoupled invalidation sender.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum SimMsg {
-    /// Real protocol traffic (HTTP + coordinator control).
-    Net(Message),
-    /// Origin → decoupled sender: "fan `INVALIDATE <url>` out to these
-    /// clients". Local IPC on the server machine; not network traffic.
-    Dispatch {
-        /// The modified document.
-        url: Url,
-        /// Invalidation recipients.
-        clients: Vec<ClientId>,
-    },
-}
-
-impl SimMsg {
-    /// The accounted wire size (local dispatch jobs are free).
-    pub fn wire_size(&self) -> ByteSize {
-        match self {
-            SimMsg::Net(m) => m.wire_size(),
-            SimMsg::Dispatch { .. } => ByteSize::ZERO,
-        }
-    }
-}
-
-impl From<Message> for SimMsg {
-    fn from(m: Message) -> SimMsg {
-        SimMsg::Net(m)
-    }
-}

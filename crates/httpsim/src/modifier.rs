@@ -1,7 +1,6 @@
 //! The modifier process: touches one random file every `N` seconds of trace
 //! time and checks it in to the accelerator.
 
-use crate::SimMsg;
 use wcc_proto::{CoordMsg, HttpMsg, Message};
 use wcc_simnet::{Ctx, Node};
 use wcc_traces::Modification;
@@ -45,9 +44,9 @@ impl ModifierNode {
     }
 }
 
-impl Node<SimMsg> for ModifierNode {
-    fn on_message(&mut self, _from: NodeId, msg: SimMsg, ctx: &mut Ctx<'_, SimMsg>) {
-        let SimMsg::Net(Message::Coord(CoordMsg::StepStart { step, window_end })) = msg else {
+impl Node<Message> for ModifierNode {
+    fn on_message(&mut self, _from: NodeId, msg: Message, ctx: &mut Ctx<'_, Message>) {
+        let Message::Coord(CoordMsg::StepStart { step, window_end }) = msg else {
             debug_assert!(false, "modifier got unexpected message {msg:?}");
             return;
         };
@@ -60,14 +59,14 @@ impl Node<SimMsg> for ModifierNode {
                 at: m.at,
             };
             let size = notify.wire_size();
-            ctx.send(self.origin, SimMsg::Net(Message::Http(notify)), size);
+            ctx.send(self.origin, Message::Http(notify), size);
             self.notifies_sent += 1;
             self.next_idx += 1;
         }
         if let Some(coord) = self.coordinator {
             let done = Message::Coord(CoordMsg::StepDone { step });
             let size = done.wire_size();
-            ctx.send(coord, SimMsg::Net(done), size);
+            ctx.send(coord, done, size);
         }
     }
 }

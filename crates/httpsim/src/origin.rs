@@ -5,12 +5,10 @@
 //! daemon drives too. This node is its simulator driver: it charges the
 //! [`CostModel`], keeps the main-memory document cache, decides *when* a
 //! modification is noticed ([`ChangeDetection`]), puts the core's sends on
-//! the simulated wire (directly, or through the decoupled sender) and turns
-//! the timers it asks for into `ctx.set_timer`.
+//! the simulated wire and turns the timers it asks for into `ctx.set_timer`.
 
 use crate::cost::CostModel;
-use crate::deployment::{ChangeDetection, InvalSendMode};
-use crate::SimMsg;
+use crate::deployment::ChangeDetection;
 use wcc_cache::Lru;
 use wcc_core::{OriginCore, OriginOut, OriginTimer};
 use wcc_obs::{invalidation_span, Phase, SpanKind, Tracer};
@@ -104,17 +102,14 @@ pub struct OriginNode {
     costs: CostModel,
     /// Proxy node of each site (partition index).
     proxies: Vec<NodeId>,
-    send_mode: InvalSendMode,
     detection: ChangeDetection,
     /// Versions the accelerator has already invalidated for (browser-based
     /// detection compares against this on each request).
     acked_versions: Vec<SimTime>,
-    sender: Option<NodeId>,
     coordinator: Option<NodeId>,
     /// Wall time from a write's first fan-out to its last ack.
     pub(crate) write_completion: Summary,
-    /// Wall time spent sending each modification's full invalidation batch
-    /// (synchronous mode; the decoupled sender keeps its own).
+    /// Wall time spent sending each modification's full invalidation batch.
     pub(crate) inval_time: Summary,
     /// The cost model's tallies (what [`OriginCore`] does not count): disk
     /// reads (memory-cache misses), disk writes (request log + ever-seen
@@ -133,7 +128,6 @@ impl OriginNode {
         core: OriginCore,
         docs: usize,
         costs: CostModel,
-        send_mode: InvalSendMode,
         detection: ChangeDetection,
         mem_cache_budget: ByteSize,
     ) -> Self {
@@ -145,10 +139,8 @@ impl OriginNode {
             mem_cache: MemCache::new(mem_cache_budget),
             costs,
             proxies: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
-            send_mode,
             detection,
             acked_versions: vec![SimTime::ZERO; docs],
-            sender: None,
             coordinator: None,
             write_completion: Summary::default(),
             inval_time: Summary::default(),
@@ -160,12 +152,11 @@ impl OriginNode {
         }
     }
 
-    /// Connects the node: the proxy of each site, the decoupled sender (if
-    /// that mode is on) and the lock-step coordinator.
-    pub(crate) fn wire(&mut self, proxies: Vec<NodeId>, sender: Option<NodeId>, coord: NodeId) {
+    /// Connects the node: the proxy of each site and the lock-step
+    /// coordinator.
+    pub(crate) fn wire(&mut self, proxies: Vec<NodeId>, coord: NodeId) {
         self.core.set_sites(proxies.len() as u32);
         self.proxies = proxies;
-        self.sender = sender;
         self.coordinator = Some(coord);
     }
 
@@ -185,29 +176,23 @@ impl OriginNode {
     }
 
     /// Charges `cost`, counts the bytes and puts `msg` on the wire to `to`.
-    fn send(&mut self, to: NodeId, msg: HttpMsg, cost: SimDuration, ctx: &mut Ctx<'_, SimMsg>) {
+    fn send(&mut self, to: NodeId, msg: HttpMsg, cost: SimDuration, ctx: &mut Ctx<'_, Message>) {
         let size = msg.wire_size();
         self.bytes_sent += size;
         ctx.consume(cost);
-        ctx.send(to, SimMsg::Net(Message::Http(msg)), size);
+        ctx.send(to, Message::Http(msg), size);
     }
 
-    /// Carries out what the core asked for, in its order. Synchronous mode
-    /// occupies the server's CPU for a whole fan-out — the paper's
-    /// request-stall phenomenon; decoupled mode hands a document's per-copy
-    /// sends to the sender node as one job (batches always leave from here).
-    fn emit(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
+    /// Carries out what the core asked for, in its order. A fan-out
+    /// occupies the server's CPU until its last send — the paper's
+    /// request-stall phenomenon, which the batched proposer amortises.
+    fn emit(&mut self, ctx: &mut Ctx<'_, Message>) {
         let mut out = std::mem::take(&mut self.out);
         let (server, per_send) = (self.core.server(), self.costs.inval_send);
         let mut spent: Option<SimDuration> = None;
-        let mut job: Option<(Url, Vec<ClientId>)> = None;
         for asked in out.drain(..) {
             let (site, msg, cost) = match asked {
                 OriginOut::Arm { after, timer } => {
-                    if let Some((url, clients)) = job.take() {
-                        let sender = self.sender.expect("decoupled mode requires a sender node");
-                        ctx.send(sender, SimMsg::Dispatch { url, clients }, ByteSize::ZERO);
-                    }
                     ctx.set_timer(after, timer_token(timer));
                     continue;
                 }
@@ -221,12 +206,6 @@ impl OriginNode {
                     site, url, client, ..
                 } => {
                     self.trace(Phase::Invalidate, url, Some(client), ctx.now());
-                    if self.send_mode == InvalSendMode::Decoupled {
-                        // One list per fan-out: the job the sender takes.
-                        let clients = Vec::new(); // xtask-lint: allow(hot-loop-alloc)
-                        job.get_or_insert((url, clients)).1.push(client);
-                        continue;
-                    }
                     (site, HttpMsg::Invalidate { url, client }, per_send)
                 }
                 OriginOut::Batch { site, entries } => {
@@ -249,7 +228,7 @@ impl OriginNode {
         self.out = out;
     }
 
-    fn handle_get(&mut self, from: NodeId, get: GetRequest, ctx: &mut Ctx<'_, SimMsg>) {
+    fn handle_get(&mut self, from: NodeId, get: GetRequest, ctx: &mut Ctx<'_, Message>) {
         ctx.consume(self.costs.request_parse + self.costs.log_write_cpu);
         self.disk_writes += 1; // request log append
         let now = ctx.now();
@@ -315,7 +294,7 @@ impl OriginNode {
         }
     }
 
-    fn handle_notify(&mut self, url: Url, at: SimTime, ctx: &mut Ctx<'_, SimMsg>) {
+    fn handle_notify(&mut self, url: Url, at: SimTime, ctx: &mut Ctx<'_, Message>) {
         ctx.consume(self.costs.notify_cpu);
         let Some(version) = self.core.touch(url, at, ctx.now()) else {
             return; // not a document of this origin
@@ -333,22 +312,20 @@ impl OriginNode {
     }
 }
 
-impl Node<SimMsg> for OriginNode {
-    fn on_message(&mut self, from: NodeId, msg: SimMsg, ctx: &mut Ctx<'_, SimMsg>) {
+impl Node<Message> for OriginNode {
+    fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Ctx<'_, Message>) {
         match msg {
-            SimMsg::Net(Message::Http(HttpMsg::Get(get))) => self.handle_get(from, get, ctx),
-            SimMsg::Net(Message::Http(HttpMsg::Notify { url, at })) => {
-                self.handle_notify(url, at, ctx)
-            }
-            SimMsg::Net(Message::Http(HttpMsg::InvalAck {
+            Message::Http(HttpMsg::Get(get)) => self.handle_get(from, get, ctx),
+            Message::Http(HttpMsg::Notify { url, at }) => self.handle_notify(url, at, ctx),
+            Message::Http(HttpMsg::InvalAck {
                 url,
                 client,
                 cache_hits,
-            })) => {
+            }) => {
                 ctx.consume(self.costs.ack_cpu);
                 self.apply_inval_ack(url, client, cache_hits, ctx.now());
             }
-            SimMsg::Net(Message::Http(HttpMsg::InvalidateBatchAck { server, entries })) => {
+            Message::Http(HttpMsg::InvalidateBatchAck { server, entries }) => {
                 debug_assert_eq!(server, self.core.server());
                 // One parse per wire message; per-copy protocol work per
                 // entry, exactly as if each ack had arrived on its own.
@@ -357,20 +334,20 @@ impl Node<SimMsg> for OriginNode {
                     self.apply_inval_ack(entry.url, entry.client, entry.cache_hits, ctx.now());
                 }
             }
-            SimMsg::Net(Message::Http(HttpMsg::InvalidateServerAck { server })) => {
+            Message::Http(HttpMsg::InvalidateServerAck { server }) => {
                 debug_assert_eq!(server, self.core.server());
                 ctx.consume(self.costs.ack_cpu);
                 if let Some(site) = self.proxies.iter().position(|&p| p == from) {
                     self.core.bulk_ack(site as u32);
                 }
             }
-            SimMsg::Net(Message::Coord(CoordMsg::StepStart { step, window_end })) => {
+            Message::Coord(CoordMsg::StepStart { step, window_end }) => {
                 // Window boundary: the core's safe point for lease GC.
                 self.core.on_window(window_end, ctx.now());
                 if let Some(coord) = self.coordinator {
                     ctx.send(
                         coord,
-                        SimMsg::Net(Message::Coord(CoordMsg::StepDone { step })),
+                        Message::Coord(CoordMsg::StepDone { step }),
                         Message::Coord(CoordMsg::StepDone { step }).wire_size(),
                     );
                 }
@@ -378,22 +355,21 @@ impl Node<SimMsg> for OriginNode {
             // Origins never receive these; spelled out (no `_`) so a new
             // wire variant is a compile error and a lint finding here
             // rather than a silently ignored message.
-            other @ (SimMsg::Net(Message::Http(
+            other @ (Message::Http(
                 HttpMsg::Reply(_)
                 | HttpMsg::Invalidate { .. }
                 | HttpMsg::InvalidateBatch { .. }
                 | HttpMsg::InvalidateServer { .. }
                 | HttpMsg::Hello { .. }
                 | HttpMsg::MetricsGet,
-            ))
-            | SimMsg::Net(Message::Coord(CoordMsg::StepDone { .. }))
-            | SimMsg::Dispatch { .. }) => {
+            )
+            | Message::Coord(CoordMsg::StepDone { .. })) => {
                 debug_assert!(false, "origin got unexpected message {other:?}");
             }
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, SimMsg>) {
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Message>) {
         self.core
             .on_timer(token_timer(token), ctx.now(), &mut self.out);
         self.emit(ctx);
@@ -406,7 +382,7 @@ impl Node<SimMsg> for OriginNode {
         self.core.crash();
     }
 
-    fn on_recover(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
+    fn on_recover(&mut self, ctx: &mut Ctx<'_, Message>) {
         // Delivery of the bulk must be reliable — a concurrent partition or
         // proxy crash would otherwise swallow the one message that voids
         // stale freshness promises — so the core has it acknowledged and

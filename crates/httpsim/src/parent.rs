@@ -16,7 +16,6 @@
 
 use crate::cost::CostModel;
 use crate::origin::{timer_token, token_timer};
-use crate::SimMsg;
 use wcc_cache::CacheStore;
 use wcc_core::{Begin, Complete, OriginOut, ProtocolConfig, ProxyCore, ProxyPolicy, WritePath};
 use wcc_proto::{GetRequest, HttpMsg, Message, Reply, ReplyStatus};
@@ -107,10 +106,10 @@ impl ParentNode {
         &self.down
     }
 
-    fn send(&mut self, to: NodeId, msg: HttpMsg, ctx: &mut Ctx<'_, SimMsg>) {
+    fn send(&mut self, to: NodeId, msg: HttpMsg, ctx: &mut Ctx<'_, Message>) {
         let size = msg.wire_size();
         self.counters.bytes_sent += size;
-        ctx.send(to, SimMsg::Net(Message::Http(msg)), size);
+        ctx.send(to, Message::Http(msg), size);
     }
 
     /// Answers `get` from the parent's cached copy `meta`, registering the
@@ -120,7 +119,7 @@ impl ParentNode {
         child: NodeId,
         get: &GetRequest,
         meta: DocMeta,
-        ctx: &mut Ctx<'_, SimMsg>,
+        ctx: &mut Ctx<'_, Message>,
     ) {
         let (reply, _) = self.down.grant(get, meta, ctx.now());
         ctx.consume(match reply.status {
@@ -131,7 +130,7 @@ impl ParentNode {
     }
 
     /// Carries out what the child-facing half asked for, in its order.
-    fn emit(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
+    fn emit(&mut self, ctx: &mut Ctx<'_, Message>) {
         let mut out = std::mem::take(&mut self.out);
         let server = self.down.server();
         for asked in out.drain(..) {
@@ -157,7 +156,7 @@ impl ParentNode {
         self.out = out;
     }
 
-    fn handle_child_get(&mut self, child: NodeId, get: GetRequest, ctx: &mut Ctx<'_, SimMsg>) {
+    fn handle_child_get(&mut self, child: NodeId, get: GetRequest, ctx: &mut Ctx<'_, Message>) {
         ctx.consume(self.costs.request_parse);
         self.counters.child_requests += 1;
         self.trace_now = self.trace_now.max(get.issued_at);
@@ -178,7 +177,7 @@ impl ParentNode {
         }
     }
 
-    fn handle_upstream_reply(&mut self, reply: Reply, ctx: &mut Ctx<'_, SimMsg>) {
+    fn handle_upstream_reply(&mut self, reply: Reply, ctx: &mut Ctx<'_, Message>) {
         match self.core.complete(reply.req, &reply.into()) {
             Some(Complete::Done {
                 outcome,
@@ -192,7 +191,7 @@ impl ParentNode {
         }
     }
 
-    fn handle_invalidate(&mut self, url: Url, ctx: &mut Ctx<'_, SimMsg>) {
+    fn handle_invalidate(&mut self, url: Url, ctx: &mut Ctx<'_, Message>) {
         ctx.consume(self.costs.proxy_inval_cpu);
         // Drop the parent copy (poisoning any upstream request for it in
         // flight) and ack the origin, reporting the dying copy's unreported
@@ -211,17 +210,13 @@ impl ParentNode {
     }
 }
 
-impl Node<SimMsg> for ParentNode {
-    fn on_message(&mut self, from: NodeId, msg: SimMsg, ctx: &mut Ctx<'_, SimMsg>) {
+impl Node<Message> for ParentNode {
+    fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Ctx<'_, Message>) {
         match msg {
-            SimMsg::Net(Message::Http(HttpMsg::Get(get))) => self.handle_child_get(from, get, ctx),
-            SimMsg::Net(Message::Http(HttpMsg::Reply(reply))) => {
-                self.handle_upstream_reply(reply, ctx)
-            }
-            SimMsg::Net(Message::Http(HttpMsg::Invalidate { url, .. })) => {
-                self.handle_invalidate(url, ctx)
-            }
-            SimMsg::Net(Message::Http(HttpMsg::InvalidateBatch { entries, .. })) => {
+            Message::Http(HttpMsg::Get(get)) => self.handle_child_get(from, get, ctx),
+            Message::Http(HttpMsg::Reply(reply)) => self.handle_upstream_reply(reply, ctx),
+            Message::Http(HttpMsg::Invalidate { url, .. }) => self.handle_invalidate(url, ctx),
+            Message::Http(HttpMsg::InvalidateBatch { entries, .. }) => {
                 // A coalesced round from the origin: each entry gets the
                 // full per-copy treatment (drop, §7 report, per-copy ack,
                 // relay down the tree).
@@ -229,11 +224,11 @@ impl Node<SimMsg> for ParentNode {
                     self.handle_invalidate(entry.url, ctx);
                 }
             }
-            SimMsg::Net(Message::Http(HttpMsg::InvalAck {
+            Message::Http(HttpMsg::InvalAck {
                 url,
                 client,
                 cache_hits,
-            })) => {
+            }) => {
                 // Fold the child's dying-copy report into the parent's own
                 // counter so it reaches the origin eventually — only with
                 // an ack this tier is waiting for, as the daemon's does.
@@ -242,7 +237,7 @@ impl Node<SimMsg> for ParentNode {
                 }
                 self.down.ack(url, client, ctx.now());
             }
-            SimMsg::Net(Message::Http(HttpMsg::InvalidateServer { server })) => {
+            Message::Http(HttpMsg::InvalidateServer { server }) => {
                 ctx.consume(self.costs.proxy_inval_cpu);
                 self.core.on_invalidate_server(server);
                 self.down.relay_bulk(&mut self.out);
@@ -252,7 +247,7 @@ impl Node<SimMsg> for ParentNode {
                 // collect (their copies are already questionable here).
                 self.send(from, HttpMsg::InvalidateServerAck { server }, ctx);
             }
-            SimMsg::Net(Message::Http(HttpMsg::InvalidateServerAck { .. })) => {
+            Message::Http(HttpMsg::InvalidateServerAck { .. }) => {
                 // A child acking the relayed bulk invalidation.
                 if let Some(site) = self.children.iter().position(|&c| c == from) {
                     self.down.bulk_ack(site as u32);
@@ -261,20 +256,19 @@ impl Node<SimMsg> for ParentNode {
             // Parents sit outside the coordinator barrier and never see
             // these; spelled out (no `_`) so a new wire variant is a
             // compile error and a lint finding here.
-            other @ (SimMsg::Net(Message::Http(
+            other @ (Message::Http(
                 HttpMsg::Hello { .. }
                 | HttpMsg::MetricsGet
                 | HttpMsg::Notify { .. }
                 | HttpMsg::InvalidateBatchAck { .. },
-            ))
-            | SimMsg::Net(Message::Coord(_))
-            | SimMsg::Dispatch { .. }) => {
+            )
+            | Message::Coord(_)) => {
                 debug_assert!(false, "parent got unexpected message {other:?}");
             }
         }
     }
 
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, SimMsg>) {
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Message>) {
         self.down
             .on_timer(token_timer(token), ctx.now(), &mut self.out);
         self.emit(ctx);

@@ -8,7 +8,6 @@
 
 use crate::cost::CostModel;
 use crate::deployment::ServeEvent;
-use crate::SimMsg;
 use wcc_cache::CacheStore;
 use wcc_core::{Begin, Complete, ProxyCore, ProxyPolicy, UpstreamReply};
 use wcc_obs::{Phase, SpanKind, Tracer};
@@ -178,7 +177,7 @@ impl ProxyNode {
 
     /// Sends `get` — the flight the core just opened, or opened again —
     /// upstream, under the request timer.
-    fn forward(&mut self, get: GetRequest, ctx: &mut Ctx<'_, SimMsg>) {
+    fn forward(&mut self, get: GetRequest, ctx: &mut Ctx<'_, Message>) {
         let span = self.core.oldest().expect("the flight just opened").1.span;
         self.wall_start = ctx.now();
         self.tracer.record(
@@ -194,13 +193,13 @@ impl ProxyNode {
         let msg = HttpMsg::Get(get);
         let size = msg.wire_size();
         self.counters.bytes_sent += size;
-        ctx.send(upstream, SimMsg::Net(Message::Http(msg)), size);
+        ctx.send(upstream, Message::Http(msg), size);
         if self.timer_due <= ctx.now() {
             self.arm(REQUEST_TIMEOUT, ctx);
         }
     }
 
-    fn arm(&mut self, after: SimDuration, ctx: &mut Ctx<'_, SimMsg>) {
+    fn arm(&mut self, after: SimDuration, ctx: &mut Ctx<'_, Message>) {
         self.timer_due = ctx.now() + after;
         ctx.set_timer(after, self.timer_due.as_micros());
     }
@@ -232,7 +231,7 @@ impl ProxyNode {
 
     /// Issues records until one needs the origin (sequential driver) or the
     /// window is exhausted; cache hits complete inline.
-    fn pump(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
+    fn pump(&mut self, ctx: &mut Ctx<'_, Message>) {
         while self.core.in_flight() == 0 {
             let Some(&record) = self.records.get(self.next_idx) else {
                 break;
@@ -276,7 +275,7 @@ impl ProxyNode {
         self.maybe_step_done(ctx);
     }
 
-    fn maybe_step_done(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
+    fn maybe_step_done(&mut self, ctx: &mut Ctx<'_, Message>) {
         let window_drained = self
             .records
             .get(self.next_idx)
@@ -286,12 +285,12 @@ impl ProxyNode {
             if let Some(coord) = self.coordinator {
                 let msg = Message::Coord(CoordMsg::StepDone { step: self.step });
                 let size = msg.wire_size();
-                ctx.send(coord, SimMsg::Net(msg), size);
+                ctx.send(coord, msg, size);
             }
         }
     }
 
-    fn handle_reply(&mut self, reply: Reply, ctx: &mut Ctx<'_, SimMsg>) {
+    fn handle_reply(&mut self, reply: Reply, ctx: &mut Ctx<'_, Message>) {
         let req = reply.req;
         let reply = UpstreamReply::from(reply);
         // `None`: a reply from before a crash or a retransmit; the request
@@ -330,7 +329,7 @@ impl ProxyNode {
     }
 
     /// The CPU charge and audit trail of one `INVALIDATE <url>`.
-    fn note_invalidate(&mut self, url: Url, client: ClientId, ctx: &mut Ctx<'_, SimMsg>) {
+    fn note_invalidate(&mut self, url: Url, client: ClientId, ctx: &mut Ctx<'_, Message>) {
         ctx.consume(self.costs.proxy_inval_cpu);
         self.record(AuditEvent::InvalidateDelivered {
             url,
@@ -340,14 +339,14 @@ impl ProxyNode {
     }
 
     /// Acknowledgements are free on the byte row (see [`ProxyCounters`]).
-    fn ack(&mut self, to: NodeId, ack: HttpMsg, ctx: &mut Ctx<'_, SimMsg>) {
+    fn ack(&mut self, to: NodeId, ack: HttpMsg, ctx: &mut Ctx<'_, Message>) {
         let size = ack.wire_size();
-        ctx.send(to, SimMsg::Net(Message::Http(ack)), size);
+        ctx.send(to, Message::Http(ack), size);
     }
 }
 
-impl Node<SimMsg> for ProxyNode {
-    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, SimMsg>) {
+impl Node<Message> for ProxyNode {
+    fn on_timer(&mut self, token: u64, ctx: &mut Ctx<'_, Message>) {
         if token != self.timer_due.as_micros() {
             return; // due at the instant its successor was armed
         }
@@ -365,16 +364,16 @@ impl Node<SimMsg> for ProxyNode {
         }
     }
 
-    fn on_message(&mut self, from: NodeId, msg: SimMsg, ctx: &mut Ctx<'_, SimMsg>) {
+    fn on_message(&mut self, from: NodeId, msg: Message, ctx: &mut Ctx<'_, Message>) {
         match msg {
-            SimMsg::Net(Message::Coord(CoordMsg::StepStart { step, window_end })) => {
+            Message::Coord(CoordMsg::StepStart { step, window_end }) => {
                 self.step = step;
                 self.window_end = window_end;
                 self.step_done_sent = false;
                 self.pump(ctx);
             }
-            SimMsg::Net(Message::Http(HttpMsg::Reply(reply))) => self.handle_reply(reply, ctx),
-            SimMsg::Net(Message::Http(HttpMsg::Invalidate { url, client })) => {
+            Message::Http(HttpMsg::Reply(reply)) => self.handle_reply(reply, ctx),
+            Message::Http(HttpMsg::Invalidate { url, client }) => {
                 self.note_invalidate(url, client, ctx);
                 let ack = HttpMsg::InvalAck {
                     url,
@@ -383,7 +382,7 @@ impl Node<SimMsg> for ProxyNode {
                 };
                 self.ack(self.upstream(url.server()), ack, ctx);
             }
-            SimMsg::Net(Message::Http(HttpMsg::InvalidateBatch { server, entries })) => {
+            Message::Http(HttpMsg::InvalidateBatch { server, entries }) => {
                 // A coalesced round shares the wire framing but the work is
                 // per copy: each entry is processed exactly like a
                 // standalone INVALIDATE, and all the per-copy acks ride
@@ -397,7 +396,7 @@ impl Node<SimMsg> for ProxyNode {
                 };
                 self.ack(self.upstream(server), ack, ctx);
             }
-            SimMsg::Net(Message::Http(HttpMsg::InvalidateServer { server })) => {
+            Message::Http(HttpMsg::InvalidateServer { server }) => {
                 ctx.consume(self.costs.proxy_inval_cpu);
                 self.core.on_invalidate_server(server);
                 self.record(AuditEvent::BulkInvalidateDelivered {
@@ -413,7 +412,7 @@ impl Node<SimMsg> for ProxyNode {
             // Spelled out (no `_`) so that adding a wire variant forces a
             // decision here — both rustc and the wire-exhaustiveness lint
             // refuse to let a new message fall through silently.
-            other @ (SimMsg::Net(Message::Http(
+            other @ (Message::Http(
                 HttpMsg::Get(_)
                 | HttpMsg::InvalAck { .. }
                 | HttpMsg::InvalidateBatchAck { .. }
@@ -421,15 +420,14 @@ impl Node<SimMsg> for ProxyNode {
                 | HttpMsg::Hello { .. }
                 | HttpMsg::MetricsGet
                 | HttpMsg::Notify { .. },
-            ))
-            | SimMsg::Net(Message::Coord(CoordMsg::StepDone { .. }))
-            | SimMsg::Dispatch { .. }) => {
+            )
+            | Message::Coord(CoordMsg::StepDone { .. })) => {
                 debug_assert!(false, "proxy got unexpected message {other:?}");
             }
         }
     }
 
-    fn on_recover(&mut self, ctx: &mut Ctx<'_, SimMsg>) {
+    fn on_recover(&mut self, ctx: &mut Ctx<'_, Message>) {
         self.counters.recoveries += 1;
         self.counters.questionable_marked += self.core.on_recover() as u64;
         // A request in flight when we crashed will never complete: re-issue

@@ -127,6 +127,10 @@ proptest! {
             digest(&classic_d, proxies, end)
         );
 
+        // One origin: the report carries its proposer's own counters.
+        let origin = batched_d.origin().core().proposer().map(|p| p.stats());
+        prop_assert_eq!(batched.proposer, origin);
+
         // Proposer bookkeeping is conserved at any threshold.
         if let Some(p) = batched.proposer {
             prop_assert_eq!(p.enqueued, p.coalesced + p.flushed_entries);

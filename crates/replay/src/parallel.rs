@@ -98,7 +98,7 @@ where
     let mut slots: Vec<Option<R>> = Vec::new();
     slots.resize_with(items.len(), || None);
     let workers = jobs.min(items.len());
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         let mut handles = Vec::with_capacity(workers);
         for _ in 0..workers {
             let cursor = &cursor;

@@ -49,19 +49,6 @@ impl ClientId {
         assert!(n > 0, "partition count must be positive");
         self.0 % n
     }
-
-    /// The element of `targets` that handles this client under the paper's
-    /// partition scheme — the single implementation every fan-out path
-    /// (direct, decoupled sender, batched proposer) routes through, so the
-    /// client→proxy mapping cannot drift between them.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `targets` is empty.
-    pub fn assigned<T>(self, targets: &[T]) -> &T {
-        assert!(!targets.is_empty(), "partition count must be positive");
-        &targets[self.partition(targets.len() as u32) as usize]
-    }
 }
 
 impl From<ClientId> for u32 {
@@ -312,26 +299,6 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn partition_zero_panics() {
         ClientId::from_raw(1).partition(0);
-    }
-
-    #[test]
-    fn assigned_matches_partition() {
-        let targets = ["p0", "p1", "p2"];
-        for raw in 0..16u32 {
-            let c = ClientId::from_raw(raw);
-            assert_eq!(
-                *c.assigned(&targets),
-                targets[c.partition(3) as usize],
-                "client {raw}"
-            );
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "positive")]
-    fn assigned_empty_panics() {
-        let empty: [u8; 0] = [];
-        ClientId::from_raw(1).assigned(&empty);
     }
 
     #[test]

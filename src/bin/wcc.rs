@@ -2,8 +2,8 @@
 //!
 //! ```text
 //! wcc replay  --trace epa --protocol invalidation [--lifetime-days N]
-//!             [--scale N] [--seed N] [--wan] [--decoupled] [--hierarchy]
-//!             [--shared] [--lease-days N] [--adaptive-lease] [--cache-mib N]
+//!             [--scale N] [--seed N] [--wan] [--hierarchy] [--shared]
+//!             [--lease-days N] [--adaptive-lease] [--cache-mib N]
 //!             [--inval-batch N] [--trace-out PATH] [--metrics]
 //! wcc replay  --family flash-crowd [--protocol NAME] [--scale N] [--seed N]
 //!             [--audit]                       # city-scale scenario families
@@ -49,7 +49,7 @@ use webcache::bench::tables::TABLES;
 use webcache::bench::trajectory;
 use webcache::core::{AdaptiveLeaseConfig, ProtocolConfig, ProtocolKind};
 use webcache::fuzz::{fuzz, FuzzConfig};
-use webcache::httpsim::{CacheSharing, Deployment, DeploymentOptions, InvalSendMode, Topology};
+use webcache::httpsim::{CacheSharing, Deployment, DeploymentOptions, Topology};
 use webcache::net::{scrape, NetOrigin, NetProxy, OriginConfig};
 use webcache::proto::{encode, FrameReader, GetRequest, HttpMsg, HttpMsgRef, RequestId};
 use webcache::reactor::{Poller, Signals, SIGHUP, SIGINT, SIGTERM};
@@ -130,7 +130,7 @@ impl From<String> for Failure {
 }
 
 fn usage() -> &'static str {
-    "usage:\n  wcc replay  --trace NAME --protocol NAME [--lifetime-days N] [--scale N]\n              [--seed N] [--wan] [--decoupled] [--hierarchy] [--shared]\n              [--lease-days N] [--volume-mins N] [--adaptive-lease]\n              [--cache-mib N] [--audit] [--inval-batch N] [--trace-out PATH]\n              [--metrics]\n  wcc replay  --family NAME [--protocol NAME] [--scale N] [--seed N]\n              [--audit]     # families: zipf-federation, flash-crowd,\n              breaking-news, real-time-feed, archival-scan\n  wcc trio    --trace NAME [--scale N] [--seed N] [--jobs N]\n  wcc compare --trace NAME --protocols a,b,c [--scale N] [--seed N] [--jobs N]\n  wcc trace   PATH\n  wcc summary [--scale N] [--seed N]\n  wcc clf     PATH [--protocol NAME]\n  wcc fuzz    [--iters N] [--seed N] [--shrink] [--inject-stale] [--repro PATH]\n              [--jobs N]\n  wcc serve   [--role pair|origin|proxy] [--origin ADDR] [--port N] [--docs N]\n              [--doc-scale N] [--protocol NAME] [--cache-mib N]\n              [--port-file PATH] [--state-file PATH] [--config PATH]\n              [--self-check]        # SIGHUP reloads --config; SIGTERM drains\n  wcc bench list        # the paper tables (results/<name>.txt), by name\n  wcc bench NAME [--scale N] [--jobs N]\n  wcc bench trajectory [--scale N] [--jobs N] [--out PATH] [--check BASELINE]\n  wcc bench serve [--connections N] [--requests N] [--docs N] [--protocol NAME]\n              [--soak-secs N] [--restart] [--in-process] [--out PATH]\n  wcc protocols"
+    "usage:\n  wcc replay  --trace NAME --protocol NAME [--lifetime-days N] [--scale N]\n              [--seed N] [--wan] [--hierarchy] [--shared]\n              [--lease-days N] [--volume-mins N] [--adaptive-lease]\n              [--cache-mib N] [--audit] [--inval-batch N] [--trace-out PATH]\n              [--metrics]\n  wcc replay  --family NAME [--protocol NAME] [--scale N] [--seed N]\n              [--audit]     # families: zipf-federation, flash-crowd,\n              breaking-news, real-time-feed, archival-scan\n  wcc trio    --trace NAME [--scale N] [--seed N] [--jobs N]\n  wcc compare --trace NAME --protocols a,b,c [--scale N] [--seed N] [--jobs N]\n  wcc trace   PATH\n  wcc summary [--scale N] [--seed N]\n  wcc clf     PATH [--protocol NAME]\n  wcc fuzz    [--iters N] [--seed N] [--shrink] [--inject-stale] [--repro PATH]\n              [--jobs N]\n  wcc serve   [--role pair|origin|proxy] [--origin ADDR] [--port N] [--docs N]\n              [--doc-scale N] [--protocol NAME] [--cache-mib N]\n              [--port-file PATH] [--state-file PATH] [--config PATH]\n              [--self-check]        # SIGHUP reloads --config; SIGTERM drains\n  wcc bench list        # the paper tables (results/<name>.txt), by name\n  wcc bench NAME [--scale N] [--jobs N]\n  wcc bench trajectory [--scale N] [--jobs N] [--out PATH] [--check BASELINE]\n  wcc bench serve [--connections N] [--requests N] [--docs N] [--protocol NAME]\n              [--soak-secs N] [--restart] [--in-process] [--out PATH]\n  wcc protocols"
 }
 
 /// The `--flags` each subcommand reads; `run` rejects any other. `bench` is
@@ -146,7 +146,6 @@ fn accepted_flags(command: &str, sub: Option<&str>) -> Option<&'static [&'static
             "scale",
             "seed",
             "wan",
-            "decoupled",
             "hierarchy",
             "shared",
             "lease-days",
@@ -239,9 +238,6 @@ fn options_for(args: &Args) -> Result<DeploymentOptions, String> {
     let mut options = DeploymentOptions::default();
     if args.flag("wan") {
         options.network = NetworkConfig::wan();
-    }
-    if args.flag("decoupled") {
-        options.send_mode = InvalSendMode::Decoupled;
     }
     if args.flag("hierarchy") {
         options.topology = Topology::Hierarchy;
@@ -350,9 +346,9 @@ fn cmd_replay_family(args: &Args, name: &str) -> Result<(), String> {
         let names: Vec<_> = WorkloadFamily::ALL.iter().map(|f| f.name()).collect();
         format!("unknown family {name:?}; one of {}", names.join(", "))
     })?;
-    if args.flag("hierarchy") || args.flag("decoupled") {
+    if args.flag("hierarchy") {
         return Err("--family runs a flat multi-origin federation; \
-                    --hierarchy/--decoupled are single-origin modes"
+                    --hierarchy is a single-origin mode"
             .to_string());
     }
     let scale = args.num("scale", 1)?.max(1);
@@ -1168,7 +1164,9 @@ mod tests {
                 accepted.contains(&flag.as_str()),
                 "{command} {sub} --{flag}"
             );
-            assert!(!accepted.contains(&"shards"), "{command} {sub}");
+            for removed in ["shards", "decoupled"] {
+                assert!(!accepted.contains(&removed), "{command} {sub} --{removed}");
+            }
         }
         assert_eq!(accepted_flags("no-such-command", None), None);
     }

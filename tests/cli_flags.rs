@@ -1,6 +1,7 @@
 //! `wcc` rejects a `--flag` its subcommand does not read: exit 2 and the
 //! usage text, instead of a run that silently ignored it. (`--shards` was
-//! such a flag until the second engine went; a stale script must not keep
+//! such a flag until the second engine went, `--decoupled` until the
+//! decoupled invalidation sender did; a stale script must not keep
 //! "passing" while checking nothing.) `wcc bench <table>` holds the paper
 //! tables to the same rule, where the binaries it replaced ran at full scale
 //! on a typo, and `wcc serve` each role: a flag the role does not use is
@@ -13,7 +14,7 @@ const WCC: &str = env!("CARGO_BIN_EXE_wcc");
 #[test]
 fn unknown_flags_exit_2_with_usage_and_known_ones_still_run() {
     let base = ["replay", "--trace", "epa", "--scale", "400"];
-    for extra in [&["--shards", "2"][..], &["--bogus"][..]] {
+    for extra in [&["--shards", "2"][..], &["--decoupled"], &["--bogus"]] {
         let run = Command::new(WCC)
             .args(base)
             .args(extra)

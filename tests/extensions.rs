@@ -5,23 +5,22 @@
 #![allow(clippy::field_reassign_with_default)]
 
 use wcc_core::{ProtocolConfig, ProtocolKind};
-use wcc_httpsim::{
-    CacheSharing, Deployment, DeploymentOptions, InvalSendMode, RawReport, Topology,
-};
+use wcc_httpsim::{CacheSharing, Deployment, DeploymentOptions, RawReport, Topology};
 use wcc_replay::{run_trio, ExperimentConfig};
 use wcc_simnet::NetworkConfig;
 use wcc_traces::{synthetic, ModSchedule, TraceSpec};
-use wcc_types::SimDuration;
+use wcc_types::{InvalBatchConfig, SimDuration};
 
 #[test]
 fn wan_penalises_polling_most() {
     // §5.2: "we expect polling-every-time to have a much worse average
     // response time in real life. Conversely, invalidation will have
     // similar or even lower response time than adaptive TTL, as long as
-    // sending invalidations is decoupled…"
+    // sending invalidations is decoupled…" The batched proposer keeps the
+    // fan-out from stalling request handling.
     let mut options = DeploymentOptions::default();
     options.network = NetworkConfig::wan();
-    options.send_mode = InvalSendMode::Decoupled;
+    options.inval_batch = Some(InvalBatchConfig::default());
     let cfg = ExperimentConfig::builder(TraceSpec::epa().scaled_down(50))
         .seed(61)
         .options(options)
