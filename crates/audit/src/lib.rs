@@ -1,26 +1,17 @@
 //! Static verification of the strong-consistency invariants.
 //!
-//! Two engines, both passive:
-//!
-//! * [`audit`] — the **protocol auditor**: replays a recorded
-//!   [`AuditEvent`](wcc_types::AuditEvent) stream (emitted by the replay
-//!   harness when [`DeploymentOptions::audit`] is set) and checks the
-//!   paper's invariants — staleness-freedom, write completion, site-list
-//!   conservation and lease safety — reporting each violation together with
-//!   the offending event subsequence.
-//! * [`lint`] — the **repo lint engine**: the token-level analyzer from
-//!   `wcc-lint` (re-exported here so `wcc_audit::lint::scan_tree` keeps
-//!   working), enforcing deny-by-default hygiene rules — no ambient wall
-//!   clocks, no `unwrap` in protocol crates, no unordered map iteration
-//!   reaching replay-visible output, exhaustive wire-enum dispatch —
-//!   driven by the `xtask-lint` binary.
+//! [`audit`] — the **protocol auditor** — replays a recorded
+//! [`AuditEvent`](wcc_types::AuditEvent) stream (emitted by the replay
+//! harness when [`DeploymentOptions::audit`] is set) and checks the paper's
+//! invariants — staleness-freedom, write completion, site-list conservation
+//! and lease safety — reporting each violation together with the offending
+//! event subsequence. It is passive: it reads the log and changes nothing.
 //!
 //! [`DeploymentOptions::audit`]: https://docs.rs/wcc-httpsim
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub use wcc_lint as lint;
 mod protocol;
 
 pub use protocol::{audit, AuditReport, Check, Expectations, Violation};

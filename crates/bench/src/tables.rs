@@ -15,12 +15,12 @@ use wcc_core::analytical::{
 };
 use wcc_core::{AdaptiveLeaseConfig, ProtocolConfig, ProtocolKind};
 use wcc_httpsim::{CacheSharing, Deployment, DeploymentOptions, RawReport, Topology};
-use wcc_replay::experiment::{materialise, run_on};
+use wcc_replay::experiment::run_on;
 use wcc_replay::tables::{format_table5_column, format_trio_block};
 use wcc_replay::{
-    effective_jobs, parallel, partition_scenario, proxy_crash_scenario, run_batch, run_trio_jobs,
-    server_crash_scenario, ExperimentConfig, ExperimentConfigBuilder, FailureOutcome, ReplayReport,
-    TwoTierComparison,
+    effective_jobs, parallel, partition_scenario, proxy_crash_scenario, run_batch, run_protocols,
+    run_trio, server_crash_scenario, two_tier_comparison, ExperimentConfig,
+    ExperimentConfigBuilder, FailureOutcome, ReplayReport,
 };
 use wcc_simnet::NetworkConfig;
 use wcc_traces::family::{self, FamilyConfig, FamilyWorkload, WorkloadFamily};
@@ -319,20 +319,12 @@ fn table5(scale: u64, jobs: Option<usize>) {
 /// with 2489 extra if-modified-since requests."
 fn section6(scale: u64, jobs: Option<usize>) {
     println!("=== Section 6: two-tier lease-augmented invalidation (SASK, scale 1/{scale}) ===\n");
-    let base = workload(TraceSpec::sask(), scale).mean_lifetime(SimDuration::from_days(14));
+    let base = workload(TraceSpec::sask(), scale)
+        .mean_lifetime(SimDuration::from_days(14))
+        .build();
     // Full lease longer than the 8-day trace, as in the paper's comparison
     // (their simple scheme is "a lease equal to the duration of each trace").
-    // Both arms fan out together; same result as `two_tier_comparison`.
-    let plain_cfg = base.clone().protocol(ProtocolKind::Invalidation).build();
-    let two_tier_cfg = base
-        .protocol_config(
-            ProtocolConfig::new(ProtocolKind::TwoTierLease).with_lease(SimDuration::from_days(30)),
-        )
-        .build();
-    let mut reports = run_batch(&[plain_cfg, two_tier_cfg], jobs);
-    let two_tier = reports.pop().expect("two reports");
-    let plain = reports.pop().expect("two reports");
-    let cmp = TwoTierComparison { plain, two_tier };
+    let cmp = two_tier_comparison(&base, SimDuration::from_days(30), jobs);
 
     let (plain_entries, tt_entries) = cmp.entries();
     let (plain_max, tt_max) = cmp.max_list();
@@ -444,7 +436,6 @@ fn ablation_fixed_ttl(scale: u64, jobs: Option<usize>) {
     let base = workload(TraceSpec::sask(), scale)
         .mean_lifetime(SimDuration::from_days(2)) // brisk churn
         .build();
-    let (trace, mods) = materialise(&base);
     println!(
         "{:<20}{:>12}{:>12}{:>14}{:>12}",
         "protocol", "messages", "IMS", "stale hits", "transfers"
@@ -457,24 +448,15 @@ fn ablation_fixed_ttl(scale: u64, jobs: Option<usize>) {
     ];
     // All six replays (four fixed TTLs plus the two anchors) share the
     // workload and fan out together.
-    let mut labelled: Vec<(String, ExperimentConfig)> = fixed
+    let ttl = ProtocolConfig::new(ProtocolKind::FixedTtl);
+    let mut protocols: Vec<ProtocolConfig> = fixed
         .iter()
-        .map(|&(label, ttl)| {
-            let mut cfg = base.clone();
-            cfg.protocol = ProtocolConfig::new(ProtocolKind::FixedTtl).with_fixed_ttl(ttl);
-            (label.to_string(), cfg)
-        })
+        .map(|&(_, t)| ttl.clone().with_fixed_ttl(t))
         .collect();
-    for kind in [ProtocolKind::AdaptiveTtl, ProtocolKind::Invalidation] {
-        let mut cfg = base.clone();
-        cfg.protocol = ProtocolConfig::new(kind);
-        labelled.push((kind.name().to_string(), cfg));
-    }
-    let reports: Vec<ReplayReport> =
-        parallel::map_indexed(&labelled, effective_jobs(jobs), |(_, cfg)| {
-            run_on(cfg, &trace, &mods)
-        });
-    for ((label, _), r) in labelled.iter().zip(&reports) {
+    protocols
+        .extend([ProtocolKind::AdaptiveTtl, ProtocolKind::Invalidation].map(ProtocolConfig::new));
+    for (i, r) in run_protocols(&base, &protocols, jobs).iter().enumerate() {
+        let label = fixed.get(i).map_or(r.protocol.name(), |(label, _)| label);
         println!(
             "{:<20}{:>12}{:>12}{:>14}{:>12}",
             label, r.raw.total_messages, r.raw.ims, r.raw.stale_hits, r.raw.replies_200
@@ -797,7 +779,7 @@ fn ablation_wan(scale: u64, jobs: Option<usize>) {
                 ..DeploymentOptions::default()
             })
             .build();
-        let trio = run_trio_jobs(&cfg, jobs);
+        let trio = run_trio(&cfg, jobs);
         println!("--- {label} ---");
         println!(
             "{:<16}{:>14}{:>14}{:>14}",
@@ -853,7 +835,7 @@ fn ablation_window(scale: u64, jobs: Option<usize>) {
                 ..DeploymentOptions::default()
             })
             .build();
-        let trio = run_trio_jobs(&cfg, jobs);
+        let trio = run_trio(&cfg, jobs);
         let (ttl, poll, inval) = (&trio[0].raw, &trio[1].raw, &trio[2].raw);
         println!(
             "{:<10}{:>14}{:>14}{:>14}{:>19.3}x",
@@ -951,13 +933,11 @@ fn extension_hierarchy(scale: u64, _jobs: Option<usize>) {
 }
 
 /// The SASK replay at the paper's 14-day lifetime that the three
-/// protocol-comparison extensions share: `(base config, trace, schedule)`.
-fn sask_14_days(scale: u64) -> (ExperimentConfig, Trace, ModSchedule) {
-    let base = workload(TraceSpec::sask(), scale)
+/// protocol-comparison extensions share.
+fn sask_14_days(scale: u64) -> ExperimentConfig {
+    workload(TraceSpec::sask(), scale)
         .mean_lifetime(SimDuration::from_days(14))
-        .build();
-    let (trace, mods) = materialise(&base);
-    (base, trace, mods)
+        .build()
 }
 
 /// Extension E3: hit metering merged with the consistency protocol (§7).
@@ -969,30 +949,29 @@ fn sask_14_days(scale: u64) -> (ExperimentConfig, Trace, ModSchedule) {
 /// invalidation acknowledgement when the copy is deleted. Zero extra
 /// messages; this program measures how much of the true view count each
 /// protocol's natural traffic recovers.
-fn extension_metering(scale: u64, _jobs: Option<usize>) {
+fn extension_metering(scale: u64, jobs: Option<usize>) {
     println!("=== Extension E3: §7 hit metering (SASK, scale 1/{scale}) ===\n");
-    let (base, trace, mods) = sask_14_days(scale);
-    let actual = trace.records.len() as u64;
-    println!("true user requests: {actual}\n");
-    println!(
-        "{:<20}{:>14}{:>14}{:>14}{:>12}",
-        "protocol", "server-visible", "reported", "metered total", "recovered"
-    );
-    for kind in [
+    let kinds = [
         ProtocolKind::AdaptiveTtl,
         ProtocolKind::PollEveryTime,
         ProtocolKind::Invalidation,
         ProtocolKind::LeaseInvalidation,
         ProtocolKind::TwoTierLease,
         ProtocolKind::PiggybackInvalidation,
-    ] {
-        let mut cfg = base.clone();
-        cfg.protocol = ProtocolConfig::new(kind);
-        let r = run_on(&cfg, &trace, &mods);
+    ];
+    let protocols = kinds.map(ProtocolConfig::new);
+    let reports = run_protocols(&sask_14_days(scale), &protocols, jobs);
+    let actual = reports[0].raw.requests;
+    println!("true user requests: {actual}\n");
+    println!(
+        "{:<20}{:>14}{:>14}{:>14}{:>12}",
+        "protocol", "server-visible", "reported", "metered total", "recovered"
+    );
+    for r in &reports {
         let metered = r.raw.metered_served + r.raw.metered_reported;
         println!(
             "{:<20}{:>14}{:>14}{:>14}{:>11.1}%",
-            kind.name(),
+            r.protocol.name(),
             r.raw.metered_served,
             r.raw.metered_reported,
             metered,
@@ -1018,25 +997,22 @@ fn extension_metering(scale: u64, _jobs: Option<usize>) {
 /// messages; consistency bounded by each site's contact frequency. This
 /// program places PSI between adaptive TTL and push invalidation on the
 /// paper's axes.
-fn extension_psi(scale: u64, _jobs: Option<usize>) {
+fn extension_psi(scale: u64, jobs: Option<usize>) {
     println!("=== Extension E2: piggyback server invalidation (SASK, scale 1/{scale}) ===\n");
-    let (base, trace, mods) = sask_14_days(scale);
-    println!(
-        "{:<18}{:>12}{:>14}{:>12}{:>12}{:>14}{:>12}",
-        "protocol", "messages", "invalidations", "IMS", "stale hits", "piggybacked", "CPU"
-    );
-    for kind in [
+    let kinds = [
         ProtocolKind::AdaptiveTtl,
         ProtocolKind::PiggybackInvalidation,
         ProtocolKind::Invalidation,
         ProtocolKind::PollEveryTime,
-    ] {
-        let mut cfg = base.clone();
-        cfg.protocol = ProtocolConfig::new(kind);
-        let r = run_on(&cfg, &trace, &mods);
+    ];
+    println!(
+        "{:<18}{:>12}{:>14}{:>12}{:>12}{:>14}{:>12}",
+        "protocol", "messages", "invalidations", "IMS", "stale hits", "piggybacked", "CPU"
+    );
+    for r in run_protocols(&sask_14_days(scale), &kinds.map(ProtocolConfig::new), jobs) {
         println!(
             "{:<18}{:>12}{:>14}{:>12}{:>12}{:>14}{:>11.1}%",
-            kind.name(),
+            r.protocol.name(),
             r.raw.total_messages,
             r.raw.invalidations,
             r.raw.ims,
@@ -1065,9 +1041,8 @@ fn extension_psi(scale: u64, _jobs: Option<usize>) {
 /// served only while both are live, so the server never waits longer than
 /// the volume length for an unreachable client — and the client learns of
 /// missed invalidations via the piggyback on its first renewal.
-fn extension_volume(scale: u64, _jobs: Option<usize>) {
+fn extension_volume(scale: u64, jobs: Option<usize>) {
     println!("=== Extension E4: volume leases (SASK, scale 1/{scale}) ===\n");
-    let (base, trace, mods) = sask_14_days(scale);
 
     println!("Normal operation — the volume-length trade-off:");
     println!(
@@ -1080,22 +1055,20 @@ fn extension_volume(scale: u64, _jobs: Option<usize>) {
         ("10m", SimDuration::from_mins(10)),
         ("1h", SimDuration::from_hours(1)),
     ];
-    for (label, volume) in volumes {
-        let mut cfg = base.clone();
-        cfg.protocol = ProtocolConfig::new(ProtocolKind::VolumeLease).with_volume_lease(volume);
-        let r = run_on(&cfg, &trace, &mods).raw;
+    let lease = ProtocolConfig::new(ProtocolKind::VolumeLease);
+    let mut protocols: Vec<ProtocolConfig> = volumes
+        .iter()
+        .map(|&(_, v)| lease.clone().with_volume_lease(v))
+        .collect();
+    protocols.push(ProtocolConfig::new(ProtocolKind::Invalidation));
+    let labels = volumes.iter().map(|(label, _)| *label).chain(["plain (∞)"]);
+    for (label, r) in labels.zip(run_protocols(&sask_14_days(scale), &protocols, jobs)) {
+        let r = r.raw;
         println!(
             "{:<18}{:>12}{:>14}{:>12}{:>12}{:>12}",
             label, r.total_messages, r.invalidations, r.ims, r.piggybacked, r.final_violations,
         );
     }
-    let mut plain = base.clone();
-    plain.protocol = ProtocolConfig::new(ProtocolKind::Invalidation);
-    let p = run_on(&plain, &trace, &mods).raw;
-    println!(
-        "{:<18}{:>12}{:>14}{:>12}{:>12}{:>12}",
-        "plain (∞)", p.total_messages, p.invalidations, p.ims, p.piggybacked, p.final_violations,
-    );
 
     println!("\nPartition (server↔proxy 0, 30%→70% of the run):");
     let scenario = |kind: ProtocolKind| {
@@ -1190,7 +1163,7 @@ fn robustness(scale: u64, jobs: Option<usize>) {
     const SEEDS: u64 = 10;
     for seed in 0..SEEDS {
         let cfg = workload(TraceSpec::epa(), scale).seed(1_000 + seed).build();
-        let trio = run_trio_jobs(&cfg, jobs);
+        let trio = run_trio(&cfg, jobs);
         let (ttl, poll, inval) = (&trio[0].raw, &trio[1].raw, &trio[2].raw);
         let ord = poll.total_messages > inval.total_messages;
         let par = (inval.total_messages as f64) <= ttl.total_messages as f64 * 1.06;

@@ -88,12 +88,6 @@ impl ProtocolKind {
         )
     }
 
-    /// Returns `true` for every protocol that maintains server-side site
-    /// lists (the push family plus PSI).
-    pub fn uses_site_lists(self) -> bool {
-        self.uses_invalidation() || self == ProtocolKind::PiggybackInvalidation
-    }
-
     /// A short stable name used in reports and CLI arguments.
     pub fn name(self) -> &'static str {
         match self {

@@ -382,13 +382,6 @@ impl ServerConsistency {
     pub fn purge_expired_leases(&mut self, now: SimTime) -> u64 {
         self.table.purge_expired(now)
     }
-
-    /// Average interval between lease-GC sweeps that keeps the table close
-    /// to its steady-state size: a quarter of the lease length, floored at
-    /// one minute.
-    pub fn suggested_gc_interval(lease: SimDuration) -> SimDuration {
-        lease.div(4).max(SimDuration::from_mins(1))
-    }
 }
 
 #[cfg(test)]
@@ -713,18 +706,6 @@ mod tests {
         assert!(
             !s.writes_complete(),
             "plain invalidation must wait for acks"
-        );
-    }
-
-    #[test]
-    fn gc_interval_suggestion() {
-        assert_eq!(
-            ServerConsistency::suggested_gc_interval(SimDuration::from_days(4)),
-            SimDuration::from_days(1)
-        );
-        assert_eq!(
-            ServerConsistency::suggested_gc_interval(SimDuration::from_secs(1)),
-            SimDuration::from_mins(1)
         );
     }
 }

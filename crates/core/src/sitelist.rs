@@ -177,25 +177,6 @@ impl InvalidationTable {
         }
     }
 
-    /// Removes `client` from `url`'s list, returning whether it was present.
-    pub fn unregister(&mut self, url: Url, client: ClientId) -> bool {
-        match self.lists.get_mut(&url) {
-            Some(list) => match list.clients.binary_search(&client) {
-                Ok(i) => {
-                    list.clients.remove(i);
-                    list.expires.remove(i);
-                    self.entries -= 1;
-                    if list.clients.is_empty() {
-                        self.lists.remove(&url);
-                    }
-                    true
-                }
-                Err(_) => false,
-            },
-            None => false,
-        }
-    }
-
     /// Drains `url`'s site list (the modification just invalidated it) and
     /// returns the clients whose leases are still live at `now`, sorted for
     /// determinism. Clients with expired leases are simply dropped — they
@@ -324,17 +305,6 @@ mod tests {
         t.register(url(1), client(2), SimTime::from_secs(150));
         let sites = t.take_sites(url(1), SimTime::from_secs(100));
         assert_eq!(sites, vec![client(2)]);
-    }
-
-    #[test]
-    fn unregister() {
-        let mut t = InvalidationTable::new();
-        t.register(url(1), client(1), SimTime::NEVER);
-        assert!(t.unregister(url(1), client(1)));
-        assert!(!t.unregister(url(1), client(1)));
-        assert_eq!(t.total_entries(), 0);
-        // Empty list is fully dropped (no storage cost).
-        assert_eq!(t.stats().tracked_documents, 0);
     }
 
     #[test]
@@ -468,11 +438,11 @@ mod proptests {
 
         /// Conservation: across any op sequence the table tracks exactly the
         /// registered-and-not-yet-removed entries — every entry that leaves
-        /// does so through `take_sites`, `purge_expired`, or `unregister`,
+        /// does so through `take_sites` or `purge_expired`,
         /// and the live subset returned by `take_sites` matches a shadow map.
         #[test]
         fn entries_are_conserved_across_op_sequences(
-            ops in proptest::collection::vec((0u8..4, 0u32..4, 0u32..6, 0u64..100), 1..120),
+            ops in proptest::collection::vec((0u8..3, 0u32..4, 0u32..6, 0u64..100), 1..120),
         ) {
             use std::collections::HashMap;
             let mut t = InvalidationTable::new();
@@ -499,15 +469,11 @@ mod proptests {
                         prop_assert_eq!(taken, expect);
                         shadow.retain(|&(d, _), _| d != doc);
                     }
-                    2 => {
+                    _ => {
                         let purged = t.purge_expired(at);
                         let before = shadow.len();
                         shadow.retain(|_, &mut exp| exp > at);
                         prop_assert_eq!(purged, (before - shadow.len()) as u64);
-                    }
-                    _ => {
-                        let was = t.unregister(u, c);
-                        prop_assert_eq!(was, shadow.remove(&(doc, cl)).is_some());
                     }
                 }
                 prop_assert_eq!(t.total_entries(), shadow.len() as u64);

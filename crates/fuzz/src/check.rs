@@ -52,7 +52,7 @@ use std::fmt;
 use wcc_audit::Check;
 use wcc_core::{ProtocolConfig, ProtocolKind};
 use wcc_httpsim::{ChangeDetection, Deployment};
-use wcc_replay::ReplayReport;
+use wcc_replay::{reference_wall, ReplayReport};
 use wcc_simnet::FaultPlan;
 use wcc_traces::{synthetic, FamilyConfig, ModSchedule, Trace};
 use wcc_types::{AuditEvent, SimDuration, SimTime};
@@ -207,35 +207,13 @@ fn run_once(
     let fault_entries = plan.len();
     d.apply_faults(&plan);
     d.run_until(deadline);
-    let audit = d.audit();
-    let log = d.audit_log();
-    let report = ReplayReport {
-        trace: workloads[0].0.name.clone(),
-        protocol: protocol.kind,
-        mean_lifetime: s.mean_lifetime,
-        files_modified: workloads
-            .iter()
-            .map(|(_, m)| m.modifications().len() as u64)
-            .sum(),
-        seed: s.seed,
-        raw: d.collect(),
-        audit: Some(audit),
-    };
+    let mods = workloads.iter().map(|(_, m)| m);
+    let name = &workloads[0].0.name;
     RunOutput {
-        report,
-        log,
+        report: ReplayReport::collect(&d, name, protocol.kind, s.mean_lifetime, s.seed, mods, true),
+        log: d.audit_log(),
         fault_entries,
     }
-}
-
-/// Measures the fault-free wall duration (for fault placement and the
-/// liveness deadline). Audit is off: only timing matters here.
-fn reference_wall(s: &Scenario, workloads: &[(Trace, ModSchedule)]) -> SimDuration {
-    let mut options = s.options.clone();
-    options.audit = false;
-    let mut d = Deployment::build_multi(workloads, &s.protocol, options);
-    d.run();
-    d.collect().wall_duration
 }
 
 /// Plants the `tests/audit.rs` fault: a forged from-cache serve of the
@@ -300,7 +278,7 @@ pub fn check(scenario: &Scenario, opts: &CheckOptions) -> Result<CheckStats, Fuz
     // Fault placement and the liveness deadline both need the fault-free
     // wall duration. Faulted runs may legitimately run long (retry loops
     // across outages), so the deadline is a generous multiple.
-    let wall = reference_wall(scenario, &workloads);
+    let wall = reference_wall(&workloads, &scenario.protocol, &scenario.options);
     let deadline = SimTime::ZERO + wall.saturating_mul(64) + SimDuration::from_hours(1);
 
     let first = run_once(scenario, &workloads, &scenario.protocol, wall, deadline);

@@ -75,17 +75,11 @@ impl CoordinatorNode {
         }
     }
 
+    /// Opens the current window: every participant is waiting, and every
+    /// one of them is sent `StepStart`.
     fn broadcast(&mut self, ctx: &mut Ctx<'_, Message>) {
-        let msg = Message::Coord(CoordMsg::StepStart {
-            step: self.step,
-            window_end: self.window_end(self.step),
-        });
         self.waiting = self.participants.iter().copied().collect();
-        for &node in &self.participants {
-            let size = msg.wire_size();
-            ctx.send(node, msg.clone(), size);
-        }
-        ctx.set_timer(WATCHDOG, self.step as u64);
+        self.nudge_stragglers(ctx);
     }
 
     /// Nodes that have not reported done, in canonical participant order —
@@ -98,8 +92,9 @@ impl CoordinatorNode {
             .filter(|node| self.waiting.contains(node))
     }
 
-    /// Re-sends `StepStart` to nodes that have not reported done (they may
-    /// have been down when the original went out).
+    /// Sends `StepStart` to the nodes that have not reported done (on a
+    /// watchdog tick, they may have been down when the original went out)
+    /// and arms the watchdog.
     fn nudge_stragglers(&mut self, ctx: &mut Ctx<'_, Message>) {
         let msg = Message::Coord(CoordMsg::StepStart {
             step: self.step,

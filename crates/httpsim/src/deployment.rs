@@ -468,7 +468,7 @@ impl Deployment {
     /// [`Deployment::run`] under the name the frozen `benchmark/` ledger
     /// still calls (`benchmark/src/report.rs`, traced `feed-storm` runs):
     /// `_shards` is ignored, there is no second engine. No other caller;
-    /// goes with the `simnet.shard2_speedup` row (ROADMAP item 2e).
+    /// goes with the `simnet.shard2_speedup` row (ROADMAP item 2(a)).
     pub fn run_sharded(&mut self, _shards: usize) -> SimTime {
         self.run()
     }

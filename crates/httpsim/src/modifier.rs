@@ -4,7 +4,7 @@
 use wcc_proto::{CoordMsg, HttpMsg, Message};
 use wcc_simnet::{Ctx, Node};
 use wcc_traces::Modification;
-use wcc_types::{NodeId, ServerId, SimTime, Url};
+use wcc_types::{NodeId, ServerId, Url};
 
 /// The modifier node. "For each selected file, the modifier performs a
 /// 'touch' … then a 'check-in' of the file, which notifies the accelerator
@@ -68,31 +68,5 @@ impl Node<Message> for ModifierNode {
             let size = done.wire_size();
             ctx.send(coord, done, size);
         }
-    }
-}
-
-/// Convenience: the final trace instant any modification occurs, if any.
-pub fn last_modification_at(mods: &[Modification]) -> Option<SimTime> {
-    mods.last().map(|m| m.at)
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn last_modification() {
-        assert_eq!(last_modification_at(&[]), None);
-        let mods = vec![
-            Modification {
-                at: SimTime::from_secs(10),
-                doc: 1,
-            },
-            Modification {
-                at: SimTime::from_secs(20),
-                doc: 2,
-            },
-        ];
-        assert_eq!(last_modification_at(&mods), Some(SimTime::from_secs(20)));
     }
 }

@@ -18,9 +18,9 @@ use crate::cost::CostModel;
 use crate::origin::{timer_token, token_timer};
 use wcc_cache::CacheStore;
 use wcc_core::{Begin, Complete, OriginOut, ProtocolConfig, ProxyCore, ProxyPolicy, WritePath};
-use wcc_proto::{GetRequest, HttpMsg, Message, Reply, ReplyStatus};
+use wcc_proto::{BatchEntry, GetRequest, HttpMsg, Message, Reply, ReplyStatus};
 use wcc_simnet::{Ctx, Node};
-use wcc_types::{ByteSize, ClientId, DocMeta, NodeId, SimTime, Url};
+use wcc_types::{ByteSize, ClientId, DocMeta, NodeId, ServerId, SimTime, Url};
 
 /// What the parent counts beside its fetch core's
 /// [`FetchCounters`](wcc_core::FetchCounters) ([`ParentNode::core`]).
@@ -208,6 +208,30 @@ impl ParentNode {
             .modify(url, self.trace_now, ctx.now(), &mut self.out);
         self.emit(ctx);
     }
+
+    /// A coalesced round from the origin, applied and acked as one, as a
+    /// proxy does: each copy is charged like a single `INVALIDATE` and held
+    /// as the parent's own, the §7 reports ride one `InvalidateBatchAck`,
+    /// and every document is relayed down the tree.
+    fn handle_invalidate_batch(
+        &mut self,
+        server: ServerId,
+        entries: Vec<BatchEntry>,
+        ctx: &mut Ctx<'_, Message>,
+    ) {
+        let urls: Vec<Url> = entries.iter().map(|e| e.url).collect();
+        ctx.consume(self.costs.proxy_inval_cpu.saturating_mul(urls.len() as u64));
+        let client = self.identity;
+        let held = entries.into_iter().map(|e| BatchEntry { client, ..e });
+        let entries = self.core.on_invalidate_batch(held);
+        let ack = HttpMsg::InvalidateBatchAck { server, entries };
+        self.send(self.origin, ack, ctx);
+        for url in urls {
+            self.down
+                .modify(url, self.trace_now, ctx.now(), &mut self.out);
+        }
+        self.emit(ctx);
+    }
 }
 
 impl Node<Message> for ParentNode {
@@ -216,13 +240,8 @@ impl Node<Message> for ParentNode {
             Message::Http(HttpMsg::Get(get)) => self.handle_child_get(from, get, ctx),
             Message::Http(HttpMsg::Reply(reply)) => self.handle_upstream_reply(reply, ctx),
             Message::Http(HttpMsg::Invalidate { url, .. }) => self.handle_invalidate(url, ctx),
-            Message::Http(HttpMsg::InvalidateBatch { entries, .. }) => {
-                // A coalesced round from the origin: each entry gets the
-                // full per-copy treatment (drop, §7 report, per-copy ack,
-                // relay down the tree).
-                for entry in entries {
-                    self.handle_invalidate(entry.url, ctx);
-                }
+            Message::Http(HttpMsg::InvalidateBatch { server, entries }) => {
+                self.handle_invalidate_batch(server, entries, ctx);
             }
             Message::Http(HttpMsg::InvalAck {
                 url,

@@ -166,3 +166,33 @@ fn a_relay_lost_to_a_partition_is_resent_after_it_heals() {
     assert_eq!((r.stale_hits, r.final_violations), (0, 0));
     assert_eq!(r.hits, 0, "the refetch at 3600 went to the parent");
 }
+
+/// With the proposer on, the origin's coalesced rounds reach the parent,
+/// which applies each as one round and acks it with one
+/// `InvalidateBatchAck`, as a proxy does; every write still completes and
+/// the audit stays clean.
+#[test]
+fn a_batched_round_is_applied_and_acked_as_one() {
+    use wcc_traces::{synthetic, TraceSpec};
+    use wcc_types::InvalBatchConfig;
+    let spec = TraceSpec::epa().scaled_down(200);
+    let trace = synthetic::generate(&spec, 7);
+    let mods = ModSchedule::generate(spec.num_docs, SimDuration::from_hours(4), spec.duration, 7);
+    let mut opts = DeploymentOptions::default();
+    opts.topology = Topology::Hierarchy;
+    opts.inval_batch = Some(InvalBatchConfig::default());
+    opts.audit = true;
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let mut d = Deployment::build(&trace, &mods, &cfg, opts);
+    d.run();
+    let r = d.collect();
+    let parent = r.parent.as_ref().expect("hierarchy parent");
+    assert!(
+        parent.fetch.inval_batches_received > 0,
+        "{:?}",
+        parent.fetch
+    );
+    assert!(r.finished && r.writes_complete);
+    let audit = d.audit();
+    assert!(audit.violations.is_empty(), "{audit}");
+}

@@ -125,21 +125,12 @@ pub enum ReplyStatusRef<'buf> {
 }
 
 impl ReplyRef<'_> {
-    /// The piggybacked invalidations, parsed from the borrowed text.
-    /// Infallible: the text was validated during decode.
+    /// The piggybacked invalidations, parsed from the borrowed text. Every
+    /// entry parses: the text was validated during decode.
     pub fn piggyback_urls(&self) -> Vec<Url> {
-        let Some(list) = self.piggyback else {
-            // An empty Vec performs no allocation.
-            return Vec::new(); // xtask-lint: allow(hot-loop-alloc)
-        };
         let server = self.url.server();
-        list.split(',')
-            .map(|d| {
-                // Infallible: entries were parse-checked at decode time.
-                let doc: u32 = d.trim().parse().expect("piggyback validated at decode"); // xtask-lint: allow(unwrap)
-                Url::new(server, doc)
-            })
-            .collect()
+        let list = self.piggyback.into_iter().flat_map(|list| list.split(','));
+        list.filter_map(|d| piggyback_entry(server, d)).collect()
     }
 
     /// Materialises an owned [`Reply`], copying the body payload.
@@ -178,21 +169,11 @@ pub struct InvalidateBatchRef<'buf> {
 }
 
 impl InvalidateBatchRef<'_> {
-    /// The round's entries, parsed from the borrowed text. Infallible: the
-    /// text was validated during decode.
+    /// The round's entries, parsed from the borrowed text. Every entry
+    /// parses: the text was validated during decode.
     pub fn entries(&self) -> Vec<BatchEntry> {
-        let server = self.server;
-        self.list
-            .split(',')
-            .map(|e| {
-                // Infallible: entries were parse-checked at decode time.
-                let (doc, client) = e.trim().split_once(':').expect("batch validated at decode"); // xtask-lint: allow(unwrap)
-                BatchEntry {
-                    url: Url::new(server, doc.parse().expect("batch validated at decode")), // xtask-lint: allow(unwrap)
-                    client: client.parse().expect("batch validated at decode"), // xtask-lint: allow(unwrap)
-                }
-            })
-            .collect()
+        let entry = |e| batch_entry(self.server, e);
+        self.list.split(',').filter_map(entry).collect()
     }
 }
 
@@ -207,23 +188,11 @@ pub struct InvalidateBatchAckRef<'buf> {
 }
 
 impl InvalidateBatchAckRef<'_> {
-    /// The acknowledged entries, parsed from the borrowed text.
-    /// Infallible: the text was validated during decode.
+    /// The acknowledged entries, parsed from the borrowed text. Every
+    /// entry parses: the text was validated during decode.
     pub fn entries(&self) -> Vec<BatchAckEntry> {
-        let server = self.server;
-        self.list
-            .split(',')
-            .map(|e| {
-                // Infallible: entries were parse-checked at decode time.
-                let (doc, rest) = e.trim().split_once(':').expect("batch ack validated"); // xtask-lint: allow(unwrap)
-                let (client, hits) = rest.split_once(':').expect("batch ack validated"); // xtask-lint: allow(unwrap)
-                BatchAckEntry {
-                    url: Url::new(server, doc.parse().expect("batch ack validated")), // xtask-lint: allow(unwrap)
-                    client: client.parse().expect("batch ack validated"), // xtask-lint: allow(unwrap)
-                    cache_hits: hits.parse().expect("batch ack validated"), // xtask-lint: allow(unwrap)
-                }
-            })
-            .collect()
+        let entry = |e| batch_ack_entry(self.server, e);
+        self.list.split(',').filter_map(entry).collect()
     }
 }
 
@@ -454,7 +423,10 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
             let req = RequestId::new(required(headers.x_request_id, "x-request-id")?);
             let client = required_client(headers.x_client)?;
             let lease = headers.x_lease.map(parse_micros).transpose()?;
-            let piggyback = validated_piggyback(headers.x_piggyback)?;
+            let piggyback = headers
+                .x_piggyback
+                .map(|list| validated(list, |d| piggyback_entry(url.server(), d), bad_piggyback))
+                .transpose()?;
             let volume_lease = headers.x_volume_lease.map(parse_micros).transpose()?;
             match code {
                 "200" => {
@@ -503,7 +475,7 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
                 if let Some(list) = headers.x_batch {
                     HttpMsgRef::InvalidateBatch(InvalidateBatchRef {
                         server,
-                        list: validated_batch(list)?,
+                        list: validated(list, |e| batch_entry(server, e), bad_batch_entry)?,
                     })
                 } else {
                     HttpMsgRef::InvalidateServer { server }
@@ -522,7 +494,7 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
                 if let Some(list) = headers.x_batch {
                     HttpMsgRef::InvalidateBatchAck(InvalidateBatchAckRef {
                         server,
-                        list: validated_batch_ack(list)?,
+                        list: validated(list, |e| batch_ack_entry(server, e), bad_batch_ack_entry)?,
                     })
                 } else {
                     HttpMsgRef::InvalidateServerAck { server }
@@ -616,54 +588,44 @@ fn parse_hit_count(value: Option<&str>) -> Result<u64, WireError> {
         .map(|v| v.unwrap_or(0))
 }
 
-/// Validates the `X-Piggyback` list without materialising the [`Url`]s, so
-/// [`ReplyRef::piggyback_urls`] can parse it infallibly later.
-fn validated_piggyback(value: Option<&str>) -> Result<Option<&str>, WireError> {
-    let Some(list) = value else {
-        return Ok(None);
-    };
-    for d in list.split(',') {
-        // Same target type as `Url::new`'s doc index.
-        let parsed: Result<u32, _> = d.trim().parse();
-        if parsed.is_err() {
-            return Err(bad_piggyback(d));
-        }
+/// Checks that every entry of a comma-separated list parses with `entry`,
+/// so the accessors that parse it again later ([`ReplyRef::piggyback_urls`],
+/// [`InvalidateBatchRef::entries`], [`InvalidateBatchAckRef::entries`])
+/// drop nothing. The first entry that does not parse is the error.
+fn validated<T>(
+    list: &str,
+    entry: impl Fn(&str) -> Option<T>,
+    bad: fn(&str) -> WireError,
+) -> Result<&str, WireError> {
+    match list.split(',').find(|e| entry(e).is_none()) {
+        Some(e) => Err(bad(e)),
+        None => Ok(list),
     }
-    Ok(Some(list))
 }
 
-/// Validates the `X-Batch` list of an `INVALIDATE *` round without
-/// materialising the entries, so [`InvalidateBatchRef::entries`] can parse
-/// it infallibly later.
-fn validated_batch(list: &str) -> Result<&str, WireError> {
-    for e in list.split(',') {
-        let entry = e.trim();
-        let ok = entry.split_once(':').is_some_and(|(doc, client)| {
-            doc.parse::<u32>().is_ok() && client.parse::<ClientId>().is_ok()
-        });
-        if !ok {
-            return Err(bad_batch_entry(entry));
-        }
-    }
-    Ok(list)
+/// One `X-Piggyback` entry: a document index on the reply's server.
+fn piggyback_entry(server: ServerId, entry: &str) -> Option<Url> {
+    Some(Url::new(server, entry.trim().parse().ok()?))
 }
 
-/// Validates the `X-Batch` list of an `ACK *` round, for
-/// [`InvalidateBatchAckRef::entries`].
-fn validated_batch_ack(list: &str) -> Result<&str, WireError> {
-    for e in list.split(',') {
-        let entry = e.trim();
-        let ok = entry.split_once(':').is_some_and(|(doc, rest)| {
-            doc.parse::<u32>().is_ok()
-                && rest.split_once(':').is_some_and(|(client, hits)| {
-                    client.parse::<ClientId>().is_ok() && hits.parse::<u64>().is_ok()
-                })
-        });
-        if !ok {
-            return Err(bad_batch_ack_entry(entry));
-        }
-    }
-    Ok(list)
+/// One `X-Batch` entry of an `INVALIDATE *` round: `doc:client`.
+fn batch_entry(server: ServerId, entry: &str) -> Option<BatchEntry> {
+    let (doc, client) = entry.trim().split_once(':')?;
+    Some(BatchEntry {
+        url: Url::new(server, doc.parse().ok()?),
+        client: client.parse().ok()?,
+    })
+}
+
+/// One `X-Batch` entry of an `ACK *` round: `doc:client:hits`.
+fn batch_ack_entry(server: ServerId, entry: &str) -> Option<BatchAckEntry> {
+    let (doc, rest) = entry.trim().split_once(':')?;
+    let (client, hits) = rest.split_once(':')?;
+    Some(BatchAckEntry {
+        url: Url::new(server, doc.parse().ok()?),
+        client: client.parse().ok()?,
+        cache_hits: hits.parse().ok()?,
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -825,11 +787,13 @@ fn bad_piggyback(entry: &str) -> WireError {
 
 #[cold]
 fn bad_batch_entry(entry: &str) -> WireError {
+    let entry = entry.trim();
     WireError::Malformed(format!("bad batch entry {entry:?}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
 #[cold]
 fn bad_batch_ack_entry(entry: &str) -> WireError {
+    let entry = entry.trim();
     WireError::Malformed(format!("bad batch ack entry {entry:?}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
@@ -866,11 +830,6 @@ impl<R: Read> FrameReader<R> {
             end: 0,
             eof: false,
         }
-    }
-
-    /// A reference to the wrapped stream.
-    pub fn get_ref(&self) -> &R {
-        &self.inner
     }
 
     /// Decodes the next frame, reading more bytes as needed.

@@ -3,6 +3,7 @@
 use wcc_audit::AuditReport;
 use wcc_core::{ProtocolConfig, ProtocolKind};
 use wcc_httpsim::{Deployment, DeploymentOptions, RawReport};
+use wcc_simnet::FaultPlan;
 use wcc_traces::{synthetic, ModSchedule, Trace, TraceSpec};
 use wcc_types::SimDuration;
 
@@ -111,6 +112,36 @@ pub struct ReplayReport {
     pub audit: Option<AuditReport>,
 }
 
+impl ReplayReport {
+    /// Reads the report off `deployment` once it has replayed the workload
+    /// named `trace` — `mods` are its modification schedules, one per
+    /// origin — under `protocol`, `mean_lifetime` and `seed`. `audit`
+    /// attaches the auditor's verdict; the deployment must then have been
+    /// built with [`DeploymentOptions::audit`].
+    pub fn collect<'a>(
+        deployment: &Deployment,
+        trace: &str,
+        protocol: ProtocolKind,
+        mean_lifetime: SimDuration,
+        seed: u64,
+        mods: impl IntoIterator<Item = &'a ModSchedule>,
+        audit: bool,
+    ) -> ReplayReport {
+        ReplayReport {
+            trace: trace.to_string(),
+            protocol,
+            mean_lifetime,
+            files_modified: mods
+                .into_iter()
+                .map(|m| m.modifications().len() as u64)
+                .sum(),
+            seed,
+            raw: deployment.collect(),
+            audit: audit.then(|| deployment.audit()),
+        }
+    }
+}
+
 /// Materialises the workload for a config (deterministic).
 pub fn materialise(cfg: &ExperimentConfig) -> (Trace, ModSchedule) {
     let trace = synthetic::generate(&cfg.spec, cfg.seed);
@@ -132,29 +163,29 @@ pub fn run_experiment(cfg: &ExperimentConfig) -> ReplayReport {
 /// Runs one experiment over an already-materialised workload (so a trio
 /// shares the identical trace and modification schedule, as in the paper).
 pub fn run_on(cfg: &ExperimentConfig, trace: &Trace, mods: &ModSchedule) -> ReplayReport {
-    let mut deployment = Deployment::build(trace, mods, &cfg.protocol, cfg.options.clone());
-    deployment.run();
-    let audit = cfg.options.audit.then(|| deployment.audit());
-    ReplayReport {
-        trace: trace.name.clone(),
-        protocol: cfg.protocol.kind,
-        mean_lifetime: cfg.lifetime(),
-        files_modified: mods.modifications().len() as u64,
-        seed: cfg.seed,
-        raw: deployment.collect(),
-        audit,
-    }
+    run_faulted_on(cfg, trace, mods, |_| FaultPlan::new())
 }
 
-/// Runs the paper's three-way comparison (adaptive TTL, polling-every-time,
-/// invalidation) over one identical workload — one block of Tables 3/4.
-///
-/// The three replays fan out over [`crate::parallel`]'s worker pool (job
-/// count from `WCC_JOBS` or the core count); the reports are byte-identical
-/// to a sequential run. Use [`crate::parallel::run_trio_jobs`] for an
-/// explicit job count.
-pub fn run_trio(base: &ExperimentConfig) -> [ReplayReport; 3] {
-    crate::parallel::run_trio_jobs(base, None)
+/// [`run_on`] with the fault plan `faults` draws up for the built
+/// deployment (it needs the node ids) scheduled before the run.
+pub(crate) fn run_faulted_on(
+    cfg: &ExperimentConfig,
+    trace: &Trace,
+    mods: &ModSchedule,
+    faults: impl FnOnce(&Deployment) -> FaultPlan,
+) -> ReplayReport {
+    let mut deployment = Deployment::build(trace, mods, &cfg.protocol, cfg.options.clone());
+    deployment.apply_faults(&faults(&deployment));
+    deployment.run();
+    ReplayReport::collect(
+        &deployment,
+        &trace.name,
+        cfg.protocol.kind,
+        cfg.lifetime(),
+        cfg.seed,
+        [mods],
+        cfg.options.audit,
+    )
 }
 
 /// The §6 two-tier-lease evaluation: plain invalidation vs. two-tier over
@@ -191,18 +222,22 @@ impl TwoTierComparison {
     }
 }
 
-/// Runs the two-tier comparison for `base` (whose protocol is ignored).
-/// `lease` is the two-tier full lease; the plain run uses infinite leases.
-pub fn two_tier_comparison(base: &ExperimentConfig, lease: SimDuration) -> TwoTierComparison {
-    let (trace, mods) = materialise(base);
-    let mut plain_cfg = base.clone();
-    plain_cfg.protocol = ProtocolConfig::new(ProtocolKind::Invalidation);
-    let mut two_tier_cfg = base.clone();
-    two_tier_cfg.protocol = ProtocolConfig::new(ProtocolKind::TwoTierLease).with_lease(lease);
-    TwoTierComparison {
-        plain: run_on(&plain_cfg, &trace, &mods),
-        two_tier: run_on(&two_tier_cfg, &trace, &mods),
-    }
+/// Runs the two-tier comparison for `base` (whose protocol is ignored) on
+/// up to `jobs` workers, as [`crate::run_protocols`] does. `lease` is the
+/// two-tier full lease; the plain run uses infinite leases.
+pub fn two_tier_comparison(
+    base: &ExperimentConfig,
+    lease: SimDuration,
+    jobs: Option<usize>,
+) -> TwoTierComparison {
+    let protocols = [
+        ProtocolConfig::new(ProtocolKind::Invalidation),
+        ProtocolConfig::new(ProtocolKind::TwoTierLease).with_lease(lease),
+    ];
+    let [plain, two_tier] = crate::run_protocols(base, &protocols, jobs)
+        .try_into()
+        .expect("one report per protocol");
+    TwoTierComparison { plain, two_tier }
 }
 
 #[cfg(test)]
@@ -242,7 +277,7 @@ mod tests {
 
     #[test]
     fn trio_shares_workload_and_orders_columns() {
-        let trio = run_trio(&base(300));
+        let trio = crate::run_trio(&base(300), None);
         assert_eq!(trio[0].protocol, ProtocolKind::AdaptiveTtl);
         assert_eq!(trio[1].protocol, ProtocolKind::PollEveryTime);
         assert_eq!(trio[2].protocol, ProtocolKind::Invalidation);
@@ -254,7 +289,7 @@ mod tests {
 
     #[test]
     fn trio_reproduces_paper_shape_on_scaled_epa() {
-        let trio = run_trio(&base(100));
+        let trio = crate::run_trio(&base(100), None);
         let (ttl, poll, inval) = (&trio[0].raw, &trio[1].raw, &trio[2].raw);
         // Polling sends the most messages.
         assert!(poll.total_messages > ttl.total_messages);
@@ -273,7 +308,7 @@ mod tests {
         let base = ExperimentConfig::builder(TraceSpec::sask().scaled_down(100))
             .seed(5)
             .build();
-        let cmp = two_tier_comparison(&base, SimDuration::from_days(30));
+        let cmp = two_tier_comparison(&base, SimDuration::from_days(30), None);
         let (plain_entries, tt_entries) = cmp.entries();
         assert!(
             tt_entries < plain_entries,

@@ -8,9 +8,11 @@
 //! a [`FaultPlan`] injected, and returns a [`FailureOutcome`] whose
 //! invariants the integration tests assert.
 
-use crate::experiment::{materialise, ExperimentConfig, ReplayReport};
-use wcc_httpsim::Deployment;
+use crate::experiment::{materialise, run_faulted_on, ExperimentConfig, ReplayReport};
+use wcc_core::ProtocolConfig;
+use wcc_httpsim::{Deployment, DeploymentOptions};
 use wcc_simnet::FaultPlan;
+use wcc_traces::{ModSchedule, Trace};
 use wcc_types::{SimDuration, SimTime};
 
 /// What a failure-injection replay observed.
@@ -24,11 +26,19 @@ pub struct FailureOutcome {
     pub outage: (SimTime, SimTime),
 }
 
-/// Measures the fault-free wall duration so faults can be placed at
-/// fractions of the run.
-fn reference_wall(cfg: &ExperimentConfig) -> SimDuration {
-    let (trace, mods) = materialise(cfg);
-    let mut d = Deployment::build(&trace, &mods, &cfg.protocol, cfg.options.clone());
+/// The wall duration of a fault-free replay of `workloads` (one
+/// `(trace, schedule)` pair per origin): faults are placed at fractions of
+/// it. The auditor stays off; only the timing is wanted.
+pub fn reference_wall(
+    workloads: &[(Trace, ModSchedule)],
+    protocol: &ProtocolConfig,
+    options: &DeploymentOptions,
+) -> SimDuration {
+    let options = DeploymentOptions {
+        audit: false,
+        ..options.clone()
+    };
+    let mut d = Deployment::build_multi(workloads, protocol, options);
     d.run();
     d.collect().wall_duration
 }
@@ -39,27 +49,13 @@ fn faulted_run(
     from_frac: f64,
     to_frac: f64,
 ) -> FailureOutcome {
-    let wall = reference_wall(cfg);
+    let workload = [materialise(cfg)];
+    let wall = reference_wall(&workload, &cfg.protocol, &cfg.options);
     let at = |frac: f64| SimTime::ZERO + wall.mul_f64(frac);
     let (from, to) = (at(from_frac), at(to_frac));
-
-    let (trace, mods) = materialise(cfg);
-    let mut d = Deployment::build(&trace, &mods, &cfg.protocol, cfg.options.clone());
-    let plan = plan_for(&d, from, to);
-    d.apply_faults(&plan);
-    d.run();
-    let audit = cfg.options.audit.then(|| d.audit());
-    let raw = d.collect();
+    let [(trace, mods)] = &workload;
     FailureOutcome {
-        report: ReplayReport {
-            trace: trace.name.clone(),
-            protocol: cfg.protocol.kind,
-            mean_lifetime: cfg.lifetime(),
-            files_modified: mods.modifications().len() as u64,
-            seed: cfg.seed,
-            raw,
-            audit,
-        },
+        report: run_faulted_on(cfg, trace, mods, |d| plan_for(d, from, to)),
         reference_wall: wall,
         outage: (from, to),
     }
@@ -193,7 +189,7 @@ mod tests {
     #[test]
     fn faultless_reference_is_clean() {
         let base = cfg();
-        let wall = reference_wall(&base);
+        let wall = reference_wall(&[materialise(&base)], &base.protocol, &base.options);
         assert!(wall > SimDuration::ZERO);
     }
 }

@@ -6,7 +6,7 @@
 //! * [`ExperimentConfig`] / [`run_experiment`] — one protocol over one
 //!   trace with one mean file lifetime (one column of Tables 3/4);
 //! * [`run_trio`] — the adaptive-TTL / polling / invalidation comparison
-//!   (one full block of Tables 3/4);
+//!   (one full block of Tables 3/4), [`run_protocols`] for any list;
 //! * [`parallel`] — the deterministic fan-out pool: batches of experiments
 //!   run on worker threads (`--jobs N` / `WCC_JOBS`), reports returned in
 //!   submission order, byte-identical to a sequential run;
@@ -41,12 +41,12 @@ pub mod parallel;
 pub mod tables;
 
 pub use experiment::{
-    materialise, run_experiment, run_trio, two_tier_comparison, ExperimentConfig,
-    ExperimentConfigBuilder, ReplayReport, TwoTierComparison,
+    materialise, run_experiment, two_tier_comparison, ExperimentConfig, ExperimentConfigBuilder,
+    ReplayReport, TwoTierComparison,
 };
 pub use failure::{
-    partition_scenario, proxy_crash_scenario, server_crash_scenario,
+    partition_scenario, proxy_crash_scenario, reference_wall, server_crash_scenario,
     server_crash_under_partition_scenario, FailureOutcome,
 };
-pub use parallel::{effective_jobs, host_cores, run_batch, run_trio_jobs};
+pub use parallel::{effective_jobs, host_cores, run_batch, run_protocols, run_trio};
 pub use wcc_audit::{AuditReport, Violation};

@@ -139,29 +139,36 @@ pub fn run_batch(configs: &[ExperimentConfig], jobs: Option<usize>) -> Vec<Repla
     map_indexed(configs, effective_jobs(jobs), run_experiment)
 }
 
-/// The fan-out form of [`crate::run_trio`]: the three protocols of one
-/// Tables 3/4 block run concurrently over one shared materialised workload.
-///
-/// Reports come back in the paper's column order (adaptive TTL, polling,
-/// invalidation) and are byte-identical at any job count.
-pub fn run_trio_jobs(base: &ExperimentConfig, jobs: Option<usize>) -> [ReplayReport; 3] {
+/// Replays `base`'s one materialised workload under each of `protocols`,
+/// the way the paper compares protocols: the replays fan out over
+/// [`effective_jobs`]`(jobs)` workers and the reports come back in
+/// `protocols` order, byte-identical at any job count.
+pub fn run_protocols(
+    base: &ExperimentConfig,
+    protocols: &[ProtocolConfig],
+    jobs: Option<usize>,
+) -> Vec<ReplayReport> {
     let (trace, mods) = materialise(base);
-    let configs: [ExperimentConfig; 3] = ProtocolKind::PAPER_TRIO.map(|kind| {
-        let mut cfg = base.clone();
-        cfg.protocol = ProtocolConfig::new(kind);
-        cfg
-    });
-    let mut reports = map_indexed(&configs, effective_jobs(jobs), |cfg| {
+    let configs: Vec<ExperimentConfig> = protocols
+        .iter()
+        .map(|protocol| ExperimentConfig {
+            protocol: protocol.clone(),
+            ..base.clone()
+        })
+        .collect();
+    map_indexed(&configs, effective_jobs(jobs), |cfg| {
         run_on(cfg, &trace, &mods)
-    });
-    // Keep the paper's column order: TTL, polling, invalidation.
-    reports.sort_by_key(|r| {
-        ProtocolKind::PAPER_TRIO
-            .iter()
-            .position(|&k| k == r.protocol)
-            .expect("trio protocol")
-    });
-    reports.try_into().expect("exactly three trio reports")
+    })
+}
+
+/// The paper's three-way comparison — adaptive TTL, polling-every-time,
+/// invalidation, in its column order — over one identical workload: one
+/// block of Tables 3/4 ([`run_protocols`] over
+/// [`ProtocolKind::PAPER_TRIO`]).
+pub fn run_trio(base: &ExperimentConfig, jobs: Option<usize>) -> [ReplayReport; 3] {
+    let trio = ProtocolKind::PAPER_TRIO.map(ProtocolConfig::new);
+    let reports = run_protocols(base, &trio, jobs);
+    reports.try_into().expect("one report per trio protocol")
 }
 
 #[cfg(test)]

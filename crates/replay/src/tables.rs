@@ -210,7 +210,8 @@ pub fn format_table5_column(report: &ReplayReport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::experiment::{run_trio, ExperimentConfig};
+    use crate::experiment::ExperimentConfig;
+    use crate::run_trio;
     use wcc_traces::TraceSpec;
 
     #[test]
@@ -219,6 +220,7 @@ mod tests {
             &ExperimentConfig::builder(TraceSpec::epa().scaled_down(400))
                 .seed(2)
                 .build(),
+            None,
         );
         let block = format_trio_block(&trio);
         for needle in [
@@ -251,6 +253,7 @@ mod tests {
             &ExperimentConfig::builder(TraceSpec::sdsc().scaled_down(400))
                 .seed(2)
                 .build(),
+            None,
         );
         let inval = &trio[2];
         let col = format_table5_column(inval);
@@ -271,6 +274,7 @@ mod tests {
             &ExperimentConfig::builder(TraceSpec::epa().scaled_down(400))
                 .seed(2)
                 .build(),
+            None,
         );
         for report in &trio {
             let text = prometheus_snapshot(report);

@@ -24,8 +24,8 @@
 //!   `N` costs `N` events, not one re-queue per waiting message per
 //!   wake-up ([`sim`]; counters in [`DeferStats`]);
 //! * **crash / recovery** of nodes with message loss while down ([`fault`]);
-//! * small **metric primitives** (counters and min/avg/max summaries) used
-//!   by the replay reports ([`metrics`]).
+//! * small **metric primitives** (traffic statistics and min/avg/max
+//!   summaries) used by the replay reports ([`metrics`]).
 //!
 //! There is one engine and it runs on one thread; independent replays run in
 //! parallel on whole [`Simulation`]s, which is why [`Node`] is `Send`.
@@ -80,7 +80,7 @@ pub mod sim;
 pub use arena::{Arena, ArenaStats, Handle};
 pub use event::EventQueue;
 pub use fault::{FaultEntry, FaultPlan};
-pub use metrics::{Counter, NetStats, Summary};
+pub use metrics::{NetStats, Summary};
 pub use net::{LinkSpec, NetworkConfig};
 pub use node::{Ctx, Node, TimerId};
 pub use sim::{DeferStats, Simulation};

@@ -1,47 +1,9 @@
-//! Metric primitives: counters and min/avg/max summaries with
-//! histogram-backed latency tails.
+//! Metric primitives: the engine's traffic statistics and min/avg/max
+//! summaries with histogram-backed latency tails.
 
 use core::fmt;
 use wcc_obs::Histogram;
 use wcc_types::{ByteSize, SimDuration};
-
-/// A monotonically increasing event counter.
-///
-/// # Examples
-///
-/// ```
-/// use wcc_simnet::Counter;
-///
-/// let mut hits = Counter::default();
-/// hits.incr();
-/// hits.add(2);
-/// assert_eq!(hits.get(), 3);
-/// ```
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct Counter(u64);
-
-impl Counter {
-    /// Increments by one.
-    pub fn incr(&mut self) {
-        self.0 += 1;
-    }
-
-    /// Increments by `n`.
-    pub fn add(&mut self, n: u64) {
-        self.0 = self.0.saturating_add(n);
-    }
-
-    /// The current count.
-    pub fn get(self) -> u64 {
-        self.0
-    }
-}
-
-impl fmt::Display for Counter {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}", self.0)
-    }
-}
 
 /// Aggregate traffic statistics maintained by the simulation engine: every
 /// [`Ctx::send`](crate::Ctx::send) records one message and its bytes;
@@ -187,16 +149,6 @@ impl fmt::Display for Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_accumulates() {
-        let mut c = Counter::default();
-        assert_eq!(c.get(), 0);
-        c.incr();
-        c.add(9);
-        assert_eq!(c.get(), 10);
-        assert_eq!(c.to_string(), "10");
-    }
 
     #[test]
     fn summary_tracks_extremes_and_mean() {

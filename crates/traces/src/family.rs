@@ -167,12 +167,6 @@ impl FamilyWorkload {
             .sum()
     }
 
-    /// Total trace records (same number — kept for symmetry with the
-    /// deployment's memory model).
-    pub fn total_records(&self) -> u64 {
-        self.total_requests()
-    }
-
     /// The per-client freshness deadline: clients spread deterministically
     /// over `[0.5, 1.5] ×` the base deadline (impatient tickers and patient
     /// dashboards coexist). `None` when the family has no freshness

@@ -123,11 +123,6 @@ impl ModSchedule {
         self.period
     }
 
-    /// How many *distinct* documents are modified at least once.
-    pub fn distinct_docs_modified(&self) -> usize {
-        self.per_doc.iter().filter(|v| !v.is_empty()).count()
-    }
-
     /// The `Last-Modified` time of `doc` as of instant `t` (documents are
     /// born at `SimTime::ZERO`).
     ///
@@ -209,7 +204,6 @@ mod tests {
         assert_eq!(s.version_at(0, SimTime::from_secs(500)), SimTime::ZERO);
         assert_eq!(s.final_version(1), SimTime::from_secs(200));
         assert_eq!(s.final_version(2), SimTime::ZERO);
-        assert_eq!(s.distinct_docs_modified(), 1);
     }
 
     #[test]

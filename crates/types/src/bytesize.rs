@@ -51,16 +51,6 @@ impl ByteSize {
         self.0
     }
 
-    /// The size in kibibytes, as a float (for reporting).
-    pub fn as_kib_f64(self) -> f64 {
-        self.0 as f64 / 1024.0
-    }
-
-    /// The size in mebibytes, as a float (for reporting).
-    pub fn as_mib_f64(self) -> f64 {
-        self.0 as f64 / (1024.0 * 1024.0)
-    }
-
     /// Returns `true` if the size is zero.
     pub const fn is_zero(self) -> bool {
         self.0 == 0
@@ -181,11 +171,5 @@ mod tests {
     fn summation() {
         let total: ByteSize = (1..=3).map(ByteSize::from_kib).sum();
         assert_eq!(total, ByteSize::from_kib(6));
-    }
-
-    #[test]
-    fn float_views() {
-        assert!((ByteSize::from_kib(3).as_kib_f64() - 3.0).abs() < 1e-12);
-        assert!((ByteSize::from_mib(2).as_mib_f64() - 2.0).abs() < 1e-12);
     }
 }

@@ -112,9 +112,6 @@ impl SimDuration {
     /// The empty span.
     pub const ZERO: SimDuration = SimDuration(0);
 
-    /// A sentinel span longer than every reachable span ("forever").
-    pub const FOREVER: SimDuration = SimDuration(u64::MAX);
-
     /// Creates a span from microseconds.
     pub const fn from_micros(micros: u64) -> Self {
         SimDuration(micros)

@@ -17,7 +17,7 @@ fn main() {
     let cfg = ExperimentConfig::builder(spec).seed(7).build();
 
     println!("Replaying {} under all three protocols…\n", cfg.spec.name);
-    let trio = run_trio(&cfg);
+    let trio = run_trio(&cfg, None);
     println!("{}", format_trio_block(&trio));
 
     let (ttl, poll, inval) = (&trio[0].raw, &trio[1].raw, &trio[2].raw);

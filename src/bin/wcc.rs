@@ -1,31 +1,14 @@
 //! `wcc` — the command-line front end to the webcache reproduction.
 //!
-//! ```text
-//! wcc replay  --trace epa --protocol invalidation [--lifetime-days N]
-//!             [--scale N] [--seed N] [--wan] [--hierarchy] [--shared]
-//!             [--lease-days N] [--adaptive-lease] [--cache-mib N]
-//!             [--inval-batch N] [--trace-out PATH] [--metrics]
-//! wcc replay  --family flash-crowd [--protocol NAME] [--scale N] [--seed N]
-//!             [--audit]                       # city-scale scenario families
-//! wcc trio    --trace sask [--scale N] [--seed N] [--jobs N]  # Tables 3/4 block
-//! wcc trace   <path>                                # analyse a --trace-out log
-//! wcc summary [--scale N] [--seed N]                # Table 2
-//! wcc clf     <path> [--protocol NAME]              # replay a real log
-//! wcc fuzz    [--iters N] [--seed N] [--shrink] [--inject-stale]
-//!             [--repro PATH] [--jobs N]             # scenario fuzzer
-//! wcc serve   [--role pair|origin|proxy] [...]      # reactor-served daemon
-//! wcc bench list                                    # the paper tables, by name
-//! wcc bench <table> [--scale N] [--jobs N]          # regenerate one of them
-//! wcc bench trajectory [--scale N] [--jobs N] [--out PATH] [--check BASELINE]
-//! wcc bench serve [--connections N] [...]           # keep-alive stress bench
+//! `wcc` with no arguments prints the usage text: one line per call, each
+//! a row of [`USAGE`], which is also the one list of the flags a call
+//! reads. A `--flag` its row does not list is an error (exit 2 with the
+//! usage text), never a silently different run; so is a `wcc bench` name
+//! that is no table, or a malformed value for one of its flags.
 //!
 //! `--jobs N` (or the `WCC_JOBS` environment variable) sets the worker
 //! count for commands that fan independent replays out over threads; the
 //! output is byte-identical at any job count. One replay runs on one thread.
-//!
-//! A `--flag` a subcommand does not know is an error (exit 2 with the usage
-//! text), never a silently different run; so is a `wcc bench` name that is
-//! no table, or a malformed value for one of its flags.
 //!
 //! `--inval-batch N` turns on the batched invalidation proposer with a
 //! count threshold of `N` entries (age and byte thresholds at their
@@ -39,8 +22,8 @@
 //! JSONL; `wcc trace PATH` reconstructs cross-node causality from such a
 //! dump. `--metrics` prints the replay's measurements as a Prometheus text
 //! exposition — the same format the TCP prototype serves on `GET /metrics`.
-//! wcc protocols                                     # list protocol names
-//! ```
+//! `wcc serve` drains and exits on SIGTERM or SIGINT; SIGHUP re-reads
+//! `--config`.
 
 use std::net::SocketAddr;
 use std::process::ExitCode;
@@ -105,13 +88,17 @@ impl Args {
         }
     }
 
+    /// The number `--name` carries, `None` when the flag is absent.
+    fn opt_num(&self, name: &str) -> Result<Option<u64>, String> {
+        let parse = |v: &str| {
+            v.parse()
+                .map_err(|_| format!("--{name} expects a number, got {v:?}"))
+        };
+        self.required_value(name)?.map(parse).transpose()
+    }
+
     fn num(&self, name: &str, default: u64) -> Result<u64, String> {
-        match self.required_value(name)? {
-            None => Ok(default),
-            Some(v) => v
-                .parse()
-                .map_err(|_| format!("--{name} expects a number, got {v:?}")),
-        }
+        Ok(self.opt_num(name)?.unwrap_or(default))
     }
 }
 
@@ -129,76 +116,159 @@ impl From<String> for Failure {
     }
 }
 
-fn usage() -> &'static str {
-    "usage:\n  wcc replay  --trace NAME --protocol NAME [--lifetime-days N] [--scale N]\n              [--seed N] [--wan] [--hierarchy] [--shared]\n              [--lease-days N] [--volume-mins N] [--adaptive-lease]\n              [--cache-mib N] [--audit] [--inval-batch N] [--trace-out PATH]\n              [--metrics]\n  wcc replay  --family NAME [--protocol NAME] [--scale N] [--seed N]\n              [--audit]     # families: zipf-federation, flash-crowd,\n              breaking-news, real-time-feed, archival-scan\n  wcc trio    --trace NAME [--scale N] [--seed N] [--jobs N]\n  wcc compare --trace NAME --protocols a,b,c [--scale N] [--seed N] [--jobs N]\n  wcc trace   PATH\n  wcc summary [--scale N] [--seed N]\n  wcc clf     PATH [--protocol NAME]\n  wcc fuzz    [--iters N] [--seed N] [--shrink] [--inject-stale] [--repro PATH]\n              [--jobs N]\n  wcc serve   [--role pair|origin|proxy] [--origin ADDR] [--port N] [--docs N]\n              [--doc-scale N] [--protocol NAME] [--cache-mib N]\n              [--port-file PATH] [--state-file PATH] [--config PATH]\n              [--self-check]        # SIGHUP reloads --config; SIGTERM drains\n  wcc bench list        # the paper tables (results/<name>.txt), by name\n  wcc bench NAME [--scale N] [--jobs N]\n  wcc bench trajectory [--scale N] [--jobs N] [--out PATH] [--check BASELINE]\n  wcc bench serve [--connections N] [--requests N] [--docs N] [--protocol NAME]\n              [--soak-secs N] [--restart] [--in-process] [--out PATH]\n  wcc protocols"
+/// One way to call `wcc`: a line of the usage text, and the flags that
+/// call reads. The call tells the rows of one command apart (see
+/// [`Row::is_called_by`]); the flags are the other flags it reads,
+/// bracketed when optional.
+struct Row(&'static str, &'static [&'static str]);
+
+/// What [`protocol_for`] reads.
+const PROTOCOL: &str = "[--protocol NAME] [--lease-days N] [--volume-mins N] [--adaptive-lease]";
+/// What [`options_for`] reads, `--hierarchy` aside.
+const DEPLOYMENT: &str = "[--wan] [--shared] [--cache-mib N] [--audit] [--inval-batch N]";
+/// The port, documents and state of a serving origin.
+const ORIGIN: &str = "[--port N] [--docs N] [--doc-scale N] [--state-file PATH] [--config PATH]";
+
+/// Every call `wcc` takes, as the usage text lists them. A command line is
+/// a call of the first row it matches.
+const USAGE: &[Row] = &[
+    Row(
+        "replay --family NAME",
+        &[PROTOCOL, "[--scale N] [--seed N]", DEPLOYMENT],
+    ),
+    Row(
+        "replay",
+        &[
+            "[--trace NAME]",
+            PROTOCOL,
+            "[--lifetime-days N] [--scale N] [--seed N]",
+            DEPLOYMENT,
+            "[--hierarchy] [--trace-out PATH] [--metrics]",
+        ],
+    ),
+    Row(
+        "trio",
+        &["[--trace NAME] [--scale N] [--seed N] [--jobs N]"],
+    ),
+    Row(
+        "compare",
+        &["[--trace NAME] [--protocols a,b,c] [--scale N] [--seed N] [--jobs N]"],
+    ),
+    Row("trace PATH", &[]),
+    Row("summary", &["[--scale N] [--seed N]"]),
+    Row("clf PATH", &[PROTOCOL]),
+    Row(
+        "fuzz",
+        &["[--iters N] [--seed N] [--shrink] [--inject-stale] [--repro PATH] [--jobs N]"],
+    ),
+    Row("serve --self-check", &[]),
+    Row(
+        "serve [--role pair]",
+        &[ORIGIN, PROTOCOL, "[--cache-mib N] [--port-file PATH]"],
+    ),
+    Row(
+        "serve --role origin",
+        &[ORIGIN, PROTOCOL, "[--port-file PATH]"],
+    ),
+    Row(
+        "serve --role proxy",
+        &[
+            "--origin ADDR",
+            PROTOCOL,
+            "[--cache-mib N] [--port-file PATH]",
+        ],
+    ),
+    Row("bench list", &[]),
+    Row(
+        "bench trajectory",
+        &["[--scale N] [--jobs N] [--out PATH] [--check BASELINE]"],
+    ),
+    Row(
+        "bench serve",
+        &[
+            "[--connections N] [--requests N] [--docs N]",
+            PROTOCOL,
+            "[--soak-secs N] [--restart] [--in-process] [--out PATH]",
+        ],
+    ),
+    Row("bench NAME", &["[--scale N] [--jobs N]"]),
+    Row("protocols", &[]),
+];
+
+/// An upper-case word of the usage text stands for a value.
+fn is_placeholder(word: &str) -> bool {
+    word.bytes().any(|b| b.is_ascii_uppercase())
 }
 
-/// The `--flags` each subcommand reads; `run` rejects any other. `bench` is
-/// three commands told apart by `sub`, its second word. `None` for an
-/// unknown command (which gets the usage text on its own).
-fn accepted_flags(command: &str, sub: Option<&str>) -> Option<&'static [&'static str]> {
-    Some(match command {
-        "replay" => &[
-            "trace",
-            "family",
-            "protocol",
-            "lifetime-days",
-            "scale",
-            "seed",
-            "wan",
-            "hierarchy",
-            "shared",
-            "lease-days",
-            "volume-mins",
-            "adaptive-lease",
-            "cache-mib",
-            "audit",
-            "inval-batch",
-            "trace-out",
-            "metrics",
-        ],
-        "trio" => &["trace", "scale", "seed", "jobs"],
-        "compare" => &["trace", "protocols", "scale", "seed", "jobs"],
-        "summary" => &["scale", "seed"],
-        "clf" => &["protocol", "lease-days", "volume-mins", "adaptive-lease"],
-        "fuzz" => &["iters", "seed", "shrink", "inject-stale", "repro", "jobs"],
-        "serve" => &[
-            "role",
-            "origin",
-            "port",
-            "docs",
-            "doc-scale",
-            "protocol",
-            "lease-days",
-            "volume-mins",
-            "adaptive-lease",
-            "cache-mib",
-            "port-file",
-            "state-file",
-            "config",
-            "self-check",
-        ],
-        "bench" => match sub {
-            Some("serve") => &[
-                "connections",
-                "requests",
-                "docs",
-                "protocol",
-                "lease-days",
-                "volume-mins",
-                "adaptive-lease",
-                "soak-secs",
-                "restart",
-                "in-process",
-                "out",
-            ],
-            Some("trajectory") => &["scale", "jobs", "out", "check"],
-            Some("list") => &[],
-            _ => &["scale", "jobs"],
-        },
-        "trace" | "protocols" => &[],
-        _ => return None,
-    })
+impl Row {
+    /// Whether a command line of this row may carry `--name`.
+    fn reads(&self, name: &str) -> bool {
+        std::iter::once(self.0)
+            .chain(self.1.iter().copied())
+            .flat_map(str::split_whitespace)
+            .filter_map(|word| word.trim_start_matches('[').strip_prefix("--"))
+            .any(|flag| flag.trim_end_matches(']') == name)
+    }
+
+    /// Whether `args` is a call of this row: each word of the call is the
+    /// command line's word in its place, and each `--flag` is given, with
+    /// the value the call names. An upper-case word stands for any value,
+    /// and a bracketed `[--flag value]` is also met by leaving the flag out.
+    fn is_called_by(&self, args: &Args) -> bool {
+        let mut positional = args.positional.iter();
+        let mut words = self.0.split_whitespace().peekable();
+        while let Some(word) = words.next() {
+            let called = match word.trim_start_matches('[').strip_prefix("--") {
+                Some(flag) => match words.next_if(|w| !w.starts_with(['-', '['])) {
+                    Some(value) if !is_placeholder(value) => args
+                        .value(flag)
+                        .map_or(word.starts_with('['), |v| v == value.trim_end_matches(']')),
+                    _ => args.flag(flag),
+                },
+                None => positional
+                    .next()
+                    .is_some_and(|p| is_placeholder(word) || p == word),
+            };
+            if !called {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Refuses a flag this row does not read (exit 2 with the usage text).
+    fn check(&self, args: &Args) -> Result<(), Failure> {
+        let Some((name, _)) = args.flags.iter().find(|(name, _)| !self.reads(name)) else {
+            return Ok(());
+        };
+        let command = self.0.split(' ').next().unwrap_or_default();
+        let complaint = match self.0.find("--") {
+            Some(at) => format!("{} does not use", self.0[at..].replace(['[', ']'], "")),
+            None => "unknown flag".to_string(),
+        };
+        Err(Failure::Usage(format!(
+            "wcc {command}: {complaint} --{name}\n{}",
+            usage()
+        )))
+    }
+}
+
+/// The usage text: one line per [`USAGE`] row, wrapped.
+fn usage() -> String {
+    let mut text = String::from("usage:");
+    for Row(call, flags) in USAGE {
+        let mut line = format!("  wcc {call}");
+        for word in flags.iter().flat_map(|flags| flags.split_whitespace()) {
+            // A line breaks before a flag, never between it and its value.
+            if word.starts_with(['-', '[']) && line.len() + word.len() > 68 {
+                text += &format!("\n{line}");
+                line = " ".repeat(7);
+            }
+            line += &format!(" {word}");
+        }
+        text += &format!("\n{line}");
+    }
+    text
 }
 
 fn spec_for(args: &Args) -> Result<TraceSpec, String> {
@@ -216,16 +286,10 @@ fn protocol_for(args: &Args) -> Result<ProtocolConfig, String> {
         format!("unknown protocol {name:?}; one of {}", names.join(", "))
     })?;
     let mut cfg = ProtocolConfig::new(kind);
-    if let Some(days) = args.value("lease-days") {
-        let days: u64 = days
-            .parse()
-            .map_err(|_| "--lease-days expects a number".to_string())?;
+    if let Some(days) = args.opt_num("lease-days")? {
         cfg = cfg.with_lease(SimDuration::from_days(days));
     }
-    if let Some(mins) = args.value("volume-mins") {
-        let mins: u64 = mins
-            .parse()
-            .map_err(|_| "--volume-mins expects a number".to_string())?;
+    if let Some(mins) = args.opt_num("volume-mins")? {
         cfg = cfg.with_volume_lease(SimDuration::from_mins(mins));
     }
     if args.flag("adaptive-lease") {
@@ -249,25 +313,18 @@ fn options_for(args: &Args) -> Result<DeploymentOptions, String> {
     if args.flag("audit") {
         options.audit = true;
     }
-    if let Some(mib) = args.value("cache-mib") {
-        let mib: u64 = mib
-            .parse()
-            .map_err(|_| "--cache-mib expects a number".to_string())?;
+    if let Some(mib) = args.opt_num("cache-mib")? {
         options.cache_capacity = ByteSize::from_mib(mib.max(1));
     }
-    if args.value("inval-batch").is_some() {
-        let entries = args.num("inval-batch", 0)? as usize;
-        options.inval_batch = Some(InvalBatchConfig::with_max_entries(entries));
+    if let Some(entries) = args.opt_num("inval-batch")? {
+        options.inval_batch = Some(InvalBatchConfig::with_max_entries(entries as usize));
     }
     Ok(options)
 }
 
 /// `--jobs N` as passed (`None` defers to `WCC_JOBS` / the core count).
 fn jobs_for(args: &Args) -> Result<Option<usize>, String> {
-    Ok(match args.value("jobs") {
-        None => None,
-        Some(_) => Some(args.num("jobs", 0)? as usize),
-    })
+    Ok(args.opt_num("jobs")?.map(|n| n as usize))
 }
 
 fn print_report(report: &ReplayReport) {
@@ -346,17 +403,12 @@ fn cmd_replay_family(args: &Args, name: &str) -> Result<(), String> {
         let names: Vec<_> = WorkloadFamily::ALL.iter().map(|f| f.name()).collect();
         format!("unknown family {name:?}; one of {}", names.join(", "))
     })?;
-    if args.flag("hierarchy") {
-        return Err("--family runs a flat multi-origin federation; \
-                    --hierarchy is a single-origin mode"
-            .to_string());
-    }
     let scale = args.num("scale", 1)?.max(1);
     let seed = args.num("seed", 1997)?;
     let cfg = FamilyConfig::city(family).scaled_down(scale);
     let mut protocol = protocol_for(args)?;
     let options = options_for(args)?;
-    let want_audit = options.audit;
+    let audit = options.audit;
 
     let workload = family::generate(&cfg, seed);
     // Per-client freshness deadlines spread over [0.5, 1.5]× the family's
@@ -368,19 +420,15 @@ fn cmd_replay_family(args: &Args, name: &str) -> Result<(), String> {
     }
     let mut deployment = Deployment::build_multi(&workload.workloads, &protocol, options);
     deployment.run();
-    let report = ReplayReport {
-        trace: cfg.name().to_string(),
-        protocol: protocol.kind,
-        mean_lifetime: cfg.mean_lifetime,
-        files_modified: workload
-            .workloads
-            .iter()
-            .map(|(_, m)| m.modifications().len() as u64)
-            .sum(),
+    let report = ReplayReport::collect(
+        &deployment,
+        cfg.name(),
+        protocol.kind,
+        cfg.mean_lifetime,
         seed,
-        raw: deployment.collect(),
-        audit: want_audit.then(|| deployment.audit()),
-    };
+        workload.workloads.iter().map(|(_, m)| m),
+        audit,
+    );
     print_report(&report);
     print_engine(&deployment, report.raw.requests);
     println!(
@@ -440,7 +488,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
 
     let trace = synthetic::generate(&spec, seed);
     let mods = ModSchedule::generate(spec.num_docs, lifetime, spec.duration, seed);
-    let want_audit = options.audit;
+    let audit = options.audit;
     let mut deployment = Deployment::build(&trace, &mods, &protocol, options);
     deployment.run();
     if let Some(path) = trace_out {
@@ -449,15 +497,15 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
             .map_err(|e| format!("cannot write trace to {path}: {e}"))?;
         println!("wrote {} trace events to {path}", log.len());
     }
-    let report = ReplayReport {
-        trace: trace.name.clone(),
-        protocol: protocol.kind,
-        mean_lifetime: lifetime,
-        files_modified: mods.modifications().len() as u64,
+    let report = ReplayReport::collect(
+        &deployment,
+        &trace.name,
+        protocol.kind,
+        lifetime,
         seed,
-        raw: deployment.collect(),
-        audit: want_audit.then(|| deployment.audit()),
-    };
+        [&mods],
+        audit,
+    );
     print_report(&report);
     print_engine(&deployment, report.raw.requests);
     if let Some(audit) = &report.audit {
@@ -485,22 +533,9 @@ fn cmd_compare(args: &Args) -> Result<(), String> {
                 .ok_or_else(|| format!("unknown protocol {n:?} (see `wcc protocols`)"))
         })
         .collect();
-    let kinds = kinds?;
     let base = ExperimentConfig::builder(spec).seed(seed).build();
-    let (trace, mods) = webcache::replay::experiment::materialise(&base);
-    let configs: Vec<ExperimentConfig> = kinds
-        .into_iter()
-        .map(|kind| {
-            let mut cfg = base.clone();
-            cfg.protocol = ProtocolConfig::new(kind);
-            cfg
-        })
-        .collect();
-    let jobs = webcache::replay::effective_jobs(jobs_for(args)?);
-    let reports: Vec<ReplayReport> =
-        webcache::replay::parallel::map_indexed(&configs, jobs, |cfg| {
-            webcache::replay::experiment::run_on(cfg, &trace, &mods)
-        });
+    let protocols: Vec<ProtocolConfig> = kinds?.into_iter().map(ProtocolConfig::new).collect();
+    let reports = webcache::replay::run_protocols(&base, &protocols, jobs_for(args)?);
     println!("{}", format_trio_block(&reports));
     Ok(())
 }
@@ -509,7 +544,7 @@ fn cmd_trio(args: &Args) -> Result<(), String> {
     let spec = spec_for(args)?;
     let seed = args.num("seed", 1997)?;
     let cfg = ExperimentConfig::builder(spec).seed(seed).build();
-    let trio = webcache::replay::run_trio_jobs(&cfg, jobs_for(args)?);
+    let trio = webcache::replay::run_trio(&cfg, jobs_for(args)?);
     println!("{}", format_trio_block(&trio));
     Ok(())
 }
@@ -543,15 +578,15 @@ fn cmd_clf(args: &Args) -> Result<(), String> {
     let mods = ModSchedule::none(trace.doc_count() as u32);
     let mut deployment = Deployment::build(&trace, &mods, &protocol, DeploymentOptions::default());
     deployment.run();
-    let report = ReplayReport {
-        trace: trace.name.clone(),
-        protocol: protocol.kind,
-        mean_lifetime: SimDuration::ZERO,
-        files_modified: 0,
-        seed: 0,
-        raw: deployment.collect(),
-        audit: None,
-    };
+    let report = ReplayReport::collect(
+        &deployment,
+        &trace.name,
+        protocol.kind,
+        SimDuration::ZERO,
+        0,
+        [&mods],
+        false,
+    );
     print_report(&report);
     Ok(())
 }
@@ -794,28 +829,12 @@ fn serve_self_check() -> Result<(), String> {
     Ok(())
 }
 
-/// The `wcc serve` flags a role has no use for: a run that names one is
-/// refused rather than run without it.
-fn unused_by(role: &str) -> Option<&'static [&'static str]> {
-    Some(match role {
-        "pair" => &["origin"],
-        "origin" => &["origin", "cache-mib"],
-        "proxy" => &["port", "docs", "doc-scale", "state-file", "config"],
-        _ => return None,
-    })
-}
-
 fn cmd_serve(args: &Args) -> Result<(), Failure> {
     if args.flag("self-check") {
         return Ok(serve_self_check()?);
     }
     let role = args.value("role").unwrap_or("pair");
     let usage_error = |message: String| Failure::Usage(format!("wcc serve: {message}"));
-    let unused = unused_by(role)
-        .ok_or_else(|| usage_error(format!("unknown --role {role:?}; pair, origin or proxy")))?;
-    if let Some(flag) = unused.iter().find(|flag| args.flag(flag)) {
-        return Err(usage_error(format!("--role {role} does not use --{flag}")));
-    }
     let port = args.num("port", 0)?;
     let docs = args.num("docs", 256)?.max(1) as usize;
     let doc_scale = args.num("doc-scale", 100)?;
@@ -858,8 +877,7 @@ fn cmd_serve(args: &Args) -> Result<(), Failure> {
                 .map_err(e)?;
             (None, Some(proxy))
         }
-        // "pair", the one other role `unused_by` knows.
-        _ => {
+        "pair" => {
             let origin = NetOrigin::spawn_at(bind, origin_cfg, recovering).map_err(e)?;
             let proxy = NetProxy::spawn(
                 origin.addr(),
@@ -870,6 +888,10 @@ fn cmd_serve(args: &Args) -> Result<(), Failure> {
             )
             .map_err(e)?;
             (Some(origin), Some(proxy))
+        }
+        _ => {
+            let message = format!("unknown --role {role:?}; pair, origin or proxy");
+            return Err(usage_error(message));
         }
     };
     if recovering {
@@ -1033,16 +1055,12 @@ fn cmd_bench_trajectory(
 }
 
 fn cmd_bench_serve(args: &Args) -> Result<(), String> {
-    let soak_secs = args
-        .value("soak-secs")
-        .map(|_| args.num("soak-secs", 0))
-        .transpose()?;
     let cfg = ServeBenchConfig {
         connections: args.num("connections", 64)? as usize,
         requests_per_conn: args.num("requests", 16)?,
         docs: args.num("docs", 64)?.max(1),
         protocol: protocol_for(args)?,
-        soak_secs,
+        soak_secs: args.opt_num("soak-secs")?,
         restart: args.flag("restart"),
         // Out-of-process serving kicks in automatically when the fd
         // budget demands it; --in-process pins everything local.
@@ -1089,18 +1107,10 @@ fn cmd_bench_serve(args: &Args) -> Result<(), String> {
 }
 
 fn run(args: &Args) -> Result<(), Failure> {
-    let command = args.positional.first().map(String::as_str);
-    let sub = args.positional.get(1).map(String::as_str);
-    if let Some((command, accepted)) = command.and_then(|c| Some((c, accepted_flags(c, sub)?))) {
-        let mut names = args.flags.iter().map(|(name, _)| name.as_str());
-        if let Some(name) = names.find(|n| !accepted.contains(n)) {
-            return Err(Failure::Usage(format!(
-                "wcc {command}: unknown flag --{name}\n{}",
-                usage()
-            )));
-        }
+    if let Some(row) = USAGE.iter().find(|row| row.is_called_by(args)) {
+        row.check(args)?;
     }
-    match command {
+    match args.positional.first().map(String::as_str) {
         Some("replay") => cmd_replay(args)?,
         Some("trio") => cmd_trio(args)?,
         Some("compare") => cmd_compare(args)?,
@@ -1116,7 +1126,7 @@ fn run(args: &Args) -> Result<(), Failure> {
                 println!("{:<20} {strength}", kind.name());
             }
         }
-        _ => return Err(Failure::Run(usage().to_string())),
+        _ => return Err(Failure::Run(usage())),
     }
     Ok(())
 }
@@ -1135,39 +1145,54 @@ fn main() -> ExitCode {
 mod tests {
     use super::*;
 
-    /// `(subcommand, its second word, --flag)` for every flag the usage
-    /// text shows.
-    fn flags_in_usage() -> Vec<(String, String, String)> {
-        let mut out = Vec::new();
-        let (mut command, mut sub) = (String::new(), String::new());
+    /// Each call the usage text shows, as words `wcc` could be run with:
+    /// the line and its continuations, brackets gone.
+    fn calls_in_usage() -> Vec<Vec<String>> {
+        let mut calls: Vec<Vec<String>> = Vec::new();
         for line in usage().lines().skip(1) {
-            if let Some(rest) = line.strip_prefix("  wcc ") {
-                let mut words = rest.split_whitespace().map(str::to_string);
-                command = words.next().unwrap_or_default();
-                sub = words.next().unwrap_or_default();
-            }
-            let words = line.split(|c: char| !(c.is_ascii_lowercase() || c == '-'));
-            for flag in words.filter_map(|w| w.strip_prefix("--")) {
-                out.push((command.clone(), sub.clone(), flag.to_string()));
+            let words = line
+                .split_whitespace()
+                .map(|w| w.trim_matches(['[', ']']).to_string());
+            match line.strip_prefix("  wcc ") {
+                Some(_) => calls.push(words.skip(1).collect()),
+                None => calls.last_mut().expect("a call comes first").extend(words),
             }
         }
-        out
+        calls
     }
 
+    /// Both directions: every flag a line shows is one its row accepts, and
+    /// every flag a row accepts is on its line.
     #[test]
     fn every_flag_in_usage_is_accepted_and_removed_ones_are_not() {
-        let shown = flags_in_usage();
-        assert!(shown.len() > 50, "usage parsed: {shown:?}");
-        for (command, sub, flag) in &shown {
-            let accepted = accepted_flags(command, Some(sub)).expect("usage names real commands");
-            assert!(
-                accepted.contains(&flag.as_str()),
-                "{command} {sub} --{flag}"
-            );
+        let calls = calls_in_usage();
+        assert_eq!(calls.len(), USAGE.len());
+        let shown = |words: &[String]| -> Vec<String> {
+            let flags = words.iter().filter_map(|w| w.strip_prefix("--"));
+            flags.map(str::to_string).collect()
+        };
+        let every_flag: Vec<String> = calls.iter().flat_map(|words| shown(words)).collect();
+        assert!(every_flag.len() > 80, "usage parsed: {calls:?}");
+        for (row, words) in USAGE.iter().zip(&calls) {
+            let args = Args::parse(words.iter().cloned());
+            let called = USAGE.iter().find(|r| r.is_called_by(&args));
+            assert_eq!(called.map(|r| r.0), Some(row.0), "{words:?}");
+            assert!(row.check(&args).is_ok(), "{words:?}");
+            let on_line = shown(words);
+            for flag in &every_flag {
+                assert_eq!(
+                    row.reads(flag),
+                    on_line.contains(flag),
+                    "{} --{flag}",
+                    row.0
+                );
+            }
             for removed in ["shards", "decoupled"] {
-                assert!(!accepted.contains(&removed), "{command} {sub} --{removed}");
+                assert!(!row.reads(removed), "{} --{removed}", row.0);
             }
         }
-        assert_eq!(accepted_flags("no-such-command", None), None);
+        let serve = Args::parse(["serve".to_string()].into_iter());
+        let called = USAGE.iter().find(|r| r.is_called_by(&serve));
+        assert_eq!(called.map(|r| r.0), Some("serve [--role pair]"));
     }
 }

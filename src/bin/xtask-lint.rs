@@ -1,5 +1,5 @@
 //! Repo lint driver: scans the workspace sources with the deny-by-default
-//! token-level rules in `wcc_audit::lint` (the `wcc-lint` engine) and
+//! token-level rules of the `wcc-lint` engine and
 //! exits non-zero on any finding — including stale waiver markers.
 //!
 //! Run from anywhere in the workspace:
@@ -29,7 +29,7 @@ fn main() -> ExitCode {
     // The binary lives in the workspace root package, so its manifest dir
     // IS the workspace root.
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let mut findings = match wcc_audit::lint::scan_tree(&root) {
+    let mut findings = match wcc_lint::scan_tree(&root) {
         Ok(f) => f,
         Err(err) => {
             eprintln!("xtask-lint: cannot scan {}: {err}", root.display());
@@ -40,7 +40,7 @@ fn main() -> ExitCode {
         findings.retain(|d| d.rule == "stale-waiver");
     }
     if json {
-        print!("{}", wcc_audit::lint::to_json(&findings));
+        print!("{}", wcc_lint::to_json(&findings));
         return if findings.is_empty() {
             ExitCode::SUCCESS
         } else {

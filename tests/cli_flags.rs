@@ -5,7 +5,8 @@
 //! "passing" while checking nothing.) `wcc bench <table>` holds the paper
 //! tables to the same rule, where the binaries it replaced ran at full scale
 //! on a typo, and `wcc serve` each role: a flag the role does not use is
-//! refused, not ignored.
+//! refused, not ignored — as is, by `wcc replay --family`, every flag of
+//! the single-trace replay it does not read.
 
 use std::process::Command;
 
@@ -31,6 +32,49 @@ fn unknown_flags_exit_2_with_usage_and_known_ones_still_run() {
     let run = Command::new(WCC)
         .args(base)
         .args(["--audit", "--lifetime-days", "0.2"])
+        .output()
+        .expect("wcc spawns");
+    assert!(run.status.success());
+    assert!(String::from_utf8_lossy(&run.stdout).contains("audit:"));
+}
+
+/// `wcc replay --family` reads the flags of its own usage line only: the
+/// single-trace replay's `--trace-out` wrote nothing, `--metrics` printed
+/// nothing and `--trace` / `--lifetime-days` picked nothing, yet all four
+/// exited 0; `--hierarchy` ran into a flat-federation error instead.
+#[test]
+fn family_replay_rejects_the_single_trace_flags() {
+    let base = ["replay", "--family", "flash-crowd", "--scale", "200"];
+    let out = std::env::temp_dir().join(format!("wcc-cli-flags-{}.jsonl", std::process::id()));
+    let out = out.to_str().expect("utf-8 temp path");
+    for extra in [
+        &["--trace", "epa"][..],
+        &["--lifetime-days", "0.2"],
+        &["--trace-out", out],
+        &["--metrics"],
+        &["--hierarchy"],
+    ] {
+        let run = Command::new(WCC)
+            .args(base)
+            .args(extra)
+            .output()
+            .expect("wcc spawns");
+        assert_eq!(run.status.code(), Some(2), "{extra:?}");
+        assert!(run.stdout.is_empty(), "{extra:?} still ran the replay");
+        let stderr = String::from_utf8_lossy(&run.stderr);
+        let complaint = format!("--family NAME does not use {}", extra[0]);
+        assert!(
+            stderr.contains(&complaint) && stderr.contains("usage:"),
+            "{stderr}"
+        );
+    }
+    assert!(
+        !std::path::Path::new(out).exists(),
+        "a span log was written"
+    );
+    let run = Command::new(WCC)
+        .args(base)
+        .args(["--audit", "--seed", "3"])
         .output()
         .expect("wcc spawns");
     assert!(run.status.success());

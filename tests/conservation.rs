@@ -14,7 +14,7 @@ fn trios() -> Vec<[wcc_replay::ReplayReport; 3]> {
             let cfg = ExperimentConfig::builder(spec.scaled_down(SCALE))
                 .seed(11)
                 .build();
-            run_trio(&cfg)
+            run_trio(&cfg, None)
         })
         .collect()
 }

@@ -2,7 +2,7 @@
 //! replay, the report — is a pure function of (config, seed).
 
 use wcc_core::ProtocolKind;
-use wcc_replay::{run_batch, run_experiment, run_trio, run_trio_jobs, ExperimentConfig};
+use wcc_replay::{run_batch, run_experiment, run_trio, ExperimentConfig};
 use wcc_traces::{synthetic, ModSchedule, TraceSpec};
 use wcc_types::SimDuration;
 
@@ -63,8 +63,8 @@ fn run_trio_twice_is_byte_identical() {
         .seed(77)
         .options(options)
         .build();
-    let a = run_trio(&cfg);
-    let b = run_trio(&cfg);
+    let a = run_trio(&cfg, None);
+    let b = run_trio(&cfg, None);
     for (x, y) in a.iter().zip(&b) {
         assert_eq!(
             format!("{x:?}"),
@@ -87,8 +87,8 @@ fn parallel_trio_is_byte_identical_to_sequential() {
         .seed(21)
         .options(options)
         .build();
-    let sequential = run_trio_jobs(&cfg, Some(1));
-    let parallel = run_trio_jobs(&cfg, Some(4));
+    let sequential = run_trio(&cfg, Some(1));
+    let parallel = run_trio(&cfg, Some(4));
     for (s, p) in sequential.iter().zip(&parallel) {
         assert_eq!(
             format!("{s:?}"),

@@ -25,7 +25,7 @@ fn wan_penalises_polling_most() {
         .seed(61)
         .options(options)
         .build();
-    let trio = run_trio(&cfg);
+    let trio = run_trio(&cfg, None);
     let (ttl, poll, inval) = (&trio[0].raw, &trio[1].raw, &trio[2].raw);
     let avg = |r: &RawReport| r.latency.mean().expect("latency observed").as_secs_f64();
     assert!(

@@ -5,7 +5,7 @@ use std::path::PathBuf;
 #[test]
 fn workspace_passes_xtask_lint() {
     let root = PathBuf::from(env!("CARGO_MANIFEST_DIR"));
-    let findings = wcc_audit::lint::scan_tree(&root).expect("workspace sources are readable");
+    let findings = wcc_lint::scan_tree(&root).expect("workspace sources are readable");
     assert!(
         findings.is_empty(),
         "xtask-lint findings:\n{}",

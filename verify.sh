@@ -85,6 +85,17 @@ echo "==> origin conformance + missed-invalidation regression (serve tier)"
 cargo test -q --test origin_conformance
 cargo test -q -p wcc-net --test serve_recovery --test hierarchy_tcp
 
+echo "==> CLI command table + batched hierarchy parent"
+# Every call's flags come from one table in src/bin/wcc.rs: a flag its call
+# does not read exits 2 (`wcc replay --family` refuses the single-trace
+# replay's --trace, --lifetime-days, --trace-out and --metrics), and the
+# usage text shows exactly the flags each call accepts. The simulated parent
+# applies an origin's InvalidateBatch as one round and acks it with one
+# InvalidateBatchAck, like the proxies. All also run in the suites above.
+cargo test -q --test cli_flags family_replay_rejects_the_single_trace_flags
+cargo test -q --bin wcc every_flag_in_usage_is_accepted
+cargo test -q -p wcc-httpsim --test parent_behaviour a_batched_round_is_applied_and_acked_as_one
+
 echo "==> one send per connection per turn (serve-tier flush rule)"
 # Output queued during a reactor turn leaves in one send(2) per connection at
 # the turn's end: tickets redeemed in one turn, and a reply plus a push, each
