@@ -134,11 +134,6 @@ impl LeaseEconomics {
         self.counts.entry(url).or_insert((0, 0)).1 += 1;
     }
 
-    /// Documents with at least one recorded access.
-    pub fn tracked(&self) -> usize {
-        self.counts.len()
-    }
-
     /// The lease duration the cost objective assigns to `url` right now:
     /// `clamp(base × sqrt((reads+1)/(writes+1)), floor, cap)`, evaluated in
     /// fixed-point integer arithmetic.
@@ -231,7 +226,6 @@ mod tests {
         let mut e = econ(3600, 1, 1_000_000);
         e.on_read(url(1));
         e.on_write(url(2));
-        assert_eq!(e.tracked(), 2);
         assert!(e.lease_for(url(1)) > e.lease_for(url(2)));
     }
 }

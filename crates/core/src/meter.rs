@@ -93,15 +93,6 @@ impl HitMeter {
     pub fn total(&self) -> u64 {
         self.served + self.reported
     }
-
-    /// The `n` most-viewed documents, by metered total, descending
-    /// (ties broken by URL for determinism).
-    pub fn top(&self, n: usize) -> Vec<(Url, DocViews)> {
-        let mut v: Vec<(Url, DocViews)> = self.per_doc.iter().map(|(u, d)| (*u, *d)).collect();
-        v.sort_by(|a, b| b.1.total().cmp(&a.1.total()).then(a.0.cmp(&b.0)));
-        v.truncate(n);
-        v
-    }
 }
 
 #[cfg(test)]
@@ -134,20 +125,5 @@ mod tests {
         assert_eq!(m.served(), 3);
         assert_eq!(m.reported(), 10);
         assert_eq!(m.total(), 13);
-    }
-
-    #[test]
-    fn top_orders_by_total_views() {
-        let mut m = HitMeter::new();
-        m.record_request(url(1));
-        m.record_report(url(2), 5);
-        m.record_request(url(3));
-        m.record_report(url(3), 1);
-        let top = m.top(2);
-        assert_eq!(top.len(), 2);
-        assert_eq!(top[0].0, url(2));
-        assert_eq!(top[1].0, url(3));
-        assert!(m.top(0).is_empty());
-        assert_eq!(m.top(10).len(), 3);
     }
 }

@@ -305,11 +305,6 @@ impl ServerConsistency {
         self.pending.contains_key(&url)
     }
 
-    /// The adaptive lease economics tracker, when configured.
-    pub fn economics(&self) -> Option<&LeaseEconomics> {
-        self.economics.as_ref()
-    }
-
     /// Clients still awaiting an `INVALIDATE <url>` acknowledgement (retry
     /// targets), sorted.
     pub fn pending_for(&self, url: Url) -> Vec<ClientId> {
@@ -484,7 +479,6 @@ mod tests {
         let g = s.on_get(url(1), client(7), None, doc(0), now);
         let short = g.lease.expect("lease still granted");
         assert!(short < expiry, "{short} vs {expiry}");
-        assert!(s.economics().expect("configured").tracked() >= 1);
         assert!(s.has_pending(url(1)));
         assert!(!s.has_pending(url(2)));
     }

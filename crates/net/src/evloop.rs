@@ -43,12 +43,12 @@
 //!   dead node fails;
 //! * the node's one clock: roles are told the time ([`Cx::now`], the `now`
 //!   passed in) and read none;
-//! * the two connections to the upstream node: the persistent `HELLO`
-//!   channel invalidations are pushed on and the pipelined request
-//!   connection ([`UPSTREAM`]) misses are forwarded on, both dialled
-//!   synchronously by [`spawn`], so an unreachable upstream fails fast,
-//!   and re-dialled, at most once per 250 ms each, while they are down
-//!   (the §5 reconnect);
+//! * the one connection to the upstream node ([`UPSTREAM`]): its first
+//!   frame is the node's `HELLO`, misses are forwarded up it, and
+//!   invalidations are pushed down it and acknowledged on it. [`spawn`]
+//!   dials it synchronously, so an unreachable upstream fails fast, and it
+//!   is re-dialled, at most once per 250 ms, while it is down (the §5
+//!   reconnect);
 //! * the graceful drain on shutdown.
 //!
 //! A role never blocks. It touches only what [`Cx`] hands it — its own
@@ -81,8 +81,8 @@ use wcc_types::{SimDuration, SimTime, WallClock};
 const TOK_LISTENER: u64 = 0;
 /// Token of the reactor's waker pipe.
 const TOK_WAKER: u64 = 1;
-/// Outbox address of the request connection to the upstream, whichever
-/// socket currently carries it. A frame pushed here while it is down is
+/// Outbox address of the connection to the upstream, whichever socket
+/// currently carries it. A frame pushed here while it is down is
 /// dropped; [`Role::on_redial`] says when to send it again.
 pub(crate) const UPSTREAM: u64 = 2;
 /// First token handed to accepted connections; everything below is a
@@ -93,8 +93,8 @@ const FIRST_CONN: u64 = 16;
 /// deferred one) before the runtime stops reading from it.
 pub(crate) const MAX_PIPELINE: u64 = 64;
 
-/// The least time between two dials of the same upstream connection; also
-/// bounds each dial, which runs on the reactor thread.
+/// The least time between two dials of the upstream; also bounds each
+/// dial, which runs on the reactor thread.
 const REDIAL: SimDuration = SimDuration::from_millis(250);
 
 /// How long a node whose handle is gone waits for its deferred replies.
@@ -111,9 +111,7 @@ pub(crate) enum After {
 #[derive(Clone, Copy)]
 pub(crate) enum Via {
     Listener,
-    /// The runtime-dialled `HELLO` channel to the upstream node.
-    Dial,
-    /// The runtime-dialled request connection to the upstream node.
+    /// The runtime-dialled connection to the upstream node.
     Upstream,
 }
 
@@ -185,9 +183,10 @@ pub(crate) trait Role: Sized + Send + 'static {
     }
     /// Called after a wake once [`Role::next_deadline`] is `now` or earlier.
     fn on_deadline(&mut self, _now: SimTime, _out: &mut Outbox) {}
-    /// The request connection had dropped and was just dialled again:
+    /// The upstream connection had dropped and was just dialled again:
     /// with `up`, whatever was in flight on the old one can be sent again
-    /// to [`UPSTREAM`]; without, it is lost until the next attempt.
+    /// to [`UPSTREAM`], behind the `HELLO`; without, it is lost until the
+    /// next attempt.
     fn on_redial(&mut self, _up: bool, _out: &mut Outbox) {}
 }
 
@@ -216,7 +215,7 @@ impl Hello {
     }
 }
 
-/// One runtime-dialled connection to the upstream.
+/// The runtime-dialled connection to the upstream.
 #[derive(Default)]
 struct Link {
     /// Its token while it is up.
@@ -506,12 +505,12 @@ impl<R: Role> Drop for Node<R> {
     }
 }
 
-/// Starts `role` on `listener` (plus the connections to the upstream
+/// Starts `role` on `listener` (plus the connection to the upstream
 /// `hello` names). The node's thread exists by the time this returns.
 ///
 /// # Errors
 ///
-/// Returns socket errors from the upstream dials or reactor set-up; no
+/// Returns socket errors from the upstream dial or reactor set-up; no
 /// thread is left behind on failure.
 pub(crate) fn spawn<R: Role>(
     role: R,
@@ -520,10 +519,7 @@ pub(crate) fn spawn<R: Role>(
 ) -> io::Result<Node<R>> {
     use std::os::fd::AsRawFd;
     // Dial first: an unreachable upstream fails the spawn.
-    let dialled = match &hello {
-        Some(hello) => Some((hello.dial()?, hello.dial()?)),
-        None => None,
-    };
+    let dialled = hello.as_ref().map(Hello::dial).transpose()?;
     let mut poller = Poller::new()?;
     listener.set_nonblocking(true)?;
     poller.add(listener.as_raw_fd(), TOK_LISTENER, Interest::READ)?;
@@ -544,12 +540,10 @@ pub(crate) fn spawn<R: Role>(
         clock: WallClock::start(),
         deferred: 0,
         hello,
-        channel: Link::default(),
-        requests: Link::default(),
+        upstream: Link::default(),
     };
-    if let Some((requests, channel)) = dialled {
-        rt.adopt(Via::Upstream, requests);
-        rt.adopt(Via::Dial, channel);
+    if let Some(stream) = dialled {
+        rt.adopt(stream);
     }
     let thread = std::thread::spawn(move || rt.run());
     Ok(Node {
@@ -576,10 +570,8 @@ struct Runtime<R: Role> {
     /// Tickets taken and not yet redeemed.
     deferred: u32,
     hello: Option<Hello>,
-    /// The `HELLO` channel.
-    channel: Link,
-    /// The request connection ([`UPSTREAM`]).
-    requests: Link,
+    /// The connection to the upstream ([`UPSTREAM`]).
+    upstream: Link,
 }
 
 impl<R: Role> Runtime<R> {
@@ -658,54 +650,34 @@ impl<R: Role> Runtime<R> {
         }
     }
 
-    /// The upstream connection that is dialled as `via`.
-    fn link(&mut self, via: Via) -> &mut Link {
-        match via {
-            Via::Upstream => &mut self.requests,
-            Via::Dial => &mut self.channel,
-            Via::Listener => unreachable!("accepted, not dialled"),
-        }
-    }
-
-    /// When the next upstream re-dial is due; `None` while both
-    /// connections are up (or the role has no upstream).
+    /// When the next upstream re-dial is due; `None` while the connection
+    /// is up (or the role has no upstream).
     fn redial_due(&self) -> Option<SimTime> {
         self.hello.as_ref()?;
-        let due = |link: &Link| link.token.is_none().then_some(link.dialled + REDIAL);
-        earliest(due(&self.requests), due(&self.channel))
+        let link = &self.upstream;
+        link.token.is_none().then_some(link.dialled + REDIAL)
     }
 
-    /// Dials whichever upstream connection is down and due. The request
-    /// connection goes first: once the upstream has our `HELLO` (and may
-    /// start its recovery handshake), it can already be asked.
+    /// Dials the upstream again; the role then sends what was in flight.
     fn redial(&mut self, now: SimTime) {
-        for via in [Via::Upstream, Via::Dial] {
-            let link = self.link(via);
-            if link.token.is_some() || now < link.dialled + REDIAL {
-                continue;
-            }
-            link.dialled = now;
-            let stream = self.hello.as_ref().and_then(|hello| hello.dial().ok());
-            let up = stream.is_some_and(|stream| self.adopt(via, stream));
-            if let Via::Upstream = via {
-                self.role.on_redial(up, &mut self.outbox);
-            }
-        }
+        self.upstream.dialled = now;
+        let stream = self.hello.as_ref().and_then(|hello| hello.dial().ok());
+        let up = stream.is_some_and(|stream| self.adopt(stream));
+        self.role.on_redial(up, &mut self.outbox);
     }
 
-    /// Registers a freshly dialled upstream connection; the channel's first frame is our `HELLO`.
-    fn adopt(&mut self, via: Via, stream: TcpStream) -> bool {
-        let tag = self.role.tag(via);
-        let token = self.conns.insert(&mut self.poller, stream, tag).ok();
-        self.link(via).token = token;
-        if let (Via::Dial, Some(token), Some(hello)) = (via, token, &self.hello) {
+    /// Registers a freshly dialled upstream connection; its first frame is our `HELLO`.
+    fn adopt(&mut self, stream: TcpStream) -> bool {
+        let tag = self.role.tag(Via::Upstream);
+        self.upstream.token = self.conns.insert(&mut self.poller, stream, tag).ok();
+        if let Some(hello) = &self.hello {
             let hello = HttpMsg::Hello {
                 partition: hello.partition,
                 partitions: hello.partitions,
             };
-            self.outbox.push(Out::Push(token, hello));
+            self.outbox.push(Out::Push(UPSTREAM, hello));
         }
-        token.is_some()
+        self.upstream.token.is_some()
     }
 
     /// Accepts every pending connection on the non-blocking listener.
@@ -740,14 +712,12 @@ impl<R: Role> Runtime<R> {
         self.closed(token);
     }
 
-    /// Bookkeeping for a connection that is gone. An upstream connection
+    /// Bookkeeping for a connection that is gone. The upstream connection
     /// is dialled again as soon as its last dial is [`REDIAL`] old — at
     /// once, if it had been up that long.
     fn closed(&mut self, token: u64) {
-        for link in [&mut self.channel, &mut self.requests] {
-            if link.token == Some(token) {
-                link.token = None;
-            }
+        if self.upstream.token == Some(token) {
+            self.upstream.token = None;
         }
     }
 
@@ -775,7 +745,7 @@ impl<R: Role> Runtime<R> {
         while !self.outbox.is_empty() {
             let mut batch = std::mem::take(&mut self.outbox);
             for out in batch.drain(..) {
-                let (tok, msg) = match (out, self.requests.token) {
+                let (tok, msg) = match (out, self.upstream.token) {
                     (Out::Redeem(ticket, reply), _) => {
                         self.redeem(ticket, reply);
                         continue;

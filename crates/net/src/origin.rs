@@ -1,9 +1,10 @@
 //! The TCP origin server + accelerator, served by a readiness reactor.
 //!
 //! One thread owns every connection: per-request `GET`s, modifier
-//! check-ins, `/metrics` scrapes, and the proxies' persistent `HELLO`
-//! push channels all multiplex over the node runtime's loop
-//! ([`crate::evloop`]). The protocol — grants, fan-out, acknowledgements,
+//! check-ins, `/metrics` scrapes, and each proxy's one persistent
+//! connection, whose `HELLO` makes it that partition's push channel and
+//! whose `GET`s are answered like any other, all multiplex over the node
+//! runtime's loop ([`crate::evloop`]). The protocol — grants, fan-out, acknowledgements,
 //! retry, §5 recovery, §7 metering — is [`wcc_core::OriginCore`], which the
 //! simulator's origin drives too; this file is its daemon driver: the
 //! [`Role`] that owns the core on the node's thread, feeds it frames and

@@ -1,11 +1,11 @@
 //! The TCP parent-tier proxy: one thread, one flight table.
 //!
 //! Children connect to the parent exactly as proxies connect to an origin
-//! (keep-alive `GET` connections plus a persistent `HELLO` push channel);
-//! the parent in turn is a client of the real origin. The node's thread
-//! ([`crate::evloop`]) owns the child-facing listener, the upstream
-//! invalidation channel and the pipelined upstream request connection,
-//! and the parent's state, [`ParentRole`], which the handle reaches only
+//! (one persistent connection each, registered as a push channel by its
+//! `HELLO`); the parent in turn is a client of the real origin. The node's
+//! thread ([`crate::evloop`]) owns the child-facing listener, the one
+//! upstream connection misses go up and invalidations come down, and the
+//! parent's state, [`ParentRole`], which the handle reaches only
 //! through [`Node::call`]: the same thin driver of [`wcc_core::ProxyCore`]
 //! as the proxy towards the origin ([`crate::upstream`]), and of
 //! [`wcc_core::WritePath`] as the origin towards its children
@@ -16,7 +16,9 @@
 //! and is the write path's `modify`: relayed to the children that hold the
 //! document, re-sent every 250 ms and at a child's next `HELLO` until each
 //! acknowledged. An upstream fetch it overtakes is poisoned and fetched
-//! again rather than cached (and leased out) stale.
+//! again rather than cached (and leased out) stale. A child `GET` that
+//! times out upstream closes the child's connection, its push channel
+//! with it: the child dials again, and its `HELLO` brings what it missed.
 //!
 //! A bulk `INVALIDATE <server>` (the §5 recovery barrage) is acked upstream
 //! and relayed down the tree the same way — re-sent until each child's
@@ -60,7 +62,7 @@ pub struct NetParentCounters {
     pub inval_races: u64,
     /// Upstream requests given up unanswered after 5 s.
     pub upstream_timeouts: u64,
-    /// Times the upstream request connection was re-established.
+    /// Times the upstream connection was re-established.
     pub upstream_redials: u64,
 }
 
@@ -177,9 +179,7 @@ enum KTag {
     /// A child's: a plain request connection until its `HELLO` also makes
     /// it the push channel of that partition.
     Child(Option<u32>),
-    /// The parent-initiated invalidation channel to the origin.
-    Inval,
-    /// The request connection to the origin.
+    /// The connection to the origin: replies and pushes come down it.
     Upstream,
 }
 
@@ -188,7 +188,6 @@ impl Role for ParentRole {
 
     fn tag(&self, via: Via) -> KTag {
         match via {
-            Via::Dial => KTag::Inval,
             Via::Upstream => KTag::Upstream,
             Via::Listener => KTag::Child(None),
         }
@@ -265,18 +264,6 @@ impl Role for ParentRole {
         let now = cx.now();
         let links = &mut self.links;
         let after = match *cx.tag {
-            KTag::Inval => {
-                // Children ack per document (`InvalAck`), so a coalesced
-                // round fans out downstream as ordinary `INVALIDATE`s.
-                let (latest, asked, down) = (self.latest_trace, &mut links.asked, &mut self.down);
-                let relay = |url| down.modify(url, latest, now, asked);
-                match self.up.pushed(cx, msg, Some(IDENTITY), relay) {
-                    Some(true) => down.relay_bulk(asked),
-                    Some(false) => {}
-                    None => return After::Close,
-                }
-                After::Keep
-            }
             KTag::Upstream => match msg {
                 HttpMsgRef::Reply(reply) => {
                     if let Some((outcome, ticket, get)) = self.up.landed(reply, now, cx.out) {
@@ -286,7 +273,19 @@ impl Role for ParentRole {
                     }
                     After::Keep
                 }
-                _ => After::Close,
+                _ => {
+                    // Children ack per document (`InvalAck`), so a coalesced
+                    // round fans out downstream as ordinary `INVALIDATE`s.
+                    let (latest, asked, down) =
+                        (self.latest_trace, &mut links.asked, &mut self.down);
+                    let relay = |url| down.modify(url, latest, now, asked);
+                    match self.up.pushed(cx, msg, Some(IDENTITY), relay) {
+                        Some(true) => down.relay_bulk(asked),
+                        Some(false) => {}
+                        None => return After::Close,
+                    }
+                    After::Keep
+                }
             },
             KTag::Child(site) => match msg {
                 HttpMsgRef::Get(get) if get.url.server() == self.down.server() => {

@@ -3,12 +3,13 @@
 //! The node's thread ([`crate::evloop`]) owns every socket the proxy
 //! serves with: a client-facing listener ([`NetProxy::client_addr`])
 //! speaking keep-alive HTTP/1.1 with pipelining (and answering `GET
-//! /metrics`), the persistent invalidation channel to the origin and the
-//! pipelined request connection misses are forwarded on (both
-//! re-established if the origin restarts — the proxy half of the §5
-//! recovery handshake). It owns the proxy's state too: [`ProxyRole`], a
-//! thin driver of [`wcc_core::ProxyCore`], lives on that thread and
-//! nowhere else, so a copy is served only where its invalidations land.
+//! /metrics`), and the one persistent connection to the origin, which
+//! opens with the proxy's `HELLO`, carries its misses up and the origin's
+//! invalidations down (re-established if the origin restarts — the proxy
+//! half of the §5 recovery handshake). It owns the proxy's state too:
+//! [`ProxyRole`], a thin driver of [`wcc_core::ProxyCore`], lives on that
+//! thread and nowhere else, so a copy is served only where its
+//! invalidations land.
 //!
 //! A client `GET` is `begin`: a cache hit is answered in the turn it
 //! arrived — the paper's point is that a hit needs no server contact, so
@@ -16,15 +17,17 @@
 //! a deferred-reply ticket, after which the thread moves on; any number of
 //! misses are in flight at once. An upstream reply is `complete`: the
 //! ticket is redeemed, or a plain `GET` goes out again. An invalidation is
-//! applied and acknowledged when it arrives, whatever is in flight: a
-//! fetch it overtakes is poisoned and fetched again, the simulator's
-//! callback-race rule, which is what keeps the strong-consistency
-//! guarantee without ever making a write wait for a read.
+//! applied and acknowledged when it arrives, whatever is in flight. A reply
+//! the upstream sent before it has landed already; a fetch still in flight
+//! (its request crossed the invalidation on the wire, or a parent deferred
+//! its reply) is poisoned and fetched again, the simulator's callback-race
+//! rule, which is what keeps the strong-consistency guarantee without ever
+//! making a write wait for a read.
 //!
 //! The handle reaches that state only through [`Node::call`]. The blocking
 //! [`NetProxy::fetch`] is one more client: one call runs `begin` on the
 //! node's thread, a hit returns from it, and a miss goes out on the node's
-//! request connection in the same turn while the caller waits for what the
+//! upstream connection in the same turn while the caller waits for what the
 //! reactor sends back. If the node's thread dies, every call fails.
 
 use std::io;
@@ -77,7 +80,7 @@ pub struct NetProxyCounters {
     pub inval_races: u64,
     /// Upstream requests given up unanswered after 5 s.
     pub upstream_timeouts: u64,
-    /// Times the upstream request connection was re-established.
+    /// Times the upstream connection was re-established.
     pub upstream_redials: u64,
 }
 
@@ -142,12 +145,12 @@ impl std::fmt::Debug for NetProxy {
 }
 
 impl NetProxy {
-    /// Connects to `origin`, registers the invalidation push channel for
-    /// `partition` of `partitions`, and returns the running proxy.
+    /// Connects to `origin`, registers that connection as the push channel
+    /// of `partition` of `partitions`, and returns the running proxy.
     ///
     /// # Errors
     ///
-    /// Returns any socket error from the registration handshake.
+    /// Returns any socket error from the dial.
     pub fn spawn(
         origin: SocketAddr,
         cfg: &ProtocolConfig,
@@ -159,7 +162,7 @@ impl NetProxy {
         let client_listener = TcpListener::bind("127.0.0.1:0")?;
         let client_addr = client_listener.local_addr()?;
 
-        // Both upstream connections are proxy-initiated and persistent.
+        // The upstream connection is proxy-initiated and persistent.
         let hello = Hello {
             upstream: origin,
             partition,
@@ -203,7 +206,7 @@ impl NetProxy {
     ///
     /// # Errors
     ///
-    /// `TimedOut` if the upstream did not answer in time (or the request
+    /// `TimedOut` if the upstream did not answer in time (or its
     /// connection could not be re-established); `BrokenPipe` if the node's
     /// thread is gone.
     pub fn fetch(&self, client: ClientId, url: Url, now: SimTime) -> io::Result<FetchOutcome> {
@@ -244,9 +247,7 @@ enum PKind {
     /// Browser/bench connection (or `/metrics` scrape) on the client
     /// listener.
     Client,
-    /// The persistent invalidation channel to the origin.
-    Inval,
-    /// The request connection to the origin.
+    /// The connection to the origin: replies and pushes come down it.
     Upstream,
 }
 
@@ -256,7 +257,6 @@ impl Role for ProxyRole {
     fn tag(&self, via: Via) -> PKind {
         match via {
             Via::Listener => PKind::Client,
-            Via::Dial => PKind::Inval,
             Via::Upstream => PKind::Upstream,
         }
     }
@@ -390,11 +390,10 @@ impl Role for ProxyRole {
                     }
                     After::Keep
                 }
-                _ => After::Close,
-            },
-            PKind::Inval => match self.up.pushed(cx, msg, None, |_| ()) {
-                Some(_) => After::Keep,
-                None => After::Close,
+                _ => match self.up.pushed(cx, msg, None, |_| ()) {
+                    Some(_) => After::Keep,
+                    None => After::Close,
+                },
             },
         }
     }

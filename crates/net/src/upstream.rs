@@ -4,10 +4,10 @@
 //! the socket side adds — who waits for each flight ([`Waiter`]: a client
 //! of the reactor, or a thread blocked in [`crate::NetProxy::fetch`]), when
 //! a flight is given up ([`UPSTREAM_TIMEOUT`] after it began, on the node's
-//! clock), and that every re-dial of a dropped request connection settles
+//! clock), and that every re-dial of a dropped upstream connection settles
 //! all flights that were on it: sent once more if it succeeded and they had
 //! not been already, failed otherwise. Every flight travels on the node's
-//! one request connection.
+//! one upstream connection, the one its invalidations arrive on.
 
 use std::io;
 use std::sync::mpsc::Sender;
@@ -54,7 +54,7 @@ pub(crate) struct Upstream {
     pub core: ProxyCore<Waiting>,
     /// Flights given up after [`UPSTREAM_TIMEOUT`].
     pub timeouts: u64,
-    /// Times the request connection was re-established.
+    /// Times the upstream connection was re-established.
     pub redials: u64,
     /// Node-time latency from `begin` to the answer, hits included.
     pub latency: Histogram,
@@ -71,7 +71,7 @@ impl Upstream {
         }
     }
 
-    /// A reply frame arrived on the request connection at `now`. Returns
+    /// A reply frame arrived from upstream at `now`. Returns
     /// the finished fetch if a client on the reactor waits for it; a
     /// blocked caller is sent its outcome here, a reply that has to be
     /// fetched again is re-forwarded, one nobody waits for is dropped.
@@ -100,12 +100,12 @@ impl Upstream {
         }
     }
 
-    /// A frame on the invalidation channel: applied, and acknowledged at
+    /// Any other frame from upstream, a push: applied, and acknowledged at
     /// once with the dying copies' unreported hits (the §7 report). A proxy's
     /// copies are its clients', as the frame names them; a parent's are all
     /// held as `own`. `each` is told every document invalidated by name.
     /// Returns whether the frame was the bulk `INVALIDATE <server>`; `None`
-    /// for one that has no business on this channel.
+    /// for one that has no business coming from upstream.
     pub fn pushed<R: Role>(
         &mut self,
         cx: &mut Cx<'_, R>,
@@ -189,7 +189,7 @@ impl Upstream {
         }
     }
 
-    /// The request connection had dropped and was dialled again: settles
+    /// The upstream connection had dropped and was dialled again: settles
     /// every flight that was on it.
     pub fn redialled(&mut self, up: bool, out: &mut Outbox) {
         self.redials += u64::from(up);
@@ -254,7 +254,7 @@ impl Upstream {
         );
         r.set_counter(
             "wcc_upstream_redials_total",
-            "Times the upstream request connection was re-established.",
+            "Times the upstream connection was re-established.",
             node,
             self.redials,
         );

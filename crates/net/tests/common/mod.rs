@@ -158,12 +158,12 @@ impl ScriptedUpstream {
         );
     }
 
-    /// The two connections a spawning node dials, in its dial order: the
-    /// request connection, then the `HELLO` channel (its `HELLO` consumed).
-    pub fn accept_node(&self) -> (Wire, Wire) {
-        let requests = self.accept();
-        let mut channel = self.accept();
-        assert!(matches!(channel.next(), HttpMsgRef::Hello { .. }));
-        (requests, channel)
+    /// The one connection a node dials, at spawn or on a re-dial: misses
+    /// come up it and pushes go down it. Its first frame, the `HELLO`, is
+    /// consumed here.
+    pub fn accept_node(&self) -> Wire {
+        let mut node = self.accept();
+        assert!(matches!(node.next(), HttpMsgRef::Hello { .. }));
+        node
     }
 }

@@ -159,8 +159,9 @@ fn child_validator_is_answered_by_the_parent() {
     assert!(parent.counters().parent_hits >= 2);
 }
 
-/// The callback race at the parent: the origin's pre-write reply is still
-/// under way when its `INVALIDATE` arrives. The parent acks at once, and
+/// The callback race at the parent: the upstream's pre-write reply is
+/// still under way when its `INVALIDATE` arrives (as from a parent above,
+/// which defers replies but not pushes). The parent acks at once, and
 /// neither caches nor leases out the overtaken version.
 #[test]
 fn parent_repeats_an_upstream_fetch_overtaken_by_an_invalidation() {
@@ -175,28 +176,28 @@ fn parent_repeats_an_upstream_fetch_overtaken_by_an_invalidation() {
         ByteSize::from_mib(64),
     )
     .expect("parent");
-    let (mut requests, mut channel) = upstream.accept_node();
+    let mut origin = upstream.accept_node();
     let mut child = Wire::connect(parent.addr());
     let carol = ClientId::from_raw(6);
 
     child.send(&get(1, 3, carol, SimTime::from_secs(1)));
-    let old = requests.recv_get();
+    let old = origin.recv_get();
     assert_eq!((old.url, old.ims), (url(3), None));
     assert_ne!(old.client, carol, "the parent asks in its own name");
-    channel.send(&HttpMsg::Invalidate {
+    origin.send(&HttpMsg::Invalidate {
         url: url(3),
         client: old.client,
     });
-    assert!(matches!(channel.next(), HttpMsgRef::InvalAck { .. }));
-    requests.reply_200(&old, SimTime::from_secs(5));
-    let again = requests.recv_get();
+    assert!(matches!(origin.next(), HttpMsgRef::InvalAck { .. }));
+    origin.reply_200(&old, SimTime::from_secs(5));
+    let again = origin.recv_get();
     assert_ne!(again.req, old.req);
     assert_eq!(
         (again.url, again.client, again.ims),
         (url(3), old.client, None)
     );
     child.assert_quiet();
-    requests.reply_200(&again, SimTime::from_secs(9));
+    origin.reply_200(&again, SimTime::from_secs(9));
     assert_eq!(child.recv_200(), (1, SimTime::from_secs(9)));
 
     let pc = parent.counters();
@@ -220,42 +221,42 @@ fn child_hit_reports_reach_the_origin_across_an_invalidation() {
     let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
     let capacity = ByteSize::from_mib(64);
     let parent = NetParent::spawn(upstream.addr(), &cfg, ServerId::new(0), capacity).unwrap();
-    let (mut requests, mut channel) = upstream.accept_node();
+    let mut origin = upstream.accept_node();
     let child = NetProxy::spawn(parent.addr(), &cfg, 0, 1, capacity).expect("child");
     std::thread::sleep(Duration::from_millis(50));
     let alice = ClientId::from_raw(0);
 
     // A child miss the scripted origin answers; what it is told meanwhile.
     let mut metered = 0;
-    let mut miss = |now: u64, version: u64, metered: &mut u64| -> GetRequest {
+    let miss = |origin: &mut Wire, now: u64, version: u64, metered: &mut u64| -> GetRequest {
         std::thread::scope(|s| {
             let fetch = s.spawn(|| child.fetch(alice, url(3), SimTime::from_secs(now)));
-            let get = requests.recv_get();
+            let get = origin.recv_get();
             *metered += get.cache_hits;
-            requests.reply_200(&get, SimTime::from_secs(version));
+            origin.reply_200(&get, SimTime::from_secs(version));
             assert_eq!(fetch.join().unwrap().unwrap().kind, FetchKind::Fetched);
             get
         })
     };
-    let mut invalidate = |client: ClientId, metered: &mut u64| {
-        channel.send(&HttpMsg::Invalidate {
+    let invalidate = |origin: &mut Wire, client: ClientId, metered: &mut u64| {
+        origin.send(&HttpMsg::Invalidate {
             url: url(3),
             client,
         });
-        match channel.next() {
+        match origin.next() {
             HttpMsgRef::InvalAck { cache_hits, .. } => *metered += cache_hits,
             other => panic!("expected an ack, got {other:?}"),
         }
     };
 
-    let first = miss(1, 5, &mut metered);
+    let first = miss(&mut origin, 1, 5, &mut metered);
     for now in 2..5 {
         let hit = child.fetch(alice, url(3), SimTime::from_secs(now)).unwrap();
         assert_eq!(hit.kind, FetchKind::CacheHit);
     }
     // The parent's copy dies unread; the child's dying copy reports its
     // three hits on an ack that finds the parent without one.
-    invalidate(first.client, &mut metered);
+    invalidate(&mut origin, first.client, &mut metered);
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
     while child.counters().invalidations_received == 0 && std::time::Instant::now() < deadline {
         std::thread::sleep(Duration::from_millis(5));
@@ -263,8 +264,8 @@ fn child_hit_reports_reach_the_origin_across_an_invalidation() {
     // The report rides the parent's next request for the document — or, if
     // the child's ack was slower than its next request, joins the copy that
     // request brought and rides the ack of the next invalidation.
-    miss(10, 9, &mut metered);
-    invalidate(first.client, &mut metered);
+    miss(&mut origin, 10, 9, &mut metered);
+    invalidate(&mut origin, first.client, &mut metered);
     assert_eq!(child.counters().hits, 3);
     assert_eq!(metered, 3, "every child-served hit reached the origin");
 
@@ -276,7 +277,7 @@ fn child_hit_reports_reach_the_origin_across_an_invalidation() {
     };
     asked.cache_hits = 2;
     raw.send(&HttpMsg::Get(asked));
-    assert_eq!(requests.recv_get().cache_hits, 2);
+    assert_eq!(origin.recv_get().cache_hits, 2);
 }
 
 /// A relayed invalidation is not lost to a push-channel outage: a write
@@ -351,7 +352,7 @@ fn an_unacknowledged_relay_is_sent_again_after_one_retry_period() {
     let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
     let capacity = ByteSize::from_mib(64);
     let parent = NetParent::spawn(upstream.addr(), &cfg, ServerId::new(0), capacity).unwrap();
-    let (mut requests, mut origin_channel) = upstream.accept_node();
+    let mut origin = upstream.accept_node();
     let carol = ClientId::from_raw(6);
 
     // The child registers, then takes a copy (answered behind the `HELLO`).
@@ -363,15 +364,15 @@ fn an_unacknowledged_relay_is_sent_again_after_one_retry_period() {
         },
         get(1, 5, carol, SimTime::from_secs(1)),
     ]);
-    let asked = requests.recv_get();
-    requests.reply_200(&asked, SimTime::from_secs(5));
+    let asked = origin.recv_get();
+    origin.reply_200(&asked, SimTime::from_secs(5));
     assert_eq!(channel.recv_200(), (1, SimTime::from_secs(5)));
 
-    origin_channel.send(&HttpMsg::Invalidate {
+    origin.send(&HttpMsg::Invalidate {
         url: url(5),
         client: asked.client,
     });
-    assert!(matches!(origin_channel.next(), HttpMsgRef::InvalAck { .. }));
+    assert!(matches!(origin.next(), HttpMsgRef::InvalAck { .. }));
     let sent = std::time::Instant::now();
     for attempt in 0..2 {
         match channel.next() {
@@ -392,8 +393,8 @@ fn an_unacknowledged_relay_is_sent_again_after_one_retry_period() {
         cache_hits: 0,
     };
     channel.send_all(&[ack, get(2, 5, carol, SimTime::from_secs(61))]);
-    let again = requests.recv_get();
-    requests.reply_200(&again, SimTime::from_secs(60));
+    let again = origin.recv_get();
+    origin.reply_200(&again, SimTime::from_secs(60));
     assert_eq!(channel.recv_200(), (2, SimTime::from_secs(60)));
     std::thread::sleep(Duration::from_millis(300));
     channel.assert_quiet();
@@ -412,7 +413,7 @@ fn a_bulk_relay_during_a_child_channel_outage_is_resent_until_acknowledged() {
     let capacity = ByteSize::from_mib(64);
     let server = ServerId::new(0);
     let parent = NetParent::spawn(upstream.addr(), &cfg, server, capacity).unwrap();
-    let (_requests, mut origin_channel) = upstream.accept_node();
+    let mut origin = upstream.accept_node();
     let hello = HttpMsg::Hello {
         partition: 0,
         partitions: 1,
@@ -422,8 +423,8 @@ fn a_bulk_relay_during_a_child_channel_outage_is_resent_until_acknowledged() {
     let mut channel = Wire::connect(parent.addr());
     channel.send(&hello);
     drop(channel);
-    origin_channel.send(&HttpMsg::InvalidateServer { server });
-    let acked = origin_channel.next();
+    origin.send(&HttpMsg::InvalidateServer { server });
+    let acked = origin.next();
     assert!(matches!(acked, HttpMsgRef::InvalidateServerAck { .. }));
     assert_eq!(parent.counters().bulk_invalidations_received, 1);
 
@@ -443,4 +444,49 @@ fn a_bulk_relay_during_a_child_channel_outage_is_resent_until_acknowledged() {
     channel.send_all(&[HttpMsg::InvalidateServerAck { server }, hello]);
     std::thread::sleep(Duration::from_millis(300));
     channel.assert_quiet();
+}
+
+/// A child `GET` the origin never answers times out at the parent after
+/// 5 s, and the parent closes the child's connection behind it: its push
+/// channel too, since that is the same connection. A write in the gap is
+/// relayed nowhere, and the child's `HELLO` on its next connection brings it.
+#[test]
+fn a_relay_missed_behind_a_timed_out_flight_is_pushed_on_the_next_hello() {
+    use common::{get, ScriptedUpstream, Wire};
+    use wcc_proto::{HttpMsg, HttpMsgRef};
+    let upstream = ScriptedUpstream::bind();
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let capacity = ByteSize::from_mib(64);
+    let parent = NetParent::spawn(upstream.addr(), &cfg, ServerId::new(0), capacity).unwrap();
+    let mut origin = upstream.accept_node();
+    upstream.assert_no_dial();
+    let carol = ClientId::from_raw(6);
+    let hello = HttpMsg::Hello {
+        partition: 0,
+        partitions: 1,
+    };
+
+    // The child registers and takes a copy; its next miss is never answered.
+    let mut child = Wire::connect(parent.addr());
+    child.send_all(&[hello.clone(), get(1, 5, carol, SimTime::from_secs(1))]);
+    let asked = origin.recv_get();
+    origin.reply_200(&asked, SimTime::from_secs(5));
+    assert_eq!(child.recv_200(), (1, SimTime::from_secs(5)));
+    child.send(&get(2, 6, carol, SimTime::from_secs(2)));
+    let _never_answered = origin.recv_get();
+    child.assert_closed();
+    assert_eq!(parent.counters().upstream_timeouts, 1);
+
+    // The write lands while the child is away.
+    origin.send(&HttpMsg::Invalidate {
+        url: url(5),
+        client: asked.client,
+    });
+    assert!(matches!(origin.next(), HttpMsgRef::InvalAck { .. }));
+    let mut child = Wire::connect(parent.addr());
+    child.send(&hello);
+    match child.next() {
+        HttpMsgRef::Invalidate { url: u, client } => assert_eq!((u, client), (url(5), carol)),
+        other => panic!("expected the missed INVALIDATE, got {other:?}"),
+    }
 }

@@ -85,16 +85,6 @@ pub enum ReplyStatus {
     NotModified,
 }
 
-impl ReplyStatus {
-    /// The HTTP status code.
-    pub fn code(&self) -> u16 {
-        match self {
-            ReplyStatus::Ok(_) => 200,
-            ReplyStatus::NotModified => 304,
-        }
-    }
-}
-
 /// A reply from the origin site to a proxy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Reply {
@@ -396,12 +386,6 @@ mod tests {
         };
         assert!(!plain.is_ims());
         assert!(cond.is_ims());
-    }
-
-    #[test]
-    fn status_codes() {
-        assert_eq!(ReplyStatus::Ok(body(1)).code(), 200);
-        assert_eq!(ReplyStatus::NotModified.code(), 304);
     }
 
     #[test]

@@ -331,8 +331,8 @@ impl<E> EventQueue<E> {
     }
 
     /// Removes and returns the earliest event if it fires at or before
-    /// `bound`; leaves the queue untouched otherwise. One call replaces the
-    /// engine's former `peek_time` + `pop` pair per dispatched event.
+    /// `bound`; leaves the queue untouched otherwise: the engine's one call
+    /// per dispatched event.
     pub fn pop_bounded(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
         let slot = self.seek()?;
         let bucket = &mut self.ring[slot];
@@ -346,12 +346,6 @@ impl<E> EventQueue<E> {
         self.ring_len -= 1;
         self.len -= 1;
         Some((at, payload))
-    }
-
-    /// The firing time of the earliest pending event.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        let slot = self.seek()?;
-        self.ring[slot].last().map(|ev| ev.0)
     }
 
     /// Events scheduled beyond the ring's horizon so far: each paid a heap
@@ -393,15 +387,13 @@ mod tests {
     }
 
     #[test]
-    fn peek_does_not_remove() {
+    fn len_counts_pending_events() {
         let mut q = EventQueue::new();
         q.schedule(SimTime::from_secs(7), ());
-        assert_eq!(q.peek_time(), Some(SimTime::from_secs(7)));
         assert_eq!(q.len(), 1);
         assert!(!q.is_empty());
         q.pop();
         assert!(q.is_empty());
-        assert_eq!(q.peek_time(), None);
     }
 
     #[test]
@@ -586,7 +578,6 @@ mod tests {
                 q.schedule_ranked(at, rank, (at, rank));
                 model.insert((at, rank));
             }
-            assert_eq!(q.peek_time(), model.first().map(|k| k.0));
         }
         assert!(model.is_empty());
         assert!(popped > 12_000);

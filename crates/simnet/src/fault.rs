@@ -11,8 +11,8 @@ use wcc_types::{NodeId, SimTime};
 
 /// One scheduled fault action inside a [`FaultPlan`].
 ///
-/// The entries are public so that scenario generators (the fuzzer) can
-/// sample, inspect and minimise plans entry-by-entry.
+/// The entries are public so that a plan can be written entry by entry
+/// ([`FaultPlan::from_entries`]) and read back ([`FaultPlan::entries`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEntry {
     /// Crash `node` at `at` (messages to it are lost while down).
@@ -113,29 +113,9 @@ impl FaultPlan {
         self
     }
 
-    /// Appends one entry (the non-consuming form of the builder methods).
-    pub fn push(&mut self, entry: FaultEntry) {
-        self.faults.push(entry);
-    }
-
     /// The scheduled entries, in insertion order.
     pub fn entries(&self) -> &[FaultEntry] {
         &self.faults
-    }
-
-    /// The plan with entry `idx` removed (for scenario minimisation).
-    /// Removing a `Crash` whose `Recover` remains leaves a permanent
-    /// outage — shrinkers that want to preserve the outage/partition
-    /// structure should drop both halves of a pair.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `idx` is out of range.
-    #[must_use]
-    pub fn without(&self, idx: usize) -> FaultPlan {
-        let mut faults = self.faults.clone();
-        faults.remove(idx);
-        FaultPlan { faults }
     }
 
     /// The number of scheduled fault actions.
@@ -146,53 +126,6 @@ impl FaultPlan {
     /// Returns `true` if no faults are scheduled.
     pub fn is_empty(&self) -> bool {
         self.faults.is_empty()
-    }
-
-    /// Samples a random plan of up to `max_faults` outages/partitions over
-    /// the nodes in `candidates`, every window inside `[0, horizon)`.
-    ///
-    /// `entropy` supplies uniform random `u64`s (so callers can plug in any
-    /// seeded generator without this crate depending on one); the plan is a
-    /// pure function of the drawn values. Outages pick one node; partitions
-    /// pick an ordered pair (skipped when fewer than two candidates exist).
-    pub fn sampled(
-        entropy: &mut dyn FnMut() -> u64,
-        candidates: &[NodeId],
-        horizon: SimTime,
-        max_faults: usize,
-    ) -> FaultPlan {
-        let mut plan = FaultPlan::new();
-        if candidates.is_empty() || horizon == SimTime::ZERO {
-            return plan;
-        }
-        let span = horizon.saturating_since(SimTime::ZERO);
-        let frac = |bits: u64| (bits >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-        let count = (entropy() as usize) % (max_faults + 1);
-        for _ in 0..count {
-            let node = candidates[(entropy() as usize) % candidates.len()];
-            // Window inside [0, horizon): start in the first 70%, end after.
-            let from = SimTime::ZERO + span.mul_f64(frac(entropy()) * 0.7);
-            let to = from + span.mul_f64(0.05 + frac(entropy()) * 0.25);
-            let partition = entropy() & 1 == 1 && candidates.len() > 1;
-            if partition {
-                let mut peer = candidates[(entropy() as usize) % candidates.len()];
-                if peer == node {
-                    peer = *candidates
-                        .iter()
-                        .find(|&&c| c != node)
-                        .unwrap_or(&candidates[0]);
-                }
-                plan.push(FaultEntry::Partition {
-                    a: node,
-                    b: peer,
-                    from,
-                    to,
-                });
-            } else {
-                plan = plan.outage(node, from, to);
-            }
-        }
-        plan
     }
 
     /// Schedules every fault onto `sim`.
@@ -295,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn entries_round_trip_and_without_removes_one() {
+    fn entries_round_trip() {
         let plan = FaultPlan::new()
             .outage(NodeId::new(1), SimTime::from_secs(1), SimTime::from_secs(2))
             .partition(
@@ -306,53 +239,5 @@ mod tests {
             );
         assert_eq!(plan.len(), 3);
         assert_eq!(FaultPlan::from_entries(plan.entries().to_vec()), plan);
-        let shrunk = plan.without(0);
-        assert_eq!(shrunk.len(), 2);
-        assert_eq!(
-            shrunk.entries()[0],
-            FaultEntry::Recover {
-                node: NodeId::new(1),
-                at: SimTime::from_secs(2)
-            }
-        );
-        let mut rebuilt = FaultPlan::new();
-        for &e in plan.entries() {
-            rebuilt.push(e);
-        }
-        assert_eq!(rebuilt, plan);
-    }
-
-    #[test]
-    fn sampled_plans_are_bounded_and_deterministic() {
-        let nodes = [NodeId::new(0), NodeId::new(1), NodeId::new(2)];
-        let horizon = SimTime::from_secs(1_000);
-        // A tiny deterministic entropy source.
-        let make_entropy = || {
-            let mut state = 0x9e37_79b9_7f4a_7c15u64;
-            move || {
-                state = state
-                    .wrapping_mul(6364136223846793005)
-                    .wrapping_add(1442695040888963407);
-                state
-            }
-        };
-        let a = FaultPlan::sampled(&mut make_entropy(), &nodes, horizon, 3);
-        let b = FaultPlan::sampled(&mut make_entropy(), &nodes, horizon, 3);
-        assert_eq!(a, b, "same entropy stream, same plan");
-        // Every window is inside the horizon and well-formed.
-        for e in a.entries() {
-            match *e {
-                FaultEntry::Crash { at, .. } | FaultEntry::Recover { at, .. } => {
-                    assert!(at <= horizon + wcc_types::SimDuration::from_secs(1_000));
-                }
-                FaultEntry::Partition { a, b, from, to } => {
-                    assert_ne!(a, b);
-                    assert!(from < to);
-                }
-            }
-        }
-        // Degenerate inputs yield empty plans.
-        assert!(FaultPlan::sampled(&mut make_entropy(), &[], horizon, 3).is_empty());
-        assert!(FaultPlan::sampled(&mut make_entropy(), &nodes, SimTime::ZERO, 3).is_empty());
     }
 }

@@ -45,11 +45,6 @@ impl LinkSpec {
         self.latency
     }
 
-    /// The bandwidth in bytes per second.
-    pub fn bandwidth(self) -> u64 {
-        self.bandwidth_bytes_per_sec
-    }
-
     /// The end-to-end transfer time for a message of `size` bytes.
     pub fn transfer_time(self, size: ByteSize) -> SimDuration {
         let serialisation =

@@ -186,16 +186,6 @@ impl<M: 'static> Simulation<M> {
         self.states[node.as_usize()].busy_accum
     }
 
-    /// CPU utilisation of `node`: busy time over elapsed time (0 if the
-    /// clock has not advanced).
-    pub fn utilisation(&self, node: NodeId) -> f64 {
-        if self.now == SimTime::ZERO {
-            0.0
-        } else {
-            self.busy_time(node).as_secs_f64() / self.now.as_secs_f64()
-        }
-    }
-
     /// Immutable access to a node, downcast to its concrete type.
     ///
     /// # Panics
@@ -266,12 +256,6 @@ impl<M: 'static> Simulation<M> {
     pub fn schedule_partition(&mut self, a: NodeId, b: NodeId, from: SimTime, to: SimTime) {
         self.schedule_external(from, EngineEvent::Fault(FaultAction::Sever(a, b)));
         self.schedule_external(to, EngineEvent::Fault(FaultAction::Heal(a, b)));
-    }
-
-    /// Injects a message into `dst` "from the outside" (source shows as
-    /// `dst` itself). Useful to kick off ad-hoc test scenarios.
-    pub fn inject(&mut self, dst: NodeId, msg: M, at: SimTime) {
-        self.schedule_external(at, EngineEvent::Deliver { src: dst, dst, msg });
     }
 
     /// Runs every node's [`Node::on_start`] hook (once).
@@ -459,6 +443,14 @@ mod tests {
     use super::*;
     use wcc_types::ByteSize;
 
+    impl<M: 'static> Simulation<M> {
+        /// Injects a message into `dst` "from the outside" (source shows as
+        /// `dst` itself).
+        fn inject(&mut self, dst: NodeId, msg: M, at: SimTime) {
+            self.schedule_external(at, EngineEvent::Deliver { src: dst, dst, msg });
+        }
+    }
+
     /// Echoes every message back to its sender.
     struct Echo {
         seen: u32,
@@ -590,7 +582,7 @@ mod tests {
     }
 
     #[test]
-    fn utilisation_reflects_consumed_cpu() {
+    fn busy_time_counts_consumed_cpu() {
         struct Burner;
         impl Node<u32> for Burner {
             fn on_message(&mut self, _f: NodeId, _m: u32, ctx: &mut Ctx<'_, u32>) {
@@ -602,7 +594,6 @@ mod tests {
         sim.inject(n, 0, SimTime::from_secs(1));
         sim.run_until(SimTime::from_secs(4));
         assert_eq!(sim.busy_time(n), SimDuration::from_secs(1));
-        assert!((sim.utilisation(n) - 0.25).abs() < 1e-9);
     }
 
     /// Sends `n` messages to `dst` at start; they arrive in one instant.

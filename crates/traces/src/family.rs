@@ -115,19 +115,6 @@ impl FamilyConfig {
         }
     }
 
-    /// A small preset for the fuzzer's scenario space and unit tests
-    /// (3 origins, minutes of wall-clock trace).
-    pub fn demo(family: WorkloadFamily) -> FamilyConfig {
-        let mut cfg = FamilyConfig::city(family);
-        cfg.spec.duration = SimDuration::from_hours(4);
-        cfg.spec.total_requests = 300;
-        cfg.spec.num_docs = 24;
-        cfg.spec.num_clients = 150;
-        cfg.spec.num_origins = 3;
-        cfg.mean_lifetime = SimDuration::from_days(1);
-        cfg
-    }
-
     /// Proportionally smaller city scenario (origin count is kept; see
     /// [`TraceSpec::scaled_down`]).
     #[must_use]
@@ -490,8 +477,20 @@ mod tests {
     use super::*;
     use wcc_types::ServerId;
 
+    /// A small preset (3 origins, minutes of wall-clock trace).
+    fn demo_config(family: WorkloadFamily) -> FamilyConfig {
+        let mut cfg = FamilyConfig::city(family);
+        cfg.spec.duration = SimDuration::from_hours(4);
+        cfg.spec.total_requests = 300;
+        cfg.spec.num_docs = 24;
+        cfg.spec.num_clients = 150;
+        cfg.spec.num_origins = 3;
+        cfg.mean_lifetime = SimDuration::from_days(1);
+        cfg
+    }
+
     fn demo(family: WorkloadFamily) -> FamilyWorkload {
-        generate(&FamilyConfig::demo(family), 7)
+        generate(&demo_config(family), 7)
     }
 
     #[test]
@@ -520,7 +519,7 @@ mod tests {
     #[test]
     fn generation_is_deterministic_and_seed_sensitive() {
         for family in WorkloadFamily::ALL {
-            let cfg = FamilyConfig::demo(family);
+            let cfg = demo_config(family);
             let a = generate(&cfg, 3);
             let b = generate(&cfg, 3);
             let c = generate(&cfg, 4);
@@ -604,7 +603,7 @@ mod tests {
 
     #[test]
     fn flash_crowd_concentrates_arrivals() {
-        let cfg = FamilyConfig::demo(WorkloadFamily::FlashCrowd);
+        let cfg = demo_config(WorkloadFamily::FlashCrowd);
         let w = generate(&cfg, 7);
         let duration = cfg.spec.duration.as_micros();
         let (start, len) = (

@@ -95,14 +95,6 @@ impl Trace {
         self.doc_sizes[doc as usize]
     }
 
-    /// The distinct clients appearing in the trace, sorted.
-    pub fn distinct_clients(&self) -> Vec<ClientId> {
-        let mut v: Vec<ClientId> = self.records.iter().map(|r| r.client).collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     /// Re-homes this trace onto a different origin server (multi-server
     /// deployments replay one trace per origin).
     #[must_use]

@@ -282,7 +282,6 @@ mod tests {
         let t = generate(&spec, 3);
         assert_eq!(t.records.len() as u64, spec.total_requests);
         assert_eq!(t.doc_count() as u32, spec.num_docs);
-        assert!(t.distinct_clients().len() as u32 <= spec.num_clients);
         assert!(t.validate().is_ok());
         assert!(t.records.last().unwrap().at <= SimTime::ZERO + spec.duration);
     }

@@ -989,7 +989,7 @@ fn tcp_parent_conforms() {
     let capacity = ByteSize::from_mib(64);
     let parent = NetParent::spawn(upstream.addr(), &parent_protocol(), SERVER, capacity);
     let parent = parent.expect("parent");
-    let (mut origin, mut origin_channel) = upstream.accept_node();
+    let mut origin = upstream.accept_node();
     let hello = |partition| {
         let mut channel = Wire::connect(parent.addr());
         channel.send(&HttpMsg::Hello {
@@ -1021,11 +1021,11 @@ fn tcp_parent_conforms() {
                     // Closed; the replacement registers only after the relay.
                     channels[site as usize] = Wire::connect(parent.addr());
                 }
-                origin_channel.send(&HttpMsg::Invalidate {
+                origin.send(&HttpMsg::Invalidate {
                     url: url(doc),
                     client: identity.expect("asked before"),
                 });
-                assert!(matches!(origin_channel.next(), HttpMsgRef::InvalAck { .. }));
+                assert!(matches!(origin.next(), HttpMsgRef::InvalAck { .. }));
                 held.retain(|&d| d != doc);
                 if let Some(site) = down {
                     channels[site as usize].send(&HttpMsg::Hello {

@@ -85,6 +85,17 @@ echo "==> origin conformance + missed-invalidation regression (serve tier)"
 cargo test -q --test origin_conformance
 cargo test -q -p wcc-net --test serve_recovery --test hierarchy_tcp
 
+echo "==> one connection per upstream hop"
+# A proxy or parent dials its upstream once: the HELLO is that connection's
+# first frame, misses go up it and pushes come down it, so a reply written
+# before an invalidation is served before it; a parent that closes a child's
+# connection behind a timed-out flight pushes the relay the child missed on
+# its next HELLO. All also run in the suites above.
+cargo test -q -p wcc-net --test scripted_upstream -- \
+  a_node_dials_its_upstream_once a_reply_written_before_a_push_is_served_then_dropped
+cargo test -q -p wcc-net --test hierarchy_tcp \
+  a_relay_missed_behind_a_timed_out_flight_is_pushed_on_the_next_hello
+
 echo "==> CLI command table + batched hierarchy parent"
 # Every call's flags come from one table in src/bin/wcc.rs: a flag its call
 # does not read exits 2 (`wcc replay --family` refuses the single-trace
