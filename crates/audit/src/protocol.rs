@@ -440,11 +440,7 @@ pub fn audit(
         }
         let mut stats = SiteListStats::default();
         for shadow in shadows.values() {
-            let s = shadow.table.stats();
-            stats.storage += s.storage;
-            stats.total_entries += s.total_entries;
-            stats.tracked_documents += s.tracked_documents;
-            stats.max_list_len = stats.max_list_len.max(s.max_list_len);
+            stats.merge(&shadow.table.stats());
         }
         if stats != expect.sitelist {
             violations.push(Violation {

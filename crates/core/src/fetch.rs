@@ -8,8 +8,11 @@
 //! to forward, [`ProxyCore::complete`] applies the reply that came back.
 //! Whoever drives it (a reactor role, a blocking caller, a simulator actor)
 //! does the sending, timing and accounting in between, so nothing here waits
-//! and any number of flights may be open at once. It is the only place in
-//! the workspace that runs the [`ProxyPolicy`] reply sequence.
+//! and any number of flights may be open at once. [`ProxyCore::on_push`]
+//! applies an invalidation from upstream and builds its ack. Every node
+//! driver runs the [`ProxyPolicy`] reply sequence through this file; the
+//! only other caller is [`crate::analytical::simulate`], Table 1's exact
+//! interpreter for one client and one document.
 //!
 //! The one rule for a reply that races an invalidation: an `INVALIDATE
 //! <url>` — or a recovered origin's bulk `INVALIDATE <server>` — that
@@ -24,9 +27,10 @@ use crate::proxy::{ProxyAction, ProxyPolicy};
 use std::collections::VecDeque;
 use wcc_cache::CacheStore;
 use wcc_proto::{
-    BatchAckEntry, BatchEntry, GetRequest, Reply, ReplyRef, ReplyStatus, ReplyStatusRef, RequestId,
+    BatchAckEntry, BatchEntry, GetRequest, HttpMsg, Reply, ReplyRef, ReplyStatus, ReplyStatusRef,
+    RequestId,
 };
-use wcc_types::{ClientId, DocMeta, FxHashMap, ScopedUrl, ServerId, SimTime, Url};
+use wcc_types::{ClientId, DocMeta, FxHashMap, ScopedUrl, SimTime, Url};
 
 /// How a fetch was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -122,6 +126,25 @@ pub struct FetchCounters {
     pub inval_races: u64,
     /// `304`s whose entry was evicted mid-validation (fetched again).
     pub revalidation_races: u64,
+}
+
+impl FetchCounters {
+    /// Adds another node's counts to these.
+    pub fn merge(&mut self, other: &FetchCounters) {
+        self.requests += other.requests;
+        self.hits += other.hits;
+        self.gets_sent += other.gets_sent;
+        self.ims_sent += other.ims_sent;
+        self.replies_200 += other.replies_200;
+        self.replies_304 += other.replies_304;
+        self.invalidations_received += other.invalidations_received;
+        self.inval_batches_received += other.inval_batches_received;
+        self.bulk_invalidations_received += other.bulk_invalidations_received;
+        self.piggybacked_received += other.piggybacked_received;
+        self.piggybacked_effective += other.piggybacked_effective;
+        self.inval_races += other.inval_races;
+        self.revalidation_races += other.revalidation_races;
+    }
 }
 
 /// What [`ProxyCore::begin`] decided.
@@ -377,45 +400,58 @@ impl<W> ProxyCore<W> {
             .map(|flight| (&flight.sent, &mut flight.waiter))
     }
 
-    /// An `INVALIDATE <url>` arrived for `client`: drops the copy and
-    /// poisons every flight for it. Returns the §7 report for the ack: the
-    /// dropped copy's unreported hits (see [`ProxyPolicy::on_invalidate`])
-    /// plus any downstream reports waiting for it.
-    pub fn on_invalidate(&mut self, url: Url, client: ClientId) -> u64 {
+    /// A push from upstream, applied, and its ack. `INVALIDATE <url>` drops
+    /// one copy (`InvalAck`, with its §7 report); an `InvalidateBatch` round
+    /// drops each entry's (one `InvalidateBatchAck`, entries in frame order);
+    /// the bulk `INVALIDATE <server>` marks that server's copies questionable
+    /// (`InvalidateServerAck`). Every flight for a dropped or marked copy is
+    /// poisoned. A proxy holds the copies the frame names; a parent holds
+    /// every copy as `held_as`. `None`, and nothing applied, for any other
+    /// frame.
+    pub fn on_push(&mut self, push: HttpMsg, held_as: Option<ClientId>) -> Option<HttpMsg> {
+        Some(match push {
+            HttpMsg::Invalidate { url, client } => {
+                let e = self.on_invalidate(url, held_as.unwrap_or(client));
+                HttpMsg::InvalAck {
+                    url,
+                    client: e.client,
+                    cache_hits: e.cache_hits,
+                }
+            }
+            HttpMsg::InvalidateBatch { server, entries } => {
+                self.counters.inval_batches_received += 1;
+                let ack = |e: BatchEntry| self.on_invalidate(e.url, held_as.unwrap_or(e.client));
+                let entries = entries.into_iter().map(ack).collect();
+                HttpMsg::InvalidateBatchAck { server, entries }
+            }
+            HttpMsg::InvalidateServer { server } => {
+                self.counters.bulk_invalidations_received += 1;
+                for flight in &mut self.flights {
+                    flight.poisoned |= flight.sent.url.server() == server;
+                }
+                self.policy.on_invalidate_server(server, &mut self.cache);
+                HttpMsg::InvalidateServerAck { server }
+            }
+            _ => return None,
+        })
+    }
+
+    /// Drops `client`'s copy of `url` and poisons every flight for it. The
+    /// ack entry's §7 report is the dropped copy's unreported hits (see
+    /// [`ProxyPolicy::on_invalidate`]) plus any downstream reports waiting
+    /// for it.
+    fn on_invalidate(&mut self, url: Url, client: ClientId) -> BatchAckEntry {
         self.counters.invalidations_received += 1;
         for flight in &mut self.flights {
             flight.poisoned |= flight.sent.url == url && flight.sent.client == client;
         }
         let own = self.policy.on_invalidate(url, client, &mut self.cache);
-        own.unwrap_or(0) + self.take_orphan_report(url.scoped(client))
-    }
-
-    /// A round of invalidations arrived: applies each like
-    /// [`ProxyCore::on_invalidate`] and returns the round's ack entries, in
-    /// order.
-    pub fn on_invalidate_batch(
-        &mut self,
-        entries: impl IntoIterator<Item = BatchEntry>,
-    ) -> Vec<BatchAckEntry> {
-        self.counters.inval_batches_received += 1;
-        let ack = |BatchEntry { url, client }| BatchAckEntry {
+        let cache_hits = own.unwrap_or(0) + self.take_orphan_report(url.scoped(client));
+        BatchAckEntry {
             url,
             client,
-            cache_hits: self.on_invalidate(url, client),
-        };
-        entries.into_iter().map(ack).collect()
-    }
-
-    /// A bulk `INVALIDATE <server>` arrived: marks that server's copies
-    /// questionable and poisons every flight to it — a reply from before
-    /// the crash may carry a lease the recovered origin no longer tracks.
-    /// Returns how many copies were marked.
-    pub fn on_invalidate_server(&mut self, server: ServerId) -> usize {
-        self.counters.bulk_invalidations_received += 1;
-        for flight in &mut self.flights {
-            flight.poisoned |= flight.sent.url.server() == server;
+            cache_hits,
         }
-        self.policy.on_invalidate_server(server, &mut self.cache)
     }
 
     /// This node came back from a crash: "let the proxy mark all its cache
@@ -450,9 +486,10 @@ mod tests {
     use super::*;
     use crate::{ProtocolConfig, ProtocolKind};
     use wcc_cache::ReplacementPolicy;
-    use wcc_types::{ByteSize, SimDuration};
+    use wcc_types::{ByteSize, ServerId, SimDuration};
 
     const CLIENT: ClientId = ClientId::from_raw(3);
+    const SERVER: ServerId = ServerId::new(0);
 
     fn core(kind: ProtocolKind) -> ProxyCore<u32> {
         ProxyCore::new(
@@ -667,7 +704,9 @@ mod tests {
             prime(&mut core, url(0, 1), 0, now);
             let flights = [url(0, 2), url(0, 3), url(1, 2)]
                 .map(|url| forwarded(core.begin(CLIENT, url, now, || url.doc())));
-            assert_eq!(core.on_invalidate_server(ServerId::new(0)), 1);
+            let bulk = HttpMsg::InvalidateServer { server: SERVER };
+            let acked = HttpMsg::InvalidateServerAck { server: SERVER };
+            assert_eq!(core.on_push(bulk, None), Some(acked));
             for get in &flights[..2] {
                 let again = reforwarded(core.complete(get.req, &ok(0)));
                 assert_eq!((again.url, again.ims), (get.url, None), "{kind:?}");
@@ -723,7 +762,7 @@ mod tests {
             let now = SimTime::from_secs(20);
             let first = forwarded(core.begin(CLIENT, url(0, 7), now, || 9));
             let before = core.counters();
-            core.on_invalidate_server(ServerId::new(0));
+            core.on_push(HttpMsg::InvalidateServer { server: SERVER }, None);
 
             let again = core.retransmit(first.req).expect("an open flight");
             assert_ne!(again.req, first.req);
@@ -769,46 +808,126 @@ mod tests {
         let now = SimTime::from_secs(1);
         prime(&mut core, url(0, 1), 0, now);
         core.absorb_report(url(0, 1), CLIENT, 3);
-        assert_eq!(core.on_invalidate(url(0, 1), CLIENT), 3, "joined the copy");
+        let hits = |core: &mut ProxyCore<u32>| core.on_invalidate(url(0, 1), CLIENT).cache_hits;
+        assert_eq!(hits(&mut core), 3, "joined the copy");
 
         core.absorb_report(url(0, 1), CLIENT, 2);
         core.absorb_report(url(0, 1), CLIENT, 0);
         core.absorb_report(url(0, 2), CLIENT, 4);
         core.absorb_report(url(0, 2), ClientId::from_raw(4), 7);
-        assert_eq!(core.on_invalidate(url(0, 1), CLIENT), 2);
-        assert_eq!(core.on_invalidate(url(0, 1), CLIENT), 0, "reported once");
+        assert_eq!(hits(&mut core), 2);
+        assert_eq!(hits(&mut core), 0, "reported once");
         let get = forwarded(core.begin(CLIENT, url(0, 2), now, || 0));
         assert_eq!(get.cache_hits, 4, "another client's report stays put");
         let again = core.retransmit(get.req).expect("an open flight");
         assert_eq!(again.cache_hits, 0, "reported once");
     }
 
+    /// Every push kind, as a proxy drives it (the copy is the client's the
+    /// frame names) and as a parent does (every copy held as its identity):
+    /// applied, counted, flights for the copy poisoned, and acked with the
+    /// §7 reports in frame order.
     #[test]
-    fn a_batched_round_is_applied_per_entry_and_acked_in_order() {
+    fn a_push_is_applied_and_acked_in_frame_order() {
+        for held_as in [None, Some(ClientId::from_raw(0))] {
+            let holder = held_as.unwrap_or(CLIENT);
+            let mut core = core(ProtocolKind::Invalidation);
+            let now = SimTime::from_secs(1);
+            for doc in 1..=3 {
+                let get = forwarded(core.begin(holder, url(0, doc), now, || 0));
+                core.complete(get.req, &ok(0)).expect("a flight");
+            }
+            let hit = core.begin(holder, url(0, 2), now, || 0);
+            assert_eq!(hit, Begin::Serve(meta(0)));
+            let flight = forwarded(core.begin(holder, url(0, 4), now, || 0));
+            let one = HttpMsg::Invalidate {
+                url: url(0, 1),
+                client: CLIENT,
+            };
+            let acked = HttpMsg::InvalAck {
+                url: url(0, 1),
+                client: holder,
+                cache_hits: 0,
+            };
+            assert_eq!(core.on_push(one, held_as), Some(acked), "{held_as:?}");
+            let entry = |doc| BatchEntry {
+                url: url(0, doc),
+                client: CLIENT,
+            };
+            let ack = |doc, cache_hits| BatchAckEntry {
+                url: url(0, doc),
+                client: holder,
+                cache_hits,
+            };
+            let round = HttpMsg::InvalidateBatch {
+                server: SERVER,
+                entries: vec![entry(4), entry(2), entry(3)],
+            };
+            let acked = HttpMsg::InvalidateBatchAck {
+                server: SERVER,
+                entries: vec![ack(4, 0), ack(2, 1), ack(3, 0)],
+            };
+            assert_eq!(core.on_push(round, held_as), Some(acked), "{held_as:?}");
+            assert_eq!(core.cache().len(), 0);
+            let bulk = HttpMsg::InvalidateServer { server: SERVER };
+            let acked = HttpMsg::InvalidateServerAck { server: SERVER };
+            assert_eq!(core.on_push(bulk, held_as), Some(acked));
+            let c = core.counters();
+            assert_eq!(
+                (
+                    c.invalidations_received,
+                    c.inval_batches_received,
+                    c.bulk_invalidations_received
+                ),
+                (4, 1, 1)
+            );
+            reforwarded(core.complete(flight.req, &ok(0)));
+            assert_eq!(core.counters().inval_races, 1);
+        }
+    }
+
+    /// A frame that is not a push is not acked and changes nothing: no
+    /// counter moves, the copy stays and no flight is poisoned.
+    #[test]
+    fn a_frame_that_is_not_a_push_is_not_applied() {
         let mut core = core(ProtocolKind::Invalidation);
         let now = SimTime::from_secs(1);
-        prime(&mut core, url(0, 1), 0, now);
-        assert_eq!(
-            core.begin(CLIENT, url(0, 1), now, || 0),
-            Begin::Serve(meta(0))
-        );
+        let copy = url(0, 1);
+        prime(&mut core, copy, 0, now);
         let flight = forwarded(core.begin(CLIENT, url(0, 2), now, || 0));
-        let entry = |doc| BatchEntry {
-            url: url(0, doc),
+        let before = core.counters();
+        let acked = BatchAckEntry {
+            url: copy,
             client: CLIENT,
+            cache_hits: 1,
         };
-        let ack = |doc, cache_hits| BatchAckEntry {
-            url: url(0, doc),
-            client: CLIENT,
-            cache_hits,
-        };
-        assert_eq!(
-            core.on_invalidate_batch([entry(2), entry(1), entry(3)]),
-            [ack(2, 0), ack(1, 1), ack(3, 0)]
+        for frame in [
+            HttpMsg::Get(flight.clone()),
+            HttpMsg::InvalAck {
+                url: copy,
+                client: CLIENT,
+                cache_hits: 1,
+            },
+            HttpMsg::InvalidateBatchAck {
+                server: SERVER,
+                entries: vec![acked],
+            },
+            HttpMsg::InvalidateServerAck { server: SERVER },
+            HttpMsg::Hello {
+                partition: 0,
+                partitions: 1,
+            },
+            HttpMsg::MetricsGet,
+            HttpMsg::Notify { url: copy, at: now },
+        ] {
+            assert_eq!(core.on_push(frame, None), None);
+        }
+        assert_eq!(core.counters(), before);
+        assert!(core.cache().peek(copy.scoped(CLIENT)).is_some());
+        let landed = core.complete(flight.req, &ok(0));
+        assert!(
+            matches!(landed, Some(Complete::Done { .. })),
+            "not poisoned"
         );
-        assert_eq!(core.counters().invalidations_received, 3);
-        assert!(core.cache().peek(url(0, 1).scoped(CLIENT)).is_none());
-        reforwarded(core.complete(flight.req, &ok(0)));
-        assert_eq!(core.counters().inval_races, 1);
     }
 }

@@ -10,10 +10,12 @@
 //! versions and the §7 [`HitMeter`]; a parent (§2's hierarchy) grants from
 //! the copy it caches instead. Every entry point takes `now` from its driver
 //! and appends what must happen next to a caller-owned list of
-//! [`OriginOut`]: frames to push to a *site* (a partition index: the proxy
-//! hosting the clients `c` with `c.partition(sites) == site`) and timers to
-//! arm, handed back through [`WritePath::on_timer`] when due. The driver maps
-//! sites to links, sends, charges and keeps the clock. Nothing outside this
+//! [`OriginOut`]: the wire frames to push to a *site* (a partition index: the
+//! proxy hosting the clients `c` with `c.partition(sites) == site`), built
+//! here, and timers to arm, handed back through [`WritePath::on_timer`] when
+//! due. The driver maps sites to links, sends, charges, traces and keeps the
+//! clock. A parent's pushes from above come back through
+//! [`WritePath::relay`], read off the ack its fetch core built. Nothing outside this
 //! file calls `ServerConsistency`'s `on_get` / `on_modify` / `on_inval_ack` /
 //! `expire_pending` / `on_server_recover` (lint rule `origin-bypass`).
 
@@ -22,7 +24,7 @@ use crate::proposer::Proposer;
 use crate::server::ServerConsistency;
 use crate::sitelist::SiteListStats;
 use std::collections::BTreeMap;
-use wcc_proto::{BatchEntry, GetRequest, Reply};
+use wcc_proto::{BatchEntry, GetRequest, HttpMsg, Reply};
 use wcc_types::{
     AuditEvent, ByteSize, ClientId, DocMeta, FxHashMap, InvalBatchConfig, ServerId, SimDuration,
     SimTime, Url,
@@ -46,28 +48,14 @@ pub enum OriginTimer {
 /// What a driver must do for the core, in the order it was asked.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OriginOut {
-    /// Push `INVALIDATE <url>` for `client`'s copy to `site`.
-    Invalidate {
-        /// The partition that hosts `client`.
+    /// Push `msg` to `site`: an `INVALIDATE <url>` for one copy, an
+    /// `InvalidateBatch` round (entries in `(url, client)` order, never
+    /// empty) or the recovery bulk `INVALIDATE <server>`.
+    Push {
+        /// The partition that hosts the copies `msg` names.
         site: u32,
-        /// The modified document.
-        url: Url,
-        /// Whose copy to drop.
-        client: ClientId,
-        /// A re-send of an invalidation not acknowledged yet.
-        retry: bool,
-    },
-    /// Push one `InvalidateBatch` round to `site`.
-    Batch {
-        /// The partition that hosts every entry's client.
-        site: u32,
-        /// The round, in `(url, client)` order; never empty.
-        entries: Vec<BatchEntry>,
-    },
-    /// Push the recovery bulk `INVALIDATE <server>` to `site`.
-    Bulk {
-        /// The partition to void.
-        site: u32,
+        /// The frame.
+        msg: HttpMsg,
     },
     /// Call [`WritePath::on_timer`] with `timer` once `after` has passed.
     Arm {
@@ -129,6 +117,27 @@ impl OriginCounters {
     pub fn wire_invalidations(&self) -> u64 {
         self.invalidations - self.batched_entries + self.inval_batches
     }
+
+    /// Adds another origin's counts to these; writes are complete if both's are.
+    pub fn merge(&mut self, other: &OriginCounters) {
+        self.gets += other.gets;
+        self.ims += other.ims;
+        self.replies_200 += other.replies_200;
+        self.replies_304 += other.replies_304;
+        self.invalidations += other.invalidations;
+        self.invalidation_retries += other.invalidation_retries;
+        self.bulk_invalidations += other.bulk_invalidations;
+        self.inval_batches += other.inval_batches;
+        self.batched_entries += other.batched_entries;
+        self.acks += other.acks;
+        self.notifies += other.notifies;
+        self.gave_up += other.gave_up;
+        self.coalesced_invalidations += other.coalesced_invalidations;
+        self.metered_served += other.metered_served;
+        self.metered_reported += other.metered_reported;
+        self.writes_complete &= other.writes_complete;
+        self.sitelist.merge(&other.sitelist);
+    }
 }
 
 /// The write path of a node with caches below it. See the module docs.
@@ -138,6 +147,8 @@ pub struct WritePath {
     doc_scale: u64,
     /// How many partitions the clients are sharded over.
     sites: u32,
+    /// The count the first `HELLO` named; every later one must match it.
+    hello_sites: Option<u32>,
     proposer: Option<Proposer>,
     counters: OriginCounters,
     retry_interval: SimDuration,
@@ -176,6 +187,7 @@ impl WritePath {
             consistency,
             doc_scale,
             sites: 1,
+            hello_sites: None,
             proposer: inval_batch.map(Proposer::new),
             counters: OriginCounters::default(),
             retry_interval,
@@ -347,12 +359,8 @@ impl WritePath {
                 at: now,
             });
             let site = client.partition(self.sites);
-            out.push(OriginOut::Invalidate {
-                site,
-                url,
-                client,
-                retry,
-            });
+            let msg = HttpMsg::Invalidate { url, client };
+            out.push(OriginOut::Push { site, msg });
         }
         let n = recipients.len() as u64;
         self.counters.invalidations += n;
@@ -369,11 +377,12 @@ impl WritePath {
         out.push(OriginOut::Arm { after, timer });
     }
 
-    /// Drains the proposer into one [`OriginOut::Batch`] per site with
-    /// entries, and arms each flushed document's retry timer. The audit's
+    /// Drains the proposer into one `InvalidateBatch` per site with entries,
+    /// and arms each flushed document's retry timer. The audit's
     /// `InvalidateSend`s are recorded here, at send time, so the auditor's
     /// pending table matches the wire.
     fn flush(&mut self, now: SimTime, out: &mut Vec<OriginOut>) {
+        let server = self.server();
         let Some(proposer) = self.proposer.as_mut().filter(|p| !p.is_empty()) else {
             return;
         };
@@ -392,7 +401,8 @@ impl WritePath {
             self.counters.inval_batches += 1;
             self.counters.batched_entries += n as u64;
             self.counters.invalidations += n as u64;
-            out.push(OriginOut::Batch { site, entries });
+            let msg = HttpMsg::InvalidateBatch { server, entries };
+            out.push(OriginOut::Push { site, msg });
         }
         for (url, clients) in &rounds {
             if self.audit.is_some() {
@@ -517,9 +527,15 @@ impl WritePath {
     /// timer that re-sends to whoever has still not answered by then.
     fn send_bulk(&mut self, out: &mut Vec<OriginOut>) {
         self.counters.bulk_invalidations += self.recovery_unacked.len() as u64;
-        let bulk = |&site| OriginOut::Bulk { site };
-        out.extend(self.recovery_unacked.iter().map(bulk));
+        out.extend(self.recovery_unacked.iter().map(|&site| self.bulk(site)));
         self.arm(OriginTimer::Bulk, out);
+    }
+
+    /// The bulk `INVALIDATE <server>` for `site`.
+    fn bulk(&self, site: u32) -> OriginOut {
+        let server = self.server();
+        let msg = HttpMsg::InvalidateServer { server };
+        OriginOut::Push { site, msg }
     }
 
     /// The process died: main-memory state — the proposer's queue, the
@@ -557,14 +573,25 @@ impl WritePath {
         self.send_bulk(out);
     }
 
-    /// The bulk invalidation reached this node from above (a parent's
-    /// upstream recovered): every site below is sent it in turn, re-sent
-    /// until acknowledged, and a site whose channel is down gets it when it
-    /// next registers. The site lists stay: the copies they name are only
-    /// questionable, and still invalidated one by one.
-    pub fn relay_bulk(&mut self, out: &mut Vec<OriginOut>) {
-        self.recover_unknown_sites();
-        self.void_sites(out);
+    /// Relays a push from above that this node acked with `ack`
+    /// ([`crate::ProxyCore::on_push`]): each document it names is modified
+    /// at `version`. A bulk goes to every site, re-sent until acknowledged
+    /// and sent on a site's next `HELLO` if its channel is down; the site
+    /// lists stay, their copies only questionable.
+    pub fn relay(
+        &mut self,
+        ack: &HttpMsg,
+        version: SimTime,
+        now: SimTime,
+        out: &mut Vec<OriginOut>,
+    ) {
+        for e in ack.acked() {
+            self.modify(e.url, version, now, out);
+        }
+        if matches!(ack, HttpMsg::InvalidateServerAck { .. }) {
+            self.recover_unknown_sites();
+            self.void_sites(out);
+        }
     }
 
     /// Every site is owed the bulk invalidation, sent when it next registers
@@ -579,13 +606,24 @@ impl WritePath {
     /// one, sends one. And whatever the site still owes an acknowledgement
     /// for is pushed again at once, on a fresh retry budget: invalidations
     /// sent while its channel was down went nowhere, and the copies they
-    /// were for are still being served.
-    pub fn on_site_hello(&mut self, site: u32, sites: u32, now: SimTime, out: &mut Vec<OriginOut>) {
+    /// were for are still being served. The first `HELLO` fixes how many
+    /// sites there are; one that names another count is refused (`false`,
+    /// nothing done) — it would re-map every client to another site.
+    pub fn on_site_hello(
+        &mut self,
+        site: u32,
+        sites: u32,
+        now: SimTime,
+        out: &mut Vec<OriginOut>,
+    ) -> bool {
+        if *self.hello_sites.get_or_insert(sites) != sites {
+            return false;
+        }
         self.set_sites(sites);
         let acked = self.recovery_acked.as_ref();
         if acked.is_some_and(|acked| !acked.contains(&site)) {
             self.counters.bulk_invalidations += 1;
-            out.push(OriginOut::Bulk { site });
+            out.push(self.bulk(site));
             if self.recovery_unacked.is_empty() {
                 // No round in progress: this opens one, timer and budget.
                 self.recovery_attempts = 0;
@@ -602,6 +640,7 @@ impl WritePath {
                 self.fan_out(url, &owed, true, now, out);
             }
         }
+        true
     }
 
     /// A coordinator window ending at trace time `window_end` begins: a
@@ -770,13 +809,20 @@ mod tests {
         core
     }
 
-    fn invalidate(site: u32, c: u32, retry: bool) -> OriginOut {
-        OriginOut::Invalidate {
-            site,
+    /// The frame that invalidates client `c`'s copy of document 1.
+    fn invalidate(site: u32, c: u32) -> OriginOut {
+        let msg = HttpMsg::Invalidate {
             url: url(1),
             client: client(c),
-            retry,
-        }
+        };
+        OriginOut::Push { site, msg }
+    }
+
+    fn bulk(site: u32) -> OriginOut {
+        let msg = HttpMsg::InvalidateServer {
+            server: ServerId::new(0),
+        };
+        OriginOut::Push { site, msg }
     }
 
     fn arm(timer: OriginTimer) -> OriginOut {
@@ -795,21 +841,14 @@ mod tests {
         let (mut core, mut out) = (origin(), Vec::new());
         write(&mut core, &mut out);
         let retry = arm(OriginTimer::Retry(1));
-        assert_eq!(
-            out,
-            [
-                invalidate(0, 4, false),
-                invalidate(1, 5, false),
-                retry.clone()
-            ]
-        );
+        assert_eq!(out, [invalidate(0, 4), invalidate(1, 5), retry.clone()]);
         let t1 = SimTime::ZERO + RETRY;
         assert_eq!(core.ack(url(1), client(4), 3, t1), None, "5 is still out");
         // Only the unacknowledged copy is sent again, twice; then given up.
         for _ in 0..2 {
             out.clear();
             core.on_timer(OriginTimer::Retry(1), t1, &mut out);
-            assert_eq!(out, [invalidate(1, 5, true), retry.clone()]);
+            assert_eq!(out, [invalidate(1, 5), retry.clone()]);
         }
         out.clear();
         core.on_timer(OriginTimer::Retry(1), t1, &mut out);
@@ -848,7 +887,7 @@ mod tests {
         out.clear();
         core.on_site_hello(1, 2, SimTime::ZERO, &mut out);
         // Its own copies only, as retries, on a fresh budget.
-        assert_eq!(out, [invalidate(1, 5, true), arm(OriginTimer::Retry(1))]);
+        assert_eq!(out, [invalidate(1, 5), arm(OriginTimer::Retry(1))]);
         out.clear();
         core.on_timer(OriginTimer::Retry(1), SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 3, "both copies, and the timer: {out:?}");
@@ -868,7 +907,6 @@ mod tests {
         core.on_site_hello(0, 2, SimTime::ZERO, &mut out);
         core.on_site_hello(1, 2, SimTime::ZERO, &mut out);
         // One timer for the round, however many sites join it.
-        let bulk = |site| OriginOut::Bulk { site };
         assert_eq!(out, [bulk(0), arm(OriginTimer::Bulk), bulk(1)]);
         core.bulk_ack(0);
         assert!(!core.recovery_complete(), "site 1 has not answered");
@@ -892,7 +930,6 @@ mod tests {
         out.clear();
         core.crash();
         core.recover(SimTime::ZERO, &mut out);
-        let bulk = |site| OriginOut::Bulk { site };
         assert_eq!(out, [bulk(0), bulk(1), arm(OriginTimer::Bulk)]);
         assert!(core.snapshot().writes_complete, "the pending set went too");
         core.bulk_ack(0);
@@ -910,8 +947,10 @@ mod tests {
     fn a_bulk_from_above_is_relayed_until_acked_and_keeps_the_site_lists() {
         let (mut core, mut out) = (origin(), Vec::new());
         let lists = core.snapshot().sitelist;
-        core.relay_bulk(&mut out);
-        let bulk = |site| OriginOut::Bulk { site };
+        let acked = HttpMsg::InvalidateServerAck {
+            server: ServerId::new(0),
+        };
+        core.relay(&acked, SimTime::ZERO, SimTime::ZERO, &mut out);
         assert_eq!(out, [bulk(0), bulk(1), arm(OriginTimer::Bulk)]);
         assert_eq!(core.snapshot().sitelist, lists, "only questionable");
         core.bulk_ack(0);
@@ -928,6 +967,20 @@ mod tests {
         assert_eq!(out, [bulk(1), arm(OriginTimer::Bulk)]);
         core.bulk_ack(1);
         assert!(core.recovery_complete());
+    }
+
+    /// A `HELLO` with another site count than the first one is refused: it
+    /// would send every client's invalidations to another site.
+    #[test]
+    fn the_first_hello_fixes_the_site_count() {
+        let (mut core, mut out) = (origin(), Vec::new());
+        assert!(core.on_site_hello(0, 2, SimTime::ZERO, &mut out));
+        assert!(!core.on_site_hello(0, 3, SimTime::ZERO, &mut out));
+        assert!(!core.on_site_hello(1, 1, SimTime::ZERO, &mut out));
+        write(&mut core, &mut out);
+        let retry = arm(OriginTimer::Retry(1));
+        assert_eq!(out, [invalidate(0, 4), invalidate(1, 5), retry]);
+        assert!(core.on_site_hello(1, 2, SimTime::ZERO, &mut out));
     }
 
     #[test]

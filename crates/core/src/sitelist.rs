@@ -63,6 +63,16 @@ pub struct SiteListStats {
     pub max_list_len: u64,
 }
 
+impl SiteListStats {
+    /// Folds another table's statistics into these (the longest list wins).
+    pub fn merge(&mut self, other: &SiteListStats) {
+        self.storage += other.storage;
+        self.total_entries += other.total_entries;
+        self.tracked_documents += other.tracked_documents;
+        self.max_list_len = self.max_list_len.max(other.max_list_len);
+    }
+}
+
 /// The per-document site lists, with lease expiries.
 ///
 /// # Examples

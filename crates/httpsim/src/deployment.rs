@@ -147,7 +147,6 @@ pub struct Deployment {
     origins: Vec<NodeId>,
     parent: Option<NodeId>,
     proxies: Vec<NodeId>,
-    modifier: NodeId,
     coordinator: NodeId,
     protocol: ProtocolKind,
     trace_duration: SimDuration,
@@ -397,7 +396,6 @@ impl Deployment {
             origins,
             parent,
             proxies,
-            modifier: modifiers[0],
             coordinator,
             protocol: cfg.kind,
             trace_duration: duration,
@@ -493,11 +491,6 @@ impl Deployment {
         self.sim.node_ref(self.coordinator)
     }
 
-    /// The modifier (after `run`).
-    pub fn modifier(&self) -> &ModifierNode {
-        self.sim.node_ref(self.modifier)
-    }
-
     /// The parent proxy, if running in hierarchy mode (after `run`).
     pub fn parent(&self) -> Option<&ParentNode> {
         self.parent.map(|p| self.sim.node_ref(p))
@@ -569,11 +562,7 @@ impl Deployment {
             let stats = consistency.stats();
             expect.registrations += stats.registrations;
             expect.fresh_invalidations += stats.invalidations_sent;
-            let s = consistency.table().stats();
-            expect.sitelist.storage += s.storage;
-            expect.sitelist.total_entries += s.total_entries;
-            expect.sitelist.tracked_documents += s.tracked_documents;
-            expect.sitelist.max_list_len = expect.sitelist.max_list_len.max(s.max_list_len);
+            expect.sitelist.merge(&consistency.table().stats());
             expect.writes_complete &= consistency.writes_complete();
         }
         wcc_audit::audit(self.protocol, &self.audit_log(), Some(&expect))
@@ -582,13 +571,14 @@ impl Deployment {
     /// Aggregates every counter into a [`RawReport`].
     pub fn collect(&self) -> RawReport {
         // Aggregate server-side counters across every origin.
-        let mut oc = OriginCounters::default();
+        let mut oc = OriginCounters {
+            writes_complete: true,
+            ..OriginCounters::default()
+        };
         let (mut disk_reads, mut disk_writes, mut deferred_detections) = (0u64, 0u64, 0u64);
         let mut origin_bytes = ByteSize::ZERO;
-        let mut sitelist = SiteListStats::default();
         let mut modified_list_lens: Vec<u64> = Vec::new();
         let mut inval_time = Summary::default();
-        let mut writes_complete = true;
         let mut piggybacked = 0u64;
         let mut write_completion = Summary::default();
         let mut proposer: Option<ProposerStats> = None;
@@ -600,34 +590,15 @@ impl Deployment {
                     .get_or_insert_with(ProposerStats::default)
                     .merge(&p.stats());
             }
-            let c = origin.core().snapshot();
-            oc.gets += c.gets;
-            oc.ims += c.ims;
-            oc.replies_200 += c.replies_200;
-            oc.replies_304 += c.replies_304;
-            oc.invalidations += c.invalidations;
-            oc.invalidation_retries += c.invalidation_retries;
-            oc.inval_batches += c.inval_batches;
-            oc.batched_entries += c.batched_entries;
-            oc.bulk_invalidations += c.bulk_invalidations;
-            oc.acks += c.acks;
-            oc.notifies += c.notifies;
+            oc.merge(&origin.core().snapshot());
             disk_reads += origin.disk_reads;
             disk_writes += origin.disk_writes;
             origin_bytes += origin.bytes_sent;
-            oc.gave_up += c.gave_up;
             deferred_detections += origin.deferred_detections;
-            let (consistency, s) = (origin.core().consistency(), c.sitelist);
-            sitelist.storage += s.storage;
-            sitelist.total_entries += s.total_entries;
-            sitelist.tracked_documents += s.tracked_documents;
-            sitelist.max_list_len = sitelist.max_list_len.max(s.max_list_len);
+            let consistency = origin.core().consistency();
             modified_list_lens.extend_from_slice(consistency.modified_list_lens());
             inval_time.merge(&origin.inval_time);
-            writes_complete &= c.writes_complete;
             piggybacked += consistency.stats().piggybacked;
-            oc.metered_served += c.metered_served;
-            oc.metered_reported += c.metered_reported;
         }
 
         let mut latency = Summary::default();
@@ -636,31 +607,15 @@ impl Deployment {
         let mut pc_total = ProxyCounters::default();
         let mut cache_evictions = 0u64;
         let mut cache_expired_evictions = 0u64;
-        let mut cache_entries = 0u64;
-        let mut cache_bytes = ByteSize::ZERO;
         for i in 0..self.proxies.len() {
             let p = self.proxy(i);
             latency.merge(p.latency());
             serves.extend_from_slice(p.serves());
-            let f = p.core().counters();
-            fetch.requests += f.requests;
-            fetch.hits += f.hits;
-            fetch.gets_sent += f.gets_sent;
-            fetch.ims_sent += f.ims_sent;
-            fetch.replies_200 += f.replies_200;
-            fetch.replies_304 += f.replies_304;
-            fetch.revalidation_races += f.revalidation_races;
-            let c = p.counters();
-            pc_total.reissued_after_crash += c.reissued_after_crash;
-            pc_total.request_timeouts += c.request_timeouts;
-            pc_total.recoveries += c.recoveries;
-            pc_total.questionable_marked += c.questionable_marked;
-            pc_total.bytes_sent += c.bytes_sent;
+            fetch.merge(&p.core().counters());
+            pc_total.merge(p.counters());
             let cache = p.core().cache();
             cache_evictions += cache.stats().evictions;
             cache_expired_evictions += cache.stats().expired_evictions;
-            cache_entries += cache.len() as u64;
-            cache_bytes += cache.used();
         }
 
         // Staleness audit: compare every cache-served delivery against the
@@ -737,7 +692,6 @@ impl Deployment {
             counters: p.counters(),
             fetch: p.core().counters(),
             child_sitelist: p.down().snapshot().sitelist,
-            cache_entries: p.core().cache().len() as u64,
         });
         let invalidations_wire = oc.wire_invalidations();
         let control_and_transfers = match &parent_summary {
@@ -794,14 +748,12 @@ impl Deployment {
             piggybacked,
             metered_served: oc.metered_served,
             metered_reported: oc.metered_reported,
-            writes_complete,
+            writes_complete: oc.writes_complete,
             inval_time,
-            sitelist,
+            sitelist: oc.sitelist,
             modified_list_lens,
             cache_evictions,
             cache_expired_evictions,
-            cache_entries,
-            cache_bytes,
             revalidation_races: fetch.revalidation_races,
             reissued_after_crash: pc_total.reissued_after_crash,
             request_timeouts: pc_total.request_timeouts,
@@ -829,8 +781,6 @@ pub struct ParentSummary {
     pub fetch: FetchCounters,
     /// The parent's child-facing site lists at end of run.
     pub child_sitelist: SiteListStats,
-    /// Entries in the parent's own cache at end of run.
-    pub cache_entries: u64,
 }
 
 /// Everything measured by one replay, before table formatting.
@@ -907,10 +857,6 @@ pub struct RawReport {
     pub cache_evictions: u64,
     /// Of those, victims whose TTL had already expired.
     pub cache_expired_evictions: u64,
-    /// Proxy cache entries at end of run.
-    pub cache_entries: u64,
-    /// Proxy cache bytes at end of run.
-    pub cache_bytes: ByteSize,
     /// `304`-vs-eviction races (re-issued as plain GETs).
     pub revalidation_races: u64,
     /// Requests re-issued after proxy crashes.

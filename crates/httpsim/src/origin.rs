@@ -188,39 +188,35 @@ impl OriginNode {
     /// request-stall phenomenon, which the batched proposer amortises.
     fn emit(&mut self, ctx: &mut Ctx<'_, Message>) {
         let mut out = std::mem::take(&mut self.out);
-        let (server, per_send) = (self.core.server(), self.costs.inval_send);
         let mut spent: Option<SimDuration> = None;
         for asked in out.drain(..) {
-            let (site, msg, cost) = match asked {
+            let (site, msg) = match asked {
                 OriginOut::Arm { after, timer } => {
                     ctx.set_timer(after, timer_token(timer));
                     continue;
                 }
-                OriginOut::Bulk { site } => {
-                    // Recovery traffic: no modification's fan-out time.
-                    let msg = HttpMsg::InvalidateServer { server };
-                    self.send(self.proxies[site as usize], msg, per_send, ctx);
-                    continue;
-                }
-                OriginOut::Invalidate {
-                    site, url, client, ..
-                } => {
-                    self.trace(Phase::Invalidate, url, Some(client), ctx.now());
-                    (site, HttpMsg::Invalidate { url, client }, per_send)
-                }
-                OriginOut::Batch { site, entries } => {
-                    for e in &entries {
-                        self.trace(Phase::Invalidate, e.url, Some(e.client), ctx.now());
-                    }
-                    // One connection setup per batch, then the per-entry
-                    // marginal cost — the amortisation the proposer is for.
-                    let per_entry = self.costs.inval_batch_entry;
-                    let cost = per_send + per_entry.saturating_mul(entries.len() as u64);
-                    (site, HttpMsg::InvalidateBatch { server, entries }, cost)
-                }
+                OriginOut::Push { site, msg } => (site, msg),
             };
+            let (to, mut cost) = (self.proxies[site as usize], self.costs.inval_send);
+            if matches!(msg, HttpMsg::InvalidateServer { .. }) {
+                // Recovery traffic: no modification's fan-out time.
+                self.send(to, msg, cost, ctx);
+                continue;
+            }
+            if let HttpMsg::Invalidate { url, client } = msg {
+                self.trace(Phase::Invalidate, url, Some(client), ctx.now());
+            }
+            if let HttpMsg::InvalidateBatch { entries, .. } = &msg {
+                for e in entries {
+                    self.trace(Phase::Invalidate, e.url, Some(e.client), ctx.now());
+                }
+                // One connection setup per batch, then the per-entry
+                // marginal cost — the amortisation the proposer is for.
+                let per_entry = self.costs.inval_batch_entry;
+                cost += per_entry.saturating_mul(entries.len() as u64);
+            }
             *spent.get_or_insert(SimDuration::ZERO) += cost;
-            self.send(self.proxies[site as usize], msg, cost, ctx);
+            self.send(to, msg, cost, ctx);
         }
         if let Some(spent) = spent {
             self.inval_time.observe(spent);
@@ -317,21 +313,14 @@ impl Node<Message> for OriginNode {
         match msg {
             Message::Http(HttpMsg::Get(get)) => self.handle_get(from, get, ctx),
             Message::Http(HttpMsg::Notify { url, at }) => self.handle_notify(url, at, ctx),
-            Message::Http(HttpMsg::InvalAck {
-                url,
-                client,
-                cache_hits,
-            }) => {
-                ctx.consume(self.costs.ack_cpu);
-                self.apply_inval_ack(url, client, cache_hits, ctx.now());
-            }
-            Message::Http(HttpMsg::InvalidateBatchAck { server, entries }) => {
-                debug_assert_eq!(server, self.core.server());
+            Message::Http(
+                ack @ (HttpMsg::InvalAck { .. } | HttpMsg::InvalidateBatchAck { .. }),
+            ) => {
                 // One parse per wire message; per-copy protocol work per
                 // entry, exactly as if each ack had arrived on its own.
                 ctx.consume(self.costs.ack_cpu);
-                for entry in entries {
-                    self.apply_inval_ack(entry.url, entry.client, entry.cache_hits, ctx.now());
+                for e in ack.acked() {
+                    self.apply_inval_ack(e.url, e.client, e.cache_hits, ctx.now());
                 }
             }
             Message::Http(HttpMsg::InvalidateServerAck { server }) => {

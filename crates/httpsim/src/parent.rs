@@ -9,18 +9,18 @@
 //! fans out down the tree instead of across every client site.
 //!
 //! The parent is both halves of the protocol at once: a [`ProxyCore`]
-//! (policy, cache, flights) towards the origin, and a [`WritePath`] (site
-//! lists, leases, fan-out, acks, retry) towards its children — the state
-//! machines the proxies and the origin drive, with this node's charges,
-//! routing and timers around them.
+//! towards the origin, which applies each push and builds its ack, and a
+//! [`WritePath`] towards its children, which relays it from that ack and
+//! builds the frames — the cores the proxies and the origin drive. This
+//! node only routes, charges and arms timers around them.
 
 use crate::cost::CostModel;
 use crate::origin::{timer_token, token_timer};
 use wcc_cache::CacheStore;
 use wcc_core::{Begin, Complete, OriginOut, ProtocolConfig, ProxyCore, ProxyPolicy, WritePath};
-use wcc_proto::{BatchEntry, GetRequest, HttpMsg, Message, Reply, ReplyStatus};
+use wcc_proto::{GetRequest, HttpMsg, Message, Reply, ReplyStatus};
 use wcc_simnet::{Ctx, Node};
-use wcc_types::{ByteSize, ClientId, DocMeta, NodeId, ServerId, SimTime, Url};
+use wcc_types::{ByteSize, ClientId, DocMeta, NodeId, SimTime};
 
 /// What the parent counts beside its fetch core's
 /// [`FetchCounters`](wcc_core::FetchCounters) ([`ParentNode::core`]).
@@ -129,29 +129,23 @@ impl ParentNode {
         self.send(child, HttpMsg::Reply(reply), ctx);
     }
 
-    /// Carries out what the child-facing half asked for, in its order.
+    /// Carries out what the child-facing half asked for, in its order. An
+    /// `INVALIDATE` costs what the origin's does (the proposer is off on
+    /// this tier, so no round is ever asked for).
     fn emit(&mut self, ctx: &mut Ctx<'_, Message>) {
         let mut out = std::mem::take(&mut self.out);
-        let server = self.down.server();
         for asked in out.drain(..) {
-            let (site, msg) = match asked {
+            match asked {
                 OriginOut::Arm { after, timer } => {
                     ctx.set_timer(after, timer_token(timer));
-                    continue;
                 }
-                OriginOut::Invalidate {
-                    site, url, client, ..
-                } => {
-                    ctx.consume(self.costs.inval_send);
-                    (site, HttpMsg::Invalidate { url, client })
+                OriginOut::Push { site, msg } => {
+                    if matches!(msg, HttpMsg::Invalidate { .. }) {
+                        ctx.consume(self.costs.inval_send);
+                    }
+                    self.send(self.children[site as usize], msg, ctx);
                 }
-                // Never asked for: the proposer is off on this tier.
-                OriginOut::Batch { site, entries } => {
-                    (site, HttpMsg::InvalidateBatch { server, entries })
-                }
-                OriginOut::Bulk { site } => (site, HttpMsg::InvalidateServer { server }),
-            };
-            self.send(self.children[site as usize], msg, ctx);
+            }
         }
         self.out = out;
     }
@@ -191,45 +185,23 @@ impl ParentNode {
         }
     }
 
-    fn handle_invalidate(&mut self, url: Url, ctx: &mut Ctx<'_, Message>) {
-        ctx.consume(self.costs.proxy_inval_cpu);
-        // Drop the parent copy (poisoning any upstream request for it in
-        // flight) and ack the origin, reporting the dying copy's unreported
-        // hits (§7 metering).
-        let ack = HttpMsg::InvalAck {
-            url,
-            client: self.identity,
-            cache_hits: self.core.on_invalidate(url, self.identity),
+    /// A push from the origin: applied as a proxy does, each copy held as
+    /// the parent's own and charged like one `INVALIDATE` (the bulk as one),
+    /// then relayed down the tree from its ack. A bulk is relayed before it
+    /// is acked — the children's acks are this tier's to collect — anything
+    /// else acked first.
+    fn handle_push(&mut self, push: HttpMsg, ctx: &mut Ctx<'_, Message>) {
+        let Some(ack) = self.core.on_push(push, Some(self.identity)) else {
+            return;
         };
-        self.send(self.origin, ack, ctx);
-        // Relay down the tree: only children holding live-leased copies,
-        // each re-sent until it acknowledges.
+        let copies = ack.acked().count().max(1) as u64;
+        ctx.consume(self.costs.proxy_inval_cpu.saturating_mul(copies));
         self.down
-            .modify(url, self.trace_now, ctx.now(), &mut self.out);
-        self.emit(ctx);
-    }
-
-    /// A coalesced round from the origin, applied and acked as one, as a
-    /// proxy does: each copy is charged like a single `INVALIDATE` and held
-    /// as the parent's own, the §7 reports ride one `InvalidateBatchAck`,
-    /// and every document is relayed down the tree.
-    fn handle_invalidate_batch(
-        &mut self,
-        server: ServerId,
-        entries: Vec<BatchEntry>,
-        ctx: &mut Ctx<'_, Message>,
-    ) {
-        let urls: Vec<Url> = entries.iter().map(|e| e.url).collect();
-        ctx.consume(self.costs.proxy_inval_cpu.saturating_mul(urls.len() as u64));
-        let client = self.identity;
-        let held = entries.into_iter().map(|e| BatchEntry { client, ..e });
-        let entries = self.core.on_invalidate_batch(held);
-        let ack = HttpMsg::InvalidateBatchAck { server, entries };
-        self.send(self.origin, ack, ctx);
-        for url in urls {
-            self.down
-                .modify(url, self.trace_now, ctx.now(), &mut self.out);
+            .relay(&ack, self.trace_now, ctx.now(), &mut self.out);
+        if matches!(ack, HttpMsg::InvalidateServerAck { .. }) {
+            self.emit(ctx);
         }
+        self.send(self.origin, ack, ctx);
         self.emit(ctx);
     }
 }
@@ -239,10 +211,11 @@ impl Node<Message> for ParentNode {
         match msg {
             Message::Http(HttpMsg::Get(get)) => self.handle_child_get(from, get, ctx),
             Message::Http(HttpMsg::Reply(reply)) => self.handle_upstream_reply(reply, ctx),
-            Message::Http(HttpMsg::Invalidate { url, .. }) => self.handle_invalidate(url, ctx),
-            Message::Http(HttpMsg::InvalidateBatch { server, entries }) => {
-                self.handle_invalidate_batch(server, entries, ctx);
-            }
+            Message::Http(
+                push @ (HttpMsg::Invalidate { .. }
+                | HttpMsg::InvalidateBatch { .. }
+                | HttpMsg::InvalidateServer { .. }),
+            ) => self.handle_push(push, ctx),
             Message::Http(HttpMsg::InvalAck {
                 url,
                 client,
@@ -255,16 +228,6 @@ impl Node<Message> for ParentNode {
                     self.core.absorb_report(url, self.identity, cache_hits);
                 }
                 self.down.ack(url, client, ctx.now());
-            }
-            Message::Http(HttpMsg::InvalidateServer { server }) => {
-                ctx.consume(self.costs.proxy_inval_cpu);
-                self.core.on_invalidate_server(server);
-                self.down.relay_bulk(&mut self.out);
-                self.emit(ctx);
-                // Ack once the parent itself has applied the bulk
-                // invalidation; the children's acks are this tier's to
-                // collect (their copies are already questionable here).
-                self.send(from, HttpMsg::InvalidateServerAck { server }, ctx);
             }
             Message::Http(HttpMsg::InvalidateServerAck { .. }) => {
                 // A child acking the relayed bulk invalidation.

@@ -1,20 +1,20 @@
 //! A pseudo-client: Harvest proxy cache + sequential trace driver.
 //!
-//! The protocol side — policy, cache, the request in flight and the rule for
-//! a reply an `INVALIDATE` overtook — is [`wcc_core::ProxyCore`], the same
-//! state machine the TCP proxy drives. This node adds what the simulation
-//! needs around it: the trace driver and its coordinator barrier, the cost
-//! model's CPU charges, the request timeout, spans and audit events.
+//! The protocol side — policy, cache, the request in flight, a push applied
+//! and acked, the rule for a reply an `INVALIDATE` overtook — is
+//! [`wcc_core::ProxyCore`], which the TCP proxy drives too. This node adds
+//! the trace driver and its coordinator barrier, the cost model's CPU
+//! charges (read off each ack), the request timeout, spans and audit events.
 
 use crate::cost::CostModel;
 use crate::deployment::ServeEvent;
 use wcc_cache::CacheStore;
 use wcc_core::{Begin, Complete, ProxyCore, ProxyPolicy, UpstreamReply};
 use wcc_obs::{Phase, SpanKind, Tracer};
-use wcc_proto::{CoordMsg, GetRequest, HttpMsg, Message, Reply};
+use wcc_proto::{BatchAckEntry, CoordMsg, GetRequest, HttpMsg, Message, Reply};
 use wcc_simnet::{Ctx, Node, Summary};
 use wcc_traces::TraceRecord;
-use wcc_types::{AuditEvent, ByteSize, ClientId, NodeId, SimDuration, SimTime, Url};
+use wcc_types::{AuditEvent, ByteSize, ClientId, NodeId, SimDuration, SimTime};
 
 /// What a proxy counts beside its fetch core's
 /// [`FetchCounters`](wcc_core::FetchCounters) ([`ProxyNode::core`]).
@@ -32,6 +32,17 @@ pub struct ProxyCounters {
     /// Bytes of protocol messages this proxy sent (requests + acks are
     /// counted by the byte row only for requests, matching the paper).
     pub bytes_sent: ByteSize,
+}
+
+impl ProxyCounters {
+    /// Adds another proxy's counts to these.
+    pub fn merge(&mut self, other: &ProxyCounters) {
+        self.reissued_after_crash += other.reissued_after_crash;
+        self.request_timeouts += other.request_timeouts;
+        self.recoveries += other.recoveries;
+        self.questionable_marked += other.questionable_marked;
+        self.bytes_sent += other.bytes_sent;
+    }
 }
 
 /// Who waits for the request in flight.
@@ -328,20 +339,25 @@ impl ProxyNode {
         self.pump(ctx);
     }
 
-    /// The CPU charge and audit trail of one `INVALIDATE <url>`.
-    fn note_invalidate(&mut self, url: Url, client: ClientId, ctx: &mut Ctx<'_, Message>) {
-        ctx.consume(self.costs.proxy_inval_cpu);
-        self.record(AuditEvent::InvalidateDelivered {
-            url,
-            client,
-            at: ctx.now(),
-        });
-    }
-
-    /// Acknowledgements are free on the byte row (see [`ProxyCounters`]).
-    fn ack(&mut self, to: NodeId, ack: HttpMsg, ctx: &mut Ctx<'_, Message>) {
+    /// A push from upstream, applied by the core; charge and audit trail
+    /// are read off the ack. The work is per copy, so each entry of a round
+    /// costs what a lone `INVALIDATE` costs, as does the bulk. The ack goes
+    /// back to the sender, free on the byte row (see [`ProxyCounters`]).
+    fn handle_push(&mut self, from: NodeId, push: HttpMsg, ctx: &mut Ctx<'_, Message>) {
+        let Some(ack) = self.core.on_push(push, None) else {
+            return;
+        };
+        let at = ctx.now();
+        for BatchAckEntry { url, client, .. } in ack.acked() {
+            ctx.consume(self.costs.proxy_inval_cpu);
+            self.record(AuditEvent::InvalidateDelivered { url, client, at });
+        }
+        if let HttpMsg::InvalidateServerAck { server } = ack {
+            ctx.consume(self.costs.proxy_inval_cpu);
+            self.record(AuditEvent::BulkInvalidateDelivered { server, at });
+        }
         let size = ack.wire_size();
-        ctx.send(to, Message::Http(ack), size);
+        ctx.send(from, Message::Http(ack), size);
     }
 }
 
@@ -373,41 +389,11 @@ impl Node<Message> for ProxyNode {
                 self.pump(ctx);
             }
             Message::Http(HttpMsg::Reply(reply)) => self.handle_reply(reply, ctx),
-            Message::Http(HttpMsg::Invalidate { url, client }) => {
-                self.note_invalidate(url, client, ctx);
-                let ack = HttpMsg::InvalAck {
-                    url,
-                    client,
-                    cache_hits: self.core.on_invalidate(url, client),
-                };
-                self.ack(self.upstream(url.server()), ack, ctx);
-            }
-            Message::Http(HttpMsg::InvalidateBatch { server, entries }) => {
-                // A coalesced round shares the wire framing but the work is
-                // per copy: each entry is processed exactly like a
-                // standalone INVALIDATE, and all the per-copy acks ride
-                // back in one InvalidateBatchAck.
-                for entry in &entries {
-                    self.note_invalidate(entry.url, entry.client, ctx);
-                }
-                let ack = HttpMsg::InvalidateBatchAck {
-                    server,
-                    entries: self.core.on_invalidate_batch(entries),
-                };
-                self.ack(self.upstream(server), ack, ctx);
-            }
-            Message::Http(HttpMsg::InvalidateServer { server }) => {
-                ctx.consume(self.costs.proxy_inval_cpu);
-                self.core.on_invalidate_server(server);
-                self.record(AuditEvent::BulkInvalidateDelivered {
-                    server,
-                    at: ctx.now(),
-                });
-                // Ack to the sender so the origin stops re-sending; the
-                // recovery invalidation is delivered reliably (retried
-                // through partitions and our own downtime).
-                self.ack(from, HttpMsg::InvalidateServerAck { server }, ctx);
-            }
+            Message::Http(
+                push @ (HttpMsg::Invalidate { .. }
+                | HttpMsg::InvalidateBatch { .. }
+                | HttpMsg::InvalidateServer { .. }),
+            ) => self.handle_push(from, push, ctx),
             // Every remaining variant is a protocol violation for a proxy.
             // Spelled out (no `_`) so that adding a wire variant forces a
             // decision here — both rustc and the wire-exhaustiveness lint

@@ -1,16 +1,17 @@
 //! The downward hop (origin→proxy, origin→parent, parent→child): what
 //! connects a [`WritePath`] to the wire and the timers.
 //!
-//! [`Downstream`] is what a role keeps beside its path: the push channel of
-//! each site, and the timers the path armed, due at instants of the node's
-//! clock — the `now` the runtime tells the role.
+//! [`Downstream`] is what a role keeps beside its path: the connection of
+//! each site, registered by its `HELLO`, and the timers the path armed, due
+//! at instants of the node's clock — the `now` the runtime tells the role.
+//! The path builds the frames; this file only routes them.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use wcc_core::{OriginOut, OriginTimer, SiteListStats, WritePath};
 use wcc_obs::Registry;
 use wcc_proto::HttpMsg;
-use wcc_types::{ServerId, SimDuration, SimTime};
+use wcc_types::{SimDuration, SimTime};
 
 use crate::evloop::{Out, Outbox};
 
@@ -19,11 +20,11 @@ use crate::evloop::{Out, Outbox};
 pub(crate) const RETRY: SimDuration = SimDuration::from_millis(250);
 
 /// Who to push to, and when to wake.
+#[derive(Default)]
 pub(crate) struct Downstream {
-    server: ServerId,
-    /// partition -> push-channel token (latest HELLO wins, stale tokens
-    /// fail their generation check harmlessly).
-    channels: HashMap<u32, u64>,
+    /// partition -> connection token, set by the partition's `HELLO`
+    /// (latest wins, stale tokens fail their generation check harmlessly).
+    pub channels: HashMap<u32, u64>,
     /// Timers the path armed, soonest first.
     timers: BinaryHeap<Reverse<(SimTime, OriginTimer)>>,
     /// What the path last asked for; drained by [`Downstream::emit`] and
@@ -32,20 +33,6 @@ pub(crate) struct Downstream {
 }
 
 impl Downstream {
-    pub fn new(server: ServerId) -> Downstream {
-        Downstream {
-            server,
-            channels: HashMap::new(),
-            timers: BinaryHeap::new(),
-            asked: Vec::new(),
-        }
-    }
-
-    /// `HELLO`: connection `token` is `partition`'s push channel from now on.
-    pub fn register(&mut self, partition: u32, token: u64) {
-        self.channels.insert(partition, token);
-    }
-
     /// When the soonest armed timer is due.
     pub fn next_deadline(&self) -> Option<SimTime> {
         self.timers.peek().map(|Reverse((due, _))| *due)
@@ -63,30 +50,23 @@ impl Downstream {
     }
 
     /// Carries out what the path asked for: frames into the outbox of the
-    /// site's push channel, timers onto the heap; `on_batch` is told each
+    /// site's connection, timers onto the heap; `on_batch` is told each
     /// round's size. A push to a partition whose channel is down is dropped
     /// (here when it never registered, by the runtime when its token went
     /// stale); the copy stays pending, and the document's retry timer or
     /// the partition's next `HELLO` sends it again.
     pub fn emit(&mut self, now: SimTime, out: &mut Outbox, mut on_batch: impl FnMut(u64)) {
-        let server = self.server;
         for asked in self.asked.drain(..) {
-            let (site, msg) = match asked {
-                OriginOut::Arm { after, timer } => {
-                    self.timers.push(Reverse((now + after, timer)));
-                    continue;
+            match asked {
+                OriginOut::Arm { after, timer } => self.timers.push(Reverse((now + after, timer))),
+                OriginOut::Push { site, msg } => {
+                    if let HttpMsg::InvalidateBatch { entries, .. } = &msg {
+                        on_batch(entries.len() as u64);
+                    }
+                    if let Some(&tok) = self.channels.get(&site) {
+                        out.push(Out::Push(tok, msg));
+                    }
                 }
-                OriginOut::Invalidate {
-                    site, url, client, ..
-                } => (site, HttpMsg::Invalidate { url, client }),
-                OriginOut::Batch { site, entries } => {
-                    on_batch(entries.len() as u64);
-                    (site, HttpMsg::InvalidateBatch { server, entries })
-                }
-                OriginOut::Bulk { site } => (site, HttpMsg::InvalidateServer { server }),
-            };
-            if let Some(&tok) = self.channels.get(&site) {
-                out.push(Out::Push(tok, msg));
             }
         }
     }

@@ -116,7 +116,7 @@ impl NetOrigin {
         }
         let role = OriginRole {
             core,
-            links: Downstream::new(config.server),
+            links: Downstream::default(),
             serve_latency: Histogram::default(),
             batch_sizes: Histogram::default(),
         };
@@ -359,17 +359,20 @@ impl Role for OriginRole {
                     core.bulk_ack(partition);
                 }
             }
+            // §5: a recovering origin cannot know which copies this proxy
+            // holds, so the core has it invalidate them all; and whatever
+            // the partition still owes an ack for is pushed again now that
+            // there is a channel to push it on. A `HELLO` naming another
+            // partition count than the first one closes.
             HttpMsgRef::Hello {
                 partition,
                 partitions,
             } => {
-                links.register(*partition, cx.token);
+                if !core.on_site_hello(*partition, *partitions, now, &mut links.asked) {
+                    return After::Close;
+                }
+                links.channels.insert(*partition, cx.token);
                 *cx.tag = Some(*partition);
-                // §5: a recovering origin cannot know which copies this
-                // proxy holds, so the core has it invalidate them all; and
-                // whatever the partition still owes an ack for is pushed
-                // again now that there is a channel to push it on.
-                core.on_site_hello(*partition, *partitions, now, &mut links.asked);
             }
             HttpMsgRef::Reply(_)
             | HttpMsgRef::Invalidate { .. }

@@ -12,8 +12,8 @@
 //! ([`crate::downstream`]). A child `GET` the parent
 //! cache can answer is answered in the turn it arrived; any other is
 //! forwarded under a deferred-reply ticket and answered when the origin's
-//! reply lands. An `INVALIDATE` is applied and acknowledged when it arrives,
-//! and is the write path's `modify`: relayed to the children that hold the
+//! reply lands. A push is applied and acknowledged when it arrives, and the
+//! write path relays it from that ack: to the children that hold the
 //! document, re-sent every 250 ms and at a child's next `HELLO` until each
 //! acknowledged. An upstream fetch it overtakes is poisoned and fetched
 //! again rather than cached (and leased out) stale. A child `GET` that
@@ -140,7 +140,7 @@ impl NetParent {
         let role = ParentRole {
             up: Upstream::new(cfg, capacity),
             down: WritePath::new(consistency, 100, RETRY, MAX_RETRIES, None),
-            links: Downstream::new(server),
+            links: Downstream::default(),
             latest_trace: SimTime::ZERO,
             local: NetParentCounters::default(),
         };
@@ -273,17 +273,16 @@ impl Role for ParentRole {
                     }
                     After::Keep
                 }
+                // A push: applied, acknowledged at once and relayed. Children
+                // ack per document (`InvalAck`), so a coalesced round fans
+                // out downstream as ordinary `INVALIDATE`s.
                 _ => {
-                    // Children ack per document (`InvalAck`), so a coalesced
-                    // round fans out downstream as ordinary `INVALIDATE`s.
-                    let (latest, asked, down) =
-                        (self.latest_trace, &mut links.asked, &mut self.down);
-                    let relay = |url| down.modify(url, latest, now, asked);
-                    match self.up.pushed(cx, msg, Some(IDENTITY), relay) {
-                        Some(true) => down.relay_bulk(asked),
-                        Some(false) => {}
-                        None => return After::Close,
-                    }
+                    let Some(ack) = self.up.core.on_push(msg.to_owned(), Some(IDENTITY)) else {
+                        return After::Close;
+                    };
+                    let asked = &mut links.asked;
+                    self.down.relay(&ack, self.latest_trace, now, asked);
+                    cx.reply(ack);
                     After::Keep
                 }
             },
@@ -314,17 +313,20 @@ impl Role for ParentRole {
                     }
                     After::Keep
                 }
+                // Whatever this partition still owes an acknowledgement for
+                // is pushed again: a relay while its channel was down went
+                // nowhere, and the copies are still served. A `HELLO` naming
+                // another partition count than the first one closes.
                 HttpMsgRef::Hello {
                     partition,
                     partitions,
                 } => {
-                    links.register(*partition, cx.token);
+                    let down = &mut self.down;
+                    if !down.on_site_hello(*partition, *partitions, now, &mut links.asked) {
+                        return After::Close;
+                    }
+                    links.channels.insert(*partition, cx.token);
                     *cx.tag = KTag::Child(Some(*partition));
-                    // Whatever this partition still owes an acknowledgement
-                    // for is pushed again: a relay while its channel was
-                    // down went nowhere, and the copies are still served.
-                    self.down
-                        .on_site_hello(*partition, *partitions, now, &mut links.asked);
                     After::Keep
                 }
                 HttpMsgRef::InvalAck {

@@ -58,10 +58,10 @@ pub struct NetProxyCounters {
     pub replies_200: u64,
     /// `304` replies received.
     pub replies_304: u64,
-    /// `INVALIDATE`s received on the push channel (batched entries
-    /// included: each entry of a coalesced round counts once here).
+    /// `INVALIDATE`s received from upstream (batched entries included:
+    /// each entry of a coalesced round counts once here).
     pub invalidations_received: u64,
-    /// Coalesced `InvalidateBatch` rounds received on the push channel.
+    /// Coalesced `InvalidateBatch` rounds received from upstream.
     pub inval_batches_received: u64,
     /// Bulk `INVALIDATE <server>`s received.
     pub bulk_invalidations_received: u64,
@@ -390,8 +390,12 @@ impl Role for ProxyRole {
                     }
                     After::Keep
                 }
-                _ => match self.up.pushed(cx, msg, None, |_| ()) {
-                    Some(_) => After::Keep,
+                // A push: applied and acknowledged at once.
+                _ => match self.up.core.on_push(msg.to_owned(), None) {
+                    Some(ack) => {
+                        cx.reply(ack);
+                        After::Keep
+                    }
                     None => After::Close,
                 },
             },

@@ -7,17 +7,19 @@
 //! clock), and that every re-dial of a dropped upstream connection settles
 //! all flights that were on it: sent once more if it succeeded and they had
 //! not been already, failed otherwise. Every flight travels on the node's
-//! one upstream connection, the one its invalidations arrive on.
+//! one upstream connection, the one its invalidations arrive on. A push
+//! that comes down it is the core's to apply and acknowledge
+//! ([`ProxyCore::on_push`]); the role sends the ack back up.
 
 use std::io;
 use std::sync::mpsc::Sender;
 use wcc_cache::{CacheStore, ReplacementPolicy};
 use wcc_core::{Complete, FetchOutcome, ProtocolConfig, ProxyCore, ProxyPolicy, UpstreamReply};
 use wcc_obs::{Histogram, Registry};
-use wcc_proto::{BatchEntry, GetRequest, HttpMsg, HttpMsgRef, ReplyRef, RequestId};
-use wcc_types::{ByteSize, ClientId, SimDuration, SimTime, Url};
+use wcc_proto::{GetRequest, HttpMsg, ReplyRef, RequestId};
+use wcc_types::{ByteSize, SimDuration, SimTime};
 
-use crate::evloop::{Cx, Out, Outbox, Role, Ticket, UPSTREAM};
+use crate::evloop::{Out, Outbox, Ticket, UPSTREAM};
 
 /// How long a flight may stay unanswered before it is given up.
 pub(crate) const UPSTREAM_TIMEOUT: SimDuration = SimDuration::from_secs(5);
@@ -100,64 +102,6 @@ impl Upstream {
         }
     }
 
-    /// Any other frame from upstream, a push: applied, and acknowledged at
-    /// once with the dying copies' unreported hits (the §7 report). A proxy's
-    /// copies are its clients', as the frame names them; a parent's are all
-    /// held as `own`. `each` is told every document invalidated by name.
-    /// Returns whether the frame was the bulk `INVALIDATE <server>`; `None`
-    /// for one that has no business coming from upstream.
-    pub fn pushed<R: Role>(
-        &mut self,
-        cx: &mut Cx<'_, R>,
-        msg: &HttpMsgRef<'_>,
-        own: Option<ClientId>,
-        mut each: impl FnMut(Url),
-    ) -> Option<bool> {
-        match msg {
-            HttpMsgRef::Invalidate { url, client } => {
-                // Drops the copy, poisoning any fetch of it in flight.
-                let client = own.unwrap_or(*client);
-                let cache_hits = self.core.on_invalidate(*url, client);
-                cx.reply(HttpMsg::InvalAck {
-                    url: *url,
-                    client,
-                    cache_hits,
-                });
-                each(*url);
-            }
-            HttpMsgRef::InvalidateBatch(batch) => {
-                // One coalesced proposer round: every listed copy dropped
-                // under a single lock and the whole round acked in one
-                // message, the §7 hit reports carried per entry.
-                let held_as = |e: BatchEntry| BatchEntry {
-                    client: own.unwrap_or(e.client),
-                    ..e
-                };
-                let named = batch.entries().into_iter().map(held_as);
-                let entries = self.core.on_invalidate_batch(named);
-                entries.iter().for_each(|e| each(e.url));
-                cx.reply(HttpMsg::InvalidateBatchAck {
-                    server: batch.server,
-                    entries,
-                });
-            }
-            HttpMsgRef::InvalidateServer { server } => {
-                self.core.on_invalidate_server(*server);
-                cx.reply(HttpMsg::InvalidateServerAck { server: *server });
-                return Some(true);
-            }
-            HttpMsgRef::Get(_)
-            | HttpMsgRef::Reply(_)
-            | HttpMsgRef::InvalAck { .. }
-            | HttpMsgRef::InvalidateBatchAck(_)
-            | HttpMsgRef::InvalidateServerAck { .. }
-            | HttpMsgRef::Hello { .. }
-            | HttpMsgRef::MetricsGet
-            | HttpMsgRef::Notify { .. } => return None,
-        }
-        Some(false)
-    }
-
     /// Gives up on flight `req`: a client waiting on the reactor has its
     /// connection closed behind the replies ahead of this one, a blocked
     /// caller gets `TimedOut`.
@@ -212,13 +156,13 @@ impl Upstream {
         let c = self.core.counters();
         r.set_counter(
             "wcc_invalidations_total",
-            "INVALIDATEs received on the push channel.",
+            "INVALIDATEs received from upstream.",
             node,
             c.invalidations_received,
         );
         r.set_counter(
             "wcc_inval_batches_total",
-            "Coalesced InvalidateBatch rounds received on the push channel.",
+            "Coalesced InvalidateBatch rounds received from upstream.",
             node,
             c.inval_batches_received,
         );

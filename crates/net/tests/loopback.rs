@@ -215,6 +215,64 @@ fn invalidations_fan_out_across_partitions() {
     assert_eq!(p1.cached_entries(), 0);
 }
 
+/// The first `HELLO` fixes how many partitions the origin routes over. A
+/// connection that names another count is closed and changes nothing:
+/// were it taken, every client would map to another partition, and a write
+/// would miss the proxies that hold the copies.
+#[test]
+fn a_hello_with_another_partition_count_is_refused() {
+    use std::io::{Read, Write};
+    use wcc_proto::{encode, GetRequest, HttpMsg, RequestId};
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let origin = NetOrigin::spawn(OriginConfig {
+        server: ServerId::new(0),
+        doc_sizes: vec![ByteSize::from_kib(4); 4],
+        protocol: cfg.clone(),
+        doc_scale: 100,
+        inval_batch: None,
+    })
+    .unwrap();
+    let p0 = NetProxy::spawn(origin.addr(), &cfg, 0, 2, ByteSize::from_mib(16)).unwrap();
+    let p1 = NetProxy::spawn(origin.addr(), &cfg, 1, 2, ByteSize::from_mib(16)).unwrap();
+    std::thread::sleep(Duration::from_millis(50));
+    p0.fetch(client(4), url(0), SimTime::from_secs(1)).unwrap();
+    p1.fetch(client(5), url(0), SimTime::from_secs(1)).unwrap();
+
+    // A `GET` behind the `HELLO` on the same connection: answered only if
+    // the `HELLO` was taken, so one read tells when the origin is done.
+    let mut rogue = std::net::TcpStream::connect(origin.addr()).unwrap();
+    let hello = HttpMsg::Hello {
+        partition: 0,
+        partitions: 3,
+    };
+    let get = HttpMsg::Get(GetRequest {
+        req: RequestId::default(),
+        url: url(1),
+        client: client(9),
+        ims: None,
+        issued_at: SimTime::from_secs(2),
+        cache_hits: 0,
+    });
+    rogue
+        .write_all(&[encode(&hello), encode(&get)].concat())
+        .unwrap();
+    rogue
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .unwrap();
+    let answered = matches!(rogue.read(&mut [0u8; 1]), Ok(n) if n > 0);
+
+    check_in(origin.addr(), url(0), SimTime::from_secs(5)).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(2);
+    while (p0.cached_entries(), p1.cached_entries()) != (0, 0)
+        && std::time::Instant::now() < deadline
+    {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!((p0.cached_entries(), p1.cached_entries()), (0, 0));
+    assert!(origin.wait_writes_complete(Duration::from_secs(5)));
+    assert!(!answered, "the connection was closed at its HELLO");
+}
+
 #[test]
 fn batched_invalidations_coalesce_across_partitions() {
     use wcc_types::InvalBatchConfig;

@@ -30,7 +30,7 @@ pub mod zero;
 
 pub use msg::{
     BatchAckEntry, BatchEntry, CoordMsg, GetRequest, HttpMsg, Message, Reply, ReplyStatus,
-    RequestId,
+    RequestId, MAX_PARTITIONS,
 };
 pub use wire::{encode, encode_into, WireError};
 pub use zero::{

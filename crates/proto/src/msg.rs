@@ -128,6 +128,10 @@ pub struct BatchAckEntry {
     pub cache_hits: u64,
 }
 
+/// The most partitions a `HELLO` may name. A node keeps state per site, so
+/// the decoder turns a larger count away.
+pub const MAX_PARTITIONS: u32 = 1 << 16;
+
 /// The HTTP-level messages of the consistency protocols.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpMsg {
@@ -318,6 +322,29 @@ impl HttpMsg {
             HttpMsg::MetricsGet => GET_SIZE,
         };
         ByteSize::from_bytes(bytes)
+    }
+
+    /// The copies an acknowledgement answers for, in frame order: an
+    /// `InvalAck`'s one, an `InvalidateBatchAck`'s entries. None for any
+    /// other frame: the bulk's ack names no copy.
+    pub fn acked(&self) -> impl Iterator<Item = BatchAckEntry> + '_ {
+        let one = match *self {
+            HttpMsg::InvalAck {
+                url,
+                client,
+                cache_hits,
+            } => Some(BatchAckEntry {
+                url,
+                client,
+                cache_hits,
+            }),
+            _ => None,
+        };
+        let round = match self {
+            HttpMsg::InvalidateBatchAck { entries, .. } => entries.as_slice(),
+            _ => &[],
+        };
+        one.into_iter().chain(round.iter().copied())
     }
 }
 

@@ -512,7 +512,7 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
             let (p, n) = spec.split_once('/').ok_or_else(hello_bad_spec)?;
             let partition = p.parse().map_err(|_| bad_partition())?;
             let partitions: u32 = n.parse().map_err(|_| bad_partitions())?;
-            if partitions == 0 || partition >= partitions {
+            if partitions == 0 || partitions > crate::MAX_PARTITIONS || partition >= partitions {
                 return Err(partition_out_of_range());
             }
             HttpMsgRef::Hello {

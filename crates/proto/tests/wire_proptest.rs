@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use std::io::Write;
 use wcc_proto::{
     decode_ref, encode, encode_into, BatchAckEntry, BatchEntry, GetRequest, HttpMsg, Reply,
-    ReplyStatus, RequestId, WireError,
+    ReplyStatus, RequestId, WireError, MAX_PARTITIONS,
 };
 use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url};
 
@@ -503,6 +503,10 @@ fn round_trips_match_owned_decoder() {
             partition: 2,
             partitions: 4,
         },
+        HttpMsg::Hello {
+            partition: MAX_PARTITIONS - 1,
+            partitions: MAX_PARTITIONS,
+        },
         HttpMsg::MetricsGet,
         HttpMsg::Notify {
             url: sample_url(),
@@ -541,6 +545,9 @@ fn malformed_inputs_match_owned_decoder() {
         b"HTTP/1.0 500 Oops\r\nHost: server0\r\nContent-Location: /doc/1\r\nX-Client: 1.2.3.4\r\nX-Request-Id: 0\r\n\r\n",
         b"GET /doc/1 HTTP/1.0\r\nHost: elsewhere\r\nX-Client: 1.2.3.4\r\nX-Request-Id: 0\r\n\r\n",
         b"HELLO 4/4 HTTP/1.0\r\n\r\n",
+        // A node keeps state per site: a count past the bound is refused.
+        b"HELLO 0/65537 HTTP/1.0\r\n\r\n",
+        b"HELLO 0/4294967295 HTTP/1.0\r\n\r\n",
         b"HELLO x HTTP/1.0\r\n\r\n",
         b"GET /doc/1 HTTP/1.0\r\nHost: server0\r\n", // eof inside headers
         b"GET\r\n\r\n",
@@ -848,6 +855,7 @@ mod reference {
     use std::io::BufRead;
     use wcc_proto::{
         BatchAckEntry, BatchEntry, GetRequest, HttpMsg, Reply, ReplyStatus, RequestId, WireError,
+        MAX_PARTITIONS,
     };
     use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url};
 
@@ -1062,7 +1070,7 @@ mod reference {
                     .ok_or_else(|| malformed("HELLO spec must be p/n"))?;
                 let partition = p.parse().map_err(|_| malformed("bad partition"))?;
                 let partitions: u32 = n.parse().map_err(|_| malformed("bad partitions"))?;
-                if partitions == 0 || partition >= partitions {
+                if partitions == 0 || partitions > MAX_PARTITIONS || partition >= partitions {
                     return Err(malformed("partition out of range"));
                 }
                 Ok(HttpMsg::Hello {

@@ -14,7 +14,7 @@ use wcc_core::{
 };
 use wcc_httpsim::{CacheSharing, Deployment, DeploymentOptions, RawReport};
 use wcc_obs::{Phase, SpanKind};
-use wcc_proto::GetRequest;
+use wcc_proto::{GetRequest, HttpMsg};
 use wcc_simnet::{FaultPlan, LinkSpec, NetworkConfig};
 use wcc_traces::{ModSchedule, Modification, Trace, TraceRecord};
 use wcc_types::{ByteSize, ClientId, DocMeta, NodeId, ServerId, SimDuration, SimTime, Url};
@@ -120,14 +120,21 @@ impl Bare {
 
     fn restart_origin(&mut self) {
         self.server.on_server_recover();
-        self.core.on_invalidate_server(SERVER);
+        let bulk = HttpMsg::InvalidateServer { server: SERVER };
+        self.core.on_push(bulk, None).expect("a push");
     }
 
     fn write(&mut self, doc: u32, at: u64) {
         self.versions[doc as usize] = secs(at);
         for site in self.server.on_modify(url(doc), secs(at)) {
-            self.core.on_invalidate(url(doc), site);
-            self.server.on_inval_ack(url(doc), site);
+            let push = HttpMsg::Invalidate {
+                url: url(doc),
+                client: site,
+            };
+            let ack = self.core.on_push(push, None).expect("a push");
+            for e in ack.acked() {
+                self.server.on_inval_ack(e.url, e.client);
+            }
         }
     }
 

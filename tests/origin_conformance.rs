@@ -43,7 +43,8 @@ use wcc_core::{
 use wcc_httpsim::{Deployment, DeploymentOptions, Topology};
 use wcc_net::{NetOrigin, NetParent, NetProxy, OriginConfig};
 use wcc_proto::{
-    BatchAckEntry, GetRequest, HttpMsg, HttpMsgRef, ReplyStatus, ReplyStatusRef, RequestId,
+    BatchAckEntry, BatchEntry, GetRequest, HttpMsg, HttpMsgRef, ReplyStatus, ReplyStatusRef,
+    RequestId,
 };
 use wcc_simnet::{FaultPlan, LinkSpec, NetworkConfig};
 use wcc_traces::{synthetic, ModSchedule, Modification, Trace, TraceRecord, TraceSpec};
@@ -178,45 +179,30 @@ impl Row {
     }
 }
 
-/// A frame on a site's push channel.
-#[derive(Debug, Clone, PartialEq, Eq)]
-enum Frame {
-    Invalidate(u32, ClientId),
-    Batch(Vec<(u32, ClientId)>),
-    Bulk,
-}
-
-impl Frame {
-    /// The `(document, client)` copies the frame names.
-    fn entries(&self) -> Vec<(u32, ClientId)> {
-        match self {
-            Frame::Invalidate(doc, client) => vec![(*doc, *client)],
-            Frame::Batch(entries) => entries.clone(),
-            Frame::Bulk => Vec::new(),
+/// The `(document, client)` copies a pushed frame names; none for the bulk.
+fn copies(frame: &HttpMsg) -> Vec<(u32, ClientId)> {
+    match frame {
+        HttpMsg::Invalidate { url, client } => vec![(url.doc(), *client)],
+        HttpMsg::InvalidateBatch { entries, .. } => {
+            entries.iter().map(|e| (e.url.doc(), e.client)).collect()
         }
+        _ => Vec::new(),
     }
 }
 
-/// What a write path asked for, as the frames to push to each site; the
+/// What a write path asked for: the frames to push to each site; the
 /// timers it armed go on `timers`.
 fn frames(
     asked: Vec<OriginOut>,
     now: SimTime,
     timers: &mut Vec<(SimTime, OriginTimer)>,
-) -> Vec<(u32, Frame)> {
+) -> Vec<(u32, HttpMsg)> {
     let frame = |asked| match asked {
         OriginOut::Arm { after, timer } => {
             timers.push((now + after, timer));
             None
         }
-        OriginOut::Invalidate {
-            site, url, client, ..
-        } => Some((site, Frame::Invalidate(url.doc(), client))),
-        OriginOut::Batch { site, entries } => {
-            let entries = entries.iter().map(|e| (e.url.doc(), e.client));
-            Some((site, Frame::Batch(entries.collect())))
-        }
-        OriginOut::Bulk { site } => Some((site, Frame::Bulk)),
+        OriginOut::Push { site, msg } => Some((site, msg)),
     };
     asked.into_iter().filter_map(frame).collect()
 }
@@ -226,7 +212,7 @@ fn frames(
 #[derive(Debug, Clone, PartialEq, Eq)]
 struct Pushed {
     site: u32,
-    frame: Frame,
+    frame: HttpMsg,
     acked: Option<Vec<u64>>,
 }
 
@@ -356,7 +342,7 @@ impl Bare {
         let mut pushed = Vec::new();
         let asked = std::mem::take(&mut self.out);
         for (site, frame) in frames(asked, self.now, &mut self.timers) {
-            let entries = frame.entries();
+            let entries = copies(&frame);
             let names = |who: ClientId| entries.iter().any(|&(_, c)| c == who);
             let acked = match self.lost {
                 Some(who) if names(who) => {
@@ -371,7 +357,8 @@ impl Bare {
             for (&(doc, client), &hits) in entries.iter().zip(push.acked.iter().flatten()) {
                 self.core.ack(url(doc), client, hits, self.now);
             }
-            if (&push.frame, &push.acked) == (&Frame::Bulk, &Some(Vec::new())) {
+            let bulk = matches!(push.frame, HttpMsg::InvalidateServer { .. });
+            if bulk && push.acked.is_some() {
                 self.core.bulk_ack(push.site);
             }
             self.log.pushed.last_mut().expect("a row").push(push);
@@ -558,20 +545,8 @@ impl Daemon {
 fn expect(channels: &mut [Wire], pushed: &[Pushed]) {
     for push in pushed {
         let channel = &mut channels[push.site as usize];
-        let (frame, entries) = match channel.next() {
-            HttpMsgRef::Invalidate { url, client } => (
-                Frame::Invalidate(url.doc(), client),
-                vec![(url.doc(), client)],
-            ),
-            HttpMsgRef::InvalidateBatch(round) => {
-                let entries = round.entries().into_iter();
-                let entries: Vec<_> = entries.map(|e| (e.url.doc(), e.client)).collect();
-                (Frame::Batch(entries.clone()), entries)
-            }
-            HttpMsgRef::InvalidateServer { .. } => (Frame::Bulk, Vec::new()),
-            other => panic!("expected {push:?}, got {other:?}"),
-        };
-        assert_eq!(frame, push.frame, "site {}", push.site);
+        assert_eq!(channel.next().to_owned(), push.frame, "site {}", push.site);
+        let entries = copies(&push.frame);
         let Some(hits) = &push.acked else {
             continue;
         };
@@ -581,13 +556,13 @@ fn expect(channels: &mut [Wire], pushed: &[Pushed]) {
             cache_hits,
         };
         let entries: Vec<_> = entries.iter().zip(hits).map(ack).collect();
-        channel.send(&match (frame, entries.first().copied()) {
-            (Frame::Invalidate(..), Some(e)) => HttpMsg::InvalAck {
+        channel.send(&match (&push.frame, entries.first().copied()) {
+            (HttpMsg::Invalidate { .. }, Some(e)) => HttpMsg::InvalAck {
                 url: e.url,
                 client: e.client,
                 cache_hits: e.cache_hits,
             },
-            (Frame::Batch(_), Some(_)) => HttpMsg::InvalidateBatchAck {
+            (HttpMsg::InvalidateBatch { .. }, Some(_)) => HttpMsg::InvalidateBatchAck {
                 server: SERVER,
                 entries,
             },
@@ -708,7 +683,16 @@ fn the_script_does_what_its_rows_say() {
     assert_eq!((c.coalesced_invalidations, c.acks), (1, 6 + 2));
     let round = &batched.pushed[9];
     assert_eq!(round.len(), 2, "one batch per site: {round:?}");
-    assert_eq!(round[0].frame, Frame::Batch(vec![(1, A), (2, A)]));
+    let entry = |doc| BatchEntry {
+        url: url(doc),
+        client: A,
+    };
+    let entries = vec![entry(1), entry(2)];
+    let batch = HttpMsg::InvalidateBatch {
+        server: SERVER,
+        entries,
+    };
+    assert_eq!(round[0].frame, batch);
 }
 
 #[test]
@@ -885,9 +869,9 @@ impl BareParent {
         let mut reached = frames(asked, self.now, &mut self.timers);
         reached.retain(|(site, _)| self.down != Some(*site));
         for (site, frame) in reached {
-            let lost = frame.entries().iter().any(|&(_, c)| self.lost == Some(c));
+            let lost = copies(&frame).iter().any(|&(_, c)| self.lost == Some(c));
             let acked = (!lost).then(|| vec![0]);
-            for (doc, client) in frame.entries().into_iter().filter(|_| !lost) {
+            for (doc, client) in copies(&frame).into_iter().filter(|_| !lost) {
                 self.path.ack(url(doc), client, self.now);
             }
             self.lost = self.lost.filter(|_| !lost);
@@ -981,7 +965,10 @@ fn tcp_parent_conforms() {
         let reached = bare.pushed.iter().flatten().filter(to_site);
         reached.map(|p| p.frame.clone()).collect::<Vec<_>>()
     };
-    let relay = Frame::Invalidate;
+    let relay = |doc, client| HttpMsg::Invalidate {
+        url: url(doc),
+        client,
+    };
     assert_eq!(sent(0), [relay(0, C0), relay(1, C0)]);
     assert_eq!(sent(1), [relay(0, C1), relay(0, C1), relay(0, C1)]);
 

@@ -96,6 +96,18 @@ cargo test -q -p wcc-net --test scripted_upstream -- \
 cargo test -q -p wcc-net --test hierarchy_tcp \
   a_relay_missed_behind_a_timed_out_flight_is_pushed_on_the_next_hello
 
+echo "==> the cores speak frames + one HELLO partition count"
+# ProxyCore::on_push applies an INVALIDATE, an InvalidateBatch or the bulk
+# and builds its ack, for a proxy and for a parent (every copy held as its
+# identity); any other frame changes nothing. WritePath builds the frames
+# it pushes. The first HELLO fixes a node's partition count: a HELLO that
+# names another one closes its connection, and a write still reaches every
+# proxy. The decoder refuses a count past MAX_PARTITIONS (wire_proptest
+# above). All also run in the suites above.
+cargo test -q -p wcc-core --lib -- a_push_is_applied_and_acked_in_frame_order \
+  a_frame_that_is_not_a_push_is_not_applied the_first_hello_fixes_the_site_count
+cargo test -q -p wcc-net --test loopback a_hello_with_another_partition_count_is_refused
+
 echo "==> CLI command table + batched hierarchy parent"
 # Every call's flags come from one table in src/bin/wcc.rs: a flag its call
 # does not read exits 2 (`wcc replay --family` refuses the single-trace
