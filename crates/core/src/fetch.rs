@@ -68,8 +68,8 @@ pub struct UpstreamReply {
     pub piggyback: Vec<Url>,
 }
 
-impl From<&ReplyRef<'_>> for UpstreamReply {
-    fn from(reply: &ReplyRef<'_>) -> Self {
+impl From<ReplyRef<'_>> for UpstreamReply {
+    fn from(reply: ReplyRef<'_>) -> Self {
         UpstreamReply {
             meta: match reply.status {
                 ReplyStatusRef::Ok { meta, .. } => Some(meta),
@@ -77,7 +77,7 @@ impl From<&ReplyRef<'_>> for UpstreamReply {
             },
             lease: reply.lease,
             volume_lease: reply.volume_lease,
-            piggyback: reply.piggyback_urls(),
+            piggyback: reply.piggyback,
         }
     }
 }
@@ -252,7 +252,7 @@ impl<W> ProxyCore<W> {
             self.counters.gets_sent += 1;
         }
         self.flights.push_back(Flight {
-            sent: sent.clone(),
+            sent,
             had_entry,
             poisoned: false,
             waiter,
@@ -902,7 +902,7 @@ mod tests {
             cache_hits: 1,
         };
         for frame in [
-            HttpMsg::Get(flight.clone()),
+            HttpMsg::Get(flight),
             HttpMsg::InvalAck {
                 url: copy,
                 client: CLIENT,

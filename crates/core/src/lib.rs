@@ -84,7 +84,7 @@ pub use fetch::{
     Begin, Complete, FetchCounters, FetchKind, FetchOutcome, ProxyCore, UpstreamReply,
 };
 pub use meter::{DocViews, HitMeter};
-pub use origin::{OriginCore, OriginCounters, OriginOut, OriginTimer, WritePath};
+pub use origin::{OriginCore, OriginCounters, OriginOut, OriginTimer, WritePath, WrongSite};
 pub use proposer::{Proposer, ProposerStats};
 pub use proxy::{ProxyAction, ProxyPolicy, RequestDisposition};
 pub use server::{GetGrant, ServerConsistency};

@@ -66,6 +66,11 @@ pub enum OriginOut {
     },
 }
 
+/// An acknowledgement from a site that does not hold the copy it names,
+/// refused by [`WritePath::ack`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct WrongSite;
+
 /// The write path's counters and the origin's: one struct for every driver
 /// (the simulator's report rows, the daemon's `OriginSnapshot` / `/metrics`).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -419,10 +424,20 @@ impl WritePath {
         }
     }
 
-    /// One invalidation acknowledgement — an `InvalAck`, or one entry of a
-    /// batch acknowledgement. Returns how long the write took when this was
-    /// the last copy it was waiting for.
-    pub fn ack(&mut self, url: Url, client: ClientId, now: SimTime) -> Option<SimDuration> {
+    /// One invalidation acknowledgement from `site` — an `InvalAck`, or one
+    /// entry of a batch acknowledgement. Returns how long the write took
+    /// when this was the last copy it was waiting for, and [`WrongSite`],
+    /// with nothing counted or recorded, when `client` is not `site`'s.
+    pub fn ack(
+        &mut self,
+        site: u32,
+        url: Url,
+        client: ClientId,
+        now: SimTime,
+    ) -> Result<Option<SimDuration>, WrongSite> {
+        if client.partition(self.sites) != site {
+            return Err(WrongSite);
+        }
         self.counters.acks += 1;
         self.consistency.on_inval_ack(url, client);
         self.record(AuditEvent::InvalidateAck {
@@ -431,10 +446,12 @@ impl WritePath {
             at: now,
         });
         if self.consistency.has_pending(url) {
-            return None;
+            return Ok(None);
         }
-        let opened = self.write_open.remove(&url)?;
-        Some(now.saturating_since(opened))
+        Ok(self
+            .write_open
+            .remove(&url)
+            .map(|at| now.saturating_since(at)))
     }
 
     /// `site` acknowledged the bulk invalidation.
@@ -755,18 +772,22 @@ impl OriginCore {
         Some(version)
     }
 
-    /// [`WritePath::ack`] with the acknowledgement's §7 hit report; `None`
+    /// [`WritePath::ack`] with the acknowledgement's §7 hit report; `Ok(None)`
     /// (and nothing counted) for a document this origin does not have.
     pub fn ack(
         &mut self,
+        site: u32,
         url: Url,
         client: ClientId,
         cache_hits: u64,
         now: SimTime,
-    ) -> Option<SimDuration> {
-        self.meta(url)?;
+    ) -> Result<Option<SimDuration>, WrongSite> {
+        if self.meta(url).is_none() {
+            return Ok(None);
+        }
+        let took = self.path.ack(site, url, client, now)?;
         self.meter.record_report(url, cache_hits);
-        self.path.ack(url, client, now)
+        Ok(took)
     }
 }
 
@@ -843,7 +864,11 @@ mod tests {
         let retry = arm(OriginTimer::Retry(1));
         assert_eq!(out, [invalidate(0, 4), invalidate(1, 5), retry.clone()]);
         let t1 = SimTime::ZERO + RETRY;
-        assert_eq!(core.ack(url(1), client(4), 3, t1), None, "5 is still out");
+        assert_eq!(
+            core.ack(0, url(1), client(4), 3, t1),
+            Ok(None),
+            "5 is still out"
+        );
         // Only the unacknowledged copy is sent again, twice; then given up.
         for _ in 0..2 {
             out.clear();
@@ -862,7 +887,7 @@ mod tests {
             Some(AuditEvent::GaveUp { abandoned, .. }) if abandoned == &[client(5)]
         ));
         // The abandoned write's clock is gone: a late ack completes nothing.
-        assert_eq!(core.ack(url(1), client(5), 0, t1), None);
+        assert_eq!(core.ack(1, url(1), client(5), 0, t1), Ok(None));
         assert!(core.snapshot().writes_complete);
     }
 
@@ -871,8 +896,33 @@ mod tests {
         let (mut core, mut out) = (origin(), Vec::new());
         write(&mut core, &mut out);
         let later = SimTime::ZERO + RETRY;
-        assert_eq!(core.ack(url(1), client(5), 0, later), None);
-        assert_eq!(core.ack(url(1), client(4), 0, later), Some(RETRY));
+        assert_eq!(core.ack(1, url(1), client(5), 0, later), Ok(None));
+        assert_eq!(core.ack(0, url(1), client(4), 0, later), Ok(Some(RETRY)));
+    }
+
+    /// Only the site that holds a copy answers for it: an ack for client 5
+    /// (site 1) that arrives from site 0 is refused, counts nothing and
+    /// leaves the copy pending, so its retry still goes out.
+    #[test]
+    fn an_ack_from_another_site_is_refused() {
+        let (mut core, mut out) = (origin(), Vec::new());
+        write(&mut core, &mut out);
+        let before = (core.snapshot(), core.audit_log().len());
+        assert_eq!(
+            core.ack(0, url(1), client(5), 7, SimTime::ZERO),
+            Err(WrongSite)
+        );
+        assert_eq!((core.snapshot(), core.audit_log().len()), before);
+        out.clear();
+        core.on_timer(OriginTimer::Retry(1), SimTime::ZERO, &mut out);
+        assert_eq!(
+            out,
+            [
+                invalidate(0, 4),
+                invalidate(1, 5),
+                arm(OriginTimer::Retry(1))
+            ]
+        );
     }
 
     #[test]
@@ -892,7 +942,7 @@ mod tests {
         core.on_timer(OriginTimer::Retry(1), SimTime::ZERO, &mut out);
         assert_eq!(out.len(), 3, "both copies, and the timer: {out:?}");
         // Nothing is owed by a site whose copies were acknowledged.
-        core.ack(url(1), client(4), 0, SimTime::ZERO);
+        assert_eq!(core.ack(0, url(1), client(4), 0, SimTime::ZERO), Ok(None));
         out.clear();
         core.on_site_hello(0, 2, SimTime::ZERO, &mut out);
         assert!(out.is_empty());
@@ -997,7 +1047,7 @@ mod tests {
         };
         assert_eq!(core.serve(&get, SimTime::ZERO), None);
         assert_eq!(core.touch(url(3), SimTime::ZERO, SimTime::ZERO), None);
-        assert_eq!(core.ack(url(3), client(4), 9, SimTime::ZERO), None);
+        assert_eq!(core.ack(0, url(3), client(4), 9, SimTime::ZERO), Ok(None));
         let elsewhere = Url::new(ServerId::new(1), 1);
         assert_eq!(core.touch(elsewhere, SimTime::ZERO, SimTime::ZERO), None);
         assert_eq!(core.snapshot(), before);

@@ -95,8 +95,6 @@ pub struct DeploymentOptions {
     pub network: NetworkConfig,
     /// Lock-step window (the paper uses five minutes).
     pub window: SimDuration,
-    /// Accelerator main-memory document cache budget (scaled bytes).
-    pub mem_cache_budget: ByteSize,
     /// Wall-clock interval between invalidation retransmissions.
     pub retry_interval: SimDuration,
     /// Retransmission budget per modification before giving up.
@@ -127,7 +125,6 @@ impl Default for DeploymentOptions {
             costs: CostModel::default(),
             network: NetworkConfig::lan(),
             window: SimDuration::from_mins(5),
-            mem_cache_budget: ByteSize::from_mib(8),
             retry_interval: SimDuration::from_secs(2),
             max_retries: wcc_core::origin::MAX_RETRIES,
             sharing: CacheSharing::PerClient,
@@ -151,7 +148,6 @@ pub struct Deployment {
     protocol: ProtocolKind,
     trace_duration: SimDuration,
     records_total: u64,
-    ran: bool,
 }
 
 /// Deterministic peak-memory model for one deployment: how many bytes the
@@ -254,7 +250,6 @@ impl Deployment {
                     trace.doc_sizes.len(),
                     options.costs.clone(),
                     options.detection,
-                    options.mem_cache_budget,
                 ))
             })
             .collect();
@@ -400,7 +395,6 @@ impl Deployment {
             protocol: cfg.kind,
             trace_duration: duration,
             records_total,
-            ran: false,
         }
     }
 
@@ -431,7 +425,6 @@ impl Deployment {
 
     /// Runs the replay to completion. Returns the wall-clock duration.
     pub fn run(&mut self) -> SimTime {
-        self.ran = true;
         self.sim.run_until_idle()
     }
 
@@ -459,7 +452,6 @@ impl Deployment {
     /// Runs with a wall-clock safety deadline (fault scenarios with retry
     /// loops can otherwise take long).
     pub fn run_until(&mut self, deadline: SimTime) -> SimTime {
-        self.ran = true;
         self.sim.run_until(deadline)
     }
 

@@ -12,7 +12,7 @@ use crate::deployment::ChangeDetection;
 use wcc_cache::Lru;
 use wcc_core::{OriginCore, OriginOut, OriginTimer};
 use wcc_obs::{invalidation_span, Phase, SpanKind, Tracer};
-use wcc_proto::{CoordMsg, GetRequest, HttpMsg, Message, ReplyStatus};
+use wcc_proto::{BatchAckEntry, CoordMsg, GetRequest, HttpMsg, Message, ReplyStatus};
 use wcc_simnet::{Ctx, Node, Summary};
 use wcc_types::{ByteSize, ClientId, NodeId, SimDuration, SimTime, Url};
 
@@ -42,6 +42,9 @@ pub(crate) fn token_timer(token: u64) -> OriginTimer {
         doc => OriginTimer::Retry(doc as u32),
     }
 }
+
+/// The accelerator's main-memory document cache budget (scaled bytes).
+const MEM_CACHE_BUDGET: ByteSize = ByteSize::from_mib(8);
 
 /// A tiny LRU of documents held in the accelerator's main-memory cache
 /// (its original purpose: "keeping a main memory cache of URL documents").
@@ -129,14 +132,13 @@ impl OriginNode {
         docs: usize,
         costs: CostModel,
         detection: ChangeDetection,
-        mem_cache_budget: ByteSize,
     ) -> Self {
         OriginNode {
             core,
             // Construction-time scaffolding, not per-event work.
             out: Vec::new(),       // xtask-lint: allow(hot-loop-alloc)
             touch_log: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
-            mem_cache: MemCache::new(mem_cache_budget),
+            mem_cache: MemCache::new(MEM_CACHE_BUDGET),
             costs,
             proxies: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
             detection,
@@ -275,15 +277,18 @@ impl OriginNode {
         self.send(from, HttpMsg::Reply(reply), SimDuration::ZERO, ctx);
     }
 
-    /// One invalidation acknowledgement — an `InvalAck`, or an entry of an
-    /// `InvalidateBatchAck` — into the core; spans and the write-completion
-    /// summary here.
-    fn apply_inval_ack(&mut self, url: Url, client: ClientId, cache_hits: u64, now: SimTime) {
-        let completed = self.core.ack(url, client, cache_hits, now);
-        self.trace(Phase::Ack, url, Some(client), now);
-        if self.tracer.is_enabled() && !self.core.consistency().has_pending(url) {
+    /// One invalidation acknowledgement from `site` — an `InvalAck`, or an
+    /// entry of an `InvalidateBatchAck` — into the core; spans and the
+    /// write-completion summary here. One for a copy that `site` does not
+    /// hold counts nothing.
+    fn apply_inval_ack(&mut self, site: u32, e: BatchAckEntry, now: SimTime) {
+        let Ok(completed) = self.core.ack(site, e.url, e.client, e.cache_hits, now) else {
+            return;
+        };
+        self.trace(Phase::Ack, e.url, Some(e.client), now);
+        if self.tracer.is_enabled() && !self.core.consistency().has_pending(e.url) {
             // Every live site acked: the write is complete.
-            self.trace(Phase::Quorum, url, None, now);
+            self.trace(Phase::Quorum, e.url, None, now);
         }
         if let Some(took) = completed {
             self.write_completion.observe(took);
@@ -319,8 +324,11 @@ impl Node<Message> for OriginNode {
                 // One parse per wire message; per-copy protocol work per
                 // entry, exactly as if each ack had arrived on its own.
                 ctx.consume(self.costs.ack_cpu);
+                let Some(site) = self.proxies.iter().position(|&p| p == from) else {
+                    return;
+                };
                 for e in ack.acked() {
-                    self.apply_inval_ack(e.url, e.client, e.cache_hits, ctx.now());
+                    self.apply_inval_ack(site as u32, e, ctx.now());
                 }
             }
             Message::Http(HttpMsg::InvalidateServerAck { server }) => {

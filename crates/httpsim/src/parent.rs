@@ -158,7 +158,7 @@ impl ParentNode {
         // propagates to the origin on the parent's next upstream contact.
         self.core
             .absorb_report(get.url, self.identity, get.cache_hits);
-        let waiter = || (child, get.clone());
+        let waiter = || (child, get);
         match self
             .core
             .begin(self.identity, get.url, get.issued_at, waiter)
@@ -224,10 +224,13 @@ impl Node<Message> for ParentNode {
                 // Fold the child's dying-copy report into the parent's own
                 // counter so it reaches the origin eventually — only with
                 // an ack this tier is waiting for, as the daemon's does.
-                if self.down.consistency().has_pending(url) {
+                let Some(site) = self.children.iter().position(|&c| c == from) else {
+                    return;
+                };
+                let pending = self.down.consistency().has_pending(url);
+                if self.down.ack(site as u32, url, client, ctx.now()).is_ok() && pending {
                     self.core.absorb_report(url, self.identity, cache_hits);
                 }
-                self.down.ack(url, client, ctx.now());
             }
             Message::Http(HttpMsg::InvalidateServerAck { .. }) => {
                 // A child acking the relayed bulk invalidation.

@@ -10,9 +10,10 @@
 //!   deadline fires after any wake, busy or idle);
 //! * a slab of non-blocking connections keyed by generation tokens, each
 //!   with a receive buffer socket reads land in directly (frames decode
-//!   from it in place via `wcc_proto::zero::decode_frame` — the zero-copy
-//!   path — and a read that comes back short ends the round: no extra
-//!   `recv` to hear `EAGAIN`) and a send buffer that absorbs partial
+//!   from it in place via `wcc_proto::zero::decode_frame`: a reply's body
+//!   stays borrowed, every other frame is the owned `HttpMsg` the role
+//!   takes by value — and a read that comes back short ends the round: no
+//!   extra `recv` to hear `EAGAIN`) and a send buffer that absorbs partial
 //!   writes and that frames are encoded straight into
 //!   (`wcc_proto::encode_into`: no `Vec` per frame). Write interest is
 //!   armed only while output is queued, so an idle keep-alive connection
@@ -169,9 +170,9 @@ pub(crate) trait Role: Sized + Send + 'static {
 
     /// The tag of a freshly accepted (or dialled) connection.
     fn tag(&self, via: Via) -> Self::Tag;
-    /// Handles one decoded frame. Replies go through `cx`; the borrowed
-    /// message is consumed from the receive buffer on return.
-    fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After;
+    /// Handles one decoded frame. Replies go through `cx`; the frame is
+    /// consumed from the receive buffer on return.
+    fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: HttpMsgRef<'_>) -> After;
     /// The node's Prometheus text exposition, `reactor` included.
     fn render_metrics(&self, reactor: &ReactorCounters) -> String;
     /// `n` connections were dropped by the runtime: accept/registration
@@ -796,8 +797,8 @@ impl<R: Role> Runtime<R> {
                 Err(_) => After::Close,
                 // A scrape is answered last on its connection, so it waits
                 // for every reply ahead of it; `redeem` resumes here.
-                Ok(Some((HttpMsgRef::MetricsGet, _))) if owed => break,
-                Ok(Some((HttpMsgRef::MetricsGet, used))) => {
+                Ok(Some((HttpMsgRef::Owned(HttpMsg::MetricsGet), _))) if owed => break,
+                Ok(Some((HttpMsgRef::Owned(HttpMsg::MetricsGet), used))) => {
                     conn.rbuf.consume(used);
                     let exposition = self.role.render_metrics(&self.conns.counters);
                     let response = crate::scrape::metrics_response(&exposition);
@@ -819,7 +820,7 @@ impl<R: Role> Runtime<R> {
                         parked: &mut conn.parked,
                         deferred: &mut self.deferred,
                     };
-                    let after = self.role.on_frame(&mut cx, &msg);
+                    let after = self.role.on_frame(&mut cx, msg);
                     conn.rbuf.consume(used);
                     after
                 }
@@ -954,9 +955,9 @@ mod tests {
 
         fn tag(&self, _via: Via) {}
 
-        fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
+        fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: HttpMsgRef<'_>) -> After {
             match msg {
-                HttpMsgRef::Get(get) => {
+                HttpMsgRef::Owned(HttpMsg::Get(get)) => {
                     self.shared
                         .seen
                         .lock()
@@ -970,7 +971,7 @@ mod tests {
                         panic!("echo role told to die");
                     }
                     if get.client == DEFER {
-                        self.held.push((cx.defer(), (*get).clone()));
+                        self.held.push((cx.defer(), get));
                         return After::Keep;
                     }
                     let named = |(_, held): &(Ticket, GetRequest)| {
@@ -986,10 +987,10 @@ mod tests {
                         let push = HttpMsg::InvalidateServer { server };
                         cx.out.push(Out::Push(cx.token, push));
                     }
-                    cx.reply(echo(get));
+                    cx.reply(echo(&get));
                     After::Keep
                 }
-                HttpMsgRef::Hello { .. } => {
+                HttpMsgRef::Owned(HttpMsg::Hello { .. }) => {
                     self.push = Some((cx.token, cx.now()));
                     After::Keep
                 }
@@ -1355,7 +1356,10 @@ mod tests {
         a.send(&get(1, PUSH, 0));
         assert_eq!(a.reply().0, 1);
         let pushed = a.r.next_msg();
-        assert!(matches!(pushed, Ok(HttpMsgRef::InvalidateServer { .. })));
+        assert!(matches!(
+            pushed,
+            Ok(HttpMsgRef::Owned(HttpMsg::InvalidateServer { .. }))
+        ));
         assert_eq!(send_calls(&h) - before, 1);
     }
 
@@ -1381,7 +1385,10 @@ mod tests {
             partition: 0,
             partitions: 1,
         }));
-        let pushed = matches!(a.r.next_msg(), Ok(HttpMsgRef::InvalidateServer { .. }));
+        let pushed = matches!(
+            a.r.next_msg(),
+            Ok(HttpMsgRef::Owned(HttpMsg::InvalidateServer { .. }))
+        );
         stop.store(true, Ordering::SeqCst);
         hammer.join().expect("hammer");
         assert!(pushed, "deadline did not fire under load");

@@ -319,13 +319,16 @@ impl Role for OriginRole {
         r.render()
     }
 
-    fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
+    fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: HttpMsgRef<'_>) -> After {
         let now = cx.now();
         let (core, links) = (&mut self.core, &mut self.links);
         let server = core.server();
+        let HttpMsgRef::Owned(msg) = msg else {
+            return After::Close; // a reply flows origin -> proxy only
+        };
         match msg {
-            HttpMsgRef::Get(get) => {
-                let Some((reply, _)) = core.serve(get, now) else {
+            HttpMsg::Get(get) => {
+                let Some((reply, _)) = core.serve(&get, now) else {
                     return After::Close; // not a document of this origin
                 };
                 // Recorded before the reply ships: once the requester's
@@ -334,27 +337,27 @@ impl Role for OriginRole {
                 self.serve_latency.record(took.as_micros());
                 cx.reply(HttpMsg::Reply(reply));
             }
-            HttpMsgRef::Notify { url, at } => {
-                if core.touch(*url, *at, now).is_none() {
+            HttpMsg::Notify { url, at } => {
+                if core.touch(url, at, now).is_none() {
                     return After::Close; // not a document of this origin
                 }
-                core.modify(*url, *at, now, &mut links.asked);
+                core.modify(url, at, now, &mut links.asked);
             }
-            HttpMsgRef::InvalAck {
-                url,
-                client,
-                cache_hits,
-            } => {
-                core.ack(*url, *client, *cache_hits, now);
-            }
-            HttpMsgRef::InvalidateBatchAck(ack) if ack.server == server => {
-                // A whole proposer round acknowledged: entry by entry,
-                // exactly as per-copy `InvalAck`s would be.
-                for e in ack.entries() {
-                    core.ack(e.url, e.client, e.cache_hits, now);
+            HttpMsg::InvalidateBatchAck { server: s, .. } if s != server => return After::Close,
+            // An ack counts only on a partition's channel, for that
+            // partition's copies — a whole proposer round entry by entry,
+            // exactly as per-copy `InvalAck`s would be. Any other closes.
+            ack @ (HttpMsg::InvalAck { .. } | HttpMsg::InvalidateBatchAck { .. }) => {
+                let Some(site) = *cx.tag else {
+                    return After::Close;
+                };
+                for e in ack.acked() {
+                    if core.ack(site, e.url, e.client, e.cache_hits, now).is_err() {
+                        return After::Close;
+                    }
                 }
             }
-            HttpMsgRef::InvalidateServerAck { server: s } if *s == server => {
+            HttpMsg::InvalidateServerAck { server: s } if s == server => {
                 if let Some(partition) = *cx.tag {
                     core.bulk_ack(partition);
                 }
@@ -364,24 +367,24 @@ impl Role for OriginRole {
             // the partition still owes an ack for is pushed again now that
             // there is a channel to push it on. A `HELLO` naming another
             // partition count than the first one closes.
-            HttpMsgRef::Hello {
+            HttpMsg::Hello {
                 partition,
                 partitions,
             } => {
-                if !core.on_site_hello(*partition, *partitions, now, &mut links.asked) {
+                if !core.on_site_hello(partition, partitions, now, &mut links.asked) {
                     return After::Close;
                 }
-                links.channels.insert(*partition, cx.token);
-                *cx.tag = Some(*partition);
+                links.channels.insert(partition, cx.token);
+                *cx.tag = Some(partition);
             }
-            HttpMsgRef::Reply(_)
-            | HttpMsgRef::Invalidate { .. }
-            | HttpMsgRef::InvalidateBatch(_)
-            | HttpMsgRef::InvalidateServer { .. } => {
-                return After::Close; // protocol violation: these flow origin -> proxy only
-            }
-            // Guard fallthrough: an ack for a server we do not own.
-            _ => return After::Close,
+            // These flow origin -> proxy only; a bulk ack for a server we
+            // do not own falls through to here.
+            HttpMsg::Reply(_)
+            | HttpMsg::Invalidate { .. }
+            | HttpMsg::InvalidateBatch { .. }
+            | HttpMsg::InvalidateServer { .. }
+            | HttpMsg::InvalidateServerAck { .. }
+            | HttpMsg::MetricsGet => return After::Close,
         }
         let sizes = &mut self.batch_sizes;
         links.emit(now, cx.out, |n| sizes.record(n));

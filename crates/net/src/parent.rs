@@ -175,6 +175,7 @@ impl NetParent {
 }
 
 /// What a parent-side connection is.
+#[derive(Clone, Copy)]
 enum KTag {
     /// A child's: a plain request connection until its `HELLO` also makes
     /// it the push channel of that partition.
@@ -260,41 +261,41 @@ impl Role for ParentRole {
         r.render()
     }
 
-    fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
+    fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: HttpMsgRef<'_>) -> After {
         let now = cx.now();
         let links = &mut self.links;
-        let after = match *cx.tag {
-            KTag::Upstream => match msg {
-                HttpMsgRef::Reply(reply) => {
-                    if let Some((outcome, ticket, get)) = self.up.landed(reply, now, cx.out) {
-                        let (answer, _) = self.down.grant(&get, outcome.meta, now);
-                        cx.out
-                            .push(Out::Redeem(ticket, Some(HttpMsg::Reply(answer))));
-                    }
-                    After::Keep
+        let after = match (*cx.tag, msg) {
+            (KTag::Upstream, HttpMsgRef::Reply(reply)) => {
+                if let Some((outcome, ticket, get)) = self.up.landed(reply, now, cx.out) {
+                    let (answer, _) = self.down.grant(&get, outcome.meta, now);
+                    cx.out
+                        .push(Out::Redeem(ticket, Some(HttpMsg::Reply(answer))));
                 }
-                // A push: applied, acknowledged at once and relayed. Children
-                // ack per document (`InvalAck`), so a coalesced round fans
-                // out downstream as ordinary `INVALIDATE`s.
-                _ => {
-                    let Some(ack) = self.up.core.on_push(msg.to_owned(), Some(IDENTITY)) else {
-                        return After::Close;
-                    };
-                    let asked = &mut links.asked;
-                    self.down.relay(&ack, self.latest_trace, now, asked);
-                    cx.reply(ack);
-                    After::Keep
-                }
-            },
-            KTag::Child(site) => match msg {
-                HttpMsgRef::Get(get) if get.url.server() == self.down.server() => {
+                After::Keep
+            }
+            // A push: applied, acknowledged at once and relayed. Children
+            // ack per document (`InvalAck`), so a coalesced round fans
+            // out downstream as ordinary `INVALIDATE`s.
+            (KTag::Upstream, HttpMsgRef::Owned(push)) => {
+                let Some(ack) = self.up.core.on_push(push, Some(IDENTITY)) else {
+                    return After::Close;
+                };
+                let asked = &mut links.asked;
+                self.down.relay(&ack, self.latest_trace, now, asked);
+                cx.reply(ack);
+                After::Keep
+            }
+            // A reply flows down to the children only.
+            (KTag::Child(_), HttpMsgRef::Reply(_)) => After::Close,
+            (KTag::Child(site), HttpMsgRef::Owned(msg)) => match msg {
+                HttpMsg::Get(get) if get.url.server() == self.down.server() => {
                     self.local.child_requests += 1;
                     self.latest_trace = self.latest_trace.max(get.issued_at);
                     // The child cache's hit report joins this tier's, so it
                     // reaches the origin on the parent's next contact.
                     let core = &mut self.up.core;
                     core.absorb_report(get.url, IDENTITY, get.cache_hits);
-                    let waiting = || Waiting::new(Waiter::Client(cx.defer(), (*get).clone()), now);
+                    let waiting = || Waiting::new(Waiter::Client(cx.defer(), get), now);
                     match core.begin(IDENTITY, get.url, get.issued_at, waiting) {
                         Begin::Serve(meta) => {
                             self.local.parent_hits += 1;
@@ -302,7 +303,7 @@ impl Role for ParentRole {
                             // Registers the child and grants it a lease. The
                             // serve is recorded before the reply ships: once
                             // the child's fetch returns, a scrape sees it.
-                            let (answer, _) = self.down.grant(get, meta, now);
+                            let (answer, _) = self.down.grant(&get, meta, now);
                             let took = cx.now().saturating_since(now);
                             self.up.latency.record(took.as_micros());
                             cx.reply(HttpMsg::Reply(answer));
@@ -317,45 +318,54 @@ impl Role for ParentRole {
                 // is pushed again: a relay while its channel was down went
                 // nowhere, and the copies are still served. A `HELLO` naming
                 // another partition count than the first one closes.
-                HttpMsgRef::Hello {
+                HttpMsg::Hello {
                     partition,
                     partitions,
                 } => {
                     let down = &mut self.down;
-                    if !down.on_site_hello(*partition, *partitions, now, &mut links.asked) {
+                    if !down.on_site_hello(partition, partitions, now, &mut links.asked) {
                         return After::Close;
                     }
-                    links.channels.insert(*partition, cx.token);
-                    *cx.tag = KTag::Child(Some(*partition));
+                    links.channels.insert(partition, cx.token);
+                    *cx.tag = KTag::Child(Some(partition));
                     After::Keep
                 }
-                HttpMsgRef::InvalAck {
+                // An ack counts only on a registered channel, for a copy of
+                // that partition's; any other closes the connection. A
+                // report is taken only with an ack we are waiting for, so a
+                // child cannot make this tier buffer reports for documents
+                // nobody invalidated.
+                HttpMsg::InvalAck {
                     url,
                     client,
                     cache_hits,
                 } => {
-                    // A report is taken only with an ack we are waiting
-                    // for, so a child cannot make this tier buffer reports
-                    // for documents nobody invalidated.
-                    if self.down.consistency().has_pending(*url) {
-                        self.up.core.absorb_report(*url, IDENTITY, *cache_hits);
+                    let pending = self.down.consistency().has_pending(url);
+                    let acked = site.map(|site| self.down.ack(site, url, client, now));
+                    let Some(Ok(_)) = acked else {
+                        return After::Close;
+                    };
+                    if pending {
+                        self.up.core.absorb_report(url, IDENTITY, cache_hits);
                     }
-                    self.down.ack(*url, *client, now);
                     After::Keep
                 }
                 // A child acking a relayed bulk invalidation.
-                HttpMsgRef::InvalidateServerAck { .. } => {
+                HttpMsg::InvalidateServerAck { .. } => {
                     if let Some(site) = site {
                         self.down.bulk_ack(site);
                     }
                     After::Keep
                 }
-                HttpMsgRef::Reply(_)
-                | HttpMsgRef::Invalidate { .. }
-                | HttpMsgRef::InvalidateServer { .. }
-                | HttpMsgRef::Notify { .. } => After::Close,
-                // Guard fallthrough: a Get for a foreign server.
-                _ => After::Close,
+                // A `GET` for a foreign server falls through to here.
+                HttpMsg::Get(_)
+                | HttpMsg::Reply(_)
+                | HttpMsg::Invalidate { .. }
+                | HttpMsg::InvalidateBatch { .. }
+                | HttpMsg::InvalidateBatchAck { .. }
+                | HttpMsg::InvalidateServer { .. }
+                | HttpMsg::MetricsGet
+                | HttpMsg::Notify { .. } => After::Close,
             },
         };
         links.emit(now, cx.out, |_| ());

@@ -347,13 +347,12 @@ impl Role for ProxyRole {
         self.up.redialled(up, out);
     }
 
-    fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: &HttpMsgRef<'_>) -> After {
+    fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: HttpMsgRef<'_>) -> After {
         match cx.tag {
             PKind::Client => match msg {
-                HttpMsgRef::Get(get) => {
+                HttpMsgRef::Owned(HttpMsg::Get(get)) => {
                     let begun = cx.now();
-                    let waiting =
-                        || Waiting::new(Waiter::Client(cx.defer(), (*get).clone()), begun);
+                    let waiting = || Waiting::new(Waiter::Client(cx.defer(), get), begun);
                     match self
                         .up
                         .core
@@ -363,7 +362,7 @@ impl Role for ProxyRole {
                             self.local.reactor_hits += 1;
                             let took = cx.now().saturating_since(begun);
                             self.up.latency.record(took.as_micros());
-                            cx.reply(client_reply(get, meta));
+                            cx.reply(client_reply(&get, meta));
                         }
                         Begin::Forward(forward) => {
                             cx.out.push(Out::Push(UPSTREAM, HttpMsg::Get(forward)))
@@ -371,16 +370,19 @@ impl Role for ProxyRole {
                     }
                     After::Keep
                 }
-                HttpMsgRef::MetricsGet
-                | HttpMsgRef::Reply(_)
-                | HttpMsgRef::Invalidate { .. }
-                | HttpMsgRef::InvalidateBatch(_)
-                | HttpMsgRef::InvalidateBatchAck(_)
-                | HttpMsgRef::InvalidateServer { .. }
-                | HttpMsgRef::InvalidateServerAck { .. }
-                | HttpMsgRef::InvalAck { .. }
-                | HttpMsgRef::Hello { .. }
-                | HttpMsgRef::Notify { .. } => After::Close,
+                HttpMsgRef::Reply(_)
+                | HttpMsgRef::Owned(
+                    HttpMsg::MetricsGet
+                    | HttpMsg::Reply(_)
+                    | HttpMsg::Invalidate { .. }
+                    | HttpMsg::InvalidateBatch { .. }
+                    | HttpMsg::InvalidateBatchAck { .. }
+                    | HttpMsg::InvalidateServer { .. }
+                    | HttpMsg::InvalidateServerAck { .. }
+                    | HttpMsg::InvalAck { .. }
+                    | HttpMsg::Hello { .. }
+                    | HttpMsg::Notify { .. },
+                ) => After::Close,
             },
             PKind::Upstream => match msg {
                 HttpMsgRef::Reply(reply) => {
@@ -391,7 +393,7 @@ impl Role for ProxyRole {
                     After::Keep
                 }
                 // A push: applied and acknowledged at once.
-                _ => match self.up.core.on_push(msg.to_owned(), None) {
+                HttpMsgRef::Owned(push) => match self.up.core.on_push(push, None) {
                     Some(ack) => {
                         cx.reply(ack);
                         After::Keep

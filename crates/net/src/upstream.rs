@@ -14,7 +14,7 @@
 use std::io;
 use std::sync::mpsc::Sender;
 use wcc_cache::{CacheStore, ReplacementPolicy};
-use wcc_core::{Complete, FetchOutcome, ProtocolConfig, ProxyCore, ProxyPolicy, UpstreamReply};
+use wcc_core::{Complete, FetchOutcome, ProtocolConfig, ProxyCore, ProxyPolicy};
 use wcc_obs::{Histogram, Registry};
 use wcc_proto::{GetRequest, HttpMsg, ReplyRef, RequestId};
 use wcc_types::{ByteSize, SimDuration, SimTime};
@@ -79,11 +79,11 @@ impl Upstream {
     /// fetched again is re-forwarded, one nobody waits for is dropped.
     pub fn landed(
         &mut self,
-        reply: &ReplyRef<'_>,
+        reply: ReplyRef<'_>,
         now: SimTime,
         out: &mut Outbox,
     ) -> Option<(FetchOutcome, Ticket, GetRequest)> {
-        match self.core.complete(reply.req, &UpstreamReply::from(reply))? {
+        match self.core.complete(reply.req, &reply.into())? {
             Complete::Forward(get) => {
                 out.push(Out::Push(UPSTREAM, HttpMsg::Get(get)));
                 None
@@ -141,7 +141,7 @@ impl Upstream {
         for (sent, waiting) in self.core.flights_mut() {
             if up && !waiting.resent {
                 waiting.resent = true;
-                out.push(Out::Push(UPSTREAM, HttpMsg::Get(sent.clone())));
+                out.push(Out::Push(UPSTREAM, HttpMsg::Get(*sent)));
             } else {
                 lost.push(sent.req);
             }

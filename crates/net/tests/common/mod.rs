@@ -54,7 +54,7 @@ impl Wire {
     /// The next frame, which must be a `GET`.
     pub fn recv_get(&mut self) -> GetRequest {
         match self.next() {
-            HttpMsgRef::Get(get) => get.clone(),
+            HttpMsgRef::Owned(HttpMsg::Get(get)) => get,
             other => panic!("expected a GET, got {other:?}"),
         }
     }
@@ -163,7 +163,10 @@ impl ScriptedUpstream {
     /// consumed here.
     pub fn accept_node(&self) -> Wire {
         let mut node = self.accept();
-        assert!(matches!(node.next(), HttpMsgRef::Hello { .. }));
+        assert!(matches!(
+            node.next(),
+            HttpMsgRef::Owned(HttpMsg::Hello { .. })
+        ));
         node
     }
 }

@@ -188,7 +188,10 @@ fn parent_repeats_an_upstream_fetch_overtaken_by_an_invalidation() {
         url: url(3),
         client: old.client,
     });
-    assert!(matches!(origin.next(), HttpMsgRef::InvalAck { .. }));
+    assert!(matches!(
+        origin.next(),
+        HttpMsgRef::Owned(HttpMsg::InvalAck { .. })
+    ));
     origin.reply_200(&old, SimTime::from_secs(5));
     let again = origin.recv_get();
     assert_ne!(again.req, old.req);
@@ -244,7 +247,7 @@ fn child_hit_reports_reach_the_origin_across_an_invalidation() {
             client,
         });
         match origin.next() {
-            HttpMsgRef::InvalAck { cache_hits, .. } => *metered += cache_hits,
+            HttpMsgRef::Owned(HttpMsg::InvalAck { cache_hits, .. }) => *metered += cache_hits,
             other => panic!("expected an ack, got {other:?}"),
         }
     };
@@ -325,7 +328,9 @@ fn a_relay_during_a_child_channel_outage_is_resent_on_reregistration() {
     let mut channel = Wire::connect(parent.addr());
     channel.send(&hello);
     match channel.next() {
-        HttpMsgRef::Invalidate { url: u, client } => assert_eq!((u, client), (url(5), carol)),
+        HttpMsgRef::Owned(HttpMsg::Invalidate { url: u, client }) => {
+            assert_eq!((u, client), (url(5), carol))
+        }
         other => panic!("expected the missed INVALIDATE, got {other:?}"),
     }
     channel.send(&HttpMsg::InvalAck {
@@ -372,11 +377,16 @@ fn an_unacknowledged_relay_is_sent_again_after_one_retry_period() {
         url: url(5),
         client: asked.client,
     });
-    assert!(matches!(origin.next(), HttpMsgRef::InvalAck { .. }));
+    assert!(matches!(
+        origin.next(),
+        HttpMsgRef::Owned(HttpMsg::InvalAck { .. })
+    ));
     let sent = std::time::Instant::now();
     for attempt in 0..2 {
         match channel.next() {
-            HttpMsgRef::Invalidate { url: u, client } => assert_eq!((u, client), (url(5), carol)),
+            HttpMsgRef::Owned(HttpMsg::Invalidate { url: u, client }) => {
+                assert_eq!((u, client), (url(5), carol))
+            }
             other => panic!("attempt {attempt}: expected the relay, got {other:?}"),
         }
     }
@@ -425,7 +435,10 @@ fn a_bulk_relay_during_a_child_channel_outage_is_resent_until_acknowledged() {
     drop(channel);
     origin.send(&HttpMsg::InvalidateServer { server });
     let acked = origin.next();
-    assert!(matches!(acked, HttpMsgRef::InvalidateServerAck { .. }));
+    assert!(matches!(
+        acked,
+        HttpMsgRef::Owned(HttpMsg::InvalidateServerAck { .. })
+    ));
     assert_eq!(parent.counters().bulk_invalidations_received, 1);
 
     // Registering again brings it, and silence brings it again.
@@ -433,7 +446,7 @@ fn a_bulk_relay_during_a_child_channel_outage_is_resent_until_acknowledged() {
     channel.send(&hello);
     for attempt in 0..2 {
         let bulk = channel.next();
-        let expected = matches!(bulk, HttpMsgRef::InvalidateServer { server: s } if s == server);
+        let expected = matches!(bulk, HttpMsgRef::Owned(HttpMsg::InvalidateServer { server: s }) if s == server);
         assert!(
             expected,
             "attempt {attempt}: expected the bulk, got {bulk:?}"
@@ -482,11 +495,16 @@ fn a_relay_missed_behind_a_timed_out_flight_is_pushed_on_the_next_hello() {
         url: url(5),
         client: asked.client,
     });
-    assert!(matches!(origin.next(), HttpMsgRef::InvalAck { .. }));
+    assert!(matches!(
+        origin.next(),
+        HttpMsgRef::Owned(HttpMsg::InvalAck { .. })
+    ));
     let mut child = Wire::connect(parent.addr());
     child.send(&hello);
     match child.next() {
-        HttpMsgRef::Invalidate { url: u, client } => assert_eq!((u, client), (url(5), carol)),
+        HttpMsgRef::Owned(HttpMsg::Invalidate { url: u, client }) => {
+            assert_eq!((u, client), (url(5), carol))
+        }
         other => panic!("expected the missed INVALIDATE, got {other:?}"),
     }
 }

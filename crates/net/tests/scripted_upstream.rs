@@ -57,7 +57,10 @@ fn a_node_dials_its_upstream_once() {
         url: url(1),
         client: C,
     });
-    assert!(matches!(up.next(), HttpMsgRef::InvalAck { .. }));
+    assert!(matches!(
+        up.next(),
+        HttpMsgRef::Owned(HttpMsg::InvalAck { .. })
+    ));
     upstream.assert_no_dial();
     let c = proxy.counters();
     assert_eq!((c.invalidations_received, c.upstream_redials), (1, 0));
@@ -78,7 +81,9 @@ fn a_reply_written_before_a_push_is_served_then_dropped() {
         client: C,
     });
     assert_eq!(browser.recv_200(), (1, t(5)));
-    assert!(matches!(up.next(), HttpMsgRef::InvalAck { url: u, .. } if u == url(3)));
+    assert!(
+        matches!(up.next(), HttpMsgRef::Owned(HttpMsg::InvalAck { url: u, .. }) if u == url(3))
+    );
     assert_eq!(proxy.counters().inval_races, 0);
     browser.send(&get(2, 3, C, t(2)));
     let again = up.recv_get();
@@ -166,10 +171,16 @@ fn an_invalidation_is_acked_at_once_and_the_fetch_it_overtook_is_repeated() {
         // in flight, not after it.
         up.send(push);
         match (push, up.next()) {
-            (HttpMsg::Invalidate { .. }, HttpMsgRef::InvalAck { url: acked, .. }) => {
+            (
+                HttpMsg::Invalidate { .. },
+                HttpMsgRef::Owned(HttpMsg::InvalAck { url: acked, .. }),
+            ) => {
                 assert_eq!(acked, url(3));
             }
-            (HttpMsg::InvalidateServer { .. }, HttpMsgRef::InvalidateServerAck { .. }) => {}
+            (
+                HttpMsg::InvalidateServer { .. },
+                HttpMsgRef::Owned(HttpMsg::InvalidateServerAck { .. }),
+            ) => {}
             (_, other) => panic!("expected the ack, got {other:?}"),
         }
         // The reply from before the write lands: it is not delivered ...
@@ -184,7 +195,10 @@ fn an_invalidation_is_acked_at_once_and_the_fetch_it_overtook_is_repeated() {
         assert_eq!(proxy.counters().inval_races, req);
         // The next write drops this copy, so the next round misses again.
         up.send(&pushes[0]);
-        assert!(matches!(up.next(), HttpMsgRef::InvalAck { .. }));
+        assert!(matches!(
+            up.next(),
+            HttpMsgRef::Owned(HttpMsg::InvalAck { .. })
+        ));
     }
     assert_eq!(gauge(&proxy, "wcc_inval_races_total"), "2");
 }

@@ -5,10 +5,11 @@
 //! rebuilt and no stale copy survives. The second drives the proxy's
 //! client port with two pipelined `GET`s deliberately split across many
 //! tiny writes, checking the reactor reassembles frames across reads. The
-//! last two play a proxy over raw sockets whose `HELLO` push channel is
+//! next two play a proxy over raw sockets whose `HELLO` push channel is
 //! down when a write lands: the invalidation must reach it once it
 //! registers again (the missed invalidation), and until then the origin's
-//! retries go nowhere without harm.
+//! retries go nowhere without harm. The last has peers that do not hold a
+//! copy ack for it: the ack is refused and the copy stays pending.
 
 mod common;
 
@@ -191,7 +192,7 @@ fn write_lands_during_a_channel_outage(ticks: u64) -> NetOrigin {
 /// Reads the `INVALIDATE` for client 7's copy of document 1 and acks it.
 fn take_and_ack_the_invalidation(channel: &mut common::Wire) {
     let (doc, client) = match channel.next() {
-        HttpMsgRef::Invalidate { url, client } => (url, client),
+        HttpMsgRef::Owned(HttpMsg::Invalidate { url, client }) => (url, client),
         other => panic!("expected the missed INVALIDATE, got {other:?}"),
     };
     assert_eq!((doc, client), (url(1), ClientId::from_raw(7)));
@@ -242,5 +243,55 @@ fn retries_into_a_dead_push_channel_are_dropped_and_stay_pending() {
     // The entry waited: the proxy's next registration collects it.
     let mut channel = hello(&origin);
     take_and_ack_the_invalidation(&mut channel);
+    assert!(origin.wait_writes_complete(Duration::from_secs(5)));
+}
+
+/// Only the partition holding a copy answers for it. Client 7 is
+/// partition 1's: an `InvalAck` for its copy on a connection without a
+/// `HELLO`, or on partition 0's channel, is refused and that connection
+/// closed, so the write stays incomplete and is pushed to partition 1
+/// again on the retry period.
+#[test]
+fn an_ack_from_a_peer_that_does_not_hold_the_copy_is_refused() {
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let origin = NetOrigin::spawn(origin_config(&cfg)).expect("origin spawn");
+    let register = |partition| {
+        let mut channel = common::Wire::connect(origin.addr());
+        channel.send(&HttpMsg::Hello {
+            partition,
+            partitions: 2,
+        });
+        channel
+    };
+    let mut holder = register(1);
+    let mut requests = common::Wire::connect(origin.addr());
+    let carol = ClientId::from_raw(7);
+    requests.send(&common::get(1, 1, carol, SimTime::from_secs(1)));
+    requests.recv_200();
+    check_in(origin.addr(), url(1), SimTime::from_secs(50)).unwrap();
+    let pushed = HttpMsg::Invalidate {
+        url: url(1),
+        client: carol,
+    };
+    assert_eq!(holder.next().to_owned(), pushed);
+
+    // The holder never acks; two peers that hold nothing do.
+    let forged = HttpMsg::InvalAck {
+        url: url(1),
+        client: carol,
+        cache_hits: 0,
+    };
+    for mut peer in [requests, register(0)] {
+        peer.send(&forged);
+        assert!(
+            !origin.wait_writes_complete(RETRY / 5),
+            "an ack from a peer without the copy completed the write"
+        );
+        peer.assert_closed();
+    }
+    assert_eq!(origin.snapshot().acks, 0);
+
+    // The copy is still pending: the retry reaches its holder.
+    take_and_ack_the_invalidation(&mut holder);
     assert!(origin.wait_writes_complete(Duration::from_secs(5)));
 }

@@ -19,7 +19,10 @@
 //! [`wire`] provides a text encoding of the same messages for the real TCP
 //! prototype in `wcc-net`, and [`zero`] its one decoder: [`decode_ref`] for
 //! a buffer holding a whole frame, [`decode_frame`] for one still filling,
-//! and [`FrameReader`] for a blocking stream.
+//! and [`FrameReader`] for a blocking stream. Each hands out an
+//! [`HttpMsgRef`]: a reply whose `200` body is still borrowed from the
+//! buffer, or any other frame as the owned [`HttpMsg`] — the vocabulary is
+//! declared once, in [`msg`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -34,6 +37,6 @@ pub use msg::{
 };
 pub use wire::{encode, encode_into, WireError};
 pub use zero::{
-    codec_sweep, decode_frame, decode_ref, CodecStats, FrameReader, HttpMsgRef,
-    InvalidateBatchAckRef, InvalidateBatchRef, ReplyRef, ReplyStatusRef,
+    codec_sweep, decode_frame, decode_ref, CodecStats, FrameReader, HttpMsgRef, ReplyRef,
+    ReplyStatusRef,
 };

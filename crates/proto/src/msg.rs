@@ -50,7 +50,7 @@ impl fmt::Display for RequestId {
 /// `validator`. `client` is the real client on whose behalf the proxy asks —
 /// the paper's proxies forward it so the accelerator can maintain per-client
 /// site lists.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GetRequest {
     /// Correlation id chosen by the issuing proxy.
     pub req: RequestId,
@@ -409,7 +409,7 @@ mod tests {
         };
         let cond = GetRequest {
             ims: Some(SimTime::from_secs(5)),
-            ..plain.clone()
+            ..plain
         };
         assert!(!plain.is_ims());
         assert!(cond.is_ims());

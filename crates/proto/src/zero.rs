@@ -1,10 +1,10 @@
-//! The wire decoder: borrowed messages straight from the receive buffer.
+//! The wire decoder: messages straight from the receive buffer.
 //!
-//! The TCP prototype decodes on every request, so this module decodes a
-//! [`HttpMsgRef`] that *borrows* the body payload (and the piggyback and
-//! batch lists' text) from the receive buffer, deferring the copy to
-//! [`HttpMsgRef::to_owned`] — which callers invoke only at retention
-//! boundaries (storing a body in the cache), not per message.
+//! [`decode_frame`] hands out an [`HttpMsgRef`]: a reply, whose `200` body
+//! stays *borrowed* from the receive buffer until a cache retains it
+//! ([`HttpMsgRef::to_owned`]), or any other frame, decoded whole into the
+//! [`HttpMsg`] the nodes of both tiers dispatch on. A list (`X-Piggyback`,
+//! either `X-Batch`) is parsed once, here.
 //!
 //! The decoder is also *incremental*: [`decode_frame`] works on a partially
 //! filled buffer and reports how many more bytes it needs implicitly by
@@ -24,73 +24,18 @@ use crate::wire::WireError;
 use std::io::Read;
 use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url};
 
-/// A decoded message whose bulk data still lives in the receive buffer.
-///
-/// Variants without bulk data carry their (small, `Copy`) fields directly;
-/// only [`HttpMsgRef::Reply`] borrows from the buffer. Convert to an owned
-/// [`HttpMsg`] with [`HttpMsgRef::to_owned`] at retention boundaries.
+/// A decoded frame: a reply, whose `200` body still lives in the receive
+/// buffer, or any other message, owned.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpMsgRef<'buf> {
-    /// Proxy → origin: plain or conditional `GET` (no bulk data; the owned
-    /// request struct is already all-inline).
-    Get(GetRequest),
     /// Origin → proxy: `200` or `304` reply, body borrowed from the buffer.
     Reply(ReplyRef<'buf>),
-    /// Origin → proxy: single-document invalidation.
-    Invalidate {
-        /// The modified document.
-        url: Url,
-        /// The real client whose copy must be dropped.
-        client: ClientId,
-    },
-    /// Origin → proxy: bulk invalidation after server recovery.
-    InvalidateServer {
-        /// The recovered origin server.
-        server: ServerId,
-    },
-    /// Origin → proxy: one coalesced proposer round, the entry list still
-    /// borrowed (validated) text in the receive buffer.
-    InvalidateBatch(InvalidateBatchRef<'buf>),
-    /// Proxy → origin: acknowledgement of a whole proposer round, the
-    /// entry list still borrowed (validated) text in the receive buffer.
-    InvalidateBatchAck(InvalidateBatchAckRef<'buf>),
-    /// Proxy → origin: ack of a bulk recovery invalidation.
-    InvalidateServerAck {
-        /// The recovered origin server being acknowledged.
-        server: ServerId,
-    },
-    /// Proxy → origin: ack of a single-document invalidation.
-    InvalAck {
-        /// The document whose invalidation is being acknowledged.
-        url: Url,
-        /// The acknowledging client.
-        client: ClientId,
-        /// Unreported cache hits riding the ack.
-        cache_hits: u64,
-    },
-    /// Proxy → origin: invalidation-channel registration.
-    Hello {
-        /// This proxy's partition index.
-        partition: u32,
-        /// Total number of partitions.
-        partitions: u32,
-    },
-    /// Scraper → any node: `GET /metrics`.
-    MetricsGet,
-    /// Modifier → accelerator: document check-in notification.
-    Notify {
-        /// The modified document.
-        url: Url,
-        /// The touch's trace-time timestamp.
-        at: SimTime,
-    },
+    /// Every other frame: it has no body to borrow.
+    Owned(HttpMsg),
 }
 
-/// A borrowed reply: everything inline except the `200` body payload and
-/// the piggyback list, which point into the receive buffer.
-///
-/// The piggyback text is validated during decode, so converting it to
-/// [`Url`]s later cannot fail; it stays private to keep that invariant.
+/// A borrowed reply: everything owned except the `200` body payload, which
+/// points into the receive buffer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReplyRef<'buf> {
     /// Echo of the request's correlation id.
@@ -103,8 +48,8 @@ pub struct ReplyRef<'buf> {
     pub status: ReplyStatusRef<'buf>,
     /// Lease grant, if any.
     pub lease: Option<SimTime>,
-    /// Validated `X-Piggyback` value (comma-separated doc indices).
-    piggyback: Option<&'buf str>,
+    /// Piggybacked invalidations (PSI).
+    pub piggyback: Vec<Url>,
     /// Volume-lease renewal, if any.
     pub volume_lease: Option<SimTime>,
 }
@@ -124,81 +69,9 @@ pub enum ReplyStatusRef<'buf> {
     NotModified,
 }
 
-impl ReplyRef<'_> {
-    /// The piggybacked invalidations, parsed from the borrowed text. Every
-    /// entry parses: the text was validated during decode.
-    pub fn piggyback_urls(&self) -> Vec<Url> {
-        let server = self.url.server();
-        let list = self.piggyback.into_iter().flat_map(|list| list.split(','));
-        list.filter_map(|d| piggyback_entry(server, d)).collect()
-    }
-
-    /// Materialises an owned [`Reply`], copying the body payload.
-    pub fn to_owned(&self) -> Reply {
-        Reply {
-            req: self.req,
-            url: self.url,
-            client: self.client,
-            status: match self.status {
-                ReplyStatusRef::Ok { meta, payload } => {
-                    ReplyStatus::Ok(Body::new(meta, payload.to_vec()))
-                }
-                ReplyStatusRef::NotModified => ReplyStatus::NotModified,
-            },
-            lease: self.lease,
-            piggyback: self.piggyback_urls(),
-            volume_lease: self.volume_lease,
-        }
-    }
-}
-
-/// A borrowed proposer round: the origin's identity inline, the
-/// `doc:client` entry list still pointing into the receive buffer.
-///
-/// The list text is validated during decode, so [`entries`] cannot fail;
-/// it stays private to keep that invariant (the same pattern as
-/// [`ReplyRef`]'s piggyback list).
-///
-/// [`entries`]: InvalidateBatchRef::entries
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvalidateBatchRef<'buf> {
-    /// The origin whose proposer flushed this round.
-    pub server: ServerId,
-    /// Validated `X-Batch` value (comma-separated `doc:client` entries).
-    list: &'buf str,
-}
-
-impl InvalidateBatchRef<'_> {
-    /// The round's entries, parsed from the borrowed text. Every entry
-    /// parses: the text was validated during decode.
-    pub fn entries(&self) -> Vec<BatchEntry> {
-        let entry = |e| batch_entry(self.server, e);
-        self.list.split(',').filter_map(entry).collect()
-    }
-}
-
-/// A borrowed batch acknowledgement: `doc:client:hits` entries still
-/// pointing into the receive buffer, validated during decode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct InvalidateBatchAckRef<'buf> {
-    /// The origin being acknowledged.
-    pub server: ServerId,
-    /// Validated `X-Batch` value (comma-separated `doc:client:hits`).
-    list: &'buf str,
-}
-
-impl InvalidateBatchAckRef<'_> {
-    /// The acknowledged entries, parsed from the borrowed text. Every
-    /// entry parses: the text was validated during decode.
-    pub fn entries(&self) -> Vec<BatchAckEntry> {
-        let entry = |e| batch_ack_entry(self.server, e);
-        self.list.split(',').filter_map(entry).collect()
-    }
-}
-
 impl HttpMsgRef<'_> {
     /// `true` if materialising this message copies bulk data out of the
-    /// buffer (`200` bodies; every other variant is already inline).
+    /// buffer (`200` bodies; every other frame is owned already).
     pub fn needs_copy(&self) -> bool {
         matches!(
             self,
@@ -212,46 +85,24 @@ impl HttpMsgRef<'_> {
     /// Materialises an owned [`HttpMsg`]. The only non-trivial cost is the
     /// `200` body memcpy — call this at retention boundaries only.
     pub fn to_owned(&self) -> HttpMsg {
-        match self {
-            HttpMsgRef::Get(g) => HttpMsg::Get(g.clone()),
-            HttpMsgRef::Reply(r) => HttpMsg::Reply(r.to_owned()),
-            HttpMsgRef::Invalidate { url, client } => HttpMsg::Invalidate {
-                url: *url,
-                client: *client,
+        let r = match self {
+            HttpMsgRef::Reply(r) => r,
+            HttpMsgRef::Owned(msg) => return msg.clone(),
+        };
+        HttpMsg::Reply(Reply {
+            req: r.req,
+            url: r.url,
+            client: r.client,
+            status: match r.status {
+                ReplyStatusRef::Ok { meta, payload } => {
+                    ReplyStatus::Ok(Body::new(meta, payload.to_vec()))
+                }
+                ReplyStatusRef::NotModified => ReplyStatus::NotModified,
             },
-            HttpMsgRef::InvalidateServer { server } => {
-                HttpMsg::InvalidateServer { server: *server }
-            }
-            HttpMsgRef::InvalidateBatch(b) => HttpMsg::InvalidateBatch {
-                server: b.server,
-                entries: b.entries(),
-            },
-            HttpMsgRef::InvalidateBatchAck(a) => HttpMsg::InvalidateBatchAck {
-                server: a.server,
-                entries: a.entries(),
-            },
-            HttpMsgRef::InvalidateServerAck { server } => {
-                HttpMsg::InvalidateServerAck { server: *server }
-            }
-            HttpMsgRef::InvalAck {
-                url,
-                client,
-                cache_hits,
-            } => HttpMsg::InvalAck {
-                url: *url,
-                client: *client,
-                cache_hits: *cache_hits,
-            },
-            HttpMsgRef::Hello {
-                partition,
-                partitions,
-            } => HttpMsg::Hello {
-                partition: *partition,
-                partitions: *partitions,
-            },
-            HttpMsgRef::MetricsGet => HttpMsg::MetricsGet,
-            HttpMsgRef::Notify { url, at } => HttpMsg::Notify { url: *url, at: *at },
-        }
+            lease: r.lease,
+            piggyback: r.piggyback.clone(),
+            volume_lease: r.volume_lease,
+        })
     }
 }
 
@@ -377,9 +228,7 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
     let start = match lines.next_line()? {
         LineRead::NeedMore => return Ok(None),
         LineRead::CleanEof => return Err(WireError::Closed),
-        LineRead::Line("") => {
-            return Err(malformed_str("empty start line"));
-        }
+        LineRead::Line("") => return Err(malformed("empty start line")),
         LineRead::Line(line) => line,
     };
     // Read every header line up front: the whole header block is consumed
@@ -389,147 +238,135 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
     loop {
         match lines.next_line()? {
             LineRead::NeedMore => return Ok(None),
-            LineRead::CleanEof => return Err(malformed_str("eof inside headers")),
+            LineRead::CleanEof => return Err(malformed("eof inside headers")),
             LineRead::Line("") => break,
-            LineRead::Line(line) => headers.record(line).ok_or_else(|| bad_header(line))?,
+            LineRead::Line(line) => headers
+                .record(line)
+                .ok_or_else(|| malformed_at("bad header: ", line))?,
         }
     }
     let body_start = lines.pos;
 
     let mut parts = start.split_whitespace();
-    let verb = parts.next().ok_or_else(missing_verb)?;
-    let msg = match verb {
-        "GET" => {
-            let path = parts.next().ok_or_else(get_without_path)?;
-            if path == "/metrics" {
-                return Ok(Some((HttpMsgRef::MetricsGet, body_start)));
-            }
-            let url = url_from(headers.host, path)?;
-            HttpMsgRef::Get(GetRequest {
+    let mut next = |why| parts.next().ok_or_else(|| malformed(why));
+    let msg = match next("missing verb")? {
+        "GET" => match next("GET without path")? {
+            "/metrics" => HttpMsg::MetricsGet,
+            path => HttpMsg::Get(GetRequest {
+                url: url_from(headers.host, path)?,
                 req: RequestId::new(required(headers.x_request_id, "x-request-id")?),
-                url,
                 client: required_client(headers.x_client)?,
                 ims: headers.if_modified_since.map(parse_micros).transpose()?,
                 issued_at: parse_micros(headers.date.unwrap_or("0"))?,
                 cache_hits: parse_hit_count(headers.x_hit_count)?,
-            })
-        }
+            }),
+        },
         "HTTP/1.0" => {
-            let code = parts.next().ok_or_else(reply_without_code)?;
+            let code = next("reply without code")?;
             let path = headers
                 .content_location
-                .ok_or_else(reply_without_location)?;
+                .ok_or_else(|| malformed("reply without Content-Location"))?;
             let url = url_from(headers.host, path)?;
             let req = RequestId::new(required(headers.x_request_id, "x-request-id")?);
             let client = required_client(headers.x_client)?;
             let lease = headers.x_lease.map(parse_micros).transpose()?;
-            let piggyback = headers
-                .x_piggyback
-                .map(|list| validated(list, |d| piggyback_entry(url.server(), d), bad_piggyback))
-                .transpose()?;
+            let piggyback = headers.x_piggyback.map(|list| {
+                let doc = |d: &str| Some(Url::new(url.server(), d.trim().parse().ok()?));
+                entries(list.split(','), "bad piggyback entry ", doc)
+            });
+            let piggyback = piggyback.transpose()?.unwrap_or_default();
             let volume_lease = headers.x_volume_lease.map(parse_micros).transpose()?;
-            match code {
+            let (status, used) = match code {
                 "200" => {
                     let len = required::<u64>(headers.content_length, "content-length")? as usize;
                     // `body_start` is the cursor position, inside `buf`.
                     let tail = &buf[body_start..]; // xtask-lint: allow(index-panic)
                     let Some(payload) = tail.get(..len) else {
-                        if !eof {
-                            return Ok(None);
-                        }
-                        return Err(short_body());
+                        return if eof { Err(short_body()) } else { Ok(None) };
                     };
-                    let meta = DocMeta::new(
-                        ByteSize::from_bytes(required(headers.x_size, "x-size")?),
-                        parse_micros(headers.last_modified.ok_or_else(missing_last_modified)?)?,
-                    );
-                    return Ok(Some((
-                        HttpMsgRef::Reply(ReplyRef {
-                            req,
-                            url,
-                            client,
-                            status: ReplyStatusRef::Ok { meta, payload },
-                            lease,
-                            piggyback,
-                            volume_lease,
-                        }),
-                        body_start + len,
-                    )));
+                    let size = ByteSize::from_bytes(required(headers.x_size, "x-size")?);
+                    let modified = headers.last_modified;
+                    let modified = modified.ok_or_else(|| malformed("200 without Last-Modified"));
+                    let meta = DocMeta::new(size, parse_micros(modified?)?);
+                    (ReplyStatusRef::Ok { meta, payload }, body_start + len)
                 }
-                "304" => HttpMsgRef::Reply(ReplyRef {
-                    req,
-                    url,
-                    client,
-                    status: ReplyStatusRef::NotModified,
-                    lease,
-                    piggyback,
-                    volume_lease,
-                }),
-                other => return Err(unsupported_status(other)),
-            }
+                "304" => (ReplyStatusRef::NotModified, body_start),
+                other => return Err(malformed_at("unsupported status ", other)),
+            };
+            let reply = ReplyRef {
+                req,
+                url,
+                client,
+                status,
+                lease,
+                piggyback,
+                volume_lease,
+            };
+            return Ok(Some((HttpMsgRef::Reply(reply), used)));
         }
-        "INVALIDATE" => {
-            let target = parts.next().ok_or_else(invalidate_without_target)?;
-            if target == "*" {
+        "INVALIDATE" => match next("INVALIDATE without target")? {
+            "*" => {
                 let server = ServerId::new(required(headers.x_server, "x-server")?);
-                if let Some(list) = headers.x_batch {
-                    HttpMsgRef::InvalidateBatch(InvalidateBatchRef {
+                match headers.x_batch {
+                    Some(list) => HttpMsg::InvalidateBatch {
                         server,
-                        list: validated(list, |e| batch_entry(server, e), bad_batch_entry)?,
-                    })
-                } else {
-                    HttpMsgRef::InvalidateServer { server }
-                }
-            } else {
-                HttpMsgRef::Invalidate {
-                    url: url_from(headers.host, target)?,
-                    client: required_client(headers.x_client)?,
+                        entries: entries(
+                            list.split(',').map(str::trim),
+                            "bad batch entry ",
+                            |e| batch_entry(server, e),
+                        )?,
+                    },
+                    None => HttpMsg::InvalidateServer { server },
                 }
             }
-        }
-        "ACK" => {
-            let path = parts.next().ok_or_else(ack_without_path)?;
-            if path == "*" {
+            target => HttpMsg::Invalidate {
+                url: url_from(headers.host, target)?,
+                client: required_client(headers.x_client)?,
+            },
+        },
+        "ACK" => match next("ACK without path")? {
+            "*" => {
                 let server = ServerId::new(required(headers.x_server, "x-server")?);
-                if let Some(list) = headers.x_batch {
-                    HttpMsgRef::InvalidateBatchAck(InvalidateBatchAckRef {
+                match headers.x_batch {
+                    Some(list) => HttpMsg::InvalidateBatchAck {
                         server,
-                        list: validated(list, |e| batch_ack_entry(server, e), bad_batch_ack_entry)?,
-                    })
-                } else {
-                    HttpMsgRef::InvalidateServerAck { server }
-                }
-            } else {
-                HttpMsgRef::InvalAck {
-                    url: url_from(headers.host, path)?,
-                    client: required_client(headers.x_client)?,
-                    cache_hits: parse_hit_count(headers.x_hit_count)?,
+                        entries: entries(
+                            list.split(',').map(str::trim),
+                            "bad batch ack entry ",
+                            |e| batch_ack_entry(server, e),
+                        )?,
+                    },
+                    None => HttpMsg::InvalidateServerAck { server },
                 }
             }
-        }
+            path => HttpMsg::InvalAck {
+                url: url_from(headers.host, path)?,
+                client: required_client(headers.x_client)?,
+                cache_hits: parse_hit_count(headers.x_hit_count)?,
+            },
+        },
         "HELLO" => {
-            let spec = parts.next().ok_or_else(hello_without_partition)?;
-            let (p, n) = spec.split_once('/').ok_or_else(hello_bad_spec)?;
-            let partition = p.parse().map_err(|_| bad_partition())?;
-            let partitions: u32 = n.parse().map_err(|_| bad_partitions())?;
+            let spec = next("HELLO without partition")?;
+            let (p, n) = spec
+                .split_once('/')
+                .ok_or_else(|| malformed("HELLO spec must be p/n"))?;
+            let partition = p.parse().map_err(|_| malformed("bad partition"))?;
+            let partitions: u32 = n.parse().map_err(|_| malformed("bad partitions"))?;
             if partitions == 0 || partitions > crate::MAX_PARTITIONS || partition >= partitions {
-                return Err(partition_out_of_range());
+                return Err(malformed("partition out of range"));
             }
-            HttpMsgRef::Hello {
+            HttpMsg::Hello {
                 partition,
                 partitions,
             }
         }
-        "NOTIFY" => {
-            let path = parts.next().ok_or_else(notify_without_path)?;
-            HttpMsgRef::Notify {
-                url: url_from(headers.host, path)?,
-                at: parse_micros(headers.date.unwrap_or("0"))?,
-            }
-        }
-        other => return Err(unknown_verb(other)),
+        "NOTIFY" => HttpMsg::Notify {
+            url: url_from(headers.host, next("NOTIFY without path")?)?,
+            at: parse_micros(headers.date.unwrap_or("0"))?,
+        },
+        other => return Err(malformed_at("unknown verb ", other)),
     };
-    Ok(Some((msg, body_start)))
+    Ok(Some((HttpMsgRef::Owned(msg), body_start)))
 }
 
 /// Decodes one message from a buffer known to hold the complete frame
@@ -545,16 +382,12 @@ pub fn decode_ref(buf: &[u8]) -> Result<HttpMsgRef<'_>, WireError> {
 }
 
 fn url_from(host: Option<&str>, path: &str) -> Result<Url, WireError> {
-    let server = parse_host(host.ok_or_else(missing_host)?)?;
-    Url::from_path(server, path).ok_or_else(|| bad_path(path))
-}
-
-fn parse_host(value: &str) -> Result<ServerId, WireError> {
-    let idx = value
+    let host = host.ok_or_else(|| malformed("missing Host header"))?;
+    let server = host
         .strip_prefix("server")
         .and_then(|rest| rest.parse().ok())
-        .ok_or_else(|| bad_host(value))?;
-    Ok(ServerId::new(idx))
+        .ok_or_else(|| malformed_at("bad Host: ", host))?;
+    Url::from_path(ServerId::new(server), path).ok_or_else(|| malformed_at("bad path ", path))
 }
 
 /// The number a header the message cannot do without carries, parsed as
@@ -562,55 +395,46 @@ fn parse_host(value: &str) -> Result<ServerId, WireError> {
 /// never wrapped.
 fn required<T: std::str::FromStr>(value: Option<&str>, name: &str) -> Result<T, WireError> {
     value
-        .ok_or_else(|| missing_header(name))?
+        .ok_or_else(|| malformed_at("missing header ", name))?
         .parse()
-        .map_err(|_| non_numeric_header(name))
+        .map_err(|_| malformed_at("non-numeric header ", name))
 }
 
 fn required_client(value: Option<&str>) -> Result<ClientId, WireError> {
     value
-        .ok_or_else(missing_client)?
+        .ok_or_else(|| malformed("missing X-Client"))?
         .parse()
-        .map_err(|_| bad_client())
+        .map_err(|_| malformed("bad X-Client"))
 }
 
 fn parse_micros(value: &str) -> Result<SimTime, WireError> {
     value
         .parse()
         .map(SimTime::from_micros)
-        .map_err(|_| bad_timestamp(value))
+        .map_err(|_| malformed_at("bad timestamp ", value))
 }
 
 fn parse_hit_count(value: Option<&str>) -> Result<u64, WireError> {
     value
-        .map(|v| v.parse().map_err(|_| bad_hit_count()))
+        .map(|v| v.parse().map_err(|_| malformed("bad X-Hit-Count")))
         .transpose()
         .map(|v| v.unwrap_or(0))
 }
 
-/// Checks that every entry of a comma-separated list parses with `entry`,
-/// so the accessors that parse it again later ([`ReplyRef::piggyback_urls`],
-/// [`InvalidateBatchRef::entries`], [`InvalidateBatchAckRef::entries`])
-/// drop nothing. The first entry that does not parse is the error.
-fn validated<T>(
-    list: &str,
-    entry: impl Fn(&str) -> Option<T>,
-    bad: fn(&str) -> WireError,
-) -> Result<&str, WireError> {
-    match list.split(',').find(|e| entry(e).is_none()) {
-        Some(e) => Err(bad(e)),
-        None => Ok(list),
-    }
-}
-
-/// One `X-Piggyback` entry: a document index on the reply's server.
-fn piggyback_entry(server: ServerId, entry: &str) -> Option<Url> {
-    Some(Url::new(server, entry.trim().parse().ok()?))
+/// A list's entries, parsed in order. The first entry `parse` refuses is
+/// the error: `why` and the entry, quoted.
+fn entries<'a, T>(
+    list: impl Iterator<Item = &'a str>,
+    why: &str,
+    parse: impl Fn(&str) -> Option<T>,
+) -> Result<Vec<T>, WireError> {
+    list.map(|e| parse(e).ok_or_else(|| bad_entry(why, e)))
+        .collect()
 }
 
 /// One `X-Batch` entry of an `INVALIDATE *` round: `doc:client`.
 fn batch_entry(server: ServerId, entry: &str) -> Option<BatchEntry> {
-    let (doc, client) = entry.trim().split_once(':')?;
+    let (doc, client) = entry.split_once(':')?;
     Some(BatchEntry {
         url: Url::new(server, doc.parse().ok()?),
         client: client.parse().ok()?,
@@ -619,7 +443,7 @@ fn batch_entry(server: ServerId, entry: &str) -> Option<BatchEntry> {
 
 /// One `X-Batch` entry of an `ACK *` round: `doc:client:hits`.
 fn batch_ack_entry(server: ServerId, entry: &str) -> Option<BatchAckEntry> {
-    let (doc, rest) = entry.trim().split_once(':')?;
+    let (doc, rest) = entry.split_once(':')?;
     let (client, hits) = rest.split_once(':')?;
     Some(BatchAckEntry {
         url: Url::new(server, doc.parse().ok()?),
@@ -629,9 +453,9 @@ fn batch_ack_entry(server: ServerId, entry: &str) -> Option<BatchAckEntry> {
 }
 
 // ---------------------------------------------------------------------------
-// Cold error constructors. Decode errors terminate the connection, so the
-// allocations below never run in the steady-state loop; the waivers keep
-// the hot-loop-alloc lint honest about that.
+// Cold error constructors, one per shape of message. Decode errors terminate
+// the connection, so the allocations below never run in the steady-state
+// loop; the waivers keep the hot-loop-alloc lint honest about that.
 
 #[cold]
 fn invalid_utf8() -> WireError {
@@ -651,150 +475,21 @@ fn short_body() -> WireError {
 }
 
 #[cold]
-fn malformed_str(why: &str) -> WireError {
+fn malformed(why: &str) -> WireError {
     WireError::Malformed(why.to_string()) // xtask-lint: allow(hot-loop-alloc)
 }
 
+/// `why` followed by the value it is about.
 #[cold]
-fn bad_header(line: &str) -> WireError {
-    WireError::Malformed(format!("bad header: {line}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
+fn malformed_at(why: &str, value: &str) -> WireError {
+    WireError::Malformed(format!("{why}{value}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
+/// `why` followed by a list entry, quoted: an entry may hold any text but
+/// a comma.
 #[cold]
-fn missing_verb() -> WireError {
-    malformed_str("missing verb")
-}
-
-#[cold]
-fn get_without_path() -> WireError {
-    malformed_str("GET without path")
-}
-
-#[cold]
-fn reply_without_code() -> WireError {
-    malformed_str("reply without code")
-}
-
-#[cold]
-fn reply_without_location() -> WireError {
-    malformed_str("reply without Content-Location")
-}
-
-#[cold]
-fn unsupported_status(code: &str) -> WireError {
-    WireError::Malformed(format!("unsupported status {code}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
-}
-
-#[cold]
-fn invalidate_without_target() -> WireError {
-    malformed_str("INVALIDATE without target")
-}
-
-#[cold]
-fn ack_without_path() -> WireError {
-    malformed_str("ACK without path")
-}
-
-#[cold]
-fn hello_without_partition() -> WireError {
-    malformed_str("HELLO without partition")
-}
-
-#[cold]
-fn hello_bad_spec() -> WireError {
-    malformed_str("HELLO spec must be p/n")
-}
-
-#[cold]
-fn bad_partition() -> WireError {
-    malformed_str("bad partition")
-}
-
-#[cold]
-fn bad_partitions() -> WireError {
-    malformed_str("bad partitions")
-}
-
-#[cold]
-fn partition_out_of_range() -> WireError {
-    malformed_str("partition out of range")
-}
-
-#[cold]
-fn notify_without_path() -> WireError {
-    malformed_str("NOTIFY without path")
-}
-
-#[cold]
-fn unknown_verb(verb: &str) -> WireError {
-    WireError::Malformed(format!("unknown verb {verb}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
-}
-
-#[cold]
-fn missing_last_modified() -> WireError {
-    malformed_str("200 without Last-Modified")
-}
-
-#[cold]
-fn missing_host() -> WireError {
-    malformed_str("missing Host header")
-}
-
-#[cold]
-fn bad_host(value: &str) -> WireError {
-    WireError::Malformed(format!("bad Host: {value}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
-}
-
-#[cold]
-fn bad_path(path: &str) -> WireError {
-    WireError::Malformed(format!("bad path {path}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
-}
-
-#[cold]
-fn missing_header(name: &str) -> WireError {
-    WireError::Malformed(format!("missing header {name}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
-}
-
-#[cold]
-fn non_numeric_header(name: &str) -> WireError {
-    WireError::Malformed(format!("non-numeric header {name}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
-}
-
-#[cold]
-fn missing_client() -> WireError {
-    malformed_str("missing X-Client")
-}
-
-#[cold]
-fn bad_client() -> WireError {
-    malformed_str("bad X-Client")
-}
-
-#[cold]
-fn bad_timestamp(value: &str) -> WireError {
-    WireError::Malformed(format!("bad timestamp {value}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
-}
-
-#[cold]
-fn bad_hit_count() -> WireError {
-    malformed_str("bad X-Hit-Count")
-}
-
-#[cold]
-fn bad_piggyback(entry: &str) -> WireError {
-    WireError::Malformed(format!("bad piggyback entry {entry:?}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
-}
-
-#[cold]
-fn bad_batch_entry(entry: &str) -> WireError {
-    let entry = entry.trim();
-    WireError::Malformed(format!("bad batch entry {entry:?}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
-}
-
-#[cold]
-fn bad_batch_ack_entry(entry: &str) -> WireError {
-    let entry = entry.trim();
-    WireError::Malformed(format!("bad batch ack entry {entry:?}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
+fn bad_entry(why: &str, entry: &str) -> WireError {
+    WireError::Malformed(format!("{why}{entry:?}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
 /// Pulls frames off a [`Read`] stream through a persistent buffer, decoding
@@ -890,9 +585,10 @@ pub struct CodecStats {
     pub messages: u64,
     /// Total encoded bytes swept.
     pub bytes: u64,
-    /// Decodes whose bulk data stayed borrowed in the buffer.
+    /// Decodes that copy nothing out of the buffer: every frame but a `200`.
     pub borrows: u64,
-    /// Decodes that needed an owning copy ([`HttpMsgRef::needs_copy`]).
+    /// Decodes whose `200` body needed an owning copy
+    /// ([`HttpMsgRef::needs_copy`]).
     pub copies: u64,
     /// Messages a cache retains past the buffer's lifetime (`200` replies,
     /// counted independently of `needs_copy`). The allocation-discipline
@@ -1126,9 +822,9 @@ mod tests {
         let top = decode_ref(b"ACK * HTTP/1.0\r\nX-Server: 4294967295\r\n\r\n").unwrap();
         assert_eq!(
             top,
-            HttpMsgRef::InvalidateServerAck {
+            HttpMsgRef::Owned(HttpMsg::InvalidateServerAck {
                 server: ServerId::new(u32::MAX)
-            }
+            })
         );
     }
 

@@ -331,7 +331,10 @@ impl Bare {
                 assert_eq!(self.core.touch(url(DOCS), secs(1), self.now), None);
                 let get = get_request(1, A, DOCS, None, 3);
                 assert_eq!(self.core.serve(&get, self.now), None);
-                assert_eq!(self.core.ack(url(DOCS), A, 3, self.now), None);
+                assert_eq!(
+                    self.core.ack(A.partition(SITES), url(DOCS), A, 3, self.now),
+                    Ok(None)
+                );
             }
         }
     }
@@ -355,7 +358,9 @@ impl Bare {
         }
         for (entries, push) in pushed {
             for (&(doc, client), &hits) in entries.iter().zip(push.acked.iter().flatten()) {
-                self.core.ack(url(doc), client, hits, self.now);
+                self.core
+                    .ack(push.site, url(doc), client, hits, self.now)
+                    .expect("its own site");
             }
             let bulk = matches!(push.frame, HttpMsg::InvalidateServer { .. });
             if bulk && push.acked.is_some() {
@@ -872,7 +877,9 @@ impl BareParent {
             let lost = copies(&frame).iter().any(|&(_, c)| self.lost == Some(c));
             let acked = (!lost).then(|| vec![0]);
             for (doc, client) in copies(&frame).into_iter().filter(|_| !lost) {
-                self.path.ack(url(doc), client, self.now);
+                self.path
+                    .ack(site, url(doc), client, self.now)
+                    .expect("its own site");
             }
             self.lost = self.lost.filter(|_| !lost);
             let row = self.log.pushed.last_mut().expect("a step");
@@ -1012,7 +1019,10 @@ fn tcp_parent_conforms() {
                     url: url(doc),
                     client: identity.expect("asked before"),
                 });
-                assert!(matches!(origin.next(), HttpMsgRef::InvalAck { .. }));
+                assert!(matches!(
+                    origin.next(),
+                    HttpMsgRef::Owned(HttpMsg::InvalAck { .. })
+                ));
                 held.retain(|&d| d != doc);
                 if let Some(site) = down {
                     channels[site as usize].send(&HttpMsg::Hello {

@@ -108,6 +108,15 @@ cargo test -q -p wcc-core --lib -- a_push_is_applied_and_acked_in_frame_order \
   a_frame_that_is_not_a_push_is_not_applied the_first_hello_fixes_the_site_count
 cargo test -q -p wcc-net --test loopback a_hello_with_another_partition_count_is_refused
 
+echo "==> only the site that holds a copy acknowledges it"
+# WritePath::ack takes the site an acknowledgement came from and refuses an
+# entry for another site's client, counting nothing. The daemon origin
+# closes a connection that acks without a HELLO or for another partition's
+# copy: the write stays incomplete and the retry reaches the holder. All
+# also run in the suites above.
+cargo test -q -p wcc-core --lib an_ack_from_another_site_is_refused
+cargo test -q -p wcc-net --test serve_recovery an_ack_from_a_peer_that_does_not_hold_the_copy_is_refused
+
 echo "==> CLI command table + batched hierarchy parent"
 # Every call's flags come from one table in src/bin/wcc.rs: a flag its call
 # does not read exits 2 (`wcc replay --family` refuses the single-trace
