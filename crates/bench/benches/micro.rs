@@ -132,6 +132,42 @@ fn bench_codec(c: &mut Criterion) {
     c.bench_function("wire_decode_reply_200_8k", |b| {
         b.iter(|| black_box(decode_ref(black_box(&bytes)).expect("valid")))
     });
+    // The other frames the serve tier decodes: a revalidation's `304`, and
+    // the invalidation and its acknowledgement on the push channel.
+    let url = Url::new(ServerId::new(0), 123);
+    let client = ClientId::from_raw(77);
+    let frames = [
+        (
+            "wire_decode_invalidate",
+            HttpMsg::Invalidate { url, client },
+        ),
+        (
+            "wire_decode_inval_ack",
+            HttpMsg::InvalAck {
+                url,
+                client,
+                cache_hits: 3,
+            },
+        ),
+        (
+            "wire_decode_reply_304",
+            HttpMsg::Reply(Reply {
+                req: RequestId::new(42),
+                url,
+                client,
+                status: ReplyStatus::NotModified,
+                lease: Some(SimTime::from_secs(86_400)),
+                piggyback: Vec::new(),
+                volume_lease: None,
+            }),
+        ),
+    ];
+    for (name, msg) in frames {
+        let bytes = encode(&msg);
+        c.bench_function(name, |b| {
+            b.iter(|| black_box(decode_ref(black_box(&bytes)).expect("valid")))
+        });
+    }
 }
 
 /// The schedule/pop surface both queue implementations expose to the

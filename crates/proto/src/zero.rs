@@ -11,9 +11,13 @@
 //! returning `Ok(None)`, which is what [`FrameReader`] uses to pull frames
 //! off a socket without an intermediate copy per message.
 //!
-//! A frame's bytes are visited once: the loop that checks each header line
-//! files its value in the slot of the name the protocol reads it by
-//! (`Headers`), so every later lookup is a field read.
+//! The decoder reads bytes. One word-at-a-time scan per line finds its
+//! `\n` and notes whether any byte is not ASCII; only such a line runs
+//! through `from_utf8`. A name or value is trimmed as text only when an end
+//! is not ASCII, the start line split as text only when it is not ASCII.
+//! The loop files each trimmed value in the slot of the name the protocol
+//! reads it by (`Headers`), and every number, id and path is parsed from
+//! those bytes in place.
 //!
 //! The header rules and error texts are held to an owned, line-reading
 //! reference decoder in `tests/wire_proptest.rs`: for any input, both
@@ -22,7 +26,7 @@
 use crate::msg::{BatchAckEntry, BatchEntry, GetRequest, HttpMsg, Reply, ReplyStatus, RequestId};
 use crate::wire::WireError;
 use std::io::Read;
-use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url};
+use wcc_types::{parse_decimal, Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url};
 
 /// A decoded frame: a reply, whose `200` body still lives in the receive
 /// buffer, or any other message, owned.
@@ -111,15 +115,15 @@ impl HttpMsgRef<'_> {
 /// are stripped, an unterminated tail chunk counts as a line at EOF, and
 /// non-UTF-8 bytes surface as the same `InvalidData` I/O error it raises.
 struct Lines<'buf> {
-    buf: &'buf [u8],
-    pos: usize,
+    /// What follows the last line handed out.
+    rest: &'buf [u8],
     eof: bool,
 }
 
 /// One `Lines::next_line` outcome.
 enum LineRead<'buf> {
-    /// A complete (stripped) line.
-    Line(&'buf str),
+    /// A complete (stripped) line, valid UTF-8.
+    Line(&'buf [u8]),
     /// Clean end of input (`read_line` returning 0).
     CleanEof,
     /// The buffer ends mid-line and more bytes may arrive.
@@ -128,24 +132,87 @@ enum LineRead<'buf> {
 
 impl<'buf> Lines<'buf> {
     fn next_line(&mut self) -> Result<LineRead<'buf>, WireError> {
-        // `pos` only ever advances to line boundaries inside `buf`.
-        let rest = &self.buf[self.pos..]; // xtask-lint: allow(index-panic)
-        if rest.is_empty() {
-            return Ok(if self.eof {
-                LineRead::CleanEof
-            } else {
-                LineRead::NeedMore
-            });
-        }
-        let (raw, used) = match rest.iter().position(|&b| b == b'\n') {
-            Some(i) => (&rest[..=i], i + 1),
-            None if self.eof => (rest, rest.len()),
-            None => return Ok(LineRead::NeedMore),
+        let (newline, ascii) = scan_line(self.rest);
+        let (mut line, rest) = match newline {
+            Some(i) => self.rest.split_at(i + 1),
+            None if !self.eof => return Ok(LineRead::NeedMore),
+            None if self.rest.is_empty() => return Ok(LineRead::CleanEof),
+            None => (self.rest, &[][..]),
         };
-        let line = std::str::from_utf8(raw).map_err(|_| invalid_utf8())?;
-        self.pos += used;
-        Ok(LineRead::Line(line.trim_end_matches(['\r', '\n'])))
+        if !ascii {
+            std::str::from_utf8(line).map_err(|_| invalid_utf8())?;
+        }
+        self.rest = rest;
+        while let [head @ .., b'\r' | b'\n'] = line {
+            line = head;
+        }
+        Ok(LineRead::Line(line))
     }
+}
+
+/// Where the first `\n` of `bytes` is, if there is one, and whether every
+/// byte up to it (or up to the end) is ASCII: one pass, a word at a time.
+fn scan_line(bytes: &[u8]) -> (Option<usize>, bool) {
+    const ONES: u64 = u64::from_ne_bytes([0x01; 8]);
+    const HIGH: u64 = u64::from_ne_bytes([0x80; 8]);
+    let (words, tail) = bytes.as_chunks::<8>();
+    let mut seen = 0;
+    for (k, word) in words.iter().enumerate() {
+        let word = u64::from_le_bytes(*word);
+        // A byte of `x` is zero where `word` holds a `\n`; the lowest flag
+        // below marks the first one exactly (a borrow only runs upwards).
+        let x = word ^ (ONES * u64::from(b'\n'));
+        let found = x.wrapping_sub(ONES) & !x & HIGH;
+        if found != 0 {
+            let bit = found.trailing_zeros();
+            let upto = word & (u64::MAX >> (63 - bit));
+            return (Some(8 * k + bit as usize / 8), (seen | upto) & HIGH == 0);
+        }
+        seen |= word;
+    }
+    let newline = tail.iter().position(|&b| b == b'\n');
+    let line = tail.get(..newline.map_or(tail.len(), |j| j + 1));
+    let ascii = seen & HIGH == 0 && line.is_some_and(<[u8]>::is_ascii);
+    (newline.map(|j| 8 * words.len() + j), ascii)
+}
+
+/// `bytes` split at the first `at`, which neither half keeps.
+fn split_once(bytes: &[u8], at: u8) -> Option<(&[u8], &[u8])> {
+    let i = bytes.iter().position(|&b| b == at)?;
+    let (head, tail) = bytes.split_at(i);
+    Some((head, tail.get(1..)?))
+}
+
+/// `char::is_whitespace` on a byte: the ASCII half of the Unicode set
+/// (`\x0B` is in it; `u8::is_ascii_whitespace` leaves it out).
+fn is_space(byte: u8) -> bool {
+    matches!(byte, b'\t' | b'\n' | b'\x0B' | b'\x0C' | b'\r' | b' ')
+}
+
+/// `str::trim` on a slice of a valid UTF-8 line: bytewise over ASCII
+/// whitespace, and through `str::trim` only when an end left standing is
+/// not ASCII (U+00A0, U+3000 and the like) or is `\x0B`, which
+/// `char::is_whitespace` takes and `u8::is_ascii_whitespace` does not.
+fn trim(bytes: &[u8]) -> &[u8] {
+    match bytes.trim_ascii() {
+        t @ ([0x0B | 0x80..=0xFF, ..] | [.., 0x0B | 0x80..=0xFF]) => {
+            std::str::from_utf8(bytes).map_or(t, |text| text.trim().as_bytes())
+        }
+        t => t,
+    }
+}
+
+/// The start line's first two words, split where `str::split_whitespace`
+/// splits: bytewise in an ASCII line, by `char` in any other.
+fn words(line: &[u8]) -> [Option<&[u8]>; 2] {
+    if !line.is_ascii() {
+        if let Ok(text) = std::str::from_utf8(line) {
+            let mut words = text.split_whitespace().map(str::as_bytes);
+            return [words.next(), words.next()];
+        }
+    }
+    let mut words = line.split(|&b| is_space(b)).filter(|w| !w.is_empty());
+    [words.next(), words.next()]
 }
 
 /// The header block as one slot per name the protocol reads, filled by the
@@ -157,53 +224,53 @@ impl<'buf> Lines<'buf> {
 /// a repeated name's last line wins, and a name nothing reads is dropped.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 struct Headers<'buf> {
-    host: Option<&'buf str>,
-    x_client: Option<&'buf str>,
-    x_request_id: Option<&'buf str>,
-    date: Option<&'buf str>,
-    x_hit_count: Option<&'buf str>,
-    if_modified_since: Option<&'buf str>,
-    content_location: Option<&'buf str>,
-    last_modified: Option<&'buf str>,
-    x_size: Option<&'buf str>,
-    x_lease: Option<&'buf str>,
-    x_piggyback: Option<&'buf str>,
-    x_volume_lease: Option<&'buf str>,
-    content_length: Option<&'buf str>,
-    x_server: Option<&'buf str>,
-    x_batch: Option<&'buf str>,
+    host: Option<&'buf [u8]>,
+    x_client: Option<&'buf [u8]>,
+    x_request_id: Option<&'buf [u8]>,
+    date: Option<&'buf [u8]>,
+    x_hit_count: Option<&'buf [u8]>,
+    if_modified_since: Option<&'buf [u8]>,
+    content_location: Option<&'buf [u8]>,
+    last_modified: Option<&'buf [u8]>,
+    x_size: Option<&'buf [u8]>,
+    x_lease: Option<&'buf [u8]>,
+    x_piggyback: Option<&'buf [u8]>,
+    x_volume_lease: Option<&'buf [u8]>,
+    content_length: Option<&'buf [u8]>,
+    x_server: Option<&'buf [u8]>,
+    x_batch: Option<&'buf [u8]>,
 }
 
 impl<'buf> Headers<'buf> {
     /// The slot `name` (already trimmed) fills, if the protocol reads it.
     /// The length picks at most two candidates before any byte is compared.
-    fn slot(&mut self, name: &str) -> Option<&mut Option<&'buf str>> {
-        let is = |known: &str| name.eq_ignore_ascii_case(known);
+    fn slot(&mut self, name: &[u8]) -> Option<&mut Option<&'buf [u8]>> {
+        let is = |known: &[u8]| name.eq_ignore_ascii_case(known);
         Some(match name.len() {
-            4 if is("host") => &mut self.host,
-            4 if is("date") => &mut self.date,
-            6 if is("x-size") => &mut self.x_size,
-            7 if is("x-lease") => &mut self.x_lease,
-            7 if is("x-batch") => &mut self.x_batch,
-            8 if is("x-client") => &mut self.x_client,
-            8 if is("x-server") => &mut self.x_server,
-            11 if is("x-hit-count") => &mut self.x_hit_count,
-            11 if is("x-piggyback") => &mut self.x_piggyback,
-            12 if is("x-request-id") => &mut self.x_request_id,
-            13 if is("last-modified") => &mut self.last_modified,
-            14 if is("content-length") => &mut self.content_length,
-            14 if is("x-volume-lease") => &mut self.x_volume_lease,
-            16 if is("content-location") => &mut self.content_location,
-            17 if is("if-modified-since") => &mut self.if_modified_since,
+            4 if is(b"host") => &mut self.host,
+            4 if is(b"date") => &mut self.date,
+            6 if is(b"x-size") => &mut self.x_size,
+            7 if is(b"x-lease") => &mut self.x_lease,
+            7 if is(b"x-batch") => &mut self.x_batch,
+            8 if is(b"x-client") => &mut self.x_client,
+            8 if is(b"x-server") => &mut self.x_server,
+            11 if is(b"x-hit-count") => &mut self.x_hit_count,
+            11 if is(b"x-piggyback") => &mut self.x_piggyback,
+            12 if is(b"x-request-id") => &mut self.x_request_id,
+            13 if is(b"last-modified") => &mut self.last_modified,
+            14 if is(b"content-length") => &mut self.content_length,
+            14 if is(b"x-volume-lease") => &mut self.x_volume_lease,
+            16 if is(b"content-location") => &mut self.content_location,
+            17 if is(b"if-modified-since") => &mut self.if_modified_since,
             _ => return None,
         })
     }
 
     /// Files one header line; `None` if it has no colon.
-    fn record(&mut self, line: &'buf str) -> Option<()> {
-        let (name, value) = line.split_once(':')?;
-        if let Some(slot) = self.slot(name.trim()) {
-            *slot = Some(value.trim());
+    fn record(&mut self, line: &'buf [u8]) -> Option<()> {
+        let (name, value) = split_once(line, b':')?;
+        if let Some(slot) = self.slot(trim(name)) {
+            *slot = Some(trim(value));
         }
         Some(())
     }
@@ -224,11 +291,11 @@ impl<'buf> Headers<'buf> {
 /// on protocol violations, and [`WireError::Io`] for non-UTF-8 text or a
 /// body cut short at EOF.
 pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usize)>, WireError> {
-    let mut lines = Lines { buf, pos: 0, eof };
+    let mut lines = Lines { rest: buf, eof };
     let start = match lines.next_line()? {
         LineRead::NeedMore => return Ok(None),
         LineRead::CleanEof => return Err(WireError::Closed),
-        LineRead::Line("") => return Err(malformed("empty start line")),
+        LineRead::Line(b"") => return Err(malformed("empty start line")),
         LineRead::Line(line) => line,
     };
     // Read every header line up front: the whole header block is consumed
@@ -239,29 +306,31 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
         match lines.next_line()? {
             LineRead::NeedMore => return Ok(None),
             LineRead::CleanEof => return Err(malformed("eof inside headers")),
-            LineRead::Line("") => break,
+            LineRead::Line(b"") => break,
             LineRead::Line(line) => headers
                 .record(line)
                 .ok_or_else(|| malformed_at("bad header: ", line))?,
         }
     }
-    let body_start = lines.pos;
+    let body = lines.rest;
+    let body_start = buf.len() - body.len();
 
-    let mut parts = start.split_whitespace();
-    let mut next = |why| parts.next().ok_or_else(|| malformed(why));
-    let msg = match next("missing verb")? {
-        "GET" => match next("GET without path")? {
-            "/metrics" => HttpMsg::MetricsGet,
+    let [verb, word] = words(start);
+    let verb = verb.ok_or_else(|| malformed("missing verb"))?;
+    let next = |why| word.ok_or_else(|| malformed(why));
+    let msg = match verb {
+        b"GET" => match next("GET without path")? {
+            b"/metrics" => HttpMsg::MetricsGet,
             path => HttpMsg::Get(GetRequest {
                 url: url_from(headers.host, path)?,
                 req: RequestId::new(required(headers.x_request_id, "x-request-id")?),
                 client: required_client(headers.x_client)?,
                 ims: headers.if_modified_since.map(parse_micros).transpose()?,
-                issued_at: parse_micros(headers.date.unwrap_or("0"))?,
+                issued_at: parse_micros(headers.date.unwrap_or(b"0"))?,
                 cache_hits: parse_hit_count(headers.x_hit_count)?,
             }),
         },
-        "HTTP/1.0" => {
+        b"HTTP/1.0" => {
             let code = next("reply without code")?;
             let path = headers
                 .content_location
@@ -271,17 +340,15 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
             let client = required_client(headers.x_client)?;
             let lease = headers.x_lease.map(parse_micros).transpose()?;
             let piggyback = headers.x_piggyback.map(|list| {
-                let doc = |d: &str| Some(Url::new(url.server(), d.trim().parse().ok()?));
-                entries(list.split(','), "bad piggyback entry ", doc)
+                let doc = |d: &[u8]| Some(Url::new(url.server(), parse_decimal(trim(d))?));
+                entries(list.split(|&b| b == b','), "bad piggyback entry ", doc)
             });
             let piggyback = piggyback.transpose()?.unwrap_or_default();
             let volume_lease = headers.x_volume_lease.map(parse_micros).transpose()?;
             let (status, used) = match code {
-                "200" => {
+                b"200" => {
                     let len = required::<u64>(headers.content_length, "content-length")? as usize;
-                    // `body_start` is the cursor position, inside `buf`.
-                    let tail = &buf[body_start..]; // xtask-lint: allow(index-panic)
-                    let Some(payload) = tail.get(..len) else {
+                    let Some(payload) = body.get(..len) else {
                         return if eof { Err(short_body()) } else { Ok(None) };
                     };
                     let size = ByteSize::from_bytes(required(headers.x_size, "x-size")?);
@@ -290,7 +357,7 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
                     let meta = DocMeta::new(size, parse_micros(modified?)?);
                     (ReplyStatusRef::Ok { meta, payload }, body_start + len)
                 }
-                "304" => (ReplyStatusRef::NotModified, body_start),
+                b"304" => (ReplyStatusRef::NotModified, body_start),
                 other => return Err(malformed_at("unsupported status ", other)),
             };
             let reply = ReplyRef {
@@ -304,14 +371,14 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
             };
             return Ok(Some((HttpMsgRef::Reply(reply), used)));
         }
-        "INVALIDATE" => match next("INVALIDATE without target")? {
-            "*" => {
+        b"INVALIDATE" => match next("INVALIDATE without target")? {
+            b"*" => {
                 let server = ServerId::new(required(headers.x_server, "x-server")?);
                 match headers.x_batch {
                     Some(list) => HttpMsg::InvalidateBatch {
                         server,
                         entries: entries(
-                            list.split(',').map(str::trim),
+                            list.split(|&b| b == b',').map(trim),
                             "bad batch entry ",
                             |e| batch_entry(server, e),
                         )?,
@@ -324,14 +391,14 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
                 client: required_client(headers.x_client)?,
             },
         },
-        "ACK" => match next("ACK without path")? {
-            "*" => {
+        b"ACK" => match next("ACK without path")? {
+            b"*" => {
                 let server = ServerId::new(required(headers.x_server, "x-server")?);
                 match headers.x_batch {
                     Some(list) => HttpMsg::InvalidateBatchAck {
                         server,
                         entries: entries(
-                            list.split(',').map(str::trim),
+                            list.split(|&b| b == b',').map(trim),
                             "bad batch ack entry ",
                             |e| batch_ack_entry(server, e),
                         )?,
@@ -345,13 +412,12 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
                 cache_hits: parse_hit_count(headers.x_hit_count)?,
             },
         },
-        "HELLO" => {
+        b"HELLO" => {
             let spec = next("HELLO without partition")?;
-            let (p, n) = spec
-                .split_once('/')
-                .ok_or_else(|| malformed("HELLO spec must be p/n"))?;
-            let partition = p.parse().map_err(|_| malformed("bad partition"))?;
-            let partitions: u32 = n.parse().map_err(|_| malformed("bad partitions"))?;
+            let (p, n) =
+                split_once(spec, b'/').ok_or_else(|| malformed("HELLO spec must be p/n"))?;
+            let partition = parse_decimal(p).ok_or_else(|| malformed("bad partition"))?;
+            let partitions: u32 = parse_decimal(n).ok_or_else(|| malformed("bad partitions"))?;
             if partitions == 0 || partitions > crate::MAX_PARTITIONS || partition >= partitions {
                 return Err(malformed("partition out of range"));
             }
@@ -360,9 +426,9 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
                 partitions,
             }
         }
-        "NOTIFY" => HttpMsg::Notify {
+        b"NOTIFY" => HttpMsg::Notify {
             url: url_from(headers.host, next("NOTIFY without path")?)?,
-            at: parse_micros(headers.date.unwrap_or("0"))?,
+            at: parse_micros(headers.date.unwrap_or(b"0"))?,
         },
         other => return Err(malformed_at("unknown verb ", other)),
     };
@@ -381,81 +447,77 @@ pub fn decode_ref(buf: &[u8]) -> Result<HttpMsgRef<'_>, WireError> {
     Ok(msg)
 }
 
-fn url_from(host: Option<&str>, path: &str) -> Result<Url, WireError> {
+fn url_from(host: Option<&[u8]>, path: &[u8]) -> Result<Url, WireError> {
     let host = host.ok_or_else(|| malformed("missing Host header"))?;
     let server = host
-        .strip_prefix("server")
-        .and_then(|rest| rest.parse().ok())
+        .strip_prefix(b"server")
+        .and_then(parse_decimal)
         .ok_or_else(|| malformed_at("bad Host: ", host))?;
-    Url::from_path(ServerId::new(server), path).ok_or_else(|| malformed_at("bad path ", path))
+    Url::from_path_ascii(ServerId::new(server), path).ok_or_else(|| malformed_at("bad path ", path))
 }
 
 /// The number a header the message cannot do without carries, parsed as
 /// the type it lands in: a value out of that type's range is malformed,
 /// never wrapped.
-fn required<T: std::str::FromStr>(value: Option<&str>, name: &str) -> Result<T, WireError> {
-    value
-        .ok_or_else(|| malformed_at("missing header ", name))?
-        .parse()
-        .map_err(|_| malformed_at("non-numeric header ", name))
+fn required<T: TryFrom<u64>>(value: Option<&[u8]>, name: &str) -> Result<T, WireError> {
+    let value = value.ok_or_else(|| malformed_at("missing header ", name.as_bytes()))?;
+    parse_decimal(value).ok_or_else(|| malformed_at("non-numeric header ", name.as_bytes()))
 }
 
-fn required_client(value: Option<&str>) -> Result<ClientId, WireError> {
-    value
-        .ok_or_else(|| malformed("missing X-Client"))?
-        .parse()
-        .map_err(|_| malformed("bad X-Client"))
+fn required_client(value: Option<&[u8]>) -> Result<ClientId, WireError> {
+    let value = value.ok_or_else(|| malformed("missing X-Client"))?;
+    ClientId::from_ascii(value).map_err(|_| malformed("bad X-Client"))
 }
 
-fn parse_micros(value: &str) -> Result<SimTime, WireError> {
-    value
-        .parse()
+fn parse_micros(value: &[u8]) -> Result<SimTime, WireError> {
+    parse_decimal(value)
         .map(SimTime::from_micros)
-        .map_err(|_| malformed_at("bad timestamp ", value))
+        .ok_or_else(|| malformed_at("bad timestamp ", value))
 }
 
-fn parse_hit_count(value: Option<&str>) -> Result<u64, WireError> {
-    value
-        .map(|v| v.parse().map_err(|_| malformed("bad X-Hit-Count")))
-        .transpose()
-        .map(|v| v.unwrap_or(0))
+fn parse_hit_count(value: Option<&[u8]>) -> Result<u64, WireError> {
+    value.map_or(Ok(0), |v| {
+        parse_decimal(v).ok_or_else(|| malformed("bad X-Hit-Count"))
+    })
 }
 
 /// A list's entries, parsed in order. The first entry `parse` refuses is
 /// the error: `why` and the entry, quoted.
 fn entries<'a, T>(
-    list: impl Iterator<Item = &'a str>,
+    list: impl Iterator<Item = &'a [u8]>,
     why: &str,
-    parse: impl Fn(&str) -> Option<T>,
+    parse: impl Fn(&[u8]) -> Option<T>,
 ) -> Result<Vec<T>, WireError> {
     list.map(|e| parse(e).ok_or_else(|| bad_entry(why, e)))
         .collect()
 }
 
 /// One `X-Batch` entry of an `INVALIDATE *` round: `doc:client`.
-fn batch_entry(server: ServerId, entry: &str) -> Option<BatchEntry> {
-    let (doc, client) = entry.split_once(':')?;
+fn batch_entry(server: ServerId, entry: &[u8]) -> Option<BatchEntry> {
+    let (doc, client) = split_once(entry, b':')?;
     Some(BatchEntry {
-        url: Url::new(server, doc.parse().ok()?),
-        client: client.parse().ok()?,
+        url: Url::new(server, parse_decimal(doc)?),
+        client: ClientId::from_ascii(client).ok()?,
     })
 }
 
 /// One `X-Batch` entry of an `ACK *` round: `doc:client:hits`.
-fn batch_ack_entry(server: ServerId, entry: &str) -> Option<BatchAckEntry> {
-    let (doc, rest) = entry.split_once(':')?;
-    let (client, hits) = rest.split_once(':')?;
+fn batch_ack_entry(server: ServerId, entry: &[u8]) -> Option<BatchAckEntry> {
+    let (doc, rest) = split_once(entry, b':')?;
+    let (client, hits) = split_once(rest, b':')?;
     Some(BatchAckEntry {
-        url: Url::new(server, doc.parse().ok()?),
-        client: client.parse().ok()?,
-        cache_hits: hits.parse().ok()?,
+        url: Url::new(server, parse_decimal(doc)?),
+        client: ClientId::from_ascii(client).ok()?,
+        cache_hits: parse_decimal(hits)?,
     })
 }
 
 // ---------------------------------------------------------------------------
 // Cold error constructors, one per shape of message. Decode errors terminate
 // the connection, so the allocations below never run in the steady-state
-// loop; the waivers keep the hot-loop-alloc lint honest about that.
+// loop; the waivers keep the hot-loop-alloc lint honest about that. A value
+// they quote is a slice of a line already checked to be UTF-8, so the lossy
+// conversion renders it unchanged.
 
 #[cold]
 fn invalid_utf8() -> WireError {
@@ -481,14 +543,16 @@ fn malformed(why: &str) -> WireError {
 
 /// `why` followed by the value it is about.
 #[cold]
-fn malformed_at(why: &str, value: &str) -> WireError {
+fn malformed_at(why: &str, value: &[u8]) -> WireError {
+    let value = String::from_utf8_lossy(value);
     WireError::Malformed(format!("{why}{value}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
 /// `why` followed by a list entry, quoted: an entry may hold any text but
 /// a comma.
 #[cold]
-fn bad_entry(why: &str, entry: &str) -> WireError {
+fn bad_entry(why: &str, entry: &[u8]) -> WireError {
+    let entry = String::from_utf8_lossy(entry);
     WireError::Malformed(format!("{why}{entry:?}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
 }
 
@@ -744,18 +808,18 @@ mod tests {
     #[test]
     fn a_known_name_fills_its_slot_whatever_its_case_and_padding() {
         let mut headers = Headers::default();
-        assert_eq!(headers.record("x-CLIENT:1.2.3.4"), Some(()));
-        assert_eq!(headers.record("  Content-LENGTH \t:  12  "), Some(()));
+        assert_eq!(headers.record(b"x-CLIENT:1.2.3.4"), Some(()));
+        assert_eq!(headers.record(b"  Content-LENGTH \t:  12  "), Some(()));
         let expected = Headers {
-            x_client: Some("1.2.3.4"),
-            content_length: Some("12"),
+            x_client: Some(&b"1.2.3.4"[..]),
+            content_length: Some(&b"12"[..]),
             ..Headers::default()
         };
         assert_eq!(headers, expected);
         // Last wins; only the first colon splits.
-        assert_eq!(headers.record("X-Client: 5.6.7.8:9"), Some(()));
-        assert_eq!(headers.x_client, Some("5.6.7.8:9"));
-        assert_eq!(headers.record("no colon"), None);
+        assert_eq!(headers.record(b"X-Client: 5.6.7.8:9"), Some(()));
+        assert_eq!(headers.x_client, Some(&b"5.6.7.8:9"[..]));
+        assert_eq!(headers.record(b"no colon"), None);
     }
 
     #[test]
@@ -779,9 +843,9 @@ mod tests {
         ];
         let mut headers = Headers::default();
         for name in names {
-            let slot = headers.slot(name).expect("a known name");
+            let slot = headers.slot(name.as_bytes()).expect("a known name");
             assert_eq!(*slot, None, "{name} shares a slot");
-            *slot = Some(name);
+            *slot = Some(name.as_bytes());
         }
     }
 
@@ -799,7 +863,7 @@ mod tests {
             ": 7",
             "d\u{e4}te: 7",
         ] {
-            assert_eq!(headers.record(line), Some(()), "{line}");
+            assert_eq!(headers.record(line.as_bytes()), Some(()), "{line}");
         }
         assert_eq!(headers, Headers::default());
     }

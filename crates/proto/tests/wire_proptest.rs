@@ -11,8 +11,8 @@
 use proptest::prelude::*;
 use std::io::Write;
 use wcc_proto::{
-    decode_ref, encode, encode_into, BatchAckEntry, BatchEntry, GetRequest, HttpMsg, Reply,
-    ReplyStatus, RequestId, WireError, MAX_PARTITIONS,
+    decode_frame, decode_ref, encode, encode_into, BatchAckEntry, BatchEntry, GetRequest, HttpMsg,
+    HttpMsgRef, Reply, ReplyStatus, RequestId, WireError, MAX_PARTITIONS,
 };
 use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url};
 
@@ -249,6 +249,78 @@ proptest! {
         }
         assert_decoders_agree(&bytes)?;
     }
+
+    /// Header lines padded with whitespace `str::trim` takes beyond space
+    /// and tab decode as through the owned reference, whatever other edits
+    /// ride along.
+    #[test]
+    fn zero_copy_unicode_padding_matches_owned(
+        msg in msg_strategy(),
+        pads in proptest::collection::vec((any::<usize>(), 0..PADS.len()), 1..4),
+        edits in proptest::collection::vec((any::<usize>(), header_edit_strategy()), 0..3),
+    ) {
+        let mut bytes = encode(&msg);
+        for (at, pad) in pads {
+            bytes = edit_headers(&bytes, at, &HeaderEdit::PadWith(PADS[pad]));
+        }
+        for (at, edit) in edits {
+            bytes = edit_headers(&bytes, at, &edit);
+        }
+        assert_decoders_agree(&bytes)?;
+    }
+
+    /// The reactor's call is `decode_frame(buffer, false)` on every read.
+    /// For every cut of an encoded, header-edited or bit-flipped frame it
+    /// defers, or decodes what a stream ending at the cut decodes: the same
+    /// message and `used`, or the same error. The whole frame is used to
+    /// its last byte.
+    #[test]
+    fn incremental_decode_defers_or_matches_eof(
+        msg in msg_strategy(),
+        edits in proptest::collection::vec((any::<usize>(), header_edit_strategy()), 0..3),
+        flip in proptest::option::of((any::<usize>(), 0u32..8)),
+    ) {
+        let frame = encode(&msg);
+        let (whole, used) = decode_frame(&frame, false).expect("decodes").expect("complete");
+        prop_assert_eq!((whole.to_owned(), used), (msg, frame.len()));
+        let mut bytes = frame;
+        for (at, edit) in edits {
+            bytes = edit_headers(&bytes, at, &edit);
+        }
+        if let Some((pos, bit)) = flip {
+            let len = bytes.len();
+            bytes[pos % len] ^= 1 << bit;
+        }
+        for cut in 0..=bytes.len() {
+            let prefix = &bytes[..cut];
+            match decode_frame(prefix, false) {
+                Ok(None) => {}
+                partial => assert_same_outcome(partial, decode_frame(prefix, true))?,
+            }
+        }
+    }
+}
+
+type Decoded<'a> = Result<Option<(HttpMsgRef<'a>, usize)>, WireError>;
+
+/// Two `decode_frame` calls: the same message and `used`, or the same
+/// error text and variant.
+fn assert_same_outcome(a: Decoded<'_>, b: Decoded<'_>) -> Result<(), TestCaseError> {
+    match (a, b) {
+        (Ok(Some((ma, ua))), Ok(Some((mb, ub)))) => {
+            prop_assert_eq!((ma.to_owned(), ua), (mb.to_owned(), ub));
+        }
+        (Err(ea), Err(eb)) => {
+            prop_assert_eq!(ea.to_string(), eb.to_string(), "error text diverged");
+            prop_assert_eq!(
+                std::mem::discriminant(&ea),
+                std::mem::discriminant(&eb),
+                "error variant diverged"
+            );
+        }
+        (a, b) => prop_assert!(false, "outcomes diverged: {:?} vs {:?}", a, b),
+    }
+    Ok(())
 }
 
 /// Both decoders on the same bytes: equal messages or equal errors.
@@ -285,6 +357,9 @@ enum HeaderEdit {
     MixCase,
     /// Pad a header's name and value with spaces and tabs.
     Pad,
+    /// Pad a header's name and value with whitespace `str::trim` takes
+    /// beyond space and tab.
+    PadWith(char),
     /// Add a line whose name nothing reads.
     Unknown(String),
     /// Append `:tail` to a header's value.
@@ -298,6 +373,12 @@ enum HeaderEdit {
 /// Values an injected line may carry: empty, numeric, non-numeric, and one
 /// well-formed value of each header kind.
 const VALUES: [&str; 8] = ["", "0", "x", "1.2.3.4", "/doc/7", "server2", "18", "007"];
+
+/// The whitespace of `PadWith`: U+00A0, U+3000 and U+0085, which
+/// `str::trim` takes and ASCII does not have, and `\x0B` and `\x0C`, the
+/// ASCII ones past space and tab (`u8::is_ascii_whitespace` leaves out
+/// `\x0B`).
+const PADS: [char; 5] = ['\u{a0}', '\u{3000}', '\u{85}', '\x0B', '\x0C'];
 
 /// Names nothing reads, some a letter away from one that is read.
 const UNKNOWN_NAMES: [&str; 6] = [
@@ -315,6 +396,7 @@ fn header_edit_strategy() -> impl Strategy<Value = HeaderEdit> {
         (value(), any::<bool>()).prop_map(|(value, after)| HeaderEdit::Duplicate { value, after }),
         Just(HeaderEdit::MixCase),
         Just(HeaderEdit::Pad),
+        (0..PADS.len()).prop_map(|i| HeaderEdit::PadWith(PADS[i])),
         (0..UNKNOWN_NAMES.len()).prop_map(|i| HeaderEdit::Unknown(UNKNOWN_NAMES[i].to_string())),
         value().prop_map(HeaderEdit::ColonInValue),
         Just(HeaderEdit::NoColon),
@@ -331,7 +413,7 @@ fn edit_headers(frame: &[u8], at: usize, edit: &HeaderEdit) -> Vec<u8> {
         .position(|w| w == b"\r\n\r\n")
         .expect("an encoded frame has a blank line");
     let (head, rest) = frame.split_at(split);
-    let head = std::str::from_utf8(head).expect("encoded heads are ASCII");
+    let head = std::str::from_utf8(head).expect("encoded and edited heads are UTF-8");
     let mut lines: Vec<String> = head.split("\r\n").map(str::to_string).collect();
     let headers = lines.len() - 1;
     // The header line the edit is about, split at its first colon. A line
@@ -361,6 +443,9 @@ fn edit_headers(frame: &[u8], at: usize, edit: &HeaderEdit) -> Vec<u8> {
         }
         (HeaderEdit::Pad, Some((i, name, value))) => {
             lines[i] = format!(" \t{name}  : \t {value} \t");
+        }
+        (HeaderEdit::PadWith(c), Some((i, name, value))) => {
+            lines[i] = format!("{c}{name}{c}:{c}{value}{c}");
         }
         (HeaderEdit::ColonInValue(tail), Some((i, name, value))) => {
             lines[i] = format!("{name}:{value}:{tail}");
@@ -413,6 +498,40 @@ fn header_rules_pinned_by_name() {
         decode_ref(plain).expect("decodes")
     );
     assert_decoders_agree(noisy).expect("parity");
+
+    // Whitespace `str::trim` takes beyond ASCII: a name padded with U+00A0
+    // still fills its slot.
+    let bytes = "NOTIFY /doc/5 HTTP/1.0\r\n\u{a0}Host\u{a0}: server1\r\nDate: 7\r\n\r\n";
+    assert_eq!(
+        decode_ref(bytes.as_bytes()).expect("decodes").to_owned(),
+        HttpMsg::Notify {
+            url: Url::new(ServerId::new(1), 5),
+            at: SimTime::from_micros(7),
+        }
+    );
+    assert_decoders_agree(bytes.as_bytes()).expect("parity");
+
+    // A start line split by U+2003 (em space) splits where the reference's
+    // `split_whitespace` splits it.
+    let bytes = "NOTIFY\u{2003}/doc/5\u{2003}HTTP/1.0\r\nHost: server1\r\n\r\n";
+    assert_eq!(
+        decode_ref(bytes.as_bytes()).expect("decodes").to_owned(),
+        HttpMsg::Notify {
+            url: Url::new(ServerId::new(1), 5),
+            at: SimTime::ZERO,
+        }
+    );
+    assert_decoders_agree(bytes.as_bytes()).expect("parity");
+
+    // A lone `+` is not a number: the optional sign needs a digit after it.
+    let bytes =
+        b"GET /doc/1 HTTP/1.0\r\nHost: server0\r\nX-Client: 1.2.3.4\r\nX-Request-Id: +\r\n\r\n";
+    let err = decode_ref(bytes).expect_err("lone plus");
+    assert_eq!(
+        err.to_string(),
+        "malformed wire message: non-numeric header x-request-id"
+    );
+    assert_decoders_agree(bytes).expect("parity");
 }
 
 fn sample_url() -> Url {

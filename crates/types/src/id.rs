@@ -33,6 +33,29 @@ impl ClientId {
         ClientId(raw)
     }
 
+    /// Parses a dotted quad from bytes, as `str::parse` parses a
+    /// string: four octets split by dots, each what `u8::from_str` takes
+    /// (an optional `+`, then one or more digits worth at most 255).
+    ///
+    /// # Errors
+    ///
+    /// [`ParseClientIdError`] on anything else.
+    pub fn from_ascii(bytes: &[u8]) -> Result<Self, ParseClientIdError> {
+        let mut octets = bytes.split(|&b| b == b'.');
+        let mut raw = 0u32;
+        for _ in 0..4 {
+            let octet: u8 = octets
+                .next()
+                .and_then(crate::parse_decimal)
+                .ok_or(ParseClientIdError)?;
+            raw = (raw << 8) | u32::from(octet);
+        }
+        match octets.next() {
+            None => Ok(ClientId(raw)),
+            Some(_) => Err(ParseClientIdError),
+        }
+    }
+
     /// The four IPv4 octets this id concatenates.
     pub const fn octets(self) -> [u8; 4] {
         self.0.to_be_bytes()
@@ -80,29 +103,7 @@ impl core::str::FromStr for ClientId {
     type Err = ParseClientIdError;
 
     fn from_str(s: &str) -> Result<Self, Self::Err> {
-        // One byte scan straight into the `u32`: four octets split by dots,
-        // each what `u8::from_str` takes (an optional `+`, then one or more
-        // digits worth at most 255; the fold saturates at 256).
-        let (mut raw, mut rest) = (0u32, s.as_bytes());
-        for i in 0..4 {
-            if i > 0 {
-                rest = rest.strip_prefix(b".").ok_or(ParseClientIdError)?;
-            }
-            rest = rest.strip_prefix(b"+").unwrap_or(rest);
-            let digits = rest.iter().take_while(|b| b.is_ascii_digit()).count();
-            let (octet, tail) = rest.split_at(digits);
-            let value = octet
-                .iter()
-                .fold(0, |v, b| (v * 10 + u32::from(b - b'0')).min(256));
-            if digits == 0 || value > 255 {
-                return Err(ParseClientIdError);
-            }
-            raw = (raw << 8) | value;
-            rest = tail;
-        }
-        rest.is_empty()
-            .then_some(ClientId(raw))
-            .ok_or(ParseClientIdError)
+        ClientId::from_ascii(s.as_bytes())
     }
 }
 

@@ -92,7 +92,12 @@ impl Url {
     /// Parses the string form produced by [`Url::path`], given the owning
     /// server.
     pub fn from_path(server: ServerId, path: &str) -> Option<Url> {
-        let doc = path.strip_prefix("/doc/")?.parse().ok()?;
+        Url::from_path_ascii(server, path.as_bytes())
+    }
+
+    /// [`Url::from_path`] on bytes: `/doc/` and a `u32` in decimal.
+    pub fn from_path_ascii(server: ServerId, path: &[u8]) -> Option<Url> {
+        let doc = crate::parse_decimal(path.strip_prefix(b"/doc/")?)?;
         Some(Url::new(server, doc))
     }
 

@@ -73,6 +73,13 @@ echo "==> wire decoder header rules (against the owned reference decoder)"
 # and header blocks no encoder writes. Also runs in the suites above; named
 # here because it is what pins the header rules.
 cargo test -q -p wcc-proto --test wire_proptest
+# The decoder reads bytes: the reactor's incremental call (every cut of a
+# frame defers or decodes what a stream ending there decodes) and header
+# padding with the whitespace str::trim takes beyond space and tab (U+00A0,
+# U+3000, U+0085, \x0B, \x0C). Both also run just above; named here
+# because they are what holds the byte-level scan, trim and split.
+cargo test -q -p wcc-proto --test wire_proptest -- \
+  incremental_decode_defers_or_matches_eof zero_copy_unicode_padding_matches_owned
 
 echo "==> origin conformance + missed-invalidation regression (serve tier)"
 # One script fed to a bare wcc_core::OriginCore, a simulated deployment and
