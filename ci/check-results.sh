@@ -6,7 +6,11 @@
 # byte; `wcc bench list` and results/ must name the same set. A table that
 # moved on purpose is regenerated with
 #   ./target/release/wcc bench <name> > results/<name>.txt
-# and the diff is committed with the change that moved it.
+# and the diff is committed with the change that moved it. The scenario
+# fuzzer's summary is pinned the same way, in ci/fuzz-seed1.txt (regenerate
+# with `./target/release/wcc fuzz --iters 200 --seed 1 > ci/fuzz-seed1.txt`):
+# its request and audit-event totals move with any change to what the
+# simulator's nodes and the cores do or record.
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -29,4 +33,11 @@ for want in results/*.txt; do
         status=1
     fi
 done
+if "$wcc" fuzz --iters 200 --seed 1 > "$out/fuzz.txt" && cmp -s ci/fuzz-seed1.txt "$out/fuzz.txt"; then
+    echo "check-results: fuzz-seed1 ok"
+else
+    echo "check-results: fuzz-seed1 DIFFERS from ci/fuzz-seed1.txt"
+    diff ci/fuzz-seed1.txt "$out/fuzz.txt" | head -n 20
+    status=1
+fi
 exit "$status"

@@ -9,10 +9,11 @@
 //! Whoever drives it (a reactor role, a blocking caller, a simulator actor)
 //! does the sending, timing and accounting in between, so nothing here waits
 //! and any number of flights may be open at once. [`ProxyCore::on_push`]
-//! applies an invalidation from upstream and builds its ack. Every node
-//! driver runs the [`ProxyPolicy`] reply sequence through this file; the
-//! only other caller is [`crate::analytical::simulate`], Table 1's exact
-//! interpreter for one client and one document.
+//! applies an invalidation from upstream and builds its ack. With auditing
+//! on, each records what it served and dropped at the node's time `now`.
+//! Every node driver runs the [`ProxyPolicy`] reply sequence through this
+//! file; the only other caller is [`crate::analytical::simulate`], Table 1's
+//! exact interpreter for one client and one document.
 //!
 //! The one rule for a reply that races an invalidation: an `INVALIDATE
 //! <url>` — or a recovered origin's bulk `INVALIDATE <server>` — that
@@ -30,6 +31,7 @@ use wcc_proto::{
     BatchAckEntry, BatchEntry, GetRequest, HttpMsg, Reply, ReplyRef, ReplyStatus, ReplyStatusRef,
     RequestId,
 };
+use wcc_types::AuditEvent::{self, BulkInvalidateDelivered, InvalidateDelivered};
 use wcc_types::{ClientId, DocMeta, FxHashMap, ScopedUrl, SimTime, Url};
 
 /// How a fetch was satisfied.
@@ -200,6 +202,7 @@ pub struct ProxyCore<W> {
     /// for its key.
     orphan_reports: FxHashMap<ScopedUrl, u64>,
     counters: FetchCounters,
+    audit: Option<Vec<AuditEvent>>,
 }
 
 impl<W> ProxyCore<W> {
@@ -213,7 +216,36 @@ impl<W> ProxyCore<W> {
             flights: VecDeque::with_capacity(1),
             orphan_reports: FxHashMap::default(),
             counters: FetchCounters::default(),
+            audit: None,
         }
+    }
+
+    /// Starts recording [`AuditEvent`]s.
+    pub fn enable_audit(&mut self) {
+        self.audit = Some(Vec::new());
+    }
+
+    /// The audit-event log (empty when auditing is off).
+    pub fn audit_log(&self) -> &[AuditEvent] {
+        self.audit.as_deref().unwrap_or(&[])
+    }
+
+    fn record(&mut self, now: SimTime, event: impl FnOnce(SimTime) -> AuditEvent) {
+        if let Some(log) = self.audit.as_mut() {
+            log.push(event(now));
+        }
+    }
+
+    /// Records that `key`'s client was answered with `meta`'s version.
+    fn served(&mut self, key: ScopedUrl, meta: DocMeta, hit: bool, now: SimTime) -> DocMeta {
+        self.record(now, |at| AuditEvent::Serve {
+            url: key.url(),
+            client: key.client(),
+            version: meta.last_modified(),
+            from_cache: hit,
+            at,
+        });
+        meta
     }
 
     /// The node's cache.
@@ -260,23 +292,25 @@ impl<W> ProxyCore<W> {
         sent
     }
 
-    /// `client` asks for `url` at `now`: serve the cached copy (same side
-    /// effects as [`ProxyPolicy::on_request`]: recency, hit meter) or open a
-    /// flight. `waiter` is only called, and kept, when a flight opens.
+    /// `client` asks for `url` at protocol time `at` (node time `now`): serve
+    /// the cached copy (same side effects as [`ProxyPolicy::on_request`]:
+    /// recency, hit meter) or open a flight. `waiter` is only called, and
+    /// kept, when a flight opens.
     pub fn begin(
         &mut self,
         client: ClientId,
         url: Url,
+        at: SimTime,
         now: SimTime,
         waiter: impl FnOnce() -> W,
     ) -> Begin {
         let key = url.scoped(client);
-        let disposition = self.policy.on_request(key, now, &mut self.cache);
+        let disposition = self.policy.on_request(key, at, &mut self.cache);
         self.counters.requests += 1;
         self.counters.hits += u64::from(disposition.had_entry);
         let ims = match disposition.action {
             ProxyAction::ServeFromCache => match self.cache.peek(key) {
-                Some(entry) => return Begin::Serve(entry.meta),
+                Some(entry) => return Begin::Serve(self.served(key, entry.meta, true, now)),
                 // A hit implies an entry; were it gone, fetch it.
                 None => None,
             },
@@ -287,15 +321,20 @@ impl<W> ProxyCore<W> {
             url,
             client,
             ims,
-            issued_at: now,
+            issued_at: at,
             cache_hits: disposition.report_hits + self.take_orphan_report(key),
         };
         Begin::Forward(self.launch(get, disposition.had_entry, waiter()))
     }
 
-    /// The reply to flight `req` arrived. `None`: no such flight (a late,
-    /// duplicate or unknown id) — the reply is ignored.
-    pub fn complete(&mut self, req: RequestId, reply: &UpstreamReply) -> Option<Complete<W>> {
+    /// The reply to flight `req` arrived at node time `now`. `None`: no
+    /// such flight (a late, duplicate or unknown id) — the reply is ignored.
+    pub fn complete(
+        &mut self,
+        req: RequestId,
+        reply: &UpstreamReply,
+        now: SimTime,
+    ) -> Option<Complete<W>> {
         let Flight {
             sent,
             had_entry,
@@ -303,7 +342,7 @@ impl<W> ProxyCore<W> {
             waiter,
         } = self.land(req)?;
         let key = sent.url.scoped(sent.client);
-        let now = sent.issued_at;
+        let at = sent.issued_at;
         let delivered = if poisoned {
             // The invalidation overtook this reply: its version may predate
             // the write. Nothing of it is applied.
@@ -322,12 +361,12 @@ impl<W> ProxyCore<W> {
                 Some(meta) => {
                     self.counters.replies_200 += 1;
                     self.policy
-                        .on_reply_200(key, meta, reply.lease, now, &mut self.cache);
+                        .on_reply_200(key, meta, reply.lease, at, &mut self.cache);
                     Some((FetchKind::Fetched, meta))
                 }
                 None if self
                     .policy
-                    .on_reply_304(key, reply.lease, now, &mut self.cache) =>
+                    .on_reply_304(key, reply.lease, at, &mut self.cache) =>
                 {
                     self.counters.replies_304 += 1;
                     self.cache
@@ -341,14 +380,20 @@ impl<W> ProxyCore<W> {
             }
         };
         Some(match delivered {
-            Some((kind, meta)) => Complete::Done {
-                outcome: FetchOutcome {
-                    kind,
-                    had_entry,
-                    meta,
-                },
-                waiter,
-            },
+            Some((kind, meta)) => {
+                let client = sent.client;
+                for &url in &reply.piggyback {
+                    self.record(now, |at| InvalidateDelivered { url, client, at });
+                }
+                Complete::Done {
+                    outcome: FetchOutcome {
+                        kind,
+                        had_entry,
+                        meta: self.served(key, meta, false, now),
+                    },
+                    waiter,
+                }
+            }
             None => {
                 let plain = GetRequest {
                     ims: None,
@@ -407,11 +452,16 @@ impl<W> ProxyCore<W> {
     /// (`InvalidateServerAck`). Every flight for a dropped or marked copy is
     /// poisoned. A proxy holds the copies the frame names; a parent holds
     /// every copy as `held_as`. `None`, and nothing applied, for any other
-    /// frame.
-    pub fn on_push(&mut self, push: HttpMsg, held_as: Option<ClientId>) -> Option<HttpMsg> {
+    /// frame. Each drop, and the bulk, is recorded at node time `now`.
+    pub fn on_push(
+        &mut self,
+        push: HttpMsg,
+        held_as: Option<ClientId>,
+        now: SimTime,
+    ) -> Option<HttpMsg> {
         Some(match push {
             HttpMsg::Invalidate { url, client } => {
-                let e = self.on_invalidate(url, held_as.unwrap_or(client));
+                let e = self.on_invalidate(url, held_as.unwrap_or(client), now);
                 HttpMsg::InvalAck {
                     url,
                     client: e.client,
@@ -420,7 +470,8 @@ impl<W> ProxyCore<W> {
             }
             HttpMsg::InvalidateBatch { server, entries } => {
                 self.counters.inval_batches_received += 1;
-                let ack = |e: BatchEntry| self.on_invalidate(e.url, held_as.unwrap_or(e.client));
+                let ack =
+                    |e: BatchEntry| self.on_invalidate(e.url, held_as.unwrap_or(e.client), now);
                 let entries = entries.into_iter().map(ack).collect();
                 HttpMsg::InvalidateBatchAck { server, entries }
             }
@@ -430,6 +481,7 @@ impl<W> ProxyCore<W> {
                     flight.poisoned |= flight.sent.url.server() == server;
                 }
                 self.policy.on_invalidate_server(server, &mut self.cache);
+                self.record(now, |at| BulkInvalidateDelivered { server, at });
                 HttpMsg::InvalidateServerAck { server }
             }
             _ => return None,
@@ -440,8 +492,9 @@ impl<W> ProxyCore<W> {
     /// ack entry's §7 report is the dropped copy's unreported hits (see
     /// [`ProxyPolicy::on_invalidate`]) plus any downstream reports waiting
     /// for it.
-    fn on_invalidate(&mut self, url: Url, client: ClientId) -> BatchAckEntry {
+    fn on_invalidate(&mut self, url: Url, client: ClientId, now: SimTime) -> BatchAckEntry {
         self.counters.invalidations_received += 1;
+        self.record(now, |at| InvalidateDelivered { url, client, at });
         for flight in &mut self.flights {
             flight.poisoned |= flight.sent.url == url && flight.sent.client == client;
         }
@@ -490,6 +543,8 @@ mod tests {
 
     const CLIENT: ClientId = ClientId::from_raw(3);
     const SERVER: ServerId = ServerId::new(0);
+    /// The node's clock, which only the audit log reads.
+    const CLOCK: SimTime = SimTime::ZERO;
 
     fn core(kind: ProtocolKind) -> ProxyCore<u32> {
         ProxyCore::new(
@@ -538,8 +593,8 @@ mod tests {
 
     /// Fetches `url` once (version `modified_secs`) so a copy is cached.
     fn prime(core: &mut ProxyCore<u32>, url: Url, modified_secs: u64, now: SimTime) {
-        let get = forwarded(core.begin(CLIENT, url, now, || 0));
-        let done = core.complete(get.req, &ok(modified_secs));
+        let get = forwarded(core.begin(CLIENT, url, now, CLOCK, || 0));
+        let done = core.complete(get.req, &ok(modified_secs), CLOCK);
         assert!(matches!(done, Some(Complete::Done { .. })));
     }
 
@@ -569,13 +624,13 @@ mod tests {
             for questionable in [false, true] {
                 for now in times {
                     let mut core = core(kind);
-                    let get = forwarded(core.begin(CLIENT, key.url(), fetched, || 0));
+                    let get = forwarded(core.begin(CLIENT, key.url(), fetched, CLOCK, || 0));
                     let reply = UpstreamReply {
                         lease: Some(lease_end),
                         volume_lease: Some(lease_end),
                         ..ok(5)
                     };
-                    core.complete(get.req, &reply).expect("flight");
+                    core.complete(get.req, &reply, CLOCK).expect("flight");
                     // The same history on a bare policy and cache.
                     let mut policy = ProxyPolicy::new(&ProtocolConfig::new(kind));
                     let mut cache = CacheStore::unbounded(ReplacementPolicy::Lru);
@@ -589,7 +644,7 @@ mod tests {
                     assert_eq!(core.cache.peek(key), cache.peek(key), "{kind:?}");
                     let disposition = policy.on_request(key, now, &mut cache);
                     let mut asked = false;
-                    let begin = core.begin(CLIENT, key.url(), now, || {
+                    let begin = core.begin(CLIENT, key.url(), now, CLOCK, || {
                         asked = true;
                         1
                     });
@@ -624,14 +679,14 @@ mod tests {
             for stale in [ok(5), not_modified()] {
                 let mut core = primed_questionable(kind);
                 let now = SimTime::from_secs(20);
-                let first = forwarded(core.begin(CLIENT, url(0, 7), now, || 42));
+                let first = forwarded(core.begin(CLIENT, url(0, 7), now, CLOCK, || 42));
                 assert_eq!(first.ims, Some(SimTime::from_secs(5)), "{kind:?}");
                 // Another client's copy is none of this flight's business.
                 let other = ClientId::from_raw(4);
-                core.on_invalidate(url(0, 7), other);
-                core.on_invalidate(url(0, 7), CLIENT);
+                core.on_invalidate(url(0, 7), other, CLOCK);
+                core.on_invalidate(url(0, 7), CLIENT, CLOCK);
 
-                let again = reforwarded(core.complete(first.req, &stale));
+                let again = reforwarded(core.complete(first.req, &stale, CLOCK));
                 assert_ne!(again.req, first.req);
                 assert_eq!((again.ims, again.cache_hits), (None, 0), "{kind:?}");
                 assert_eq!(
@@ -642,7 +697,7 @@ mod tests {
                 assert_eq!(core.counters().inval_races, 1);
                 assert_eq!(core.in_flight(), 1);
 
-                match core.complete(again.req, &ok(15)) {
+                match core.complete(again.req, &ok(15), CLOCK) {
                     Some(Complete::Done { outcome, waiter }) => {
                         assert_eq!(outcome.kind, FetchKind::Fetched);
                         assert!(
@@ -671,17 +726,17 @@ mod tests {
         for kind in ProtocolKind::ALL {
             let mut core = primed_questionable(kind);
             let now = SimTime::from_secs(20);
-            let validate = forwarded(core.begin(CLIENT, url(0, 7), now, || 1));
-            let miss = forwarded(core.begin(CLIENT, url(0, 8), now, || 2));
+            let validate = forwarded(core.begin(CLIENT, url(0, 7), now, CLOCK, || 1));
+            let miss = forwarded(core.begin(CLIENT, url(0, 8), now, CLOCK, || 2));
             let evicting = UpstreamReply {
                 piggyback: vec![url(0, 7)],
                 ..ok(3)
             };
             assert!(matches!(
-                core.complete(miss.req, &evicting),
+                core.complete(miss.req, &evicting, CLOCK),
                 Some(Complete::Done { waiter: 2, .. })
             ));
-            let again = reforwarded(core.complete(validate.req, &not_modified()));
+            let again = reforwarded(core.complete(validate.req, &not_modified(), CLOCK));
             assert_eq!((again.ims, again.url), (None, url(0, 7)), "{kind:?}");
             let c = core.counters();
             assert_eq!(
@@ -690,7 +745,7 @@ mod tests {
             );
             assert_eq!((c.piggybacked_received, c.piggybacked_effective), (1, 1));
             assert!(matches!(
-                core.complete(again.req, &ok(5)),
+                core.complete(again.req, &ok(5), CLOCK),
                 Some(Complete::Done { waiter: 1, .. })
             ));
         }
@@ -703,16 +758,16 @@ mod tests {
             let now = SimTime::from_secs(1);
             prime(&mut core, url(0, 1), 0, now);
             let flights = [url(0, 2), url(0, 3), url(1, 2)]
-                .map(|url| forwarded(core.begin(CLIENT, url, now, || url.doc())));
+                .map(|url| forwarded(core.begin(CLIENT, url, now, CLOCK, || url.doc())));
             let bulk = HttpMsg::InvalidateServer { server: SERVER };
             let acked = HttpMsg::InvalidateServerAck { server: SERVER };
-            assert_eq!(core.on_push(bulk, None), Some(acked));
+            assert_eq!(core.on_push(bulk, None, CLOCK), Some(acked));
             for get in &flights[..2] {
-                let again = reforwarded(core.complete(get.req, &ok(0)));
+                let again = reforwarded(core.complete(get.req, &ok(0), CLOCK));
                 assert_eq!((again.url, again.ims), (get.url, None), "{kind:?}");
             }
             assert!(matches!(
-                core.complete(flights[2].req, &ok(0)),
+                core.complete(flights[2].req, &ok(0), CLOCK),
                 Some(Complete::Done { .. })
             ));
             assert_eq!(core.counters().inval_races, 2);
@@ -726,25 +781,25 @@ mod tests {
         for kind in ProtocolKind::ALL {
             let mut core = core(kind);
             let now = SimTime::from_secs(1);
-            assert!(core.complete(RequestId::new(99), &ok(0)).is_none());
-            let get = forwarded(core.begin(CLIENT, url(0, 1), now, || 7));
+            assert!(core.complete(RequestId::new(99), &ok(0), CLOCK).is_none());
+            let get = forwarded(core.begin(CLIENT, url(0, 1), now, CLOCK, || 7));
             assert!(
-                core.complete(get.req.next(), &ok(0)).is_none(),
+                core.complete(get.req.next(), &ok(0), CLOCK).is_none(),
                 "not handed out yet"
             );
-            assert!(core.complete(get.req, &ok(1)).is_some());
-            assert!(core.complete(get.req, &ok(2)).is_none(), "duplicate");
+            assert!(core.complete(get.req, &ok(1), CLOCK).is_some());
+            assert!(core.complete(get.req, &ok(2), CLOCK).is_none(), "duplicate");
             let key = url(0, 1).scoped(CLIENT);
             assert_eq!(core.cache().peek(key).map(|e| e.meta), Some(meta(1)));
 
-            let given_up = forwarded(core.begin(CLIENT, url(0, 2), now, || 8));
+            let given_up = forwarded(core.begin(CLIENT, url(0, 2), now, CLOCK, || 8));
             assert_eq!(
                 core.oldest().map(|(req, w)| (req, *w)),
                 Some((given_up.req, 8))
             );
             assert_eq!(core.abandon(given_up.req), Some(8));
             assert_eq!(core.abandon(given_up.req), None);
-            assert!(core.complete(given_up.req, &ok(3)).is_none(), "late");
+            assert!(core.complete(given_up.req, &ok(3), CLOCK).is_none(), "late");
             assert!(core.cache().peek(url(0, 2).scoped(CLIENT)).is_none());
             let c = core.counters();
             assert_eq!((c.replies_200, c.gets_sent, core.in_flight()), (1, 2, 0));
@@ -760,9 +815,9 @@ mod tests {
         for kind in ProtocolKind::ALL {
             let mut core = primed_questionable(kind);
             let now = SimTime::from_secs(20);
-            let first = forwarded(core.begin(CLIENT, url(0, 7), now, || 9));
+            let first = forwarded(core.begin(CLIENT, url(0, 7), now, CLOCK, || 9));
             let before = core.counters();
-            core.on_push(HttpMsg::InvalidateServer { server: SERVER }, None);
+            core.on_push(HttpMsg::InvalidateServer { server: SERVER }, None, CLOCK);
 
             let again = core.retransmit(first.req).expect("an open flight");
             assert_ne!(again.req, first.req);
@@ -778,10 +833,13 @@ mod tests {
             let c = core.counters();
             assert_eq!((c.requests, c.hits), (before.requests, before.hits));
             assert_eq!(c.ims_sent, before.ims_sent + 1);
-            assert!(core.complete(first.req, &not_modified()).is_none(), "late");
+            assert!(
+                core.complete(first.req, &not_modified(), CLOCK).is_none(),
+                "late"
+            );
             assert!(core.retransmit(first.req).is_none());
 
-            match core.complete(again.req, &not_modified()) {
+            match core.complete(again.req, &not_modified(), CLOCK) {
                 Some(Complete::Done { outcome, waiter: 9 }) => {
                     assert_eq!(
                         (outcome.kind, outcome.meta),
@@ -793,7 +851,7 @@ mod tests {
             assert_eq!(core.counters().inval_races, 0);
 
             // With no copy to validate it is a plain GET.
-            let miss = forwarded(core.begin(CLIENT, url(0, 8), now, || 1));
+            let miss = forwarded(core.begin(CLIENT, url(0, 8), now, CLOCK, || 1));
             let again = core.retransmit(miss.req).expect("an open flight");
             assert_eq!((again.ims, core.in_flight()), (None, 1));
         }
@@ -808,7 +866,8 @@ mod tests {
         let now = SimTime::from_secs(1);
         prime(&mut core, url(0, 1), 0, now);
         core.absorb_report(url(0, 1), CLIENT, 3);
-        let hits = |core: &mut ProxyCore<u32>| core.on_invalidate(url(0, 1), CLIENT).cache_hits;
+        let hits =
+            |core: &mut ProxyCore<u32>| core.on_invalidate(url(0, 1), CLIENT, CLOCK).cache_hits;
         assert_eq!(hits(&mut core), 3, "joined the copy");
 
         core.absorb_report(url(0, 1), CLIENT, 2);
@@ -817,7 +876,7 @@ mod tests {
         core.absorb_report(url(0, 2), ClientId::from_raw(4), 7);
         assert_eq!(hits(&mut core), 2);
         assert_eq!(hits(&mut core), 0, "reported once");
-        let get = forwarded(core.begin(CLIENT, url(0, 2), now, || 0));
+        let get = forwarded(core.begin(CLIENT, url(0, 2), now, CLOCK, || 0));
         assert_eq!(get.cache_hits, 4, "another client's report stays put");
         let again = core.retransmit(get.req).expect("an open flight");
         assert_eq!(again.cache_hits, 0, "reported once");
@@ -834,12 +893,12 @@ mod tests {
             let mut core = core(ProtocolKind::Invalidation);
             let now = SimTime::from_secs(1);
             for doc in 1..=3 {
-                let get = forwarded(core.begin(holder, url(0, doc), now, || 0));
-                core.complete(get.req, &ok(0)).expect("a flight");
+                let get = forwarded(core.begin(holder, url(0, doc), now, CLOCK, || 0));
+                core.complete(get.req, &ok(0), CLOCK).expect("a flight");
             }
-            let hit = core.begin(holder, url(0, 2), now, || 0);
+            let hit = core.begin(holder, url(0, 2), now, CLOCK, || 0);
             assert_eq!(hit, Begin::Serve(meta(0)));
-            let flight = forwarded(core.begin(holder, url(0, 4), now, || 0));
+            let flight = forwarded(core.begin(holder, url(0, 4), now, CLOCK, || 0));
             let one = HttpMsg::Invalidate {
                 url: url(0, 1),
                 client: CLIENT,
@@ -849,7 +908,11 @@ mod tests {
                 client: holder,
                 cache_hits: 0,
             };
-            assert_eq!(core.on_push(one, held_as), Some(acked), "{held_as:?}");
+            assert_eq!(
+                core.on_push(one, held_as, CLOCK),
+                Some(acked),
+                "{held_as:?}"
+            );
             let entry = |doc| BatchEntry {
                 url: url(0, doc),
                 client: CLIENT,
@@ -867,11 +930,15 @@ mod tests {
                 server: SERVER,
                 entries: vec![ack(4, 0), ack(2, 1), ack(3, 0)],
             };
-            assert_eq!(core.on_push(round, held_as), Some(acked), "{held_as:?}");
+            assert_eq!(
+                core.on_push(round, held_as, CLOCK),
+                Some(acked),
+                "{held_as:?}"
+            );
             assert_eq!(core.cache().len(), 0);
             let bulk = HttpMsg::InvalidateServer { server: SERVER };
             let acked = HttpMsg::InvalidateServerAck { server: SERVER };
-            assert_eq!(core.on_push(bulk, held_as), Some(acked));
+            assert_eq!(core.on_push(bulk, held_as, CLOCK), Some(acked));
             let c = core.counters();
             assert_eq!(
                 (
@@ -881,7 +948,7 @@ mod tests {
                 ),
                 (4, 1, 1)
             );
-            reforwarded(core.complete(flight.req, &ok(0)));
+            reforwarded(core.complete(flight.req, &ok(0), CLOCK));
             assert_eq!(core.counters().inval_races, 1);
         }
     }
@@ -894,7 +961,7 @@ mod tests {
         let now = SimTime::from_secs(1);
         let copy = url(0, 1);
         prime(&mut core, copy, 0, now);
-        let flight = forwarded(core.begin(CLIENT, url(0, 2), now, || 0));
+        let flight = forwarded(core.begin(CLIENT, url(0, 2), now, CLOCK, || 0));
         let before = core.counters();
         let acked = BatchAckEntry {
             url: copy,
@@ -920,14 +987,99 @@ mod tests {
             HttpMsg::MetricsGet,
             HttpMsg::Notify { url: copy, at: now },
         ] {
-            assert_eq!(core.on_push(frame, None), None);
+            assert_eq!(core.on_push(frame, None, CLOCK), None);
         }
         assert_eq!(core.counters(), before);
         assert!(core.cache().peek(copy.scoped(CLIENT)).is_some());
-        let landed = core.complete(flight.req, &ok(0));
+        let landed = core.complete(flight.req, &ok(0), CLOCK);
         assert!(
             matches!(landed, Some(Complete::Done { .. })),
             "not poisoned"
         );
+    }
+
+    /// The proxy side of the audit stream, recorded by the core at the
+    /// node's time `now`, never the request's protocol time `at`: a hit's
+    /// serve; a fetch's piggybacked drops, then its serve; one drop per
+    /// pushed entry in frame order, and one event for the bulk — each under
+    /// the client the copy is held as. An overtaken reply records nothing,
+    /// and a core with auditing off records nothing at all.
+    #[test]
+    fn the_core_records_what_it_served_and_dropped_on_the_node_clock() {
+        let at = SimTime::from_secs(1);
+        let clock = |secs| SimTime::from_secs(1_000 + u64::from(secs));
+        for held_as in [None, Some(ClientId::from_raw(0))] {
+            let holder = held_as.unwrap_or(CLIENT);
+            for audit in [true, false] {
+                let mut core = core(ProtocolKind::Invalidation);
+                if audit {
+                    core.enable_audit();
+                }
+                for (doc, piggyback) in [(1, vec![url(0, 8), url(0, 9)]), (2, vec![]), (3, vec![])]
+                {
+                    let get = forwarded(core.begin(holder, url(0, doc), at, clock(doc), || 0));
+                    let reply = UpstreamReply { piggyback, ..ok(5) };
+                    core.complete(get.req, &reply, clock(doc))
+                        .expect("a flight");
+                }
+                let hit = core.begin(holder, url(0, 2), at, clock(4), || 0);
+                assert_eq!(hit, Begin::Serve(meta(5)));
+                let flight = forwarded(core.begin(holder, url(0, 4), at, clock(5), || 0));
+                let one = HttpMsg::Invalidate {
+                    url: url(0, 4),
+                    client: CLIENT,
+                };
+                core.on_push(one, held_as, clock(6)).expect("a push");
+                let overtaken = UpstreamReply {
+                    piggyback: vec![url(0, 3)],
+                    ..ok(5)
+                };
+                reforwarded(core.complete(flight.req, &overtaken, clock(7)));
+                let entry = |doc| BatchEntry {
+                    url: url(0, doc),
+                    client: CLIENT,
+                };
+                let round = HttpMsg::InvalidateBatch {
+                    server: SERVER,
+                    entries: vec![entry(3), entry(1), entry(2)],
+                };
+                core.on_push(round, held_as, clock(8)).expect("a push");
+                let bulk = HttpMsg::InvalidateServer { server: SERVER };
+                core.on_push(bulk, held_as, clock(9)).expect("a push");
+                if !audit {
+                    assert!(core.audit_log().is_empty(), "{held_as:?}");
+                    continue;
+                }
+                let serve = |doc, from_cache, secs| AuditEvent::Serve {
+                    url: url(0, doc),
+                    client: holder,
+                    version: SimTime::from_secs(5),
+                    from_cache,
+                    at: clock(secs),
+                };
+                let dropped = |doc, secs| AuditEvent::InvalidateDelivered {
+                    url: url(0, doc),
+                    client: holder,
+                    at: clock(secs),
+                };
+                let expected = [
+                    dropped(8, 1),
+                    dropped(9, 1),
+                    serve(1, false, 1),
+                    serve(2, false, 2),
+                    serve(3, false, 3),
+                    serve(2, true, 4),
+                    dropped(4, 6),
+                    dropped(3, 8),
+                    dropped(1, 8),
+                    dropped(2, 8),
+                    AuditEvent::BulkInvalidateDelivered {
+                        server: SERVER,
+                        at: clock(9),
+                    },
+                ];
+                assert_eq!(core.audit_log(), expected, "{held_as:?}");
+            }
+        }
     }
 }

@@ -369,7 +369,7 @@ impl Deployment {
                 sim.node_mut::<OriginNode>(o).core.enable_audit();
             }
             for &p in &proxies {
-                sim.node_mut::<ProxyNode>(p).enable_audit();
+                sim.node_mut::<ProxyNode>(p).core.enable_audit();
             }
             // Its own log ([`ParentNode::down`]), not the auditor's stream.
             if let Some(par) = parent {
@@ -520,7 +520,7 @@ impl Deployment {
             log.extend_from_slice(self.origin_at(i).core().audit_log());
         }
         for i in 0..self.proxies.len() {
-            log.extend_from_slice(self.proxy(i).audit_log());
+            log.extend_from_slice(self.proxy(i).core().audit_log());
         }
         log.sort_by_key(AuditEvent::at);
         log

@@ -161,7 +161,7 @@ impl ParentNode {
         let waiter = || (child, get);
         match self
             .core
-            .begin(self.identity, get.url, get.issued_at, waiter)
+            .begin(self.identity, get.url, get.issued_at, ctx.now(), waiter)
         {
             Begin::Serve(meta) => {
                 self.counters.parent_hits += 1;
@@ -172,7 +172,7 @@ impl ParentNode {
     }
 
     fn handle_upstream_reply(&mut self, reply: Reply, ctx: &mut Ctx<'_, Message>) {
-        match self.core.complete(reply.req, &reply.into()) {
+        match self.core.complete(reply.req, &reply.into(), ctx.now()) {
             Some(Complete::Done {
                 outcome,
                 waiter: (child, get),
@@ -191,7 +191,7 @@ impl ParentNode {
     /// is acked — the children's acks are this tier's to collect — anything
     /// else acked first.
     fn handle_push(&mut self, push: HttpMsg, ctx: &mut Ctx<'_, Message>) {
-        let Some(ack) = self.core.on_push(push, Some(self.identity)) else {
+        let Some(ack) = self.core.on_push(push, Some(self.identity), ctx.now()) else {
             return;
         };
         let copies = ack.acked().count().max(1) as u64;

@@ -2,19 +2,20 @@
 //!
 //! The protocol side — policy, cache, the request in flight, a push applied
 //! and acked, the rule for a reply an `INVALIDATE` overtook — is
-//! [`wcc_core::ProxyCore`], which the TCP proxy drives too. This node adds
-//! the trace driver and its coordinator barrier, the cost model's CPU
-//! charges (read off each ack), the request timeout, spans and audit events.
+//! [`wcc_core::ProxyCore`], which the TCP proxy drives too; it also records
+//! the audit events of what was served and dropped. This node adds the trace
+//! driver and its coordinator barrier, the cost model's CPU charges (read
+//! off each ack), the request timeout and spans.
 
 use crate::cost::CostModel;
 use crate::deployment::ServeEvent;
 use wcc_cache::CacheStore;
-use wcc_core::{Begin, Complete, ProxyCore, ProxyPolicy, UpstreamReply};
+use wcc_core::{Begin, Complete, ProxyCore, ProxyPolicy};
 use wcc_obs::{Phase, SpanKind, Tracer};
-use wcc_proto::{BatchAckEntry, CoordMsg, GetRequest, HttpMsg, Message, Reply};
+use wcc_proto::{CoordMsg, GetRequest, HttpMsg, Message, Reply};
 use wcc_simnet::{Ctx, Node, Summary};
 use wcc_traces::TraceRecord;
-use wcc_types::{AuditEvent, ByteSize, ClientId, NodeId, SimDuration, SimTime};
+use wcc_types::{ByteSize, ClientId, NodeId, SimDuration, SimTime};
 
 /// What a proxy counts beside its fetch core's
 /// [`FetchCounters`](wcc_core::FetchCounters) ([`ProxyNode::core`]).
@@ -63,8 +64,8 @@ const REQUEST_TIMEOUT: SimDuration = SimDuration::from_secs(10);
 /// waits for the reply") and implements the proxy side of the protocol.
 #[derive(Debug)]
 pub struct ProxyNode {
-    /// Policy, cache and the (at most one) request in flight.
-    core: ProxyCore<Waiting>,
+    /// Policy, cache, the (at most one) request in flight and the audit log.
+    pub(crate) core: ProxyCore<Waiting>,
     /// When that request last left; its latency is measured from here.
     wall_start: SimTime,
     /// When the request timer fires, which is also its token. One timer
@@ -95,8 +96,6 @@ pub struct ProxyNode {
     /// Every user delivery, for the staleness audit.
     pub(crate) serves: Vec<ServeEvent>,
     pub(crate) counters: ProxyCounters,
-    /// Audit-event log, recorded only when the deployment enables auditing.
-    audit: Option<Vec<AuditEvent>>,
     /// Span recorder (disabled unless the deployment enables tracing;
     /// recording never feeds back into protocol state).
     pub(crate) tracer: Tracer,
@@ -125,7 +124,6 @@ impl ProxyNode {
             latency: Summary::default(),
             serves: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
             counters: ProxyCounters::default(),
-            audit: None,
             tracer: Tracer::disabled(),
         }
     }
@@ -133,21 +131,6 @@ impl ProxyNode {
     /// The span recorder (for trace-log collection).
     pub fn tracer(&self) -> &Tracer {
         &self.tracer
-    }
-
-    pub(crate) fn enable_audit(&mut self) {
-        self.audit = Some(Vec::new()); // xtask-lint: allow(hot-loop-alloc)
-    }
-
-    /// The audit-event log (empty slice when auditing is disabled).
-    pub fn audit_log(&self) -> &[AuditEvent] {
-        self.audit.as_deref().unwrap_or(&[])
-    }
-
-    fn record(&mut self, ev: AuditEvent) {
-        if let Some(log) = self.audit.as_mut() {
-            log.push(ev);
-        }
     }
 
     pub(crate) fn wire_multi(&mut self, origins: Vec<NodeId>, coordinator: NodeId) {
@@ -170,8 +153,9 @@ impl ProxyNode {
         &self.counters
     }
 
-    /// The fetch core: cache, policy, and the counters of requests, hits,
-    /// `GET`/`IMS` sent, replies applied, invalidations and races.
+    /// The fetch core: cache, policy, the counters of requests, hits,
+    /// `GET`/`IMS` sent, replies applied, invalidations and races, and the
+    /// audit log.
     pub fn core(&self) -> &ProxyCore<Waiting> {
         &self.core
     }
@@ -216,27 +200,13 @@ impl ProxyNode {
     }
 
     /// Hands `record`'s user the `version` it was answered with.
-    fn deliver(
-        &mut self,
-        record: &TraceRecord,
-        client: ClientId,
-        version: SimTime,
-        from_cache: bool,
-        at: SimTime,
-    ) {
+    fn deliver(&mut self, record: &TraceRecord, version: SimTime, from_cache: bool) {
         self.serves.push(ServeEvent {
             url: record.url,
             client: record.client,
             trace_at: record.at,
             version,
             from_cache,
-        });
-        self.record(AuditEvent::Serve {
-            url: record.url,
-            client,
-            version,
-            from_cache,
-            at,
         });
     }
 
@@ -265,7 +235,10 @@ impl ProxyNode {
                 None,
             );
             let waiting = || Waiting { record, span };
-            match self.core.begin(client, record.url, record.at, waiting) {
+            match self
+                .core
+                .begin(client, record.url, record.at, ctx.now(), waiting)
+            {
                 Begin::Serve(meta) => {
                     ctx.consume(self.costs.proxy_hit_cpu);
                     self.latency.observe(self.costs.proxy_hit_cpu);
@@ -278,7 +251,7 @@ impl ProxyNode {
                         Some(client),
                         None,
                     );
-                    self.deliver(&record, client, meta.last_modified(), true, ctx.now());
+                    self.deliver(&record, meta.last_modified(), true);
                 }
                 Begin::Forward(get) => self.forward(get, ctx),
             }
@@ -303,10 +276,9 @@ impl ProxyNode {
 
     fn handle_reply(&mut self, reply: Reply, ctx: &mut Ctx<'_, Message>) {
         let req = reply.req;
-        let reply = UpstreamReply::from(reply);
         // `None`: a reply from before a crash or a retransmit; the request
         // it answered has gone out again under a new id.
-        let Some(landed) = self.core.complete(req, &reply) else {
+        let Some(landed) = self.core.complete(req, &reply.into(), ctx.now()) else {
             return;
         };
         let (waiting, version) = match landed {
@@ -317,13 +289,6 @@ impl ProxyNode {
             Complete::Done { outcome, waiter } => (waiter, outcome.meta.last_modified()),
         };
         let record = waiting.record;
-        let client = self.identity.unwrap_or(record.client);
-        if let Some(log) = self.audit.as_mut() {
-            // The PSI invalidations the reply carried and the core applied.
-            let at = ctx.now();
-            let dropped = |&url| AuditEvent::InvalidateDelivered { url, client, at };
-            log.extend(reply.piggyback.iter().map(dropped));
-        }
         self.latency
             .observe(ctx.now().saturating_since(self.wall_start));
         self.tracer.record(
@@ -332,30 +297,23 @@ impl ProxyNode {
             waiting.span,
             Phase::Reply,
             record.url,
-            Some(client),
+            Some(self.identity.unwrap_or(record.client)),
             Some(req.get()),
         );
-        self.deliver(&record, client, version, false, ctx.now());
+        self.deliver(&record, version, false);
         self.pump(ctx);
     }
 
-    /// A push from upstream, applied by the core; charge and audit trail
-    /// are read off the ack. The work is per copy, so each entry of a round
+    /// A push from upstream, applied (and recorded) by the core; the charge
+    /// is read off the ack. The work is per copy, so each entry of a round
     /// costs what a lone `INVALIDATE` costs, as does the bulk. The ack goes
     /// back to the sender, free on the byte row (see [`ProxyCounters`]).
     fn handle_push(&mut self, from: NodeId, push: HttpMsg, ctx: &mut Ctx<'_, Message>) {
-        let Some(ack) = self.core.on_push(push, None) else {
+        let Some(ack) = self.core.on_push(push, None, ctx.now()) else {
             return;
         };
-        let at = ctx.now();
-        for BatchAckEntry { url, client, .. } in ack.acked() {
-            ctx.consume(self.costs.proxy_inval_cpu);
-            self.record(AuditEvent::InvalidateDelivered { url, client, at });
-        }
-        if let HttpMsg::InvalidateServerAck { server } = ack {
-            ctx.consume(self.costs.proxy_inval_cpu);
-            self.record(AuditEvent::BulkInvalidateDelivered { server, at });
-        }
+        let copies = ack.acked().count().max(1) as u64;
+        ctx.consume(self.costs.proxy_inval_cpu.saturating_mul(copies));
         let size = ack.wire_size();
         ctx.send(from, Message::Http(ack), size);
     }

@@ -21,6 +21,8 @@
 //! * **origin-bypass** — no `ServerConsistency::on_modify` / `on_inval_ack`
 //!   / `on_server_recover` / `expire_pending` in the simulator or the TCP
 //!   tier: origins and parents all drive `wcc_core::WritePath`.
+//! * **audit-bypass** — no `AuditEvent` built in the simulator or the TCP
+//!   tier: `ProxyCore` and `WritePath` record what they do.
 //! * **map-iteration-order** — no unordered map/set iteration whose order
 //!   can reach replay-visible output (see [`order`] for the allowlist).
 //! * **wire-exhaustiveness** — every dispatch over the wire enums names

@@ -67,6 +67,11 @@ fn reactor_file(path: &str) -> bool {
     )
 }
 
+/// The drivers of the `wcc_core` state machines: simulator nodes, serve-tier roles.
+fn driver_code(path: &str) -> bool {
+    path.starts_with("crates/httpsim/src/") || path.starts_with("crates/net/src/")
+}
+
 fn simulation_code(path: &str) -> bool {
     // Everything except the real-network crate runs under the simulated
     // clock; `crates/net` is the one place wall-time waiting is legitimate.
@@ -211,9 +216,7 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
                   a reply an invalidation overtook) lives once, in \
                   wcc_core::ProxyCore (crates/core/src/fetch.rs); drive its \
                   begin / complete rather than the ProxyPolicy steps",
-        in_scope: |path| {
-            path.starts_with("crates/httpsim/src/") || path.starts_with("crates/net/src/")
-        },
+        in_scope: driver_code,
         allowed: |_| false,
         include_tests: false,
     },
@@ -229,9 +232,30 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
                   once, in wcc_core::WritePath (crates/core/src/origin.rs), \
                   for origins and parents alike; drive its modify / ack / \
                   on_timer / recover rather than the ServerConsistency steps",
-        in_scope: |path| {
-            path.starts_with("crates/httpsim/src/") || path.starts_with("crates/net/src/")
-        },
+        in_scope: driver_code,
+        allowed: |_| false,
+        include_tests: false,
+    },
+    SeqRule {
+        name: "audit-bypass",
+        needles: &[
+            &["AuditEvent", ":", ":", "Touch"],
+            &["AuditEvent", ":", ":", "ModifyFanout"],
+            &["AuditEvent", ":", ":", "Register"],
+            &["AuditEvent", ":", ":", "InvalidateSend"],
+            &["AuditEvent", ":", ":", "InvalidateDelivered"],
+            &["AuditEvent", ":", ":", "InvalidateAck"],
+            &["AuditEvent", ":", ":", "PendingExpired"],
+            &["AuditEvent", ":", ":", "GaveUp"],
+            &["AuditEvent", ":", ":", "PurgeExpired"],
+            &["AuditEvent", ":", ":", "ServerRecovered"],
+            &["AuditEvent", ":", ":", "BulkInvalidateDelivered"],
+            &["AuditEvent", ":", ":", "Serve"],
+        ],
+        message: "audit events are recorded once, by the core that acts: \
+                  wcc_core::ProxyCore for what a cache served and dropped, \
+                  wcc_core::WritePath for the write side; read their logs",
+        in_scope: driver_code,
         allowed: |_| false,
         include_tests: false,
     },

@@ -263,6 +263,25 @@ fn hand_rolled_write_path_denied_in_every_driver() {
 }
 
 #[test]
+fn audit_events_are_built_by_the_cores_not_the_drivers() {
+    let src = "fn f(log: &mut Vec<AuditEvent>, at: SimTime) {\n\
+               \x20   log.push(AuditEvent::InvalidateDelivered { url, client, at });\n\
+               \x20   log.push(wcc_types::AuditEvent::Serve { url, client, version, from_cache, at });\n\
+               }\n";
+    for path in ["crates/httpsim/src/proxy.rs", "crates/net/src/upstream.rs"] {
+        assert_eq!(rules_fired(path, src), ["audit-bypass"; 2], "{path}");
+    }
+    // The cores record them; a driver may merge and sort their logs.
+    assert!(rules_fired("crates/core/src/fetch.rs", src).is_empty());
+    assert!(rules_fired("crates/core/src/origin.rs", src).is_empty());
+    let merge = "fn f(log: &mut Vec<AuditEvent>) { log.sort_by_key(AuditEvent::at); }\n";
+    assert!(rules_fired("crates/httpsim/src/deployment.rs", merge).is_empty());
+    let test =
+        "#[cfg(test)]\nmod tests {\n    fn t() { AuditEvent::GaveUp { url, abandoned, at }; }\n}\n";
+    assert!(rules_fired("crates/net/src/proxy.rs", test).is_empty());
+}
+
+#[test]
 fn adhoc_atomic_counters_denied_in_the_tcp_prototype() {
     let src = "use std::sync::atomic::AtomicU64;\n";
     assert_eq!(

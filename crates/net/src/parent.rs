@@ -277,7 +277,7 @@ impl Role for ParentRole {
             // ack per document (`InvalAck`), so a coalesced round fans
             // out downstream as ordinary `INVALIDATE`s.
             (KTag::Upstream, HttpMsgRef::Owned(push)) => {
-                let Some(ack) = self.up.core.on_push(push, Some(IDENTITY)) else {
+                let Some(ack) = self.up.core.on_push(push, Some(IDENTITY), now) else {
                     return After::Close;
                 };
                 let asked = &mut links.asked;
@@ -296,7 +296,7 @@ impl Role for ParentRole {
                     let core = &mut self.up.core;
                     core.absorb_report(get.url, IDENTITY, get.cache_hits);
                     let waiting = || Waiting::new(Waiter::Client(cx.defer(), get), now);
-                    match core.begin(IDENTITY, get.url, get.issued_at, waiting) {
+                    match core.begin(IDENTITY, get.url, get.issued_at, now, waiting) {
                         Begin::Serve(meta) => {
                             self.local.parent_hits += 1;
                             self.local.reactor_hits += 1;

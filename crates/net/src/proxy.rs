@@ -201,7 +201,7 @@ impl NetProxy {
     }
 
     /// Serves one browser request for `url` on behalf of `client`, at
-    /// logical time `now`, on the node's thread. A miss waits for that
+    /// protocol time `at`, on the node's thread. A miss waits for that
     /// thread to bring the answer from upstream.
     ///
     /// # Errors
@@ -209,13 +209,13 @@ impl NetProxy {
     /// `TimedOut` if the upstream did not answer in time (or its
     /// connection could not be re-established); `BrokenPipe` if the node's
     /// thread is gone.
-    pub fn fetch(&self, client: ClientId, url: Url, now: SimTime) -> io::Result<FetchOutcome> {
+    pub fn fetch(&self, client: ClientId, url: Url, at: SimTime) -> io::Result<FetchOutcome> {
         // One turn on the node's thread: a hit's outcome, or the receiver
         // a forwarded miss is answered on.
-        let answer = self.node.call(move |role, at, out| {
+        let answer = self.node.call(move |role, now, out| {
             let (tx, rx) = mpsc::channel();
-            let caller = || Waiting::new(Waiter::Caller(tx), at);
-            match role.up.core.begin(client, url, now, caller) {
+            let caller = || Waiting::new(Waiter::Caller(tx), now);
+            match role.up.core.begin(client, url, at, now, caller) {
                 Begin::Serve(meta) => {
                     // Served within the call: no node time passes.
                     role.up.latency.record(0);
@@ -356,7 +356,7 @@ impl Role for ProxyRole {
                     match self
                         .up
                         .core
-                        .begin(get.client, get.url, get.issued_at, waiting)
+                        .begin(get.client, get.url, get.issued_at, begun, waiting)
                     {
                         Begin::Serve(meta) => {
                             self.local.reactor_hits += 1;
@@ -393,7 +393,7 @@ impl Role for ProxyRole {
                     After::Keep
                 }
                 // A push: applied and acknowledged at once.
-                HttpMsgRef::Owned(push) => match self.up.core.on_push(push, None) {
+                HttpMsgRef::Owned(push) => match self.up.core.on_push(push, None, cx.now()) {
                     Some(ack) => {
                         cx.reply(ack);
                         After::Keep

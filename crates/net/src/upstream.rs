@@ -83,7 +83,7 @@ impl Upstream {
         now: SimTime,
         out: &mut Outbox,
     ) -> Option<(FetchOutcome, Ticket, GetRequest)> {
-        match self.core.complete(reply.req, &reply.into())? {
+        match self.core.complete(reply.req, &reply.into(), now)? {
             Complete::Forward(get) => {
                 out.push(Out::Push(UPSTREAM, HttpMsg::Get(get)));
                 None

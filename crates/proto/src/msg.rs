@@ -60,9 +60,9 @@ pub struct GetRequest {
     pub client: ClientId,
     /// `If-Modified-Since` validator, if this is a conditional request.
     pub ims: Option<SimTime>,
-    /// The request's *trace-time* timestamp (the simulated time the
-    /// coordinator broadcast for the current lock-step window). Consistency
-    /// decisions — lease grants, TTL ages — are made against this clock.
+    /// The request's protocol time: in the simulator, the trace time the
+    /// coordinator broadcast for the current window; on the daemon, the
+    /// requester's `Date:`. Lease grants and TTL ages are judged at it.
     pub issued_at: SimTime,
     /// Cache hits served locally since this client's last contact for this
     /// document — the §7 hit-metering report, riding the request for free.

@@ -2,9 +2,9 @@
 //! action in a replay, consumed by the `wcc-audit` consistency auditor.
 //!
 //! Nodes append events as they act; the deployment merges the per-node logs
-//! into one stream ordered by simulator wall time (`at`). Versions inside
-//! payloads are *trace* times (document mtimes), while `at` is always the
-//! discrete-event clock at the moment the node acted — the causal order the
+//! into one stream ordered by `at`. Versions inside payloads are *trace*
+//! times (document mtimes), while `at` is the recording node's clock at the
+//! moment it acted (the DES clock in the simulator) — the causal order the
 //! auditor replays.
 
 use crate::{ClientId, ServerId, SimTime, Url};
@@ -22,7 +22,7 @@ pub enum AuditEvent {
         url: Url,
         /// The new last-modified (trace) time.
         version: SimTime,
-        /// Simulator wall time of the check-in.
+        /// The recording node's clock at the check-in.
         at: SimTime,
     },
     /// The server-side protocol processed a modification (`on_modify`):
@@ -37,7 +37,7 @@ pub enum AuditEvent {
         fresh: Vec<ClientId>,
         /// Previously un-acked sites re-targeted by this fan-out, sorted.
         resent: Vec<ClientId>,
-        /// Simulator wall time of the decision.
+        /// The recording node's clock at the decision.
         at: SimTime,
     },
     /// A client site was registered in a document's site list.
@@ -49,7 +49,7 @@ pub enum AuditEvent {
         /// Lease expiry recorded with the entry (`SimTime::NEVER` for the
         /// plain-invalidation infinite promise).
         lease: SimTime,
-        /// Simulator wall time of the grant.
+        /// The recording node's clock at the grant.
         at: SimTime,
     },
     /// `INVALIDATE <url>` was sent (or dispatched) to one site.
@@ -60,7 +60,7 @@ pub enum AuditEvent {
         client: ClientId,
         /// `true` when this send is a retry of an un-acked invalidation.
         retry: bool,
-        /// Simulator wall time of the send.
+        /// The recording node's clock at the send.
         at: SimTime,
     },
     /// A proxy received and processed `INVALIDATE <url>`.
@@ -69,7 +69,7 @@ pub enum AuditEvent {
         url: Url,
         /// The addressed site.
         client: ClientId,
-        /// Simulator wall time of delivery.
+        /// The recording node's clock at delivery.
         at: SimTime,
     },
     /// The server received a site's invalidation acknowledgement.
@@ -78,7 +78,7 @@ pub enum AuditEvent {
         url: Url,
         /// The acknowledging site.
         client: ClientId,
-        /// Simulator wall time of receipt.
+        /// The recording node's clock at receipt.
         at: SimTime,
     },
     /// Volume leases: pending invalidations were dropped because the
@@ -88,7 +88,7 @@ pub enum AuditEvent {
         server: ServerId,
         /// Entries dropped.
         dropped: u64,
-        /// Simulator wall time of the sweep.
+        /// The recording node's clock at the sweep.
         at: SimTime,
     },
     /// The retry budget for one document's fan-out was exhausted; the
@@ -98,7 +98,7 @@ pub enum AuditEvent {
         url: Url,
         /// Sites still un-acked at abandonment, sorted.
         abandoned: Vec<ClientId>,
-        /// Simulator wall time of abandonment.
+        /// The recording node's clock at abandonment.
         at: SimTime,
     },
     /// The server garbage-collected expired leases from its site lists.
@@ -109,7 +109,7 @@ pub enum AuditEvent {
         before: SimTime,
         /// Entries collected.
         purged: u64,
-        /// Simulator wall time of the sweep.
+        /// The recording node's clock at the sweep.
         at: SimTime,
     },
     /// The server recovered from a crash: volatile site lists and pending
@@ -117,14 +117,14 @@ pub enum AuditEvent {
     ServerRecovered {
         /// The recovered server.
         server: ServerId,
-        /// Simulator wall time of recovery.
+        /// The recording node's clock at recovery.
         at: SimTime,
     },
     /// A proxy received the bulk `INVALIDATE <server-addr>` message.
     BulkInvalidateDelivered {
         /// The recovered server all of whose documents became questionable.
         server: ServerId,
-        /// Simulator wall time of delivery.
+        /// The recording node's clock at delivery.
         at: SimTime,
     },
     /// A proxy delivered a document to a user.
@@ -139,13 +139,13 @@ pub enum AuditEvent {
         /// `true` when served straight from the cache without contacting
         /// the origin.
         from_cache: bool,
-        /// Simulator wall time of delivery.
+        /// The recording node's clock at delivery.
         at: SimTime,
     },
 }
 
 impl AuditEvent {
-    /// The simulator wall time at which the event was recorded.
+    /// When the event was recorded: the recording node's clock (the DES clock in the simulator).
     pub fn at(&self) -> SimTime {
         match *self {
             AuditEvent::Touch { at, .. }

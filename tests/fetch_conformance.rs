@@ -80,7 +80,8 @@ const SCRIPT: [Row; 9] = [
     (2250, 3, Incident::WrittenBefore(2150)),
 ];
 
-/// The bare core and an origin model that answers in the same instant.
+/// The bare core and an origin model that answers in the same instant. The
+/// node's clock the core is told is the trace's (auditing is off).
 struct Bare {
     core: ProxyCore<()>,
     server: ServerConsistency,
@@ -110,7 +111,11 @@ impl Bare {
     /// Lands `reply` on `get`'s flight and answers every re-forward.
     fn land(&mut self, mut get: GetRequest, mut reply: UpstreamReply) {
         loop {
-            match self.core.complete(get.req, &reply).expect("an open flight") {
+            match self
+                .core
+                .complete(get.req, &reply, get.issued_at)
+                .expect("an open flight")
+            {
                 Complete::Done { .. } => return,
                 Complete::Forward(again) => get = again,
             }
@@ -118,10 +123,10 @@ impl Bare {
         }
     }
 
-    fn restart_origin(&mut self) {
+    fn restart_origin(&mut self, now: SimTime) {
         self.server.on_server_recover();
         let bulk = HttpMsg::InvalidateServer { server: SERVER };
-        self.core.on_push(bulk, None).expect("a push");
+        self.core.on_push(bulk, None, now).expect("a push");
     }
 
     fn write(&mut self, doc: u32, at: u64) {
@@ -131,7 +136,7 @@ impl Bare {
                 url: url(doc),
                 client: site,
             };
-            let ack = self.core.on_push(push, None).expect("a push");
+            let ack = self.core.on_push(push, None, secs(at)).expect("a push");
             for e in ack.acked() {
                 self.server.on_inval_ack(e.url, e.client);
             }
@@ -142,7 +147,7 @@ impl Bare {
         if let Incident::WrittenBefore(written) = incident {
             self.write(doc, written);
         }
-        let get = match self.core.begin(CLIENT, url(doc), secs(at), || ()) {
+        let get = match self.core.begin(CLIENT, url(doc), secs(at), secs(at), || ()) {
             Begin::Serve(_) => return assert!(matches!(incident, Incident::None)),
             Begin::Forward(get) => get,
         };
@@ -158,13 +163,13 @@ impl Bare {
             }
             Incident::OutageThenBulk => {
                 let again = self.core.retransmit(get.req).expect("an open flight");
-                self.restart_origin();
+                self.restart_origin(secs(at));
                 let reply = self.answer(&again);
                 self.land(again, reply);
             }
             Incident::BulkOvertakesReply => {
                 let reply = self.answer(&get);
-                self.restart_origin();
+                self.restart_origin(secs(at));
                 self.land(get, reply);
             }
         }
@@ -321,11 +326,17 @@ fn simulated_proxy_counts_what_the_bare_core_counts() {
     // The one row the sequential simulator cannot reach: with a single
     // request in flight nothing evicts the entry it is validating (no reply
     // piggybacks its own document). On the bare core a second flight does.
-    let validate = match bare.core.begin(CLIENT, url(1), secs(2300), || ()) {
+    let validate = match bare
+        .core
+        .begin(CLIENT, url(1), secs(2300), secs(2300), || ())
+    {
         Begin::Forward(get) => get,
         Begin::Serve(_) => panic!("the lease lapsed at 2100"),
     };
-    let Begin::Forward(other) = bare.core.begin(CLIENT, url(2), secs(3000), || ()) else {
+    let Begin::Forward(other) = bare
+        .core
+        .begin(CLIENT, url(2), secs(3000), secs(3000), || ())
+    else {
         panic!("the lease lapsed at 2600");
     };
     let mut evicting = bare.answer(&other);

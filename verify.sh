@@ -35,7 +35,8 @@ cargo test --workspace -q
 
 echo "==> results/*.txt byte-identical (ci/check-results.sh)"
 # The 19 committed tables against what `wcc bench <name>` prints now (full
-# scale, default arguments; ~8 s).
+# scale, default arguments; ~8 s), and the fuzzer's 200-scenario summary
+# against ci/fuzz-seed1.txt (~1 s).
 ci/check-results.sh
 
 echo "==> xtask-lint"
