@@ -116,7 +116,7 @@ fn bench_codec(c: &mut Criterion) {
         url: Url::new(ServerId::new(0), 123),
         client: ClientId::from_raw(77),
         status: ReplyStatus::Ok(Body::synthetic(meta, 1)),
-        lease: Some(SimTime::from_secs(86_400)),
+        lease: Some(SimDuration::from_days(1)),
         piggyback: Vec::new(),
         volume_lease: None,
     });
@@ -156,7 +156,7 @@ fn bench_codec(c: &mut Criterion) {
                 url,
                 client,
                 status: ReplyStatus::NotModified,
-                lease: Some(SimTime::from_secs(86_400)),
+                lease: Some(SimDuration::from_days(1)),
                 piggyback: Vec::new(),
                 volume_lease: None,
             }),

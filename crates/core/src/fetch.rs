@@ -32,7 +32,7 @@ use wcc_proto::{
     RequestId,
 };
 use wcc_types::AuditEvent::{self, BulkInvalidateDelivered, InvalidateDelivered};
-use wcc_types::{ClientId, DocMeta, FxHashMap, ScopedUrl, SimTime, Url};
+use wcc_types::{ClientId, DocMeta, FxHashMap, ScopedUrl, SimDuration, SimTime, Url};
 
 /// How a fetch was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -62,10 +62,10 @@ pub struct FetchOutcome {
 pub struct UpstreamReply {
     /// `Some` for a `200`, `None` for a `304`.
     pub meta: Option<DocMeta>,
-    /// Lease grant, if any.
-    pub lease: Option<SimTime>,
-    /// Volume-lease renewal, if any.
-    pub volume_lease: Option<SimTime>,
+    /// Lease grant, if any: how long from when the request was sent.
+    pub lease: Option<SimDuration>,
+    /// Volume-lease renewal, if any: how long, counted the same way.
+    pub volume_lease: Option<SimDuration>,
     /// Piggybacked invalidations (PSI).
     pub piggyback: Vec<Url>,
 }
@@ -343,13 +343,15 @@ impl<W> ProxyCore<W> {
         } = self.land(req)?;
         let key = sent.url.scoped(sent.client);
         let at = sent.issued_at;
+        // A lease runs from when this node sent, so it ends before the grantor's.
+        let end = |lease: Option<SimDuration>| lease.map(|d| at + d);
         let delivered = if poisoned {
             // The invalidation overtook this reply: its version may predate
             // the write. Nothing of it is applied.
             self.counters.inval_races += 1;
             None
         } else {
-            self.policy.on_volume_grant(key, reply.volume_lease);
+            self.policy.on_volume_grant(key, end(reply.volume_lease));
             if !reply.piggyback.is_empty() {
                 self.counters.piggybacked_received += reply.piggyback.len() as u64;
                 self.counters.piggybacked_effective +=
@@ -361,12 +363,12 @@ impl<W> ProxyCore<W> {
                 Some(meta) => {
                     self.counters.replies_200 += 1;
                     self.policy
-                        .on_reply_200(key, meta, reply.lease, at, &mut self.cache);
+                        .on_reply_200(key, meta, end(reply.lease), at, &mut self.cache);
                     Some((FetchKind::Fetched, meta))
                 }
                 None if self
                     .policy
-                    .on_reply_304(key, reply.lease, at, &mut self.cache) =>
+                    .on_reply_304(key, end(reply.lease), at, &mut self.cache) =>
                 {
                     self.counters.replies_304 += 1;
                     self.cache
@@ -564,8 +566,8 @@ mod tests {
     fn ok(modified_secs: u64) -> UpstreamReply {
         UpstreamReply {
             meta: Some(meta(modified_secs)),
-            lease: Some(SimTime::NEVER),
-            volume_lease: Some(SimTime::NEVER),
+            lease: Some(SimDuration::MAX),
+            volume_lease: Some(SimDuration::MAX),
             piggyback: Vec::new(),
         }
     }
@@ -626,8 +628,8 @@ mod tests {
                     let mut core = core(kind);
                     let get = forwarded(core.begin(CLIENT, key.url(), fetched, CLOCK, || 0));
                     let reply = UpstreamReply {
-                        lease: Some(lease_end),
-                        volume_lease: Some(lease_end),
+                        lease: Some(lease_end - fetched),
+                        volume_lease: Some(lease_end - fetched),
                         ..ok(5)
                     };
                     core.complete(get.req, &reply, CLOCK).expect("flight");
@@ -635,8 +637,8 @@ mod tests {
                     let mut policy = ProxyPolicy::new(&ProtocolConfig::new(kind));
                     let mut cache = CacheStore::unbounded(ReplacementPolicy::Lru);
                     policy.on_request(key, fetched, &mut cache);
-                    policy.on_volume_grant(key, reply.volume_lease);
-                    policy.on_reply_200(key, meta(5), reply.lease, fetched, &mut cache);
+                    policy.on_volume_grant(key, Some(lease_end));
+                    policy.on_reply_200(key, meta(5), Some(lease_end), fetched, &mut cache);
                     if questionable {
                         core.policy.on_proxy_recover(&mut core.cache);
                         policy.on_proxy_recover(&mut cache);
@@ -673,6 +675,46 @@ mod tests {
 
     /// The callback race: an invalidation overtakes the reply. Whatever the
     /// reply says, none of it is applied, and a plain `GET` goes out.
+    /// Leases cross the wire as durations: the grantor sends its end less
+    /// the `issued_at` it received, and the holder trusts the copy until
+    /// the `issued_at` it sent plus that, whether it sent before or after
+    /// the grantor received, on the grantor's clock. An endless lease stays
+    /// endless, and a two-tier zero lease stays zero.
+    #[test]
+    fn a_lease_crosses_the_wire_as_a_duration() {
+        let d = SimDuration::from_secs(10);
+        let received = SimTime::from_secs(50);
+        let key = url(0, 7).scoped(CLIENT);
+        // One grant, from the grantor's wire to the holder's cache: the
+        // instant the holder's lease ends.
+        let trusted = |kind, sent: SimTime, expect: SimDuration| {
+            let cfg = ProtocolConfig::new(kind).with_lease(d);
+            let mut grantor = crate::ServerConsistency::new(&cfg, SERVER);
+            let mut holder = core(kind);
+            let get = forwarded(holder.begin(CLIENT, key.url(), sent, CLOCK, || 0));
+            let grant = grantor.on_get(key.url(), CLIENT, None, meta(5), received);
+            let got = GetRequest {
+                issued_at: received,
+                ..get
+            };
+            let reply = grant.into_reply(&got, meta(5), 1);
+            assert_eq!(reply.lease, Some(expect), "{kind:?}");
+            holder
+                .complete(get.req, &reply.into(), CLOCK)
+                .expect("flight");
+            let entry = holder.cache().peek(key).expect("cached");
+            entry.freshness.lease_expires
+        };
+        for sent in [SimTime::from_secs(40), SimTime::from_secs(60)] {
+            let fixed = trusted(ProtocolKind::LeaseInvalidation, sent, d);
+            assert_eq!(fixed, sent + d);
+            let endless = trusted(ProtocolKind::Invalidation, sent, SimDuration::MAX);
+            assert_eq!(endless, SimTime::NEVER);
+            let zero = trusted(ProtocolKind::TwoTierLease, sent, SimDuration::ZERO);
+            assert_eq!(zero, sent);
+        }
+    }
+
     #[test]
     fn reply_overtaken_by_an_invalidation_is_refetched_without_ims() {
         for kind in ProtocolKind::ALL {

@@ -169,8 +169,8 @@ pub struct WritePath {
     /// that lost the ever-seen list, a bulk relayed down a hierarchy): the
     /// sites that acknowledged it. Any other site gets it on registering.
     recovery_acked: Option<Vec<u32>>,
-    /// Trace-time end of the coordinator window in progress; what volume
-    /// leases are expired against (`ZERO`, the daemon's: never).
+    /// Trace-time end of the coordinator window in progress (the daemon's
+    /// clock at its last due timer); what volume leases are expired against.
     window_end: SimTime,
     /// When each incomplete write's first fan-out opened. Earliest write
     /// wins when a coalesced round spans several modifications.
@@ -294,17 +294,23 @@ impl WritePath {
         (grant.into_reply(get, meta, self.doc_scale), new_site)
     }
 
-    /// `url` changed (to `version`; a parent, told so from above, passes the
-    /// latest trace time it has seen): drains its site list and fans the
+    /// `url` changed (to `version`): drains its site list of the leases that
+    /// end after protocol time `at` (the daemon's: its clock) and fans the
     /// invalidation out — to the proposer's queue when batching, per copy
-    /// otherwise — together with the still-unacknowledged leftovers of
-    /// earlier fan-outs.
-    pub fn modify(&mut self, url: Url, version: SimTime, now: SimTime, out: &mut Vec<OriginOut>) {
+    /// otherwise — with the still-unacknowledged leftovers of earlier fan-outs.
+    pub fn modify(
+        &mut self,
+        url: Url,
+        version: SimTime,
+        at: SimTime,
+        now: SimTime,
+        out: &mut Vec<OriginOut>,
+    ) {
         let pending_before = match self.audit {
             Some(_) => self.consistency.pending_for(url),
             None => Vec::new(),
         };
-        let recipients = self.consistency.on_modify(url, version);
+        let recipients = self.consistency.on_modify(url, at);
         if self.audit.is_some() {
             let (resent, fresh) = recipients
                 .iter()
@@ -592,9 +598,9 @@ impl WritePath {
 
     /// Relays a push from above that this node acked with `ack`
     /// ([`crate::ProxyCore::on_push`]): each document it names is modified
-    /// at `version`. A bulk goes to every site, re-sent until acknowledged
-    /// and sent on a site's next `HELLO` if its channel is down; the site
-    /// lists stay, their copies only questionable.
+    /// and judged at `version`. A bulk goes to every site, re-sent until
+    /// acknowledged and sent on a site's next `HELLO` if its channel is
+    /// down; the site lists stay, their copies only questionable.
     pub fn relay(
         &mut self,
         ack: &HttpMsg,
@@ -603,7 +609,7 @@ impl WritePath {
         out: &mut Vec<OriginOut>,
     ) {
         for e in ack.acked() {
-            self.modify(e.url, version, now, out);
+            self.modify(e.url, version, version, now, out);
         }
         if matches!(ack, HttpMsg::InvalidateServerAck { .. }) {
             self.recover_unknown_sites();
@@ -854,7 +860,7 @@ mod tests {
     fn write(core: &mut OriginCore, out: &mut Vec<OriginOut>) {
         let at = SimTime::from_secs(9);
         assert_eq!(core.touch(url(1), at, SimTime::ZERO), Some(at));
-        core.modify(url(1), at, SimTime::ZERO, out);
+        core.modify(url(1), at, at, SimTime::ZERO, out);
     }
 
     #[test]

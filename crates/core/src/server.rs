@@ -32,8 +32,12 @@ pub struct GetGrant {
 impl GetGrant {
     /// The reply that answers `get` under this grant: a `200` carrying
     /// `meta`'s synthetic body (payload cut by `doc_scale`) or a `304`, with
-    /// the lease, piggyback and volume lease granted.
+    /// the lease, piggyback and volume lease granted (leases as durations).
     pub fn into_reply(self, get: &GetRequest, meta: DocMeta, doc_scale: u64) -> Reply {
+        let span = |end: SimTime| match end {
+            SimTime::NEVER => SimDuration::MAX,
+            end => end.saturating_since(get.issued_at),
+        };
         Reply {
             req: get.req,
             url: get.url,
@@ -43,9 +47,9 @@ impl GetGrant {
             } else {
                 ReplyStatus::NotModified
             },
-            lease: self.lease,
+            lease: self.lease.map(span),
             piggyback: self.piggyback,
-            volume_lease: self.volume_lease,
+            volume_lease: self.volume_lease.map(span),
         }
     }
 }

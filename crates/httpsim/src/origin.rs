@@ -239,7 +239,8 @@ impl OriginNode {
                 if version > *acked {
                     *acked = version;
                     self.deferred_detections += 1;
-                    self.core.modify(get.url, version, now, &mut self.out);
+                    self.core
+                        .modify(get.url, version, version, now, &mut self.out);
                     self.emit(ctx);
                 }
             }
@@ -308,7 +309,7 @@ impl OriginNode {
             return;
         }
         self.acked_versions[url.doc() as usize] = version;
-        self.core.modify(url, at, ctx.now(), &mut self.out);
+        self.core.modify(url, at, at, ctx.now(), &mut self.out);
         self.emit(ctx);
     }
 }

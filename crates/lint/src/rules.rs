@@ -260,6 +260,14 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
         include_tests: false,
     },
     SeqRule {
+        name: "peer-time",
+        needles: &[&[".", "issued_at"]],
+        message: "a daemon node judges at its own clock, cx.now(), not a time a peer sent",
+        in_scope: |path| path.starts_with("crates/net/src/"),
+        allowed: |_| false,
+        include_tests: false,
+    },
+    SeqRule {
         name: "obs-registry",
         needles: &[&["AtomicU64"], &["AtomicUsize"]],
         message: "ad-hoc atomic counters bypass the observability layer; \

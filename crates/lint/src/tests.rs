@@ -282,6 +282,18 @@ fn audit_events_are_built_by_the_cores_not_the_drivers() {
 }
 
 #[test]
+fn a_daemon_role_reads_no_peer_time() {
+    let src = "fn f(get: GetRequest) { core.begin(get.client, get.url, get.issued_at, now, w); }\n";
+    assert_eq!(rules_fired("crates/net/src/proxy.rs", src), ["peer-time"]);
+    // Overwriting it with the receipt time, the simulator, and tests are fine.
+    let stamp = "fn f(get: GetRequest) { GetRequest { issued_at: now, ..get }; }\n";
+    assert!(rules_fired("crates/net/src/origin.rs", stamp).is_empty());
+    assert!(rules_fired("crates/httpsim/src/parent.rs", src).is_empty());
+    let test = format!("#[cfg(test)]\nmod tests {{\n    {src}}}\n");
+    assert!(rules_fired("crates/net/src/parent.rs", &test).is_empty());
+}
+
+#[test]
 fn adhoc_atomic_counters_denied_in_the_tcp_prototype() {
     let src = "use std::sync::atomic::AtomicU64;\n";
     assert_eq!(

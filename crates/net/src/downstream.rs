@@ -38,13 +38,14 @@ impl Downstream {
         self.timers.peek().map(|Reverse((due, _))| *due)
     }
 
-    /// Hands `path` every timer that has come due.
+    /// Hands `path` every timer that has come due, each in a window opened at `now`.
     pub fn fire(&mut self, path: &mut WritePath, now: SimTime) {
         while let Some(Reverse((due, timer))) = self.timers.peek().copied() {
             if due > now {
                 break;
             }
             self.timers.pop();
+            path.on_window(now, now);
             path.on_timer(timer, now, &mut self.asked);
         }
     }

@@ -25,7 +25,7 @@ use std::time::Duration;
 use wcc_core::origin::MAX_RETRIES;
 use wcc_core::{OriginCore, Proposer, ProtocolConfig, ServerConsistency};
 use wcc_obs::{Histogram, Registry};
-use wcc_proto::{encode, HttpMsg, HttpMsgRef};
+use wcc_proto::{encode, GetRequest, HttpMsg, HttpMsgRef};
 use wcc_types::{ByteSize, InvalBatchConfig, ServerId, SimTime, Url};
 
 use crate::downstream::{render_sitelist, Downstream, RETRY};
@@ -328,6 +328,8 @@ impl Role for OriginRole {
         };
         match msg {
             HttpMsg::Get(get) => {
+                let issued_at = now; // granted at receipt, on this node's clock
+                let get = GetRequest { issued_at, ..get };
                 let Some((reply, _)) = core.serve(&get, now) else {
                     return After::Close; // not a document of this origin
                 };
@@ -341,7 +343,7 @@ impl Role for OriginRole {
                 if core.touch(url, at, now).is_none() {
                     return After::Close; // not a document of this origin
                 }
-                core.modify(url, at, now, &mut links.asked);
+                core.modify(url, at, now, now, &mut links.asked);
             }
             HttpMsg::InvalidateBatchAck { server: s, .. } if s != server => return After::Close,
             // An ack counts only on a partition's channel, for that

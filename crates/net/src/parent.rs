@@ -29,7 +29,7 @@ use std::net::{SocketAddr, TcpListener};
 use wcc_core::origin::MAX_RETRIES;
 use wcc_core::{Begin, OriginCounters, ProtocolConfig, ServerConsistency, WritePath};
 use wcc_obs::Registry;
-use wcc_proto::{HttpMsg, HttpMsgRef};
+use wcc_proto::{GetRequest, HttpMsg, HttpMsgRef};
 use wcc_types::{ByteSize, ClientId, ServerId, SimTime};
 
 use crate::downstream::{render_sitelist, Downstream, RETRY};
@@ -75,10 +75,6 @@ struct ParentRole {
     down: WritePath,
     /// What connects the child-facing half to the wire and the timers.
     links: Downstream,
-    /// Latest trace time observed on a child request; used as "now" for
-    /// child-lease decisions when relaying invalidations (which carry no
-    /// timestamp).
-    latest_trace: SimTime,
     /// The counters the fetch core does not keep itself.
     local: NetParentCounters,
 }
@@ -141,7 +137,6 @@ impl NetParent {
             up: Upstream::new(cfg, capacity),
             down: WritePath::new(consistency, 100, RETRY, MAX_RETRIES, None),
             links: Downstream::default(),
-            latest_trace: SimTime::ZERO,
             local: NetParentCounters::default(),
         };
         // The parent registers with the origin as its one and only
@@ -281,7 +276,7 @@ impl Role for ParentRole {
                     return After::Close;
                 };
                 let asked = &mut links.asked;
-                self.down.relay(&ack, self.latest_trace, now, asked);
+                self.down.relay(&ack, now, now, asked);
                 cx.reply(ack);
                 After::Keep
             }
@@ -290,13 +285,14 @@ impl Role for ParentRole {
             (KTag::Child(site), HttpMsgRef::Owned(msg)) => match msg {
                 HttpMsg::Get(get) if get.url.server() == self.down.server() => {
                     self.local.child_requests += 1;
-                    self.latest_trace = self.latest_trace.max(get.issued_at);
+                    let issued_at = now; // judged and granted at receipt
+                    let get = GetRequest { issued_at, ..get };
                     // The child cache's hit report joins this tier's, so it
                     // reaches the origin on the parent's next contact.
                     let core = &mut self.up.core;
                     core.absorb_report(get.url, IDENTITY, get.cache_hits);
                     let waiting = || Waiting::new(Waiter::Client(cx.defer(), get), now);
-                    match core.begin(IDENTITY, get.url, get.issued_at, now, waiting) {
+                    match core.begin(IDENTITY, get.url, now, now, waiting) {
                         Begin::Serve(meta) => {
                             self.local.parent_hits += 1;
                             self.local.reactor_hits += 1;

@@ -203,6 +203,8 @@ impl NetProxy {
     /// Serves one browser request for `url` on behalf of `client`, at
     /// protocol time `at`, on the node's thread. A miss waits for that
     /// thread to bring the answer from upstream.
+    /// `at` is this call's clock, not the node's: a caller whose clock runs
+    /// slower than the origin's can be served a copy it no longer tracks.
     ///
     /// # Errors
     ///
@@ -356,7 +358,7 @@ impl Role for ProxyRole {
                     match self
                         .up
                         .core
-                        .begin(get.client, get.url, get.issued_at, begun, waiting)
+                        .begin(get.client, get.url, begun, begun, waiting)
                     {
                         Begin::Serve(meta) => {
                             self.local.reactor_hits += 1;

@@ -1,12 +1,15 @@
 //! End-to-end tests of the real-TCP prototype over loopback.
 
 use std::time::Duration;
-use wcc_core::{ProtocolConfig, ProtocolKind};
+use wcc_core::{AdaptiveTtlConfig, ProtocolConfig, ProtocolKind};
 use wcc_net::{check_in, FetchKind, NetOrigin, NetProxy, OriginConfig};
 use wcc_types::{ByteSize, ClientId, ServerId, SimDuration, SimTime, Url};
 
 fn start(kind: ProtocolKind) -> (NetOrigin, NetProxy, ProtocolConfig) {
-    let cfg = ProtocolConfig::new(kind);
+    start_with(ProtocolConfig::new(kind))
+}
+
+fn start_with(cfg: ProtocolConfig) -> (NetOrigin, NetProxy, ProtocolConfig) {
     let origin = NetOrigin::spawn(OriginConfig {
         server: ServerId::new(0),
         doc_sizes: vec![ByteSize::from_kib(8); 32],
@@ -430,7 +433,7 @@ fn volume_lease_expiry_forces_renewal_over_tcp() {
 fn volume_lease_renewal_piggybacks_missed_invalidations_over_tcp() {
     use wcc_types::SimDuration;
     let cfg = ProtocolConfig::new(ProtocolKind::VolumeLease)
-        .with_volume_lease(SimDuration::from_secs(60));
+        .with_volume_lease(SimDuration::from_millis(300));
     let origin = NetOrigin::spawn(wcc_net::OriginConfig {
         server: ServerId::new(0),
         doc_sizes: vec![ByteSize::from_kib(8); 8],
@@ -446,8 +449,10 @@ fn volume_lease_renewal_piggybacks_missed_invalidations_over_tcp() {
     // Cache docs 0 and 1 at t=10.
     proxy.fetch(c, url(0), SimTime::from_secs(10)).unwrap();
     proxy.fetch(c, url(1), SimTime::from_secs(10)).unwrap();
-    // Doc 1 modified at t=200 — long after the volume expired, so the
-    // server queues a piggyback instead of pushing.
+    // Doc 1 modified after the volume expired on the origin's clock, which
+    // is the one it judges at, so the server queues a piggyback instead of
+    // pushing.
+    std::thread::sleep(Duration::from_millis(400));
     check_in(origin.addr(), url(1), SimTime::from_secs(200)).unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(2);
     while origin.snapshot().notifies == 0 && std::time::Instant::now() < deadline {
@@ -466,6 +471,95 @@ fn volume_lease_renewal_piggybacks_missed_invalidations_over_tcp() {
     let fresh = proxy.fetch(c, url(1), SimTime::from_secs(301)).unwrap();
     assert_eq!(fresh.kind, FetchKind::Fetched);
     assert_eq!(fresh.meta.last_modified(), SimTime::from_secs(200));
+}
+
+/// Waits until the origin has processed `n` check-ins: `NOTIFY` is
+/// fire-and-forget.
+fn wait_notifies(origin: &NetOrigin, n: u64) {
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while origin.snapshot().notifies < n && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert_eq!(origin.snapshot().notifies, n);
+}
+
+/// Every node judges a lease on its own clock, never on a time a peer
+/// wrote. The caller stamps each fetch `1 s` and the writer its write
+/// `60 s`, far past a 10 s lease (and volume) counted from either stamp;
+/// the origin tracks the copy on its clock, on which the lease is live,
+/// so the write reaches the copy, and once it completed the next fetch
+/// brings the new version. `ims`: the copy's lease is earned by an IMS
+/// (two-tier leases track no first `GET`).
+fn a_write_stamped_past_the_lease_reaches_the_copy(kind: ProtocolKind, ims: bool) {
+    let ten = SimDuration::from_secs(10);
+    let cfg = ProtocolConfig::new(kind)
+        .with_lease(ten)
+        .with_volume_lease(ten);
+    let (origin, proxy, _cfg) = start_with(cfg);
+    let (c, at) = (client(5), SimTime::from_secs(1));
+    assert_eq!(proxy.fetch(c, url(1), at).unwrap().kind, FetchKind::Fetched);
+    if ims {
+        let validated = proxy.fetch(c, url(1), at).unwrap();
+        assert_eq!(validated.kind, FetchKind::Validated, "{kind}");
+    }
+    check_in(origin.addr(), url(1), SimTime::from_secs(60)).unwrap();
+    wait_notifies(&origin, 1);
+    assert!(
+        origin.wait_writes_complete(Duration::from_secs(5)),
+        "{kind}"
+    );
+    let after = proxy.fetch(c, url(1), at).unwrap();
+    let received = proxy.counters().invalidations_received;
+    assert_eq!(
+        (after.kind, after.meta.last_modified(), received),
+        (FetchKind::Fetched, SimTime::from_secs(60), 1),
+        "{kind}"
+    );
+}
+
+#[test]
+fn a_write_stamped_past_the_lease_reaches_an_invalidation_copy() {
+    a_write_stamped_past_the_lease_reaches_the_copy(ProtocolKind::Invalidation, false);
+}
+
+#[test]
+fn a_write_stamped_past_the_lease_reaches_a_leased_copy() {
+    a_write_stamped_past_the_lease_reaches_the_copy(ProtocolKind::LeaseInvalidation, false);
+}
+
+#[test]
+fn a_write_stamped_past_the_lease_reaches_a_two_tier_copy_after_an_ims() {
+    a_write_stamped_past_the_lease_reaches_the_copy(ProtocolKind::TwoTierLease, true);
+}
+
+#[test]
+fn a_write_stamped_past_the_lease_reaches_a_volume_leased_copy() {
+    a_write_stamped_past_the_lease_reaches_the_copy(ProtocolKind::VolumeLease, false);
+}
+
+/// E4's bound on write completion, over TCP: a write to a copy whose
+/// holder has gone completes once the holder's volume lease has lapsed
+/// on the origin's clock, not when the retry budget runs out (20 × 250 ms).
+#[test]
+fn a_volume_lease_bounds_write_completion_over_tcp() {
+    let cfg =
+        ProtocolConfig::new(ProtocolKind::VolumeLease).with_volume_lease(SimDuration::from_secs(1));
+    let (origin, proxy, _cfg) = start_with(cfg);
+    proxy
+        .fetch(client(5), url(1), SimTime::from_secs(1))
+        .unwrap();
+    drop(proxy);
+    check_in(origin.addr(), url(1), SimTime::from_secs(60)).unwrap();
+    wait_notifies(&origin, 1);
+    assert!(
+        origin.snapshot().invalidations >= 1,
+        "the volume was live: the write is pushed"
+    );
+    assert!(
+        origin.wait_writes_complete(Duration::from_secs(3)),
+        "the write outlived the volume lease: {:?}",
+        origin.snapshot()
+    );
 }
 
 /// A browser on the proxy's client listener: one keep-alive connection,
@@ -563,15 +657,24 @@ fn reactor_hit_then_acked_write_goes_upstream_over_the_client_listener() {
 
 #[test]
 fn adaptive_ttl_hit_is_on_the_reactor_until_the_ttl_expires() {
-    let (origin, proxy, _cfg) = start(ProtocolKind::AdaptiveTtl);
+    // The proxy judges the listener's `GET`s at its own clock, whatever
+    // `Date:` they carry: the TTL is pinned to 500 ms of it.
+    let ttl = SimDuration::from_millis(500);
+    let mut cfg = ProtocolConfig::new(ProtocolKind::AdaptiveTtl);
+    cfg.adaptive_ttl = AdaptiveTtlConfig {
+        floor: ttl,
+        cap: ttl,
+        ..cfg.adaptive_ttl
+    };
+    let (origin, proxy, _cfg) = start_with(cfg);
     let mut browser = Browser::connect(&proxy, client(3));
-    // Fetch at t = 100 000 s; age = 100 000 s → TTL = 10 000 s.
     let t0 = SimTime::from_secs(100_000);
     let v0 = browser.get(url(3), t0);
     assert_eq!(browser.get(url(3), t0 + SimDuration::from_secs(5_000)), v0);
     let c = proxy.counters();
     assert_eq!((c.reactor_hits, c.ims_sent), (1, 0));
     // Expired: the proxy revalidates upstream.
+    std::thread::sleep(Duration::from_millis(700));
     assert_eq!(browser.get(url(3), t0 + SimDuration::from_secs(20_000)), v0);
     let c = proxy.counters();
     assert_eq!((c.requests, c.hits, c.reactor_hits), (3, 2, 1));

@@ -2,7 +2,7 @@
 //! server, the modifier and the time coordinator.
 
 use core::fmt;
-use wcc_types::{Body, ByteSize, ClientId, ServerId, SimTime, Url};
+use wcc_types::{Body, ByteSize, ClientId, ServerId, SimDuration, SimTime, Url};
 
 /// Correlates a reply with the request that caused it. Unique per issuing
 /// proxy (the pair `(proxy node, RequestId)` is globally unique).
@@ -60,9 +60,9 @@ pub struct GetRequest {
     pub client: ClientId,
     /// `If-Modified-Since` validator, if this is a conditional request.
     pub ims: Option<SimTime>,
-    /// The request's protocol time: in the simulator, the trace time the
-    /// coordinator broadcast for the current window; on the daemon, the
-    /// requester's `Date:`. Lease grants and TTL ages are judged at it.
+    /// The request's protocol time, its `Date:`: in the simulator, the trace
+    /// time of the current window, at which leases are granted and counted.
+    /// A daemon node judges a `GET` it receives at its own clock instead.
     pub issued_at: SimTime,
     /// Cache hits served locally since this client's last contact for this
     /// document — the §7 hit-metering report, riding the request for free.
@@ -96,15 +96,15 @@ pub struct Reply {
     pub client: ClientId,
     /// Status and (for `200`) body.
     pub status: ReplyStatus,
-    /// Lease grant: the server promises to invalidate this client until the
-    /// given expiry. `None` outside the lease protocols.
-    pub lease: Option<SimTime>,
+    /// Lease grant: for how long after the request's `issued_at` the server
+    /// promises to invalidate this client. `None` outside the lease protocols.
+    pub lease: Option<SimDuration>,
     /// Piggybacked invalidations (the PSI extension): documents whose
     /// copies this client must drop. Empty outside PSI.
     pub piggyback: Vec<Url>,
     /// Volume-lease renewal (the volume-lease extension): the client's
-    /// per-server volume lease now expires at this instant.
-    pub volume_lease: Option<SimTime>,
+    /// per-server volume lease now runs this long, counted like `lease`.
+    pub volume_lease: Option<SimDuration>,
 }
 
 /// One `(document, client)` entry of a batched invalidation round.

@@ -13,7 +13,7 @@
 //! If-Modified-Since: 123456
 //! ```
 //!
-//! Timestamps travel as integer microseconds (the simulator's clock unit).
+//! Times and lease durations travel as integer microseconds (the simulator's unit).
 //! This module writes frames; [`crate::zero`] reads them.
 //!
 //! # Examples
@@ -291,7 +291,7 @@ mod tests {
     use super::*;
     use crate::msg::{BatchAckEntry, BatchEntry, GetRequest, RequestId};
     use crate::zero::{decode_frame, decode_ref};
-    use wcc_types::{Body, ByteSize, DocMeta, ServerId, SimTime};
+    use wcc_types::{Body, ByteSize, DocMeta, ServerId, SimDuration, SimTime};
 
     fn sample_url() -> Url {
         Url::new(ServerId::new(3), 99)
@@ -343,7 +343,7 @@ mod tests {
             url: sample_url(),
             client: sample_client(),
             status: ReplyStatus::Ok(Body::synthetic(meta, 100)),
-            lease: Some(SimTime::from_secs(86_400 * 3)),
+            lease: Some(SimDuration::from_days(3)),
             piggyback: vec![Url::new(ServerId::new(3), 4), Url::new(ServerId::new(3), 9)],
             volume_lease: None,
         }));

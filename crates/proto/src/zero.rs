@@ -26,6 +26,7 @@
 use crate::msg::{BatchAckEntry, BatchEntry, GetRequest, HttpMsg, Reply, ReplyStatus, RequestId};
 use crate::wire::WireError;
 use std::io::Read;
+use wcc_types::SimDuration;
 use wcc_types::{parse_decimal, Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url};
 
 /// A decoded frame: a reply, whose `200` body still lives in the receive
@@ -50,12 +51,12 @@ pub struct ReplyRef<'buf> {
     pub client: ClientId,
     /// Status and (for `200`) the borrowed body.
     pub status: ReplyStatusRef<'buf>,
-    /// Lease grant, if any.
-    pub lease: Option<SimTime>,
+    /// Lease grant, if any: a duration, as on [`Reply::lease`].
+    pub lease: Option<SimDuration>,
     /// Piggybacked invalidations (PSI).
     pub piggyback: Vec<Url>,
-    /// Volume-lease renewal, if any.
-    pub volume_lease: Option<SimTime>,
+    /// Volume-lease renewal, if any: a duration.
+    pub volume_lease: Option<SimDuration>,
 }
 
 /// The status line + borrowed body of a reply.
@@ -338,13 +339,13 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
             let url = url_from(headers.host, path)?;
             let req = RequestId::new(required(headers.x_request_id, "x-request-id")?);
             let client = required_client(headers.x_client)?;
-            let lease = headers.x_lease.map(parse_micros).transpose()?;
+            let lease = headers.x_lease.map(parse_span).transpose()?;
             let piggyback = headers.x_piggyback.map(|list| {
                 let doc = |d: &[u8]| Some(Url::new(url.server(), parse_decimal(trim(d))?));
                 entries(list.split(|&b| b == b','), "bad piggyback entry ", doc)
             });
             let piggyback = piggyback.transpose()?.unwrap_or_default();
-            let volume_lease = headers.x_volume_lease.map(parse_micros).transpose()?;
+            let volume_lease = headers.x_volume_lease.map(parse_span).transpose()?;
             let (status, used) = match code {
                 b"200" => {
                     let len = required::<u64>(headers.content_length, "content-length")? as usize;
@@ -473,6 +474,10 @@ fn parse_micros(value: &[u8]) -> Result<SimTime, WireError> {
     parse_decimal(value)
         .map(SimTime::from_micros)
         .ok_or_else(|| malformed_at("bad timestamp ", value))
+}
+
+fn parse_span(value: &[u8]) -> Result<SimDuration, WireError> {
+    parse_micros(value).map(|t| t.saturating_since(SimTime::ZERO))
 }
 
 fn parse_hit_count(value: Option<&[u8]>) -> Result<u64, WireError> {
@@ -786,7 +791,7 @@ mod tests {
                 url: sample_url(),
                 client: sample_client(),
                 status: ReplyStatus::Ok(Body::synthetic(meta, 1)),
-                lease: Some(SimTime::from_secs(9)),
+                lease: Some(SimDuration::from_secs(9)),
                 piggyback: vec![Url::new(ServerId::new(3), 4)],
                 volume_lease: None,
             }),

@@ -14,7 +14,7 @@ use wcc_proto::{
     decode_frame, decode_ref, encode, encode_into, BatchAckEntry, BatchEntry, GetRequest, HttpMsg,
     HttpMsgRef, Reply, ReplyStatus, RequestId, WireError, MAX_PARTITIONS,
 };
-use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url};
+use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimDuration, SimTime, Url};
 
 /// Any `u64`, with the two ends of the range — the shortest and the
 /// longest decimal rendering — drawn often.
@@ -38,6 +38,10 @@ fn client_strategy() -> impl Strategy<Value = ClientId> {
 
 fn time_strategy() -> impl Strategy<Value = SimTime> {
     u64_strategy().prop_map(SimTime::from_micros)
+}
+
+fn span_strategy() -> impl Strategy<Value = SimDuration> {
+    u64_strategy().prop_map(SimDuration::from_micros)
 }
 
 fn body_strategy() -> impl Strategy<Value = Body> {
@@ -71,9 +75,9 @@ fn msg_strategy() -> impl Strategy<Value = HttpMsg> {
             url_strategy(),
             client_strategy(),
             body_strategy(),
-            proptest::option::of(time_strategy()),
+            proptest::option::of(span_strategy()),
             proptest::collection::vec(0u32..10_000, 0..8),
-            proptest::option::of(time_strategy()),
+            proptest::option::of(span_strategy()),
         )
             .prop_map(|(req, url, client, body, lease, pb, volume)| {
                 HttpMsg::Reply(Reply {
@@ -90,9 +94,9 @@ fn msg_strategy() -> impl Strategy<Value = HttpMsg> {
             u64_strategy(),
             url_strategy(),
             client_strategy(),
-            proptest::option::of(time_strategy()),
+            proptest::option::of(span_strategy()),
             proptest::collection::vec(0u32..10_000, 0..8),
-            proptest::option::of(time_strategy()),
+            proptest::option::of(span_strategy()),
         )
             .prop_map(|(req, url, client, lease, pb, volume)| {
                 HttpMsg::Reply(Reply {
@@ -562,9 +566,9 @@ fn round_trips_match_owned_decoder() {
             url: sample_url(),
             client: sample_client(),
             status: ReplyStatus::Ok(Body::synthetic(meta, 100)),
-            lease: Some(SimTime::from_secs(86_400 * 3)),
+            lease: Some(SimDuration::from_days(3)),
             piggyback: vec![Url::new(ServerId::new(3), 4), Url::new(ServerId::new(3), 9)],
-            volume_lease: Some(SimTime::from_secs(9)),
+            volume_lease: Some(SimDuration::from_secs(9)),
         }),
         HttpMsg::Reply(Reply {
             req: RequestId::new(6),
@@ -906,7 +910,8 @@ fn encoder_matches_fmt_reference_on_edge_values() {
         });
         msgs.push(HttpMsg::Notify { url, at });
         for list in lists {
-            let grant = (!list.is_empty()).then_some(at);
+            let span = at.saturating_since(SimTime::ZERO);
+            let grant = (!list.is_empty()).then_some(span);
             let meta = DocMeta::new(ByteSize::from_bytes(n), at);
             for status in [
                 ReplyStatus::Ok(Body::new(meta, vec![b'x'; list.len()])),
@@ -919,7 +924,7 @@ fn encoder_matches_fmt_reference_on_edge_values() {
                     status,
                     lease: grant,
                     piggyback: list.iter().map(|d| Url::new(server, *d)).collect(),
-                    volume_lease: grant.xor((n == 10).then_some(at)),
+                    volume_lease: grant.xor((n == 10).then_some(span)),
                 }));
             }
             if list.is_empty() {
@@ -976,7 +981,7 @@ mod reference {
         BatchAckEntry, BatchEntry, GetRequest, HttpMsg, Reply, ReplyStatus, RequestId, WireError,
         MAX_PARTITIONS,
     };
-    use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimTime, Url};
+    use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimDuration, SimTime, Url};
 
     fn malformed(why: impl Into<String>) -> WireError {
         WireError::Malformed(why.into())
@@ -1105,14 +1110,11 @@ mod reference {
                 let url = url_from(&headers, &path)?;
                 let req = RequestId::new(required(&headers, "x-request-id")?);
                 let client = required_client(&headers)?;
-                let lease = headers
-                    .get("x-lease")
-                    .map(|v| parse_micros(v))
-                    .transpose()?;
+                let lease = headers.get("x-lease").map(|v| parse_span(v)).transpose()?;
                 let piggyback = parse_piggyback(&headers, url.server())?;
                 let volume_lease = headers
                     .get("x-volume-lease")
-                    .map(|v| parse_micros(v))
+                    .map(|v| parse_span(v))
                     .transpose()?;
                 let status = match code {
                     "200" => {
@@ -1253,6 +1255,10 @@ mod reference {
             .parse()
             .map(SimTime::from_micros)
             .map_err(|_| malformed(format!("bad timestamp {value}")))
+    }
+
+    fn parse_span(value: &str) -> Result<SimDuration, WireError> {
+        parse_micros(value).map(|t| t.saturating_since(SimTime::ZERO))
     }
 
     /// Reads one `\r\n`- (or `\n`-) terminated line; `None` on clean EOF.

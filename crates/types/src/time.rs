@@ -112,6 +112,9 @@ impl SimDuration {
     /// The empty span.
     pub const ZERO: SimDuration = SimDuration(0);
 
+    /// The longest span: added to any instant, it gives [`SimTime::NEVER`].
+    pub const MAX: SimDuration = SimDuration(u64::MAX);
+
     /// Creates a span from microseconds.
     pub const fn from_micros(micros: u64) -> Self {
         SimDuration(micros)

@@ -307,7 +307,7 @@ impl Bare {
                         .touch(url(doc), secs(at), self.now)
                         .expect("known");
                     self.core
-                        .modify(url(doc), secs(at), self.now, &mut self.out);
+                        .modify(url(doc), secs(at), secs(at), self.now, &mut self.out);
                 }
                 self.deliver();
             }
@@ -845,7 +845,7 @@ impl BareParent {
             } => {
                 (self.lost, self.down) = (lost, down.map(|c| c.partition(SITES)));
                 self.path
-                    .modify(url(doc), self.latest, self.now, &mut self.out);
+                    .modify(url(doc), self.latest, self.latest, self.now, &mut self.out);
                 self.deliver();
                 if let Some(site) = self.down.filter(|_| self.rehello) {
                     self.down = None;

@@ -125,6 +125,19 @@ echo "==> only the site that holds a copy acknowledges it"
 cargo test -q -p wcc-core --lib an_ack_from_another_site_is_refused
 cargo test -q -p wcc-net --test serve_recovery an_ack_from_a_peer_that_does_not_hold_the_copy_is_refused
 
+echo "==> one clock per node (leases judged on the node's clock, sent as durations)"
+# Every daemon node judges a GET at its receipt time and a write at its own
+# clock, never at a Date: or NOTIFY stamp a peer wrote; leases cross the wire
+# as durations, counted by the holder from when it sent. A write stamped far
+# past the lease still reaches a leased, two-tier (after an IMS) or
+# volume-leased copy, and a lapsed volume lease bounds write completion over
+# TCP. Lint rule peer-time denies reading issued_at in crates/net/src. All
+# also run in the suites above.
+cargo test -q -p wcc-net --test loopback -- a_write_stamped_past_the_lease_reaches \
+  a_volume_lease_bounds_write_completion_over_tcp
+cargo test -q -p wcc-core --lib a_lease_crosses_the_wire_as_a_duration
+cargo test -q -p wcc-lint a_daemon_role_reads_no_peer_time
+
 echo "==> CLI command table + batched hierarchy parent"
 # Every call's flags come from one table in src/bin/wcc.rs: a flag its call
 # does not read exits 2 (`wcc replay --family` refuses the single-trace
