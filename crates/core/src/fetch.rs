@@ -519,7 +519,7 @@ impl<W> ProxyCore<W> {
     /// Takes a downstream cache's hit report for `client`'s copy of `url`
     /// into this tier: onto the copy when one is held, otherwise it waits
     /// for the next upstream `GET` or invalidation ack for that key.
-    pub fn absorb_report(&mut self, url: Url, client: ClientId, hits: u64) {
+    pub(crate) fn absorb_report(&mut self, url: Url, client: ClientId, hits: u64) {
         if hits == 0 {
             return;
         }

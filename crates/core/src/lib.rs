@@ -73,6 +73,7 @@ pub mod economics;
 pub mod fetch;
 pub mod meter;
 pub mod origin;
+pub mod parent;
 pub mod proposer;
 pub mod proxy;
 pub mod server;
@@ -85,7 +86,8 @@ pub use fetch::{
 };
 pub use meter::{DocViews, HitMeter};
 pub use origin::{OriginCore, OriginCounters, OriginOut, OriginTimer, WritePath, WrongSite};
+pub use parent::{ParentCore, ParentCounters};
 pub use proposer::{Proposer, ProposerStats};
 pub use proxy::{ProxyAction, ProxyPolicy, RequestDisposition};
-pub use server::{GetGrant, ServerConsistency};
+pub use server::{GetGrant, Promise, ServerConsistency};
 pub use sitelist::{InvalidationTable, SiteListMemory, SiteListStats};

@@ -1,6 +1,7 @@
 //! The invalidation write path (§3–§5) as a sans-IO state machine, written
-//! once for every node with caches below it: the simulator's `OriginNode`
-//! and `ParentNode`, the daemon's `OriginRole` and `ParentRole`.
+//! once for every node with caches below it: [`OriginCore`], which the
+//! simulator's `OriginNode` and the daemon's `OriginRole` drive, and the
+//! child-facing half of [`crate::ParentCore`].
 //!
 //! [`WritePath`] owns what such a node decides with — site lists and pending
 //! set ([`ServerConsistency`]), the batched [`Proposer`], the retry budgets,
@@ -8,20 +9,22 @@
 //! clock, the counters, the [`AuditEvent`] log — and no I/O. [`OriginCore`]
 //! is a write path plus what only the origin has: the documents, their
 //! versions and the §7 [`HitMeter`]; a parent (§2's hierarchy) grants from
-//! the copy it caches instead. Every entry point takes `now` from its driver
+//! the copy it caches instead, never past that copy's own lease
+//! ([`WritePath::grant`]'s [`Promise`]). Every entry point takes `now` from its driver
 //! and appends what must happen next to a caller-owned list of
 //! [`OriginOut`]: the wire frames to push to a *site* (a partition index: the
 //! proxy hosting the clients `c` with `c.partition(sites) == site`), built
 //! here, and timers to arm, handed back through [`WritePath::on_timer`] when
 //! due. The driver maps sites to links, sends, charges, traces and keeps the
 //! clock. A parent's pushes from above come back through
-//! [`WritePath::relay`], read off the ack its fetch core built. Nothing outside this
+//! `WritePath::relay`, read off the ack its fetch core built; a parent's
+//! frames for the node above go out as [`OriginOut::Up`]. Nothing outside this
 //! file calls `ServerConsistency`'s `on_get` / `on_modify` / `on_inval_ack` /
 //! `expire_pending` / `on_server_recover` (lint rule `origin-bypass`).
 
 use crate::meter::HitMeter;
 use crate::proposer::Proposer;
-use crate::server::ServerConsistency;
+use crate::server::{Promise, ServerConsistency};
 use crate::sitelist::SiteListStats;
 use std::collections::BTreeMap;
 use wcc_proto::{BatchEntry, GetRequest, HttpMsg, Reply};
@@ -64,6 +67,9 @@ pub enum OriginOut {
         /// What to hand back.
         timer: OriginTimer,
     },
+    /// Send `msg` to the node above: a parent's forwarded `GET`, or its ack
+    /// of a push it relays ([`crate::ParentCore`]). A write path never asks.
+    Up(HttpMsg),
 }
 
 /// An acknowledgement from a site that does not hold the copy it names,
@@ -266,21 +272,29 @@ impl WritePath {
     }
 
     /// Answers one `GET` for a document whose current version is `meta`:
-    /// counters, the site-list registration, the lease. Returns the reply
-    /// and whether the grant cost a write to the persistent ever-seen list.
-    pub fn grant(&mut self, get: &GetRequest, meta: DocMeta, now: SimTime) -> (Reply, bool) {
+    /// counters, the site-list registration, the lease, none of it past
+    /// `until`. Returns the reply and whether the grant cost a write to the
+    /// persistent ever-seen list.
+    pub fn grant(
+        &mut self,
+        get: &GetRequest,
+        meta: DocMeta,
+        until: Promise,
+        now: SimTime,
+    ) -> (Reply, bool) {
         if get.is_ims() {
             self.counters.ims += 1;
         } else {
             self.counters.gets += 1;
         }
-        let grant = self
-            .consistency
-            .on_get(get.url, get.client, get.ims, meta, get.issued_at);
+        let (url, client) = (get.url, get.client);
+        let grant =
+            self.consistency
+                .on_get_within(url, client, get.ims, meta, get.issued_at, until);
         if let (true, Some(lease)) = (grant.register, grant.lease) {
             self.record(AuditEvent::Register {
-                url: get.url,
-                client: get.client,
+                url,
+                client,
                 lease,
                 at: now,
             });
@@ -601,7 +615,7 @@ impl WritePath {
     /// and judged at `version`. A bulk goes to every site, re-sent until
     /// acknowledged and sent on a site's next `HELLO` if its channel is
     /// down; the site lists stay, their copies only questionable.
-    pub fn relay(
+    pub(crate) fn relay(
         &mut self,
         ack: &HttpMsg,
         version: SimTime,
@@ -758,7 +772,7 @@ impl OriginCore {
         let meta = self.meta(get.url)?;
         self.meter.record_request(get.url);
         self.meter.record_report(get.url, get.cache_hits);
-        Some(self.path.grant(get, meta, now))
+        Some(self.path.grant(get, meta, Promise::UNBOUNDED, now))
     }
 
     /// A check-in: `url`'s mtime advances to `at`. Returns the document's

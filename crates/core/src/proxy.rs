@@ -89,6 +89,13 @@ impl ProxyPolicy {
         }
     }
 
+    /// When `key`'s (client, server) volume lease ends: never, for a
+    /// protocol without volume leases.
+    pub(crate) fn volume_end(&self, key: ScopedUrl) -> SimTime {
+        let volume = self.volumes.get(&(key.client(), key.url().server()));
+        volume.copied().unwrap_or(SimTime::NEVER)
+    }
+
     /// Records a volume-lease grant carried on a reply.
     pub fn on_volume_grant(&mut self, key: ScopedUrl, expires: Option<SimTime>) {
         if let Some(expires) = expires {

@@ -54,6 +54,24 @@ impl GetGrant {
     }
 }
 
+/// The end of what a grantor was promised itself: its copy's lease and its
+/// volume lease. Nothing it grants ends later.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Promise {
+    /// When the grantor's object lease ends.
+    pub lease: SimTime,
+    /// When its volume lease ends.
+    pub volume: SimTime,
+}
+
+impl Promise {
+    /// The origin's: it holds the documents, so nothing bounds it.
+    pub const UNBOUNDED: Promise = Promise {
+        lease: SimTime::NEVER,
+        volume: SimTime::NEVER,
+    };
+}
+
 /// Counters the server half maintains (inputs to Tables 3–5).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ServerStats {
@@ -160,6 +178,20 @@ impl ServerConsistency {
         doc: DocMeta,
         now: SimTime,
     ) -> GetGrant {
+        self.on_get_within(url, client, ims, doc, now, Promise::UNBOUNDED)
+    }
+
+    /// [`Self::on_get`] by a grantor promised only `until` (a parent): the
+    /// leases it grants, and the registration, end no later.
+    pub(crate) fn on_get_within(
+        &mut self,
+        url: Url,
+        client: ClientId,
+        ims: Option<SimTime>,
+        doc: DocMeta,
+        now: SimTime,
+        until: Promise,
+    ) -> GetGrant {
         debug_assert_eq!(url.server(), self.server);
         let send_body = match ims {
             Some(validator) => doc.modified_since(validator),
@@ -194,6 +226,7 @@ impl ServerConsistency {
             }
             None => lease,
         };
+        let lease = lease.map(|end| end.min(until.lease));
         let mut new_site_disk_write = false;
         // Every registering policy grants a lease, so destructuring both
         // together keeps that invariant in the types instead of a panic.
@@ -222,7 +255,7 @@ impl ServerConsistency {
         // Volume leases: every reply renews the short volume lease.
         let volume_lease = match self.kind {
             ProtocolKind::VolumeLease => {
-                let expiry = now + self.volume_len;
+                let expiry = (now + self.volume_len).min(until.volume);
                 self.volume_leases.insert(client, expiry);
                 Some(expiry)
             }

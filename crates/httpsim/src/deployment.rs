@@ -4,12 +4,12 @@ use crate::coord::CoordinatorNode;
 use crate::cost::CostModel;
 use crate::modifier::ModifierNode;
 use crate::origin::OriginNode;
-use crate::parent::{ParentCounters, ParentNode};
+use crate::parent::ParentNode;
 use crate::proxy::{ProxyCounters, ProxyNode};
 use wcc_cache::{CacheStore, ReplacementPolicy};
 use wcc_core::{
-    FetchCounters, OriginCore, OriginCounters, ProposerStats, ProtocolConfig, ProtocolKind,
-    ProxyPolicy, ServerConsistency, SiteListMemory, SiteListStats, WritePath,
+    FetchCounters, OriginCore, OriginCounters, ParentCounters, ProposerStats, ProtocolConfig,
+    ProtocolKind, ProxyPolicy, ServerConsistency, SiteListMemory, SiteListStats, WritePath,
 };
 use wcc_proto::Message;
 use wcc_simnet::{FaultPlan, NetworkConfig, Simulation, Summary};
@@ -371,9 +371,12 @@ impl Deployment {
             for &p in &proxies {
                 sim.node_mut::<ProxyNode>(p).core.enable_audit();
             }
-            // Its own log ([`ParentNode::down`]), not the auditor's stream.
+            // Its own log (`ParentCore::down`), not the auditor's stream.
             if let Some(par) = parent {
-                sim.node_mut::<ParentNode>(par).down.enable_audit();
+                sim.node_mut::<ParentNode>(par)
+                    .core
+                    .down_mut()
+                    .enable_audit();
             }
         }
         if options.trace {
@@ -500,7 +503,7 @@ impl Deployment {
             sitelist = sitelist.merged(self.origin_at(i).core().consistency().table().memory());
         }
         if let Some(parent) = self.parent() {
-            sitelist = sitelist.merged(parent.down().consistency().table().memory());
+            sitelist = sitelist.merged(parent.core().down().consistency().table().memory());
         }
         DeploymentMemory {
             records: self.records_total,
@@ -663,7 +666,10 @@ impl Deployment {
                 audit(core.policy(), core.cache());
             }
             if let Some(parent) = self.parent() {
-                audit(parent.core().policy(), parent.core().cache());
+                audit(
+                    parent.core().fetch().policy(),
+                    parent.core().fetch().cache(),
+                );
             }
         }
 
@@ -681,9 +687,9 @@ impl Deployment {
         };
 
         let parent_summary = self.parent().map(|p| ParentSummary {
-            counters: p.counters(),
-            fetch: p.core().counters(),
-            child_sitelist: p.down().snapshot().sitelist,
+            counters: p.core().counters(),
+            fetch: p.core().fetch().counters(),
+            child_sitelist: p.core().down().snapshot().sitelist,
         });
         let invalidations_wire = oc.wire_invalidations();
         let control_and_transfers = match &parent_summary {

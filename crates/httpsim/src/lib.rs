@@ -73,6 +73,6 @@ pub use deployment::{
 };
 pub use modifier::ModifierNode;
 pub use origin::OriginNode;
-pub use parent::{ParentCounters, ParentNode};
+pub use parent::ParentNode;
 pub use proxy::ProxyNode;
-pub use wcc_core::{Proposer, ProposerStats};
+pub use wcc_core::{ParentCounters, Proposer, ProposerStats};

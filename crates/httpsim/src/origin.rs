@@ -198,6 +198,8 @@ impl OriginNode {
                     continue;
                 }
                 OriginOut::Push { site, msg } => (site, msg),
+                // Nothing is above an origin; its write path never asks.
+                OriginOut::Up(_) => continue,
             };
             let (to, mut cost) = (self.proxies[site as usize], self.costs.inval_send);
             if matches!(msg, HttpMsg::InvalidateServer { .. }) {

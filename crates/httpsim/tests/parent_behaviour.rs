@@ -20,6 +20,15 @@ fn record(secs: u64, client: u32, doc: u32) -> TraceRecord {
 }
 
 fn build(records: Vec<TraceRecord>, mods: Vec<Modification>) -> Deployment {
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    build_with(records, mods, &cfg)
+}
+
+fn build_with(
+    records: Vec<TraceRecord>,
+    mods: Vec<Modification>,
+    cfg: &ProtocolConfig,
+) -> Deployment {
     let trace = Trace {
         name: "handcrafted".into(),
         server: ServerId::new(0),
@@ -32,12 +41,7 @@ fn build(records: Vec<TraceRecord>, mods: Vec<Modification>) -> Deployment {
     opts.num_proxies = 2;
     opts.topology = Topology::Hierarchy;
     opts.sharing = CacheSharing::SharedPerProxy;
-    Deployment::build(
-        &trace,
-        &schedule,
-        &ProtocolConfig::new(ProtocolKind::Invalidation),
-        opts,
-    )
+    Deployment::build(&trace, &schedule, cfg, opts)
 }
 
 #[test]
@@ -47,10 +51,14 @@ fn second_child_is_served_by_the_parent() {
     let mut d = build(vec![record(600, 0, 0), record(1200, 1, 0)], vec![]);
     d.run();
     let parent = d.parent().expect("hierarchy parent");
-    assert_eq!(parent.counters().child_requests, 2);
-    assert_eq!(parent.core().counters().gets_sent, 1, "one compulsory miss");
+    assert_eq!(parent.core().counters().child_requests, 2);
     assert_eq!(
-        parent.counters().parent_hits,
+        parent.core().fetch().counters().gets_sent,
+        1,
+        "one compulsory miss"
+    );
+    assert_eq!(
+        parent.core().counters().parent_hits,
         1,
         "second child hits the parent"
     );
@@ -70,7 +78,7 @@ fn parent_answers_stale_validator_from_its_own_cache() {
     );
     d.run();
     let parent = d.parent().expect("parent");
-    let fetch = parent.core().counters();
+    let fetch = parent.core().fetch().counters();
     assert_eq!(fetch.gets_sent + fetch.ims_sent, 1);
     let r = d.collect();
     // Child 1's second request is a pure child-cache hit (leased).
@@ -149,18 +157,28 @@ fn a_relay_lost_to_a_partition_is_resent_after_it_heals() {
     // When the origin told the parent: the relay follows within the second.
     let told = log.iter().find(sent).expect("one write").at();
     let (parent, child) = (dry.parent_id().expect("parent"), dry.proxy_ids()[0]);
-    assert_eq!(dry.parent().unwrap().counters().invalidations_relayed, 1);
+    assert_eq!(
+        dry.parent()
+            .unwrap()
+            .core()
+            .counters()
+            .invalidations_relayed,
+        1
+    );
 
     // Down for three seconds: the relay and its first re-send (2 s) are lost.
     let down = SimDuration::from_secs(3);
     let d = run(&FaultPlan::new().partition(parent, child, told, told + down));
     let node = d.parent().expect("parent");
     assert_eq!(
-        node.counters().invalidations_relayed,
+        node.core().counters().invalidations_relayed,
         3,
         "sent, re-sent twice"
     );
-    assert!(node.down().snapshot().writes_complete, "and acknowledged");
+    assert!(
+        node.core().down().snapshot().writes_complete,
+        "and acknowledged"
+    );
     let r = d.collect();
     assert!(r.finished && r.request_timeouts >= 1);
     assert_eq!((r.stale_hits, r.final_violations), (0, 0));
@@ -195,4 +213,67 @@ fn a_batched_round_is_applied_and_acked_as_one() {
     assert!(r.finished && r.writes_complete);
     let audit = d.audit();
     assert!(audit.violations.is_empty(), "{audit}");
+}
+
+/// Client 0 fetches document 0 through the parent at 600 s, client 1 at
+/// 3000 s and 5400 s; the origin writes it at 4800 s. Both children sit
+/// under one parent, on their own partitions.
+fn leased_run(cfg: &ProtocolConfig) -> wcc_httpsim::RawReport {
+    let mut d = build_with(
+        vec![record(600, 0, 0), record(3000, 1, 0), record(5400, 1, 0)],
+        vec![Modification {
+            at: SimTime::from_secs(4800),
+            doc: 0,
+        }],
+        cfg,
+    );
+    d.run();
+    d.collect()
+}
+
+/// A parent never promises a child more than the origin promised it. The
+/// parent's copy is leased from 600 s to 4200 s; client 1's hit at 3000 s
+/// may be leased no longer than that. Had it been leased for the hour from
+/// 3000 s, the write at 4800 s — which the origin owes nobody, the parent's
+/// lease having run out — would leave client 1 serving the old version at
+/// 5400 s.
+#[test]
+fn a_child_lease_ends_no_later_than_the_parents() {
+    let hour = SimDuration::from_hours(1);
+    for kind in [ProtocolKind::LeaseInvalidation, ProtocolKind::VolumeLease] {
+        let cfg = ProtocolConfig::new(kind)
+            .with_lease(hour)
+            .with_volume_lease(hour);
+        let r = leased_run(&cfg);
+        assert!(r.finished && r.writes_complete, "{kind}");
+        assert_eq!((r.stale_hits, r.final_violations), (0, 0), "{kind}");
+        assert_eq!((r.requests, r.hits, r.invalidations), (3, 1, 0), "{kind}");
+    }
+}
+
+/// Invalidation promises for ever on both tiers: the write is pushed down
+/// the tree and client 1 fetches the new version.
+#[test]
+fn an_unbounded_promise_is_invalidated_down_the_tree() {
+    let r = leased_run(&ProtocolConfig::new(ProtocolKind::Invalidation));
+    assert!(r.finished && r.writes_complete);
+    assert_eq!((r.stale_hits, r.final_violations), (0, 0));
+    assert_eq!((r.hits, r.invalidations), (0, 1));
+}
+
+/// Under volume leases a child's volume ends no later than the parent's
+/// own. The object lease (a day) outlives the run; the parent's volume,
+/// renewed by its fetch at 600 s, ends at 4200 s. Client 1's hit at 3000 s
+/// may renew its volume only that far, so after the write at 4800 s —
+/// which the origin only queues for the parent, whose volume has lapsed —
+/// client 1 revalidates rather than serving its copy.
+#[test]
+fn a_child_volume_lease_ends_no_later_than_the_parents() {
+    let cfg = ProtocolConfig::new(ProtocolKind::VolumeLease)
+        .with_lease(SimDuration::from_hours(24))
+        .with_volume_lease(SimDuration::from_hours(1));
+    let r = leased_run(&cfg);
+    assert!(r.finished && r.writes_complete);
+    assert_eq!((r.stale_hits, r.final_violations), (0, 0));
+    assert_eq!((r.requests, r.hits, r.invalidations), (3, 1, 0));
 }

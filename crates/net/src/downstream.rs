@@ -13,7 +13,7 @@ use wcc_obs::Registry;
 use wcc_proto::HttpMsg;
 use wcc_types::{SimDuration, SimTime};
 
-use crate::evloop::{Out, Outbox};
+use crate::evloop::{Out, Outbox, UPSTREAM};
 
 /// How often an unacknowledged invalidation — one document's, or the §5
 /// bulk — is re-sent.
@@ -60,6 +60,7 @@ impl Downstream {
         for asked in self.asked.drain(..) {
             match asked {
                 OriginOut::Arm { after, timer } => self.timers.push(Reverse((now + after, timer))),
+                OriginOut::Up(msg) => out.push(Out::Push(UPSTREAM, msg)),
                 OriginOut::Push { site, msg } => {
                     if let HttpMsg::InvalidateBatch { entries, .. } = &msg {
                         on_batch(entries.len() as u64);

@@ -4,62 +4,41 @@
 //! (one persistent connection each, registered as a push channel by its
 //! `HELLO`); the parent in turn is a client of the real origin. The node's
 //! thread ([`crate::evloop`]) owns the child-facing listener, the one
-//! upstream connection misses go up and invalidations come down, and the
-//! parent's state, [`ParentRole`], which the handle reaches only
-//! through [`Node::call`]: the same thin driver of [`wcc_core::ProxyCore`]
-//! as the proxy towards the origin ([`crate::upstream`]), and of
-//! [`wcc_core::WritePath`] as the origin towards its children
-//! ([`crate::downstream`]). A child `GET` the parent
-//! cache can answer is answered in the turn it arrived; any other is
-//! forwarded under a deferred-reply ticket and answered when the origin's
-//! reply lands. A push is applied and acknowledged when it arrives, and the
-//! write path relays it from that ack: to the children that hold the
-//! document, re-sent every 250 ms and at a child's next `HELLO` until each
-//! acknowledged. An upstream fetch it overtakes is poisoned and fetched
-//! again rather than cached (and leased out) stale. A child `GET` that
-//! times out upstream closes the child's connection, its push channel
-//! with it: the child dials again, and its `HELLO` brings what it missed.
-//!
-//! A bulk `INVALIDATE <server>` (the §5 recovery barrage) is acked upstream
-//! and relayed down the tree the same way — re-sent until each child's
-//! `InvalidateServerAck` — so a restarted origin recovers through a
-//! hierarchy too.
+//! upstream connection, and [`ParentRole`], which the handle reaches only
+//! through [`Node::call`]. The role drives [`wcc_core::ParentCore`], the
+//! simulator's parent's protocol too, and keeps what only sockets need:
+//! the children's channels and the relay timers ([`crate::downstream`]),
+//! the upstream timeout and re-dial ([`crate::upstream`]). A child `GET`
+//! the parent cache can answer is answered in the turn it arrived; any
+//! other is forwarded under a deferred-reply ticket. A push, the §5 bulk
+//! included, is acknowledged at once and relayed to the children that hold
+//! the document, re-sent every 250 ms and at a child's next `HELLO` until
+//! each acknowledged. A child `GET` that times out upstream closes the
+//! child's connection, its push channel with it: the child dials again,
+//! and its `HELLO` brings what it missed.
 
 use std::net::{SocketAddr, TcpListener};
 use wcc_core::origin::MAX_RETRIES;
-use wcc_core::{Begin, OriginCounters, ProtocolConfig, ServerConsistency, WritePath};
+use wcc_core::{
+    FetchCounters, ParentCore, ParentCounters, ProtocolConfig, ProxyCore, ProxyPolicy,
+    ServerConsistency, WritePath,
+};
 use wcc_obs::Registry;
 use wcc_proto::{GetRequest, HttpMsg, HttpMsgRef};
 use wcc_types::{ByteSize, ClientId, ServerId, SimTime};
 
 use crate::downstream::{render_sitelist, Downstream, RETRY};
-use crate::evloop::{self, earliest, After, Cx, Hello, Node, Out, Outbox, Role, Via, UPSTREAM};
-use crate::upstream::{Upstream, Waiter, Waiting};
+use crate::evloop::{self, earliest, After, Cx, Hello, Node, Out, Outbox, Role, Via};
+use crate::upstream::{self, Upstream, Waiter, Waiting};
 
-/// Counters for the TCP parent.
+/// Counters for the TCP parent: its core's, its fetch core's, and what its
+/// upstream connection adds.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct NetParentCounters {
-    /// Requests received from children.
-    pub child_requests: u64,
-    /// Of those, answered from the parent cache.
-    pub parent_hits: u64,
-    /// Requests forwarded to the origin.
-    pub upstream_requests: u64,
-    /// `INVALIDATE`s received from the origin (batched entries included:
-    /// each entry of a coalesced round counts once here).
-    pub invalidations_received: u64,
-    /// Coalesced `InvalidateBatch` rounds received from the origin.
-    pub inval_batches_received: u64,
-    /// `INVALIDATE`s relayed to children, re-sends included.
-    pub invalidations_relayed: u64,
-    /// Bulk `INVALIDATE <server>`s received from the origin (recovery).
-    pub bulk_invalidations_received: u64,
-    /// Child `GET`s answered without upstream contact, in the turn they
-    /// arrived: the parent-cache hits.
-    pub reactor_hits: u64,
-    /// Upstream replies discarded because an invalidation overtook them
-    /// (each was fetched again).
-    pub inval_races: u64,
+    /// Child requests, parent-cache hits and relays to children.
+    pub parent: ParentCounters,
+    /// Requests forwarded to the origin, invalidations received, races.
+    pub fetch: FetchCounters,
     /// Upstream requests given up unanswered after 5 s.
     pub upstream_timeouts: u64,
     /// Times the upstream connection was re-established.
@@ -68,31 +47,22 @@ pub struct NetParentCounters {
 
 /// The parent's state and its [`Role`], owned by the node's thread.
 struct ParentRole {
-    /// The upstream-facing half: policy, cache, flights.
+    /// Both protocol halves.
+    core: ParentCore<Waiting>,
+    /// The upstream timeout and re-dial bookkeeping.
     up: Upstream,
-    /// The child-facing half: the children's site lists and the relays
-    /// they have yet to acknowledge.
-    down: WritePath,
     /// What connects the child-facing half to the wire and the timers.
     links: Downstream,
-    /// The counters the fetch core does not keep itself.
-    local: NetParentCounters,
 }
 
 impl ParentRole {
-    /// The node's counters; `down` is the child-facing half's snapshot.
-    fn counters(&self, down: &OriginCounters) -> NetParentCounters {
-        let c = self.up.core.counters();
+    /// The node's counters, read off its core.
+    fn counters(&self) -> NetParentCounters {
         NetParentCounters {
-            upstream_requests: c.gets_sent + c.ims_sent,
-            invalidations_received: c.invalidations_received,
-            inval_batches_received: c.inval_batches_received,
-            bulk_invalidations_received: c.bulk_invalidations_received,
-            inval_races: c.inval_races,
+            parent: self.core.counters(),
+            fetch: self.core.fetch().counters(),
             upstream_timeouts: self.up.timeouts,
             upstream_redials: self.up.redials,
-            invalidations_relayed: down.invalidations,
-            ..self.local
         }
     }
 }
@@ -133,11 +103,12 @@ impl NetParent {
         let addr = listener.local_addr()?;
         // Per-copy relay: the proposer stays off.
         let consistency = ServerConsistency::new(cfg, server);
+        let fetch = ProxyCore::new(ProxyPolicy::new(cfg), upstream::cache(capacity));
+        let down = WritePath::new(consistency, 100, RETRY, MAX_RETRIES, None);
         let role = ParentRole {
-            up: Upstream::new(cfg, capacity),
-            down: WritePath::new(consistency, 100, RETRY, MAX_RETRIES, None),
+            core: ParentCore::new(IDENTITY, fetch, down),
+            up: Upstream::default(),
             links: Downstream::default(),
-            local: NetParentCounters::default(),
         };
         // The parent registers with the origin as its one and only
         // partition.
@@ -157,7 +128,7 @@ impl NetParent {
 
     /// Current counters; all zero if the node's thread is gone.
     pub fn counters(&self) -> NetParentCounters {
-        let counters = self.node.call(|p, _, _| p.counters(&p.down.snapshot()));
+        let counters = self.node.call(|p, _, _| p.counters());
         counters.unwrap_or_default()
     }
 
@@ -190,23 +161,23 @@ impl Role for ParentRole {
     }
 
     fn next_deadline(&self) -> Option<SimTime> {
-        earliest(self.up.next_deadline(), self.links.next_deadline())
+        let up = Upstream::next_deadline(self.core.fetch());
+        earliest(up, self.links.next_deadline())
     }
 
     fn on_deadline(&mut self, now: SimTime, out: &mut Outbox) {
-        self.up.expire(now, out);
-        self.links.fire(&mut self.down, now);
+        self.up.expire(self.core.fetch_mut(), now, out);
+        self.links.fire(self.core.down_mut(), now);
         self.links.emit(now, out, |_| ());
     }
 
     fn on_redial(&mut self, up: bool, out: &mut Outbox) {
-        self.up.redialled(up, out);
+        self.up.redialled(self.core.fetch_mut(), up, out);
     }
 
     fn render_metrics(&self, reactor: &evloop::ReactorCounters) -> String {
         let node = [("node", "parent")];
-        let down = self.down.snapshot();
-        let c = self.counters(&down);
+        let (c, fetch) = (self.core.counters(), self.core.fetch().counters());
         let mut r = Registry::default();
         r.set_counter(
             "wcc_child_requests_total",
@@ -230,13 +201,13 @@ impl Role for ParentRole {
             "wcc_reactor_hits_total",
             "Child GETs answered without upstream contact.",
             &node,
-            c.reactor_hits,
+            c.parent_hits,
         );
         r.set_counter(
             "wcc_upstream_requests_total",
             "Requests forwarded to the origin.",
             &node,
-            c.upstream_requests,
+            fetch.gets_sent + fetch.ims_sent,
         );
         r.set_counter(
             "wcc_invalidations_relayed_total",
@@ -244,27 +215,29 @@ impl Role for ParentRole {
             &node,
             c.invalidations_relayed,
         );
-        render_sitelist(&mut r, &node, &down.sitelist);
+        render_sitelist(&mut r, &node, &self.core.down().snapshot().sitelist);
         r.set_histogram(
             "wcc_serve_latency_seconds",
             "Wall-time child GET service latency, upstream fetches included.",
             &node,
             &self.up.latency,
         );
-        self.up.render(&mut r, &node);
+        self.up.render(self.core.fetch(), &mut r, &node);
         reactor.render(&mut r, &node);
         r.render()
     }
 
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: HttpMsgRef<'_>) -> After {
         let now = cx.now();
-        let links = &mut self.links;
+        let (core, links) = (&mut self.core, &mut self.links);
         let after = match (*cx.tag, msg) {
             (KTag::Upstream, HttpMsgRef::Reply(reply)) => {
-                if let Some((outcome, ticket, get)) = self.up.landed(reply, now, cx.out) {
-                    let (answer, _) = self.down.grant(&get, outcome.meta, now);
-                    cx.out
-                        .push(Out::Redeem(ticket, Some(HttpMsg::Reply(answer))));
+                let asked = &mut links.asked;
+                if let Some((answer, waiting)) = core.landed(reply.req, &reply.into(), now, asked) {
+                    if let Waiter::Client(ticket, _) = waiting.done(&mut self.up.latency, now) {
+                        let answer = Some(HttpMsg::Reply(answer));
+                        cx.out.push(Out::Redeem(ticket, answer));
+                    }
                 }
                 After::Keep
             }
@@ -272,41 +245,24 @@ impl Role for ParentRole {
             // ack per document (`InvalAck`), so a coalesced round fans
             // out downstream as ordinary `INVALIDATE`s.
             (KTag::Upstream, HttpMsgRef::Owned(push)) => {
-                let Some(ack) = self.up.core.on_push(push, Some(IDENTITY), now) else {
-                    return After::Close;
-                };
-                let asked = &mut links.asked;
-                self.down.relay(&ack, now, now, asked);
-                cx.reply(ack);
-                After::Keep
+                match core.pushed(push, now, now, &mut links.asked) {
+                    Some(_) => After::Keep,
+                    None => return After::Close,
+                }
             }
             // A reply flows down to the children only.
             (KTag::Child(_), HttpMsgRef::Reply(_)) => After::Close,
             (KTag::Child(site), HttpMsgRef::Owned(msg)) => match msg {
-                HttpMsg::Get(get) if get.url.server() == self.down.server() => {
-                    self.local.child_requests += 1;
+                HttpMsg::Get(get) if get.url.server() == core.down().server() => {
                     let issued_at = now; // judged and granted at receipt
                     let get = GetRequest { issued_at, ..get };
-                    // The child cache's hit report joins this tier's, so it
-                    // reaches the origin on the parent's next contact.
-                    let core = &mut self.up.core;
-                    core.absorb_report(get.url, IDENTITY, get.cache_hits);
                     let waiting = || Waiting::new(Waiter::Client(cx.defer(), get), now);
-                    match core.begin(IDENTITY, get.url, now, now, waiting) {
-                        Begin::Serve(meta) => {
-                            self.local.parent_hits += 1;
-                            self.local.reactor_hits += 1;
-                            // Registers the child and grants it a lease. The
-                            // serve is recorded before the reply ships: once
-                            // the child's fetch returns, a scrape sees it.
-                            let (answer, _) = self.down.grant(&get, meta, now);
-                            let took = cx.now().saturating_since(now);
-                            self.up.latency.record(took.as_micros());
-                            cx.reply(HttpMsg::Reply(answer));
-                        }
-                        Begin::Forward(forward) => {
-                            cx.out.push(Out::Push(UPSTREAM, HttpMsg::Get(forward)))
-                        }
+                    // The serve is recorded before the reply ships: once the
+                    // child's fetch returns, a scrape sees it.
+                    if let Some(answer) = core.child_get(get, now, waiting, &mut links.asked) {
+                        let took = cx.now().saturating_since(now);
+                        self.up.latency.record(took.as_micros());
+                        cx.reply(HttpMsg::Reply(answer));
                     }
                     After::Keep
                 }
@@ -318,7 +274,7 @@ impl Role for ParentRole {
                     partition,
                     partitions,
                 } => {
-                    let down = &mut self.down;
+                    let down = core.down_mut();
                     if !down.on_site_hello(partition, partitions, now, &mut links.asked) {
                         return After::Close;
                     }
@@ -327,29 +283,22 @@ impl Role for ParentRole {
                     After::Keep
                 }
                 // An ack counts only on a registered channel, for a copy of
-                // that partition's; any other closes the connection. A
-                // report is taken only with an ack we are waiting for, so a
-                // child cannot make this tier buffer reports for documents
-                // nobody invalidated.
+                // that partition's; any other closes the connection.
                 HttpMsg::InvalAck {
                     url,
                     client,
                     cache_hits,
                 } => {
-                    let pending = self.down.consistency().has_pending(url);
-                    let acked = site.map(|site| self.down.ack(site, url, client, now));
-                    let Some(Ok(_)) = acked else {
-                        return After::Close;
-                    };
-                    if pending {
-                        self.up.core.absorb_report(url, IDENTITY, cache_hits);
+                    let acked = site.map(|site| core.child_ack(site, url, client, cache_hits, now));
+                    match acked {
+                        Some(Ok(())) => After::Keep,
+                        _ => return After::Close,
                     }
-                    After::Keep
                 }
                 // A child acking a relayed bulk invalidation.
                 HttpMsg::InvalidateServerAck { .. } => {
                     if let Some(site) = site {
-                        self.down.bulk_ack(site);
+                        core.child_bulk_ack(site);
                     }
                     After::Keep
                 }

@@ -33,13 +33,13 @@
 use std::io;
 use std::net::{SocketAddr, TcpListener};
 use std::sync::mpsc;
-use wcc_core::{Begin, ProtocolConfig};
+use wcc_core::{Begin, ProtocolConfig, ProxyCore, ProxyPolicy};
 use wcc_obs::Registry;
 use wcc_proto::{GetRequest, HttpMsg, HttpMsgRef, Reply, ReplyStatus};
 use wcc_types::{Body, ByteSize, ClientId, DocMeta, SimTime, Url};
 
 use crate::evloop::{self, After, Cx, Hello, Node, Out, Outbox, Role, Via, UPSTREAM};
-use crate::upstream::{Upstream, Waiter, Waiting};
+use crate::upstream::{self, Upstream, Waiter, Waiting};
 
 pub use wcc_core::{FetchKind, FetchOutcome};
 
@@ -86,6 +86,7 @@ pub struct NetProxyCounters {
 
 /// The proxy's state and its [`Role`], owned by the node's thread.
 struct ProxyRole {
+    core: ProxyCore<Waiting>,
     up: Upstream,
     /// The counters the fetch core does not keep itself.
     local: NetProxyCounters,
@@ -93,7 +94,7 @@ struct ProxyRole {
 
 impl ProxyRole {
     fn counters(&self) -> NetProxyCounters {
-        let c = self.up.core.counters();
+        let c = self.core.counters();
         NetProxyCounters {
             requests: c.requests,
             hits: c.hits,
@@ -169,7 +170,8 @@ impl NetProxy {
             partitions,
         };
         let role = ProxyRole {
-            up: Upstream::new(cfg, capacity),
+            core: ProxyCore::new(ProxyPolicy::new(cfg), upstream::cache(capacity)),
+            up: Upstream::default(),
             local: NetProxyCounters::default(),
         };
         let node = evloop::spawn(role, client_listener, Some(hello))?;
@@ -217,7 +219,7 @@ impl NetProxy {
         let answer = self.node.call(move |role, now, out| {
             let (tx, rx) = mpsc::channel();
             let caller = || Waiting::new(Waiter::Caller(tx), now);
-            match role.up.core.begin(client, url, at, now, caller) {
+            match role.core.begin(client, url, at, now, caller) {
                 Begin::Serve(meta) => {
                     // Served within the call: no node time passes.
                     role.up.latency.record(0);
@@ -239,7 +241,7 @@ impl NetProxy {
     /// Number of entries currently cached; zero if the node's thread is
     /// gone.
     pub fn cached_entries(&self) -> usize {
-        let entries = self.node.call(|role, _, _| role.up.core.cache().len());
+        let entries = self.node.call(|role, _, _| role.core.cache().len());
         entries.unwrap_or_default()
     }
 }
@@ -332,21 +334,21 @@ impl Role for ProxyRole {
             &node,
             &self.up.latency,
         );
-        self.up.render(&mut r, &node);
+        self.up.render(&self.core, &mut r, &node);
         reactor.render(&mut r, &node);
         r.render()
     }
 
     fn next_deadline(&self) -> Option<SimTime> {
-        self.up.next_deadline()
+        Upstream::next_deadline(&self.core)
     }
 
     fn on_deadline(&mut self, now: SimTime, out: &mut Outbox) {
-        self.up.expire(now, out);
+        self.up.expire(&mut self.core, now, out);
     }
 
     fn on_redial(&mut self, up: bool, out: &mut Outbox) {
-        self.up.redialled(up, out);
+        self.up.redialled(&mut self.core, up, out);
     }
 
     fn on_frame(&mut self, cx: &mut Cx<'_, Self>, msg: HttpMsgRef<'_>) -> After {
@@ -355,11 +357,7 @@ impl Role for ProxyRole {
                 HttpMsgRef::Owned(HttpMsg::Get(get)) => {
                     let begun = cx.now();
                     let waiting = || Waiting::new(Waiter::Client(cx.defer(), get), begun);
-                    match self
-                        .up
-                        .core
-                        .begin(get.client, get.url, begun, begun, waiting)
-                    {
+                    match self.core.begin(get.client, get.url, begun, begun, waiting) {
                         Begin::Serve(meta) => {
                             self.local.reactor_hits += 1;
                             let took = cx.now().saturating_since(begun);
@@ -388,14 +386,16 @@ impl Role for ProxyRole {
             },
             PKind::Upstream => match msg {
                 HttpMsgRef::Reply(reply) => {
-                    if let Some((outcome, ticket, get)) = self.up.landed(reply, cx.now(), cx.out) {
+                    if let Some((outcome, ticket, get)) =
+                        self.up.landed(&mut self.core, reply, cx.now(), cx.out)
+                    {
                         let answer = client_reply(&get, outcome.meta);
                         cx.out.push(Out::Redeem(ticket, Some(answer)));
                     }
                     After::Keep
                 }
                 // A push: applied and acknowledged at once.
-                HttpMsgRef::Owned(push) => match self.up.core.on_push(push, None, cx.now()) {
+                HttpMsgRef::Owned(push) => match self.core.on_push(push, None, cx.now()) {
                     Some(ack) => {
                         cx.reply(ack);
                         After::Keep

@@ -1,20 +1,20 @@
 //! The upward hop (proxy→origin, proxy→parent, parent→origin).
 //!
-//! [`Upstream`] is what a role keeps: the sans-IO [`ProxyCore`] plus what
-//! the socket side adds — who waits for each flight ([`Waiter`]: a client
-//! of the reactor, or a thread blocked in [`crate::NetProxy::fetch`]), when
-//! a flight is given up ([`UPSTREAM_TIMEOUT`] after it began, on the node's
-//! clock), and that every re-dial of a dropped upstream connection settles
-//! all flights that were on it: sent once more if it succeeded and they had
-//! not been already, failed otherwise. Every flight travels on the node's
-//! one upstream connection, the one its invalidations arrive on. A push
-//! that comes down it is the core's to apply and acknowledge
-//! ([`ProxyCore::on_push`]); the role sends the ack back up.
+//! [`Upstream`] is what a role keeps beside its [`ProxyCore`] (a parent's
+//! is inside its `ParentCore`): who waits for each flight ([`Waiter`]: a
+//! client of the reactor, or a thread blocked in
+//! [`crate::NetProxy::fetch`]), when a flight is given up
+//! ([`UPSTREAM_TIMEOUT`] after it began, on the node's clock), and that
+//! every re-dial of a dropped upstream connection settles all flights that
+//! were on it: sent once more if it succeeded and they had not been
+//! already, failed otherwise. Every flight, and every push the core
+//! acknowledges, travels on the node's one upstream connection.
 
+use std::borrow::{Borrow, BorrowMut};
 use std::io;
 use std::sync::mpsc::Sender;
 use wcc_cache::{CacheStore, ReplacementPolicy};
-use wcc_core::{Complete, FetchOutcome, ProtocolConfig, ProxyCore, ProxyPolicy};
+use wcc_core::{Complete, FetchOutcome, ProxyCore};
 use wcc_obs::{Histogram, Registry};
 use wcc_proto::{GetRequest, HttpMsg, ReplyRef, RequestId};
 use wcc_types::{ByteSize, SimDuration, SimTime};
@@ -49,11 +49,41 @@ impl Waiting {
             resent: false,
         }
     }
+
+    /// The flight is answered at `now`: its latency goes on `latency`.
+    pub fn done(self, latency: &mut Histogram, now: SimTime) -> Waiter {
+        latency.record(now.saturating_since(self.begun).as_micros());
+        self.who
+    }
 }
 
-/// A node's fetch state plus the reactor side's bookkeeping about it.
+/// A parent's flight: the child's `GET` it answers, and who waits.
+impl Borrow<Waiting> for (GetRequest, Waiting) {
+    fn borrow(&self) -> &Waiting {
+        &self.1
+    }
+}
+
+impl BorrowMut<Waiting> for (GetRequest, Waiting) {
+    fn borrow_mut(&mut self) -> &mut Waiting {
+        &mut self.1
+    }
+}
+
+impl From<(GetRequest, Waiting)> for Waiting {
+    fn from((_, waiting): (GetRequest, Waiting)) -> Waiting {
+        waiting
+    }
+}
+
+/// The cache of a proxy or parent of `capacity`.
+pub(crate) fn cache(capacity: ByteSize) -> CacheStore {
+    CacheStore::new(capacity, ReplacementPolicy::ExpiredFirstLru)
+}
+
+/// The reactor side's bookkeeping about a node's flights.
+#[derive(Default)]
 pub(crate) struct Upstream {
-    pub core: ProxyCore<Waiting>,
     /// Flights given up after [`UPSTREAM_TIMEOUT`].
     pub timeouts: u64,
     /// Times the upstream connection was re-established.
@@ -63,50 +93,37 @@ pub(crate) struct Upstream {
 }
 
 impl Upstream {
-    pub fn new(cfg: &ProtocolConfig, capacity: ByteSize) -> Upstream {
-        let cache = CacheStore::new(capacity, ReplacementPolicy::ExpiredFirstLru);
-        Upstream {
-            core: ProxyCore::new(ProxyPolicy::new(cfg), cache),
-            timeouts: 0,
-            redials: 0,
-            latency: Histogram::default(),
-        }
-    }
-
     /// A reply frame arrived from upstream at `now`. Returns
     /// the finished fetch if a client on the reactor waits for it; a
     /// blocked caller is sent its outcome here, a reply that has to be
     /// fetched again is re-forwarded, one nobody waits for is dropped.
     pub fn landed(
         &mut self,
+        core: &mut ProxyCore<Waiting>,
         reply: ReplyRef<'_>,
         now: SimTime,
         out: &mut Outbox,
     ) -> Option<(FetchOutcome, Ticket, GetRequest)> {
-        match self.core.complete(reply.req, &reply.into(), now)? {
+        match core.complete(reply.req, &reply.into(), now)? {
             Complete::Forward(get) => {
                 out.push(Out::Push(UPSTREAM, HttpMsg::Get(get)));
                 None
             }
-            Complete::Done { outcome, waiter } => {
-                self.latency
-                    .record(now.saturating_since(waiter.begun).as_micros());
-                match waiter.who {
-                    Waiter::Client(ticket, get) => Some((outcome, ticket, get)),
-                    Waiter::Caller(tx) => {
-                        let _ = tx.send(Ok(outcome));
-                        None
-                    }
+            Complete::Done { outcome, waiter } => match waiter.done(&mut self.latency, now) {
+                Waiter::Client(ticket, get) => Some((outcome, ticket, get)),
+                Waiter::Caller(tx) => {
+                    let _ = tx.send(Ok(outcome));
+                    None
                 }
-            }
+            },
         }
     }
 
     /// Gives up on flight `req`: a client waiting on the reactor has its
     /// connection closed behind the replies ahead of this one, a blocked
     /// caller gets `TimedOut`.
-    fn fail(&mut self, req: RequestId, out: &mut Outbox) {
-        match self.core.abandon(req).map(|waiting| waiting.who) {
+    fn fail<W: Into<Waiting>>(core: &mut ProxyCore<W>, req: RequestId, out: &mut Outbox) {
+        match core.abandon(req).map(|waiting| waiting.into().who) {
             Some(Waiter::Client(ticket, _)) => out.push(Out::Redeem(ticket, None)),
             Some(Waiter::Caller(tx)) => {
                 let _ = tx.send(Err(io::ErrorKind::TimedOut.into()));
@@ -118,27 +135,39 @@ impl Upstream {
     /// When the oldest flight times out. (A flight sent again under a new
     /// id keeps its clock but queues behind younger ones: it is given up
     /// no later than [`UPSTREAM_TIMEOUT`] after it was last sent.)
-    pub fn next_deadline(&self) -> Option<SimTime> {
-        self.core.oldest().map(|(_, w)| w.begun + UPSTREAM_TIMEOUT)
+    pub fn next_deadline<W: Borrow<Waiting>>(core: &ProxyCore<W>) -> Option<SimTime> {
+        core.oldest()
+            .map(|(_, w)| w.borrow().begun + UPSTREAM_TIMEOUT)
     }
 
     /// Fails every flight that timed out by `now`.
-    pub fn expire(&mut self, now: SimTime, out: &mut Outbox) {
-        while let Some((req, oldest)) = self.core.oldest() {
-            if oldest.begun + UPSTREAM_TIMEOUT > now {
+    pub fn expire<W: Borrow<Waiting> + Into<Waiting>>(
+        &mut self,
+        core: &mut ProxyCore<W>,
+        now: SimTime,
+        out: &mut Outbox,
+    ) {
+        while let Some((req, oldest)) = core.oldest() {
+            if oldest.borrow().begun + UPSTREAM_TIMEOUT > now {
                 break;
             }
             self.timeouts += 1;
-            self.fail(req, out);
+            Self::fail(core, req, out);
         }
     }
 
     /// The upstream connection had dropped and was dialled again: settles
     /// every flight that was on it.
-    pub fn redialled(&mut self, up: bool, out: &mut Outbox) {
+    pub fn redialled<W: BorrowMut<Waiting> + Into<Waiting>>(
+        &mut self,
+        core: &mut ProxyCore<W>,
+        up: bool,
+        out: &mut Outbox,
+    ) {
         self.redials += u64::from(up);
         let mut lost = Vec::new();
-        for (sent, waiting) in self.core.flights_mut() {
+        for (sent, waiting) in core.flights_mut() {
+            let waiting: &mut Waiting = waiting.borrow_mut();
             if up && !waiting.resent {
                 waiting.resent = true;
                 out.push(Out::Push(UPSTREAM, HttpMsg::Get(*sent)));
@@ -147,13 +176,13 @@ impl Upstream {
             }
         }
         for req in lost {
-            self.fail(req, out);
+            Self::fail(core, req, out);
         }
     }
 
     /// The upstream families of a node's `/metrics`.
-    pub fn render(&self, r: &mut Registry, node: &[(&str, &str)]) {
-        let c = self.core.counters();
+    pub fn render<W>(&self, core: &ProxyCore<W>, r: &mut Registry, node: &[(&str, &str)]) {
+        let c = core.counters();
         r.set_counter(
             "wcc_invalidations_total",
             "INVALIDATEs received from upstream.",
@@ -176,13 +205,13 @@ impl Upstream {
             "wcc_cached_entries",
             "Entries currently cached.",
             node,
-            self.core.cache().len() as u64,
+            core.cache().len() as u64,
         );
         r.set_gauge(
             "wcc_upstream_in_flight",
             "Upstream requests awaiting their reply.",
             node,
-            self.core.in_flight() as u64,
+            core.in_flight() as u64,
         );
         r.set_counter(
             "wcc_inval_races_total",

@@ -5,14 +5,17 @@ mod common;
 use std::time::Duration;
 use wcc_core::{ProtocolConfig, ProtocolKind};
 use wcc_net::{check_in, FetchKind, NetOrigin, NetParent, NetProxy, OriginConfig};
-use wcc_types::{ByteSize, ClientId, ServerId, SimTime, Url};
+use wcc_types::{ByteSize, ClientId, ServerId, SimDuration, SimTime, Url};
 
 fn url(doc: u32) -> Url {
     Url::new(ServerId::new(0), doc)
 }
 
 fn start() -> (NetOrigin, NetParent, NetProxy, NetProxy) {
-    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    start_with(ProtocolConfig::new(ProtocolKind::Invalidation))
+}
+
+fn start_with(cfg: ProtocolConfig) -> (NetOrigin, NetParent, NetProxy, NetProxy) {
     let origin = NetOrigin::spawn(OriginConfig {
         server: ServerId::new(0),
         doc_sizes: vec![ByteSize::from_kib(8); 16],
@@ -48,10 +51,9 @@ fn second_child_hits_the_parent_cache() {
     assert_eq!(second.kind, FetchKind::Fetched, "transfer from the parent");
 
     let pc = parent.counters();
-    assert_eq!(pc.child_requests, 2);
-    assert_eq!(pc.upstream_requests, 1, "one compulsory origin miss");
-    assert_eq!(pc.parent_hits, 1);
-    assert_eq!(pc.reactor_hits, 1, "answered without upstream contact");
+    assert_eq!(pc.parent.child_requests, 2);
+    assert_eq!(pc.fetch.gets_sent, 1, "one compulsory origin miss");
+    assert_eq!(pc.parent.parent_hits, 1);
     // The origin saw exactly one site: the parent.
     let snap = origin.snapshot();
     assert_eq!(snap.gets, 1);
@@ -91,8 +93,8 @@ fn parent_hit_pipelined_behind_a_miss_keeps_connection_order() {
         }
     }
     let pc = parent.counters();
-    assert_eq!(pc.upstream_requests, before.upstream_requests + 1);
-    assert_eq!(pc.parent_hits, before.parent_hits + 1);
+    assert_eq!(pc.fetch.gets_sent, before.fetch.gets_sent + 1);
+    assert_eq!(pc.parent.parent_hits, before.parent.parent_hits + 1);
     assert!(parent
         .metrics_text()
         .contains("wcc_reactor_hits_total{node=\"parent\"}"));
@@ -123,8 +125,11 @@ fn invalidation_cascades_down_the_tree() {
     assert!(origin.wait_writes_complete(Duration::from_secs(5)));
     assert_eq!(origin.snapshot().invalidations, 1, "origin pushed once");
     let pc = parent.counters();
-    assert_eq!(pc.invalidations_received, 1);
-    assert_eq!(pc.invalidations_relayed, 2, "both children held copies");
+    assert_eq!(pc.fetch.invalidations_received, 1);
+    assert_eq!(
+        pc.parent.invalidations_relayed, 2,
+        "both children held copies"
+    );
 
     // Strong consistency end-to-end: both children fetch the new version.
     for (proxy, client) in [(&a, alice), (&b, bob)] {
@@ -156,7 +161,7 @@ fn child_validator_is_answered_by_the_parent() {
         after.gets + after.ims,
         "carol was served by the parent, not the origin"
     );
-    assert!(parent.counters().parent_hits >= 2);
+    assert!(parent.counters().parent.parent_hits >= 2);
 }
 
 /// The callback race at the parent: the upstream's pre-write reply is
@@ -204,12 +209,12 @@ fn parent_repeats_an_upstream_fetch_overtaken_by_an_invalidation() {
     assert_eq!(child.recv_200(), (1, SimTime::from_secs(9)));
 
     let pc = parent.counters();
-    assert_eq!((pc.inval_races, pc.upstream_requests), (1, 2));
-    assert_eq!((pc.child_requests, pc.parent_hits), (1, 0));
+    assert_eq!((pc.fetch.inval_races, pc.fetch.gets_sent), (1, 2));
+    assert_eq!((pc.parent.child_requests, pc.parent.parent_hits), (1, 0));
     // What it cached is the version after the write.
     child.send(&get(2, 3, ClientId::from_raw(8), SimTime::from_secs(2)));
     assert_eq!(child.recv_200(), (2, SimTime::from_secs(9)));
-    assert_eq!(parent.counters().parent_hits, 1);
+    assert_eq!(parent.counters().parent.parent_hits, 1);
 }
 
 /// §7 hit reports survive the tier that relays them: what the children
@@ -319,10 +324,12 @@ fn a_relay_during_a_child_channel_outage_is_resent_on_reregistration() {
 
     check_in(origin.addr(), url(5), SimTime::from_secs(60)).unwrap();
     let deadline = std::time::Instant::now() + Duration::from_secs(5);
-    while parent.counters().invalidations_received == 0 && std::time::Instant::now() < deadline {
+    while parent.counters().fetch.invalidations_received == 0
+        && std::time::Instant::now() < deadline
+    {
         std::thread::sleep(Duration::from_millis(5));
     }
-    assert_eq!(parent.counters().invalidations_received, 1);
+    assert_eq!(parent.counters().fetch.invalidations_received, 1);
 
     // Registering again brings the invalidation the outage swallowed.
     let mut channel = Wire::connect(parent.addr());
@@ -392,7 +399,7 @@ fn an_unacknowledged_relay_is_sent_again_after_one_retry_period() {
     }
     assert!(sent.elapsed() >= Duration::from_millis(200), "a retry tick");
     assert_eq!(
-        parent.counters().invalidations_relayed,
+        parent.counters().parent.invalidations_relayed,
         2,
         "re-send counted"
     );
@@ -439,7 +446,7 @@ fn a_bulk_relay_during_a_child_channel_outage_is_resent_until_acknowledged() {
         acked,
         HttpMsgRef::Owned(HttpMsg::InvalidateServerAck { .. })
     ));
-    assert_eq!(parent.counters().bulk_invalidations_received, 1);
+    assert_eq!(parent.counters().fetch.bulk_invalidations_received, 1);
 
     // Registering again brings it, and silence brings it again.
     let mut channel = Wire::connect(parent.addr());
@@ -507,4 +514,70 @@ fn a_relay_missed_behind_a_timed_out_flight_is_pushed_on_the_next_hello() {
         }
         other => panic!("expected the missed INVALIDATE, got {other:?}"),
     }
+}
+
+/// A child's lease ends no later than the parent's, over TCP. Child `a`
+/// fetches through the parent at 0 s, which leases the parent's copy until
+/// about 1 s; child `b` hits the parent at 0.7 s. A write at 1.2 s finds
+/// the parent's lease over, so the origin owes nobody an `INVALIDATE`; had
+/// `b` been leased until 1.7 s, it would serve the old version after the
+/// write completed. Both `GET`s arrive on the children's client listeners,
+/// judged at each node's clock. Returns the version `b` serves after the
+/// write, and how many `INVALIDATE`s the origin sent.
+fn served_after_a_write(cfg: ProtocolConfig) -> (SimTime, u64) {
+    use common::{get, Wire};
+    let (origin, _parent, a, b) = start_with(cfg);
+    let (alice, bob) = (ClientId::from_raw(0), ClientId::from_raw(1));
+    let begun = std::time::Instant::now();
+    let mut at_a = Wire::connect(a.client_addr());
+    at_a.send(&get(1, 3, alice, SimTime::from_secs(1)));
+    assert_eq!(at_a.recv_200().1, SimTime::ZERO);
+    let mut at_b = Wire::connect(b.client_addr());
+    std::thread::sleep(Duration::from_millis(700).saturating_sub(begun.elapsed()));
+    at_b.send(&get(1, 3, bob, SimTime::from_secs(1)));
+    assert_eq!(at_b.recv_200().1, SimTime::ZERO);
+    std::thread::sleep(Duration::from_millis(1200).saturating_sub(begun.elapsed()));
+    check_in(origin.addr(), url(3), SimTime::from_secs(60)).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    while origin.snapshot().notifies == 0 && std::time::Instant::now() < deadline {
+        std::thread::sleep(Duration::from_millis(5));
+    }
+    assert!(origin.wait_writes_complete(Duration::from_secs(5)));
+    at_b.send(&get(2, 3, bob, SimTime::from_secs(1)));
+    let served = at_b.recv_200().1;
+    assert!(
+        begun.elapsed() < Duration::from_millis(1700),
+        "too slow to tell"
+    );
+    (served, origin.snapshot().invalidations)
+}
+
+#[test]
+fn a_child_lease_ends_no_later_than_the_parents_over_tcp() {
+    let second = SimDuration::from_secs(1);
+    for kind in [ProtocolKind::LeaseInvalidation, ProtocolKind::VolumeLease] {
+        let cfg = ProtocolConfig::new(kind)
+            .with_lease(second)
+            .with_volume_lease(second);
+        let new = (SimTime::from_secs(60), 0);
+        assert_eq!(served_after_a_write(cfg), new, "{kind}");
+    }
+}
+
+/// The volume-lease leg: the object lease outlives the test, the volume
+/// (1 s) does not; `b`'s volume may be renewed no later than the parent's.
+#[test]
+fn a_child_volume_lease_ends_no_later_than_the_parents_over_tcp() {
+    let cfg = ProtocolConfig::new(ProtocolKind::VolumeLease)
+        .with_lease(SimDuration::from_secs(60))
+        .with_volume_lease(SimDuration::from_secs(1));
+    assert_eq!(served_after_a_write(cfg), (SimTime::from_secs(60), 0));
+}
+
+/// The control: plain invalidation's promise has no end, so the write is
+/// pushed down the tree and `b` fetches the new version.
+#[test]
+fn an_unbounded_promise_is_invalidated_down_the_tree_over_tcp() {
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    assert_eq!(served_after_a_write(cfg), (SimTime::from_secs(60), 1));
 }

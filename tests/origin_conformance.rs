@@ -16,13 +16,13 @@
 //! process, where the simulator's crash keeps both on disk: the bare core is
 //! run once each way, and the two runs must push the same frames.
 //!
-//! The parent leg does the same one tier down: the write path under
-//! [`OriginCore`] is the child-facing half of both parents, so a second
-//! script — two children, a write whose second acknowledgement is lost, a
-//! write only one of them holds a copy for, a write while a child's channel
-//! is down — is fed to a bare [`WritePath`], to a `Topology::Hierarchy`
-//! [`Deployment`] and to a [`NetParent`] over raw sockets, and each child's
-//! channel must carry the same frames in the same order.
+//! The parent leg does the same one tier down: both parents are drivers of
+//! [`ParentCore`], so a second script — two children, a write whose second
+//! acknowledgement is lost, a write only one of them holds a copy for, a
+//! write while a child's channel is down — is fed to a bare `ParentCore`,
+//! to a `Topology::Hierarchy` [`Deployment`] and to a [`NetParent`] over
+//! raw sockets, and each child's channel must carry the same frames in the
+//! same order.
 //!
 //! The four per-protocol rows below the scripts are `sim_vs_tcp.rs`'s: a
 //! whole trace without modifications through one proxy, simulated and over
@@ -36,9 +36,10 @@ mod common;
 
 use common::Wire;
 use std::time::{Duration, Instant};
+use wcc_cache::{CacheStore, ReplacementPolicy};
 use wcc_core::{
-    OriginCore, OriginCounters, OriginOut, OriginTimer, ProtocolConfig, ProtocolKind,
-    ServerConsistency, WritePath,
+    OriginCore, OriginCounters, OriginOut, OriginTimer, ParentCore, ProtocolConfig, ProtocolKind,
+    ProxyCore, ProxyPolicy, ServerConsistency, UpstreamReply, WritePath,
 };
 use wcc_httpsim::{Deployment, DeploymentOptions, Topology};
 use wcc_net::{NetOrigin, NetParent, NetProxy, OriginConfig};
@@ -203,6 +204,8 @@ fn frames(
             None
         }
         OriginOut::Push { site, msg } => Some((site, msg)),
+        // A parent's ack to the origin: no site's channel carries it.
+        OriginOut::Up(_) => None,
     };
     asked.into_iter().filter_map(frame).collect()
 }
@@ -786,11 +789,13 @@ impl Step {
     }
 }
 
-/// The bare write path with two children as its sites, driven as a parent
-/// drives it: grants from the copy it holds, `modify` at the latest trace
-/// time a child request carried.
+/// The bare parent core with two children as its sites, driven as both
+/// parents drive it: every child `GET` through [`ParentCore::child_get`],
+/// a miss answered by an origin that leases for ever, every write pushed
+/// to the parent's identity and relayed at the latest trace time a child
+/// request carried.
 struct BareParent {
-    path: WritePath,
+    core: ParentCore<()>,
     /// `true`: a child whose channel was down says `HELLO` (the daemon's
     /// children); `false`: its link heals after the first re-send was lost
     /// too (the simulator's partition).
@@ -804,14 +809,19 @@ struct BareParent {
     log: Transcript,
 }
 
+/// The identity both parents present to the origin.
+const PARENT: ClientId = ClientId::from_raw(0);
+
 impl BareParent {
     fn run(rehello: bool) -> Transcript {
         let consistency = ServerConsistency::new(&parent_protocol(), SERVER);
         let mut path = WritePath::new(consistency, 100, RETRY, 20, None);
         path.set_sites(SITES);
         path.enable_audit();
+        let cache = CacheStore::unbounded(ReplacementPolicy::Lru);
+        let fetch = ProxyCore::new(ProxyPolicy::new(&parent_protocol()), cache);
         let mut bare = BareParent {
-            path,
+            core: ParentCore::new(PARENT, fetch, path),
             rehello,
             now: SimTime::ZERO,
             latest: SimTime::ZERO,
@@ -826,8 +836,8 @@ impl BareParent {
             bare.now += SimDuration::from_secs(10);
             bare.step(step);
         }
-        bare.log.end = bare.path.snapshot();
-        bare.log.audit = untimed(bare.path.audit_log());
+        bare.log.end = bare.core.down().snapshot();
+        bare.log.audit = untimed(bare.core.down().audit_log());
         bare.log
     }
 
@@ -835,22 +845,46 @@ impl BareParent {
         match *step {
             Step::Get { at, client, doc } => {
                 self.latest = self.latest.max(secs(at));
-                let meta = DocMeta::new(ByteSize::from_kib(1), SimTime::ZERO);
                 let get = get_request(at, client, doc, None, 0);
-                let (reply, _) = self.path.grant(&get, meta, self.now);
+                let mut reply = self.core.child_get(get, self.now, || (), &mut self.out);
+                if let Some(OriginOut::Up(HttpMsg::Get(up))) = self.out.pop() {
+                    assert_eq!(up.client, PARENT);
+                    let fresh = UpstreamReply {
+                        meta: Some(DocMeta::new(ByteSize::from_kib(1), SimTime::ZERO)),
+                        lease: Some(SimDuration::MAX),
+                        volume_lease: None,
+                        piggyback: Vec::new(),
+                    };
+                    let landed = self.core.landed(up.req, &fresh, self.now, &mut self.out);
+                    reply = landed.map(|(reply, ())| reply);
+                }
+                let reply = reply.expect("answered from the parent's copy");
                 assert!(matches!(reply.status, ReplyStatus::Ok(_)));
+                assert_eq!(
+                    (reply.client, reply.lease),
+                    (client, Some(SimDuration::MAX))
+                );
             }
             Step::Write {
                 doc, lost, down, ..
             } => {
                 (self.lost, self.down) = (lost, down.map(|c| c.partition(SITES)));
-                self.path
-                    .modify(url(doc), self.latest, self.latest, self.now, &mut self.out);
+                let push = HttpMsg::Invalidate {
+                    url: url(doc),
+                    client: PARENT,
+                };
+                let (latest, now) = (self.latest, self.now);
+                assert_eq!(self.core.pushed(push, latest, now, &mut self.out), Some(1));
+                assert!(matches!(
+                    self.out.first(),
+                    Some(OriginOut::Up(HttpMsg::InvalAck { client: PARENT, .. }))
+                ));
                 self.deliver();
                 if let Some(site) = self.down.filter(|_| self.rehello) {
                     self.down = None;
-                    self.path
-                        .on_site_hello(site, SITES, self.now, &mut self.out);
+                    self.core
+                        .down_mut()
+                        .on_site_hello(site, SITES, now, &mut self.out);
                     self.deliver();
                 }
                 // Every armed timer comes due before the next step; the
@@ -858,7 +892,9 @@ impl BareParent {
                 while let Some(next) = (0..self.timers.len()).min_by_key(|&i| self.timers[i]) {
                     let (due, timer) = self.timers.swap_remove(next);
                     self.now = self.now.max(due);
-                    self.path.on_timer(timer, self.now, &mut self.out);
+                    self.core
+                        .down_mut()
+                        .on_timer(timer, self.now, &mut self.out);
                     self.deliver();
                     self.down = None;
                 }
@@ -877,8 +913,8 @@ impl BareParent {
             let lost = copies(&frame).iter().any(|&(_, c)| self.lost == Some(c));
             let acked = (!lost).then(|| vec![0]);
             for (doc, client) in copies(&frame).into_iter().filter(|_| !lost) {
-                self.path
-                    .ack(site, url(doc), client, self.now)
+                self.core
+                    .child_ack(site, url(doc), client, 0, self.now)
                     .expect("its own site");
             }
             self.lost = self.lost.filter(|_| !lost);
@@ -933,7 +969,7 @@ fn simulated_parent_conforms() {
     // one and the re-send 250 ms later both find the link down.
     let relays = |d: &Deployment| -> Vec<SimTime> {
         let to_c1 = |e: &&AuditEvent| matches!(e, AuditEvent::InvalidateSend { client: C1, .. });
-        let log = d.parent().expect("parent").down().audit_log();
+        let log = d.parent().expect("parent").core().down().audit_log();
         log.iter().filter(to_c1).map(AuditEvent::at).collect()
     };
     let dry = hierarchy(&FaultPlan::new());
@@ -944,10 +980,10 @@ fn simulated_parent_conforms() {
     let d = hierarchy(&faults.partition(parent, c1, last - ms(50), last + ms(300)));
 
     let node = d.parent().expect("parent");
-    assert_eq!(untimed(node.down().audit_log()), bare.audit);
-    assert_eq!(node.down().snapshot(), bare.end);
+    assert_eq!(untimed(node.core().down().audit_log()), bare.audit);
+    assert_eq!(node.core().down().snapshot(), bare.end);
     assert_eq!(
-        node.counters().invalidations_relayed,
+        node.core().counters().invalidations_relayed,
         bare.end.invalidations
     );
     let raw = d.collect();
@@ -1039,7 +1075,10 @@ fn tcp_parent_conforms() {
     let asked = origin.recv_get();
     origin.reply_200(&asked, secs(1));
     assert_eq!(channels[1].recv_200().0, 1);
-    assert_eq!(parent.counters().invalidations_relayed, c.invalidations);
+    assert_eq!(
+        parent.counters().parent.invalidations_relayed,
+        c.invalidations
+    );
     for channel in &mut channels {
         channel.assert_quiet();
     }

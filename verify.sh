@@ -84,7 +84,7 @@ cargo test -q -p wcc-proto --test wire_proptest -- \
 
 echo "==> origin conformance + missed-invalidation regression (serve tier)"
 # One script fed to a bare wcc_core::OriginCore, a simulated deployment and
-# a NetOrigin over raw sockets, a second one to a bare wcc_core::WritePath,
+# a NetOrigin over raw sockets, a second one to a bare wcc_core::ParentCore,
 # a hierarchy deployment and a NetParent (tests/origin_conformance.rs), and
 # the writes that land while a push channel is down or nobody acknowledges
 # (crates/net/tests/{serve_recovery,hierarchy_tcp}.rs). All also run in the
@@ -92,6 +92,21 @@ echo "==> origin conformance + missed-invalidation regression (serve tier)"
 # parent drivers of both tiers together.
 cargo test -q --test origin_conformance
 cargo test -q -p wcc-net --test serve_recovery --test hierarchy_tcp
+
+echo "==> a child's promise ends no later than its parent's"
+# ParentCore cuts a child's lease to the held copy's and its volume lease to
+# the parent's own, so a write the origin owes nobody (the parent's lease ran
+# out) finds no child still trusting the old version: on the simulator
+# (stale_hits 0) and over TCP (the new version served), with plain
+# invalidation as the control. All also run in the suites above.
+cargo test -q -p wcc-httpsim --test parent_behaviour -- \
+  a_child_lease_ends_no_later_than_the_parents \
+  a_child_volume_lease_ends_no_later_than_the_parents \
+  an_unbounded_promise_is_invalidated_down_the_tree
+cargo test -q -p wcc-net --test hierarchy_tcp -- \
+  a_child_lease_ends_no_later_than_the_parents_over_tcp \
+  a_child_volume_lease_ends_no_later_than_the_parents_over_tcp \
+  an_unbounded_promise_is_invalidated_down_the_tree_over_tcp
 
 echo "==> one connection per upstream hop"
 # A proxy or parent dials its upstream once: the HELLO is that connection's
