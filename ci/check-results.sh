@@ -10,7 +10,10 @@
 # fuzzer's summary is pinned the same way, in ci/fuzz-seed1.txt (regenerate
 # with `./target/release/wcc fuzz --iters 200 --seed 1 > ci/fuzz-seed1.txt`):
 # its request and audit-event totals move with any change to what the
-# simulator's nodes and the cores do or record.
+# simulator's nodes and the cores do or record. The simulator's span order
+# is pinned by digest in ci/trace-epa.sha256: the `--trace-out` dump of one
+# batched EPA replay (regenerate with the `replay` command below, then
+# `sha256sum trace-epa.jsonl > ci/trace-epa.sha256` in the dump's directory).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -38,6 +41,15 @@ if "$wcc" fuzz --iters 200 --seed 1 > "$out/fuzz.txt" && cmp -s ci/fuzz-seed1.tx
 else
     echo "check-results: fuzz-seed1 DIFFERS from ci/fuzz-seed1.txt"
     diff ci/fuzz-seed1.txt "$out/fuzz.txt" | head -n 20
+    status=1
+fi
+"$wcc" replay --trace epa --scale 5 --lifetime-days 1 --inval-batch 4 \
+    --trace-out "$out/trace-epa.jsonl" > /dev/null
+got="$(sha256sum < "$out/trace-epa.jsonl" | cut -d' ' -f1)"
+if [ "$got" = "$(cut -d' ' -f1 ci/trace-epa.sha256)" ]; then
+    echo "check-results: trace-epa ok"
+else
+    echo "check-results: trace-epa DIFFERS from ci/trace-epa.sha256 (sha256 $got)"
     status=1
 fi
 exit "$status"
