@@ -21,8 +21,8 @@
 //!   halves: a compacting receive buffer that frames are decoded from
 //!   *in place* (zero-copy, pipelining-friendly) and a send buffer that
 //!   absorbs partial writes until the socket drains;
-//! * [`Signals`] — classic self-pipe signal handling (SIGTERM/SIGINT/
-//!   SIGHUP) for the `wcc serve` daemon, plus [`send_signal`] so the
+//! * [`Signals`] — classic self-pipe signal handling (SIGTERM/SIGINT for
+//!   the `wcc serve` daemon), plus [`send_signal`] so the
 //!   bench harness can deliver kill/restart events to a child daemon.
 //!
 //! Everything observable is deterministic given the readiness sequence;
