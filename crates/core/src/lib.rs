@@ -85,7 +85,7 @@ pub use fetch::{
     Begin, Complete, FetchCounters, FetchKind, FetchOutcome, ProxyCore, UpstreamReply,
 };
 pub use meter::{DocViews, HitMeter};
-pub use origin::{OriginCore, OriginCounters, OriginOut, OriginTimer, WritePath, WrongSite};
+pub use origin::{OriginCore, OriginCounters, OriginOut, OriginTimer, SiteVerdict, WritePath};
 pub use parent::{ParentCore, ParentCounters};
 pub use proposer::{Proposer, ProposerStats};
 pub use proxy::{ProxyAction, ProxyPolicy, RequestDisposition};

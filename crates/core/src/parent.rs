@@ -10,12 +10,15 @@
 //! wire. A longer promise would outlive the origin's to the parent: a write
 //! after that ran out is owed to nobody, and the child would serve the old
 //! version.
+//!
+//! A child's `HELLO` and acknowledgements go whole into
+//! [`ParentCore::on_site_frame`], under the origin's rule ([`crate::origin`]).
 
 use crate::fetch::{Begin, Complete, ProxyCore, UpstreamReply};
-use crate::origin::{OriginOut, WritePath, WrongSite};
+use crate::origin::{OriginOut, SiteVerdict, WritePath};
 use crate::server::Promise;
 use wcc_proto::{GetRequest, HttpMsg, Reply, RequestId};
-use wcc_types::{ClientId, DocMeta, SimTime, Url};
+use wcc_types::{ClientId, DocMeta, SimTime};
 
 /// What a parent counts beside its fetch core's counters.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
@@ -76,7 +79,7 @@ impl<W> ParentCore<W> {
         &self.down
     }
 
-    /// The write path, for its timers and the children's `HELLO`s.
+    /// The write path, for its timers.
     pub fn down_mut(&mut self) -> &mut WritePath {
         &mut self.down
     }
@@ -157,28 +160,25 @@ impl<W> ParentCore<W> {
         Some(copies)
     }
 
-    /// A child on `site` acknowledged `client`'s copy of `url`. Its report
-    /// is taken only with an ack this tier waits for, so no child can make
-    /// it keep reports for documents nobody invalidated.
-    pub fn child_ack(
+    /// A frame from the child on site `from` (`None`: no site), under the
+    /// rule the origin's acknowledgements follow ([`crate::origin`]). A
+    /// child's §7 report is taken only with an ack this tier waits for, so
+    /// no child can make it keep reports for documents nobody invalidated.
+    pub fn on_site_frame(
         &mut self,
-        site: u32,
-        url: Url,
-        client: ClientId,
-        cache_hits: u64,
+        from: Option<u32>,
+        frame: HttpMsg,
         now: SimTime,
-    ) -> Result<(), WrongSite> {
-        let pending = self.down.consistency().has_pending(url);
-        self.down.ack(site, url, client, now)?;
-        if pending {
-            self.fetch.absorb_report(url, self.identity, cache_hits);
+        out: &mut Vec<OriginOut>,
+    ) -> SiteVerdict {
+        let verdict = self.down.admit(from, &frame, now, out);
+        for e in frame.acked().filter(|_| verdict == SiteVerdict::Applied) {
+            if self.down.consistency().has_pending(e.url) {
+                self.fetch.absorb_report(e.url, self.identity, e.cache_hits);
+            }
+            self.down.ack(e.url, e.client, now);
         }
-        Ok(())
-    }
-
-    /// A child on `site` acknowledged the relayed bulk invalidation.
-    pub fn child_bulk_ack(&mut self, site: u32) {
-        self.down.bulk_ack(site);
+        verdict
     }
 }
 

@@ -230,8 +230,8 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
         ],
         message: "the write path (fan-out, acks, retry, §5 recovery) lives \
                   once, in wcc_core::WritePath (crates/core/src/origin.rs), \
-                  for origins and parents alike; drive its modify / ack / \
-                  on_timer / recover rather than the ServerConsistency steps",
+                  for origins and parents alike: drive its modify / \
+                  on_site_frame / on_timer / recover, not ServerConsistency",
         in_scope: driver_code,
         allowed: |_| false,
         include_tests: false,

@@ -4,7 +4,8 @@
 //! [`Downstream`] is what a role keeps beside its path: the connection of
 //! each site, registered by its `HELLO`, and the timers the path armed, due
 //! at instants of the node's clock — the `now` the runtime tells the role.
-//! The path builds the frames; this file only routes them.
+//! The path builds the frames; this file only routes them. What a site sends
+//! back the roles hand whole to the core, which registers or refuses it.
 
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};

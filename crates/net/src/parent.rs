@@ -13,15 +13,16 @@
 //! other is forwarded under a deferred-reply ticket. A push, the §5 bulk
 //! included, is acknowledged at once and relayed to the children that hold
 //! the document, re-sent every 250 ms and at a child's next `HELLO` until
-//! each acknowledged. A child `GET` that times out upstream closes the
-//! child's connection, its push channel with it: the child dials again,
-//! and its `HELLO` brings what it missed.
+//! each acknowledged. Every other child frame goes whole to the core, and
+//! one it refuses closes the connection. A child `GET` that times out
+//! upstream closes the child's connection, its push channel with it: the
+//! child dials again, and its `HELLO` brings what it missed.
 
 use std::net::{SocketAddr, TcpListener};
 use wcc_core::origin::MAX_RETRIES;
 use wcc_core::{
     FetchCounters, ParentCore, ParentCounters, ProtocolConfig, ProxyCore, ProxyPolicy,
-    ServerConsistency, WritePath,
+    ServerConsistency, SiteVerdict, WritePath,
 };
 use wcc_obs::Registry;
 use wcc_proto::{GetRequest, HttpMsg, HttpMsgRef};
@@ -266,51 +267,31 @@ impl Role for ParentRole {
                     }
                     After::Keep
                 }
-                // Whatever this partition still owes an acknowledgement for
-                // is pushed again: a relay while its channel was down went
-                // nowhere, and the copies are still served. A `HELLO` naming
-                // another partition count than the first one closes.
-                HttpMsg::Hello {
-                    partition,
-                    partitions,
-                } => {
-                    let down = core.down_mut();
-                    if !down.on_site_hello(partition, partitions, now, &mut links.asked) {
-                        return After::Close;
-                    }
-                    links.channels.insert(partition, cx.token);
-                    *cx.tag = KTag::Child(Some(partition));
-                    After::Keep
-                }
-                // An ack counts only on a registered channel, for a copy of
-                // that partition's; any other closes the connection.
-                HttpMsg::InvalAck {
-                    url,
-                    client,
-                    cache_hits,
-                } => {
-                    let acked = site.map(|site| core.child_ack(site, url, client, cache_hits, now));
-                    match acked {
-                        Some(Ok(())) => After::Keep,
-                        _ => return After::Close,
-                    }
-                }
-                // A child acking a relayed bulk invalidation.
-                HttpMsg::InvalidateServerAck { .. } => {
-                    if let Some(site) = site {
-                        core.child_bulk_ack(site);
-                    }
-                    After::Keep
-                }
-                // A `GET` for a foreign server falls through to here.
-                HttpMsg::Get(_)
+                // A child's frames: whatever a partition still owes an ack
+                // for is pushed again on its `HELLO` (a relay while its
+                // channel was down went nowhere). The core refuses the rest,
+                // a `GET` for a foreign server too.
+                frame @ (HttpMsg::Hello { .. }
+                | HttpMsg::InvalAck { .. }
+                | HttpMsg::InvalidateBatchAck { .. }
+                | HttpMsg::InvalidateServerAck { .. }
+                | HttpMsg::Get(_)
                 | HttpMsg::Reply(_)
                 | HttpMsg::Invalidate { .. }
                 | HttpMsg::InvalidateBatch { .. }
-                | HttpMsg::InvalidateBatchAck { .. }
                 | HttpMsg::InvalidateServer { .. }
                 | HttpMsg::MetricsGet
-                | HttpMsg::Notify { .. } => After::Close,
+                | HttpMsg::Notify { .. }) => {
+                    match core.on_site_frame(site, frame, now, &mut links.asked) {
+                        SiteVerdict::Registered(partition) => {
+                            links.channels.insert(partition, cx.token);
+                            *cx.tag = KTag::Child(Some(partition));
+                            After::Keep
+                        }
+                        SiteVerdict::Applied => After::Keep,
+                        SiteVerdict::Refused => After::Close,
+                    }
+                }
             },
         };
         links.emit(now, cx.out, |_| ());

@@ -466,6 +466,47 @@ fn a_bulk_relay_during_a_child_channel_outage_is_resent_until_acknowledged() {
     channel.assert_quiet();
 }
 
+/// A child's acknowledgement of a relayed bulk `INVALIDATE <server>` counts
+/// only if it names that server: one naming another is refused, and the
+/// parent closes the child's connection. The bulk is still owed, so the
+/// child's next registration brings it again.
+#[test]
+fn a_bulk_ack_naming_another_server_closes_the_child_connection() {
+    use common::{ScriptedUpstream, Wire};
+    use wcc_proto::{HttpMsg, HttpMsgRef};
+    let upstream = ScriptedUpstream::bind();
+    let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let capacity = ByteSize::from_mib(64);
+    let server = ServerId::new(0);
+    let parent = NetParent::spawn(upstream.addr(), &cfg, server, capacity).unwrap();
+    let mut origin = upstream.accept_node();
+    let hello = HttpMsg::Hello {
+        partition: 0,
+        partitions: 1,
+    };
+    let bulk = |msg: HttpMsgRef<'_>| matches!(msg, HttpMsgRef::Owned(HttpMsg::InvalidateServer { server: s }) if s == server);
+
+    // The origin's recovery barrage reaches the parent before the child
+    // registers, so the child's `HELLO` is what brings the bulk.
+    origin.send(&HttpMsg::InvalidateServer { server });
+    assert!(matches!(
+        origin.next(),
+        HttpMsgRef::Owned(HttpMsg::InvalidateServerAck { .. })
+    ));
+    let mut channel = Wire::connect(parent.addr());
+    channel.send(&hello);
+    assert!(bulk(channel.next()));
+    channel.send(&HttpMsg::InvalidateServerAck {
+        server: ServerId::new(1),
+    });
+    channel.assert_closed();
+
+    // Not counted: registering again brings the bulk again.
+    let mut channel = Wire::connect(parent.addr());
+    channel.send(&hello);
+    assert!(bulk(channel.next()));
+}
+
 /// A child `GET` the origin never answers times out at the parent after
 /// 5 s, and the parent closes the child's connection behind it: its push
 /// channel too, since that is the same connection. A write in the gap is

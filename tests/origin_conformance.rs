@@ -24,6 +24,10 @@
 //! raw sockets, and each child's channel must carry the same frames in the
 //! same order.
 //!
+//! Every leg reaches the write path the way the drivers do: what a site
+//! sends — its `HELLO`, its acknowledgements — goes whole into the core's
+//! entry for site frames, the bare legs' as the daemon legs' over TCP.
+//!
 //! The four per-protocol rows below the scripts are `sim_vs_tcp.rs`'s: a
 //! whole trace without modifications through one proxy, simulated and over
 //! TCP, must count alike on both sides of the wire.
@@ -39,7 +43,7 @@ use std::time::{Duration, Instant};
 use wcc_cache::{CacheStore, ReplacementPolicy};
 use wcc_core::{
     OriginCore, OriginCounters, OriginOut, OriginTimer, ParentCore, ProtocolConfig, ProtocolKind,
-    ProxyCore, ProxyPolicy, ServerConsistency, UpstreamReply, WritePath,
+    ProxyCore, ProxyPolicy, ServerConsistency, SiteVerdict, UpstreamReply, WritePath,
 };
 use wcc_httpsim::{Deployment, DeploymentOptions, Topology};
 use wcc_net::{NetOrigin, NetParent, NetProxy, OriginConfig};
@@ -219,6 +223,39 @@ struct Pushed {
     acked: Option<Vec<u64>>,
 }
 
+impl Pushed {
+    /// The acknowledgement the site answers with; `None` when it is lost.
+    fn ack(&self) -> Option<HttpMsg> {
+        let hits = self.acked.as_ref()?;
+        let ack = |(&(doc, client), &cache_hits)| BatchAckEntry {
+            url: url(doc),
+            client,
+            cache_hits,
+        };
+        let entries: Vec<_> = copies(&self.frame).iter().zip(hits).map(ack).collect();
+        Some(match (&self.frame, entries.first().copied()) {
+            (HttpMsg::Invalidate { .. }, Some(e)) => HttpMsg::InvalAck {
+                url: e.url,
+                client: e.client,
+                cache_hits: e.cache_hits,
+            },
+            (HttpMsg::InvalidateBatch { .. }, Some(_)) => HttpMsg::InvalidateBatchAck {
+                server: SERVER,
+                entries,
+            },
+            _ => HttpMsg::InvalidateServerAck { server: SERVER },
+        })
+    }
+}
+
+/// `site`'s `HELLO`.
+fn hello(site: u32) -> HttpMsg {
+    HttpMsg::Hello {
+        partition: site,
+        partitions: SITES,
+    }
+}
+
 /// What a run of the script put on the wire, row by row, and counted.
 #[derive(Debug, Default)]
 struct Transcript {
@@ -320,8 +357,11 @@ impl Bare {
                 self.core = origin_core(self.batch);
                 self.core.recover_unknown_sites();
                 for site in 0..SITES {
-                    self.core
-                        .on_site_hello(site, SITES, self.now, &mut self.out);
+                    let (now, out) = (self.now, &mut self.out);
+                    let said = self
+                        .core
+                        .on_site_frame(None, hello(site), now, out, |_, _| ());
+                    assert_eq!(said, SiteVerdict::Registered(site));
                 }
                 self.deliver();
             }
@@ -334,10 +374,18 @@ impl Bare {
                 assert_eq!(self.core.touch(url(DOCS), secs(1), self.now), None);
                 let get = get_request(1, A, DOCS, None, 3);
                 assert_eq!(self.core.serve(&get, self.now), None);
-                assert_eq!(
-                    self.core.ack(A.partition(SITES), url(DOCS), A, 3, self.now),
-                    Ok(None)
-                );
+                let ack = HttpMsg::InvalAck {
+                    url: url(DOCS),
+                    client: A,
+                    cache_hits: 3,
+                };
+                let site = Some(A.partition(SITES));
+                let (now, out, mut acked) = (self.now, &mut self.out, 0);
+                let said = self
+                    .core
+                    .on_site_frame(site, ack, now, out, |_, _| acked += 1);
+                // An entry for no document is skipped: nothing acknowledged.
+                assert_eq!((said, acked), (SiteVerdict::Applied, 0));
             }
         }
     }
@@ -357,17 +405,13 @@ impl Bare {
                 }
                 _ => Some(entries.iter().map(|&(_, c)| self.report(c)).collect()),
             };
-            pushed.push((entries, Pushed { site, frame, acked }));
+            pushed.push(Pushed { site, frame, acked });
         }
-        for (entries, push) in pushed {
-            for (&(doc, client), &hits) in entries.iter().zip(push.acked.iter().flatten()) {
-                self.core
-                    .ack(push.site, url(doc), client, hits, self.now)
-                    .expect("its own site");
-            }
-            let bulk = matches!(push.frame, HttpMsg::InvalidateServer { .. });
-            if bulk && push.acked.is_some() {
-                self.core.bulk_ack(push.site);
+        for push in pushed {
+            if let Some(ack) = push.ack() {
+                let (from, now, out) = (Some(push.site), self.now, &mut self.out);
+                let said = self.core.on_site_frame(from, ack, now, out, |_, _| ());
+                assert_eq!(said, SiteVerdict::Applied, "its own site");
             }
             self.log.pushed.last_mut().expect("a row").push(push);
         }
@@ -519,16 +563,13 @@ impl Daemon {
             None => NetOrigin::spawn(config),
         }
         .expect("origin");
-        let hello = |partition| {
+        let register = |partition| {
             let mut channel = Wire::connect(origin.addr());
-            channel.send(&HttpMsg::Hello {
-                partition,
-                partitions: SITES,
-            });
+            channel.send(&hello(partition));
             channel
         };
         Daemon {
-            channels: (0..SITES).map(hello).collect(),
+            channels: (0..SITES).map(register).collect(),
             requests: (0..SITES).map(|_| Wire::connect(origin.addr())).collect(),
             modifier: Wire::connect(origin.addr()),
             origin,
@@ -554,28 +595,9 @@ fn expect(channels: &mut [Wire], pushed: &[Pushed]) {
     for push in pushed {
         let channel = &mut channels[push.site as usize];
         assert_eq!(channel.next().to_owned(), push.frame, "site {}", push.site);
-        let entries = copies(&push.frame);
-        let Some(hits) = &push.acked else {
-            continue;
-        };
-        let ack = |(&(doc, client), &cache_hits)| BatchAckEntry {
-            url: url(doc),
-            client,
-            cache_hits,
-        };
-        let entries: Vec<_> = entries.iter().zip(hits).map(ack).collect();
-        channel.send(&match (&push.frame, entries.first().copied()) {
-            (HttpMsg::Invalidate { .. }, Some(e)) => HttpMsg::InvalAck {
-                url: e.url,
-                client: e.client,
-                cache_hits: e.cache_hits,
-            },
-            (HttpMsg::InvalidateBatch { .. }, Some(_)) => HttpMsg::InvalidateBatchAck {
-                server: SERVER,
-                entries,
-            },
-            _ => HttpMsg::InvalidateServerAck { server: SERVER },
-        });
+        if let Some(ack) = push.ack() {
+            channel.send(&ack);
+        }
     }
 }
 
@@ -882,9 +904,10 @@ impl BareParent {
                 self.deliver();
                 if let Some(site) = self.down.filter(|_| self.rehello) {
                     self.down = None;
-                    self.core
-                        .down_mut()
-                        .on_site_hello(site, SITES, now, &mut self.out);
+                    let said = self
+                        .core
+                        .on_site_frame(None, hello(site), now, &mut self.out);
+                    assert_eq!(said, SiteVerdict::Registered(site));
                     self.deliver();
                 }
                 // Every armed timer comes due before the next step; the
@@ -912,14 +935,15 @@ impl BareParent {
         for (site, frame) in reached {
             let lost = copies(&frame).iter().any(|&(_, c)| self.lost == Some(c));
             let acked = (!lost).then(|| vec![0]);
-            for (doc, client) in copies(&frame).into_iter().filter(|_| !lost) {
-                self.core
-                    .child_ack(site, url(doc), client, 0, self.now)
-                    .expect("its own site");
+            let push = Pushed { site, frame, acked };
+            if let Some(ack) = push.ack() {
+                let said = self
+                    .core
+                    .on_site_frame(Some(site), ack, self.now, &mut self.out);
+                assert_eq!(said, SiteVerdict::Applied, "its own site");
             }
             self.lost = self.lost.filter(|_| !lost);
-            let row = self.log.pushed.last_mut().expect("a step");
-            row.push(Pushed { site, frame, acked });
+            self.log.pushed.last_mut().expect("a step").push(push);
         }
     }
 }
@@ -1020,15 +1044,12 @@ fn tcp_parent_conforms() {
     let parent = NetParent::spawn(upstream.addr(), &parent_protocol(), SERVER, capacity);
     let parent = parent.expect("parent");
     let mut origin = upstream.accept_node();
-    let hello = |partition| {
+    let register = |partition| {
         let mut channel = Wire::connect(parent.addr());
-        channel.send(&HttpMsg::Hello {
-            partition,
-            partitions: SITES,
-        });
+        channel.send(&hello(partition));
         channel
     };
-    let mut channels: Vec<Wire> = (0..SITES).map(hello).collect();
+    let mut channels: Vec<Wire> = (0..SITES).map(register).collect();
     let mut requests: Vec<Wire> = (0..SITES).map(|_| Wire::connect(parent.addr())).collect();
     // The documents the parent holds, and the identity it asks for them in.
     let (mut held, mut identity) = (Vec::new(), None);
@@ -1061,10 +1082,7 @@ fn tcp_parent_conforms() {
                 ));
                 held.retain(|&d| d != doc);
                 if let Some(site) = down {
-                    channels[site as usize].send(&HttpMsg::Hello {
-                        partition: site,
-                        partitions: SITES,
-                    });
+                    channels[site as usize].send(&hello(site));
                 }
             }
         }
