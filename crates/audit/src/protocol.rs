@@ -12,7 +12,7 @@
 
 use std::collections::{HashMap, HashSet};
 use std::fmt;
-use wcc_core::{InvalidationTable, ProtocolKind, SiteListStats};
+use wcc_core::{Delivery, InvalidationTable, Policy, SiteListStats, Trust};
 use wcc_types::{AuditEvent, ClientId, ServerId, SimTime, Url};
 
 /// Which invariant a [`Violation`] breaks.
@@ -120,19 +120,11 @@ struct Shadow {
     table: InvalidationTable,
 }
 
-fn is_push_kind(kind: ProtocolKind) -> bool {
-    kind.uses_invalidation()
-}
-
 /// Audits one event stream (sorted by [`AuditEvent::at`]; the merge in
 /// `Deployment::audit_log` produces this order) against the invariants of
-/// `kind`. Pass `expect` to additionally cross-check the system's own
+/// `policy`. Pass `expect` to additionally cross-check the system's own
 /// end-of-run counters against what the stream implies.
-pub fn audit(
-    kind: ProtocolKind,
-    events: &[AuditEvent],
-    expect: Option<&Expectations>,
-) -> AuditReport {
+pub fn audit(policy: Policy, events: &[AuditEvent], expect: Option<&Expectations>) -> AuditReport {
     let mut violations: Vec<Violation> = Vec::new();
 
     // Staleness state: per-document fan-out history (stream order, so
@@ -211,8 +203,8 @@ pub fn audit(
                 // Conservation: for exact push protocols the recipient set
                 // must be precisely (still-pending ∪ live drain). Volume
                 // leases push a subset (expired volumes fall back to
-                // piggybacking); PSI pushes nothing.
-                if is_push_kind(kind) && kind != ProtocolKind::VolumeLease {
+                // piggybacking); the rest push nothing.
+                if policy.delivery == Delivery::Push && policy.volume.is_none() {
                     let lhs: HashSet<ClientId> =
                         fresh.iter().chain(resent.iter()).copied().collect();
                     let rhs: HashSet<ClientId> = resent.iter().copied().chain(taken).collect();
@@ -227,10 +219,12 @@ pub fn audit(
                         });
                     }
                 }
-                if kind == ProtocolKind::PiggybackInvalidation && !fresh.is_empty() {
+                if policy.delivery != Delivery::Push && !fresh.is_empty() {
                     violations.push(Violation {
                         check: Check::Conservation,
-                        detail: format!("PSI must not push invalidations, yet {url} fanned out"),
+                        detail: format!(
+                            "a protocol that does not push invalidations fanned {url} out"
+                        ),
                         trail: vec![ev.clone()],
                     });
                 }
@@ -372,11 +366,12 @@ pub fn audit(
                     continue;
                 }
                 checked_serves += 1;
-                if kind == ProtocolKind::PollEveryTime {
+                if policy.trust == Trust::Never {
                     violations.push(Violation {
                         check: Check::Staleness,
                         detail: format!(
-                            "polling-every-time served {url} to {client} straight from cache"
+                            "{url} served to {client} straight from cache, where no copy is \
+                             trusted"
                         ),
                         trail: vec![ev.clone()],
                     });
@@ -422,9 +417,9 @@ pub fn audit(
                 trail: Vec::new(),
             });
         }
-        let sent_ok = match kind {
-            ProtocolKind::VolumeLease => expect.fresh_invalidations <= taken_sum,
-            k if is_push_kind(k) => expect.fresh_invalidations == taken_sum,
+        let sent_ok = match (policy.delivery, policy.volume) {
+            (Delivery::Push, Some(_)) => expect.fresh_invalidations <= taken_sum,
+            (Delivery::Push, None) => expect.fresh_invalidations == taken_sum,
             _ => expect.fresh_invalidations == 0,
         };
         if !sent_ok {
@@ -464,6 +459,15 @@ pub fn audit(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use wcc_core::{ProtocolConfig, ProtocolKind};
+
+    fn audit(
+        kind: ProtocolKind,
+        events: &[AuditEvent],
+        expect: Option<&Expectations>,
+    ) -> AuditReport {
+        super::audit(ProtocolConfig::new(kind).policy(), events, expect)
+    }
 
     fn url(doc: u32) -> Url {
         Url::new(ServerId::new(0), doc)

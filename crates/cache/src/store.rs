@@ -228,20 +228,6 @@ impl CacheStore {
         true
     }
 
-    /// Replaces an entry's metadata in place (new version fetched), keeping
-    /// byte accounting and indices consistent. Returns `false` if absent.
-    pub fn replace_meta(&mut self, key: ScopedUrl, meta: DocMeta, now: SimTime) -> bool {
-        // Remove + insert keeps all the accounting in one code path.
-        let Some(old) = self.remove(key) else {
-            return false;
-        };
-        let stored = self.insert(key, meta, now, old.freshness) != InsertOutcome::TooLarge;
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.unreported_hits = old.unreported_hits;
-        }
-        stored
-    }
-
     /// Inserts (or replaces) an entry, evicting victims as needed.
     pub fn insert(
         &mut self,
@@ -532,20 +518,6 @@ mod tests {
         assert!(c.peek(key(1)).is_none(), "LRU fallback evicts key 1");
         assert!(c.peek(key(2)).is_some());
         assert!(!c.update_freshness(key(99), |_| {}));
-    }
-
-    #[test]
-    fn replace_meta_updates_size() {
-        let mut c = CacheStore::new(ByteSize::from_kib(100), ReplacementPolicy::Lru);
-        c.insert(key(1), meta(10), SimTime::ZERO, fresh_with_ttl(50));
-        assert!(c.replace_meta(key(1), meta(40), SimTime::from_secs(1)));
-        assert_eq!(c.used(), ByteSize::from_kib(40));
-        // Freshness carried over.
-        assert_eq!(
-            c.peek(key(1)).unwrap().freshness.ttl_expires,
-            SimTime::from_secs(50)
-        );
-        assert!(!c.replace_meta(key(9), meta(1), SimTime::ZERO));
     }
 
     #[test]

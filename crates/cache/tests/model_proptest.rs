@@ -34,11 +34,6 @@ enum Op {
     },
     MarkAll,
     MarkServer,
-    ReplaceMeta {
-        doc: u32,
-        size_kib: u64,
-        mtime: u64,
-    },
     UpdateFreshness {
         doc: u32,
         ttl: u64,
@@ -72,11 +67,6 @@ fn op_strategy() -> impl Strategy<Value = Op> {
         1 => (0u32..12).prop_map(|doc| Op::TakeHits { doc }),
         1 => Just(Op::MarkAll),
         1 => Just(Op::MarkServer),
-        1 => (0u32..12, 1u64..64, 0u64..1_000).prop_map(|(doc, size_kib, mtime)| Op::ReplaceMeta {
-            doc,
-            size_kib,
-            mtime
-        }),
         1 => (0u32..12, 0u64..200).prop_map(|(doc, ttl)| Op::UpdateFreshness { doc, ttl }),
     ]
 }
@@ -187,17 +177,6 @@ impl Model {
         true
     }
 
-    fn replace_meta(&mut self, key: ScopedUrl, meta: DocMeta, now: SimTime) -> bool {
-        let Some(old) = self.remove(key) else {
-            return false;
-        };
-        let stored = self.insert(key, meta, now, old.freshness);
-        if let Some(e) = self.entries.get_mut(&key) {
-            e.unreported = old.unreported;
-        }
-        stored
-    }
-
     fn set_ttl(&mut self, key: ScopedUrl, ttl: SimTime) -> bool {
         let Some(entry) = self.entries.get_mut(&key) else {
             return false;
@@ -277,11 +256,6 @@ proptest! {
                     for e in model.entries.values_mut() {
                         e.freshness.questionable = true;
                     }
-                }
-                Op::ReplaceMeta { doc, size_kib, mtime } => {
-                    let meta = DocMeta::new(ByteSize::from_kib(size_kib), SimTime::from_secs(mtime));
-                    prop_assert_eq!(store.replace_meta(key(doc), meta, now),
-                                    model.replace_meta(key(doc), meta, now));
                 }
                 Op::UpdateFreshness { doc, ttl } => {
                     prop_assert_eq!(store.update_freshness(key(doc), |f| f.ttl_expires = ttl_at(ttl)),

@@ -21,7 +21,7 @@
 //! ([`simulate`]) matches them up to ±1 on individual rows; the tests pin
 //! down the exact relationships.
 
-use crate::{ProtocolConfig, ProtocolKind, ProxyAction, ProxyPolicy, ServerConsistency};
+use crate::{ProtocolConfig, ProxyAction, ProxyPolicy, ServerConsistency, Trust};
 use wcc_cache::{CacheStore, ReplacementPolicy};
 use wcc_types::{ByteSize, ClientId, DocMeta, ServerId, SimTime, Url};
 
@@ -204,6 +204,10 @@ pub fn simulate(cfg: &ProtocolConfig, events: &[TimedEvent]) -> MessageCounts {
     let client = ClientId::from_raw(1);
     let key = url.scoped(client);
 
+    let by_ttl = matches!(
+        cfg.policy().trust,
+        Trust::AdaptiveTtl(_) | Trust::FixedTtl(_)
+    );
     let mut proxy = ProxyPolicy::new(cfg);
     let mut server = ServerConsistency::new(cfg, server_id);
     let mut cache = CacheStore::unbounded(ReplacementPolicy::Lru);
@@ -243,8 +247,7 @@ pub fn simulate(cfg: &ProtocolConfig, events: &[TimedEvent]) -> MessageCounts {
                         }
                     }
                     ProxyAction::SendGet { ims } => {
-                        let is_ttl_miss =
-                            d.had_entry && cfg.kind == ProtocolKind::AdaptiveTtl && ims.is_some();
+                        let is_ttl_miss = d.had_entry && by_ttl && ims.is_some();
                         if ims.is_some() {
                             counts.ims += 1;
                             if is_ttl_miss {
@@ -295,7 +298,7 @@ pub fn simulate(cfg: &ProtocolConfig, events: &[TimedEvent]) -> MessageCounts {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::AdaptiveTtlConfig;
+    use crate::{AdaptiveTtlConfig, ProtocolKind};
     use wcc_types::SimDuration;
 
     const PAPER_STREAM: &str = "rrrmmmrrmrrrmmr";
@@ -379,12 +382,12 @@ mod tests {
         // every interval after the first is served entirely stale.
         let events = parse_stream(PAPER_STREAM, 60);
         let s = seq_stats(&events);
-        let generous =
-            ProtocolConfig::new(ProtocolKind::AdaptiveTtl).with_adaptive_ttl(AdaptiveTtlConfig {
-                threshold: 1000.0,
-                floor: SimDuration::from_days(100),
-                cap: SimDuration::from_days(10_000),
-            });
+        let mut generous = cfg(ProtocolKind::AdaptiveTtl);
+        generous.adaptive_ttl = AdaptiveTtlConfig {
+            threshold: 1000.0,
+            floor: SimDuration::from_days(100),
+            cap: SimDuration::from_days(10_000),
+        };
         let exact = simulate(&generous, &events);
         assert_eq!(exact.file_transfers, 1, "only the compulsory first fetch");
         assert_eq!(exact.stale_intervals, s.ri - 1);
@@ -398,12 +401,12 @@ mod tests {
         // adaptive-TTL column becomes the polling column.
         let events = parse_stream(PAPER_STREAM, 60);
         let s = seq_stats(&events);
-        let paranoid =
-            ProtocolConfig::new(ProtocolKind::AdaptiveTtl).with_adaptive_ttl(AdaptiveTtlConfig {
-                threshold: 0.0,
-                floor: SimDuration::ZERO,
-                cap: SimDuration::ZERO,
-            });
+        let mut paranoid = cfg(ProtocolKind::AdaptiveTtl);
+        paranoid.adaptive_ttl = AdaptiveTtlConfig {
+            threshold: 0.0,
+            floor: SimDuration::ZERO,
+            cap: SimDuration::ZERO,
+        };
         let exact = simulate(&paranoid, &events);
         let polling = simulate(&cfg(ProtocolKind::PollEveryTime), &events);
         assert_eq!(exact.file_transfers, polling.file_transfers);
@@ -476,6 +479,7 @@ mod tests {
 #[cfg(test)]
 mod proptests {
     use super::*;
+    use crate::ProtocolKind;
     use proptest::prelude::*;
 
     fn stream_strategy() -> impl Strategy<Value = Vec<TimedEvent>> {

@@ -66,26 +66,17 @@ impl ProtocolKind {
     ];
 
     /// Returns `true` for the protocols that guarantee strong consistency
-    /// (no stale document returned after a write completes).
+    /// (no stale document returned after a write completes): those that
+    /// trust no copy without asking, and those that push every change.
     pub fn is_strong(self) -> bool {
-        !matches!(
-            self,
-            ProtocolKind::AdaptiveTtl
-                | ProtocolKind::FixedTtl
-                | ProtocolKind::PiggybackInvalidation
-        )
+        let policy = ProtocolConfig::new(self).policy();
+        policy.trust == Trust::Never || policy.delivery == Delivery::Push
     }
 
     /// Returns `true` for the protocols that *push* `INVALIDATE` messages
     /// (and therefore guarantee write completion).
     pub fn uses_invalidation(self) -> bool {
-        matches!(
-            self,
-            ProtocolKind::Invalidation
-                | ProtocolKind::LeaseInvalidation
-                | ProtocolKind::TwoTierLease
-                | ProtocolKind::VolumeLease
-        )
+        ProtocolConfig::new(self).policy().delivery == Delivery::Push
     }
 
     /// A short stable name used in reports and CLI arguments.
@@ -148,24 +139,58 @@ impl Default for AdaptiveTtlConfig {
     }
 }
 
-/// How the server grants invalidation promises (leases).
+/// How a proxy decides that a cached copy may be served without asking the
+/// server.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Trust {
+    /// Until the server's promise ends: the copy's lease and, where one
+    /// applies, its site's volume lease.
+    Promise,
+    /// For a time-to-live set from the document's age (Alex).
+    AdaptiveTtl(AdaptiveTtlConfig),
+    /// For one time-to-live, whatever the document.
+    FixedTtl(SimDuration),
+    /// Never: every hit is validated with `If-Modified-Since`.
+    Never,
+}
+
+/// How a change reaches a site that holds a copy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeasePolicy {
-    /// No promise at all (TTL and polling protocols).
+pub enum Delivery {
+    /// It does not: the site finds out when it next validates.
     None,
-    /// Unbounded promise — the plain invalidation protocol, equivalent to
-    /// "a lease equal to the duration of the trace" (§6).
-    Infinite,
-    /// Every reply carries a lease of the given length.
-    Fixed(SimDuration),
-    /// Plain `GET`s get `get_lease` (typically zero); `If-Modified-Since`
-    /// revalidations get `ims_lease` (the full lease).
-    TwoTier {
-        /// Lease granted on a plain `GET` (usually zero → not tracked).
-        get_lease: SimDuration,
-        /// Lease granted on an `If-Modified-Since` revalidation.
-        ims_lease: SimDuration,
-    },
+    /// On the server's next reply to that site (PSI).
+    Piggyback,
+    /// At once, by an `INVALIDATE` the site acknowledges.
+    Push,
+}
+
+/// How long a reply promises that the server will tell the site of a
+/// change: [`SimDuration::MAX`] never ends, and a zero lease is not
+/// tracked.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Leases {
+    /// The lease on a plain `GET`.
+    pub get: SimDuration,
+    /// The lease on an `If-Modified-Since` revalidation.
+    pub ims: SimDuration,
+}
+
+/// One point on §6's spectrum: what the proxy trusts, what the server
+/// promises, and how a change reaches a site. Invalidation is a lease that
+/// never ends; polling trusts no copy. Derived by
+/// [`ProtocolConfig::policy`], never set.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Policy {
+    /// When the proxy serves a copy without asking.
+    pub trust: Trust,
+    /// The lease each reply carries (`None`: no promise, no site list).
+    pub lease: Option<Leases>,
+    /// How a change reaches the sites on the list.
+    pub delivery: Delivery,
+    /// The per-server volume lease every reply renews (Yin et al.), if one
+    /// applies: a promise also ends with it.
+    pub volume: Option<SimDuration>,
 }
 
 /// Complete protocol configuration shared by the proxy- and server-side
@@ -225,13 +250,6 @@ impl ProtocolConfig {
         self
     }
 
-    /// Overrides the adaptive-TTL tuning.
-    #[must_use]
-    pub fn with_adaptive_ttl(mut self, cfg: AdaptiveTtlConfig) -> Self {
-        self.adaptive_ttl = cfg;
-        self
-    }
-
     /// Overrides the fixed TTL.
     #[must_use]
     pub fn with_fixed_ttl(mut self, ttl: SimDuration) -> Self {
@@ -253,20 +271,28 @@ impl ProtocolConfig {
         self
     }
 
-    /// The lease policy implied by the protocol kind.
-    pub fn lease_policy(&self) -> LeasePolicy {
-        match self.kind {
-            ProtocolKind::AdaptiveTtl | ProtocolKind::FixedTtl | ProtocolKind::PollEveryTime => {
-                LeasePolicy::None
-            }
-            ProtocolKind::Invalidation
-            | ProtocolKind::PiggybackInvalidation
-            | ProtocolKind::VolumeLease => LeasePolicy::Infinite,
-            ProtocolKind::LeaseInvalidation => LeasePolicy::Fixed(self.lease),
-            ProtocolKind::TwoTierLease => LeasePolicy::TwoTier {
-                get_lease: SimDuration::ZERO,
-                ims_lease: self.lease,
-            },
+    /// The policy this preset makes of these durations: the one place a
+    /// protocol's name is read.
+    pub fn policy(&self) -> Policy {
+        use ProtocolKind as Kind;
+        let (promise, push) = (Trust::Promise, Delivery::Push);
+        let lease = |get, ims| Some(Leases { get, ims });
+        let forever = lease(SimDuration::MAX, SimDuration::MAX);
+        let (trust, lease, delivery) = match self.kind {
+            Kind::AdaptiveTtl => (Trust::AdaptiveTtl(self.adaptive_ttl), None, Delivery::None),
+            Kind::FixedTtl => (Trust::FixedTtl(self.fixed_ttl), None, Delivery::None),
+            Kind::PollEveryTime => (Trust::Never, None, Delivery::None),
+            Kind::Invalidation | Kind::VolumeLease => (promise, forever, push),
+            Kind::LeaseInvalidation => (promise, lease(self.lease, self.lease), push),
+            Kind::TwoTierLease => (promise, lease(SimDuration::ZERO, self.lease), push),
+            Kind::PiggybackInvalidation => (promise, forever, Delivery::Piggyback),
+        };
+        let volume = (self.kind == Kind::VolumeLease).then_some(self.volume_lease);
+        Policy {
+            trust,
+            lease,
+            delivery,
+            volume,
         }
     }
 }
@@ -285,25 +311,85 @@ mod tests {
     }
 
     #[test]
-    fn strength_classification() {
-        assert!(!ProtocolKind::AdaptiveTtl.is_strong());
-        assert!(!ProtocolKind::FixedTtl.is_strong());
-        for kind in [
-            ProtocolKind::PollEveryTime,
-            ProtocolKind::Invalidation,
-            ProtocolKind::LeaseInvalidation,
-            ProtocolKind::TwoTierLease,
-        ] {
-            assert!(kind.is_strong(), "{kind} should be strong");
+    fn every_preset_is_one_point_of_the_policy() {
+        let (days, never, zero) = (
+            SimDuration::from_days(8),
+            SimDuration::MAX,
+            SimDuration::ZERO,
+        );
+        // name, strong, pushes, piggybacks, volume lease, checks every hit,
+        // lease on (GET, IMS)
+        let presets = [
+            ("adaptive-ttl", false, false, false, false, false, None),
+            ("fixed-ttl", false, false, false, false, false, None),
+            ("poll-every-time", true, false, false, false, true, None),
+            (
+                "invalidation",
+                true,
+                true,
+                false,
+                false,
+                false,
+                Some((never, never)),
+            ),
+            (
+                "lease-invalidation",
+                true,
+                true,
+                false,
+                false,
+                false,
+                Some((days, days)),
+            ),
+            (
+                "two-tier-lease",
+                true,
+                true,
+                false,
+                false,
+                false,
+                Some((zero, days)),
+            ),
+            (
+                "piggyback",
+                false,
+                false,
+                true,
+                false,
+                false,
+                Some((never, never)),
+            ),
+            (
+                "volume-lease",
+                true,
+                true,
+                false,
+                true,
+                false,
+                Some((never, never)),
+            ),
+        ];
+        assert_eq!(
+            presets.map(|p| p.0),
+            ProtocolKind::ALL.map(ProtocolKind::name)
+        );
+        for (name, strong, pushes, piggybacks, volume, every_hit, lease) in presets {
+            let kind = ProtocolKind::from_name(name).expect("a preset");
+            let policy = ProtocolConfig::new(kind).with_lease(days).policy();
+            let row = (
+                kind.is_strong(),
+                kind.uses_invalidation(),
+                policy.delivery == Delivery::Piggyback,
+                policy.volume.is_some(),
+                policy.trust == Trust::Never,
+                policy.lease.map(|l| (l.get, l.ims)),
+            );
+            assert_eq!(
+                row,
+                (strong, pushes, piggybacks, volume, every_hit, lease),
+                "{name}"
+            );
         }
-    }
-
-    #[test]
-    fn invalidation_family() {
-        assert!(!ProtocolKind::AdaptiveTtl.uses_invalidation());
-        assert!(!ProtocolKind::FixedTtl.uses_invalidation());
-        assert!(!ProtocolKind::PollEveryTime.uses_invalidation());
-        assert!(ProtocolKind::TwoTierLease.uses_invalidation());
     }
 
     #[test]
@@ -318,37 +404,5 @@ mod tests {
         assert_eq!(cfg.ttl_for_age(SimDuration::from_secs(10)), cfg.floor);
         // Ancient documents are capped.
         assert_eq!(cfg.ttl_for_age(SimDuration::from_days(1000)), cfg.cap);
-    }
-
-    #[test]
-    fn lease_policies_match_kinds() {
-        assert_eq!(
-            ProtocolConfig::new(ProtocolKind::AdaptiveTtl).lease_policy(),
-            LeasePolicy::None
-        );
-        assert_eq!(
-            ProtocolConfig::new(ProtocolKind::Invalidation).lease_policy(),
-            LeasePolicy::Infinite
-        );
-        let lease = SimDuration::from_days(8);
-        assert_eq!(
-            ProtocolConfig::new(ProtocolKind::LeaseInvalidation)
-                .with_lease(lease)
-                .lease_policy(),
-            LeasePolicy::Fixed(lease)
-        );
-        match ProtocolConfig::new(ProtocolKind::TwoTierLease)
-            .with_lease(lease)
-            .lease_policy()
-        {
-            LeasePolicy::TwoTier {
-                get_lease,
-                ims_lease,
-            } => {
-                assert_eq!(get_lease, SimDuration::ZERO);
-                assert_eq!(ims_lease, lease);
-            }
-            other => panic!("unexpected policy {other:?}"),
-        }
     }
 }

@@ -1,16 +1,21 @@
 //! The paper's contribution: Web cache-consistency protocols.
 //!
 //! This crate implements the three consistency approaches compared by
-//! Liu & Cao (ICDCS '97), plus the two scalability extensions from their §6,
-//! as **pure state machines** with no I/O:
+//! Liu & Cao (ICDCS '97), their two §6 lease extensions, a fixed-TTL
+//! baseline, PSI and volume leases as **pure state machines** with no I/O.
+//! Each [`ProtocolKind`] is a preset of one [`Policy`], which
+//! [`ProtocolConfig::policy`] derives from the preset and its durations:
 //!
-//! | Protocol | Consistency | Mechanism |
-//! |---|---|---|
-//! | [`ProtocolKind::AdaptiveTtl`] | weak | Alex-style TTL = threshold × document age; `If-Modified-Since` on expiry |
-//! | [`ProtocolKind::PollEveryTime`] | strong | `If-Modified-Since` on **every** cache hit |
-//! | [`ProtocolKind::Invalidation`] | strong | server tracks client sites per document and sends `INVALIDATE` on change |
-//! | [`ProtocolKind::LeaseInvalidation`] | strong | invalidation promises bounded by a lease; expired copies revalidate |
-//! | [`ProtocolKind::TwoTierLease`] | strong | zero-length lease on `GET`, full lease on `If-Modified-Since` — only repeat readers are tracked |
+//! | Preset | Consistency | Proxy trusts a copy | Lease on `GET` / IMS | A change reaches a site | Volume lease |
+//! |---|---|---|---|---|---|
+//! | [`ProtocolKind::AdaptiveTtl`] | weak | for threshold × age | — | not at all | — |
+//! | [`ProtocolKind::FixedTtl`] | weak | for `fixed_ttl` | — | not at all | — |
+//! | [`ProtocolKind::PollEveryTime`] | strong | never | — | not at all | — |
+//! | [`ProtocolKind::Invalidation`] | strong | until the promise ends | forever / forever | push | — |
+//! | [`ProtocolKind::LeaseInvalidation`] | strong | until the promise ends | `lease` / `lease` | push | — |
+//! | [`ProtocolKind::TwoTierLease`] | strong | until the promise ends | zero / `lease` | push | — |
+//! | [`ProtocolKind::PiggybackInvalidation`] | weak | until the promise ends | forever / forever | piggyback | — |
+//! | [`ProtocolKind::VolumeLease`] | strong | until the promise ends | forever / forever | push | `volume_lease` |
 //!
 //! The split mirrors the deployment: [`ProxyPolicy`] is the client-side half
 //! (runs in each Harvest proxy), [`ServerConsistency`] is the server-side
@@ -79,7 +84,9 @@ pub mod proxy;
 pub mod server;
 pub mod sitelist;
 
-pub use config::{AdaptiveTtlConfig, LeasePolicy, ProtocolConfig, ProtocolKind};
+pub use config::{
+    AdaptiveTtlConfig, Delivery, Leases, Policy, ProtocolConfig, ProtocolKind, Trust,
+};
 pub use economics::{AdaptiveLeaseConfig, LeaseEconomics};
 pub use fetch::{
     Begin, Complete, FetchCounters, FetchKind, FetchOutcome, ProxyCore, UpstreamReply,

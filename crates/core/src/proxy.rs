@@ -1,9 +1,8 @@
 //! The proxy-side (client-side) half of each consistency protocol.
 
-use crate::config::{ProtocolConfig, ProtocolKind};
-use crate::AdaptiveTtlConfig;
+use crate::config::{Delivery, ProtocolConfig, Trust};
 use wcc_cache::{CacheStore, Freshness};
-use wcc_types::{ClientId, DocMeta, FxHashMap, ScopedUrl, ServerId, SimDuration, SimTime, Url};
+use wcc_types::{ClientId, DocMeta, FxHashMap, ScopedUrl, ServerId, SimTime, Url};
 
 /// What the proxy must do to satisfy a user request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -41,72 +40,61 @@ pub struct RequestDisposition {
 /// See the crate-level example for a full round trip.
 #[derive(Debug, Clone)]
 pub struct ProxyPolicy {
-    kind: ProtocolKind,
-    ttl: AdaptiveTtlConfig,
-    fixed_ttl: SimDuration,
-    /// Volume leases: per (client, server) volume expiry. Only populated
-    /// under [`ProtocolKind::VolumeLease`].
-    volumes: FxHashMap<(ClientId, ServerId), SimTime>,
+    trust: Trust,
+    /// Whether the server pushes each change: only then is a live promise
+    /// a guarantee.
+    pushed: bool,
+    /// Volume leases: per (client, server) volume expiry, where the policy
+    /// has them.
+    volumes: Option<FxHashMap<(ClientId, ServerId), SimTime>>,
 }
 
 impl ProxyPolicy {
     /// Creates the proxy half of the configured protocol.
     pub fn new(cfg: &ProtocolConfig) -> Self {
+        let policy = cfg.policy();
         ProxyPolicy {
-            kind: cfg.kind,
-            ttl: cfg.adaptive_ttl,
-            fixed_ttl: cfg.fixed_ttl,
-            volumes: FxHashMap::default(),
+            trust: policy.trust,
+            pushed: policy.delivery == Delivery::Push,
+            volumes: policy.volume.map(|_| FxHashMap::default()),
         }
     }
 
-    /// Is the (client, server) volume lease live at `now`?
-    fn volume_live(&self, key: ScopedUrl, now: SimTime) -> bool {
-        self.volumes
-            .get(&(key.client(), key.url().server()))
-            .is_some_and(|&exp| exp > now)
+    /// Is the copy's promise live at `now`: its lease and, where volume
+    /// leases apply, the (client, server) volume lease?
+    fn promise_live(&self, key: ScopedUrl, f: &Freshness, now: SimTime) -> bool {
+        f.lease_expires > now
+            && self.volumes.as_ref().is_none_or(|volumes| {
+                volumes
+                    .get(&(key.client(), key.url().server()))
+                    .is_some_and(|&exp| exp > now)
+            })
     }
 
     /// Returns `true` if this protocol *promises* that the cached entry is
     /// fresh at `now` without any server contact — the predicate the
-    /// strong-consistency audit checks. Weak protocols never promise
-    /// (serving without contact is allowed but unguaranteed); the push
-    /// family promises while the object lease is live; volume leases also
-    /// require the volume lease to be live.
+    /// strong-consistency audit checks. Only a server that pushes each
+    /// change promises, and only while the promise is live; weak protocols
+    /// may serve without contact, unguaranteed.
     pub fn promised_fresh(&self, key: ScopedUrl, f: &Freshness, now: SimTime) -> bool {
-        if f.questionable {
-            return false;
-        }
-        match self.kind {
-            ProtocolKind::AdaptiveTtl
-            | ProtocolKind::FixedTtl
-            | ProtocolKind::PollEveryTime
-            | ProtocolKind::PiggybackInvalidation => false,
-            ProtocolKind::Invalidation
-            | ProtocolKind::LeaseInvalidation
-            | ProtocolKind::TwoTierLease => f.lease_expires > now,
-            ProtocolKind::VolumeLease => f.lease_expires > now && self.volume_live(key, now),
-        }
+        self.pushed && !f.questionable && self.promise_live(key, f, now)
     }
 
     /// When `key`'s (client, server) volume lease ends: never, for a
     /// protocol without volume leases.
     pub(crate) fn volume_end(&self, key: ScopedUrl) -> SimTime {
-        let volume = self.volumes.get(&(key.client(), key.url().server()));
+        let volume = self
+            .volumes
+            .as_ref()
+            .and_then(|volumes| volumes.get(&(key.client(), key.url().server())));
         volume.copied().unwrap_or(SimTime::NEVER)
     }
 
     /// Records a volume-lease grant carried on a reply.
     pub fn on_volume_grant(&mut self, key: ScopedUrl, expires: Option<SimTime>) {
-        if let Some(expires) = expires {
-            self.volumes
-                .insert((key.client(), key.url().server()), expires);
+        if let (Some(volumes), Some(expires)) = (self.volumes.as_mut(), expires) {
+            volumes.insert((key.client(), key.url().server()), expires);
         }
-    }
-
-    /// The protocol this policy implements.
-    pub fn kind(&self) -> ProtocolKind {
-        self.kind
     }
 
     /// Whether a copy with freshness `f` may be served at `now` without
@@ -118,23 +106,17 @@ impl ProxyPolicy {
             // A failure made this copy suspect: always revalidate.
             return false;
         }
-        match self.kind {
+        match self.trust {
             // An expired TTL hit sends If-Modified-Since, not a full GET
             // (the Harvest optimisation the paper added).
-            ProtocolKind::AdaptiveTtl | ProtocolKind::FixedTtl => f.ttl_expires > now,
-            ProtocolKind::PollEveryTime => false,
-            // While the lease is live the server promised to invalidate
-            // us: the copy is fresh by construction. Once it ran out, we
-            // promised to revalidate.
-            ProtocolKind::Invalidation
-            | ProtocolKind::LeaseInvalidation
-            | ProtocolKind::TwoTierLease
-            | ProtocolKind::PiggybackInvalidation => f.lease_expires > now,
-            // Usable only while BOTH the object lease and the short
-            // per-server volume lease are live; an expired volume is
-            // renewed by the revalidation's reply (which also piggybacks
-            // any missed invalidations).
-            ProtocolKind::VolumeLease => f.lease_expires > now && self.volume_live(key, now),
+            Trust::AdaptiveTtl(_) | Trust::FixedTtl(_) => f.ttl_expires > now,
+            Trust::Never => false,
+            // While the promise is live the server will tell us of a
+            // change: the copy is fresh by construction. Once it ran out,
+            // we promised to revalidate; an expired volume is renewed by
+            // the revalidation's reply (which also piggybacks any missed
+            // invalidations).
+            Trust::Promise => self.promise_live(key, f, now),
         }
     }
 
@@ -249,35 +231,20 @@ impl ProxyPolicy {
 
     /// The freshness metadata a newly validated/fetched copy gets.
     fn fresh_for(&self, meta: DocMeta, lease: Option<SimTime>, now: SimTime) -> Freshness {
-        match self.kind {
-            ProtocolKind::AdaptiveTtl => Freshness {
-                ttl_expires: now + self.ttl.ttl_for_age(meta.age_at(now)),
-                lease_expires: SimTime::NEVER,
-                questionable: false,
-            },
-            ProtocolKind::FixedTtl => Freshness {
-                ttl_expires: now + self.fixed_ttl,
-                lease_expires: SimTime::NEVER,
-                questionable: false,
-            },
-            ProtocolKind::PollEveryTime => Freshness {
-                // Never trusted without validation; TTL plays no role.
-                ttl_expires: SimTime::NEVER,
-                lease_expires: SimTime::NEVER,
-                questionable: false,
-            },
-            ProtocolKind::Invalidation
-            | ProtocolKind::LeaseInvalidation
-            | ProtocolKind::TwoTierLease
-            | ProtocolKind::PiggybackInvalidation
-            | ProtocolKind::VolumeLease => Freshness {
-                ttl_expires: SimTime::NEVER,
-                // Absent grant ⇒ treat as an infinite promise (plain
-                // invalidation); a zero-length two-tier lease arrives as
-                // `Some(now)` and is immediately expired.
-                lease_expires: lease.unwrap_or(SimTime::NEVER),
-                questionable: false,
-            },
+        let (ttl_expires, lease_expires) = match self.trust {
+            Trust::AdaptiveTtl(ttl) => (now + ttl.ttl_for_age(meta.age_at(now)), SimTime::NEVER),
+            Trust::FixedTtl(ttl) => (now + ttl, SimTime::NEVER),
+            // Never trusted without validation; TTL plays no role.
+            Trust::Never => (SimTime::NEVER, SimTime::NEVER),
+            // Absent grant ⇒ treat as an infinite promise (plain
+            // invalidation); a zero-length two-tier lease arrives as
+            // `Some(now)` and is immediately expired.
+            Trust::Promise => (SimTime::NEVER, lease.unwrap_or(SimTime::NEVER)),
+        };
+        Freshness {
+            ttl_expires,
+            lease_expires,
+            questionable: false,
         }
     }
 }
@@ -285,7 +252,7 @@ impl ProxyPolicy {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProtocolConfig;
+    use crate::{ProtocolConfig, ProtocolKind};
     use wcc_cache::ReplacementPolicy;
     use wcc_types::{ByteSize, SimDuration};
 

@@ -1,6 +1,6 @@
 //! The server-side (accelerator) half of each consistency protocol.
 
-use crate::config::{LeasePolicy, ProtocolConfig, ProtocolKind};
+use crate::config::{Delivery, Leases, ProtocolConfig};
 use crate::economics::LeaseEconomics;
 use crate::sitelist::InvalidationTable;
 use wcc_proto::{GetRequest, Reply, ReplyStatus};
@@ -24,8 +24,8 @@ pub struct GetGrant {
     /// Invalidations piggybacked on this reply (PSI and volume leases):
     /// documents this client must drop.
     pub piggyback: Vec<Url>,
-    /// Volume-lease grant: every reply renews the client's per-server
-    /// volume lease ([`ProtocolKind::VolumeLease`] only).
+    /// Volume-lease grant: under volume leases every reply renews the
+    /// client's per-server volume lease.
     pub volume_lease: Option<SimTime>,
 }
 
@@ -98,8 +98,10 @@ pub struct ServerStats {
 #[derive(Debug, Clone)]
 pub struct ServerConsistency {
     server: ServerId,
-    kind: ProtocolKind,
-    lease_policy: LeasePolicy,
+    /// The lease each reply carries; `None` grants none and tracks no site.
+    lease: Option<Leases>,
+    /// How a change reaches the sites on a document's list.
+    delivery: Delivery,
     table: InvalidationTable,
     /// Invalidations sent but not yet acknowledged, per document.
     pending: FxHashMap<Url, FxHashSet<ClientId>>,
@@ -110,10 +112,8 @@ pub struct ServerConsistency {
     /// PSI / volume leases: invalidations waiting to ride the next reply
     /// to each site.
     piggyback_queues: FxHashMap<ClientId, Vec<Url>>,
-    /// Volume leases: per-client volume expiry (trace time).
-    volume_leases: FxHashMap<ClientId, SimTime>,
-    /// Volume-lease length.
-    volume_len: SimDuration,
+    /// Volume leases, where the policy has them.
+    volume: Option<VolumeLeases>,
     /// Site-list length observed at each modification (Table 5's
     /// "taken among the site lists of files that have been modified").
     modified_list_lens: Vec<u64>,
@@ -123,19 +123,36 @@ pub struct ServerConsistency {
     stats: ServerStats,
 }
 
+/// The server's volume leases: the length each reply grants, and when each
+/// client's ends (trace time).
+#[derive(Debug, Clone)]
+struct VolumeLeases {
+    len: SimDuration,
+    ends: FxHashMap<ClientId, SimTime>,
+}
+
+impl VolumeLeases {
+    fn live(&self, client: ClientId, now: SimTime) -> bool {
+        self.ends.get(&client).is_some_and(|&end| end > now)
+    }
+}
+
 impl ServerConsistency {
     /// Creates the server half of the configured protocol for `server`.
     pub fn new(cfg: &ProtocolConfig, server: ServerId) -> Self {
+        let policy = cfg.policy();
         ServerConsistency {
             server,
-            kind: cfg.kind,
-            lease_policy: cfg.lease_policy(),
+            lease: policy.lease,
+            delivery: policy.delivery,
             table: InvalidationTable::new(),
             pending: FxHashMap::default(),
             ever_seen: FxHashSet::default(),
             piggyback_queues: FxHashMap::default(),
-            volume_leases: FxHashMap::default(),
-            volume_len: cfg.volume_lease,
+            volume: policy.volume.map(|len| VolumeLeases {
+                len,
+                ends: FxHashMap::default(),
+            }),
             modified_list_lens: Vec::new(),
             economics: cfg.adaptive_lease.map(LeaseEconomics::new),
             stats: ServerStats::default(),
@@ -145,11 +162,6 @@ impl ServerConsistency {
     /// The origin server this accelerator fronts.
     pub fn server(&self) -> ServerId {
         self.server
-    }
-
-    /// The protocol this half implements.
-    pub fn kind(&self) -> ProtocolKind {
-        self.kind
     }
 
     /// The invalidation table (site lists).
@@ -197,21 +209,14 @@ impl ServerConsistency {
             Some(validator) => doc.modified_since(validator),
             None => true,
         };
-        let (lease, register) = match self.lease_policy {
-            LeasePolicy::None => (None, false),
-            LeasePolicy::Infinite => (Some(SimTime::NEVER), true),
-            LeasePolicy::Fixed(d) => (Some(now + d), true),
-            LeasePolicy::TwoTier {
-                get_lease,
-                ims_lease,
-            } => {
-                // Repeat readers (those that come back with an
-                // If-Modified-Since) earn the full lease; first-time GETs
-                // get the short one and are only tracked if it is non-zero.
-                let d = if ims.is_some() { ims_lease } else { get_lease };
-                (Some(now + d), !d.is_zero())
-            }
-        };
+        // Repeat readers (those that come back with an If-Modified-Since)
+        // may earn a longer lease than first-time GETs; a zero lease is
+        // granted but not tracked.
+        let lease = self
+            .lease
+            .map(|l| if ims.is_some() { l.ims } else { l.get });
+        let register = lease.is_some_and(|d| !d.is_zero());
+        let lease = lease.map(|d| now + d);
         // Adaptive lease economics: every request is a read, and tracked
         // grants replace the policy's fixed duration with the per-document
         // cost objective (plain invalidation's infinite promise becomes a
@@ -243,24 +248,15 @@ impl ServerConsistency {
         // PSI / volume leases: deliver any invalidations queued for this
         // site on this reply (its own freshly-requested document needs no
         // notice).
-        let piggyback = match self.kind {
-            ProtocolKind::PiggybackInvalidation | ProtocolKind::VolumeLease => {
-                let mut urls = self.piggyback_queues.remove(&client).unwrap_or_default();
-                urls.retain(|&u| u != url);
-                self.stats.piggybacked += urls.len() as u64;
-                urls
-            }
-            _ => Vec::new(),
-        };
+        let mut piggyback = self.piggyback_queues.remove(&client).unwrap_or_default();
+        piggyback.retain(|&u| u != url);
+        self.stats.piggybacked += piggyback.len() as u64;
         // Volume leases: every reply renews the short volume lease.
-        let volume_lease = match self.kind {
-            ProtocolKind::VolumeLease => {
-                let expiry = (now + self.volume_len).min(until.volume);
-                self.volume_leases.insert(client, expiry);
-                Some(expiry)
-            }
-            _ => None,
-        };
+        let volume_lease = self.volume.as_mut().map(|volume| {
+            let expiry = (now + volume.len).min(until.volume);
+            volume.ends.insert(client, expiry);
+            expiry
+        });
         GetGrant {
             send_body,
             lease,
@@ -280,30 +276,28 @@ impl ServerConsistency {
         if let Some(econ) = self.economics.as_mut() {
             econ.on_write(url);
         }
-        if self.kind == ProtocolKind::PiggybackInvalidation {
-            // PSI: no push — queue the invalidation for each site's next
-            // contact instead.
-            self.modified_list_lens
-                .push(self.table.site_count(url) as u64);
-            for client in self.table.take_sites(url, now) {
-                self.piggyback_queues.entry(client).or_default().push(url);
-            }
-            return Vec::new();
-        }
-        if !self.kind.uses_invalidation() {
+        if self.delivery == Delivery::None {
             return Vec::new();
         }
         self.modified_list_lens
             .push(self.table.site_count(url) as u64);
         let mut fresh = self.table.take_sites(url, now);
-        if self.kind == ProtocolKind::VolumeLease {
+        if self.delivery == Delivery::Piggyback {
+            // PSI: no push — queue the invalidation for each site's next
+            // contact instead.
+            for client in fresh {
+                self.piggyback_queues.entry(client).or_default().push(url);
+            }
+            return Vec::new();
+        }
+        if let Some(volume) = &self.volume {
             // Push only to clients whose volume lease is live; the rest
             // cannot use the copy without renewing, and the renewal reply
             // will piggyback the invalidation.
-            fresh.retain(|client| {
-                let live = self.volume_leases.get(client).is_some_and(|&exp| exp > now);
+            fresh.retain(|&client| {
+                let live = volume.live(client, now);
                 if !live {
-                    self.piggyback_queues.entry(*client).or_default().push(url);
+                    self.piggyback_queues.entry(client).or_default().push(url);
                 }
                 live
             });
@@ -374,15 +368,14 @@ impl ServerConsistency {
     /// This is what bounds write completion at `volume-lease length` even
     /// through crashes and partitions.
     pub fn expire_pending(&mut self, now: SimTime) -> u64 {
-        if self.kind != ProtocolKind::VolumeLease {
+        let Some(volume) = &self.volume else {
             return 0;
-        }
+        };
         let mut dropped = 0;
-        let volume_leases = &self.volume_leases;
         let queues = &mut self.piggyback_queues;
         self.pending.retain(|url, clients| {
             clients.retain(|client| {
-                let live = volume_leases.get(client).is_some_and(|&exp| exp > now);
+                let live = volume.live(*client, now);
                 if !live {
                     dropped += 1;
                     queues.entry(*client).or_default().push(*url);
@@ -419,7 +412,7 @@ impl ServerConsistency {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ProtocolConfig;
+    use crate::{ProtocolConfig, ProtocolKind};
     use wcc_types::ByteSize;
 
     fn url(doc: u32) -> Url {
@@ -576,6 +569,11 @@ mod tests {
         // At t=150 client 1's lease (expires t=100) is dead; client 2 lives.
         let recipients = s.on_modify(url(1), SimTime::from_secs(150));
         assert_eq!(recipients, vec![client(2)]);
+        // A zero lease ends as it is granted: it is not tracked.
+        let zero = cfg.with_lease(SimDuration::ZERO);
+        let mut s = ServerConsistency::new(&zero, ServerId::new(0));
+        let g = s.on_get(url(1), client(1), None, doc(0), SimTime::from_secs(5));
+        assert_eq!((g.lease, g.register), (Some(SimTime::from_secs(5)), false));
     }
 
     #[test]

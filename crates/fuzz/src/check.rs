@@ -10,8 +10,9 @@
 //! 2. **Liveness** — the coordinator must drain the full trace, even with
 //!    crashes, recoveries and partitions injected (bounded by a generous
 //!    simulated deadline so a livelock fails fast instead of hanging).
-//! 3. **Polling purity** — polling-every-time must report zero trace-time
-//!    stale hits (it never serves straight from cache).
+//! 3. **Polling purity** — a policy that trusts no copy (polling every
+//!    time) must report zero trace-time stale hits (it never serves
+//!    straight from cache).
 //! 4. **Promise freshness** — invalidation-family protocols must end with
 //!    zero `final_violations`, *provided* the model actually upholds the
 //!    promise: change detection must be `Notify` (browser-based detection
@@ -50,7 +51,7 @@
 use crate::scenario::{FaultSpec, Scenario};
 use std::fmt;
 use wcc_audit::Check;
-use wcc_core::{ProtocolConfig, ProtocolKind};
+use wcc_core::{Delivery, ProtocolConfig, ProtocolKind, Trust};
 use wcc_httpsim::{ChangeDetection, Deployment};
 use wcc_replay::{reference_wall, ReplayReport};
 use wcc_simnet::FaultPlan;
@@ -307,12 +308,13 @@ pub fn check(scenario: &Scenario, opts: &CheckOptions) -> Result<CheckStats, Fuz
     }
 
     // 3. Polling purity.
-    if scenario.protocol.kind == ProtocolKind::PollEveryTime && raw.stale_hits != 0 {
+    let policy = scenario.protocol.policy();
+    if policy.trust == Trust::Never && raw.stale_hits != 0 {
         return Err(FuzzFailure {
             kind: FailureKind::PollStale,
             detail: format!(
-                "polling-every-time reported {} trace-time stale hits",
-                raw.stale_hits
+                "{} trusts no copy, yet reported {} trace-time stale hits",
+                scenario.protocol.kind, raw.stale_hits
             ),
         });
     }
@@ -356,9 +358,8 @@ pub fn check(scenario: &Scenario, opts: &CheckOptions) -> Result<CheckStats, Fuz
     // 4. Promise freshness for the invalidation family. Only meaningful
     // where the model upholds the promise: immediate (`Notify`) change
     // detection, and no abandoned fan-outs (see the module docs).
-    if scenario.protocol.kind.uses_invalidation()
-        && scenario.options.detection == ChangeDetection::Notify
-    {
+    let pushes = policy.delivery == Delivery::Push;
+    if pushes && scenario.options.detection == ChangeDetection::Notify {
         if raw.final_violations != 0 && raw.gave_up == 0 {
             return Err(FuzzFailure {
                 kind: FailureKind::FinalViolations,
@@ -396,7 +397,7 @@ pub fn check(scenario: &Scenario, opts: &CheckOptions) -> Result<CheckStats, Fuz
 
     // 6. Weak dominance: invalidation must not be *more* stale than
     // adaptive TTL on the identical workload and fault schedule.
-    if scenario.protocol.kind.uses_invalidation() && !opts.inject_stale_serve {
+    if pushes && !opts.inject_stale_serve {
         let ttl_cfg = ProtocolConfig::new(ProtocolKind::AdaptiveTtl);
         let ttl = run_once(scenario, &workloads, &ttl_cfg, wall, deadline);
         let ttl_audit = ttl.report.audit.as_ref().expect("audit was enabled");
@@ -441,7 +442,7 @@ pub fn check(scenario: &Scenario, opts: &CheckOptions) -> Result<CheckStats, Fuz
     if opts.inject_stale_serve {
         let mut log = first.log.clone();
         if inject_stale_serve(&mut log) {
-            let tampered = wcc_audit::audit(scenario.protocol.kind, &log, None);
+            let tampered = wcc_audit::audit(policy, &log, None);
             match tampered
                 .violations
                 .iter()

@@ -231,26 +231,6 @@ impl Scenario {
         }
     }
 
-    /// A one-line summary for progress logs and fuzz summaries.
-    pub fn summary(&self) -> String {
-        let family = self.family.map_or(String::new(), |f| {
-            format!(", family {} ({} origins)", f.name(), self.spec.num_origins)
-        });
-        format!(
-            "seed {:#018x}: {} reqs/{} docs/{} clients over {}, {} (lifetime {}), \
-             {} prox, {} fault(s){family}",
-            self.seed,
-            self.spec.total_requests,
-            self.spec.num_docs,
-            self.spec.num_clients,
-            self.spec.duration,
-            self.protocol.kind,
-            self.mean_lifetime,
-            self.options.num_proxies,
-            self.faults.len(),
-        )
-    }
-
     /// The full machine-readable scenario description (RON-style debug
     /// text) emitted in repro reports.
     pub fn describe(&self) -> String {
@@ -281,7 +261,6 @@ mod tests {
             let a = Scenario::generate(seed);
             let b = Scenario::generate(seed);
             assert_eq!(a.describe(), b.describe(), "seed {seed}");
-            assert_eq!(a.summary(), b.summary(), "seed {seed}");
         }
     }
 

@@ -8,8 +8,9 @@ use crate::parent::ParentNode;
 use crate::proxy::{ProxyCounters, ProxyNode};
 use wcc_cache::{CacheStore, ReplacementPolicy};
 use wcc_core::{
-    FetchCounters, OriginCore, OriginCounters, ParentCounters, ProposerStats, ProtocolConfig,
-    ProtocolKind, ProxyPolicy, ServerConsistency, SiteListMemory, SiteListStats, WritePath,
+    FetchCounters, OriginCore, OriginCounters, ParentCounters, Policy, ProposerStats,
+    ProtocolConfig, ProtocolKind, ProxyPolicy, ServerConsistency, SiteListMemory, SiteListStats,
+    WritePath,
 };
 use wcc_proto::Message;
 use wcc_simnet::{FaultPlan, NetworkConfig, Simulation, Summary};
@@ -146,6 +147,7 @@ pub struct Deployment {
     proxies: Vec<NodeId>,
     coordinator: NodeId,
     protocol: ProtocolKind,
+    policy: Policy,
     trace_duration: SimDuration,
     records_total: u64,
 }
@@ -396,6 +398,7 @@ impl Deployment {
             proxies,
             coordinator,
             protocol: cfg.kind,
+            policy: cfg.policy(),
             trace_duration: duration,
             records_total,
         }
@@ -411,7 +414,9 @@ impl Deployment {
         self.origins[0]
     }
 
-    /// Node ids of every origin, indexed by server.
+    /// Node ids of every origin, indexed by server: a fault on one origin of
+    /// several, which pins that its recovery bulk-invalidates only its own
+    /// documents.
     pub fn origin_ids(&self) -> &[NodeId] {
         &self.origins
     }
@@ -421,7 +426,9 @@ impl Deployment {
         &self.proxies
     }
 
-    /// Node id of the hierarchy parent, if there is one (for fault plans).
+    /// Node id of the hierarchy parent, if there is one: a partition
+    /// between it and one child, which pins that an unacknowledged relay is
+    /// sent again until the child acknowledges it.
     pub fn parent_id(&self) -> Option<NodeId> {
         self.parent
     }
@@ -560,7 +567,7 @@ impl Deployment {
             expect.sitelist.merge(&consistency.table().stats());
             expect.writes_complete &= consistency.writes_complete();
         }
-        wcc_audit::audit(self.protocol, &self.audit_log(), Some(&expect))
+        wcc_audit::audit(self.policy, &self.audit_log(), Some(&expect))
     }
 
     /// Aggregates every counter into a [`RawReport`].
@@ -651,26 +658,24 @@ impl Deployment {
                 .unwrap_or(SimTime::ZERO)
         };
         let mut final_violations = 0u64;
-        if self.protocol.uses_invalidation() {
-            let mut audit = |policy: &ProxyPolicy, cache: &CacheStore| {
-                for (key, entry) in cache.iter() {
-                    if policy.promised_fresh(key, &entry.freshness, trace_end)
-                        && entry.meta.last_modified() != final_version(key.url())
-                    {
-                        final_violations += 1;
-                    }
+        let mut audit = |policy: &ProxyPolicy, cache: &CacheStore| {
+            for (key, entry) in cache.iter() {
+                if policy.promised_fresh(key, &entry.freshness, trace_end)
+                    && entry.meta.last_modified() != final_version(key.url())
+                {
+                    final_violations += 1;
                 }
-            };
-            for i in 0..self.proxies.len() {
-                let core = self.proxy(i).core();
-                audit(core.policy(), core.cache());
             }
-            if let Some(parent) = self.parent() {
-                audit(
-                    parent.core().fetch().policy(),
-                    parent.core().fetch().cache(),
-                );
-            }
+        };
+        for i in 0..self.proxies.len() {
+            let core = self.proxy(i).core();
+            audit(core.policy(), core.cache());
+        }
+        if let Some(parent) = self.parent() {
+            audit(
+                parent.core().fetch().policy(),
+                parent.core().fetch().cache(),
+            );
         }
 
         // Use the instant the replay drained, not the tail of straggler

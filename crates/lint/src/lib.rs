@@ -24,6 +24,8 @@
 //! * **audit-bypass** — no `AuditEvent` built in the simulator or the TCP
 //!   tier: `ProxyCore` and `WritePath` record what they do.
 //! * **peer-time** — no `.issued_at` read in the TCP tier: a node judges at its clock.
+//! * **protocol-name** — no `ProtocolKind::<Variant>` in the cores, the
+//!   auditor or the drivers: they read `ProtocolConfig::policy()`'s fields.
 //! * **map-iteration-order** — no unordered map/set iteration whose order
 //!   can reach replay-visible output (see [`order`] for the allowlist).
 //! * **wire-exhaustiveness** — every dispatch over the wire enums names

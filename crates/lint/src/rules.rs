@@ -268,6 +268,34 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
         include_tests: false,
     },
     SeqRule {
+        name: "protocol-name",
+        needles: &[
+            &["ProtocolKind", ":", ":", "AdaptiveTtl"],
+            &["ProtocolKind", ":", ":", "FixedTtl"],
+            &["ProtocolKind", ":", ":", "PollEveryTime"],
+            &["ProtocolKind", ":", ":", "Invalidation"],
+            &["ProtocolKind", ":", ":", "LeaseInvalidation"],
+            &["ProtocolKind", ":", ":", "TwoTierLease"],
+            &["ProtocolKind", ":", ":", "PiggybackInvalidation"],
+            &["ProtocolKind", ":", ":", "VolumeLease"],
+        ],
+        message: "a protocol is a point of wcc_core::Policy: read the fields of \
+                  ProtocolConfig::policy(), the one place (crates/core/src/config.rs) \
+                  that turns a preset's name into them",
+        in_scope: |path| {
+            [
+                "crates/core/src/",
+                "crates/audit/src/",
+                "crates/httpsim/src/",
+                "crates/net/src/",
+            ]
+            .iter()
+            .any(|dir| path.starts_with(dir))
+        },
+        allowed: |path| path == "crates/core/src/config.rs",
+        include_tests: false,
+    },
+    SeqRule {
         name: "obs-registry",
         needles: &[&["AtomicU64"], &["AtomicUsize"]],
         message: "ad-hoc atomic counters bypass the observability layer; \

@@ -294,6 +294,31 @@ fn a_daemon_role_reads_no_peer_time() {
 }
 
 #[test]
+fn a_protocol_is_read_from_its_policy_not_its_name() {
+    let src = "fn f(kind: ProtocolKind) -> bool {\n\
+               \x20   kind == ProtocolKind::PollEveryTime || matches!(kind, ProtocolKind::VolumeLease)\n\
+               }\n";
+    for path in [
+        "crates/core/src/proxy.rs",
+        "crates/audit/src/protocol.rs",
+        "crates/httpsim/src/deployment.rs",
+        "crates/net/src/origin.rs",
+    ] {
+        assert_eq!(rules_fired(path, src), ["protocol-name"], "{path}");
+    }
+    // The preset table, crates that only pick a preset, and tests are fine.
+    assert!(rules_fired("crates/core/src/config.rs", src).is_empty());
+    assert!(rules_fired("crates/bench/src/tables.rs", src).is_empty());
+    assert!(rules_fired("crates/fuzz/src/check.rs", src).is_empty());
+    let test = format!("#[cfg(test)]\nmod tests {{\n    {src}}}\n");
+    assert!(rules_fired("crates/core/src/server.rs", &test).is_empty());
+    // The list, the trio and the name lookup name no variant.
+    let lists =
+        "fn f() { ProtocolKind::ALL; ProtocolKind::PAPER_TRIO; ProtocolKind::from_name(n); }\n";
+    assert!(rules_fired("crates/httpsim/src/deployment.rs", lists).is_empty());
+}
+
+#[test]
 fn adhoc_atomic_counters_denied_in_the_tcp_prototype() {
     let src = "use std::sync::atomic::AtomicU64;\n";
     assert_eq!(

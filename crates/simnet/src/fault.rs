@@ -10,9 +10,6 @@ use crate::Simulation;
 use wcc_types::{NodeId, SimTime};
 
 /// One scheduled fault action inside a [`FaultPlan`].
-///
-/// The entries are public so that a plan can be written entry by entry
-/// ([`FaultPlan::from_entries`]) and read back ([`FaultPlan::entries`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum FaultEntry {
     /// Crash `node` at `at` (messages to it are lost while down).
@@ -79,11 +76,6 @@ impl FaultPlan {
         FaultPlan::default()
     }
 
-    /// A plan over the given entries, in order.
-    pub fn from_entries(faults: Vec<FaultEntry>) -> Self {
-        FaultPlan { faults }
-    }
-
     /// Adds a node crash at `at`.
     #[must_use]
     pub fn crash(mut self, node: NodeId, at: SimTime) -> Self {
@@ -111,11 +103,6 @@ impl FaultPlan {
     pub fn partition(mut self, a: NodeId, b: NodeId, from: SimTime, to: SimTime) -> Self {
         self.faults.push(FaultEntry::Partition { a, b, from, to });
         self
-    }
-
-    /// The scheduled entries, in insertion order.
-    pub fn entries(&self) -> &[FaultEntry] {
-        &self.faults
     }
 
     /// The number of scheduled fault actions.
@@ -225,19 +212,5 @@ mod tests {
         assert_eq!(plan.len(), 2);
         assert!(!plan.is_empty());
         assert!(FaultPlan::new().is_empty());
-    }
-
-    #[test]
-    fn entries_round_trip() {
-        let plan = FaultPlan::new()
-            .outage(NodeId::new(1), SimTime::from_secs(1), SimTime::from_secs(2))
-            .partition(
-                NodeId::new(0),
-                NodeId::new(2),
-                SimTime::from_secs(3),
-                SimTime::from_secs(4),
-            );
-        assert_eq!(plan.len(), 3);
-        assert_eq!(FaultPlan::from_entries(plan.entries().to_vec()), plan);
     }
 }

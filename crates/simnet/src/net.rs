@@ -106,12 +106,6 @@ impl NetworkConfig {
         self
     }
 
-    /// Overrides the links in both directions between `a` and `b`.
-    pub fn set_link_symmetric(&mut self, a: NodeId, b: NodeId, spec: LinkSpec) -> &mut Self {
-        self.set_link(a, b, spec);
-        self.set_link(b, a, spec)
-    }
-
     /// The link spec used for messages from `src` to `dst`.
     pub fn link(&self, src: NodeId, dst: NodeId) -> LinkSpec {
         // Uniform networks (every replay deployment's default) skip the hash
@@ -209,16 +203,6 @@ mod tests {
         assert_eq!(cfg.link(a, b), slow);
         // Other direction still the default.
         assert_eq!(cfg.link(b, a), cfg.link(NodeId::new(2), NodeId::new(3)));
-    }
-
-    #[test]
-    fn symmetric_override() {
-        let mut cfg = NetworkConfig::wan();
-        let fast = LinkSpec::new(SimDuration::from_micros(10), 1 << 30);
-        let (a, b) = (NodeId::new(4), NodeId::new(9));
-        cfg.set_link_symmetric(a, b, fast);
-        assert_eq!(cfg.link(a, b), fast);
-        assert_eq!(cfg.link(b, a), fast);
     }
 
     #[test]

@@ -61,7 +61,7 @@ fn injected_stale_serve_is_detected() {
         at: end + SimDuration::from_secs(1),
     });
 
-    let report = wcc_audit::audit(ProtocolKind::Invalidation, &log, None);
+    let report = wcc_audit::audit(cfg.protocol.policy(), &log, None);
     assert!(
         report
             .violations
@@ -94,7 +94,7 @@ fn tampered_expectations_are_caught() {
         registrations: u64::MAX, // a counter no honest log can match
         ..Default::default()
     };
-    let report = wcc_audit::audit(ProtocolKind::Invalidation, &log, Some(&cooked));
+    let report = wcc_audit::audit(cfg.protocol.policy(), &log, Some(&cooked));
     assert!(
         report
             .violations

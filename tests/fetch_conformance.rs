@@ -181,11 +181,9 @@ impl Bare {
 /// way before the request of the same window reaches the origin.
 fn network(origin: NodeId, proxy: NodeId) -> NetworkConfig {
     let mut net = NetworkConfig::uniform(LinkSpec::new(SimDuration::from_millis(100), 1_000_000));
-    net.set_link_symmetric(
-        origin,
-        proxy,
-        LinkSpec::new(SimDuration::from_secs(1), 1_000_000),
-    );
+    let second = LinkSpec::new(SimDuration::from_secs(1), 1_000_000);
+    net.set_link(origin, proxy, second)
+        .set_link(proxy, origin, second);
     net
 }
 

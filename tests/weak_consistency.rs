@@ -39,12 +39,12 @@ fn larger_ttl_threshold_trades_staleness_for_traffic() {
     let mut results = Vec::new();
     for threshold in [0.01, 0.1, 0.5, 2.0] {
         let mut cfg = base.clone();
-        cfg.protocol =
-            ProtocolConfig::new(ProtocolKind::AdaptiveTtl).with_adaptive_ttl(AdaptiveTtlConfig {
-                threshold,
-                floor: SimDuration::from_secs(30),
-                cap: SimDuration::from_days(30),
-            });
+        cfg.protocol = ProtocolConfig::new(ProtocolKind::AdaptiveTtl);
+        cfg.protocol.adaptive_ttl = AdaptiveTtlConfig {
+            threshold,
+            floor: SimDuration::from_secs(30),
+            cap: SimDuration::from_days(30),
+        };
         let r = run_on(&cfg, &trace, &mods);
         results.push((threshold, r.raw.ims, r.raw.stale_hits));
     }

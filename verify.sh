@@ -159,6 +159,16 @@ cargo test -q -p wcc-net --test loopback -- a_write_stamped_past_the_lease_reach
 cargo test -q -p wcc-core --lib a_lease_crosses_the_wire_as_a_duration
 cargo test -q -p wcc-lint a_daemon_role_reads_no_peer_time
 
+echo "==> the eight protocols are presets of one policy"
+# ProtocolConfig::policy() is the one place that reads a protocol's name: it
+# gives how the proxy trusts a copy, the lease on GET and on IMS, how a
+# change reaches a site, and the volume lease. One table pins each preset's
+# strength and fields. Lint rule protocol-name denies ProtocolKind::<Variant>
+# in non-test crates/{core,audit,httpsim,net}/src outside config.rs. All
+# also run in the suites above.
+cargo test -q -p wcc-core --lib every_preset_is_one_point_of_the_policy
+cargo test -q -p wcc-lint a_protocol_is_read_from_its_policy_not_its_name
+
 echo "==> CLI command table + batched hierarchy parent"
 # Every call's flags come from one table in src/bin/wcc.rs: a flag its call
 # does not read exits 2 (`wcc replay --family` refuses the single-trace
