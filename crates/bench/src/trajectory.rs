@@ -23,9 +23,12 @@
 //!
 //! The inner-loop replay, the family replay and the two batched storms
 //! (whose acknowledgements are `InvalidateBatchAck`s) also report what they
-//! allocated on the calling thread, as `<pass>.allocs` and
-//! `<pass>.alloc_bytes`: one replay runs on one thread, so the counts are as
-//! deterministic as the replay. The counts come from the [`Allocs`] reader
+//! allocated on the calling thread, split at the start of the replay loop:
+//! `<pass>.setup_allocs` and `<pass>.setup_alloc_bytes` for materialising the
+//! trace and building the deployment, `<pass>.run_allocs` and
+//! `<pass>.run_alloc_bytes` for `Deployment::run`. One replay runs on one
+//! thread, so the counts are as deterministic as the replay. The counts come
+//! from the [`Allocs`] reader
 //! the caller hands [`run`]; a caller without one (no counting allocator in
 //! the process) gets those rows as Info zeros, which no check compares.
 //!
@@ -60,7 +63,7 @@ use wcc_traces::TraceSpec;
 use wcc_types::InvalBatchConfig;
 
 /// Schema tag of the emitted report — itself the table's first Exact row.
-pub const SCHEMA: &str = "wcc-bench-trajectory/12";
+pub const SCHEMA: &str = "wcc-bench-trajectory/13";
 
 /// Heap allocations made, and the bytes they asked for, on the calling
 /// thread since it started (a `realloc` counts as one, at its new size).
@@ -70,6 +73,16 @@ pub struct Allocs {
     pub count: u64,
     /// Bytes those calls asked for.
     pub bytes: u64,
+}
+
+impl std::ops::Add for Allocs {
+    type Output = Allocs;
+    fn add(self, other: Allocs) -> Allocs {
+        Allocs {
+            count: self.count + other.count,
+            bytes: self.bytes + other.bytes,
+        }
+    }
 }
 
 /// Reads the calling thread's [`Allocs`] before and after `work`; `None`
@@ -83,15 +96,34 @@ fn counted<T>(allocs: Option<fn() -> Allocs>, work: impl FnOnce() -> T) -> (T, A
     (result, Allocs { count, bytes })
 }
 
+/// What a pass allocated before its replay loop and in it.
+#[derive(Debug, Clone, Copy)]
+struct Phases {
+    setup: Allocs,
+    run: Allocs,
+}
+
+/// Builds a deployment with `build` and runs it, counting each phase.
+fn build_and_run(
+    allocs: Option<fn() -> Allocs>,
+    build: impl FnOnce() -> Deployment,
+) -> (Deployment, Phases) {
+    let (mut deployment, setup) = counted(allocs, build);
+    let (_, run) = counted(allocs, || deployment.run());
+    (deployment, Phases { setup, run })
+}
+
 /// `pass`'s allocation rows: Exact when counted, Info zeros otherwise.
-fn push_allocs(report: &mut Report, pass: &str, counted: Allocs, allocs: Option<fn() -> Allocs>) {
+fn push_allocs(report: &mut Report, pass: &str, phases: Phases, allocs: Option<fn() -> Allocs>) {
     let gate = if allocs.is_some() {
         Gate::Exact
     } else {
         Gate::Info
     };
-    report.push(format!("{pass}.allocs"), counted.count, gate);
-    report.push(format!("{pass}.alloc_bytes"), counted.bytes, gate);
+    for (phase, counted) in [("setup", phases.setup), ("run", phases.run)] {
+        report.push(format!("{pass}.{phase}_allocs"), counted.count, gate);
+        report.push(format!("{pass}.{phase}_alloc_bytes"), counted.bytes, gate);
+    }
 }
 
 /// A reported scalar: the three JSON kinds the flat report carries, with
@@ -447,14 +479,13 @@ fn inner_loop(report: &mut Report, scale: u64, allocs: Option<fn() -> Allocs>) {
         .protocol(ProtocolKind::Invalidation)
         .seed(TABLE_SEED)
         .build();
-    let (((trace, deployment), wall_ms), allocated) = counted(allocs, || {
-        timed(|| {
-            let (trace, mods) = wcc_replay::materialise(&cfg);
-            let mut deployment =
-                Deployment::build(&trace, &mods, &cfg.protocol, cfg.options.clone());
-            deployment.run();
-            (trace, deployment)
-        })
+    let ((trace, deployment, phases), wall_ms) = timed(|| {
+        let ((trace, mods), materialised) = counted(allocs, || wcc_replay::materialise(&cfg));
+        let (deployment, phases) = build_and_run(allocs, || {
+            Deployment::build(&trace, &mods, &cfg.protocol, cfg.options.clone())
+        });
+        let setup = materialised + phases.setup;
+        (trace, deployment, Phases { setup, ..phases })
     });
     let requests = deployment.collect().requests;
     let events = deployment.alloc_stats();
@@ -493,7 +524,7 @@ fn inner_loop(report: &mut Report, scale: u64, allocs: Option<fn() -> Allocs>) {
         deferred.longest_run,
         Gate::Exact,
     );
-    push_allocs(report, "inner_loop", allocated, allocs);
+    push_allocs(report, "inner_loop", phases, allocs);
 
     // Decode probe: one GET per record, answered with a 200 on the first
     // touch of each document (the retention copy into a cache) and a 304
@@ -568,12 +599,16 @@ struct Storm {
     per_write: RawReport,
 }
 
-/// Replays a federation under `options`.
-fn replay(workload: &FamilyWorkload, options: DeploymentOptions) -> Deployment {
+/// Replays a federation under `options`, counting each phase's allocations.
+fn replay(
+    workload: &FamilyWorkload,
+    options: DeploymentOptions,
+    allocs: Option<fn() -> Allocs>,
+) -> (Deployment, Phases) {
     let protocol = ProtocolConfig::new(ProtocolKind::Invalidation);
-    let mut deployment = Deployment::build_multi(&workload.workloads, &protocol, options);
-    deployment.run();
-    deployment
+    build_and_run(allocs, || {
+        Deployment::build_multi(&workload.workloads, &protocol, options)
+    })
 }
 
 /// Family pass: the flash-crowd federation (64 origins, one shared client
@@ -583,9 +618,8 @@ fn family(report: &mut Report, scale: u64, allocs: Option<fn() -> Allocs>) -> St
     let cfg = FamilyConfig::city(WorkloadFamily::FlashCrowd).scaled_down(scale);
     let workload = family::generate(&cfg, TABLE_SEED);
     let requests = workload.total_requests();
-    let ((deployment, wall_ms), allocated) = counted(allocs, || {
-        timed(|| replay(&workload, DeploymentOptions::default()))
-    });
+    let ((deployment, phases), wall_ms) =
+        timed(|| replay(&workload, DeploymentOptions::default(), allocs));
     let per_write = deployment.collect();
 
     report.push("family.name", cfg.family.name(), Gate::Exact);
@@ -605,7 +639,7 @@ fn family(report: &mut Report, scale: u64, allocs: Option<fn() -> Allocs>) -> St
     report.push("family.overflow_inserts", overflow, Gate::Exact);
     report.push("family.wall_ms", wall_ms, Gate::Info);
     report.push("family.req_per_s", requests * 1000 / wall_ms, Gate::Info);
-    push_allocs(report, "family", allocated, allocs);
+    push_allocs(report, "family", phases, allocs);
     Storm {
         workload,
         per_write,
@@ -626,15 +660,16 @@ fn proposer(report: &mut Report, scale: u64, flash_crowd: &Storm, allocs: Option
         &FamilyConfig::city(WorkloadFamily::BreakingNews).scaled_down(scale),
         TABLE_SEED,
     );
-    let ((bn_per_write, ((fc_batched, bn_batched), allocated)), wall_ms) = timed(|| {
-        let bn_per_write = replay(&breaking_news, DeploymentOptions::default()).collect();
-        let storms = counted(allocs, || {
-            (
-                replay(&flash_crowd.workload, batched()).collect(),
-                replay(&breaking_news, batched()).collect(),
-            )
-        });
-        (bn_per_write, storms)
+    let ((bn_per_write, fc_batched, bn_batched, phases), wall_ms) = timed(|| {
+        let bn_per_write = replay(&breaking_news, DeploymentOptions::default(), None).0;
+        let (fc, fc_phases) = replay(&flash_crowd.workload, batched(), allocs);
+        let fc = fc.collect();
+        let (bn, bn_phases) = replay(&breaking_news, batched(), allocs);
+        let phases = Phases {
+            setup: fc_phases.setup + bn_phases.setup,
+            run: fc_phases.run + bn_phases.run,
+        };
+        (bn_per_write.collect(), fc, bn.collect(), phases)
     });
 
     let wire = |r: &RawReport| r.origin_counters.wire_invalidations();
@@ -679,7 +714,7 @@ fn proposer(report: &mut Report, scale: u64, flash_crowd: &Storm, allocs: Option
         write_p99 <= per_write_p99,
         Gate::Holds,
     );
-    push_allocs(report, "proposer.batched", allocated, allocs);
+    push_allocs(report, "proposer.batched", phases, allocs);
     report.push("proposer.wall_ms", wall_ms, Gate::Info);
 }
 

@@ -96,6 +96,7 @@ impl SiteListStats {
 #[derive(Debug, Clone)]
 pub struct InvalidationTable {
     lists: FxHashMap<Url, SiteList>,
+    segments: Segments,
     entries: u64,
     peak: SiteListMemory,
     /// No entry's lease expires before this instant, so a purge earlier than
@@ -107,6 +108,7 @@ impl Default for InvalidationTable {
     fn default() -> Self {
         InvalidationTable {
             lists: FxHashMap::default(),
+            segments: Segments::default(),
             entries: 0,
             peak: SiteListMemory::default(),
             earliest_expiry: SimTime::NEVER,
@@ -114,48 +116,133 @@ impl Default for InvalidationTable {
     }
 }
 
-/// One document's site list in struct-of-arrays form: a sorted array of
-/// client ids and a parallel array of lease expiries. Membership is a
-/// binary search; draining preserves sorted order for free.
+/// The smallest segment a site list holds: most lists stay this short
+/// (Table 5's average EPA list has 2.8 entries).
+const MIN_SEGMENT: usize = 4;
+
+/// Every site list's entries in struct-of-arrays form: one array of client
+/// ids and a parallel array of lease expiries. A list owns a segment of
+/// them, `MIN_SEGMENT << class` entries from `start`. A segment that a list
+/// outgrows, or that a drain or purge empties, goes on its class's free
+/// list for the next list that needs one, so after warm-up starting or
+/// growing a list takes no allocation.
 #[derive(Debug, Default, Clone)]
-struct SiteList {
+struct Segments {
     clients: Vec<ClientId>,
     expires: Vec<SimTime>,
+    /// Head of each class's free list (`NO_SEGMENT` when empty); a free
+    /// segment's first client slot holds the start of the next.
+    free: Vec<u32>,
 }
 
-impl SiteList {
-    /// Inserts or extends `client`'s lease; returns whether the entry is new.
-    fn register(&mut self, client: ClientId, lease_expires: SimTime) -> bool {
-        match self.clients.binary_search(&client) {
-            Ok(i) => {
-                if let Some(expiry) = self.expires.get_mut(i) {
-                    *expiry = (*expiry).max(lease_expires);
-                }
-                false
-            }
-            Err(i) => {
-                self.clients.insert(i, client);
-                self.expires.insert(i, lease_expires);
-                true
-            }
+/// The end of a free list.
+const NO_SEGMENT: u32 = u32::MAX;
+
+/// One document's site list: the first `len` entries of its segment,
+/// sorted by client id, so membership is a binary search and draining
+/// preserves sorted order for free.
+#[derive(Debug, Clone, Copy)]
+struct SiteList {
+    start: u32,
+    len: u32,
+    class: u8,
+}
+
+impl Segments {
+    /// The segment of `class` at `start`: its client ids and expiries.
+    fn parts(&mut self, start: u32, class: u8) -> (&mut [ClientId], &mut [SimTime]) {
+        let range = start as usize..start as usize + (MIN_SEGMENT << class);
+        let clients = self.clients.get_mut(range.clone()).unwrap_or_default();
+        (clients, self.expires.get_mut(range).unwrap_or_default())
+    }
+
+    /// A free segment of `class`, recycled or appended.
+    fn take(&mut self, class: u8) -> u32 {
+        let head = self.free.get_mut(usize::from(class));
+        if let Some(head) = head.filter(|head| **head != NO_SEGMENT) {
+            let start = *head;
+            *head = self
+                .clients
+                .get(start as usize)
+                .map_or(NO_SEGMENT, |&c| c.into());
+            return start;
+        }
+        let start = self.clients.len();
+        let end = start + (MIN_SEGMENT << class);
+        assert!(end < NO_SEGMENT as usize, "site lists fit u32 indices");
+        self.clients.resize(end, ClientId::from_raw(0));
+        self.expires.resize(end, SimTime::ZERO);
+        start as u32
+    }
+
+    /// Returns `list`'s segment to its class's free list.
+    fn give(&mut self, list: SiteList) {
+        let class = usize::from(list.class);
+        if self.free.len() <= class {
+            self.free.resize(class + 1, NO_SEGMENT);
+        }
+        let first = self.clients.get_mut(list.start as usize);
+        if let (Some(head), Some(first)) = (self.free.get_mut(class), first) {
+            *first = ClientId::from_raw(*head);
+            *head = list.start;
         }
     }
 
-    fn len(&self) -> usize {
-        self.clients.len()
+    /// Inserts or extends `client`'s lease in `list`, moving it to a
+    /// segment of the next class when it is full; returns whether the entry
+    /// is new.
+    fn register(&mut self, list: &mut SiteList, client: ClientId, lease_expires: SimTime) -> bool {
+        let len = list.len as usize;
+        let (clients, expires) = self.parts(list.start, list.class);
+        let full = len == clients.len();
+        let i = match clients
+            .get(..len)
+            .unwrap_or_default()
+            .binary_search(&client)
+        {
+            Ok(i) => {
+                if let Some(expiry) = expires.get_mut(i) {
+                    *expiry = (*expiry).max(lease_expires);
+                }
+                return false;
+            }
+            Err(i) => i,
+        };
+        if full {
+            let start = self.take(list.class + 1);
+            let from = list.start as usize..list.start as usize + len;
+            let to = start as usize;
+            self.clients.copy_within(from.clone(), to);
+            self.expires.copy_within(from, to);
+            self.give(*list);
+            (list.start, list.class) = (start, list.class + 1);
+        }
+        let (clients, expires) = self.parts(list.start, list.class);
+        // Shift the tail up one, the free slot past it landing at `i`.
+        if let (Some(c), Some(e)) = (clients.get_mut(i..=len), expires.get_mut(i..=len)) {
+            c.rotate_right(1);
+            e.rotate_right(1);
+            (c[0], e[0]) = (client, lease_expires);
+        }
+        list.len += 1;
+        true
     }
 
-    /// Drops entries with `expires <= now` in place; returns how many fell.
-    fn purge(&mut self, now: SimTime) -> u64 {
-        let before = self.clients.len();
-        // Lockstep compaction: walk the expiry array alongside each
-        // retain pass so both arrays keep the same surviving rows, in
-        // order, without indexing.
-        let mut expiry_it = self.expires.iter().copied();
-        self.clients
-            .retain(|_| expiry_it.next().is_some_and(|e| e > now));
-        self.expires.retain(|&e| e > now);
-        (before - self.clients.len()) as u64
+    /// Drops `list`'s entries with `expires <= now` in place, keeping the
+    /// rest in order; returns how many fell.
+    fn purge(&mut self, list: &mut SiteList, now: SimTime) -> u64 {
+        let len = list.len as usize;
+        let (clients, expires) = self.parts(list.start, list.class);
+        let mut kept = 0;
+        for i in 0..len {
+            if expires.get(i).is_some_and(|&e| e > now) {
+                clients.swap(kept, i);
+                expires.swap(kept, i);
+                kept += 1;
+            }
+        }
+        list.len = kept as u32;
+        (len - kept) as u64
     }
 }
 
@@ -170,12 +257,13 @@ impl InvalidationTable {
     /// (the later expiry wins).
     pub fn register(&mut self, url: Url, client: ClientId, lease_expires: SimTime) {
         self.earliest_expiry = self.earliest_expiry.min(lease_expires);
-        if self
-            .lists
-            .entry(url)
-            .or_default()
-            .register(client, lease_expires)
-        {
+        let segments = &mut self.segments;
+        let list = self.lists.entry(url).or_insert_with(|| SiteList {
+            start: segments.take(0),
+            len: 0,
+            class: 0,
+        });
+        if segments.register(list, client, lease_expires) {
             self.entries += 1;
             // `register` is the only growth operation, so the high-water
             // mark only needs refreshing here.
@@ -195,20 +283,24 @@ impl InvalidationTable {
         let Some(list) = self.lists.remove(&url) else {
             return Vec::new();
         };
-        self.entries -= list.len() as u64;
+        self.entries -= u64::from(list.len);
         // `clients` is kept sorted, so filtering preserves the sorted order
         // the callers rely on.
-        list.clients
-            .into_iter()
-            .zip(list.expires)
-            .filter(|&(_, expires)| expires > now)
-            .map(|(client, _)| client)
-            .collect()
+        let (clients, expires) = self.segments.parts(list.start, list.class);
+        let live = clients
+            .iter()
+            .zip(expires.iter())
+            .take(list.len as usize)
+            .filter(|&(_, &expires)| expires > now)
+            .map(|(&client, _)| client)
+            .collect();
+        self.segments.give(list);
+        live
     }
 
     /// The number of (live or expired) entries in `url`'s list.
     pub fn site_count(&self, url: Url) -> usize {
-        self.lists.get(&url).map_or(0, |l| l.len())
+        self.lists.get(&url).map_or(0, |l| l.len as usize)
     }
 
     /// Total entries across all lists.
@@ -223,10 +315,13 @@ impl InvalidationTable {
         if now < self.earliest_expiry {
             return 0;
         }
-        let mut removed = 0;
+        let (mut removed, segments) = (0, &mut self.segments);
         self.lists.retain(|_, list| {
-            removed += list.purge(now);
-            list.len() > 0
+            removed += segments.purge(list, now);
+            if list.len == 0 {
+                segments.give(*list);
+            }
+            list.len > 0
         });
         self.entries -= removed;
         // Every survivor expires after `now`.
@@ -242,7 +337,7 @@ impl InvalidationTable {
     pub fn stats(&self) -> SiteListStats {
         let mut stats = SiteListStats::default();
         for list in self.lists.values() {
-            let len = list.len() as u64;
+            let len = u64::from(list.len);
             stats.total_entries += len;
             stats.tracked_documents += 1;
             stats.max_list_len = stats.max_list_len.max(len);

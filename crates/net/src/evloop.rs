@@ -139,13 +139,17 @@ pub(crate) type Outbox = Vec<Out>;
 type Call<R> = Box<dyn FnOnce(&mut Runtime<R>) + Send>;
 
 /// What a node's reactor has done, counted on its thread: poll-wait returns, the readiness
-/// events they brought, and the send buffers' writes (partial ones too) and bytes written.
+/// events they brought, the receive buffers' reads (short and refused ones too), the send
+/// buffers' writes (partial ones too) and bytes written, and the connections' poller
+/// registrations added, changed and deleted.
 #[derive(Default, Clone, Copy)]
 pub(crate) struct ReactorCounters {
     pub wakes: u64,
     pub events: u64,
+    pub recv_calls: u64,
     pub send_calls: u64,
     pub send_bytes: u64,
+    pub ctl_calls: u64,
 }
 
 impl ReactorCounters {
@@ -155,8 +159,10 @@ impl ReactorCounters {
         for (name, help, value) in [
             ("wcc_reactor_wakes_total", "Returns from the reactor's poll wait.", self.wakes),
             ("wcc_reactor_events_total", "Readiness events the reactor handled.", self.events),
+            ("wcc_reactor_recv_calls_total", "Socket reads, short and WouldBlock ones too.", self.recv_calls),
             ("wcc_reactor_send_calls_total", "Socket writes, partial ones too.", self.send_calls),
             ("wcc_reactor_send_bytes_total", "Bytes written to sockets.", self.send_bytes),
+            ("wcc_reactor_poll_ctl_total", "Poller registrations added, modified or deleted.", self.ctl_calls),
         ] {
             r.set_counter(name, help, labels, value);
         }
@@ -364,6 +370,7 @@ impl<T> Conns<T> {
         // `idx` came off the free list or was pushed just above.
         let slot = &mut self.slots[idx]; // xtask-lint: allow(index-panic)
         let token = token_of(idx, slot.gen);
+        self.counters.ctl_calls += 1;
         if let Err(e) = poller.add(stream.as_raw_fd(), token, Interest::READ) {
             self.free.push(idx);
             return Err(e);
@@ -407,6 +414,7 @@ impl<T> Conns<T> {
             let _ = poller.delete(conn.stream.as_raw_fd());
             slot.gen = slot.gen.wrapping_add(1);
             self.free.push(idx);
+            self.counters.ctl_calls += 1;
         }
     }
 
@@ -423,6 +431,7 @@ impl<T> Conns<T> {
         let flushed = conn.sbuf.flush(&mut conn.stream);
         let calls = conn.sbuf.writes() - writes;
         let sent = pending - conn.sbuf.pending();
+        let mut modified = false;
         let open = match flushed {
             Ok(drained) if !(drained && conn.close_after_flush) => {
                 // Write interest only while output is queued. Read interest only while a
@@ -435,6 +444,7 @@ impl<T> Conns<T> {
                 };
                 if want != conn.interest {
                     conn.interest = want;
+                    modified = true;
                     let _ = poller.modify(conn.stream.as_raw_fd(), token, want);
                 }
                 true
@@ -443,6 +453,7 @@ impl<T> Conns<T> {
         };
         self.counters.send_calls += calls;
         self.counters.send_bytes += sent as u64;
+        self.counters.ctl_calls += u64::from(modified);
         if !open {
             self.close(poller, token);
         }
@@ -770,10 +781,15 @@ impl<R: Role> Runtime<R> {
     /// Reads and dispatches every complete frame on one connection, up to
     /// a full pipeline.
     fn pump(&mut self, token: u64) {
-        match self.conns.get_mut(token).map(Conn::read_ready) {
-            Some(Ok(())) => {}
-            Some(Err(_)) => return self.close(token),
-            None => return,
+        let Some(conn) = self.conns.get_mut(token) else {
+            return;
+        };
+        let reads = conn.rbuf.reads();
+        let read = conn.read_ready();
+        let reads = conn.rbuf.reads() - reads;
+        self.conns.counters.recv_calls += reads;
+        if read.is_err() {
+            return self.close(token);
         }
         loop {
             let Some(conn) = self.conns.get_mut(token) else {
@@ -1323,6 +1339,25 @@ mod tests {
     fn send_calls(h: &Harness) -> u64 {
         let counters = h.node.on_thread(|rt| rt.conns.counters);
         counters.expect("live node").send_calls
+    }
+
+    /// One pipelined window of 8 `GET`s, written at once, is read by one
+    /// `recv` and answered by one `send`.
+    #[test]
+    fn a_pipelined_window_is_read_in_one_recv_and_answered_in_one_send() {
+        let h = start();
+        let mut a = Peer::connect(h.addr);
+        a.barrier();
+        let counters = |h: &Harness| h.node.on_thread(|rt| rt.conns.counters).expect("live node");
+        let before = counters(&h);
+        let window: Vec<u8> = (1..=8).flat_map(|req| get(req, INLINE, 0)).collect();
+        a.send(&window);
+        for req in 1..=8 {
+            assert_eq!(a.reply().0, req);
+        }
+        let after = counters(&h);
+        assert_eq!(after.recv_calls - before.recv_calls, 1);
+        assert_eq!(after.send_calls - before.send_calls, 1);
     }
 
     /// Tickets redeemed in one turn — each reply parked behind the one

@@ -5,16 +5,17 @@
 //! overtook, a dropped upstream connection is re-dialled with its flights
 //! re-sent, a flight nobody answers times out, a pipelining client cannot
 //! make the proxy hold more than a bounded number of requests, a scrape
-//! waits for the replies ahead of it, and a blocking `fetch` is one more
-//! client of all this.
+//! waits for the replies ahead of it, a blocking `fetch` is one more
+//! client of all this, and an upstream's `X-Size` cannot make the proxy
+//! allocate without bound.
 
 mod common;
 
 use common::{get, url, ScriptedUpstream, Wire, SERVER};
 use wcc_core::{ProtocolConfig, ProtocolKind};
 use wcc_net::{FetchKind, NetProxy};
-use wcc_proto::{decode_frame, HttpMsg, HttpMsgRef};
-use wcc_types::{ByteSize, ClientId, SimTime};
+use wcc_proto::{decode_frame, HttpMsg, HttpMsgRef, Reply, ReplyStatus, MAX_DOC_SIZE};
+use wcc_types::{Body, ByteSize, ClientId, DocMeta, SimTime};
 
 /// `MAX_PIPELINE` of `crates/net/src/evloop.rs`.
 const MAX_PIPELINE: u64 = 64;
@@ -343,5 +344,38 @@ fn a_fetch_in_flight_across_a_redial_is_sent_again() {
         let outcome = fetch.join().expect("fetch thread").expect("fetch");
         assert_eq!(outcome.kind, FetchKind::Fetched);
     });
+    assert_eq!(proxy.counters().upstream_redials, 1);
+}
+
+/// An upstream's `X-Size` is outside input, and the proxy answers its
+/// client with a body that long: a `200` claiming 1 TiB (its payload 1 KiB)
+/// is refused at decode and its connection dropped, like any other hostile
+/// frame, so nothing is allocated for it. The flight is re-sent on the
+/// re-dial, and a document of exactly the cap is served.
+#[test]
+fn an_x_size_past_the_cap_drops_the_upstream_connection() {
+    let (upstream, proxy, mut up) = start();
+    let mut browser = Wire::connect(proxy.client_addr());
+    browser.send(&get(1, 1, C, t(1)));
+    let miss = up.recv_get();
+    let sized = |get: &wcc_proto::GetRequest, size: u64| {
+        let meta = DocMeta::new(ByteSize::from_bytes(size), t(0));
+        HttpMsg::Reply(Reply {
+            req: get.req,
+            url: get.url,
+            client: get.client,
+            status: ReplyStatus::Ok(Body::synthetic(meta, size / 1024)),
+            lease: None,
+            piggyback: Vec::new(),
+            volume_lease: None,
+        })
+    };
+    up.send(&sized(&miss, 1 << 40));
+    up.assert_closed();
+    let mut up = upstream.accept_node();
+    let again = up.recv_get();
+    assert_eq!(again, miss, "re-sent as it was");
+    up.send(&sized(&again, MAX_DOC_SIZE));
+    assert_eq!(browser.recv_200(), (1, t(0)));
     assert_eq!(proxy.counters().upstream_redials, 1);
 }

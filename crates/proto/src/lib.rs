@@ -33,7 +33,7 @@ pub mod zero;
 
 pub use msg::{
     BatchAckEntry, BatchEntry, CoordMsg, GetRequest, HttpMsg, Message, Reply, ReplyStatus,
-    RequestId, MAX_PARTITIONS,
+    RequestId, MAX_DOC_SIZE, MAX_PARTITIONS,
 };
 pub use wire::{encode, encode_into, WireError};
 pub use zero::{

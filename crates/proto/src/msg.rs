@@ -132,6 +132,13 @@ pub struct BatchAckEntry {
 /// the decoder turns a larger count away.
 pub const MAX_PARTITIONS: u32 = 1 << 16;
 
+/// The largest `X-Size` a `200` may carry, in bytes. The size is the
+/// sender's word and a proxy answers its clients with bodies that long, so
+/// the decoder turns a larger one away. It is seven times the largest
+/// document a shipped trace can hold: sizes are clamped at 50 times a
+/// trace's mean, and the largest mean is 44 KiB.
+pub const MAX_DOC_SIZE: u64 = 16 << 20;
+
 /// The HTTP-level messages of the consistency protocols.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum HttpMsg {

@@ -49,6 +49,8 @@ pub enum WireError {
     Closed,
     /// The bytes did not form a valid message.
     Malformed(String),
+    /// A `200`'s `X-Size` is above [`crate::MAX_DOC_SIZE`].
+    DocTooLarge(u64),
 }
 
 impl fmt::Display for WireError {
@@ -57,6 +59,10 @@ impl fmt::Display for WireError {
             WireError::Io(e) => write!(f, "wire i/o error: {e}"), // xtask-lint: allow(codec-fmt)
             WireError::Closed => write!(f, "connection closed"),  // xtask-lint: allow(codec-fmt)
             WireError::Malformed(why) => write!(f, "malformed wire message: {why}"), // xtask-lint: allow(codec-fmt)
+            WireError::DocTooLarge(size) => {
+                f.write_str("X-Size above the document size cap: ")?;
+                fmt::Display::fmt(size, f)
+            }
         }
     }
 }

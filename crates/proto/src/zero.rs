@@ -352,7 +352,11 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
                     let Some(payload) = body.get(..len) else {
                         return if eof { Err(short_body()) } else { Ok(None) };
                     };
-                    let size = ByteSize::from_bytes(required(headers.x_size, "x-size")?);
+                    let size = required(headers.x_size, "x-size")?;
+                    if size > crate::MAX_DOC_SIZE {
+                        return Err(WireError::DocTooLarge(size));
+                    }
+                    let size = ByteSize::from_bytes(size);
                     let modified = headers.last_modified;
                     let modified = modified.ok_or_else(|| malformed("200 without Last-Modified"));
                     let meta = DocMeta::new(size, parse_micros(modified?)?);

@@ -979,7 +979,7 @@ mod reference {
     use std::io::BufRead;
     use wcc_proto::{
         BatchAckEntry, BatchEntry, GetRequest, HttpMsg, Reply, ReplyStatus, RequestId, WireError,
-        MAX_PARTITIONS,
+        MAX_DOC_SIZE, MAX_PARTITIONS,
     };
     use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimDuration, SimTime, Url};
 
@@ -1121,8 +1121,12 @@ mod reference {
                         let len = required::<u64>(&headers, "content-length")? as usize;
                         let mut payload = vec![0u8; len];
                         reader.read_exact(&mut payload)?;
+                        let size = required(&headers, "x-size")?;
+                        if size > MAX_DOC_SIZE {
+                            return Err(WireError::DocTooLarge(size));
+                        }
                         let meta = DocMeta::new(
-                            ByteSize::from_bytes(required(&headers, "x-size")?),
+                            ByteSize::from_bytes(size),
                             parse_micros(
                                 headers
                                     .get("last-modified")

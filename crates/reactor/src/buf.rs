@@ -26,6 +26,8 @@ pub struct RecvBuf {
     bytes: Vec<u8>,
     start: usize,
     end: usize,
+    /// Reads made so far, short and refused ones included.
+    reads: u64,
 }
 
 impl Default for RecvBuf {
@@ -41,6 +43,7 @@ impl RecvBuf {
             bytes: Vec::with_capacity(INIT_CAP),
             start: 0,
             end: 0,
+            reads: 0,
         }
     }
 
@@ -81,6 +84,7 @@ impl RecvBuf {
     /// Returns `Ok(n)` for `n` new bytes (`0` = peer EOF); `WouldBlock`
     /// and `Interrupted` pass through for the event loop to interpret.
     pub fn fill(&mut self, src: &mut impl Read) -> io::Result<usize> {
+        self.reads += 1;
         let n = src.read(self.room(MIN_ROOM))?;
         self.end += n;
         Ok(n)
@@ -95,6 +99,7 @@ impl RecvBuf {
     /// readable again, and level-triggered polling reports it.
     pub fn fill_available(&mut self, src: &mut impl Read) -> io::Result<bool> {
         loop {
+            self.reads += 1;
             let room = self.room(MIN_ROOM);
             let offered = room.len();
             match src.read(room) {
@@ -110,6 +115,13 @@ impl RecvBuf {
                 Err(e) => return Err(e),
             }
         }
+    }
+
+    /// Reads [`fill`](Self::fill) and
+    /// [`fill_available`](Self::fill_available) have made so far, short and
+    /// refused ones included.
+    pub fn reads(&self) -> u64 {
+        self.reads
     }
 
     /// The room behind the undecoded bytes, at least `want` bytes of it:

@@ -11,12 +11,19 @@
 //! behind a proxy still spending its modelled 8 ms request cost, the rest
 //! large transfers and far timers.
 //!
+//! The ring's buckets own no memory. Every ring entry sits in one slab whose
+//! slots are recycled through a free list, and a bucket is a list through
+//! that slab, linked by `u32` indices from its head. So the ring's footprint
+//! is its peak number of pending events, not the sum of 4 096 buckets' peak
+//! capacities, and after warm-up an insert takes a free slot instead of
+//! calling the allocator.
+//!
 //! Only the bucket under the cursor is ever popped from, so only that
-//! bucket is kept ordered: it is sorted once when the cursor lands on it and
-//! drained from the back, and an insert into it while it drains goes in by
-//! binary search. A bucket of `k` same-microsecond events therefore costs
-//! `O(k log k)` to drain, and the common one-event bucket costs a push and a
-//! pop.
+//! bucket is kept ordered: when the cursor lands on it, its entries move
+//! into one reusable `Vec`, which is sorted once and drained from the back,
+//! and an insert into it while it drains goes in by binary search. A bucket
+//! of `k` same-microsecond events therefore costs `O(k log k)` to drain, and
+//! the common one-event bucket costs a link, a move and a pop.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -29,6 +36,9 @@ const RING_BUCKETS: u64 = 4096;
 
 /// Occupancy-bitmap words covering the ring (one bit per bucket).
 const RING_WORDS: usize = (RING_BUCKETS as usize) / 64;
+
+/// The end of a bucket's list and of the slab's free list.
+const NIL: u32 = u32::MAX;
 
 /// The tie-breaking key of a scheduled event: events firing at the same
 /// instant pop in `(lane, seq)` order.
@@ -94,6 +104,16 @@ impl<E> Ord for Scheduled<E> {
     }
 }
 
+/// One slab slot: a ring entry and the next slot of its bucket's list, or,
+/// with no payload, the next slot of the free list.
+#[derive(Debug)]
+struct Link<E> {
+    at: SimTime,
+    rank: Rank,
+    payload: Option<E>,
+    next: u32,
+}
+
 /// Sorts a bucket so its earliest event is last. Out of line: almost every
 /// bucket holds one event and never gets here.
 #[inline(never)]
@@ -134,10 +154,18 @@ fn insert_sorted<E>(bucket: &mut Vec<(SimTime, Rank, E)>, at: SimTime, rank: Ran
 #[derive(Debug)]
 pub struct EventQueue<E> {
     /// Near-future ring: bucket `t % RING_BUCKETS` holds the events firing
-    /// at microsecond `t`, for `t` in `[cursor, cursor + RING_BUCKETS)`.
-    /// Buckets ahead of the cursor are unsorted; see `cursor_sorted` for the
-    /// one being drained.
-    ring: Vec<Vec<(SimTime, Rank, E)>>,
+    /// at microsecond `t`, for `t` in `[cursor, cursor + RING_BUCKETS)`, as
+    /// a list through `slab` starting at `heads[bucket]`. The cursor bucket,
+    /// once landed on, lives in `drain` instead.
+    heads: Vec<u32>,
+    /// Every listed ring entry; a slot without a payload is on the free list.
+    slab: Vec<Link<E>>,
+    /// Head of the slab's free list.
+    free: u32,
+    /// The cursor bucket's entries, sorted descending by `(at, rank)` so its
+    /// minimum is the last element, while `landed` is set. Empty otherwise;
+    /// its capacity is kept for the next bucket.
+    drain: Vec<(SimTime, Rank, E)>,
     /// Occupancy bitmap over the ring: bit `b` of word `b / 64` is set iff
     /// bucket `b` is non-empty. Replaces the one-bucket-per-microsecond
     /// cursor walk in [`EventQueue::seek`] with a `trailing_zeros` scan —
@@ -152,11 +180,11 @@ pub struct EventQueue<E> {
     /// behind it (never done by the engine) is clamped into the cursor
     /// bucket and still pops first by key comparison.
     cursor: u64,
-    /// `true` while the cursor bucket is sorted descending by `(at, rank)`,
-    /// so its minimum is the last element. Set when [`EventQueue::seek`]
-    /// lands on a bucket, kept by [`EventQueue::ring_push`] (an emptied
-    /// bucket stays trivially sorted), dropped whenever the cursor moves.
-    cursor_sorted: bool,
+    /// `true` once [`EventQueue::seek`] has moved the cursor bucket into
+    /// `drain`; [`EventQueue::ring_push`] then inserts into `drain` (an
+    /// emptied bucket stays trivially sorted). Dropped whenever the cursor
+    /// moves.
+    landed: bool,
     /// Events currently in the ring.
     ring_len: usize,
     /// Total pending events (ring + overflow).
@@ -170,14 +198,15 @@ pub struct EventQueue<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        let mut ring = Vec::with_capacity(RING_BUCKETS as usize);
-        ring.resize_with(RING_BUCKETS as usize, Vec::new);
         EventQueue {
-            ring,
+            heads: vec![NIL; RING_BUCKETS as usize],
+            slab: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
+            free: NIL,
+            drain: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
             occupied: [0; RING_WORDS],
             overflow: BinaryHeap::new(),
             cursor: 0,
-            cursor_sorted: false,
+            landed: false,
             ring_len: 0,
             len: 0,
             next_seq: 0,
@@ -234,10 +263,18 @@ impl<E> EventQueue<E> {
         self.insert(at, rank, payload);
     }
 
+    /// Whether microsecond `t` is at or past the ring's horizon. Near the
+    /// end of the time axis the horizon is the axis's end, so events at
+    /// [`SimTime::NEVER`] share the ring, and the key order, with those
+    /// pulled in before them.
+    fn beyond_ring(&self, t: u64) -> bool {
+        t.saturating_sub(self.cursor) >= RING_BUCKETS
+    }
+
     fn insert(&mut self, at: SimTime, rank: Rank, payload: E) {
         self.len += 1;
         let t = at.as_micros();
-        if t >= self.cursor.saturating_add(RING_BUCKETS) {
+        if self.beyond_ring(t) {
             self.overflow_inserts += 1;
             self.overflow.push(Scheduled { at, rank, payload });
         } else {
@@ -249,16 +286,35 @@ impl<E> EventQueue<E> {
     }
 
     /// Places an event in the ring bucket of microsecond `t` (within the
-    /// ring window). The bucket being drained stays sorted: zero-delay
+    /// ring window): at the head of its list, in a recycled slab slot when
+    /// there is one. The bucket being drained stays sorted: zero-delay
     /// sends, clamped past events and refills go in by binary search.
     #[inline]
     fn ring_push(&mut self, t: u64, at: SimTime, rank: Rank, payload: E) {
         let slot = t % RING_BUCKETS;
-        let bucket = &mut self.ring[slot as usize];
-        if self.cursor_sorted && t == self.cursor {
-            insert_sorted(bucket, at, rank, payload);
+        if self.landed && t == self.cursor {
+            insert_sorted(&mut self.drain, at, rank, payload);
         } else {
-            bucket.push((at, rank, payload));
+            let next = self.heads[slot as usize];
+            let link = Link {
+                at,
+                rank,
+                payload: Some(payload),
+                next,
+            };
+            let index = if self.free == NIL {
+                let index = u32::try_from(self.slab.len())
+                    .ok()
+                    .filter(|&i| i != NIL)
+                    .expect("fewer than u32::MAX pending ring events");
+                self.slab.push(link);
+                index
+            } else {
+                let index = self.free;
+                self.free = std::mem::replace(&mut self.slab[index as usize], link).next;
+                index
+            };
+            self.heads[slot as usize] = index;
         }
         self.mark(slot);
         self.ring_len += 1;
@@ -270,7 +326,7 @@ impl<E> EventQueue<E> {
     fn refill(&mut self) {
         while let Some(head) = self.overflow.peek() {
             let t = head.at.as_micros();
-            if t >= self.cursor.saturating_add(RING_BUCKETS) {
+            if self.beyond_ring(t) {
                 break;
             }
             let s = self.overflow.pop().expect("peeked overflow entry");
@@ -278,12 +334,30 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// Moves the cursor bucket's list into `drain`, freeing its slots, and
+    /// sorts it.
+    fn land(&mut self) {
+        let slot = (self.cursor % RING_BUCKETS) as usize;
+        let mut index = std::mem::replace(&mut self.heads[slot], NIL);
+        while index != NIL {
+            let link = &mut self.slab[index as usize];
+            let payload = link.payload.take().expect("a listed slot holds an event");
+            self.drain.push((link.at, link.rank, payload));
+            let next = std::mem::replace(&mut link.next, self.free);
+            self.free = index;
+            index = next;
+        }
+        if self.drain.len() > 1 {
+            sort_descending(&mut self.drain);
+        }
+        self.landed = true;
+    }
+
     /// Advances the cursor to the first non-empty bucket (one bitmap scan —
     /// empty stretches cost `trailing_zeros` word probes, not one step per
-    /// microsecond), sorts it if the cursor just landed on it, and returns
-    /// its index — the earliest event is that bucket's last element — or
-    /// `None` if the queue is empty.
-    fn seek(&mut self) -> Option<usize> {
+    /// microsecond) and lands on it if it has not yet: afterwards the
+    /// earliest event is `drain`'s last. `None` if the queue is empty.
+    fn seek(&mut self) -> Option<()> {
         if self.len == 0 {
             return None;
         }
@@ -293,21 +367,14 @@ impl<E> EventQueue<E> {
             let t = head.at.as_micros();
             if t > self.cursor {
                 self.cursor = t;
-                self.cursor_sorted = false;
+                self.landed = false;
             }
             self.refill();
-        }
-        if self.ring_len == 0 {
-            // Only reachable when the head sits at the saturation edge of
-            // the time axis (e.g. an event at SimTime::NEVER): pull it in
-            // unconditionally so the scan below always terminates.
-            let s = self.overflow.pop().expect("len > 0 with empty ring");
-            self.ring_push(self.cursor, s.at, s.rank, s.payload);
         }
         let delta = self.next_occupied_delta(self.cursor % RING_BUCKETS);
         if delta > 0 {
             self.cursor += delta;
-            self.cursor_sorted = false;
+            self.landed = false;
             // Crossing buckets can expose overflow entries that now fit the
             // window. One refill suffices: every overflow entry had
             // `t ≥ old cursor + RING_BUCKETS > new cursor` (the jump is less
@@ -315,14 +382,10 @@ impl<E> EventQueue<E> {
             // bucket the scan just chose.
             self.refill();
         }
-        let slot = (self.cursor % RING_BUCKETS) as usize;
-        if !self.cursor_sorted {
-            if self.ring[slot].len() > 1 {
-                sort_descending(&mut self.ring[slot]);
-            }
-            self.cursor_sorted = true;
+        if !self.landed {
+            self.land();
         }
-        Some(slot)
+        Some(())
     }
 
     /// Removes and returns the earliest event, if any.
@@ -334,14 +397,14 @@ impl<E> EventQueue<E> {
     /// `bound`; leaves the queue untouched otherwise: the engine's one call
     /// per dispatched event.
     pub fn pop_bounded(&mut self, bound: SimTime) -> Option<(SimTime, E)> {
-        let slot = self.seek()?;
-        let bucket = &mut self.ring[slot];
-        if bucket.last().expect("seek lands on an occupied bucket").0 > bound {
+        self.seek()?;
+        let next = self.drain.last().expect("seek lands on an occupied bucket");
+        if next.0 > bound {
             return None;
         }
-        let (at, _, payload) = bucket.pop().expect("seek lands on an occupied bucket");
-        if bucket.is_empty() {
-            self.unmark(slot as u64);
+        let (at, _, payload) = self.drain.pop().expect("seek lands on an occupied bucket");
+        if self.drain.is_empty() {
+            self.unmark(self.cursor % RING_BUCKETS);
         }
         self.ring_len -= 1;
         self.len -= 1;
@@ -519,6 +582,17 @@ mod tests {
     }
 
     #[test]
+    fn an_event_at_never_pops_before_a_later_ranked_one_already_pulled_in() {
+        let mut q = EventQueue::new();
+        q.schedule_ranked(SimTime::NEVER, Rank::node(3, 1), "lane3");
+        // The refused pop pulls the lane-3 event into the ring.
+        assert_eq!(q.pop_bounded(SimTime::from_secs(1)), None);
+        q.schedule(SimTime::NEVER, "external");
+        assert_eq!(q.pop(), Some((SimTime::NEVER, "external")));
+        assert_eq!(q.pop(), Some((SimTime::NEVER, "lane3")));
+    }
+
+    #[test]
     fn occupancy_bitmap_tracks_interleaved_push_pop() {
         // Exercise word boundaries (bits 63/64) and re-marking a bucket that
         // was emptied, across several ring wraps.
@@ -596,5 +670,133 @@ mod tests {
         q.schedule_ranked(far, Rank::node(1, 0), "ring-lane1");
         let order: Vec<&str> = std::iter::from_fn(|| q.pop().map(|(_, e)| e)).collect();
         assert_eq!(order, vec!["ring-lane1", "overflow-lane3", "ring-lane5"]);
+    }
+
+    /// Where a model-test insert lands, relative to the last popped time
+    /// (`now`) or to the queue's cursor.
+    #[derive(Debug, Clone)]
+    enum When {
+        Ahead(u64),
+        Behind(u64),
+        /// At `cursor + RING_BUCKETS - 1` (`false`) or `+ RING_BUCKETS`.
+        RingEdge(bool),
+        Never,
+    }
+
+    #[derive(Debug, Clone)]
+    enum Op {
+        /// On the external lane (`None`) or node lane `Some(n)`.
+        Insert(Option<u32>, When),
+        /// `n` inserts at `now`: into the bucket being drained, if any.
+        Burst(Option<u32>, u8),
+        Pop,
+        PopBounded(u64),
+    }
+
+    fn op_strategy() -> impl proptest::strategy::Strategy<Value = Op> {
+        use proptest::prelude::*;
+        let lane = || proptest::option::of(0u32..4);
+        let when = prop_oneof![
+            4 => (0u64..8).prop_map(When::Ahead),
+            4 => (0u64..2 * RING_BUCKETS).prop_map(When::Ahead),
+            1 => (0u64..100_000).prop_map(When::Ahead),
+            2 => (0u64..50).prop_map(When::Behind),
+            2 => any::<bool>().prop_map(When::RingEdge),
+            1 => Just(When::Never),
+        ];
+        prop_oneof![
+            6 => (lane(), when).prop_map(|(lane, when)| Op::Insert(lane, when)),
+            2 => (lane(), 1u8..20).prop_map(|(lane, n)| Op::Burst(lane, n)),
+            4 => Just(Op::Pop),
+            3 => (0u64..3 * RING_BUCKETS).prop_map(Op::PopBounded),
+        ]
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        /// The pooled ring against a `BTreeSet` of keys: every pop is the
+        /// set's minimum, a refused `pop_bounded` leaves both untouched, the
+        /// slab never holds more slots than the ring's peak number of
+        /// pending events, and once drained every slot is on the free list.
+        #[test]
+        fn the_queue_pops_in_key_order_and_recycles_every_slot(
+            ops in proptest::collection::vec(op_strategy(), 1..300),
+        ) {
+            use std::collections::BTreeSet;
+            type Key = (SimTime, Rank);
+            fn insert(q: &mut EventQueue<Key>, model: &mut BTreeSet<Key>, lane: Option<u32>, t: u64, seqs: &mut [u64; 4]) {
+                let at = SimTime::from_micros(t);
+                let rank = match lane {
+                    None => Rank::external(q.next_seq),
+                    Some(n) => {
+                        seqs[n as usize] += 1;
+                        Rank::node(n, seqs[n as usize])
+                    }
+                };
+                match lane {
+                    None => assert_eq!(Rank::external(q.schedule(at, (at, rank))), rank),
+                    Some(_) => q.schedule_ranked(at, rank, (at, rank)),
+                }
+                model.insert((at, rank));
+            }
+            let mut q = EventQueue::new();
+            let mut model = BTreeSet::new();
+            let (mut now, mut seqs, mut peak_ring) = (0u64, [0u64; 4], 0usize);
+            for op in ops {
+                let (got, want) = match op {
+                    Op::Insert(lane, when) => {
+                        let t = match when {
+                            When::Ahead(d) => now.saturating_add(d),
+                            When::Behind(d) => now.saturating_sub(d),
+                            When::RingEdge(past) => {
+                                q.cursor.saturating_add(RING_BUCKETS - 1 + u64::from(past))
+                            }
+                            When::Never => SimTime::NEVER.as_micros(),
+                        };
+                        insert(&mut q, &mut model, lane, t, &mut seqs);
+                        (None, None)
+                    }
+                    Op::Burst(lane, n) => {
+                        for _ in 0..n {
+                            insert(&mut q, &mut model, lane, now, &mut seqs);
+                        }
+                        (None, None)
+                    }
+                    Op::Pop => (q.pop(), model.pop_first()),
+                    Op::PopBounded(d) => {
+                        let bound = SimTime::from_micros(now.saturating_add(d));
+                        let due = model.first().is_some_and(|&(at, _)| at <= bound);
+                        (q.pop_bounded(bound), if due { model.pop_first() } else { None })
+                    }
+                };
+                proptest::prop_assert_eq!(got.map(|(_, key)| key), want);
+                // What the ring held before this op's pop, if it popped.
+                let mut ring_peak_in_op = q.ring_len;
+                if let Some((at, key)) = got {
+                    proptest::prop_assert_eq!(at, key.0);
+                    now = at.as_micros();
+                    ring_peak_in_op += 1;
+                }
+                peak_ring = peak_ring.max(ring_peak_in_op);
+                proptest::prop_assert_eq!(q.len(), model.len());
+                proptest::prop_assert!(
+                    q.slab.len() <= peak_ring,
+                    "slab {} slots, ring peak {peak_ring}",
+                    q.slab.len()
+                );
+            }
+            while let Some((_, key)) = q.pop() {
+                proptest::prop_assert_eq!(Some(key), model.pop_first());
+            }
+            proptest::prop_assert!(model.is_empty());
+            let mut free = 0;
+            let mut index = q.free;
+            while index != NIL {
+                free += 1;
+                index = q.slab[index as usize].next;
+            }
+            proptest::prop_assert_eq!(free, q.slab.len());
+        }
     }
 }

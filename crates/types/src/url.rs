@@ -240,43 +240,44 @@ impl DocMeta {
 /// size used for bandwidth and storage is `meta.size()`, which may be larger
 /// than `payload.len()` — mirroring the paper's trick of storing documents
 /// scaled down by 100× on disk while scaling message-byte accounting back up.
-#[derive(Clone, Debug)]
+#[derive(Clone)]
 pub struct Body {
     meta: DocMeta,
-    payload: Arc<[u8]>,
+    /// The payload is `bytes[..len]`.
+    bytes: Arc<[u8]>,
+    len: usize,
 }
 
 impl Body {
     /// Creates a body with an explicit payload.
     pub fn new(meta: DocMeta, payload: impl Into<Arc<[u8]>>) -> Self {
-        Body {
-            meta,
-            payload: payload.into(),
-        }
+        let bytes = payload.into();
+        let len = bytes.len();
+        Body { meta, bytes, len }
     }
 
     /// Creates a body whose payload is synthesized (zeroed, scaled down by
     /// `scale`) from the metadata — the simulator's usual path.
     ///
     /// Payloads are all-zero, so bodies of the same length are
-    /// indistinguishable ([`PartialEq`] is byte-wise): one interned
-    /// `Arc<[u8]>` per distinct length serves every `200` reply of that
-    /// size, keeping the reply hot path off the global allocator.
+    /// indistinguishable ([`PartialEq`] is byte-wise): every payload is a
+    /// prefix of one zero buffer per thread, which grows by doubling to the
+    /// longest length asked for, keeping the reply hot path off the global
+    /// allocator and the buffers' memory that of the longest body.
     pub fn synthetic(meta: DocMeta, scale: u64) -> Self {
         use std::cell::RefCell;
         thread_local! {
-            static ZEROED: RefCell<crate::FxHashMap<usize, Arc<[u8]>>> =
-                RefCell::new(crate::FxHashMap::default());
+            static ZEROED: RefCell<Arc<[u8]>> = RefCell::new(Arc::new([]));
         }
         let len = meta.size().as_u64().checked_div(scale).unwrap_or(0) as usize;
-        let payload = ZEROED.with(|cache| {
-            cache
-                .borrow_mut()
-                .entry(len)
-                .or_insert_with(|| vec![0u8; len].into())
-                .clone()
+        let bytes = ZEROED.with(|zeroed| {
+            let mut zeroed = zeroed.borrow_mut();
+            if zeroed.len() < len {
+                *zeroed = vec![0u8; len.next_power_of_two()].into();
+            }
+            zeroed.clone()
         });
-        Body { meta, payload }
+        Body { meta, bytes, len }
     }
 
     /// The metadata (accounted size + last-modified validator).
@@ -286,13 +287,22 @@ impl Body {
 
     /// The stored payload bytes (possibly scaled down).
     pub fn payload(&self) -> &[u8] {
-        &self.payload
+        &self.bytes[..self.len]
+    }
+}
+
+impl std::fmt::Debug for Body {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Body")
+            .field("meta", &self.meta)
+            .field("payload", &self.payload())
+            .finish()
     }
 }
 
 impl PartialEq for Body {
     fn eq(&self, other: &Self) -> bool {
-        self.meta == other.meta && self.payload == other.payload
+        self.meta == other.meta && self.payload() == other.payload()
     }
 }
 

@@ -183,10 +183,17 @@ cargo test -q -p wcc-httpsim --test parent_behaviour a_batched_round_is_applied_
 echo "==> one send per connection per turn (serve-tier flush rule)"
 # Output queued during a reactor turn leaves in one send(2) per connection at
 # the turn's end: tickets redeemed in one turn, and a reply plus a push, each
-# move the node's send-call counter by exactly 1; a /metrics scrape pipelined
-# behind a miss waits for the miss's reply. Also run in the suites above.
+# move the node's send-call counter by exactly 1, and a pipelined window of
+# 8 GETs costs one recv and one send; a /metrics scrape pipelined behind a
+# miss waits for the miss's reply. Also run in the suites above.
 cargo test -q -p wcc-net --lib in_one_send
 cargo test -q -p wcc-net --test scripted_upstream a_scrape_pipelined_behind_a_miss
+
+echo "==> an upstream's X-Size is bounded at decode"
+# A 200 claiming more than wcc_proto::MAX_DOC_SIZE is refused at decode and
+# its connection dropped; the proxy allocates nothing for it. Also run in
+# the suites above.
+cargo test -q -p wcc-net --test scripted_upstream an_x_size_past_the_cap
 
 echo "==> wcc serve --self-check (smoke)"
 # Serving-tier self-check: spawn an origin+proxy daemon pair, push two
