@@ -340,7 +340,7 @@ pub fn audit(policy: Policy, events: &[AuditEvent], expect: Option<&Expectations
                 // forgive the pending invalidations the bulk message now
                 // covers.
                 shadows.entry(*server).or_default().table = InvalidationTable::new();
-                let lost: Vec<(Url, ClientId)> = pending
+                let lost: Vec<(Url, ClientId)> = pending // xtask-lint: allow(map-iteration-order): only removed and set-inserted below
                     .keys()
                     .filter(|(url, _)| url.server() == *server)
                     .copied()
@@ -395,8 +395,9 @@ pub fn audit(policy: Policy, events: &[AuditEvent], expect: Option<&Expectations
 
     if let Some(expect) = expect {
         if expect.writes_complete && pending.len() as u64 > dropped_allowance {
-            let mut trail: Vec<AuditEvent> = pending.values().cloned().collect();
-            trail.sort_by_key(AuditEvent::at);
+            let mut owed: Vec<_> = pending.iter().collect(); // xtask-lint: allow(map-iteration-order): sorted below
+            owed.sort_by_key(|&(key, ev)| (ev.at(), *key));
+            let trail = owed.into_iter().map(|(_, ev)| ev.clone()).collect();
             violations.push(Violation {
                 check: Check::WriteCompletion,
                 detail: format!(
@@ -434,6 +435,7 @@ pub fn audit(policy: Policy, events: &[AuditEvent], expect: Option<&Expectations
             });
         }
         let mut stats = SiteListStats::default();
+        // xtask-lint: allow(map-iteration-order): merge only sums and maxes
         for shadow in shadows.values() {
             stats.merge(&shadow.table.stats());
         }
@@ -713,6 +715,55 @@ mod tests {
             .violations
             .iter()
             .any(|v| v.check == Check::Conservation));
+    }
+
+    #[test]
+    fn an_unacknowledged_fan_out_is_reported_in_key_order() {
+        // Eight sends at one instant: the trail must not keep the pending
+        // map's hash order, which differs from one process to the next.
+        let clients: Vec<ClientId> = (1..=8).map(client).collect();
+        let mut events: Vec<AuditEvent> = clients
+            .iter()
+            .map(|&c| AuditEvent::Register {
+                url: url(1),
+                client: c,
+                lease: SimTime::NEVER,
+                at: t(1),
+            })
+            .collect();
+        events.push(AuditEvent::ModifyFanout {
+            url: url(1),
+            version: t(10),
+            fresh: clients.clone(),
+            resent: Vec::new(),
+            at: t(10),
+        });
+        events.extend(clients.iter().map(|&c| AuditEvent::InvalidateSend {
+            url: url(1),
+            client: c,
+            retry: false,
+            at: t(10),
+        }));
+        let expect = Expectations {
+            registrations: 8,
+            fresh_invalidations: 8,
+            sitelist: SiteListStats::default(),
+            writes_complete: true,
+        };
+        let report = audit(ProtocolKind::Invalidation, &events, Some(&expect));
+        let [violation] = report.violations.as_slice() else {
+            panic!("{:?}", report.violations);
+        };
+        assert_eq!(violation.check, Check::WriteCompletion);
+        let order: Vec<ClientId> = violation
+            .trail
+            .iter()
+            .map(|ev| match ev {
+                AuditEvent::InvalidateSend { client, .. } => *client,
+                other => panic!("{other:?}"),
+            })
+            .collect();
+        assert_eq!(order, clients);
     }
 
     #[test]

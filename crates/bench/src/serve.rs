@@ -145,12 +145,6 @@ impl ServeBenchReport {
     }
 }
 
-/// Sleeps without `thread::sleep` (banned outside `crates/net`): an empty
-/// poller blocks in the kernel for the timeout.
-fn kernel_pause(poller: &mut Poller, events: &mut Vec<wcc_reactor::Event>, ms: u64) {
-    let _ = poller.wait(events, Some(Duration::from_millis(ms)));
-}
-
 /// The serving side of a bench run.
 #[allow(clippy::large_enum_variant)] // one instance per run; boxing buys nothing
 enum Server {
@@ -181,16 +175,10 @@ impl Drop for Server {
         if let Server::External { child, .. } = self {
             // Graceful first (drains in-flight replies), then reap.
             let _ = wcc_reactor::send_signal(child.id() as i32, wcc_reactor::SIGTERM);
-            let mut pause = Poller::new().ok();
-            let mut events = Vec::new();
             for _ in 0..100 {
                 match child.try_wait() {
                     Ok(Some(_)) => return,
-                    Ok(None) => {
-                        if let Some(p) = pause.as_mut() {
-                            kernel_pause(p, &mut events, 20);
-                        }
-                    }
+                    Ok(None) => std::thread::sleep(Duration::from_millis(20)),
                     Err(_) => break,
                 }
             }
@@ -238,8 +226,6 @@ fn spawn_server(cfg: &ServeBenchConfig) -> std::io::Result<Server> {
         .arg(&port_file)
         .stdout(std::process::Stdio::null())
         .spawn()?;
-    let mut pause = Poller::new()?;
-    let mut events = Vec::new();
     let deadline = WallClock::start();
     loop {
         if let Ok(text) = std::fs::read_to_string(&port_file) {
@@ -256,7 +242,7 @@ fn spawn_server(cfg: &ServeBenchConfig) -> std::io::Result<Server> {
                 "daemon did not publish its ports",
             ));
         }
-        kernel_pause(&mut pause, &mut events, 25);
+        std::thread::sleep(Duration::from_millis(25));
     }
 }
 

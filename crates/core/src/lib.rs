@@ -71,6 +71,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::indexing_slicing)]
 
 pub mod analytical;
 pub mod config;

@@ -350,7 +350,7 @@ impl ServerConsistency {
 
     /// All documents with unacknowledged invalidations, sorted.
     pub fn pending_urls(&self) -> Vec<Url> {
-        let mut v: Vec<Url> = self.pending.keys().copied().collect();
+        let mut v: Vec<Url> = self.pending.keys().copied().collect(); // xtask-lint: allow(map-iteration-order): sorted below
         v.sort_unstable();
         v
     }
@@ -392,7 +392,7 @@ impl ServerConsistency {
     /// `INVALIDATE <server-addr>`, because modifications during the outage
     /// may have gone unnoticed. Returns the recipients, sorted.
     pub fn on_server_recover(&mut self) -> Vec<ClientId> {
-        let mut v: Vec<ClientId> = self.ever_seen.iter().copied().collect();
+        let mut v: Vec<ClientId> = self.ever_seen.iter().copied().collect(); // xtask-lint: allow(map-iteration-order): sorted below
         v.sort_unstable();
         // Volatile site lists (and queued piggybacks) died with the crash;
         // the conservative bulk invalidation replaces them.

@@ -219,6 +219,7 @@ impl Segments {
         }
         let (clients, expires) = self.parts(list.start, list.class);
         // Shift the tail up one, the free slot past it landing at `i`.
+        #[expect(clippy::indexing_slicing, reason = "`i..=len` is never empty")]
         if let (Some(c), Some(e)) = (clients.get_mut(i..=len), expires.get_mut(i..=len)) {
             c.rotate_right(1);
             e.rotate_right(1);
@@ -336,6 +337,7 @@ impl InvalidationTable {
     /// layout actually costs.
     pub fn stats(&self) -> SiteListStats {
         let mut stats = SiteListStats::default();
+        // xtask-lint: allow(map-iteration-order): the body only sums and maxes
         for list in self.lists.values() {
             let len = u64::from(list.len);
             stats.total_entries += len;

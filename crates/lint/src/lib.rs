@@ -11,11 +11,15 @@
 //! * **hot-path-hasher** — no default SipHash maps in the replay hot path.
 //! * **unwrap** — no `.unwrap()` / `.expect(` in protocol-crate code.
 //! * **sleep** — no `thread::sleep` under the simulated clock.
-//! * **todo** — no `todo!` / `unimplemented!` anywhere, tests included.
 //! * **url-path-alloc** — no allocating `Url::path()` in hot crates.
-//! * **obs-registry** — no ad-hoc atomic counters in the TCP prototype.
+//! * **hot-loop-alloc** — no per-event allocation (`Box::new`, `Vec::new()`,
+//!   `format!`, a fresh `encode`) in the event-dispatch and decode files.
+//! * **codec-fmt** — no `write!` / `format!` in the wire codec.
 //! * **reactor-blocking-io** — no blocking socket I/O in the files that run
 //!   on a serve-tier node's one thread.
+//! * **role-owner** — no `Mutex` / `RwLock` / own `WallClock` in a serve-tier
+//!   role: its node's thread owns its state and tells it the time.
+//! * **obs-registry** — no ad-hoc atomic counters in the TCP prototype.
 //! * **fetch-bypass** — no `ProxyPolicy::on_reply_200` / `on_reply_304` in
 //!   the simulator or the TCP tier: both drive `wcc_core::ProxyCore`.
 //! * **origin-bypass** — no `ServerConsistency::on_modify` / `on_inval_ack`
@@ -26,16 +30,21 @@
 //! * **peer-time** — no `.issued_at` read in the TCP tier: a node judges at its clock.
 //! * **protocol-name** — no `ProtocolKind::<Variant>` in the cores, the
 //!   auditor or the drivers: they read `ProtocolConfig::policy()`'s fields.
-//! * **map-iteration-order** — no unordered map/set iteration whose order
-//!   can reach replay-visible output (see [`order`] for the allowlist).
+//! * **map-iteration-order** — no unordered map/set iteration in the replay,
+//!   trace and audit crates unless waived with its reason (see `order.rs`).
 //! * **wire-exhaustiveness** — every dispatch over the wire enums names
-//!   every variant (see [`wire`]).
-//! * **index-panic** — no `v[idx]` on `Vec`s in protocol crates.
+//!   every variant (see `wire.rs`).
+//!
+//! Two hygiene rules are the compiler's: `clippy::indexing_slicing`, denied
+//! in the crate roots of `core`, `proto`, `cache`, `net` and `reactor`
+//! (allowed in their tests by `clippy.toml`), keeps `v[idx]` off protocol
+//! and peer input, and `clippy::todo` / `clippy::unimplemented`, denied in
+//! `[workspace.lints.clippy]`, keep unfinished code out of every target.
 //!
 //! A finding can be waived with a `// xtask-lint: allow(<rule>)` comment
-//! on the offending line; the built-in waiver audit reports a
-//! **stale-waiver** finding for any marker whose line no longer triggers
-//! its rule.
+//! on the offending line, or alone on the line above it; the built-in
+//! waiver audit reports a **stale-waiver** finding for any marker whose
+//! line no longer triggers its rule.
 
 use std::fmt;
 use std::path::Path;

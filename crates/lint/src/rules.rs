@@ -15,11 +15,9 @@ pub(crate) struct SeqRule {
     pub in_scope: fn(&str) -> bool,
     /// Whether this path is on the rule's explicit allowlist.
     pub allowed: fn(&str) -> bool,
-    /// Whether the rule also inspects `#[cfg(test)]` code.
-    pub include_tests: bool,
 }
 
-pub(crate) fn protocol_crate(path: &str) -> bool {
+fn protocol_crate(path: &str) -> bool {
     path.starts_with("crates/core/src/")
         || path.starts_with("crates/proto/src/")
         || path.starts_with("crates/cache/src/")
@@ -91,7 +89,6 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
         allowed: |path| {
             path == "crates/types/src/time.rs" || path == "crates/bench/src/trajectory.rs"
         },
-        include_tests: false,
     },
     SeqRule {
         name: "hot-path-hasher",
@@ -105,7 +102,6 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
                   path; use wcc_types::FxHashMap / FxHashSet (::default())",
         in_scope: hot_path_crate,
         allowed: |_| false,
-        include_tests: false,
     },
     SeqRule {
         name: "unwrap",
@@ -114,7 +110,6 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
                   return or propagate the error",
         in_scope: protocol_crate,
         allowed: |_| false,
-        include_tests: false,
     },
     SeqRule {
         name: "sleep",
@@ -122,16 +117,8 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
         message: "simulation code must advance the discrete-event clock, \
                   not the OS scheduler",
         in_scope: simulation_code,
-        allowed: |_| false,
-        include_tests: false,
-    },
-    SeqRule {
-        name: "todo",
-        needles: &[&["todo", "!"], &["unimplemented", "!"]],
-        message: "no unfinished code paths",
-        in_scope: |_| true,
-        allowed: |_| false,
-        include_tests: true,
+        // The serve load generator paces real sockets on the wall clock.
+        allowed: |path| path == "crates/bench/src/serve.rs",
     },
     SeqRule {
         name: "url-path-alloc",
@@ -146,7 +133,6 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
                 || path.starts_with("crates/proto/src/")
         },
         allowed: |_| false,
-        include_tests: false,
     },
     SeqRule {
         name: "hot-loop-alloc",
@@ -165,7 +151,6 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
                   setup-time allocation in place",
         in_scope: hot_loop_file,
         allowed: |_| false,
-        include_tests: false,
     },
     SeqRule {
         name: "codec-fmt",
@@ -181,7 +166,6 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
             )
         },
         allowed: |_| false,
-        include_tests: false,
     },
     SeqRule {
         name: "reactor-blocking-io",
@@ -197,7 +181,6 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
                   connect_timeout (or waive its function in place)",
         in_scope: reactor_file,
         allowed: |_| false,
-        include_tests: false,
     },
     SeqRule {
         name: "role-owner",
@@ -207,7 +190,6 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
                   runtime passes in (Cx::now, `now`), not a clock of its own",
         in_scope: |path| reactor_file(path) && path != "crates/net/src/evloop.rs",
         allowed: |_| false,
-        include_tests: false,
     },
     SeqRule {
         name: "fetch-bypass",
@@ -218,7 +200,6 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
                   begin / complete rather than the ProxyPolicy steps",
         in_scope: driver_code,
         allowed: |_| false,
-        include_tests: false,
     },
     SeqRule {
         name: "origin-bypass",
@@ -234,7 +215,6 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
                   on_site_frame / on_timer / recover, not ServerConsistency",
         in_scope: driver_code,
         allowed: |_| false,
-        include_tests: false,
     },
     SeqRule {
         name: "audit-bypass",
@@ -257,7 +237,6 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
                   wcc_core::WritePath for the write side; read their logs",
         in_scope: driver_code,
         allowed: |_| false,
-        include_tests: false,
     },
     SeqRule {
         name: "peer-time",
@@ -265,7 +244,6 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
         message: "a daemon node judges at its own clock, cx.now(), not a time a peer sent",
         in_scope: |path| path.starts_with("crates/net/src/"),
         allowed: |_| false,
-        include_tests: false,
     },
     SeqRule {
         name: "protocol-name",
@@ -293,7 +271,6 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
             .any(|dir| path.starts_with(dir))
         },
         allowed: |path| path == "crates/core/src/config.rs",
-        include_tests: false,
     },
     SeqRule {
         name: "obs-registry",
@@ -305,7 +282,6 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
             path.starts_with("crates/net/src/") || path.starts_with("crates/reactor/src/")
         },
         allowed: |_| false,
-        include_tests: false,
     },
 ];
 
@@ -314,7 +290,6 @@ pub(crate) fn known_rules() -> Vec<&'static str> {
     let mut names: Vec<&'static str> = SEQ_RULES.iter().map(|r| r.name).collect();
     names.extend([
         crate::order::MAP_RULE,
-        crate::order::INDEX_RULE,
         crate::wire::RULE,
         crate::STALE_WAIVER_RULE,
     ]);
@@ -330,10 +305,7 @@ pub(crate) fn scan_seq_rules(file: &SourceFile<'_>) -> Vec<Diagnostic> {
         }
         let mut last_line = 0;
         for k in 0..file.len() {
-            if !rule.include_tests && file.masked_at(k) {
-                continue;
-            }
-            if !rule.needles.iter().any(|n| file.seq_at(k, n)) {
+            if file.masked_at(k) || !rule.needles.iter().any(|n| file.seq_at(k, n)) {
                 continue;
             }
             let line = file.line(k);

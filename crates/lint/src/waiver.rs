@@ -1,10 +1,12 @@
 //! Waiver markers and the stale-waiver audit.
 //!
 //! A finding is waived in place with a `// xtask-lint: allow(<rule>)`
-//! comment on the offending line. Markers are read from comment tokens
-//! only (a marker inside a string literal is inert), and the audit fails
-//! any marker whose line no longer triggers its rule — suppressions cannot
-//! outlive their reason.
+//! comment on the offending line, or in a line comment alone on the line
+//! above it (rustfmt moves a comment after a block's `{` into the block,
+//! so a loop header is waived from above). Markers are read from comment
+//! tokens only (a marker inside a string literal is inert), and the audit
+//! fails any marker whose line no longer triggers its rule — suppressions
+//! cannot outlive their reason.
 
 use crate::engine::SourceFile;
 use crate::lexer::TokenKind;
@@ -15,7 +17,7 @@ const MARKER: &str = "xtask-lint: allow(";
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct Waiver {
     pub rule: String,
-    /// 1-based line the marker sits on (and therefore waives).
+    /// 1-based line the marker waives.
     pub line: usize,
 }
 
@@ -29,6 +31,11 @@ pub(crate) fn waivers(file: &SourceFile<'_>) -> Vec<Waiver> {
             continue;
         }
         let text = t.text(file.src);
+        let before = &file.src[..t.start];
+        let own_line = t.kind == TokenKind::LineComment
+            && before[before.rfind('\n').map_or(0, |i| i + 1)..]
+                .trim()
+                .is_empty();
         let mut rest = text;
         let mut consumed = 0usize;
         while let Some(at) = rest.find(MARKER) {
@@ -42,7 +49,8 @@ pub(crate) fn waivers(file: &SourceFile<'_>) -> Vec<Waiver> {
                         .all(|c| c.is_ascii_lowercase() || c.is_ascii_digit() || c == '-')
                 {
                     let offset = consumed + at;
-                    let line = t.line + text[..offset].matches('\n').count();
+                    let line =
+                        t.line + text[..offset].matches('\n').count() + usize::from(own_line);
                     out.push(Waiver {
                         rule: rule.to_string(),
                         line,

@@ -367,8 +367,8 @@ impl<T> Conns<T> {
         if idx == self.slots.len() {
             self.slots.push(Slot { gen: 0, conn: None });
         }
-        // `idx` came off the free list or was pushed just above.
-        let slot = &mut self.slots[idx]; // xtask-lint: allow(index-panic)
+        #[expect(clippy::indexing_slicing, reason = "a free slot, or pushed above")]
+        let slot = &mut self.slots[idx];
         let token = token_of(idx, slot.gen);
         self.counters.ctl_calls += 1;
         if let Err(e) = poller.add(stream.as_raw_fd(), token, Interest::READ) {

@@ -63,6 +63,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::indexing_slicing)]
 
 mod downstream;
 mod evloop;

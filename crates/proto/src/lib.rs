@@ -26,6 +26,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::indexing_slicing)]
 
 pub mod msg;
 pub mod wire;

@@ -608,13 +608,14 @@ impl<R: Read> FrameReader<R> {
     /// of [`decode_frame`] and of the stream, including [`WireError::Io`] for
     /// `WouldBlock`/`TimedOut` on a non-blocking or deadline-bound socket
     /// (the caller distinguishes those from fatal errors).
+    #[expect(clippy::indexing_slicing, reason = "start..end and frames lie in buf")]
     pub fn next_msg(&mut self) -> Result<HttpMsgRef<'_>, WireError> {
         loop {
             // First pass establishes the frame length (the decoded borrow is
             // dropped inside the match); the complete frame is then decoded
             // again outside the loop, which satisfies the borrow checker at
             // the cost of one re-parse of ~10 short lines.
-            let pending = &self.buf[self.start..self.end]; // xtask-lint: allow(index-panic)
+            let pending = &self.buf[self.start..self.end];
             let used = match decode_frame(pending, self.eof)? {
                 Some((_msg, used)) => used,
                 None => {
@@ -624,7 +625,7 @@ impl<R: Read> FrameReader<R> {
             };
             let lo = self.start;
             self.start += used;
-            let frame = &self.buf[lo..lo + used]; // xtask-lint: allow(index-panic)
+            let frame = &self.buf[lo..lo + used];
             let (msg, _) = decode_frame(frame, true)?.expect("complete frame re-decodes"); // xtask-lint: allow(unwrap)
             return Ok(msg);
         }
@@ -640,7 +641,8 @@ impl<R: Read> FrameReader<R> {
         if self.buf.len() - self.end < READ_CHUNK {
             self.buf.resize(self.end + READ_CHUNK, 0);
         }
-        let room = &mut self.buf[self.end..]; // xtask-lint: allow(index-panic)
+        #[expect(clippy::indexing_slicing, reason = "the buffer never shrinks")]
+        let room = &mut self.buf[self.end..];
         let n = self.inner.read(room)?;
         self.end += n;
         if n == 0 {
@@ -690,6 +692,7 @@ pub fn codec_sweep(msgs: &[HttpMsg]) -> CodecStats {
     }
     stats.bytes = buf.len() as u64;
     let mut rest: &[u8] = &buf;
+    #[expect(clippy::indexing_slicing, reason = "a frame uses at most `rest`")]
     while !rest.is_empty() {
         let (msg, used) = decode_frame(rest, true)
             .expect("corpus re-decodes cleanly") // xtask-lint: allow(unwrap)

@@ -30,6 +30,7 @@
 //! of the workspace.
 
 #![warn(missing_docs)]
+#![deny(clippy::indexing_slicing)]
 
 mod buf;
 mod signal;
