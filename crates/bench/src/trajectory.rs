@@ -26,8 +26,10 @@
 //! allocated on the calling thread, split at the start of the replay loop:
 //! `<pass>.setup_allocs` and `<pass>.setup_alloc_bytes` for materialising the
 //! trace and building the deployment, `<pass>.run_allocs` and
-//! `<pass>.run_alloc_bytes` for `Deployment::run`. One replay runs on one
-//! thread, so the counts are as deterministic as the replay. The counts come
+//! `<pass>.run_alloc_bytes` for `Deployment::run`, and
+//! `<pass>.peak_live_bytes`, the most heap the pass held at once above what
+//! the thread held when it began. One replay runs on one thread, so the
+//! counts are as deterministic as the replay. The counts come
 //! from the [`Allocs`] reader
 //! the caller hands [`run`]; a caller without one (no counting allocator in
 //! the process) gets those rows as Info zeros, which no check compares.
@@ -63,24 +65,36 @@ use wcc_traces::TraceSpec;
 use wcc_types::InvalBatchConfig;
 
 /// Schema tag of the emitted report — itself the table's first Exact row.
-pub const SCHEMA: &str = "wcc-bench-trajectory/13";
+pub const SCHEMA: &str = "wcc-bench-trajectory/14";
 
 /// Heap allocations made, and the bytes they asked for, on the calling
-/// thread since it started (a `realloc` counts as one, at its new size).
+/// thread since it started (a `realloc` counts as one, at its new size),
+/// with the bytes the thread holds and their high-water since the previous
+/// reading (each reading starts a new one). Over a window (what [`counted`]
+/// returns) every field is the window's: `live` its net growth, `peak` its
+/// high-water above its start.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Allocs {
     /// Allocation calls.
     pub count: u64,
     /// Bytes those calls asked for.
     pub bytes: u64,
+    /// Bytes allocated less bytes freed (a thread that frees another's
+    /// allocations can hold fewer than none).
+    pub live: i64,
+    /// The most `live` has been.
+    pub peak: i64,
 }
 
+/// Window `self`, then window `next` right after it.
 impl std::ops::Add for Allocs {
     type Output = Allocs;
-    fn add(self, other: Allocs) -> Allocs {
+    fn add(self, next: Allocs) -> Allocs {
         Allocs {
-            count: self.count + other.count,
-            bytes: self.bytes + other.bytes,
+            count: self.count + next.count,
+            bytes: self.bytes + next.bytes,
+            live: self.live + next.live,
+            peak: self.peak.max(self.live + next.peak),
         }
     }
 }
@@ -92,8 +106,13 @@ fn counted<T>(allocs: Option<fn() -> Allocs>, work: impl FnOnce() -> T) -> (T, A
     let before = read();
     let result = work();
     let after = read();
-    let (count, bytes) = (after.count - before.count, after.bytes - before.bytes);
-    (result, Allocs { count, bytes })
+    let window = Allocs {
+        count: after.count - before.count,
+        bytes: after.bytes - before.bytes,
+        live: after.live - before.live,
+        peak: (after.peak - before.live).max(0),
+    };
+    (result, window)
 }
 
 /// What a pass allocated before its replay loop and in it.
@@ -101,6 +120,13 @@ fn counted<T>(allocs: Option<fn() -> Allocs>, work: impl FnOnce() -> T) -> (T, A
 struct Phases {
     setup: Allocs,
     run: Allocs,
+}
+
+impl Phases {
+    /// The most the pass held live at once, above what it began with.
+    fn peak(self) -> u64 {
+        (self.setup + self.run).peak.max(0) as u64
+    }
 }
 
 /// Builds a deployment with `build` and runs it, counting each phase.
@@ -113,8 +139,15 @@ fn build_and_run(
     (deployment, Phases { setup, run })
 }
 
-/// `pass`'s allocation rows: Exact when counted, Info zeros otherwise.
-fn push_allocs(report: &mut Report, pass: &str, phases: Phases, allocs: Option<fn() -> Allocs>) {
+/// `pass`'s allocation rows and its live-heap high-water `peak`: Exact when
+/// counted, Info zeros otherwise.
+fn push_allocs(
+    report: &mut Report,
+    pass: &str,
+    phases: Phases,
+    peak: u64,
+    allocs: Option<fn() -> Allocs>,
+) {
     let gate = if allocs.is_some() {
         Gate::Exact
     } else {
@@ -124,6 +157,7 @@ fn push_allocs(report: &mut Report, pass: &str, phases: Phases, allocs: Option<f
         report.push(format!("{pass}.{phase}_allocs"), counted.count, gate);
         report.push(format!("{pass}.{phase}_alloc_bytes"), counted.bytes, gate);
     }
+    report.push(format!("{pass}.peak_live_bytes"), peak, gate);
 }
 
 /// A reported scalar: the three JSON kinds the flat report carries, with
@@ -524,7 +558,7 @@ fn inner_loop(report: &mut Report, scale: u64, allocs: Option<fn() -> Allocs>) {
         deferred.longest_run,
         Gate::Exact,
     );
-    push_allocs(report, "inner_loop", phases, allocs);
+    push_allocs(report, "inner_loop", phases, phases.peak(), allocs);
 
     // Decode probe: one GET per record, answered with a 200 on the first
     // touch of each document (the retention copy into a cache) and a 304
@@ -639,7 +673,7 @@ fn family(report: &mut Report, scale: u64, allocs: Option<fn() -> Allocs>) -> St
     report.push("family.overflow_inserts", overflow, Gate::Exact);
     report.push("family.wall_ms", wall_ms, Gate::Info);
     report.push("family.req_per_s", requests * 1000 / wall_ms, Gate::Info);
-    push_allocs(report, "family", phases, allocs);
+    push_allocs(report, "family", phases, phases.peak(), allocs);
     Storm {
         workload,
         per_write,
@@ -660,16 +694,18 @@ fn proposer(report: &mut Report, scale: u64, flash_crowd: &Storm, allocs: Option
         &FamilyConfig::city(WorkloadFamily::BreakingNews).scaled_down(scale),
         TABLE_SEED,
     );
-    let ((bn_per_write, fc_batched, bn_batched, phases), wall_ms) = timed(|| {
+    let ((bn_per_write, fc_batched, bn_batched, phases, peak), wall_ms) = timed(|| {
         let bn_per_write = replay(&breaking_news, DeploymentOptions::default(), None).0;
         let (fc, fc_phases) = replay(&flash_crowd.workload, batched(), allocs);
         let fc = fc.collect();
         let (bn, bn_phases) = replay(&breaking_news, batched(), allocs);
+        // Two replays, not one window: the pass's peak is the larger one's.
+        let peak = fc_phases.peak().max(bn_phases.peak());
         let phases = Phases {
             setup: fc_phases.setup + bn_phases.setup,
             run: fc_phases.run + bn_phases.run,
         };
-        (bn_per_write.collect(), fc, bn.collect(), phases)
+        (bn_per_write.collect(), fc, bn.collect(), phases, peak)
     });
 
     let wire = |r: &RawReport| r.origin_counters.wire_invalidations();
@@ -714,7 +750,7 @@ fn proposer(report: &mut Report, scale: u64, flash_crowd: &Storm, allocs: Option
         write_p99 <= per_write_p99,
         Gate::Holds,
     );
-    push_allocs(report, "proposer.batched", phases, allocs);
+    push_allocs(report, "proposer.batched", phases, peak, allocs);
     report.push("proposer.wall_ms", wall_ms, Gate::Info);
 }
 

@@ -258,6 +258,14 @@ mod tests {
         assert_consistent(&lru);
     }
 
+    /// A proxy cache holds one slot per copy; `Entry` keeps only what the
+    /// protocols read, so the slot stays at 72 bytes.
+    #[test]
+    fn a_cache_slot_fits_in_72_bytes() {
+        let slot = std::mem::size_of::<Slot<wcc_types::ScopedUrl, crate::Entry>>();
+        assert!(slot <= 72, "a cache slot grew to {slot} bytes");
+    }
+
     #[test]
     fn iter_mut_reaches_every_live_entry_once() {
         let mut lru = filled();

@@ -61,22 +61,11 @@ impl Default for Freshness {
 pub struct Entry {
     /// Size and `Last-Modified` validator of the cached version.
     pub meta: DocMeta,
-    /// When the copy was fetched from the origin.
-    pub fetched_at: SimTime,
     /// Consistency metadata.
     pub freshness: Freshness,
     /// Cache hits served locally since the last report to the origin —
     /// the paper's §7 hit-metering hook.
     pub unreported_hits: u64,
-    /// Last access instant (maintained by [`CacheStore::touch`]).
-    last_access: SimTime,
-}
-
-impl Entry {
-    /// Last access instant.
-    pub fn last_access(&self) -> SimTime {
-        self.last_access
-    }
 }
 
 /// Outcome of an [`CacheStore::insert`] call.
@@ -177,11 +166,10 @@ impl CacheStore {
         self.entries.get(&key)
     }
 
-    /// Looks up `key`, recording an access at `now` for LRU purposes.
-    pub fn touch(&mut self, key: ScopedUrl, now: SimTime) -> Option<&Entry> {
-        let entry = self.entries.touch(&key)?;
-        entry.last_access = now;
-        Some(entry)
+    /// Looks up `key` and makes it the most recently used entry. The
+    /// access instant `_now` is not stored: recency is the list's order.
+    pub fn touch(&mut self, key: ScopedUrl, _now: SimTime) -> Option<&Entry> {
+        self.entries.touch(&key).map(|entry| &*entry)
     }
 
     /// Records one locally served cache hit on `key` for later hit-meter
@@ -248,10 +236,8 @@ impl CacheStore {
         }
         let entry = Entry {
             meta,
-            fetched_at: now,
             freshness,
             unreported_hits: 0,
-            last_access: now,
         };
         if freshness.ttl_expires != SimTime::NEVER {
             self.expiry.insert((freshness.ttl_expires, key));
@@ -524,9 +510,16 @@ mod tests {
     fn touch_updates_recency_and_returns_entry() {
         let mut c = CacheStore::unbounded(ReplacementPolicy::Lru);
         c.insert(key(1), meta(1), SimTime::from_secs(1), Freshness::default());
+        c.insert(key(2), meta(2), SimTime::from_secs(2), Freshness::default());
         let e = c.touch(key(1), SimTime::from_secs(9)).unwrap();
-        assert_eq!(e.last_access(), SimTime::from_secs(9));
-        assert!(c.touch(key(2), SimTime::from_secs(9)).is_none());
+        assert_eq!(e.meta, meta(1));
+        let order: Vec<ScopedUrl> = c.iter().map(|(k, _)| k).collect();
+        assert_eq!(
+            order,
+            [key(2), key(1)],
+            "the touched entry is now the newest"
+        );
+        assert!(c.touch(key(3), SimTime::from_secs(9)).is_none());
     }
 
     #[test]

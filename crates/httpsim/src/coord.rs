@@ -76,9 +76,11 @@ impl CoordinatorNode {
     }
 
     /// Opens the current window: every participant is waiting, and every
-    /// one of them is sent `StepStart`.
+    /// one of them is sent `StepStart`. The set is refilled, not rebuilt, so
+    /// a window after the first allocates nothing.
     fn broadcast(&mut self, ctx: &mut Ctx<'_, Message>) {
-        self.waiting = self.participants.iter().copied().collect();
+        self.waiting.clear();
+        self.waiting.extend(self.participants.iter().copied());
         self.nudge_stragglers(ctx);
     }
 
@@ -178,9 +180,16 @@ mod tests {
 
     #[test]
     fn zero_participants_finishes_immediately() {
-        let c = CoordinatorNode::new(SimDuration::from_mins(5), SimDuration::from_mins(5));
-        assert!(!c.finished);
-        // on_start with no participants marks finished; exercised through
-        // the Deployment tests.
+        let mut sim = wcc_simnet::Simulation::new(wcc_simnet::NetworkConfig::lan());
+        let coord = sim.add_node(CoordinatorNode::new(
+            SimDuration::from_mins(5),
+            SimDuration::from_mins(5),
+        ));
+        assert!(!sim.node_ref::<CoordinatorNode>(coord).finished());
+        sim.run_until_idle();
+        let c = sim.node_ref::<CoordinatorNode>(coord);
+        assert!(c.finished());
+        assert_eq!(c.finished_at(), Some(SimTime::ZERO));
+        assert_eq!(c.steps_run(), 0);
     }
 }

@@ -270,9 +270,17 @@ impl Deployment {
         // subsequence that stably sorting the federation-wide merge would
         // hand that proxy, without ever materialising the merged copy — at
         // city scale that transient was the build's largest allocation.
+        // Each partition is counted first, so each stream is allocated once,
+        // at its exact length.
         let records_total: u64 = workloads.iter().map(|(t, _)| t.records.len() as u64).sum();
+        let mut lens = vec![0usize; options.num_proxies as usize];
+        for (trace, _) in workloads {
+            for rec in &trace.records {
+                lens[rec.client.partition(options.num_proxies) as usize] += 1;
+            }
+        }
         let mut parts: Vec<Vec<wcc_traces::TraceRecord>> =
-            (0..options.num_proxies).map(|_| Vec::new()).collect();
+            lens.into_iter().map(Vec::with_capacity).collect();
         for (trace, _) in workloads {
             for rec in &trace.records {
                 parts[rec.client.partition(options.num_proxies) as usize].push(*rec);
@@ -604,7 +612,6 @@ impl Deployment {
         }
 
         let mut latency = Summary::default();
-        let mut serves: Vec<ServeEvent> = Vec::new();
         let mut fetch = FetchCounters::default();
         let mut pc_total = ProxyCounters::default();
         let mut cache_evictions = 0u64;
@@ -612,7 +619,6 @@ impl Deployment {
         for i in 0..self.proxies.len() {
             let p = self.proxy(i);
             latency.merge(p.latency());
-            serves.extend_from_slice(p.serves());
             fetch.merge(&p.core().counters());
             pc_total.merge(p.counters());
             let cache = p.core().cache();
@@ -644,10 +650,10 @@ impl Deployment {
                 },
             }
         };
-        let stale_hits = serves
-            .iter()
-            .filter(|s| s.from_cache && s.version != version_at(s.url, s.trace_at))
-            .count() as u64;
+        let stale = |s: &ServeEvent| s.from_cache && s.version != version_at(s.url, s.trace_at);
+        let stale_hits = (0..self.proxies.len())
+            .map(|i| self.proxy(i).serves().filter(stale).count() as u64)
+            .sum();
 
         // End-of-run freshness: entries still covered by a live invalidation
         // promise must hold the final version (strong-consistency check).

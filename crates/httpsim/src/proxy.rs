@@ -55,6 +55,15 @@ pub struct Waiting {
     span: u64,
 }
 
+/// What the serve log keeps of one delivery: what its trace record lacks.
+#[derive(Debug)]
+struct Served {
+    /// `Last-Modified` of the delivered version.
+    version: SimTime,
+    /// `true` if served straight from cache.
+    from_cache: bool,
+}
+
 /// Wall-clock timeout after which an unanswered request is retransmitted
 /// (covers replies lost to crashes and partitions).
 const REQUEST_TIMEOUT: SimDuration = SimDuration::from_secs(10);
@@ -93,8 +102,11 @@ pub struct ProxyNode {
     step_done_sent: bool,
     /// Per-request latency (wall clock), the paper's latency rows.
     pub(crate) latency: Summary,
-    /// Every user delivery, for the staleness audit.
-    pub(crate) serves: Vec<ServeEvent>,
+    /// Every user delivery, for the staleness audit: entry `i` answered
+    /// `records[i]`. One request is in flight at a time, so the records are
+    /// delivered in order, one delivery each, and the log never outgrows
+    /// the stream it is reserved to.
+    served: Vec<Served>,
     pub(crate) counters: ProxyCounters,
     /// Span recorder (disabled unless the deployment enables tracing;
     /// recording never feeds back into protocol state).
@@ -110,6 +122,7 @@ impl ProxyNode {
     ) -> Self {
         ProxyNode {
             core: ProxyCore::new(policy, cache),
+            served: Vec::with_capacity(records.len()),
             wall_start: SimTime::ZERO,
             timer_due: SimTime::ZERO,
             records,
@@ -122,7 +135,6 @@ impl ProxyNode {
             step: 0,
             step_done_sent: true,
             latency: Summary::default(),
-            serves: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
             counters: ProxyCounters::default(),
             tracer: Tracer::disabled(),
         }
@@ -165,9 +177,16 @@ impl ProxyNode {
         &self.latency
     }
 
-    /// The user-delivery log for the staleness audit.
-    pub fn serves(&self) -> &[ServeEvent] {
-        &self.serves
+    /// The user-delivery log for the staleness audit, in record order.
+    pub fn serves(&self) -> impl ExactSizeIterator<Item = ServeEvent> + '_ {
+        let delivered = self.records.iter().zip(&self.served);
+        delivered.map(|(record, served)| ServeEvent {
+            url: record.url,
+            client: record.client,
+            trace_at: record.at,
+            version: served.version,
+            from_cache: served.from_cache,
+        })
     }
 
     /// Sends `get` — the flight the core just opened, or opened again —
@@ -201,10 +220,8 @@ impl ProxyNode {
 
     /// Hands `record`'s user the `version` it was answered with.
     fn deliver(&mut self, record: &TraceRecord, version: SimTime, from_cache: bool) {
-        self.serves.push(ServeEvent {
-            url: record.url,
-            client: record.client,
-            trace_at: record.at,
+        debug_assert_eq!(self.records.get(self.served.len()), Some(record));
+        self.served.push(Served {
             version,
             from_cache,
         });
@@ -384,5 +401,80 @@ impl Node<Message> for ProxyNode {
             }
             None => self.pump(ctx),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::{Deployment, DeploymentOptions};
+    use wcc_core::{ProtocolConfig, ProtocolKind};
+    use wcc_traces::{ModSchedule, Modification, Trace};
+    use wcc_types::{ServerId, Url};
+
+    fn record(secs: u64, client: u32, doc: u32) -> TraceRecord {
+        TraceRecord {
+            at: SimTime::from_secs(secs),
+            client: ClientId::from_raw(client),
+            url: Url::new(ServerId::new(0), doc),
+        }
+    }
+
+    /// The serve log holds one entry per delivered record, in record order,
+    /// and neither it nor the record stream grows while the replay runs.
+    #[test]
+    fn the_serve_log_is_the_record_stream_zipped_with_what_was_delivered() {
+        // Two clients on one proxy under invalidation. Client 0 misses on
+        // document 0, then hits its copy; the write at 400 s (a window of
+        // its own) invalidates that copy, so the read at 700 s misses again
+        // and is answered with the new version.
+        let records = vec![
+            record(60, 0, 0),
+            record(90, 1, 1),
+            record(120, 0, 0),
+            record(700, 0, 0),
+        ];
+        let trace = Trace {
+            name: "handcrafted".into(),
+            server: ServerId::new(0),
+            duration: SimDuration::from_hours(1),
+            doc_sizes: vec![ByteSize::from_kib(8); 2],
+            records: records.clone(),
+        };
+        let write = Modification {
+            at: SimTime::from_secs(400),
+            doc: 0,
+        };
+        let mods = ModSchedule::from_modifications(2, vec![write]);
+        let options = DeploymentOptions {
+            num_proxies: 1,
+            ..DeploymentOptions::default()
+        };
+        let cfg = ProtocolConfig::new(ProtocolKind::Invalidation);
+        let mut d = Deployment::build(&trace, &mods, &cfg, options);
+        let capacities = |p: &ProxyNode| (p.served.capacity(), p.records.capacity());
+        let before = capacities(d.proxy(0));
+        assert_eq!(before, (records.len(), records.len()));
+        d.run();
+        let proxy = d.proxy(0);
+        assert_eq!(capacities(proxy), before, "no growth during the run");
+
+        let serves: Vec<ServeEvent> = proxy.serves().collect();
+        assert_eq!(serves.len(), records.len());
+        for (serve, record) in serves.iter().zip(&records) {
+            assert_eq!((serve.url, serve.client), (record.url, record.client));
+            assert_eq!(serve.trace_at, record.at);
+        }
+        let event = |r: TraceRecord, version: u64, from_cache: bool| ServeEvent {
+            url: r.url,
+            client: r.client,
+            trace_at: r.at,
+            version: SimTime::from_secs(version),
+            from_cache,
+        };
+        assert_eq!(serves[0], event(records[0], 0, false), "a miss");
+        assert_eq!(serves[2], event(records[2], 0, true), "a hit");
+        assert_eq!(serves[3], event(records[3], 400, false), "invalidated");
+        assert_eq!(d.collect().stale_hits, 0);
     }
 }

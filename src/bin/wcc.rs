@@ -46,57 +46,73 @@ use webcache::traces::{synthetic, ModSchedule, TraceSpec, TraceSummary};
 use webcache::types::{ByteSize, ClientId, InvalBatchConfig, ServerId, SimDuration, SimTime, Url};
 
 /// The process's allocator: the system's, counting each thread's
-/// allocations for the trajectory's allocation rows. The one `unsafe`
-/// outside `wcc-reactor` and `vendor/`.
+/// allocations and live bytes for the trajectory's allocation rows. The one
+/// `unsafe` outside `wcc-reactor` and `vendor/`.
 struct Counting;
 
 thread_local! {
-    /// This thread's allocation calls and the bytes they asked for.
+    /// This thread's allocation calls, the bytes they asked for, the bytes
+    /// it holds and their high-water.
     static ALLOCATED: Cell<trajectory::Allocs> = const {
-        Cell::new(trajectory::Allocs { count: 0, bytes: 0 })
+        Cell::new(trajectory::Allocs { count: 0, bytes: 0, live: 0, peak: 0 })
     };
 }
 
-/// Counts one allocation of `bytes` on this thread. A `const`-initialised
-/// `Cell` never allocates, so this never re-enters the allocator; a thread
-/// that is tearing its locals down goes uncounted.
-fn count_alloc(bytes: usize) {
+/// Adds `calls` allocation calls asking for `bytes` to this thread's
+/// counts, and `grown` to its live bytes (a `realloc` grows them by the
+/// difference of its sizes, a `dealloc` is no call and shrinks them). A
+/// `const`-initialised `Cell` never allocates, so this never re-enters the
+/// allocator; a thread that is tearing its locals down goes uncounted.
+fn count_alloc(calls: u64, bytes: usize, grown: i64) {
     let _ = ALLOCATED.try_with(|cell| {
         let seen = cell.get();
+        let live = seen.live + grown;
         cell.set(trajectory::Allocs {
-            count: seen.count + 1,
+            count: seen.count + calls,
             bytes: seen.bytes + bytes as u64,
+            live,
+            peak: seen.peak.max(live),
         });
     });
 }
 
-/// What this thread has allocated so far.
+/// What this thread has allocated so far, and the high-water of its live
+/// bytes since the previous call, which starts the next one.
 fn thread_allocs() -> trajectory::Allocs {
-    ALLOCATED.try_with(Cell::get).unwrap_or_default()
+    let read = |cell: &Cell<trajectory::Allocs>| {
+        let seen = cell.get();
+        cell.set(trajectory::Allocs {
+            peak: seen.live,
+            ..seen
+        });
+        seen
+    };
+    ALLOCATED.try_with(read).unwrap_or_default()
 }
 
 // SAFETY: every call is forwarded unchanged to `System`, which upholds the
 // `GlobalAlloc` contract; counting touches only a thread-local `Cell`.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_alloc(layout.size());
+        count_alloc(1, layout.size(), layout.size() as i64);
         // SAFETY: the caller's `layout` contract is `System`'s.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_alloc(layout.size());
+        count_alloc(1, layout.size(), layout.size() as i64);
         // SAFETY: as for `alloc`.
         unsafe { System.alloc_zeroed(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        count_alloc(0, 0, -(layout.size() as i64));
         // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_alloc(new_size);
+        count_alloc(1, new_size, new_size as i64 - layout.size() as i64);
         // SAFETY: `ptr` came from `System` with this `layout`.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -502,16 +518,9 @@ fn cmd_replay_family(args: &Args, name: &str) -> Result<(), String> {
         ByteSize::from_bytes(deployment.memory_model().peak_bytes())
     );
     if workload.freshness_deadline.is_some() {
-        let mut serves = Vec::new();
-        for i in 0..deployment.proxy_ids().len() {
-            serves.extend(
-                deployment
-                    .proxy(i)
-                    .serves()
-                    .iter()
-                    .map(|s| (s.url, s.client, s.trace_at, s.version)),
-            );
-        }
+        let serves = (0..deployment.proxy_ids().len())
+            .flat_map(|i| deployment.proxy(i).serves())
+            .map(|s| (s.url, s.client, s.trace_at, s.version));
         println!(
             "  freshness       {} of {} serves exceeded their per-client deadline",
             workload.freshness_violations(serves),
