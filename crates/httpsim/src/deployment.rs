@@ -152,11 +152,15 @@ pub struct Deployment {
     records_total: u64,
 }
 
-/// Deterministic peak-memory model for one deployment: how many bytes the
-/// replay's dominant state (trace records and origin site lists) occupies at
-/// its high-water mark. The trajectory bench pins the city-scale figure as
-/// an exact row; what the pre-refactor layout (federation-wide merged record
-/// stream + map-per-document site lists) held is frozen in EXPERIMENTS.md.
+/// Deterministic model of two parts of one deployment's memory: the trace
+/// records and the origin site lists, at their high-water marks. It counts
+/// nothing else (caches, node state, the event queue and arena, the
+/// collected report): on the trajectory's city-scale family pass it reads
+/// 477 408 B (`family.state_bytes`), where the measured live-heap
+/// high-water, `family.peak_live_bytes`, is 2 871 664 B. The trajectory
+/// pins the modelled figure as an exact row; what the pre-refactor layout
+/// (federation-wide merged record stream + map-per-document site lists)
+/// held is frozen in EXPERIMENTS.md.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct DeploymentMemory {
     /// Total trace records across every origin workload.
@@ -460,8 +464,8 @@ impl Deployment {
         self.sim.defer_stats()
     }
 
-    /// Events the run so far scheduled beyond the queue ring's 4 ms horizon
-    /// (deliveries parked behind a long CPU charge, large transfers, timers).
+    /// Events the run so far scheduled beyond the queue ring's 16 384 µs
+    /// horizon (large transfers, timers, the tail of a long backlog).
     /// A side accessor for the same reason as [`Deployment::alloc_stats`].
     pub fn overflow_inserts(&self) -> u64 {
         self.sim.overflow_inserts()
@@ -506,11 +510,13 @@ impl Deployment {
         self.parent.map(|p| self.sim.node_ref(p))
     }
 
-    /// The deployment's deterministic peak-memory model (meaningful after
-    /// `run`, when the site lists have seen the whole replay). Byte counts
-    /// are computed from the data structures' actual element sizes, so the
-    /// model is exact for the dominant state and identical across hosts,
-    /// unlike RSS.
+    /// The deployment's record and site-list bytes at their peaks
+    /// (meaningful after `run`, when the site lists have seen the whole
+    /// replay). Byte counts are computed from the data structures' element
+    /// sizes, so they are identical across hosts, unlike RSS; but they cover
+    /// only those two parts of the state (see [`DeploymentMemory`]). The
+    /// replay's whole live heap is measured by the trajectory's
+    /// `<pass>.peak_live_bytes` rows.
     pub fn memory_model(&self) -> DeploymentMemory {
         let rec = std::mem::size_of::<wcc_traces::TraceRecord>() as u64;
         let mut sitelist = SiteListMemory::default();

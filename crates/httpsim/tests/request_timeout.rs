@@ -168,11 +168,11 @@ fn a_clean_replay_arms_a_timer_per_ten_seconds_not_per_request() {
     let wall_secs = d.coordinator().finished_at().expect("drained").as_micros() / 1_000_000;
     let steps = u64::from(d.coordinator().steps_run());
 
-    // Every arena slot is a message on the wire, a parked backlog run or a
-    // timer. Two messages per request; per window a `StepStart` and a
-    // `StepDone` for each of proxy, origin and modifier.
-    let events = d.alloc_stats().allocated - d.defer_stats().runs;
-    let timers = events - 2 * N - 6 * steps;
+    // Every arena slot is a message on the wire or a timer: a delivery that
+    // waits for a busy node waits in its own slot, and a backlog run in the
+    // slot of a delivery it holds. Two messages per request; per window a
+    // `StepStart` and a `StepDone` for each of proxy, origin and modifier.
+    let timers = d.alloc_stats().allocated - 2 * N - 6 * steps;
     // The coordinator's watchdog per window, plus the proxy's share: two
     // timers at most in any ten seconds.
     let bound = steps + 2 * (wall_secs / 10 + 1);

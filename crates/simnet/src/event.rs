@@ -3,20 +3,25 @@
 //! Events are ordered by `(time, lane, lane sequence)` — see [`Rank`]. The
 //! storage is a two-level bucket queue: a ring of one-microsecond buckets
 //! covering the near future plus an overflow heap for everything beyond the
-//! ring's horizon. Short hops (link latencies, brief CPU bursts) live their
-//! whole life in the ring; anything further out takes one heap trip and is
-//! pulled into the ring as the cursor approaches it. The trajectory gates
-//! [`EventQueue::overflow_inserts`]: on the EPA invalidation replay 16 937 of
-//! 65 600 inserts (26 %) take the heap — 16 089 of them replies parked
-//! behind a proxy still spending its modelled 8 ms request cost, the rest
-//! large transfers and far timers.
+//! ring's horizon. The ring is 16 384 µs wide, twice the cost model's 8 ms
+//! proxy request charge, so link hops, CPU charges and the replies parked
+//! behind a busy proxy live their whole life in the ring; only large
+//! transfers, far timers and the tail of a long backlog take one heap trip
+//! and are pulled into the ring as the cursor approaches them. The trajectory
+//! gates [`EventQueue::overflow_inserts`]: on the EPA invalidation replay
+//! 1 362 inserts take the heap (16 937 of 65 600, 26 %, with a 4 096 µs ring).
 //!
 //! The ring's buckets own no memory. Every ring entry sits in one slab whose
 //! slots are recycled through a free list, and a bucket is a list through
 //! that slab, linked by `u32` indices from its head. So the ring's footprint
-//! is its peak number of pending events, not the sum of 4 096 buckets' peak
-//! capacities, and after warm-up an insert takes a free slot instead of
-//! calling the allocator.
+//! is its peak number of pending events plus one `u32` head per bucket, and
+//! after warm-up an insert takes a free slot instead of calling the
+//! allocator.
+//!
+//! The next occupied bucket is found through a two-level bitmap: one bit per
+//! bucket, and a summary with one bit per non-empty bitmap word. A gap of
+//! any length costs at most a probe of the cursor's word, of the summary's
+//! four words and of the word the summary names.
 //!
 //! Only the bucket under the cursor is ever popped from, so only that
 //! bucket is kept ordered: when the cursor lands on it, its entries move
@@ -29,13 +34,17 @@ use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use wcc_types::SimTime;
 
-/// Width of the near-future ring, in one-microsecond buckets: wider than a
-/// LAN hop (transfer times are below 2 ms), narrower than the cost model's
-/// longest CPU charge — the module docs give the measured overflow share.
-const RING_BUCKETS: u64 = 4096;
+/// Width of the near-future ring, in one-microsecond buckets: wider than
+/// the cost model's longest CPU charge (the proxy's 8 ms per request), so a
+/// delivery deferred to the end of one busy period lands in the ring — the
+/// module docs give the measured overflow count.
+const RING_BUCKETS: u64 = 16_384;
 
 /// Occupancy-bitmap words covering the ring (one bit per bucket).
 const RING_WORDS: usize = (RING_BUCKETS as usize) / 64;
+
+/// Summary words covering the bitmap (one bit per bitmap word).
+const SUMMARY_WORDS: usize = RING_WORDS / 64;
 
 /// The end of a bucket's list and of the slab's free list.
 const NIL: u32 = u32::MAX;
@@ -172,6 +181,10 @@ pub struct EventQueue<E> {
     /// the event gaps in the replay traces average hundreds of microseconds,
     /// so the walk used to dominate the whole simulation's runtime.
     occupied: [u64; RING_WORDS],
+    /// The bitmap's summary: bit `w` of word `w / 64` is set iff
+    /// `occupied[w]` is non-zero, so a gap spanning many empty words is
+    /// crossed by one summary probe instead of a scan over them.
+    summary: [u64; SUMMARY_WORDS],
     /// Events at or beyond the ring horizon, pulled into the ring lazily as
     /// the cursor advances.
     overflow: BinaryHeap<Scheduled<E>>,
@@ -204,6 +217,7 @@ impl<E> EventQueue<E> {
             free: NIL,
             drain: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
             occupied: [0; RING_WORDS],
+            summary: [0; SUMMARY_WORDS],
             overflow: BinaryHeap::new(),
             cursor: 0,
             landed: false,
@@ -217,13 +231,41 @@ impl<E> EventQueue<E> {
     /// Marks ring bucket `slot` occupied.
     #[inline]
     fn mark(&mut self, slot: u64) {
-        self.occupied[(slot / 64) as usize] |= 1 << (slot % 64);
+        let word = (slot / 64) as usize;
+        self.occupied[word] |= 1 << (slot % 64);
+        self.summary[word / 64] |= 1 << (word % 64);
     }
 
-    /// Clears ring bucket `slot`'s occupancy bit (bucket just became empty).
+    /// Clears ring bucket `slot`'s occupancy bit (bucket just became empty),
+    /// and its word's summary bit if the word emptied with it.
     #[inline]
     fn unmark(&mut self, slot: u64) {
-        self.occupied[(slot / 64) as usize] &= !(1 << (slot % 64));
+        let word = (slot / 64) as usize;
+        self.occupied[word] &= !(1 << (slot % 64));
+        if self.occupied[word] == 0 {
+            self.summary[word / 64] &= !(1 << (word % 64));
+        }
+    }
+
+    /// The first non-empty bitmap word at or circularly after word `from`:
+    /// a probe of `from`'s summary word above `from`, then of the summary
+    /// words after it, the last of them `from`'s own again (the words
+    /// before `from` in it are the ones the wrap reaches last). The ring
+    /// must be non-empty.
+    fn next_occupied_word(&self, from: usize) -> usize {
+        let (sword, sbit) = (from / 64, from % 64);
+        let head = self.summary[sword] >> sbit;
+        if head != 0 {
+            return from + head.trailing_zeros() as usize;
+        }
+        for k in 1..=SUMMARY_WORDS {
+            let i = (sword + k) % SUMMARY_WORDS;
+            let w = self.summary[i];
+            if w != 0 {
+                return i * 64 + w.trailing_zeros() as usize;
+            }
+        }
+        unreachable!("occupancy summary empty while ring_len > 0");
     }
 
     /// Circular distance from bucket `start` to the nearest occupied bucket
@@ -233,18 +275,19 @@ impl<E> EventQueue<E> {
     /// circular scan order from `cursor % RING_BUCKETS` *is* time order.
     fn next_occupied_delta(&self, start: u64) -> u64 {
         let word = (start / 64) as usize;
-        let bit = (start % 64) as u32;
+        let bit = start % 64;
         let head = self.occupied[word] >> bit;
         if head != 0 {
             return u64::from(head.trailing_zeros());
         }
-        for k in 1..=RING_WORDS {
-            let w = self.occupied[(word + k) % RING_WORDS];
-            if w != 0 {
-                return u64::from(64 - bit) + ((k as u64) - 1) * 64 + u64::from(w.trailing_zeros());
-            }
-        }
-        unreachable!("occupancy bitmap empty while ring_len > 0");
+        // The next non-empty word `k` words on (`k == RING_WORDS` when only
+        // the buckets below `bit` in this word are occupied: a full wrap).
+        let next = self.next_occupied_word((word + 1) % RING_WORDS);
+        let k = match (next + RING_WORDS - word) % RING_WORDS {
+            0 => RING_WORDS,
+            k => k,
+        };
+        (k as u64) * 64 - bit + u64::from(self.occupied[next].trailing_zeros())
     }
 
     /// Schedules `payload` to fire at `at` on the external lane. Returns the
@@ -594,19 +637,32 @@ mod tests {
 
     #[test]
     fn occupancy_bitmap_tracks_interleaved_push_pop() {
-        // Exercise word boundaries (bits 63/64) and re-marking a bucket that
-        // was emptied, across several ring wraps.
+        // Exercise word boundaries (bits 63/64), summary-word boundaries
+        // (buckets 4 095/4 096) and re-marking a bucket that was emptied,
+        // across several ring wraps.
+        const OFFSETS: [u64; 10] = [
+            63,
+            64,
+            65,
+            127,
+            128,
+            4095,
+            4096,
+            8191,
+            12_288,
+            RING_BUCKETS - 1,
+        ];
         let mut q = EventQueue::new();
         for round in 0u64..3 {
             let base = round * RING_BUCKETS;
-            for &off in &[63u64, 64, 65, 127, 128, 4095] {
+            for &off in &OFFSETS {
                 q.schedule(SimTime::from_micros(base + off), (round, off));
             }
             let mut got = Vec::new();
             while let Some((_, e)) = q.pop() {
                 got.push(e.1);
             }
-            assert_eq!(got, vec![63, 64, 65, 127, 128, 4095], "round {round}");
+            assert_eq!(got, OFFSETS, "round {round}");
         }
     }
 
@@ -680,6 +736,13 @@ mod tests {
         Behind(u64),
         /// At `cursor + RING_BUCKETS - 1` (`false`) or `+ RING_BUCKETS`.
         RingEdge(bool),
+        /// At the first bucket of the `k`-th summary word (4 096 buckets)
+        /// after the cursor's, or (`true`) at the bucket before it: a gap
+        /// that crosses summary words.
+        SummaryEdge(u64, bool),
+        /// `d` buckets past the next multiple of the ring width ahead of the
+        /// cursor: a bucket whose slot wraps around behind the cursor's.
+        Wrap(u64),
         Never,
     }
 
@@ -702,6 +765,8 @@ mod tests {
             1 => (0u64..100_000).prop_map(When::Ahead),
             2 => (0u64..50).prop_map(When::Behind),
             2 => any::<bool>().prop_map(When::RingEdge),
+            2 => (1u64..=4, any::<bool>()).prop_map(|(k, before)| When::SummaryEdge(k, before)),
+            2 => (0u64..RING_BUCKETS).prop_map(When::Wrap),
             1 => Just(When::Never),
         ];
         prop_oneof![
@@ -751,6 +816,13 @@ mod tests {
                             When::Behind(d) => now.saturating_sub(d),
                             When::RingEdge(past) => {
                                 q.cursor.saturating_add(RING_BUCKETS - 1 + u64::from(past))
+                            }
+                            When::SummaryEdge(k, before) => {
+                                const SPAN: u64 = 64 * 64;
+                                (q.cursor - q.cursor % SPAN).saturating_add(k * SPAN) - u64::from(before)
+                            }
+                            When::Wrap(d) => {
+                                (q.cursor - q.cursor % RING_BUCKETS).saturating_add(RING_BUCKETS + d)
                             }
                             When::Never => SimTime::NEVER.as_micros(),
                         };

@@ -7,7 +7,8 @@
 //! * an **event queue** with a total order (time, then per-node lane and
 //!   lane sequence), so every run is bit-for-bit reproducible; the bucket
 //!   under the cursor is sorted once and drained from the back, so a burst
-//!   of same-instant events pops without scanning ([`event`]);
+//!   of same-instant events pops without scanning, and a two-level
+//!   occupancy bitmap finds the next non-empty bucket ([`event`]);
 //! * a **generational arena** that parks in-flight events so the queue moves
 //!   three-word handles and steady-state scheduling never touches the
 //!   global allocator ([`arena`]);
@@ -20,9 +21,10 @@
 //!   time, deferring its later deliveries — this is how the pseudo-server's
 //!   utilisation and the synchronous-invalidation request stalls are
 //!   reproduced. A busy node's waiting deliveries park in *one* event that
-//!   holds a range of consecutive lane sequence numbers, so a backlog of
-//!   `N` costs `N` events, not one re-queue per waiting message per
-//!   wake-up ([`sim`]; counters in [`DeferStats`]);
+//!   holds a range of consecutive lane sequence numbers, in the arena slot
+//!   of a delivery it holds (a lone one is re-keyed where it lies), so a
+//!   backlog of `N` costs the `N` deliveries' slots, not one re-queue per
+//!   waiting message per wake-up ([`sim`]; counters in [`DeferStats`]);
 //! * **crash / recovery** of nodes with message loss while down ([`fault`]);
 //! * small **metric primitives** (traffic statistics and min/avg/max
 //!   summaries) used by the replay reports ([`metrics`]).

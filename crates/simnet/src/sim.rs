@@ -27,7 +27,9 @@ pub(crate) enum EngineEvent<M> {
     /// this event's own key. One event stands for `msgs.len()` *consecutive*
     /// keys of `dst`'s lane at one instant; no other key can sort between
     /// two of them, so handling the messages front to back in one pop is the
-    /// order a queue holding them one by one would produce.
+    /// order a queue holding them one by one would produce. A lone deferred
+    /// delivery waits as its own `Deliver` event; its slot turns into a
+    /// `Deferred` run when a second delivery joins it.
     Deferred {
         /// The busy receiver.
         dst: NodeId,
@@ -43,6 +45,27 @@ pub(crate) enum EngineEvent<M> {
     },
     /// Apply a fault-plan action.
     Fault(FaultAction),
+}
+
+impl<M> EngineEvent<M> {
+    /// The deliveries parked in this slot, a delivery or a run: a lone
+    /// `Deliver` becomes a `Deferred` run of one in place, its deque taken
+    /// from `spare`.
+    fn run_mut(&mut self, spare: &mut Vec<VecDeque<(NodeId, M)>>) -> &mut VecDeque<(NodeId, M)> {
+        if let EngineEvent::Deliver { dst, .. } = *self {
+            let msgs = spare.pop().unwrap_or_default();
+            let EngineEvent::Deliver { src, msg, .. } =
+                std::mem::replace(self, EngineEvent::Deferred { dst, msgs })
+            else {
+                unreachable!("matched a Deliver event");
+            };
+            self.run_mut(spare).push_back((src, msg));
+        }
+        match self {
+            EngineEvent::Deferred { msgs, .. } => msgs,
+            _ => unreachable!("a parked slot holds a delivery or a Deferred run"),
+        }
+    }
 }
 
 /// A scheduled change to the failure state of the network or a node.
@@ -70,9 +93,9 @@ impl<M, T: Node<M> + Any> AnyNode<M> for T {
     }
 }
 
-/// The newest [`EngineEvent::Deferred`] run parked for a node: the one a
-/// further deferral extends when it lands on the same instant with the next
-/// consecutive sequence number.
+/// The newest run parked for a node (a lone [`EngineEvent::Deliver`] or an
+/// [`EngineEvent::Deferred`]): the one a further deferral extends when it
+/// lands on the same instant with the next consecutive sequence number.
 #[derive(Debug, Clone, Copy)]
 struct OpenRun {
     handle: Handle,
@@ -90,9 +113,9 @@ struct NodeState {
     /// `k` consecutive values), making each event's `(time, lane, seq)` key
     /// a pure function of the node's own history.
     seq: u64,
-    /// `Some` while a run parked for this node can still be extended. Its
-    /// handle dies with the arena slot, so the field is cleared when the
-    /// run's instant is reached.
+    /// The newest run parked for this node. Once the run's instant is
+    /// reached its handle may be stale, but never read again: a deferral
+    /// from then on lands after `now`, so it cannot match the run's `at`.
     run: Option<OpenRun>,
 }
 
@@ -101,8 +124,9 @@ struct NodeState {
 /// describe how the engine ran the replay, not what the replay did.
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct DeferStats {
-    /// Run events scheduled (a backlog re-parked after one message was
-    /// handled counts again).
+    /// Runs parked: a delivery re-keyed to wait alone, or a backlog re-parked
+    /// after one message was handled (it counts again). A run lives in the
+    /// arena slot of the event that popped, never in one of its own.
     pub runs: u64,
     /// Deliveries that found their node busy.
     pub messages: u64,
@@ -233,8 +257,8 @@ impl<M: 'static> Simulation<M> {
         self.defer_stats
     }
 
-    /// Events that took the queue's overflow heap (scheduled more than the
-    /// ring's 4 ms ahead). A side accessor like [`Simulation::alloc_stats`].
+    /// Events that took the queue's overflow heap (scheduled at least the
+    /// ring's 16 384 µs ahead). A side accessor like [`Simulation::alloc_stats`].
     pub fn overflow_inserts(&self) -> u64 {
         self.queue.overflow_inserts()
     }
@@ -281,8 +305,7 @@ impl<M: 'static> Simulation<M> {
         while let Some((at, handle)) = self.queue.pop_bounded(deadline) {
             debug_assert!(at >= self.now, "time moved backwards");
             self.now = at;
-            let event = self.arena.take(handle);
-            self.dispatch(event);
+            self.dispatch(handle);
         }
         if deadline != SimTime::NEVER && deadline > self.now {
             self.now = deadline;
@@ -290,45 +313,33 @@ impl<M: 'static> Simulation<M> {
         self.now
     }
 
-    fn dispatch(&mut self, event: EngineEvent<M>) {
-        match event {
+    /// Runs the event in `handle`'s slot. A delivery to a busy, live node is
+    /// not taken out: it waits in its slot (see [`Simulation::defer`]).
+    fn dispatch(&mut self, handle: Handle) {
+        match *self.arena.get(handle) {
+            EngineEvent::Deliver { dst, .. }
+                if !self.reach.is_crashed(dst)
+                    && self.states[dst.as_usize()].busy_until > self.now =>
+            {
+                self.defer_stats.messages += 1;
+                self.defer(dst, handle, 1);
+                return;
+            }
+            EngineEvent::Deferred { dst, .. } => {
+                self.wake_run(dst, handle);
+                return;
+            }
+            _ => {}
+        }
+        match self.arena.take(handle) {
             EngineEvent::Deliver { src, dst, msg } => {
                 if self.reach.is_crashed(dst) {
                     self.stats.record_dropped();
                     return;
                 }
-                if self.states[dst.as_usize()].busy_until > self.now {
-                    self.defer_stats.messages += 1;
-                    let mut msgs = self.spare_runs.pop().unwrap_or_default();
-                    msgs.push_back((src, msg));
-                    self.defer(dst, msgs);
-                    return;
-                }
                 self.with_node(dst, |node, ctx| node.on_message(src, msg, ctx));
             }
-            EngineEvent::Deferred { dst, mut msgs } => {
-                let state = &mut self.states[dst.as_usize()];
-                // A run at this instant is this one or a later one about to
-                // pop; deferrals from here on land after `now`.
-                if state.run.is_some_and(|run| run.at == self.now) {
-                    state.run = None;
-                }
-                while !msgs.is_empty() {
-                    if self.reach.is_crashed(dst) {
-                        msgs.pop_front();
-                        self.stats.record_dropped();
-                        continue;
-                    }
-                    if self.states[dst.as_usize()].busy_until > self.now {
-                        // Busy again: the rest waits, as one event.
-                        self.defer(dst, msgs);
-                        return;
-                    }
-                    let (src, msg) = msgs.pop_front().expect("run is non-empty");
-                    self.with_node(dst, |node, ctx| node.on_message(src, msg, ctx));
-                }
-                self.spare_runs.push(msgs);
-            }
+            EngineEvent::Deferred { .. } => unreachable!("runs wake in their slot"),
             EngineEvent::Timer { node, token } => {
                 if !self.reach.is_crashed(node) {
                     self.with_node(node, |n, ctx| n.on_timer(token, ctx));
@@ -353,14 +364,44 @@ impl<M: 'static> Simulation<M> {
         }
     }
 
-    /// Parks `msgs` (non-empty, oldest first) until busy `dst` is free, on
-    /// `dst`'s own lane so its deferred deliveries stay FIFO: message `i`
-    /// takes lane sequence `seq + i`. If `dst`'s newest run waits for the
-    /// same instant and ends at `seq - 1` the messages join it — their keys
-    /// are the ones they would have had as events of their own — otherwise
-    /// they open a new run keyed by the first of them.
-    fn defer(&mut self, dst: NodeId, mut msgs: VecDeque<(NodeId, M)>) {
-        let len = msgs.len();
+    /// Hands the run parked in `handle`'s slot to `dst` front to back, until
+    /// `dst` is busy again: the rest then waits in the same slot, as one
+    /// event. A crashed `dst` drops the whole run.
+    fn wake_run(&mut self, dst: NodeId, handle: Handle) {
+        let crashed = self.reach.is_crashed(dst);
+        loop {
+            let EngineEvent::Deferred { msgs, .. } = self.arena.get_mut(handle) else {
+                unreachable!("a run's slot holds a Deferred event");
+            };
+            if crashed {
+                for _ in msgs.drain(..) {
+                    self.stats.record_dropped();
+                }
+            } else if !msgs.is_empty() && self.states[dst.as_usize()].busy_until > self.now {
+                let len = msgs.len();
+                self.defer(dst, handle, len);
+                return;
+            }
+            let Some((src, msg)) = msgs.pop_front() else {
+                break;
+            };
+            self.with_node(dst, |node, ctx| node.on_message(src, msg, ctx));
+        }
+        let EngineEvent::Deferred { msgs, .. } = self.arena.take(handle) else {
+            unreachable!("a run's slot holds a Deferred event");
+        };
+        self.spare_runs.push(msgs);
+    }
+
+    /// Parks the `len` deliveries in `handle`'s slot (a lone `Deliver`, or a
+    /// `Deferred` run oldest first) until busy `dst` is free, on `dst`'s own
+    /// lane so its deferred deliveries stay FIFO: delivery `i` takes lane
+    /// sequence `seq + i`. If `dst`'s newest run waits for the same instant
+    /// and ends at `seq - 1` the deliveries join it — their keys are the ones
+    /// they would have had as events of their own — and the slot is freed;
+    /// otherwise the slot is re-keyed to `(busy_until, dst's lane, seq)` and
+    /// becomes the newest run.
+    fn defer(&mut self, dst: NodeId, handle: Handle, len: usize) {
         let state = &mut self.states[dst.as_usize()];
         let at = state.busy_until;
         let seq = state.seq;
@@ -368,16 +409,19 @@ impl<M: 'static> Simulation<M> {
         let run_len = match &mut state.run {
             Some(run) if run.at == at && run.next_seq == seq => {
                 run.next_seq = state.seq;
-                let EngineEvent::Deferred { msgs: parked, .. } = self.arena.get_mut(run.handle)
-                else {
-                    unreachable!("an open run's handle holds a Deferred event");
-                };
-                parked.append(&mut msgs);
-                self.spare_runs.push(msgs);
+                let joining = self.arena.take(handle);
+                let parked = self.arena.get_mut(run.handle).run_mut(&mut self.spare_runs);
+                match joining {
+                    EngineEvent::Deliver { src, msg, .. } => parked.push_back((src, msg)),
+                    EngineEvent::Deferred { mut msgs, .. } => {
+                        parked.append(&mut msgs);
+                        self.spare_runs.push(msgs);
+                    }
+                    _ => unreachable!("only deliveries are deferred"),
+                }
                 parked.len()
             }
             _ => {
-                let handle = self.arena.alloc(EngineEvent::Deferred { dst, msgs });
                 self.queue
                     .schedule_ranked(at, Rank::node(dst.index(), seq), handle);
                 state.run = Some(OpenRun {
@@ -635,10 +679,10 @@ mod tests {
             (0..N).collect::<Vec<_>>(),
             "deferred deliveries stay FIFO"
         );
-        // N deliveries plus one run event per message handled out of the
-        // backlog. Re-queueing every waiting message per wake-up was N²/2.
-        let allocated = sim.alloc_stats().allocated;
-        assert!(allocated <= 2 * u64::from(N) + 8, "{allocated} events");
+        // The N deliveries and nothing else: the backlog waits in the slot
+        // of the first delivery deferred, one wake-up per message handled.
+        // Re-queueing every waiting message per wake-up was N²/2.
+        assert_eq!(sim.alloc_stats().allocated, u64::from(N));
         let vitals = sim.defer_stats();
         assert_eq!(vitals.messages, u64::from(N) - 1);
         assert_eq!(vitals.longest_run, u64::from(N) - 1);

@@ -236,23 +236,80 @@ impl Node<u32> for Actor {
 }
 
 enum Pending {
-    Deliver { src: NodeId, dst: NodeId, msg: u32 },
-    Timer { node: NodeId, token: u64 },
+    /// `grouped` once the delivery has shared a deferred run with another.
+    Deliver {
+        src: NodeId,
+        dst: NodeId,
+        msg: u32,
+        grouped: bool,
+    },
+    Timer {
+        node: NodeId,
+        token: u64,
+    },
     Crash(NodeId),
     Recover(NodeId),
+}
+
+type Key = (SimTime, u32, u64);
+
+/// The engine's near-future ring, in µs: a run keyed this far past `now`
+/// is parked in the overflow heap.
+const RING_US: u64 = 16_384;
+
+/// How often each shape of busy deferral occurred in a run of the
+/// per-message model, which sorts its own deferrals by the engine's rule
+/// for joining a run. Only counted, never compared with the engine.
+#[derive(Debug, Default, Clone, Copy)]
+struct Shapes {
+    /// Deferrals of a delivery that shared no run yet and opened one: the
+    /// engine re-keys it in its own slot.
+    lone: u64,
+    /// Such lone deliveries that a later deferral joined: the engine turns
+    /// the slot into a `Deferred` run.
+    lone_joined: u64,
+    /// Deliveries deferred again when they woke because a timer's
+    /// `consume` had moved `busy_until` past their key.
+    after_timer: u64,
+    /// Runs opened at least a ring width past `now`.
+    overflow: u64,
+}
+
+impl Shapes {
+    fn absorb(&mut self, other: Shapes) {
+        self.lone += other.lone;
+        self.lone_joined += other.lone_joined;
+        self.after_timer += other.after_timer;
+        self.overflow += other.overflow;
+    }
+}
+
+/// The run a further deferral to the node can join: its instant, the next
+/// sequence number, its length and the key of its first delivery.
+#[derive(Clone, Copy)]
+struct OpenRun {
+    at: SimTime,
+    next_seq: u64,
+    len: u64,
+    first: Key,
 }
 
 /// The per-message model: a map ordered by `(time, lane, seq)`, lane 0
 /// external, node `n` on lane `n + 1` with its own sequence counter.
 #[derive(Default)]
 struct Reference {
-    queue: BTreeMap<(SimTime, u32, u64), Pending>,
+    queue: BTreeMap<Key, Pending>,
     external_seq: u64,
     seq: Vec<u64>,
     busy_until: Vec<SimTime>,
     busy_accum: Vec<SimDuration>,
     crashed: Vec<bool>,
     dropped: u64,
+    open: Vec<Option<OpenRun>>,
+    /// Whether the handler that last moved the node's `busy_until` was a
+    /// timer's.
+    timer_busy: Vec<bool>,
+    shapes: Shapes,
 }
 
 struct RefEnv<'a> {
@@ -262,7 +319,7 @@ struct RefEnv<'a> {
 }
 
 impl RefEnv<'_> {
-    fn next_key(&mut self, at: SimTime) -> (SimTime, u32, u64) {
+    fn next_key(&mut self, at: SimTime) -> Key {
         let seq = &mut self.model.seq[self.me.as_usize()];
         *seq += 1;
         (at, self.me.index() + 1, *seq - 1)
@@ -277,9 +334,15 @@ impl Env for RefEnv<'_> {
         let delay = NetworkConfig::lan().link(self.me, dst).transfer_time(WIRE);
         let key = self.next_key(self.now + delay);
         let src = self.me;
-        self.model
-            .queue
-            .insert(key, Pending::Deliver { src, dst, msg });
+        self.model.queue.insert(
+            key,
+            Pending::Deliver {
+                src,
+                dst,
+                msg,
+                grouped: false,
+            },
+        );
     }
     fn set_timer(&mut self, delay: SimDuration, token: u64) -> String {
         let key = self.next_key(self.now + delay);
@@ -309,6 +372,8 @@ impl Reference {
         self.busy_until = vec![SimTime::ZERO; n];
         self.busy_accum = vec![SimDuration::ZERO; n];
         self.crashed = vec![false; n];
+        self.open = vec![None; n];
+        self.timer_busy = vec![false; n];
         for (i, actor) in actors.iter_mut().enumerate() {
             let me = NodeId::new(i as u32);
             actor.start(&mut RefEnv {
@@ -317,36 +382,101 @@ impl Reference {
                 model: self,
             });
         }
-        while let Some(((now, _, _), event)) = self.queue.pop_first() {
+        while let Some(((now, lane, _), event)) = self.queue.pop_first() {
             match event {
                 Pending::Deliver { dst, .. } if self.crashed[dst.as_usize()] => self.dropped += 1,
-                Pending::Deliver { dst, .. } if self.busy_until[dst.as_usize()] > now => {
+                Pending::Deliver {
+                    src,
+                    dst,
+                    msg,
+                    grouped,
+                } if self.busy_until[dst.as_usize()] > now => {
                     // One event per waiting message, every time it wakes.
                     let d = dst.as_usize();
                     self.seq[d] += 1;
                     let key = (self.busy_until[d], dst.index() + 1, self.seq[d] - 1);
-                    self.queue.insert(key, event);
+                    // On its receiver's lane only once deferred: no actor
+                    // sends to itself.
+                    let woke = lane == dst.index() + 1;
+                    let grouped = self.classify(d, now, key, grouped, woke);
+                    self.queue.insert(
+                        key,
+                        Pending::Deliver {
+                            src,
+                            dst,
+                            msg,
+                            grouped,
+                        },
+                    );
                 }
-                Pending::Deliver { src, dst, msg } => {
+                Pending::Deliver { src, dst, msg, .. } => {
+                    let busy = self.busy_until[dst.as_usize()];
                     let mut env = RefEnv {
                         me: dst,
                         now,
                         model: self,
                     };
                     actors[dst.as_usize()].message(src, msg, &mut env);
+                    if self.busy_until[dst.as_usize()] != busy {
+                        self.timer_busy[dst.as_usize()] = false;
+                    }
                 }
                 Pending::Timer { node, token } => {
                     if !self.crashed[node.as_usize()] {
+                        let busy = self.busy_until[node.as_usize()];
                         let mut env = RefEnv {
                             me: node,
                             now,
                             model: self,
                         };
                         actors[node.as_usize()].timer(node, token, &mut env);
+                        if self.busy_until[node.as_usize()] != busy {
+                            self.timer_busy[node.as_usize()] = true;
+                        }
                     }
                 }
                 Pending::Crash(node) => self.crashed[node.as_usize()] = true,
                 Pending::Recover(node) => self.crashed[node.as_usize()] = false,
+            }
+        }
+    }
+
+    /// Counts the shape of deferring a delivery to node `d` under `key` at
+    /// `now` (`woke`: it had been deferred before); returns whether it now
+    /// shares a run.
+    fn classify(&mut self, d: usize, now: SimTime, key: Key, grouped: bool, woke: bool) -> bool {
+        let (at, _, seq) = key;
+        if woke && self.timer_busy[d] {
+            self.shapes.after_timer += 1;
+        }
+        match &mut self.open[d] {
+            Some(run) if run.at == at && run.next_seq == seq => {
+                run.next_seq += 1;
+                run.len += 1;
+                if run.len == 2 {
+                    if let Some(Pending::Deliver { grouped, .. }) = self.queue.get_mut(&run.first) {
+                        if !*grouped {
+                            self.shapes.lone_joined += 1;
+                        }
+                        *grouped = true;
+                    }
+                }
+                true
+            }
+            open => {
+                *open = Some(OpenRun {
+                    at,
+                    next_seq: seq + 1,
+                    len: 1,
+                    first: key,
+                });
+                if !grouped {
+                    self.shapes.lone += 1;
+                }
+                if at.saturating_since(now) >= SimDuration::from_micros(RING_US) {
+                    self.shapes.overflow += 1;
+                }
+                grouped
             }
         }
     }
@@ -408,4 +538,90 @@ proptest! {
         }
         prop_assert_eq!(sim.net_stats().dropped, reference.dropped);
     }
+}
+
+/// Runs `actors` on the engine, with an optional outage of the worker
+/// (node 0) and an optional `run_until` pause, and on the per-message model,
+/// and checks what `run_length_deferral_matches_per_message_requeue` checks:
+/// each node's handler log and timer ids, its busy time and the drop count.
+/// Returns the model's deferral shapes.
+fn matches_reference(
+    actors: Vec<Actor>,
+    outage: Option<(SimTime, SimTime)>,
+    pause_at: Option<SimTime>,
+) -> Result<Shapes, TestCaseError> {
+    let worker = NodeId::new(0);
+    let mut reference = Reference::default();
+    let mut expected = actors.clone();
+    if let Some((down, up)) = outage {
+        reference.external(down, Pending::Crash(worker));
+        reference.external(up, Pending::Recover(worker));
+    }
+    reference.run(&mut expected);
+
+    let mut sim = Simulation::new(NetworkConfig::lan());
+    for actor in actors {
+        sim.add_node(actor);
+    }
+    if let Some((down, up)) = outage {
+        sim.schedule_crash(worker, down);
+        sim.schedule_recover(worker, up);
+    }
+    if let Some(at) = pause_at {
+        sim.run_until(at);
+    }
+    sim.run_until_idle();
+
+    for (i, want) in expected.iter().enumerate() {
+        let id = NodeId::new(i as u32);
+        prop_assert_eq!(sim.node_ref::<Actor>(id), want, "node {}", i);
+        prop_assert_eq!(sim.busy_time(id), reference.busy_accum[i]);
+    }
+    prop_assert_eq!(sim.net_stats().dropped, reference.dropped);
+    Ok(reference.shapes)
+}
+
+/// The same equivalence with worker costs and sender delays of up to three
+/// ring widths: lone deliveries re-keyed in their own slot, lone ones that
+/// a later deferral turns into a run, re-deferrals after a timer's
+/// `consume`, and run keys parked in the overflow heap and pulled back into
+/// the ring. Each of those shapes must occur in the cases drawn, counted by
+/// the model.
+#[test]
+fn deferral_across_the_ring_horizon_matches_per_message_requeue() {
+    const SPAN: u64 = 3 * RING_US;
+    let strategy = (
+        proptest::collection::vec(
+            proptest::collection::vec((0u64..SPAN, 0u32..64), 1..25),
+            2..4,
+        ),
+        proptest::collection::vec(prop_oneof![0u64..400, 0u64..SPAN], 1..6),
+        proptest::option::of((300u64..SPAN, 1u64..RING_US)),
+        proptest::option::of(0u64..2 * SPAN),
+    );
+    let mut runner = proptest::test_runner::TestRunner::new(
+        ProptestConfig::with_cases(256),
+        "deferral_across_the_ring_horizon_matches_per_message_requeue",
+    );
+    let mut seen = Shapes::default();
+    runner.run(&strategy, |(scripts, costs, outage, pause_at)| {
+        let worker = NodeId::new(0);
+        let senders = scripts.len() as u32;
+        let mut actors = vec![Actor::new(Role::Worker { costs, senders })];
+        for script in scripts {
+            actors.push(Actor::new(Role::Sender { worker, script }));
+        }
+        let outage =
+            outage.map(|(at, len)| (SimTime::from_micros(at), SimTime::from_micros(at + len)));
+        seen.absorb(matches_reference(
+            actors,
+            outage,
+            pause_at.map(SimTime::from_micros),
+        )?);
+        Ok(())
+    });
+    assert!(
+        seen.lone > 0 && seen.lone_joined > 0 && seen.after_timer > 0 && seen.overflow > 0,
+        "a deferral shape never occurred: {seen:?}"
+    );
 }

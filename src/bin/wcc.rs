@@ -514,7 +514,7 @@ fn cmd_replay_family(args: &Args, name: &str) -> Result<(), String> {
         workload.total_requests()
     );
     println!(
-        "  peak memory     {}",
+        "  record + site-list state {}",
         ByteSize::from_bytes(deployment.memory_model().peak_bytes())
     );
     if workload.freshness_deadline.is_some() {

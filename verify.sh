@@ -69,6 +69,18 @@ echo "==> wcc replay --family real-time-feed (smoke)"
 # same-instant bucket drain, exercised outside the benchmark.
 ./target/release/wcc replay --family real-time-feed --scale 20
 
+echo "==> engine order equivalence (reference model)"
+# The engine against a per-message model that re-queues every waiting
+# delivery one by one (crates/simnet/tests/delivery_proptest.rs): each
+# node's handler order, every TimerId, the drop count and each node's busy
+# time must match, with backlogs that run past the event queue's ring into
+# its overflow heap. Then the queue alone against a BTreeSet of keys, across
+# the ring's edge, its summary words and its wrap. Both also run in the
+# suites above (CI's "Engine order equivalence (reference model)" step runs
+# the first); named here because they pin how a busy node's deliveries wait.
+cargo test -q -p wcc-simnet --test delivery_proptest
+cargo test -q -p wcc-simnet --lib -- event::tests::the_queue_pops_in_key_order_and_recycles_every_slot
+
 echo "==> wire decoder header rules (against the owned reference decoder)"
 # The library's one decoder (decode_frame / decode_ref) held byte-for-byte
 # to the owned, line-reading decoder it replaced, kept as the oracle in
