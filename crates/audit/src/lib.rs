@@ -11,6 +11,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::wildcard_enum_match_arm)]
 
 mod protocol;
 

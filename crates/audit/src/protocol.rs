@@ -760,7 +760,17 @@ mod tests {
             .iter()
             .map(|ev| match ev {
                 AuditEvent::InvalidateSend { client, .. } => *client,
-                other => panic!("{other:?}"),
+                other @ (AuditEvent::Touch { .. }
+                | AuditEvent::ModifyFanout { .. }
+                | AuditEvent::Register { .. }
+                | AuditEvent::InvalidateDelivered { .. }
+                | AuditEvent::InvalidateAck { .. }
+                | AuditEvent::PendingExpired { .. }
+                | AuditEvent::GaveUp { .. }
+                | AuditEvent::PurgeExpired { .. }
+                | AuditEvent::ServerRecovered { .. }
+                | AuditEvent::BulkInvalidateDelivered { .. }
+                | AuditEvent::Serve { .. }) => panic!("{other:?}"),
             })
             .collect();
         assert_eq!(order, clients);

@@ -16,8 +16,7 @@
 //!   ([`wcc_proto::codec_sweep`] over the same trace as wire traffic) and,
 //!   as Info rows, what encoding and decoding that traffic costs per message.
 //! * **family** — the flash-crowd federation (`FamilyConfig::city`, 64
-//!   origins) with its deterministic peak state bytes
-//!   (`Deployment::memory_model`).
+//!   origins); its state is held by the measured `family.peak_live_bytes`.
 //! * **proposer** — the flash-crowd and breaking-news write storms under
 //!   per-write fan-out and under the default batched proposer.
 //!
@@ -65,7 +64,7 @@ use wcc_traces::TraceSpec;
 use wcc_types::InvalBatchConfig;
 
 /// Schema tag of the emitted report — itself the table's first Exact row.
-pub const SCHEMA: &str = "wcc-bench-trajectory/14";
+pub const SCHEMA: &str = "wcc-bench-trajectory/15";
 
 /// Heap allocations made, and the bytes they asked for, on the calling
 /// thread since it started (a `realloc` counts as one, at its new size),
@@ -646,8 +645,7 @@ fn replay(
 }
 
 /// Family pass: the flash-crowd federation (64 origins, one shared client
-/// pool). The state bytes come from the deterministic memory model, not the
-/// host allocator.
+/// pool).
 fn family(report: &mut Report, scale: u64, allocs: Option<fn() -> Allocs>) -> Storm {
     let cfg = FamilyConfig::city(WorkloadFamily::FlashCrowd).scaled_down(scale);
     let workload = family::generate(&cfg, TABLE_SEED);
@@ -664,11 +662,6 @@ fn family(report: &mut Report, scale: u64, allocs: Option<fn() -> Allocs>) -> St
         Gate::Exact,
     );
     report.push("family.requests", requests, Gate::Exact);
-    report.push(
-        "family.state_bytes",
-        deployment.memory_model().peak_bytes(),
-        Gate::Exact,
-    );
     let overflow = deployment.overflow_inserts();
     report.push("family.overflow_inserts", overflow, Gate::Exact);
     report.push("family.wall_ms", wall_ms, Gate::Info);
@@ -881,7 +874,7 @@ mod tests {
         let trimmed: Vec<_> = baseline.iter().filter(|(k, _)| k != key).cloned().collect();
         fails_naming(&REDUCED, Some(&trimmed), key, "missing from the baseline");
         // A row the baseline has and the run lacks.
-        let key = "family.state_bytes";
+        let key = "family.overflow_inserts";
         let lacking = mutated(key, None);
         fails_naming(&lacking, Some(&baseline), key, "missing from this run");
         // Holds: a false predicate fails with or without a baseline.

@@ -486,7 +486,14 @@ impl<W> ProxyCore<W> {
                 self.record(now, |at| BulkInvalidateDelivered { server, at });
                 HttpMsg::InvalidateServerAck { server }
             }
-            _ => return None,
+            HttpMsg::Get(_)
+            | HttpMsg::Reply(_)
+            | HttpMsg::InvalidateBatchAck { .. }
+            | HttpMsg::InvalidateServerAck { .. }
+            | HttpMsg::InvalAck { .. }
+            | HttpMsg::Hello { .. }
+            | HttpMsg::MetricsGet
+            | HttpMsg::Notify { .. } => return None,
         })
     }
 
@@ -1012,6 +1019,15 @@ mod tests {
         };
         for frame in [
             HttpMsg::Get(flight),
+            HttpMsg::Reply(Reply {
+                req: flight.req,
+                url: flight.url,
+                client: flight.client,
+                status: ReplyStatus::NotModified,
+                lease: None,
+                piggyback: Vec::new(),
+                volume_lease: None,
+            }),
             HttpMsg::InvalAck {
                 url: copy,
                 client: CLIENT,

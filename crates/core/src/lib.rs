@@ -72,6 +72,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(clippy::indexing_slicing)]
+#![deny(clippy::wildcard_enum_match_arm)]
 
 pub mod analytical;
 pub mod config;
@@ -98,4 +99,4 @@ pub use parent::{ParentCore, ParentCounters};
 pub use proposer::{Proposer, ProposerStats};
 pub use proxy::{ProxyAction, ProxyPolicy, RequestDisposition};
 pub use server::{GetGrant, Promise, ServerConsistency};
-pub use sitelist::{InvalidationTable, SiteListMemory, SiteListStats};
+pub use sitelist::{InvalidationTable, SiteListStats};

@@ -489,7 +489,13 @@ impl WritePath {
             HttpMsg::InvalAck { url, .. } => url.server(),
             HttpMsg::InvalidateBatchAck { server, .. }
             | HttpMsg::InvalidateServerAck { server } => server,
-            _ => return SiteVerdict::Refused,
+            HttpMsg::Get(_)
+            | HttpMsg::Reply(_)
+            | HttpMsg::Invalidate { .. }
+            | HttpMsg::InvalidateServer { .. }
+            | HttpMsg::InvalidateBatch { .. }
+            | HttpMsg::MetricsGet
+            | HttpMsg::Notify { .. } => return SiteVerdict::Refused,
         };
         let held =
             |e: BatchAckEntry| e.url.server() == ours && Some(e.client.partition(sites)) == from;
@@ -933,7 +939,7 @@ mod tests {
         };
         match core.on_site_frame(Some(site), frame, now, &mut out, |a, _| took = a.took) {
             SiteVerdict::Applied => Ok(took),
-            refused => Err(refused),
+            refused @ (SiteVerdict::Registered(_) | SiteVerdict::Refused) => Err(refused),
         }
     }
 
@@ -1063,6 +1069,26 @@ mod tests {
             url: url(1),
             client: client(5),
         };
+        let reply = HttpMsg::Reply(Reply {
+            req: RequestId::default(),
+            url: url(1),
+            client: client(5),
+            status: wcc_proto::ReplyStatus::NotModified,
+            lease: None,
+            piggyback: Vec::new(),
+            volume_lease: None,
+        });
+        let round = HttpMsg::InvalidateBatch {
+            server: ours,
+            entries: vec![BatchEntry {
+                url: url(1),
+                client: client(5),
+            }],
+        };
+        let notify = HttpMsg::Notify {
+            url: url(1),
+            at: SimTime::ZERO,
+        };
         let table = [
             (None, inval_ack(4), Refused, 0, false),
             (None, hello(2), Registered(0), 0, false),
@@ -1073,6 +1099,18 @@ mod tests {
             (Some(1), batch(theirs, &[5]), Refused, 1, false),
             (Some(1), bulk(theirs), Refused, 1, false),
             (Some(1), push, Refused, 1, false),
+            (Some(1), HttpMsg::Get(get(5)), Refused, 1, false),
+            (Some(1), reply, Refused, 1, false),
+            (Some(1), round, Refused, 1, false),
+            (
+                Some(1),
+                HttpMsg::InvalidateServer { server: ours },
+                Refused,
+                1,
+                false,
+            ),
+            (Some(1), HttpMsg::MetricsGet, Refused, 1, false),
+            (Some(1), notify, Refused, 1, false),
             (Some(1), batch(ours, &[5]), Applied, 2, true),
             (Some(1), bulk(ours), Applied, 3, true),
         ];

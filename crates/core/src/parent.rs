@@ -155,7 +155,18 @@ impl<W> ParentCore<W> {
         self.down.relay(&ack, at, now, out);
         match ack {
             HttpMsg::InvalidateServerAck { .. } => out.push(OriginOut::Up(ack)),
-            ack => out.insert(first, OriginOut::Up(ack)),
+            // `on_push` answers with one of the three acks; the other
+            // frames are named so that a new one is placed on purpose.
+            HttpMsg::InvalAck { .. }
+            | HttpMsg::InvalidateBatchAck { .. }
+            | HttpMsg::Get(_)
+            | HttpMsg::Reply(_)
+            | HttpMsg::Invalidate { .. }
+            | HttpMsg::InvalidateServer { .. }
+            | HttpMsg::InvalidateBatch { .. }
+            | HttpMsg::Hello { .. }
+            | HttpMsg::MetricsGet
+            | HttpMsg::Notify { .. } => out.insert(first, OriginOut::Up(ack)),
         }
         Some(copies)
     }

@@ -13,41 +13,13 @@ use wcc_types::{ByteSize, ClientId, FxHashMap, SimTime, Url};
 /// Estimated memory cost of one site-list entry, in bytes. The paper reports
 /// site-list storage "on the order of 20 to 30 bytes per request"; 24 bytes
 /// models a client id, a lease expiry and map overhead. This constant is the
-/// *paper's* accounting model and feeds the Table 5 "Storage" row; the
-/// struct-of-arrays layout the table actually uses is cheaper (see
-/// [`SOA_ENTRY_BYTES`]).
+/// *paper's* accounting model and feeds the Table 5 "Storage" row; what
+/// the table's struct-of-arrays layout actually holds is measured, with the
+/// rest of a replay's heap, by the trajectory's `*.peak_live_bytes` rows.
 pub const ENTRY_BYTES: u64 = 24;
 
 /// Estimated per-document overhead of a non-empty site list, in bytes.
 pub const LIST_OVERHEAD_BYTES: u64 = 48;
-
-/// Bytes per entry in the struct-of-arrays layout the table actually stores:
-/// a 4-byte client id in one array and an 8-byte lease expiry in a parallel
-/// array — no per-entry map node, no padding between the two.
-pub const SOA_ENTRY_BYTES: u64 = 12;
-
-/// Peak-memory accounting for one invalidation table under the
-/// struct-of-arrays layout it stores. City-scale scenarios (10⁵+ clients
-/// over 50+ origins) are where it binds; the trajectory bench pins the
-/// deployment-wide figure as an exact row. (What the per-entry-map layout
-/// it replaced would have held is frozen in EXPERIMENTS.md.)
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SiteListMemory {
-    /// High-water mark of the struct-of-arrays layout, in bytes.
-    pub peak_bytes: u64,
-}
-
-impl SiteListMemory {
-    /// Sum of two tables' peaks (deployments aggregate one table per
-    /// origin; each origin's peak is taken independently, so the sum is the
-    /// model's upper bound on simultaneous residency).
-    #[must_use]
-    pub fn merged(self, other: SiteListMemory) -> SiteListMemory {
-        SiteListMemory {
-            peak_bytes: self.peak_bytes + other.peak_bytes,
-        }
-    }
-}
 
 /// Aggregate statistics about the table, in the shape of the paper's
 /// Table 5.
@@ -98,7 +70,6 @@ pub struct InvalidationTable {
     lists: FxHashMap<Url, SiteList>,
     segments: Segments,
     entries: u64,
-    peak: SiteListMemory,
     /// No entry's lease expires before this instant, so a purge earlier than
     /// it has nothing to collect. Lowered by `register`, raised by a sweep.
     earliest_expiry: SimTime,
@@ -110,7 +81,6 @@ impl Default for InvalidationTable {
             lists: FxHashMap::default(),
             segments: Segments::default(),
             entries: 0,
-            peak: SiteListMemory::default(),
             earliest_expiry: SimTime::NEVER,
         }
     }
@@ -266,13 +236,6 @@ impl InvalidationTable {
         });
         if segments.register(list, client, lease_expires) {
             self.entries += 1;
-            // `register` is the only growth operation, so the high-water
-            // mark only needs refreshing here.
-            let lists = self.lists.len() as u64;
-            self.peak.peak_bytes = self
-                .peak
-                .peak_bytes
-                .max(lists * LIST_OVERHEAD_BYTES + self.entries * SOA_ENTRY_BYTES);
         }
     }
 
@@ -333,8 +296,8 @@ impl InvalidationTable {
     /// Table-wide statistics (the paper's Table 5 "Storage" row and friends).
     /// Storage is costed with the paper's per-entry model ([`ENTRY_BYTES`]),
     /// independent of the in-memory layout, so Table 5 stays comparable
-    /// across layout changes; [`InvalidationTable::memory`] reports what the
-    /// layout actually costs.
+    /// across layout changes; what the layout actually holds is measured by
+    /// the trajectory's `*.peak_live_bytes` rows.
     pub fn stats(&self) -> SiteListStats {
         let mut stats = SiteListStats::default();
         // xtask-lint: allow(map-iteration-order): the body only sums and maxes
@@ -346,12 +309,6 @@ impl InvalidationTable {
             stats.storage += ByteSize::from_bytes(LIST_OVERHEAD_BYTES + ENTRY_BYTES * len);
         }
         stats
-    }
-
-    /// Peak-memory accounting over this table's lifetime: the
-    /// struct-of-arrays high-water mark.
-    pub fn memory(&self) -> SiteListMemory {
-        self.peak
     }
 }
 
@@ -459,30 +416,6 @@ mod tests {
             s.storage,
             ByteSize::from_bytes(2 * LIST_OVERHEAD_BYTES + 3 * ENTRY_BYTES)
         );
-    }
-
-    #[test]
-    fn peak_memory_tracks_the_high_water_mark() {
-        let mut t = InvalidationTable::new();
-        assert_eq!(t.memory(), SiteListMemory::default());
-        for c in 0..10 {
-            t.register(url(1), client(c), SimTime::NEVER);
-        }
-        let at_peak = t.memory();
-        assert_eq!(
-            at_peak.peak_bytes,
-            LIST_OVERHEAD_BYTES + 10 * SOA_ENTRY_BYTES
-        );
-        // Draining the list does not lower the high-water mark...
-        t.take_sites(url(1), SimTime::ZERO);
-        assert_eq!(t.total_entries(), 0);
-        assert_eq!(t.memory(), at_peak);
-        // ...and duplicate re-registration does not inflate it.
-        t.register(url(1), client(0), SimTime::NEVER);
-        t.register(url(1), client(0), SimTime::NEVER);
-        assert_eq!(t.memory(), at_peak);
-        // Merging sums the peaks.
-        assert_eq!(at_peak.merged(at_peak).peak_bytes, 2 * at_peak.peak_bytes);
     }
 
     #[test]

@@ -9,8 +9,7 @@ use crate::proxy::{ProxyCounters, ProxyNode};
 use wcc_cache::{CacheStore, ReplacementPolicy};
 use wcc_core::{
     FetchCounters, OriginCore, OriginCounters, ParentCounters, Policy, ProposerStats,
-    ProtocolConfig, ProtocolKind, ProxyPolicy, ServerConsistency, SiteListMemory, SiteListStats,
-    WritePath,
+    ProtocolConfig, ProtocolKind, ProxyPolicy, ServerConsistency, SiteListStats, WritePath,
 };
 use wcc_proto::Message;
 use wcc_simnet::{FaultPlan, NetworkConfig, Simulation, Summary};
@@ -149,35 +148,6 @@ pub struct Deployment {
     protocol: ProtocolKind,
     policy: Policy,
     trace_duration: SimDuration,
-    records_total: u64,
-}
-
-/// Deterministic model of two parts of one deployment's memory: the trace
-/// records and the origin site lists, at their high-water marks. It counts
-/// nothing else (caches, node state, the event queue and arena, the
-/// collected report): on the trajectory's city-scale family pass it reads
-/// 477 408 B (`family.state_bytes`), where the measured live-heap
-/// high-water, `family.peak_live_bytes`, is 2 871 664 B. The trajectory
-/// pins the modelled figure as an exact row; what the pre-refactor layout
-/// (federation-wide merged record stream + map-per-document site lists)
-/// held is frozen in EXPERIMENTS.md.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct DeploymentMemory {
-    /// Total trace records across every origin workload.
-    pub records: u64,
-    /// Peak record bytes under the current layout: the caller's per-origin
-    /// traces plus the per-proxy partitions built directly from them.
-    pub record_bytes: u64,
-    /// Site-list peaks, summed over origins (and the hierarchy parent's
-    /// child table when present).
-    pub sitelist: SiteListMemory,
-}
-
-impl DeploymentMemory {
-    /// Current-layout peak: records plus site lists.
-    pub fn peak_bytes(&self) -> u64 {
-        self.record_bytes + self.sitelist.peak_bytes
-    }
 }
 
 impl Deployment {
@@ -276,7 +246,6 @@ impl Deployment {
         // city scale that transient was the build's largest allocation.
         // Each partition is counted first, so each stream is allocated once,
         // at its exact length.
-        let records_total: u64 = workloads.iter().map(|(t, _)| t.records.len() as u64).sum();
         let mut lens = vec![0usize; options.num_proxies as usize];
         for (trace, _) in workloads {
             for rec in &trace.records {
@@ -412,7 +381,6 @@ impl Deployment {
             protocol: cfg.kind,
             policy: cfg.policy(),
             trace_duration: duration,
-            records_total,
         }
     }
 
@@ -508,30 +476,6 @@ impl Deployment {
     /// The parent proxy, if running in hierarchy mode (after `run`).
     pub fn parent(&self) -> Option<&ParentNode> {
         self.parent.map(|p| self.sim.node_ref(p))
-    }
-
-    /// The deployment's record and site-list bytes at their peaks
-    /// (meaningful after `run`, when the site lists have seen the whole
-    /// replay). Byte counts are computed from the data structures' element
-    /// sizes, so they are identical across hosts, unlike RSS; but they cover
-    /// only those two parts of the state (see [`DeploymentMemory`]). The
-    /// replay's whole live heap is measured by the trajectory's
-    /// `<pass>.peak_live_bytes` rows.
-    pub fn memory_model(&self) -> DeploymentMemory {
-        let rec = std::mem::size_of::<wcc_traces::TraceRecord>() as u64;
-        let mut sitelist = SiteListMemory::default();
-        for i in 0..self.origins.len() {
-            sitelist = sitelist.merged(self.origin_at(i).core().consistency().table().memory());
-        }
-        if let Some(parent) = self.parent() {
-            sitelist = sitelist.merged(parent.core().down().consistency().table().memory());
-        }
-        DeploymentMemory {
-            records: self.records_total,
-            // The caller's per-origin traces plus the per-proxy partitions.
-            record_bytes: 2 * self.records_total * rec,
-            sitelist,
-        }
     }
 
     /// The merged audit-event stream: every origin's log, then every

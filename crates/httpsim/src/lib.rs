@@ -56,6 +56,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![deny(clippy::wildcard_enum_match_arm)]
 
 pub mod coord;
 pub mod cost;
@@ -68,8 +69,8 @@ pub mod proxy;
 pub use coord::CoordinatorNode;
 pub use cost::CostModel;
 pub use deployment::{
-    CacheSharing, ChangeDetection, Deployment, DeploymentMemory, DeploymentOptions, ParentSummary,
-    RawReport, ServeEvent, Topology,
+    CacheSharing, ChangeDetection, Deployment, DeploymentOptions, ParentSummary, RawReport,
+    ServeEvent, Topology,
 };
 pub use modifier::ModifierNode;
 pub use origin::OriginNode;

@@ -345,9 +345,10 @@ impl Node<Message> for OriginNode {
                     );
                 }
             }
-            // Origins never receive these; spelled out (no `_`) so a new
-            // wire variant is a compile error and a lint finding here
-            // rather than a silently ignored message.
+            // Origins never receive these; spelled out (no `_`, which the
+            // crate's denied `clippy::wildcard_enum_match_arm` refuses) so
+            // a new wire variant is a compile error here rather than a
+            // silently ignored message.
             other @ (Message::Http(
                 HttpMsg::Reply(_)
                 | HttpMsg::Invalidate { .. }

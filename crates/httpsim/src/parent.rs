@@ -160,8 +160,9 @@ impl Node<Message> for ParentNode {
                 self.emit(ctx);
             }
             // Parents sit outside the coordinator barrier and never see
-            // these; spelled out (no `_`) so a new wire variant is a
-            // compile error and a lint finding here.
+            // these; spelled out (no `_`, which the crate's denied
+            // `clippy::wildcard_enum_match_arm` refuses) so a new wire
+            // variant is a compile error here.
             other @ (Message::Http(HttpMsg::MetricsGet | HttpMsg::Notify { .. })
             | Message::Coord(_)) => {
                 debug_assert!(false, "parent got unexpected message {other:?}");

@@ -371,8 +371,8 @@ impl Node<Message> for ProxyNode {
             ) => self.handle_push(from, push, ctx),
             // Every remaining variant is a protocol violation for a proxy.
             // Spelled out (no `_`) so that adding a wire variant forces a
-            // decision here — both rustc and the wire-exhaustiveness lint
-            // refuse to let a new message fall through silently.
+            // decision here: rustc refuses a new message, and the crate's
+            // denied `clippy::wildcard_enum_match_arm` refuses a `_` arm.
             other @ (Message::Http(
                 HttpMsg::Get(_)
                 | HttpMsg::InvalAck { .. }

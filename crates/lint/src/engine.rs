@@ -1,5 +1,5 @@
 //! The token-tree view the rules run on: one parsed [`SourceFile`] per
-//! input, with delimiter pairing, nesting depth, the significant-token
+//! input, with delimiter pairing, the significant-token
 //! index (whitespace and comments skipped), and `#[cfg(test)]` masking by
 //! actual item extent rather than by line heuristics.
 
@@ -17,9 +17,6 @@ pub(crate) struct SourceFile<'s> {
     /// For each token index: the token index of its partner delimiter, if
     /// this token is a properly paired `Open`/`Close`.
     pub partner: Vec<Option<usize>>,
-    /// For each token index: delimiter nesting depth. An `Open` and its
-    /// `Close` share the depth *outside* the group they delimit.
-    pub depth: Vec<usize>,
     /// For each token index: true when the token belongs to a
     /// `#[cfg(test)]` item (attribute included).
     pub masked: Vec<bool>,
@@ -41,14 +38,13 @@ impl<'s> SourceFile<'s> {
                 sig.push(i);
             }
         }
-        let (partner, depth) = pair_delims(&tokens);
+        let partner = pair_delims(&tokens);
         let mut file = SourceFile {
             path,
             src,
             tokens,
             sig,
             partner,
-            depth,
             masked: Vec::new(),
             sig_pos,
         };
@@ -77,11 +73,6 @@ impl<'s> SourceFile<'s> {
     /// 1-based line of the `k`-th significant token.
     pub fn line(&self, k: usize) -> usize {
         self.sig.get(k).map_or(0, |&i| self.tokens[i].line)
-    }
-
-    /// Delimiter depth of the `k`-th significant token.
-    pub fn depth_at(&self, k: usize) -> usize {
-        self.sig.get(k).map_or(0, |&i| self.depth[i])
     }
 
     /// True when the `k`-th significant token is inside `#[cfg(test)]`.
@@ -176,18 +167,13 @@ impl<'s> SourceFile<'s> {
     }
 }
 
-/// Pairs delimiters with a stack and assigns nesting depths. Mismatched
-/// closers are left unpaired (depth still monotone).
-fn pair_delims(tokens: &[Token]) -> (Vec<Option<usize>>, Vec<usize>) {
+/// Pairs delimiters with a stack. Mismatched closers are left unpaired.
+fn pair_delims(tokens: &[Token]) -> Vec<Option<usize>> {
     let mut partner = vec![None; tokens.len()];
-    let mut depth = vec![0usize; tokens.len()];
     let mut stack: Vec<(usize, Delim)> = Vec::new();
     for (i, t) in tokens.iter().enumerate() {
         match t.kind {
-            TokenKind::Open(d) => {
-                depth[i] = stack.len();
-                stack.push((i, d));
-            }
+            TokenKind::Open(d) => stack.push((i, d)),
             TokenKind::Close(d) => {
                 if let Some(&(open, od)) = stack.last() {
                     if od == d {
@@ -196,12 +182,11 @@ fn pair_delims(tokens: &[Token]) -> (Vec<Option<usize>>, Vec<usize>) {
                         partner[i] = Some(open);
                     }
                 }
-                depth[i] = stack.len();
             }
-            _ => depth[i] = stack.len(),
+            _ => {}
         }
     }
-    (partner, depth)
+    partner
 }
 
 #[cfg(test)]
@@ -259,16 +244,14 @@ mod tests {
     }
 
     #[test]
-    fn depth_and_partner_track_groups() {
+    fn partner_pairs_groups() {
         let src = "f(a, g(b), c); { h[0]; }";
         let f = SourceFile::parse("x.rs", src);
         let at = |text: &str| (0..f.len()).find(|&k| f.s(k) == text).unwrap();
-        assert_eq!(f.depth_at(at("a")), 1);
-        assert_eq!(f.depth_at(at("b")), 2);
-        assert_eq!(f.depth_at(at("h")), 1);
         let open = at("(");
         let close = f.partner_sig(open).unwrap();
         assert_eq!(f.s(close), ")");
-        assert!(f.depth_at(open) == f.depth_at(close));
+        assert_eq!(f.s(close - 1), "c");
+        assert_eq!(f.skip_group(at("[")), at("]") + 1);
     }
 }

@@ -32,13 +32,15 @@
 //!   auditor or the drivers: they read `ProtocolConfig::policy()`'s fields.
 //! * **map-iteration-order** — no unordered map/set iteration in the replay,
 //!   trace and audit crates unless waived with its reason (see `order.rs`).
-//! * **wire-exhaustiveness** — every dispatch over the wire enums names
-//!   every variant (see `wire.rs`).
 //!
-//! Two hygiene rules are the compiler's: `clippy::indexing_slicing`, denied
-//! in the crate roots of `core`, `proto`, `cache`, `net` and `reactor`
-//! (allowed in their tests by `clippy.toml`), keeps `v[idx]` off protocol
-//! and peer input, and `clippy::todo` / `clippy::unimplemented`, denied in
+//! Three hygiene rules are the compiler's: `clippy::indexing_slicing`,
+//! denied in the crate roots of `core`, `proto`, `cache`, `net` and
+//! `reactor` (allowed in their tests by `clippy.toml`), keeps `v[idx]` off
+//! protocol and peer input; `clippy::wildcard_enum_match_arm`, denied in
+//! the crate roots of `proto`, `core`, `httpsim`, `net`, `audit` and
+//! `types`, makes every dispatch over the wire enums (`HttpMsg`,
+//! `AuditEvent`) name every variant, so a new message cannot fall into a
+//! catch-all arm; and `clippy::todo` / `clippy::unimplemented`, denied in
 //! `[workspace.lints.clippy]`, keep unfinished code out of every target.
 //!
 //! A finding can be waived with a `// xtask-lint: allow(<rule>)` comment
@@ -54,7 +56,6 @@ pub mod lexer;
 mod order;
 mod rules;
 mod waiver;
-mod wire;
 
 use engine::SourceFile;
 
@@ -85,15 +86,14 @@ impl fmt::Display for Diagnostic {
 
 /// Scans one source file with every per-file rule, waivers applied.
 /// `path` must be workspace-relative with forward slashes (it selects
-/// which rules apply). Cross-file knowledge (enum declarations, bindings
-/// declared in sibling files) is limited to what `source` itself declares;
-/// [`scan_tree`] provides the whole-workspace view.
+/// which rules apply). Cross-file knowledge (bindings declared in sibling
+/// files) is limited to what `source` itself declares; [`scan_tree`]
+/// provides the whole-workspace view.
 pub fn scan_source(path: &str, source: &str) -> Vec<Diagnostic> {
     let file = SourceFile::parse(path, source);
     let mut reg = order::Registry::default();
     order::collect_bindings(&file, &mut reg);
-    let defs = wire::enum_defs(&file);
-    let mut findings = scan_file(&file, &reg, &defs);
+    let mut findings = scan_file(&file, &reg);
     apply_waivers(&file, &mut findings);
     sort_findings(&mut findings);
     findings
@@ -106,32 +106,28 @@ pub fn audit_waivers_source(path: &str, source: &str) -> Vec<Diagnostic> {
     let file = SourceFile::parse(path, source);
     let mut reg = order::Registry::default();
     order::collect_bindings(&file, &mut reg);
-    let defs = wire::enum_defs(&file);
-    let findings = scan_file(&file, &reg, &defs);
+    let findings = scan_file(&file, &reg);
     let mut stale = audit_file_waivers(&file, &findings);
     sort_findings(&mut stale);
     stale
 }
 
 /// Scans a set of in-memory files as one workspace: binding registries
-/// are shared per crate, enum declarations are shared globally, and the
-/// waiver audit runs across the whole set. `files` holds
+/// are shared per crate, and the waiver audit runs across the whole set. `files` holds
 /// `(workspace-relative path, source)` pairs.
 pub fn scan_files(files: &[(String, String)]) -> Vec<Diagnostic> {
     let parsed: Vec<SourceFile<'_>> = files
         .iter()
         .map(|(path, src)| SourceFile::parse(path, src))
         .collect();
-    // Pass 1: per-crate binding registries and global enum declarations.
+    // Pass 1: per-crate binding registries.
     let mut registries: std::collections::BTreeMap<&str, order::Registry> =
         std::collections::BTreeMap::new();
-    let mut defs = Vec::new();
     for file in &parsed {
         order::collect_bindings(
             file,
             registries.entry(order::crate_key(file.path)).or_default(),
         );
-        defs.extend(wire::enum_defs(file));
     }
     let empty = order::Registry::default();
     // Pass 2: rules, with waivers applied.
@@ -140,7 +136,7 @@ pub fn scan_files(files: &[(String, String)]) -> Vec<Diagnostic> {
         let reg = registries
             .get(order::crate_key(file.path))
             .unwrap_or(&empty);
-        let mut file_findings = scan_file(file, reg, &defs);
+        let mut file_findings = scan_file(file, reg);
         // The audit compares markers against *unwaived* findings.
         let stale = audit_file_waivers(file, &file_findings);
         apply_waivers(file, &mut file_findings);
@@ -227,14 +223,9 @@ fn json_str(out: &mut String, s: &str) {
 }
 
 /// All rule findings for one parsed file (waivers not yet applied).
-fn scan_file(
-    file: &SourceFile<'_>,
-    reg: &order::Registry,
-    defs: &[wire::EnumDef],
-) -> Vec<Diagnostic> {
+fn scan_file(file: &SourceFile<'_>, reg: &order::Registry) -> Vec<Diagnostic> {
     let mut findings = rules::scan_seq_rules(file);
     findings.extend(order::scan(file, reg));
-    findings.extend(wire::check_matches(file, defs));
     findings
 }
 

@@ -288,11 +288,7 @@ pub(crate) const SEQ_RULES: &[SeqRule] = &[
 /// Every rule name the engine can emit (used to validate waivers).
 pub(crate) fn known_rules() -> Vec<&'static str> {
     let mut names: Vec<&'static str> = SEQ_RULES.iter().map(|r| r.name).collect();
-    names.extend([
-        crate::order::MAP_RULE,
-        crate::wire::RULE,
-        crate::STALE_WAIVER_RULE,
-    ]);
+    names.extend([crate::order::MAP_RULE, crate::STALE_WAIVER_RULE]);
     names
 }
 

@@ -577,133 +577,6 @@ impl S {
     assert!(scan_source("crates/obs/src/registry.rs", src).is_empty());
 }
 
-// ---- wire-exhaustiveness ----
-
-const WIRE_ENUM: &str = "\
-pub enum HttpMsg {
-    Get(u32),
-    Reply { status: u16 },
-    Invalidate,
-    Hello,
-}
-";
-
-#[test]
-fn dispatch_missing_a_variant_is_flagged_with_the_line() {
-    let handler = "\
-fn handle(msg: HttpMsg) {
-    match msg {
-        HttpMsg::Get(_) => on_get(),
-        HttpMsg::Reply { .. } => on_reply(),
-        other => ignore(other),
-    }
-}
-";
-    let files = vec![
-        ("crates/proto/src/msg.rs".to_string(), WIRE_ENUM.to_string()),
-        (
-            "crates/httpsim/src/proxy.rs".to_string(),
-            handler.to_string(),
-        ),
-    ];
-    let d = scan_files(&files);
-    assert_eq!(d.len(), 1, "diagnostics: {d:?}");
-    assert_eq!(d[0].rule, "wire-exhaustiveness");
-    assert_eq!(d[0].path, "crates/httpsim/src/proxy.rs");
-    assert_eq!(d[0].line, 2);
-    assert!(d[0].message.contains("Invalidate"));
-    assert!(d[0].message.contains("Hello"));
-}
-
-#[test]
-fn total_dispatch_passes_even_with_a_guard_catchall() {
-    let handler = "\
-fn handle(msg: HttpMsg) {
-    match msg {
-        HttpMsg::Get(n) if n > 0 => on_get(),
-        HttpMsg::Get(_) | HttpMsg::Reply { .. } => fallback(),
-        HttpMsg::Invalidate | HttpMsg::Hello => control(),
-        _ => unreachable_guard_fallthrough(),
-    }
-}
-";
-    let files = vec![
-        ("crates/proto/src/msg.rs".to_string(), WIRE_ENUM.to_string()),
-        ("crates/net/src/origin.rs".to_string(), handler.to_string()),
-    ];
-    assert!(scan_files(&files).is_empty());
-}
-
-#[test]
-fn single_variant_probes_and_reporting_crates_are_not_dispatch_sites() {
-    let probe = "\
-fn is_get(msg: &HttpMsg) -> bool {
-    match msg {
-        HttpMsg::Get(_) => true,
-        _ => false,
-    }
-}
-";
-    let counting = "\
-fn count(msg: &HttpMsg) -> u32 {
-    match msg {
-        HttpMsg::Get(_) => 1,
-        HttpMsg::Reply { .. } => 2,
-        _ => 0,
-    }
-}
-";
-    let files = vec![
-        ("crates/proto/src/msg.rs".to_string(), WIRE_ENUM.to_string()),
-        (
-            "crates/httpsim/src/origin.rs".to_string(),
-            probe.to_string(),
-        ),
-        // Reporting crates are out of scope even when they dispatch.
-        (
-            "crates/replay/src/tables.rs".to_string(),
-            counting.to_string(),
-        ),
-    ];
-    assert!(scan_files(&files).is_empty());
-}
-
-#[test]
-fn new_enum_variant_breaks_existing_dispatch_sites() {
-    // The ROADMAP-item-3 scenario: adding a variant to the wire enum must
-    // fail every handler that has not wired it.
-    let extended = WIRE_ENUM.replace("    Hello,\n", "    Hello,\n    MetricsGet,\n");
-    let handler = "\
-fn handle(msg: HttpMsg) {
-    match msg {
-        HttpMsg::Get(_) => on_get(),
-        HttpMsg::Reply { .. } => on_reply(),
-        HttpMsg::Invalidate => on_invalidate(),
-        HttpMsg::Hello => on_hello(),
-    }
-}
-";
-    let ok_files = vec![
-        ("crates/proto/src/msg.rs".to_string(), WIRE_ENUM.to_string()),
-        (
-            "crates/httpsim/src/parent.rs".to_string(),
-            handler.to_string(),
-        ),
-    ];
-    assert!(scan_files(&ok_files).is_empty());
-    let broken = vec![
-        ("crates/proto/src/msg.rs".to_string(), extended),
-        (
-            "crates/httpsim/src/parent.rs".to_string(),
-            handler.to_string(),
-        ),
-    ];
-    let d = scan_files(&broken);
-    assert_eq!(d.len(), 1);
-    assert_eq!(d[0].rule, "wire-exhaustiveness");
-    assert!(d[0].message.contains("MetricsGet"));
-}
-
 // ---- waiver audit ----
 
 #[test]

@@ -1010,7 +1010,18 @@ mod tests {
                     self.push = Some((cx.token, cx.now()));
                     After::Keep
                 }
-                _ => After::Close,
+                HttpMsgRef::Reply(_)
+                | HttpMsgRef::Owned(
+                    HttpMsg::Reply(_)
+                    | HttpMsg::Invalidate { .. }
+                    | HttpMsg::InvalidateServer { .. }
+                    | HttpMsg::InvalidateBatch { .. }
+                    | HttpMsg::InvalidateBatchAck { .. }
+                    | HttpMsg::InvalidateServerAck { .. }
+                    | HttpMsg::InvalAck { .. }
+                    | HttpMsg::MetricsGet
+                    | HttpMsg::Notify { .. },
+                ) => After::Close,
             }
         }
 

@@ -64,6 +64,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(clippy::indexing_slicing)]
+#![deny(clippy::wildcard_enum_match_arm)]
 
 mod downstream;
 mod evloop;

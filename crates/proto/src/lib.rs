@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(clippy::indexing_slicing)]
+#![deny(clippy::wildcard_enum_match_arm)]
 
 pub mod msg;
 pub mod wire;

@@ -335,21 +335,29 @@ impl HttpMsg {
     /// `InvalAck`'s one, an `InvalidateBatchAck`'s entries. None for any
     /// other frame: the bulk's ack names no copy.
     pub fn acked(&self) -> impl Iterator<Item = BatchAckEntry> + '_ {
-        let one = match *self {
+        let (one, round) = match *self {
             HttpMsg::InvalAck {
                 url,
                 client,
                 cache_hits,
-            } => Some(BatchAckEntry {
-                url,
-                client,
-                cache_hits,
-            }),
-            _ => None,
-        };
-        let round = match self {
-            HttpMsg::InvalidateBatchAck { entries, .. } => entries.as_slice(),
-            _ => &[],
+            } => (
+                Some(BatchAckEntry {
+                    url,
+                    client,
+                    cache_hits,
+                }),
+                &[][..],
+            ),
+            HttpMsg::InvalidateBatchAck { ref entries, .. } => (None, entries.as_slice()),
+            HttpMsg::Get(_)
+            | HttpMsg::Reply(_)
+            | HttpMsg::Invalidate { .. }
+            | HttpMsg::InvalidateServer { .. }
+            | HttpMsg::InvalidateBatch { .. }
+            | HttpMsg::InvalidateServerAck { .. }
+            | HttpMsg::Hello { .. }
+            | HttpMsg::MetricsGet
+            | HttpMsg::Notify { .. } => (None, &[][..]),
         };
         one.into_iter().chain(round.iter().copied())
     }

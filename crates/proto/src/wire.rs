@@ -71,7 +71,7 @@ impl std::error::Error for WireError {
     fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
         match self {
             WireError::Io(e) => Some(e),
-            _ => None,
+            WireError::Closed | WireError::Malformed(_) | WireError::DocTooLarge(_) => None,
         }
     }
 }

@@ -26,7 +26,7 @@
 //!   backlog of `N` costs the `N` deliveries' slots, not one re-queue per
 //!   waiting message per wake-up ([`sim`]; counters in [`DeferStats`]);
 //! * **crash / recovery** of nodes with message loss while down ([`fault`]);
-//! * small **metric primitives** (traffic statistics and min/avg/max
+//! * small **metric primitives** (the drop count and min/avg/max
 //!   summaries) used by the replay reports ([`metrics`]).
 //!
 //! There is one engine and it runs on one thread; independent replays run in
@@ -65,7 +65,7 @@
 //! sim.node_mut::<Ping>(ping).peer = Some(pong);
 //! sim.run_until_idle();
 //! assert_eq!(sim.node_ref::<Ping>(ping).pongs, 1);
-//! assert_eq!(sim.net_stats().messages, 2);
+//! assert_eq!(sim.net_stats().dropped, 0);
 //! ```
 
 #![forbid(unsafe_code)]

@@ -1,29 +1,19 @@
-//! Metric primitives: the engine's traffic statistics and min/avg/max
-//! summaries with histogram-backed latency tails.
+//! Metric primitives: the engine's drop count and min/avg/max summaries
+//! with histogram-backed latency tails.
 
 use core::fmt;
 use wcc_obs::Histogram;
-use wcc_types::{ByteSize, SimDuration};
+use wcc_types::SimDuration;
 
-/// Aggregate traffic statistics maintained by the simulation engine: every
-/// [`Ctx::send`](crate::Ctx::send) records one message and its bytes;
-/// undeliverable messages also count as `dropped`.
+/// Traffic statistics maintained by the simulation engine. What was sent is
+/// each node's own count; the engine counts what it lost.
 #[derive(Debug, Default, Clone, PartialEq, Eq)]
 pub struct NetStats {
-    /// Messages handed to the network (delivered or not).
-    pub messages: u64,
-    /// Total bytes of those messages (accounted, i.e. unscaled, sizes).
-    pub bytes: ByteSize,
     /// Messages lost to partitions or crashed destinations.
     pub dropped: u64,
 }
 
 impl NetStats {
-    pub(crate) fn record(&mut self, size: ByteSize) {
-        self.messages += 1;
-        self.bytes += size;
-    }
-
     pub(crate) fn record_dropped(&mut self) {
         self.dropped += 1;
     }

@@ -110,7 +110,6 @@ impl<M> Ctx<'_, M> {
     /// (TCP-style retry, as the paper uses for invalidations) is built by
     /// the protocols on top, with timers.
     pub fn send(&mut self, dst: NodeId, msg: M, size: ByteSize) -> bool {
-        self.stats.record(size);
         if !self.reach.can_send(self.self_id, dst) {
             self.stats.record_dropped();
             return false;

@@ -200,7 +200,7 @@ impl<M: 'static> Simulation<M> {
         self.now
     }
 
-    /// Aggregate network statistics (messages, bytes, drops).
+    /// The engine's network statistics: the messages it dropped.
     pub fn net_stats(&self) -> &NetStats {
         &self.stats
     }
@@ -552,8 +552,8 @@ mod tests {
         sim.run_until_idle();
         assert_eq!(sim.node_ref::<Caller>(caller).echoes, 5);
         assert_eq!(sim.node_ref::<Echo>(echo).seen, 5);
-        // 10 messages total on the wire.
-        assert_eq!(sim.net_stats().messages, 10);
+        // All 10 messages on the wire arrived.
+        assert_eq!(sim.net_stats().dropped, 0);
         // RTT at least two propagation latencies.
         assert!(sim.node_ref::<Caller>(caller).last_rtt >= SimDuration::from_micros(600));
     }

@@ -5,10 +5,11 @@ use proptest::prelude::*;
 use wcc_simnet::{Ctx, FaultEntry, FaultPlan, NetworkConfig, Node, Simulation};
 use wcc_types::{ByteSize, NodeId, SimDuration, SimTime};
 
-/// Pings its peer every 500 ms for 10 s; counts acks and records when each
-/// arrived.
+/// Pings its peer every 500 ms for 10 s; counts its pings and records when
+/// each ack arrived.
 struct Pinger {
     peer: Option<NodeId>,
+    sent: u64,
     acks: Vec<SimTime>,
 }
 
@@ -20,16 +21,21 @@ impl Node<u32> for Pinger {
     }
     fn on_timer(&mut self, _token: u64, ctx: &mut Ctx<'_, u32>) {
         ctx.send(self.peer.unwrap(), 0, ByteSize::from_bytes(10));
+        self.sent += 1;
     }
     fn on_message(&mut self, _from: NodeId, _msg: u32, ctx: &mut Ctx<'_, u32>) {
         self.acks.push(ctx.now());
     }
 }
 
-struct Acker;
+/// Acks every ping; counts its acks.
+struct Acker {
+    sent: u64,
+}
 impl Node<u32> for Acker {
     fn on_message(&mut self, from: NodeId, _msg: u32, ctx: &mut Ctx<'_, u32>) {
         ctx.send(from, 1, ByteSize::from_bytes(10));
+        self.sent += 1;
     }
 }
 
@@ -97,16 +103,19 @@ fn run_with_plan(plan: &FaultPlan) -> (Vec<SimTime>, u64, u64) {
     let mut sim = Simulation::new(NetworkConfig::lan());
     let pinger = sim.add_node(Pinger {
         peer: None,
+        sent: 0,
         acks: Vec::new(),
     });
-    let acker = sim.add_node(Acker);
-    let _idle = sim.add_node(Acker); // partition/outage target with no traffic
+    let acker = sim.add_node(Acker { sent: 0 });
+    let idle = sim.add_node(Acker { sent: 0 }); // partition/outage target with no traffic
     sim.node_mut::<Pinger>(pinger).peer = Some(acker);
     plan.apply(&mut sim);
     sim.run_until_idle();
-    let stats = sim.net_stats();
+    let sent = sim.node_ref::<Pinger>(pinger).sent
+        + sim.node_ref::<Acker>(acker).sent
+        + sim.node_ref::<Acker>(idle).sent;
     let acks = sim.node_ref::<Pinger>(pinger).acks.clone();
-    (acks, stats.messages, stats.dropped)
+    (acks, sent, sim.net_stats().dropped)
 }
 
 proptest! {

@@ -513,10 +513,6 @@ fn cmd_replay_family(args: &Args, name: &str) -> Result<(), String> {
         workload.workloads.len(),
         workload.total_requests()
     );
-    println!(
-        "  record + site-list state {}",
-        ByteSize::from_bytes(deployment.memory_model().peak_bytes())
-    );
     if workload.freshness_deadline.is_some() {
         let serves = (0..deployment.proxy_ids().len())
             .flat_map(|i| deployment.proxy(i).serves())
