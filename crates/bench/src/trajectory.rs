@@ -69,7 +69,7 @@ pub const SCHEMA: &str = "wcc-bench-trajectory/15";
 /// Heap allocations made, and the bytes they asked for, on the calling
 /// thread since it started (a `realloc` counts as one, at its new size),
 /// with the bytes the thread holds and their high-water since the previous
-/// reading (each reading starts a new one). Over a window (what [`counted`]
+/// reading (each reading starts a new one). Over a window (what `counted`
 /// returns) every field is the window's: `live` its net growth, `peak` its
 /// high-water above its start.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -12,9 +12,12 @@
 //!   estimates (the SASK hit-ratio anomaly), which our ablation A2
 //!   reproduces.
 //!
-//! Recency is kept by [`Lru`], a hash index over a slab-allocated linked
-//! list (O(1) touch, insert, remove and victim); only the expiry order,
-//! whose key is not monotonic, is a tree.
+//! Recency is kept by [`Lru`], a hash index over a slab of slots. Until a
+//! store first has to evict, an access only writes a growing stamp into
+//! its slot and no expiry index is kept; the first eviction sorts the slots
+//! by stamp into a linked list (O(1) touch, insert, remove and victim from
+//! then on) and builds the expiry index, the one order, its key not
+//! monotonic, that is a tree.
 //!
 //! Consistency state (TTL expiry, lease expiry, the *questionable* flag set
 //! by server-recovery invalidations) lives on each entry in a

@@ -92,6 +92,12 @@ pub struct CacheStats {
 
 /// A byte-budgeted map from [`ScopedUrl`] to [`Entry`].
 ///
+/// Eviction order is built only when the store first has to evict: until
+/// then [`Lru`] stamps each access and no expiry index is kept. The first
+/// eviction sorts the entries into their recency list and builds the expiry
+/// index from them, and every later operation keeps both, so each victim is
+/// the one an always-ordered store would pick.
+///
 /// # Examples
 ///
 /// ```
@@ -109,9 +115,10 @@ pub struct CacheStats {
 pub struct CacheStore {
     capacity: ByteSize,
     policy: ReplacementPolicy,
-    /// The entries, least recently used first.
+    /// The entries, in recency order once the first eviction built it.
     entries: Lru<ScopedUrl, Entry>,
     /// Expiry index: ordered by (ttl_expires, key); only finite expiries.
+    /// Empty, and not kept, until the first eviction.
     expiry: BTreeSet<(SimTime, ScopedUrl)>,
     used: ByteSize,
     stats: CacheStats,
@@ -167,7 +174,8 @@ impl CacheStore {
     }
 
     /// Looks up `key` and makes it the most recently used entry. The
-    /// access instant `_now` is not stored: recency is the list's order.
+    /// access instant `_now` is not stored: recency is the store's own
+    /// access stamp, or its list order once it has evicted.
     pub fn touch(&mut self, key: ScopedUrl, _now: SimTime) -> Option<&Entry> {
         self.entries.touch(&key).map(|entry| &*entry)
     }
@@ -205,7 +213,7 @@ impl CacheStore {
         let old_ttl = entry.freshness.ttl_expires;
         f(&mut entry.freshness);
         let new_ttl = entry.freshness.ttl_expires;
-        if old_ttl != new_ttl {
+        if old_ttl != new_ttl && self.entries.is_ordered() {
             if old_ttl != SimTime::NEVER {
                 self.expiry.remove(&(old_ttl, key));
             }
@@ -239,7 +247,7 @@ impl CacheStore {
             freshness,
             unreported_hits: 0,
         };
-        if freshness.ttl_expires != SimTime::NEVER {
+        if freshness.ttl_expires != SimTime::NEVER && self.entries.is_ordered() {
             self.expiry.insert((freshness.ttl_expires, key));
         }
         self.used += meta.size();
@@ -254,7 +262,7 @@ impl CacheStore {
     /// Removes and returns an entry (e.g. on receipt of an `INVALIDATE`).
     pub fn remove(&mut self, key: ScopedUrl) -> Option<Entry> {
         let entry = self.entries.remove(&key)?;
-        if entry.freshness.ttl_expires != SimTime::NEVER {
+        if entry.freshness.ttl_expires != SimTime::NEVER && self.entries.is_ordered() {
             self.expiry.remove(&(entry.freshness.ttl_expires, key));
         }
         self.used -= entry.meta.size();
@@ -285,13 +293,29 @@ impl CacheStore {
         n
     }
 
-    /// Iterates over `(key, entry)` pairs, least recently used first.
+    /// Iterates over `(key, entry)` pairs, least recently used first. Sorts
+    /// a copy of the order if no eviction has built it yet; see
+    /// [`CacheStore::iter_unordered`].
     pub fn iter(&self) -> impl Iterator<Item = (ScopedUrl, &Entry)> {
         self.entries.iter()
     }
 
+    /// Iterates over `(key, entry)` pairs in no particular order.
+    pub fn iter_unordered(&self) -> impl Iterator<Item = (ScopedUrl, &Entry)> {
+        self.entries.iter_unordered()
+    }
+
     /// Evicts one victim according to the policy. Returns `false` if empty.
+    /// The first call builds the eviction order.
     fn evict_one(&mut self, now: SimTime) -> bool {
+        if self.entries.order() {
+            let finite = self
+                .entries
+                .iter_unordered()
+                .filter(|(_, entry)| entry.freshness.ttl_expires != SimTime::NEVER);
+            let by_expiry = finite.map(|(key, entry)| (entry.freshness.ttl_expires, key));
+            self.expiry.extend(by_expiry);
+        }
         let victim = match self.policy {
             ReplacementPolicy::Lru => self.entries.oldest().map(|(k, _)| k),
             ReplacementPolicy::ExpiredFirstLru => {
@@ -520,6 +544,42 @@ mod tests {
             "the touched entry is now the newest"
         );
         assert!(c.touch(key(3), SimTime::from_secs(9)).is_none());
+    }
+
+    #[test]
+    fn a_store_builds_its_eviction_order_only_when_it_first_evicts() {
+        let mut c = CacheStore::new(ByteSize::from_kib(30), ReplacementPolicy::ExpiredFirstLru);
+        for d in 0..3 {
+            c.insert(key(d), meta(10), SimTime::from_secs(1), fresh_with_ttl(50));
+        }
+        c.touch(key(0), SimTime::from_secs(2));
+        c.update_freshness(key(1), |f| f.ttl_expires = SimTime::from_secs(9));
+        c.remove(key(2));
+        c.insert(key(3), meta(10), SimTime::from_secs(3), fresh_with_ttl(60));
+        assert_eq!(c.used(), c.capacity(), "full, but nothing evicted yet");
+        assert!(
+            !c.entries.is_ordered(),
+            "no recency list before an eviction"
+        );
+        assert!(c.expiry.is_empty(), "no expiry index before an eviction");
+        c.insert(
+            key(4),
+            meta(10),
+            SimTime::from_secs(20),
+            Freshness::default(),
+        );
+        assert!(c.peek(key(1)).is_none(), "the expired entry goes first");
+        assert!(c.entries.is_ordered());
+        let expiry: Vec<_> = c.expiry.iter().copied().collect();
+        assert_eq!(
+            expiry,
+            [
+                (SimTime::from_secs(50), key(0)),
+                (SimTime::from_secs(60), key(3))
+            ]
+        );
+        let order: Vec<ScopedUrl> = c.iter().map(|(k, _)| k).collect();
+        assert_eq!(order, [key(0), key(3), key(4)]);
     }
 
     #[test]

@@ -5,7 +5,10 @@
 //!
 //! The model is the store as it was before the index-linked list: recency
 //! is a `BTreeSet` keyed by `(access stamp, key)` with a stamp that grows on
-//! every insert and touch. The O(1) list claims to keep that very order.
+//! every insert and touch, and the expiry index is kept from the start. The
+//! store stamps its slots and keeps no expiry index until its first
+//! eviction, then sorts them into an O(1) list; it claims to keep that very
+//! order, before and after.
 
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
@@ -201,8 +204,10 @@ proptest! {
     fn store_matches_the_stamp_ordered_reference_model(
         ops in proptest::collection::vec(op_strategy(), 1..150),
         policy in prop_oneof![Just(ReplacementPolicy::Lru), Just(ReplacementPolicy::ExpiredFirstLru)],
-        // Unbounded, or tight enough that most inserts evict.
-        capacity_kib in prop_oneof![Just(u64::MAX >> 10), 48u64..256],
+        // Unbounded; tight enough that most inserts evict; or roomy enough
+        // for several of the 12 documents, so the first eviction, which
+        // builds the order, comes only after dozens of operations.
+        capacity_kib in prop_oneof![Just(u64::MAX >> 10), 48u64..256, 256u64..768],
     ) {
         let capacity = ByteSize::from_kib(capacity_kib);
         let mut store = CacheStore::new(capacity, policy);

@@ -32,7 +32,7 @@ use wcc_proto::{
     RequestId,
 };
 use wcc_types::AuditEvent::{self, BulkInvalidateDelivered, InvalidateDelivered};
-use wcc_types::{ClientId, DocMeta, FxHashMap, ScopedUrl, SimDuration, SimTime, Url};
+use wcc_types::{ClientId, DocMeta, FxHashMap, ScopedUrl, ServerId, SimDuration, SimTime, Url};
 
 /// How a fetch was satisfied.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -183,6 +183,60 @@ struct Flight<W> {
     /// An invalidation for this copy arrived after `sent` left.
     poisoned: bool,
     waiter: W,
+}
+
+/// The ack [`ProxyCore::on_push`] builds for a push it applied: one of the
+/// three acknowledgement frames, and nothing else.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum PushAck {
+    /// `InvalAck`: one copy dropped, with its §7 report.
+    One(BatchAckEntry),
+    /// `InvalidateBatchAck`: a round's copies dropped, in frame order.
+    Round {
+        /// The server the round is for.
+        server: ServerId,
+        /// One entry per copy the round named.
+        entries: Vec<BatchAckEntry>,
+    },
+    /// `InvalidateServerAck`: the server's copies marked questionable.
+    Bulk {
+        /// The server that recovered.
+        server: ServerId,
+    },
+}
+
+impl PushAck {
+    /// The copies the ack answers for, in frame order; none for the bulk.
+    pub fn acked(&self) -> &[BatchAckEntry] {
+        match self {
+            PushAck::One(entry) => std::slice::from_ref(entry),
+            PushAck::Round { entries, .. } => entries,
+            PushAck::Bulk { .. } => &[],
+        }
+    }
+
+    /// The copies a push's work is charged for: a bulk counts one.
+    pub fn copies(&self) -> u64 {
+        self.acked().len().max(1) as u64
+    }
+}
+
+impl From<PushAck> for HttpMsg {
+    fn from(ack: PushAck) -> HttpMsg {
+        match ack {
+            PushAck::One(BatchAckEntry {
+                url,
+                client,
+                cache_hits,
+            }) => HttpMsg::InvalAck {
+                url,
+                client,
+                cache_hits,
+            },
+            PushAck::Round { server, entries } => HttpMsg::InvalidateBatchAck { server, entries },
+            PushAck::Bulk { server } => HttpMsg::InvalidateServerAck { server },
+        }
+    }
 }
 
 /// Policy, cache and flight table of one caching node. `W` is whatever the
@@ -448,10 +502,10 @@ impl<W> ProxyCore<W> {
     }
 
     /// A push from upstream, applied, and its ack. `INVALIDATE <url>` drops
-    /// one copy (`InvalAck`, with its §7 report); an `InvalidateBatch` round
-    /// drops each entry's (one `InvalidateBatchAck`, entries in frame order);
-    /// the bulk `INVALIDATE <server>` marks that server's copies questionable
-    /// (`InvalidateServerAck`). Every flight for a dropped or marked copy is
+    /// one copy ([`PushAck::One`], with its §7 report); an `InvalidateBatch`
+    /// round drops each entry's ([`PushAck::Round`], entries in frame
+    /// order); the bulk `INVALIDATE <server>` marks that server's copies
+    /// questionable ([`PushAck::Bulk`]). Every flight for a dropped or marked copy is
     /// poisoned. A proxy holds the copies the frame names; a parent holds
     /// every copy as `held_as`. `None`, and nothing applied, for any other
     /// frame. Each drop, and the bulk, is recorded at node time `now`.
@@ -460,22 +514,17 @@ impl<W> ProxyCore<W> {
         push: HttpMsg,
         held_as: Option<ClientId>,
         now: SimTime,
-    ) -> Option<HttpMsg> {
+    ) -> Option<PushAck> {
         Some(match push {
             HttpMsg::Invalidate { url, client } => {
-                let e = self.on_invalidate(url, held_as.unwrap_or(client), now);
-                HttpMsg::InvalAck {
-                    url,
-                    client: e.client,
-                    cache_hits: e.cache_hits,
-                }
+                PushAck::One(self.on_invalidate(url, held_as.unwrap_or(client), now))
             }
             HttpMsg::InvalidateBatch { server, entries } => {
                 self.counters.inval_batches_received += 1;
                 let ack =
                     |e: BatchEntry| self.on_invalidate(e.url, held_as.unwrap_or(e.client), now);
                 let entries = entries.into_iter().map(ack).collect();
-                HttpMsg::InvalidateBatchAck { server, entries }
+                PushAck::Round { server, entries }
             }
             HttpMsg::InvalidateServer { server } => {
                 self.counters.bulk_invalidations_received += 1;
@@ -484,7 +533,7 @@ impl<W> ProxyCore<W> {
                 }
                 self.policy.on_invalidate_server(server, &mut self.cache);
                 self.record(now, |at| BulkInvalidateDelivered { server, at });
-                HttpMsg::InvalidateServerAck { server }
+                PushAck::Bulk { server }
             }
             HttpMsg::Get(_)
             | HttpMsg::Reply(_)
@@ -810,7 +859,10 @@ mod tests {
                 .map(|url| forwarded(core.begin(CLIENT, url, now, CLOCK, || url.doc())));
             let bulk = HttpMsg::InvalidateServer { server: SERVER };
             let acked = HttpMsg::InvalidateServerAck { server: SERVER };
-            assert_eq!(core.on_push(bulk, None, CLOCK), Some(acked));
+            assert_eq!(
+                core.on_push(bulk, None, CLOCK).map(HttpMsg::from),
+                Some(acked)
+            );
             for get in &flights[..2] {
                 let again = reforwarded(core.complete(get.req, &ok(0), CLOCK));
                 assert_eq!((again.url, again.ims), (get.url, None), "{kind:?}");
@@ -958,7 +1010,7 @@ mod tests {
                 cache_hits: 0,
             };
             assert_eq!(
-                core.on_push(one, held_as, CLOCK),
+                core.on_push(one, held_as, CLOCK).map(HttpMsg::from),
                 Some(acked),
                 "{held_as:?}"
             );
@@ -980,14 +1032,17 @@ mod tests {
                 entries: vec![ack(4, 0), ack(2, 1), ack(3, 0)],
             };
             assert_eq!(
-                core.on_push(round, held_as, CLOCK),
+                core.on_push(round, held_as, CLOCK).map(HttpMsg::from),
                 Some(acked),
                 "{held_as:?}"
             );
             assert_eq!(core.cache().len(), 0);
             let bulk = HttpMsg::InvalidateServer { server: SERVER };
             let acked = HttpMsg::InvalidateServerAck { server: SERVER };
-            assert_eq!(core.on_push(bulk, held_as, CLOCK), Some(acked));
+            assert_eq!(
+                core.on_push(bulk, held_as, CLOCK).map(HttpMsg::from),
+                Some(acked)
+            );
             let c = core.counters();
             assert_eq!(
                 (

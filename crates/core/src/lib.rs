@@ -91,7 +91,7 @@ pub use config::{
 };
 pub use economics::{AdaptiveLeaseConfig, LeaseEconomics};
 pub use fetch::{
-    Begin, Complete, FetchCounters, FetchKind, FetchOutcome, ProxyCore, UpstreamReply,
+    Begin, Complete, FetchCounters, FetchKind, FetchOutcome, ProxyCore, PushAck, UpstreamReply,
 };
 pub use meter::{DocViews, HitMeter};
 pub use origin::{OriginCore, OriginCounters, OriginOut, OriginTimer, SiteVerdict, WritePath};

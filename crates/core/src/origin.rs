@@ -31,6 +31,7 @@
 //! it names another server, or if its sender is no site (on the daemon, a
 //! connection that has not said `HELLO`).
 
+use crate::fetch::PushAck;
 use crate::meter::HitMeter;
 use crate::proposer::Proposer;
 use crate::server::{Promise, ServerConsistency};
@@ -663,7 +664,7 @@ impl WritePath {
     /// down; the site lists stay, their copies only questionable.
     pub(crate) fn relay(
         &mut self,
-        ack: &HttpMsg,
+        ack: &PushAck,
         version: SimTime,
         now: SimTime,
         out: &mut Vec<OriginOut>,
@@ -671,7 +672,7 @@ impl WritePath {
         for e in ack.acked() {
             self.modify(e.url, version, version, now, out);
         }
-        if matches!(ack, HttpMsg::InvalidateServerAck { .. }) {
+        if let PushAck::Bulk { .. } = ack {
             self.recover_unknown_sites();
             self.void_sites(out);
         }
@@ -1219,7 +1220,7 @@ mod tests {
     fn a_bulk_from_above_is_relayed_until_acked_and_keeps_the_site_lists() {
         let (mut core, mut out) = (origin(), Vec::new());
         let lists = core.snapshot().sitelist;
-        let acked = HttpMsg::InvalidateServerAck {
+        let acked = PushAck::Bulk {
             server: ServerId::new(0),
         };
         core.relay(&acked, SimTime::ZERO, SimTime::ZERO, &mut out);

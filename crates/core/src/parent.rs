@@ -14,7 +14,7 @@
 //! A child's `HELLO` and acknowledgements go whole into
 //! [`ParentCore::on_site_frame`], under the origin's rule ([`crate::origin`]).
 
-use crate::fetch::{Begin, Complete, ProxyCore, UpstreamReply};
+use crate::fetch::{Begin, Complete, ProxyCore, PushAck, UpstreamReply};
 use crate::origin::{OriginOut, SiteVerdict, WritePath};
 use crate::server::Promise;
 use wcc_proto::{GetRequest, HttpMsg, Reply, RequestId};
@@ -151,23 +151,14 @@ impl<W> ParentCore<W> {
         out: &mut Vec<OriginOut>,
     ) -> Option<u64> {
         let ack = self.fetch.on_push(push, Some(self.identity), now)?;
-        let (copies, first) = (ack.acked().count().max(1) as u64, out.len());
+        let first = out.len();
         self.down.relay(&ack, at, now, out);
-        match ack {
-            HttpMsg::InvalidateServerAck { .. } => out.push(OriginOut::Up(ack)),
-            // `on_push` answers with one of the three acks; the other
-            // frames are named so that a new one is placed on purpose.
-            HttpMsg::InvalAck { .. }
-            | HttpMsg::InvalidateBatchAck { .. }
-            | HttpMsg::Get(_)
-            | HttpMsg::Reply(_)
-            | HttpMsg::Invalidate { .. }
-            | HttpMsg::InvalidateServer { .. }
-            | HttpMsg::InvalidateBatch { .. }
-            | HttpMsg::Hello { .. }
-            | HttpMsg::MetricsGet
-            | HttpMsg::Notify { .. } => out.insert(first, OriginOut::Up(ack)),
-        }
+        let place = match ack {
+            PushAck::Bulk { .. } => out.len(),
+            PushAck::One(_) | PushAck::Round { .. } => first,
+        };
+        let copies = ack.copies();
+        out.insert(place, OriginOut::Up(ack.into()));
         Some(copies)
     }
 

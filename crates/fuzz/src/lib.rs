@@ -6,8 +6,8 @@
 //! ([`Scenario`]) — which replays inside the deterministic simulator with
 //! auditing on. The consistency auditor (`wcc-audit`) is the oracle,
 //! extended with cross-cutting invariants (liveness, determinism, polling
-//! purity, promise freshness, weak dominance; see [`check`]). Failures
-//! shrink greedily ([`shrink`]) and print a self-contained repro: a seed
+//! purity, promise freshness, weak dominance; see [`check()`]). Failures
+//! shrink greedily ([`shrink()`]) and print a self-contained repro: a seed
 //! line to paste into `tests/fuzz_corpus.rs` plus the minimised scenario.
 //!
 //! Everything is a pure function of the base seed — no wall clocks, no
@@ -207,7 +207,7 @@ impl fmt::Display for FuzzOutcome {
     }
 }
 
-/// Runs the fuzzer: `iters` seeded scenarios through [`check`], stopping
+/// Runs the fuzzer: `iters` seeded scenarios through [`check()`], stopping
 /// at the first oracle violation (shrinking it when configured).
 pub fn fuzz(config: &FuzzConfig) -> FuzzOutcome {
     let opts = CheckOptions {

@@ -616,7 +616,7 @@ impl Deployment {
         };
         let mut final_violations = 0u64;
         let mut audit = |policy: &ProxyPolicy, cache: &CacheStore| {
-            for (key, entry) in cache.iter() {
+            for (key, entry) in cache.iter_unordered() {
                 if policy.promised_fresh(key, &entry.freshness, trace_end)
                     && entry.meta.last_modified() != final_version(key.url())
                 {

@@ -329,8 +329,8 @@ impl ProxyNode {
         let Some(ack) = self.core.on_push(push, None, ctx.now()) else {
             return;
         };
-        let copies = ack.acked().count().max(1) as u64;
-        ctx.consume(self.costs.proxy_inval_cpu.saturating_mul(copies));
+        ctx.consume(self.costs.proxy_inval_cpu.saturating_mul(ack.copies()));
+        let ack = HttpMsg::from(ack);
         let size = ack.wire_size();
         ctx.send(from, Message::Http(ack), size);
     }

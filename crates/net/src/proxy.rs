@@ -397,7 +397,7 @@ impl Role for ProxyRole {
                 // A push: applied and acknowledged at once.
                 HttpMsgRef::Owned(push) => match self.core.on_push(push, None, cx.now()) {
                     Some(ack) => {
-                        cx.reply(ack);
+                        cx.reply(ack.into());
                         After::Keep
                     }
                     None => After::Close,

@@ -101,7 +101,7 @@ pub fn encode(msg: &HttpMsg) -> Vec<u8> {
 /// This sits on the TCP prototype's per-message hot path, so nothing here
 /// goes through `core::fmt`: the fixed text is copied in as byte literals
 /// and every number — header values, the `N` of a `/doc/N` path, the
-/// octets of a client id — through [`put_dec`].
+/// octets of a client id — through `put_dec`.
 pub fn encode_into(msg: &HttpMsg, out: &mut Vec<u8>) {
     // A blank line ends every header block; only a `200` has bytes behind it.
     let mut payload: &[u8] = &[];

@@ -5,7 +5,7 @@
 //! event loop actually needs — `epoll` on Linux, `poll(2)` elsewhere on
 //! Unix — directly against the libc symbols `std` already links. Socket
 //! I/O itself stays on safe `std::net` types in non-blocking mode; the
-//! `unsafe` surface is confined to [`sys`] (a dozen raw syscall wrappers)
+//! `unsafe` surface is confined to `sys` (a dozen raw syscall wrappers)
 //! so `wcc-net` can keep its `#![forbid(unsafe_code)]`.
 //!
 //! Pieces, bottom up:

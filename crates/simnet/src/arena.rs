@@ -1,6 +1,6 @@
 //! A generational slab arena for in-flight engine events.
 //!
-//! The engine schedules hundreds of thousands of [`crate::sim::EngineEvent`]s
+//! The engine schedules hundreds of thousands of `EngineEvent`s
 //! per replay, each alive only from its scheduling site to its dispatch a few
 //! hundred simulated microseconds later. Storing the events themselves in the
 //! queue makes every ring-bucket move a memcpy of the full payload (the HTTP

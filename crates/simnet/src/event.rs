@@ -1,6 +1,6 @@
 //! The totally ordered event queue at the heart of the simulator.
 //!
-//! Events are ordered by `(time, lane, lane sequence)` — see [`Rank`]. The
+//! Events are ordered by `(time, lane, lane sequence)` — see `Rank`. The
 //! storage is a two-level bucket queue: a ring of one-microsecond buckets
 //! covering the near future plus an overflow heap for everything beyond the
 //! ring's horizon. The ring is 16 384 µs wide, twice the cost model's 8 ms

@@ -43,7 +43,7 @@ pub use batch::InvalBatchConfig;
 pub use bytesize::ByteSize;
 pub use event::AuditEvent;
 pub use hash::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
-pub use id::{ClientId, NodeId, ServerId};
+pub use id::{ClientId, NodeId, ParseClientIdError, ServerId};
 pub use time::{SimDuration, SimTime, WallClock};
 pub use url::{Body, DocMeta, ScopedUrl, Url, UrlPath};
 

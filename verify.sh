@@ -4,6 +4,7 @@
 #
 # This mirrors the CI matrix (.github/workflows/ci.yml) in one process:
 #   lint job  -> rustfmt --check, clippy -D warnings, xtask-lint
+#                + `cargo doc` with warnings denied
 #   test job  -> release build + root and workspace test suites + the 19
 #                results/*.txt tables regenerated and compared
 #                (CI also repeats the test job on beta)
@@ -31,6 +32,13 @@ echo "==> cargo clippy"
 # is rustc's `unfulfilled_lint_expectations`, an error under -D warnings:
 # the stale-waiver audit's job, done by the compiler for these lints.
 cargo clippy --workspace --all-targets --quiet -- -D warnings
+
+echo "==> cargo doc (warnings denied)"
+# Every first-party crate and the root package: a broken, ambiguous or
+# private intra-doc link fails. The vendor/ shims are left out (proptest's
+# shim has a warning of its own).
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --quiet --workspace \
+  --exclude proptest --exclude rand --exclude criterion
 
 echo "==> cargo build --release"
 cargo build --release
