@@ -24,6 +24,11 @@
 //! the bulk `INVALIDATE <server>` barrage, and the ack that completes
 //! recovery — while the audit keeps watching for stale serves.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the serve load generator paces real sockets on the wall clock"
+)]
+
 use std::collections::HashMap;
 use std::io::Read;
 use std::net::{SocketAddr, TcpStream};

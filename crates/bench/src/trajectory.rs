@@ -47,8 +47,13 @@
 //!
 //! This is the one module in the workspace allowed to read the wall clock
 //! (`Instant::now`): the Info rows measure real elapsed time and feed
-//! nothing back into any simulation. `xtask lint` allowlists exactly this
-//! file.
+//! nothing back into any simulation. The module-wide `#![expect]` below
+//! waives clippy's `disallowed_methods` for exactly this file.
+
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the Info rows time real work and feed nothing back into a simulation"
+)]
 
 use std::fmt;
 use std::path::Path;

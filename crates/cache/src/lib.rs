@@ -27,6 +27,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(clippy::indexing_slicing)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 
 mod lru;
 mod store;

@@ -94,9 +94,10 @@ pub struct CacheStats {
 ///
 /// Eviction order is built only when the store first has to evict: until
 /// then [`Lru`] stamps each access and no expiry index is kept. The first
-/// eviction sorts the entries into their recency list and builds the expiry
-/// index from them, and every later operation keeps both, so each victim is
-/// the one an always-ordered store would pick.
+/// eviction sorts the entries into their recency list and, under
+/// [`ReplacementPolicy::ExpiredFirstLru`] (the one policy that reads it),
+/// builds the expiry index from them; every later operation keeps both, so
+/// each victim is the one an always-ordered store would pick.
 ///
 /// # Examples
 ///
@@ -118,7 +119,8 @@ pub struct CacheStore {
     /// The entries, in recency order once the first eviction built it.
     entries: Lru<ScopedUrl, Entry>,
     /// Expiry index: ordered by (ttl_expires, key); only finite expiries.
-    /// Empty, and not kept, until the first eviction.
+    /// Empty, and not kept, until the first eviction, and always under
+    /// plain LRU.
     expiry: BTreeSet<(SimTime, ScopedUrl)>,
     used: ByteSize,
     stats: CacheStats,
@@ -213,7 +215,7 @@ impl CacheStore {
         let old_ttl = entry.freshness.ttl_expires;
         f(&mut entry.freshness);
         let new_ttl = entry.freshness.ttl_expires;
-        if old_ttl != new_ttl && self.entries.is_ordered() {
+        if old_ttl != new_ttl && self.keeps_expiry() {
             if old_ttl != SimTime::NEVER {
                 self.expiry.remove(&(old_ttl, key));
             }
@@ -247,7 +249,7 @@ impl CacheStore {
             freshness,
             unreported_hits: 0,
         };
-        if freshness.ttl_expires != SimTime::NEVER && self.entries.is_ordered() {
+        if freshness.ttl_expires != SimTime::NEVER && self.keeps_expiry() {
             self.expiry.insert((freshness.ttl_expires, key));
         }
         self.used += meta.size();
@@ -262,7 +264,7 @@ impl CacheStore {
     /// Removes and returns an entry (e.g. on receipt of an `INVALIDATE`).
     pub fn remove(&mut self, key: ScopedUrl) -> Option<Entry> {
         let entry = self.entries.remove(&key)?;
-        if entry.freshness.ttl_expires != SimTime::NEVER && self.entries.is_ordered() {
+        if entry.freshness.ttl_expires != SimTime::NEVER && self.keeps_expiry() {
             self.expiry.remove(&(entry.freshness.ttl_expires, key));
         }
         self.used -= entry.meta.size();
@@ -305,10 +307,15 @@ impl CacheStore {
         self.entries.iter_unordered()
     }
 
+    /// Whether the expiry index is live: built, and read by the policy.
+    fn keeps_expiry(&self) -> bool {
+        self.policy == ReplacementPolicy::ExpiredFirstLru && self.entries.is_ordered()
+    }
+
     /// Evicts one victim according to the policy. Returns `false` if empty.
     /// The first call builds the eviction order.
     fn evict_one(&mut self, now: SimTime) -> bool {
-        if self.entries.order() {
+        if self.entries.order() && self.keeps_expiry() {
             let finite = self
                 .entries
                 .iter_unordered()
@@ -580,6 +587,36 @@ mod tests {
         );
         let order: Vec<ScopedUrl> = c.iter().map(|(k, _)| k).collect();
         assert_eq!(order, [key(0), key(3), key(4)]);
+    }
+
+    #[test]
+    fn plain_lru_keeps_no_expiry_index_and_picks_the_same_victims() {
+        // The same finite-TTL workload under both policies, with every
+        // expiry still in the future: expired-first falls back to LRU on
+        // each eviction, so the victims must match, while plain LRU never
+        // builds the index it would not read.
+        let victims = |policy| {
+            let mut c = CacheStore::new(ByteSize::from_kib(30), policy);
+            let mut held = Vec::new();
+            for d in 0..8u32 {
+                let now = SimTime::from_secs(u64::from(d));
+                c.insert(key(d), meta(10), now, fresh_with_ttl(1_000 + u64::from(d)));
+                c.touch(key(d / 2), now);
+                c.update_freshness(key(d / 3), |f| f.ttl_expires = SimTime::from_secs(900));
+                held.push(
+                    (0..=d)
+                        .filter(|&k| c.peek(key(k)).is_some())
+                        .collect::<Vec<_>>(),
+                );
+            }
+            (c.expiry.len(), c.stats().evictions, held)
+        };
+        let (lru_index, lru_evictions, lru_held) = victims(ReplacementPolicy::Lru);
+        let (ef_index, ef_evictions, ef_held) = victims(ReplacementPolicy::ExpiredFirstLru);
+        assert_eq!(lru_index, 0, "plain LRU keeps no expiry entries");
+        assert!(ef_index > 0, "expired-first keeps its index once it evicts");
+        assert!(lru_evictions > 0);
+        assert_eq!((lru_evictions, lru_held), (ef_evictions, ef_held));
     }
 
     #[test]

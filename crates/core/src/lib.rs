@@ -72,6 +72,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 #![deny(clippy::indexing_slicing)]
+#![deny(clippy::unwrap_used, clippy::expect_used)]
 #![deny(clippy::wildcard_enum_match_arm)]
 
 pub mod analytical;

@@ -20,7 +20,8 @@
 //! `WritePath::relay`, read off the ack its fetch core built; a parent's
 //! frames for the node above go out as [`OriginOut::Up`]. Nothing outside this
 //! file calls `ServerConsistency`'s `on_get` / `on_modify` / `on_inval_ack` /
-//! `expire_pending` / `on_server_recover` (lint rule `origin-bypass`).
+//! `expire_pending` / `on_server_recover` (clippy's `disallowed-methods` in
+//! `crates/{httpsim,net}/clippy.toml`).
 //!
 //! The write side takes frames, the mirror of the proxy's `on_push`: a
 //! site's `HELLO`, `InvalAck`, `InvalidateBatchAck` or `InvalidateServerAck`

@@ -433,6 +433,7 @@ mod tests {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_types, reason = "a std map is the shadow model")]
 mod proptests {
     use super::*;
     use proptest::prelude::*;

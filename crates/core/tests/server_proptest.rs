@@ -1,6 +1,8 @@
 //! Property tests of the server-side protocol state under arbitrary
 //! operation interleavings.
 
+#![allow(clippy::disallowed_types, reason = "a std set is the shadow model")]
+
 use proptest::prelude::*;
 use std::collections::HashSet;
 use wcc_core::{ProtocolConfig, ProtocolKind, ServerConsistency};

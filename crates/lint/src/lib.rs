@@ -6,25 +6,8 @@
 //! literals) with `#[cfg(test)]` masking by real item extent. Deny by
 //! default, allow by exception:
 //!
-//! * **wall-clock** — no `SystemTime::now` / `Instant::now` outside the
-//!   `WallClock` abstraction and the bench-trajectory timer.
-//! * **hot-path-hasher** — no default SipHash maps in the replay hot path.
-//! * **unwrap** — no `.unwrap()` / `.expect(` in protocol-crate code.
-//! * **sleep** — no `thread::sleep` under the simulated clock.
-//! * **url-path-alloc** — no allocating `Url::path()` in hot crates.
 //! * **hot-loop-alloc** — no per-event allocation (`Box::new`, `Vec::new()`,
 //!   `format!`, a fresh `encode`) in the event-dispatch and decode files.
-//! * **codec-fmt** — no `write!` / `format!` in the wire codec.
-//! * **reactor-blocking-io** — no blocking socket I/O in the files that run
-//!   on a serve-tier node's one thread.
-//! * **role-owner** — no `Mutex` / `RwLock` / own `WallClock` in a serve-tier
-//!   role: its node's thread owns its state and tells it the time.
-//! * **obs-registry** — no ad-hoc atomic counters in the TCP prototype.
-//! * **fetch-bypass** — no `ProxyPolicy::on_reply_200` / `on_reply_304` in
-//!   the simulator or the TCP tier: both drive `wcc_core::ProxyCore`.
-//! * **origin-bypass** — no `ServerConsistency::on_modify` / `on_inval_ack`
-//!   / `on_server_recover` / `expire_pending` in the simulator or the TCP
-//!   tier: origins and parents all drive `wcc_core::WritePath`.
 //! * **audit-bypass** — no `AuditEvent` built in the simulator or the TCP
 //!   tier: `ProxyCore` and `WritePath` record what they do.
 //! * **peer-time** — no `.issued_at` read in the TCP tier: a node judges at its clock.
@@ -33,14 +16,19 @@
 //! * **map-iteration-order** — no unordered map/set iteration in the replay,
 //!   trace and audit crates unless waived with its reason (see `order.rs`).
 //!
-//! Three hygiene rules are the compiler's: `clippy::indexing_slicing`,
-//! denied in the crate roots of `core`, `proto`, `cache`, `net` and
-//! `reactor` (allowed in their tests by `clippy.toml`), keeps `v[idx]` off
-//! protocol and peer input; `clippy::wildcard_enum_match_arm`, denied in
-//! the crate roots of `proto`, `core`, `httpsim`, `net`, `audit` and
-//! `types`, makes every dispatch over the wire enums (`HttpMsg`,
-//! `AuditEvent`) name every variant, so a new message cannot fall into a
-//! catch-all arm; and `clippy::todo` / `clippy::unimplemented`, denied in
+//! Every rule that names a method, a type or a macro is the compiler's,
+//! which also sees through a `use … as` alias, a glob import and a UFCS
+//! call. `clippy.toml` holds the `disallowed-methods`, `-types` and
+//! `-macros` lists: the ambient wall clock and `thread::sleep` everywhere
+//! (root file), std hash maps in `core`, `httpsim` and `simnet`, the
+//! `ProxyPolicy` / `ServerConsistency` steps in `httpsim` and `net`,
+//! blocking socket I/O, locks, a role's own `WallClock` and ad-hoc atomic
+//! counters in `net` (counters in `reactor` too), and `format!` / `write!`
+//! in `proto` (each crate's own file). `clippy::unwrap_used` /
+//! `clippy::expect_used` and `clippy::indexing_slicing` are denied in the
+//! crate roots of the protocol crates, `clippy::wildcard_enum_match_arm`
+//! makes every dispatch over the wire enums (`HttpMsg`, `AuditEvent`) name
+//! every variant, and `clippy::todo` / `clippy::unimplemented`, denied in
 //! `[workspace.lints.clippy]`, keep unfinished code out of every target.
 //!
 //! A finding can be waived with a `// xtask-lint: allow(<rule>)` comment

@@ -1,7 +1,7 @@
 #![cfg(test)]
-//! Rule-engine unit tests. The first half are the golden tests carried
-//! over verbatim from the old substring engine (same inputs, same
-//! verdicts); the rest cover the token-only rules.
+//! Rule-engine unit tests: each token rule's scope and needles, then the
+//! engine itself (test masking, strings and comments, waivers, the
+//! stale-waiver audit, output) on `peer-time` fixtures.
 
 use super::*;
 
@@ -10,98 +10,6 @@ fn rules_fired(path: &str, source: &str) -> Vec<&'static str> {
         .into_iter()
         .map(|d| d.rule)
         .collect()
-}
-
-#[test]
-fn wall_clock_denied_everywhere_but_time_rs() {
-    let src = "fn f() { let t = std::time::Instant::now(); }\n";
-    assert_eq!(rules_fired("crates/simnet/src/lib.rs", src), ["wall-clock"]);
-    assert_eq!(rules_fired("crates/net/src/origin.rs", src), ["wall-clock"]);
-    assert!(rules_fired("crates/types/src/time.rs", src).is_empty());
-}
-
-#[test]
-fn wall_clock_allowed_in_the_trajectory_timer() {
-    let src = "fn f() { let t = std::time::Instant::now(); }\n";
-    assert!(rules_fired("crates/bench/src/trajectory.rs", src).is_empty());
-    assert_eq!(
-        rules_fired("crates/bench/src/tables.rs", src),
-        ["wall-clock"]
-    );
-}
-
-#[test]
-fn default_hashers_denied_on_the_hot_path() {
-    let map = "fn f() { let m: HashMap<u32, u32> = HashMap::new(); }\n";
-    assert_eq!(
-        rules_fired("crates/core/src/server.rs", map),
-        ["hot-path-hasher"]
-    );
-    let import = "use std::collections::HashSet;\n";
-    assert_eq!(
-        rules_fired("crates/httpsim/src/coord.rs", import),
-        ["hot-path-hasher"]
-    );
-    assert_eq!(
-        rules_fired("crates/simnet/src/net.rs", map),
-        ["hot-path-hasher"]
-    );
-    // Cold paths (trace parsing, the CLI, the proto decoder) may keep
-    // the DoS-resistant default.
-    assert!(rules_fired("crates/traces/src/summary.rs", map).is_empty());
-    assert!(rules_fired("crates/proto/src/wire.rs", import).is_empty());
-    // Fx aliases pass everywhere.
-    let fx = "fn f() { let m = wcc_types::FxHashMap::<u32, u32>::default(); }\n";
-    assert!(rules_fired("crates/core/src/server.rs", fx).is_empty());
-    // Shadow models in #[cfg(test)] code are exempt.
-    let test_src = "#[cfg(test)]\nmod tests {\n    use std::collections::HashMap;\n}\n";
-    assert!(rules_fired("crates/core/src/sitelist.rs", test_src).is_empty());
-}
-
-#[test]
-fn unwrap_denied_only_in_protocol_crates() {
-    let src = "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n";
-    assert_eq!(rules_fired("crates/core/src/server.rs", src), ["unwrap"]);
-    assert_eq!(rules_fired("crates/proto/src/wire.rs", src), ["unwrap"]);
-    assert_eq!(rules_fired("crates/cache/src/store.rs", src), ["unwrap"]);
-    assert!(rules_fired("crates/httpsim/src/proxy.rs", src).is_empty());
-    let expect = "fn f(x: Option<u32>) -> u32 { x.expect(\"set\") }\n";
-    assert_eq!(rules_fired("crates/core/src/server.rs", expect), ["unwrap"]);
-}
-
-#[test]
-fn sleep_denied_in_simulation_code_allowed_in_net() {
-    let src = "fn f() { std::thread::sleep(d); }\n";
-    assert_eq!(rules_fired("crates/core/src/server.rs", src), ["sleep"]);
-    assert_eq!(rules_fired("src/bin/paper.rs", src), ["sleep"]);
-    assert!(rules_fired("crates/net/src/tcp.rs", src).is_empty());
-    // The serve load generator paces real sockets on the wall clock.
-    assert!(rules_fired("crates/bench/src/serve.rs", src).is_empty());
-}
-
-#[test]
-fn allocating_url_path_denied_in_message_hot_crates() {
-    let src = "fn f(u: wcc_types::Url) -> String { u.path() }\n";
-    assert_eq!(
-        rules_fired("crates/httpsim/src/proxy.rs", src),
-        ["url-path-alloc"]
-    );
-    assert_eq!(
-        rules_fired("crates/proto/src/wire.rs", src),
-        ["url-path-alloc"]
-    );
-    assert_eq!(
-        rules_fired("crates/obs/src/trace.rs", src),
-        ["url-path-alloc"]
-    );
-    // The non-allocating forms pass.
-    let ok = "fn f(u: wcc_types::Url, s: &mut String) { u.write_path(s).ok(); }\n";
-    assert!(rules_fired("crates/httpsim/src/proxy.rs", ok).is_empty());
-    let disp = "fn f(u: wcc_types::Url) { let _ = format!(\"{}\", u.path_display()); }\n";
-    assert!(rules_fired("crates/proto/src/msg.rs", disp).is_empty());
-    // Cold crates (CLI, traces, replay) may keep the convenience form.
-    assert!(rules_fired("crates/replay/src/tables.rs", src).is_empty());
-    assert!(rules_fired("src/bin/wcc.rs", src).is_empty());
 }
 
 #[test]
@@ -124,144 +32,6 @@ fn per_frame_encode_denied_in_hot_loop_files() {
     assert!(rules_fired("crates/net/src/evloop.rs", waived).is_empty());
     // Files off the hot-loop list keep the convenience form.
     assert!(rules_fired("crates/net/src/scrape.rs", src).is_empty());
-}
-
-#[test]
-fn formatting_machinery_denied_in_the_wire_codec() {
-    let put = "fn f(out: &mut Vec<u8>, n: u64) { let _ = write!(out, \"X-Size: {n}\\r\\n\"); }\n";
-    let alloc = "fn f(n: u64) -> String { format!(\"{n}\") }\n";
-    for path in ["crates/proto/src/wire.rs", "crates/proto/src/zero.rs"] {
-        assert!(rules_fired(path, put).contains(&"codec-fmt"), "{path}");
-        assert!(rules_fired(path, alloc).contains(&"codec-fmt"), "{path}");
-    }
-    // Literals copied in, numbers through the decimal writer.
-    let ok = "fn f(out: &mut Vec<u8>, n: u64) { out.extend_from_slice(b\"X-Size: \"); put_dec(out, n); }\n";
-    assert!(rules_fired("crates/proto/src/wire.rs", ok).is_empty());
-    // `writeln!`-free text that merely mentions the macros does not count.
-    let inert = "/// Nothing here goes through `write!` or `format!`.\nfn f() {}\n";
-    assert!(rules_fired("crates/proto/src/wire.rs", inert).is_empty());
-    // An error's text, rendered once as the connection closes.
-    let waived =
-        "fn bad(v: &str) -> E { E(format!(\"bad {v}\")) } // xtask-lint: allow(codec-fmt)\n";
-    assert!(rules_fired("crates/proto/src/wire.rs", waived).is_empty());
-    // The message model and every other crate format as they like.
-    assert!(rules_fired("crates/proto/src/msg.rs", put).is_empty());
-    assert!(rules_fired("crates/net/src/scrape.rs", alloc).is_empty());
-    // The write!-based reference encoder is test code.
-    let test = "#[cfg(test)]\nmod tests {\n    fn r(o: &mut Vec<u8>) { write!(o, \"x\"); }\n}\n";
-    assert!(rules_fired("crates/proto/src/wire.rs", test).is_empty());
-}
-
-#[test]
-fn blocking_socket_io_denied_on_the_node_thread() {
-    for src in [
-        "fn dial(a: SocketAddr) { let s = TcpStream::connect(a); }\n",
-        "fn f(s: &TcpStream) { s.set_read_timeout(None); }\n",
-        "fn f(s: &mut TcpStream, b: &mut [u8]) { s.read_exact(b); }\n",
-        "fn f(s: &mut TcpStream, b: &[u8]) { s.write_all(b); }\n",
-    ] {
-        for path in [
-            "crates/net/src/evloop.rs",
-            "crates/net/src/proxy.rs",
-            "crates/net/src/parent.rs",
-            "crates/net/src/origin.rs",
-            "crates/net/src/upstream.rs",
-            "crates/net/src/downstream.rs",
-        ] {
-            let fired = rules_fired(path, src);
-            assert!(fired.contains(&"reactor-blocking-io"), "{path}: {src}");
-        }
-        // The scrape client runs on its caller's thread, not a node's.
-        assert!(rules_fired("crates/net/src/scrape.rs", src).is_empty());
-    }
-    // A bounded dial, and output queued through the send buffer.
-    let ok = "fn dial(a: &SocketAddr) { let s = TcpStream::connect_timeout(a, T); }\n\
-              fn f(sb: &mut SendBuf, m: &HttpMsg) { encode_into(m, sb.tail()); }\n";
-    assert!(rules_fired("crates/net/src/evloop.rs", ok).is_empty());
-    // The dial's first frame, and a caller-thread function, waived in place.
-    let waived = "fn hello(s: &mut TcpStream, f: &[u8]) { s.write_all(f); } \
-                  // xtask-lint: allow(reactor-blocking-io)\n";
-    assert!(rules_fired("crates/net/src/evloop.rs", waived).is_empty());
-    // Tests drive nodes from outside over blocking sockets.
-    let test = "#[cfg(test)]\nmod tests {\n    fn f() { TcpStream::connect(a); }\n}\n";
-    assert!(rules_fired("crates/net/src/evloop.rs", test).is_empty());
-}
-
-#[test]
-fn shared_role_state_and_role_clocks_denied_in_the_roles() {
-    for src in [
-        "struct Proxy { state: Arc<Mutex<Inner>> }\n",
-        "fn f(s: &parking_lot::RwLock<Core>) { s.read(); }\n",
-        "fn f() -> SimTime { let c = WallClock::start(); now(c) }\n",
-    ] {
-        for role in ["proxy", "parent", "origin", "upstream", "downstream"] {
-            let path = format!("crates/net/src/{role}.rs");
-            assert_eq!(rules_fired(&path, src), ["role-owner"], "{path}: {src}");
-        }
-    }
-}
-
-#[test]
-fn the_runtime_keeps_the_clock_and_tests_keep_their_locks() {
-    // The runtime owns the node's one clock.
-    let clock = "fn spawn() { let clock = WallClock::start(); }\n";
-    assert!(rules_fired("crates/net/src/evloop.rs", clock).is_empty());
-    // Told the time, a role reads none; test roles may share a Mutex.
-    let told = "fn on_deadline(&mut self, now: SimTime) { self.up.expire(now); }\n";
-    assert!(rules_fired("crates/net/src/proxy.rs", told).is_empty());
-    let test = "#[cfg(test)]\nmod tests {\n    struct S { seen: Mutex<Vec<u64>> }\n}\n";
-    assert!(rules_fired("crates/net/src/origin.rs", test).is_empty());
-    // Outside the serve tier's roles the rule does not apply.
-    let shared = "struct S { m: std::sync::Mutex<u64> }\n";
-    assert!(rules_fired("crates/bench/src/serve.rs", shared).is_empty());
-    assert!(rules_fired("crates/net/src/scrape.rs", shared).is_empty());
-}
-
-#[test]
-fn hand_rolled_fetch_sequence_denied_outside_the_core() {
-    let src = "fn f(p: &mut ProxyPolicy) { p.on_reply_200(k, m, l, t, c); }\n\
-               fn g(p: &mut ProxyPolicy) -> bool { p.on_reply_304(k, l, t, c) }\n";
-    for path in [
-        "crates/httpsim/src/proxy.rs",
-        "crates/httpsim/src/parent.rs",
-        "crates/net/src/upstream.rs",
-    ] {
-        let fired = rules_fired(path, src);
-        assert_eq!(fired, ["fetch-bypass", "fetch-bypass"], "{path}");
-    }
-    // The sequence's one home, and a crate that only measures it.
-    assert!(rules_fired("crates/core/src/fetch.rs", src).is_empty());
-    assert!(rules_fired("crates/bench/src/lib.rs", src).is_empty());
-    // Driving the core, or naming the steps in a test, is fine.
-    let ok = "fn f(core: &mut ProxyCore<W>) { core.complete(req, &reply); }\n";
-    assert!(rules_fired("crates/net/src/proxy.rs", ok).is_empty());
-    let test = "#[cfg(test)]\nmod tests {\n    fn t() { p.on_reply_200(k, m, l, t, c); }\n}\n";
-    assert!(rules_fired("crates/httpsim/src/proxy.rs", test).is_empty());
-}
-
-#[test]
-fn hand_rolled_write_path_denied_in_every_driver() {
-    let src = "fn f(s: &mut ServerConsistency) { s.on_modify(u, t); s.expire_pending(t); }\n\
-               fn g(s: &mut ServerConsistency) { s.on_inval_ack(u, c); }\n\
-               fn h(s: &mut ServerConsistency) { s.on_server_recover(); }\n";
-    // Origins and parents alike, and whatever joins them in those crates.
-    for path in [
-        "crates/httpsim/src/origin.rs",
-        "crates/httpsim/src/parent.rs",
-        "crates/net/src/origin.rs",
-        "crates/net/src/parent.rs",
-        "crates/net/src/downstream.rs",
-    ] {
-        assert_eq!(rules_fired(path, src), ["origin-bypass"; 3], "{path}");
-    }
-    // The write path's one home, and a crate that only measures it.
-    assert!(rules_fired("crates/core/src/origin.rs", src).is_empty());
-    assert!(rules_fired("crates/bench/src/lib.rs", src).is_empty());
-    // Driving the core, or naming the steps in a test, is fine.
-    let ok = "fn f(down: &mut WritePath) { down.modify(u, t, now, out); down.ack(u, c, now); }\n";
-    assert!(rules_fired("crates/net/src/parent.rs", ok).is_empty());
-    let test = "#[cfg(test)]\nmod tests {\n    fn t() { s.on_modify(u, t); }\n}\n";
-    assert!(rules_fired("crates/httpsim/src/origin.rs", test).is_empty());
 }
 
 #[test]
@@ -320,26 +90,9 @@ fn a_protocol_is_read_from_its_policy_not_its_name() {
     assert!(rules_fired("crates/httpsim/src/deployment.rs", lists).is_empty());
 }
 
-#[test]
-fn adhoc_atomic_counters_denied_in_the_tcp_prototype() {
-    let src = "use std::sync::atomic::AtomicU64;\n";
-    assert_eq!(
-        rules_fired("crates/net/src/origin.rs", src),
-        ["obs-registry"]
-    );
-    assert_eq!(
-        rules_fired(
-            "crates/net/src/proxy.rs",
-            "static N: AtomicUsize = AtomicUsize::new(0);\n"
-        ),
-        ["obs-registry"]
-    );
-    // Control-plane flags (AtomicBool/AtomicU32) are not counters.
-    let flags = "use std::sync::atomic::{AtomicBool, AtomicU32};\n";
-    assert!(rules_fired("crates/net/src/origin.rs", flags).is_empty());
-    // Other crates may use atomics (e.g. the fan-out pool's internals).
-    assert!(rules_fired("crates/replay/src/parallel.rs", src).is_empty());
-}
+/// A path where `peer-time` (and `protocol-name`) apply: the engine and
+/// waiver tests below use its one-token-pair needle, `.issued_at`.
+const NET: &str = "crates/net/src/proxy.rs";
 
 #[test]
 fn cfg_test_items_are_skipped() {
@@ -349,12 +102,12 @@ fn live() {}
 mod tests {
     #[test]
     fn t() {
-        let x = Some(1).unwrap();
-        std::thread::sleep(std::time::Duration::from_secs(1));
+        let at = get.issued_at;
+        let kind = ProtocolKind::Invalidation;
     }
 }
 ";
-    assert!(scan_source("crates/core/src/lib.rs", src).is_empty());
+    assert!(scan_source(NET, src).is_empty());
 }
 
 #[test]
@@ -362,11 +115,11 @@ fn code_after_cfg_test_item_is_still_scanned() {
     let src = "\
 #[cfg(test)]
 mod tests {
-    fn t() { Some(1).unwrap(); }
+    fn t(g: GetRequest) -> SimTime { g.issued_at }
 }
-fn live(x: Option<u32>) -> u32 { x.unwrap() }
+fn live(g: GetRequest) -> SimTime { g.issued_at }
 ";
-    let d = scan_source("crates/core/src/lib.rs", src);
+    let d = scan_source(NET, src);
     assert_eq!(d.len(), 1);
     assert_eq!(d[0].line, 5);
 }
@@ -374,73 +127,73 @@ fn live(x: Option<u32>) -> u32 { x.unwrap() }
 #[test]
 fn strings_and_comments_do_not_trigger() {
     let src = "\
-// calls Instant::now() under the hood
-/* and .unwrap() too,
+// reads get.issued_at under the hood
+/* and ProtocolKind::Invalidation too,
    across lines */
-fn f() -> &'static str { \"Instant::now() .unwrap() todo!\" }
-/// Docs may say thread::sleep freely.
+fn f() -> &'static str { \"get.issued_at ProtocolKind::VolumeLease todo!\" }
+/// Docs may say .issued_at freely.
 fn g() {}
 ";
-    assert!(scan_source("crates/core/src/lib.rs", src).is_empty());
+    assert!(scan_source(NET, src).is_empty());
 }
 
 #[test]
 fn char_literals_and_lifetimes_survive_stripping() {
     let src = "fn f<'a>(x: &'a str) -> char { let q = '\"'; let n = '\\n'; q }\n";
-    assert!(scan_source("crates/core/src/lib.rs", src).is_empty());
+    assert!(scan_source(NET, src).is_empty());
     // The lexer must not let a char literal swallow the rest of the line
     // as a string.
-    let sneaky = "fn f() { let c = 'x'; Some(1).unwrap(); }\n";
-    assert_eq!(rules_fired("crates/core/src/lib.rs", sneaky), ["unwrap"]);
+    let sneaky = "fn f(g: GetRequest) { let c = 'x'; g.issued_at; }\n";
+    assert_eq!(rules_fired(NET, sneaky), ["peer-time"]);
 }
 
 #[test]
 fn inline_waiver_suppresses_one_line() {
     let src = "\
-fn f() { Some(1).unwrap() } // xtask-lint: allow(unwrap)
-fn g() { Some(1).unwrap() }
+fn f(g: GetRequest) -> SimTime { g.issued_at } // xtask-lint: allow(peer-time)
+fn h(g: GetRequest) -> SimTime { g.issued_at }
 ";
-    let d = scan_source("crates/core/src/lib.rs", src);
+    let d = scan_source(NET, src);
     assert_eq!(d.len(), 1);
     assert_eq!(d[0].line, 2);
     // The waiver is rule-specific.
-    let wrong = "fn f() { Some(1).unwrap() } // xtask-lint: allow(sleep)\n";
-    assert_eq!(rules_fired("crates/core/src/lib.rs", wrong), ["unwrap"]);
+    let wrong =
+        "fn f(g: GetRequest) -> SimTime { g.issued_at } // xtask-lint: allow(protocol-name)\n";
+    assert_eq!(rules_fired(NET, wrong), ["peer-time"]);
     // A marker alone on its line waives the line below it, and only that.
-    let above = "// xtask-lint: allow(unwrap)\nfn f() { Some(1).unwrap() }\n\
-                 fn g() { Some(1).unwrap() }\n";
-    let d = scan_source("crates/core/src/lib.rs", above);
+    let above = "// xtask-lint: allow(peer-time)\nfn f(g: GetRequest) -> SimTime { g.issued_at }\n\
+                 fn h(g: GetRequest) -> SimTime { g.issued_at }\n";
+    let d = scan_source(NET, above);
     assert_eq!((d.len(), d[0].line), (1, 3));
 }
 
 #[test]
 fn diagnostics_carry_position_and_render() {
-    let src = "fn a() {}\nfn f() { Some(1).unwrap(); }\n";
-    let d = scan_source("crates/core/src/server.rs", src);
+    let src = "fn a() {}\nfn f(g: GetRequest) -> SimTime { g.issued_at }\n";
+    let d = scan_source(NET, src);
     assert_eq!(d.len(), 1);
     assert_eq!(d[0].line, 2);
     let rendered = d[0].to_string();
-    assert!(rendered.starts_with("crates/core/src/server.rs:2: [unwrap]"));
+    assert!(rendered.starts_with("crates/net/src/proxy.rs:2: [peer-time]"));
 }
 
-// ---- token-only precision the old engine could not deliver ----
+// ---- token-only precision a substring match could not deliver ----
 
 #[test]
 fn raw_strings_and_macro_text_do_not_trigger() {
-    let src = "fn f() -> &'static str { r#\"calls .unwrap() and Instant::now()\"# }\n";
-    assert!(scan_source("crates/core/src/lib.rs", src).is_empty());
-    // `.unwrap_or(…)` is not `.unwrap()`: token matching sees the
-    // difference, substring matching on `.unwrap()` also did — but
-    // `.expect_err(…)` vs `.expect(` only tokens get right.
-    let or = "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n";
-    assert!(scan_source("crates/core/src/lib.rs", or).is_empty());
+    let src = "fn f() -> &'static str { r#\"reads .issued_at and ProtocolKind::Invalidation\"# }\n";
+    assert!(scan_source(NET, src).is_empty());
+    // `.issued_at_ms` is not `.issued_at`: one identifier token, where a
+    // substring match on `.issued_at` would fire.
+    let longer = "fn f(g: Stamp) -> u64 { g.issued_at_ms }\n";
+    assert!(scan_source(NET, longer).is_empty());
 }
 
 #[test]
 fn spaced_tokens_still_match() {
-    // Formatting cannot hide a call from the token matcher.
-    let src = "fn f(x: Option<u32>) -> u32 { x . unwrap ( ) }\n";
-    assert_eq!(rules_fired("crates/core/src/lib.rs", src), ["unwrap"]);
+    // Formatting cannot hide a read from the token matcher.
+    let src = "fn f(g: GetRequest) -> SimTime { g . issued_at }\n";
+    assert_eq!(rules_fired(NET, src), ["peer-time"]);
 }
 
 // ---- map-iteration-order ----
@@ -582,39 +335,42 @@ impl S {
 #[test]
 fn stale_waiver_is_reported_with_its_line() {
     let src = "\
-fn fixed() -> u32 { 1 } // xtask-lint: allow(unwrap)
+fn fixed() -> u32 { 1 } // xtask-lint: allow(peer-time)
 ";
-    let d = audit_waivers_source("crates/core/src/lib.rs", src);
+    let d = audit_waivers_source(NET, src);
     assert_eq!(d.len(), 1);
     assert_eq!(d[0].rule, "stale-waiver");
     assert_eq!(d[0].line, 1);
-    assert!(d[0].message.contains("unwrap"));
+    assert!(d[0].message.contains("peer-time"));
     // A live waiver is not stale.
-    let live = "fn f() { Some(1).unwrap() } // xtask-lint: allow(unwrap)\n";
-    assert!(audit_waivers_source("crates/core/src/lib.rs", live).is_empty());
-    // Unknown rule names are flagged; the `<rule>` doc placeholder is not
-    // a marker at all.
-    let unknown = "fn f() {} // xtask-lint: allow(no-such-rule)\n";
-    let d = audit_waivers_source("crates/core/src/lib.rs", unknown);
-    assert_eq!(d.len(), 1);
-    assert!(d[0].message.contains("unknown rule"));
+    let live = "fn f(g: GetRequest) -> SimTime { g.issued_at } // xtask-lint: allow(peer-time)\n";
+    assert!(audit_waivers_source(NET, live).is_empty());
+    // Unknown rule names are flagged (a rule that moved to clippy is one);
+    // the `<rule>` doc placeholder is not a marker at all.
+    for unknown in ["no-such-rule", "unwrap"] {
+        let src = format!("fn f() {{}} // xtask-lint: allow({unknown})\n");
+        let d = audit_waivers_source(NET, &src);
+        assert_eq!(d.len(), 1);
+        assert!(d[0].message.contains("unknown rule"));
+    }
     let doc = "//! Waive with `// xtask-lint: allow(<rule>)` on the line.\n";
-    assert!(audit_waivers_source("crates/core/src/lib.rs", doc).is_empty());
+    assert!(audit_waivers_source(NET, doc).is_empty());
     // Markers inside string literals are inert.
-    let in_str = "fn f() -> &'static str { \"// xtask-lint: allow(unwrap)\" }\n";
-    assert!(audit_waivers_source("crates/core/src/lib.rs", in_str).is_empty());
+    let in_str = "fn f() -> &'static str { \"// xtask-lint: allow(peer-time)\" }\n";
+    assert!(audit_waivers_source(NET, in_str).is_empty());
 }
 
 #[test]
 fn scan_files_reports_stale_waivers_alongside_findings() {
     let files = vec![(
-        "crates/core/src/lib.rs".to_string(),
-        "fn ok() {} // xtask-lint: allow(sleep)\nfn f(x: Option<u32>) -> u32 { x.unwrap() }\n"
+        NET.to_string(),
+        "fn ok() {} // xtask-lint: allow(protocol-name)\n\
+         fn f(g: GetRequest) -> SimTime { g.issued_at }\n"
             .to_string(),
     )];
     let d = scan_files(&files);
     let rules: Vec<&str> = d.iter().map(|d| d.rule).collect();
-    assert_eq!(rules, ["stale-waiver", "unwrap"]);
+    assert_eq!(rules, ["stale-waiver", "peer-time"]);
 }
 
 // ---- output format ----
@@ -624,7 +380,7 @@ fn json_output_is_stable_and_escaped() {
     let d = vec![Diagnostic {
         path: "crates/core/src/lib.rs".to_string(),
         line: 3,
-        rule: "unwrap",
+        rule: "peer-time",
         message: "say \"no\"".to_string(),
     }];
     let json = to_json(&d);

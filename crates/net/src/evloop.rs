@@ -549,6 +549,10 @@ pub(crate) fn spawn<R: Role>(
         outbox: Vec::with_capacity(64),
         dirty: Vec::with_capacity(256),
         inbox,
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "the runtime owns the node's one clock and tells its role the time"
+        )]
         clock: WallClock::start(),
         deferred: 0,
         hello,
@@ -893,6 +897,11 @@ impl<R: Role> Runtime<R> {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "tests drive a node from outside over blocking sockets"
+)]
 mod tests {
     use super::*;
     use std::io::{Read, Write};

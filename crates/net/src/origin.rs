@@ -181,6 +181,10 @@ impl NetOrigin {
             if done || waited >= timeout {
                 return done;
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "a handle polls from its caller's thread, never a node's"
+            )]
             std::thread::sleep(Duration::from_millis(2));
         }
         false
@@ -376,9 +380,12 @@ impl Role for OriginRole {
 /// # Errors
 ///
 /// Returns any socket error.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the modifier's own thread, never a node's"
+)]
 pub fn check_in(origin: SocketAddr, url: Url, at: SimTime) -> std::io::Result<()> {
-    // The modifier's own thread, never a node's.
-    let mut stream = TcpStream::connect(origin)?; // xtask-lint: allow(reactor-blocking-io)
-    stream.write_all(&encode(&HttpMsg::Notify { url, at }))?; // xtask-lint: allow(reactor-blocking-io)
+    let mut stream = TcpStream::connect(origin)?;
+    stream.write_all(&encode(&HttpMsg::Notify { url, at }))?;
     stream.flush()
 }

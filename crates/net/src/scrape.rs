@@ -30,6 +30,10 @@ pub(crate) fn metrics_response(body: &str) -> Vec<u8> {
 ///
 /// Returns socket errors, or `InvalidData` if the reply is not a well-formed
 /// HTTP response.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a scrape runs on its caller's thread, never a node's"
+)]
 pub fn scrape(addr: SocketAddr) -> std::io::Result<String> {
     let mut stream = TcpStream::connect(addr)?;
     stream.write_all(&encode(&HttpMsg::MetricsGet))?;

@@ -1,5 +1,10 @@
 //! The hierarchy over real sockets: origin ← parent ← two children.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests wait on real sockets in wall time"
+)]
+
 mod common;
 
 use std::time::Duration;

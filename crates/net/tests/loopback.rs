@@ -1,5 +1,10 @@
 //! End-to-end tests of the real-TCP prototype over loopback.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests wait on real sockets in wall time"
+)]
+
 use std::time::Duration;
 use wcc_core::{AdaptiveTtlConfig, ProtocolConfig, ProtocolKind};
 use wcc_net::{check_in, FetchKind, NetOrigin, NetProxy, OriginConfig};

@@ -1,6 +1,11 @@
 //! `GET /metrics` on the TCP prototype: every tier answers with valid
 //! Prometheus text exposition reflecting its live counters.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests wait on real sockets in wall time"
+)]
+
 use std::time::Duration;
 use wcc_core::{ProtocolConfig, ProtocolKind};
 use wcc_net::{check_in, scrape, FetchKind, NetOrigin, NetParent, NetProxy, OriginConfig};

@@ -9,6 +9,11 @@
 //! client of all this, and an upstream's `X-Size` cannot make the proxy
 //! allocate without bound.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests wait on real sockets in wall time"
+)]
+
 mod common;
 
 use common::{get, url, ScriptedUpstream, Wire, SERVER};

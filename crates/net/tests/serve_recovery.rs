@@ -11,6 +11,11 @@
 //! retries go nowhere without harm. The last has peers that do not hold a
 //! copy ack for it: the ack is refused and the copy stays pending.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests wait on real sockets in wall time"
+)]
+
 mod common;
 
 use std::io::Write;

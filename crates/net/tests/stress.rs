@@ -2,6 +2,12 @@
 //! modifier over real sockets, with the strong-consistency invariant
 //! checked at quiescence.
 
+#![allow(
+    clippy::disallowed_methods,
+    clippy::disallowed_types,
+    reason = "tests wait on real sockets in wall time"
+)]
+
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;

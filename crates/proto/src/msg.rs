@@ -39,7 +39,8 @@ impl RequestId {
 
 impl fmt::Display for RequestId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "req{}", self.0)
+        f.write_str("req")?;
+        fmt::Display::fmt(&self.0, f)
     }
 }
 

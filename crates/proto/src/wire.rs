@@ -54,11 +54,15 @@ pub enum WireError {
 }
 
 impl fmt::Display for WireError {
+    #[expect(
+        clippy::disallowed_macros,
+        reason = "an error's text, rendered once as its connection closes"
+    )]
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            WireError::Io(e) => write!(f, "wire i/o error: {e}"), // xtask-lint: allow(codec-fmt)
-            WireError::Closed => write!(f, "connection closed"),  // xtask-lint: allow(codec-fmt)
-            WireError::Malformed(why) => write!(f, "malformed wire message: {why}"), // xtask-lint: allow(codec-fmt)
+            WireError::Io(e) => write!(f, "wire i/o error: {e}"),
+            WireError::Closed => write!(f, "connection closed"),
+            WireError::Malformed(why) => write!(f, "malformed wire message: {why}"),
             WireError::DocTooLarge(size) => {
                 f.write_str("X-Size above the document size cap: ")?;
                 fmt::Display::fmt(size, f)

@@ -447,8 +447,11 @@ pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usi
 ///
 /// Those of [`decode_frame`] at EOF.
 pub fn decode_ref(buf: &[u8]) -> Result<HttpMsgRef<'_>, WireError> {
-    // Infallible: with `eof = true` the decoder never returns `None`.
-    let (msg, _used) = decode_frame(buf, true)?.expect("decode_frame never defers at eof"); // xtask-lint: allow(unwrap)
+    #[expect(
+        clippy::expect_used,
+        reason = "with `eof = true` the decoder never defers"
+    )]
+    let (msg, _used) = decode_frame(buf, true)?.expect("decode_frame never defers at eof");
     Ok(msg)
 }
 
@@ -552,17 +555,25 @@ fn malformed(why: &str) -> WireError {
 
 /// `why` followed by the value it is about.
 #[cold]
+#[expect(
+    clippy::disallowed_macros,
+    reason = "an error's text, built once as its connection closes"
+)]
 fn malformed_at(why: &str, value: &[u8]) -> WireError {
     let value = String::from_utf8_lossy(value);
-    WireError::Malformed(format!("{why}{value}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
+    WireError::Malformed(format!("{why}{value}")) // xtask-lint: allow(hot-loop-alloc)
 }
 
 /// `why` followed by a list entry, quoted: an entry may hold any text but
 /// a comma.
 #[cold]
+#[expect(
+    clippy::disallowed_macros,
+    reason = "an error's text, built once as its connection closes"
+)]
 fn bad_entry(why: &str, entry: &[u8]) -> WireError {
     let entry = String::from_utf8_lossy(entry);
-    WireError::Malformed(format!("{why}{entry:?}")) // xtask-lint: allow(hot-loop-alloc) xtask-lint: allow(codec-fmt)
+    WireError::Malformed(format!("{why}{entry:?}")) // xtask-lint: allow(hot-loop-alloc)
 }
 
 /// Pulls frames off a [`Read`] stream through a persistent buffer, decoding
@@ -626,7 +637,8 @@ impl<R: Read> FrameReader<R> {
             let lo = self.start;
             self.start += used;
             let frame = &self.buf[lo..lo + used];
-            let (msg, _) = decode_frame(frame, true)?.expect("complete frame re-decodes"); // xtask-lint: allow(unwrap)
+            #[expect(clippy::expect_used, reason = "the frame just decoded whole")]
+            let (msg, _) = decode_frame(frame, true)?.expect("complete frame re-decodes");
             return Ok(msg);
         }
     }
@@ -694,9 +706,13 @@ pub fn codec_sweep(msgs: &[HttpMsg]) -> CodecStats {
     let mut rest: &[u8] = &buf;
     #[expect(clippy::indexing_slicing, reason = "a frame uses at most `rest`")]
     while !rest.is_empty() {
+        #[expect(
+            clippy::expect_used,
+            reason = "documented panic: the corpus is encoded here"
+        )]
         let (msg, used) = decode_frame(rest, true)
-            .expect("corpus re-decodes cleanly") // xtask-lint: allow(unwrap)
-            .expect("eof decode never defers"); // xtask-lint: allow(unwrap)
+            .expect("corpus re-decodes cleanly")
+            .expect("eof decode never defers");
         stats.messages += 1;
         let retained = matches!(
             &msg,
@@ -718,6 +734,7 @@ pub fn codec_sweep(msgs: &[HttpMsg]) -> CodecStats {
 }
 
 #[cfg(test)]
+#[allow(clippy::disallowed_macros, reason = "tests format as they like")]
 mod tests {
     use super::*;
     use crate::wire::encode;

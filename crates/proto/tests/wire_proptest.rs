@@ -8,6 +8,11 @@
 //! oracles the shipped one is held to. This file is the gate on the
 //! decoder's header rules: `cargo test -q -p wcc-proto --test wire_proptest`.
 
+#![allow(
+    clippy::disallowed_macros,
+    reason = "the write!-based reference codec is the oracle"
+)]
+
 use proptest::prelude::*;
 use std::io::Write;
 use wcc_proto::{

@@ -8,6 +8,10 @@ use wcc_replay::experiment::materialise;
 use wcc_replay::ExperimentConfig;
 use wcc_traces::TraceSpec;
 
+#[expect(
+    clippy::disallowed_methods,
+    reason = "a timing probe reads the wall clock"
+)]
 fn main() {
     let scale = std::env::args()
         .nth(1)

@@ -15,8 +15,8 @@
 //! platforms, so no hash-order nondeterminism can leak into replay
 //! reports. (`std`'s `RandomState` reseeds per process; any accidental
 //! dependence on its iteration order would defeat byte-identical replays.)
-//! The `xtask-lint` `hot-hash` rule enforces that the protocol-hot crates
-//! build their maps with these aliases.
+//! Clippy's `disallowed-types` list (the `clippy.toml` of `core`, `httpsim`
+//! and `simnet`) keeps std's maps out of the protocol-hot crates.
 //!
 //! [`ScopedUrl`]: crate::ScopedUrl
 //! [`Url`]: crate::Url

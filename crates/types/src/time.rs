@@ -320,9 +320,10 @@ impl fmt::Display for SimDuration {
 ///
 /// Everything that genuinely needs real elapsed time (the TCP prototype's
 /// completion waits, bench harnesses) measures it through a `WallClock`
-/// rather than calling `std::time::Instant::now()` directly. The repo lint
-/// (`xtask-lint`) denies raw wall-clock reads everywhere else, which keeps
-/// the simulation crates deterministic by construction.
+/// rather than calling `std::time::Instant::now()` directly. Clippy's
+/// `disallowed_methods` (root `clippy.toml`) denies raw wall-clock reads
+/// everywhere else, which keeps the simulation crates deterministic by
+/// construction.
 ///
 /// # Examples
 ///
@@ -339,6 +340,10 @@ pub struct WallClock {
 
 impl WallClock {
     /// Starts measuring from the current instant.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the one doorway to the host's wall clock"
+    )]
     pub fn start() -> Self {
         WallClock {
             start: std::time::Instant::now(),

@@ -9,8 +9,8 @@ use std::sync::Arc;
 ///
 /// The evaluation traces address at most a few thousand distinct documents
 /// per server, so a compact `(server, doc)` pair is both faster and smaller
-/// than string paths; [`Url::path`] renders the conventional string form and
-/// the wire codec in `wcc-proto` parses it back.
+/// than string paths; [`Url::path_display`] renders the conventional string
+/// form and the wire codec in `wcc-proto` parses it back.
 ///
 /// # Examples
 ///
@@ -18,7 +18,7 @@ use std::sync::Arc;
 /// use wcc_types::{ServerId, Url};
 ///
 /// let url = Url::new(ServerId::new(0), 42);
-/// assert_eq!(url.path(), "/doc/42");
+/// assert_eq!(url.path_display().to_string(), "/doc/42");
 /// assert_eq!(url.doc(), 42);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -44,7 +44,7 @@ impl Url {
     }
 
     /// Writes the conventional string path of this document into `out`
-    /// without allocating — the hot-path form of [`Url::path`].
+    /// without allocating.
     ///
     /// Formatting a path happens once per simulated request (audit records,
     /// wire frames, log lines), so hot callers format into a reused buffer
@@ -63,18 +63,6 @@ impl Url {
         write!(out, "/doc/{}", self.doc)
     }
 
-    /// The conventional string path of this document, as a fresh `String`.
-    ///
-    /// Cold-path convenience over [`Url::write_path`]; inside the simulator
-    /// crates prefer `write_path` into a reused buffer (the `url-path-alloc`
-    /// lint flags `.path()` there).
-    pub fn path(self) -> String {
-        let mut out = String::with_capacity(8);
-        self.write_path(&mut out)
-            .expect("String write is infallible");
-        out
-    }
-
     /// A [`fmt::Display`] adapter rendering just the path (`/doc/N`), so the
     /// path can ride an existing `write!` into a shared buffer — the
     /// format-string-friendly face of [`Url::write_path`].
@@ -89,8 +77,8 @@ impl Url {
         UrlPath(self)
     }
 
-    /// Parses the string form produced by [`Url::path`], given the owning
-    /// server.
+    /// Parses the string form produced by [`Url::write_path`], given the
+    /// owning server.
     pub fn from_path(server: ServerId, path: &str) -> Option<Url> {
         Url::from_path_ascii(server, path.as_bytes())
     }
@@ -316,7 +304,7 @@ mod tests {
     fn url_path_round_trip() {
         let s = ServerId::new(1);
         let u = Url::new(s, 123);
-        assert_eq!(Url::from_path(s, &u.path()), Some(u));
+        assert_eq!(Url::from_path(s, &u.path_display().to_string()), Some(u));
         assert_eq!(Url::from_path(s, "/nope"), None);
         assert_eq!(Url::from_path(s, "/doc/xyz"), None);
     }

@@ -26,6 +26,10 @@ fn main() -> std::io::Result<()> {
     // Two proxy sites, each registering an invalidation push channel.
     let proxy_a = NetProxy::spawn(origin.addr(), &cfg, 0, 2, ByteSize::from_mib(64))?;
     let proxy_b = NetProxy::spawn(origin.addr(), &cfg, 1, 2, ByteSize::from_mib(64))?;
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the proxies' push channels register in wall time"
+    )]
     std::thread::sleep(Duration::from_millis(50));
 
     let alice = ClientId::from_ip([10, 0, 0, 2]); // partition 0

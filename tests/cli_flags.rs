@@ -8,6 +8,11 @@
 //! refused, not ignored — as is, by `wcc replay --family`, every flag of
 //! the single-trace replay it does not read.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests wait on real processes in wall time"
+)]
+
 use std::process::Command;
 
 const WCC: &str = env!("CARGO_BIN_EXE_wcc");

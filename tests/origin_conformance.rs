@@ -32,6 +32,10 @@
 //! whole trace without modifications through one proxy, simulated and over
 //! TCP, must count alike on both sides of the wire.
 
+#![allow(
+    clippy::disallowed_methods,
+    reason = "tests wait on real sockets in wall time"
+)]
 // Building options by mutating a default is the intended style here.
 #![allow(clippy::field_reassign_with_default)]
 

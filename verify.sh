@@ -23,10 +23,15 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy"
-# Besides the workspace lints, crate roots deny two clippy lints the token
-# lint used to approximate: `clippy::indexing_slicing` (core, proto, cache,
-# net, reactor; allowed in their tests by clippy.toml) and
-# `clippy::wildcard_enum_match_arm` (proto, core, httpsim, net, audit,
+# Besides the workspace lints: the `disallowed-methods` / `-types` /
+# `-macros` lists of the root clippy.toml (wall clock, thread::sleep) and of
+# crates/{core,httpsim,simnet,proto,net,reactor}/clippy.toml (std hash maps,
+# the cores' inner steps, blocking socket I/O, locks, ad-hoc atomics,
+# format!/write! in the codec), which also catch an alias, a glob import or
+# a UFCS call; and crate-root denies of `clippy::unwrap_used` /
+# `expect_used` (core, proto, cache), `clippy::indexing_slicing` (core,
+# proto, cache, net, reactor; all three allowed in tests by clippy.toml)
+# and `clippy::wildcard_enum_match_arm` (proto, core, httpsim, net, audit,
 # types; tests included), which makes every match over `HttpMsg` /
 # `AuditEvent` name each variant. An `#[expect]` whose lint no longer fires
 # is rustc's `unfulfilled_lint_expectations`, an error under -D warnings:
