@@ -2,7 +2,7 @@
 # Alternating pairs: does this checkout run the benchmark faster or slower
 # than PARENT_REV?
 #
-#   ci/pairs.sh PARENT_REV [WORKLOAD] [N]
+#   ci/pairs.sh [--keep DIR] PARENT_REV [WORKLOAD] [N]
 #
 # Snapshots PARENT_REV and the checkout as it stands (its tracked files,
 # staged and unstaged edits included; `git add` a new file first) into two
@@ -16,16 +16,27 @@
 # Prints, per workload and end-to-end metric of BENCHMARK.json, each side's
 # median [quartiles], the change of the medians, and in how many pairs the
 # change read better: the table EXPERIMENTS.md uses. Quartiles are the 25th
-# and 75th percentiles, interpolated. The run count whose JSON reported
-# `failed` > 0 or `correct` false is printed per workload too. Nothing is
-# written into the checkout (benchmark/Cargo.lock included: each snapshot's
-# build rewrites its own); the snapshots are deleted on exit. Exits 1 if a
-# build or a run fails.
+# and 75th percentiles, interpolated. Under it, one line per pair and
+# metric: each side's reading and which side ran first. The run count whose
+# JSON reported `failed` > 0 or `correct` false is printed per workload too.
+# Nothing is written into the checkout (benchmark/Cargo.lock included: each
+# snapshot's build rewrites its own); the snapshots are deleted on exit,
+# after `--keep DIR` has copied each run's JSON report
+# (`WORKLOAD.SIDE.PAIR.json`) into DIR. Exits 1 if a build or a run fails.
 set -euo pipefail
 
-if [ $# -lt 1 ] || [ $# -gt 3 ]; then
-    echo "usage: ci/pairs.sh PARENT_REV [WORKLOAD] [N]" >&2
+usage() {
+    echo "usage: ci/pairs.sh [--keep DIR] PARENT_REV [WORKLOAD] [N]" >&2
     exit 2
+}
+keep=""
+if [ "${1:-}" = --keep ]; then
+    [ $# -ge 2 ] || usage
+    keep="$2"
+    shift 2
+fi
+if [ $# -lt 1 ] || [ $# -gt 3 ]; then
+    usage
 fi
 root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
 parent_rev="$(git -C "$root" rev-parse --verify "$1^{commit}")"
@@ -45,7 +56,13 @@ change_rev="$(git -C "$root" stash create)"
 change_rev="${change_rev:-$(git -C "$root" rev-parse HEAD)}"
 
 work="$(mktemp -d)"
-trap 'rm -rf "$work"' EXIT
+cleanup() {
+    if [ -n "$keep" ] && [ -d "$work/runs" ]; then
+        mkdir -p "$keep" && cp "$work/runs"/*.json "$keep"/ 2>/dev/null || true
+    fi
+    rm -rf "$work"
+}
+trap cleanup EXIT
 for side in parent change; do
     rev="${side}_rev"
     mkdir "$work/$side"
@@ -104,6 +121,15 @@ for w in workloads:
         better = sum((b < a) if lower else (b > a) for a, b in zip(p, c))
         sign = "+" if delta >= 0 else "−"
         print(f"| {w} | {name} | {ps} | {cs} | {sign}{abs(delta):.1f} % | {better}/{pairs} |")
+print("\nEvery pair, parent then change, and which side ran first:\n")
+for w in workloads:
+    sides = {side: load(w, side) for side in ("parent", "change")}
+    for m in metrics:
+        name = m["name"]
+        for i, (a, b) in enumerate(zip(sides["parent"], sides["change"]), 1):
+            first = "parent" if i % 2 == 1 else "change"
+            pv, cv = a["metrics"][name]["value"], b["metrics"][name]["value"]
+            print(f"{w} {name} pair {i}: {pv:.6g} {cv:.6g} ({first} first)")
 print()
 for w in workloads:
     print(f"{w}: {bad[w]} of {2 * pairs} runs failed an operation or the output oracle")

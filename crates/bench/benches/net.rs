@@ -18,11 +18,10 @@ fn spawn(kind: ProtocolKind) -> (NetOrigin, NetProxy) {
     })
     .expect("origin");
     let proxy = NetProxy::spawn(origin.addr(), &cfg, 0, 1, ByteSize::from_mib(64)).expect("proxy");
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "bench set-up: the proxy's push channel registers in wall time"
-    )]
-    std::thread::sleep(Duration::from_millis(20));
+    assert!(
+        origin.wait_registered(1, Duration::from_secs(5)),
+        "push channel"
+    );
     (origin, proxy)
 }
 

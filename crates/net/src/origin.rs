@@ -161,7 +161,7 @@ impl NetOrigin {
     /// Polls until [`NetOrigin::recovery_complete`] or `timeout` elapses;
     /// `false` at once if the node's thread is gone.
     pub fn wait_recovery_complete(&self, timeout: Duration) -> bool {
-        self.wait_until(timeout, |core| core.recovery_complete())
+        self.wait_until(timeout, |o| o.core.recovery_complete())
     }
 
     /// Polls until every outstanding invalidation is acknowledged (the
@@ -169,14 +169,26 @@ impl NetOrigin {
     /// whether completion was reached; `false` at once if the node's
     /// thread is gone.
     pub fn wait_writes_complete(&self, timeout: Duration) -> bool {
-        self.wait_until(timeout, |core| core.consistency().writes_complete())
+        self.wait_until(timeout, |o| o.core.consistency().writes_complete())
+    }
+
+    /// Polls until `sites` proxy partitions have registered their push
+    /// channels with a `HELLO`, or `timeout` elapses: a write before then
+    /// invalidates no one. Returns whether they had; `false` at once if the
+    /// node's thread is gone.
+    pub fn wait_registered(&self, sites: usize, timeout: Duration) -> bool {
+        self.wait_until(timeout, move |o| o.links.channels.len() >= sites)
     }
 
     /// Polls `reached` on the node's thread, measuring `timeout` on the
     /// node's clock.
-    fn wait_until(&self, timeout: Duration, reached: fn(&OriginCore) -> bool) -> bool {
+    fn wait_until(
+        &self,
+        timeout: Duration,
+        reached: impl Fn(&OriginRole) -> bool + Copy + Send + 'static,
+    ) -> bool {
         let mut since = None;
-        while let Ok((done, now)) = self.node.call(move |o, now, _| (reached(&o.core), now)) {
+        while let Ok((done, now)) = self.node.call(move |o, now, _| (reached(o), now)) {
             let waited = Duration::from_micros((now - *since.get_or_insert(now)).as_micros());
             if done || waited >= timeout {
                 return done;

@@ -25,8 +25,7 @@ fn start_with(cfg: ProtocolConfig) -> (NetOrigin, NetProxy, ProtocolConfig) {
     .expect("origin spawn");
     let proxy =
         NetProxy::spawn(origin.addr(), &cfg, 0, 1, ByteSize::from_mib(64)).expect("proxy spawn");
-    // Give the HELLO registration a moment to land.
-    std::thread::sleep(Duration::from_millis(50));
+    assert!(origin.wait_registered(1, Duration::from_secs(5)));
     (origin, proxy, cfg)
 }
 
@@ -173,7 +172,7 @@ fn two_tier_lease_tracks_only_repeat_readers() {
     })
     .unwrap();
     let proxy = NetProxy::spawn(origin.addr(), &cfg, 0, 1, ByteSize::from_mib(16)).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    assert!(origin.wait_registered(1, Duration::from_secs(5)));
 
     let c = client(1);
     // First GET: zero lease → not tracked.
@@ -201,7 +200,7 @@ fn invalidations_fan_out_across_partitions() {
     .unwrap();
     let p0 = NetProxy::spawn(origin.addr(), &cfg, 0, 2, ByteSize::from_mib(16)).unwrap();
     let p1 = NetProxy::spawn(origin.addr(), &cfg, 1, 2, ByteSize::from_mib(16)).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    assert!(origin.wait_registered(2, Duration::from_secs(5)));
 
     // Client 4 → partition 0, client 5 → partition 1.
     p0.fetch(client(4), url(0), SimTime::from_secs(1)).unwrap();
@@ -242,7 +241,7 @@ fn a_hello_with_another_partition_count_is_refused() {
     .unwrap();
     let p0 = NetProxy::spawn(origin.addr(), &cfg, 0, 2, ByteSize::from_mib(16)).unwrap();
     let p1 = NetProxy::spawn(origin.addr(), &cfg, 1, 2, ByteSize::from_mib(16)).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    assert!(origin.wait_registered(2, Duration::from_secs(5)));
     p0.fetch(client(4), url(0), SimTime::from_secs(1)).unwrap();
     p1.fetch(client(5), url(0), SimTime::from_secs(1)).unwrap();
 
@@ -295,7 +294,7 @@ fn batched_invalidations_coalesce_across_partitions() {
     .unwrap();
     let p0 = NetProxy::spawn(origin.addr(), &cfg, 0, 2, ByteSize::from_mib(16)).unwrap();
     let p1 = NetProxy::spawn(origin.addr(), &cfg, 1, 2, ByteSize::from_mib(16)).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    assert!(origin.wait_registered(2, Duration::from_secs(5)));
 
     // Client 4 → partition 0, client 5 → partition 1; both cache two docs.
     for doc in 0..2 {
@@ -350,7 +349,7 @@ fn batch_age_threshold_flushes_small_rounds() {
     })
     .unwrap();
     let proxy = NetProxy::spawn(origin.addr(), &cfg, 0, 1, ByteSize::from_mib(16)).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    assert!(origin.wait_registered(1, Duration::from_secs(5)));
 
     proxy
         .fetch(client(7), url(0), SimTime::from_secs(1))
@@ -417,7 +416,7 @@ fn volume_lease_expiry_forces_renewal_over_tcp() {
     })
     .unwrap();
     let proxy = NetProxy::spawn(origin.addr(), &cfg, 0, 1, ByteSize::from_mib(16)).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    assert!(origin.wait_registered(1, Duration::from_secs(5)));
 
     let c = client(2);
     // Fetch at t=10: object lease ∞, volume lease until t=70.
@@ -448,7 +447,7 @@ fn volume_lease_renewal_piggybacks_missed_invalidations_over_tcp() {
     })
     .unwrap();
     let proxy = NetProxy::spawn(origin.addr(), &cfg, 0, 1, ByteSize::from_mib(16)).unwrap();
-    std::thread::sleep(Duration::from_millis(50));
+    assert!(origin.wait_registered(1, Duration::from_secs(5)));
 
     let c = client(3);
     // Cache docs 0 and 1 at t=10.

@@ -38,7 +38,7 @@ fn concurrent_browsers_and_modifier_converge() {
             Arc::new(NetProxy::spawn(addr, &cfg, p, 2, ByteSize::from_mib(64)).expect("proxy"))
         })
         .collect();
-    std::thread::sleep(Duration::from_millis(50));
+    assert!(origin.wait_registered(2, Duration::from_secs(5)));
 
     // Logical clock shared by all actors so trace times stay monotonic.
     let clock = Arc::new(AtomicU64::new(1));

@@ -11,17 +11,33 @@
 //! returning `Ok(None)`, which is what [`FrameReader`] uses to pull frames
 //! off a socket without an intermediate copy per message.
 //!
-//! The decoder reads bytes. One word-at-a-time scan per line finds its
-//! `\n` and notes whether any byte is not ASCII; only such a line runs
-//! through `from_utf8`. A name or value is trimmed as text only when an end
-//! is not ASCII, the start line split as text only when it is not ASCII.
-//! The loop files each trimmed value in the slot of the name the protocol
-//! reads it by (`Headers`), and every number, id and path is parsed from
-//! those bytes in place.
+//! The decoder reads bytes, in one of two passes, and the bytes pick which.
+//! The *layout pass* (`layout`) reads the frames the serve tier moves — a
+//! `GET`, `200`, `304`, `INVALIDATE` or `ACK` of one document, with the
+//! optional single-value headers — in the order
+//! [`encode_into`](crate::wire::encode_into) writes them, checking each
+//! literal and parsing each number as it passes. It returns exactly what
+//! the rule-by-rule reader returns for the same bytes, or declines: at a
+//! byte off that layout, a list header, any other verb, a frame not yet
+//! whole. It never errs. On a decline the *rule-by-rule reader*
+//! (`read_by_rules`) reads the frame from its first byte; it is the only
+//! path for what the encoder never writes and the decoder accepts (a
+//! curl scrape, any header case, order, padding or repeat, the lists).
+//!
+//! The rule-by-rule reader works line by line. One word-at-a-time scan per
+//! line finds its `\n` and notes whether any byte is not ASCII; only such a
+//! line runs through `from_utf8`. A name or value is trimmed as text only
+//! when an end is not ASCII, the start line split as text only when it is
+//! not ASCII. The loop files each trimmed value in the slot of the name the
+//! protocol reads it by (`Headers`), and every number, id and path is
+//! parsed from those bytes in place.
 //!
 //! The header rules and error texts are held to an owned, line-reading
 //! reference decoder in `tests/wire_proptest.rs`: for any input, both
 //! decode the same message or fail with a byte-identical error rendering.
+//! The unit tests below hold the boundary between the passes: every shape
+//! of the five frames takes the layout pass, and a frame one departure
+//! away from one is left to the rules.
 
 use crate::msg::{BatchAckEntry, BatchEntry, GetRequest, HttpMsg, Reply, ReplyStatus, RequestId};
 use crate::wire::WireError;
@@ -292,6 +308,178 @@ impl<'buf> Headers<'buf> {
 /// on protocol violations, and [`WireError::Io`] for non-UTF-8 text or a
 /// body cut short at EOF.
 pub fn decode_frame(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usize)>, WireError> {
+    match layout(buf) {
+        Some(frame) => Ok(Some(frame)),
+        None => read_by_rules(buf, eof),
+    }
+}
+
+/// The layout pass (see the module docs): what [`read_by_rules`] returns
+/// for the same bytes, or `None` for anything but a whole frame as
+/// `encode_into` writes it.
+fn layout(buf: &[u8]) -> Option<(HttpMsgRef<'_>, usize)> {
+    let mut at = Layout(buf);
+    let msg = match buf.first()? {
+        b'G' => {
+            let url = at.start(b"GET /doc/")?;
+            let client = at.client()?;
+            let req = RequestId::new(at.header(b"X-Request-Id: ")?);
+            let issued_at = SimTime::from_micros(at.header(b"Date: ")?);
+            let cache_hits = at.optional(b"X-Hit-Count: ")?.unwrap_or(0);
+            let ims = at.optional(b"If-Modified-Since: ")?;
+            HttpMsg::Get(GetRequest {
+                req,
+                url,
+                client,
+                ims: ims.map(SimTime::from_micros),
+                issued_at,
+                cache_hits,
+            })
+        }
+        b'H' => {
+            let reply = at.reply()?;
+            return Some((HttpMsgRef::Reply(reply), at.used(buf)));
+        }
+        b'I' => HttpMsg::Invalidate {
+            url: at.start(b"INVALIDATE /doc/")?,
+            client: at.client()?,
+        },
+        b'A' => HttpMsg::InvalAck {
+            url: at.start(b"ACK /doc/")?,
+            client: at.client()?,
+            cache_hits: at.optional(b"X-Hit-Count: ")?.unwrap_or(0),
+        },
+        _ => return None,
+    };
+    at.lit(b"\r\n")?;
+    Some((HttpMsgRef::Owned(msg), at.used(buf)))
+}
+
+/// The layout pass's cursor: what is still to be read.
+struct Layout<'buf>(&'buf [u8]);
+
+impl<'buf> Layout<'buf> {
+    /// How much of `buf`, which the cursor started on, it has read.
+    fn used(&self, buf: &[u8]) -> usize {
+        buf.len() - self.0.len()
+    }
+
+    /// Steps past `text`, if the bytes start with it.
+    fn lit(&mut self, text: &[u8]) -> Option<()> {
+        self.0 = self.0.strip_prefix(text)?;
+        Some(())
+    }
+
+    /// A number as `put_dec` writes it — digits with no sign and no leading
+    /// zero — that fits `T`.
+    fn num<T: TryFrom<u64>>(&mut self) -> Option<T> {
+        if let [b'0', b'0'..=b'9', ..] = self.0 {
+            return None;
+        }
+        let mut value = 0u64;
+        let mut len = 0;
+        while let Some(digit @ b'0'..=b'9') = self.0.get(len) {
+            let digit = u64::from(digit - b'0');
+            value = value.checked_mul(10)?.checked_add(digit)?;
+            len += 1;
+        }
+        self.0 = self.0.get(len..).filter(|_| len > 0)?;
+        T::try_from(value).ok()
+    }
+
+    /// One numeric header line; `name` runs up to where the number starts.
+    fn header<T: TryFrom<u64>>(&mut self, name: &[u8]) -> Option<T> {
+        self.lit(name)?;
+        let value = self.num()?;
+        self.lit(b"\r\n")?;
+        Some(value)
+    }
+
+    /// A numeric header line the encoder writes only sometimes: `Some(None)`
+    /// where the bytes do not start with `name`.
+    fn optional<T: TryFrom<u64>>(&mut self, name: &[u8]) -> Option<Option<T>> {
+        if self.0.starts_with(name) {
+            self.header(name).map(Some)
+        } else {
+            Some(None)
+        }
+    }
+
+    /// `<verb> /doc/N HTTP/1.0` and the `Host` line: `put_start`'s lines.
+    fn start(&mut self, verb_and_path: &[u8]) -> Option<Url> {
+        self.lit(verb_and_path)?;
+        let doc = self.num()?;
+        self.lit(b" HTTP/1.0\r\n")?;
+        Some(Url::new(ServerId::new(self.header(b"Host: server")?), doc))
+    }
+
+    /// The `X-Client` line: a dotted quad.
+    fn client(&mut self) -> Option<ClientId> {
+        self.lit(b"X-Client: ")?;
+        let mut octets = [0; 4];
+        for (i, octet) in octets.iter_mut().enumerate() {
+            if i > 0 {
+                self.lit(b".")?;
+            }
+            *octet = self.num()?;
+        }
+        self.lit(b"\r\n")?;
+        Some(ClientId::from_ip(octets))
+    }
+
+    /// A `200` or `304` without piggybacked invalidations, up to the end of
+    /// its body.
+    fn reply(&mut self) -> Option<ReplyRef<'buf>> {
+        let ok = self.lit(b"HTTP/1.0 200 OK\r\n").is_some();
+        if !ok {
+            self.lit(b"HTTP/1.0 304 Not Modified\r\n")?;
+        }
+        let server = ServerId::new(self.header(b"Host: server")?);
+        let url = Url::new(server, self.header(b"Content-Location: /doc/")?);
+        let client = self.client()?;
+        let req = RequestId::new(self.header(b"X-Request-Id: ")?);
+        let meta = if ok {
+            let modified = SimTime::from_micros(self.header(b"Last-Modified: ")?);
+            let size = self.header(b"X-Size: ")?;
+            if size > crate::MAX_DOC_SIZE {
+                return None;
+            }
+            Some(DocMeta::new(ByteSize::from_bytes(size), modified))
+        } else {
+            None
+        };
+        let lease = self.optional(b"X-Lease: ")?.map(SimDuration::from_micros);
+        let volume_lease = self.optional(b"X-Volume-Lease: ")?;
+        let status = match meta {
+            Some(meta) => {
+                let len = self.header(b"Content-Length: ")?;
+                self.lit(b"\r\n")?;
+                let (payload, rest) = self.0.split_at_checked(len)?;
+                self.0 = rest;
+                ReplyStatusRef::Ok { meta, payload }
+            }
+            None => {
+                self.lit(b"\r\n")?;
+                ReplyStatusRef::NotModified
+            }
+        };
+        Some(ReplyRef {
+            req,
+            url,
+            client,
+            status,
+            lease,
+            // An empty list: no allocation.
+            piggyback: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
+            volume_lease: volume_lease.map(SimDuration::from_micros),
+        })
+    }
+}
+
+/// The rule-by-rule reader: any byte sequence, read line by line by the
+/// header rules (see the module docs). [`decode_frame`] runs it, from the
+/// frame's first byte, on whatever the layout pass declines.
+fn read_by_rules(buf: &[u8], eof: bool) -> Result<Option<(HttpMsgRef<'_>, usize)>, WireError> {
     let mut lines = Lines { rest: buf, eof };
     let start = match lines.next_line()? {
         LineRead::NeedMore => return Ok(None),
@@ -739,6 +927,8 @@ mod tests {
     use super::*;
     use crate::wire::encode;
 
+    include!("../tests/layout_departures/mod.rs");
+
     fn sample_url() -> Url {
         Url::new(ServerId::new(3), 99)
     }
@@ -832,6 +1022,98 @@ mod tests {
             assert_eq!(used, bytes.len());
             assert_eq!(decoded.to_owned(), msg);
         }
+    }
+
+    /// Every shape of the five frames the layout pass reads, each optional
+    /// header on and off, at both ends of every value, is taken by the
+    /// layout pass, never left to the rules, and read as the rules read it.
+    #[test]
+    fn the_layout_pass_takes_every_frame_the_encoder_writes() {
+        let ends = [
+            (
+                Url::new(ServerId::new(0), 0),
+                ClientId::from_raw(0),
+                0,
+                SimTime::ZERO,
+            ),
+            (
+                Url::new(ServerId::new(u32::MAX), u32::MAX),
+                ClientId::from_ip([255; 4]),
+                u64::MAX,
+                SimTime::from_micros(u64::MAX),
+            ),
+        ];
+        let spans = [None, Some(SimDuration::ZERO), Some(SimDuration::MAX)];
+        let mut msgs = Vec::new();
+        for (url, client, id, time) in ends {
+            for cache_hits in [0, 1, u64::MAX] {
+                for ims in [None, Some(time)] {
+                    msgs.push(HttpMsg::Get(GetRequest {
+                        req: RequestId::new(id),
+                        url,
+                        client,
+                        ims,
+                        issued_at: time,
+                        cache_hits,
+                    }));
+                }
+                msgs.push(HttpMsg::InvalAck {
+                    url,
+                    client,
+                    cache_hits,
+                });
+            }
+            msgs.push(HttpMsg::Invalidate { url, client });
+            let bodies = [
+                ReplyStatus::NotModified,
+                ReplyStatus::Ok(Body::new(DocMeta::new(ByteSize::ZERO, time), Vec::new())),
+                ReplyStatus::Ok(Body::new(
+                    DocMeta::new(ByteSize::from_bytes(crate::MAX_DOC_SIZE), time),
+                    vec![7; 8192],
+                )),
+            ];
+            for status in bodies {
+                for (lease, volume_lease) in spans.iter().flat_map(|&l| spans.map(|v| (l, v))) {
+                    msgs.push(HttpMsg::Reply(Reply {
+                        req: RequestId::new(id),
+                        url,
+                        client,
+                        status: status.clone(),
+                        lease,
+                        piggyback: Vec::new(),
+                        volume_lease,
+                    }));
+                }
+            }
+        }
+        for msg in msgs {
+            let mut bytes = encode(&msg);
+            let whole = bytes.len();
+            // The next frame's first bytes, pipelined behind.
+            bytes.extend_from_slice(b"GET /doc/");
+            let taken = layout(&bytes).unwrap_or_else(|| panic!("declined {msg:?}"));
+            assert_eq!((taken.0.to_owned(), taken.1), (msg.clone(), whole));
+            assert_eq!(
+                Some(taken),
+                read_by_rules(&bytes, false).unwrap(),
+                "{msg:?}"
+            );
+        }
+    }
+
+    /// One departure from the encoder's layout sends a frame to the rules:
+    /// the layout pass declines it whole, a body cut short included, and
+    /// never turns it into an error of its own.
+    #[test]
+    fn the_layout_pass_declines_every_departure() {
+        assert!(layout(LAYOUT_GET.as_bytes()).is_some());
+        assert!(layout(LAYOUT_200.as_bytes()).is_some());
+        for (why, bytes) in layout_departures() {
+            assert_eq!(layout(&bytes), None, "{why}");
+        }
+        let cut = &LAYOUT_200.as_bytes()[..LAYOUT_200.len() - 2];
+        assert!(matches!(decode_frame(cut, false), Ok(None)));
+        assert!(matches!(decode_frame(cut, true), Err(WireError::Io(_))));
     }
 
     #[test]

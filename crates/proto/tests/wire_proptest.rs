@@ -21,6 +21,9 @@ use wcc_proto::{
 };
 use wcc_types::{Body, ByteSize, ClientId, DocMeta, ServerId, SimDuration, SimTime, Url};
 
+mod layout_departures;
+use layout_departures::{layout_departures, LAYOUT_200, LAYOUT_GET};
+
 /// Any `u64`, with the two ends of the range — the shortest and the
 /// longest decimal rendering — drawn often.
 fn u64_strategy() -> impl Strategy<Value = u64> {
@@ -698,6 +701,18 @@ fn malformed_inputs_match_owned_decoder() {
     ] {
         decode_ref(bad).expect_err("malformed input decoded");
         assert_decoders_agree(bad).expect("parity");
+    }
+}
+
+/// The frames one departure away from the encoder's layout, which the
+/// decoder's layout pass leaves to its rules, read as the reference reads
+/// them; so do the two canonical frames they depart from.
+#[test]
+fn layout_departures_match_owned_decoder() {
+    assert_decoders_agree(LAYOUT_GET.as_bytes()).expect("parity");
+    assert_decoders_agree(LAYOUT_200.as_bytes()).expect("parity");
+    for (why, bytes) in layout_departures() {
+        assert_decoders_agree(&bytes).unwrap_or_else(|e| panic!("{why}: {e}"));
     }
 }
 

@@ -101,7 +101,8 @@ mod backend {
     /// Level-triggered readiness over an `epoll` instance.
     pub struct Poller {
         epfd: i32,
-        /// Kernel-filled event buffer, reused across waits.
+        /// Kernel-filled event buffer: 1024 entries, initialised once, of
+        /// which a wait reads back only the ones the kernel filled.
         buf: Vec<EpollEvent>,
     }
 
@@ -121,7 +122,7 @@ mod backend {
             }
             Ok(Poller {
                 epfd,
-                buf: Vec::with_capacity(1024),
+                buf: vec![EpollEvent { events: 0, data: 0 }; 1024],
             })
         }
 
@@ -177,8 +178,6 @@ mod backend {
         /// events so the caller re-checks its shutdown/signal state.
         pub fn wait(&mut self, out: &mut Vec<Event>, timeout: Option<Duration>) -> io::Result<()> {
             out.clear();
-            self.buf.clear();
-            self.buf.resize(1024, EpollEvent { events: 0, data: 0 });
             let n = {
                 // SAFETY: `buf` holds 1024 initialised entries; the kernel
                 // writes at most `maxevents` of them.

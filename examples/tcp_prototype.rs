@@ -26,11 +26,11 @@ fn main() -> std::io::Result<()> {
     // Two proxy sites, each registering an invalidation push channel.
     let proxy_a = NetProxy::spawn(origin.addr(), &cfg, 0, 2, ByteSize::from_mib(64))?;
     let proxy_b = NetProxy::spawn(origin.addr(), &cfg, 1, 2, ByteSize::from_mib(64))?;
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "the proxies' push channels register in wall time"
-    )]
-    std::thread::sleep(Duration::from_millis(50));
+    if !origin.wait_registered(2, Duration::from_secs(5)) {
+        return Err(std::io::Error::other(
+            "the proxies' push channels did not register",
+        ));
+    }
 
     let alice = ClientId::from_ip([10, 0, 0, 2]); // partition 0
     let bob = ClientId::from_ip([10, 0, 0, 3]); // partition 1

@@ -116,6 +116,11 @@ cargo test -q -p wcc-proto --test wire_proptest
 # because they are what holds the byte-level scan, trim and split.
 cargo test -q -p wcc-proto --test wire_proptest -- \
   incremental_decode_defers_or_matches_eof zero_copy_unicode_padding_matches_owned
+# The boundary between the decoder's two passes: every frame shape the
+# encoder writes for the serve tier takes the layout pass, and a frame one
+# departure away is left to the rule-by-rule reader (which reads it as the
+# reference does: layout_departures_match_owned_decoder, just above).
+cargo test -q -p wcc-proto --lib layout_pass
 
 echo "==> origin conformance + missed-invalidation regression (serve tier)"
 # One script fed to a bare wcc_core::OriginCore, a simulated deployment and
