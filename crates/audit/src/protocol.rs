@@ -10,10 +10,9 @@
 //! that cache. Serves that race an in-flight write are legal — the write is
 //! not complete until every registered site is told (or its lease expires).
 
-use std::collections::{HashMap, HashSet};
 use std::fmt;
 use wcc_core::{Delivery, InvalidationTable, Policy, SiteListStats, Trust};
-use wcc_types::{AuditEvent, ClientId, ServerId, SimTime, Url};
+use wcc_types::{AuditEvent, ClientId, FxHashMap, FxHashSet, ServerId, SimTime, Url};
 
 /// Which invariant a [`Violation`] breaks.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -130,30 +129,30 @@ pub fn audit(policy: Policy, events: &[AuditEvent], expect: Option<&Expectations
     // Staleness state: per-document fan-out history (stream order, so
     // sorted by `at`), and per-(doc, site) the newest version whose
     // invalidation was delivered there.
-    let mut fanouts: HashMap<Url, Vec<(SimTime, SimTime)>> = HashMap::new(); // at -> version
-    let mut floor: HashMap<(Url, ClientId), (SimTime, AuditEvent)> = HashMap::new();
+    let mut fanouts: FxHashMap<Url, Vec<(SimTime, SimTime)>> = FxHashMap::default(); // at -> version
+    let mut floor: FxHashMap<(Url, ClientId), (SimTime, AuditEvent)> = FxHashMap::default();
     let mut checked_serves = 0u64;
 
     // Write-completion state: outstanding invalidations keyed by
     // (doc, site), plus sites legitimately forgotten (give-up, crash).
-    let mut pending: HashMap<(Url, ClientId), AuditEvent> = HashMap::new();
-    let mut forgotten: HashSet<(Url, ClientId)> = HashSet::new();
+    let mut pending: FxHashMap<(Url, ClientId), AuditEvent> = FxHashMap::default();
+    let mut forgotten: FxHashSet<(Url, ClientId)> = FxHashSet::default();
     // Pairs whose pending entry was already acknowledged once: retransmitted
     // invalidations can be delivered (and acknowledged) more than once.
-    let mut acked: HashSet<(Url, ClientId)> = HashSet::new();
+    let mut acked: FxHashSet<(Url, ClientId)> = FxHashSet::default();
     let mut dropped_allowance = 0u64;
 
     // Conservation state: the shadow invalidation tables and running sums.
-    let mut shadows: HashMap<ServerId, Shadow> = HashMap::new();
+    let mut shadows: FxHashMap<ServerId, Shadow> = FxHashMap::default();
     let mut registrations = 0u64;
     let mut taken_sum = 0u64;
 
     // Lease-safety state: the exact recipient set each fan-out announced;
     // every push must come out of it.
-    let mut announced: HashMap<Url, HashSet<ClientId>> = HashMap::new();
+    let mut announced: FxHashMap<Url, FxHashSet<ClientId>> = FxHashMap::default();
 
     // Version a delivery at `at` implies the site now knows about.
-    let delivered_version = |fanouts: &HashMap<Url, Vec<(SimTime, SimTime)>>,
+    let delivered_version = |fanouts: &FxHashMap<Url, Vec<(SimTime, SimTime)>>,
                              url: Url,
                              at: SimTime|
      -> Option<SimTime> {
@@ -186,7 +185,7 @@ pub fn audit(policy: Policy, events: &[AuditEvent], expect: Option<&Expectations
                 let shadow = shadows.entry(url.server()).or_default();
                 let taken = shadow.table.take_sites(*url, *version);
                 taken_sum += taken.len() as u64;
-                let taken_set: HashSet<ClientId> = taken.iter().copied().collect();
+                let taken_set: FxHashSet<ClientId> = taken.iter().copied().collect();
                 // Lease safety: every fresh recipient must have held a live
                 // registration that this drain collected.
                 for c in fresh {
@@ -205,9 +204,9 @@ pub fn audit(policy: Policy, events: &[AuditEvent], expect: Option<&Expectations
                 // leases push a subset (expired volumes fall back to
                 // piggybacking); the rest push nothing.
                 if policy.delivery == Delivery::Push && policy.volume.is_none() {
-                    let lhs: HashSet<ClientId> =
+                    let lhs: FxHashSet<ClientId> =
                         fresh.iter().chain(resent.iter()).copied().collect();
-                    let rhs: HashSet<ClientId> = resent.iter().copied().chain(taken).collect();
+                    let rhs: FxHashSet<ClientId> = resent.iter().copied().chain(taken).collect();
                     if lhs != rhs {
                         violations.push(Violation {
                             check: Check::Conservation,
@@ -340,7 +339,11 @@ pub fn audit(policy: Policy, events: &[AuditEvent], expect: Option<&Expectations
                 // forgive the pending invalidations the bulk message now
                 // covers.
                 shadows.entry(*server).or_default().table = InvalidationTable::new();
-                let lost: Vec<(Url, ClientId)> = pending // xtask-lint: allow(map-iteration-order): only removed and set-inserted below
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "only removed and set-inserted below"
+                )]
+                let lost: Vec<(Url, ClientId)> = pending
                     .keys()
                     .filter(|(url, _)| url.server() == *server)
                     .copied()
@@ -395,7 +398,8 @@ pub fn audit(policy: Policy, events: &[AuditEvent], expect: Option<&Expectations
 
     if let Some(expect) = expect {
         if expect.writes_complete && pending.len() as u64 > dropped_allowance {
-            let mut owed: Vec<_> = pending.iter().collect(); // xtask-lint: allow(map-iteration-order): sorted below
+            #[expect(clippy::disallowed_methods, reason = "sorted below")]
+            let mut owed: Vec<_> = pending.iter().collect();
             owed.sort_by_key(|&(key, ev)| (ev.at(), *key));
             let trail = owed.into_iter().map(|(_, ev)| ev.clone()).collect();
             violations.push(Violation {
@@ -435,7 +439,11 @@ pub fn audit(policy: Policy, events: &[AuditEvent], expect: Option<&Expectations
             });
         }
         let mut stats = SiteListStats::default();
-        // xtask-lint: allow(map-iteration-order): merge only sums and maxes
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "merge only sums and maxes"
+        )]
         for shadow in shadows.values() {
             stats.merge(&shadow.table.stats());
         }

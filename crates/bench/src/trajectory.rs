@@ -19,6 +19,9 @@
 //!   origins); its state is held by the measured `family.peak_live_bytes`.
 //! * **proposer** — the flash-crowd and breaking-news write storms under
 //!   per-write fan-out and under the default batched proposer.
+//! * **serve** — an in-process `NetOrigin` and `NetProxy` over loopback:
+//!   a warm-up that caches every document, then a fixed run of hits, one
+//!   request per turn of the proxy's thread.
 //!
 //! The inner-loop replay, the family replay and the two batched storms
 //! (whose acknowledgements are `InvalidateBatchAck`s) also report what they
@@ -28,7 +31,13 @@
 //! `<pass>.run_alloc_bytes` for `Deployment::run`, and
 //! `<pass>.peak_live_bytes`, the most heap the pass held at once above what
 //! the thread held when it began. One replay runs on one thread, so the
-//! counts are as deterministic as the replay. The counts come
+//! counts are as deterministic as the replay. `codec.run_allocs` /
+//! `.run_alloc_bytes` count the inner loop's encode and decode loops over
+//! its wire corpus, and `serve.run_allocs` / `.run_alloc_bytes` what the
+//! proxy's thread allocated over the serve pass's hits (read on that
+//! thread): together they hold the simulator's dispatch, the codec and the
+//! serve tier's reactor to what they allocate per event, per frame and
+//! per hit. The counts come
 //! from the [`Allocs`] reader
 //! the caller hands [`run`]; a caller without one (no counting allocator in
 //! the process) gets those rows as Info zeros, which no check compares.
@@ -56,6 +65,8 @@
 )]
 
 use std::fmt;
+use std::io::{Read, Write};
+use std::net::TcpStream;
 use std::path::Path;
 use std::time::Instant;
 
@@ -63,13 +74,15 @@ use crate::tables::{grid_configs, micros};
 use crate::{paper_experiments, TABLE_SEED};
 use wcc_core::{ProposerStats, ProtocolConfig, ProtocolKind};
 use wcc_httpsim::{Deployment, DeploymentOptions, RawReport};
+use wcc_net::{NetOrigin, NetProxy, OriginConfig};
+use wcc_proto::{GetRequest, HttpMsg, HttpMsgRef, RequestId};
 use wcc_replay::{run_batch, ExperimentConfig};
 use wcc_traces::family::{self, FamilyConfig, FamilyWorkload, WorkloadFamily};
 use wcc_traces::TraceSpec;
-use wcc_types::InvalBatchConfig;
+use wcc_types::{ByteSize, ClientId, InvalBatchConfig, ServerId, SimTime, Url};
 
 /// Schema tag of the emitted report — itself the table's first Exact row.
-pub const SCHEMA: &str = "wcc-bench-trajectory/15";
+pub const SCHEMA: &str = "wcc-bench-trajectory/16";
 
 /// Heap allocations made, and the bytes they asked for, on the calling
 /// thread since it started (a `realloc` counts as one, at its new size),
@@ -143,8 +156,23 @@ fn build_and_run(
     (deployment, Phases { setup, run })
 }
 
-/// `pass`'s allocation rows and its live-heap high-water `peak`: Exact when
-/// counted, Info zeros otherwise.
+/// How an allocation row is judged: Exact when counted, Info zeros
+/// otherwise.
+fn alloc_gate(allocs: Option<fn() -> Allocs>) -> Gate {
+    if allocs.is_some() {
+        Gate::Exact
+    } else {
+        Gate::Info
+    }
+}
+
+/// `<pass>.<phase>_allocs` and `<pass>.<phase>_alloc_bytes`.
+fn push_phase(report: &mut Report, pass: &str, phase: &str, counted: Allocs, gate: Gate) {
+    report.push(format!("{pass}.{phase}_allocs"), counted.count, gate);
+    report.push(format!("{pass}.{phase}_alloc_bytes"), counted.bytes, gate);
+}
+
+/// `pass`'s allocation rows and its live-heap high-water `peak`.
 fn push_allocs(
     report: &mut Report,
     pass: &str,
@@ -152,15 +180,9 @@ fn push_allocs(
     peak: u64,
     allocs: Option<fn() -> Allocs>,
 ) {
-    let gate = if allocs.is_some() {
-        Gate::Exact
-    } else {
-        Gate::Info
-    };
-    for (phase, counted) in [("setup", phases.setup), ("run", phases.run)] {
-        report.push(format!("{pass}.{phase}_allocs"), counted.count, gate);
-        report.push(format!("{pass}.{phase}_alloc_bytes"), counted.bytes, gate);
-    }
+    let gate = alloc_gate(allocs);
+    push_phase(report, pass, "setup", phases.setup, gate);
+    push_phase(report, pass, "run", phases.run, gate);
     report.push(format!("{pass}.peak_live_bytes"), peak, gate);
 }
 
@@ -461,6 +483,7 @@ pub fn run(scale: u64, jobs: Option<usize>, allocs: Option<fn() -> Allocs>) -> R
     inner_loop(&mut report, scale, allocs);
     let storm = family(&mut report, scale, allocs);
     proposer(&mut report, scale, &storm, allocs);
+    serve(&mut report, allocs);
     report.push("workspace.rust_lines", workspace_rust_lines(), Gate::Info);
     report
 }
@@ -611,23 +634,28 @@ fn inner_loop(report: &mut Report, scale: u64, allocs: Option<fn() -> Allocs>) {
     // What the codec costs per message over the same corpus, through the
     // two calls the serve tier makes per frame: encoded behind what a
     // buffer already holds (and has touched: no page fault is timed),
-    // decoded in place.
+    // decoded in place. Both loops are also the codec's allocation window:
+    // the encoder writes into a buffer already big enough, and the decoder
+    // borrows.
     let mut wire = vec![1u8; codec.bytes as usize];
     wire.clear();
-    let start = Instant::now();
-    for msg in &corpus {
-        wcc_proto::encode_into(msg, &mut wire);
-    }
-    let encode_ns = start.elapsed().as_nanos() as u64;
-    let (mut rest, start) = (wire.as_slice(), Instant::now());
-    while let Ok(Some((msg, used))) = wcc_proto::decode_frame(rest, true) {
-        std::hint::black_box(&msg);
-        rest = rest.get(used..).unwrap_or_default();
-    }
-    let decode_ns = start.elapsed().as_nanos() as u64;
+    let ((encode_ns, decode_ns), run) = counted(allocs, || {
+        let start = Instant::now();
+        for msg in &corpus {
+            wcc_proto::encode_into(msg, &mut wire);
+        }
+        let encode_ns = start.elapsed().as_nanos() as u64;
+        let (mut rest, start) = (wire.as_slice(), Instant::now());
+        while let Ok(Some((msg, used))) = wcc_proto::decode_frame(rest, true) {
+            std::hint::black_box(&msg);
+            rest = rest.get(used..).unwrap_or_default();
+        }
+        (encode_ns, start.elapsed().as_nanos() as u64)
+    });
     let per_msg = |ns: u64| ns / codec.messages.max(1);
     report.push("codec.encode_ns_per_msg", per_msg(encode_ns), Gate::Info);
     report.push("codec.decode_ns_per_msg", per_msg(decode_ns), Gate::Info);
+    push_phase(report, "codec", "run", run, alloc_gate(allocs));
 }
 
 /// One write storm and what per-write fan-out made of it: the proposer
@@ -750,6 +778,100 @@ fn proposer(report: &mut Report, scale: u64, flash_crowd: &Storm, allocs: Option
     );
     push_allocs(report, "proposer.batched", phases, peak, allocs);
     report.push("proposer.wall_ms", wall_ms, Gate::Info);
+}
+
+/// Serve pass: one `NetOrigin` and one `NetProxy` in this process and
+/// [`SERVE_CONNECTIONS`] keep-alive connections to the proxy. Each
+/// connection first fetches every document (the warm-up: the cache holds
+/// them all, every buffer has grown to a reply), then the connections take
+/// turns at [`SERVE_HITS`] `GET`s, each sent once the previous reply is
+/// in, so each hit is one request in one turn of the proxy's thread. What
+/// that thread allocated over the hits is read on it, before and after;
+/// with no counting allocator the rows are Info zeros. The scale does not
+/// apply: the pass is small already.
+fn serve(report: &mut Report, allocs: Option<fn() -> Allocs>) {
+    let protocol = ProtocolConfig::new(ProtocolKind::Invalidation);
+    let origin = NetOrigin::spawn(OriginConfig {
+        server: ServerId::new(0),
+        doc_sizes: vec![ByteSize::from_kib(8); SERVE_DOCS as usize],
+        protocol: protocol.clone(),
+        doc_scale: 100,
+        inval_batch: None,
+    })
+    .expect("the serve pass binds loopback listeners");
+    let proxy = NetProxy::spawn(origin.addr(), &protocol, 0, 1, ByteSize::from_mib(64))
+        .expect("the serve pass dials its origin");
+    let mut conns: Vec<(TcpStream, Vec<u8>)> = (0..SERVE_CONNECTIONS)
+        .map(|_| {
+            let stream = TcpStream::connect(proxy.client_addr()).expect("the proxy accepts");
+            stream
+                .set_nodelay(true)
+                .expect("a TCP socket takes TCP_NODELAY");
+            (stream, Vec::new())
+        })
+        .collect();
+    for doc in 0..SERVE_DOCS {
+        for conn in &mut conns {
+            serve_get(conn, doc);
+        }
+    }
+    let hits_before = proxy.counters().hits;
+    let read = |proxy: &NetProxy| {
+        allocs.map_or(Allocs::default(), |read| {
+            proxy.on_node_thread(read).expect("the proxy's thread runs")
+        })
+    };
+    let before = read(&proxy);
+    for i in 0..SERVE_HITS {
+        let conn = &mut conns[i as usize % SERVE_CONNECTIONS];
+        serve_get(conn, (i % u64::from(SERVE_DOCS)) as u32);
+    }
+    let after = read(&proxy);
+    let run = Allocs {
+        count: after.count - before.count,
+        bytes: after.bytes - before.bytes,
+        ..Allocs::default()
+    };
+    report.push(
+        "serve.hits",
+        proxy.counters().hits - hits_before,
+        Gate::Exact,
+    );
+    push_phase(report, "serve", "run", run, alloc_gate(allocs));
+}
+
+/// Documents the serve pass caches, each 8 KiB.
+const SERVE_DOCS: u32 = 64;
+/// Keep-alive connections the serve pass holds open to the proxy.
+const SERVE_CONNECTIONS: usize = 4;
+/// `GET`s the serve pass measures, all hits.
+const SERVE_HITS: u64 = 2_000;
+
+/// Sends one `GET` for `doc` on `conn` and reads until its `200` is in.
+fn serve_get((stream, buf): &mut (TcpStream, Vec<u8>), doc: u32) {
+    let get = HttpMsg::Get(GetRequest {
+        req: RequestId::new(u64::from(doc)),
+        url: Url::new(ServerId::new(0), doc),
+        client: ClientId::from_raw(1),
+        ims: None,
+        issued_at: SimTime::from_secs(1),
+        cache_hits: 0,
+    });
+    let mut frame = Vec::new();
+    wcc_proto::encode_into(&get, &mut frame);
+    stream.write_all(&frame).expect("the proxy reads");
+    buf.clear();
+    let mut chunk = [0u8; 16 * 1024];
+    loop {
+        match wcc_proto::decode_frame(buf, false) {
+            Ok(Some((HttpMsgRef::Reply(_), used))) if used == buf.len() => return,
+            Ok(None) => {}
+            other => panic!("the proxy answers a GET with one 200, not {other:?}"),
+        }
+        let n = stream.read(&mut chunk).expect("the proxy replies");
+        assert!(n > 0, "the proxy closed a keep-alive connection");
+        buf.extend_from_slice(&chunk[..n]);
+    }
 }
 
 /// Non-test Rust lines of the workspace: every `.rs` file under

@@ -10,6 +10,12 @@
 //! eviction, then sorts them into an O(1) list; it claims to keep that very
 //! order, before and after.
 
+#![allow(
+    clippy::iter_over_hash_type,
+    clippy::disallowed_methods,
+    reason = "the model's map is marked or compared whole; its order reaches nothing"
+)]
+
 use proptest::prelude::*;
 use std::collections::{BTreeSet, HashMap};
 use wcc_cache::{CacheStats, CacheStore, Freshness, ReplacementPolicy};

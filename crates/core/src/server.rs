@@ -309,6 +309,7 @@ impl ServerConsistency {
         }
         // Include previously un-acked recipients: they may have missed the
         // earlier INVALIDATE (partition / crash) and must still be told.
+        #[expect(clippy::disallowed_methods, reason = "sorted below")]
         let mut all: Vec<ClientId> = pend.iter().copied().collect();
         all.sort_unstable();
         if pend.is_empty() {
@@ -339,6 +340,7 @@ impl ServerConsistency {
     /// Clients still awaiting an `INVALIDATE <url>` acknowledgement (retry
     /// targets), sorted.
     pub fn pending_for(&self, url: Url) -> Vec<ClientId> {
+        #[expect(clippy::disallowed_methods, reason = "sorted below")]
         let mut v: Vec<ClientId> = self
             .pending
             .get(&url)
@@ -350,7 +352,8 @@ impl ServerConsistency {
 
     /// All documents with unacknowledged invalidations, sorted.
     pub fn pending_urls(&self) -> Vec<Url> {
-        let mut v: Vec<Url> = self.pending.keys().copied().collect(); // xtask-lint: allow(map-iteration-order): sorted below
+        #[expect(clippy::disallowed_methods, reason = "sorted below")]
+        let mut v: Vec<Url> = self.pending.keys().copied().collect();
         v.sort_unstable();
         v
     }
@@ -392,7 +395,8 @@ impl ServerConsistency {
     /// `INVALIDATE <server-addr>`, because modifications during the outage
     /// may have gone unnoticed. Returns the recipients, sorted.
     pub fn on_server_recover(&mut self) -> Vec<ClientId> {
-        let mut v: Vec<ClientId> = self.ever_seen.iter().copied().collect(); // xtask-lint: allow(map-iteration-order): sorted below
+        #[expect(clippy::disallowed_methods, reason = "sorted below")]
+        let mut v: Vec<ClientId> = self.ever_seen.iter().copied().collect();
         v.sort_unstable();
         // Volatile site lists (and queued piggybacks) died with the crash;
         // the conservative bulk invalidation replaces them.

@@ -300,7 +300,11 @@ impl InvalidationTable {
     /// the trajectory's `*.peak_live_bytes` rows.
     pub fn stats(&self) -> SiteListStats {
         let mut stats = SiteListStats::default();
-        // xtask-lint: allow(map-iteration-order): the body only sums and maxes
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "the body only sums and maxes"
+        )]
         for list in self.lists.values() {
             let len = u64::from(list.len);
             stats.total_entries += len;
@@ -433,7 +437,11 @@ mod tests {
 }
 
 #[cfg(test)]
-#[allow(clippy::disallowed_types, reason = "a std map is the shadow model")]
+#[allow(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "a std map is the shadow model, sorted where it is read"
+)]
 mod proptests {
     use super::*;
     use proptest::prelude::*;

@@ -1,7 +1,11 @@
 //! Property tests of the server-side protocol state under arbitrary
 //! operation interleavings.
 
-#![allow(clippy::disallowed_types, reason = "a std set is the shadow model")]
+#![allow(
+    clippy::disallowed_types,
+    clippy::iter_over_hash_type,
+    reason = "a std set is the shadow model; each check over it is order-free"
+)]
 
 use proptest::prelude::*;
 use std::collections::HashSet;

@@ -587,7 +587,11 @@ impl Deployment {
                 touches.entry(Url::new(server, doc)).or_default().push(at);
             }
         }
-        // xtask-lint: allow(map-iteration-order): sorts each list in place
+        #[expect(
+            clippy::iter_over_hash_type,
+            clippy::disallowed_methods,
+            reason = "sorts each list in place"
+        )]
         for times in touches.values_mut() {
             times.sort_unstable();
         }

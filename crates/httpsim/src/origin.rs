@@ -138,11 +138,11 @@ impl OriginNode {
         OriginNode {
             core,
             // Construction-time scaffolding, not per-event work.
-            out: Vec::new(),       // xtask-lint: allow(hot-loop-alloc)
-            touch_log: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
+            out: Vec::new(),
+            touch_log: Vec::new(),
             mem_cache: MemCache::new(MEM_CACHE_BUDGET),
             costs,
-            proxies: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
+            proxies: Vec::new(),
             detection,
             acked_versions: vec![SimTime::ZERO; docs],
             coordinator: None,

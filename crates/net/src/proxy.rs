@@ -182,6 +182,12 @@ impl NetProxy {
         })
     }
 
+    /// Runs `f` on the node's thread between events (the trajectory reads
+    /// that thread's allocation counts with it); `BrokenPipe` if it is gone.
+    pub fn on_node_thread<T: Send + 'static>(&self, f: fn() -> T) -> io::Result<T> {
+        self.node.call(move |_, _, _| f())
+    }
+
     /// Current counters; all zero if the node's thread is gone.
     pub fn counters(&self) -> NetProxyCounters {
         let counters = self.node.call(|role, _, _| role.counters());

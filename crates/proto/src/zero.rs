@@ -470,7 +470,7 @@ impl<'buf> Layout<'buf> {
             status,
             lease,
             // An empty list: no allocation.
-            piggyback: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
+            piggyback: Vec::new(),
             volume_lease: volume_lease.map(SimDuration::from_micros),
         })
     }
@@ -715,7 +715,7 @@ fn batch_ack_entry(server: ServerId, entry: &[u8]) -> Option<BatchAckEntry> {
 // ---------------------------------------------------------------------------
 // Cold error constructors, one per shape of message. Decode errors terminate
 // the connection, so the allocations below never run in the steady-state
-// loop; the waivers keep the hot-loop-alloc lint honest about that. A value
+// loop (the trajectory's `codec.run_allocs` row counts that loop). A value
 // they quote is a slice of a line already checked to be UTF-8, so the lossy
 // conversion renders it unchanged.
 
@@ -738,7 +738,7 @@ fn short_body() -> WireError {
 
 #[cold]
 fn malformed(why: &str) -> WireError {
-    WireError::Malformed(why.to_string()) // xtask-lint: allow(hot-loop-alloc)
+    WireError::Malformed(why.to_string())
 }
 
 /// `why` followed by the value it is about.
@@ -749,7 +749,7 @@ fn malformed(why: &str) -> WireError {
 )]
 fn malformed_at(why: &str, value: &[u8]) -> WireError {
     let value = String::from_utf8_lossy(value);
-    WireError::Malformed(format!("{why}{value}")) // xtask-lint: allow(hot-loop-alloc)
+    WireError::Malformed(format!("{why}{value}"))
 }
 
 /// `why` followed by a list entry, quoted: an entry may hold any text but
@@ -761,7 +761,7 @@ fn malformed_at(why: &str, value: &[u8]) -> WireError {
 )]
 fn bad_entry(why: &str, entry: &[u8]) -> WireError {
     let entry = String::from_utf8_lossy(entry);
-    WireError::Malformed(format!("{why}{entry:?}")) // xtask-lint: allow(hot-loop-alloc)
+    WireError::Malformed(format!("{why}{entry:?}"))
 }
 
 /// Pulls frames off a [`Read`] stream through a persistent buffer, decoding
@@ -886,7 +886,7 @@ pub struct CodecStats {
 pub fn codec_sweep(msgs: &[HttpMsg]) -> CodecStats {
     let mut stats = CodecStats::default();
     // Bench-probe setup, not the steady-state decode loop.
-    let mut buf = Vec::new(); // xtask-lint: allow(hot-loop-alloc)
+    let mut buf = Vec::new();
     for msg in msgs {
         crate::wire::encode_into(msg, &mut buf);
     }

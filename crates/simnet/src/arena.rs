@@ -82,8 +82,8 @@ impl<T> Arena<T> {
     pub fn new() -> Self {
         Arena {
             // Construction-time; both grow to a high-water mark and stay.
-            slots: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
-            free: Vec::new(),  // xtask-lint: allow(hot-loop-alloc)
+            slots: Vec::new(),
+            free: Vec::new(),
             stats: ArenaStats::default(),
         }
     }

@@ -213,9 +213,9 @@ impl<E> EventQueue<E> {
     pub fn new() -> Self {
         EventQueue {
             heads: vec![NIL; RING_BUCKETS as usize],
-            slab: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
+            slab: Vec::new(),
             free: NIL,
-            drain: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
+            drain: Vec::new(),
             occupied: [0; RING_WORDS],
             summary: [0; SUMMARY_WORDS],
             overflow: BinaryHeap::new(),

@@ -163,12 +163,12 @@ impl<M: 'static> Simulation<M> {
     pub fn new(config: NetworkConfig) -> Self {
         Simulation {
             // Construction-time; nodes are added before the run starts.
-            nodes: Vec::new(),  // xtask-lint: allow(hot-loop-alloc)
-            states: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
+            nodes: Vec::new(),
+            states: Vec::new(),
             queue: EventQueue::new(),
             arena: Arena::new(),
             // Construction-time; fills with emptied run deques and stays.
-            spare_runs: Vec::new(), // xtask-lint: allow(hot-loop-alloc)
+            spare_runs: Vec::new(),
             defer_stats: DeferStats::default(),
             config,
             reach: Reachability::default(),
@@ -190,7 +190,7 @@ impl<M: 'static> Simulation<M> {
         );
         let id = NodeId::new(self.nodes.len() as u32);
         // One box per node at wiring time, never during dispatch.
-        self.nodes.push(Some(Box::new(node))); // xtask-lint: allow(hot-loop-alloc)
+        self.nodes.push(Some(Box::new(node)));
         self.states.push(NodeState::default());
         id
     }

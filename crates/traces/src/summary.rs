@@ -53,18 +53,21 @@ impl TraceSummary {
             clients.insert(rec.client);
         }
         let num_files = per_doc_clients.len() as u64;
-        let max_popularity = per_doc_clients // xtask-lint: allow(map-iteration-order): a max
+        #[expect(clippy::disallowed_methods, reason = "a max")]
+        let max_popularity = per_doc_clients
             .values()
             .map(|s| s.len() as u64)
             .max()
             .unwrap_or(0);
-        let total_popularity: u64 = per_doc_clients.values().map(|s| s.len() as u64).sum(); // xtask-lint: allow(map-iteration-order): a sum
+        #[expect(clippy::disallowed_methods, reason = "a sum")]
+        let total_popularity: u64 = per_doc_clients.values().map(|s| s.len() as u64).sum();
         let avg_popularity = if num_files == 0 {
             0.0
         } else {
             total_popularity as f64 / num_files as f64
         };
-        let total_size: ByteSize = per_doc_clients.keys().map(|&d| trace.doc_size(d)).sum(); // xtask-lint: allow(map-iteration-order): a sum
+        #[expect(clippy::disallowed_methods, reason = "a sum")]
+        let total_size: ByteSize = per_doc_clients.keys().map(|&d| trace.doc_size(d)).sum();
         let avg_file_size =
             ByteSize::from_bytes(total_size.as_u64().checked_div(num_files).unwrap_or(0));
         TraceSummary {

@@ -1,10 +1,11 @@
 #!/usr/bin/env sh
-# Tier-1 verification: style, lints, release build, full test suite, repo
-# hygiene lint, fuzz + bench smoke. Any failing step fails the script.
+# Tier-1 verification: style, lints, release build, full test suite, fuzz +
+# bench smoke. Any failing step fails the script.
 #
 # This mirrors the CI matrix (.github/workflows/ci.yml) in one process:
-#   lint job  -> rustfmt --check, clippy -D warnings, xtask-lint
-#                + `cargo doc` with warnings denied
+#   lint job  -> rustfmt --check, clippy -D warnings (an unresolvable
+#                clippy.toml entry fails it too) + `cargo doc` with warnings
+#                denied
 #   test job  -> release build + root and workspace test suites + the 19
 #                results/*.txt tables regenerated and compared
 #                (CI also repeats the test job on beta)
@@ -23,20 +24,34 @@ echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
 echo "==> cargo clippy"
-# Besides the workspace lints: the `disallowed-methods` / `-types` /
-# `-macros` lists of the root clippy.toml (wall clock, thread::sleep) and of
-# crates/{core,httpsim,simnet,proto,net,reactor}/clippy.toml (std hash maps,
-# the cores' inner steps, blocking socket I/O, locks, ad-hoc atomics,
-# format!/write! in the codec), which also catch an alias, a glob import or
-# a UFCS call; and crate-root denies of `clippy::unwrap_used` /
-# `expect_used` (core, proto, cache), `clippy::indexing_slicing` (core,
-# proto, cache, net, reactor; all three allowed in tests by clippy.toml)
-# and `clippy::wildcard_enum_match_arm` (proto, core, httpsim, net, audit,
-# types; tests included), which makes every match over `HttpMsg` /
-# `AuditEvent` name each variant. An `#[expect]` whose lint no longer fires
+# Besides the workspace lints (`clippy::iter_over_hash_type` among them):
+# the `disallowed-methods` / `-types` / `-macros` / `-fields` lists of the
+# root clippy.toml (wall clock, thread::sleep, hash map and set iterators)
+# and of crates/{audit,core,httpsim,simnet,proto,net,reactor}/clippy.toml
+# (std hash maps, the cores' inner steps, blocking socket I/O, locks, ad-hoc
+# atomics, format!/write! in the codec, a GET's issued_at in net), which
+# also catch an alias, a glob import or a UFCS call; and crate-root denies
+# of `clippy::unwrap_used` / `expect_used` (core, proto, cache),
+# `clippy::indexing_slicing` (core, proto, cache, net, reactor; all three
+# allowed in tests by clippy.toml) and `clippy::wildcard_enum_match_arm`
+# (proto, core, httpsim, net, audit, types; tests included), which makes
+# every match over `HttpMsg` / `AuditEvent` name each variant. An `#[expect]` whose lint no longer fires
 # is rustc's `unfulfilled_lint_expectations`, an error under -D warnings:
-# the stale-waiver audit's job, done by the compiler for these lints.
-cargo clippy --workspace --all-targets --quiet -- -D warnings
+# so every planted violation in a `plants` test target (tests/lint.rs,
+# crates/{core,net,proto}/tests/plants.rs) must keep firing. A list entry
+# that names nothing (a renamed field, a moved method, an enum variant) is
+# only a warning that leaves its rule off: the grep fails the step on it.
+if ! clippy_out=$(cargo clippy --workspace --all-targets --quiet -- -D warnings 2>&1); then
+  printf '%s\n' "$clippy_out"
+  exit 1
+fi
+if [ -n "$clippy_out" ]; then
+  printf '%s\n' "$clippy_out"
+fi
+if printf '%s\n' "$clippy_out" | grep -q -e 'does not refer to a reachable' -e 'expected a function, found'; then
+  echo "verify: a clippy.toml entry resolves to nothing, so its rule is off"
+  exit 1
+fi
 
 echo "==> cargo doc (warnings denied)"
 # Every first-party crate and the root package: a broken, ambiguous or
@@ -61,12 +76,6 @@ echo "==> results/*.txt byte-identical (ci/check-results.sh)"
 # replay's `--trace-out` dump against the digest in ci/trace-epa.sha256
 # (35 883 events, < 1 s).
 ci/check-results.sh
-
-echo "==> xtask-lint"
-cargo run --quiet --bin xtask-lint
-
-echo "==> xtask-lint --waivers (stale-waiver audit)"
-cargo run --quiet --bin xtask-lint -- --waivers
 
 echo "==> wcc fuzz (smoke)"
 ./target/release/wcc fuzz --iters 25 --seed 1 --shrink
@@ -190,22 +199,23 @@ echo "==> one clock per node (leases judged on the node's clock, sent as duratio
 # as durations, counted by the holder from when it sent. A write stamped far
 # past the lease still reaches a leased, two-tier (after an IMS) or
 # volume-leased copy, and a lapsed volume lease bounds write completion over
-# TCP. Lint rule peer-time denies reading issued_at in crates/net/src. All
-# also run in the suites above.
+# TCP. A GET's issued_at is a disallowed field in crates/net (clippy step
+# above; crates/net/tests/plants.rs plants a read, an alias and a pattern
+# binding). All also run in the suites above.
 cargo test -q -p wcc-net --test loopback -- a_write_stamped_past_the_lease_reaches \
   a_volume_lease_bounds_write_completion_over_tcp
 cargo test -q -p wcc-core --lib a_lease_crosses_the_wire_as_a_duration
-cargo test -q -p wcc-lint a_daemon_role_reads_no_peer_time
 
 echo "==> the eight protocols are presets of one policy"
 # ProtocolConfig::policy() is the one place that reads a protocol's name: it
 # gives how the proxy trusts a copy, the lease on GET and on IMS, how a
 # change reaches a site, and the volume lease. One table pins each preset's
-# strength and fields. Lint rule protocol-name denies ProtocolKind::<Variant>
-# in non-test crates/{core,audit,httpsim,net}/src outside config.rs. All
-# also run in the suites above.
+# strength and fields. tests/lint.rs denies ProtocolKind::<Variant> in
+# non-test crates/{core,audit,httpsim,net}/src outside config.rs, and
+# AuditEvent::<Variant> in crates/{httpsim,net}/src. All also run in the
+# suites above.
 cargo test -q -p wcc-core --lib every_preset_is_one_point_of_the_policy
-cargo test -q -p wcc-lint a_protocol_is_read_from_its_policy_not_its_name
+cargo test -q --test lint
 
 echo "==> CLI command table + batched hierarchy parent"
 # Every call's flags come from one table in src/bin/wcc.rs: a flag its call
