@@ -175,7 +175,7 @@ impl<W> ParentCore<W> {
     ) -> SiteVerdict {
         let verdict = self.down.admit(from, &frame, now, out);
         for e in frame.acked().filter(|_| verdict == SiteVerdict::Applied) {
-            if self.down.consistency().has_pending(e.url) {
+            if !self.down.consistency().owed(e.url).is_empty() {
                 self.fetch.absorb_report(e.url, self.identity, e.cache_hits);
             }
             self.down.ack(e.url, e.client, now);

@@ -52,7 +52,8 @@ proptest! {
     /// * acking everything pushed always completes the writes;
     /// * registered clients are always on the persistent ever-seen list
     ///   (their first registration caused exactly one disk write);
-    /// * recipients lists are sorted and duplicate-free.
+    /// * recipients lists, and every open write's owed set after each
+    ///   step, are sorted and duplicate-free.
     #[test]
     fn server_state_invariants(
         kind in kind_strategy(),
@@ -113,7 +114,7 @@ proptest! {
                         prop_assert_eq!(dropped, 0);
                     } else {
                         // Re-derive outstanding from the server's own view.
-                        outstanding.retain(|(url, c)| s.pending_for(*url).contains(c));
+                        outstanding.retain(|(url, c)| s.owed(*url).contains(c));
                     }
                 }
                 Op::Recover => {
@@ -124,9 +125,13 @@ proptest! {
                     outstanding.clear();
                 }
             }
-            // The server's pending view matches ours.
-            for url in s.pending_urls() {
-                for c in s.pending_for(url) {
+            // The server's owed sets are sorted and match ours.
+            for (url, owed) in s.open_writes() {
+                prop_assert!(
+                    owed.windows(2).all(|w| w[0] < w[1]),
+                    "{kind}: {url} owes {owed:?}, not sorted and unique"
+                );
+                for &c in owed {
                     prop_assert!(
                         outstanding.contains(&(url, c)),
                         "{kind}: server pends ({url}, {c}) we never saw pushed"
@@ -135,7 +140,7 @@ proptest! {
             }
             for &(url, c) in &outstanding {
                 prop_assert!(
-                    s.pending_for(url).contains(&c),
+                    s.owed(url).contains(&c),
                     "{kind}: lost pending ({url}, {c})"
                 );
             }
