@@ -5,7 +5,8 @@
 //! outside the preset table, no `AuditEvent::<Variant>` in a driver. The
 //! `plants` module holds one violation per rule of the root `clippy.toml`,
 //! each under an `#[expect]`: a list that stops firing leaves its
-//! expectation unfulfilled, which `cargo clippy -- -D warnings` fails.
+//! expectation unfulfilled, which `cargo clippy -- -D warnings` fails. The
+//! crate-root `#![deny(clippy::…)]` lines are no list, so a scan pins them.
 
 use std::path::Path;
 
@@ -139,6 +140,73 @@ fn the_variant_scan_catches_a_plant_and_skips_comments_tests_and_the_preset_tabl
     }
     assert!(findings("crates/core/src/config.rs", planted).is_empty());
     assert!(findings("crates/core/src/proxy.rs", "AuditEvent::Serve {").is_empty());
+}
+
+/// The crate-root lint levels, which no clippy list carries and so no plant
+/// checks: `unwrap_used` / `expect_used`, `indexing_slicing` and
+/// `wildcard_enum_match_arm`, denied in each crate that has them.
+const ROOT_DENIES: &[(&str, &[&str])] = &[
+    ("core", &[UNWRAP, INDEXING, WILDCARD]),
+    ("proto", &[UNWRAP, INDEXING, WILDCARD]),
+    ("cache", &[UNWRAP, INDEXING]),
+    ("net", &[INDEXING, WILDCARD]),
+    ("reactor", &[INDEXING]),
+    ("audit", &[WILDCARD]),
+    ("httpsim", &[WILDCARD]),
+    ("types", &[WILDCARD]),
+];
+const UNWRAP: &str = "#![deny(clippy::unwrap_used, clippy::expect_used)]";
+const INDEXING: &str = "#![deny(clippy::indexing_slicing)]";
+const WILDCARD: &str = "#![deny(clippy::wildcard_enum_match_arm)]";
+
+/// `path: deny` for each of `denies` the crate root `src` does not hold as
+/// a line of its own, or that a crate-level `allow` / `warn` of one of its
+/// lints undoes.
+fn missing_denies(path: &str, src: &str, denies: &[&str]) -> Vec<String> {
+    let lines: Vec<&str> = src.lines().map(str::trim).collect();
+    let relaxed = |deny: &str| {
+        let lints = deny.trim_start_matches("#![deny(").trim_end_matches(")]");
+        lines.iter().any(|line| {
+            (line.starts_with("#![allow(") || line.starts_with("#![warn("))
+                && lints.split(", ").any(|lint| line.contains(lint))
+        })
+    };
+    denies
+        .iter()
+        .filter(|deny| !lines.contains(deny) || relaxed(deny))
+        .map(|deny| format!("{path}: {deny}"))
+        .collect()
+}
+
+#[test]
+fn crate_roots_keep_their_clippy_denies() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"));
+    let mut missing = Vec::new();
+    for (krate, denies) in ROOT_DENIES {
+        let path = format!("crates/{krate}/src/lib.rs");
+        let src = std::fs::read_to_string(root.join(&path)).expect("crate root is readable");
+        missing.extend(missing_denies(&path, &src, denies));
+    }
+    assert!(missing.is_empty(), "{}", missing.join("\n"));
+}
+
+#[test]
+fn a_dropped_or_relaxed_root_deny_is_reported() {
+    let path = "crates/core/src/lib.rs";
+    let kept = format!("#![forbid(unsafe_code)]\n{UNWRAP}\n{INDEXING}\n");
+    assert!(missing_denies(path, &kept, &[UNWRAP, INDEXING]).is_empty());
+    let dropped = format!("#![forbid(unsafe_code)]\n{UNWRAP}\n");
+    assert_eq!(
+        missing_denies(path, &dropped, &[UNWRAP, INDEXING]),
+        [format!("{path}: {INDEXING}")]
+    );
+    let relaxed = format!("{kept}#![allow(clippy::expect_used)]\n");
+    assert_eq!(
+        missing_denies(path, &relaxed, &[UNWRAP, INDEXING]),
+        [format!("{path}: {UNWRAP}")]
+    );
+    let commented = format!("// {INDEXING}\n{UNWRAP}\n");
+    assert_eq!(missing_denies(path, &commented, &[INDEXING]).len(), 1);
 }
 
 /// One violation per rule of the root `clippy.toml` and the workspace's
