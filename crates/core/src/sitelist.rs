@@ -95,7 +95,9 @@ const MIN_SEGMENT: usize = 4;
 /// them, `MIN_SEGMENT << class` entries from `start`. A segment that a list
 /// outgrows, or that a drain or purge empties, goes on its class's free
 /// list for the next list that needs one, so after warm-up starting or
-/// growing a list takes no allocation.
+/// growing a list takes no allocation. A list whose leases are all
+/// infinite (plain invalidation) neither writes nor reads its expiries, so
+/// registering in it touches one array, not two.
 #[derive(Debug, Default, Clone)]
 struct Segments {
     clients: Vec<ClientId>,
@@ -116,6 +118,10 @@ struct SiteList {
     start: u32,
     len: u32,
     class: u8,
+    /// Some entry holds a finite lease, so the segment's expiries are
+    /// kept; until then every entry's is [`SimTime::NEVER`] and the
+    /// expiries are left as they were.
+    leased: bool,
 }
 
 impl Segments {
@@ -164,6 +170,13 @@ impl Segments {
     fn register(&mut self, list: &mut SiteList, client: ClientId, lease_expires: SimTime) -> bool {
         let len = list.len as usize;
         let (clients, expires) = self.parts(list.start, list.class);
+        if !list.leased && lease_expires != SimTime::NEVER {
+            expires
+                .get_mut(..len)
+                .unwrap_or_default()
+                .fill(SimTime::NEVER);
+            list.leased = true;
+        }
         let full = len == clients.len();
         let i = match clients
             .get(..len)
@@ -171,7 +184,7 @@ impl Segments {
             .binary_search(&client)
         {
             Ok(i) => {
-                if let Some(expiry) = expires.get_mut(i) {
+                if let Some(expiry) = expires.get_mut(i).filter(|_| list.leased) {
                     *expiry = (*expiry).max(lease_expires);
                 }
                 return false;
@@ -183,17 +196,23 @@ impl Segments {
             let from = list.start as usize..list.start as usize + len;
             let to = start as usize;
             self.clients.copy_within(from.clone(), to);
-            self.expires.copy_within(from, to);
+            if list.leased {
+                self.expires.copy_within(from, to);
+            }
             self.give(*list);
             (list.start, list.class) = (start, list.class + 1);
         }
         let (clients, expires) = self.parts(list.start, list.class);
         // Shift the tail up one, the free slot past it landing at `i`.
         #[expect(clippy::indexing_slicing, reason = "`i..=len` is never empty")]
-        if let (Some(c), Some(e)) = (clients.get_mut(i..=len), expires.get_mut(i..=len)) {
+        if let Some(c) = clients.get_mut(i..=len) {
             c.rotate_right(1);
+            c[0] = client;
+        }
+        #[expect(clippy::indexing_slicing, reason = "`i..=len` is never empty")]
+        if let Some(e) = expires.get_mut(i..=len).filter(|_| list.leased) {
             e.rotate_right(1);
-            (c[0], e[0]) = (client, lease_expires);
+            e[0] = lease_expires;
         }
         list.len += 1;
         true
@@ -202,6 +221,9 @@ impl Segments {
     /// Drops `list`'s entries with `expires <= now` in place, keeping the
     /// rest in order; returns how many fell.
     fn purge(&mut self, list: &mut SiteList, now: SimTime) -> u64 {
+        if !list.leased {
+            return 0;
+        }
         let len = list.len as usize;
         let (clients, expires) = self.parts(list.start, list.class);
         let mut kept = 0;
@@ -233,6 +255,7 @@ impl InvalidationTable {
             start: segments.take(0),
             len: 0,
             class: 0,
+            leased: false,
         });
         if segments.register(list, client, lease_expires) {
             self.entries += 1;
@@ -255,7 +278,7 @@ impl InvalidationTable {
             .iter()
             .zip(expires.iter())
             .take(list.len as usize)
-            .filter(|&(_, &expires)| expires > now)
+            .filter(|&(_, &expires)| !list.leased || expires > now)
             .map(|(&client, _)| client)
             .collect();
         self.segments.give(list);
@@ -493,41 +516,66 @@ mod proptests {
         fn entries_are_conserved_across_op_sequences(
             ops in proptest::collection::vec((0u8..3, 0u32..4, 0u32..6, 0u64..100), 1..120),
         ) {
-            use std::collections::HashMap;
-            let mut t = InvalidationTable::new();
-            // Shadow model: (doc, client) -> lease expiry (max wins).
-            let mut shadow: HashMap<(u32, u32), SimTime> = HashMap::new();
-            for (op, doc, cl, tick) in ops {
-                let u = Url::new(ServerId::new(0), doc);
-                let c = ClientId::from_raw(cl);
-                let at = SimTime::from_secs(tick);
-                match op {
-                    0 => {
-                        t.register(u, c, at);
-                        let e = shadow.entry((doc, cl)).or_insert(at);
-                        *e = (*e).max(at);
-                    }
-                    1 => {
-                        let taken = t.take_sites(u, at);
-                        let mut expect: Vec<ClientId> = shadow
-                            .iter()
-                            .filter(|(&(d, _), &exp)| d == doc && exp > at)
-                            .map(|(&(_, raw), _)| ClientId::from_raw(raw))
-                            .collect();
-                        expect.sort_unstable();
-                        prop_assert_eq!(taken, expect);
-                        shadow.retain(|&(d, _), _| d != doc);
-                    }
-                    _ => {
-                        let purged = t.purge_expired(at);
-                        let before = shadow.len();
-                        shadow.retain(|_, &mut exp| exp > at);
-                        prop_assert_eq!(purged, (before - shadow.len()) as u64);
-                    }
-                }
-                prop_assert_eq!(t.total_entries(), shadow.len() as u64);
-                prop_assert_eq!(t.stats().total_entries, shadow.len() as u64);
-            }
+            conserved(&ops, SimTime::from_secs)?;
         }
+
+        /// The same with every third lease infinite: a list starts out with
+        /// only infinite leases, and its first finite one must not lose the
+        /// expiries it never kept.
+        #[test]
+        fn entries_are_conserved_with_infinite_leases_mixed_in(
+            ops in proptest::collection::vec((0u8..3, 0u32..4, 0u32..6, 0u64..100), 1..120),
+        ) {
+            let lease = |tick| match tick % 3 {
+                0 => SimTime::NEVER,
+                _ => SimTime::from_secs(tick),
+            };
+            conserved(&ops, lease)?;
+        }
+    }
+
+    /// Runs `ops` against the table and a shadow map; a register's lease
+    /// ends at `lease(tick)`, a take or purge happens at `tick` seconds.
+    fn conserved(
+        ops: &[(u8, u32, u32, u64)],
+        lease: fn(u64) -> SimTime,
+    ) -> Result<(), TestCaseError> {
+        use std::collections::HashMap;
+        let mut t = InvalidationTable::new();
+        // Shadow model: (doc, client) -> lease expiry (max wins).
+        let mut shadow: HashMap<(u32, u32), SimTime> = HashMap::new();
+        for &(op, doc, cl, tick) in ops {
+            let u = Url::new(ServerId::new(0), doc);
+            let c = ClientId::from_raw(cl);
+            let at = SimTime::from_secs(tick);
+            match op {
+                0 => {
+                    let expiry = lease(tick);
+                    t.register(u, c, expiry);
+                    let e = shadow.entry((doc, cl)).or_insert(expiry);
+                    *e = (*e).max(expiry);
+                }
+                1 => {
+                    let taken = t.take_sites(u, at);
+                    let mut expect: Vec<ClientId> = shadow
+                        .iter()
+                        .filter(|(&(d, _), &exp)| d == doc && exp > at)
+                        .map(|(&(_, raw), _)| ClientId::from_raw(raw))
+                        .collect();
+                    expect.sort_unstable();
+                    prop_assert_eq!(taken, expect);
+                    shadow.retain(|&(d, _), _| d != doc);
+                }
+                _ => {
+                    let purged = t.purge_expired(at);
+                    let before = shadow.len();
+                    shadow.retain(|_, &mut exp| exp > at);
+                    prop_assert_eq!(purged, (before - shadow.len()) as u64);
+                }
+            }
+            prop_assert_eq!(t.total_entries(), shadow.len() as u64);
+            prop_assert_eq!(t.stats().total_entries, shadow.len() as u64);
+        }
+        Ok(())
     }
 }

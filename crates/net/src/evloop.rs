@@ -21,7 +21,13 @@
 //! * the flush rule: output queued during a turn leaves in one `send(2)`
 //!   per connection at the turn's end. Queuing output, or write readiness,
 //!   marks a connection dirty; each is flushed once, after the outbox, which
-//!   settles its poller interest and closes it if it was to close drained;
+//!   settles its poller interest and closes it if it was to close drained.
+//!   A connection whose pipeline head is an outstanding ticket keeps its
+//!   queued replies, so the replies ahead of a miss leave with its answer
+//!   in the same send — unless one of its tickets was redeemed this turn,
+//!   its pipeline is full, or it is at EOF or set to close. A push, and
+//!   bytes an earlier flush left unsent, are never held, and held output
+//!   arms no write interest;
 //! * the frame pump: read → decode → [`Role::on_frame`] → consume, then
 //!   keep / close-after-flush / close. A clean EOF (a half-closing
 //!   HTTP/1.0 client) closes only once every reply the peer is still owed
@@ -299,6 +305,10 @@ struct Conn<T> {
     close_after_flush: bool,
     /// On the runtime's list of connections flushed at the turn's end.
     dirty: bool,
+    /// A ticket of this connection was redeemed, or a frame pushed to it,
+    /// during this turn: its output leaves at the turn's end even with the
+    /// pipeline's head still owed.
+    send_now: bool,
     /// Pipeline ordering: every reply — deferred or not — takes a sequence
     /// number when its request is handled and replies are delivered
     /// strictly in that order; early finishers park.
@@ -324,6 +334,20 @@ impl<T> Conn<T> {
     /// until a reply left.
     fn stalled(&self) -> bool {
         self.next_assign - self.next_send >= MAX_PIPELINE
+    }
+
+    /// Queued output waits for the outstanding ticket at the pipeline's
+    /// head, so that the replies ahead of a miss leave with its answer —
+    /// unless a ticket was redeemed or a frame pushed here this turn, the
+    /// pipeline is full, the peer is done, or an earlier flush left bytes
+    /// unsent (write interest is armed).
+    fn holds(&self) -> bool {
+        self.next_send != self.next_assign
+            && !self.send_now
+            && !self.stalled()
+            && !self.eof
+            && !self.close_after_flush
+            && !self.interest.writable
     }
 }
 
@@ -383,6 +407,7 @@ impl<T> Conns<T> {
             interest: Interest::READ,
             close_after_flush: false,
             dirty: false,
+            send_now: false,
             next_assign: 0,
             next_send: 0,
             // An empty `Vec` owns no heap until a reply parks.
@@ -418,17 +443,25 @@ impl<T> Conns<T> {
         }
     }
 
-    /// Flushes queued output and keeps the poller's interest in sync.
-    /// Returns `false` if the connection was closed (fatal write error, or
-    /// drained with `close_after_flush`).
+    /// Flushes queued output, unless the connection [holds](Conn::holds)
+    /// it, and keeps the poller's interest in sync. Returns `false` if the
+    /// connection was closed (fatal write error, or drained with
+    /// `close_after_flush`).
     fn flush(&mut self, poller: &mut Poller, token: u64) -> bool {
         use std::os::fd::AsRawFd;
         let Some(conn) = self.get_mut(token) else {
             return false;
         };
         conn.dirty = false;
+        let held = conn.holds();
+        conn.send_now = false;
         let (writes, pending) = (conn.sbuf.writes(), conn.sbuf.pending());
-        let flushed = conn.sbuf.flush(&mut conn.stream);
+        // Held output waits for a redemption, not for writability.
+        let flushed = if held {
+            Ok(true)
+        } else {
+            conn.sbuf.flush(&mut conn.stream)
+        };
         let calls = conn.sbuf.writes() - writes;
         let sent = pending - conn.sbuf.pending();
         let mut modified = false;
@@ -772,6 +805,7 @@ impl<R: Role> Runtime<R> {
                 };
                 if let Some(conn) = self.conns.get_mut(tok) {
                     encode_into(&msg, conn.sbuf.tail());
+                    conn.send_now = true;
                 }
                 self.mark(tok);
             }
@@ -864,6 +898,7 @@ impl<R: Role> Runtime<R> {
         if conn.close_after_flush {
             return;
         }
+        conn.send_now = true;
         let stalled = conn.stalled();
         conn.parked.push((ticket.seq, reply));
         while let Some(i) = conn.parked.iter().position(|(s, _)| *s == conn.next_send) {
@@ -1416,6 +1451,121 @@ mod tests {
             Ok(HttpMsgRef::Owned(HttpMsg::InvalidateServer { .. }))
         ));
         assert_eq!(send_calls(&h) - before, 1);
+    }
+
+    /// A window of hit, miss, hit, miss: the first hit waits for the first
+    /// miss's answer, so nothing leaves before a redemption.
+    fn window_with_two_tickets(h: &Harness) -> Peer {
+        let mut a = Peer::connect(h.addr);
+        let mut side = Peer::connect(h.addr);
+        let window = [
+            get(1, INLINE, 0),
+            get(2, DEFER, 0),
+            get(3, INLINE, 0),
+            get(4, DEFER, 0),
+        ];
+        a.send(&window.concat());
+        side.barrier();
+        a.assert_quiet();
+        a
+    }
+
+    /// Both tickets redeemed in one turn: the whole window leaves in one
+    /// write, the hit ahead of the first miss included.
+    #[test]
+    fn a_window_whose_tickets_are_redeemed_in_one_turn_leaves_in_one_send() {
+        let h = start();
+        let mut a = window_with_two_tickets(&h);
+        let before = send_calls(&h);
+        a.send(&[frame(5, RELEASE, 2, 0), frame(6, RELEASE, 4, 0)].concat());
+        let replies: Vec<u64> = (0..6).map(|_| a.reply().0).collect();
+        assert_eq!(replies, [1, 2, 3, 4, 5, 6]);
+        assert_eq!(send_calls(&h) - before, 1);
+    }
+
+    /// Redeemed in two turns: the first redemption takes everything up to
+    /// the second ticket along, the second the rest.
+    #[test]
+    fn a_window_whose_tickets_are_redeemed_in_two_turns_leaves_in_two_sends() {
+        let h = start();
+        let mut a = window_with_two_tickets(&h);
+        let before = send_calls(&h);
+        a.send(&frame(5, RELEASE, 2, 0));
+        assert_eq!([1, 2, 3].map(|_| a.reply().0), [1, 2, 3]);
+        a.assert_quiet(); // 5 parks behind 4
+        assert_eq!(send_calls(&h) - before, 1);
+        a.send(&frame(6, RELEASE, 4, 0));
+        assert_eq!([4, 5, 6].map(|_| a.reply().0), [4, 5, 6]);
+        assert_eq!(send_calls(&h) - before, 2);
+    }
+
+    /// A push is never held: one queued behind a held reply takes that
+    /// reply along at the turn's end.
+    #[test]
+    fn a_push_queued_behind_a_held_reply_leaves_at_the_turns_end() {
+        let h = start();
+        let mut a = Peer::connect(h.addr);
+        let mut side = Peer::connect(h.addr);
+        a.send(&[get(1, INLINE, 0), get(2, DEFER, 0)].concat());
+        side.barrier();
+        a.assert_quiet();
+        // 3's own reply parks behind 2; its push goes behind 1.
+        a.send(&get(3, PUSH, 0));
+        assert_eq!(a.reply().0, 1);
+        assert!(matches!(
+            a.r.next_msg(),
+            Ok(HttpMsgRef::Owned(HttpMsg::InvalidateServer { .. }))
+        ));
+        side.barrier();
+        a.assert_quiet();
+        side.release(30, RELEASE, 2);
+        assert_eq!([a.reply().0, a.reply().0], [2, 3]);
+    }
+
+    /// Output a socket refused is written again once it turns writable,
+    /// even while the pipeline's head is owed.
+    #[test]
+    fn output_a_socket_refused_is_flushed_on_writability_while_the_head_is_owed() {
+        let h = start();
+        let mut a = Peer::connect(h.addr);
+        let mut side = Peer::connect(h.addr);
+        a.send(&get(1, INLINE, BIG));
+        side.barrier(); // the first flush was partial
+        a.send(&get(2, DEFER, 0));
+        side.barrier(); // 2 is owed
+        assert_eq!(a.reply(), (1, BIG as usize));
+        a.assert_quiet();
+        side.release(30, RELEASE, 2);
+        assert_eq!(a.reply().0, 2);
+    }
+
+    /// A full pipeline is never held: nothing would be read to redeem it.
+    #[test]
+    fn a_full_pipeline_flushes() {
+        let h = start();
+        let mut a = Peer::connect(h.addr);
+        let window: Vec<u8> = std::iter::once(get(1, INLINE, 0))
+            .chain((2..=MAX_PIPELINE + 1).map(|req| get(req, DEFER, 0)))
+            .flatten()
+            .collect();
+        a.send(&window);
+        assert_eq!(a.reply().0, 1);
+    }
+
+    /// A half-closed connection is never held: the peer sends nothing
+    /// more for its replies to wait with.
+    #[test]
+    fn a_half_closed_connection_is_not_held() {
+        let h = start();
+        let mut a = Peer::connect(h.addr);
+        let mut side = Peer::connect(h.addr);
+        a.send(&[get(1, INLINE, 0), get(2, DEFER, 0)].concat());
+        a.w.shutdown(Shutdown::Write).expect("half-close");
+        side.barrier(); // the EOF was seen with request 2 deferred
+        assert_eq!(a.reply().0, 1);
+        side.release(30, RELEASE, 2);
+        assert_eq!(a.reply().0, 2);
+        assert!(matches!(a.r.next_msg(), Err(WireError::Closed)));
     }
 
     /// The loops this runtime replaced ticked on idleness: a fixed wait

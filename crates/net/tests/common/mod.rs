@@ -73,16 +73,7 @@ impl Wire {
 
     /// Answers `get` with a `200` of the version modified at `modified`.
     pub fn reply_200(&mut self, get: &GetRequest, modified: SimTime) {
-        let meta = DocMeta::new(ByteSize::from_kib(8), modified);
-        self.send(&HttpMsg::Reply(Reply {
-            req: get.req,
-            url: get.url,
-            client: get.client,
-            status: ReplyStatus::Ok(Body::synthetic(meta, 100)),
-            lease: None,
-            piggyback: Vec::new(),
-            volume_lease: None,
-        }));
+        self.send(&ok_200(get, modified));
     }
 
     /// Every byte the peer sends until it closes, raw: for an answer that
@@ -111,6 +102,20 @@ impl Wire {
             std::io::ErrorKind::WouldBlock
         );
     }
+}
+
+/// The `200` that answers `get` with the version modified at `modified`.
+pub fn ok_200(get: &GetRequest, modified: SimTime) -> HttpMsg {
+    let meta = DocMeta::new(ByteSize::from_kib(8), modified);
+    HttpMsg::Reply(Reply {
+        req: get.req,
+        url: get.url,
+        client: get.client,
+        status: ReplyStatus::Ok(Body::synthetic(meta, 100)),
+        lease: None,
+        piggyback: Vec::new(),
+        volume_lease: None,
+    })
 }
 
 /// A client `GET` (`req` is the client connection's own numbering).

@@ -5,9 +5,10 @@
 //! overtook, a dropped upstream connection is re-dialled with its flights
 //! re-sent, a flight nobody answers times out, a pipelining client cannot
 //! make the proxy hold more than a bounded number of requests, a scrape
-//! waits for the replies ahead of it, a blocking `fetch` is one more
-//! client of all this, and an upstream's `X-Size` cannot make the proxy
-//! allocate without bound.
+//! waits for the replies ahead of it, a hit pipelined ahead of a miss
+//! leaves with the miss's answer (and no later than the flight's give-up),
+//! a blocking `fetch` is one more client of all this, and an upstream's
+//! `X-Size` cannot make the proxy allocate without bound.
 
 #![allow(
     clippy::disallowed_methods,
@@ -16,7 +17,8 @@
 
 mod common;
 
-use common::{get, url, ScriptedUpstream, Wire, SERVER};
+use common::{get, ok_200, url, ScriptedUpstream, Wire, SERVER};
+use std::time::{Duration, Instant};
 use wcc_core::{ProtocolConfig, ProtocolKind};
 use wcc_net::{FetchKind, NetProxy};
 use wcc_proto::{decode_frame, HttpMsg, HttpMsgRef, Reply, ReplyStatus, MAX_DOC_SIZE};
@@ -314,6 +316,71 @@ fn a_scrape_pipelined_behind_a_miss_waits_for_its_reply() {
     assert!(scrape.starts_with("HTTP/1.0 200 OK"), "{scrape}");
     assert!(scrape.contains("wcc_reactor_send_calls_total"), "{scrape}");
     assert_eq!(proxy.counters().dropped_connections, 0);
+}
+
+/// The proxy's `wcc_reactor_send_calls_total`, as a scrape reads it.
+fn send_calls(proxy: &NetProxy) -> u64 {
+    gauge(proxy, "wcc_reactor_send_calls_total")
+        .parse()
+        .expect("a count")
+}
+
+/// A pipelined hit, miss, hit, miss: the hits wait for the misses'
+/// answers, and when the upstream writes both at once the window leaves
+/// in one send to the client.
+#[test]
+fn a_pipelined_window_with_two_misses_leaves_in_one_client_send() {
+    let (_upstream, proxy, mut up) = start();
+    let mut a = Wire::connect(proxy.client_addr());
+    a.send_all(&[get(1, 1, C, t(1)), get(2, 3, C, t(1))]);
+    let warm = [up.recv_get(), up.recv_get()];
+    up.send_all(&warm.map(|miss| ok_200(&miss, t(0))));
+    assert_eq!([a.recv_200().0, a.recv_200().0], [1, 2]);
+
+    let before = send_calls(&proxy);
+    a.send_all(&[
+        get(3, 1, C, t(2)),
+        get(4, 2, C, t(2)),
+        get(5, 3, C, t(2)),
+        get(6, 4, C, t(2)),
+    ]);
+    let misses = [up.recv_get(), up.recv_get()];
+    assert_eq!(misses.map(|miss| miss.url), [url(2), url(4)]);
+    // The scrape runs between turns: the window's turn is over, and its
+    // only send carried both misses upstream.
+    let forwarded = send_calls(&proxy);
+    assert_eq!(forwarded - before, 1);
+    a.assert_quiet();
+    up.send_all(&misses.map(|miss| ok_200(&miss, t(0))));
+    let replies: Vec<u64> = (0..4).map(|_| a.recv_200().0).collect();
+    assert_eq!(replies, [3, 4, 5, 6]);
+    assert_eq!(send_calls(&proxy) - forwarded, 1);
+    assert_eq!(proxy.counters().reactor_hits, 2);
+}
+
+/// A hit held behind a miss the upstream accepted and never answers waits
+/// out the flight: only its give-up, 5 s after it began, lets the hit go,
+/// and the connection closes behind it.
+#[test]
+fn a_hit_held_behind_a_silent_upstream_leaves_when_the_flight_gives_up() {
+    let (_upstream, proxy, mut up) = start();
+    let mut a = Wire::connect(proxy.client_addr());
+    a.send(&get(1, 1, C, t(1)));
+    let first = up.recv_get();
+    up.reply_200(&first, t(0));
+    assert_eq!(a.recv_200(), (1, t(0)));
+    let begun = Instant::now();
+    a.send_all(&[get(2, 1, C, t(2)), get(3, 2, C, t(2))]);
+    let _never_answered = up.recv_get();
+    assert_eq!(a.recv_200(), (2, t(0)));
+    let held = begun.elapsed();
+    assert!(
+        held >= Duration::from_millis(4_900) && held < Duration::from_secs(7),
+        "the hit was held for {held:?}"
+    );
+    a.assert_closed();
+    let c = proxy.counters();
+    assert_eq!((c.upstream_timeouts, c.dropped_connections), (1, 1));
 }
 
 /// A blocking `fetch` dials nothing of its own: its miss goes out on the

@@ -233,9 +233,20 @@ echo "==> one send per connection per turn (serve-tier flush rule)"
 # the turn's end: tickets redeemed in one turn, and a reply plus a push, each
 # move the node's send-call counter by exactly 1, and a pipelined window of
 # 8 GETs costs one recv and one send; a /metrics scrape pipelined behind a
-# miss waits for the miss's reply. Also run in the suites above.
+# miss waits for the miss's reply. Replies queued ahead of an outstanding
+# ticket are held until one of the connection's tickets is redeemed: a
+# window of hit, miss, hit, miss leaves in one send when both misses are
+# answered in one turn, in two when in two turns; a push, bytes a socket
+# refused, a full pipeline and a half-closed connection are never held;
+# through a real proxy the window leaves in one client send, and a hit held
+# behind a silent upstream leaves at the flight's 5 s give-up. Also run in
+# the suites above.
 cargo test -q -p wcc-net --lib in_one_send
-cargo test -q -p wcc-net --test scripted_upstream a_scrape_pipelined_behind_a_miss
+cargo test -q -p wcc-net --lib -- in_two_sends a_push_queued_behind_a_held_reply \
+    output_a_socket_refused_is_flushed a_full_pipeline_flushes \
+    a_half_closed_connection_is_not_held
+cargo test -q -p wcc-net --test scripted_upstream -- a_scrape_pipelined_behind_a_miss \
+    in_one_client_send a_hit_held_behind_a_silent_upstream
 
 echo "==> an upstream's X-Size is bounded at decode"
 # A 200 claiming more than wcc_proto::MAX_DOC_SIZE is refused at decode and
