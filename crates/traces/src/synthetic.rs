@@ -11,7 +11,7 @@ use crate::zipf::Zipf;
 use crate::{Trace, TraceRecord};
 use rand::rngs::StdRng;
 use rand::Rng;
-use wcc_types::{ByteSize, ClientId, ServerId, SimTime, Url};
+use wcc_types::{ByteSize, ClientId, FxHashSet, ServerId, SimTime, Url};
 
 /// Generates a deterministic synthetic [`Trace`] from calibration targets.
 ///
@@ -201,16 +201,23 @@ fn sample_doc_sizes(spec: &TraceSpec, doc_perm: &[usize], rng: &mut StdRng) -> V
     out
 }
 
-/// Synthesizes stable dotted-quad client ids (distinct, deterministic).
+/// Synthesizes stable dotted-quad client ids (distinct, deterministic,
+/// ascending): draws until `n` distinct ids are seen, then sorts them once.
 fn synth_client_ids(n: u32, rng: &mut StdRng) -> Vec<ClientId> {
-    let mut ids = std::collections::BTreeSet::new();
+    let mut seen = FxHashSet::default();
+    seen.reserve(n as usize);
+    let mut ids = Vec::with_capacity(n as usize);
     while ids.len() < n as usize {
         // Public-looking /8s, avoiding 0 and 255 in the first octet.
         let raw: u32 = rng.gen();
         let first = 1 + (raw >> 24) % 223;
-        ids.insert(ClientId::from_raw((first << 24) | (raw & 0x00FF_FFFF)));
+        let id = ClientId::from_raw((first << 24) | (raw & 0x00FF_FFFF));
+        if seen.insert(id) {
+            ids.push(id);
+        }
     }
-    ids.into_iter().collect()
+    ids.sort_unstable();
+    ids
 }
 
 fn permutation(n: usize, rng: &mut StdRng) -> Vec<usize> {
@@ -223,28 +230,134 @@ fn permutation(n: usize, rng: &mut StdRng) -> Vec<usize> {
     perm
 }
 
+const HOUR_US: u64 = 3_600_000_000;
+
 /// Draws `total_requests` arrival instants across the trace duration with a
-/// sinusoidal day/night profile, then sorts them.
+/// sinusoidal day/night profile: each draw picks an hour by weight, then a
+/// uniform instant within it. The instants come back sorted, hour by hour
+/// (every instant lies in the hour it was drawn for).
 fn sample_arrivals(spec: &TraceSpec, rng: &mut StdRng) -> Vec<SimTime> {
     let duration_us = spec.duration.as_micros().max(1);
-    let hour_us = 3_600_000_000u64;
-    let buckets = duration_us.div_ceil(hour_us) as usize;
-    let amp = spec.diurnal_amplitude.clamp(0.0, 0.99);
+    let buckets = duration_us.div_ceil(HOUR_US) as usize;
+    let hours = HourGuide::new(hour_weights(spec));
 
-    // Weight of each hourly bucket: peak mid-afternoon, trough pre-dawn.
-    let weights: Vec<f64> = (0..buckets)
+    let n = spec.total_requests as usize;
+    let mut drawn = Vec::with_capacity(n);
+    // `ends[h]` counts the draws up to and including hour `h`.
+    let mut ends = vec![0usize; buckets];
+    for _ in 0..n {
+        let bucket = hours.hour(rng.gen());
+        let start = bucket as u64 * HOUR_US;
+        let end = ((bucket as u64 + 1) * HOUR_US).min(duration_us);
+        drawn.push(rng.gen_range(start..end.max(start + 1)));
+        ends[bucket] += 1;
+    }
+    for h in 1..buckets {
+        ends[h] += ends[h - 1];
+    }
+    // Scatter each instant into its hour's run, then sort run by run.
+    let mut times = vec![SimTime::ZERO; n];
+    for &at in drawn.iter().rev() {
+        let h = (at / HOUR_US) as usize;
+        ends[h] -= 1;
+        times[ends[h]] = SimTime::from_micros(at);
+    }
+    // `ends[h]` now starts hour `h`'s run.
+    for (h, &start) in ends.iter().enumerate() {
+        let end = ends.get(h + 1).copied().unwrap_or(n);
+        times[start..end].sort_unstable();
+    }
+    times
+}
+
+/// The weight of each hour of the trace: peak mid-afternoon, trough
+/// pre-dawn.
+fn hour_weights(spec: &TraceSpec) -> Vec<f64> {
+    let hours = spec.duration.as_micros().max(1).div_ceil(HOUR_US);
+    let amp = spec.diurnal_amplitude.clamp(0.0, 0.99);
+    (0..hours)
         .map(|h| {
             let day_frac = (h % 24) as f64 / 24.0;
             1.0 + amp * (std::f64::consts::TAU * (day_frac - 0.40)).sin()
         })
-        .collect();
-    let total_weight: f64 = weights.iter().sum();
+        .collect()
+}
 
-    let mut times = Vec::with_capacity(spec.total_requests as usize);
-    for _ in 0..spec.total_requests {
-        // Pick a bucket by weight, then a uniform offset within it.
-        let mut pick = rng.gen_range(0.0..total_weight);
-        let mut bucket = 0;
+/// Picks an hour by weight. A draw `u` in `[0, 1)` becomes
+/// `pick = u × total weight` (what `gen_range(0.0..total)` makes of the
+/// same draw), and the hour is where a sequential walk lands `pick`: the
+/// first hour whose weight exceeds what is left of `pick` once the hours
+/// before it are subtracted, or the last hour when rounding leaves `pick`
+/// at or above the last hour's residual.
+///
+/// The walk is monotone in `pick`, and `pick` in `u`, so a guide table over
+/// `[0, 1)` holds the hour at each cell edge: a cell whose two edges agree
+/// is its hour, and only a draw in a cell whose edges disagree (at most one
+/// per hour boundary) still walks. The cell count is a power of two, so a
+/// draw's own bits name its cell exactly.
+struct HourGuide {
+    weights: Vec<f64>,
+    total: f64,
+    /// The walk's hour at each cell edge: `edges[j]` for the draw
+    /// `j / cells`, `j` in `0..=cells`.
+    edges: Vec<u32>,
+}
+
+impl HourGuide {
+    /// Cells per hour, rounded up to a power of two in all: a walk on at
+    /// most one draw in eight.
+    const CELLS_PER_HOUR: usize = 8;
+
+    fn new(weights: Vec<f64>) -> Self {
+        let total: f64 = weights.iter().sum();
+        let cells = (weights.len() * Self::CELLS_PER_HOUR).next_power_of_two();
+        let edges = (0..=cells)
+            .map(|j| walk(&weights, j as f64 / cells as f64 * total) as u32)
+            .collect();
+        HourGuide {
+            weights,
+            total,
+            edges,
+        }
+    }
+
+    /// The hour for the draw `u` in `[0, 1)`.
+    fn hour(&self, u: f64) -> usize {
+        let cell = (u * (self.edges.len() - 1) as f64) as usize;
+        let (lo, hi) = (self.edges[cell], self.edges[cell + 1]);
+        if lo == hi {
+            lo as usize
+        } else {
+            walk(&self.weights, u * self.total)
+        }
+    }
+}
+
+/// The sequential walk: subtracts hour weights from `pick` until one
+/// exceeds what is left; the last hour if none does.
+fn walk(weights: &[f64], mut pick: f64) -> usize {
+    for (i, w) in weights.iter().enumerate() {
+        if pick < *w {
+            return i;
+        }
+        pick -= w;
+    }
+    weights.len() - 1
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::TraceSummary;
+    use proptest::prelude::*;
+
+    /// The walk the guide table replaced, run on every draw, with its
+    /// fall-through given the last hour: the oracle [`HourGuide`] is held
+    /// to.
+    fn hour_by_walk(weights: &[f64], u: f64) -> usize {
+        let total_weight: f64 = weights.iter().sum();
+        let mut pick = u * total_weight;
+        let mut bucket = weights.len() - 1;
         for (i, w) in weights.iter().enumerate() {
             if pick < *w {
                 bucket = i;
@@ -252,19 +365,87 @@ fn sample_arrivals(spec: &TraceSpec, rng: &mut StdRng) -> Vec<SimTime> {
             }
             pick -= w;
         }
-        let start = bucket as u64 * hour_us;
-        let end = ((bucket as u64 + 1) * hour_us).min(duration_us);
-        let at = rng.gen_range(start..end.max(start + 1));
-        times.push(SimTime::from_micros(at));
+        bucket
     }
-    times.sort_unstable();
-    times
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use crate::TraceSummary;
+    /// The diurnal profile `sample_arrivals` weights `hours` hours with.
+    fn diurnal(hours: u64, amplitude: f64) -> Vec<f64> {
+        let spec = TraceSpec {
+            duration: wcc_types::SimDuration::from_hours(hours),
+            diurnal_amplitude: amplitude,
+            ..TraceSpec::epa()
+        };
+        hour_weights(&spec)
+    }
+
+    const HOURS: [u64; 4] = [1, 10, 24, 192];
+
+    /// Every draw where the table could go wrong: each cell edge and each
+    /// hour boundary with the doubles either side, `0`, and the last
+    /// doubles below `1`, whose picks are the last below the total weight.
+    fn edge_draws(guide: &HourGuide) -> Vec<f64> {
+        let cells = guide.edges.len() - 1;
+        let mut marks: Vec<f64> = (0..=cells).map(|j| j as f64 / cells as f64).collect();
+        let mut acc = 0.0;
+        for w in &guide.weights {
+            acc += w;
+            marks.push(acc / guide.total);
+        }
+        let mut draws = vec![0.0];
+        let mut top = 1.0f64;
+        for _ in 0..8 {
+            top = top.next_down();
+            draws.push(top);
+        }
+        for x in marks {
+            draws.extend([x.next_down(), x, x.next_up()]);
+        }
+        draws.retain(|u| (0.0..1.0).contains(u));
+        draws
+    }
+
+    #[test]
+    fn the_hour_guide_finds_the_walked_hour_at_every_edge() {
+        for hours in HOURS {
+            for amplitude in [0.0, 0.3, 0.5, 0.85, 0.99] {
+                let guide = HourGuide::new(diurnal(hours, amplitude));
+                for u in edge_draws(&guide) {
+                    assert_eq!(
+                        guide.hour(u),
+                        hour_by_walk(&guide.weights, u),
+                        "{hours} h, amplitude {amplitude}, u {u:e}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_pick_the_walk_runs_past_lands_in_the_last_hour() {
+        // 1 − 2⁻⁵³ picks 0.9999999999999999; less 0.3 it rounds to 0.7,
+        // which is not below 0.7, so the walk ends without finding an hour.
+        let guide = HourGuide::new(vec![0.3, 0.7]);
+        let u = 1.0 - f64::EPSILON / 2.0;
+        assert_eq!(walk(&guide.weights, u * guide.total), 1);
+        assert_eq!(guide.hour(u), 1);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn the_hour_guide_finds_the_walked_hour(
+            which in 0usize..4,
+            amplitude_pct in 0u64..100,
+            seed in any::<u64>(),
+        ) {
+            let guide = HourGuide::new(diurnal(HOURS[which], amplitude_pct as f64 / 100.0));
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..2_000 {
+                let u: f64 = rng.gen();
+                prop_assert_eq!(guide.hour(u), hour_by_walk(&guide.weights, u), "u {:e}", u);
+            }
+        }
+    }
 
     #[test]
     fn generation_is_deterministic_and_seed_sensitive() {

@@ -2,8 +2,14 @@
 //!
 //! Web document popularity is famously Zipf-like; the generator uses this
 //! both for document choice and for client activity. Implemented with a
-//! precomputed CDF and binary search — exact, allocation-free sampling, and
-//! no dependency beyond `rand`.
+//! precomputed CDF and a guide table over `[0, 1)`: a draw `u` names its
+//! cell by its own bits (the cell count is a power of two, so
+//! `u × cells` is exact), and the cell gives a window of the CDF that holds
+//! every rank `u` can land on. A binary search over that window finds the
+//! rank a binary search over the whole CDF finds. Every window has the
+//! same length — the most ranks one cell spans, a handful at the exponents
+//! web traces have — so each draw takes the same few steps, with no branch
+//! that depends on the draw, and no dependency beyond `rand`.
 
 use rand::Rng;
 
@@ -24,6 +30,14 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    /// Where cell `j`'s window starts: the first rank whose CDF value
+    /// reaches `j / guide.len()`, moved down where needed so the window
+    /// ends inside the CDF. `guide.len()` is the largest power of two no
+    /// greater than `n`, so the table never outgrows the CDF.
+    guide: Vec<usize>,
+    /// The window's length: the most ranks a draw in one cell can land on,
+    /// less one.
+    window: usize,
 }
 
 impl Zipf {
@@ -53,7 +67,27 @@ impl Zipf {
         }
         // Guard against floating-point shortfall at the top.
         *cdf.last_mut().expect("n > 0") = 1.0;
-        Zipf { cdf }
+        let cells = 1usize << n.ilog2();
+        let mut guide = Vec::with_capacity(cells);
+        let mut rank = 0;
+        for j in 0..cells {
+            // The CDF ends at 1.0, above every edge, so the sweep stops.
+            let edge = j as f64 / cells as f64;
+            while cdf[rank] < edge {
+                rank += 1;
+            }
+            guide.push(rank);
+        }
+        // A draw in cell `j` lands in `guide[j]..=guide[j + 1]`; `n` closes
+        // the last cell.
+        let window = (0..cells)
+            .map(|j| guide.get(j + 1).copied().unwrap_or(n) - guide[j])
+            .max()
+            .expect("n > 0");
+        for start in &mut guide {
+            *start = (*start).min(n - window);
+        }
+        Zipf { cdf, guide, window }
     }
 
     /// The number of ranks.
@@ -68,8 +102,17 @@ impl Zipf {
 
     /// Draws a rank in `0..n`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        self.cdf.partition_point(|&c| c < u).min(self.cdf.len() - 1)
+        self.rank_of(rng.gen())
+    }
+
+    /// The first rank whose CDF value reaches `u`, for `u` in `[0, 1)`.
+    ///
+    /// The CDF is non-decreasing, so every rank before the cell's first lies
+    /// below `u` and every rank past its window reaches it: the count of
+    /// window values below `u` is the rank's offset in the window.
+    fn rank_of(&self, u: f64) -> usize {
+        let start = self.guide[(u * self.guide.len() as f64) as usize];
+        start + self.cdf[start..start + self.window].partition_point(|&c| c < u)
     }
 
     /// The probability mass of `rank`.
@@ -85,7 +128,59 @@ impl Zipf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rand::rngs::StdRng;
+
+    /// The search the guide table replaced: a binary search over the whole
+    /// CDF, kept as the oracle the table is held to.
+    fn rank_by_search(z: &Zipf, u: f64) -> usize {
+        z.cdf.partition_point(|&c| c < u).min(z.cdf.len() - 1)
+    }
+
+    const RANKS: [usize; 5] = [1, 2, 3, 1_000, 30_000];
+    const EXPONENTS: [f64; 5] = [0.0, 0.6, 0.9, 1.0, 2.0];
+
+    /// Every draw where the table could go wrong: each CDF value and each
+    /// cell edge with the doubles either side, `0` and `1 - 2^-53`.
+    fn edge_draws(z: &Zipf) -> Vec<f64> {
+        let cells = z.guide.len();
+        let edges = (0..=cells).map(|j| j as f64 / cells as f64);
+        let mut draws = vec![0.0, 1.0 - f64::EPSILON / 2.0];
+        for x in z.cdf.iter().copied().chain(edges) {
+            draws.extend([x.next_down(), x, x.next_up()]);
+        }
+        draws.retain(|u| (0.0..1.0).contains(u));
+        draws
+    }
+
+    #[test]
+    fn the_guide_table_finds_the_searched_rank_at_every_edge() {
+        for n in RANKS {
+            for s in EXPONENTS {
+                let z = Zipf::new(n, s);
+                assert!(z.guide.len() <= n, "n {n}: {} cells", z.guide.len());
+                for u in edge_draws(&z) {
+                    assert_eq!(z.rank_of(u), rank_by_search(&z, u), "n {n} s {s} u {u:e}");
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn the_guide_table_finds_the_searched_rank(
+            which in 0usize..25,
+            seed in any::<u64>(),
+        ) {
+            let z = Zipf::new(RANKS[which % 5], EXPONENTS[which / 5]);
+            let mut rng = StdRng::seed_from_u64(seed);
+            for _ in 0..2_000 {
+                let u: f64 = rng.gen();
+                prop_assert_eq!(z.rank_of(u), rank_by_search(&z, u), "u {:e}", u);
+            }
+        }
+    }
 
     #[test]
     fn uniform_when_s_zero() {
