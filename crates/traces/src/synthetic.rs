@@ -5,6 +5,12 @@
 //! profile); documents are drawn Zipf by popularity rank; clients are drawn
 //! Zipf by activity rank; document sizes are exponential around the spec's
 //! mean with a heavy-tail cap.
+//!
+//! Each per-request draw costs constant time: the document and client
+//! draws go through [`Zipf`]'s guide table and the hour draw through one
+//! over the sequential weight walk, each landing where a full search would.
+//! Arrivals are sorted hour by hour, client ids once. The output is pinned
+//! bit for bit by `tests/digest.rs`.
 
 use crate::spec::TraceSpec;
 use crate::zipf::Zipf;

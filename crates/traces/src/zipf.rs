@@ -33,7 +33,8 @@ pub struct Zipf {
     /// Where cell `j`'s window starts: the first rank whose CDF value
     /// reaches `j / guide.len()`, moved down where needed so the window
     /// ends inside the CDF. `guide.len()` is the largest power of two no
-    /// greater than `n`, so the table never outgrows the CDF.
+    /// greater than `n / 8` (at least 1): the table costs a byte per rank
+    /// against the CDF's eight, and a window at most a few steps more.
     guide: Vec<usize>,
     /// The window's length: the most ranks a draw in one cell can land on,
     /// less one.
@@ -67,7 +68,7 @@ impl Zipf {
         }
         // Guard against floating-point shortfall at the top.
         *cdf.last_mut().expect("n > 0") = 1.0;
-        let cells = 1usize << n.ilog2();
+        let cells = 1usize << (n / 8).max(1).ilog2();
         let mut guide = Vec::with_capacity(cells);
         let mut rank = 0;
         for j in 0..cells {
@@ -158,7 +159,11 @@ mod tests {
         for n in RANKS {
             for s in EXPONENTS {
                 let z = Zipf::new(n, s);
-                assert!(z.guide.len() <= n, "n {n}: {} cells", z.guide.len());
+                assert!(
+                    z.guide.len() <= n.div_ceil(8),
+                    "n {n}: {} cells",
+                    z.guide.len()
+                );
                 for u in edge_draws(&z) {
                     assert_eq!(z.rank_of(u), rank_by_search(&z, u), "n {n} s {s} u {u:e}");
                 }
