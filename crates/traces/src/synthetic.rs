@@ -244,13 +244,12 @@ const HOUR_US: u64 = 3_600_000_000;
 /// (every instant lies in the hour it was drawn for).
 fn sample_arrivals(spec: &TraceSpec, rng: &mut StdRng) -> Vec<SimTime> {
     let duration_us = spec.duration.as_micros().max(1);
-    let buckets = duration_us.div_ceil(HOUR_US) as usize;
     let hours = HourGuide::new(hour_weights(spec));
 
     let n = spec.total_requests as usize;
     let mut drawn = Vec::with_capacity(n);
     // `ends[h]` counts the draws up to and including hour `h`.
-    let mut ends = vec![0usize; buckets];
+    let mut ends = vec![0usize; hours.weights.len()];
     for _ in 0..n {
         let bucket = hours.hour(rng.gen());
         let start = bucket as u64 * HOUR_US;
@@ -258,7 +257,7 @@ fn sample_arrivals(spec: &TraceSpec, rng: &mut StdRng) -> Vec<SimTime> {
         drawn.push(rng.gen_range(start..end.max(start + 1)));
         ends[bucket] += 1;
     }
-    for h in 1..buckets {
+    for h in 1..ends.len() {
         ends[h] += ends[h - 1];
     }
     // Scatter each instant into its hour's run, then sort run by run.
