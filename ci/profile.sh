@@ -27,7 +27,18 @@
 # role, chosen by the frames a thread's samples hold: proxy reactor,
 # origin reactor, load generator, and the rest. A leaf outside the binary
 # shows as `[libc] <- caller`, and the caller counts as a frame of its
-# stack.
+# stack. Exits 1, with no tables, when ROOT_FRAME matches no frame of any
+# sampled stack (an inlined function leaves no frame: `grid_inputs` is one).
+#
+# Trace synthesis (the simulator workloads' set-up) is about 2 % of a
+# 20 s run's samples, and a fixed count of them: the benchmark
+# materialises its inputs 15 times before the timed phase whatever
+# SECONDS is, so a longer run adds none. Read that layer with
+# `materialise` (paper-grid) or `family::generate` (feed-storm) as
+# ROOT_FRAME, and add up several runs for a share finer than a few
+# percent: the timer asks for a sample per 1 ms of CPU, but the kernel
+# fires it at its scheduler tick (4 ms on the 2-vCPU VM the figures in
+# EXPERIMENTS.md come from), so a run's set-up gets 30-130 samples.
 set -euo pipefail
 
 if [ $# -lt 1 ] || [ $# -gt 3 ]; then
@@ -211,6 +222,8 @@ def tables(chosen, rows, instructions):
         print()
 
 chosen = [s for s in stacks if not root_frame or any(f and root_frame in f[0] for f in s)]
+if not chosen:
+    sys.exit(f"profile.sh: no sampled stack holds a frame matching {root_frame!r}")
 print(f"{len(chosen)} samples under {root_frame or 'any frame'!r}\n")
 tables(chosen, 15, True)
 

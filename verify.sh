@@ -111,6 +111,21 @@ echo "==> engine order equivalence (reference model)"
 cargo test -q -p wcc-simnet --test delivery_proptest
 cargo test -q -p wcc-simnet --lib -- event::tests::the_queue_pops_in_key_order_and_recycles_every_slot
 
+echo "==> the generator's output is pinned"
+# The trace generator against FNV-1a digests of its output taken before its
+# draws went through guide tables (crates/traces/tests/digest.rs: the five
+# paper traces at the tables' seed with both SDSC lifetimes, the feed-storm
+# family, and three other seeds), then the guide tables against the
+# searches they replaced, kept as oracles in the unit tests: zipf.rs's
+# binary search over the whole CDF and synthetic.rs's sequential hour walk,
+# at every CDF value, cell edge and hour boundary and on random draws. All
+# also run in the suites above; named here because every committed table,
+# fuzz summary and benchmark digest is computed over these traces.
+cargo test -q -p wcc-traces --test digest
+cargo test -q -p wcc-traces --lib -- \
+  the_guide_table_finds_the_searched_rank the_hour_guide_finds_the_walked_hour \
+  a_pick_the_walk_runs_past
+
 echo "==> wire decoder header rules (against the owned reference decoder)"
 # The library's one decoder (decode_frame / decode_ref) held byte-for-byte
 # to the owned, line-reading decoder it replaced, kept as the oracle in
